@@ -144,7 +144,7 @@ func run(cfg fsckConfig, out io.Writer) int {
 
 	eng.Go("fsck", func(p *sim.Proc) {
 		c.RecoverFull(p)
-		fs2, st := fs.Recover(p, c, fcfg)
+		fs2, st := fs.Remount(p, c.Init(0), fcfg)
 		fmt.Fprintf(out, "journal replay: %d committed transactions, %d incomplete discarded, %d inodes alive\n",
 			st.Committed, st.Incomplete, st.InodesAlive)
 

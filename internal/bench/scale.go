@@ -2,10 +2,10 @@
 // probe. It sweeps streams × target servers over the sharded multi-queue
 // dispatch path and reports, per system, throughput scaling plus the
 // hot-path efficiency counters the shard refactor and the vectored
-// completion path are about: allocations per request (with the unpooled
-// ablation as baseline), shard pool hit rate, doorbell batch occupancy,
-// and on the reverse path CQE batch occupancy and completion messages
-// per op (with the uncoalesced per-CQE ablation as baseline). A third
+// completion path are about: allocations per request (against the seed
+// dispatch's recorded figure), shard pool hit rate, doorbell batch
+// occupancy, and on the reverse path CQE batch occupancy and completion
+// messages per op. A third
 // axis sweeps initiators × fixed targets: aggregate Rio throughput must
 // scale with initiator count while every initiator's ordering domain
 // keeps its invariants (sequencer group order, dense ServerIdx chains /
@@ -36,17 +36,20 @@ type scaleSystem struct {
 	label   string
 	mode    stack.Mode
 	ordered bool
-	noPool  bool
-	noCQE   bool // CQECoalesce off: one bare response capsule per command
 }
 
 var scaleSystems = []scaleSystem{
-	{"rio", stack.ModeRio, true, false, false},
-	{"rio-nopool", stack.ModeRio, true, true, false},
-	{"rio-nocqe", stack.ModeRio, true, false, true},
-	{"horae", stack.ModeHorae, true, false, false},
-	{"orderless", stack.ModeOrderless, false, false, false},
+	{"rio", stack.ModeRio, true},
+	{"horae", stack.ModeHorae, true},
+	{"orderless", stack.ModeOrderless, false},
 }
+
+// seedAllocsPerReq is what the seed dispatch path allocated per request
+// (ticket, wire command, tracking list) before shard pooling, as the
+// unpooled ablation last measured it (BENCH_10.json,
+// scale.rio_nopool.allocs_per_req; see DESIGN.md §3). The ablation is
+// gone; scale.rio.alloc_reduction is reported against this constant.
+const seedAllocsPerReq = 2.999
 
 // runScalePoint measures one (system, streams, targets) point. Streams,
 // threads and queue pairs scale together so each added thread brings its
@@ -57,8 +60,6 @@ func runScalePoint(o Options, sys scaleSystem, streams, targets int) workload.Bl
 	cfg.Streams = streams
 	cfg.QPs = streams
 	cfg.Fabric.NumQPs = streams
-	cfg.Pooling = !sys.noPool
-	cfg.CQECoalesce = !sys.noCQE
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	r := workload.RunBlock(eng, c, workload.BlockJob{
@@ -143,19 +144,14 @@ func ScaleSweep(o Options) *Result {
 
 	for _, tc := range targetCounts {
 		var tput []metrics.Series
-		var rioPts, nopoolPts, nocqePts []workload.BlockResult
+		var rioPts []workload.BlockResult
 		for _, sys := range scaleSystems {
 			s := metrics.Series{Label: sys.label}
 			for _, st := range streams {
 				r := runScalePoint(o, sys, st, tc)
 				s.Add(float64(st), r.KIOPS())
-				switch sys.label {
-				case "rio":
+				if sys.label == "rio" {
 					rioPts = append(rioPts, r)
-				case "rio-nopool":
-					nopoolPts = append(nopoolPts, r)
-				case "rio-nocqe":
-					nocqePts = append(nocqePts, r)
 				}
 			}
 			tput = append(tput, s)
@@ -164,31 +160,27 @@ func ScaleSweep(o Options) *Result {
 			fmt.Sprintf("throughput (K ops/s), %d target server(s)", tc), "streams", tput...))
 
 		// Hot-path counters for the Rio shards at this topology.
-		var allocs, allocsNP, hit, occ metrics.Series
-		allocs.Label, allocsNP.Label = "allocs/req rio", "allocs/req nopool"
-		hit.Label, occ.Label = "pool hit rate", "batch occupancy"
+		var allocs, hit, occ metrics.Series
+		allocs.Label, hit.Label, occ.Label = "allocs/req rio", "pool hit rate", "batch occupancy"
 		for i, st := range streams {
 			allocs.Add(float64(st), rioPts[i].Stats.AllocsPerReq())
-			allocsNP.Add(float64(st), nopoolPts[i].Stats.AllocsPerReq())
 			hit.Add(float64(st), rioPts[i].Stats.Pool.HitRate())
 			occ.Add(float64(st), rioPts[i].Stats.Batch.Occupancy())
 		}
 		res.Tables = append(res.Tables, metrics.Table(
 			fmt.Sprintf("rio hot path, %d target server(s)", tc), "streams",
-			allocs, allocsNP, hit, occ))
+			allocs, hit, occ))
 
-		// Completion-path counters: CQE coalescing vs the per-CQE ablation.
-		var cqeOcc, cplOp, cplOpNC metrics.Series
-		cqeOcc.Label = "cqe occupancy"
-		cplOp.Label, cplOpNC.Label = "cpl msgs/op rio", "cpl msgs/op nocqe"
+		// Completion-path counters: CQE coalescing.
+		var cqeOcc, cplOp metrics.Series
+		cqeOcc.Label, cplOp.Label = "cqe occupancy", "cpl msgs/op rio"
 		for i, st := range streams {
 			cqeOcc.Add(float64(st), rioPts[i].Stats.CplBatch.Occupancy())
 			cplOp.Add(float64(st), rioPts[i].Stats.CompletionMsgsPerOp())
-			cplOpNC.Add(float64(st), nocqePts[i].Stats.CompletionMsgsPerOp())
 		}
 		res.Tables = append(res.Tables, metrics.Table(
 			fmt.Sprintf("rio completion path, %d target server(s)", tc), "streams",
-			cqeOcc, cplOp, cplOpNC))
+			cqeOcc, cplOp))
 
 		rio := seriesByLabel(tput, "rio")
 		mono := true
@@ -203,20 +195,16 @@ func ScaleSweep(o Options) *Result {
 
 		if tc == maxT {
 			last := len(streams) - 1
-			r, np, nc := rioPts[last], nopoolPts[last], nocqePts[last]
+			r := rioPts[last]
 			res.Metric("scale.rio.ops_per_sec", r.KIOPS()*1e3)
 			res.Metric("scale.rio.p99_us", float64(r.Lat.P99())/1000)
 			res.Metric("scale.rio.init_cpu_util", r.InitUtil)
 			res.Metric("scale.rio.allocs_per_req", r.Stats.AllocsPerReq())
-			res.Metric("scale.rio_nopool.allocs_per_req", np.Stats.AllocsPerReq())
-			if a := np.Stats.AllocsPerReq(); a > 0 {
-				res.Metric("scale.rio.alloc_reduction", 1-r.Stats.AllocsPerReq()/a)
-			}
+			res.Metric("scale.rio.alloc_reduction", 1-r.Stats.AllocsPerReq()/seedAllocsPerReq)
 			res.Metric("scale.rio.pool_hit_rate", r.Stats.Pool.HitRate())
 			res.Metric("scale.rio.batch_occupancy", r.Stats.Batch.Occupancy())
 			res.Metric("scale.rio.cqe_batch_occupancy", r.Stats.CplBatch.Occupancy())
 			res.Metric("scale.rio.completion_msgs_per_op", r.Stats.CompletionMsgsPerOp())
-			res.Metric("scale.rio_nocqe.completion_msgs_per_op", nc.Stats.CompletionMsgsPerOp())
 			if r.Stats.Completed > 0 {
 				res.Metric("scale.rio.reap_cpu_per_op_ns",
 					float64(r.Stats.ReapCPU)/float64(r.Stats.Completed))
@@ -259,7 +247,7 @@ func ScaleSweep(o Options) *Result {
 		initCounts[last], initLine.Y[last]/initLine.Y[0], monoInit, violations))
 
 	res.Notes = append(res.Notes,
-		"allocs/req counts hot-path object allocations (tickets, wire commands, tracking lists); the nopool ablation allocates per call as the seed dispatch did",
-		"cpl msgs/op counts completion capsules per completed request; the nocqe ablation ships one bare 16-byte CQE capsule per command, as the seed target did")
+		fmt.Sprintf("allocs/req counts hot-path object allocations (tickets, wire commands, tracking lists) not served from the shard pools; the seed dispatch allocated %.3f per request", seedAllocsPerReq),
+		"cpl msgs/op counts completion capsules per completed request; the seed target shipped exactly one bare 16-byte CQE capsule per command")
 	return res
 }

@@ -3,60 +3,65 @@ package core
 import "sort"
 
 // ServerView is what one target server contributes to recovery: the result
-// of scanning its PMR region(s), plus whether its SSD had power-loss
-// protection (which selects the §4.3.2 validity rule).
+// of scanning its PMR region(s), plus which of its SSDs had power-loss
+// protection (which selects the §4.3.2 validity rule per entry).
 type ServerView struct {
-	Server  int
+	Server int
+	// NSPLP says, per namespace (Entry.NS: the SSD of the server holding
+	// the entry's blocks), whether that device has PLP. A target may mix
+	// device classes, so the rule is chosen per entry. PLP is the rule for
+	// entries of a namespace NSPLP does not cover (a view built without the
+	// table applies one rule to the whole server).
+	NSPLP   []bool
 	PLP     bool
 	Entries []Entry
 }
 
+// plp reports whether the device holding e's blocks has power-loss
+// protection.
+func (v ServerView) plp(e Entry) bool {
+	if int(e.NS) < len(v.NSPLP) {
+		return v.NSPLP[e.NS]
+	}
+	return v.PLP
+}
+
 // DurableSet classifies a server's scanned entries into those whose data
 // blocks are certainly durable and those whose durability is uncertain,
-// per the §4.3.2 rules:
+// per the §4.3.2 rules, chosen per entry by the device it landed on:
 //
 //   - PLP devices: an entry's blocks are durable iff its persist flag is
 //     set (completion implies durability).
 //   - Non-PLP devices: an entry's blocks are durable iff a FLUSH-carrying
 //     entry with persist=1 and an equal-or-later ServerIdx exists in the
-//     same stream (the FLUSH drained everything submitted before it), or
-//     the entry's own persist flag is set (it carried the FLUSH).
+//     same stream on a non-PLP device (the FLUSH drained everything
+//     submitted before it), or the entry's own persist flag is set (it
+//     carried the FLUSH). A FLUSH-carrying entry on a PLP device certifies
+//     nothing: its persist flag was set at completion, no device FLUSH
+//     waited for the writes submitted before it.
 //
 // Entries absent from the log but below a stream's maximum present
 // ServerIdx were retired (completed in order) and are implicitly durable;
 // callers rely on the in-order-append invariant for that.
 func DurableSet(v ServerView) (durable, uncertain []Entry) {
-	// Replication membership marks are not write evidence: they record a
-	// replica set's degraded windows, never data durability.
-	if v.PLP {
-		for _, e := range v.Entries {
-			if e.EpochMark {
-				continue
-			}
-			if e.Persist {
-				durable = append(durable, e)
-			} else {
-				uncertain = append(uncertain, e)
-			}
-		}
-		return durable, uncertain
-	}
-	// Non-PLP: compute, per (initiator, stream), the highest persisted
-	// FLUSH ServerIdx. ServerIdx chains are per-initiator, so a FLUSH of
+	// Per (initiator, stream), the highest persisted FLUSH ServerIdx on a
+	// non-PLP device. ServerIdx chains are per-initiator, so a FLUSH of
 	// one initiator certifies only entries of its own chain.
 	flushIdx := map[StreamKey]uint64{}
 	for _, e := range v.Entries {
 		k := StreamKey{e.Initiator, e.Stream}
-		if e.Flush && e.Persist && e.ServerIdx > flushIdx[k] {
+		if e.Flush && e.Persist && !v.plp(e) && e.ServerIdx > flushIdx[k] {
 			flushIdx[k] = e.ServerIdx
 		}
 	}
 	for _, e := range v.Entries {
+		// Replication membership marks are not write evidence: they record
+		// a replica set's degraded windows, never data durability.
 		if e.EpochMark {
 			continue
 		}
 		k := StreamKey{e.Initiator, e.Stream}
-		if e.Persist || (flushIdx[k] > 0 && e.ServerIdx <= flushIdx[k]) {
+		if e.Persist || (!v.plp(e) && flushIdx[k] > 0 && e.ServerIdx <= flushIdx[k]) {
 			durable = append(durable, e)
 		} else {
 			uncertain = append(uncertain, e)

@@ -13,11 +13,11 @@ import (
 // apply the transaction with the highest global ID (the latest size).
 func TestSameInodeAcrossCores(t *testing.T) {
 	eng, c := newCluster(61, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 4)
+	cfg := DefaultOptions(RioFS, 4)
 	cfg.JournalBlocks = 256
 	cfg.MaxInodes = 256
 	cfg.DataBlocks = 1 << 14
-	fsys := New(c, cfg)
+	fsys := Open(c.Init(0), cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		f, err := fsys.Create(p, "shared")
 		if err != nil {
@@ -35,7 +35,7 @@ func TestSameInodeAcrossCores(t *testing.T) {
 	eng.Run()
 	eng.Go("recover", func(p *sim.Proc) {
 		c.RecoverFull(p)
-		fs2, st := Recover(p, c, cfg)
+		fs2, st := Remount(p, c.Init(0), cfg)
 		if st.Committed < 4 {
 			t.Errorf("committed = %d, want >= 4 (one per core journal)", st.Committed)
 		}
@@ -57,11 +57,11 @@ func TestSameInodeAcrossCores(t *testing.T) {
 // interleave across journals; replay ordering must not cross-corrupt.
 func TestInterleavedInodesAcrossJournals(t *testing.T) {
 	eng, c := newCluster(62, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 2)
+	cfg := DefaultOptions(RioFS, 2)
 	cfg.JournalBlocks = 256
 	cfg.MaxInodes = 256
 	cfg.DataBlocks = 1 << 14
-	fsys := New(c, cfg)
+	fsys := Open(c.Init(0), cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		a, _ := fsys.Create(p, "a")
 		b, _ := fsys.Create(p, "b")
@@ -76,7 +76,7 @@ func TestInterleavedInodesAcrossJournals(t *testing.T) {
 	eng.Run()
 	eng.Go("recover", func(p *sim.Proc) {
 		c.RecoverFull(p)
-		fs2, _ := Recover(p, c, cfg)
+		fs2, _ := Remount(p, c.Init(0), cfg)
 		fa, errA := fs2.Open(p, "a")
 		fb, errB := fs2.Open(p, "b")
 		if errA != nil || errB != nil {
@@ -100,11 +100,11 @@ func TestInterleavedInodesAcrossJournals(t *testing.T) {
 // because the inode never changed).
 func TestIPUOverwriteSurvivesRecovery(t *testing.T) {
 	eng, c := newCluster(63, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 2)
+	cfg := DefaultOptions(RioFS, 2)
 	cfg.JournalBlocks = 256
 	cfg.MaxInodes = 256
 	cfg.DataBlocks = 1 << 14
-	fsys := New(c, cfg)
+	fsys := Open(c.Init(0), cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		f, _ := fsys.Create(p, "f")
 		fsys.Append(p, f, 16384)
@@ -119,7 +119,7 @@ func TestIPUOverwriteSurvivesRecovery(t *testing.T) {
 	eng.Run()
 	eng.Go("recover", func(p *sim.Proc) {
 		c.RecoverFull(p)
-		fs2, _ := Recover(p, c, cfg)
+		fs2, _ := Remount(p, c.Init(0), cfg)
 		f, err := fs2.Open(p, "f")
 		if err != nil {
 			t.Fatalf("file lost: %v", err)

@@ -75,11 +75,6 @@ type Options struct {
 	ReadAhead int
 }
 
-// Config is the legacy name of Options.
-//
-// Deprecated: use Options with fs.Open.
-type Config = Options
-
 // withDefaults fills zero fields with the DefaultOptions values.
 func (o Options) withDefaults() Options {
 	if o.Journals == 0 {
@@ -123,13 +118,6 @@ func DefaultOptions(design Design, journals int) Options {
 		MaxInodes:     1 << 16,
 		DataBlocks:    1 << 21, // 8 GB
 	}
-}
-
-// DefaultConfig is the legacy name of DefaultOptions.
-//
-// Deprecated: use DefaultOptions.
-func DefaultConfig(design Design, journals int) Config {
-	return DefaultOptions(design, journals)
 }
 
 // Inode numbers: 1 is the root directory.
@@ -262,17 +250,6 @@ func Open(in *stack.Initiator, opts Options) *FS {
 	fs.inodes[rootIno] = root
 	fs.dirs[rootIno] = map[string]uint64{}
 	return fs
-}
-
-// New creates (formats) a file system bound to initiator 0 of the
-// cluster.
-//
-// Deprecated: use Open with an explicit initiator binding.
-func New(c *stack.Cluster, cfg Config) *FS {
-	if cfg.Journals < 1 {
-		panic("fs: need at least one journal")
-	}
-	return Open(c.Init(0), cfg)
 }
 
 // Cluster returns the underlying storage cluster.

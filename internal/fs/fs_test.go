@@ -21,11 +21,11 @@ func newCluster(seed int64, mode stack.Mode) (*sim.Engine, *stack.Cluster) {
 
 func smallFS(mode stack.Mode, design Design, seed int64) (*sim.Engine, *FS) {
 	eng, c := newCluster(seed, mode)
-	cfg := DefaultConfig(design, 4)
+	cfg := DefaultOptions(design, 4)
 	cfg.JournalBlocks = 256
 	cfg.MaxInodes = 1 << 12
 	cfg.DataBlocks = 1 << 16
-	return eng, New(c, cfg)
+	return eng, Open(c.Init(0), cfg)
 }
 
 func designMode(d Design) stack.Mode {
@@ -164,11 +164,11 @@ func TestOverwriteIsIPU(t *testing.T) {
 
 func TestBlockReuseTriggersFlush(t *testing.T) {
 	eng, c := newCluster(5, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 2)
+	cfg := DefaultOptions(RioFS, 2)
 	cfg.JournalBlocks = 128
 	cfg.MaxInodes = 64
 	cfg.DataBlocks = 4 // tiny data area: forces reuse
-	fs := New(c, cfg)
+	fs := Open(c.Init(0), cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		f1, _ := fs.Create(p, "a")
 		if err := fs.Append(p, f1, 4*4096); err != nil {
@@ -195,11 +195,11 @@ func TestBlockReuseTriggersFlush(t *testing.T) {
 
 func TestJournalCheckpointReclaims(t *testing.T) {
 	eng, c := newCluster(6, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 1)
+	cfg := DefaultOptions(RioFS, 1)
 	cfg.JournalBlocks = 16 // tiny journal: force checkpoints
 	cfg.MaxInodes = 128
 	cfg.DataBlocks = 1 << 12
-	fs := New(c, cfg)
+	fs := Open(c.Init(0), cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		f, _ := fs.Create(p, "f")
 		for i := 0; i < 12; i++ {
@@ -226,11 +226,11 @@ func TestFSCrashRecovery(t *testing.T) {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
 			eng, c := newCluster(100+int64(d), designMode(d))
-			cfg := DefaultConfig(d, 2)
+			cfg := DefaultOptions(d, 2)
 			cfg.JournalBlocks = 256
 			cfg.MaxInodes = 1 << 10
 			cfg.DataBlocks = 1 << 14
-			fsys := New(c, cfg)
+			fsys := Open(c.Init(0), cfg)
 			var synced []string
 			eng.Go("app", func(p *sim.Proc) {
 				for i := 0; i < 5; i++ {
@@ -252,7 +252,7 @@ func TestFSCrashRecovery(t *testing.T) {
 			eng.Run()
 			eng.Go("recover", func(p *sim.Proc) {
 				c.RecoverFull(p)
-				fs2, st := Recover(p, c, cfg)
+				fs2, st := Remount(p, c.Init(0), cfg)
 				if st.Committed < len(synced) {
 					t.Errorf("replayed %d txns, want >= %d", st.Committed, len(synced))
 				}
@@ -282,11 +282,11 @@ func TestFSCrashRecovery(t *testing.T) {
 func TestFSCrashMidFsync(t *testing.T) {
 	for _, seed := range []int64{7, 8, 9} {
 		eng, c := newCluster(seed, stack.ModeRio)
-		cfg := DefaultConfig(RioFS, 4)
+		cfg := DefaultOptions(RioFS, 4)
 		cfg.JournalBlocks = 256
 		cfg.MaxInodes = 1 << 10
 		cfg.DataBlocks = 1 << 14
-		fsys := New(c, cfg)
+		fsys := Open(c.Init(0), cfg)
 		const nFiles = 8
 		for w := 0; w < 4; w++ {
 			w := w
@@ -306,7 +306,7 @@ func TestFSCrashMidFsync(t *testing.T) {
 		eng.RunUntil(2 * sim.Millisecond)
 		eng.Go("recover", func(p *sim.Proc) {
 			c.RecoverFull(p)
-			fs2, _ := Recover(p, c, cfg)
+			fs2, _ := Remount(p, c.Init(0), cfg)
 			for w := 0; w < 4; w++ {
 				for i := 0; i < nFiles/4; i++ {
 					name := fmt.Sprintf("w%d.%d", w, i)
@@ -327,12 +327,12 @@ func TestFSCrashMidFsync(t *testing.T) {
 
 func TestRecoverEmptyFS(t *testing.T) {
 	eng, c := newCluster(10, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 2)
+	cfg := DefaultOptions(RioFS, 2)
 	cfg.JournalBlocks = 64
 	cfg.MaxInodes = 64
 	cfg.DataBlocks = 1 << 10
 	eng.Go("recover", func(p *sim.Proc) {
-		fs2, st := Recover(p, c, cfg)
+		fs2, st := Remount(p, c.Init(0), cfg)
 		if st.Committed != 0 || st.InodesAlive != 1 {
 			t.Errorf("empty recovery stats = %+v", st)
 		}

@@ -96,14 +96,6 @@ type RecoverStats struct {
 	InodesAlive int
 }
 
-// Recover is the legacy cluster-scoped remount: it rebuilds the file
-// system on initiator 0.
-//
-// Deprecated: use Remount with an explicit initiator.
-func Recover(p *sim.Proc, c *stack.Cluster, cfg Config) (*FS, RecoverStats) {
-	return Remount(p, c.Init(0), cfg)
-}
-
 // Remount mounts the file system from durable media after a crash: it
 // reads the superblock, reloads checkpointed inodes and directories, then
 // replays committed journal transactions in order. For RioFS the storage

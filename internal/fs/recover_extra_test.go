@@ -14,11 +14,11 @@ import (
 // entries, and must ignore stale pre-checkpoint journal records.
 func TestRecoveryAfterCheckpoint(t *testing.T) {
 	eng, c := newCluster(41, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 1)
+	cfg := DefaultOptions(RioFS, 1)
 	cfg.JournalBlocks = 24 // tiny: force checkpoints quickly
 	cfg.MaxInodes = 1 << 10
 	cfg.DataBlocks = 1 << 14
-	fsys := New(c, cfg)
+	fsys := Open(c.Init(0), cfg)
 	var names []string
 	eng.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 12; i++ {
@@ -40,7 +40,7 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 	eng.Run()
 	eng.Go("recover", func(p *sim.Proc) {
 		c.RecoverFull(p)
-		fs2, _ := Recover(p, c, cfg)
+		fs2, _ := Remount(p, c.Init(0), cfg)
 		for _, name := range names {
 			f, err := fs2.Open(p, name)
 			if err != nil {
@@ -60,11 +60,11 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 // the same directory must survive recovery (the file stays gone).
 func TestUnlinkDurableAfterFsync(t *testing.T) {
 	eng, c := newCluster(42, stack.ModeRio)
-	cfg := DefaultConfig(RioFS, 2)
+	cfg := DefaultOptions(RioFS, 2)
 	cfg.JournalBlocks = 128
 	cfg.MaxInodes = 256
 	cfg.DataBlocks = 1 << 12
-	fsys := New(c, cfg)
+	fsys := Open(c.Init(0), cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		a, _ := fsys.Create(p, "a")
 		fsys.Append(p, a, 4096)
@@ -81,7 +81,7 @@ func TestUnlinkDurableAfterFsync(t *testing.T) {
 	eng.Run()
 	eng.Go("recover", func(p *sim.Proc) {
 		c.RecoverFull(p)
-		fs2, _ := Recover(p, c, cfg)
+		fs2, _ := Remount(p, c.Init(0), cfg)
 		if _, err := fs2.Open(p, "a"); err == nil {
 			t.Error("unlinked file resurrected by recovery")
 		}
@@ -103,11 +103,11 @@ func TestExt4CrashAtomicityOnFlash(t *testing.T) {
 	scfg.QPs = 4
 	scfg.KeepHistory = true
 	c := stack.New(eng, scfg)
-	cfg := DefaultConfig(Ext4, 1)
+	cfg := DefaultOptions(Ext4, 1)
 	cfg.JournalBlocks = 256
 	cfg.MaxInodes = 256
 	cfg.DataBlocks = 1 << 12
-	fsys := New(c, cfg)
+	fsys := Open(c.Init(0), cfg)
 	synced := 0
 	eng.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
@@ -125,7 +125,7 @@ func TestExt4CrashAtomicityOnFlash(t *testing.T) {
 	eng.RunUntil(5 * sim.Millisecond)
 	eng.Go("recover", func(p *sim.Proc) {
 		c.RecoverFull(p)
-		fs2, _ := Recover(p, c, cfg)
+		fs2, _ := Remount(p, c.Init(0), cfg)
 		for i := 0; i < synced; i++ {
 			name := fmt.Sprintf("f%d", i)
 			f, err := fs2.Open(p, name)

@@ -247,7 +247,7 @@ func TestReopenSaturationSurvivesCompact(t *testing.T) {
 		fcfg.JournalBlocks = 512
 		fcfg.MaxInodes = 1 << 10
 		fcfg.DataBlocks = 1 << 16
-		fs2, _ := fs.Recover(p, c, fcfg)
+		fs2, _ := fs.Remount(p, c.Init(0), fcfg)
 		rcfg := cfg
 		rcfg.MemtableBytes = 4 << 10
 		rcfg.MaxL0Files = 2

@@ -36,11 +36,6 @@ type Options struct {
 	BloomCPU       sim.Time // filter probe/update cost per op (0 = 200 ns)
 }
 
-// Config is the legacy name of Options.
-//
-// Deprecated: use Options with kv.Open.
-type Config = Options
-
 // withDefaults fills zero fields with the DefaultOptions values.
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes == 0 {
@@ -73,13 +68,6 @@ func (o Options) withDefaults() Options {
 // DefaultOptions mirrors db_bench fillsync: 16-byte keys, 1024-byte values.
 func DefaultOptions() Options {
 	return Options{}.withDefaults()
-}
-
-// DefaultConfig is the legacy name of DefaultOptions.
-//
-// Deprecated: use DefaultOptions.
-func DefaultConfig() Config {
-	return DefaultOptions()
 }
 
 // Stats counts store activity.
@@ -300,12 +288,18 @@ func (db *DB) Get(p *sim.Proc, key string) bool {
 			return v != tombstone
 		}
 	}
-	for i := len(db.l0) - 1; i >= 0; i-- {
-		if found, live := db.sstLookup(p, db.l0[i], key); found {
+	// The SST walk yields on every file read, and a compaction that
+	// finishes meanwhile swaps db.l0/db.l1. Walk the file set current now,
+	// at the same instant the memtables were checked: a superseded file's
+	// index stays in memory, so it still decides the key as of this
+	// instant (only its read charge is skipped once it is unlinked).
+	l0, l1 := db.l0, db.l1
+	for i := len(l0) - 1; i >= 0; i-- {
+		if found, live := db.sstLookup(p, l0[i], key); found {
 			return live
 		}
 	}
-	for _, f := range db.l1 {
+	for _, f := range l1 {
 		if key >= f.min && key <= f.max {
 			if found, live := db.sstLookup(p, f, key); found {
 				return live

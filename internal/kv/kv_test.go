@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fs"
@@ -150,7 +151,7 @@ func TestWALSurvivesCrash(t *testing.T) {
 		fcfg.JournalBlocks = 512
 		fcfg.MaxInodes = 1 << 10
 		fcfg.DataBlocks = 1 << 16
-		fs2, _ := fs.Recover(p, c, fcfg)
+		fs2, _ := fs.Remount(p, c.Init(0), fcfg)
 		n, err := RecoverCount(p, fs2, cfg)
 		if err != nil {
 			t.Errorf("WAL lost: %v", err)
@@ -201,4 +202,47 @@ func TestMultiThreadedPuts(t *testing.T) {
 		t.Fatalf("puts = %d", db.Stats().Puts)
 	}
 	eng.Shutdown()
+}
+
+// TestGetSurvivesCompactionSwap: Get walks the L0 files newest-first
+// across SST reads that yield, and a compaction finishing meanwhile
+// swaps L0 out from under the walk. The walk must run on the file set
+// that was current when it started: 8 threads of a 50 % put / 50 % get
+// mix with 256 KB memtables and the default MaxL0Files reach a compaction
+// within 80 ms simulated, and every get of an acknowledged key
+// must hit.
+func TestGetSurvivesCompactionSwap(t *testing.T) {
+	eng, fsys, cfg := testDB(6)
+	cfg.MemtableBytes = 256 << 10
+	const threads = 8
+	var db *DB
+	eng.Go("open", func(p *sim.Proc) {
+		var err error
+		if db, err = Open(p, fsys, cfg); err != nil {
+			t.Error(err)
+			return
+		}
+		for th := 0; th < threads; th++ {
+			th := th
+			eng.Go(fmt.Sprintf("mix%d", th), func(p *sim.Proc) {
+				rng := rand.New(rand.NewSource(int64(th)))
+				for n := 0; p.Now() < 80*sim.Millisecond; n++ {
+					if err := db.Put(p, th%4, fmt.Sprintf("t%d-%06d", th, n), cfg.ValueSize); err != nil {
+						t.Error(err)
+						return
+					}
+					// An old key: long flushed, so the lookup walks L0 (and L1).
+					if k := fmt.Sprintf("t%d-%06d", th, rng.Intn(n/2+1)); !db.Get(p, k) {
+						t.Errorf("acknowledged key %s missing", k)
+						return
+					}
+				}
+			})
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+	if db.Stats().Compactions == 0 {
+		t.Fatalf("no compaction inside the window: %+v", db.Stats())
+	}
 }

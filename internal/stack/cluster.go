@@ -93,35 +93,32 @@ type ctrlReq struct {
 // capsule is the payload of one RDMA SEND toward a target: a posted list
 // of commands (and/or control entries) sharing one doorbell. epoch is
 // the sending initiator's incarnation. On a replicated cluster a command
-// capsule is one member's copy of the fan-out: member names the target
-// it is addressed to, and sqes/attrs carry that member's per-replica
-// encodings (the shared wireState's sqe is not used — each replica runs
-// its own dense ServerIdx chain).
+// capsule is one member's copy of the batch (buildMemberCapsule): member
+// names the target it is addressed to, and sqes/attrs carry that member's
+// per-replica encodings (the shared wireState's sqe is not used — each
+// replica runs its own dense ServerIdx chain).
 type capsule struct {
 	cmds    []*wireState
 	ctrl    []*ctrlReq
 	retires []retire
-	inline  int
+	inline  int // in-capsule payload bytes of cmds
 	epoch   int
 
 	member int           // replication: destination member (sqes != nil)
 	sqes   []nvmeof.SQE  // replication: per-command member SQEs
 	attrs  [][]core.Attr // replication: per-command member attributes
 
-	// Relay extension (ReplRelay): the initiator posts ONE capsule to the
-	// set's head member carrying every follower's slice; the head peels
-	// one relayed capsule per follower off these fields and forwards it
-	// over the target-to-target conn. relayed marks a forwarded copy (the
-	// receiving follower acks the head instead of the initiator), and
-	// relaySeq is the per-(initiator, set, QP) sequence number head-cut
-	// recovery uses to compute each survivor's exact received prefix.
-	relayTo      []int           // follower target ids (head capsule only)
-	relaySQEs    [][]nvmeof.SQE  // per follower: per-command SQEs
-	relayAttrs   [][][]core.Attr // per follower: per-command attrs
-	relayRetires [][]retire      // per follower: piggybacked retire marks
-	relaySeq     uint64
-	relayed      bool
-	relayAcked   []aggResolved // head→follower piggyback: forwarded acks (pendingAck GC)
+	// Relay route (ReplRelay): the capsule posted to the set's head carries
+	// the followers' member capsules, ready-built, in forward; the head
+	// sends each on over its target-to-target conn. relayed marks such a
+	// forwarded copy (the receiving follower acks the head instead of the
+	// initiator), and relaySeq is the per-(initiator, set, QP) sequence
+	// number head-cut repair uses to compute each survivor's exact received
+	// prefix.
+	forward    []*capsule
+	relaySeq   uint64
+	relayed    bool
+	relayAcked []aggResolved // head→follower piggyback: acks the head forwarded to the initiator
 
 	// Fabric transit stamps (stage tracing): filled by the fabric at
 	// delivery, read by the target's receive loop. Capsules are built per
@@ -134,9 +131,18 @@ func (cp *capsule) FabricDelivered(sent, delivered sim.Time) {
 	cp.sentAt, cp.deliveredAt = sent, delivered
 }
 
+// wireSize is the capsule's size on the wire: one vectored batch, plus —
+// on a head capsule — the followers' SQEs (their attributes ride in the
+// SQE reserved dwords, their data is the same inline payload the head
+// forwards).
+func (cp *capsule) wireSize() int {
+	return nvmeof.VectorCapsuleSize(len(cp.cmds), cp.inline) +
+		len(cp.forward)*len(cp.cmds)*nvmeof.SQESize
+}
+
 // completionMsg is the payload of one SEND back to an initiator: a
-// coalesced response capsule of vector-marked CQEs (one with CQECoalesce
-// off), or a batch of Horae control-path acks. qp routes the capsule to
+// coalesced response capsule of vector-marked CQEs, or a batch of Horae
+// control-path acks. qp routes the capsule to
 // the shard that owns the queue pair's completion reaping; the initiator
 // is implied by the connection. from is the responding target server —
 // under replication the quorum accounting needs to know WHICH member of
@@ -319,13 +325,13 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	}
 	validateReplication(cfg)
 	c := &Cluster{Eng: eng, cfg: cfg, costs: cfg.Costs}
-	if c.cfg.CQECoalesce && c.cfg.CQEBatch <= 0 {
+	if c.cfg.CQEBatch <= 0 {
 		c.cfg.CQEBatch = 16
 	}
 	if c.cfg.CQEHold < 0 {
 		panic("stack: CQEHold must be >= 0")
 	}
-	if c.cfg.CQECoalesce && c.cfg.CQEHold == 0 {
+	if c.cfg.CQEHold == 0 {
 		c.cfg.CQEHold = 2 * sim.Microsecond
 	}
 	if c.cfg.MaxInflight < 0 {

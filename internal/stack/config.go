@@ -181,10 +181,8 @@ type Config struct {
 	ChunkBlocks     int      // volume stripe chunk (blocks); 1 = paper's round-robin
 	MergeEnabled    bool     // Rio I/O scheduler merging (and orderless plug merging)
 	StreamAffinity  bool     // Principle 2: pin each stream to one QP
-	Pooling         bool     // shard free-list pooling of hot-path objects (off = allocate per call, as the seed dispatch did)
-	CQECoalesce     bool     // target-side completion coalescing into vectored response capsules (off = one bare 16-byte CQE capsule per command, as the seed target did)
-	CQEBatch        int      // max CQEs per coalesced response capsule (flush threshold)
-	CQEHold         sim.Time // max age of a coalescing batch before the hold timer flushes it (must be >= 0; 0 selects the 2 µs default under CQECoalesce)
+	CQEBatch        int      // max CQEs per coalesced response capsule (flush threshold; <= 0 selects 16)
+	CQEHold         sim.Time // max age of a coalescing batch before the hold timer flushes it (must be >= 0; 0 selects the 2 µs default)
 	InlineThreshold int      // max bytes of in-capsule data per command
 	MaxPlug         int      // dispatch batch size
 	DeviceBlocks    uint64
@@ -231,8 +229,6 @@ func DefaultConfig(mode Mode, targets ...TargetConfig) Config {
 		ChunkBlocks:     1,
 		MergeEnabled:    true,
 		StreamAffinity:  true,
-		Pooling:         true,
-		CQECoalesce:     true,
 		CQEBatch:        16,
 		CQEHold:         2 * sim.Microsecond,
 		InlineThreshold: 8192,

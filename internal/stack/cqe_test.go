@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
-	"repro/internal/fabric"
 	"repro/internal/nvmeof"
 	"repro/internal/sim"
 )
@@ -30,9 +29,9 @@ func driveOrderedWrites(eng *sim.Engine, c *Cluster, streams, n int) {
 	eng.Run()
 }
 
-// TestCQECoalescingReducesCompletionMessages: with CQECoalesce on, the
-// target must pack multiple CQEs per response capsule, so the initiator
-// sees fewer completion messages than completed requests (occupancy > 1,
+// TestCQECoalescingReducesCompletionMessages: the target must pack
+// multiple CQEs per response capsule, so the initiator sees fewer
+// completion messages than completed requests (occupancy > 1,
 // messages/op < 1).
 func TestCQECoalescingReducesCompletionMessages(t *testing.T) {
 	eng := sim.New(7)
@@ -64,70 +63,30 @@ func TestCQECoalescingReducesCompletionMessages(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestCQECoalesceOffMatchesSeedTraffic: the ablation must produce
-// byte-identical per-CQE completion traffic to the seed behavior — one
-// bare 16-byte response capsule per wire command, nothing coalesced.
-func TestCQECoalesceOffMatchesSeedTraffic(t *testing.T) {
-	eng := sim.New(7)
-	cfg := smallConfig(ModeRio, optane1()...)
-	cfg.CQECoalesce = false
-	c := New(eng, cfg)
-	driveOrderedWrites(eng, c, 2, 40)
-	st := c.Stats()
-	if st.Completed != 80 {
-		t.Fatalf("completed = %d, want 80", st.Completed)
-	}
-	if occ := st.CplBatch.Occupancy(); occ != 1 {
-		t.Fatalf("cqe batch occupancy = %.2f, want exactly 1 with coalescing off", occ)
-	}
-	ts := c.Target(0).Stats()
-	if ts.Responses != ts.CQEs {
-		t.Fatalf("responses=%d cqes=%d, want equal (one capsule per CQE)", ts.Responses, ts.CQEs)
-	}
-	// Byte-identical to the seed: every message toward the initiator is a
-	// bare ResponseSize capsule (Rio mode sends nothing else that way).
-	fs := c.Target(0).conns[0].Stats(fabric.Initiator)
-	if fs.SendBytes != fs.Sends*nvmeof.ResponseSize {
-		t.Fatalf("completion traffic = %d bytes in %d sends, want %d (16 B per CQE)",
-			fs.SendBytes, fs.Sends, fs.Sends*nvmeof.ResponseSize)
-	}
-	if fs.Sends != ts.Responses {
-		t.Fatalf("fabric sends=%d, target responses=%d", fs.Sends, ts.Responses)
-	}
+// TestCQECoalescingKeepsDeliveryOrder: coalescing changes wire framing,
+// never semantics — every request is delivered, in submission order.
+func TestCQECoalescingKeepsDeliveryOrder(t *testing.T) {
+	eng := sim.New(9)
+	c := New(eng, smallConfig(ModeRio, optane1()...))
+	var order []uint64
+	eng.Go("app", func(p *sim.Proc) {
+		var reqs []*blockdev.Request
+		for i := 0; i < 30; i++ {
+			reqs = append(reqs, c.OrderedWrite(p, 0, uint64(i*5), 1, 0, nil, true, false, false))
+		}
+		for _, r := range reqs {
+			c.Wait(p, r)
+			order = append(order, r.Ticket.Attr.SeqStart)
+		}
+	})
+	eng.Run()
 	eng.Shutdown()
-}
-
-// TestCQECoalescingSameDeliveries: both settings of the knob must deliver
-// the identical request set in the identical per-stream order — the knob
-// changes wire framing, never semantics.
-func TestCQECoalescingSameDeliveries(t *testing.T) {
-	run := func(coalesce bool) []uint64 {
-		eng := sim.New(9)
-		cfg := smallConfig(ModeRio, optane1()...)
-		cfg.CQECoalesce = coalesce
-		c := New(eng, cfg)
-		var order []uint64
-		eng.Go("app", func(p *sim.Proc) {
-			var reqs []*blockdev.Request
-			for i := 0; i < 30; i++ {
-				reqs = append(reqs, c.OrderedWrite(p, 0, uint64(i*5), 1, 0, nil, true, false, false))
-			}
-			for _, r := range reqs {
-				c.Wait(p, r)
-				order = append(order, r.Ticket.Attr.SeqStart)
-			}
-		})
-		eng.Run()
-		eng.Shutdown()
-		return order
+	if len(order) != 30 {
+		t.Fatalf("deliveries = %d, want 30", len(order))
 	}
-	on, off := run(true), run(false)
-	if len(on) != 30 || len(off) != 30 {
-		t.Fatalf("deliveries: on=%d off=%d, want 30", len(on), len(off))
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("delivery order diverges at %d: on=%d off=%d", i, on[i], off[i])
+	for i := 1; i < len(order); i++ {
+		if order[i] <= order[i-1] {
+			t.Fatalf("delivery order breaks at %d: seq %d after %d", i, order[i], order[i-1])
 		}
 	}
 }

@@ -51,29 +51,12 @@ func (c *Cluster) PowerCutTarget(i int) {
 	for _, sd := range t.ssds {
 		sd.PowerCut()
 	}
-	for _, qs := range t.rxQs {
-		for _, q := range qs {
-			q.Drain()
-		}
+	for init := range t.rxQs {
+		t.dropInitiator(init)
 	}
 	t.doneQ.Drain()
-	// Pending (unflushed) completion capsules die with the NIC: their
-	// CQEs belong to the dead epoch and must never be flushed into the
-	// next incarnation. The armed flags reset too, so a completion of
-	// the next incarnation can arm a fresh timer immediately (a flag
-	// left set would strand a sub-threshold batch with no timer; stale
-	// timers that fire later clear the flag again, which is benign).
-	for init := range t.cqePend {
-		for qp := range t.cqePend[init] {
-			t.cqePend[init][qp] = nil
-			t.cqePendT[init][qp] = nil
-			t.cqeArmed[init][qp] = false
-			t.cqeInflight[init][qp] = 0
-			if t.cqeAgg != nil {
-				t.cqeAgg[init][qp] = nil
-				t.resolvedPend[init][qp] = nil
-			}
-		}
+	if t.relay != nil {
+		t.relay.ackQ.Drain()
 	}
 	// Replication: the set degrades instead of the streams stalling —
 	// survivors keep completing at quorum, the member's missed writes
@@ -82,10 +65,10 @@ func (c *Cluster) PowerCutTarget(i int) {
 	if c.cfg.Replicas > 1 {
 		c.degradeMember(i)
 		if c.cfg.ReplRelay {
-			// The relay machinery repairs itself around the dead member
-			// (after the degrade sweep, so cancelled member positions are
-			// already resolved): links drop, open aggregations flush, and a
-			// dead head's undelivered relays are re-posted direct.
+			// The relay route repairs itself around the dead member (after
+			// the degrade sweep, so cancelled member positions are already
+			// resolved): links drop, the head's open quorum records flush,
+			// and a dead head's in-flight commands re-route to direct.
 			c.relayCut(i)
 		}
 	}
@@ -94,6 +77,29 @@ func (c *Cluster) PowerCutTarget(i int) {
 	// its in-flight reads toward the member to a surviving peer.
 	for _, in := range c.inits {
 		in.abortTargetReads(i)
+	}
+}
+
+// dropInitiator discards what this target holds in flight for initiator
+// init when the link between them dies (either side's power cut): queued
+// capsules, pending response capsules, relay records. In-flight SSD
+// commands complete into a dead epoch and are dropped in doneOne; other
+// initiators' state lives in separate (initiator, QP) slots and is not
+// touched. The pending CQEs belong to the dead epoch and must never be
+// flushed into the next incarnation; the armed flags reset too, so a
+// completion of the next incarnation can arm a fresh timer immediately (a
+// flag left set would strand a sub-threshold batch with no timer; stale
+// timers that fire later clear the flag again, which is benign).
+func (t *Target) dropInitiator(init int) {
+	for qp, q := range t.rxQs[init] {
+		q.Drain()
+		t.cqePend[init][qp] = nil
+		t.cqePendT[init][qp] = nil
+		t.cqeArmed[init][qp] = false
+		t.cqeInflight[init][qp] = 0
+	}
+	if t.relay != nil {
+		t.relay.resetInitiator(init)
 	}
 }
 
@@ -111,20 +117,7 @@ func (c *Cluster) PowerCutInitiator(i int) {
 	in.alive = false
 	for _, t := range c.targets {
 		t.conns[i].Disconnect()
-		for _, q := range t.rxQs[i] {
-			q.Drain()
-		}
-		// This initiator's pending response capsules die with its
-		// connections; in-flight SSD commands it issued complete into a
-		// dead epoch and are dropped in doneOne. Other initiators' state
-		// lives in separate (initiator, QP) slots and is not touched.
-		for qp := range t.cqePend[i] {
-			t.cqePend[i][qp] = nil
-			t.cqePendT[i][qp] = nil
-			t.cqeArmed[i][qp] = false
-			t.cqeInflight[i][qp] = 0
-		}
-		clearRelayInitiator(t, i)
+		t.dropInitiator(i)
 	}
 	in.crashVolatile()
 }
@@ -142,6 +135,16 @@ func (c *Cluster) PowerCutAll() {
 	for _, in := range c.inits {
 		in.crashVolatile()
 	}
+}
+
+// scanPMR decodes one PMR region of this target into a recovery view
+// that names, per namespace, the durability rule of the device behind it.
+func (t *Target) scanPMR(region []byte) core.ServerView {
+	view := order.ScanPartition(t.id, t.ssds[0].HasPLP(), region)
+	for _, sd := range t.ssds {
+		view.NSPLP = append(view.NSPLP, sd.HasPLP())
+	}
+	return view
 }
 
 // scanViews reads PMR regions via the ordering engine's partition scan,
@@ -162,7 +165,7 @@ func (c *Cluster) scanViews(p *sim.Proc, onlyInit int) []core.ServerView {
 			// dead server — its partition is cleaned up when that target
 			// itself recovers. Whole-cluster paths revive every target
 			// before scanning, so this only triggers for onlyInit >= 0.
-			views[i] = core.ServerView{Server: i, PLP: t.ssds[0].HasPLP()}
+			views[i] = core.ServerView{Server: i}
 			continue
 		}
 		wg.Add(1)
@@ -174,7 +177,7 @@ func (c *Cluster) scanViews(p *sim.Proc, onlyInit int) []core.ServerView {
 			}
 			regionBytes := (len(region) / core.EntrySize) * c.pmrEntryWireSize()
 			sp.Sleep(sim.Time(regionBytes) * pmrScanPerByte)
-			view := order.ScanPartition(i, t.ssds[0].HasPLP(), region)
+			view := t.scanPMR(region)
 			// Ship the attributes to the initiator over the fabric. Use
 			// the recovering initiator's connection when known, else
 			// initiator 0's (whole-cluster recovery is orchestrated once).
@@ -192,6 +195,31 @@ func (c *Cluster) scanViews(p *sim.Proc, onlyInit int) []core.ServerView {
 	return views
 }
 
+// restartTarget powers a cut target back on with its links up: the SSDs
+// restart, every initiator's conn and the relay links the member touches
+// (a follower: its own; the set head: all of the set's) reconnect, and its
+// volatile relay state starts clean.
+func (c *Cluster) restartTarget(m int) {
+	t := c.targets[m]
+	t.alive = true
+	for _, sd := range t.ssds {
+		sd.Restart()
+	}
+	for _, conn := range t.conns {
+		conn.Reconnect()
+	}
+	if t.relay == nil {
+		return
+	}
+	rs := c.replSets[c.setOf[m]]
+	for k, conn := range rs.relay {
+		if conn != nil && (m == rs.relayHead() || m == rs.members[k]) {
+			conn.Reconnect()
+		}
+	}
+	t.relay.reset()
+}
+
 // RecoverFull performs whole-cluster recovery (§4.4.1) after
 // PowerCutAll: reconnect, rebuild each initiator's global order from its
 // persistent ordering attributes (the per-initiator PMR scans are merged
@@ -200,26 +228,8 @@ func (c *Cluster) scanViews(p *sim.Proc, onlyInit int) []core.ServerView {
 // cluster is reusable afterwards.
 func (c *Cluster) RecoverFull(p *sim.Proc) (*core.Report, RecoveryTiming) {
 	var tm RecoveryTiming
-	for _, t := range c.targets {
-		t.alive = true
-		for _, sd := range t.ssds {
-			sd.Restart()
-		}
-		for _, conn := range t.conns {
-			conn.Reconnect()
-		}
-	}
-	if c.cfg.ReplRelay {
-		for _, rs := range c.replSets {
-			for _, conn := range rs.relay {
-				if conn != nil && !conn.Up() {
-					conn.Reconnect()
-				}
-			}
-		}
-		for _, t := range c.targets {
-			clearRelayMaps(t)
-		}
+	for i := range c.targets {
+		c.restartTarget(i)
 	}
 	start := p.Now()
 	views := c.scanViews(p, -1)
@@ -524,7 +534,7 @@ func (in *Initiator) postReplay(p *sim.Proc, replay []*wireState) {
 	for _, ws := range replay {
 		ws.pinned = false
 		if ws.pendingRq == 0 && ws.epoch == in.epoch {
-			in.shards[ws.stream].putWire(in, ws)
+			in.shards[ws.stream].putWire(ws)
 		}
 	}
 }

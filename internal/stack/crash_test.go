@@ -389,3 +389,86 @@ func TestCrashRecoveryMultiSSDTarget(t *testing.T) {
 	}
 	eng.Shutdown()
 }
+
+// mixedDeviceCrash loads 2 targets × (flash + Optane) with 8 sequential
+// ordered streams, each pinned to one device (stripe chunk = stream
+// region, two streams per device), 8 writes outstanding per stream and
+// every 4th write a commit carrying the FLUSH; power-cuts the cluster at
+// cutAt, recovers, and returns how many writes break the §4.8 prefix
+// invariant on the media, counted from both sides: inside the recovered
+// prefix but not durable with its own stamp, or beyond it and surviving.
+func mixedDeviceCrash(t *testing.T, seed int64, cutAt sim.Time) (lost, survived int) {
+	t.Helper()
+	const streams, window, commitEvery = 8, 8, 4
+	const region = uint64(1 << 20)
+	mixed := TargetConfig{SSDs: []ssd.Config{ssd.FlashConfig(), ssd.OptaneConfig()}}
+	cfg := DefaultConfig(ModeRio, mixed, mixed)
+	cfg.Streams, cfg.QPs, cfg.Fabric.NumQPs = streams, streams, streams
+	cfg.KeepHistory = true
+	cfg.MergeEnabled = false // 1:1 request→attr so media stamps are checkable
+	cfg.ChunkBlocks = int(region)
+	cfg.Seed = seed
+	eng := sim.New(seed)
+	c := New(eng, cfg)
+	in := c.Init(0)
+	subs := make([][]*blockdev.Request, streams)
+	for s := 0; s < streams; s++ {
+		s := s
+		eng.Go("load", func(p *sim.Proc) {
+			var pending []*blockdev.Request
+			for n := 0; in.Alive(); n++ {
+				r := in.OrderedWrite(p, s, uint64(s)*region+uint64(n), 1, 0, nil, true, (n+1)%commitEvery == 0, false)
+				if r.Ticket == nil || !in.Alive() {
+					return // the cut landed mid-submission
+				}
+				subs[s] = append(subs[s], r)
+				if pending = append(pending, r); len(pending) == window {
+					in.Wait(p, pending[0])
+					pending = pending[1:]
+				}
+			}
+		})
+	}
+	eng.RunUntil(cutAt)
+	c.PowerCutAll()
+	eng.RunFor(sim.Millisecond) // the dead epoch's stragglers die out
+	var report *core.Report
+	eng.Go("recover", func(p *sim.Proc) { report, _ = c.RecoverFull(p) })
+	eng.Run()
+	if report == nil {
+		t.Fatal("recovery did not finish")
+	}
+	for s, reqs := range subs {
+		prefix := report.Prefix(uint16(s))
+		for _, req := range reqs {
+			a := req.Ticket.Attr
+			dev, devLBA := c.Volume().Map(req.LBA)
+			ref := c.Volume().Dev(dev)
+			rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
+			ours := ok && rec.Stamp == core.AttrStamp(a)
+			switch {
+			case a.SeqEnd <= prefix && !ours:
+				lost++
+				t.Logf("stream %d (ssd %d.%d): write %d inside prefix %d never reached the media", s, ref.Server, ref.SSD, a.SeqEnd, prefix)
+			case a.SeqEnd > prefix && ours:
+				survived++
+			}
+		}
+	}
+	eng.Shutdown()
+	return lost, survived
+}
+
+// TestMixedDeviceTargetRecoversPerDeviceRule: recovery must choose the
+// §4.3.2 durability rule per entry from the device the entry landed on.
+// Taking it from the target's first device applied the FLUSH-certification
+// rule of the flash SSD to the Optane SSD behind it, whose commits persist
+// at completion without draining the writes before them: this schedule
+// then recovered stream 7 to prefix 932 while write 929 never reached the
+// media.
+func TestMixedDeviceTargetRecoversPerDeviceRule(t *testing.T) {
+	lost, survived := mixedDeviceCrash(t, 231, 4407*sim.Microsecond)
+	if lost != 0 || survived != 0 {
+		t.Fatalf("§4.8 broken on the media: %d writes inside a recovered prefix lost, %d beyond one survived", lost, survived)
+	}
+}

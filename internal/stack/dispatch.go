@@ -22,20 +22,13 @@ func (in *Initiator) trackWires(req *blockdev.Request, ws *wireState) {
 	wl.ws = append(wl.ws, ws)
 }
 
-// attachTicket creates the ordering attribute for req. With pooling the
-// ticket lives in storage embedded in the request itself (no allocation,
-// and the attribute stays readable for the request's whole lifetime);
-// the unpooled ablation allocates per call, as the seed dispatch did.
+// attachTicket creates the ordering attribute for req. The ticket lives in
+// storage embedded in the request itself: no allocation, and the attribute
+// stays readable for the request's whole lifetime.
 func (in *Initiator) attachTicket(req *blockdev.Request, st *core.StreamSeq) {
-	deliver := func() { in.deliver(req) }
-	if in.cfg.Pooling {
-		req.Ticket = st.SubmitInto(req.TicketSlot(), req.LBA, req.Blocks,
-			req.Boundary, req.Flush, req.IPU, deliver)
-		in.stats.Pool.Hit()
-		return
-	}
-	req.Ticket = st.Submit(req.LBA, req.Blocks, req.Boundary, req.Flush, req.IPU, deliver)
-	in.stats.Pool.Miss()
+	req.Ticket = st.SubmitInto(req.TicketSlot(), req.LBA, req.Blocks,
+		req.Boundary, req.Flush, req.IPU, func() { in.deliver(req) })
+	in.stats.Pool.Hit()
 }
 
 // submitRio is the Rio path (Fig. 4 steps 1-2): attach an ordering
@@ -327,10 +320,10 @@ func (in *Initiator) deliver(req *blockdev.Request) {
 				in.bumpRetireMark(ws.stream, ws.target, ws.serverIdx)
 			}
 			if ws.epoch == in.epoch && !ws.pinned {
-				in.shards[ws.stream].putWire(in, ws)
+				in.shards[ws.stream].putWire(ws)
 			}
 		}
-		sh.putList(in, wl)
+		sh.putList(wl)
 		req.DispatchScratch = nil
 	}
 	req.Done.Fire()
@@ -501,7 +494,7 @@ func (in *Initiator) fuseWires(p *sim.Proc, wires []*wireState) []*wireState {
 			if in.tryFuse(prev, ws) {
 				in.stats.FusedCmds++
 				delete(in.outstanding, ws.id)
-				in.shards[ws.stream].putWire(in, ws)
+				in.shards[ws.stream].putWire(ws)
 				continue
 			}
 		}
@@ -681,19 +674,33 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 			ws.qp = qp
 			ws.sqe.MarkVector(i, len(cp.cmds))
 		}
-		size := nvmeof.VectorCapsuleSize(len(cp.cmds), cp.inline)
-		in.useInitCPU(p, in.costs.PostMsg)
-		if stall := in.targets[ti].conns[in.id].WaitTxSpace(p, fabric.Initiator); stall > 0 {
-			for _, ws := range cp.cmds {
-				addWaitWire(ws, trace.WaitTx, stall)
-			}
-		}
-		in.targets[ti].conns[in.id].Send(fabric.Initiator, fabric.Message{QP: qp, Size: size, Payload: cp})
-		in.stats.WireMessages++
-		in.stats.TxMsgs++
-		in.stats.TxBytes += int64(size)
-		in.stats.Batch.Ring(len(cp.cmds))
+		in.post(p, ti, qp, cp)
 	}
+}
+
+// post rings one doorbell toward a target: the capsule goes out through
+// postCapsule and counts as initiator egress.
+func (in *Initiator) post(p *sim.Proc, target, qp int, cp *capsule) {
+	in.c.postCapsule(p, in.cores, in.targets[target].conns[in.id], qp, cp)
+	in.stats.WireMessages++
+	in.stats.TxMsgs++
+	in.stats.TxBytes += int64(cp.wireSize())
+	in.stats.Batch.Ring(len(cp.cmds))
+}
+
+// postCapsule is the one place a command capsule reaches the wire, from
+// an initiator toward a member or from a set head toward a follower: the
+// poster's cores pay PostMsg, the post stalls while the link's TX queue is
+// at its depth (stalls are attributed to the capsule's commands), and the
+// capsule is handed to the NIC. A link that went down meanwhile drops it.
+func (c *Cluster) postCapsule(p *sim.Proc, cores *sim.Resource, conn *fabric.Conn, qp int, cp *capsule) {
+	cores.Use(p, c.costs.PostMsg)
+	if stall := conn.WaitTxSpace(p, fabric.Initiator); stall > 0 {
+		for _, ws := range cp.cmds {
+			addWaitWire(ws, trace.WaitTx, stall)
+		}
+	}
+	conn.Send(fabric.Initiator, fabric.Message{QP: qp, Size: cp.wireSize(), Payload: cp})
 }
 
 // reapLoop is one shard's completion-reaping context (the initiator-side
@@ -742,8 +749,8 @@ func (in *Initiator) reapLoop(p *sim.Proc, sh *shard) {
 			}
 			if ws.repl != nil {
 				if i < len(msg.agg) && msg.agg[i].members != nil {
-					// Aggregated CQE (relay fast path): the set head
-					// vouches for every listed member's ack. replAck may
+					// Aggregated CQE (relay route): the set head vouches
+					// for every listed member's ack. replAck may
 					// finalize and recycle ws mid-list — the outstanding
 					// check stops the walk the moment it does.
 					addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)

@@ -75,8 +75,8 @@ type Initiator struct {
 	inflightCond *sim.Cond
 	gov          *governor
 
-	// relaySeq mints the per-(set, QP) relay sequence numbers of the
-	// replication fast path (index set*QPs+qp; nil unless cfg.ReplRelay).
+	// relaySeq mints the per-(set, QP) relay sequence numbers of the relay
+	// route (index set*QPs+qp).
 	relaySeq []uint64
 
 	stats ClusterStats
@@ -105,9 +105,7 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		in.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
 	}
 	in.fuseTails = make([]fuseTail, c.vol.Devices())
-	if c.cfg.ReplRelay {
-		in.relaySeq = make([]uint64, len(c.replSets)*c.cfg.QPs)
-	}
+	in.relaySeq = make([]uint64, len(c.replSets)*c.cfg.QPs)
 	if c.cfg.CacheBlocks > 0 {
 		in.rcache = newRCache(c.cfg.CacheBlocks, c.cfg.Streams)
 		in.pendingReads = make(map[uint64]*pendingRead)
@@ -377,7 +375,7 @@ func (in *Initiator) FlushDevice(p *sim.Proc, stream int) {
 func (in *Initiator) newWire(stream int) *wireState {
 	sh := in.shards[stream]
 	var ws *wireState
-	if n := len(sh.wireFree); n > 0 && in.cfg.Pooling {
+	if n := len(sh.wireFree); n > 0 {
 		ws = sh.wireFree[n-1]
 		sh.wireFree = sh.wireFree[:n-1]
 		ws.hwDone.Reset()
@@ -426,7 +424,7 @@ func (in *Initiator) putFlushWires(states []*wireState) {
 			continue
 		}
 		if ws.epoch == in.epoch {
-			in.shards[ws.stream].putWire(in, ws)
+			in.shards[ws.stream].putWire(ws)
 		}
 	}
 }
@@ -464,9 +462,7 @@ func (in *Initiator) crashVolatile() {
 	in.seq = core.NewSequencerFor(uint16(in.id), in.cfg.Streams)
 	in.outstanding = make(map[uint64]*wireState)
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
-	for k := range in.relaySeq {
-		in.relaySeq[k] = 0
-	}
+	clear(in.relaySeq)
 	for _, sh := range in.shards {
 		sh.crashReset()
 	}

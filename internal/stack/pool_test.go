@@ -129,41 +129,38 @@ func TestPoolReuseNoResurrection(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestAllocsPerReqDropsWithPooling: the hot-path allocation counter must
-// report at least 30% fewer allocations per request with shard pooling
-// than the allocate-per-call ablation (the acceptance bar for the shard
-// refactor; in steady state the reduction is far larger).
-func TestAllocsPerReqDropsWithPooling(t *testing.T) {
-	run := func(pooling bool) ClusterStats {
-		eng := sim.New(3)
-		cfg := DefaultConfig(ModeRio, OptaneTarget())
-		cfg.Pooling = pooling
-		c := New(eng, cfg)
-		eng.Go("app", func(p *sim.Proc) {
-			for r := 0; r < 50; r++ {
-				var batch []*blockdev.Request
-				for i := 0; i < 8; i++ {
-					batch = append(batch, c.OrderedWrite(p, i%cfg.Streams, uint64(r*8+i)*5, 1, 0, nil, true, false, false))
-				}
-				for _, req := range batch {
-					c.Wait(p, req)
-				}
+// TestAllocsPerReqSteadyState: the hot-path allocation counter must stay
+// at least 30% below what the seed dispatch allocated per request (a
+// ticket, a wire command and a tracking list: 3) — the acceptance bar of
+// the shard refactor. Only the first rounds miss the pools, so over 400
+// requests the figure is far lower.
+func TestAllocsPerReqSteadyState(t *testing.T) {
+	eng := sim.New(3)
+	cfg := DefaultConfig(ModeRio, OptaneTarget())
+	c := New(eng, cfg)
+	eng.Go("app", func(p *sim.Proc) {
+		for r := 0; r < 50; r++ {
+			var batch []*blockdev.Request
+			for i := 0; i < 8; i++ {
+				batch = append(batch, c.OrderedWrite(p, i%cfg.Streams, uint64(r*8+i)*5, 1, 0, nil, true, false, false))
 			}
-		})
-		eng.Run()
-		st := c.Stats()
-		eng.Shutdown()
-		return st
+			for _, req := range batch {
+				c.Wait(p, req)
+			}
+		}
+	})
+	eng.Run()
+	st := c.Stats()
+	eng.Shutdown()
+	const seedAllocsPerReq = 3
+	if st.Pool.Misses == 0 {
+		t.Fatal("no pool miss counted: the first requests must allocate")
 	}
-	pooled, unpooled := run(true), run(false)
-	ap, anp := pooled.AllocsPerReq(), unpooled.AllocsPerReq()
-	if anp == 0 {
-		t.Fatal("unpooled run reported zero allocations")
+	if ap := st.AllocsPerReq(); ap > 0.7*seedAllocsPerReq {
+		t.Fatalf("allocs/req = %.2f, want at most %.2f (30%% below the seed's %d)", ap, 0.7*seedAllocsPerReq, seedAllocsPerReq)
+	} else {
+		t.Logf("allocs/req %.3f (seed dispatch: %d)", ap, seedAllocsPerReq)
 	}
-	if ap > 0.7*anp {
-		t.Fatalf("allocs/req with pooling = %.2f, without = %.2f: reduction below 30%%", ap, anp)
-	}
-	t.Logf("allocs/req: pooled %.2f vs unpooled %.2f (%.0f%% fewer)", ap, anp, 100*(1-ap/anp))
 }
 
 // TestVectorSplitAtTargetBoundaries: a striped write spanning several

@@ -1,9 +1,13 @@
 package stack
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/nvmeof"
 	"repro/internal/sim"
 )
 
@@ -140,12 +144,13 @@ func TestRelayFollowerCut(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestRelayHeadCutMidBatch is the satellite's crash core: power-cutting
-// the HEAD while relayed capsules and buffered acks are in flight loses
-// no completion and duplicates none. The initiator re-posts exactly the
-// un-received suffix direct to survivors (relaySeq vs relaySeen exact
-// prefix), survivors flush their unconfirmed acks direct, and the
-// degraded set keeps completing at quorum.
+// TestRelayHeadCutMidBatch is the relay route's crash core: power-cutting
+// the HEAD while forwarded capsules and buffered acks are in flight loses
+// no completion and duplicates none. The initiator posts exactly the
+// un-received (command, follower) capsules direct to survivors (relaySeq
+// vs the received prefix), each byte-equal to what the direct route sends
+// for that (command, member); survivors flush their unconfirmed acks
+// direct, and the degraded set keeps completing at quorum.
 func TestRelayHeadCutMidBatch(t *testing.T) {
 	eng := sim.New(24)
 	c := New(eng, relayConfig(3))
@@ -164,9 +169,93 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 			}
 		})
 	}
-	eng.At(60*sim.Microsecond, func() { c.PowerCutTarget(0) }) // the head
+
+	// At the cut instant, before the cut, work out from the commands'
+	// replication state — not from the builder — what the direct route
+	// sends each follower that has not received a command's forwarded
+	// capsule: the member's SQE as a one-command batch, its attribute
+	// chain, and a retire watermark no older than the one held now.
+	type pair struct {
+		id     uint64
+		member int
+	}
+	type memberSlice struct {
+		sqe   nvmeof.SQE
+		attrs []core.Attr
+		mark  uint64
+	}
+	in := c.Init(0)
+	want := map[pair]memberSlice{}
+	relayedAtCut := map[uint64]bool{}
+	eng.At(60*sim.Microsecond, func() {
+		for _, ws := range in.outstandingOfSet(0) {
+			r := ws.repl
+			if r.relaySeq == 0 {
+				continue
+			}
+			relayedAtCut[ws.id] = true
+			for k, m := range r.q.Members {
+				if k == 0 || r.q.Resolved[k] || r.relaySeq <= c.targets[m].relay.seen[0][ws.qp] {
+					continue
+				}
+				sqe := r.sqes[k]
+				sqe.MarkVector(0, 1)
+				want[pair{ws.id, m}] = memberSlice{
+					sqe:   sqe,
+					attrs: append([]core.Attr(nil), r.attrs[k]...),
+					mark:  in.retireMarkAt(ws.stream, m),
+				}
+			}
+		}
+		c.PowerCutTarget(0) // the head
+	})
+	// Every capsule a survivor receives straight from the initiator for a
+	// command that was on the relay route at the cut is a re-post.
+	got := map[pair]bool{}
+	for _, m := range []int{1, 2} {
+		m, tgt := m, c.targets[m]
+		tgt.conns[0].SetHandler(fabric.Target, func(msg fabric.Message) {
+			cp := msg.Payload.(*capsule)
+			if relayedAtCut[cp.cmds[0].id] {
+				ws := cp.cmds[0]
+				exp, ok := want[pair{ws.id, m}]
+				switch {
+				case !ok:
+					t.Errorf("cmd %d re-posted to member %d, which had received it", ws.id, m)
+				case got[pair{ws.id, m}]:
+					t.Errorf("cmd %d re-posted to member %d twice", ws.id, m)
+				case len(cp.cmds) != 1 || cp.member != m || cp.relayed || cp.forward != nil:
+					t.Errorf("cmd %d member %d: re-post is not a one-command direct capsule: %+v", ws.id, m, cp)
+				case cp.sqes[0] != exp.sqe:
+					t.Errorf("cmd %d member %d: re-posted SQE differs from the direct route's", ws.id, m)
+				case !reflect.DeepEqual(cp.attrs[0], exp.attrs):
+					t.Errorf("cmd %d member %d: re-posted attrs %+v, direct route sends %+v", ws.id, m, cp.attrs[0], exp.attrs)
+				}
+				now := in.retireMarkAt(ws.stream, m)
+				if now == 0 && cp.retires != nil {
+					t.Errorf("cmd %d member %d: retire mark %+v with no watermark held", ws.id, m, cp.retires)
+				}
+				if now > 0 && (len(cp.retires) != 1 || int(cp.retires[0].stream) != ws.stream ||
+					cp.retires[0].upTo < exp.mark || cp.retires[0].upTo > now) {
+					t.Errorf("cmd %d member %d: retire marks %+v, direct route sends stream %d upTo in [%d, %d]",
+						ws.id, m, cp.retires, ws.stream, exp.mark, now)
+				}
+				got[pair{ws.id, m}] = true
+			}
+			tgt.recvCapsule(0, msg.QP, cp)
+		})
+	}
 	eng.Run()
 
+	if len(want) == 0 {
+		t.Fatal("no forwarded capsule was in flight at the head cut: the schedule exercises no re-post")
+	}
+	t.Logf("re-posts checked: %d of %d commands on the relay route at the cut", len(want), len(relayedAtCut))
+	for k := range want {
+		if !got[k] {
+			t.Errorf("cmd %d never re-posted to member %d, which had not received it", k.id, k.member)
+		}
+	}
 	if c.InSync(0) {
 		t.Fatal("cut head still marked in sync")
 	}

@@ -28,6 +28,27 @@ import (
 // degraded window is evidenced by epoch marks in the survivors' PMR) and
 // rejoins via background resync: the delta it missed is replayed from a
 // peer replica's PMR+media before the set epoch advances again.
+//
+// There is ONE replicated write path, parameterised by a route. Whatever
+// the route, every member's capsule comes from buildMemberCapsule and
+// every capsule reaches the wire through postCapsule; the route only says
+// who carries the followers' capsules and who counts the acks:
+//
+//	routeDirect: initiator ──member capsule──▶ each in-sync member
+//	             initiator ◀──────CQE──────── each member
+//	routeRelay:  initiator ──head capsule + forward[]──▶ head ──▶ followers
+//	             initiator ◀──aggregated CQE── head ◀──acks── followers
+//
+// A head power cut flips the in-flight commands of its set from
+// routeRelay to routeDirect (relay.go).
+
+// route is how one replica set's batch travels to the set's members.
+type route uint8
+
+const (
+	routeDirect route = iota
+	routeRelay
+)
 
 // replicaSet is one group of R target servers holding identical block
 // content for its slice of the logical volume.
@@ -72,17 +93,6 @@ func (rs *replicaSet) pos(target int) int {
 	return -1
 }
 
-// inSyncMembers appends the current in-sync members to dst (ascending
-// member order — deterministic).
-func (rs *replicaSet) inSyncMembers(dst []int) []int {
-	for k, m := range rs.members {
-		if rs.inSync[k] {
-			dst = append(dst, m)
-		}
-	}
-	return dst
-}
-
 func (rs *replicaSet) inSyncCount() int {
 	n := 0
 	for _, ok := range rs.inSync {
@@ -103,9 +113,13 @@ func (rs *replicaSet) firstInSync(not int) int {
 	return -1
 }
 
-func (rs *replicaSet) addDirty(member int, d dirtyExtent) {
+// addDirty queues the write ws carries for member's background resync.
+func (rs *replicaSet) addDirty(member int, ws *wireState) {
 	k := rs.pos(member)
-	rs.dirty[k] = append(rs.dirty[k], d)
+	rs.dirty[k] = append(rs.dirty[k], dirtyExtent{
+		ssdIdx: ws.ssdIdx, lba: ws.wc.LBA, blocks: ws.wc.Blocks,
+		init: ws.init, wsID: ws.id, ws: ws,
+	})
 }
 
 // replState is the per-wire-command replication tracker: the quorum
@@ -124,10 +138,10 @@ type replState struct {
 	// quorum-assembly wait is quorum-fire minus firstAck).
 	firstAck sim.Time
 
-	// relaySeq is the relay sequence number the command's head capsule
-	// carried (0 = posted direct). A head power cut compares it against
-	// each survivor's received prefix to re-post exactly the undelivered
-	// member slices.
+	// relaySeq is the command's route: 0 = routeDirect, otherwise the
+	// relay sequence number its head capsule carried. A head power cut
+	// compares it against each survivor's received prefix to post exactly
+	// the undelivered member capsules, and resets it to 0.
 	relaySeq uint64
 }
 
@@ -292,10 +306,7 @@ func (in *Initiator) assignReplicated(wires []*wireState) {
 		}
 		for k, m := range rs.members {
 			if !rs.inSync[k] {
-				rs.addDirty(m, dirtyExtent{
-					ssdIdx: ws.ssdIdx, lba: ws.wc.LBA, blocks: ws.wc.Blocks,
-					init: in.id, wsID: ws.id, ws: ws,
-				})
+				rs.addDirty(m, ws)
 				continue
 			}
 			if !ordered {
@@ -339,11 +350,8 @@ func (in *Initiator) populateGenericRepl(ws *wireState) {
 }
 
 // postReplicated is postByTarget for a replicated cluster: the batch is
-// partitioned per replica SET, and each set's capsule is posted once per
-// in-sync member, carrying that member's SQE encodings and attribute
-// chains. Each copy is a full vectored batch (validated intact at the
-// member), pays its own PostMsg and wire framing, and returns its own
-// CQE — the fan-out cost the replication experiment measures.
+// partitioned per replica SET, and each set's commands go out on the
+// set's current route.
 func (in *Initiator) postReplicated(p *sim.Proc, wires []*wireState, stream int) {
 	in.stats.WireCmds += int64(len(wires))
 	caps := make([][]*wireState, len(in.c.replSets))
@@ -357,13 +365,12 @@ func (in *Initiator) postReplicated(p *sim.Proc, wires []*wireState, stream int)
 		if len(cmds) == 0 {
 			continue
 		}
-		// Relay fast path: writes that fanned to the full membership go out
-		// as ONE head capsule instead of R copies. Flushes always fan out
-		// direct (a durability barrier certifies members individually), as
-		// do batches assigned under a degraded snapshot.
+		// Relay route: writes that fanned to the full membership. Flushes
+		// always go direct (a durability barrier certifies members
+		// individually), as do batches assigned under a degraded snapshot.
 		if rs := in.c.replSets[set]; in.c.relayActive(rs) {
+			relayable := make([]*wireState, 0, len(cmds))
 			var direct []*wireState
-			relayable := cmds[:0:0]
 			for _, ws := range cmds {
 				if !ws.flushWire && len(ws.repl.q.Members) == len(rs.members) {
 					relayable = append(relayable, ws)
@@ -372,51 +379,91 @@ func (in *Initiator) postReplicated(p *sim.Proc, wires []*wireState, stream int)
 				}
 			}
 			if len(relayable) > 0 {
-				in.postRelay(p, rs, relayable, stream)
-			}
-			if len(direct) == 0 {
-				continue
+				in.postSet(p, set, relayable, stream, routeRelay)
 			}
 			cmds = direct
 		}
-		qp := in.qpFor(stream)
-		// All commands of one dispatch batch snapshot the same membership
-		// (no yield between their assignments), so the first command's
-		// member list is the batch's.
-		members := cmds[0].repl.q.Members
-		for k, m := range members {
-			cp := &capsule{epoch: in.epoch, member: m}
-			var inline int
-			for i, ws := range cmds {
-				sqe := ws.repl.sqes[k]
-				sqe.MarkVector(i, len(cmds))
-				cp.cmds = append(cp.cmds, ws)
-				cp.sqes = append(cp.sqes, sqe)
-				cp.attrs = append(cp.attrs, ws.repl.attrs[k])
-				if !ws.flushWire {
-					inline += ws.wc.InlineBytes(in.cfg.InlineThreshold)
-				}
-				ws.qp = qp
-			}
-			if in.cfg.Mode == ModeRio {
-				if mark := in.retireMarkAt(stream, m); mark > 0 {
-					cp.retires = append(cp.retires, retire{stream: uint16(stream), upTo: mark})
-				}
-			}
-			size := nvmeof.VectorCapsuleSize(len(cmds), inline)
-			in.useInitCPU(p, in.costs.PostMsg)
-			if stall := in.targets[m].conns[in.id].WaitTxSpace(p, fabric.Initiator); stall > 0 {
-				for _, ws := range cmds {
-					addWaitWire(ws, trace.WaitTx, stall)
-				}
-			}
-			in.targets[m].conns[in.id].Send(fabric.Initiator, fabric.Message{QP: qp, Size: size, Payload: cp})
-			in.stats.WireMessages++
-			in.stats.TxMsgs++
-			in.stats.TxBytes += int64(size)
-			in.stats.Batch.Ring(len(cmds))
+		if len(cmds) > 0 {
+			in.postSet(p, set, cmds, stream, routeDirect)
 		}
 	}
+}
+
+// postSet posts one replica set's batch on the given route. All commands
+// of one dispatch batch snapshot the same membership (no yield between
+// their assignments), so the first command's member list is the batch's.
+//
+// routeDirect posts one capsule per member: each copy is a full vectored
+// batch (validated intact at the member), pays its own PostMsg and wire
+// framing, and returns its own CQE — the fan-out cost the replication
+// experiment measures. routeRelay posts ONE capsule to the set's head with
+// the followers' capsules attached: one PostMsg, one TX-depth slot, one
+// wire message — the R×→1× initiator cost collapse the relay exists for.
+func (in *Initiator) postSet(p *sim.Proc, set int, cmds []*wireState, stream int, rt route) {
+	qp := in.qpFor(stream)
+	for _, ws := range cmds {
+		ws.qp = qp
+	}
+	members := cmds[0].repl.q.Members
+	if rt == routeDirect {
+		for k, m := range members {
+			in.post(p, m, qp, in.buildMemberCapsule(cmds, k, m, stream))
+		}
+		return
+	}
+	head := in.buildMemberCapsule(cmds, 0, members[0], stream)
+	head.relaySeq = in.nextRelaySeq(set, qp)
+	head.forward = make([]*capsule, 0, len(members)-1)
+	for k := 1; k < len(members); k++ {
+		fcp := in.buildMemberCapsule(cmds, k, members[k], stream)
+		fcp.relayed, fcp.relaySeq = true, head.relaySeq
+		head.forward = append(head.forward, fcp)
+	}
+	for _, ws := range cmds {
+		ws.repl.relaySeq = head.relaySeq
+	}
+	in.post(p, members[0], qp, head)
+}
+
+// buildMemberCapsule builds one member's copy of a replicated batch — the
+// only place a per-member capsule is assembled, whatever route carries
+// it: the member's SQE encodings (vector-marked for this batch) and
+// attribute chains from each command's replState (position k of its
+// member list), plus the member's piggybacked retire watermark as of now.
+func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int) *capsule {
+	cp := &capsule{
+		cmds:   cmds,
+		epoch:  in.epoch,
+		member: member,
+		sqes:   make([]nvmeof.SQE, len(cmds)),
+		attrs:  make([][]core.Attr, len(cmds)),
+	}
+	for i, ws := range cmds {
+		cp.sqes[i] = ws.repl.sqes[k]
+		cp.sqes[i].MarkVector(i, len(cmds))
+		cp.attrs[i] = ws.repl.attrs[k]
+		if !ws.flushWire {
+			cp.inline += ws.wc.InlineBytes(in.cfg.InlineThreshold)
+		}
+	}
+	if mark := in.retireMarkAt(stream, member); mark > 0 {
+		cp.retires = []retire{{stream: uint16(stream), upTo: mark}}
+	}
+	return cp
+}
+
+// outstandingOfSet returns this initiator's in-flight replicated commands
+// toward one replica set in id order: outstanding is a map, and the crash
+// sweeps over it must be deterministic.
+func (in *Initiator) outstandingOfSet(set int) []*wireState {
+	var out []*wireState
+	for _, ws := range in.outstanding {
+		if ws.repl != nil && ws.repl.q.Set == set {
+			out = append(out, ws)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
+	return out
 }
 
 // replAck accounts one member CQE for a replicated command: the
@@ -465,7 +512,7 @@ func (in *Initiator) maybeRecycleRepl(ws *wireState) {
 		return
 	}
 	r.q.Recycled = true
-	in.shards[ws.stream].putWire(in, ws)
+	in.shards[ws.stream].putWire(ws)
 }
 
 // degradeMember marks a power-cut target out of sync: the set epoch
@@ -483,16 +530,7 @@ func (c *Cluster) degradeMember(m int) {
 	rs.epoch++
 	c.appendEpochMarks(rs, m)
 	for _, in := range c.inits {
-		// Deterministic sweep order: outstanding is a map.
-		ids := make([]uint64, 0, len(in.outstanding))
-		for id, ws := range in.outstanding {
-			if ws.repl != nil && ws.repl.q.Set == rs.id {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
-			ws := in.outstanding[id]
+		for _, ws := range in.outstandingOfSet(rs.id) {
 			r := ws.repl
 			if !r.q.Cancel(r.q.Pos(m)) {
 				continue
@@ -507,10 +545,7 @@ func (c *Cluster) degradeMember(m int) {
 					ws.hwDone.Fire()
 				}
 			} else {
-				rs.addDirty(m, dirtyExtent{
-					ssdIdx: ws.ssdIdx, lba: ws.wc.LBA, blocks: ws.wc.Blocks,
-					init: in.id, wsID: ws.id, ws: ws,
-				})
+				rs.addDirty(m, ws)
 			}
 			if r.q.Done() {
 				in.finalizeRepl(ws)
@@ -568,14 +603,7 @@ func (c *Cluster) resyncTarget(p *sim.Proc, m int) (*core.Report, RecoveryTiming
 	rs := c.replSets[c.setOf[m]]
 	pos := rs.pos(m)
 
-	t.alive = true
-	for _, sd := range t.ssds {
-		sd.Restart()
-	}
-	for _, conn := range t.conns {
-		conn.Reconnect()
-	}
-	c.reconnectRelay(m)
+	c.restartTarget(m)
 	// The member's own PMR partitions are stale pre-cut evidence; the
 	// survivors' logs own the ordering record for the degraded window.
 	for i := 0; i < c.cfg.Initiators; i++ {
@@ -605,7 +633,7 @@ func (c *Cluster) resyncTarget(p *sim.Proc, m int) (*core.Report, RecoveryTiming
 		region := pt.ssds[0].PMRBytes()
 		regionBytes := (len(region) / core.EntrySize) * c.pmrEntryWireSize()
 		p.Sleep(sim.Time(regionBytes) * pmrScanPerByte)
-		view := order.ScanPartition(peer, pt.ssds[0].HasPLP(), region)
+		view := pt.scanPMR(region)
 		if n := len(view.Entries) * c.pmrEntryWireSize(); n > 0 && t.conns[0].Up() {
 			t.conns[0].BulkWrite(p, fabric.Target, n)
 		}

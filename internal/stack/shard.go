@@ -89,7 +89,7 @@ func (sh *shard) putPlugBatch(b []*blockdev.Request) {
 
 // getList checks a wire tracking list out of the pool.
 func (sh *shard) getList(in *Initiator) *wireList {
-	if n := len(sh.listFree); n > 0 && in.cfg.Pooling {
+	if n := len(sh.listFree); n > 0 {
 		wl := sh.listFree[n-1]
 		sh.listFree = sh.listFree[:n-1]
 		in.stats.Pool.Hit()
@@ -100,10 +100,7 @@ func (sh *shard) getList(in *Initiator) *wireList {
 }
 
 // putList recycles a delivered request's tracking list.
-func (sh *shard) putList(in *Initiator, wl *wireList) {
-	if !in.cfg.Pooling {
-		return
-	}
+func (sh *shard) putList(wl *wireList) {
 	wl.ws = wl.ws[:0]
 	sh.listFree = append(sh.listFree, wl)
 }
@@ -111,10 +108,7 @@ func (sh *shard) putList(in *Initiator, wl *wireList) {
 // putWire recycles a wire command whose every origin request has been
 // delivered (or that was fused away before posting / completed as a
 // standalone flush). The embedded WireCmd keeps its slice capacity.
-func (sh *shard) putWire(in *Initiator, ws *wireState) {
-	if !in.cfg.Pooling {
-		return
-	}
+func (sh *shard) putWire(ws *wireState) {
 	sh.wireFree = append(sh.wireFree, ws)
 }
 

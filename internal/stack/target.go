@@ -205,24 +205,8 @@ type Target struct {
 	// the completion arrival rate (one EWMA per target; see governor.go).
 	gov *governor
 
-	// Replication fast-path state (all nil unless cfg.ReplRelay; see
-	// relay.go). agg is the head-side aggregation table; relayPend routes
-	// a follower's completions to its head; ackBuf is the follower's
-	// sent-ack replay buffer (flushed direct on a head cut); relayGC is
-	// the per-follower forwarded-ack confirmation queue the next relayed
-	// capsule piggybacks; relaySeen is the per-(initiator, QP) received
-	// relay-sequence prefix; resolvedPend and cqeAgg are the per-
-	// (initiator, QP) resolution records and CQE annotations pending on
-	// the next completion capsule (cqeAgg stays parallel to cqePend at
-	// every mutation); relayAckQ feeds the head's relay-ack context.
-	agg          map[aggKey]*aggState
-	relayPend    map[aggKey]relayRoute
-	ackBuf       map[aggKey]relayRoute
-	relayGC      map[int][]aggResolved
-	relaySeen    [][]uint64
-	resolvedPend [][][]aggResolved
-	cqeAgg       [][][]aggCQE
-	relayAckQ    *sim.Queue[*relayAckMsg]
+	// relay is the relay-route state (nil unless cfg.ReplRelay; relay.go).
+	relay *relayState
 
 	alive bool
 	epoch int
@@ -276,15 +260,7 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		conn := fabric.NewConn(c.Eng, c.cfg.Fabric)
 		conn.SetHandler(fabric.Target, func(m fabric.Message) {
 			if cp, ok := m.Payload.(*capsule); ok {
-				// Retire watermarks are processed immediately in interrupt
-				// context: they free PMR log space and must not queue behind
-				// commands that may be blocked waiting for that very space.
-				if t.alive && cp.epoch == t.c.inits[i].epoch {
-					for _, r := range cp.retires {
-						t.retireUpTo(i, r.stream, r.upTo)
-					}
-				}
-				t.rxQs[i][m.QP].Push(cp)
+				t.recvCapsule(i, m.QP, cp)
 			}
 		})
 		conn.SetHandler(fabric.Initiator, func(m fabric.Message) {
@@ -302,6 +278,31 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		c.Eng.Go(fmt.Sprintf("tgt%d/cpl%d", id, i), func(p *sim.Proc) { t.doneLoop(p) })
 	}
 	return t
+}
+
+// recvCapsule is the NIC receive handler for one command capsule of
+// initiator init, from the initiator's conn or — a forwarded copy — from
+// the set head's relay conn. Retire watermarks are processed here, in
+// interrupt context: they free PMR log space and must not queue behind
+// commands that may be blocked waiting for that very space. A forwarded
+// copy also carries the head's ack confirmations (releasing this
+// follower's replay buffer before the capsule even queues) and advances
+// the received relay-sequence prefix.
+func (t *Target) recvCapsule(init, qp int, cp *capsule) {
+	if t.alive && cp.epoch == t.initEpoch(init) {
+		for _, r := range cp.retires {
+			t.retireUpTo(init, r.stream, r.upTo)
+		}
+		if cp.relayed {
+			for _, e := range cp.relayAcked {
+				delete(t.relay.ackBuf, aggKey{e.init, e.id})
+			}
+			if cp.relaySeq > t.relay.seen[init][qp] {
+				t.relay.seen[init][qp] = cp.relaySeq
+			}
+		}
+	}
+	t.rxQs[init][qp].Push(cp)
 }
 
 // pmrRegion returns initiator init's partition of this target's PMR
@@ -471,10 +472,10 @@ func (t *Target) rxLoop(p *sim.Proc, init, qp int) {
 		}
 		t.stats.Capsules++
 		t.cores.Use(p, t.c.costs.RecvMsg)
-		if cp.relayTo != nil {
-			// Replication fast path: this is a head capsule — fan the
-			// follower slices out over the relay conns before processing the
-			// head's own slice.
+		if cp.forward != nil {
+			// Relay route: this is a head capsule — forward the followers'
+			// capsules over the relay conns before processing the head's own
+			// slice.
 			t.relayFanOut(p, cp, init, qp)
 			if !t.alive {
 				continue
@@ -538,10 +539,12 @@ func (t *Target) rxLoop(p *sim.Proc, init, qp int) {
 				// head capsule's MSent records).
 				markWire(ws, trace.MRelayed, cp.sentAt)
 				markWire(ws, trace.MRxDeliver, cp.deliveredAt)
-				t.relayNote(ws, cp.epoch, qp)
+				// The completion goes to the head, not the initiator: recorded
+				// before submission, so the completion cannot outrun the route.
+				t.relay.pend[aggKey{ws.init, ws.id}] = relayRoute{qp: qp, epoch: cp.epoch}
 			} else {
 				markWire(ws, trace.MSent, cp.sentAt)
-				if cp.relayTo != nil {
+				if cp.forward != nil {
 					markWire(ws, trace.MRelayed, cp.deliveredAt)
 				}
 				markWire(ws, trace.MRxDeliver, cp.deliveredAt)
@@ -552,7 +555,7 @@ func (t *Target) rxLoop(p *sim.Proc, init, qp int) {
 			}
 			if ws.wc.Ordered && t.pol.Gated() {
 				if cp.sqes != nil {
-					t.rioSubmitAttrs(p, ws, cp.attrs[i])
+					t.rioSubmitAttrs(p, ws, cp.attrs[i], false)
 				} else {
 					t.rioSubmit(p, ws)
 				}
@@ -638,21 +641,16 @@ func (t *Target) rioSubmit(p *sim.Proc, ws *wireState) {
 		attrs = append(t.getAttrs(), attr)
 		pooled = true
 	}
-	t.rioSubmitAttrsOwned(p, ws, attrs, pooled)
+	t.rioSubmitAttrs(p, ws, attrs, pooled)
 }
 
 // rioSubmitAttrs runs the in-order gate for a command with an explicit
-// attribute chain — under replication each member receives its own
-// chain in the capsule, so the gate's dense-ServerIdx invariant holds
-// per replica independently.
-func (t *Target) rioSubmitAttrs(p *sim.Proc, ws *wireState, attrs []core.Attr) {
-	t.rioSubmitAttrsOwned(p, ws, attrs, false)
-}
-
-// rioSubmitAttrsOwned is rioSubmitAttrs tracking whether the attribute
-// chain lives in a target-pooled buffer (recycled once the command has
-// been processed; a park carries the flag along).
-func (t *Target) rioSubmitAttrsOwned(p *sim.Proc, ws *wireState, attrs []core.Attr, pooled bool) {
+// attribute chain — under replication each member receives its own chain
+// in the capsule, so the gate's dense-ServerIdx invariant holds per
+// replica independently. pooled marks a chain that lives in a
+// target-pooled buffer (recycled once the command has been processed; a
+// park carries the flag along).
+func (t *Target) rioSubmitAttrs(p *sim.Proc, ws *wireState, attrs []core.Attr, pooled bool) {
 	d := t.ord.Domain(int(attrs[0].Initiator), attrs[0].Stream)
 	if !d.Admit(attrs[0].ServerIdx) {
 		t.stats.Holdbacks++
@@ -936,11 +934,9 @@ func (t *Target) cqeBatchSize() int {
 	return t.c.cfg.CQEBatch
 }
 
-// respond queues one completion toward the owning initiator. With
-// CQECoalesce the CQE joins its (initiator, queue pair) pending response
-// capsule, flushed when CQEBatch entries accumulate or the hold timer
-// expires; without it, each CQE ships immediately in its own bare
-// 16-byte capsule, exactly as the seed target did.
+// respond queues one completion toward the owning initiator: the CQE joins
+// its (initiator, queue pair) pending response capsule, flushed when
+// CQEBatch entries accumulate or the hold timer expires.
 func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
 	if !t.alive || t.epoch != tEpoch {
 		// A completion context that was mid-iteration when the power cut
@@ -958,52 +954,43 @@ func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
 	if t.gov != nil && t.gov.observe(t.c.Eng.Now()) {
 		t.stats.GovSwitches++
 	}
-	if t.relayPend != nil {
-		// Replication fast path: a follower's completion routes to the
-		// head; the head's own completion of a relayed command feeds its
-		// aggregation instead of shipping a CQE of its own (the aggregated
-		// CQE carries the command id).
+	if t.relay != nil {
+		// Relay route: a follower's completion goes to the head; the head's
+		// own completion of a relayed command feeds its quorum record
+		// instead of shipping a CQE of its own (the aggregated CQE carries
+		// the command id).
 		if t.relayRespond(p, ws) {
 			return
 		}
-		if as, ok := t.agg[aggKey{init, ws.id}]; ok && as.epoch == ws.epoch {
-			t.aggAck(p, as, init, ws.id, t.id)
+		key := aggKey{init, ws.id}
+		if as, ok := t.relay.agg[key]; ok && as.epoch == ws.epoch {
+			t.aggAck(p, key, as, t.id)
 			return
 		}
 	}
 	cqe := nvmeof.NewCQE(ws.id)
-	if !t.c.cfg.CQECoalesce {
-		cqe.MarkCQEVector(0, 1)
-		cm := &completionMsg{cqes: []nvmeof.CQE{cqe}, qp: qp, epoch: ws.epoch, from: t.id}
-		if t.c.tracer != nil {
-			cm.respondAt = []sim.Time{t.c.Eng.Now()}
-		}
-		t.cores.Use(p, t.c.costs.PostMsg)
-		t.stats.Responses++
-		t.stats.CQEs++
-		t.conns[init].Send(fabric.Target, fabric.Message{
-			QP: qp, Size: nvmeof.ResponseSize,
-			Payload: cm,
-		})
-		return
-	}
 	if len(t.cqePend[init][qp]) == 0 {
 		t.cqeEpoch[init][qp] = ws.epoch
 		t.cqeFirst[init][qp] = t.c.Eng.Now()
 	}
 	t.cqePend[init][qp] = append(t.cqePend[init][qp], cqe)
-	if t.cqeAgg != nil {
-		t.cqeAgg[init][qp] = append(t.cqeAgg[init][qp], aggCQE{})
+	if t.relay != nil {
+		t.relay.cqeAgg[init][qp] = append(t.relay.cqeAgg[init][qp], aggCQE{})
 	}
 	if t.c.tracer != nil {
 		t.cqePendT[init][qp] = append(t.cqePendT[init][qp], t.c.Eng.Now())
 	}
-	// Flush when the capsule is full — or when the queue pair has no
-	// command left in flight, so a CQE only ever waits while more
-	// completions are coming to amortize against and an idle QP responds
-	// immediately (no hold-timer latency on the application's critical
-	// path). The timer is the backstop for commands that stay in flight
-	// longer than the hold.
+	t.flushOrArm(p, init, qp)
+}
+
+// flushOrArm applies the response flush policy to one (initiator, queue
+// pair) pending batch: ship when the capsule is full — or when the queue
+// pair has no command left in flight, so a CQE only ever waits while more
+// completions are coming to amortize against and an idle QP responds
+// immediately (no hold-timer latency on the application's critical path).
+// Otherwise the hold timer is the backstop for commands that stay in
+// flight longer than the hold.
+func (t *Target) flushOrArm(p *sim.Proc, init, qp int) {
 	if len(t.cqePend[init][qp]) >= t.cqeBatchSize() || t.cqeInflight[init][qp] == 0 {
 		t.flushCQEs(p, init, qp)
 		return
@@ -1034,47 +1021,45 @@ func (t *Target) armCQETimer(init, qp int, d sim.Time) {
 			return
 		}
 		if len(t.cqePend[init][qp]) == 0 {
-			if t.resolvedPend == nil || len(t.resolvedPend[init][qp]) == 0 {
+			// Only resolution records can be pending on an otherwise idle QP
+			// (relay route): ship them in a CQE-less capsule so the
+			// initiator reaches full resolution without waiting for
+			// unrelated completions.
+			if t.relay == nil || len(t.relay.resolved[init][qp]) == 0 {
 				return
 			}
-			// Resolution records pending on an otherwise idle QP (relay
-			// path): ship them in a CQE-less capsule so the initiator
-			// reaches full resolution without waiting for unrelated
-			// completions.
-			t.stats.CQETimerFlushes++
-			fd := t.getDone()
-			fd.flushQP, fd.flushInit, fd.epoch = qp+1, init, t.initEpoch(init)
-			t.doneQ.Push(fd)
-			return
-		}
-		if wait := t.cqeFirst[init][qp] + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
+		} else if wait := t.cqeFirst[init][qp] + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
 			// The batch this timer was armed for was consumed by a
 			// threshold flush; re-arm for the younger one now pending.
 			t.stats.CQERearms++
 			t.armCQETimer(init, qp, wait)
 			return
 		}
-		// Flush in completion context (the engine context here cannot be
-		// charged CPU).
 		t.stats.CQETimerFlushes++
-		fd := t.getDone()
-		fd.flushQP, fd.flushInit, fd.epoch = qp+1, init, t.initEpoch(init)
-		t.doneQ.Push(fd)
+		t.routeFlush(init, qp)
 	})
+}
+
+// routeFlush asks the completion context to flush one (initiator, queue
+// pair) pending response capsule: timers and crash sweeps run in engine
+// context, where no CPU can be charged.
+func (t *Target) routeFlush(init, qp int) {
+	fd := t.getDone()
+	fd.flushQP, fd.flushInit, fd.epoch = qp+1, init, t.initEpoch(init)
+	t.doneQ.Push(fd)
 }
 
 // flushCQEs ships one (initiator, queue pair) pending completions as a
 // single vectored response capsule: one shared framing, one PostMsg,
 // entries vector-marked so the initiator can verify the capsule arrived
 // whole. A batch of one needs no vector framing and ships as a bare
-// 16-byte capsule, exactly like the uncoalesced path.
+// 16-byte capsule.
 func (t *Target) flushCQEs(p *sim.Proc, init, qp int) {
 	batch := t.cqePend[init][qp]
 	var agg []aggCQE
 	var resolved []aggResolved
-	if t.cqeAgg != nil {
-		agg = t.cqeAgg[init][qp]
-		resolved = t.resolvedPend[init][qp]
+	if t.relay != nil {
+		agg, resolved = t.relay.cqeAgg[init][qp], t.relay.resolved[init][qp]
 	}
 	if len(batch) == 0 && len(resolved) == 0 {
 		return
@@ -1085,9 +1070,8 @@ func (t *Target) flushCQEs(p *sim.Proc, init, qp int) {
 	batchT := t.cqePendT[init][qp]
 	t.cqePendT[init][qp] = nil
 	epoch := t.cqeEpoch[init][qp]
-	if t.cqeAgg != nil {
-		t.cqeAgg[init][qp] = nil
-		t.resolvedPend[init][qp] = nil
+	if t.relay != nil {
+		t.relay.cqeAgg[init][qp], t.relay.resolved[init][qp] = nil, nil
 	}
 	if len(batch) == 0 {
 		// Resolution-only capsule: no buffered CQE minted the epoch, so
@@ -1110,7 +1094,9 @@ func (t *Target) flushCQEs(p *sim.Proc, init, qp int) {
 		QP: qp, Size: size,
 		Payload: &completionMsg{cqes: batch, qp: qp, epoch: epoch, from: t.id, respondAt: batchT, agg: agg, resolved: resolved},
 	})
-	t.noteForwarded(init, agg, batch, resolved)
+	if t.relay != nil {
+		t.noteForwarded(init, agg, batch, resolved)
+	}
 }
 
 // retireUpTo recycles PMR entries whose completions the owning initiator

@@ -520,21 +520,6 @@ func (c *Cluster) Fault(s Scope) {
 	}
 }
 
-// PowerCut models a whole-cluster power failure.
-//
-// Deprecated: use Fault(ClusterScope()).
-func (c *Cluster) PowerCut() { c.Fault(ClusterScope()) }
-
-// PowerCutTarget crashes a single target server.
-//
-// Deprecated: use Fault(TargetScope(i)).
-func (c *Cluster) PowerCutTarget(i int) { c.Fault(TargetScope(i)) }
-
-// PowerCutInitiator crashes a single initiator server.
-//
-// Deprecated: use Fault(InitiatorScope(i)).
-func (c *Cluster) PowerCutInitiator(i int) { c.Fault(InitiatorScope(i)) }
-
 // Report is the recovery outcome: per-stream durable prefixes.
 type Report struct {
 	inner  *core.Report
@@ -587,16 +572,6 @@ func (ctx *Ctx) Recover(scope ...Scope) *Report {
 	}
 	return out
 }
-
-// RecoverTarget repairs a single crashed target.
-//
-// Deprecated: use Recover(TargetScope(i)).
-func (ctx *Ctx) RecoverTarget(i int) *Report { return ctx.Recover(TargetScope(i)) }
-
-// RecoverInitiator recovers a single crashed initiator.
-//
-// Deprecated: use Recover(InitiatorScope(i)).
-func (ctx *Ctx) RecoverInitiator(i int) *Report { return ctx.Recover(InitiatorScope(i)) }
 
 // FSDesign selects a file-system journaling design (§4.7).
 type FSDesign = fs.Design
@@ -663,13 +638,4 @@ func (ctx *Ctx) KVReopen(fsys *fs.FS, opts KVOptions) (*kv.DB, error) {
 // record can follow a durable commit under ordered writes).
 func (ctx *Ctx) KVRecoverCount(fsys *fs.FS, opts KVOptions) (int, error) {
 	return kv.RecoverCount(ctx.p, fsys, opts)
-}
-
-// NewFS formats a file system on initiator 0. journals is the per-core
-// journal count (ignored for Ext4).
-//
-// Deprecated: use Ctx.FS, which binds the file system to the calling
-// context's initiator and takes full FSOptions.
-func (c *Cluster) NewFS(design FSDesign, journals int) *fs.FS {
-	return fs.Open(c.inner.Init(0), fs.DefaultOptions(design, journals))
 }
