@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint bench bench-json bench-gate benchmark-smoke coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint bench bench-sim bench-json bench-gate benchmark-smoke coverage examples ci
 
 all: build test
 
@@ -43,6 +43,12 @@ lint: fmt-check vet staticcheck
 bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
 
+# Host-clock microbenchmarks of the simulation substrate (event heap, proc
+# switch, queues, resources, proc spawn). CI smokes them at BENCHTIME=100x.
+BENCHTIME ?= 1s
+bench-sim:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/sim
+
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build
 	$(GO) run ./cmd/riobench -exp scale,replication,policy,serve,read,satload,trace -quick -json BENCH_12.json
@@ -54,10 +60,14 @@ examples: build
 		echo "== go run ./$$d"; $(GO) run ./$$d; done
 
 # The CI perf gate: run the gated experiments fresh and fail on >10%
-# regression in the gated metrics vs the committed baseline.
+# regression in the gated metrics vs the committed baseline, then require
+# the fresh file to be byte-identical to it (the simulator is deterministic
+# and the file carries no timestamps; a PR that means to move a simulated
+# number commits a new BENCH_N.json and points this at it).
 bench-gate: build
 	$(GO) run ./cmd/riobench -exp scale,replication,policy,serve,read,satload,trace -quick -json /tmp/bench-gate.json
 	$(GO) run ./cmd/benchdiff -new /tmp/bench-gate.json
+	cmp /tmp/bench-gate.json BENCH_12.json
 
 # benchmark/ is a module of its own (the acceptance benchmark: it builds
 # against stack, fs, kv and rio), so `go build ./...` at the root does not
@@ -72,4 +82,4 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race bench bench-gate examples benchmark-smoke
+ci: lint build race bench bench-sim bench-gate examples benchmark-smoke

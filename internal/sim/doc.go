@@ -12,10 +12,24 @@
 //
 //   - Callbacks: Engine.At(d, fn) schedules fn to run d nanoseconds from
 //     now on the engine goroutine. Callbacks must not block.
-//   - Processes: Engine.Go(name, fn) spawns a Proc, a goroutine that may
-//     Sleep, wait on Conds, acquire Resources and pop Queues. The engine
-//     and processes hand control back and forth over unbuffered channels,
-//     so at most one goroutine ever touches simulation state.
+//   - Processes: Engine.Go(name, fn) spawns a Proc, a coroutine that may
+//     Sleep, wait on Conds, acquire Resources and pop Queues. A Proc is an
+//     iter.Pull coroutine: the event loop resumes it with next, it parks
+//     with yield, and the runtime switches the two goroutines directly
+//     (no channel, no scheduler pass), so at most one goroutine ever
+//     touches simulation state.
+//
+// The event heap is a typed 4-ary min-heap ordered by (at, seq). seq is a
+// counter that At, Sleep, a wake-up and Go each advance by exactly one, so
+// (at, seq) is a total order: the pop sequence, and with it every simulated
+// number, is fixed by the order in which simulation code schedules work and
+// not by the heap's layout or how procs are switched. Proc events carry
+// the *Proc itself, so only At stores a closure.
+//
+// When a Proc's fn returns, the Proc and its coroutine go on a free list
+// and the next Engine.Go reuses them; a *Proc handle is therefore valid
+// only until its fn returns. Engine.Shutdown stops every coroutine, started
+// or not, so no goroutine outlives the engine.
 //
 // Resources track a busy-time integral, which is how CPU utilization (and
 // therefore the paper's CPU-efficiency metric, throughput ÷ utilization)

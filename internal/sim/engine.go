@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -34,52 +33,37 @@ func (t Time) String() string {
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
+// An event is either a callback (fn) or a proc resumption (p). Carrying the
+// *Proc in the event keeps Sleep, wake and Go from allocating a closure.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among same-time events
 	fn  func()
+	p   *Proc
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// before orders events by (at, seq). seq is unique, so this is a total
+// order and the pop sequence does not depend on the heap's shape.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New.
 type Engine struct {
 	now     Time
-	events  eventHeap
+	events  []event // 4-ary min-heap ordered by event.before
 	seq     uint64
 	rng     *rand.Rand
-	parked  chan struct{} // procs signal the engine here when they yield
-	live    map[*Proc]struct{}
+	procs   []*Proc // every proc created, running, parked or free
+	free    []*Proc // finished procs whose coroutine awaits its next fn
 	stopped bool
-	fault   interface{} // panic value captured from a proc
 }
 
 // New creates an engine with a deterministic random stream derived from
 // seed.
 func New(seed int64) *Engine {
-	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}),
-		live:   make(map[*Proc]struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulated time.
@@ -95,8 +79,59 @@ func (e *Engine) At(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
+	e.push(d, fn, nil)
+}
+
+// push schedules fn (or the resumption of p) d nanoseconds from now,
+// consuming one seq.
+func (e *Engine) push(d Time, fn func(), p *Proc) {
 	e.seq++
-	heap.Push(&e.events, event{at: e.now + d, seq: e.seq, fn: fn})
+	ev := event{at: e.now + d, seq: e.seq, fn: fn, p: p}
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the fn and proc references
+	h = h[:n]
+	i := 0
+	for {
+		child := 4*i + 1
+		if child >= n {
+			break
+		}
+		m, end := child, min(child+4, n)
+		for j := child + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	e.events = h
+	return top
 }
 
 // Run processes events until the event heap is empty or Stop is called.
@@ -124,36 +159,33 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) runWhile(cond func() bool) {
 	e.stopped = false
 	for !e.stopped && cond() {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
-		ev.fn()
-		if e.fault != nil {
-			f := e.fault
-			e.fault = nil
-			panic(f)
+		if ev.p != nil {
+			// Switch to the proc until it parks or finishes. A panic in
+			// the proc re-panics here, out of Run.
+			ev.p.wakeQueued = false
+			ev.p.next()
+		} else {
+			ev.fn()
 		}
 	}
 }
 
-// Shutdown terminates every parked process so their goroutines exit. The
-// engine must not be used afterwards. It is safe to call multiple times.
+// Shutdown terminates every process, started or not, so their goroutines
+// exit; parked procs unwind their deferred calls. The engine must not be
+// used afterwards. It is safe to call multiple times.
 func (e *Engine) Shutdown() {
-	for p := range e.live {
-		if p.parkedNow {
-			p.killed = true
-			e.resumeNow(p)
-		}
+	// A dying proc's deferred calls may still spawn: with the free list
+	// gone they get fresh procs, which the loop (by index) stops too.
+	e.free = nil
+	for i := 0; i < len(e.procs); i++ {
+		e.procs[i].stop()
 	}
-	e.live = map[*Proc]struct{}{}
-}
-
-// resumeNow transfers control to p and blocks until p yields back.
-func (e *Engine) resumeNow(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.parked
+	e.procs = nil
 }
 
 // wake schedules p to resume at the current time (FIFO among same-time
@@ -163,8 +195,5 @@ func (e *Engine) wake(p *Proc) {
 		panic("sim: double wake of proc " + p.name)
 	}
 	p.wakeQueued = true
-	e.At(0, func() {
-		p.wakeQueued = false
-		e.resumeNow(p)
-	})
+	e.push(0, nil, p)
 }

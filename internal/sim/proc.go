@@ -1,18 +1,24 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// A Proc is a simulated thread of execution: a goroutine that alternates
-// between running (while the engine is blocked) and being parked (while the
-// engine runs other work). Procs may block with Sleep, Cond.Wait,
-// Resource.Acquire and Queue.Pop; callbacks may not.
+// A Proc is a simulated thread of execution: a coroutine that alternates
+// between running (while the engine's event loop is suspended inside
+// next) and being parked (suspended inside yield while the engine runs
+// other work). Procs may block with Sleep, Cond.Wait, Resource.Acquire and
+// Queue.Pop; callbacks may not.
 type Proc struct {
 	eng        *Engine
 	name       string
-	resume     chan struct{}
-	killed     bool
-	parkedNow  bool
+	fn         func(p *Proc)
+	next       func() (struct{}, bool) // engine side: run the proc until it parks
+	stop       func()                  // engine side: kill the proc and free its goroutine
+	yield      func(struct{}) bool     // proc side: park; false means killed
 	wakeQueued bool
+	granted    bool // set by Resource.Release when it hands this proc a unit
 }
 
 // procKilled is the sentinel panic used by Engine.Shutdown to unwind a
@@ -20,27 +26,50 @@ type Proc struct {
 type procKilled struct{}
 
 // Go spawns fn as a new simulated process starting at the current time.
-// The returned Proc is mainly useful for diagnostics; fn receives it as its
-// execution context.
+// fn receives the Proc as its execution context. The Proc and its coroutine
+// are recycled for a later Go once fn returns, so the returned handle is
+// valid only until then.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.live[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first scheduling
-		defer func() {
-			delete(e.live, p)
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					// Surface the panic through the engine so tests see it.
-					e.fault = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
-				}
-			}
-			e.parked <- struct{}{} // final yield
-		}()
-		fn(p)
-	}()
-	e.At(0, func() { e.resumeNow(p) })
+	var p *Proc
+	if n := len(e.free); n > 0 {
+		p, e.free[n-1] = e.free[n-1], nil
+		e.free = e.free[:n-1]
+	} else {
+		p = &Proc{eng: e}
+		p.next, p.stop = iter.Pull(p.loop)
+		e.procs = append(e.procs, p)
+	}
+	p.name, p.fn = name, fn
+	e.push(0, nil, p)
 	return p
+}
+
+// loop is the coroutine body: run the current fn, join the free list, park
+// until Go assigns the next fn.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.run() {
+		p.fn = nil
+		p.eng.free = append(p.eng.free, p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes fn and reports whether it returned normally rather than
+// being killed. Any other panic is re-raised with the proc's name;
+// iter.Pull carries it to the engine goroutine, where it surfaces from Run.
+func (p *Proc) run() (finished bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, killed := r.(procKilled); !killed {
+				panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, r))
+			}
+		}
+	}()
+	p.fn(p)
+	return true
 }
 
 // Engine returns the engine this process runs on.
@@ -52,14 +81,10 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park yields control to the engine and blocks until the engine resumes
-// this process (via Engine.wake or Engine.Shutdown).
+// park yields control to the engine until it resumes this process (a proc
+// event from Sleep or Engine.wake) or kills it (Engine.Shutdown).
 func (p *Proc) park() {
-	p.parkedNow = true
-	p.eng.parked <- struct{}{}
-	<-p.resume
-	p.parkedNow = false
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -72,7 +97,7 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.eng.At(d, func() { p.eng.resumeNow(p) })
+	p.eng.push(d, nil, p)
 	p.park()
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -124,8 +126,12 @@ func TestProcPanicPropagates(t *testing.T) {
 		panic("boom")
 	})
 	defer func() {
-		if r := recover(); r == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("expected engine to re-panic proc failure")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, `proc "bad"`) || !strings.Contains(msg, "boom") {
+			t.Fatalf("panic %q does not name the proc and its panic value", msg)
 		}
 	}()
 	e.Run()
@@ -134,8 +140,9 @@ func TestProcPanicPropagates(t *testing.T) {
 func TestShutdownReleasesParkedProcs(t *testing.T) {
 	e := New(1)
 	c := NewCond(e)
-	done := false
+	done, unwound := false, false
 	e.Go("waiter", func(p *Proc) {
+		defer func() { unwound = true }()
 		c.Wait(p) // never signalled
 		done = true
 	})
@@ -144,8 +151,11 @@ func TestShutdownReleasesParkedProcs(t *testing.T) {
 	if done {
 		t.Fatal("waiter should not have completed normally")
 	}
-	if len(e.live) != 0 {
-		t.Fatalf("live procs after Shutdown: %d", len(e.live))
+	if !unwound {
+		t.Fatal("killed waiter did not run its deferred calls")
+	}
+	if len(e.procs) != 0 {
+		t.Fatalf("procs still tracked after Shutdown: %d", len(e.procs))
 	}
 }
 
@@ -328,21 +338,6 @@ func TestQueueMultipleConsumers(t *testing.T) {
 	e.Run()
 	if sum != 10 {
 		t.Fatalf("sum = %d, want 10", sum)
-	}
-}
-
-func TestQueuePushFront(t *testing.T) {
-	e := New(1)
-	q := NewQueue[string](e)
-	q.Push("b")
-	q.PushFront("a")
-	var got []string
-	e.Go("c", func(p *Proc) {
-		got = append(got, q.Pop(p), q.Pop(p))
-	})
-	e.Run()
-	if got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got = %v, want [a b]", got)
 	}
 }
 

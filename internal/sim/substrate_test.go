@@ -1,0 +1,225 @@
+package sim
+
+import (
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+)
+
+type evKey struct {
+	at  Time
+	seq uint64
+}
+
+func sortKeys(ks []evKey) {
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].at != ks[j].at {
+			return ks[i].at < ks[j].at
+		}
+		return ks[i].seq < ks[j].seq
+	})
+}
+
+// The heap must pop in exactly (at, seq) order whatever the interleaving of
+// pushes and pops: that order is what makes every simulated number
+// independent of the heap's implementation.
+func TestHeapPopsInAtSeqOrder(t *testing.T) {
+	t.Run("interleaved", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		e := New(1)
+		var model []evKey
+		for op := 0; op < 20000; op++ {
+			if len(model) == 0 || rng.Intn(5) < 3 {
+				d := Time(rng.Intn(4)) // few distinct times: ties dominate
+				e.push(d, nil, nil)
+				model = append(model, evKey{d, e.seq})
+				continue
+			}
+			sortKeys(model)
+			got := e.pop()
+			if (evKey{got.at, got.seq}) != model[0] {
+				t.Fatalf("op %d: popped (%d, %d), want %+v", op, got.at, got.seq, model[0])
+			}
+			model = model[1:]
+		}
+	})
+
+	// Events that schedule more events while they run (the engine's real
+	// usage): the complete pop sequence is still globally sorted.
+	t.Run("pushes from running events", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		e := New(1)
+		var popped, all []evKey
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			d := Time(rng.Intn(3))
+			k := new(evKey) // filled in once At has assigned the seq
+			e.At(d, func() {
+				popped = append(popped, *k)
+				for n := rng.Intn(3); depth < 6 && n > 0; n-- {
+					schedule(depth + 1)
+				}
+			})
+			*k = evKey{e.now + d, e.seq}
+			all = append(all, *k)
+		}
+		for i := 0; i < 200; i++ {
+			schedule(0)
+		}
+		e.Run()
+		sortKeys(all)
+		if len(popped) != len(all) {
+			t.Fatalf("popped %d events, scheduled %d", len(popped), len(all))
+		}
+		for i := range all {
+			if popped[i] != all[i] {
+				t.Fatalf("pop %d = %+v, want %+v", i, popped[i], all[i])
+			}
+		}
+	})
+}
+
+// Shutdown must free the goroutine behind every proc, whatever state it is
+// in: never scheduled, parked on a Cond, parked in Sleep, or finished and
+// waiting on the free list (fresh, or re-armed by Go but not yet run).
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	idle := New(1) // never run at all
+	for i := 0; i < 25; i++ {
+		idle.Go("never-run", func(p *Proc) { t.Error("never-run proc ran") })
+	}
+
+	e := New(1)
+	c := NewCond(e)
+	unwound := 0
+	for i := 0; i < 25; i++ {
+		e.Go("finishes", func(p *Proc) { p.Sleep(1) })
+		e.Go("on-cond", func(p *Proc) {
+			defer func() { unwound++ }()
+			c.Wait(p)
+		})
+		e.Go("sleeping", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(Second)
+		})
+	}
+	e.RunFor(10)
+	if len(e.free) != 25 {
+		t.Fatalf("free list holds %d procs after 25 finished, want 25", len(e.free))
+	}
+	for i := 0; i < 10; i++ {
+		e.Go("recycled-never-run", func(p *Proc) { t.Error("recycled proc ran") })
+	}
+	if got := runtime.NumGoroutine(); got != base+100 {
+		t.Fatalf("goroutines before Shutdown = %d, want base %d + 100 procs", got, base)
+	}
+
+	idle.Shutdown()
+	e.Shutdown()
+	e.Shutdown() // idempotent
+	if unwound != 50 {
+		t.Errorf("killed procs ran %d deferred calls, want 50", unwound)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() != base && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("goroutines after Shutdown = %d, want baseline %d", got, base)
+	}
+}
+
+// Steady-state hot paths must not allocate: each guard runs 100 operations
+// per measured call, after AllocsPerRun's warm-up call has grown the heap
+// and the rings to size. The counts hold under -race too, so there is no skip.
+func TestHotPathAllocs(t *testing.T) {
+	cases := []struct {
+		name  string
+		max   float64
+		setup func(e *Engine)
+	}{
+		{"sleep", 0, func(e *Engine) {
+			e.Go("sleeper", func(p *Proc) {
+				for {
+					p.Sleep(1)
+				}
+			})
+		}},
+		{"yield", 0, func(e *Engine) {
+			for i := 0; i < 2; i++ {
+				e.Go("yielder", func(p *Proc) {
+					for {
+						p.Yield()
+						p.Sleep(1)
+					}
+				})
+			}
+		}},
+		{"queue handoff", 0, func(e *Engine) {
+			q := NewQueue[int](e)
+			e.Go("consumer", func(p *Proc) {
+				for {
+					q.Pop(p)
+				}
+			})
+			e.Go("producer", func(p *Proc) {
+				for {
+					q.Push(1)
+					q.Push(2)
+					p.Sleep(1)
+				}
+			})
+		}},
+		{"resource uncontended", 0, func(e *Engine) {
+			r := NewResource(e, 1)
+			e.Go("user", func(p *Proc) {
+				for {
+					r.Use(p, 1)
+				}
+			})
+		}},
+		{"resource contended", 0, func(e *Engine) {
+			r := NewResource(e, 1)
+			for i := 0; i < 3; i++ {
+				e.Go("user", func(p *Proc) {
+					for {
+						r.Use(p, 1)
+					}
+				})
+			}
+		}},
+		{"spawn recycled", 0, func(e *Engine) {
+			e.Go("spawner", func(p *Proc) {
+				for {
+					e.Go("child", func(cp *Proc) { cp.Sleep(3) })
+					p.Sleep(1)
+				}
+			})
+		}},
+	}
+	for _, c := range cases {
+		e := New(1)
+		c.setup(e)
+		got := testing.AllocsPerRun(50, func() { e.RunFor(100) }) / 100
+		if got > c.max {
+			t.Errorf("%s: %.2f allocs per op, want <= %v", c.name, got, c.max)
+		}
+		e.Shutdown()
+	}
+
+	// At + run costs the caller's closure and nothing else.
+	e := New(1)
+	cnt := 0
+	got := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 100; i++ {
+			e.At(Time(i%7), func() { cnt++ })
+		}
+		e.Run()
+	}) / 100
+	if got > 1 {
+		t.Errorf("At+run: %.2f allocs per event, want <= 1", got)
+	}
+}

@@ -1,12 +1,42 @@
 package sim
 
+// ring is a FIFO over a power-of-two circular buffer. Unlike s = s[1:] it
+// keeps its capacity across pops and zeroes popped slots, so a steady-state
+// push/pop cycle neither allocates nor pins popped values.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(4, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pop removes and returns the oldest element; the ring must not be empty.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
 // Cond is a condition variable for simulated processes. Unlike sync.Cond
 // there is no associated lock: simulation state is only ever touched by one
 // goroutine at a time, so waiters re-check their predicate in a loop after
 // waking.
 type Cond struct {
 	eng     *Engine
-	waiters []*Proc
+	waiters ring[*Proc]
 }
 
 // NewCond creates a condition variable on e.
@@ -14,42 +44,36 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
 // Wait parks p until Broadcast or Signal wakes it.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.park()
 }
 
 // Broadcast wakes every waiter (they resume at the current time, in FIFO
 // order).
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
-		c.eng.wake(p)
+	for c.waiters.n > 0 {
+		c.eng.wake(c.waiters.pop())
 	}
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.waiters.n > 0 {
+		c.eng.wake(c.waiters.pop())
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.eng.wake(p)
 }
 
 // Signal is a one-shot completion event: once Fired, all current and future
 // waiters proceed immediately. It is the simulated analogue of closing a
 // channel, used for I/O completions.
 type Signal struct {
-	eng   *Engine
 	fired bool
-	cond  *Cond
+	cond  Cond
 }
 
 // NewSignal creates an unfired signal.
 func NewSignal(e *Engine) *Signal {
-	return &Signal{eng: e, cond: NewCond(e)}
+	return &Signal{cond: Cond{eng: e}}
 }
 
 // Fire marks the signal complete and wakes all waiters. Firing twice is a
@@ -69,7 +93,7 @@ func (s *Signal) Fired() bool { return s.fired }
 // reused (pooled one-shot completions). Resetting a signal that still has
 // waiters would strand them, so it panics.
 func (s *Signal) Reset() {
-	if len(s.cond.waiters) > 0 {
+	if s.cond.waiters.n > 0 {
 		panic("sim: reset of a signal with waiters")
 	}
 	s.fired = false
@@ -89,15 +113,10 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []*grant
+	waiters  ring[*Proc]
 	lastT    Time
 	busyInt  Time // ∫ inUse dt, in unit-nanoseconds
 	grants   int64
-}
-
-type grant struct {
-	p  *Proc
-	ok bool
 }
 
 // NewResource creates a resource with the given capacity (number of
@@ -123,22 +142,22 @@ func (r *Resource) account() {
 
 // Acquire blocks p until a unit is available, FIFO among waiters.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.n == 0 {
 		r.account()
 		r.inUse++
 		r.grants++
 		return
 	}
-	g := &grant{p: p}
-	r.waiters = append(r.waiters, g)
-	for !g.ok {
+	p.granted = false
+	r.waiters.push(p)
+	for !p.granted {
 		p.park()
 	}
 }
 
 // TryAcquire acquires a unit without blocking, reporting success.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.n == 0 {
 		r.account()
 		r.inUse++
 		r.grants++
@@ -153,14 +172,13 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource")
 	}
-	if len(r.waiters) > 0 {
+	if r.waiters.n > 0 {
 		// Hand the unit over directly: inUse is unchanged, so the busy
 		// integral sees no idle gap.
-		g := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		g.ok = true
+		p := r.waiters.pop()
+		p.granted = true
 		r.grants++
-		r.eng.wake(g.p)
+		r.eng.wake(p)
 		return
 	}
 	r.account()
@@ -188,37 +206,28 @@ func (r *Resource) Grants() int64 { return r.grants }
 // Queue is an unbounded FIFO whose Pop blocks simulated processes until an
 // item arrives. Push never blocks and is callable from callbacks.
 type Queue[T any] struct {
-	eng   *Engine
-	items []T
-	cond  *Cond
+	items ring[T]
+	cond  Cond
 }
 
 // NewQueue creates an empty queue on e.
 func NewQueue[T any](e *Engine) *Queue[T] {
-	return &Queue[T]{eng: e, cond: NewCond(e)}
+	return &Queue[T]{cond: Cond{eng: e}}
 }
 
 // Push appends v and wakes one waiting consumer.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	q.cond.Signal()
-}
-
-// PushFront prepends v (used to re-queue a deferred item without losing its
-// position) and wakes one waiting consumer.
-func (q *Queue[T]) PushFront(v T) {
-	q.items = append([]T{v}, q.items...)
+	q.items.push(v)
 	q.cond.Signal()
 }
 
 // Pop blocks p until an item is available and returns it.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.n == 0 {
 		q.cond.Wait(p)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	if len(q.items) > 0 {
+	v := q.items.pop()
+	if q.items.n > 0 {
 		// More work: make sure another waiter (if any) gets scheduled.
 		q.cond.Signal()
 	}
@@ -227,33 +236,33 @@ func (q *Queue[T]) Pop(p *Proc) T {
 
 // TryPop removes and returns the head item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.n == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.n }
 
 // Drain removes and returns all queued items.
 func (q *Queue[T]) Drain() []T {
-	v := q.items
-	q.items = nil
+	v := make([]T, 0, q.items.n)
+	for q.items.n > 0 {
+		v = append(v, q.items.pop())
+	}
 	return v
 }
 
 // WaitGroup tracks a count of outstanding simulated tasks.
 type WaitGroup struct {
 	n    int
-	cond *Cond
+	cond Cond
 }
 
 // NewWaitGroup creates a wait group on e.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{cond: NewCond(e)} }
+func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{cond: Cond{eng: e}} }
 
 // Add increments the outstanding count by delta.
 func (w *WaitGroup) Add(delta int) {

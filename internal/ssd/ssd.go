@@ -188,8 +188,9 @@ type segment struct {
 
 // SSD is one simulated device.
 type SSD struct {
-	eng *sim.Engine
-	cfg Config
+	eng     *sim.Engine
+	cfg     Config
+	cmdName string // name of the per-command procs
 
 	media map[uint64][]Rec // durable content (history; last = current)
 	cache map[uint64]Rec   // flash volatile dirty blocks
@@ -228,6 +229,7 @@ func New(e *sim.Engine, cfg Config) *SSD {
 	s := &SSD{
 		eng:         e,
 		cfg:         cfg,
+		cmdName:     cfg.Name + "/cmd",
 		media:       make(map[uint64][]Rec),
 		cache:       make(map[uint64]Rec),
 		pmr:         make([]byte, cfg.PMRSize),
@@ -273,7 +275,7 @@ func (s *SSD) Submit(cmd *Command) {
 		panic("ssd: write must carry one stamp per block")
 	}
 	cmd.epoch = s.epoch
-	s.eng.Go(s.cfg.Name+"/cmd", func(p *sim.Proc) { s.execute(p, cmd) })
+	s.eng.Go(s.cmdName, func(p *sim.Proc) { s.execute(p, cmd) })
 }
 
 func (s *SSD) execute(p *sim.Proc, cmd *Command) {
