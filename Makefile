@@ -49,9 +49,14 @@ BENCHTIME ?= 1s
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/sim
 
+# The gated experiments and the committed baseline they must reproduce:
+# named here and nowhere else (CI runs `make bench-gate`).
+GATED_EXPS := scale,replication,policy,serve,read,satload,trace
+BASELINE   := BENCH_12.json
+
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build
-	$(GO) run ./cmd/riobench -exp scale,replication,policy,serve,read,satload,trace -quick -json BENCH_12.json
+	$(GO) run ./cmd/riobench -exp $(GATED_EXPS) -quick -json $(BASELINE)
 
 # Run every example with its built-in tiny config (CI smoke: example
 # drift fails the build).
@@ -63,11 +68,13 @@ examples: build
 # regression in the gated metrics vs the committed baseline, then require
 # the fresh file to be byte-identical to it (the simulator is deterministic
 # and the file carries no timestamps; a PR that means to move a simulated
-# number commits a new BENCH_N.json and points this at it).
+# number commits a new BENCH_N.json and points BASELINE at it). FRESH is
+# where the fresh run is written (CI keeps it as an artifact).
+FRESH ?= /tmp/bench-gate.json
 bench-gate: build
-	$(GO) run ./cmd/riobench -exp scale,replication,policy,serve,read,satload,trace -quick -json /tmp/bench-gate.json
-	$(GO) run ./cmd/benchdiff -new /tmp/bench-gate.json
-	cmp /tmp/bench-gate.json BENCH_12.json
+	$(GO) run ./cmd/riobench -exp $(GATED_EXPS) -quick -json $(FRESH)
+	$(GO) run ./cmd/benchdiff -new $(FRESH)
+	cmp $(FRESH) $(BASELINE)
 
 # benchmark/ is a module of its own (the acceptance benchmark: it builds
 # against stack, fs, kv and rio), so `go build ./...` at the root does not

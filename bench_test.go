@@ -134,7 +134,7 @@ func BenchmarkRecoveryPrefix(b *testing.B) {
 			th := th
 			eng.Go("wl", func(p *sim.Proc) {
 				for j := 0; !stopped; j++ {
-					c.OrderedWrite(p, th, uint64(th)<<22|uint64(j), 1, 0, nil, true, false, false)
+					c.Init(0).OrderedWrite(p, th, uint64(th)<<22|uint64(j), 1, 0, nil, true, false, false)
 					p.Sleep(2 * sim.Microsecond)
 				}
 			})

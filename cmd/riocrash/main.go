@@ -133,7 +133,7 @@ func main() {
 		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
 			for g := 0; g < *groups; g++ {
 				lba := uint64(s*1_000_000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				if r.Ticket == nil {
 					break // the power cut landed mid-submission: died un-staged
 				}
@@ -151,7 +151,7 @@ func main() {
 	}
 	eng.RunUntil(cut + sim.Millisecond)
 
-	fmt.Printf("power cut at %v with %d requests submitted\n", cut, c.Stats().Submitted)
+	fmt.Printf("power cut at %v with %d requests submitted\n", cut, c.Init(0).Stats().Submitted)
 
 	var report *core.Report
 	var tm stack.RecoveryTiming
@@ -245,7 +245,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*1_000_000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				if r.Ticket == nil {
 					break // initiator power-cut mid-submission (member cuts never trigger this)
 				}
@@ -260,7 +260,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 	eng.Run()
 
 	fmt.Printf("replica member %d of %d power-cut at %v with %d requests submitted (write quorum %d)\n",
-		victim, replicas, cut, c.Stats().Submitted, c.WriteQuorum())
+		victim, replicas, cut, c.Init(0).Stats().Submitted, c.WriteQuorum())
 
 	// The no-stall contract only holds when the quorum tolerates losing a
 	// member (majority on R>=3). With WriteQuorum == R (and majority on
@@ -303,7 +303,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 		fail("%d of %d writes still undelivered after resync\n", stalled, len(reqs))
 	}
 	for s := 0; s < streams; s++ {
-		if got := c.Sequencer().Stream(s).FullyDone(); got != uint64(groups) {
+		if got := c.Init(0).Sequencer().Stream(s).FullyDone(); got != uint64(groups) {
 			fail("stream %d group order stopped at %d of %d\n", s, got, groups)
 		}
 	}

@@ -50,13 +50,14 @@ func main() {
 	}
 	cfg.Trace = trace.Config{SampleEvery: *sample, Keep: *streams * *groups}
 	c := stack.New(eng, cfg)
+	in := c.Init(0)
 
 	for s := 0; s < *streams; s++ {
 		s := s
 		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
 			for g := 0; g < *groups; g++ {
-				r := c.OrderedWrite(p, s, uint64(s*1_000_000+g), 1, 0, nil, true, false, false)
-				c.Wait(p, r)
+				r := in.OrderedWrite(p, s, uint64(s*1_000_000+g), 1, 0, nil, true, false, false)
+				in.Wait(p, r)
 			}
 		})
 	}

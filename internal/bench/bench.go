@@ -563,7 +563,7 @@ func RecoveryTimes(o Options) *Result {
 					// grows until the crash, so the PMR logs hold tens of
 					// thousands of live attributes.
 					for i := 0; !stopped; i++ {
-						c.OrderedWrite(p, th, lba+uint64(i), 1, 0, nil, true, false, false)
+						c.Init(0).OrderedWrite(p, th, lba+uint64(i), 1, 0, nil, true, false, false)
 						p.Sleep(sim.Microsecond)
 					}
 				})

@@ -244,13 +244,14 @@ func runResyncPhase(o Options, relay bool, victim int) (stack.RecoveryTiming, in
 	cfg.QPs = 4
 	cfg.Fabric.NumQPs = 4
 	c := o.newCluster(eng, cfg)
+	in := c.Init(0)
 	const groups = 150
 	for s := 0; s < 4; s++ {
 		s := s
 		eng.Go(fmt.Sprintf("resync/app%d", s), func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
-				r := c.OrderedWrite(p, s, uint64(s*100000+g), 1, 0, nil, true, false, false)
-				c.Wait(p, r)
+				r := in.OrderedWrite(p, s, uint64(s*100000+g), 1, 0, nil, true, false, false)
+				in.Wait(p, r)
 			}
 		})
 	}

@@ -244,7 +244,3 @@ func (st *StreamSeq) Inflight() []*Ticket {
 // FullyDone returns the highest group seq whose completions have all been
 // delivered in order.
 func (st *StreamSeq) FullyDone() uint64 { return st.fullyDone }
-
-// OpenGroupSize returns the number of requests submitted to the currently
-// open (unclosed) group; used by tests and the scheduler.
-func (st *StreamSeq) OpenGroupSize() int { return int(st.openCount) }

@@ -1,14 +1,14 @@
 // Package metrics provides the measurement primitives used by the benchmark
-// harness: latency histograms with quantile estimation, operation counters
-// with warmup-aware windows, and CPU-utilization snapshots derived from
-// sim.Resource busy-time integrals.
+// harness: latency histograms with quantile estimation, measurement windows
+// with derived rates, field-wise arithmetic over counter structs, and
+// CPU-utilization snapshots derived from sim.Resource busy-time integrals.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"reflect"
 
 	"repro/internal/sim"
 )
@@ -139,25 +139,35 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.sum += o.sum
 }
 
-// Counter counts completed operations (and bytes) with support for snapping
-// a measurement window after warmup.
-type Counter struct {
-	Ops   int64
-	Bytes int64
+// Delta returns a - b and Sum returns a + b, field by field, for a counter
+// struct: every field must be of int64 kind (sim.Time included) or a
+// struct of such fields, anything else panics — a counter struct that
+// grows a field gets its window and aggregation arithmetic for free, and
+// one that grows a non-counter field fails its first snapshot instead of
+// silently dropping it. Reflection makes them snapshot-time tools (a
+// handful of calls per run), not something to call per simulated op.
+func Delta[T any](a, b T) T { return combine(a, b, -1) }
+
+// Sum is Delta's counterpart for aggregation across owners.
+func Sum[T any](a, b T) T { return combine(a, b, 1) }
+
+func combine[T any](a, b T, sign int64) T {
+	var out T
+	combineFields(reflect.ValueOf(&out).Elem(), reflect.ValueOf(a), reflect.ValueOf(b), sign)
+	return out
 }
 
-// Add records n operations totalling b bytes.
-func (c *Counter) Add(n, b int64) {
-	c.Ops += n
-	c.Bytes += b
-}
-
-// Snapshot returns a copy for window arithmetic.
-func (c *Counter) Snapshot() Counter { return *c }
-
-// Sub returns the delta c - old.
-func (c Counter) Sub(old Counter) Counter {
-	return Counter{Ops: c.Ops - old.Ops, Bytes: c.Bytes - old.Bytes}
+func combineFields(out, a, b reflect.Value, sign int64) {
+	switch out.Kind() {
+	case reflect.Int64:
+		out.SetInt(a.Int() + sign*b.Int())
+	case reflect.Struct:
+		for i := 0; i < out.NumField(); i++ {
+			combineFields(out.Field(i), a.Field(i), b.Field(i), sign)
+		}
+	default:
+		panic(fmt.Sprintf("metrics: counter arithmetic on a %s field", out.Type()))
+	}
 }
 
 // Window is a measurement interval with derived rates.
@@ -214,14 +224,10 @@ func (p PoolStats) HitRate() float64 {
 }
 
 // Sub returns the delta p - old.
-func (p PoolStats) Sub(old PoolStats) PoolStats {
-	return PoolStats{Hits: p.Hits - old.Hits, Misses: p.Misses - old.Misses}
-}
+func (p PoolStats) Sub(old PoolStats) PoolStats { return Delta(p, old) }
 
 // Add returns the sum p + o (aggregation across initiators).
-func (p PoolStats) Add(o PoolStats) PoolStats {
-	return PoolStats{Hits: p.Hits + o.Hits, Misses: p.Misses + o.Misses}
-}
+func (p PoolStats) Add(o PoolStats) PoolStats { return Sum(p, o) }
 
 // BatchStats tracks doorbell batching: Rings counts doorbell rings
 // (capsules sent), Items the commands they carried.
@@ -245,14 +251,10 @@ func (b BatchStats) Occupancy() float64 {
 }
 
 // Sub returns the delta b - old.
-func (b BatchStats) Sub(old BatchStats) BatchStats {
-	return BatchStats{Rings: b.Rings - old.Rings, Items: b.Items - old.Items}
-}
+func (b BatchStats) Sub(old BatchStats) BatchStats { return Delta(b, old) }
 
 // Add returns the sum b + o (aggregation across initiators).
-func (b BatchStats) Add(o BatchStats) BatchStats {
-	return BatchStats{Rings: b.Rings + o.Rings, Items: b.Items + o.Items}
-}
+func (b BatchStats) Add(o BatchStats) BatchStats { return Sum(b, o) }
 
 // perOp is the shared per-operation ratio: 0 when no operations ran.
 func perOp(n, ops int64) float64 {
@@ -276,11 +278,6 @@ type UtilSnapshot struct {
 	Busy     sim.Time
 	At       sim.Time
 	Capacity int
-}
-
-// SnapUtil captures r's busy integral now.
-func SnapUtil(r *sim.Resource, now sim.Time) UtilSnapshot {
-	return UtilSnapshot{Busy: r.BusyTime(), At: now, Capacity: r.Capacity()}
 }
 
 // Utilization returns the fraction of capacity busy between two snapshots,
@@ -363,20 +360,4 @@ func GeoMeanRatio(a, b []float64) float64 {
 		return 0
 	}
 	return math.Exp(logSum / float64(n))
-}
-
-// Percentiles sorts a copy of xs and returns the requested quantiles; a
-// helper for small exact datasets like recovery-time trials.
-func Percentiles(xs []float64, qs ...float64) []float64 {
-	if len(xs) == 0 {
-		return make([]float64, len(qs))
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(len(s)-1))
-		out[i] = s[idx]
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,8 +39,9 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		h.Record(sim.Time(v))
 		exact = append(exact, float64(v))
 	}
+	sort.Float64s(exact)
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		want := Percentiles(exact, q)[0]
+		want := exact[int(q*float64(len(exact)-1))]
 		got := float64(h.Quantile(q))
 		if want == 0 {
 			continue
@@ -103,16 +105,8 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestCounterWindow(t *testing.T) {
-	var c Counter
-	c.Add(10, 4096*10)
-	snap := c.Snapshot()
-	c.Add(90, 4096*90)
-	d := c.Sub(snap)
-	if d.Ops != 90 || d.Bytes != 4096*90 {
-		t.Fatalf("delta = %+v", d)
-	}
-	w := Window{Elapsed: sim.Second, Ops: d.Ops, Bytes: d.Bytes}
+func TestWindowRates(t *testing.T) {
+	w := Window{Elapsed: sim.Second, Ops: 90, Bytes: 4096 * 90}
 	if w.IOPS() != 90 {
 		t.Fatalf("IOPS = %f, want 90", w.IOPS())
 	}
@@ -134,11 +128,14 @@ func TestWindowZeroElapsed(t *testing.T) {
 func TestUtilizationFromResource(t *testing.T) {
 	e := sim.New(1)
 	r := sim.NewResource(e, 2)
-	a := SnapUtil(r, e.Now())
+	snap := func() UtilSnapshot {
+		return UtilSnapshot{Busy: r.BusyTime(), At: e.Now(), Capacity: r.Capacity()}
+	}
+	a := snap()
 	e.Go("w", func(p *sim.Proc) { r.Use(p, 100) })
 	e.Go("w", func(p *sim.Proc) { r.Use(p, 100) })
 	e.RunUntil(200)
-	b := SnapUtil(r, e.Now())
+	b := snap()
 	// 200 unit-ns busy over 2 cores * 200ns elapsed = 0.5.
 	if u := Utilization(a, b); math.Abs(u-0.5) > 1e-9 {
 		t.Fatalf("utilization = %f, want 0.5", u)
@@ -190,21 +187,6 @@ func TestGeoMeanRatio(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	got := Percentiles(xs, 0, 0.5, 1)
-	if got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("Percentiles = %v", got)
-	}
-	if xs[0] != 5 {
-		t.Fatal("Percentiles must not mutate its input")
-	}
-	zero := Percentiles(nil, 0.5)
-	if zero[0] != 0 {
-		t.Fatal("empty input should yield zeros")
-	}
-}
-
 func TestP999AndExtremes(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 990; i++ {
@@ -244,4 +226,33 @@ func TestEfficiencySymmetry(t *testing.T) {
 	if Efficiency(100, 0.5) != base/2 {
 		t.Fatal("efficiency not inverse in utilization")
 	}
+}
+
+// TestCounterArithmeticRejectsNonCounters: a struct that grows a field
+// Delta/Sum cannot combine must fail loudly, not drop the field.
+func TestCounterArithmeticRejectsNonCounters(t *testing.T) {
+	type nested struct{ A, B int64 }
+	type good struct {
+		N    int64
+		T    sim.Time
+		Nest nested
+	}
+	a := good{N: 5, T: 7, Nest: nested{A: 1, B: 2}}
+	b := good{N: 2, T: 3, Nest: nested{A: 1, B: 1}}
+	if got, want := Delta(a, b), (good{N: 3, T: 4, Nest: nested{B: 1}}); got != want {
+		t.Fatalf("Delta = %+v, want %+v", got, want)
+	}
+	if got, want := Sum(a, b), (good{N: 7, T: 10, Nest: nested{A: 2, B: 3}}); got != want {
+		t.Fatalf("Sum = %+v, want %+v", got, want)
+	}
+	type bad struct {
+		N    int64
+		Rate float64
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Delta over a struct with a float64 field must panic")
+		}
+	}()
+	Delta(bad{}, bad{})
 }

@@ -623,12 +623,3 @@ func (s *SSD) PowerCut() {
 
 // Restart powers the device back on with media and PMR intact.
 func (s *SSD) Restart() { s.dead = false }
-
-// QueueDepths reports the per-channel backlog (diagnostics).
-func (s *SSD) QueueDepths() []int {
-	out := make([]int, len(s.chanQs))
-	for i, q := range s.chanQs {
-		out[i] = q.Len()
-	}
-	return out
-}

@@ -190,7 +190,7 @@ func TestSubmitGateReleasesOnCrash(t *testing.T) {
 	eng.Go("rec", func(p *sim.Proc) {
 		c.RecoverInitiator(p, 0)
 		r := c.Init(0).OrderedWrite(p, 0, 9999, 1, 1<<40, nil, true, false, false)
-		c.Wait(p, r)
+		c.Init(0).Wait(p, r)
 		recovered = true
 	})
 	eng.Run()

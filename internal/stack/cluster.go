@@ -7,7 +7,6 @@ import (
 	"repro/internal/nvmeof"
 	"repro/internal/order"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 )
 
@@ -182,8 +181,8 @@ type horaeStage struct {
 	ctrls map[int][]*ctrlReq
 }
 
-// ClusterStats aggregates initiator-side counters (per initiator; the
-// cluster-level Stats sums or selects, see Stats/StatsAll).
+// ClusterStats aggregates initiator-side counters (per initiator:
+// Initiator.Stats; summed over the cluster: StatsAll).
 type ClusterStats struct {
 	Submitted    int64
 	Completed    int64
@@ -237,48 +236,10 @@ func (s ClusterStats) CompletionMsgsPerOp() float64 {
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
-func (s ClusterStats) Sub(old ClusterStats) ClusterStats {
-	return ClusterStats{
-		Submitted:    s.Submitted - old.Submitted,
-		Completed:    s.Completed - old.Completed,
-		WireCmds:     s.WireCmds - old.WireCmds,
-		WireMessages: s.WireMessages - old.WireMessages,
-		FusedCmds:    s.FusedCmds - old.FusedCmds,
-		Holdbacks:    s.Holdbacks - old.Holdbacks,
-		ReadCmds:     s.ReadCmds - old.ReadCmds,
-		ReadMsgs:     s.ReadMsgs - old.ReadMsgs,
-		TxMsgs:       s.TxMsgs - old.TxMsgs,
-		TxBytes:      s.TxBytes - old.TxBytes,
-		Pool:         s.Pool.Sub(old.Pool),
-		Batch:        s.Batch.Sub(old.Batch),
-		CplBatch:     s.CplBatch.Sub(old.CplBatch),
-		ReapCPU:      s.ReapCPU - old.ReapCPU,
-		SubmitStalls: s.SubmitStalls - old.SubmitStalls,
-		GovSwitches:  s.GovSwitches - old.GovSwitches,
-	}
-}
+func (s ClusterStats) Sub(old ClusterStats) ClusterStats { return metrics.Delta(s, old) }
 
 // Add returns the counter sums s + o (for cluster-wide aggregation).
-func (s ClusterStats) Add(o ClusterStats) ClusterStats {
-	return ClusterStats{
-		Submitted:    s.Submitted + o.Submitted,
-		Completed:    s.Completed + o.Completed,
-		WireCmds:     s.WireCmds + o.WireCmds,
-		WireMessages: s.WireMessages + o.WireMessages,
-		FusedCmds:    s.FusedCmds + o.FusedCmds,
-		Holdbacks:    s.Holdbacks + o.Holdbacks,
-		ReadCmds:     s.ReadCmds + o.ReadCmds,
-		ReadMsgs:     s.ReadMsgs + o.ReadMsgs,
-		TxMsgs:       s.TxMsgs + o.TxMsgs,
-		TxBytes:      s.TxBytes + o.TxBytes,
-		Pool:         s.Pool.Add(o.Pool),
-		Batch:        s.Batch.Add(o.Batch),
-		CplBatch:     s.CplBatch.Add(o.CplBatch),
-		ReapCPU:      s.ReapCPU + o.ReapCPU,
-		SubmitStalls: s.SubmitStalls + o.SubmitStalls,
-		GovSwitches:  s.GovSwitches + o.GovSwitches,
-	}
-}
+func (s ClusterStats) Add(o ClusterStats) ClusterStats { return metrics.Sum(s, o) }
 
 // Cluster is a deployment: one or more initiator servers sharing a fleet
 // of target servers over the fabric. Each initiator is an independent
@@ -324,6 +285,12 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		cfg.Initiators = 1
 	}
 	validateReplication(cfg)
+	if cfg.CacheBlocks < 0 {
+		panic("stack: CacheBlocks must be >= 0")
+	}
+	if cfg.ReadAhead > 0 && cfg.CacheBlocks == 0 {
+		panic("stack: ReadAhead requires CacheBlocks > 0")
+	}
 	c := &Cluster{Eng: eng, cfg: cfg, costs: cfg.Costs}
 	if c.cfg.CQEBatch <= 0 {
 		c.cfg.CQEBatch = 16
@@ -362,7 +329,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 			server = ti / c.cfg.Replicas
 		}
 		for si := range t.ssds {
-			devs = append(devs, blockdev.DevRef{Server: server, SSD: si, Blocks: c.cfg.DeviceBlocks})
+			devs = append(devs, blockdev.DevRef{Server: server, SSD: si, Blocks: deviceBlocks})
 		}
 	}
 	if r := c.cfg.Replicas; r > 1 {
@@ -397,7 +364,8 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Volume returns the logical volume geometry (shared by all initiators).
 func (c *Cluster) Volume() *blockdev.Volume { return c.vol }
 
-// Init returns initiator server i.
+// Init returns initiator server i — the only data-path handle: every
+// write, read, wait and plug goes through an Initiator.
 func (c *Cluster) Init(i int) *Initiator { return c.inits[i] }
 
 // Initiators returns the number of initiator servers.
@@ -432,10 +400,6 @@ func (c *Cluster) InitiatorUtil() metrics.UtilSnapshot {
 	return s
 }
 
-// Stats returns initiator 0's counters (the single-initiator surface;
-// use StatsAll or Init(i).Stats for multi-initiator clusters).
-func (c *Cluster) Stats() ClusterStats { return c.inits[0].stats }
-
 // StatsAll returns the sum of every initiator's counters.
 func (c *Cluster) StatsAll() ClusterStats {
 	var s ClusterStats
@@ -466,39 +430,6 @@ func (c *Cluster) OrderAudit() int {
 	return bad
 }
 
-// Sequencer exposes initiator 0's Rio sequencer (tests, recovery).
-func (c *Cluster) Sequencer() *core.Sequencer { return c.inits[0].seq }
-
-// The single-initiator compatibility surface: every data-path entry
-// point forwards to initiator 0, so code written against the original
-// one-initiator cluster (file systems, workloads, tests) runs unchanged.
-
-// UseCPU charges application-level CPU work to initiator 0's cores.
-func (c *Cluster) UseCPU(p *sim.Proc, d sim.Time) { c.inits[0].UseCPU(p, d) }
-
-// Wait blocks until req's completion has been delivered (rio_wait).
-func (c *Cluster) Wait(p *sim.Proc, req *blockdev.Request) { c.inits[0].Wait(p, req) }
-
-// WaitSignal blocks on an arbitrary completion signal.
-func (c *Cluster) WaitSignal(p *sim.Proc, sig *sim.Signal) { c.inits[0].WaitSignal(p, sig) }
-
-// OrderedWrite submits one ordered write request on initiator 0.
-func (c *Cluster) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
-	stamp uint64, data [][]byte, boundary, flush, ipu bool) *blockdev.Request {
-	return c.inits[0].OrderedWrite(p, stream, lba, blocks, stamp, data, boundary, flush, ipu)
-}
-
-// OrderlessWrite submits a plain write on initiator 0.
-func (c *Cluster) OrderlessWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
-	stamp uint64, data [][]byte) *blockdev.Request {
-	return c.inits[0].OrderlessWrite(p, stream, lba, blocks, stamp, data)
-}
-
-// Read performs a synchronous read through initiator 0.
-func (c *Cluster) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
-	return c.inits[0].Read(p, lba, blocks)
-}
-
 // ReadCacheStats returns initiator i's read-cache counters (zero when
 // the cache is off).
 func (c *Cluster) ReadCacheStats(i int) RCacheStats { return c.inits[i].ReadCacheStats() }
@@ -512,12 +443,3 @@ func (c *Cluster) ReadCacheStatsAll() RCacheStats {
 	}
 	return s
 }
-
-// FlushDevice issues a standalone FLUSH from initiator 0.
-func (c *Cluster) FlushDevice(p *sim.Proc, stream int) { c.inits[0].FlushDevice(p, stream) }
-
-// StartPlug opens an explicit plug window on initiator 0's stream.
-func (c *Cluster) StartPlug(stream int) { c.inits[0].StartPlug(stream) }
-
-// FinishPlug closes initiator 0's plug window.
-func (c *Cluster) FinishPlug(p *sim.Proc, stream int) { c.inits[0].FinishPlug(p, stream) }

@@ -123,6 +123,14 @@ func DefaultCosts() CostModel {
 	}
 }
 
+const (
+	// inlineThreshold is the most in-capsule data one command may carry;
+	// larger payloads are fetched by the target with a one-sided READ.
+	inlineThreshold = 8192
+	// deviceBlocks is every SSD's capacity in 4 KB blocks (16 GiB).
+	deviceBlocks = 1 << 22
+)
+
 // TargetConfig describes one target server.
 type TargetConfig struct {
 	SSDs []ssd.Config
@@ -178,15 +186,13 @@ type Config struct {
 	// cache).
 	ReadAhead int
 
-	ChunkBlocks     int      // volume stripe chunk (blocks); 1 = paper's round-robin
-	MergeEnabled    bool     // Rio I/O scheduler merging (and orderless plug merging)
-	StreamAffinity  bool     // Principle 2: pin each stream to one QP
-	CQEBatch        int      // max CQEs per coalesced response capsule (flush threshold; <= 0 selects 16)
-	CQEHold         sim.Time // max age of a coalescing batch before the hold timer flushes it (must be >= 0; 0 selects the 2 µs default)
-	InlineThreshold int      // max bytes of in-capsule data per command
-	MaxPlug         int      // dispatch batch size
-	DeviceBlocks    uint64
-	KeepHistory     bool // retain media history for crash tests
+	ChunkBlocks    int      // volume stripe chunk (blocks); 1 = paper's round-robin
+	MergeEnabled   bool     // Rio I/O scheduler merging (and orderless plug merging)
+	StreamAffinity bool     // Principle 2: pin each stream to one QP
+	CQEBatch       int      // max CQEs per coalesced response capsule (flush threshold; <= 0 selects 16)
+	CQEHold        sim.Time // max age of a coalescing batch before the hold timer flushes it (must be >= 0; 0 selects the 2 µs default)
+	MaxPlug        int      // dispatch batch size
+	KeepHistory    bool     // retain media history for crash tests
 
 	// MaxInflight bounds the admitted-but-undelivered requests per
 	// initiator (submitters blocked on the gate are not counted). When
@@ -217,24 +223,22 @@ type Config struct {
 func DefaultConfig(mode Mode, targets ...TargetConfig) Config {
 	qps := 24
 	return Config{
-		Mode:            mode,
-		Targets:         targets,
-		Initiators:      1,
-		InitiatorCores:  18,
-		TargetCores:     18,
-		Streams:         24,
-		QPs:             qps,
-		Fabric:          fabric.DefaultConfig(qps),
-		Costs:           DefaultCosts(),
-		ChunkBlocks:     1,
-		MergeEnabled:    true,
-		StreamAffinity:  true,
-		CQEBatch:        16,
-		CQEHold:         2 * sim.Microsecond,
-		InlineThreshold: 8192,
-		MaxPlug:         32,
-		DeviceBlocks:    1 << 22, // 16 GiB per SSD
-		Seed:            1,
+		Mode:           mode,
+		Targets:        targets,
+		Initiators:     1,
+		InitiatorCores: 18,
+		TargetCores:    18,
+		Streams:        24,
+		QPs:            qps,
+		Fabric:         fabric.DefaultConfig(qps),
+		Costs:          DefaultCosts(),
+		ChunkBlocks:    1,
+		MergeEnabled:   true,
+		StreamAffinity: true,
+		CQEBatch:       16,
+		CQEHold:        2 * sim.Microsecond,
+		MaxPlug:        32,
+		Seed:           1,
 	}
 }
 

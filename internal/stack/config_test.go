@@ -79,6 +79,16 @@ func TestInvalidConfigsPanic(t *testing.T) {
 			cfg.Streams = 0
 			New(eng, cfg)
 		},
+		func() { // read-ahead lands its blocks in the cache: no cache, no read-ahead
+			cfg := DefaultConfig(ModeRio, OptaneTarget())
+			cfg.ReadAhead = 8
+			New(eng, cfg)
+		},
+		func() {
+			cfg := DefaultConfig(ModeRio, OptaneTarget())
+			cfg.CacheBlocks = -1
+			New(eng, cfg)
+		},
 	}
 	for i, fn := range cases {
 		func() {
@@ -104,8 +114,8 @@ func TestStreamStealingSameQP(t *testing.T) {
 		eng.Go("thread", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
 				// Both threads submit to stream 1 (stealing).
-				r := c.OrderedWrite(p, 1, uint64(w*1000+i), 1, 0, nil, true, false, false)
-				c.Wait(p, r)
+				r := c.Init(0).OrderedWrite(p, 1, uint64(w*1000+i), 1, 0, nil, true, false, false)
+				c.Init(0).Wait(p, r)
 			}
 		})
 	}
@@ -113,8 +123,8 @@ func TestStreamStealingSameQP(t *testing.T) {
 	if hb := c.Target(0).Stats().Holdbacks; hb != 0 {
 		t.Fatalf("holdbacks = %d; stream affinity must hold across thread migration", hb)
 	}
-	if c.Stats().Completed != 40 {
-		t.Fatalf("completed = %d", c.Stats().Completed)
+	if c.Init(0).Stats().Completed != 40 {
+		t.Fatalf("completed = %d", c.Init(0).Stats().Completed)
 	}
 	eng.Shutdown()
 }
@@ -126,12 +136,12 @@ func TestVectorFusedFlushDurability(t *testing.T) {
 	cfg := smallConfig(ModeRio, flash1()...)
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
-		c.StartPlug(0)
-		c.OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
-		c.OrderedWrite(p, 0, 100, 1, 0, nil, true, false, false) // gap: vector, not merge
-		r := c.OrderedWrite(p, 0, 101, 1, 0, nil, true, true, false)
-		c.FinishPlug(p, 0)
-		c.Wait(p, r)
+		c.Init(0).StartPlug(0)
+		c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		c.Init(0).OrderedWrite(p, 0, 100, 1, 0, nil, true, false, false) // gap: vector, not merge
+		r := c.Init(0).OrderedWrite(p, 0, 101, 1, 0, nil, true, true, false)
+		c.Init(0).FinishPlug(p, 0)
+		c.Init(0).Wait(p, r)
 		// After the flush-carrying commit is delivered, all three are on
 		// media despite the volatile cache.
 		for _, lba := range []uint64{0, 100, 101} {

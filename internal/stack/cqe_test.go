@@ -19,10 +19,10 @@ func driveOrderedWrites(eng *sim.Engine, c *Cluster, streams, n int) {
 				// Gaps defeat merging; stride 3 cycles the SSD's 7 channels so
 				// completions overlap (stride 7 would serialize one channel).
 				lba := uint64(s*100000 + i*3)
-				reqs = append(reqs, c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false))
+				reqs = append(reqs, c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false))
 			}
 			for _, r := range reqs {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		})
 	}
@@ -38,7 +38,7 @@ func TestCQECoalescingReducesCompletionMessages(t *testing.T) {
 	cfg := smallConfig(ModeRio, optane1()...)
 	c := New(eng, cfg)
 	driveOrderedWrites(eng, c, 2, 40)
-	st := c.Stats()
+	st := c.Init(0).Stats()
 	if st.Completed != 80 {
 		t.Fatalf("completed = %d, want 80", st.Completed)
 	}
@@ -72,10 +72,10 @@ func TestCQECoalescingKeepsDeliveryOrder(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		var reqs []*blockdev.Request
 		for i := 0; i < 30; i++ {
-			reqs = append(reqs, c.OrderedWrite(p, 0, uint64(i*5), 1, 0, nil, true, false, false))
+			reqs = append(reqs, c.Init(0).OrderedWrite(p, 0, uint64(i*5), 1, 0, nil, true, false, false))
 		}
 		for _, r := range reqs {
-			c.Wait(p, r)
+			c.Init(0).Wait(p, r)
 			order = append(order, r.Ticket.Attr.SeqStart)
 		}
 	})
@@ -135,7 +135,7 @@ func TestTargetCrashRaceWithCoalescedCompletions(t *testing.T) {
 			s := s
 			eng.Go("app", func(p *sim.Proc) {
 				for g := 0; g < 200; g++ {
-					r := c.OrderedWrite(p, s, uint64(s*1_000_000+g), 1, 0, nil, true, false, false)
+					r := c.Init(0).OrderedWrite(p, s, uint64(s*1_000_000+g), 1, 0, nil, true, false, false)
 					reqs = append(reqs, r)
 					p.Sleep(2 * sim.Microsecond)
 				}
@@ -179,15 +179,15 @@ func TestCQEHoldTimerFlushesPartialBatch(t *testing.T) {
 	c := New(eng, cfg)
 	done := false
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 42, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 42, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 		done = true
 	})
 	eng.Run()
 	if !done {
 		t.Fatal("lone completion never flushed (hold timer broken)")
 	}
-	if got := c.Stats().CplBatch.Rings; got == 0 {
+	if got := c.Init(0).Stats().CplBatch.Rings; got == 0 {
 		t.Fatal("no completion capsule recorded")
 	}
 	eng.Shutdown()

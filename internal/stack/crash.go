@@ -51,7 +51,7 @@ func (c *Cluster) PowerCutTarget(i int) {
 	for _, sd := range t.ssds {
 		sd.PowerCut()
 	}
-	for init := range t.rxQs {
+	for init := 0; init < c.cfg.Initiators; init++ {
 		t.dropInitiator(init)
 	}
 	t.doneQ.Drain()
@@ -81,22 +81,13 @@ func (c *Cluster) PowerCutTarget(i int) {
 }
 
 // dropInitiator discards what this target holds in flight for initiator
-// init when the link between them dies (either side's power cut): queued
-// capsules, pending response capsules, relay records. In-flight SSD
-// commands complete into a dead epoch and are dropped in doneOne; other
-// initiators' state lives in separate (initiator, QP) slots and is not
-// touched. The pending CQEs belong to the dead epoch and must never be
-// flushed into the next incarnation; the armed flags reset too, so a
-// completion of the next incarnation can arm a fresh timer immediately (a
-// flag left set would strand a sub-threshold batch with no timer; stale
-// timers that fire later clear the flag again, which is benign).
+// init when the link between them dies (either side's power cut): its
+// lanes (queued capsules, pending response capsules) and its relay
+// records. Other initiators' state lives in separate lanes and is not
+// touched.
 func (t *Target) dropInitiator(init int) {
-	for qp, q := range t.rxQs[init] {
-		q.Drain()
-		t.cqePend[init][qp] = nil
-		t.cqePendT[init][qp] = nil
-		t.cqeArmed[init][qp] = false
-		t.cqeInflight[init][qp] = 0
+	for qp := 0; qp < t.c.cfg.QPs; qp++ {
+		t.lane(init, qp).reset()
 	}
 	if t.relay != nil {
 		t.relay.resetInitiator(init)

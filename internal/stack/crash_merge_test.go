@@ -28,7 +28,7 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 				var pending []*blockdev.Request
 				for g := 0; !stopped; g++ {
 					lba := uint64(s<<20 | g)
-					r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+					r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 					pending = append(pending, r)
 					// Harvest delivered completions without blocking.
 					for len(pending) > 0 && pending[0].Done.Fired() {
@@ -36,7 +36,7 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 						pending = pending[1:]
 					}
 					if len(pending) > 32 {
-						c.Wait(p, pending[0])
+						c.Init(0).Wait(p, pending[0])
 						delivered[s] = pending[0].Ticket.Attr.SeqEnd
 						pending = pending[1:]
 					}
@@ -71,7 +71,7 @@ func TestMergedCrashAtomicity(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			// Contiguous groups that merge aggressively.
 			for g := 0; !stopped; g++ {
-				c.OrderedWrite(p, 0, uint64(g), 1, 0, nil, true, false, false)
+				c.Init(0).OrderedWrite(p, 0, uint64(g), 1, 0, nil, true, false, false)
 				if g%16 == 15 {
 					p.Sleep(5 * sim.Microsecond)
 				}

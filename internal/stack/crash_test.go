@@ -31,7 +31,7 @@ func runCrashAndVerify(t *testing.T, seed int64, targets []TargetConfig, cutAt s
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g) // unique: out-of-place updates
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				subs[s] = append(subs[s], submitted{attr: r.Ticket.Attr, lba: lba})
 				// Pace slightly so the crash lands mid-stream.
 				p.Sleep(2 * sim.Microsecond)
@@ -120,13 +120,13 @@ func TestCrashWithFlushedGroupsSurvives(t *testing.T) {
 	c := New(eng, cfg)
 	var flushedAttr core.Attr
 	eng.Go("app", func(p *sim.Proc) {
-		r1 := c.OrderedWrite(p, 0, 10, 1, 0, nil, true, false, false)
-		r2 := c.OrderedWrite(p, 0, 11, 1, 0, nil, true, true, false) // flush barrier
-		c.Wait(p, r2)
+		r1 := c.Init(0).OrderedWrite(p, 0, 10, 1, 0, nil, true, false, false)
+		r2 := c.Init(0).OrderedWrite(p, 0, 11, 1, 0, nil, true, true, false) // flush barrier
+		c.Init(0).Wait(p, r2)
 		flushedAttr = r1.Ticket.Attr
 		_ = flushedAttr
 		// Now a third group that will be in flight at the cut.
-		c.OrderedWrite(p, 0, 12, 1, 0, nil, true, false, false)
+		c.Init(0).OrderedWrite(p, 0, 12, 1, 0, nil, true, false, false)
 		c.PowerCutAll()
 	})
 	eng.Run()
@@ -148,7 +148,7 @@ func TestTargetCrashReplayConverges(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			// Alternate blocks so both targets are hit (chunk=1 striping).
-			r := c.OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false)
+			r := c.Init(0).OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false)
 			reqs = append(reqs, r)
 			p.Sleep(time2(i))
 		}
@@ -201,8 +201,8 @@ func TestRecoveryTimingScalesWithPMRSize(t *testing.T) {
 	cfg := smallConfig(ModeRio, optane1()...)
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 		c.PowerCutAll()
 	})
 	eng.Run()
@@ -225,7 +225,7 @@ func TestClusterUsableAfterRecovery(t *testing.T) {
 	cfg := smallConfig(ModeRio, optane1()...)
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
-		c.OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
 		c.PowerCutAll()
 	})
 	eng.Run()
@@ -233,8 +233,8 @@ func TestClusterUsableAfterRecovery(t *testing.T) {
 	eng.Run()
 	done := false
 	eng.Go("app2", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 500, 1, 0, nil, true, true, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 500, 1, 0, nil, true, true, false)
+		c.Init(0).Wait(p, r)
 		done = true
 	})
 	eng.Run()
@@ -251,7 +251,7 @@ func TestErasedBlocksReportedInStats(t *testing.T) {
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
-			c.OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false)
+			c.Init(0).OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false)
 		}
 	})
 	// Cut very early: most requests in flight, some durable out of order.
@@ -279,7 +279,7 @@ func TestDeadEpochCoalescedCapsuleDroppedWhole(t *testing.T) {
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			c.OrderedWrite(p, 0, uint64(i*3), 1, 0, nil, true, false, false)
+			c.Init(0).OrderedWrite(p, 0, uint64(i*3), 1, 0, nil, true, false, false)
 		}
 	})
 	// Snapshot the outstanding ids AT the cut: these are the genuine
@@ -308,11 +308,11 @@ func TestDeadEpochCoalescedCapsuleDroppedWhole(t *testing.T) {
 		cqes = append(cqes, nvmeof.NewCQE(id))
 	}
 	nvmeof.EncodeCQEVector(cqes)
-	before := c.Stats()
+	before := c.Init(0).Stats()
 	retireBefore := c.inits[0].retireMarksSet()
 	c.inits[0].shards[0].cplQ.Push(&completionMsg{cqes: cqes, qp: 0, epoch: deadEpoch})
 	eng.Run()
-	after := c.Stats()
+	after := c.Init(0).Stats()
 	if d := after.Completed - before.Completed; d != 0 {
 		t.Fatalf("dead-epoch capsule delivered %d completions", d)
 	}
@@ -325,8 +325,8 @@ func TestDeadEpochCoalescedCapsuleDroppedWhole(t *testing.T) {
 	// The cluster must remain fully usable after swallowing it.
 	done := false
 	eng.Go("app2", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 900, 1, 0, nil, true, true, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 900, 1, 0, nil, true, true, false)
+		c.Init(0).Wait(p, r)
 		done = true
 	})
 	eng.Run()
@@ -357,7 +357,7 @@ func TestCrashRecoveryMultiSSDTarget(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 40; g++ {
 			lba := uint64(g) // chunk=1 alternates the two SSDs
-			r := c.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
 			if r.Ticket == nil {
 				break // the power cut landed mid-submission: died un-staged
 			}

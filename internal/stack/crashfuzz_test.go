@@ -57,7 +57,7 @@ func fuzzFullCut(t *testing.T, mode Mode, seed int64) {
 			for i := 0; !stopped; i++ {
 				lba := uint64(s)<<20 + uint64(i)
 				flush := i%8 == 7
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, flush, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, flush, false)
 				if !stopped && r.Ticket != nil {
 					subs[s] = append(subs[s], fuzzSub{attr: r.Ticket.Attr, lba: lba})
 				}
@@ -90,8 +90,8 @@ func fuzzFullCut(t *testing.T, mode Mode, seed int64) {
 	if mode != ModeLinux {
 		done := false
 		eng.Go("fuzz/post", func(p *sim.Proc) {
-			r := c.OrderedWrite(p, 0, uint64(streams)<<20+1, 1, 0, nil, true, true, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, 0, uint64(streams)<<20+1, 1, 0, nil, true, true, false)
+			c.Init(0).Wait(p, r)
 			done = true
 		})
 		eng.Run()
@@ -333,9 +333,9 @@ func fuzzMemberCut(t *testing.T, seed int64, relay bool) {
 		eng.Go(fmt.Sprintf("fuzz/app%d", s), func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s)<<22 + uint64(g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				reqs = append(reqs, &reqRec{r: r, lba: lba})
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		})
 	}
@@ -427,8 +427,8 @@ func fuzzCachedMemberCut(t *testing.T, seed int64) {
 				}
 				lba := uint64(s)<<22 + i
 				i++
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, i%8 == 0, false)
-				c.Wait(p, r)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, i%8 == 0, false)
+				c.Init(0).Wait(p, r)
 				if stopped || r.Ticket == nil {
 					continue
 				}
@@ -441,7 +441,7 @@ func fuzzCachedMemberCut(t *testing.T, seed int64) {
 			for !stopped {
 				if n := len(acked[s]); n > 0 {
 					a := acked[s][rrng.Intn(n)]
-					recs := c.Init(0).ReadStream(p, s, a.lba, 1)
+					recs := c.Init(0).ReadStreamAhead(p, s, a.lba, 1, 0)
 					if stopped {
 						break
 					}

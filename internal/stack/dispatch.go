@@ -657,7 +657,7 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 		}
 		cp.cmds = append(cp.cmds, ws)
 		if !ws.flushWire {
-			cp.inline += ws.wc.InlineBytes(in.cfg.InlineThreshold)
+			cp.inline += ws.wc.InlineBytes(inlineThreshold)
 		}
 	}
 	for ti, cp := range caps {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/nvmeof"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -146,11 +145,6 @@ func (in *Initiator) Cluster() *Cluster { return in.c }
 // charge the same per-operation CPU the stack itself uses.
 func (in *Initiator) Costs() CostModel { return in.costs }
 
-// Util snapshots this initiator's CPU for utilization windows.
-func (in *Initiator) Util() metrics.UtilSnapshot {
-	return metrics.SnapUtil(in.cores, in.Eng.Now())
-}
-
 // retireMarkAt returns the {stream, target} retire watermark.
 func (in *Initiator) retireMarkAt(stream, target int) uint64 {
 	return in.retireMark[stream*len(in.targets)+target]
@@ -284,12 +278,6 @@ func (in *Initiator) OrderlessWrite(p *sim.Proc, stream int, lba uint64, blocks 
 // observed records (stream 0's sequential detector, default read-ahead).
 func (in *Initiator) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
 	return in.ReadStreamAhead(p, 0, lba, blocks, 0)
-}
-
-// ReadStream is Read with an explicit stream for the sequential-read
-// detector (read-ahead state is per (initiator, stream)).
-func (in *Initiator) ReadStream(p *sim.Proc, stream int, lba uint64, blocks uint32) []ssd.Rec {
-	return in.ReadStreamAhead(p, stream, lba, blocks, 0)
 }
 
 // ReadStreamAhead is the full read entry point: ahead overrides the

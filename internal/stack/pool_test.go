@@ -20,23 +20,23 @@ func TestPlugOverflowDrains(t *testing.T) {
 	const n = 19 // not a multiple of MaxPlug: a partial batch stays staged
 	var reqs []*blockdev.Request
 	eng.Go("app", func(p *sim.Proc) {
-		c.StartPlug(0)
+		c.Init(0).StartPlug(0)
 		for i := 0; i < n; i++ {
-			reqs = append(reqs, c.OrderedWrite(p, 0, uint64(i*7), 1, 0, nil, true, false, false))
+			reqs = append(reqs, c.Init(0).OrderedWrite(p, 0, uint64(i*7), 1, 0, nil, true, false, false))
 		}
 		// 4 full batches must have overflowed to the wire during the held
 		// plug; the remainder stays staged until the window closes.
-		if got := c.Stats().WireMessages; got < 4 {
+		if got := c.Init(0).Stats().WireMessages; got < 4 {
 			t.Errorf("wire messages during held plug = %d, want >= 4", got)
 		}
-		c.FinishPlug(p, 0)
+		c.Init(0).FinishPlug(p, 0)
 		for _, r := range reqs {
-			c.Wait(p, r)
+			c.Init(0).Wait(p, r)
 		}
 	})
 	eng.Run()
-	if c.Stats().Completed != n {
-		t.Fatalf("completed = %d, want %d", c.Stats().Completed, n)
+	if c.Init(0).Stats().Completed != n {
+		t.Fatalf("completed = %d, want %d", c.Init(0).Stats().Completed, n)
 	}
 	for i, r := range reqs {
 		if !r.Done.Fired() {
@@ -54,7 +54,7 @@ func TestPlugTimerDrains(t *testing.T) {
 	c := New(eng, cfg)
 	var req *blockdev.Request
 	eng.Go("app", func(p *sim.Proc) {
-		req = c.OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		req = c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
 		p.Sleep(200 * sim.Microsecond) // no Wait: only the timer can flush
 		if !req.Done.Fired() {
 			t.Error("plugged request not delivered by the hold timer")
@@ -86,10 +86,10 @@ func TestPoolReuseNoResurrection(t *testing.T) {
 			var batch []*blockdev.Request
 			for i := 0; i < perRound; i++ {
 				lba := uint64(r*perRound+i) * 3
-				batch = append(batch, c.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false))
+				batch = append(batch, c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false))
 			}
 			for _, req := range batch {
-				c.Wait(p, req)
+				c.Init(0).Wait(p, req)
 				if req.DeliverAt == 0 {
 					t.Fatal("delivered request without DeliverAt")
 				}
@@ -109,7 +109,7 @@ func TestPoolReuseNoResurrection(t *testing.T) {
 		}
 	})
 	eng.Run()
-	st := c.Stats()
+	st := c.Init(0).Stats()
 	if st.Completed != rounds*perRound {
 		t.Fatalf("completed = %d, want %d", st.Completed, rounds*perRound)
 	}
@@ -142,15 +142,15 @@ func TestAllocsPerReqSteadyState(t *testing.T) {
 		for r := 0; r < 50; r++ {
 			var batch []*blockdev.Request
 			for i := 0; i < 8; i++ {
-				batch = append(batch, c.OrderedWrite(p, i%cfg.Streams, uint64(r*8+i)*5, 1, 0, nil, true, false, false))
+				batch = append(batch, c.Init(0).OrderedWrite(p, i%cfg.Streams, uint64(r*8+i)*5, 1, 0, nil, true, false, false))
 			}
 			for _, req := range batch {
-				c.Wait(p, req)
+				c.Init(0).Wait(p, req)
 			}
 		}
 	})
 	eng.Run()
-	st := c.Stats()
+	st := c.Init(0).Stats()
 	eng.Shutdown()
 	const seedAllocsPerReq = 3
 	if st.Pool.Misses == 0 {
@@ -177,8 +177,8 @@ func TestVectorSplitAtTargetBoundaries(t *testing.T) {
 		// 8 blocks round-robin over 4 SSDs on 2 targets: every write
 		// touches both target servers.
 		for i := 0; i < 6; i++ {
-			r := c.OrderedWrite(p, 0, uint64(i*8), 8, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, 0, uint64(i*8), 8, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 		}
 	})
 	eng.Run()
@@ -186,13 +186,13 @@ func TestVectorSplitAtTargetBoundaries(t *testing.T) {
 	if v0 == 0 || v1 == 0 {
 		t.Fatalf("vectored batches not seen on both targets: %d/%d", v0, v1)
 	}
-	if c.Stats().Completed != 6 {
-		t.Fatalf("completed = %d, want 6", c.Stats().Completed)
+	if c.Init(0).Stats().Completed != 6 {
+		t.Fatalf("completed = %d, want 6", c.Init(0).Stats().Completed)
 	}
 	// Each spanning request produced wire commands for both targets, so
 	// commands must outnumber doorbell rings (coalescing happened) and
 	// every ring held a single-target batch (validated target-side).
-	st := c.Stats()
+	st := c.Init(0).Stats()
 	if st.Batch.Rings == 0 || st.Batch.Items <= st.Batch.Rings {
 		t.Fatalf("no doorbell coalescing: %d cmds over %d rings", st.Batch.Items, st.Batch.Rings)
 	}
@@ -210,7 +210,7 @@ func TestPoolingAcrossCrashRecovery(t *testing.T) {
 	stopped := false
 	eng.Go("load", func(p *sim.Proc) {
 		for i := 0; !stopped; i++ {
-			c.OrderedWrite(p, i%cfg.Streams, uint64(i), 1, 0, nil, true, false, false)
+			c.Init(0).OrderedWrite(p, i%cfg.Streams, uint64(i), 1, 0, nil, true, false, false)
 			p.Sleep(sim.Microsecond)
 		}
 	})
@@ -220,8 +220,8 @@ func TestPoolingAcrossCrashRecovery(t *testing.T) {
 		c.RecoverFull(p)
 		// Fresh traffic on the recovered cluster.
 		for i := 0; i < 20; i++ {
-			r := c.OrderedWrite(p, 0, uint64(1000+i), 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, 0, uint64(1000+i), 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 			if !r.Done.Fired() {
 				t.Fatal("post-recovery request not delivered")
 			}

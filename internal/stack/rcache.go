@@ -3,7 +3,9 @@ package stack
 import (
 	"sort"
 
+	"repro/internal/blockdev"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -28,25 +30,26 @@ import (
 // CacheAudit verifies exactly that invariant against the devices.
 
 // rcKey packs a (device, device LBA) pair into the cache key. Devices
-// are far below 2^24 and device LBAs below 2^40 (DeviceBlocks defaults
-// to 2^22), so the packing is collision-free.
+// are far below 2^24 and device LBAs below 2^40 (deviceBlocks is
+// 2^22), so the packing is collision-free.
 func rcKey(dev int, devLBA uint64) uint64 { return uint64(dev)<<40 | devLBA }
 
 func rcKeySplit(k uint64) (dev int, devLBA uint64) {
 	return int(k >> 40), k & ((1 << 40) - 1)
 }
 
-// RCacheStats counts read-cache and read-ahead events on one initiator.
+// RCacheStats counts read-cache and read-ahead events on one initiator
+// (the public API re-exports it as rio.CacheStats).
 type RCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Inserts       int64
-	Evictions     int64
-	Invalidations int64
+	Hits          int64 // demand reads served from the cache
+	Misses        int64 // demand reads that crossed the fabric
+	Inserts       int64 // blocks populated (read completions and writes)
+	Evictions     int64 // blocks displaced by CLOCK replacement
+	Invalidations int64 // blocks fenced by faults, recovery or resync
 
 	ReadAheadIssued int64 // blocks prefetched
 	ReadAheadHits   int64 // prefetched blocks that served a demand hit
-	ReadAheadWasted int64 // prefetched blocks evicted/invalidated unused
+	ReadAheadWasted int64 // prefetched blocks evicted or fenced unused
 }
 
 // HitRate returns hits / (hits + misses), 0 when no read probed.
@@ -58,32 +61,10 @@ func (s RCacheStats) HitRate() float64 {
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
-func (s RCacheStats) Sub(old RCacheStats) RCacheStats {
-	return RCacheStats{
-		Hits:            s.Hits - old.Hits,
-		Misses:          s.Misses - old.Misses,
-		Inserts:         s.Inserts - old.Inserts,
-		Evictions:       s.Evictions - old.Evictions,
-		Invalidations:   s.Invalidations - old.Invalidations,
-		ReadAheadIssued: s.ReadAheadIssued - old.ReadAheadIssued,
-		ReadAheadHits:   s.ReadAheadHits - old.ReadAheadHits,
-		ReadAheadWasted: s.ReadAheadWasted - old.ReadAheadWasted,
-	}
-}
+func (s RCacheStats) Sub(old RCacheStats) RCacheStats { return metrics.Delta(s, old) }
 
 // Add returns the counter sums s + o (for cluster-wide aggregation).
-func (s RCacheStats) Add(o RCacheStats) RCacheStats {
-	return RCacheStats{
-		Hits:            s.Hits + o.Hits,
-		Misses:          s.Misses + o.Misses,
-		Inserts:         s.Inserts + o.Inserts,
-		Evictions:       s.Evictions + o.Evictions,
-		Invalidations:   s.Invalidations + o.Invalidations,
-		ReadAheadIssued: s.ReadAheadIssued + o.ReadAheadIssued,
-		ReadAheadHits:   s.ReadAheadHits + o.ReadAheadHits,
-		ReadAheadWasted: s.ReadAheadWasted + o.ReadAheadWasted,
-	}
-}
+func (s RCacheStats) Add(o RCacheStats) RCacheStats { return metrics.Sum(s, o) }
 
 // rcEntry is one cached block.
 type rcEntry struct {
@@ -311,39 +292,14 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 	if !in.alive {
 		return out
 	}
-	var runs []readRun
-	for _, ext := range in.vol.Extents(lba, blocks) {
-		ref := in.vol.Dev(ext.Dev)
-		runStart := int32(-1)
-		for j := uint32(0); j <= ext.Blocks; j++ {
-			hit := false
-			if j < ext.Blocks {
-				if rec, ok := rc.get(ext.Dev, ext.DevLBA+uint64(j)); ok {
-					out[ext.Offset+j] = rec
-					hit = true
-				}
-			}
-			if !hit && j < ext.Blocks {
-				if runStart < 0 {
-					runStart = int32(j)
-				}
-				if j-uint32(runStart)+1 < maxReadRun {
-					continue
-				}
-			}
-			if runStart >= 0 {
-				n := j - uint32(runStart)
-				if !hit && j < ext.Blocks {
-					n++ // run closed by the transfer limit, not a hit
-				}
-				runs = append(runs, readRun{
-					dev: ext.Dev, devLBA: ext.DevLBA + uint64(runStart), blocks: n,
-					set: ref.Server, ssdIdx: ref.SSD, outOff: int(ext.Offset + uint32(runStart)),
-				})
-				runStart = -1
-			}
+	// Demand runs cover the probe's misses; hits are answered in place.
+	runs := in.deviceRuns(lba, blocks, false, func(ext blockdev.Extent, j uint32) bool {
+		rec, hit := rc.get(ext.Dev, ext.DevLBA+uint64(j))
+		if hit {
+			out[ext.Offset+j] = rec
 		}
-	}
+		return !hit
+	})
 
 	// Sequential read-ahead: detect the run, clamp the window to the
 	// volume, and queue cache fills for the blocks not already cached.
@@ -362,7 +318,11 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 			}
 		}
 		if n > 0 {
-			runs = append(runs, in.prefetchRuns(start, n)...)
+			// Prefetch runs skip blocks already cached, without touching
+			// hit/miss accounting or reference bits.
+			runs = append(runs, in.deviceRuns(start, n, true, func(ext blockdev.Extent, j uint32) bool {
+				return !rc.contains(ext.Dev, ext.DevLBA+uint64(j))
+			})...)
 		}
 	}
 	if len(runs) == 0 {
@@ -428,17 +388,19 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 // maxReadRun caps one read command at the SSD transfer limit.
 const maxReadRun = 32
 
-// prefetchRuns maps a logical prefetch window to device runs, skipping
-// blocks already cached.
-func (in *Initiator) prefetchRuns(start uint64, n uint32) []readRun {
-	rc := in.rcache
+// deviceRuns maps the logical range [lba, lba+blocks) to device-contiguous
+// fetch runs over the blocks want selects (called once per block, in
+// ascending order), each capped at maxReadRun. outOff is the run's offset
+// in the range: where a demand run lands in the caller's buffer (prefetch
+// runs only fill the cache and never read it).
+func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want func(ext blockdev.Extent, j uint32) bool) []readRun {
 	var runs []readRun
-	for _, ext := range in.vol.Extents(start, n) {
+	for _, ext := range in.vol.Extents(lba, blocks) {
 		ref := in.vol.Dev(ext.Dev)
 		runStart := int32(-1)
 		for j := uint32(0); j <= ext.Blocks; j++ {
-			want := j < ext.Blocks && !rc.contains(ext.Dev, ext.DevLBA+uint64(j))
-			if want {
+			wanted := j < ext.Blocks && want(ext, j)
+			if wanted {
 				if runStart < 0 {
 					runStart = int32(j)
 				}
@@ -447,13 +409,13 @@ func (in *Initiator) prefetchRuns(start uint64, n uint32) []readRun {
 				}
 			}
 			if runStart >= 0 {
-				blocks := j - uint32(runStart)
-				if want {
-					blocks++
+				n := j - uint32(runStart)
+				if wanted {
+					n++ // run closed by the transfer limit, not by an unwanted block
 				}
 				runs = append(runs, readRun{
-					dev: ext.Dev, devLBA: ext.DevLBA + uint64(runStart), blocks: blocks,
-					set: ref.Server, ssdIdx: ref.SSD, outOff: -1, prefetch: true,
+					dev: ext.Dev, devLBA: ext.DevLBA + uint64(runStart), blocks: n,
+					set: ref.Server, ssdIdx: ref.SSD, outOff: int(ext.Offset) + int(runStart), prefetch: prefetch,
 				})
 				runStart = -1
 			}

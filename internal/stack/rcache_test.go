@@ -170,9 +170,9 @@ func TestCachedReadOwnWrite(t *testing.T) {
 	eng := sim.New(1)
 	c := New(eng, cachedConfig(ModeRio, optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 100, 2, 0, nil, true, true, false)
-		c.Wait(p, r)
-		recs := c.Read(p, 100, 2)
+		r := c.Init(0).OrderedWrite(p, 0, 100, 2, 0, nil, true, true, false)
+		c.Init(0).Wait(p, r)
+		recs := c.Init(0).Read(p, 100, 2)
 		if len(recs) != 2 || recs[0].Stamp == 0 {
 			t.Fatalf("read own write = %+v", recs)
 		}
@@ -183,7 +183,7 @@ func TestCachedReadOwnWrite(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 0 {
 		t.Fatalf("cache stats = %+v, want 2 hits / 0 misses", st)
 	}
-	if got := c.Stats().ReadCmds; got != 0 {
+	if got := c.Init(0).Stats().ReadCmds; got != 0 {
 		t.Fatalf("read crossed the fabric %d times despite write population", got)
 	}
 	if bad := c.CacheAudit(); bad != 0 {
@@ -200,13 +200,13 @@ func TestCachedReadMissFillsAndHits(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		// Fill 32 blocks; only the last 8 can remain cached.
 		for i := uint64(0); i < 32; i++ {
-			r := c.OrderedWrite(p, 0, i, 1, 0, nil, true, i == 31, false)
+			r := c.Init(0).OrderedWrite(p, 0, i, 1, 0, nil, true, i == 31, false)
 			if i == 31 {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		}
 		before := c.ReadCacheStatsAll()
-		recs := c.Read(p, 0, 1) // long evicted: a real fabric miss
+		recs := c.Init(0).Read(p, 0, 1) // long evicted: a real fabric miss
 		if len(recs) != 1 || recs[0].Stamp == 0 {
 			t.Fatalf("miss read = %+v", recs)
 		}
@@ -216,7 +216,7 @@ func TestCachedReadMissFillsAndHits(t *testing.T) {
 		}
 		// Re-read: now cached.
 		before = c.ReadCacheStatsAll()
-		recs = c.Read(p, 0, 1)
+		recs = c.Init(0).Read(p, 0, 1)
 		if recs[0].Stamp == 0 {
 			t.Fatal("refill lost the block")
 		}
@@ -241,15 +241,15 @@ func TestCachedReadAheadOnSequentialStream(t *testing.T) {
 		// Write 64 sequential blocks, then overflow the cache so the
 		// scan below starts cold.
 		for i := uint64(0); i < 64; i++ {
-			r := c.OrderedWrite(p, 0, i, 1, 0, nil, true, i == 63, false)
+			r := c.Init(0).OrderedWrite(p, 0, i, 1, 0, nil, true, i == 63, false)
 			if i == 63 {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		}
 		for i := uint64(100); i < 132; i++ {
-			r := c.OrderedWrite(p, 0, i, 1, 0, nil, true, i == 131, false)
+			r := c.Init(0).OrderedWrite(p, 0, i, 1, 0, nil, true, i == 131, false)
 			if i == 131 {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		}
 		// Sequential scan of the cold range through one stream.
@@ -279,9 +279,9 @@ func TestCacheOffReadPathUnchanged(t *testing.T) {
 	eng := sim.New(1)
 	c := New(eng, smallConfig(ModeRio, optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 7, 1, 0, nil, true, true, false)
-		c.Wait(p, r)
-		recs := c.Read(p, 7, 1)
+		r := c.Init(0).OrderedWrite(p, 0, 7, 1, 0, nil, true, true, false)
+		c.Init(0).Wait(p, r)
+		recs := c.Init(0).Read(p, 7, 1)
 		if len(recs) != 1 || recs[0].Stamp == 0 {
 			t.Fatalf("read = %+v", recs)
 		}

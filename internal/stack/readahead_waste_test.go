@@ -22,9 +22,9 @@ func TestRandomReadsIssueNoPrefetch(t *testing.T) {
 	const reads = 500
 	eng.Go("app", func(p *sim.Proc) {
 		for i := uint64(0); i < space; i++ {
-			r := c.OrderedWrite(p, 0, i, 1, i+1, nil, true, i == space-1, false)
+			r := c.Init(0).OrderedWrite(p, 0, i, 1, i+1, nil, true, i == space-1, false)
 			if i == space-1 {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		}
 		rng := eng.Rand()
@@ -32,7 +32,7 @@ func TestRandomReadsIssueNoPrefetch(t *testing.T) {
 			lba := uint64(rng.Int63n(space))
 			// Ordered-write media stamps are attribute-derived, so assert
 			// presence, not a specific value.
-			if recs := c.Init(0).ReadStream(p, 0, lba, 1); recs[0].Stamp == 0 {
+			if recs := c.Init(0).ReadStreamAhead(p, 0, lba, 1, 0); recs[0].Stamp == 0 {
 				t.Fatalf("read of written block %d returned no record", lba)
 			}
 		}

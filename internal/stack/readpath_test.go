@@ -69,9 +69,9 @@ func TestDegradedReadsFreshDuringResync(t *testing.T) {
 	// Phase 1: baseline content on both members.
 	eng.Go("app", func(p *sim.Proc) {
 		for i := uint64(0); i < n; i++ {
-			r := c.OrderedWrite(p, 0, i, 1, 0, nil, true, i == n-1, false)
+			r := c.Init(0).OrderedWrite(p, 0, i, 1, 0, nil, true, i == n-1, false)
 			if i == n-1 {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		}
 	})
@@ -81,9 +81,9 @@ func TestDegradedReadsFreshDuringResync(t *testing.T) {
 	c.PowerCutTarget(1)
 	eng.Go("app2", func(p *sim.Proc) {
 		for i := uint64(0); i < n; i++ {
-			r := c.OrderedWrite(p, 1, i, 1, 0, nil, true, i == n-1, false)
+			r := c.Init(0).OrderedWrite(p, 1, i, 1, 0, nil, true, i == n-1, false)
 			if i == n-1 {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		}
 	})
@@ -111,7 +111,7 @@ func TestDegradedReadsFreshDuringResync(t *testing.T) {
 	eng.Go("reader", func(p *sim.Proc) {
 		for round := 0; round < 40 && !c.InSync(1); round++ {
 			for i := uint64(0); i < n; i++ {
-				recs := c.Read(p, i, 1)
+				recs := c.Init(0).Read(p, i, 1)
 				if len(recs) != 1 || recs[0].Stamp != want[i] {
 					stale++
 				}

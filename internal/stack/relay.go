@@ -2,6 +2,7 @@ package stack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -117,56 +118,47 @@ type headAgg struct {
 }
 
 // relayState is everything volatile a target holds for the relay route
-// (Target.relay; nil unless cfg.ReplRelay).
+// that is keyed by command, not by queue pair (Target.relay; nil unless
+// cfg.ReplRelay). The per-QP parts — pending resolution records, CQE
+// annotations, the received relay-sequence prefix — live in the qpLane.
 type relayState struct {
 	agg  map[aggKey]*headAgg // head: open quorum records
 	free []*headAgg
 
 	pend   map[aggKey]relayRoute // follower: completions that route to the head
 	ackBuf map[aggKey]relayRoute // follower: acks sent to the head, not yet confirmed forwarded
-	seen   [][]uint64            // follower: received relay-sequence prefix per (initiator, QP)
 
 	// Head: per follower, the acks a shipped completion capsule delivered
 	// to the initiator — the confirmations the next forwarded capsule
 	// piggybacks so the follower releases its ackBuf entries.
 	gc map[int][]aggResolved
-	// Per (initiator, QP): resolution records and CQE annotations pending
-	// on the next completion capsule (cqeAgg stays parallel to
-	// Target.cqePend at every mutation).
-	resolved [][][]aggResolved
-	cqeAgg   [][][]aggCQE
 
 	ackQ *sim.Queue[*relayAckMsg] // head: follower acks awaiting the relay-ack context
 }
 
-func newRelayState(eng *sim.Engine, nInit, qps int) *relayState {
-	r := &relayState{
-		agg:      make(map[aggKey]*headAgg),
-		pend:     make(map[aggKey]relayRoute),
-		ackBuf:   make(map[aggKey]relayRoute),
-		gc:       make(map[int][]aggResolved),
-		seen:     make([][]uint64, nInit),
-		resolved: make([][][]aggResolved, nInit),
-		cqeAgg:   make([][][]aggCQE, nInit),
-		ackQ:     sim.NewQueue[*relayAckMsg](eng),
+func newRelayState(eng *sim.Engine) *relayState {
+	return &relayState{
+		agg:    make(map[aggKey]*headAgg),
+		pend:   make(map[aggKey]relayRoute),
+		ackBuf: make(map[aggKey]relayRoute),
+		gc:     make(map[int][]aggResolved),
+		ackQ:   sim.NewQueue[*relayAckMsg](eng),
 	}
-	for i := 0; i < nInit; i++ {
-		r.seen[i] = make([]uint64, qps)
-		r.resolved[i] = make([][]aggResolved, qps)
-		r.cqeAgg[i] = make([][]aggCQE, qps)
-	}
-	return r
 }
 
-// reset drops the state (power cut or restart of the target).
+// reset drops every record (restart of the target).
 func (r *relayState) reset() {
-	for init := range r.seen {
-		r.resetInitiator(init)
+	for _, as := range r.agg {
+		r.free = append(r.free, as)
 	}
+	clear(r.agg)
+	clear(r.pend)
+	clear(r.ackBuf)
+	clear(r.gc)
 	r.ackQ.Drain()
 }
 
-// resetInitiator drops the state one crashed initiator left behind,
+// resetInitiator drops the records one crashed initiator left behind,
 // leaving other initiators' untouched. Stale records and routes are also
 // epoch-guarded, so this is hygiene, not correctness.
 func (r *relayState) resetInitiator(init int) {
@@ -195,9 +187,6 @@ func (r *relayState) resetInitiator(init int) {
 		}
 		r.gc[m] = keep
 	}
-	clear(r.seen[init])
-	clear(r.resolved[init])
-	clear(r.cqeAgg[init])
 }
 
 // relayActive reports whether a set's batches take the relay route right
@@ -218,7 +207,7 @@ func (rs *replicaSet) relayHead() int { return rs.members[0] }
 // cluster must never reach here.
 func (c *Cluster) buildRelayConns() {
 	for _, t := range c.targets {
-		t.relay = newRelayState(c.Eng, c.cfg.Initiators, c.cfg.QPs)
+		t.relay = newRelayState(c.Eng)
 		c.Eng.Go(fmt.Sprintf("tgt%d/relayack", t.id), func(p *sim.Proc) { t.relayAckLoop(p) })
 	}
 	for _, rs := range c.replSets {
@@ -366,7 +355,7 @@ func (t *Target) relayAckLoop(p *sim.Proc) {
 			t.aggAck(p, key, as, ack.member)
 			continue
 		}
-		t.pushResolved(ack.init, ack.qp, aggResolved{init: ack.init, id: ack.id, member: ack.member})
+		t.pushResolved(t.lane(ack.init, ack.qp), aggResolved{init: ack.init, id: ack.id, member: ack.member})
 	}
 }
 
@@ -381,11 +370,11 @@ func (t *Target) aggAck(p *sim.Proc, key aggKey, as *headAgg, member int) {
 	if as.firstAck == 0 {
 		as.firstAck = t.c.Eng.Now()
 	}
-	qp := as.qp
+	l := t.lane(key.init, as.qp)
 	fire := !as.q.Fired && as.q.Acks >= as.q.Need
 	switch {
 	case as.q.Fired:
-		t.pushResolved(key.init, qp, aggResolved{init: key.init, id: key.id, member: member})
+		t.pushResolved(l, aggResolved{init: key.init, id: key.id, member: member})
 	case fire:
 		t.fireAgg(key, as)
 	}
@@ -393,12 +382,12 @@ func (t *Target) aggAck(p *sim.Proc, key aggKey, as *headAgg, member int) {
 		t.closeHeadAgg(key, as)
 	}
 	if fire {
-		t.flushOrArm(p, key.init, qp)
+		t.flushOrArm(p, l)
 	}
 }
 
 // fireAgg queues the aggregated CQE of one quorum record — the members
-// acked so far — on its (initiator, QP) pending response capsule.
+// acked so far — on its lane's pending response capsule.
 // Memory-only, so the degrade sweep may call it from engine context; the
 // actual flush happens in completion context (flushOrArm, or a routed
 // flush event).
@@ -411,25 +400,16 @@ func (t *Target) fireAgg(key aggKey, as *headAgg) {
 			members = append(members, m)
 		}
 	}
-	init, qp, now := key.init, as.qp, t.c.Eng.Now()
-	if len(t.cqePend[init][qp]) == 0 {
-		t.cqeEpoch[init][qp] = as.epoch
-		t.cqeFirst[init][qp] = now
-	}
-	t.cqePend[init][qp] = append(t.cqePend[init][qp], nvmeof.NewCQE(key.id))
-	t.relay.cqeAgg[init][qp] = append(t.relay.cqeAgg[init][qp], aggCQE{members: members, wait: now - as.firstAck})
-	if t.c.tracer != nil {
-		t.cqePendT[init][qp] = append(t.cqePendT[init][qp], now)
-	}
+	t.lane(key.init, as.qp).push(key.id, as.epoch, aggCQE{members: members, wait: t.c.Eng.Now() - as.firstAck})
 }
 
 // pushResolved queues one late-ack resolution record for piggybacking on
-// the next completion capsule of its (initiator, QP), arming the hold
-// timer as a backstop so an idle QP still resolves.
-func (t *Target) pushResolved(init, qp int, r aggResolved) {
-	t.relay.resolved[init][qp] = append(t.relay.resolved[init][qp], r)
-	if len(t.cqePend[init][qp]) == 0 && !t.cqeArmed[init][qp] {
-		t.armCQETimer(init, qp, t.cqeHoldTime())
+// the lane's next completion capsule, arming the hold timer as a backstop
+// so an idle QP still resolves.
+func (t *Target) pushResolved(l *qpLane, r aggResolved) {
+	l.resolved = append(l.resolved, r)
+	if len(l.cqes) == 0 && !l.armed {
+		t.armCQETimer(l, t.cqeHoldTime())
 	}
 }
 
@@ -501,22 +481,19 @@ func (c *Cluster) relayCut(m int) {
 // resolution records). Runs in engine context: CQEs are queued memory-only
 // and shipped by routed flush events.
 func (t *Target) flushHeadAggs() {
-	type iq struct{ init, qp int }
-	var touched []iq
-	seen := map[iq]bool{}
+	var touched []*qpLane
 	for _, k := range sortedAggKeys(t.relay.agg) {
 		as := t.relay.agg[k]
 		if as.epoch == t.initEpoch(k.init) && !as.q.Fired && as.q.Acks > 0 {
 			t.fireAgg(k, as)
-			if key := (iq{k.init, as.qp}); !seen[key] {
-				seen[key] = true
-				touched = append(touched, key)
+			if l := t.lane(k.init, as.qp); !slices.Contains(touched, l) {
+				touched = append(touched, l)
 			}
 		}
 		t.closeHeadAgg(k, as)
 	}
-	for _, k := range touched {
-		t.routeFlush(k.init, k.qp)
+	for _, l := range touched {
+		t.routeFlush(l)
 	}
 }
 
@@ -569,7 +546,7 @@ func (c *Cluster) repairAfterHeadCut(rs *replicaSet, head int) {
 				continue
 			}
 			for k, m := range r.q.Members {
-				if m != head && !r.q.Resolved[k] && r.relaySeq > c.targets[m].relay.seen[in.id][ws.qp] {
+				if m != head && !r.q.Resolved[k] && r.relaySeq > c.targets[m].lane(in.id, ws.qp).seen {
 					work = append(work, repost{in, ws, k})
 				}
 			}

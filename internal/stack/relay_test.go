@@ -32,8 +32,8 @@ func TestRelaySteadyState(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
-				c.Wait(p, r)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				c.Init(0).Wait(p, r)
 				lbas = append(lbas, lba)
 			}
 		})
@@ -41,8 +41,8 @@ func TestRelaySteadyState(t *testing.T) {
 	eng.Run()
 	mediaIdentical(t, c, lbas)
 	for s := 0; s < streams; s++ {
-		if c.Sequencer().Stream(s).FullyDone() != uint64(groups) {
-			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Sequencer().Stream(s).FullyDone(), groups)
+		if c.Init(0).Sequencer().Stream(s).FullyDone() != uint64(groups) {
+			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Init(0).Sequencer().Stream(s).FullyDone(), groups)
 		}
 	}
 	for _, m := range c.SetMembers(0) {
@@ -77,8 +77,8 @@ func TestRelayCutsInitiatorEgress(t *testing.T) {
 		c := New(eng, cfg)
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < 60; g++ {
-				r := c.OrderedWrite(p, g%4, uint64(g*5), 1, 0, nil, true, false, false)
-				c.Wait(p, r)
+				r := c.Init(0).OrderedWrite(p, g%4, uint64(g*5), 1, 0, nil, true, false, false)
+				c.Init(0).Wait(p, r)
 			}
 		})
 		eng.Run()
@@ -110,7 +110,7 @@ func TestRelayFollowerCut(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				reqs = append(reqs, r)
 				lbas = append(lbas, lba)
 				p.Sleep(2 * sim.Microsecond)
@@ -126,8 +126,8 @@ func TestRelayFollowerCut(t *testing.T) {
 		}
 	}
 	for s := 0; s < streams; s++ {
-		if c.Sequencer().Stream(s).FullyDone() != uint64(groups) {
-			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Sequencer().Stream(s).FullyDone(), groups)
+		if c.Init(0).Sequencer().Stream(s).FullyDone() != uint64(groups) {
+			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Init(0).Sequencer().Stream(s).FullyDone(), groups)
 		}
 	}
 	for _, m := range []int{0, 1} {
@@ -162,7 +162,7 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				reqs = append(reqs, r)
 				lbas = append(lbas, lba)
 				p.Sleep(2 * sim.Microsecond)
@@ -195,7 +195,7 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 			}
 			relayedAtCut[ws.id] = true
 			for k, m := range r.q.Members {
-				if k == 0 || r.q.Resolved[k] || r.relaySeq <= c.targets[m].relay.seen[0][ws.qp] {
+				if k == 0 || r.q.Resolved[k] || r.relaySeq <= c.targets[m].lane(0, ws.qp).seen {
 					continue
 				}
 				sqe := r.sqes[k]
@@ -271,8 +271,8 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 	// Zero duplicates / zero losses: every stream's fully-done watermark
 	// is exactly the submitted group count.
 	for s := 0; s < streams; s++ {
-		if c.Sequencer().Stream(s).FullyDone() != uint64(groups) {
-			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Sequencer().Stream(s).FullyDone(), groups)
+		if c.Init(0).Sequencer().Stream(s).FullyDone() != uint64(groups) {
+			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Init(0).Sequencer().Stream(s).FullyDone(), groups)
 		}
 	}
 	for _, m := range []int{1, 2} {
@@ -295,8 +295,8 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 	eng.Go("app2", func(p *sim.Proc) {
 		for g := 0; g < 10; g++ {
 			lba := uint64(900000 + g)
-			r := c.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 			tail = append(tail, lba)
 		}
 	})
@@ -321,7 +321,7 @@ func TestRelayFullCrashRecovery(t *testing.T) {
 				break
 			}
 			lba := uint64(g)
-			c.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
 			lbas = append(lbas, lba)
 			p.Sleep(2 * sim.Microsecond)
 		}
@@ -333,8 +333,8 @@ func TestRelayFullCrashRecovery(t *testing.T) {
 
 	okDone := false
 	eng.Go("app2", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 7000, 1, 0, nil, true, true, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 7000, 1, 0, nil, true, true, false)
+		c.Init(0).Wait(p, r)
 		okDone = true
 	})
 	eng.Run()

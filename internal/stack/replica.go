@@ -443,7 +443,7 @@ func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int
 		cp.sqes[i].MarkVector(i, len(cmds))
 		cp.attrs[i] = ws.repl.attrs[k]
 		if !ws.flushWire {
-			cp.inline += ws.wc.InlineBytes(in.cfg.InlineThreshold)
+			cp.inline += ws.wc.InlineBytes(inlineThreshold)
 		}
 	}
 	if mark := in.retireMarkAt(stream, member); mark > 0 {

@@ -56,8 +56,8 @@ func TestReplicatedWriteReachesAllMembers(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 10; g++ {
 			lba := uint64(g * 7)
-			r := c.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 			lbas = append(lbas, lba)
 		}
 	})
@@ -85,8 +85,8 @@ func TestReplicatedQuorumDeliversBeforeAllAcks(t *testing.T) {
 	done := 0
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 50; g++ {
-			r := c.OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 			done++
 		}
 	})
@@ -114,7 +114,7 @@ func TestReplicaCutDoesNotStall(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				reqs = append(reqs, r)
 				p.Sleep(2 * sim.Microsecond)
 			}
@@ -146,8 +146,8 @@ func TestReplicaCutDoesNotStall(t *testing.T) {
 		}
 	}
 	for s := 0; s < streams; s++ {
-		if c.Sequencer().Stream(s).FullyDone() != uint64(groups) {
-			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Sequencer().Stream(s).FullyDone(), groups)
+		if c.Init(0).Sequencer().Stream(s).FullyDone() != uint64(groups) {
+			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Init(0).Sequencer().Stream(s).FullyDone(), groups)
 		}
 	}
 	if c.ResyncBacklog(1) == 0 {
@@ -169,8 +169,8 @@ func TestResyncConvergesByteIdentical(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
-				c.Wait(p, r)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				c.Init(0).Wait(p, r)
 				lbas = append(lbas, lba)
 			}
 		})
@@ -194,8 +194,8 @@ func TestResyncConvergesByteIdentical(t *testing.T) {
 	eng.Go("app2", func(p *sim.Proc) {
 		for g := 0; g < 10; g++ {
 			lba := uint64(900000 + g)
-			r := c.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 			tail = append(tail, lba)
 		}
 	})
@@ -220,14 +220,14 @@ func TestFullQuorumStallsThenResyncCompletes(t *testing.T) {
 	cfg.WriteQuorum = 3
 	c := New(eng, cfg)
 	eng.Go("warm", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	c.PowerCutTarget(1)
 	var r2 *blockdev.Request
 	eng.Go("degraded", func(p *sim.Proc) {
-		r2 = c.OrderedWrite(p, 0, 2, 1, 0, nil, true, false, false)
+		r2 = c.Init(0).OrderedWrite(p, 0, 2, 1, 0, nil, true, false, false)
 	})
 	eng.RunFor(500 * sim.Microsecond)
 	if r2.Done.Fired() {
@@ -248,14 +248,14 @@ func TestReplicatedReadsFailOver(t *testing.T) {
 	eng := sim.New(6)
 	c := New(eng, replConfig(2))
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 5, 1, 77, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 5, 1, 77, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	c.PowerCutTarget(0) // the set's read-preferred member dies
 	var rec []uint64
 	eng.Go("reader", func(p *sim.Proc) {
-		out := c.Read(p, 5, 1)
+		out := c.Init(0).Read(p, 5, 1)
 		for _, o := range out {
 			rec = append(rec, o.Stamp)
 		}
@@ -273,14 +273,14 @@ func TestReplicatedFlushCompletesDegraded(t *testing.T) {
 	eng := sim.New(7)
 	c := New(eng, replConfig(3))
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 3, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 3, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	c.PowerCutTarget(1)
 	done := false
 	eng.Go("flusher", func(p *sim.Proc) {
-		c.FlushDevice(p, 0)
+		c.Init(0).FlushDevice(p, 0)
 		done = true
 	})
 	eng.Run()
@@ -308,7 +308,7 @@ func TestReplicatedFullCrashRecovery(t *testing.T) {
 				break // whole-cluster outage: applications gate on liveness
 			}
 			lba := uint64(g)
-			r := c.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
 			subs = append(subs, sub{attr: r.Ticket.Attr, lba: lba})
 			p.Sleep(2 * sim.Microsecond)
 		}
@@ -338,8 +338,8 @@ func TestReplicatedFullCrashRecovery(t *testing.T) {
 	// The cluster is reusable with full membership.
 	okDone := false
 	eng.Go("app2", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 7000, 1, 0, nil, true, true, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 7000, 1, 0, nil, true, true, false)
+		c.Init(0).Wait(p, r)
 		okDone = true
 	})
 	eng.Run()
@@ -355,8 +355,8 @@ func TestEpochMarksPersisted(t *testing.T) {
 	eng := sim.New(9)
 	c := New(eng, replConfig(3))
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	c.PowerCutTarget(2)
@@ -393,14 +393,14 @@ func TestReplicasOneIsUnreplicated(t *testing.T) {
 	cfg.Replicas = 1
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	if c.Replicas() != 1 || c.SetCount() != 1 || !c.InSync(0) {
 		t.Fatal("Replicas=1 introspection inconsistent")
 	}
-	if c.Stats().WireMessages == 0 {
+	if c.Init(0).Stats().WireMessages == 0 {
 		t.Fatal("no traffic")
 	}
 	eng.Shutdown()

@@ -22,15 +22,15 @@ func TestPMRLogRecyclingUnderLoad(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		var pending []*blockdev.Request
 		for i := 0; i < n; i++ {
-			pending = append(pending, c.OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false))
+			pending = append(pending, c.Init(0).OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false))
 			if len(pending) >= 16 {
-				c.Wait(p, pending[0])
+				c.Init(0).Wait(p, pending[0])
 				pending = pending[1:]
 				done++
 			}
 		}
 		for _, r := range pending {
-			c.Wait(p, r)
+			c.Init(0).Wait(p, r)
 			done++
 		}
 	})
@@ -53,10 +53,10 @@ func TestHoraeGroupBatchesControl(t *testing.T) {
 	c := New(eng, smallConfig(ModeHorae, optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
 		// Group of three requests: D, D, JM(boundary).
-		c.OrderedWrite(p, 0, 0, 1, 0, nil, false, false, false)
-		c.OrderedWrite(p, 0, 1, 1, 0, nil, false, false, false)
-		r := c.OrderedWrite(p, 0, 2, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, false, false, false)
+		c.Init(0).OrderedWrite(p, 0, 1, 1, 0, nil, false, false, false)
+		r := c.Init(0).OrderedWrite(p, 0, 2, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	ts := c.Target(0).Stats()
@@ -76,14 +76,14 @@ func TestHoraeNonBoundaryDataDeferred(t *testing.T) {
 	eng := sim.New(23)
 	c := New(eng, smallConfig(ModeHorae, optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
-		c.OrderedWrite(p, 0, 0, 1, 0, nil, false, false, false)
+		c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, false, false, false)
 		// Give the stack time: without the boundary nothing may move.
 		p.Sleep(200 * sim.Microsecond)
 		if got := c.Target(0).SSD(0).Stats().Writes; got != 0 {
 			t.Errorf("%d writes reached the SSD before the control path ran", got)
 		}
-		r := c.OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	if got := c.Target(0).SSD(0).Stats().Writes; got == 0 {
@@ -99,13 +99,13 @@ func TestOrderlessCoexistsWithLinuxOrdered(t *testing.T) {
 	c := New(eng, smallConfig(ModeLinux, flash1()...))
 	var orderedDone, orderlessDone sim.Time
 	eng.Go("ordered", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 		orderedDone = p.Now()
 	})
 	eng.Go("orderless", func(p *sim.Proc) {
-		r := c.OrderlessWrite(p, 1, 100, 1, 0, nil)
-		c.Wait(p, r)
+		r := c.Init(0).OrderlessWrite(p, 1, 100, 1, 0, nil)
+		c.Init(0).Wait(p, r)
 		orderlessDone = p.Now()
 	})
 	eng.Run()
@@ -127,8 +127,8 @@ func TestSplitOversizedRequest(t *testing.T) {
 	cfg := smallConfig(ModeRio, optane1()...)
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 0, 64, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 0, 64, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	entries := core.ScanRegion(c.Target(0).SSD(0).PMRBytes())
@@ -152,12 +152,12 @@ func TestDeterministicThroughput(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			var last *blockdev.Request
 			for i := 0; i < 200; i++ {
-				last = c.OrderedWrite(p, i%4, uint64(i*7)%100000, 1, 0, nil, true, false, false)
+				last = c.Init(0).OrderedWrite(p, i%4, uint64(i*7)%100000, 1, 0, nil, true, false, false)
 			}
-			c.Wait(p, last)
+			c.Init(0).Wait(p, last)
 		})
 		eng.Run()
-		n := c.Stats().Completed
+		n := c.Init(0).Stats().Completed
 		at := eng.Now()
 		eng.Shutdown()
 		return n, at
@@ -178,10 +178,10 @@ func TestIPURequestsSkipRollback(t *testing.T) {
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		// Group 1 ordinary; groups 2..N in-place updates, in flight at cut.
-		r := c.OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 		for i := 0; i < 10; i++ {
-			c.OrderedWrite(p, 0, uint64(100+i), 1, 0, nil, true, false, true)
+			c.Init(0).OrderedWrite(p, 0, uint64(100+i), 1, 0, nil, true, false, true)
 		}
 		c.PowerCutAll()
 	})

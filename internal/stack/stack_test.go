@@ -28,8 +28,8 @@ func TestOrderlessWriteCompletes(t *testing.T) {
 	c := New(eng, smallConfig(ModeOrderless, optane1()...))
 	var done bool
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderlessWrite(p, 0, 100, 1, 42, nil)
-		c.Wait(p, r)
+		r := c.Init(0).OrderlessWrite(p, 0, 100, 1, 42, nil)
+		c.Init(0).Wait(p, r)
 		done = true
 		if r.DeliverAt == 0 || r.CompleteAt == 0 {
 			t.Error("timestamps not recorded")
@@ -55,9 +55,9 @@ func TestRioOrderedWriteFlow(t *testing.T) {
 		// Journaling pattern: group 1 = 2 blocks (JD+JM), group 2 = commit.
 		// Non-contiguous LBAs so the scheduler cannot fuse them (the fused
 		// case is covered by TestRioMergingReducesCommands).
-		r1 := c.OrderedWrite(p, 0, 10, 2, 1, nil, true, false, false)
-		r2 := c.OrderedWrite(p, 0, 20, 1, 2, nil, true, true, false)
-		c.Wait(p, r2)
+		r1 := c.Init(0).OrderedWrite(p, 0, 10, 2, 1, nil, true, false, false)
+		r2 := c.Init(0).OrderedWrite(p, 0, 20, 1, 2, nil, true, true, false)
+		c.Init(0).Wait(p, r2)
 		if !r1.Done.Fired() {
 			t.Error("group 1 must be delivered before group 2 (in-order completion)")
 		}
@@ -77,7 +77,7 @@ func TestRioOrderedWriteFlow(t *testing.T) {
 			t.Errorf("entry %v should be persisted on PLP device", e.Attr)
 		}
 	}
-	st := c.Stats()
+	st := c.Init(0).Stats()
 	if st.Submitted != 2 || st.Completed != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -99,10 +99,10 @@ func TestRioInOrderDeliveryAcrossStreams(t *testing.T) {
 			var reqs []*blockdev.Request
 			for i := 0; i < n; i++ {
 				lba := uint64(s*1000 + i*4)
-				reqs = append(reqs, c.OrderedWrite(p, s, lba, 1, uint64(i), nil, true, false, false))
+				reqs = append(reqs, c.Init(0).OrderedWrite(p, s, lba, 1, uint64(i), nil, true, false, false))
 			}
 			for _, r := range reqs {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 				delivered = append(delivered, ev{s, r.Ticket.Attr.SeqStart})
 			}
 		})
@@ -130,8 +130,8 @@ func TestLinuxModeSerializesOrderedWrites(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		eng.Go("app", func(p *sim.Proc) {
-			r := c.OrderedWrite(p, i, uint64(i*100), 1, uint64(i), nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, i, uint64(i*100), 1, uint64(i), nil, true, false, false)
+			c.Init(0).Wait(p, r)
 			finished = append(finished, p.Now())
 		})
 	}
@@ -159,8 +159,8 @@ func TestLinuxModeSkipsFlushOnPLP(t *testing.T) {
 	eng := sim.New(1)
 	c := New(eng, smallConfig(ModeLinux, optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 0, 1, 1, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 0, 1, 1, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	if c.Target(0).SSD(0).Stats().Flushes != 0 {
@@ -173,8 +173,8 @@ func TestHoraeControlPathPrecedesData(t *testing.T) {
 	eng := sim.New(1)
 	c := New(eng, smallConfig(ModeHorae, optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
-		r := c.OrderedWrite(p, 0, 8, 1, 7, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 8, 1, 7, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	ts := c.Target(0).Stats()
@@ -197,9 +197,9 @@ func TestHoraeSubmitLatencyIncludesControlRTT(t *testing.T) {
 	cr := New(engR, smallConfig(ModeRio, optane1()...))
 	var rioSpent sim.Time
 	engR.Go("app", func(p *sim.Proc) {
-		r := cr.OrderedWrite(p, 0, 8, 1, 7, nil, true, false, false)
+		r := cr.Init(0).OrderedWrite(p, 0, 8, 1, 7, nil, true, false, false)
 		rioSpent = r.SubmitSpent
-		cr.Wait(p, r)
+		cr.Init(0).Wait(p, r)
 	})
 	engR.Run()
 	engR.Shutdown()
@@ -208,9 +208,9 @@ func TestHoraeSubmitLatencyIncludesControlRTT(t *testing.T) {
 	ch := New(engH, smallConfig(ModeHorae, optane1()...))
 	var horaeSpent sim.Time
 	engH.Go("app", func(p *sim.Proc) {
-		r := ch.OrderedWrite(p, 0, 8, 1, 7, nil, true, false, false)
+		r := ch.Init(0).OrderedWrite(p, 0, 8, 1, 7, nil, true, false, false)
 		horaeSpent = r.SubmitSpent
-		ch.Wait(p, r)
+		ch.Init(0).Wait(p, r)
 	})
 	engH.Run()
 	engH.Shutdown()
@@ -236,12 +236,12 @@ func TestRioMergingReducesCommands(t *testing.T) {
 			// 16 consecutive single-block groups, submitted back-to-back so
 			// they plug together.
 			for i := 0; i < 16; i++ {
-				last = c.OrderedWrite(p, 0, uint64(i), 1, uint64(i), nil, true, false, false)
+				last = c.Init(0).OrderedWrite(p, 0, uint64(i), 1, uint64(i), nil, true, false, false)
 			}
-			c.Wait(p, last)
+			c.Init(0).Wait(p, last)
 		})
 		eng.Run()
-		st := c.Stats()
+		st := c.Init(0).Stats()
 		eng.Shutdown()
 		return st.WireMessages, st.WireCmds, st.FusedCmds
 	}
@@ -265,8 +265,8 @@ func TestStripedWriteSplitsAcrossTargets(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		// 4 blocks with chunk=1 over 2 devices: 2 extents per device? No:
 		// devices alternate per block -> extents per contiguous device run.
-		r := c.OrderedWrite(p, 0, 0, 4, 9, nil, true, false, false)
-		c.Wait(p, r)
+		r := c.Init(0).OrderedWrite(p, 0, 0, 4, 9, nil, true, false, false)
+		c.Init(0).Wait(p, r)
 	})
 	eng.Run()
 	// Both targets got data and PMR entries with split fragments.
@@ -293,15 +293,15 @@ func TestInOrderSubmissionGateWithoutAffinity(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		var last *blockdev.Request
 		for i := 0; i < n; i++ {
-			last = c.OrderedWrite(p, 0, uint64(i*8), 1, uint64(i), nil, true, false, false)
+			last = c.Init(0).OrderedWrite(p, 0, uint64(i*8), 1, uint64(i), nil, true, false, false)
 		}
-		c.Wait(p, last)
+		c.Init(0).Wait(p, last)
 	})
 	eng.Run()
 	// The gate must have parked at least one command (reordering) and all
 	// writes still completed.
-	if c.Stats().Completed != n {
-		t.Fatalf("completed = %d, want %d", c.Stats().Completed, n)
+	if c.Init(0).Stats().Completed != n {
+		t.Fatalf("completed = %d, want %d", c.Init(0).Stats().Completed, n)
 	}
 	t.Logf("holdbacks without affinity: %d", c.Target(0).Stats().Holdbacks)
 	eng.Shutdown()
@@ -316,9 +316,9 @@ func TestAffinityAvoidsHoldbacks(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		var last *blockdev.Request
 		for i := 0; i < n; i++ {
-			last = c.OrderedWrite(p, 0, uint64(i*8), 1, uint64(i), nil, true, false, false)
+			last = c.Init(0).OrderedWrite(p, 0, uint64(i*8), 1, uint64(i), nil, true, false, false)
 		}
-		c.Wait(p, last)
+		c.Init(0).Wait(p, last)
 	})
 	eng.Run()
 	if hb := c.Target(0).Stats().Holdbacks; hb != 0 {
@@ -335,9 +335,9 @@ func TestCPUUtilizationAccounting(t *testing.T) {
 	eng.Go("app", func(p *sim.Proc) {
 		var last *blockdev.Request
 		for i := 0; i < 100; i++ {
-			last = c.OrderedWrite(p, 0, uint64(i*2), 1, uint64(i), nil, true, false, false)
+			last = c.Init(0).OrderedWrite(p, 0, uint64(i*2), 1, uint64(i), nil, true, false, false)
 		}
-		c.Wait(p, last)
+		c.Init(0).Wait(p, last)
 	})
 	eng.Run()
 	u1 := c.InitiatorUtil()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/nvmeof"
 	"repro/internal/order"
 	"repro/internal/sim"
@@ -58,56 +59,10 @@ func (s TargetStats) AllocsPerCmd() float64 {
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
-func (s TargetStats) Sub(old TargetStats) TargetStats {
-	return TargetStats{
-		Capsules:   s.Capsules - old.Capsules,
-		Commands:   s.Commands - old.Commands,
-		CtrlOps:    s.CtrlOps - old.CtrlOps,
-		Holdbacks:  s.Holdbacks - old.Holdbacks,
-		PMRAppends: s.PMRAppends - old.PMRAppends,
-		PMRToggles: s.PMRToggles - old.PMRToggles,
-		Responses:  s.Responses - old.Responses,
-		CQEs:       s.CQEs - old.CQEs,
-		Flushes:    s.Flushes - old.Flushes,
-		Vectors:    s.Vectors - old.Vectors,
-		Allocs:     s.Allocs - old.Allocs,
-		Reads:      s.Reads - old.Reads,
-
-		CQETimerFlushes: s.CQETimerFlushes - old.CQETimerFlushes,
-		CQERearms:       s.CQERearms - old.CQERearms,
-		GovSwitches:     s.GovSwitches - old.GovSwitches,
-
-		Relays:    s.Relays - old.Relays,
-		RelayAcks: s.RelayAcks - old.RelayAcks,
-		AggFires:  s.AggFires - old.AggFires,
-	}
-}
+func (s TargetStats) Sub(old TargetStats) TargetStats { return metrics.Delta(s, old) }
 
 // Add returns the counter sums s + o (for fleet-wide aggregation).
-func (s TargetStats) Add(o TargetStats) TargetStats {
-	return TargetStats{
-		Capsules:   s.Capsules + o.Capsules,
-		Commands:   s.Commands + o.Commands,
-		CtrlOps:    s.CtrlOps + o.CtrlOps,
-		Holdbacks:  s.Holdbacks + o.Holdbacks,
-		PMRAppends: s.PMRAppends + o.PMRAppends,
-		PMRToggles: s.PMRToggles + o.PMRToggles,
-		Responses:  s.Responses + o.Responses,
-		CQEs:       s.CQEs + o.CQEs,
-		Flushes:    s.Flushes + o.Flushes,
-		Vectors:    s.Vectors + o.Vectors,
-		Allocs:     s.Allocs + o.Allocs,
-		Reads:      s.Reads + o.Reads,
-
-		CQETimerFlushes: s.CQETimerFlushes + o.CQETimerFlushes,
-		CQERearms:       s.CQERearms + o.CQERearms,
-		GovSwitches:     s.GovSwitches + o.GovSwitches,
-
-		Relays:    s.Relays + o.Relays,
-		RelayAcks: s.RelayAcks + o.RelayAcks,
-		AggFires:  s.AggFires + o.AggFires,
-	}
-}
+func (s TargetStats) Add(o TargetStats) TargetStats { return metrics.Sum(s, o) }
 
 // tDone is one SSD completion routed to the target's completion context.
 // Instances recycle through the target's free list (doneLoop owns the
@@ -120,14 +75,12 @@ type tDone struct {
 	// of a flush-carrying ordered write (ws is that write).
 	isFlush    bool
 	flushSlots []order.SlotRef // additional slots this flush certifies (Horae)
-	// flushQP, when > 0, is a CQE hold-timer expiry for QP flushQP-1 of
-	// initiator flushInit: no SSD completion, just "flush that queue
-	// pair's pending responses". Routed through doneQ so the flush runs
-	// in completion-context (the timer itself fires in engine context,
-	// where no CPU can be charged).
-	flushQP   int
-	flushInit int
-	epoch     int
+	// lane, when non-nil, makes this a CQE hold-timer expiry: no SSD
+	// completion, just "flush that lane's pending responses". Routed
+	// through doneQ so the flush runs in completion-context (the timer
+	// itself fires in engine context, where no CPU can be charged).
+	lane  *qpLane
+	epoch int
 
 	// Stage-tracing stamps carried from the device's Done callback into
 	// completion context: when the device reported the command done, and
@@ -151,6 +104,60 @@ type parkedCmd struct {
 	pooled bool
 }
 
+// qpLane is everything a target holds for one (initiator, queue pair): the
+// receive queue its rx worker drains serially, the response capsule being
+// coalesced toward that initiator on that QP, and — on the relay route —
+// the follower's received relay-sequence prefix. One record per lane means
+// a link death clears it in one place (reset): the pending CQEs belong to
+// the dead epoch and must never be flushed into the next incarnation, and
+// the armed flag must go with them — left set, it would strand the next
+// incarnation's sub-threshold batch with no timer behind it.
+type qpLane struct {
+	t        *Target
+	init, qp int
+	rxQ      *sim.Queue[*capsule]
+
+	// The pending response capsule. cqeT (the instant each CQE entered the
+	// buffer; stays nil with the tracer off) and agg (relay annotations;
+	// stays nil unless cfg.ReplRelay) are parallel to cqes; resolved holds
+	// the late-ack records the capsule will piggyback (relay route).
+	cqes     []nvmeof.CQE
+	cqeT     []sim.Time
+	agg      []aggCQE
+	resolved []aggResolved
+	epoch    int      // initiator epoch the oldest pending CQE was minted under
+	first    sim.Time // when it entered: the hold timer ships a batch only once it is cqeHold old
+	armed    bool     // a hold-timer event is outstanding
+	inflight int      // commands submitted to an SSD and not yet responded
+
+	seen uint64 // follower: received relay-sequence prefix (head-cut repair)
+}
+
+// push appends one CQE (and its parallel stamps) to the pending response
+// capsule; the first entry of a batch mints the capsule's epoch and age.
+func (l *qpLane) push(id uint64, epoch int, a aggCQE) {
+	now := l.t.c.Eng.Now()
+	if len(l.cqes) == 0 {
+		l.epoch, l.first = epoch, now
+	}
+	l.cqes = append(l.cqes, nvmeof.NewCQE(id))
+	if l.t.relay != nil {
+		l.agg = append(l.agg, a)
+	}
+	if l.t.c.tracer != nil {
+		l.cqeT = append(l.cqeT, now)
+	}
+}
+
+// reset drops everything volatile the lane holds when the link it serves
+// dies (either side's power cut). In-flight SSD commands complete into a
+// dead epoch and are dropped in doneOne; stale timers that fire later
+// clear the armed flag again, which is benign.
+func (l *qpLane) reset() {
+	l.rxQ.Drain()
+	*l = qpLane{t: l.t, init: l.init, qp: l.qp, rxQ: l.rxQ}
+}
+
 // Target is one target server: CPU cores, an RDMA connection per
 // initiator, SSDs, and (for Rio/Horae) the PMR ordering-attribute log on
 // its first SSD, partitioned into one region per initiator so each
@@ -170,7 +177,7 @@ type Target struct {
 	ord      *order.Engine[parkedCmd]
 	pol      order.Policy
 
-	rxQs  [][]*sim.Queue[*capsule] // [initiator][qp]: per-QP arrivals process serially
+	lanes []qpLane // one per (initiator, QP), index init*QPs+qp: see lane
 	doneQ *sim.Queue[*tDone]
 
 	// Completion-event free lists: tDone structs, the PMR slot bursts
@@ -181,25 +188,6 @@ type Target struct {
 	slotsFree  [][]uint64
 	stampsFree [][]uint64
 	attrsFree  [][]core.Attr
-
-	// Completion coalescing state, per (initiator, QP): CQEs awaiting
-	// flush, the initiator epoch they were minted under, when the oldest
-	// pending CQE arrived (the hold timer flushes a batch only once it is
-	// cqeHold old — a younger batch left behind by a threshold flush
-	// re-arms for its remainder), and whether a timer event is
-	// outstanding. A power cut clears buffers AND armed flags (dead-epoch
-	// CQEs must never be flushed into a fresh incarnation, and a fresh
-	// incarnation must be able to arm its own timers).
-	cqePend     [][][]nvmeof.CQE
-	cqeEpoch    [][]int
-	cqeFirst    [][]sim.Time
-	cqeArmed    [][]bool
-	cqeInflight [][]int // per (initiator, QP): submitted-not-yet-responded commands
-
-	// cqePendT mirrors cqePend with the instant each pending CQE entered
-	// the buffer (stage tracing only: the inner slices stay nil with the
-	// tracer off, so the untraced hot path allocates nothing here).
-	cqePendT [][][]sim.Time
 
 	// gov, when non-nil, adapts the CQE hold time and flush threshold to
 	// the completion arrival rate (one EWMA per target; see governor.go).
@@ -223,24 +211,9 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		doneQ: sim.NewQueue[*tDone](c.Eng),
 	}
 	nInit := c.cfg.Initiators
-	t.rxQs = make([][]*sim.Queue[*capsule], nInit)
-	t.cqePend = make([][][]nvmeof.CQE, nInit)
-	t.cqePendT = make([][][]sim.Time, nInit)
-	t.cqeEpoch = make([][]int, nInit)
-	t.cqeFirst = make([][]sim.Time, nInit)
-	t.cqeArmed = make([][]bool, nInit)
-	t.cqeInflight = make([][]int, nInit)
-	for i := 0; i < nInit; i++ {
-		t.rxQs[i] = make([]*sim.Queue[*capsule], c.cfg.QPs)
-		for qp := 0; qp < c.cfg.QPs; qp++ {
-			t.rxQs[i][qp] = sim.NewQueue[*capsule](c.Eng)
-		}
-		t.cqePend[i] = make([][]nvmeof.CQE, c.cfg.QPs)
-		t.cqePendT[i] = make([][]sim.Time, c.cfg.QPs)
-		t.cqeEpoch[i] = make([]int, c.cfg.QPs)
-		t.cqeFirst[i] = make([]sim.Time, c.cfg.QPs)
-		t.cqeArmed[i] = make([]bool, c.cfg.QPs)
-		t.cqeInflight[i] = make([]int, c.cfg.QPs)
+	t.lanes = make([]qpLane, nInit*c.cfg.QPs)
+	for k := range t.lanes {
+		t.lanes[k] = qpLane{t: t, init: k / c.cfg.QPs, qp: k % c.cfg.QPs, rxQ: sim.NewQueue[*capsule](c.Eng)}
 	}
 	for _, sc := range tc.SSDs {
 		sc.KeepHistory = c.cfg.KeepHistory
@@ -270,8 +243,8 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		})
 		t.conns = append(t.conns, conn)
 		for qp := 0; qp < c.cfg.QPs; qp++ {
-			qp := qp
-			c.Eng.Go(fmt.Sprintf("tgt%d/rx%d.%d", id, i, qp), func(p *sim.Proc) { t.rxLoop(p, i, qp) })
+			l := t.lane(i, qp)
+			c.Eng.Go(fmt.Sprintf("tgt%d/rx%d.%d", id, i, qp), func(p *sim.Proc) { t.rxLoop(p, l) })
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -289,6 +262,7 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 // follower's replay buffer before the capsule even queues) and advances
 // the received relay-sequence prefix.
 func (t *Target) recvCapsule(init, qp int, cp *capsule) {
+	l := t.lane(init, qp)
 	if t.alive && cp.epoch == t.initEpoch(init) {
 		for _, r := range cp.retires {
 			t.retireUpTo(init, r.stream, r.upTo)
@@ -297,12 +271,12 @@ func (t *Target) recvCapsule(init, qp int, cp *capsule) {
 			for _, e := range cp.relayAcked {
 				delete(t.relay.ackBuf, aggKey{e.init, e.id})
 			}
-			if cp.relaySeq > t.relay.seen[init][qp] {
-				t.relay.seen[init][qp] = cp.relaySeq
+			if cp.relaySeq > l.seen {
+				l.seen = cp.relaySeq
 			}
 		}
 	}
-	t.rxQs[init][qp].Push(cp)
+	l.rxQ.Push(cp)
 }
 
 // pmrRegion returns initiator init's partition of this target's PMR
@@ -379,15 +353,15 @@ func (t *Target) GateAudit() int { return t.ord.Audit() }
 // SSD returns device i of this target.
 func (t *Target) SSD(i int) *ssd.SSD { return t.ssds[i] }
 
-// Cores exposes the CPU pool (for utilization measurements).
-func (t *Target) Cores() *sim.Resource { return t.cores }
-
 // Alive reports whether the server is powered.
 func (t *Target) Alive() bool { return t.alive }
 
 // PMRPartition exposes one initiator's PMR log partition on this target
 // (inspection tools, tests).
 func (t *Target) PMRPartition(init int) []byte { return t.pmrRegion(init) }
+
+// lane returns the (initiator, queue pair) lane.
+func (t *Target) lane(init, qp int) *qpLane { return &t.lanes[init*t.c.cfg.QPs+qp] }
 
 // initEpoch returns the current epoch of initiator init (the incarnation
 // counter in-flight work is validated against).
@@ -463,10 +437,10 @@ func (t *Target) getStamps(n int) []uint64 {
 // capsules (two-sided SENDs cost target CPU — the asymmetry Lesson 3 is
 // about), fetches non-inline data with one-sided READs, and routes
 // commands through the policy-specific submission path.
-func (t *Target) rxLoop(p *sim.Proc, init, qp int) {
-	rxQ := t.rxQs[init][qp]
+func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
+	init, qp := l.init, l.qp
 	for {
-		cp := rxQ.Pop(p)
+		cp := l.rxQ.Pop(p)
 		if cp.epoch != t.initEpoch(init) || !t.alive {
 			continue
 		}
@@ -518,7 +492,7 @@ func (t *Target) rxLoop(p *sim.Proc, init, qp int) {
 		// initiator CPU).
 		var bulk int
 		for _, ws := range cp.cmds {
-			if !ws.flushWire && ws.wc.InlineBytes(t.c.cfg.InlineThreshold) == 0 {
+			if !ws.flushWire && ws.wc.InlineBytes(inlineThreshold) == 0 {
 				bulk += ws.wc.PayloadBytes()
 			}
 		}
@@ -723,7 +697,7 @@ func (t *Target) submitWrite(ws *wireState, slots []uint64) {
 	sd := t.ssds[ws.ssdIdx]
 	d := t.getDone()
 	d.ws, d.slots, d.epoch = ws, slots, t.initEpoch(ws.init)
-	t.cqeInflight[ws.init][ws.qp]++
+	t.lane(ws.init, ws.qp).inflight++
 	markWire(ws, trace.MSSDSubmit, t.c.Eng.Now())
 	stamps := ws.wc.Stamps
 	if ws.wc.Ordered && t.pol.Tracked() {
@@ -764,7 +738,7 @@ func (t *Target) submitFlushCmd(ws *wireState) {
 	sd := t.ssds[ws.ssdIdx]
 	d := t.getDone()
 	d.ws, d.epoch = ws, t.initEpoch(ws.init)
-	t.cqeInflight[ws.init][ws.qp]++
+	t.lane(ws.init, ws.qp).inflight++
 	t.stats.Flushes++
 	sd.Submit(&ssd.Command{
 		Op: ssd.OpFlush,
@@ -798,10 +772,10 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 		return
 	}
 	tEpoch := t.epoch
-	if d.flushQP > 0 {
+	if d.lane != nil {
 		// CQE hold-timer expiry: flush the pending response capsule.
-		if d.epoch == t.initEpoch(d.flushInit) {
-			t.flushCQEs(p, d.flushInit, d.flushQP-1)
+		if d.epoch == t.initEpoch(d.lane.init) {
+			t.flushCQEs(p, d.lane)
 		}
 		return
 	}
@@ -935,8 +909,8 @@ func (t *Target) cqeBatchSize() int {
 }
 
 // respond queues one completion toward the owning initiator: the CQE joins
-// its (initiator, queue pair) pending response capsule, flushed when
-// CQEBatch entries accumulate or the hold timer expires.
+// its lane's pending response capsule, flushed when CQEBatch entries
+// accumulate or the hold timer expires.
 func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
 	if !t.alive || t.epoch != tEpoch {
 		// A completion context that was mid-iteration when the power cut
@@ -947,9 +921,9 @@ func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
 		// the command must stay outstanding so recovery replays it.
 		return
 	}
-	init, qp := ws.init, ws.qp
-	if t.cqeInflight[init][qp] > 0 {
-		t.cqeInflight[init][qp]--
+	l := t.lane(ws.init, ws.qp)
+	if l.inflight > 0 {
+		l.inflight--
 	}
 	if t.gov != nil && t.gov.observe(t.c.Eng.Now()) {
 		t.stats.GovSwitches++
@@ -962,52 +936,40 @@ func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
 		if t.relayRespond(p, ws) {
 			return
 		}
-		key := aggKey{init, ws.id}
+		key := aggKey{ws.init, ws.id}
 		if as, ok := t.relay.agg[key]; ok && as.epoch == ws.epoch {
 			t.aggAck(p, key, as, t.id)
 			return
 		}
 	}
-	cqe := nvmeof.NewCQE(ws.id)
-	if len(t.cqePend[init][qp]) == 0 {
-		t.cqeEpoch[init][qp] = ws.epoch
-		t.cqeFirst[init][qp] = t.c.Eng.Now()
-	}
-	t.cqePend[init][qp] = append(t.cqePend[init][qp], cqe)
-	if t.relay != nil {
-		t.relay.cqeAgg[init][qp] = append(t.relay.cqeAgg[init][qp], aggCQE{})
-	}
-	if t.c.tracer != nil {
-		t.cqePendT[init][qp] = append(t.cqePendT[init][qp], t.c.Eng.Now())
-	}
-	t.flushOrArm(p, init, qp)
+	l.push(ws.id, ws.epoch, aggCQE{})
+	t.flushOrArm(p, l)
 }
 
-// flushOrArm applies the response flush policy to one (initiator, queue
-// pair) pending batch: ship when the capsule is full — or when the queue
-// pair has no command left in flight, so a CQE only ever waits while more
-// completions are coming to amortize against and an idle QP responds
-// immediately (no hold-timer latency on the application's critical path).
-// Otherwise the hold timer is the backstop for commands that stay in
-// flight longer than the hold.
-func (t *Target) flushOrArm(p *sim.Proc, init, qp int) {
-	if len(t.cqePend[init][qp]) >= t.cqeBatchSize() || t.cqeInflight[init][qp] == 0 {
-		t.flushCQEs(p, init, qp)
+// flushOrArm applies the response flush policy to one lane's pending
+// batch: ship when the capsule is full — or when the queue pair has no
+// command left in flight, so a CQE only ever waits while more completions
+// are coming to amortize against and an idle QP responds immediately (no
+// hold-timer latency on the application's critical path). Otherwise the
+// hold timer is the backstop for commands that stay in flight longer than
+// the hold.
+func (t *Target) flushOrArm(p *sim.Proc, l *qpLane) {
+	if len(l.cqes) >= t.cqeBatchSize() || l.inflight == 0 {
+		t.flushCQEs(p, l)
 		return
 	}
-	if !t.cqeArmed[init][qp] {
-		t.armCQETimer(init, qp, t.cqeHoldTime())
+	if !l.armed {
+		t.armCQETimer(l, t.cqeHoldTime())
 	}
 }
 
-// armCQETimer schedules a hold-timer check for one (initiator, queue
-// pair) pending response capsule. Eng.At events cannot be cancelled, so
-// the timer checks batch age when it fires: a batch younger than the
-// hold (the one this timer was armed for was consumed by a threshold
-// flush) re-arms for the remainder instead of shipping early, keeping
-// occupancy honest.
-func (t *Target) armCQETimer(init, qp int, d sim.Time) {
-	t.cqeArmed[init][qp] = true
+// armCQETimer schedules a hold-timer check for one lane's pending response
+// capsule. Eng.At events cannot be cancelled, so the timer checks batch age
+// when it fires: a batch younger than the hold (the one this timer was
+// armed for was consumed by a threshold flush) re-arms for the remainder
+// instead of shipping early, keeping occupancy honest.
+func (t *Target) armCQETimer(l *qpLane, d sim.Time) {
+	l.armed = true
 	epoch := t.epoch
 	t.c.Eng.At(d, func() {
 		// This timer event is spent, whatever happens next: the armed
@@ -1016,67 +978,55 @@ func (t *Target) armCQETimer(init, qp int, d sim.Time) {
 		// replayed command's hwDone would never fire). A stale timer
 		// clearing the flag while a younger chain is live only costs a
 		// redundant re-arm on the next completion.
-		t.cqeArmed[init][qp] = false
+		l.armed = false
 		if epoch != t.epoch || !t.alive {
 			return
 		}
-		if len(t.cqePend[init][qp]) == 0 {
+		if len(l.cqes) == 0 {
 			// Only resolution records can be pending on an otherwise idle QP
 			// (relay route): ship them in a CQE-less capsule so the
 			// initiator reaches full resolution without waiting for
 			// unrelated completions.
-			if t.relay == nil || len(t.relay.resolved[init][qp]) == 0 {
+			if len(l.resolved) == 0 {
 				return
 			}
-		} else if wait := t.cqeFirst[init][qp] + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
+		} else if wait := l.first + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
 			// The batch this timer was armed for was consumed by a
 			// threshold flush; re-arm for the younger one now pending.
 			t.stats.CQERearms++
-			t.armCQETimer(init, qp, wait)
+			t.armCQETimer(l, wait)
 			return
 		}
 		t.stats.CQETimerFlushes++
-		t.routeFlush(init, qp)
+		t.routeFlush(l)
 	})
 }
 
-// routeFlush asks the completion context to flush one (initiator, queue
-// pair) pending response capsule: timers and crash sweeps run in engine
-// context, where no CPU can be charged.
-func (t *Target) routeFlush(init, qp int) {
+// routeFlush asks the completion context to flush one lane's pending
+// response capsule: timers and crash sweeps run in engine context, where
+// no CPU can be charged.
+func (t *Target) routeFlush(l *qpLane) {
 	fd := t.getDone()
-	fd.flushQP, fd.flushInit, fd.epoch = qp+1, init, t.initEpoch(init)
+	fd.lane, fd.epoch = l, t.initEpoch(l.init)
 	t.doneQ.Push(fd)
 }
 
-// flushCQEs ships one (initiator, queue pair) pending completions as a
-// single vectored response capsule: one shared framing, one PostMsg,
-// entries vector-marked so the initiator can verify the capsule arrived
-// whole. A batch of one needs no vector framing and ships as a bare
-// 16-byte capsule.
-func (t *Target) flushCQEs(p *sim.Proc, init, qp int) {
-	batch := t.cqePend[init][qp]
-	var agg []aggCQE
-	var resolved []aggResolved
-	if t.relay != nil {
-		agg, resolved = t.relay.cqeAgg[init][qp], t.relay.resolved[init][qp]
-	}
-	if len(batch) == 0 && len(resolved) == 0 {
+// flushCQEs ships one lane's pending completions as a single vectored
+// response capsule: one shared framing, one PostMsg, entries vector-marked
+// so the initiator can verify the capsule arrived whole. A batch of one
+// needs no vector framing and ships as a bare 16-byte capsule.
+func (t *Target) flushCQEs(p *sim.Proc, l *qpLane) {
+	if len(l.cqes) == 0 && len(l.resolved) == 0 {
 		return
 	}
 	// Detach before charging CPU: Use yields, and the other completion
 	// context may append (or flush) concurrently.
-	t.cqePend[init][qp] = nil
-	batchT := t.cqePendT[init][qp]
-	t.cqePendT[init][qp] = nil
-	epoch := t.cqeEpoch[init][qp]
-	if t.relay != nil {
-		t.relay.cqeAgg[init][qp], t.relay.resolved[init][qp] = nil, nil
-	}
+	batch, batchT, agg, resolved, epoch := l.cqes, l.cqeT, l.agg, l.resolved, l.epoch
+	l.cqes, l.cqeT, l.agg, l.resolved = nil, nil, nil, nil
 	if len(batch) == 0 {
 		// Resolution-only capsule: no buffered CQE minted the epoch, so
 		// stamp the initiator's current one.
-		epoch = t.initEpoch(init)
+		epoch = t.initEpoch(l.init)
 	}
 	nvmeof.EncodeCQEVector(batch)
 	size := nvmeof.ResponseSize
@@ -1090,12 +1040,12 @@ func (t *Target) flushCQEs(p *sim.Proc, init, qp int) {
 	}
 	t.stats.Responses++
 	t.stats.CQEs += int64(len(batch))
-	t.conns[init].Send(fabric.Target, fabric.Message{
-		QP: qp, Size: size,
-		Payload: &completionMsg{cqes: batch, qp: qp, epoch: epoch, from: t.id, respondAt: batchT, agg: agg, resolved: resolved},
+	t.conns[l.init].Send(fabric.Target, fabric.Message{
+		QP: l.qp, Size: size,
+		Payload: &completionMsg{cqes: batch, qp: l.qp, epoch: epoch, from: t.id, respondAt: batchT, agg: agg, resolved: resolved},
 	})
 	if t.relay != nil {
-		t.noteForwarded(init, agg, batch, resolved)
+		t.noteForwarded(l.init, agg, batch, resolved)
 	}
 }
 

@@ -23,8 +23,8 @@ func TestTraceSpanCompleteness(t *testing.T) {
 	const groups = 50
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < groups; g++ {
-			r := c.OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 		}
 	})
 	eng.Run()
@@ -71,15 +71,15 @@ func TestTraceSamplingDeterminism(t *testing.T) {
 		c := New(eng, cfg)
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < 80; g++ {
-				r := c.OrderedWrite(p, g%4, uint64(g), 1, 0, nil, g%3 == 0, g%9 == 0, false)
+				r := c.Init(0).OrderedWrite(p, g%4, uint64(g), 1, 0, nil, g%3 == 0, g%9 == 0, false)
 				if g%2 == 0 {
-					c.Wait(p, r)
+					c.Init(0).Wait(p, r)
 				}
 			}
 		})
 		eng.Run()
 		now := eng.Now()
-		done := c.Stats().Completed
+		done := c.Init(0).Stats().Completed
 		eng.Shutdown()
 		return now, done
 	}
@@ -101,7 +101,7 @@ func TestTraceCrashDropsOpenSpans(t *testing.T) {
 	c := New(eng, traceConfig(optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 200 && c.Init(0).Alive(); g++ {
-			c.OrderedWrite(p, g%4, uint64(g), 1, 0, nil, true, false, false)
+			c.Init(0).OrderedWrite(p, g%4, uint64(g), 1, 0, nil, true, false, false)
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
@@ -142,8 +142,8 @@ func TestTraceReplicatedTargetCut(t *testing.T) {
 	const groups = 60
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < groups; g++ {
-			r := c.OrderedWrite(p, g%4, uint64(g*5), 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, g%4, uint64(g*5), 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 		}
 	})
 	eng.At(40*sim.Microsecond, func() { c.PowerCutTarget(1) })

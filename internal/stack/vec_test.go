@@ -16,15 +16,15 @@ func TestVectorFusionAcrossStripes(t *testing.T) {
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		var reqs []*blockdev.Request
-		c.StartPlug(0)
+		c.Init(0).StartPlug(0)
 		for i := 0; i < 16; i++ {
-			reqs = append(reqs, c.OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false))
+			reqs = append(reqs, c.Init(0).OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false))
 		}
-		c.FinishPlug(p, 0)
-		c.Wait(p, reqs[len(reqs)-1])
+		c.Init(0).FinishPlug(p, 0)
+		c.Init(0).Wait(p, reqs[len(reqs)-1])
 	})
 	eng.Run()
-	st := c.Stats()
+	st := c.Init(0).Stats()
 	if st.FusedCmds == 0 {
 		t.Fatal("vector fusion did not trigger")
 	}

@@ -75,12 +75,7 @@ type SatResult struct {
 }
 
 // DeliveredKIOPS returns the completion rate in thousands of ops/s.
-func (r SatResult) DeliveredKIOPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Completed) / r.Elapsed.Seconds() / 1e3
-}
+func (r SatResult) DeliveredKIOPS() float64 { return kiops(r.Completed, r.Elapsed) }
 
 // P99US returns the 99th-percentile arrival-to-completion latency in µs.
 func (r SatResult) P99US() float64 { return float64(r.Lat.P99()) / 1000 }
@@ -246,28 +241,23 @@ func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure s
 		}
 	}
 
-	eng.RunUntil(eng.Now() + warmup)
-	m.warm = true
-	m.started = eng.Now()
 	var arr0, iss0, drop0 int64
-	for _, g := range gens {
-		arr0 += g.arrivals
-		iss0 += g.issued
-		drop0 += g.dropped
-	}
-	iu0 := c.InitiatorUtil()
-	tu0 := c.TargetUtil()
-	st0 := c.StatsAll()
-	ts0 := c.TargetStatsAll()
-	eng.RunUntil(eng.Now() + measure)
+	w := measureWindow(eng, c, warmup, measure, func() {
+		m.open(eng.Now())
+		for _, g := range gens {
+			arr0 += g.arrivals
+			iss0 += g.issued
+			drop0 += g.dropped
+		}
+	})
 	end := eng.Now()
 
 	res := SatResult{
-		Elapsed:  end - m.started,
-		InitUtil: metrics.Utilization(iu0, c.InitiatorUtil()),
-		TgtUtil:  metrics.Utilization(tu0, c.TargetUtil()),
-		Stats:    c.StatsAll().Sub(st0),
-		TgtStats: c.TargetStatsAll().Sub(ts0),
+		Elapsed:  w.Elapsed,
+		InitUtil: w.InitUtil,
+		TgtUtil:  w.TgtUtil,
+		Stats:    w.Stats,
+		TgtStats: w.TgtStats,
 	}
 	for _, g := range gens {
 		res.Arrivals += g.arrivals

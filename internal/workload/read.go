@@ -92,12 +92,7 @@ type ReadResult struct {
 }
 
 // KIOPS returns aggregate thousands of operations per second.
-func (r ReadResult) KIOPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.ops()) / r.Elapsed.Seconds() / 1e3
-}
+func (r ReadResult) KIOPS() float64 { return kiops(r.ops(), r.Elapsed) }
 
 func (r ReadResult) ops() int64 {
 	var ops int64
@@ -250,24 +245,17 @@ func RunRead(eng *sim.Engine, c *stack.Cluster, job ReadJob, warmup, measure sim
 		return n
 	}
 
-	eng.RunUntil(eng.Now() + warmup)
-	warm = true
-	started := eng.Now()
-	iu0, tu0 := c.InitiatorUtil(), c.TargetUtil()
-	cache0, st0, neg0 := c.ReadCacheStatsAll(), c.StatsAll(), negHits()
-	eng.RunUntil(eng.Now() + measure)
-	iu1, tu1 := c.InitiatorUtil(), c.TargetUtil()
-	cache1, st1 := c.ReadCacheStatsAll(), c.StatsAll()
+	var neg0 int64
+	w := measureWindow(eng, c, warmup, measure, func() { warm, neg0 = true, negHits() })
 
 	res := ReadResult{
-		Elapsed:      eng.Now() - started,
-		InitUtil:     metrics.Utilization(iu0, iu1),
-		TgtUtil:      metrics.Utilization(tu0, tu1),
-		Cache:        cache1.Sub(cache0),
+		Elapsed:      w.Elapsed,
+		InitUtil:     w.InitUtil,
+		TgtUtil:      w.TgtUtil,
+		Cache:        w.Cache,
+		Msgs:         w.Stats.WireMessages + w.Stats.ReadMsgs,
 		NegativeHits: negHits() - neg0,
 	}
-	d := st1.Sub(st0)
-	res.Msgs = d.WireMessages + d.ReadMsgs
 	for _, t := range tenants {
 		res.Tenants = append(res.Tenants, *t)
 	}

@@ -82,19 +82,11 @@ func (r ServeResult) KIOPS() float64 {
 	for _, t := range r.Tenants {
 		ops += t.Ops
 	}
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(ops) / r.Elapsed.Seconds() / 1e3
+	return kiops(ops, r.Elapsed)
 }
 
 // TenantKIOPS returns one tenant's throughput.
-func (r ServeResult) TenantKIOPS(i int) float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Tenants[i].Ops) / r.Elapsed.Seconds() / 1e3
-}
+func (r ServeResult) TenantKIOPS(i int) float64 { return kiops(r.Tenants[i].Ops, r.Elapsed) }
 
 // P99US returns the 99th-percentile operation latency in microseconds
 // across all tenants.
@@ -210,18 +202,9 @@ func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure s
 		}
 	}
 
-	eng.RunUntil(eng.Now() + warmup)
-	warm = true
-	started := eng.Now()
-	iu0, tu0 := c.InitiatorUtil(), c.TargetUtil()
-	eng.RunUntil(eng.Now() + measure)
-	iu1, tu1 := c.InitiatorUtil(), c.TargetUtil()
+	w := measureWindow(eng, c, warmup, measure, func() { warm = true })
 
-	res := ServeResult{
-		Elapsed:  eng.Now() - started,
-		InitUtil: metrics.Utilization(iu0, iu1),
-		TgtUtil:  metrics.Utilization(tu0, tu1),
-	}
+	res := ServeResult{Elapsed: w.Elapsed, InitUtil: w.InitUtil, TgtUtil: w.TgtUtil}
 	for _, t := range tenants {
 		res.Tenants = append(res.Tenants, *t)
 	}

@@ -26,6 +26,47 @@ type Meter struct {
 	started sim.Time
 }
 
+// open starts the measure window: operations recorded from now on count.
+func (m *Meter) open(now sim.Time) { m.warm, m.started = true, now }
+
+// window is what one warm-up → measure run observed of the cluster: the
+// measure window's length, per-server CPU utilization, and the counter
+// deltas of every stats owner.
+type window struct {
+	Elapsed           sim.Time
+	InitUtil, TgtUtil float64
+	Stats             stack.ClusterStats
+	TgtStats          stack.TargetStats
+	Cache             stack.RCacheStats
+}
+
+// measureWindow is the one warm-up → measure sequence every driver runs:
+// advance through the warm-up, call open (the driver flips its meters and
+// takes whatever private snapshots it needs), snapshot utilization and
+// counters, advance through the measure window, and return the deltas.
+// Nothing an operation did before open returned may reach a result.
+func measureWindow(eng *sim.Engine, c *stack.Cluster, warmup, measure sim.Time, open func()) window {
+	eng.RunUntil(eng.Now() + warmup)
+	open()
+	started := eng.Now()
+	iu0, tu0 := c.InitiatorUtil(), c.TargetUtil()
+	st0, ts0, rc0 := c.StatsAll(), c.TargetStatsAll(), c.ReadCacheStatsAll()
+	eng.RunUntil(eng.Now() + measure)
+	return window{
+		Elapsed:  eng.Now() - started,
+		InitUtil: metrics.Utilization(iu0, c.InitiatorUtil()),
+		TgtUtil:  metrics.Utilization(tu0, c.TargetUtil()),
+		Stats:    c.StatsAll().Sub(st0),
+		TgtStats: c.TargetStatsAll().Sub(ts0),
+		Cache:    c.ReadCacheStatsAll().Sub(rc0),
+	}
+}
+
+// kiops is thousands of operations per second over a window.
+func kiops(ops int64, elapsed sim.Time) float64 {
+	return metrics.Window{Elapsed: elapsed, Ops: ops}.KIOPS()
+}
+
 // Op records one completed operation of b bytes with latency l.
 func (m *Meter) Op(b int64, l sim.Time) {
 	if !m.warm {
@@ -87,12 +128,7 @@ type BlockResult struct {
 }
 
 // KIOPS returns thousands of requests per second.
-func (r BlockResult) KIOPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Requests) / r.Elapsed.Seconds() / 1e3
-}
+func (r BlockResult) KIOPS() float64 { return kiops(r.Requests, r.Elapsed) }
 
 // MaxLatUS returns the worst observed request latency in microseconds —
 // the failover-blip headline of the replication experiment (a replica
@@ -103,10 +139,7 @@ func (r BlockResult) MaxLatUS() float64 {
 
 // GBps returns data gigabytes per second.
 func (r BlockResult) GBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / 1e9 / r.Elapsed.Seconds()
+	return metrics.Window{Elapsed: r.Elapsed, Bytes: r.Bytes}.GBps()
 }
 
 // Efficiency returns KIOPS per unit of CPU utilization.
@@ -192,27 +225,17 @@ func RunBlock(eng *sim.Engine, c *stack.Cluster, job BlockJob, warmup, measure s
 			})
 		}
 	}
-	eng.RunUntil(eng.Now() + warmup)
-	m.warm = true
-	m.started = eng.Now()
-	iu0 := c.InitiatorUtil()
-	tu0 := c.TargetUtil()
-	st0 := c.StatsAll()
-	ts0 := c.TargetStatsAll()
-	eng.RunUntil(eng.Now() + measure)
-	iu1 := c.InitiatorUtil()
-	tu1 := c.TargetUtil()
-	res := BlockResult{
-		Elapsed:  eng.Now() - m.started,
+	w := measureWindow(eng, c, warmup, measure, func() { m.open(eng.Now()) })
+	return BlockResult{
+		Elapsed:  w.Elapsed,
 		Bytes:    m.bytes,
 		Requests: m.ops,
-		InitUtil: metrics.Utilization(iu0, iu1),
-		TgtUtil:  metrics.Utilization(tu0, tu1),
+		InitUtil: w.InitUtil,
+		TgtUtil:  w.TgtUtil,
 		Lat:      m.lat,
-		Stats:    c.StatsAll().Sub(st0),
-		TgtStats: c.TargetStatsAll().Sub(ts0),
+		Stats:    w.Stats,
+		TgtStats: w.TgtStats,
 	}
-	return res
 }
 
 // FsResult is the outcome of a file-system benchmark.
@@ -250,11 +273,13 @@ func (t TraceAgg) Mean() (d, jm, jc, wait sim.Time) {
 }
 
 // KIOPS returns thousands of operations per second.
-func (r FsResult) KIOPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds() / 1e3
+func (r FsResult) KIOPS() float64 { return kiops(r.Ops, r.Elapsed) }
+
+// measureFs runs the window for a file-system driver and folds the meter
+// into its result.
+func measureFs(eng *sim.Engine, fsys *fs.FS, m *Meter, warmup, measure sim.Time) FsResult {
+	w := measureWindow(eng, fsys.Cluster(), warmup, measure, func() { m.open(eng.Now()) })
+	return FsResult{Elapsed: w.Elapsed, Ops: m.ops, Lat: m.lat, InitUtil: w.InitUtil, TgtUtil: w.TgtUtil}
 }
 
 // RunFioFsync runs the §6.3 microbenchmark: each thread appends 4 KB to a
@@ -285,21 +310,9 @@ func RunFioFsync(eng *sim.Engine, fsys *fs.FS, threads int, warmup, measure sim.
 			}
 		})
 	}
-	eng.RunUntil(eng.Now() + warmup)
-	m.warm = true
-	m.started = eng.Now()
-	c := fsys.Cluster()
-	iu0, tu0 := c.InitiatorUtil(), c.TargetUtil()
-	eng.RunUntil(eng.Now() + measure)
-	iu1, tu1 := c.InitiatorUtil(), c.TargetUtil()
-	return FsResult{
-		Elapsed:  eng.Now() - m.started,
-		Ops:      m.ops,
-		Lat:      m.lat,
-		InitUtil: metrics.Utilization(iu0, iu1),
-		TgtUtil:  metrics.Utilization(tu0, tu1),
-		Traces:   *agg,
-	}
+	res := measureFs(eng, fsys, m, warmup, measure)
+	res.Traces = *agg
+	return res
 }
 
 // RunVarmail runs a Filebench-Varmail-like personality: per-thread
@@ -357,20 +370,7 @@ func RunVarmail(eng *sim.Engine, fsys *fs.FS, threads int, warmup, measure sim.T
 			}
 		})
 	}
-	eng.RunUntil(eng.Now() + warmup)
-	m.warm = true
-	m.started = eng.Now()
-	c := fsys.Cluster()
-	iu0, tu0 := c.InitiatorUtil(), c.TargetUtil()
-	eng.RunUntil(eng.Now() + measure)
-	iu1, tu1 := c.InitiatorUtil(), c.TargetUtil()
-	return FsResult{
-		Elapsed:  eng.Now() - m.started,
-		Ops:      m.ops,
-		Lat:      m.lat,
-		InitUtil: metrics.Utilization(iu0, iu1),
-		TgtUtil:  metrics.Utilization(tu0, tu1),
-	}
+	return measureFs(eng, fsys, m, warmup, measure)
 }
 
 // RunFillsync runs db_bench fillsync: threads issue random-key puts with
@@ -404,18 +404,5 @@ func RunFillsync(eng *sim.Engine, fsys *fs.FS, threads int, warmup, measure sim.
 			}
 		})
 	}
-	eng.RunUntil(eng.Now() + warmup)
-	m.warm = true
-	m.started = eng.Now()
-	c := fsys.Cluster()
-	iu0, tu0 := c.InitiatorUtil(), c.TargetUtil()
-	eng.RunUntil(eng.Now() + measure)
-	iu1, tu1 := c.InitiatorUtil(), c.TargetUtil()
-	return FsResult{
-		Elapsed:  eng.Now() - m.started,
-		Ops:      m.ops,
-		Lat:      m.lat,
-		InitUtil: metrics.Utilization(iu0, iu1),
-		TgtUtil:  metrics.Utilization(tu0, tu1),
-	}
+	return measureFs(eng, fsys, m, warmup, measure)
 }

@@ -67,7 +67,7 @@ func TestRunBlockBatchMerging(t *testing.T) {
 	if res.Requests == 0 {
 		t.Fatal("no batch requests")
 	}
-	if c.Stats().FusedCmds == 0 {
+	if c.Init(0).Stats().FusedCmds == 0 {
 		t.Fatal("batch pattern should trigger merging")
 	}
 	eng.Shutdown()

@@ -132,10 +132,10 @@ type ReadOptions struct {
 	// fabric, exactly as before.
 	CacheBlocks int
 	// ReadAhead is the default prefetch depth (blocks) once an
-	// ascending-LBA stream is detected. 0 disables read-ahead; it is
-	// also inert while CacheBlocks is 0 (prefetched blocks need
-	// somewhere to land). File systems can override it per mount with
-	// FSOptions.ReadAhead.
+	// ascending-LBA stream is detected. 0 disables read-ahead; a
+	// positive depth requires CacheBlocks > 0 (prefetched blocks need
+	// somewhere to land) and NewCluster panics without it. File systems
+	// can override the depth per mount with FSOptions.ReadAhead.
 	ReadAhead int
 	// NegativeLookup turns on the per-store bloom filter for every KV
 	// store opened through Ctx.KV, answering definitely-absent Gets at
@@ -345,53 +345,22 @@ func (ctx *Ctx) Flush() { ctx.in.FlushDevice(ctx.p, 0) }
 
 // CacheStats is a snapshot of one initiator's block-cache counters.
 // All zeros when the cache is disabled (ReadOptions.CacheBlocks == 0).
-type CacheStats struct {
-	Hits          int64 // demand reads served from the cache
-	Misses        int64 // demand reads that crossed the fabric
-	Inserts       int64 // blocks populated (read completions and writes)
-	Evictions     int64 // blocks displaced by CLOCK replacement
-	Invalidations int64 // blocks fenced by faults, recovery or resync
-
-	ReadAheadIssued int64 // blocks prefetched
-	ReadAheadHits   int64 // prefetched blocks later hit by demand reads
-	ReadAheadWasted int64 // prefetched blocks evicted or fenced unused
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any read.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-func cacheStatsFrom(rs stack.RCacheStats) CacheStats {
-	return CacheStats{
-		Hits:            rs.Hits,
-		Misses:          rs.Misses,
-		Inserts:         rs.Inserts,
-		Evictions:       rs.Evictions,
-		Invalidations:   rs.Invalidations,
-		ReadAheadIssued: rs.ReadAheadIssued,
-		ReadAheadHits:   rs.ReadAheadHits,
-		ReadAheadWasted: rs.ReadAheadWasted,
-	}
-}
+type CacheStats = stack.RCacheStats
 
 // CacheStats returns the block-cache counters of one initiator.
 func (c *Cluster) CacheStats(init int) CacheStats {
-	return cacheStatsFrom(c.inner.ReadCacheStats(init))
+	return c.inner.ReadCacheStats(init)
 }
 
 // CacheStatsAll sums the block-cache counters across every initiator.
 func (c *Cluster) CacheStatsAll() CacheStats {
-	return cacheStatsFrom(c.inner.ReadCacheStatsAll())
+	return c.inner.ReadCacheStatsAll()
 }
 
 // CacheStats returns the block-cache counters of this context's
 // initiator.
 func (ctx *Ctx) CacheStats() CacheStats {
-	return cacheStatsFrom(ctx.in.ReadCacheStats())
+	return ctx.in.ReadCacheStats()
 }
 
 // TraceStats is the aggregated tracing view: sampled/finished/dropped
