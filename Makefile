@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint bench bench-sim bench-json bench-gate benchmark-smoke coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-json bench-gate benchmark-smoke coverage examples ci
 
 all: build test
 
@@ -39,6 +39,12 @@ staticcheck:
 # The lint gate CI runs: formatting, vet, staticcheck.
 lint: fmt-check vet staticcheck
 
+# The two line counts ROADMAP item 2 tracks: non-test Go lines outside
+# benchmark/, and the share of them in internal/stack.
+loc:
+	@printf 'non-test Go lines outside benchmark/: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'non-test Go lines in internal/stack:  '; find ./internal/stack -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
 # Quick smoke of every experiment (same command CI runs).
 bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
@@ -52,7 +58,7 @@ bench-sim:
 # The gated experiments and the committed baseline they must reproduce:
 # named here and nowhere else (CI runs `make bench-gate`).
 GATED_EXPS := scale,replication,policy,serve,read,satload,trace
-BASELINE   := BENCH_12.json
+BASELINE   := BENCH_15.json
 
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build

@@ -114,7 +114,6 @@ func main() {
 		stack.TargetConfig{SSDs: []ssd.Config{ssd.FlashConfig()}})
 	cfg.Streams = *streams
 	cfg.QPs = *streams
-	cfg.Fabric.NumQPs = *streams
 	cfg.KeepHistory = true
 	cfg.MergeEnabled = false // 1:1 request→attribute, so media is checkable
 	// Trace every request: the crash fuzz doubles as the span-lifecycle
@@ -227,7 +226,6 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 	cfg.ReplRelay = relay
 	cfg.Streams = streams
 	cfg.QPs = streams
-	cfg.Fabric.NumQPs = streams
 	cfg.MergeEnabled = false                 // 1:1 request→attribute, so media is checkable
 	cfg.Trace = trace.Config{SampleEvery: 1} // span-lifecycle audit rides along
 	c := stack.New(eng, cfg)

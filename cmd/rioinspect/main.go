@@ -69,7 +69,6 @@ func main() {
 		cfg.Initiators = *inits
 		cfg.Streams = 2
 		cfg.QPs = 2
-		cfg.Fabric.NumQPs = 2
 		c := stack.New(eng, cfg)
 		for ii := 0; ii < c.Initiators(); ii++ {
 			ii := ii

@@ -44,7 +44,6 @@ func main() {
 	cfg := stack.DefaultConfig(stack.ModeRio, tcs...)
 	cfg.Streams = *streams
 	cfg.QPs = *streams
-	cfg.Fabric.NumQPs = *streams
 	if *replicas > 1 {
 		cfg.Replicas = *replicas
 	}

@@ -551,7 +551,6 @@ func RecoveryTimes(o Options) *Result {
 			cfg := stack.DefaultConfig(mode, fourSSDTwoTargets()...)
 			cfg.Streams = 36
 			cfg.QPs = 36
-			cfg.Fabric.NumQPs = 36
 			c := o.newCluster(eng, cfg)
 			stopped := false
 			for th := 0; th < 36; th++ {

@@ -62,7 +62,6 @@ func runReadPoint(o Options, cacheBlocks int) (workload.ReadResult, int) {
 	cfg.Replicas = 2
 	cfg.Streams = 4
 	cfg.QPs = 4
-	cfg.Fabric.NumQPs = 4
 	job := readJob()
 	if cacheBlocks > 0 {
 		cfg.CacheBlocks = cacheBlocks

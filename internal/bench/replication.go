@@ -42,7 +42,6 @@ func runReplicationPoint(o Options, replicas int, cutAt sim.Time, cutMember int)
 	cfg.Replicas = replicas
 	cfg.Streams = 4
 	cfg.QPs = 4
-	cfg.Fabric.NumQPs = 4
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	if cutAt > 0 {
@@ -72,7 +71,6 @@ func runRelayPoint(o Options, relay bool, cutAt sim.Time) (workload.BlockResult,
 	cfg.ReplRelay = relay
 	cfg.Streams = 4
 	cfg.QPs = 4
-	cfg.Fabric.NumQPs = 4
 	cfg.InitiatorCores = relayInitCores
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
@@ -242,7 +240,6 @@ func runResyncPhase(o Options, relay bool, victim int) (stack.RecoveryTiming, in
 	cfg.ReplRelay = relay
 	cfg.Streams = 4
 	cfg.QPs = 4
-	cfg.Fabric.NumQPs = 4
 	c := o.newCluster(eng, cfg)
 	in := c.Init(0)
 	const groups = 150

@@ -96,7 +96,6 @@ func runSatPoint(o Options, v satVariant, offeredKIOPS float64, arrival workload
 	cfg.Initiators = 2
 	cfg.Streams = 4
 	cfg.QPs = 4
-	cfg.Fabric.NumQPs = 4
 	cfg.Fabric.TxDepth = 256
 	cfg.MaxInflight = 512
 	v.apply(&cfg)

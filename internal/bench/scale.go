@@ -59,7 +59,6 @@ func runScalePoint(o Options, sys scaleSystem, streams, targets int) workload.Bl
 	cfg := stack.DefaultConfig(sys.mode, scaleTargets(targets)...)
 	cfg.Streams = streams
 	cfg.QPs = streams
-	cfg.Fabric.NumQPs = streams
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	r := workload.RunBlock(eng, c, workload.BlockJob{
@@ -78,7 +77,6 @@ func runInitiatorPoint(o Options, inits, streams, targets int) (workload.BlockRe
 	cfg.Initiators = inits
 	cfg.Streams = streams
 	cfg.QPs = streams
-	cfg.Fabric.NumQPs = streams
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	r := workload.RunBlock(eng, c, workload.BlockJob{

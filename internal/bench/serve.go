@@ -50,7 +50,6 @@ func runServePoint(o Options, readPct int) (workload.ServeResult, int) {
 	cfg.Replicas = 2
 	cfg.Streams = 4
 	cfg.QPs = 4
-	cfg.Fabric.NumQPs = 4
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	res := workload.RunServe(eng, c, serveJob(readPct), warm, meas)

@@ -69,7 +69,6 @@ func tracedScalePoint(o Options, sample int) (workload.BlockResult, *trace.Trace
 	cfg := stack.DefaultConfig(stack.ModeRio, scaleTargets(targets)...)
 	cfg.Streams = 8
 	cfg.QPs = 8
-	cfg.Fabric.NumQPs = 8
 	if sample > 0 {
 		cfg.Trace = trace.Config{SampleEvery: sample, Keep: traceKeep}
 	}
@@ -92,7 +91,6 @@ func tracedSatPoint(o Options, offered float64, sample int) (workload.SatResult,
 	cfg.Initiators = 2
 	cfg.Streams = 4
 	cfg.QPs = 4
-	cfg.Fabric.NumQPs = 4
 	cfg.Fabric.TxDepth = 256
 	cfg.MaxInflight = 512
 	satVariants[2].apply(&cfg) // adaptive

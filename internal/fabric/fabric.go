@@ -210,12 +210,12 @@ func (c *Conn) wireLoop(p *sim.Proc, to Side) {
 			c.txSpace[to].Signal()
 		}
 		if it.epoch != c.epoch {
-			c.stats[to].Dropped++
+			c.drop(it)
 			continue
 		}
 		p.Sleep(c.serialization(it.msg.Size))
 		if it.epoch != c.epoch {
-			c.stats[to].Dropped++
+			c.drop(it)
 			continue
 		}
 		jitter := sim.Time(0)
@@ -230,7 +230,7 @@ func (c *Conn) wireLoop(p *sim.Proc, to Side) {
 		item := it
 		c.eng.At(at-p.Now(), func() {
 			if item.epoch != c.epoch {
-				c.stats[to].Dropped++
+				c.drop(item)
 				return
 			}
 			if item.bulk {
@@ -312,10 +312,22 @@ func (c *Conn) Disconnect() {
 	c.epoch++
 	c.up = false
 	for d := 0; d < 2; d++ {
-		n := c.wires[d].Len()
-		c.stats[d].Dropped += int64(n)
-		c.wires[d].Drain()
+		for _, it := range c.wires[d].Drain() {
+			c.drop(it)
+		}
 		c.txSpace[d].Broadcast() // down connections never block senders
+	}
+}
+
+// drop discards one in-flight item of a link that went down. A one-sided
+// transfer has a process blocked on it, which is released here (BulkRead
+// and BulkWrite then report the failure from the epoch) — left waiting, a
+// target's receive worker caught mid-READ by a power cut would never serve
+// its queue pair again.
+func (c *Conn) drop(it wireItem) {
+	c.stats[it.to].Dropped++
+	if it.bulk {
+		it.deliver(it.msg)
 	}
 }
 

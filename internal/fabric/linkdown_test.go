@@ -186,3 +186,39 @@ func TestDisconnectDuringBulkTransferFails(t *testing.T) {
 	}
 	e.Shutdown()
 }
+
+// TestDisconnectReleasesBulkTransfers: a process blocked in a one-sided
+// transfer when the link drops must get its call back, reporting failure —
+// whether the transfer was queued behind other traffic, on the wire, or in
+// propagation. A reader left waiting never runs again (at a target, that is
+// a receive worker, and with it a queue pair, lost for good).
+func TestDisconnectReleasesBulkTransfers(t *testing.T) {
+	type result struct {
+		ok bool
+		at sim.Time
+	}
+	for _, cutAt := range []sim.Time{100, 15_000, 30_000, 44_000} {
+		e := sim.New(1)
+		c := NewConn(e, testCfg(2))
+		// ~21 µs of wire ahead of the READ's data; the WRITE has the other
+		// direction to itself.
+		e.At(0, func() { c.Send(Initiator, Message{QP: 0, Size: 1 << 19}) })
+		results := map[string]result{}
+		e.Go("reader", func(p *sim.Proc) { results["read"] = result{c.BulkRead(p, Target, 1<<19), p.Now()} })
+		e.Go("writer", func(p *sim.Proc) { results["write"] = result{c.BulkWrite(p, Target, 1<<19), p.Now()} })
+		e.At(cutAt, func() { c.Disconnect() })
+		e.Run()
+		for _, op := range []string{"read", "write"} {
+			r, returned := results[op]
+			switch {
+			case !returned:
+				t.Errorf("cut at %v: bulk %s never returned", cutAt, op)
+			case r.ok && r.at > cutAt:
+				t.Errorf("cut at %v: bulk %s reported success at %v, across the disconnect", cutAt, op, r.at)
+			case !r.ok && r.at < cutAt:
+				t.Errorf("cut at %v: bulk %s failed at %v on a healthy link", cutAt, op, r.at)
+			}
+		}
+		e.Shutdown()
+	}
+}

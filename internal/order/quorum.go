@@ -7,10 +7,9 @@ package order
 // that decide when the completion may be delivered (Acks >= Need) and
 // when the command may be finalized (every member resolved — acked, or
 // cancelled by a power cut). The counting transitions live here; the
-// stack keeps its wire-format payloads (per-member SQEs and attribute
-// chains) in slices parallel to Members.
+// stack keeps its wire-format payloads (each member's SQE and attribute
+// chain) in a slice parallel to Members.
 type Quorum struct {
-	Set      int    // replica-set id
 	Members  []int  // target ids the command fanned to
 	Got      []bool // genuine CQE received, per member
 	Resolved []bool // acked or cancelled, per member

@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"slices"
+
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -18,9 +20,8 @@ type wireState struct {
 	id        uint64
 	wc        *blockdev.WireCmd
 	wcs       blockdev.WireCmd
-	sqe       nvmeof.SQE
 	init      int // owning initiator (pools, epochs, target-side state)
-	target    int
+	target    int // replica set the command stripes to (a set of one is its target)
 	ssdIdx    int
 	stream    int
 	qp        int
@@ -28,7 +29,6 @@ type wireState struct {
 	pinned    bool // target recovery still waits on hwDone: do not recycle
 	hwDone    *sim.Signal
 	pendingRq int // requests of wc not yet delivered (retire watermark)
-	serverIdx uint64
 	epoch     int
 
 	// horaeAttrs lists constituent attributes of a contiguity-fused Horae
@@ -40,14 +40,41 @@ type wireState struct {
 	// continuous (round-robin striping interleaves streams across
 	// devices), so attribute-level merging (Fig. 8a) is not allowed, but
 	// the commands still share one capsule, doorbell and PMR burst. Each
-	// attribute keeps its own PMR entry, so recovery is unchanged.
+	// attribute keeps its own PMR entry, so recovery is unchanged. This is
+	// the member-independent fusion template (no ServerIdx): stampMember
+	// copies it into each member's chain.
 	vecAttrs []core.Attr
 
-	// repl tracks the replica fan-out of this command (nil until the
-	// cluster runs with Replicas > 1): per-member SQEs and chain indices,
-	// and the quorum/resolution accounting. Allocated lazily and recycled
-	// with the wireState.
-	repl *replState
+	// The command's fan-out over its replica set (one member when the set
+	// is one target): q names the members it was posted to and accounts
+	// their acks — delivery at q.Need, recycling once every member
+	// resolved — and chain, parallel to q.Members, is each member's
+	// ordering representation. Both recycle with the wireState.
+	q     order.Quorum
+	chain []memberChain
+
+	// firstAck is when the first member CQE arrived (stage tracing: the
+	// quorum-assembly wait is quorum-fire minus firstAck).
+	firstAck sim.Time
+
+	// relaySeq is the command's route: 0 = routeDirect, otherwise the
+	// relay sequence number its head capsule carried. A head power cut
+	// compares it against each survivor's received prefix to post exactly
+	// the undelivered member capsules, and resets it to 0.
+	relaySeq uint64
+}
+
+// memberChain is the one ordering representation of a wire command toward
+// one member of its replica set: the encoded SQE the member receives, the
+// attribute chain its in-order gate admits and its PMR log persists (one
+// attribute per constituent of a vector-fused command; empty for plain
+// writes and flushes), and the chain's last ServerIdx (retire watermark,
+// replay order). stampMember is the only writer; the member's capsule
+// points here, so there is no second copy for a re-stamp to forget.
+type memberChain struct {
+	sqe   nvmeof.SQE
+	attrs []core.Attr
+	idx   uint64
 }
 
 // reset prepares a (fresh or recycled) wireState for a new command,
@@ -55,22 +82,55 @@ type wireState struct {
 // rather than truncated: code distinguishes nil from empty payloads.
 func (ws *wireState) reset() {
 	ws.wc = &ws.wcs
-	ws.sqe = nvmeof.SQE{}
 	ws.target = 0
 	ws.ssdIdx = 0
 	ws.qp = 0
 	ws.flushWire = false
 	ws.pinned = false
 	ws.pendingRq = 0
-	ws.serverIdx = 0
 	ws.horaeAttrs = ws.horaeAttrs[:0]
 	ws.vecAttrs = ws.vecAttrs[:0]
 	ws.wcs = blockdev.WireCmd{
 		Stamps: ws.wcs.Stamps[:0],
 		Reqs:   ws.wcs.Reqs[:0],
 	}
-	if ws.repl != nil {
-		ws.repl.reset()
+	ws.q.Reset()
+	ws.chain = ws.chain[:0]
+	ws.firstAck = 0
+	ws.relaySeq = 0
+}
+
+// addMember fans the command to member m and returns the member's position
+// in q.Members and chain. The chain record reuses the attribute storage of
+// the wireState's previous life.
+func (ws *wireState) addMember(m int) int {
+	ws.q.Add(m)
+	k := len(ws.chain)
+	ws.chain = slices.Grow(ws.chain, 1)[:k+1]
+	ws.chain[k] = memberChain{attrs: ws.chain[k].attrs[:0]}
+	return k
+}
+
+// attrStamps fills buf, one slot per block, with the stamps a tracked
+// ordered write carries on media: the attribute-derived identity recovery
+// erases by (core.AttrStamp), per constituent for a vector-fused command.
+// The identity excludes ServerIdx, so every member of a set writes — and
+// the read cache holds — the same stamps.
+func (ws *wireState) attrStamps(buf []uint64) {
+	if len(ws.vecAttrs) > 1 {
+		i := 0
+		for _, a := range ws.vecAttrs {
+			st := core.AttrStamp(a)
+			for b := uint32(0); b < a.Blocks && i < len(buf); b++ {
+				buf[i] = st
+				i++
+			}
+		}
+		return
+	}
+	st := core.AttrStamp(ws.wc.Attr)
+	for i := range buf {
+		buf[i] = st
 	}
 }
 
@@ -91,21 +151,18 @@ type ctrlReq struct {
 
 // capsule is the payload of one RDMA SEND toward a target: a posted list
 // of commands (and/or control entries) sharing one doorbell. epoch is
-// the sending initiator's incarnation. On a replicated cluster a command
-// capsule is one member's copy of the batch (buildMemberCapsule): member
-// names the target it is addressed to, and sqes/attrs carry that member's
-// per-replica encodings (the shared wireState's sqe is not used — each
-// replica runs its own dense ServerIdx chain).
+// the sending initiator's incarnation. A command capsule is one member's
+// copy of a batch (buildMemberCapsule): member names the target it is
+// addressed to, and that member's SQEs and attribute chains are the
+// commands' memberChain records — each member of a set runs its own dense
+// ServerIdx chain.
 type capsule struct {
 	cmds    []*wireState
 	ctrl    []*ctrlReq
 	retires []retire
 	inline  int // in-capsule payload bytes of cmds
 	epoch   int
-
-	member int           // replication: destination member (sqes != nil)
-	sqes   []nvmeof.SQE  // replication: per-command member SQEs
-	attrs  [][]core.Attr // replication: per-command member attributes
+	member  int // destination member of a command capsule
 
 	// Relay route (ReplRelay): the capsule posted to the set's head carries
 	// the followers' member capsules, ready-built, in forward; the head
@@ -256,9 +313,10 @@ type Cluster struct {
 	targets []*Target
 	inits   []*Initiator
 
-	// Replication topology (Replicas > 1): the volume stripes over
-	// replica SETS of consecutive targets; setOf maps a target id to its
-	// set, and writeQuorum is the resolved completion quorum.
+	// Replication topology: the volume stripes over replica SETS of
+	// consecutive targets (sets of one without replication); setOf maps a
+	// target id to its set, and writeQuorum is the resolved completion
+	// quorum.
 	replSets    []*replicaSet
 	setOf       []int
 	writeQuorum int
@@ -292,6 +350,8 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		panic("stack: ReadAhead requires CacheBlocks > 0")
 	}
 	c := &Cluster{Eng: eng, cfg: cfg, costs: cfg.Costs}
+	// The fabric sizes its per-QP tables from NumQPs: one source, QPs.
+	c.cfg.Fabric.NumQPs = c.cfg.QPs
 	if c.cfg.CQEBatch <= 0 {
 		c.cfg.CQEBatch = 16
 	}
@@ -310,46 +370,33 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	if c.cfg.Trace.Enabled() {
 		c.tracer = trace.New(c.cfg.Trace, c.cfg.Initiators)
 	}
-	c.writeQuorum = 1
-	if r := c.cfg.Replicas; r > 1 {
-		c.writeQuorum = c.cfg.WriteQuorum
-		if c.writeQuorum == 0 {
-			c.writeQuorum = order.Majority(r)
-		}
+	// The fleet is always grouped into replica sets of r consecutive
+	// targets — sets of one when the cluster is not replicated — and the
+	// volume stripes over the sets, not over their members.
+	r := max(c.cfg.Replicas, 1)
+	c.writeQuorum = min(c.cfg.WriteQuorum, r) // a set of one completes on its one ack
+	if c.writeQuorum <= 0 {
+		c.writeQuorum = order.Majority(r)
 	}
 	var devs []blockdev.DevRef
 	for ti, tc := range c.cfg.Targets {
 		t := newTarget(c, ti, tc)
 		c.targets = append(c.targets, t)
-		if c.cfg.Replicas > 1 && ti%c.cfg.Replicas != 0 {
-			continue // the volume stripes over replica sets, not members
-		}
-		server := ti
-		if c.cfg.Replicas > 1 {
-			server = ti / c.cfg.Replicas
-		}
-		for si := range t.ssds {
-			devs = append(devs, blockdev.DevRef{Server: server, SSD: si, Blocks: deviceBlocks})
-		}
-	}
-	if r := c.cfg.Replicas; r > 1 {
-		c.setOf = make([]int, len(c.targets))
-		for s := 0; s < len(c.targets)/r; s++ {
-			rs := &replicaSet{id: s}
-			for k := 0; k < r; k++ {
-				rs.members = append(rs.members, s*r+k)
-				rs.inSync = append(rs.inSync, true)
-				c.setOf[s*r+k] = s
+		set := ti / r
+		c.setOf = append(c.setOf, set)
+		if ti%r == 0 {
+			c.replSets = append(c.replSets, &replicaSet{id: set})
+			for si := range t.ssds {
+				devs = append(devs, blockdev.DevRef{Server: set, SSD: si, Blocks: deviceBlocks})
 			}
-			rs.dirty = make([][]dirtyExtent, r)
-			c.replSets = append(c.replSets, rs)
 		}
-		if c.cfg.ReplRelay {
-			// Gated on the flag (not just Replicas > 1) so a relay-off
-			// cluster is structurally identical to the direct fan-out
-			// build: no extra conns, no extra wire procs, no extra state.
-			c.buildRelayConns()
-		}
+		c.replSets[set].addMember(ti)
+	}
+	if c.cfg.ReplRelay {
+		// Gated on the flag (not just Replicas > 1) so a relay-off
+		// cluster is structurally identical to the direct fan-out
+		// build: no extra conns, no extra wire procs, no extra state.
+		c.buildRelayConns()
 	}
 	c.vol = blockdev.NewVolume(devs, c.cfg.ChunkBlocks)
 	for i := 0; i < c.cfg.Initiators; i++ {

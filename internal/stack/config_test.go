@@ -153,3 +153,26 @@ func TestVectorFusedFlushDurability(t *testing.T) {
 	eng.Run()
 	eng.Shutdown()
 }
+
+// TestFabricSizedFromQPs: Config.QPs is the one source of the fabric's
+// per-QP table size. DefaultConfig's fabric is sized for its 24 queue pairs;
+// raising QPs alone (Streams follows so a stream maps onto the highest QP)
+// must still build a cluster whose top queue pair carries a write — sized
+// from the stale fabric default, the send trips the fabric's bounds check.
+func TestFabricSizedFromQPs(t *testing.T) {
+	eng := sim.New(1)
+	cfg := DefaultConfig(ModeRio, OptaneTarget())
+	cfg.Streams, cfg.QPs = 36, 36
+	c := New(eng, cfg)
+	delivered := false
+	eng.Go("app", func(p *sim.Proc) {
+		r := c.Init(0).OrderedWrite(p, 35, 7, 1, 0, nil, true, false, false)
+		c.Init(0).Wait(p, r)
+		delivered = r.Done.Fired()
+	})
+	eng.Run()
+	if !delivered {
+		t.Fatal("write on queue pair 35 never completed")
+	}
+	eng.Shutdown()
+}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/nvmeof"
 	"repro/internal/order"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -31,8 +30,7 @@ func (c *Cluster) pmrEntryWireSize() int {
 	return core.EntrySize
 }
 
-// pmrScanPerByte is the MMIO read cost that dominates order rebuild: the
-// whole region must be swept because the head/tail pointers were volatile.
+// pmrScanPerByte is the MMIO read cost that dominates order rebuild.
 const pmrScanPerByte = 26 // ns per byte
 
 // PowerCutTarget crashes target server i: its SSDs lose volatile state,
@@ -58,11 +56,12 @@ func (c *Cluster) PowerCutTarget(i int) {
 	if t.relay != nil {
 		t.relay.ackQ.Drain()
 	}
-	// Replication: the set degrades instead of the streams stalling —
-	// survivors keep completing at quorum, the member's missed writes
+	// A member of a larger set degrades it instead of stalling the streams
+	// — survivors keep completing at quorum, the member's missed writes
 	// accumulate in its resync backlog, and in-flight commands stop
-	// waiting for an ack this member can never send.
-	if c.cfg.Replicas > 1 {
+	// waiting for an ack this member can never send. A member that IS its
+	// set has no survivors: its commands stay outstanding for replay.
+	if len(c.replSets[c.setOf[i]].members) > 1 {
 		c.degradeMember(i)
 		if c.cfg.ReplRelay {
 			// The relay route repairs itself around the dead member (after
@@ -138,6 +137,20 @@ func (t *Target) scanPMR(region []byte) core.ServerView {
 	return view
 }
 
+// scanAndShip is the one PMR scan cost model: sweep a region of this
+// target's PMR (MMIO reads, pmrScanPerByte — the whole region, because the
+// head/tail pointers were volatile), decode it, and ship the entries found
+// to whoever rebuilds the order over conn.
+func (t *Target) scanAndShip(p *sim.Proc, region []byte, conn *fabric.Conn) core.ServerView {
+	entry := t.c.pmrEntryWireSize()
+	p.Sleep(sim.Time(len(region)/core.EntrySize*entry) * pmrScanPerByte)
+	view := t.scanPMR(region)
+	if n := len(view.Entries) * entry; n > 0 && conn.Up() {
+		conn.BulkWrite(p, fabric.Target, n)
+	}
+	return view
+}
+
 // scanViews reads PMR regions via the ordering engine's partition scan,
 // transfers the ordering attributes to the recovering initiator, and
 // returns the per-server views. onlyInit < 0 scans every initiator's
@@ -162,24 +175,14 @@ func (c *Cluster) scanViews(p *sim.Proc, onlyInit int) []core.ServerView {
 		wg.Add(1)
 		c.Eng.Go(fmt.Sprintf("recover/scan%d", i), func(sp *sim.Proc) {
 			defer wg.Done()
-			region := t.ssds[0].PMRBytes()
+			// Ship the attributes over the recovering initiator's connection
+			// when known, else initiator 0's (whole-cluster recovery is
+			// orchestrated once).
+			region, conn := t.ssds[0].PMRBytes(), t.conns[0]
 			if onlyInit >= 0 {
-				region = t.pmrRegion(onlyInit)
+				region, conn = t.pmrRegion(onlyInit), t.conns[onlyInit]
 			}
-			regionBytes := (len(region) / core.EntrySize) * c.pmrEntryWireSize()
-			sp.Sleep(sim.Time(regionBytes) * pmrScanPerByte)
-			view := t.scanPMR(region)
-			// Ship the attributes to the initiator over the fabric. Use
-			// the recovering initiator's connection when known, else
-			// initiator 0's (whole-cluster recovery is orchestrated once).
-			conn := t.conns[0]
-			if onlyInit >= 0 {
-				conn = t.conns[onlyInit]
-			}
-			if n := len(view.Entries) * c.pmrEntryWireSize(); n > 0 && conn.Up() {
-				conn.BulkWrite(sp, fabric.Target, n)
-			}
-			views[i] = view
+			views[i] = t.scanAndShip(sp, region, conn)
 		})
 	}
 	wg.Wait(p)
@@ -229,18 +232,16 @@ func (c *Cluster) RecoverFull(p *sim.Proc) (*core.Report, RecoveryTiming) {
 
 	start = p.Now()
 	tm.Discarded = c.rollback(p, report, -1)
-	if c.cfg.Replicas > 1 {
-		// Re-replicate within-prefix groups that survived on a quorum but
-		// not on every member, so the sets converge byte-identically, and
-		// restore full membership for the next incarnation.
-		tm.Replayed = c.replicaRepair(p, views, report)
-		for _, rs := range c.replSets {
-			for k := range rs.inSync {
-				rs.inSync[k] = true
-				rs.dirty[k] = nil
-			}
-			rs.epoch++
+	// Re-replicate within-prefix groups that survived on a quorum but not
+	// on every member, so the sets converge byte-identically, and restore
+	// full membership for the next incarnation.
+	tm.Replayed = c.replicaRepair(p, views, report)
+	for _, rs := range c.replSets {
+		for k := range rs.inSync {
+			rs.inSync[k] = true
+			rs.dirty[k] = nil
 		}
+		rs.epoch++
 	}
 	tm.DataRecovery = p.Now() - start
 
@@ -381,9 +382,10 @@ func (c *Cluster) rollback(p *sim.Proc, report *core.Report, onlyServer int) int
 // toward the failed target — one initiator at a time, each with its own
 // freshly reset per-server chains. Replay is idempotent.
 func (c *Cluster) RecoverTarget(p *sim.Proc, i int) (*core.Report, RecoveryTiming) {
-	if c.cfg.Replicas > 1 {
-		// Replication: target recovery is a background resync from a peer
-		// replica; no initiator replays anything and no stream stalled.
+	if len(c.replSets[c.setOf[i]].members) > 1 {
+		// The set kept completing on its other members: recovery is a
+		// background resync from a peer replica; no initiator replays
+		// anything and no stream stalled.
 		return c.resyncTarget(p, i)
 	}
 	var tm RecoveryTiming
@@ -456,18 +458,21 @@ func (c *Cluster) RecoverTarget(p *sim.Proc, i int) (*core.Report, RecoveryTimin
 
 // prepareReplay collects this initiator's in-flight commands toward the
 // restarted target in per-stream ServerIdx order, restarts the
-// per-server chains, stamps fresh indices onto the replay set and pins
-// it. It performs no simulated work (never yields), so every
-// initiator's chain state can be rebuilt atomically with the target's
-// gate reset before any replay traffic — or any concurrent live
-// traffic — hits the wire.
+// per-server chains, has stampMember re-mint the target's chain of every
+// command in the replay set — the same record the replayed capsule points
+// at and the gate reads, so nothing stale survives — and pins the set. A
+// command dispatch has not stamped yet is not in flight: dispatch will mint
+// it on the fresh chain. It performs no simulated work (never yields), so
+// every initiator's chain state can be rebuilt atomically with the target's
+// gate reset before any replay traffic — or any concurrent live traffic —
+// hits the wire.
 func (in *Initiator) prepareReplay(target int) []*wireState {
 	for s := 0; s < in.cfg.Streams; s++ {
 		in.clearRetireMark(s, target)
 	}
 	var replay []*wireState
 	for _, ws := range in.outstanding {
-		if ws.target == target && !ws.flushWire {
+		if !ws.flushWire && ws.q.Pos(target) >= 0 {
 			replay = append(replay, ws)
 		}
 	}
@@ -476,7 +481,7 @@ func (in *Initiator) prepareReplay(target int) []*wireState {
 		if x.stream != y.stream {
 			return x.stream < y.stream
 		}
-		return x.serverIdx < y.serverIdx
+		return x.chain[x.q.Pos(target)].idx < y.chain[y.q.Pos(target)].idx
 	})
 	// Fresh per-server chains: rebuild in replay order.
 	if in.cfg.Mode == ModeRio {
@@ -484,11 +489,7 @@ func (in *Initiator) prepareReplay(target int) []*wireState {
 			st.ResetServerChain(target)
 		}
 		for _, ws := range replay {
-			st := in.seq.Stream(ws.stream)
-			ws.wc.Attr.ServerIdx = st.NextServerIdx(target)
-			ws.serverIdx = ws.wc.Attr.ServerIdx
-			ref := in.vol.Dev(ws.wc.Dev)
-			ws.sqe = nvmeof.RioWriteCommand(uint32(ref.SSD), ws.wc.Attr)
+			in.stampMember(ws, ws.q.Pos(target))
 		}
 	}
 	// Pin the replay set: a replayed command whose requests all deliver
@@ -524,8 +525,6 @@ func (in *Initiator) postReplay(p *sim.Proc, replay []*wireState) {
 	}
 	for _, ws := range replay {
 		ws.pinned = false
-		if ws.pendingRq == 0 && ws.epoch == in.epoch {
-			in.shards[ws.stream].putWire(ws)
-		}
+		in.maybeRecycle(ws)
 	}
 }

@@ -193,6 +193,76 @@ func TestTargetCrashReplayConverges(t *testing.T) {
 
 func time2(i int) sim.Time { return sim.Time(1+i%3) * sim.Microsecond }
 
+// replayMergedBurst is the merge-ON target-crash schedule: one stream
+// bursts 64 one-block ordered writes over two targets — chunk-1 striping
+// leaves a device's neighbours LBA-contiguous but sequence-discontinuous,
+// so the scheduler vector-fuses them — target 1 is cut at cutAt and
+// recovered. RecoverTarget must return (the run is bounded, so a replay
+// that never completes fails instead of spinning), every request must be
+// delivered with its data durable on the mapped device, and both in-order
+// gates must audit clean. Returns the fused-command count and the
+// recovery's timing.
+func replayMergedBurst(t *testing.T, seed int64, cutAt sim.Time) (int64, RecoveryTiming) {
+	t.Helper()
+	eng := sim.New(seed)
+	c := New(eng, smallConfig(ModeRio, OptaneTarget(), OptaneTarget())) // MergeEnabled stays on
+	const n = 64
+	var reqs []*blockdev.Request
+	eng.Go("app", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			reqs = append(reqs, c.Init(0).OrderedWrite(p, 0, uint64(i), 1, 0, nil, true, false, false))
+		}
+	})
+	eng.At(cutAt, func() { c.PowerCutTarget(1) })
+	eng.RunUntil(400 * sim.Microsecond)
+
+	var tm RecoveryTiming
+	returned := false
+	eng.Go("recovery", func(p *sim.Proc) {
+		_, tm = c.RecoverTarget(p, 1)
+		returned = true
+	})
+	eng.RunUntil(2 * sim.Second)
+	if !returned {
+		t.Fatalf("cut at %v: RecoverTarget did not return within 2 simulated seconds", cutAt)
+	}
+	for i, r := range reqs {
+		if !r.Done.Fired() {
+			t.Fatalf("cut at %v: request %d never delivered after target recovery", cutAt, i)
+		}
+		dev, devLBA := c.Volume().Map(uint64(i))
+		ref := c.Volume().Dev(dev)
+		if _, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA); !ok {
+			t.Fatalf("cut at %v: request %d (lba %d) not durable after replay", cutAt, i, i)
+		}
+	}
+	for ti := 0; ti < c.Targets(); ti++ {
+		if v := c.Target(ti).GateAudit(); v != 0 {
+			t.Fatalf("cut at %v: target %d gate audit: %d violations", cutAt, ti, v)
+		}
+	}
+	fused := c.Init(0).Stats().FusedCmds
+	eng.Shutdown()
+	return fused, tm
+}
+
+// TestTargetReplayWithVectorFusedCommands: target replay must re-stamp the
+// chain the target gate actually reads. With merging on, the in-flight
+// commands of this burst are vector-fused; a replay that re-mints only the
+// head attribute leaves the constituents on the dead chain, and the fresh
+// gate parks them forever.
+func TestTargetReplayWithVectorFusedCommands(t *testing.T) {
+	for _, us := range []sim.Time{8, 15, 25, 40} {
+		fused, tm := replayMergedBurst(t, 41, us*sim.Microsecond)
+		if fused == 0 {
+			t.Fatalf("cut at %d us: no command was fused: the schedule does not exercise vector-fused replay", us)
+		}
+		if tm.Replayed == 0 {
+			t.Fatalf("cut at %d us: nothing was replayed", us)
+		}
+	}
+}
+
 func TestRecoveryTimingScalesWithPMRSize(t *testing.T) {
 	// Order rebuild is dominated by the PMR sweep: a 2 MB region at the
 	// calibrated scan cost lands in the tens of milliseconds, matching

@@ -287,6 +287,22 @@ func fuzzEntityCut(t *testing.T, seed int64) {
 	eng.Shutdown()
 }
 
+// TestCrashScheduleFuzzTargetCutsMergeOn is the merge-ON target-cut
+// schedule: replayMergedBurst over seeds and random cut times. Its check is
+// delivery plus the gate audit, which — unlike fuzzEntityCut's media check
+// — does not need 1:1 request→attribute, so merging stays on.
+func TestCrashScheduleFuzzTargetCutsMergeOn(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 4; i++ {
+			cutAt := sim.Time(4+rng.Int63n(60)) * sim.Microsecond
+			t.Run(fmt.Sprintf("seed%d.%d/cut%v", seed, i, cutAt), func(t *testing.T) {
+				replayMergedBurst(t, seed, cutAt)
+			})
+		}
+	}
+}
+
 // TestCrashScheduleFuzzMemberCuts is the replica-set schedule: a random
 // member of a 3-way set is power-cut mid-stream at a random point; the
 // survivors must complete every write at quorum (no stall), the

@@ -242,8 +242,7 @@ func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 	in.useInitCPU(p, in.costs.SubmitBio)
 	in.linuxMu.Acquire(p)
 	wires := in.buildWires(nil, req)
-	// The Linux path never runs assignOrderState; its media stamps are
-	// the request stamps, which buildWires already placed.
+	in.assignOrderState(wires)
 	in.rcachePopulateWires(p, wires)
 	in.postByTarget(p, wires, req.Stream)
 	for _, ws := range wires {
@@ -261,7 +260,6 @@ func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 			continue
 		}
 		fw := in.newFlushWire(ws.wc.Dev, req.Stream)
-		fw.sqe = nvmeof.FlushCommand(uint32(ws.ssdIdx))
 		in.useInitCPU(p, in.costs.CmdBuild)
 		flushes = append(flushes, fw)
 	}
@@ -297,33 +295,22 @@ func (in *Initiator) deliver(req *blockdev.Request) {
 		}
 	}
 	if wl, ok := req.DispatchScratch.(*wireList); ok {
-		sh := in.shards[req.Stream]
 		for _, ws := range wl.ws {
 			ws.pendingRq--
 			if ws.pendingRq != 0 {
 				continue
 			}
-			if ws.repl != nil {
-				// Replicated command: advance the retire watermark of every
-				// member that acked by now (laggard acks advance their own in
-				// replAck), and recycle only once all members resolved.
-				for k, m := range ws.repl.q.Members {
-					if !ws.repl.q.Got[k] || ws.repl.idx[k] == 0 {
-						continue
-					}
-					in.bumpRetireMark(ws.stream, m, ws.repl.idx[k])
+			// Advance the retire watermark of every member that acked by now
+			// (laggard acks advance their own in memberAck), and recycle only
+			// once all members resolved.
+			for k, m := range ws.q.Members {
+				if ws.q.Got[k] && ws.chain[k].idx > 0 {
+					in.bumpRetireMark(ws.stream, m, ws.chain[k].idx)
 				}
-				in.maybeRecycleRepl(ws)
-				continue
 			}
-			if ws.serverIdx > 0 {
-				in.bumpRetireMark(ws.stream, ws.target, ws.serverIdx)
-			}
-			if ws.epoch == in.epoch && !ws.pinned {
-				in.shards[ws.stream].putWire(ws)
-			}
+			in.maybeRecycle(ws)
 		}
-		sh.putList(wl)
+		in.shards[req.Stream].putList(wl)
 		req.DispatchScratch = nil
 	}
 	req.Done.Fire()
@@ -595,86 +582,110 @@ func contigFuse(a, b *blockdev.WireCmd, maxBlocks int) bool {
 	return true
 }
 
-// assignOrderState stamps per-server indices (Rio) and encodes the SQEs.
-// On a replicated cluster each in-sync member of the set gets its own
-// dense chain index and SQE encoding (assignReplicated).
+// assignOrderState fans every write of a dispatch batch out over its
+// replica set: per command it snapshots the set's in-sync membership, has
+// stampMember mint each member's chain, and logs a resync extent for every
+// member currently out of sync. Snapshot, mint and dirty-log happen with no
+// yield in between, which is what makes the resync drain check race-free
+// against rejoin. Standalone flushes fan out at post time (fanFlush).
 func (in *Initiator) assignOrderState(wires []*wireState) {
-	if in.cfg.Replicas > 1 {
-		in.assignReplicated(wires)
-		return
-	}
 	for _, ws := range wires {
 		if ws.flushWire {
 			continue
 		}
-		ref := in.vol.Dev(ws.wc.Dev)
-		if ws.wc.Ordered && in.cfg.Mode == ModeRio {
-			st := in.seq.Stream(ws.stream)
-			if len(ws.vecAttrs) > 1 {
-				for i := range ws.vecAttrs {
-					ws.vecAttrs[i].ServerIdx = st.NextServerIdx(ref.Server)
-				}
-				ws.wc.Attr = ws.vecAttrs[0]
-				ws.serverIdx = ws.vecAttrs[len(ws.vecAttrs)-1].ServerIdx
-			} else {
-				ws.wc.Attr.ServerIdx = st.NextServerIdx(ref.Server)
-				ws.serverIdx = ws.wc.Attr.ServerIdx
+		rs := in.c.replSets[ws.target]
+		ws.q.Need = in.c.writeQuorum
+		for k, m := range rs.members {
+			if !rs.inSync[k] {
+				rs.addDirty(m, ws)
+				continue
 			}
-			ws.sqe = nvmeof.RioWriteCommand(uint32(ref.SSD), ws.wc.Attr)
-		} else if ws.wc.Ordered && in.cfg.Mode == ModeHorae {
-			ws.serverIdx = ws.wc.Attr.ServerIdx
-			ws.sqe = nvmeof.RioWriteCommand(uint32(ref.SSD), ws.wc.Attr)
-		} else {
-			ws.sqe = nvmeof.WriteCommand(uint32(ref.SSD), ws.wc.LBA, ws.wc.Blocks)
+			in.stampMember(ws, ws.addMember(m))
 		}
 	}
 }
 
-// postByTarget coalesces wire commands into one vectored batch per target
-// and doorbell ring: the batch shares a capsule (one fabrics framing, one
-// PostMsg) and each command is vector-marked so the target can verify the
-// batch was split exactly on target boundaries (§4.3 in-order chains).
+// stampMember mints the command's order chain toward member k of its
+// fan-out — the only place a command's chain is assigned ServerIdx values:
+// dispatch calls it for every member of every set size, target replay calls
+// it again on the fresh chain. A Rio ordered write copies the fusion
+// template (the constituent attributes of a vector-fused command, else the
+// command's one attribute) and draws one dense per-(stream, member) index
+// per attribute; everything else about the attributes is member-independent
+// — media stamps derive from the attribute identity, which excludes
+// ServerIdx, so replica media stays byte-identical. Horae data commands
+// carry the index their control path already persisted.
+func (in *Initiator) stampMember(ws *wireState, k int) {
+	mc := &ws.chain[k]
+	nsid := uint32(ws.ssdIdx)
+	switch {
+	case ws.wc.Ordered && in.cfg.Mode == ModeRio:
+		if len(ws.vecAttrs) > 1 {
+			mc.attrs = append(mc.attrs[:0], ws.vecAttrs...)
+		} else {
+			mc.attrs = append(mc.attrs[:0], ws.wc.Attr)
+		}
+		st := in.seq.Stream(ws.stream)
+		for i := range mc.attrs {
+			mc.idx = st.NextServerIdx(ws.q.Members[k])
+			mc.attrs[i].ServerIdx = mc.idx
+		}
+		mc.sqe = nvmeof.RioWriteCommand(nsid, mc.attrs[0])
+	case ws.wc.Ordered && in.cfg.Mode == ModeHorae:
+		mc.idx = ws.wc.Attr.ServerIdx
+		mc.sqe = nvmeof.RioWriteCommand(nsid, ws.wc.Attr)
+	default:
+		mc.sqe = nvmeof.WriteCommand(nsid, ws.wc.LBA, ws.wc.Blocks)
+	}
+}
+
+// postByTarget coalesces wire commands into one vectored batch per replica
+// set, and each set's commands go out on the set's current route: the batch
+// shares a capsule (one fabrics framing, one PostMsg) and each command is
+// vector-marked so the target can verify the batch was split exactly on
+// set boundaries (§4.3 in-order chains).
 //
-// The batch is partitioned into per-target capsules BEFORE the first
-// yield: once a capsule toward an earlier target is posted, its commands
-// can complete, deliver and be recycled — rescanning the shared wires
-// slice after that could pick up a recycled wireState already rebound to
-// a new command. Commands still waiting in a later capsule cannot be
-// recycled (their origin requests count this unposted fragment), so the
-// pre-built lists stay valid across the posting yields.
+// The batch is partitioned into per-set lists BEFORE the first yield: once
+// a capsule toward an earlier set is posted, its commands can complete,
+// deliver and be recycled — rescanning the shared wires slice after that
+// could pick up a recycled wireState already rebound to a new command.
+// Commands still waiting in a later capsule cannot be recycled (their
+// origin requests count this unposted fragment), so the pre-built lists
+// stay valid across the posting yields.
 func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
-	if in.cfg.Replicas > 1 {
-		in.postReplicated(p, wires, stream)
-		return
-	}
 	in.stats.WireCmds += int64(len(wires))
-	caps := make([]*capsule, len(in.targets))
+	bySet := make([][]*wireState, len(in.c.replSets))
 	for _, ws := range wires {
-		cp := caps[ws.target]
-		if cp == nil {
-			cp = &capsule{epoch: in.epoch}
-			caps[ws.target] = cp
+		if ws.flushWire {
+			in.fanFlush(ws)
 		}
-		cp.cmds = append(cp.cmds, ws)
-		if !ws.flushWire {
-			cp.inline += ws.wc.InlineBytes(inlineThreshold)
-		}
+		bySet[ws.target] = append(bySet[ws.target], ws)
 	}
-	for ti, cp := range caps {
-		if cp == nil {
+	for set, cmds := range bySet {
+		if len(cmds) == 0 {
 			continue
 		}
-		if in.cfg.Mode == ModeRio {
-			if mark := in.retireMarkAt(stream, ti); mark > 0 {
-				cp.retires = append(cp.retires, retire{stream: uint16(stream), upTo: mark})
+		// Relay route: writes that fanned to the full membership. Flushes
+		// always go direct (a durability barrier certifies members
+		// individually), as do batches assigned under a degraded snapshot.
+		if rs := in.c.replSets[set]; in.c.relayActive(rs) {
+			relayable := make([]*wireState, 0, len(cmds))
+			var direct []*wireState
+			for _, ws := range cmds {
+				if !ws.flushWire && len(ws.q.Members) == len(rs.members) {
+					relayable = append(relayable, ws)
+				} else {
+					direct = append(direct, ws)
+				}
 			}
+			if len(relayable) > 0 {
+				in.postSet(p, set, relayable, stream, routeRelay)
+			}
+			cmds = direct
 		}
-		qp := in.qpFor(stream)
-		for i, ws := range cp.cmds {
-			ws.qp = qp
-			ws.sqe.MarkVector(i, len(cp.cmds))
+		if len(cmds) > 0 {
+			in.postSet(p, set, cmds, stream, routeDirect)
 		}
-		in.post(p, ti, qp, cp)
 	}
 }
 
@@ -747,45 +758,38 @@ func (in *Initiator) reapLoop(p *sim.Proc, sh *shard) {
 				}
 				markCpl(ws, msg, respAt)
 			}
-			if ws.repl != nil {
-				if i < len(msg.agg) && msg.agg[i].members != nil {
-					// Aggregated CQE (relay route): the set head vouches
-					// for every listed member's ack. replAck may
-					// finalize and recycle ws mid-list — the outstanding
-					// check stops the walk the moment it does.
-					addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)
-					for _, m := range msg.agg[i].members {
-						in.replAck(p, ws, m)
-						if in.outstanding[id] != ws {
-							break
-						}
+			if i < len(msg.agg) && msg.agg[i].members != nil {
+				// Aggregated CQE (relay route): the set head vouches for
+				// every listed member's ack. memberAck may finalize and
+				// recycle ws mid-list — the outstanding check stops the walk
+				// the moment it does.
+				addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)
+				for _, m := range msg.agg[i].members {
+					in.memberAck(p, ws, m)
+					if in.outstanding[id] != ws {
+						break
 					}
-					continue
 				}
-				// Replicated command: quorum accounting per member ack.
-				in.replAck(p, ws, msg.from)
 				continue
 			}
-			delete(in.outstanding, id)
-			ws.hwDone.Fire()
-			in.deliverCompletions(p, ws)
+			in.memberAck(p, ws, msg.from)
 		}
 		// Late-ack resolution records piggybacked by the relay head: each
 		// stands in for one member CQE that was absorbed target-side.
 		for _, res := range msg.resolved {
 			ws := in.outstanding[res.id]
-			if ws == nil || ws.epoch != in.epoch || ws.repl == nil {
+			if ws == nil || ws.epoch != in.epoch {
 				continue
 			}
-			in.replAck(p, ws, res.member)
+			in.memberAck(p, ws, res.member)
 		}
 	}
 }
 
 // deliverCompletions fans one hardware-complete wire command's fragments
 // back to its origin requests and runs the mode-appropriate delivery
-// protocol. Shared by the single-copy reap path, the replication quorum
-// fire and the resync late-ack fire, so the three stay in lockstep. It
+// protocol. Shared by the quorum fire and the resync late-ack fire, so the
+// two stay in lockstep. It
 // snapshots the origin requests first: the final delivery may recycle
 // ws (and reset its slices) while iterating.
 func (in *Initiator) deliverCompletions(p *sim.Proc, ws *wireState) {

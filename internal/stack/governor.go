@@ -21,13 +21,6 @@ import (
 type GovernorConfig struct {
 	Enabled bool
 
-	// Window is the rate-sampling interval: each elapsed window folds the
-	// observed event count into the EWMA. 0 selects 20 µs.
-	Window sim.Time
-	// Alpha is the EWMA weight of the newest window sample in (0, 1].
-	// 0 selects 0.5.
-	Alpha float64
-
 	// UpOpsPerSec and DownOpsPerSec are the hysteresis thresholds on the
 	// per-entity EWMA rate: at or above Up the governor switches to the
 	// throughput-biased point, at or below Down it returns to the
@@ -54,12 +47,6 @@ type GovernorConfig struct {
 // Called from New only when the governor is enabled, so a disabled
 // config is never touched.
 func withGovernorDefaults(gc GovernorConfig, cfg Config) GovernorConfig {
-	if gc.Window <= 0 {
-		gc.Window = 20 * sim.Microsecond
-	}
-	if gc.Alpha <= 0 || gc.Alpha > 1 {
-		gc.Alpha = 0.5
-	}
 	if gc.UpOpsPerSec <= 0 {
 		panic("stack: governor requires UpOpsPerSec > 0")
 	}
@@ -102,6 +89,14 @@ func withGovernorDefaults(gc GovernorConfig, cfg Config) GovernorConfig {
 	return gc
 }
 
+const (
+	// govWindow is the rate-sampling interval: each elapsed window folds
+	// the observed event count into the EWMA.
+	govWindow = 20 * sim.Microsecond
+	// govAlpha is the EWMA weight of the newest window sample.
+	govAlpha = 0.5
+)
+
 // governor is one entity's adaptive-knob state machine. It is driven
 // inline from the hot path (observe per event) and never schedules
 // events of its own, so a cluster with the governor disabled runs the
@@ -126,7 +121,7 @@ func newGovernor(gc GovernorConfig, now sim.Time) *governor {
 func (g *governor) observe(now sim.Time) bool {
 	g.count++
 	el := now - g.winStart
-	if el < g.gc.Window {
+	if el < govWindow {
 		return false
 	}
 	// An idle gap spanning several windows is several zero-count samples,
@@ -134,12 +129,12 @@ func (g *governor) observe(now sim.Time) bool {
 	// sample, so the first event after an idle period sees the downswitch
 	// (the caller consults the knobs after observe) instead of paying the
 	// stale throughput-biased hold/plug tax.
-	if missed := int64(el/g.gc.Window) - 1; missed > 0 && g.seeded {
-		g.ewma *= math.Pow(1-g.gc.Alpha, float64(missed))
+	if missed := int64(el/govWindow) - 1; missed > 0 && g.seeded {
+		g.ewma *= math.Pow(1-govAlpha, float64(missed))
 	}
 	rate := float64(g.count) / el.Seconds()
 	if g.seeded {
-		g.ewma = g.gc.Alpha*rate + (1-g.gc.Alpha)*g.ewma
+		g.ewma = govAlpha*rate + (1-govAlpha)*g.ewma
 	} else {
 		g.ewma = rate
 		g.seeded = true

@@ -13,9 +13,6 @@ func govBase() GovernorConfig {
 func TestGovernorDefaults(t *testing.T) {
 	cfg := DefaultConfig(ModeRio, optane1()...)
 	gc := withGovernorDefaults(govBase(), cfg)
-	if gc.Window != 20*sim.Microsecond || gc.Alpha != 0.5 {
-		t.Fatalf("window/alpha defaults: %+v", gc)
-	}
 	if gc.DownOpsPerSec != 200e3 {
 		t.Fatalf("Down default should be Up/2: %v", gc.DownOpsPerSec)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
-	"repro/internal/nvmeof"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -55,6 +54,7 @@ type Initiator struct {
 	pieceBuf []piece
 	attrBuf  []core.Attr
 	blockBuf []uint32
+	stampBuf []uint64 // rcachePopulateWire's media-stamp scratch (never yields either)
 
 	// Read path (nil/empty with CacheBlocks == 0: the read path is then
 	// byte-identical to the uncached stack). pendingReads tracks in-flight
@@ -344,10 +344,7 @@ func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32) []ssd.Re
 func (in *Initiator) FlushDevice(p *sim.Proc, stream int) {
 	var states []*wireState
 	for d := 0; d < in.vol.Devices(); d++ {
-		ref := in.vol.Dev(d)
-		ws := in.newFlushWire(d, stream)
-		ws.sqe = nvmeof.FlushCommand(uint32(ref.SSD))
-		states = append(states, ws)
+		states = append(states, in.newFlushWire(d, stream))
 	}
 	in.useInitCPU(p, in.costs.CmdBuild*sim.Time(len(states)))
 	in.postByTarget(p, states, stream)
@@ -402,18 +399,12 @@ func (in *Initiator) newFlushWire(d, stream int) *wireState {
 }
 
 // putFlushWires recycles standalone flush commands once their waits have
-// returned (they carry no requests, so delivery never recycles them).
-// Replicated flushes may still await straggler member acks; they recycle
-// via finalizeRepl instead.
+// returned (they carry no requests, so delivery never recycles them). A
+// flush still awaiting a straggler member's ack recycles when that ack
+// finalizes it.
 func (in *Initiator) putFlushWires(states []*wireState) {
 	for _, ws := range states {
-		if ws.repl != nil {
-			in.maybeRecycleRepl(ws)
-			continue
-		}
-		if ws.epoch == in.epoch {
-			in.shards[ws.stream].putWire(ws)
-		}
+		in.maybeRecycle(ws)
 	}
 }
 

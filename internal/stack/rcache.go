@@ -1,10 +1,10 @@
 package stack
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -70,7 +70,7 @@ func (s RCacheStats) Add(o RCacheStats) RCacheStats { return metrics.Sum(s, o) }
 type rcEntry struct {
 	key        uint64
 	rec        ssd.Rec
-	set        int  // replica set (target id without replication) holding the block
+	set        int  // replica set holding the block
 	ref        bool // CLOCK reference bit
 	prefetched bool // filled by read-ahead, no demand hit yet
 	live       bool
@@ -522,7 +522,7 @@ func (in *Initiator) abortTargetReads(target int) {
 }
 
 // invalidateSetReads drops this initiator's cached blocks of one
-// replica set (resync rejoin, unreplicated target recovery).
+// replica set (resync rejoin, target replay recovery).
 func (in *Initiator) invalidateSetReads(set int) {
 	if in.rcache != nil {
 		in.rcache.invalidateSet(set)
@@ -580,7 +580,6 @@ func (in *Initiator) rcachePopulateWires(p *sim.Proc, wires []*wireState) {
 
 func (in *Initiator) rcachePopulateWire(ws *wireState, tracked bool) {
 	wc := ws.wc
-	set := ws.target // bindWire: DevRef.Server — the replica set id when replicated
 	// Supersede overlapping in-flight fills: a read issued before this
 	// write still returns the old data to ITS caller (linearizable —
 	// the read began first), but landing that old content in the cache
@@ -593,34 +592,20 @@ func (in *Initiator) rcachePopulateWire(ws *wireState, tracked bool) {
 			pr.noFill = true
 		}
 	}
-	putBlk := func(i uint32, stamp uint64) {
-		rec := ssd.Rec{Stamp: stamp}
+	// The stamps the target will put on media, from the same derivation
+	// the target uses.
+	stamps := wc.Stamps
+	if wc.Ordered && tracked {
+		in.stampBuf = slices.Grow(in.stampBuf[:0], int(wc.Blocks))[:wc.Blocks]
+		stamps = in.stampBuf
+		ws.attrStamps(stamps)
+	}
+	for i := uint32(0); i < wc.Blocks; i++ {
+		rec := ssd.Rec{Stamp: stamps[i]}
 		if wc.Data != nil && wc.Data[i] != nil {
 			rec.Data = append([]byte(nil), wc.Data[i]...)
 		}
-		in.rcache.put(wc.Dev, wc.LBA+uint64(i), set, rec, false)
-	}
-	if wc.Ordered && tracked {
-		// Mirror the target's submitWrite stamping exactly.
-		if len(ws.vecAttrs) > 1 {
-			i := uint32(0)
-			for _, a := range ws.vecAttrs {
-				st := core.AttrStamp(a)
-				for b := uint32(0); b < a.Blocks && i < wc.Blocks; b++ {
-					putBlk(i, st)
-					i++
-				}
-			}
-			return
-		}
-		st := core.AttrStamp(wc.Attr)
-		for i := uint32(0); i < wc.Blocks; i++ {
-			putBlk(i, st)
-		}
-		return
-	}
-	for i := uint32(0); i < wc.Blocks; i++ {
-		putBlk(i, wc.Stamps[i])
+		in.rcache.put(wc.Dev, wc.LBA+uint64(i), ws.target, rec, false)
 	}
 }
 

@@ -533,7 +533,7 @@ func (c *Cluster) repairAfterHeadCut(rs *replicaSet, head int) {
 	type repost struct {
 		in *Initiator
 		ws *wireState
-		k  int // member position in ws.repl.q.Members
+		k  int // member position in ws.q.Members
 	}
 	var work []repost
 	for _, in := range c.inits {
@@ -541,16 +541,15 @@ func (c *Cluster) repairAfterHeadCut(rs *replicaSet, head int) {
 			continue
 		}
 		for _, ws := range in.outstandingOfSet(rs.id) {
-			r := ws.repl
-			if r.relaySeq == 0 {
+			if ws.relaySeq == 0 {
 				continue
 			}
-			for k, m := range r.q.Members {
-				if m != head && !r.q.Resolved[k] && r.relaySeq > c.targets[m].lane(in.id, ws.qp).seen {
+			for k, m := range ws.q.Members {
+				if m != head && !ws.q.Resolved[k] && ws.relaySeq > c.targets[m].lane(in.id, ws.qp).seen {
 					work = append(work, repost{in, ws, k})
 				}
 			}
-			r.relaySeq = 0
+			ws.relaySeq = 0
 		}
 	}
 	if len(work) == 0 {
@@ -559,10 +558,10 @@ func (c *Cluster) repairAfterHeadCut(rs *replicaSet, head int) {
 	c.Eng.Go(fmt.Sprintf("relay/repost%d", rs.id), func(p *sim.Proc) {
 		for _, w := range work {
 			in, ws := w.in, w.ws
-			if !in.alive || ws.epoch != in.epoch || ws.repl.q.Resolved[w.k] {
+			if !in.alive || ws.epoch != in.epoch || ws.q.Resolved[w.k] {
 				continue
 			}
-			m := ws.repl.q.Members[w.k]
+			m := ws.q.Members[w.k]
 			in.post(p, m, ws.qp, in.buildMemberCapsule([]*wireState{ws}, w.k, m, ws.stream))
 		}
 	})

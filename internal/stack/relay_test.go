@@ -189,20 +189,19 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 	relayedAtCut := map[uint64]bool{}
 	eng.At(60*sim.Microsecond, func() {
 		for _, ws := range in.outstandingOfSet(0) {
-			r := ws.repl
-			if r.relaySeq == 0 {
+			if ws.relaySeq == 0 {
 				continue
 			}
 			relayedAtCut[ws.id] = true
-			for k, m := range r.q.Members {
-				if k == 0 || r.q.Resolved[k] || r.relaySeq <= c.targets[m].lane(0, ws.qp).seen {
+			for k, m := range ws.q.Members {
+				if k == 0 || ws.q.Resolved[k] || ws.relaySeq <= c.targets[m].lane(0, ws.qp).seen {
 					continue
 				}
-				sqe := r.sqes[k]
+				sqe := ws.chain[k].sqe
 				sqe.MarkVector(0, 1)
 				want[pair{ws.id, m}] = memberSlice{
 					sqe:   sqe,
-					attrs: append([]core.Attr(nil), r.attrs[k]...),
+					attrs: append([]core.Attr(nil), ws.chain[k].attrs...),
 					mark:  in.retireMarkAt(ws.stream, m),
 				}
 			}
@@ -226,10 +225,10 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 					t.Errorf("cmd %d re-posted to member %d twice", ws.id, m)
 				case len(cp.cmds) != 1 || cp.member != m || cp.relayed || cp.forward != nil:
 					t.Errorf("cmd %d member %d: re-post is not a one-command direct capsule: %+v", ws.id, m, cp)
-				case cp.sqes[0] != exp.sqe:
+				case ws.chain[ws.q.Pos(m)].sqe != exp.sqe:
 					t.Errorf("cmd %d member %d: re-posted SQE differs from the direct route's", ws.id, m)
-				case !reflect.DeepEqual(cp.attrs[0], exp.attrs):
-					t.Errorf("cmd %d member %d: re-posted attrs %+v, direct route sends %+v", ws.id, m, cp.attrs[0], exp.attrs)
+				case !reflect.DeepEqual(ws.chain[ws.q.Pos(m)].attrs, exp.attrs):
+					t.Errorf("cmd %d member %d: re-posted attrs %+v, direct route sends %+v", ws.id, m, ws.chain[ws.q.Pos(m)].attrs, exp.attrs)
 				}
 				now := in.retireMarkAt(ws.stream, m)
 				if now == 0 && cp.retires != nil {

@@ -13,26 +13,32 @@ import (
 	"repro/internal/trace"
 )
 
-// Replication maps each stream's server-striping onto replica sets of R
-// target servers: the logical volume stripes over SETS, and the dispatch
-// path fans every vectored batch to every in-sync member of the set with
-// the same ordering attributes but per-replica dense ServerIdx chains,
-// so RIO's per-(initiator, stream) ordering invariants hold on every
-// replica independently. There is no replica-specific ordering code at
-// the members: each member target runs its own ordering engine
+// The write path is the same for every replica factor: the logical volume
+// stripes over replica SETS of R target servers — sets of one when the
+// cluster is not replicated — and dispatch fans every vectored batch to
+// every in-sync member of the set with the same ordering attributes but a
+// per-member dense ServerIdx chain (wireState.chain, minted by
+// stampMember), so RIO's per-(initiator, stream) ordering invariants hold
+// on every member independently. There is no replica-specific ordering
+// code at the members: each member target runs its own ordering engine
 // (internal/order) — a replica set is N engine domains per stream — and
-// the initiator's quorum adapter (order.Quorum) accounts member acks on
-// top. The sequencer delivers a completion once a write quorum of
-// members acked; reads are served from any in-sync member. A power-cut
-// member degrades the set (survivors keep completing at quorum, the
-// degraded window is evidenced by epoch marks in the survivors' PMR) and
-// rejoins via background resync: the delta it missed is replayed from a
-// peer replica's PMR+media before the set epoch advances again.
+// the initiator's quorum accountant (order.Quorum, Need = 1 over one member
+// on a set of one) accounts member acks on top. The sequencer delivers a
+// completion once a write quorum of members acked; reads are served from
+// any in-sync member.
 //
-// There is ONE replicated write path, parameterised by a route. Whatever
-// the route, every member's capsule comes from buildMemberCapsule and
-// every capsule reaches the wire through postCapsule; the route only says
-// who carries the followers' capsules and who counts the acks:
+// What a power cut does depends on what the code can observe about the
+// set, not on configuration. A cut member whose set has other members
+// degrades it (survivors keep completing at quorum, the degraded window is
+// evidenced by epoch marks in the survivors' PMR) and rejoins via
+// background resync: the delta it missed is replayed from a peer replica's
+// PMR+media before the set epoch advances again. A cut member that IS its
+// set has no survivor to complete anything: its commands stay outstanding
+// and target recovery replays them on a fresh chain (crash.go).
+//
+// Every member's capsule comes from buildMemberCapsule and every capsule
+// reaches the wire through postCapsule; a route only says who carries the
+// followers' capsules and who counts the acks:
 //
 //	routeDirect: initiator ──member capsule──▶ each in-sync member
 //	             initiator ◀──────CQE──────── each member
@@ -84,6 +90,14 @@ type dirtyExtent struct {
 	ws     *wireState
 }
 
+// addMember appends one in-sync member with an empty resync backlog
+// (construction only: membership is fixed afterwards).
+func (rs *replicaSet) addMember(target int) {
+	rs.members = append(rs.members, target)
+	rs.inSync = append(rs.inSync, true)
+	rs.dirty = append(rs.dirty, nil)
+}
+
 func (rs *replicaSet) pos(target int) int {
 	for k, m := range rs.members {
 		if m == target {
@@ -122,128 +136,50 @@ func (rs *replicaSet) addDirty(member int, ws *wireState) {
 	})
 }
 
-// replState is the per-wire-command replication tracker: the quorum
-// adapter (which members the command fanned to and the ack/resolution
-// accounting that decides delivery and finalization — order.Quorum), plus
-// the wire-format payloads the stack keeps per member: the encoded SQE,
-// the attribute chain and the last ServerIdx (retire watermarks). The
-// payload slices are parallel to q.Members.
-type replState struct {
-	q     order.Quorum
-	sqes  []nvmeof.SQE
-	attrs [][]core.Attr // nil per member for plain writes and flushes
-	idx   []uint64      // last ServerIdx per member (retire watermarks)
-
-	// firstAck is when the first member CQE arrived (stage tracing: the
-	// quorum-assembly wait is quorum-fire minus firstAck).
-	firstAck sim.Time
-
-	// relaySeq is the command's route: 0 = routeDirect, otherwise the
-	// relay sequence number its head capsule carried. A head power cut
-	// compares it against each survivor's received prefix to post exactly
-	// the undelivered member capsules, and resets it to 0.
-	relaySeq uint64
-}
-
-func (r *replState) reset() {
-	r.q.Reset()
-	r.sqes = r.sqes[:0]
-	r.attrs = r.attrs[:0]
-	r.idx = r.idx[:0]
-	r.firstAck = 0
-	r.relaySeq = 0
-}
-
-func (r *replState) addMember(m int, sqe nvmeof.SQE, attrs []core.Attr, idx uint64) {
-	r.q.Add(m)
-	r.sqes = append(r.sqes, sqe)
-	r.attrs = append(r.attrs, attrs)
-	r.idx = append(r.idx, idx)
-}
-
-func (ws *wireState) ensureRepl() *replState {
-	if ws.repl == nil {
-		ws.repl = &replState{}
-	}
-	ws.repl.reset()
-	return ws.repl
-}
-
 // Replication introspection (tests, benches, the public rio API).
 
-// Replicas returns the configured replica factor (1 = no replication).
-func (c *Cluster) Replicas() int {
-	if c.cfg.Replicas <= 1 {
-		return 1
-	}
-	return c.cfg.Replicas
-}
+// Replicas returns the replica factor: the size of every replica set
+// (1 = no replication).
+func (c *Cluster) Replicas() int { return len(c.replSets[0].members) }
 
 // WriteQuorum returns the effective write quorum per replica set.
 func (c *Cluster) WriteQuorum() int { return c.writeQuorum }
 
 // SetCount returns the number of replica sets (== Targets() without
 // replication).
-func (c *Cluster) SetCount() int {
-	if c.cfg.Replicas <= 1 {
-		return len(c.targets)
-	}
-	return len(c.replSets)
-}
+func (c *Cluster) SetCount() int { return len(c.replSets) }
 
 // SetOf returns the replica set a target server belongs to.
-func (c *Cluster) SetOf(target int) int {
-	if c.cfg.Replicas <= 1 {
-		return target
-	}
-	return c.setOf[target]
-}
+func (c *Cluster) SetOf(target int) int { return c.setOf[target] }
 
 // SetMembers returns the target ids of one replica set.
 func (c *Cluster) SetMembers(set int) []int {
-	if c.cfg.Replicas <= 1 {
-		return []int{set}
-	}
 	return append([]int(nil), c.replSets[set].members...)
 }
 
-// InSync reports whether a target is an in-sync member of its replica
-// set (always true without replication while the target is alive).
+// InSync reports whether a target is a live, in-sync member of its replica
+// set. A cut member of a larger set is out of sync until its resync
+// rejoins it; a set of one never degrades, so there it is the target being
+// powered.
 func (c *Cluster) InSync(target int) bool {
-	if c.cfg.Replicas <= 1 {
-		return c.targets[target].alive
-	}
 	rs := c.replSets[c.setOf[target]]
-	return rs.inSync[rs.pos(target)]
+	return rs.inSync[rs.pos(target)] && c.targets[target].alive
 }
 
 // SetEpoch returns the membership epoch of a replica set: it advances on
 // every degrade and every resync-rejoin.
-func (c *Cluster) SetEpoch(set int) int {
-	if c.cfg.Replicas <= 1 {
-		return 0
-	}
-	return c.replSets[set].epoch
-}
+func (c *Cluster) SetEpoch(set int) int { return c.replSets[set].epoch }
 
 // ResyncBacklog returns how many missed extents are queued for a
 // degraded target's background resync.
 func (c *Cluster) ResyncBacklog(target int) int {
-	if c.cfg.Replicas <= 1 {
-		return 0
-	}
 	rs := c.replSets[c.setOf[target]]
 	return len(rs.dirty[rs.pos(target)])
 }
 
 // readReplica picks the target serving reads for a replica set: the
 // lowest in-sync member (-1 if the whole set is down).
-func (c *Cluster) readReplica(set int) int {
-	if c.cfg.Replicas <= 1 {
-		return set
-	}
-	return c.replSets[set].firstInSync(-1)
-}
+func (c *Cluster) readReplica(set int) int { return c.replSets[set].firstInSync(-1) }
 
 // readMemberFor picks the member serving a read of one device extent.
 // Unlike readReplica's set-level choice this is extent-level: a member
@@ -254,9 +190,6 @@ func (c *Cluster) readReplica(set int) int {
 // set-level choice when every in-sync member still has the extent
 // pending (the copy source is then an in-sync peer anyway).
 func (c *Cluster) readMemberFor(set, ssdIdx int, lba uint64, blocks uint32) int {
-	if c.cfg.Replicas <= 1 {
-		return set
-	}
 	rs := c.replSets[set]
 	fallback := -1
 	for k, m := range rs.members {
@@ -280,113 +213,18 @@ func (c *Cluster) readMemberFor(set, ssdIdx int, lba uint64, blocks uint32) int 
 	return fallback
 }
 
-// assignReplicated is assignOrderState for a replicated cluster: per
-// wire command it snapshots the set's in-sync membership, mints a dense
-// per-member ServerIdx chain (same attributes otherwise — stamps derive
-// from the attribute identity, which excludes ServerIdx, so replica
-// media stays byte-identical), encodes one SQE per member, and logs a
-// resync extent for every member currently out of sync. Snapshot, mint
-// and dirty-log happen with no yield in between, which is what makes
-// the resync drain check race-free against rejoin.
-func (in *Initiator) assignReplicated(wires []*wireState) {
-	for _, ws := range wires {
-		if ws.flushWire {
-			continue // standalone flushes fan out at post time
-		}
-		ref := in.vol.Dev(ws.wc.Dev)
-		set := ref.Server
-		rs := in.c.replSets[set]
-		r := ws.ensureRepl()
-		r.q.Set = set
-		r.q.Need = in.c.writeQuorum
-		ordered := ws.wc.Ordered && in.cfg.Mode == ModeRio
-		var st *core.StreamSeq
-		if ordered {
-			st = in.seq.Stream(ws.stream)
-		}
-		for k, m := range rs.members {
-			if !rs.inSync[k] {
-				rs.addDirty(m, ws)
-				continue
-			}
-			if !ordered {
-				r.addMember(m, nvmeof.WriteCommand(uint32(ref.SSD), ws.wc.LBA, ws.wc.Blocks), nil, 0)
-				continue
-			}
-			var attrs []core.Attr
-			if len(ws.vecAttrs) > 1 {
-				attrs = make([]core.Attr, 0, len(ws.vecAttrs))
-				for _, a := range ws.vecAttrs {
-					a.ServerIdx = st.NextServerIdx(m)
-					attrs = append(attrs, a)
-				}
-			} else {
-				a := ws.wc.Attr
-				a.ServerIdx = st.NextServerIdx(m)
-				attrs = []core.Attr{a}
-			}
-			r.addMember(m, nvmeof.RioWriteCommand(uint32(ref.SSD), attrs[0]),
-				attrs, attrs[len(attrs)-1].ServerIdx)
-		}
-	}
-}
-
-// populateGenericRepl arms fan-out state for a wire command that skipped
-// assignReplicated (standalone FLUSH commands): every in-sync member
-// gets a copy, and the command resolves only when every posted member
-// acked — a durability barrier certifies the whole in-sync set, not
-// just a quorum.
-func (in *Initiator) populateGenericRepl(ws *wireState) {
+// fanFlush fans a standalone FLUSH command out at post time: every
+// in-sync member gets a copy, and the command resolves only when every
+// posted member acked — a durability barrier certifies the whole in-sync
+// set, not just a quorum.
+func (in *Initiator) fanFlush(ws *wireState) {
 	rs := in.c.replSets[ws.target]
-	r := ws.ensureRepl()
-	r.q.Set = ws.target
 	for k, m := range rs.members {
-		if !rs.inSync[k] {
-			continue
-		}
-		r.addMember(m, ws.sqe, nil, 0)
-	}
-	r.q.Need = len(r.q.Members)
-}
-
-// postReplicated is postByTarget for a replicated cluster: the batch is
-// partitioned per replica SET, and each set's commands go out on the
-// set's current route.
-func (in *Initiator) postReplicated(p *sim.Proc, wires []*wireState, stream int) {
-	in.stats.WireCmds += int64(len(wires))
-	caps := make([][]*wireState, len(in.c.replSets))
-	for _, ws := range wires {
-		if ws.repl == nil || len(ws.repl.q.Members) == 0 {
-			in.populateGenericRepl(ws)
-		}
-		caps[ws.target] = append(caps[ws.target], ws)
-	}
-	for set, cmds := range caps {
-		if len(cmds) == 0 {
-			continue
-		}
-		// Relay route: writes that fanned to the full membership. Flushes
-		// always go direct (a durability barrier certifies members
-		// individually), as do batches assigned under a degraded snapshot.
-		if rs := in.c.replSets[set]; in.c.relayActive(rs) {
-			relayable := make([]*wireState, 0, len(cmds))
-			var direct []*wireState
-			for _, ws := range cmds {
-				if !ws.flushWire && len(ws.repl.q.Members) == len(rs.members) {
-					relayable = append(relayable, ws)
-				} else {
-					direct = append(direct, ws)
-				}
-			}
-			if len(relayable) > 0 {
-				in.postSet(p, set, relayable, stream, routeRelay)
-			}
-			cmds = direct
-		}
-		if len(cmds) > 0 {
-			in.postSet(p, set, cmds, stream, routeDirect)
+		if rs.inSync[k] {
+			ws.chain[ws.addMember(m)].sqe = nvmeof.FlushCommand(uint32(ws.ssdIdx))
 		}
 	}
+	ws.q.Need = len(ws.q.Members)
 }
 
 // postSet posts one replica set's batch on the given route. All commands
@@ -404,7 +242,7 @@ func (in *Initiator) postSet(p *sim.Proc, set int, cmds []*wireState, stream int
 	for _, ws := range cmds {
 		ws.qp = qp
 	}
-	members := cmds[0].repl.q.Members
+	members := cmds[0].q.Members
 	if rt == routeDirect {
 		for k, m := range members {
 			in.post(p, m, qp, in.buildMemberCapsule(cmds, k, m, stream))
@@ -420,45 +258,42 @@ func (in *Initiator) postSet(p *sim.Proc, set int, cmds []*wireState, stream int
 		head.forward = append(head.forward, fcp)
 	}
 	for _, ws := range cmds {
-		ws.repl.relaySeq = head.relaySeq
+		ws.relaySeq = head.relaySeq
 	}
 	in.post(p, members[0], qp, head)
 }
 
-// buildMemberCapsule builds one member's copy of a replicated batch — the
-// only place a per-member capsule is assembled, whatever route carries
-// it: the member's SQE encodings (vector-marked for this batch) and
-// attribute chains from each command's replState (position k of its
-// member list), plus the member's piggybacked retire watermark as of now.
+// buildMemberCapsule builds one member's copy of a batch — the only place
+// a command capsule is assembled, whatever the set size and whatever route
+// carries it: it vector-marks the member's SQE of each command's chain
+// record (position k of its member list) for this batch and attaches the
+// member's piggybacked retire watermark as of now. One (command, member)
+// pair is in at most one live capsule at a time — a re-post (head-cut
+// repair, target replay) happens only after the link that carried the
+// previous copy dropped it whole — so marking the record in place is safe.
 func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int) *capsule {
-	cp := &capsule{
-		cmds:   cmds,
-		epoch:  in.epoch,
-		member: member,
-		sqes:   make([]nvmeof.SQE, len(cmds)),
-		attrs:  make([][]core.Attr, len(cmds)),
-	}
+	cp := &capsule{cmds: cmds, epoch: in.epoch, member: member}
 	for i, ws := range cmds {
-		cp.sqes[i] = ws.repl.sqes[k]
-		cp.sqes[i].MarkVector(i, len(cmds))
-		cp.attrs[i] = ws.repl.attrs[k]
+		ws.chain[k].sqe.MarkVector(i, len(cmds))
 		if !ws.flushWire {
 			cp.inline += ws.wc.InlineBytes(inlineThreshold)
 		}
 	}
-	if mark := in.retireMarkAt(stream, member); mark > 0 {
-		cp.retires = []retire{{stream: uint16(stream), upTo: mark}}
+	if in.cfg.Mode == ModeRio {
+		if mark := in.retireMarkAt(stream, member); mark > 0 {
+			cp.retires = []retire{{stream: uint16(stream), upTo: mark}}
+		}
 	}
 	return cp
 }
 
-// outstandingOfSet returns this initiator's in-flight replicated commands
-// toward one replica set in id order: outstanding is a map, and the crash
-// sweeps over it must be deterministic.
+// outstandingOfSet returns this initiator's in-flight commands toward one
+// replica set in id order: outstanding is a map, and the crash sweeps over
+// it must be deterministic.
 func (in *Initiator) outstandingOfSet(set int) []*wireState {
 	var out []*wireState
 	for _, ws := range in.outstanding {
-		if ws.repl != nil && ws.repl.q.Set == set {
+		if ws.target == set {
 			out = append(out, ws)
 		}
 	}
@@ -466,52 +301,51 @@ func (in *Initiator) outstandingOfSet(set int) []*wireState {
 	return out
 }
 
-// replAck accounts one member CQE for a replicated command: the
-// completion is delivered to the sequencer at write quorum; the command
-// is finalized (and its wire state recycled) only once every member
-// copy resolved, so a straggler ack can never reference freed state.
-func (in *Initiator) replAck(p *sim.Proc, ws *wireState, from int) {
-	r := ws.repl
-	k := r.q.Pos(from)
-	if !r.q.Ack(k) {
+// memberAck accounts one member CQE: the completion is delivered to the
+// sequencer at write quorum; the command is finalized (and its wire state
+// recycled) only once every member copy resolved, so a straggler ack can
+// never reference freed state.
+func (in *Initiator) memberAck(p *sim.Proc, ws *wireState, from int) {
+	k := ws.q.Pos(from)
+	if !ws.q.Ack(k) {
 		return // duplicate, or a member cancelled by a power cut
 	}
-	if r.firstAck == 0 {
-		r.firstAck = p.Now()
+	if ws.firstAck == 0 {
+		ws.firstAck = p.Now()
 	}
-	if !r.q.Fired && r.q.Acks >= r.q.Need {
-		r.q.Fired = true
-		addWaitWire(ws, trace.WaitQuorum, p.Now()-r.firstAck)
+	if !ws.q.Fired && ws.q.Acks >= ws.q.Need {
+		ws.q.Fired = true
+		addWaitWire(ws, trace.WaitQuorum, p.Now()-ws.firstAck)
 		ws.hwDone.Fire()
 		in.deliverCompletions(p, ws)
 	}
 	// A member ack arriving after the request was delivered advances that
 	// member's retire watermark (the delivery path advanced the marks of
 	// members that had acked by then).
-	if r.q.Fired && ws.pendingRq == 0 && r.idx[k] > 0 {
-		in.bumpRetireMark(ws.stream, from, r.idx[k])
+	if ws.q.Fired && ws.pendingRq == 0 && ws.chain[k].idx > 0 {
+		in.bumpRetireMark(ws.stream, from, ws.chain[k].idx)
 	}
-	if r.q.Done() {
-		in.finalizeRepl(ws)
+	if ws.q.Done() {
+		in.finalize(ws)
 	}
 }
 
-// finalizeRepl retires a fully resolved replicated command from the
-// outstanding table and recycles it if its delivery already happened.
-func (in *Initiator) finalizeRepl(ws *wireState) {
+// finalize retires a fully resolved command from the outstanding table and
+// recycles it if its delivery already happened.
+func (in *Initiator) finalize(ws *wireState) {
 	delete(in.outstanding, ws.id)
-	in.maybeRecycleRepl(ws)
+	in.maybeRecycle(ws)
 }
 
-// maybeRecycleRepl returns a replicated wire command to its shard pool
-// exactly once, and only when nothing references it anymore: quorum
-// delivered, every origin request delivered, every member resolved.
-func (in *Initiator) maybeRecycleRepl(ws *wireState) {
-	r := ws.repl
-	if r.q.Recycled || !r.q.Fired || !r.q.Done() || ws.pendingRq != 0 || ws.pinned || ws.epoch != in.epoch {
+// maybeRecycle returns a wire command to its shard pool exactly once, and
+// only when nothing references it anymore: quorum delivered, every origin
+// request delivered, every member resolved.
+func (in *Initiator) maybeRecycle(ws *wireState) {
+	q := &ws.q
+	if q.Recycled || !q.Fired || !q.Done() || ws.pendingRq != 0 || ws.pinned || ws.epoch != in.epoch {
 		return
 	}
-	r.q.Recycled = true
+	q.Recycled = true
 	in.shards[ws.stream].putWire(ws)
 }
 
@@ -531,24 +365,24 @@ func (c *Cluster) degradeMember(m int) {
 	c.appendEpochMarks(rs, m)
 	for _, in := range c.inits {
 		for _, ws := range in.outstandingOfSet(rs.id) {
-			r := ws.repl
-			if !r.q.Cancel(r.q.Pos(m)) {
+			q := &ws.q
+			if !q.Cancel(q.Pos(m)) {
 				continue
 			}
 			if ws.flushWire {
 				// A barrier now certifies the surviving members only.
-				if r.q.Need > 0 {
-					r.q.Need--
+				if q.Need > 0 {
+					q.Need--
 				}
-				if !r.q.Fired && r.q.Acks >= r.q.Need && r.q.Acks > 0 {
-					r.q.Fired = true
+				if !q.Fired && q.Acks >= q.Need && q.Acks > 0 {
+					q.Fired = true
 					ws.hwDone.Fire()
 				}
 			} else {
 				rs.addDirty(m, ws)
 			}
-			if r.q.Done() {
-				in.finalizeRepl(ws)
+			if q.Done() {
+				in.finalize(ws)
 			}
 		}
 	}
@@ -585,8 +419,7 @@ func (c *Cluster) extentSettled(d dirtyExtent) bool {
 	if d.ws.epoch != c.inits[d.init].epoch {
 		return true // the owning initiator crashed; copy whatever peers hold
 	}
-	r := d.ws.repl
-	return r == nil || r.q.Done()
+	return d.ws.q.Done()
 }
 
 // resyncTarget is target recovery under replication: background resync
@@ -627,16 +460,9 @@ func (c *Cluster) resyncTarget(p *sim.Proc, m int) (*core.Report, RecoveryTiming
 	// Scan the peer's PMR: the ordering evidence resync replays against.
 	start := p.Now()
 	var report *core.Report
-	peer := rs.firstInSync(m)
-	if peer >= 0 {
+	if peer := rs.firstInSync(m); peer >= 0 {
 		pt := c.targets[peer]
-		region := pt.ssds[0].PMRBytes()
-		regionBytes := (len(region) / core.EntrySize) * c.pmrEntryWireSize()
-		p.Sleep(sim.Time(regionBytes) * pmrScanPerByte)
-		view := pt.scanPMR(region)
-		if n := len(view.Entries) * c.pmrEntryWireSize(); n > 0 && t.conns[0].Up() {
-			t.conns[0].BulkWrite(p, fabric.Target, n)
-		}
+		view := pt.scanAndShip(p, pt.ssds[0].PMRBytes(), t.conns[0])
 		report = order.MergeViews([]core.ServerView{view})
 	} else {
 		report = order.MergeViews(nil)
@@ -676,18 +502,17 @@ func (c *Cluster) resyncTarget(p *sim.Proc, m int) (*core.Report, RecoveryTiming
 // NOT advanced: its chain was reset, and the old-chain index would
 // poison the fresh log partition's retirement.
 func (in *Initiator) replResyncAck(p *sim.Proc, ws *wireState, member int) {
-	r := ws.repl
-	k := r.q.Pos(member)
-	if k >= 0 && r.q.Got[k] {
+	q := &ws.q
+	if k := q.Pos(member); k >= 0 && q.Got[k] {
 		return // the member genuinely acked before the cut
 	}
-	r.q.Acks++
-	if !r.q.Fired && r.q.Acks >= r.q.Need {
-		r.q.Fired = true
+	q.Acks++
+	if !q.Fired && q.Acks >= q.Need {
+		q.Fired = true
 		ws.hwDone.Fire()
 		in.deliverCompletions(p, ws)
 	}
-	in.maybeRecycleRepl(ws)
+	in.maybeRecycle(ws)
 }
 
 // copyExtent copies one missed extent from an in-sync peer's media onto
@@ -739,7 +564,7 @@ func (c *Cluster) copyExtent(p *sim.Proc, rs *replicaSet, m int, d dirtyExtent) 
 	done.Wait(p)
 	// The content now lives on the member: credit the late ack (relevant
 	// when WriteQuorum == Replicas — quorum writes were already fired).
-	if d.ws.id == d.wsID && d.ws.epoch == c.inits[d.init].epoch && d.ws.repl != nil {
+	if d.ws.id == d.wsID && d.ws.epoch == c.inits[d.init].epoch {
 		c.inits[d.init].replResyncAck(p, d.ws, m)
 	}
 	return len(lbas)
@@ -755,6 +580,9 @@ func (c *Cluster) replicaRepair(p *sim.Proc, views []core.ServerView, report *co
 	done := sim.NewWaitGroup(c.Eng)
 	for _, v := range views {
 		rs := c.replSets[c.setOf[v.Server]]
+		if len(rs.members) == 1 {
+			continue // no other member to converge with
+		}
 		for _, e := range v.Entries {
 			if e.EpochMark || e.IPU {
 				continue

@@ -25,7 +25,7 @@ type TargetStats struct {
 	CQEs       int64 // completion entries those capsules carried
 	Flushes    int64
 	Vectors    int64 // vectored command batches validated intact
-	Allocs     int64 // hot-path heap allocations (completion events, slot/stamp bursts, decoded attr chains) not served from the free lists
+	Allocs     int64 // hot-path heap allocations (completion events, slot/stamp bursts) not served from the free lists
 	Reads      int64 // read commands served (demand misses and prefetches)
 
 	// Coalescing hold-timer observability (the governor's decision trail):
@@ -90,18 +90,12 @@ type tDone struct {
 }
 
 // parkedCmd is one held-back command at an in-order gate, together with
-// the attribute chain it arrived with (under replication the attributes
-// travel in the member's capsule, not in the shared wireState, so they
-// must be retained across the park). It is the payload type the ordering
-// engine's parked rings hold for this target.
+// the attribute chain it arrived with (this member's chain record of the
+// command). It is the payload type the ordering engine's parked rings hold
+// for this target.
 type parkedCmd struct {
 	ws    *wireState
 	attrs []core.Attr
-	// pooled marks an attribute chain the TARGET decoded into a pooled
-	// buffer (single-attribute Rio commands); chains that arrived in a
-	// capsule or live in the wireState are owned elsewhere and must not
-	// be recycled here.
-	pooled bool
 }
 
 // qpLane is everything a target holds for one (initiator, queue pair): the
@@ -187,7 +181,6 @@ type Target struct {
 	doneFree   []*tDone
 	slotsFree  [][]uint64
 	stampsFree [][]uint64
-	attrsFree  [][]core.Attr
 
 	// gov, when non-nil, adapts the CQE hold time and flush threshold to
 	// the completion arrival rate (one EWMA per target; see governor.go).
@@ -406,17 +399,6 @@ func (t *Target) getSlots(n int) []uint64 {
 	return make([]uint64, 0, n)
 }
 
-// getAttrs checks a decoded-attribute buffer out of the free list.
-func (t *Target) getAttrs() []core.Attr {
-	if n := len(t.attrsFree); n > 0 {
-		a := t.attrsFree[n-1]
-		t.attrsFree = t.attrsFree[:n-1]
-		return a[:0]
-	}
-	t.stats.Allocs++
-	return make([]core.Attr, 0, 1)
-}
-
 // getStamps checks a per-block stamp burst out of the free list
 // (capacity hint n: the command's block count), sized to n.
 func (t *Target) getStamps(n int) []uint64 {
@@ -458,34 +440,22 @@ func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
 		if len(cp.ctrl) > 0 {
 			t.handleCtrl(p, cp, init, qp)
 		}
-		// A command capsule is one vectored batch: verify it arrived
-		// intact and was split exactly on a target boundary (every entry
-		// belongs here and positions run 0..n-1). A replicated capsule is
-		// one member's copy of the fan-out: its SQEs travel in the capsule
-		// (per-member ServerIdx chains), and the boundary check is against
-		// the member address plus the set the command stripes to.
-		if len(cp.cmds) > 0 {
-			for i, ws := range cp.cmds {
-				var pos, n int
-				if cp.sqes != nil {
-					pos, n = cp.sqes[i].VectorPos()
-				} else {
-					pos, n = ws.sqe.VectorPos()
-				}
-				if pos != i || n != len(cp.cmds) {
-					panic(fmt.Sprintf("stack: torn vectored batch at target %d: entry %d carries pos %d/%d of %d",
-						t.id, i, pos, n, len(cp.cmds)))
-				}
-				if cp.sqes != nil {
-					if cp.member != t.id || t.c.setOf[t.id] != ws.target {
-						panic(fmt.Sprintf("stack: replicated batch misrouted: entry %d for set %d member %d arrived at target %d",
-							i, ws.target, cp.member, t.id))
-					}
-				} else if ws.target != t.id {
-					panic(fmt.Sprintf("stack: vectored batch crosses target boundary: entry %d is for target %d, arrived at %d",
-						i, ws.target, t.id))
-				}
+		// A command capsule is one member's copy of a vectored batch: verify
+		// it arrived intact and was split exactly on a set boundary — every
+		// entry is addressed to this member of the set the command stripes
+		// to, and the member's SQEs run positions 0..n-1.
+		for i, ws := range cp.cmds {
+			k := ws.q.Pos(cp.member)
+			if cp.member != t.id || t.c.setOf[t.id] != ws.target || k < 0 {
+				panic(fmt.Sprintf("stack: vectored batch misrouted: entry %d for set %d member %d arrived at target %d",
+					i, ws.target, cp.member, t.id))
 			}
+			if pos, n := ws.chain[k].sqe.VectorPos(); pos != i || n != len(cp.cmds) {
+				panic(fmt.Sprintf("stack: torn vectored batch at target %d: entry %d carries pos %d/%d of %d",
+					t.id, i, pos, n, len(cp.cmds)))
+			}
+		}
+		if len(cp.cmds) > 0 {
 			t.stats.Vectors++
 		}
 		// Fetch any non-inline payload in one shot (one-sided READ: no
@@ -501,7 +471,7 @@ func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
 				continue // connection died mid-read
 			}
 		}
-		for i, ws := range cp.cmds {
+		for _, ws := range cp.cmds {
 			if !t.alive || ws.epoch != t.initEpoch(init) {
 				break
 			}
@@ -528,11 +498,7 @@ func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
 				continue
 			}
 			if ws.wc.Ordered && t.pol.Gated() {
-				if cp.sqes != nil {
-					t.rioSubmitAttrs(p, ws, cp.attrs[i], false)
-				} else {
-					t.rioSubmit(p, ws)
-				}
+				t.rioSubmitAttrs(p, ws, ws.chain[ws.q.Pos(cp.member)].attrs)
 			} else {
 				t.submitWrite(ws, t.horaeSlot(ws))
 			}
@@ -600,35 +566,17 @@ func (t *Target) appendPMR(p *sim.Proc, a core.Attr) (uint64, bool) {
 	}
 }
 
-// rioSubmit enforces per-(initiator, stream) in-order submission
-// (§4.3.1): a request may only go to the SSD after every smaller
-// ServerIdx of its ordering domain has. With stream→QP affinity the
-// network delivers in order and this gate almost never parks.
-func (t *Target) rioSubmit(p *sim.Proc, ws *wireState) {
-	attrs := ws.vecAttrs
-	pooled := false
-	if len(attrs) == 0 {
-		attr, err := nvmeof.DecodeAttr(&ws.sqe)
-		if err != nil {
-			panic("stack: rio command without attribute: " + err.Error())
-		}
-		attrs = append(t.getAttrs(), attr)
-		pooled = true
-	}
-	t.rioSubmitAttrs(p, ws, attrs, pooled)
-}
-
-// rioSubmitAttrs runs the in-order gate for a command with an explicit
-// attribute chain — under replication each member receives its own chain
-// in the capsule, so the gate's dense-ServerIdx invariant holds per
-// replica independently. pooled marks a chain that lives in a
-// target-pooled buffer (recycled once the command has been processed; a
-// park carries the flag along).
-func (t *Target) rioSubmitAttrs(p *sim.Proc, ws *wireState, attrs []core.Attr, pooled bool) {
+// rioSubmitAttrs enforces per-(initiator, stream) in-order submission
+// (§4.3.1): a request may only go to the SSD after every smaller ServerIdx
+// of its ordering domain has. attrs is this member's chain of the command —
+// every member of a set runs its own dense chain, so the gate's invariant
+// holds per replica independently. With stream→QP affinity the network
+// delivers in order and this gate almost never parks.
+func (t *Target) rioSubmitAttrs(p *sim.Proc, ws *wireState, attrs []core.Attr) {
 	d := t.ord.Domain(int(attrs[0].Initiator), attrs[0].Stream)
 	if !d.Admit(attrs[0].ServerIdx) {
 		t.stats.Holdbacks++
-		pc := parkedCmd{ws: ws, attrs: attrs, pooled: pooled}
+		pc := parkedCmd{ws: ws, attrs: attrs}
 		if t.c.tracer != nil {
 			d.ParkAt(attrs[0].ServerIdx, pc, int64(p.Now()))
 		} else {
@@ -637,9 +585,6 @@ func (t *Target) rioSubmitAttrs(p *sim.Proc, ws *wireState, attrs []core.Attr, p
 		return
 	}
 	t.rioProcess(p, ws, attrs, d)
-	if pooled {
-		t.attrsFree = append(t.attrsFree, attrs[:0])
-	}
 	// Drain any parked successors.
 	for {
 		next, parkedAt, ok := d.TakeNextAt()
@@ -650,9 +595,6 @@ func (t *Target) rioSubmitAttrs(p *sim.Proc, ws *wireState, attrs []core.Attr, p
 			addWaitWire(next.ws, trace.WaitPark, p.Now()-sim.Time(parkedAt))
 		}
 		t.rioProcess(p, next.ws, next.attrs, d)
-		if next.pooled {
-			t.attrsFree = append(t.attrsFree, next.attrs[:0])
-		}
 	}
 }
 
@@ -691,8 +633,7 @@ func (t *Target) horaeSlot(ws *wireState) []uint64 {
 
 // submitWrite hands a write to its SSD; the completion flows to doneLoop.
 // Ordered writes are stamped with their attribute-derived identity so
-// recovery can erase exactly these blocks (core.AttrStamp); vector-fused
-// commands carry per-constituent stamps.
+// recovery can erase exactly these blocks (wireState.attrStamps).
 func (t *Target) submitWrite(ws *wireState, slots []uint64) {
 	sd := t.ssds[ws.ssdIdx]
 	d := t.getDone()
@@ -703,21 +644,7 @@ func (t *Target) submitWrite(ws *wireState, slots []uint64) {
 	if ws.wc.Ordered && t.pol.Tracked() {
 		stamps = t.getStamps(int(ws.wc.Blocks))
 		d.stamps = stamps
-		if len(ws.vecAttrs) > 1 {
-			i := 0
-			for _, a := range ws.vecAttrs {
-				st := core.AttrStamp(a)
-				for b := uint32(0); b < a.Blocks && i < len(stamps); b++ {
-					stamps[i] = st
-					i++
-				}
-			}
-		} else {
-			stamp := core.AttrStamp(ws.wc.Attr)
-			for i := range stamps {
-				stamps[i] = stamp
-			}
-		}
+		ws.attrStamps(stamps)
 	}
 	cmd := &ssd.Command{
 		Op:     ssd.OpWrite,

@@ -189,7 +189,6 @@ func NewCluster(o Options) *Cluster {
 	cfg.ReplRelay = o.Relay
 	cfg.Streams = o.Streams
 	cfg.QPs = o.Streams
-	cfg.Fabric.NumQPs = o.Streams
 	if o.Merging != nil {
 		cfg.MergeEnabled = *o.Merging
 	}
