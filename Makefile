@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-json bench-gate benchmark-smoke coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke coverage examples ci
 
 all: build test
 
@@ -55,6 +55,12 @@ BENCHTIME ?= 1s
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/sim
 
+# Host-clock microbenchmarks of the layers above the substrate: fabric
+# send→deliver, ssd Optane write→complete, sequencer submit→complete,
+# volume extents into scratch. CI smokes them at BENCHTIME=100x.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/core ./internal/blockdev
+
 # The gated experiments and the committed baseline they must reproduce:
 # named here and nowhere else (CI runs `make bench-gate`).
 GATED_EXPS := scale,replication,policy,serve,read,satload,trace
@@ -95,4 +101,4 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race bench bench-sim bench-gate examples benchmark-smoke
+ci: lint build race bench bench-sim bench-layers bench-gate examples benchmark-smoke

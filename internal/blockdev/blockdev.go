@@ -71,7 +71,12 @@ type Request struct {
 
 	remaining int         // outstanding wire fragments
 	ticket    core.Ticket // inline storage for Ticket (see TicketSlot)
+	done      sim.Signal  // inline storage for Done (see InitDone)
 }
+
+// InitDone points Done at the request's inline signal storage, so the
+// completion signal is part of the request's own allocation.
+func (r *Request) InitDone(e *sim.Engine) { r.Done = r.done.Init(e) }
 
 // TicketSlot returns the request's inline ticket storage. The sequencer
 // fills it via SubmitInto, so attaching an ordering ticket costs no
@@ -152,7 +157,13 @@ func (v *Volume) Map(lba uint64) (dev int, devLBA uint64) {
 // request order. Consecutive chunks that land on the same device at
 // adjacent device addresses coalesce into one extent.
 func (v *Volume) Extents(lba uint64, blocks uint32) []Extent {
-	var out []Extent
+	return v.AppendExtents(nil, lba, blocks)
+}
+
+// AppendExtents is Extents appending to out (caller scratch): the
+// coalescing looks only at the extents of this call.
+func (v *Volume) AppendExtents(out []Extent, lba uint64, blocks uint32) []Extent {
+	first := len(out)
 	off := uint32(0)
 	for blocks > 0 {
 		dev, devLBA := v.Map(lba)
@@ -161,7 +172,7 @@ func (v *Volume) Extents(lba uint64, blocks uint32) []Extent {
 		if n > blocks {
 			n = blocks
 		}
-		if k := len(out) - 1; k >= 0 && out[k].Dev == dev &&
+		if k := len(out) - 1; k >= first && out[k].Dev == dev &&
 			out[k].DevLBA+uint64(out[k].Blocks) == devLBA {
 			out[k].Blocks += n
 		} else {

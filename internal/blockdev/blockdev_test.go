@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func vol4() *Volume {
@@ -210,4 +211,34 @@ func TestInlineBytesThreshold(t *testing.T) {
 	if w.PayloadBytes() != 8192 {
 		t.Fatal("payload bytes wrong")
 	}
+}
+
+// AppendExtents into scratch that already holds extents must not coalesce
+// across the call boundary, and must agree with Extents.
+func TestAppendExtentsIntoScratch(t *testing.T) {
+	v := NewVolume([]DevRef{{Blocks: 1 << 20}}, 4) // one device: every chunk is adjacent to the last
+	scratch := v.AppendExtents(nil, 0, 4)
+	scratch = v.AppendExtents(scratch, 4, 8)
+	want := append(v.Extents(0, 4), v.Extents(4, 8)...)
+	if len(scratch) != 2 || len(want) != 2 || scratch[0] != want[0] || scratch[1] != want[1] {
+		t.Fatalf("AppendExtents = %+v, want %+v", scratch, want)
+	}
+}
+
+// A request's Done signal lives in the request's own allocation.
+func TestInitDoneUsesInlineStorage(t *testing.T) {
+	e := sim.New(1)
+	r := &Request{}
+	r.InitDone(e)
+	if r.Done != &r.done || r.Done.Fired() {
+		t.Fatal("InitDone did not point Done at the unfired inline signal")
+	}
+	woke := false
+	e.Go("waiter", func(p *sim.Proc) { r.Done.Wait(p); woke = true })
+	e.At(10, r.Done.Fire)
+	e.Run()
+	if !woke {
+		t.Fatal("waiter on the inline signal never woke")
+	}
+	e.Shutdown()
 }

@@ -8,8 +8,9 @@ package core
 // despite out-of-order execution in between.
 //
 // The sequencer is pure bookkeeping: the caller provides a deliver
-// callback per request, invoked exactly once when that request's
-// completion may be exposed to the application.
+// callback, invoked exactly once per request when that request's
+// completion may be exposed to the application: one func per sequencer,
+// handed each ticket (NewSequencerFor), or one per request (Submit).
 type Sequencer struct {
 	streams []*StreamSeq
 }
@@ -17,17 +18,20 @@ type Sequencer struct {
 // NewSequencer creates n independent streams (rio_setup) in initiator
 // namespace 0 (the single-initiator case).
 func NewSequencer(n int) *Sequencer {
-	return NewSequencerFor(0, n)
+	return NewSequencerFor(0, n, nil)
 }
 
 // NewSequencerFor creates n independent streams namespaced to one
 // initiator: every attribute the sequencer mints carries the initiator
 // id, so targets and recovery can keep the ordering domains of a
-// multi-initiator cluster apart.
-func NewSequencerFor(initiator uint16, n int) *Sequencer {
+// multi-initiator cluster apart. deliver (may be nil) receives every
+// ticket submitted without a callback of its own.
+func NewSequencerFor(initiator uint16, n int, deliver func(*Ticket)) *Sequencer {
 	s := &Sequencer{}
 	for i := 0; i < n; i++ {
-		s.streams = append(s.streams, newStreamSeq(initiator, uint16(i)))
+		st := newStreamSeq(initiator, uint16(i))
+		st.deliver = deliver
+		s.streams = append(s.streams, st)
 	}
 	return s
 }
@@ -44,6 +48,7 @@ func (s *Sequencer) Stream(i int) *StreamSeq { return s.streams[i] }
 // previous lifetime has ended in delivery.
 type Ticket struct {
 	Attr    Attr
+	Owner   any // the submitter's: the record embedding this ticket (sequencer-wide deliver)
 	deliver func()
 	done    bool
 	live    bool // registered in a stream's inflight set
@@ -78,6 +83,8 @@ type StreamSeq struct {
 	inflight  map[uint32]*Ticket
 
 	groupFree []*groupTrack // free list of retired group trackers
+	deliver   func(*Ticket) // for tickets submitted without a callback
+	delivered []*Ticket     // Completed's result, reused call to call
 }
 
 func newStreamSeq(initiator, id uint16) *StreamSeq {
@@ -100,7 +107,8 @@ func (st *StreamSeq) Initiator() uint16 { return st.initiator }
 // Submit creates the ordering attribute for one ordered write request
 // (rio_submit). boundary marks the end of the current group; flush tags
 // the request with the durability barrier; ipu marks an in-place update.
-// deliver is called when the completion may be exposed in storage order.
+// deliver is called when the completion may be exposed in storage order;
+// nil leaves the delivery to the sequencer-wide func.
 func (st *StreamSeq) Submit(lba uint64, blocks uint32, boundary, flush, ipu bool, deliver func()) *Ticket {
 	return st.SubmitInto(&Ticket{}, lba, blocks, boundary, flush, ipu, deliver)
 }
@@ -171,7 +179,8 @@ func (st *StreamSeq) ResetServerChain(server int) {
 
 // Completed reports the hardware completion of one submitted request and
 // runs the in-order completion protocol: deliveries happen in group order.
-// It returns the tickets whose deliver callbacks were invoked.
+// It returns the tickets whose deliver callbacks were invoked, in a slice
+// the stream reuses: it is valid until the next Completed on this stream.
 func (st *StreamSeq) Completed(reqID uint32) []*Ticket {
 	t, ok := st.inflight[reqID]
 	if !ok || t.done {
@@ -185,10 +194,10 @@ func (st *StreamSeq) Completed(reqID uint32) []*Ticket {
 	}
 	g.outstanding--
 
-	var delivered []*Ticket
+	st.delivered = st.delivered[:0]
 	if seq <= st.fullyDone+1 {
 		// Its turn (all prior groups done): deliver immediately.
-		st.deliverTicket(t, &delivered)
+		st.deliverTicket(t)
 	} else {
 		g.buffered = append(g.buffered, t)
 	}
@@ -203,21 +212,23 @@ func (st *StreamSeq) Completed(reqID uint32) []*Ticket {
 		st.fullyDone++
 		if ng := st.groups[st.fullyDone+1]; ng != nil {
 			for _, bt := range ng.buffered {
-				st.deliverTicket(bt, &delivered)
+				st.deliverTicket(bt)
 			}
 			ng.buffered = ng.buffered[:0]
 		}
 	}
-	return delivered
+	return st.delivered
 }
 
-func (st *StreamSeq) deliverTicket(t *Ticket, out *[]*Ticket) {
+func (st *StreamSeq) deliverTicket(t *Ticket) {
 	delete(st.inflight, t.Attr.ReqID)
 	t.live = false // lifetime over: the storage may be reused
 	if t.deliver != nil {
 		t.deliver()
+	} else if st.deliver != nil {
+		st.deliver(t)
 	}
-	*out = append(*out, t)
+	st.delivered = append(st.delivered, t)
 }
 
 // Inflight returns the tickets not yet delivered, in (seq, reqID) order —

@@ -96,3 +96,36 @@ func TestSplitAttrInto(t *testing.T) {
 		t.Fatalf("scratch reuse broken: %+v", out2)
 	}
 }
+
+// TestSequencerWideDeliver: a ticket submitted without a callback of its
+// own is delivered through the sequencer's func, which finds the
+// submitter's record in Owner; a per-request callback takes precedence;
+// and Completed reports both in the slice it reuses from call to call.
+func TestSequencerWideDeliver(t *testing.T) {
+	type owner struct{ delivered int }
+	st := NewSequencerFor(0, 1, func(tk *Ticket) { tk.Owner.(*owner).delivered++ }).Stream(0)
+
+	var a, b Ticket
+	oa := &owner{}
+	a.Owner = oa
+	ownCalls := 0
+	st.SubmitInto(&a, 0, 1, true, false, false, nil)
+	st.SubmitInto(&b, 1, 1, true, false, false, func() { ownCalls++ })
+
+	// b completes first: buffered behind a's group.
+	if got := st.Completed(b.Attr.ReqID); len(got) != 0 || ownCalls != 0 {
+		t.Fatalf("out-of-order completion delivered %d tickets (%d callbacks)", len(got), ownCalls)
+	}
+	got := st.Completed(a.Attr.ReqID)
+	if len(got) != 2 || got[0] != &a || got[1] != &b {
+		t.Fatalf("in-order completion delivered %v, want [a b]", got)
+	}
+	if oa.delivered != 1 || ownCalls != 1 {
+		t.Fatalf("sequencer-wide func ran %d times, per-request callback %d times, want 1 and 1", oa.delivered, ownCalls)
+	}
+	// The next Completed reuses the result slice.
+	st.SubmitInto(&a, 2, 1, true, false, false, nil)
+	if next := st.Completed(a.Attr.ReqID); len(next) != 1 || &next[0] != &got[0] {
+		t.Fatalf("Completed did not reuse its result storage")
+	}
+}

@@ -106,12 +106,49 @@ type Stats struct {
 }
 
 type wireItem struct {
-	msg     Message
-	deliver func(Message) // nil => use the side handler
-	bulk    bool          // one-sided transfer: counted separately, no handler
-	epoch   uint64
-	to      Side
-	sentAt  sim.Time // Send post time (TracedPayload stamping)
+	msg    Message
+	done   *sim.Signal // one-sided transfer: fired at placement or drop; counted separately, no handler
+	epoch  uint64
+	to     Side
+	sentAt sim.Time // Send post time (TracedPayload stamping)
+}
+
+// delivery is a wire item past the link: the arrival event the engine
+// runs. The TX queue and the wire process hold items by value; only the
+// event heap holds a delivery, so it recycles as it fires (delivered or
+// stale) and a Disconnect never has one to free.
+type delivery struct {
+	c  *Conn // nil while on the free list
+	it wireItem
+}
+
+func (d *delivery) Run() {
+	c, it := d.c, d.it
+	if c == nil {
+		panic("fabric: a recycled delivery event ran")
+	}
+	*d = delivery{} // let go of the payload
+	if !c.poison {
+		c.free.Put(d)
+	}
+	if it.epoch != c.epoch {
+		c.drop(it)
+		return
+	}
+	if it.done != nil {
+		c.stats[it.to].BulkOps++
+		c.stats[it.to].BulkBytes += int64(it.msg.Size)
+		it.done.Fire()
+		return
+	}
+	c.stats[it.to].Sends++
+	c.stats[it.to].SendBytes += int64(it.msg.Size)
+	if tp, ok := it.msg.Payload.(TracedPayload); ok {
+		tp.FabricDelivered(it.sentAt, c.eng.Now())
+	}
+	if h := c.handlers[it.to]; h != nil {
+		h(it.msg)
+	}
 }
 
 // Conn is a bidirectional RDMA connection between one initiator and one
@@ -126,6 +163,12 @@ type Conn struct {
 	epoch    uint64
 	up       bool
 	stats    [2]Stats // index = destination side
+	free     sim.FreeList[delivery]
+
+	// poison is a test hook: a fired delivery is scrubbed as always but
+	// never reissued, so one that reaches the engine a second time runs a
+	// dead record and panics instead of delivering its next message.
+	poison bool
 }
 
 // NewConn creates a connection and starts its wire processes.
@@ -227,30 +270,9 @@ func (c *Conn) wireLoop(p *sim.Proc, to Side) {
 			at = last + 1 // preserve per-QP FIFO
 		}
 		c.lastQP[to][it.msg.QP] = at
-		item := it
-		c.eng.At(at-p.Now(), func() {
-			if item.epoch != c.epoch {
-				c.drop(item)
-				return
-			}
-			if item.bulk {
-				c.stats[to].BulkOps++
-				c.stats[to].BulkBytes += int64(item.msg.Size)
-			} else {
-				c.stats[to].Sends++
-				c.stats[to].SendBytes += int64(item.msg.Size)
-			}
-			if tp, ok := item.msg.Payload.(TracedPayload); ok {
-				tp.FabricDelivered(item.sentAt, c.eng.Now())
-			}
-			if item.deliver != nil {
-				item.deliver(item.msg)
-				return
-			}
-			if h := c.handlers[to]; h != nil {
-				h(item.msg)
-			}
-		})
+		d := c.free.Get()
+		d.c, d.it = c, it
+		c.eng.Schedule(at-p.Now(), d)
 	}
 }
 
@@ -269,15 +291,7 @@ func (c *Conn) BulkRead(p *sim.Proc, reader Side, size int) bool {
 		return false
 	}
 	done := sim.NewSignal(c.eng)
-	c.wires[reader].Push(wireItem{
-		msg:   Message{QP: 0, Size: size},
-		bulk:  true,
-		epoch: ep,
-		to:    reader,
-		deliver: func(Message) {
-			done.Fire()
-		},
-	})
+	c.wires[reader].Push(wireItem{msg: Message{QP: 0, Size: size}, done: done, epoch: ep, to: reader})
 	done.Wait(p)
 	return ep == c.epoch
 }
@@ -290,15 +304,7 @@ func (c *Conn) BulkWrite(p *sim.Proc, writer Side, size int) bool {
 	}
 	ep := c.epoch
 	done := sim.NewSignal(c.eng)
-	c.wires[writer.other()].Push(wireItem{
-		msg:   Message{QP: 0, Size: size},
-		bulk:  true,
-		epoch: ep,
-		to:    writer.other(),
-		deliver: func(Message) {
-			done.Fire()
-		},
-	})
+	c.wires[writer.other()].Push(wireItem{msg: Message{QP: 0, Size: size}, done: done, epoch: ep, to: writer.other()})
 	done.Wait(p)
 	return ep == c.epoch
 }
@@ -326,8 +332,8 @@ func (c *Conn) Disconnect() {
 // its queue pair again.
 func (c *Conn) drop(it wireItem) {
 	c.stats[it.to].Dropped++
-	if it.bulk {
-		it.deliver(it.msg)
+	if it.done != nil {
+		it.done.Fire()
 	}
 }
 

@@ -12,9 +12,37 @@ import (
 // once — and a queue pair's FIFO property must hold across a reconnect
 // for the messages that were actually delivered.
 
+// poisonedConn is NewConn with the recycle hook on: every test in this
+// file disconnects with items queued, serializing or scheduled for
+// delivery, and a delivery event the engine runs after it was recycled then
+// panics.
+func poisonedConn(e *sim.Engine, cfg Config) *Conn {
+	c := NewConn(e, cfg)
+	c.poison = true
+	return c
+}
+
+// The hook must catch what it is there for: a delivery event that reaches
+// the engine a second time after it fired and went back to the free list.
+func TestPoisonCatchesRecycledDelivery(t *testing.T) {
+	e := sim.New(1)
+	c := poisonedConn(e, testCfg(1))
+	got := 0
+	c.SetHandler(Target, func(Message) { got++ })
+	d := &delivery{c: c, it: wireItem{msg: Message{Size: 64}, to: Target}}
+	d.Run()
+	defer func() {
+		if recover() == nil || got != 1 {
+			t.Errorf("second run of a fired delivery: no panic (delivered %d times)", got)
+		}
+		e.Shutdown()
+	}()
+	d.Run()
+}
+
 func TestSendsBetweenDisconnectAndReconnectDroppedWhole(t *testing.T) {
 	e := sim.New(7)
-	c := NewConn(e, testCfg(2))
+	c := poisonedConn(e, testCfg(2))
 	var delivered []int
 	c.SetHandler(Target, func(m Message) { delivered = append(delivered, m.Payload.(int)) })
 
@@ -61,7 +89,7 @@ func TestPerQPFIFOPreservedAcrossReconnect(t *testing.T) {
 	e := sim.New(9)
 	cfg := testCfg(2)
 	cfg.QPJitterMax = 3000 // stress the per-QP ordering clamp
-	c := NewConn(e, cfg)
+	c := poisonedConn(e, cfg)
 	got := map[int][]int{}
 	c.SetHandler(Target, func(m Message) {
 		pair := m.Payload.([2]int)
@@ -116,7 +144,7 @@ func TestRelayLinkPrefixProperty(t *testing.T) {
 	e := sim.New(13)
 	cfg := testCfg(3)
 	cfg.QPJitterMax = 3000
-	c := NewConn(e, cfg)
+	c := poisonedConn(e, cfg)
 	seen := map[int][]uint64{} // QP -> relaySeq delivery order
 	c.SetHandler(Target, func(m Message) {
 		pair := m.Payload.([2]uint64)
@@ -167,7 +195,7 @@ func TestRelayLinkPrefixProperty(t *testing.T) {
 
 func TestDisconnectDuringBulkTransferFails(t *testing.T) {
 	e := sim.New(11)
-	c := NewConn(e, testCfg(1))
+	c := poisonedConn(e, testCfg(1))
 	var ok bool
 	var returned bool
 	e.Go("reader", func(p *sim.Proc) {
@@ -199,7 +227,7 @@ func TestDisconnectReleasesBulkTransfers(t *testing.T) {
 	}
 	for _, cutAt := range []sim.Time{100, 15_000, 30_000, 44_000} {
 		e := sim.New(1)
-		c := NewConn(e, testCfg(2))
+		c := poisonedConn(e, testCfg(2))
 		// ~21 µs of wire ahead of the READ's data; the WRITE has the other
 		// direction to itself.
 		e.At(0, func() { c.Send(Initiator, Message{QP: 0, Size: 1 << 19}) })

@@ -16,6 +16,21 @@ func BenchmarkAtRun(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkScheduleRun is BenchmarkAtRun with a pooled Runner in place of
+// a closure: what a fabric delivery or an SSD completion costs the engine.
+func BenchmarkScheduleRun(b *testing.B) {
+	e := New(1)
+	pool := &tickPool{eng: e}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pool.schedule(Time(i % 97))
+		if i%64 == 63 {
+			e.Run() // bounded in flight, so fired ticks are reused
+		}
+	}
+	e.Run()
+}
+
 func BenchmarkProcSleep(b *testing.B) {
 	e := New(1)
 	defer e.Shutdown()

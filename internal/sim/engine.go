@@ -33,13 +33,23 @@ func (t Time) String() string {
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// An event is either a callback (fn) or a proc resumption (p). Carrying the
-// *Proc in the event keeps Sleep, wake and Go from allocating a closure.
+// A Runner is a unit of scheduled work: the engine calls Run once, on the
+// engine goroutine, when the event's time comes. Run must not block. A
+// *Proc is a Runner (Run resumes it), At adapts a func, and a layer may
+// pass Schedule a record it pools itself (see the package comment).
+type Runner interface{ Run() }
+
+// runFunc adapts a callback to Runner. Func values are pointer-shaped, so
+// the interface holds fn itself: At boxes nothing.
+type runFunc func()
+
+func (f runFunc) Run() { f() }
+
+// An event is one Runner due at (at, seq).
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among same-time events
-	fn  func()
-	p   *Proc
+	r   Runner
 }
 
 // before orders events by (at, seq). seq is unique, so this is a total
@@ -51,13 +61,14 @@ func (a *event) before(b *event) bool {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New.
 type Engine struct {
-	now     Time
-	events  []event // 4-ary min-heap ordered by event.before
-	seq     uint64
-	rng     *rand.Rand
-	procs   []*Proc // every proc created, running, parked or free
-	free    []*Proc // finished procs whose coroutine awaits its next fn
-	stopped bool
+	now    Time
+	events []event // 4-ary min-heap ordered by event.before
+	seq    uint64
+	rng    *rand.Rand
+	procs  []*Proc // every proc created, running, parked or free
+	free   []*Proc // finished procs whose coroutine awaits its next fn
+
+	stopped bool // Stop was called during the current run
 }
 
 // New creates an engine with a deterministic random stream derived from
@@ -76,17 +87,22 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // At schedules fn to run d nanoseconds from now. d must be >= 0. fn runs on
 // the engine goroutine and must not block; use Go for blocking work.
 func (e *Engine) At(d Time, fn func()) {
+	e.Schedule(d, runFunc(fn))
+}
+
+// Schedule is At for a Runner. The engine has let go of r by the time it
+// calls Run, so r may recycle itself from inside Run.
+func (e *Engine) Schedule(d Time, r Runner) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	e.push(d, fn, nil)
+	e.push(d, r)
 }
 
-// push schedules fn (or the resumption of p) d nanoseconds from now,
-// consuming one seq.
-func (e *Engine) push(d Time, fn func(), p *Proc) {
+// push queues r d nanoseconds from now, consuming one seq.
+func (e *Engine) push(d Time, r Runner) {
 	e.seq++
-	ev := event{at: e.now + d, seq: e.seq, fn: fn, p: p}
+	ev := event{at: e.now + d, seq: e.seq, r: r}
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -107,7 +123,7 @@ func (e *Engine) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // drop the fn and proc references
+	h[n] = event{} // drop the Runner reference
 	h = h[:n]
 	i := 0
 	for {
@@ -136,16 +152,21 @@ func (e *Engine) pop() event {
 
 // Run processes events until the event heap is empty or Stop is called.
 func (e *Engine) Run() {
-	e.runWhile(func() bool { return len(e.events) > 0 })
+	e.stopped = false
+	for !e.stopped && len(e.events) > 0 {
+		e.step()
+	}
 }
 
 // RunUntil processes all events scheduled at or before t, then advances the
-// clock to exactly t.
+// clock to exactly t. If Stop aborts it the clock stays at the last event
+// run, so a later Run or RunUntil resumes the remaining events.
 func (e *Engine) RunUntil(t Time) {
-	e.runWhile(func() bool {
-		return len(e.events) > 0 && e.events[0].at <= t
-	})
-	if e.now < t {
+	e.stopped = false
+	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
+		e.step()
+	}
+	if !e.stopped && e.now < t {
 		e.now = t
 	}
 }
@@ -156,23 +177,15 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // Stop aborts the current Run/RunUntil after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-func (e *Engine) runWhile(cond func() bool) {
-	e.stopped = false
-	for !e.stopped && cond() {
-		ev := e.pop()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		if ev.p != nil {
-			// Switch to the proc until it parks or finishes. A panic in
-			// the proc re-panics here, out of Run.
-			ev.p.wakeQueued = false
-			ev.p.next()
-		} else {
-			ev.fn()
-		}
+// step runs the earliest event. A panic in a proc re-panics here, out of
+// Run.
+func (e *Engine) step() {
+	ev := e.pop()
+	if ev.at < e.now {
+		panic("sim: time went backwards")
 	}
+	e.now = ev.at
+	ev.r.Run()
 }
 
 // Shutdown terminates every process, started or not, so their goroutines
@@ -195,5 +208,5 @@ func (e *Engine) wake(p *Proc) {
 		panic("sim: double wake of proc " + p.name)
 	}
 	p.wakeQueued = true
-	e.push(0, nil, p)
+	e.push(0, p)
 }

@@ -40,7 +40,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		e.procs = append(e.procs, p)
 	}
 	p.name, p.fn = name, fn
-	e.push(0, nil, p)
+	e.push(0, p)
 	return p
 }
 
@@ -72,6 +72,13 @@ func (p *Proc) run() (finished bool) {
 	return true
 }
 
+// Run is the proc's event: switch to the coroutine until it parks or
+// finishes.
+func (p *Proc) Run() {
+	p.wakeQueued = false
+	p.next()
+}
+
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
@@ -97,7 +104,7 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.eng.push(d, nil, p)
+	p.eng.push(d, p)
 	p.park()
 }
 

@@ -3,24 +3,34 @@ package sim
 import "testing"
 
 func TestStopAbortsRun(t *testing.T) {
-	e := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*10, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop should abort)", count)
-	}
-	// A subsequent Run resumes the remaining events.
-	e.Run()
-	if count != 10 {
-		t.Fatalf("count = %d after resume, want 10", count)
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine)
+	}{
+		{"Run", func(e *Engine) { e.Run() }},
+		// A stopped RunUntil must leave the clock at the last event it ran:
+		// advancing to t would put the remaining events in the past.
+		{"RunUntil", func(e *Engine) { e.RunUntil(1000) }},
+	} {
+		e := New(1)
+		count := 0
+		for i := 1; i <= 10; i++ {
+			e.At(Time(i)*10, func() {
+				count++
+				if count == 3 {
+					e.Stop()
+				}
+			})
+		}
+		tc.run(e)
+		if count != 3 || e.Now() != 30 {
+			t.Fatalf("%s: count = %d at %v, want 3 at 30ns (Stop should abort)", tc.name, count, e.Now())
+		}
+		// A subsequent run resumes the remaining events.
+		tc.run(e)
+		if count != 10 {
+			t.Fatalf("%s: count = %d after resume, want 10", tc.name, count)
+		}
 	}
 }
 

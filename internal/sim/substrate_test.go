@@ -33,7 +33,7 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 		for op := 0; op < 20000; op++ {
 			if len(model) == 0 || rng.Intn(5) < 3 {
 				d := Time(rng.Intn(4)) // few distinct times: ties dominate
-				e.push(d, nil, nil)
+				e.push(d, nil)
 				model = append(model, evKey{d, e.seq})
 				continue
 			}
@@ -210,7 +210,8 @@ func TestHotPathAllocs(t *testing.T) {
 		e.Shutdown()
 	}
 
-	// At + run costs the caller's closure and nothing else.
+	// At + run costs the caller's closure and nothing else: the func
+	// value is the event's Runner, unboxed.
 	e := New(1)
 	cnt := 0
 	got := testing.AllocsPerRun(50, func() {
@@ -222,4 +223,37 @@ func TestHotPathAllocs(t *testing.T) {
 	if got > 1 {
 		t.Errorf("At+run: %.2f allocs per event, want <= 1", got)
 	}
+
+	// A Runner the scheduling layer pools costs nothing at all.
+	pool := &tickPool{eng: e}
+	got = testing.AllocsPerRun(50, func() {
+		for i := 0; i < 100; i++ {
+			pool.schedule(Time(i % 7))
+		}
+		e.Run()
+	}) / 100
+	if got > 0 || pool.ran == 0 {
+		t.Errorf("pooled Runner: %.2f allocs per event over %d events, want 0", got, pool.ran)
+	}
+}
+
+// tickPool schedules ticks the way a layer above the engine does: records
+// implementing Runner, taken from a free list and returned as they fire.
+type tickPool struct {
+	eng  *Engine
+	free FreeList[tick]
+	ran  int
+}
+
+type tick struct{ pool *tickPool }
+
+func (p *tickPool) schedule(d Time) {
+	tk := p.free.Get()
+	tk.pool = p
+	p.eng.Schedule(d, tk)
+}
+
+func (tk *tick) Run() {
+	tk.pool.ran++
+	tk.pool.free.Put(tk)
 }

@@ -30,12 +30,32 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
+// FreeList recycles records of one type for the layer that owns them (a
+// pooled Runner returns itself from Run). The zero value is ready; Get hands
+// back a recycled record as Put left it, or a new zero one.
+type FreeList[T any] struct{ free []*T }
+
+func (f *FreeList[T]) Get() *T {
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+func (f *FreeList[T]) Put(x *T) { f.free = append(f.free, x) }
+
 // Cond is a condition variable for simulated processes. Unlike sync.Cond
 // there is no associated lock: simulation state is only ever touched by one
 // goroutine at a time, so waiters re-check their predicate in a loop after
 // waking.
 type Cond struct {
-	eng     *Engine
+	eng *Engine
+	// The longest waiter sits in first and the rest queue behind it in
+	// waiters (first == nil means nobody waits), so a Cond that only ever
+	// has one waiter — a completion Signal — never allocates a ring.
+	first   *Proc
 	waiters ring[*Proc]
 }
 
@@ -44,23 +64,33 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
 // Wait parks p until Broadcast or Signal wakes it.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters.push(p)
+	if c.first == nil {
+		c.first = p
+	} else {
+		c.waiters.push(p)
+	}
 	p.park()
 }
 
 // Broadcast wakes every waiter (they resume at the current time, in FIFO
 // order).
 func (c *Cond) Broadcast() {
-	for c.waiters.n > 0 {
-		c.eng.wake(c.waiters.pop())
+	for c.first != nil {
+		c.Signal()
 	}
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if c.waiters.n > 0 {
-		c.eng.wake(c.waiters.pop())
+	p := c.first
+	if p == nil {
+		return
 	}
+	c.first = nil
+	if c.waiters.n > 0 {
+		c.first = c.waiters.pop()
+	}
+	c.eng.wake(p)
 }
 
 // Signal is a one-shot completion event: once Fired, all current and future
@@ -72,8 +102,13 @@ type Signal struct {
 }
 
 // NewSignal creates an unfired signal.
-func NewSignal(e *Engine) *Signal {
-	return &Signal{cond: Cond{eng: e}}
+func NewSignal(e *Engine) *Signal { return new(Signal).Init(e) }
+
+// Init prepares signal storage the caller owns (a Signal embedded in the
+// record whose completion it reports) and returns it, unfired.
+func (s *Signal) Init(e *Engine) *Signal {
+	*s = Signal{cond: Cond{eng: e}}
+	return s
 }
 
 // Fire marks the signal complete and wakes all waiters. Firing twice is a
@@ -93,7 +128,7 @@ func (s *Signal) Fired() bool { return s.fired }
 // reused (pooled one-shot completions). Resetting a signal that still has
 // waiters would strand them, so it panics.
 func (s *Signal) Reset() {
-	if s.cond.waiters.n > 0 {
+	if s.cond.first != nil {
 		panic("sim: reset of a signal with waiters")
 	}
 	s.fired = false

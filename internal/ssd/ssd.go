@@ -140,7 +140,9 @@ type Rec struct {
 
 // Command is one NVMe command. Done is invoked in engine context exactly
 // once when the command completes; it is never invoked for commands that
-// were in flight across a power cut.
+// were in flight across a power cut. The device holds the command from
+// Submit until Done (forever, after a power cut): a submitter may reuse the
+// storage from Done on, not before.
 type Command struct {
 	Op     Op
 	LBA    uint64
@@ -148,6 +150,7 @@ type Command struct {
 	Stamps []uint64 // per-block write identity; required for writes
 	Data   [][]byte // optional per-block payloads (may be nil)
 	Done   func(*Command)
+	Ctx    any // the submitter's: where a Done shared by many commands finds its per-command state
 
 	// Out is filled by reads: the per-block records observed.
 	Out []Rec
@@ -158,8 +161,24 @@ type Command struct {
 	// device itself.
 	SatWait sim.Time
 
+	dev     *SSD
 	pending int
 	epoch   uint64
+}
+
+// cmdStart and cmdDone are a Command seen as its two engine events: the
+// start of a command that never blocks, and the completion callback.
+type (
+	cmdStart Command
+	cmdDone  Command
+)
+
+func (c *cmdStart) Run() { c.dev.execute(nil, (*Command)(c)) }
+
+func (c *cmdDone) Run() {
+	if c.epoch == c.dev.epoch {
+		c.Done((*Command)(c))
+	}
 }
 
 // Stats are cumulative device counters.
@@ -274,8 +293,15 @@ func (s *SSD) Submit(cmd *Command) {
 	if cmd.Op == OpWrite && len(cmd.Stamps) != int(cmd.Blocks) {
 		panic("ssd: write must carry one stamp per block")
 	}
-	cmd.epoch = s.epoch
-	s.eng.Go(s.cmdName, func(p *sim.Proc) { s.execute(p, cmd) })
+	cmd.dev, cmd.epoch = s, s.epoch
+	// A command that only fans its blocks out to the channels never blocks
+	// and starts as a plain event (execute gets no proc); one that waits
+	// gets a proc. Either way the start takes one (at, seq) slot.
+	if cmd.Op == OpErase || (cmd.Op == OpWrite && s.cfg.Profile == Optane) {
+		s.eng.Schedule(0, (*cmdStart)(cmd))
+	} else {
+		s.eng.Go(s.cmdName, func(p *sim.Proc) { s.execute(p, cmd) })
+	}
 }
 
 func (s *SSD) execute(p *sim.Proc, cmd *Command) {
@@ -498,7 +524,7 @@ func (s *SSD) channelLoop(p *sim.Proc, q *sim.Queue[segment]) {
 			continue
 		}
 		// Write path: program media.
-		s.applyMedia(seg.lba, seg.recs[0])
+		s.applyMedia(seg.lba, seg.recs)
 		if seg.cmd != nil {
 			// Optane direct write.
 			seg.cmd.pending--
@@ -522,22 +548,19 @@ func (s *SSD) channelLoop(p *sim.Proc, q *sim.Queue[segment]) {
 	}
 }
 
-func (s *SSD) applyMedia(lba uint64, rec Rec) {
+// applyMedia programs a write segment's record: the segment is done with
+// its one-record slice, so without history that slice is the media entry.
+func (s *SSD) applyMedia(lba uint64, recs []Rec) {
 	if s.cfg.KeepHistory {
-		s.media[lba] = append(s.media[lba], rec)
+		s.media[lba] = append(s.media[lba], recs[0])
 	} else {
-		s.media[lba] = []Rec{rec}
+		s.media[lba] = recs
 	}
 }
 
 func (s *SSD) complete(cmd *Command) {
 	if cmd.Done != nil {
-		done := cmd.Done
-		s.eng.At(0, func() {
-			if cmd.epoch == s.epoch {
-				done(cmd)
-			}
-		})
+		s.eng.Schedule(0, (*cmdDone)(cmd))
 	}
 }
 

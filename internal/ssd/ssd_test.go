@@ -370,3 +370,37 @@ func TestFlushConvergenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A submitter may share one Done across commands, find its per-command
+// state in Ctx, and reuse a command record from its Done on: the device
+// holds no reference past the callback.
+func TestCommandCtxAndReuseFromDone(t *testing.T) {
+	e := sim.New(1)
+	s := New(e, testOptane())
+	type tag struct{ id int }
+	var order []int
+	rounds := 0
+	var onDone func(*Command)
+	onDone = func(c *Command) {
+		order = append(order, c.Ctx.(*tag).id)
+		if rounds++; rounds < 3 {
+			// Same record, new command.
+			c.LBA, c.Stamps = uint64(100+rounds), []uint64{uint64(100 + rounds)}
+			c.Ctx.(*tag).id += 10
+			s.Submit(c)
+		}
+	}
+	e.At(0, func() {
+		s.Submit(&Command{Op: OpWrite, LBA: 100, Blocks: 1, Stamps: []uint64{100}, Done: onDone, Ctx: &tag{id: 1}})
+	})
+	e.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 11 || order[2] != 21 {
+		t.Fatalf("completions = %v, want [1 11 21]", order)
+	}
+	for lba := uint64(100); lba <= 102; lba++ {
+		if rec, ok := s.Durable(lba); !ok || rec.Stamp != lba {
+			t.Fatalf("lba %d durable = %+v/%v after reuse", lba, rec, ok)
+		}
+	}
+	e.Shutdown()
+}

@@ -160,7 +160,8 @@ type capsule struct {
 	cmds    []*wireState
 	ctrl    []*ctrlReq
 	retires []retire
-	inline  int // in-capsule payload bytes of cmds
+	retire1 [1]retire // storage for the one watermark a command capsule piggybacks
+	inline  int       // in-capsule payload bytes of cmds
 	epoch   int
 	member  int // destination member of a command capsule
 
@@ -324,6 +325,12 @@ type Cluster struct {
 	// tracer is the stage-tracing collector (nil when Config.Trace is the
 	// zero value — the data plane then carries only nil checks).
 	tracer *trace.Tracer
+
+	// poisonRecycled is a test hook: a recycled target completion event
+	// (and the SSD command embedded in it) is scrubbed as always but never
+	// reissued, so a reference that outlived the recycle, or a second
+	// recycle, meets a dead record and panics.
+	poisonRecycled bool
 }
 
 type fuseTail struct {

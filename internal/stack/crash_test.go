@@ -205,7 +205,7 @@ func time2(i int) sim.Time { return sim.Time(1+i%3) * sim.Microsecond }
 func replayMergedBurst(t *testing.T, seed int64, cutAt sim.Time) (int64, RecoveryTiming) {
 	t.Helper()
 	eng := sim.New(seed)
-	c := New(eng, smallConfig(ModeRio, OptaneTarget(), OptaneTarget())) // MergeEnabled stays on
+	c := newPoisoned(eng, smallConfig(ModeRio, OptaneTarget(), OptaneTarget())) // MergeEnabled stays on
 	const n = 64
 	var reqs []*blockdev.Request
 	eng.Go("app", func(p *sim.Proc) {

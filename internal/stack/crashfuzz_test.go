@@ -19,6 +19,17 @@ import (
 // media: groups at or below the durable prefix survive, groups beyond
 // it are rolled back.
 
+// newPoisoned builds a cluster with the recycle hook on: the schedules in
+// this file cut power with SSD commands and completion events in every
+// state, and a completion event (or the command embedded in it) that is
+// recycled while the device or a queue still holds it, or recycled twice,
+// then panics instead of corrupting a later command.
+func newPoisoned(eng *sim.Engine, cfg Config) *Cluster {
+	c := New(eng, cfg)
+	c.poisonRecycled = true
+	return c
+}
+
 // fuzzSub records one submitted group of the current incarnation for
 // the prefix check.
 type fuzzSub struct {
@@ -46,7 +57,7 @@ func fuzzFullCut(t *testing.T, mode Mode, seed int64) {
 	eng := sim.New(seed)
 	cfg := smallConfig(mode, OptaneTarget(), FlashTarget())
 	cfg.MergeEnabled = false // 1:1 request→attribute, so media is checkable
-	c := New(eng, cfg)
+	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
 
 	subs := make([][]fuzzSub, streams)
@@ -147,7 +158,7 @@ func fuzzEntityCut(t *testing.T, seed int64) {
 	cfg := smallConfig(ModeRio, OptaneTarget(), OptaneTarget())
 	cfg.Initiators = 2
 	cfg.MergeEnabled = false
-	c := New(eng, cfg)
+	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
 	inits := cfg.Initiators
 
@@ -339,7 +350,7 @@ func fuzzMemberCut(t *testing.T, seed int64, relay bool) {
 	cfg.Replicas = 3
 	cfg.ReplRelay = relay
 	cfg.MergeEnabled = false
-	c := New(eng, cfg)
+	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
 	const groups = 60
 
@@ -419,7 +430,7 @@ func fuzzCachedMemberCut(t *testing.T, seed int64) {
 	cfg.MergeEnabled = false
 	cfg.CacheBlocks = 128 // smaller than the written range: evictions + refills
 	cfg.ReadAhead = 4
-	c := New(eng, cfg)
+	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
 
 	type ackRec struct{ lba, stamp uint64 }

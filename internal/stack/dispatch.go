@@ -23,12 +23,21 @@ func (in *Initiator) trackWires(req *blockdev.Request, ws *wireState) {
 }
 
 // attachTicket creates the ordering attribute for req. The ticket lives in
-// storage embedded in the request itself: no allocation, and the attribute
-// stays readable for the request's whole lifetime.
+// storage embedded in the request itself and names the request as its owner
+// (how newSequencer's deliver func finds it): no allocation, and the
+// attribute stays readable for the request's whole lifetime.
 func (in *Initiator) attachTicket(req *blockdev.Request, st *core.StreamSeq) {
-	req.Ticket = st.SubmitInto(req.TicketSlot(), req.LBA, req.Blocks,
-		req.Boundary, req.Flush, req.IPU, func() { in.deliver(req) })
+	t := req.TicketSlot()
+	t.Owner = req
+	req.Ticket = st.SubmitInto(t, req.LBA, req.Blocks, req.Boundary, req.Flush, req.IPU, nil)
 	in.stats.Pool.Hit()
+}
+
+// newSequencer builds this initiator's sequencer, delivering every ticket
+// to the request that owns it.
+func (in *Initiator) newSequencer() *core.Sequencer {
+	return core.NewSequencerFor(uint16(in.id), in.cfg.Streams,
+		func(t *core.Ticket) { in.deliver(t.Owner.(*blockdev.Request)) })
 }
 
 // submitRio is the Rio path (Fig. 4 steps 1-2): attach an ordering
@@ -123,18 +132,32 @@ func (in *Initiator) plugAdd(p *sim.Proc, req *blockdev.Request) {
 	}
 	if !sh.armed && !sh.held {
 		sh.armed = true
-		epoch := in.epoch
-		in.Eng.At(plugHold, func() {
-			sh.armed = false
-			if epoch != in.epoch || sh.held || len(sh.plugged) == 0 {
-				return
-			}
-			for _, r := range sh.plugged {
-				sh.q.Push(r)
-			}
-			sh.plugged = sh.plugged[:0]
-		})
+		tm := sh.timerFree.Get()
+		tm.in, tm.sh, tm.epoch = in, sh, in.epoch
+		in.Eng.Schedule(plugHold, tm)
 	}
+}
+
+// plugTimer is one plug-hold event of a shard, armed under initiator
+// incarnation epoch: what is still staged when it fires goes to the shard's
+// dispatcher. Only the event heap holds it: it recycles as it fires.
+type plugTimer struct {
+	in    *Initiator
+	sh    *shard
+	epoch int
+}
+
+func (tm *plugTimer) Run() {
+	in, sh, epoch := tm.in, tm.sh, tm.epoch
+	sh.timerFree.Put(tm)
+	sh.armed = false
+	if epoch != in.epoch || sh.held || len(sh.plugged) == 0 {
+		return
+	}
+	for _, r := range sh.plugged {
+		sh.q.Push(r)
+	}
+	sh.plugged = sh.plugged[:0]
 }
 
 // StartPlug opens an explicit plug window on a stream (blk_start_plug):
@@ -382,7 +405,8 @@ type piece struct {
 func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wireState {
 	pieces := in.pieceBuf[:0]
 	maxBlocks := uint32(32)
-	for _, ext := range in.vol.Extents(req.LBA, req.Blocks) {
+	in.extBuf = in.vol.AppendExtents(in.extBuf[:0], req.LBA, req.Blocks)
+	for _, ext := range in.extBuf {
 		if int(ext.Blocks) > int(maxBlocks) {
 			for off := uint32(0); off < ext.Blocks; off += maxBlocks {
 				n := ext.Blocks - off
@@ -654,7 +678,13 @@ func (in *Initiator) stampMember(ws *wireState, k int) {
 // stay valid across the posting yields.
 func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 	in.stats.WireCmds += int64(len(wires))
-	bySet := make([][]*wireState, len(in.c.replSets))
+	// The per-set lists leave with the capsules; the table that holds them
+	// while posting stays on this proc's stack for a fleet of few sets.
+	var few [8][]*wireState
+	bySet := few[:min(len(in.c.replSets), len(few))]
+	if len(in.c.replSets) > len(few) {
+		bySet = make([][]*wireState, len(in.c.replSets))
+	}
 	for _, ws := range wires {
 		if ws.flushWire {
 			in.fanFlush(ws)

@@ -51,6 +51,7 @@ type Initiator struct {
 
 	// buildWires scratch, shared by all shards: buildWires never yields,
 	// so one set serves every caller without handoff bookkeeping.
+	extBuf   []blockdev.Extent
 	pieceBuf []piece
 	attrBuf  []core.Attr
 	blockBuf []uint32
@@ -93,12 +94,12 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		vol:         c.vol,
 		targets:     c.targets,
 		cores:       sim.NewResource(c.Eng, c.cfg.InitiatorCores),
-		seq:         core.NewSequencerFor(uint16(id), c.cfg.Streams),
 		outstanding: make(map[uint64]*wireState),
 		linuxMu:     sim.NewResource(c.Eng, 1),
 		retireMark:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		alive:       true,
 	}
+	in.seq = in.newSequencer()
 	in.inflightCond = sim.NewCond(c.Eng)
 	if c.cfg.Governor.Enabled {
 		in.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
@@ -240,8 +241,9 @@ func (in *Initiator) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks ui
 		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks,
 		Stamp: stamp, Data: data, Stream: stream % in.cfg.Streams,
 		Ordered: true, Boundary: boundary, Flush: flush, IPU: ipu,
-		Done: sim.NewSignal(in.Eng), SubmitAt: p.Now(),
+		SubmitAt: p.Now(),
 	}
+	req.InitDone(in.Eng)
 	in.stats.Submitted++
 	in.maybeTrace(req)
 	start := p.Now()
@@ -266,8 +268,9 @@ func (in *Initiator) OrderlessWrite(p *sim.Proc, stream int, lba uint64, blocks 
 	req := &blockdev.Request{
 		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks,
 		Stamp: stamp, Data: data, Stream: stream % in.cfg.Streams,
-		Done: sim.NewSignal(in.Eng), SubmitAt: p.Now(),
+		SubmitAt: p.Now(),
 	}
+	req.InitDone(in.Eng)
 	in.stats.Submitted++
 	in.maybeTrace(req)
 	in.submitOrderless(p, req)
@@ -438,7 +441,7 @@ func (in *Initiator) crashVolatile() {
 	// the cut already lost.
 	in.alive = false
 	in.epoch++
-	in.seq = core.NewSequencerFor(uint16(in.id), in.cfg.Streams)
+	in.seq = in.newSequencer()
 	in.outstanding = make(map[uint64]*wireState)
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
 	clear(in.relaySeq)

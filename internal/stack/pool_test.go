@@ -230,3 +230,29 @@ func TestPoolingAcrossCrashRecovery(t *testing.T) {
 	eng.Run()
 	eng.Shutdown()
 }
+
+// TestPoisonCatchesCompletionEventReuse: the recycle hook the crash-fuzz
+// drivers run under must catch what it is there for — a completion event
+// recycled twice, and an SSD completion arriving for the command embedded
+// in an event that was already recycled.
+func TestPoisonCatchesCompletionEventReuse(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	eng := sim.New(1)
+	c := newPoisoned(eng, DefaultConfig(ModeRio, OptaneTarget()))
+	tgt := c.Target(0)
+	d := tgt.getDone()
+	tgt.putDone(d)
+	mustPanic("second recycle", func() { tgt.putDone(d) })
+	mustPanic("SSD completion of a recycled event", func() { d.cmd.Done(&d.cmd) })
+	if got := tgt.getDone(); got == d {
+		t.Error("poisoned event was reissued")
+	}
+	eng.Shutdown()
+}

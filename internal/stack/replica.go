@@ -281,7 +281,8 @@ func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int
 	}
 	if in.cfg.Mode == ModeRio {
 		if mark := in.retireMarkAt(stream, member); mark > 0 {
-			cp.retires = []retire{{stream: uint16(stream), upTo: mark}}
+			cp.retire1[0] = retire{stream: uint16(stream), upTo: mark}
+			cp.retires = cp.retire1[:]
 		}
 	}
 	return cp

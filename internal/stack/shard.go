@@ -40,10 +40,12 @@ type shard struct {
 	// per-request wire tracking lists; batchFree recycles the wire buffers
 	// a dispatchBatch accumulates into (checked out because dispatch
 	// yields the CPU mid-batch and the submitter can dispatch inline
-	// concurrently with the shard's dispatch loop).
+	// concurrently with the shard's dispatch loop). timerFree holds fired
+	// plug-hold events; nothing references them, so they outlive crashReset.
 	wireFree  []*wireState
 	listFree  []*wireList
 	batchFree [][]*wireState
+	timerFree sim.FreeList[plugTimer]
 
 	// Stage-tracing sampling state: traceCount is the 1-in-N submission
 	// counter, tslab the shard's span allocator. Both survive crashReset —

@@ -64,10 +64,15 @@ func (s TargetStats) Sub(old TargetStats) TargetStats { return metrics.Delta(s, 
 // Add returns the counter sums s + o (for fleet-wide aggregation).
 func (s TargetStats) Add(o TargetStats) TargetStats { return metrics.Sum(s, o) }
 
-// tDone is one SSD completion routed to the target's completion context.
-// Instances recycle through the target's free list (doneLoop owns the
-// put), so steady-state completion traffic allocates nothing.
+// tDone is one SSD completion routed to the target's completion context,
+// with the SSD command it completes embedded: the device holds &d.cmd from
+// Submit until it calls Done, which queues d for doneLoop. Instances
+// recycle through the target's free list — doneLoop owns the put, after the
+// device has let go — so steady-state completion traffic allocates nothing.
+// A command a power cut strands never completes and is never recycled.
 type tDone struct {
+	cmd    ssd.Command // Done and Ctx stay bound to (t.ssdDone, d) for the record's life
+	free   bool        // on the free list (or, poisoned, dead for good)
 	ws     *wireState
 	slots  []uint64 // PMR entries of this command (vector commands: several)
 	stamps []uint64 // pooled per-block stamp burst (nil when the wire command owns the stamps)
@@ -177,10 +182,12 @@ type Target struct {
 	// Completion-event free lists: tDone structs, the PMR slot bursts
 	// they carry, and the per-block stamp bursts ordered writes are
 	// submitted with. Misses are heap allocations, counted in
-	// stats.Allocs.
+	// stats.Allocs. timerFree holds fired CQE hold-timer events.
 	doneFree   []*tDone
 	slotsFree  [][]uint64
 	stampsFree [][]uint64
+	timerFree  sim.FreeList[cqeTimer]
+	ssdDone    func(*ssd.Command) // t.onSSDDone, bound once
 
 	// gov, when non-nil, adapts the CQE hold time and flush threshold to
 	// the completion arrival rate (one EWMA per target; see governor.go).
@@ -203,6 +210,7 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		alive: true,
 		doneQ: sim.NewQueue[*tDone](c.Eng),
 	}
+	t.ssdDone = t.onSSDDone
 	nInit := c.cfg.Initiators
 	t.lanes = make([]qpLane, nInit*c.cfg.QPs)
 	for k := range t.lanes {
@@ -365,10 +373,13 @@ func (t *Target) getDone() *tDone {
 	if n := len(t.doneFree); n > 0 {
 		d := t.doneFree[n-1]
 		t.doneFree = t.doneFree[:n-1]
+		d.free = false
 		return d
 	}
 	t.stats.Allocs++
-	return &tDone{}
+	d := &tDone{}
+	d.cmd.Done, d.cmd.Ctx = t.ssdDone, d
+	return d
 }
 
 // putDone recycles a consumed completion event and any slot or stamp
@@ -377,14 +388,33 @@ func (t *Target) getDone() *tDone {
 // consumed the SSD has long copied the stamp values into its records,
 // so the burst is free to reuse.
 func (t *Target) putDone(d *tDone) {
+	if d.free {
+		panic("stack: completion event recycled twice")
+	}
 	if d.slots != nil {
 		t.slotsFree = append(t.slotsFree, d.slots[:0])
 	}
 	if d.stamps != nil {
 		t.stampsFree = append(t.stampsFree, d.stamps[:0])
 	}
-	*d = tDone{}
-	t.doneFree = append(t.doneFree, d)
+	*d = tDone{cmd: ssd.Command{Done: t.ssdDone, Ctx: d}, free: true}
+	if !t.c.poisonRecycled {
+		t.doneFree = append(t.doneFree, d)
+	}
+}
+
+// onSSDDone is every embedded command's Done: hand the event to the
+// completion context, a write's with its stage-tracing stamps.
+func (t *Target) onSSDDone(sc *ssd.Command) {
+	d := sc.Ctx.(*tDone)
+	if d.free {
+		panic("stack: SSD completion for a recycled completion event")
+	}
+	if sc.Op == ssd.OpWrite {
+		d.doneAt = t.c.Eng.Now()
+		d.satWait = sc.SatWait
+	}
+	t.doneQ.Push(d)
 }
 
 // getSlots checks a PMR slot burst out of the free list (capacity hint
@@ -635,7 +665,6 @@ func (t *Target) horaeSlot(ws *wireState) []uint64 {
 // Ordered writes are stamped with their attribute-derived identity so
 // recovery can erase exactly these blocks (wireState.attrStamps).
 func (t *Target) submitWrite(ws *wireState, slots []uint64) {
-	sd := t.ssds[ws.ssdIdx]
 	d := t.getDone()
 	d.ws, d.slots, d.epoch = ws, slots, t.initEpoch(ws.init)
 	t.lane(ws.init, ws.qp).inflight++
@@ -646,33 +675,18 @@ func (t *Target) submitWrite(ws *wireState, slots []uint64) {
 		d.stamps = stamps
 		ws.attrStamps(stamps)
 	}
-	cmd := &ssd.Command{
-		Op:     ssd.OpWrite,
-		LBA:    ws.wc.LBA,
-		Blocks: ws.wc.Blocks,
-		Stamps: stamps,
-		Data:   ws.wc.Data,
-		Done: func(sc *ssd.Command) {
-			d.doneAt = t.c.Eng.Now()
-			d.satWait = sc.SatWait
-			t.doneQ.Push(d)
-		},
-	}
-	sd.Submit(cmd)
+	d.cmd.Op, d.cmd.LBA, d.cmd.Blocks = ssd.OpWrite, ws.wc.LBA, ws.wc.Blocks
+	d.cmd.Stamps, d.cmd.Data = stamps, ws.wc.Data
+	t.ssds[ws.ssdIdx].Submit(&d.cmd)
 }
 
 func (t *Target) submitFlushCmd(ws *wireState) {
-	sd := t.ssds[ws.ssdIdx]
 	d := t.getDone()
 	d.ws, d.epoch = ws, t.initEpoch(ws.init)
 	t.lane(ws.init, ws.qp).inflight++
 	t.stats.Flushes++
-	sd.Submit(&ssd.Command{
-		Op: ssd.OpFlush,
-		Done: func(*ssd.Command) {
-			t.doneQ.Push(d)
-		},
-	})
+	d.cmd.Op = ssd.OpFlush
+	t.ssds[ws.ssdIdx].Submit(&d.cmd)
 }
 
 // doneLoop is the target completion context: persist-bit maintenance
@@ -682,6 +696,9 @@ func (t *Target) submitFlushCmd(ws *wireState) {
 func (t *Target) doneLoop(p *sim.Proc) {
 	for {
 		d := t.doneQ.Pop(p)
+		if d.free {
+			panic("stack: recycled completion event in the completion queue")
+		}
 		t.doneOne(p, d)
 		t.putDone(d)
 	}
@@ -767,10 +784,8 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 			fd.flushSlots = t.ord.TakeUnflushed(d.ws.ssdIdx)
 		}
 		t.stats.Flushes++
-		t.ssds[d.ws.ssdIdx].Submit(&ssd.Command{
-			Op:   ssd.OpFlush,
-			Done: func(*ssd.Command) { t.doneQ.Push(fd) },
-		})
+		fd.cmd.Op = ssd.OpFlush
+		t.ssds[d.ws.ssdIdx].Submit(&fd.cmd)
 	default:
 		// Non-PLP, no flush: leave persist=0 (a later FLUSH-carrying
 		// entry certifies it during recovery, §4.3.2).
@@ -890,43 +905,56 @@ func (t *Target) flushOrArm(p *sim.Proc, l *qpLane) {
 	}
 }
 
+// cqeTimer is one hold-timer event of a lane, armed under target
+// incarnation epoch. Only the event heap holds it: it recycles as it fires.
+type cqeTimer struct {
+	l     *qpLane
+	epoch int
+}
+
 // armCQETimer schedules a hold-timer check for one lane's pending response
-// capsule. Eng.At events cannot be cancelled, so the timer checks batch age
+// capsule. Engine events cannot be cancelled, so the timer checks batch age
 // when it fires: a batch younger than the hold (the one this timer was
 // armed for was consumed by a threshold flush) re-arms for the remainder
 // instead of shipping early, keeping occupancy honest.
 func (t *Target) armCQETimer(l *qpLane, d sim.Time) {
 	l.armed = true
-	epoch := t.epoch
-	t.c.Eng.At(d, func() {
-		// This timer event is spent, whatever happens next: the armed
-		// flag must never be true without a live timer behind it, or a
-		// sub-threshold batch strands forever (the deadlock is real — a
-		// replayed command's hwDone would never fire). A stale timer
-		// clearing the flag while a younger chain is live only costs a
-		// redundant re-arm on the next completion.
-		l.armed = false
-		if epoch != t.epoch || !t.alive {
+	tm := t.timerFree.Get()
+	tm.l, tm.epoch = l, t.epoch
+	t.c.Eng.Schedule(d, tm)
+}
+
+func (tm *cqeTimer) Run() {
+	l, epoch := tm.l, tm.epoch
+	t := l.t
+	t.timerFree.Put(tm)
+	// This timer event is spent, whatever happens next: the armed
+	// flag must never be true without a live timer behind it, or a
+	// sub-threshold batch strands forever (the deadlock is real — a
+	// replayed command's hwDone would never fire). A stale timer
+	// clearing the flag while a younger chain is live only costs a
+	// redundant re-arm on the next completion.
+	l.armed = false
+	if epoch != t.epoch || !t.alive {
+		return
+	}
+	if len(l.cqes) == 0 {
+		// Only resolution records can be pending on an otherwise idle QP
+		// (relay route): ship them in a CQE-less capsule so the
+		// initiator reaches full resolution without waiting for
+		// unrelated completions.
+		if len(l.resolved) == 0 {
 			return
 		}
-		if len(l.cqes) == 0 {
-			// Only resolution records can be pending on an otherwise idle QP
-			// (relay route): ship them in a CQE-less capsule so the
-			// initiator reaches full resolution without waiting for
-			// unrelated completions.
-			if len(l.resolved) == 0 {
-				return
-			}
-		} else if wait := l.first + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
-			// The batch this timer was armed for was consumed by a
-			// threshold flush; re-arm for the younger one now pending.
-			t.stats.CQERearms++
-			t.armCQETimer(l, wait)
-			return
-		}
-		t.stats.CQETimerFlushes++
-		t.routeFlush(l)
-	})
+	} else if wait := l.first + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
+		// The batch this timer was armed for was consumed by a
+		// threshold flush; re-arm for the younger one now pending.
+		t.stats.CQERearms++
+		t.armCQETimer(l, wait)
+		return
+	}
+	t.stats.CQETimerFlushes++
+	t.routeFlush(l)
 }
 
 // routeFlush asks the completion context to flush one lane's pending
