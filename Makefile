@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs coverage examples ci
 
 all: build test
 
@@ -50,14 +50,16 @@ bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
 
 # Host-clock microbenchmarks of the simulation substrate (event heap, proc
-# switch, queues, resources, proc spawn). CI smokes them at BENCHTIME=100x.
+# switch, queues, servers, resources, proc spawn). CI smokes them at
+# BENCHTIME=100x.
 BENCHTIME ?= 1s
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/sim
 
 # Host-clock microbenchmarks of the layers above the substrate: fabric
-# send→deliver, ssd Optane write→complete, sequencer submit→complete,
-# volume extents into scratch. CI smokes them at BENCHTIME=100x.
+# send→deliver (paced, and under TxDepth backpressure), ssd Optane
+# write→complete and flash write→destage, sequencer submit→complete, volume
+# extents into scratch. CI smokes them at BENCHTIME=100x.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/core ./internal/blockdev
 
@@ -94,6 +96,21 @@ bench-gate: build
 # it fails here, not in the acceptance driver.
 benchmark-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# A host-clock claim on a noisy sandbox: N alternating pairs of one
+# benchmark workload, this checkout against PARENT (a checkout of the parent
+# commit, e.g. a `git clone` under /root/scratch). Prints each side's
+# median and quartiles of METRIC, the pairs won, and whether sim_* moved.
+# RUN_SECONDS is the benchmark's --seconds (0 = 5 runs per invocation; the
+# acceptance driver passes BENCHMARK.json's run_seconds).
+WORKLOAD    ?= blk_seqbatch
+N           ?= 10
+SEED        ?= 1
+METRIC      ?= host_ns_per_op
+RUN_SECONDS ?= 0
+host-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make host-pairs PARENT=<checkout> [WORKLOAD=$(WORKLOAD)] [N=$(N)] [SEED=$(SEED)] [METRIC=$(METRIC)] [RUN_SECONDS=$(RUN_SECONDS)]"; exit 2; }
+	bash scripts/host-pairs.sh "$(PARENT)" $(WORKLOAD) $(N) $(SEED) $(METRIC) $(RUN_SECONDS)
 
 # Coverage profile over the ordering engine and the stack that drives it
 # (CI uploads the profile as an artifact).

@@ -31,13 +31,6 @@ const (
 
 func (s Side) other() Side { return 1 - s }
 
-func (s Side) String() string {
-	if s == Initiator {
-		return "initiator"
-	}
-	return "target"
-}
-
 // Config holds link and NIC parameters.
 type Config struct {
 	BytesPerNs  float64  // link bandwidth (25.0 ≈ 200 Gb/s)
@@ -114,8 +107,8 @@ type wireItem struct {
 }
 
 // delivery is a wire item past the link: the arrival event the engine
-// runs. The TX queue and the wire process hold items by value; only the
-// event heap holds a delivery, so it recycles as it fires (delivered or
+// runs. The TX queue and the link (one sim.Server) hold items by value; only
+// the event heap holds a delivery, so it recycles as it fires (delivered or
 // stale) and a Disconnect never has one to free.
 type delivery struct {
 	c  *Conn // nil while on the free list
@@ -157,9 +150,9 @@ type Conn struct {
 	eng      *sim.Engine
 	cfg      Config
 	handlers [2]Handler
-	wires    [2]*sim.Queue[wireItem] // index = destination side
-	txSpace  [2]*sim.Cond            // index = destination side; TxDepth waiters
-	lastQP   [2][]sim.Time           // per destination, per QP: last delivery time
+	wires    [2]*sim.Server[wireItem] // index = destination side: TX queue + link
+	txSpace  [2]*sim.Cond             // index = destination side; TxDepth waiters
+	lastQP   [2][]sim.Time            // per destination, per QP: last delivery time
 	epoch    uint64
 	up       bool
 	stats    [2]Stats // index = destination side
@@ -171,7 +164,8 @@ type Conn struct {
 	poison bool
 }
 
-// NewConn creates a connection and starts its wire processes.
+// NewConn creates a connection. Each direction of the link is a sim.Server
+// (it queues, serializes, never blocks), so a connection owns no process.
 func NewConn(e *sim.Engine, cfg Config) *Conn {
 	if cfg.NumQPs <= 0 || cfg.BytesPerNs <= 0 {
 		panic("fabric: invalid config")
@@ -180,12 +174,11 @@ func NewConn(e *sim.Engine, cfg Config) *Conn {
 		panic("fabric: TxDepth must be >= 0")
 	}
 	c := &Conn{eng: e, cfg: cfg, up: true}
+	start, finish := c.wireStart, c.wireFinish
 	for d := 0; d < 2; d++ {
-		c.wires[d] = sim.NewQueue[wireItem](e)
+		c.wires[d] = sim.NewServer(e, start, finish)
 		c.txSpace[d] = sim.NewCond(e)
 		c.lastQP[d] = make([]sim.Time, cfg.NumQPs)
-		dir := Side(d)
-		e.Go(fmt.Sprintf("wire->%s", dir), func(p *sim.Proc) { c.wireLoop(p, dir) })
 	}
 	return c
 }
@@ -240,40 +233,43 @@ func (c *Conn) WaitTxSpace(p *sim.Proc, from Side) sim.Time {
 	return stalled
 }
 
-// wireLoop serializes messages onto the link toward side `to` and schedules
-// their deliveries, keeping per-QP FIFO order while allowing cross-QP skew.
-func (c *Conn) wireLoop(p *sim.Proc, to Side) {
-	for {
-		it := c.wires[to].Pop(p)
-		if c.cfg.TxDepth > 0 && c.wires[to].Len() < c.cfg.TxDepth {
-			// One freed slot admits one waiter: a Broadcast would wake
-			// every parked sender, and since each Send happens only after
-			// WaitTxSpace returns, all of them would pass the re-check and
-			// overshoot TxDepth by waiters-1.
-			c.txSpace[to].Signal()
-		}
-		if it.epoch != c.epoch {
-			c.drop(it)
-			continue
-		}
-		p.Sleep(c.serialization(it.msg.Size))
-		if it.epoch != c.epoch {
-			c.drop(it)
-			continue
-		}
-		jitter := sim.Time(0)
-		if c.cfg.QPJitterMax > 0 {
-			jitter = sim.Time(c.eng.Rand().Int63n(int64(c.cfg.QPJitterMax) + 1))
-		}
-		at := p.Now() + c.cfg.PropDelay + jitter
-		if last := c.lastQP[to][it.msg.QP]; at <= last {
-			at = last + 1 // preserve per-QP FIFO
-		}
-		c.lastQP[to][it.msg.QP] = at
-		d := c.free.Get()
-		d.c, d.it = c, it
-		c.eng.Schedule(at-p.Now(), d)
+// wireStart and wireFinish are one direction of the link as a sim.Server:
+// wireStart takes a message off the TX queue (one slot freed) and reports
+// its serialization time, wireFinish schedules its delivery when the last
+// byte has left, keeping per-QP FIFO order while allowing cross-QP skew.
+func (c *Conn) wireStart(it wireItem) (sim.Time, bool) {
+	if c.cfg.TxDepth > 0 && c.wires[it.to].Len() < c.cfg.TxDepth {
+		// One freed slot admits one waiter: a Broadcast would wake
+		// every parked sender, and since each Send happens only after
+		// WaitTxSpace returns, all of them would pass the re-check and
+		// overshoot TxDepth by waiters-1.
+		c.txSpace[it.to].Signal()
 	}
+	if it.epoch != c.epoch {
+		c.drop(it)
+		return 0, false
+	}
+	return c.serialization(it.msg.Size), true
+}
+
+func (c *Conn) wireFinish(it wireItem) {
+	if it.epoch != c.epoch {
+		c.drop(it) // the link went down with the message half sent
+		return
+	}
+	jitter := sim.Time(0)
+	if c.cfg.QPJitterMax > 0 {
+		jitter = sim.Time(c.eng.Rand().Int63n(int64(c.cfg.QPJitterMax) + 1))
+	}
+	now := c.eng.Now()
+	at := now + c.cfg.PropDelay + jitter
+	if last := c.lastQP[it.to][it.msg.QP]; at <= last {
+		at = last + 1 // preserve per-QP FIFO
+	}
+	c.lastQP[it.to][it.msg.QP] = at
+	d := c.free.Get()
+	d.c, d.it = c, it
+	c.eng.Schedule(at-now, d)
 }
 
 // BulkRead performs a one-sided RDMA READ: the calling process (on side

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -249,4 +250,72 @@ func TestDisconnectReleasesBulkTransfers(t *testing.T) {
 		}
 		e.Shutdown()
 	}
+}
+
+// A message half serialized when the link drops is not in the TX queue any
+// more: Disconnect drops what still waits, and the one on the wire is
+// dropped when its last byte would have left — by the link's own epoch
+// check, whether or not the connection is back up by then — and holds the
+// link until that moment.
+func TestDisconnectDropsMessageOnTheWireWhenItFinishes(t *testing.T) {
+	e := sim.New(1)
+	c := poisonedConn(e, testCfg(1))
+	var delivered []int
+	var deliveredAt sim.Time
+	c.SetHandler(Target, func(m Message) {
+		delivered = append(delivered, m.Payload.(int))
+		deliveredAt = e.Now()
+	})
+	const wire = (1 << 19) / 25 // ns per message
+	e.At(0, func() {
+		c.Send(Initiator, Message{Size: 1 << 19, Payload: 1}) // on the wire at the cut
+		c.Send(Initiator, Message{Size: 1 << 19, Payload: 2}) // queued behind it
+	})
+	var atCut, atReconnect int64
+	e.At(wire/2, func() {
+		c.Disconnect()
+		atCut = c.Stats(Target).Dropped
+	})
+	e.At(wire/2+100, func() {
+		c.Reconnect()
+		atReconnect = c.Stats(Target).Dropped
+		c.Send(Initiator, Message{Size: 64, Payload: 3})
+	})
+	e.Run()
+	if atCut != 1 || atReconnect != 1 || c.Stats(Target).Dropped != 2 {
+		t.Errorf("dropped %d at the cut, %d at reconnect, %d in the end; want 1 (queued), 1, 2 (+ the one on the wire)",
+			atCut, atReconnect, c.Stats(Target).Dropped)
+	}
+	if len(delivered) != 1 || delivered[0] != 3 {
+		t.Fatalf("delivered %v, want only the post-reconnect message", delivered)
+	}
+	if deliveredAt < wire+1500 {
+		t.Errorf("post-reconnect message delivered at %v: it overtook the stale one still on the wire until %v", deliveredAt, sim.Time(wire))
+	}
+	e.Shutdown()
+}
+
+// A link direction is a sim.Server, not a process: a connection creates no
+// coroutine and its traffic resumes none.
+func TestConnOwnsNoProc(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := sim.New(1)
+	c := NewConn(e, testCfg(2))
+	got := 0
+	c.SetHandler(Target, func(Message) { got++ })
+	c.SetHandler(Initiator, func(Message) { got++ })
+	for i := 0; i < 10; i++ {
+		e.At(sim.Time(i)*100, func() {
+			c.Send(Initiator, Message{QP: i % 2, Size: 4096})
+			c.Send(Target, Message{QP: i % 2, Size: 16})
+		})
+	}
+	e.Run()
+	if _, resumes := e.Counts(); got != 20 || resumes != 0 {
+		t.Errorf("delivered %d of 20 messages with %d proc resumes, want 0", got, resumes)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("NewConn + traffic left %d goroutines, started with %d", n, base)
+	}
+	e.Shutdown()
 }

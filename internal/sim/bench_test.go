@@ -64,6 +64,27 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkServerHandoff is BenchmarkQueueHandoff plus BenchmarkProcSleep
+// for a consumer that never blocks mid-item: push → start → timed finish on
+// a Server, which is what a fabric link direction or an SSD channel costs
+// per item. The finish pushes the next item, so the server goes idle and
+// is woken once per op.
+func BenchmarkServerHandoff(b *testing.B) {
+	e := New(1)
+	left := b.N
+	var srv *Server[int]
+	push := func() { srv.Push(left) }
+	srv = NewServer(e, func(int) (Time, bool) { return 10, true }, func(int) {
+		if left--; left > 0 {
+			e.At(1, push)
+		}
+	})
+	push()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 func BenchmarkResourceUse(b *testing.B) {
 	e := New(1)
 	defer e.Shutdown()

@@ -9,7 +9,7 @@
 // measurements rely on.
 //
 // The engine has one kind of event: a Runner (interface{ Run() }) due at a
-// time. Three things implement Runner, and they mix freely:
+// time. Four things implement Runner, and they mix freely:
 //
 //   - Callbacks: Engine.At(d, fn) schedules fn to run d nanoseconds from
 //     now on the engine goroutine. Callbacks must not block. The func value
@@ -26,13 +26,20 @@
 //     yield, and the runtime switches the two goroutines directly (no
 //     channel, no scheduler pass), so at most one goroutine ever touches
 //     simulation state. Proc.Run is the engine's to call, nobody else's.
+//   - Servers: NewServer(e, start, finish) is a FIFO single-server station
+//     for a device that queues, takes time and completes without blocking
+//     mid-item (a link direction, an SSD channel). Its own Run calls start
+//     as it takes an item and finish when the service time is up: the
+//     events of a Proc popping a Queue and sleeping, at a plain call each.
+//     A consumer that blocks while it holds an item stays that Proc.
 //
 // The event heap is a typed 4-ary min-heap of {at, seq, Runner} ordered by
-// (at, seq). seq is a counter that At, Schedule, Sleep, a wake-up and Go
-// each advance by exactly one, so (at, seq) is a total order: the pop
-// sequence, and with it every simulated number, is fixed by the order in
-// which simulation code schedules work and not by the heap's layout, by
-// which kind of Runner an event carries or by how procs are switched.
+// (at, seq). seq is a counter that At, Schedule, Sleep, a wake-up (of a
+// Proc or of an idle Server), Go and NewServer each advance by exactly one,
+// so (at, seq) is a total order: the pop sequence, and with it every
+// simulated number, is fixed by the order in which simulation code schedules
+// work and not by the heap's layout, by which kind of Runner an event
+// carries or by how procs are switched.
 //
 // When a Proc's fn returns, the Proc and its coroutine go on a free list
 // and the next Engine.Go reuses them; a *Proc handle is therefore valid

@@ -35,8 +35,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // A Runner is a unit of scheduled work: the engine calls Run once, on the
 // engine goroutine, when the event's time comes. Run must not block. A
-// *Proc is a Runner (Run resumes it), At adapts a func, and a layer may
-// pass Schedule a record it pools itself (see the package comment).
+// *Proc is a Runner (Run resumes it), At adapts a func, a *Server serves
+// its queue from its own Run, and a layer may pass Schedule a record it
+// pools itself (see the package comment).
 type Runner interface{ Run() }
 
 // runFunc adapts a callback to Runner. Func values are pointer-shaped, so
@@ -61,12 +62,13 @@ func (a *event) before(b *event) bool {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New.
 type Engine struct {
-	now    Time
-	events []event // 4-ary min-heap ordered by event.before
-	seq    uint64
-	rng    *rand.Rand
-	procs  []*Proc // every proc created, running, parked or free
-	free   []*Proc // finished procs whose coroutine awaits its next fn
+	now     Time
+	events  []event // 4-ary min-heap ordered by event.before
+	seq     uint64
+	resumes uint64 // proc switches: events that were a Proc's Run
+	rng     *rand.Rand
+	procs   []*Proc // every proc created, running, parked or free
+	free    []*Proc // finished procs whose coroutine awaits its next fn
 
 	stopped bool // Stop was called during the current run
 }
@@ -79,6 +81,11 @@ func New(seed int64) *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
+
+// Counts returns how many events have been scheduled and how many of the
+// events run were proc resumes (a coroutine switch each, where any other
+// event is a plain call). Both are exact for a seed.
+func (e *Engine) Counts() (events, resumes uint64) { return e.seq, e.resumes }
 
 // Rand returns the engine's deterministic random stream. It must only be
 // used from simulation context (callbacks or procs).

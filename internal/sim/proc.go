@@ -76,6 +76,7 @@ func (p *Proc) run() (finished bool) {
 // finishes.
 func (p *Proc) Run() {
 	p.wakeQueued = false
+	p.eng.resumes++
 	p.next()
 }
 

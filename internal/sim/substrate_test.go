@@ -173,6 +173,18 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			})
 		}},
+		{"server", 0, func(e *Engine) {
+			// A zero-time item and a timed one per 2 ns: the inline and
+			// the scheduled finish.
+			srv := NewServer(e, func(v int) (Time, bool) { return Time(v), true }, func(int) {})
+			e.Go("producer", func(p *Proc) {
+				for {
+					srv.Push(0)
+					srv.Push(1)
+					p.Sleep(2)
+				}
+			})
+		}},
 		{"resource uncontended", 0, func(e *Engine) {
 			r := NewResource(e, 1)
 			e.Go("user", func(p *Proc) {

@@ -30,6 +30,15 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
+// drain removes and returns every element, oldest first.
+func (r *ring[T]) drain() []T {
+	v := make([]T, 0, r.n)
+	for r.n > 0 {
+		v = append(v, r.pop())
+	}
+	return v
+}
+
 // FreeList recycles records of one type for the layer that owns them (a
 // pooled Runner returns itself from Run). The zero value is ready; Get hands
 // back a recycled record as Put left it, or a new zero one.
@@ -282,13 +291,7 @@ func (q *Queue[T]) TryPop() (T, bool) {
 func (q *Queue[T]) Len() int { return q.items.n }
 
 // Drain removes and returns all queued items.
-func (q *Queue[T]) Drain() []T {
-	v := make([]T, 0, q.items.n)
-	for q.items.n > 0 {
-		v = append(v, q.items.pop())
-	}
-	return v
-}
+func (q *Queue[T]) Drain() []T { return q.items.drain() }
 
 // WaitGroup tracks a count of outstanding simulated tasks.
 type WaitGroup struct {

@@ -14,6 +14,7 @@ package ssd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -166,14 +167,23 @@ type Command struct {
 	epoch   uint64
 }
 
-// cmdStart and cmdDone are a Command seen as its two engine events: the
-// start of a command that never blocks, and the completion callback.
+// cmdStart, cmdAck and cmdDone are a Command seen as its engine events: the
+// start of a command that never waits on device state, the timed
+// controller-only acknowledgement (cached read, PLP FLUSH), and the
+// completion callback. A command is at most one of them at a time.
 type (
 	cmdStart Command
+	cmdAck   Command
 	cmdDone  Command
 )
 
 func (c *cmdStart) Run() { c.dev.execute(nil, (*Command)(c)) }
+
+func (c *cmdAck) Run() {
+	if c.epoch == c.dev.epoch {
+		c.dev.complete((*Command)(c))
+	}
+}
 
 func (c *cmdDone) Run() {
 	if c.epoch == c.dev.epoch {
@@ -198,7 +208,7 @@ type Stats struct {
 
 type segment struct {
 	lba   uint64
-	recs  []Rec
+	rec   Rec // the block to program; only Stamp is read for an erase
 	read  bool
 	erase bool
 	cmd   *Command
@@ -211,14 +221,15 @@ type SSD struct {
 	cfg     Config
 	cmdName string // name of the per-command procs
 
-	media map[uint64][]Rec // durable content (history; last = current)
+	media map[uint64]Rec   // durable content: the current version of each block
+	older map[uint64][]Rec // KeepHistory only: the versions under it, oldest first
 	cache map[uint64]Rec   // flash volatile dirty blocks
 	dirty int
 	pmr   []byte
 
 	front       *sim.Resource
-	chanQs      []*sim.Queue[segment]
-	chanBusy    *sim.Resource // busy-time accounting across channels
+	chans       []*sim.Server[segment] // one per parallel media unit
+	chanBusy    *sim.Resource          // busy-time accounting across channels
 	destageCond *sim.Cond
 	cacheCond   *sim.Cond
 	flushMu     *sim.Resource
@@ -231,7 +242,8 @@ type SSD struct {
 	stats Stats
 }
 
-// New creates a device and starts its channel processes.
+// New creates a device. Each media channel is a sim.Server (it queues,
+// programs, never blocks), so a device owns no process of its own.
 func New(e *sim.Engine, cfg Config) *SSD {
 	if cfg.Channels <= 0 || cfg.MaxTransferBlocks <= 0 {
 		panic("ssd: invalid config")
@@ -249,7 +261,7 @@ func New(e *sim.Engine, cfg Config) *SSD {
 		eng:         e,
 		cfg:         cfg,
 		cmdName:     cfg.Name + "/cmd",
-		media:       make(map[uint64][]Rec),
+		media:       make(map[uint64]Rec),
 		cache:       make(map[uint64]Rec),
 		pmr:         make([]byte, cfg.PMRSize),
 		front:       sim.NewResource(e, cfg.FrontWidth),
@@ -259,12 +271,12 @@ func New(e *sim.Engine, cfg Config) *SSD {
 		flushMu:     sim.NewResource(e, 1),
 		flushCond:   sim.NewCond(e),
 	}
+	if cfg.KeepHistory {
+		s.older = make(map[uint64][]Rec)
+	}
+	start, finish := s.segStart, s.segFinish
 	for i := 0; i < cfg.Channels; i++ {
-		q := sim.NewQueue[segment](e)
-		s.chanQs = append(s.chanQs, q)
-		e.Go(fmt.Sprintf("%s/chan%d", cfg.Name, i), func(p *sim.Proc) {
-			s.channelLoop(p, q)
-		})
+		s.chans = append(s.chans, sim.NewServer(e, start, finish))
 	}
 	return s
 }
@@ -294,30 +306,37 @@ func (s *SSD) Submit(cmd *Command) {
 		panic("ssd: write must carry one stamp per block")
 	}
 	cmd.dev, cmd.epoch = s, s.epoch
-	// A command that only fans its blocks out to the channels never blocks
-	// and starts as a plain event (execute gets no proc); one that waits
-	// gets a proc. Either way the start takes one (at, seq) slot.
-	if cmd.Op == OpErase || (cmd.Op == OpWrite && s.cfg.Profile == Optane) {
-		s.eng.Schedule(0, (*cmdStart)(cmd))
-	} else {
+	// A flash write (cache space, an active FLUSH) and a flash FLUSH (the
+	// drain) wait on device state and get a proc. Everything else only fans
+	// out to the channels or is acknowledged after a fixed delay, and starts
+	// as a plain event (execute gets no proc): one (at, seq) slot either way.
+	if s.cfg.Profile == Flash && (cmd.Op == OpWrite || cmd.Op == OpFlush) {
 		s.eng.Go(s.cmdName, func(p *sim.Proc) { s.execute(p, cmd) })
+	} else {
+		s.eng.Schedule(0, (*cmdStart)(cmd))
 	}
 }
 
 func (s *SSD) execute(p *sim.Proc, cmd *Command) {
+	if cmd.epoch != s.epoch {
+		// Power was cut between Submit and this start event: stamping the
+		// command's segments with the new epoch would program them.
+		s.stats.AbortedCmds++
+		return
+	}
 	switch cmd.Op {
 	case OpWrite:
 		if s.cfg.Profile == Flash {
 			s.execFlashWrite(p, cmd)
 		} else {
-			s.execOptaneWrite(cmd)
+			s.execDirect(cmd)
 		}
 	case OpRead:
-		s.execRead(p, cmd)
+		s.execRead(cmd)
 	case OpFlush:
 		s.execFlush(p, cmd)
 	case OpErase:
-		s.execErase(cmd)
+		s.execDirect(cmd)
 	}
 }
 
@@ -358,74 +377,48 @@ func (s *SSD) execFlashWrite(p *sim.Proc, cmd *Command) {
 		}
 		s.cache[lba] = rec
 		s.dirty++
-		s.chanQs[s.chanOf(lba)].Push(segment{lba: lba, recs: []Rec{rec}, epoch: s.epoch})
+		s.chans[s.chanOf(lba)].Push(segment{lba: lba, rec: rec, epoch: s.epoch})
 	}
 	if s.dirty > s.stats.MaxDirtySeen {
 		s.stats.MaxDirtySeen = s.dirty
 	}
 	s.front.Release()
-	s.stats.Writes++
-	s.stats.WrittenBlks += int64(cmd.Blocks)
 	s.complete(cmd)
 }
 
-// execOptaneWrite routes a write directly to per-channel media programming;
-// completion fires when every block is durable (PLP semantics).
-func (s *SSD) execOptaneWrite(cmd *Command) {
+// execDirect routes each block of an Optane write or an erase to its
+// channel. The write completes when every block is durable (PLP semantics);
+// the erase pays media time like a write, so recovery's roll-back costs what
+// it should, and each record is removed at channel completion via Discard.
+func (s *SSD) execDirect(cmd *Command) {
 	cmd.pending = int(cmd.Blocks)
 	for i := uint32(0); i < cmd.Blocks; i++ {
 		lba := cmd.LBA + uint64(i)
-		rec := Rec{Stamp: cmd.Stamps[i]}
-		if cmd.Data != nil && cmd.Data[i] != nil {
-			rec.Data = append([]byte(nil), cmd.Data[i]...)
+		seg := segment{lba: lba, rec: Rec{Stamp: cmd.Stamps[i]}, erase: cmd.Op == OpErase, cmd: cmd, epoch: s.epoch}
+		if !seg.erase && cmd.Data != nil && cmd.Data[i] != nil {
+			seg.rec.Data = append([]byte(nil), cmd.Data[i]...)
 		}
-		s.chanQs[s.chanOf(lba)].Push(segment{
-			lba: lba, recs: []Rec{rec}, cmd: cmd, epoch: s.epoch,
-		})
+		s.chans[s.chanOf(lba)].Push(seg)
 	}
 }
 
-// execErase routes per-block roll-back through the channels so recovery
-// pays realistic media time; the actual record removal happens at channel
-// completion via Discard.
-func (s *SSD) execErase(cmd *Command) {
-	cmd.pending = int(cmd.Blocks)
-	for i := uint32(0); i < cmd.Blocks; i++ {
-		lba := cmd.LBA + uint64(i)
-		s.chanQs[s.chanOf(lba)].Push(segment{
-			lba: lba, recs: []Rec{{Stamp: cmd.Stamps[i]}}, erase: true,
-			cmd: cmd, epoch: s.epoch,
-		})
-	}
-}
-
-func (s *SSD) execRead(p *sim.Proc, cmd *Command) {
+// execRead serves cached blocks at once and fetches the rest through the
+// channels. It never yields, so no segment can finish before all are queued.
+func (s *SSD) execRead(cmd *Command) {
 	cmd.Out = make([]Rec, cmd.Blocks)
 	cmd.pending = 0
-	var miss []uint32
 	for i := uint32(0); i < cmd.Blocks; i++ {
 		lba := cmd.LBA + uint64(i)
 		if rec, ok := s.cache[lba]; ok {
 			cmd.Out[i] = rec
 			continue
 		}
-		miss = append(miss, i)
+		cmd.pending++
+		s.chans[s.chanOf(lba)].Push(segment{lba: lba, read: true, cmd: cmd, epoch: s.epoch})
 	}
-	if len(miss) == 0 {
+	if cmd.pending == 0 {
 		// Cache hit: controller-only latency.
-		p.Sleep(2 * sim.Microsecond)
-		if cmd.epoch == s.epoch {
-			s.stats.Reads++
-			s.complete(cmd)
-		}
-		return
-	}
-	cmd.pending = len(miss)
-	for _, i := range miss {
-		lba := cmd.LBA + uint64(i)
-		s.chanQs[s.chanOf(lba)].Push(segment{
-			lba: lba, read: true, cmd: cmd, epoch: s.epoch,
-		})
+		s.eng.Schedule(2*sim.Microsecond, (*cmdAck)(cmd))
 	}
 }
 
@@ -434,9 +427,9 @@ func (s *SSD) execRead(p *sim.Proc, cmd *Command) {
 // Optane it acks almost immediately.
 func (s *SSD) execFlush(p *sim.Proc, cmd *Command) {
 	if s.cfg.Profile == Optane {
-		p.Sleep(s.cfg.OptaneFlushLat)
-		if cmd.epoch == s.epoch {
-			s.stats.Flushes++
+		if s.cfg.OptaneFlushLat > 0 {
+			s.eng.Schedule(s.cfg.OptaneFlushLat, (*cmdAck)(cmd))
+		} else {
 			s.complete(cmd)
 		}
 		return
@@ -463,102 +456,93 @@ func (s *SSD) execFlush(p *sim.Proc, cmd *Command) {
 	s.stats.FlushBusy += p.Now() - start
 	s.flushMu.Release()
 	if cmd.epoch == s.epoch {
-		s.stats.Flushes++
 		s.complete(cmd)
 	}
 }
 
-// channelLoop is one parallel media unit.
-func (s *SSD) channelLoop(p *sim.Proc, q *sim.Queue[segment]) {
-	for {
-		seg := q.Pop(p)
-		if seg.epoch != s.epoch {
-			s.stats.StaleSegs++
-			continue
-		}
-		s.chanBusy.Acquire(p)
-		lat := s.cfg.MediaWriteLat
-		if seg.read {
-			lat = s.cfg.MediaReadLat
-		}
-		// Queue-depth-dependent service degradation: deterministic (no RNG
-		// draw — the saturation model must not perturb seeded runs that
-		// leave it off, and q.Len() is itself reproducible).
-		if s.cfg.SatKnee > 0 {
-			if depth := q.Len(); depth > s.cfg.SatKnee {
-				f := 1 + float64(depth-s.cfg.SatKnee)/float64(s.cfg.SatKnee)
-				if f > s.cfg.SatFactorMax {
-					f = s.cfg.SatFactorMax
-				}
-				stall := sim.Time(float64(lat) * (f - 1))
-				s.stats.SatStall += stall
-				if seg.cmd != nil {
-					seg.cmd.SatWait += stall
-				}
-				lat += stall
+// segStart and segFinish are one parallel media unit, the two halves of a
+// sim.Server item: segStart takes a segment onto its channel and reports
+// the media time, segFinish runs when the media is done with it.
+func (s *SSD) segStart(seg segment) (sim.Time, bool) {
+	if seg.epoch != s.epoch {
+		s.stats.StaleSegs++
+		return 0, false
+	}
+	// Never fails: a channel holds at most one of the Channels units.
+	s.chanBusy.TryAcquire()
+	lat := s.cfg.MediaWriteLat
+	if seg.read {
+		lat = s.cfg.MediaReadLat
+	}
+	// Queue-depth-dependent service degradation: deterministic (no RNG
+	// draw — the saturation model must not perturb seeded runs that
+	// leave it off, and the backlog is itself reproducible).
+	if s.cfg.SatKnee > 0 {
+		if depth := s.chans[s.chanOf(seg.lba)].Len(); depth > s.cfg.SatKnee {
+			f := 1 + float64(depth-s.cfg.SatKnee)/float64(s.cfg.SatKnee)
+			if f > s.cfg.SatFactorMax {
+				f = s.cfg.SatFactorMax
 			}
-		}
-		p.Sleep(lat)
-		s.chanBusy.Release()
-		if seg.epoch != s.epoch {
-			s.stats.StaleSegs++
-			continue // power was cut mid-program: block not durable
-		}
-		if seg.read {
-			rec, _ := s.Durable(seg.lba)
-			i := seg.lba - seg.cmd.LBA
-			seg.cmd.Out[i] = rec
-			seg.cmd.pending--
-			if seg.cmd.pending == 0 {
-				s.stats.Reads++
-				s.complete(seg.cmd)
+			stall := sim.Time(float64(lat) * (f - 1))
+			s.stats.SatStall += stall
+			if seg.cmd != nil {
+				seg.cmd.SatWait += stall
 			}
-			continue
-		}
-		if seg.erase {
-			s.Discard(seg.lba, seg.recs[0].Stamp)
-			seg.cmd.pending--
-			if seg.cmd.pending == 0 {
-				s.complete(seg.cmd)
-			}
-			continue
-		}
-		// Write path: program media.
-		s.applyMedia(seg.lba, seg.recs)
-		if seg.cmd != nil {
-			// Optane direct write.
-			seg.cmd.pending--
-			if seg.cmd.pending == 0 {
-				s.stats.Writes++
-				s.stats.WrittenBlks += int64(seg.cmd.Blocks)
-				s.complete(seg.cmd)
-			}
-		} else {
-			// Flash destage: only clears the dirty entry if the cache still
-			// holds the same version (a newer overwrite re-queues its own
-			// destage segment).
-			if cur, ok := s.cache[seg.lba]; ok && cur.Stamp == seg.recs[0].Stamp {
-				delete(s.cache, seg.lba)
-			}
-			s.dirty--
-			s.stats.Destaged++
-			s.destageCond.Broadcast()
-			s.cacheCond.Broadcast()
+			lat += stall
 		}
 	}
+	return lat, true
 }
 
-// applyMedia programs a write segment's record: the segment is done with
-// its one-record slice, so without history that slice is the media entry.
-func (s *SSD) applyMedia(lba uint64, recs []Rec) {
-	if s.cfg.KeepHistory {
-		s.media[lba] = append(s.media[lba], recs[0])
-	} else {
-		s.media[lba] = recs
+func (s *SSD) segFinish(seg segment) {
+	s.chanBusy.Release()
+	if seg.epoch != s.epoch {
+		s.stats.StaleSegs++
+		return // power was cut mid-program: block not durable
 	}
+	switch {
+	case seg.read:
+		seg.cmd.Out[seg.lba-seg.cmd.LBA], _ = s.Durable(seg.lba)
+	case seg.erase:
+		s.Discard(seg.lba, seg.rec.Stamp)
+	default: // program media
+		if s.older != nil {
+			if cur, ok := s.media[seg.lba]; ok {
+				s.older[seg.lba] = append(s.older[seg.lba], cur)
+			}
+		}
+		s.media[seg.lba] = seg.rec
+	}
+	if cmd := seg.cmd; cmd != nil {
+		// Read, erase, Optane direct write: done with its last block.
+		if cmd.pending--; cmd.pending == 0 {
+			s.complete(cmd)
+		}
+		return
+	}
+	// Flash destage: only clears the dirty entry if the cache still holds
+	// the same version (a newer overwrite re-queues its own destage
+	// segment).
+	if cur, ok := s.cache[seg.lba]; ok && cur.Stamp == seg.rec.Stamp {
+		delete(s.cache, seg.lba)
+	}
+	s.dirty--
+	s.stats.Destaged++
+	s.destageCond.Broadcast()
+	s.cacheCond.Broadcast()
 }
 
+// complete counts a finished command and schedules its Done.
 func (s *SSD) complete(cmd *Command) {
+	switch cmd.Op {
+	case OpWrite:
+		s.stats.Writes++
+		s.stats.WrittenBlks += int64(cmd.Blocks)
+	case OpRead:
+		s.stats.Reads++
+	case OpFlush:
+		s.stats.Flushes++
+	}
 	if cmd.Done != nil {
 		s.eng.Schedule(0, (*cmdDone)(cmd))
 	}
@@ -574,24 +558,26 @@ func (s *SSD) Visible(lba uint64) (Rec, bool) {
 
 // Durable returns the media (persistent) content of lba.
 func (s *SSD) Durable(lba uint64) (Rec, bool) {
-	h := s.media[lba]
-	if len(h) == 0 {
-		return Rec{}, false
-	}
-	return h[len(h)-1], true
+	rec, ok := s.media[lba]
+	return rec, ok
 }
 
-// History returns the durable write history of lba (KeepHistory mode).
-func (s *SSD) History(lba uint64) []Rec { return s.media[lba] }
+// History returns the durable write history of lba, oldest first (more than
+// the current version only in KeepHistory mode). The slice is the caller's.
+func (s *SSD) History(lba uint64) []Rec {
+	cur, ok := s.media[lba]
+	if !ok {
+		return nil
+	}
+	return append(slices.Clip(s.older[lba]), cur)
+}
 
 // DurableLBAs returns the sorted list of LBAs holding durable content —
 // replication uses it to compare replica media for divergence.
 func (s *SSD) DurableLBAs() []uint64 {
 	out := make([]uint64, 0, len(s.media))
-	for lba, h := range s.media {
-		if len(h) > 0 {
-			out = append(out, lba)
-		}
+	for lba := range s.media {
+		out = append(out, lba)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -601,15 +587,19 @@ func (s *SSD) DurableLBAs() []uint64 {
 // modelling recovery erasing an out-of-place block. It reports whether a
 // record was removed.
 func (s *SSD) Discard(lba uint64, stamp uint64) bool {
-	h := s.media[lba]
+	h := s.History(lba)
 	for i := len(h) - 1; i >= 0; i-- {
-		if h[i].Stamp == stamp {
-			s.media[lba] = append(h[:i:i], h[i+1:]...)
-			if len(s.media[lba]) == 0 {
-				delete(s.media, lba)
-			}
-			return true
+		if h[i].Stamp != stamp {
+			continue
 		}
+		h = append(h[:i], h[i+1:]...)
+		if n := len(h); n > 0 { // KeepHistory only: the newest version left is current
+			s.media[lba], s.older[lba] = h[n-1], h[:n-1]
+		} else {
+			delete(s.media, lba)
+			delete(s.older, lba)
+		}
+		return true
 	}
 	return false
 }
@@ -634,9 +624,9 @@ func (s *SSD) PowerCut() {
 	s.cache = make(map[uint64]Rec)
 	s.dirty = 0
 	s.flushing = false
-	for _, q := range s.chanQs {
-		s.stats.AbortedCmds += int64(q.Len())
-		q.Drain()
+	for _, ch := range s.chans {
+		s.stats.AbortedCmds += int64(ch.Len())
+		ch.Drain()
 	}
 	// Wake anything stalled on cache space or flush so epoch checks run.
 	s.cacheCond.Broadcast()

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -259,6 +260,34 @@ func TestDiscardRollsBackHistory(t *testing.T) {
 	if s.Discard(0, 99) {
 		t.Fatal("Discard of unknown stamp should fail")
 	}
+	// An older version goes from under the current one; the last one
+	// takes the block with it.
+	if h := s.History(0); !s.Discard(0, 1) || len(h) != 2 || h[0].Stamp != 1 || len(s.History(0)) != 1 {
+		t.Fatalf("history %v before and %v after discarding the oldest version", h, s.History(0))
+	}
+	if rec, _ := s.Durable(0); rec.Stamp != 2 || !s.Discard(0, 2) {
+		t.Fatalf("durable stamp = %d after discarding an older version, want 2 and discardable", rec.Stamp)
+	}
+	if _, ok := s.Durable(0); ok || s.History(0) != nil || len(s.DurableLBAs()) != 0 {
+		t.Fatalf("block still present after its last version was discarded: %v", s.History(0))
+	}
+	e.Shutdown()
+}
+
+// Without KeepHistory an overwrite replaces the block: one version, ever.
+func TestNoHistoryKeepsOnlyCurrentVersion(t *testing.T) {
+	e := sim.New(1)
+	s := New(e, OptaneConfig())
+	write(e, s, 0, 1, 1, nil)
+	e.Run()
+	write(e, s, 0, 1, 2, nil)
+	e.Run()
+	if h := s.History(0); len(h) != 1 || h[0].Stamp != 2 || s.Discard(0, 1) || !s.Discard(0, 2) {
+		t.Fatalf("history = %v, want only stamp 2, discardable by that stamp alone", h)
+	}
+	if lbas := s.DurableLBAs(); len(lbas) != 0 {
+		t.Fatalf("durable LBAs = %v after the only version was discarded", lbas)
+	}
 	e.Shutdown()
 }
 
@@ -401,6 +430,102 @@ func TestCommandCtxAndReuseFromDone(t *testing.T) {
 		if rec, ok := s.Durable(lba); !ok || rec.Stamp != lba {
 			t.Fatalf("lba %d durable = %+v/%v after reuse", lba, rec, ok)
 		}
+	}
+	e.Shutdown()
+}
+
+// A command submitted in the instant before a power cut — its start event
+// still queued behind the cut — must die with the device: at the parent an
+// Optane write in that position was stamped with the post-cut epoch,
+// programmed 12 µs into the outage and counted in Stats.Writes, though its
+// Done never ran.
+func TestPowerCutInSubmitInstantAbortsCommand(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		op   Op
+	}{
+		{"optane write", testOptane(), OpWrite},
+		{"optane read", testOptane(), OpRead},
+		{"optane flush", testOptane(), OpFlush},
+		{"flash write", testFlash(), OpWrite},
+		{"flash read", testFlash(), OpRead},
+		{"flash flush", testFlash(), OpFlush},
+	} {
+		e := sim.New(1)
+		s := New(e, tc.cfg)
+		done := false
+		cmd := &Command{Op: tc.op, LBA: 3, Blocks: 1, Stamps: []uint64{9}, Done: func(*Command) { done = true }}
+		e.At(0, func() {
+			s.Submit(cmd)
+			s.PowerCut()
+		})
+		e.Run()
+		_, durable := s.Durable(3)
+		st := s.Stats()
+		if done || durable || st.Writes+st.Reads+st.Flushes != 0 || st.AbortedCmds != 1 {
+			t.Errorf("%s: done=%v durable=%v stats=%+v, want nothing done, nothing durable, AbortedCmds 1", tc.name, done, durable, st)
+		}
+		if busy := s.ChannelBusy(); busy != 0 {
+			t.Errorf("%s: channels were busy for %v inside the outage", tc.name, busy)
+		}
+		e.Shutdown()
+	}
+}
+
+// A segment on a channel when power is cut is not in the channel's queue
+// any more: PowerCut counts and removes what still waits, and the one being
+// programmed is discarded, stale, when its media time ends — without
+// becoming durable, and giving its channel back.
+func TestPowerCutDiscardsSegmentInServiceWhenItFinishes(t *testing.T) {
+	e := sim.New(1)
+	s := New(e, testOptane())
+	completed := 0
+	chans := uint64(s.cfg.Channels)
+	write(e, s, 0, 1, 1, func(*Command) { completed++ })     // programming at the cut
+	write(e, s, chans, 1, 2, func(*Command) { completed++ }) // same channel, queued behind it
+	var atCut Stats
+	e.At(1000, func() {
+		s.PowerCut()
+		atCut = s.Stats()
+	})
+	e.Run()
+	if st := s.Stats(); atCut.AbortedCmds != 1 || atCut.StaleSegs != 0 || st.AbortedCmds != 1 || st.StaleSegs != 1 {
+		t.Errorf("at the cut %+v, in the end %+v; want the queued segment aborted at the cut and the programmed one stale at its finish", atCut, st)
+	}
+	if _, ok := s.Durable(0); ok || completed != 0 || len(s.DurableLBAs()) != 0 {
+		t.Errorf("durable(0)=%v completed=%d media=%v after a cut mid-program", ok, completed, s.DurableLBAs())
+	}
+	if s.chanBusy.InUse() != 0 || s.ChannelBusy() != s.cfg.MediaWriteLat {
+		t.Errorf("channel units in use %d, busy integral %v; want 0 and one media write (%v)", s.chanBusy.InUse(), s.ChannelBusy(), s.cfg.MediaWriteLat)
+	}
+	e.Shutdown()
+}
+
+// Channels are sim.Servers and only a flash write or FLUSH runs as a
+// process: a device creates no coroutine, and Optane traffic and reads on
+// either profile resume none.
+func TestDeviceOwnsNoProc(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := sim.New(1)
+	done := 0
+	onDone := func(*Command) { done++ }
+	for _, cfg := range []Config{testOptane(), testFlash()} {
+		s := New(e, cfg)
+		e.At(0, func() {
+			if cfg.Profile == Optane {
+				s.Submit(&Command{Op: OpWrite, LBA: 1, Blocks: 2, Stamps: []uint64{5, 5}, Done: onDone})
+				s.Submit(&Command{Op: OpFlush, Done: onDone})
+			}
+			s.Submit(&Command{Op: OpRead, LBA: 1, Blocks: 2, Done: onDone})
+		})
+	}
+	e.Run()
+	if _, resumes := e.Counts(); done != 4 || resumes != 0 {
+		t.Errorf("completed %d of 4 commands with %d proc resumes, want 0", done, resumes)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("two devices + traffic left %d goroutines, started with %d", n, base)
 	}
 	e.Shutdown()
 }
