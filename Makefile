@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs sim-diff crash-smoke coverage examples ci
 
 all: build test
 
@@ -58,10 +58,11 @@ bench-sim:
 
 # Host-clock microbenchmarks of the layers above the substrate: fabric
 # send→deliver (paced, and under TxDepth backpressure), ssd Optane
-# write→complete and flash write→destage, sequencer submit→complete, volume
+# write→complete, flash write→destage and flash write burst→FLUSH, the
+# ordering domain's gate/park/retire, sequencer submit→complete, volume
 # extents into scratch. CI smokes them at BENCHTIME=100x.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/core ./internal/blockdev
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev
 
 # The gated experiments and the committed baseline they must reproduce:
 # named here and nowhere else (CI runs `make bench-gate`).
@@ -112,10 +113,27 @@ host-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make host-pairs PARENT=<checkout> [WORKLOAD=$(WORKLOAD)] [N=$(N)] [SEED=$(SEED)] [METRIC=$(METRIC)] [RUN_SECONDS=$(RUN_SECONDS)]"; exit 2; }
 	bash scripts/host-pairs.sh "$(PARENT)" $(WORKLOAD) $(N) $(SEED) $(METRIC) $(RUN_SECONDS)
 
+# A simulated-clock claim: every benchmark workload once per side (the
+# simulated clock is deterministic, so one run per seed is the comparison),
+# the five sim_* metrics and ops_failed_share side by side with the relative
+# change, any that worsened past its BENCHMARK.json bound marked. SEED names
+# the benchmark's seed set (its 5 runs use SEED..SEED+4).
+sim-diff:
+	@test -n "$(PARENT)" || { echo "usage: make sim-diff PARENT=<checkout> [SEED=$(SEED)]"; exit 2; }
+	bash scripts/sim-diff.sh "$(PARENT)" $(SEED)
+
+# Crash smoke of the durability-barrier path (the only CLI run that reaches
+# the target's flush combiner): commits every 8th group, cut late enough
+# that commits were delivered, whole cluster and flash target alone.
+crash-smoke: build
+	@set -e; for seed in 1 2 3; do for mode in "" "-target"; do \
+		echo "== riocrash -commit 8 -streams 8 -cut 1500 -seed $$seed $$mode"; \
+		$(GO) run ./cmd/riocrash -commit 8 -streams 8 -cut 1500 -seed $$seed $$mode; done; done
+
 # Coverage profile over the ordering engine and the stack that drives it
 # (CI uploads the profile as an artifact).
 coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race bench bench-sim bench-layers bench-gate examples benchmark-smoke
+ci: lint build race bench bench-sim bench-layers bench-gate examples benchmark-smoke crash-smoke

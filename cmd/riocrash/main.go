@@ -15,8 +15,6 @@
 // crash-consistency probing); the chosen seed is always printed, and a
 // failing run ends with the exact command line that reproduces it.
 //
-// Usage:
-//
 // With -relay (requires -replicas) the replica sets route writes over
 // the target-to-target relay fast path and the cut hits the set HEAD
 // mid-batch — the most adversarial schedule: relayed capsules and
@@ -24,9 +22,13 @@
 // audit additionally requires that the degraded set kept completing via
 // direct fan-out with zero lost or duplicated completions.
 //
+// With -commit N every N-th group of a stream carries the FLUSH, each stream
+// is pinned to one device, and the run fails when a commit delivered before
+// the cut, or any group before it, is not durable after recovery.
+//
 // Usage:
 //
-//	riocrash [-streams 4] [-groups 200] [-cut 300] [-seed N] [-target] [-replicas 3] [-relay]
+//	riocrash [-streams 4] [-groups 200] [-cut 300] [-seed N] [-target] [-commit 8] [-replicas 3] [-relay]
 package main
 
 import (
@@ -73,6 +75,7 @@ func main() {
 		cutUS    = flag.Int64("cut", 300, "power cut time (simulated µs)")
 		seed     = flag.Int64("seed", 0, "RNG seed (0 = randomize and print)")
 		target   = flag.Bool("target", false, "crash one target instead of the whole cluster")
+		commit   = flag.Int("commit", 0, "every N-th group of a stream carries the FLUSH, one device per stream (0 = none; ignored with -replicas)")
 		replicas = flag.Int("replicas", 0, "replicate across an R-way set and cut one member mid-stream")
 		relay    = flag.Bool("relay", false, "enable the target-to-target relay fast path and cut the set head")
 	)
@@ -88,6 +91,9 @@ func main() {
 			*streams, *groups, *cutUS, *seed)
 		if *target {
 			fmt.Print(" -target")
+		}
+		if *commit > 0 {
+			fmt.Printf(" -commit %d", *commit)
 		}
 		if *replicas > 1 {
 			fmt.Printf(" -replicas %d", *replicas)
@@ -116,27 +122,26 @@ func main() {
 	cfg.QPs = *streams
 	cfg.KeepHistory = true
 	cfg.MergeEnabled = false // 1:1 request→attribute, so media is checkable
+	if *commit > 0 {
+		cfg.ChunkBlocks = 1_000_000 // the streams' LBA stride: a commit FLUSHes only the device it lands on (ROADMAP 1(d))
+	}
 	// Trace every request: the crash fuzz doubles as the span-lifecycle
 	// audit (no dangling open span across any power-cut schedule).
 	cfg.Trace = trace.Config{SampleEvery: 1}
 	c := stack.New(eng, cfg)
 
-	type sub struct {
-		attr core.Attr
-		lba  uint64
-	}
-	subs := make([][]sub, *streams)
+	subs := make([][]*blockdev.Request, *streams)
 	var reqs []*blockdev.Request
 	for s := 0; s < *streams; s++ {
 		s := s
 		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
 			for g := 0; g < *groups; g++ {
 				lba := uint64(s*1_000_000 + g)
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, *commit > 0 && (g+1)%*commit == 0, false)
 				if r.Ticket == nil {
 					break // the power cut landed mid-submission: died un-staged
 				}
-				subs[s] = append(subs[s], sub{attr: r.Ticket.Attr, lba: lba})
+				subs[s] = append(subs[s], r)
 				reqs = append(reqs, r)
 				p.Sleep(2 * sim.Microsecond)
 			}
@@ -163,8 +168,30 @@ func main() {
 	})
 	eng.Run()
 
-	fmt.Printf("order rebuild: %v   data recovery: %v   discarded: %d   replayed: %d\n",
+	fmt.Printf("order rebuild: %v   data recovery: %v   discarded: %d   replayed: %d",
 		tm.OrderRebuild, tm.DataRecovery, tm.Discarded, tm.Replayed)
+	for ti := 0; *commit > 0 && ti < c.Targets(); ti++ {
+		st := c.Target(ti).Stats()
+		fmt.Printf("   target %d: %d barriers over %d device FLUSHes", ti, st.Barriers, st.Flushes)
+	}
+	fmt.Println()
+	durable := func(r *blockdev.Request) bool { // the media holds the group's own block
+		dev, devLBA := c.Volume().Map(r.LBA)
+		ref := c.Volume().Dev(dev)
+		rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
+		return ok && rec.Stamp == core.AttrStamp(r.Ticket.Attr)
+	}
+	// A commit delivered before the cut made its stream durable up to itself; recovery must leave it so.
+	for s, list := range subs {
+		committed := false // such a commit at or after this group
+		for gi := len(list) - 1; gi >= 0; gi-- {
+			r := list[gi]
+			committed = committed || r.Flush && r.Done.Fired() && r.DeliverAt <= cut
+			if committed && !durable(r) {
+				fail("stream %d: group %d precedes a delivered commit but is not durable after recovery\n", s, gi+1)
+			}
+		}
+	}
 
 	if *target {
 		undelivered := 0
@@ -189,10 +216,7 @@ func main() {
 			s, prefix, len(subs[s]))
 		for gi, sb := range subs[s] {
 			g := uint64(gi + 1)
-			dev, devLBA := c.Volume().Map(sb.lba)
-			ref := c.Volume().Dev(dev)
-			rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
-			isOurs := ok && rec.Stamp == core.AttrStamp(sb.attr)
+			isOurs := durable(sb)
 			if g <= prefix && !isOurs {
 				fmt.Printf("  VIOLATION: group %d inside prefix but not durable\n", g)
 				violations++

@@ -53,6 +53,7 @@ func (c *Cluster) PowerCutTarget(i int) {
 		t.dropInitiator(init)
 	}
 	t.doneQ.Drain()
+	clear(t.flushers) // the FLUSHes are lost: queued barriers die like stranded commands, to be replayed
 	if t.relay != nil {
 		t.relay.ackQ.Drain()
 	}

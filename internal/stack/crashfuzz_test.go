@@ -529,3 +529,201 @@ func fuzzCachedMemberCut(t *testing.T, seed int64) {
 	}
 	eng.Shutdown()
 }
+
+// TestCrashScheduleFuzzFlushBarriers is the durability-barrier schedule, on
+// the DEFAULT configuration (merging and vector fusion on): two initiators,
+// four streams each, every stream pinned to one device so that the flash
+// device carries two streams per initiator, a commit (FLUSH-carrying group)
+// every 2–8 groups, and one cut drawn over {cluster, flash target, initiator}
+// × {a random instant, the first instant at which a FLUSH is running with
+// barriers queued behind it in the target's combiner}. The check needs no
+// media oracle, so merging stays on: every commit DELIVERED before the cut
+// must lie inside its stream's recovered durable prefix — a barrier
+// acknowledged by a FLUSH that did not cover it is exactly what breaks this —
+// the engine audits must be clean, and the survivors must drain.
+func TestCrashScheduleFuzzFlushBarriers(t *testing.T) {
+	queued := 0
+	for seed := int64(1); seed <= 24; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			if fuzzBarrierCut(t, seed) {
+				queued++
+			}
+		})
+	}
+	if queued < 8 {
+		t.Fatalf("only %d schedules cut with barriers queued behind a running FLUSH", queued)
+	}
+}
+
+// fuzzBarrierCut runs one schedule and reports whether the cut landed with
+// barriers queued behind a running FLUSH.
+func fuzzBarrierCut(t *testing.T, seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	eng := sim.New(seed)
+	cfg := smallConfig(ModeRio, FlashTarget(), OptaneTarget())
+	cfg.Initiators = 2
+	// One stripe chunk per stream region pins a stream to one device: a
+	// commit FLUSHes only the device it lands on (ROADMAP item 1(d)).
+	const region = 1 << 20
+	cfg.ChunkBlocks = region
+	// An eighth of the default PMR: the recovery scan sweeps the whole
+	// region, and the survivors' traffic through it is most of the test's
+	// cost. The rings wrap sooner, which the prefix analysis allows for.
+	for ti := range cfg.Targets {
+		cfg.Targets[ti].SSDs[0].PMRSize = 256 << 10
+	}
+	c := newPoisoned(eng, cfg)
+	inits, streams := cfg.Initiators, cfg.Streams
+
+	const (
+		cutCluster = iota
+		cutTarget
+		cutInitiator
+	)
+	kind := int(seed % 3)
+	victim := rng.Intn(inits)
+	commitEvery := 2 + rng.Intn(7)
+	base := sim.Time(150+rng.Int63n(2400)) * sim.Microsecond
+	onQueue := rng.Intn(3) > 0
+	fail := func(format string, args ...interface{}) {
+		t.Helper()
+		repro := fmt.Sprintf("riocrash -streams %d -cut %d -commit %d -seed %d", inits*streams, base/sim.Microsecond, commitEvery, seed)
+		if kind == cutTarget {
+			repro += " -target"
+		}
+		t.Fatalf(format+"\nschedule: kind=%d victim=%d base=%v onQueue=%v; closest CLI schedule: %s",
+			append(args, kind, victim, base, onQueue, repro)...)
+	}
+
+	// subs[ii][s]: the requests of initiator ii's FIRST incarnation (the one
+	// the cut is checked against), in submission order.
+	subs := make([][][]*blockdev.Request, inits)
+	recording := true
+	stopped := false
+	for ii := range subs {
+		subs[ii] = make([][]*blockdev.Request, streams)
+		for s := 0; s < streams; s++ {
+			ii, s := ii, s
+			appRng := rand.New(rand.NewSource(seed<<8 + int64(ii*streams+s)))
+			eng.Go(fmt.Sprintf("fuzz/app%d.%d", ii, s), func(p *sim.Proc) {
+				var pending []*blockdev.Request
+				wasAlive := true
+				for n := uint64(0); !stopped; {
+					in := c.Init(ii)
+					if !in.Alive() {
+						wasAlive = false
+						p.Sleep(5 * sim.Microsecond)
+						continue
+					}
+					if !wasAlive {
+						pending, wasAlive = pending[:0], true // the dead incarnation's never fire
+					}
+					for len(pending) > 0 && pending[0].Done.Fired() {
+						pending = pending[1:]
+					}
+					if len(pending) >= 24 {
+						p.Sleep(2 * sim.Microsecond)
+						continue
+					}
+					// A burst of consecutive blocks, back to back, so the
+					// scheduler merges and vector-fuses them.
+					for k := 1 + appRng.Intn(4); k > 0 && !stopped && in.Alive(); k-- {
+						lba := uint64(ii*streams+s)*region + n
+						n++
+						r := in.OrderedWrite(p, s, lba, 1, 0, nil, true, n%uint64(commitEvery) == 0, false)
+						pending = append(pending, r)
+						if recording && r.Ticket != nil {
+							subs[ii][s] = append(subs[ii][s], r)
+						}
+					}
+					p.Sleep(2 * sim.Microsecond)
+				}
+			})
+		}
+	}
+
+	// Run to the cut instant.
+	eng.RunUntil(base)
+	fc := &c.Target(0).flushers[0]
+	hit := fc.busy && fc.wait != nil
+	for step := 0; onQueue && !hit && step < 4000; step++ {
+		eng.RunUntil(eng.Now() + 250)
+		hit = fc.busy && fc.wait != nil
+	}
+	cut := eng.Now()
+	recording = false
+	st := c.Target(0).Stats()
+	t.Logf("schedule: kind=%d victim=%d commitEvery=%d cut=%v barriersQueued=%v (%d barriers over %d FLUSHes so far)",
+		kind, victim, commitEvery, cut, hit, st.Barriers, st.Flushes)
+	var report *core.Report
+	recovered := false
+	switch kind {
+	case cutCluster:
+		c.PowerCutAll()
+		stopped = true
+		eng.RunUntil(cut + sim.Millisecond)
+		eng.Go("fuzz/recover", func(p *sim.Proc) { report, _ = c.RecoverFull(p); recovered = true })
+	case cutTarget:
+		c.PowerCutTarget(0)
+		eng.RunUntil(cut + 100*sim.Microsecond)
+		eng.Go("fuzz/recover", func(p *sim.Proc) { report, _ = c.RecoverTarget(p, 0); recovered = true })
+	case cutInitiator:
+		c.PowerCutInitiator(victim)
+		eng.RunUntil(cut + 100*sim.Microsecond)
+		eng.Go("fuzz/recover", func(p *sim.Proc) { report, _ = c.RecoverInitiator(p, victim); recovered = true })
+	}
+	// Survivor traffic flows throughout the recovery (the PMR scan alone
+	// costs several simulated milliseconds), then a little live time.
+	for i := 0; i < 100 && !recovered; i++ {
+		eng.RunUntil(eng.Now() + sim.Millisecond)
+	}
+	if !recovered {
+		fail("recovery did not complete")
+	}
+	eng.RunUntil(eng.Now() + 300*sim.Microsecond)
+	stopped = true
+	eng.Run()
+
+	if v := c.OrderAudit(); v != 0 {
+		fail("engine audit after recovery: %d violations", v)
+	}
+	for ti := 0; ti < c.Targets(); ti++ {
+		if v := c.Target(ti).GateAudit(); v != 0 {
+			fail("target %d gate audit after recovery: %d violations", ti, v)
+		}
+	}
+	for ii := 0; ii < inits; ii++ {
+		// The report of an initiator recovery covers the victim only.
+		checked := kind != cutInitiator || ii == victim
+		// An initiator that survived the cut must have drained.
+		survived := kind == cutTarget || (kind == cutInitiator && ii != victim)
+		for s := 0; s < streams; s++ {
+			prefix := report.PrefixFor(uint16(ii), uint16(s))
+			for _, r := range subs[ii][s] {
+				if checked && r.Flush && r.Done.Fired() && r.DeliverAt <= cut && r.Ticket.Attr.SeqEnd > prefix {
+					fail("init %d stream %d: commit group %d was delivered at %v, before the cut at %v, but the durable prefix is %d",
+						ii, s, r.Ticket.Attr.SeqEnd, r.DeliverAt, cut, prefix)
+				}
+				if survived && !r.Done.Fired() {
+					fail("init %d stream %d: group %d never delivered although its initiator survived", ii, s, r.Ticket.Attr.SeqEnd)
+				}
+			}
+		}
+	}
+	// The recovered cluster takes commits on the flash device again.
+	done := 0
+	for ii := 0; ii < inits; ii++ {
+		ii := ii
+		eng.Go("fuzz/post", func(p *sim.Proc) {
+			r := c.Init(ii).OrderedWrite(p, 0, uint64(ii*streams)*region+region-1, 1, 0, nil, true, true, false)
+			c.Init(ii).Wait(p, r)
+			done++
+		})
+	}
+	eng.Run()
+	if done != inits {
+		fail("cluster wedged after recovery: %d of %d post-recovery commits delivered", done, inits)
+	}
+	eng.Shutdown()
+	return hit
+}

@@ -23,7 +23,8 @@ type TargetStats struct {
 	PMRToggles int64
 	Responses  int64 // response capsules sent (coalescing lowers this)
 	CQEs       int64 // completion entries those capsules carried
-	Flushes    int64
+	Flushes    int64 // device FLUSHes issued
+	Barriers   int64 // flush barriers certified (a combined FLUSH certifies several)
 	Vectors    int64 // vectored command batches validated intact
 	Allocs     int64 // hot-path heap allocations (completion events, slot/stamp bursts) not served from the free lists
 	Reads      int64 // read commands served (demand misses and prefetches)
@@ -76,10 +77,11 @@ type tDone struct {
 	ws     *wireState
 	slots  []uint64 // PMR entries of this command (vector commands: several)
 	stamps []uint64 // pooled per-block stamp burst (nil when the wire command owns the stamps)
-	// isFlush marks the completion of a FLUSH the target issued on behalf
-	// of a flush-carrying ordered write (ws is that write).
+	// isFlush marks the durability barrier of a flush-carrying ordered write
+	// (ws is that write); next links the barriers one FLUSH covers, leader first.
 	isFlush    bool
-	flushSlots []order.SlotRef // additional slots this flush certifies (Horae)
+	next       *tDone
+	flushSlots []order.SlotRef // additional slots the led FLUSH certifies (Horae)
 	// lane, when non-nil, makes this a CQE hold-timer expiry: no SSD
 	// completion, just "flush that lane's pending responses". Routed
 	// through doneQ so the flush runs in completion-context (the timer
@@ -92,6 +94,14 @@ type tDone struct {
 	// how much of its service time was saturation-knee inflation.
 	doneAt  sim.Time
 	satWait sim.Time
+}
+
+// flushCombiner is one device's durability-barrier station (after Linux's
+// blk-flush.c): at most one barrier FLUSH is at the device, and the barriers
+// that arrive meanwhile go as ONE FLUSH once its completion is handled.
+type flushCombiner struct {
+	busy bool   // a barrier FLUSH is at the device, or its completion not handled yet
+	wait *tDone // the barriers behind it in arrival order, linked through tDone.next
 }
 
 // parkedCmd is one held-back command at an in-order gate, together with
@@ -176,8 +186,9 @@ type Target struct {
 	ord      *order.Engine[parkedCmd]
 	pol      order.Policy
 
-	lanes []qpLane // one per (initiator, QP), index init*QPs+qp: see lane
-	doneQ *sim.Queue[*tDone]
+	lanes    []qpLane // one per (initiator, QP), index init*QPs+qp: see lane
+	doneQ    *sim.Queue[*tDone]
+	flushers []flushCombiner // one per SSD
 
 	// Completion-event free lists: tDone structs, the PMR slot bursts
 	// they carry, and the per-block stamp bursts ordered writes are
@@ -220,6 +231,7 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		sc.KeepHistory = c.cfg.KeepHistory
 		t.ssds = append(t.ssds, ssd.New(c.Eng, sc))
 	}
+	t.flushers = make([]flushCombiner, len(t.ssds))
 	if c.cfg.Governor.Enabled {
 		t.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
 	}
@@ -723,10 +735,14 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 		}
 		return
 	}
-	if d.epoch != t.initEpoch(d.ws.init) {
-		return
+	if d.epoch != t.initEpoch(d.ws.init) && !d.isFlush {
+		return // a barrier FLUSH may serve several initiators: flushDone checks each
 	}
 	t.cores.Use(p, t.c.costs.CplHandle)
+	if d.isFlush {
+		t.flushDone(p, d, tEpoch)
+		return
+	}
 	if d.doneAt > 0 {
 		markWire(d.ws, trace.MSSDDone, d.doneAt)
 		addWaitWire(d.ws, trace.WaitSat, d.satWait)
@@ -734,24 +750,6 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 	ordered := d.ws.wc.Ordered && t.pol.Tracked()
 	plp := t.ssds[d.ws.ssdIdx].HasPLP()
 	init := d.ws.init
-
-	if d.isFlush {
-		// FLUSH on behalf of a flush-carrying ordered write: mark the
-		// carrier (and, for Horae, everything it certifies) persistent.
-		for _, s := range d.slots {
-			t.markPersist(p, init, s, tEpoch, d.epoch)
-		}
-		for _, s := range d.flushSlots {
-			// A certified slot may belong to ANOTHER initiator; skip it
-			// if that initiator crashed (and possibly recovered,
-			// reformatting its partition) while this FLUSH was in flight.
-			if s.Epoch == t.initEpoch(s.Init) {
-				t.markPersist(p, s.Init, s.Slot, tEpoch, s.Epoch)
-			}
-		}
-		t.respond(p, d.ws, tEpoch)
-		return
-	}
 
 	if !ordered || d.ws.flushWire {
 		t.respond(p, d.ws, tEpoch)
@@ -774,18 +772,23 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 		}
 		t.respond(p, d.ws, tEpoch)
 	case attrFlush:
-		// The group's durability barrier: drain the device, then mark.
+		// The group's durability barrier: drain the device, then mark. A cut
+		// during the yield above cleared the combiners: stay outstanding for replay.
+		if !t.alive || t.epoch != tEpoch {
+			return
+		}
 		fd := t.getDone()
 		fd.ws, fd.slots, fd.isFlush, fd.epoch = d.ws, d.slots, true, d.epoch
 		d.slots = nil // ownership moved to the barrier event
-		if t.pol.CertifyPeers() {
-			// A device FLUSH drains every write on the device, so it
-			// certifies unflushed slots of every initiator.
-			fd.flushSlots = t.ord.TakeUnflushed(d.ws.ssdIdx)
+		fc := &t.flushers[d.ws.ssdIdx]
+		tail := &fc.wait
+		for *tail != nil {
+			tail = &(*tail).next
 		}
-		t.stats.Flushes++
-		fd.cmd.Op = ssd.OpFlush
-		t.ssds[d.ws.ssdIdx].Submit(&fd.cmd)
+		*tail = fd
+		if !fc.busy { // idle device: a lone commit costs exactly its own FLUSH
+			t.submitBarriers(d.ws.ssdIdx)
+		}
 	default:
 		// Non-PLP, no flush: leave persist=0 (a later FLUSH-carrying
 		// entry certifies it during recovery, §4.3.2).
@@ -795,6 +798,58 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 			}
 		}
 		t.respond(p, d.ws, tEpoch)
+	}
+}
+
+// submitBarriers sends every barrier waiting at a device as ONE FLUSH, led
+// by the first. The invariant that makes sharing safe: this runs no earlier
+// than each covered barrier's own FLUSH would have been submitted (after its
+// carrier's completion was processed), and a FLUSH covers every write that
+// completed before its submission (ssd.execFlush drains to dirty == 0 with
+// landings blocked) — so it drains a superset of what each own FLUSH would.
+func (t *Target) submitBarriers(ssdIdx int) {
+	fc := &t.flushers[ssdIdx]
+	lead := fc.wait
+	fc.wait, fc.busy = nil, lead != nil
+	if lead == nil {
+		return
+	}
+	if t.pol.CertifyPeers() { // a FLUSH drains every initiator's writes on the device
+		lead.flushSlots = t.ord.TakeUnflushed(ssdIdx)
+	}
+	t.stats.Flushes++
+	lead.cmd.Op = ssd.OpFlush
+	t.ssds[ssdIdx].Submit(&lead.cmd)
+}
+
+// flushDone handles the completion of the FLUSH that barrier d led, after its
+// one CplHandle: the next FLUSH for whatever queued meanwhile, then every
+// covered barrier on its own terms — its own initiator's epoch (a dead leader
+// still serves the others), its own persist toggles, its own CQE.
+func (t *Target) flushDone(p *sim.Proc, d *tDone, tEpoch int) {
+	if !t.alive || t.epoch != tEpoch {
+		return // cut mid-yield: the combiners belong to the next incarnation
+	}
+	t.submitBarriers(d.ws.ssdIdx)
+	for _, s := range d.flushSlots {
+		// A certified slot may belong to ANOTHER initiator: skip it if that one
+		// crashed (and possibly reformatted its partition) while the FLUSH ran.
+		if s.Epoch == t.initEpoch(s.Init) {
+			t.markPersist(p, s.Init, s.Slot, tEpoch, s.Epoch)
+		}
+	}
+	for b, next := d, d; b != nil; b = next {
+		next = b.next // putDone wipes it
+		if init := b.ws.init; b.epoch == t.initEpoch(init) {
+			for _, s := range b.slots {
+				t.markPersist(p, init, s, tEpoch, b.epoch)
+			}
+			t.stats.Barriers++
+			t.respond(p, b.ws, tEpoch)
+		}
+		if b != d {
+			t.putDone(b) // doneLoop recycles the leader
+		}
 	}
 }
 
