@@ -122,13 +122,18 @@ sim-diff:
 	@test -n "$(PARENT)" || { echo "usage: make sim-diff PARENT=<checkout> [SEED=$(SEED)]"; exit 2; }
 	bash scripts/sim-diff.sh "$(PARENT)" $(SEED)
 
-# Crash smoke of the durability-barrier path (the only CLI run that reaches
-# the target's flush combiner): commits every 8th group, cut late enough
-# that commits were delivered, whole cluster and flash target alone.
+# Crash smoke of every repair source. Replay and roll-back on the
+# durability-barrier path (the only CLI run that reaches the target's flush
+# combiner): commits every 8th group, cut late enough that commits were
+# delivered, whole cluster and flash target alone. Peer copy: a member of a
+# 3-way set, and over the relay its head (head-cut repair). All three at
+# once: every member of the set, one after another.
 crash-smoke: build
-	@set -e; for seed in 1 2 3; do for mode in "" "-target"; do \
-		echo "== riocrash -commit 8 -streams 8 -cut 1500 -seed $$seed $$mode"; \
-		$(GO) run ./cmd/riocrash -commit 8 -streams 8 -cut 1500 -seed $$seed $$mode; done; done
+	@set -e; for seed in 1 2 3; do \
+		for mode in "-commit 8 -streams 8 -cut 1500" "-commit 8 -streams 8 -cut 1500 -target" \
+			"-replicas 3" "-replicas 3 -relay" "-replicas 3 -cut-all"; do \
+		echo "== riocrash $$mode -seed $$seed"; \
+		$(GO) run ./cmd/riocrash $$mode -seed $$seed; done; done
 
 # Coverage profile over the ordering engine and the stack that drives it
 # (CI uploads the profile as an artifact).

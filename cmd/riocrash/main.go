@@ -9,7 +9,10 @@
 // completes from the survivors at quorum), ordering invariants hold on
 // every member (dense gate chains, advancing group order), and after the
 // background resync the rejoined member's media is byte-identical to its
-// peers.
+// peers. With -cut-all the other members follow the first, 50 µs apart, so
+// the set is left with no survivor: the last member down is repaired by
+// the initiator's replay, the others from it, and the same audit must hold
+// (every write delivered exactly once, byte-identical media, dense chains).
 //
 // Without -seed each run draws a fresh seed (randomized
 // crash-consistency probing); the chosen seed is always printed, and a
@@ -28,7 +31,7 @@
 //
 // Usage:
 //
-//	riocrash [-streams 4] [-groups 200] [-cut 300] [-seed N] [-target] [-commit 8] [-replicas 3] [-relay]
+//	riocrash [-streams 4] [-groups 200] [-cut 300] [-seed N] [-target] [-commit 8] [-replicas 3] [-relay] [-cut-all]
 package main
 
 import (
@@ -78,6 +81,7 @@ func main() {
 		commit   = flag.Int("commit", 0, "every N-th group of a stream carries the FLUSH, one device per stream (0 = none; ignored with -replicas)")
 		replicas = flag.Int("replicas", 0, "replicate across an R-way set and cut one member mid-stream")
 		relay    = flag.Bool("relay", false, "enable the target-to-target relay fast path and cut the set head")
+		cutAll   = flag.Bool("cut-all", false, "with -replicas: cut every member of the set, one after another, and recover them last-cut first")
 	)
 	flag.Parse()
 
@@ -101,16 +105,19 @@ func main() {
 		if *relay {
 			fmt.Print(" -relay")
 		}
+		if *cutAll {
+			fmt.Print(" -cut-all")
+		}
 		fmt.Println()
 		os.Exit(1)
 	}
 
-	if *relay && *replicas <= 1 {
-		fmt.Println("-relay requires -replicas >= 2")
+	if (*relay || *cutAll) && *replicas <= 1 {
+		fmt.Println("-relay and -cut-all require -replicas >= 2")
 		os.Exit(2)
 	}
 	if *replicas > 1 {
-		replicaCrash(*streams, *groups, *cutUS, *seed, *replicas, *relay, fail)
+		replicaCrash(*streams, *groups, *cutUS, *seed, *replicas, *relay, *cutAll, fail)
 		return
 	}
 
@@ -238,8 +245,9 @@ func main() {
 // replicaCrash drives the replication contract: R-way set, one member
 // power-cut mid-stream, survivors must complete every write in order,
 // and after the background resync the rejoined member's media must be
-// byte-identical to its peers.
-func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bool, fail func(string, ...interface{})) {
+// byte-identical to its peers. With cutAll no member survives, so the
+// no-stall clause gives way to "every write completes once the set is back".
+func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay, cutAll bool, fail func(string, ...interface{})) {
 	eng := sim.New(seed)
 	targets := make([]stack.TargetConfig, replicas)
 	for i := range targets {
@@ -278,18 +286,27 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 		})
 	}
 	cut := sim.Time(cutUS) * sim.Microsecond
-	eng.At(cut, func() { c.PowerCutTarget(victim) })
+	cuts := []int{victim}
+	for k := 1; cutAll && k < replicas; k++ {
+		cuts = append(cuts, (victim+k)%replicas)
+	}
+	for k, m := range cuts {
+		eng.At(cut+sim.Time(k)*50*sim.Microsecond, func() { c.PowerCutTarget(m) })
+	}
 	eng.Run()
 
 	fmt.Printf("replica member %d of %d power-cut at %v with %d requests submitted (write quorum %d)\n",
 		victim, replicas, cut, c.Init(0).Stats().Submitted, c.WriteQuorum())
+	if cutAll {
+		fmt.Printf("then members %v, 50us apart: no member left to complete anything\n", cuts[1:])
+	}
 
 	// The no-stall contract only holds when the quorum tolerates losing a
 	// member (majority on R>=3). With WriteQuorum == R (and majority on
 	// R=2, where floor(2/2)+1 == 2 is the full set) writes legitimately
 	// stall during the degraded window and the resync's late acks release
 	// them — asserted after the resync below instead.
-	tolerant := c.WriteQuorum() <= replicas-1
+	tolerant := c.WriteQuorum() <= replicas-1 && !cutAll
 	if tolerant {
 		stalled := 0
 		for _, r := range reqs {
@@ -302,18 +319,32 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 		}
 		fmt.Printf("no stream stalled: survivors completed all %d writes in order (resync backlog %d extents)\n",
 			len(reqs), c.ResyncBacklog(victim))
-	} else {
+	} else if !cutAll {
 		fmt.Printf("full-set quorum: writes stall while degraded (resync backlog %d extents); completion asserted after resync\n",
 			c.ResyncBacklog(victim))
 	}
 
-	var tm stack.RecoveryTiming
-	eng.Go("resync", func(p *sim.Proc) { _, tm = c.RecoverTarget(p, victim) })
-	eng.Run()
-	fmt.Printf("background resync: peer scan %v, delta copy %v, %d blocks replayed\n",
-		tm.OrderRebuild, tm.DataRecovery, tm.Replayed)
-	if !c.InSync(victim) {
-		fail("member %d did not rejoin its set after resync\n", victim)
+	// Last cut first: that member is the one still in sync, and the others
+	// are repaired from it. Its replay completes only once a peer's resync
+	// lands the quorum's second copy, so no recovery is awaited before the
+	// next one starts.
+	tms := make([]stack.RecoveryTiming, replicas)
+	for k := len(cuts) - 1; k >= 0; k-- {
+		eng.Go("resync", func(p *sim.Proc) { _, tms[cuts[k]] = c.RecoverTarget(p, cuts[k]) })
+		eng.Run()
+	}
+	for k := len(cuts) - 1; k >= 0; k-- {
+		m, tm := cuts[k], tms[cuts[k]]
+		if cutAll {
+			fmt.Printf("member %d recovered: order rebuild %v, data recovery %v, %d discarded, %d replayed\n",
+				m, tm.OrderRebuild, tm.DataRecovery, tm.Discarded, tm.Replayed)
+		} else {
+			fmt.Printf("background resync: peer scan %v, delta copy %v, %d blocks replayed\n",
+				tm.OrderRebuild, tm.DataRecovery, tm.Replayed)
+		}
+		if !c.InSync(m) {
+			fail("member %d did not rejoin its set after resync\n", m)
+		}
 	}
 	stalled := 0
 	for _, r := range reqs {

@@ -81,20 +81,9 @@ func (e *Engine[P]) Audit() int {
 	return bad
 }
 
-// Reset restores every domain and unflushed list (whole-target format
-// after recovery).
-func (e *Engine[P]) Reset() {
-	for i := range e.domains {
-		e.domains[i].Reset()
-	}
-	for i := range e.unflush {
-		e.unflush[i] = nil
-	}
-}
-
 // ResetInitiator restores ONE initiator's domains and drops its
 // unflushed refs, leaving every other initiator's state untouched
-// (single-initiator crash recovery).
+// (post-recovery format of that initiator's partition).
 func (e *Engine[P]) ResetInitiator(init int) {
 	for s := 0; s < e.streams; s++ {
 		e.domains[init*e.streams+s].Reset()

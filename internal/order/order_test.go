@@ -150,9 +150,9 @@ func TestEngineDenseTableAndReset(t *testing.T) {
 	if e.Audit() != 1 {
 		t.Fatalf("Audit = %d, want 1", e.Audit())
 	}
-	e.Reset()
+	e.ResetInitiator(1)
 	if e.Audit() != 0 || e.Domain(1, 1).Frontier() != 1 {
-		t.Fatal("Reset left state behind")
+		t.Fatal("ResetInitiator left state behind")
 	}
 }
 

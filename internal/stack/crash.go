@@ -2,6 +2,7 @@ package stack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -11,12 +12,22 @@ import (
 	"repro/internal/ssd"
 )
 
+// Faults and recovery. Any set of servers can lose power (PowerCutTarget,
+// PowerCutInitiator; PowerCutAll is every one of them): volatile state is
+// lost, PMR and media survive. The paper's §4.4 recovery is one algorithm
+// and it runs in one place, recover: RecoverFull, RecoverTarget and
+// RecoverInitiator only name which servers come back. What each phase
+// covers is decided from those two sets plus what the cluster can observe
+// (which members are in sync, which servers are powered) by the rules
+// numbered (1)–(7) at the phase that applies them; DESIGN.md §7 has them
+// as one table.
+
 // RecoveryTiming reports the phases the paper measures in §6.5.
 type RecoveryTiming struct {
 	OrderRebuild sim.Time // scan PMRs, transfer attributes, merge globally
-	DataRecovery sim.Time // discard (roll back) blocks beyond the prefix
+	DataRecovery sim.Time // discard (roll back) blocks beyond the prefix, repair what is missing
 	Discarded    int      // entries rolled back
-	Replayed     int      // wire commands re-sent (target recovery)
+	Replayed     int      // wire commands re-sent by initiators plus blocks copied from peer media
 }
 
 // pmrEntryWireSize is the per-entry cost basis for recovery scans: Rio
@@ -57,20 +68,23 @@ func (c *Cluster) PowerCutTarget(i int) {
 	if t.relay != nil {
 		t.relay.ackQ.Drain()
 	}
-	// A member of a larger set degrades it instead of stalling the streams
-	// — survivors keep completing at quorum, the member's missed writes
-	// accumulate in its resync backlog, and in-flight commands stop
-	// waiting for an ack this member can never send. A member that IS its
-	// set has no survivors: its commands stay outstanding for replay.
-	if len(c.replSets[c.setOf[i]].members) > 1 {
+	// Degrade or strand, from what can be observed: while another member of
+	// the set is still in sync the cut degrades the set instead of stalling
+	// the streams — survivors keep completing at quorum, the member's missed
+	// writes accumulate in its resync backlog, and in-flight commands stop
+	// waiting for an ack this member can never send. The last in-sync member
+	// of a set (of any size: a set of one has no other) has no survivor to
+	// complete anything: it stays in sync and its commands stay outstanding,
+	// for replay when it recovers.
+	if c.replSets[c.setOf[i]].firstInSync(i) >= 0 {
 		c.degradeMember(i)
-		if c.cfg.ReplRelay {
-			// The relay route repairs itself around the dead member (after
-			// the degrade sweep, so cancelled member positions are already
-			// resolved): links drop, the head's open quorum records flush,
-			// and a dead head's in-flight commands re-route to direct.
-			c.relayCut(i)
-		}
+	}
+	if c.cfg.ReplRelay {
+		// The relay route repairs itself around the dead member (after the
+		// degrade sweep, so cancelled member positions are already
+		// resolved): links drop, the head's open quorum records flush, and
+		// a dead head's in-flight commands re-route to direct.
+		c.relayCut(i)
 	}
 	// Read path: every initiator drops its cached blocks of the dead
 	// member's set (recovery may roll their content back) and reroutes
@@ -114,38 +128,261 @@ func (c *Cluster) PowerCutInitiator(i int) {
 }
 
 // PowerCutAll models a full power outage: every target and every
-// initiator crashes.
+// initiator crashes (both cuts are idempotent on a link the other end
+// already darkened).
 func (c *Cluster) PowerCutAll() {
 	for i := range c.targets {
 		c.PowerCutTarget(i)
 	}
-	// Drop every initiator's volatile state: staged work, pools and
-	// queued completion capsules. Pooled objects of the dead epoch may
-	// still be referenced by in-flight capsules and must not be reissued,
-	// and a queued response capsule's CQEs reference dead wireStates.
-	for _, in := range c.inits {
-		in.crashVolatile()
+	for i := range c.inits {
+		c.PowerCutInitiator(i)
 	}
 }
 
-// scanPMR decodes one PMR region of this target into a recovery view
-// that names, per namespace, the durability rule of the device behind it.
-func (t *Target) scanPMR(region []byte) core.ServerView {
-	view := order.ScanPartition(t.id, t.ssds[0].HasPLP(), region)
-	for _, sd := range t.ssds {
-		view.NSPLP = append(view.NSPLP, sd.HasPLP())
+// RecoverFull performs whole-cluster recovery (§4.4.1) after PowerCutAll;
+// the per-initiator PMR scans are merged into one report keyed by
+// (initiator, stream). The cluster is reusable afterwards.
+func (c *Cluster) RecoverFull(p *sim.Proc) (*core.Report, RecoveryTiming) {
+	return c.recover(p, upTo(len(c.targets)), upTo(len(c.inits)))
+}
+
+// RecoverInitiator performs single-initiator recovery after
+// PowerCutInitiator(i). No other initiator's prefixes, PMR entries, gates
+// or watermarks are read, reset or rolled back — their traffic continues
+// throughout.
+func (c *Cluster) RecoverInitiator(p *sim.Proc, i int) (*core.Report, RecoveryTiming) {
+	return c.recover(p, nil, []int{i})
+}
+
+// RecoverTarget performs target recovery (§4.4.1) after PowerCutTarget(i).
+// No stream of a set that kept a survivor stalled, and no initiator replays
+// anything toward such a member; a server that was the last of its set is
+// repaired by the initiators' replay.
+func (c *Cluster) RecoverTarget(p *sim.Proc, i int) (*core.Report, RecoveryTiming) {
+	return c.recover(p, []int{i}, nil)
+}
+
+func upTo(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	return view
+	return all
+}
+
+// repairSource says where a server restarted by a recover run gets the
+// writes it is missing.
+type repairSource uint8
+
+const (
+	notRestarted repairSource = iota // outside the run, or left down by rule (1)
+	fromEvidence                     // its PMR is evidence: roll back beyond the prefix, initiators re-send what they have in flight
+	fromPeer                         // its PMR is stale: an in-sync peer's media holds everything it missed
+)
+
+// recover brings the given target servers and initiator servers back in one
+// pass of the §4.4 algorithm: power on → scan → merge → roll back → repair
+// from media → format + chain reset → links up → reopen. The servers of
+// the run are down; everything else keeps running throughout, and a server
+// that is down and outside the run is worked around, never waited for.
+func (c *Cluster) recover(p *sim.Proc, targets, inits []int) (*core.Report, RecoveryTiming) {
+	var tm RecoveryTiming
+
+	// (1) Repair source per restarted server, classified before anything
+	// is powered on (a peer this very run restarts must still read as
+	// down). A degraded member whose in-sync peer is up is repaired from
+	// that peer. A member still in sync — the last of its set to go down —
+	// or a degraded one whose in-sync peer restarts in the same run is an
+	// evidence server. A degraded member whose in-sync peer is down and
+	// outside the run stays down: rejoining it now would declare it in
+	// sync from nothing, and the backlog it owes cannot be read from a
+	// dark peer. Its later recovery finds it as it was left.
+	src := make([]repairSource, len(c.targets))
+	for _, m := range targets {
+		rs := c.replSets[c.setOf[m]]
+		switch peer := rs.firstInSync(m); {
+		case rs.inSync[rs.pos(m)] || peer < 0 || slices.Contains(targets, peer):
+			src[m] = fromEvidence
+		case c.targets[peer].alive:
+			src[m] = fromPeer
+		}
+	}
+	back := func(i int) bool { return slices.Contains(inits, i) } // this run brings initiator i back
+
+	// Power on. A server repaired from a peer starts clean right away —
+	// its own PMR is pre-cut evidence the survivors' logs superseded, its
+	// gates expect dense indices from 1 again — with its links up: it is
+	// out of sync, so nobody dispatches toward it until it rejoins.
+	// An initiator outside the run that is up sends the moment a link is.
+	initUp := slices.ContainsFunc(c.inits, func(in *Initiator) bool { return in.alive && !back(in.id) })
+	for _, m := range targets {
+		if src[m] == notRestarted {
+			continue
+		}
+		t := c.targets[m]
+		t.alive = true
+		for _, sd := range t.ssds {
+			sd.Restart()
+		}
+		if t.relay != nil {
+			t.relay.reset()
+		}
+		if src[m] == fromPeer {
+			for i, in := range c.inits {
+				core.Format(t.pmrRegion(i))
+				t.resetInitiatorState(i)
+				if in.alive {
+					in.restartChain(m)
+				}
+			}
+		}
+		// (5) Links stay down until replay is prepared: the scan below
+		// costs tens of simulated milliseconds, and live traffic reaching a
+		// restarted evidence server in that window would run through stale
+		// pre-crash gate state and pre-format PMR partitions — and a command
+		// posted during the window could be collected into the replay set
+		// while its original capsule is still in flight, so the replay's
+		// vector re-marks would corrupt the capsule's framing. With the
+		// links down, new dispatches toward the server are dropped whole
+		// (exactly like in-flight work at the cut) and repaired by the same
+		// replay. When no initiator is up nobody can send, and the links
+		// come up now to carry the attribute transfer.
+		if src[m] == fromPeer || !initUp {
+			t.linksUp()
+		}
+	}
+	// A recovering initiator is not alive until the end of the run, so its
+	// links to the powered servers can carry its attributes from the start.
+	for _, i := range inits {
+		for _, t := range c.targets {
+			if t.alive {
+				reconnect(t.conns[i])
+			}
+		}
+	}
+
+	start := p.Now()
+	views := c.scanViews(p, src, inits)
+	report := order.MergeViews(views)
+	tm.OrderRebuild = p.Now() - start
+
+	start = p.Now()
+	// (2) An entry is rolled back iff the server holding it is an evidence
+	// server of this run or the initiator that wrote it came back in it.
+	// What replay rewrites is rolled back first all the same: an entry that
+	// will NOT be replayed (its request already delivered, or unknown) must
+	// not leave stale data behind. Every other entry belongs to traffic
+	// that is live.
+	tm.Discarded = c.rollback(p, report, src, inits)
+	// Repair from media: (6) among evidence members of a set that restarted
+	// together (replicaRepair), and each peer-repaired member from its peer.
+	tm.Replayed = c.replicaRepair(p, views, report, src)
+	for _, m := range targets {
+		if src[m] == fromPeer {
+			tm.Replayed += c.rejoin(p, m)
+		}
+	}
+
+	// Format and chain reset in one no-yield region, down to the links
+	// coming up: once the first replay posting yields the CPU another
+	// initiator's live traffic may dispatch toward a restarted server, and
+	// it must already be minting indices on the fresh chain — a stale-chain
+	// command would park forever in the fresh gate.
+	//
+	// (3) Partition (server, initiator) is formatted and its gates reset
+	// iff one end came back in this run and the other end is powered. A
+	// dead end's partition stays: a dead server's cannot be written, and a
+	// dead initiator's is the evidence its own recovery will scan —
+	// formatting it here would silently shrink that initiator's durable
+	// prefix. Either is cleaned when its dead end recovers.
+	// (4) Every initiator that stayed up replays what it has in flight
+	// toward every restarted evidence server, on a fresh chain.
+	var reopen []func()
+	for m, t := range c.targets {
+		if !t.alive || src[m] == fromPeer {
+			continue
+		}
+		for i, in := range c.inits {
+			replays := src[m] == fromEvidence && in.alive && !back(i)
+			if !back(i) && !replays {
+				continue
+			}
+			core.Format(t.pmrRegion(i))
+			t.resetInitiatorState(i)
+			if replays {
+				cmds := in.prepareReplay(m)
+				tm.Replayed += len(cmds)
+				reopen = append(reopen, func() { in.postReplay(p, m, cmds) })
+			}
+		}
+		if src[m] == fromEvidence {
+			t.linksUp()
+		}
+	}
+	// An initiator is alive only after format: an application loop gated on
+	// Alive() that resumed during the scan would stage commands, and append
+	// entries, that the format above then orphans — ghost entries the fresh
+	// gates would wait on forever.
+	for _, i := range inits {
+		c.inits[i].alive = true
+	}
+	// Reopen: each initiator repairs its own chains independently.
+	for _, post := range reopen {
+		post()
+	}
+	tm.DataRecovery = p.Now() - start
+	// Belt and braces for the read caches: the cut already dropped an
+	// evidence server's blocks, but writes populated into a cache while its
+	// links were down may have died un-replayed — drop its set again now
+	// that its content is final.
+	for _, m := range targets {
+		if src[m] == fromEvidence {
+			for _, in := range c.inits {
+				in.invalidateSetReads(c.setOf[m])
+			}
+		}
+	}
+	return report, tm
+}
+
+// linksUp reconnects the links of this server that are down: its conn to
+// every initiator and the relay links it touches (a follower: its own; the
+// set head: all of the set's).
+func (t *Target) linksUp() {
+	for _, conn := range t.conns {
+		reconnect(conn)
+	}
+	if t.relay == nil {
+		return
+	}
+	rs := t.c.replSets[t.c.setOf[t.id]]
+	for k, conn := range rs.relay {
+		if conn != nil && (t.id == rs.relayHead() || t.id == rs.members[k]) {
+			reconnect(conn)
+		}
+	}
+}
+
+// reconnect brings a link up unless it already is: Reconnect resets the
+// link's per-QP pacing state, which a link carrying live traffic must keep.
+func reconnect(conn *fabric.Conn) {
+	if !conn.Up() {
+		conn.Reconnect()
+	}
 }
 
 // scanAndShip is the one PMR scan cost model: sweep a region of this
 // target's PMR (MMIO reads, pmrScanPerByte — the whole region, because the
-// head/tail pointers were volatile), decode it, and ship the entries found
-// to whoever rebuilds the order over conn.
+// head/tail pointers were volatile), decode it into a recovery view that
+// names, per namespace, the durability rule of the device behind it, and
+// ship the entries found to whoever rebuilds the order over conn.
 func (t *Target) scanAndShip(p *sim.Proc, region []byte, conn *fabric.Conn) core.ServerView {
 	entry := t.c.pmrEntryWireSize()
 	p.Sleep(sim.Time(len(region)/core.EntrySize*entry) * pmrScanPerByte)
-	view := t.scanPMR(region)
+	view := order.ScanPartition(t.id, t.ssds[0].HasPLP(), region)
+	for _, sd := range t.ssds {
+		view.NSPLP = append(view.NSPLP, sd.HasPLP())
+	}
 	if n := len(view.Entries) * entry; n > 0 && conn.Up() {
 		conn.BulkWrite(p, fabric.Target, n)
 	}
@@ -153,161 +390,55 @@ func (t *Target) scanAndShip(p *sim.Proc, region []byte, conn *fabric.Conn) core
 }
 
 // scanViews reads PMR regions via the ordering engine's partition scan,
-// transfers the ordering attributes to the recovering initiator, and
-// returns the per-server views. onlyInit < 0 scans every initiator's
-// partition (whole-cluster recovery); otherwise only that initiator's
-// partitions are swept and shipped, so one initiator's recovery cost is
-// independent of its neighbors'. Servers scan in parallel (§4.3.2:
-// "each server persists/validates in parallel").
-func (c *Cluster) scanViews(p *sim.Proc, onlyInit int) []core.ServerView {
-	views := make([]core.ServerView, len(c.targets))
+// transfers the ordering attributes, and returns one view per scan. Servers
+// scan in parallel (§4.3.2: "each server persists/validates in parallel").
+//
+// (7) The scan reads every partition of every powered server when an
+// evidence server restarted — the global order of a stream spans servers,
+// so the servers that stayed up contribute their attributes too — shipped
+// over initiator 0's connection (such a recovery is orchestrated once).
+// Otherwise only the recovering initiators' partitions are swept, each
+// shipped to its owner, so one initiator's recovery cost is independent of
+// its neighbours'. A server repaired from a peer has nothing of its own to
+// read: its peer's PMR is scanned on its behalf and shipped to it. A server
+// that is down contributes nothing, and nothing waits for it: its
+// partitions are cleaned when it recovers itself.
+func (c *Cluster) scanViews(p *sim.Proc, src []repairSource, inits []int) []core.ServerView {
+	views := make([]core.ServerView, 0, len(c.targets))
 	wg := sim.NewWaitGroup(c.Eng)
-	for i, t := range c.targets {
-		i, t := i, t
-		if !t.alive {
-			// A target that is ALSO down contributes no evidence: a
-			// single-initiator recovery must not wait for (or wedge on) a
-			// dead server — its partition is cleaned up when that target
-			// itself recovers. Whole-cluster paths revive every target
-			// before scanning, so this only triggers for onlyInit >= 0.
-			views[i] = core.ServerView{Server: i}
-			continue
-		}
+	scan := func(t *Target, region []byte, conn *fabric.Conn) {
+		k := len(views)
+		views = append(views, core.ServerView{})
 		wg.Add(1)
-		c.Eng.Go(fmt.Sprintf("recover/scan%d", i), func(sp *sim.Proc) {
+		c.Eng.Go(fmt.Sprintf("recover/scan%d", t.id), func(sp *sim.Proc) {
 			defer wg.Done()
-			// Ship the attributes over the recovering initiator's connection
-			// when known, else initiator 0's (whole-cluster recovery is
-			// orchestrated once).
-			region, conn := t.ssds[0].PMRBytes(), t.conns[0]
-			if onlyInit >= 0 {
-				region, conn = t.pmrRegion(onlyInit), t.conns[onlyInit]
-			}
-			views[i] = t.scanAndShip(sp, region, conn)
+			views[k] = t.scanAndShip(sp, region, conn)
 		})
+	}
+	evidence := slices.Contains(src, fromEvidence)
+	for m, t := range c.targets {
+		switch {
+		case !t.alive:
+		case src[m] == fromPeer:
+			peer := c.targets[c.replSets[c.setOf[m]].firstInSync(m)]
+			scan(peer, peer.ssds[0].PMRBytes(), t.conns[0])
+		case evidence:
+			scan(t, t.ssds[0].PMRBytes(), t.conns[0])
+		default:
+			for _, i := range inits {
+				scan(t, t.pmrRegion(i), t.conns[i])
+			}
+		}
 	}
 	wg.Wait(p)
 	return views
 }
 
-// restartTarget powers a cut target back on with its links up: the SSDs
-// restart, every initiator's conn and the relay links the member touches
-// (a follower: its own; the set head: all of the set's) reconnect, and its
-// volatile relay state starts clean.
-func (c *Cluster) restartTarget(m int) {
-	t := c.targets[m]
-	t.alive = true
-	for _, sd := range t.ssds {
-		sd.Restart()
-	}
-	for _, conn := range t.conns {
-		conn.Reconnect()
-	}
-	if t.relay == nil {
-		return
-	}
-	rs := c.replSets[c.setOf[m]]
-	for k, conn := range rs.relay {
-		if conn != nil && (m == rs.relayHead() || m == rs.members[k]) {
-			conn.Reconnect()
-		}
-	}
-	t.relay.reset()
-}
-
-// RecoverFull performs whole-cluster recovery (§4.4.1) after
-// PowerCutAll: reconnect, rebuild each initiator's global order from its
-// persistent ordering attributes (the per-initiator PMR scans are merged
-// into one report keyed by (initiator, stream)), and roll back
-// out-of-place blocks beyond each ordering domain's durable prefix. The
-// cluster is reusable afterwards.
-func (c *Cluster) RecoverFull(p *sim.Proc) (*core.Report, RecoveryTiming) {
-	var tm RecoveryTiming
-	for i := range c.targets {
-		c.restartTarget(i)
-	}
-	start := p.Now()
-	views := c.scanViews(p, -1)
-	report := order.MergeViews(views)
-	tm.OrderRebuild = p.Now() - start
-
-	start = p.Now()
-	tm.Discarded = c.rollback(p, report, -1)
-	// Re-replicate within-prefix groups that survived on a quorum but not
-	// on every member, so the sets converge byte-identically, and restore
-	// full membership for the next incarnation.
-	tm.Replayed = c.replicaRepair(p, views, report)
-	for _, rs := range c.replSets {
-		for k := range rs.inSync {
-			rs.inSync[k] = true
-			rs.dirty[k] = nil
-		}
-		rs.epoch++
-	}
-	tm.DataRecovery = p.Now() - start
-
-	// Fresh ordering state for the next incarnation.
-	for _, t := range c.targets {
-		core.Format(t.ssds[0].PMRBytes())
-		t.resetOrderingState()
-	}
-	// Only now may the initiators accept new work (same rule as
-	// RecoverInitiator): an application loop gated on Alive() that
-	// resumed during the scan would stage commands the format above is
-	// about to orphan — ghost entries the fresh gates would wait on
-	// forever.
-	for _, in := range c.inits {
-		in.alive = true
-	}
-	return report, tm
-}
-
-// RecoverInitiator performs single-initiator recovery after
-// PowerCutInitiator(i): reconnect initiator i, scan ONLY its PMR
-// partitions across the targets, rebuild its ordering domains, and roll
-// back its beyond-prefix blocks. No other initiator's prefixes, PMR
-// entries, gates or watermarks are read, reset or rolled back — their
-// traffic continues throughout.
-func (c *Cluster) RecoverInitiator(p *sim.Proc, i int) (*core.Report, RecoveryTiming) {
-	var tm RecoveryTiming
-	in := c.inits[i]
-	for _, t := range c.targets {
-		if t.alive {
-			t.conns[i].Reconnect()
-		}
-	}
-
-	start := p.Now()
-	views := c.scanViews(p, i)
-	report := order.MergeViews(views)
-	tm.OrderRebuild = p.Now() - start
-
-	start = p.Now()
-	tm.Discarded = c.rollback(p, report, -1)
-	tm.DataRecovery = p.Now() - start
-
-	// Fresh ordering state for initiator i only: format its partitions
-	// and drop its target-side gates, slots and watermarks. A dead
-	// target's partition cannot be formatted (PMR writes need power) —
-	// it is cleaned when that target itself recovers.
-	for _, t := range c.targets {
-		if !t.alive {
-			continue
-		}
-		core.Format(t.pmrRegion(i))
-		t.resetInitiatorState(i)
-	}
-	// Only now may the initiator accept new work: an application loop
-	// gated on Alive() that resumed during the scan would append entries
-	// into a partition the format above is about to wipe.
-	in.alive = true
-	return report, tm
-}
-
-// rollback erases the blocks of every beyond-prefix, non-IPU entry,
-// concurrently per SSD. If onlyServer >= 0 only that server is rolled
-// back. Returns the number of entries erased.
-func (c *Cluster) rollback(p *sim.Proc, report *core.Report, onlyServer int) int {
+// rollback erases the blocks of every beyond-prefix, non-IPU entry that
+// rule (2) selects — held by an evidence server of the run (src) or written
+// by an initiator the run brings back (inits) — concurrently per SSD.
+// Returns the number of entries erased.
+func (c *Cluster) rollback(p *sim.Proc, report *core.Report, src []repairSource, inits []int) int {
 	type eraseKey struct{ server, ssdIdx int }
 	erases := map[eraseKey][]core.Entry{}
 	var keys []eraseKey
@@ -324,7 +455,7 @@ func (c *Cluster) rollback(p *sim.Proc, report *core.Report, onlyServer int) int
 	})
 	for _, id := range streams {
 		for _, e := range report.Streams[id].Discard {
-			if onlyServer >= 0 && e.Server != onlyServer {
+			if src[e.Server] != fromEvidence && !slices.Contains(inits, int(e.Initiator)) {
 				continue
 			}
 			if !c.targets[e.Server].alive {
@@ -376,101 +507,28 @@ func (c *Cluster) rollback(p *sim.Proc, report *core.Report, onlyServer int) int
 	return total
 }
 
-// RecoverTarget performs target recovery (§4.4.1) after PowerCutTarget(i):
-// reconnect every initiator to the restarted server, rebuild the global
-// list (alive servers' attributes are NOT dropped), and repair the broken
-// chains by replaying each surviving initiator's in-flight commands
-// toward the failed target — one initiator at a time, each with its own
-// freshly reset per-server chains. Replay is idempotent.
-func (c *Cluster) RecoverTarget(p *sim.Proc, i int) (*core.Report, RecoveryTiming) {
-	if len(c.replSets[c.setOf[i]].members) > 1 {
-		// The set kept completing on its other members: recovery is a
-		// background resync from a peer replica; no initiator replays
-		// anything and no stream stalled.
-		return c.resyncTarget(p, i)
-	}
-	var tm RecoveryTiming
-	t := c.targets[i]
-	t.alive = true
-	for _, sd := range t.ssds {
-		sd.Restart()
-	}
-	// The connections stay DOWN until replay is prepared: the scan below
-	// costs tens of simulated milliseconds, and live traffic reaching the
-	// restarted target in that window would run through stale pre-crash
-	// gate state and pre-format PMR partitions — and a command posted
-	// during the window could be collected into the replay set while its
-	// original capsule is still in flight, so the replay's vector re-marks
-	// would corrupt the capsule's framing. With the links down, new
-	// dispatches toward the target are dropped whole (exactly like
-	// in-flight work at the cut) and repaired by the same replay.
-
-	start := p.Now()
-	views := c.scanViews(p, -1)
-	report := order.MergeViews(views)
-	tm.OrderRebuild = p.Now() - start
-
-	start = p.Now()
-	// The failed server's beyond-prefix blocks are rewritten by replay;
-	// entries that will NOT be replayed (their requests already delivered
-	// or unknown) are rolled back first so stale data cannot survive.
-	tm.Discarded = c.rollback(p, report, i)
-
-	// Reset the failed target's ordering state and EVERY surviving
-	// initiator's chains toward it in one atomic step (prepareReplay
-	// never yields): once the first replay posting yields the CPU,
-	// another initiator's live traffic may dispatch toward the restarted
-	// target, and it must already be minting indices on the fresh chain —
-	// a stale-chain command would park forever in the fresh gate. A DEAD
-	// initiator's partition is left untouched: it is the recovery
-	// evidence its own RecoverInitiator will scan, and formatting it
-	// here would silently shrink that initiator's durable prefix.
-	replays := make([][]*wireState, len(c.inits))
-	for idx, in := range c.inits {
-		if !in.alive {
-			continue // a dead initiator recovers via RecoverInitiator
-		}
-		core.Format(t.pmrRegion(idx))
-		t.resetInitiatorState(idx)
-		replays[idx] = in.prepareReplay(i)
-		tm.Replayed += len(replays[idx])
-	}
-	// Reconnect in the same no-yield region: from the first replay (or
-	// live) posting onward the target sees only fresh-chain indices.
-	for _, conn := range t.conns {
-		conn.Reconnect()
-	}
-	// Then each initiator repairs its own chain independently.
-	for idx, in := range c.inits {
-		if len(replays[idx]) > 0 {
-			in.postReplay(p, replays[idx])
+// restartChain restarts this initiator's per-stream order chains, and the
+// retire watermarks that counted along them, toward a target whose gates
+// were just reset and expect dense indices from 1 again.
+func (in *Initiator) restartChain(target int) {
+	for s := 0; s < in.cfg.Streams; s++ {
+		in.retireMark[s*len(in.targets)+target] = 0
+		if in.cfg.Mode == ModeRio {
+			in.seq.Stream(s).ResetServerChain(target)
 		}
 	}
-	tm.DataRecovery = p.Now() - start
-	// Belt and braces for the read caches: the cut already dropped this
-	// target's blocks, but writes populated into a cache while the links
-	// were down may have died un-replayed — drop the target again now
-	// that its content is final.
-	for _, in := range c.inits {
-		in.invalidateSetReads(c.SetOf(i))
-	}
-	return report, tm
 }
 
 // prepareReplay collects this initiator's in-flight commands toward the
-// restarted target in per-stream ServerIdx order, restarts the
-// per-server chains, has stampMember re-mint the target's chain of every
-// command in the replay set — the same record the replayed capsule points
-// at and the gate reads, so nothing stale survives — and pins the set. A
-// command dispatch has not stamped yet is not in flight: dispatch will mint
-// it on the fresh chain. It performs no simulated work (never yields), so
-// every initiator's chain state can be rebuilt atomically with the target's
-// gate reset before any replay traffic — or any concurrent live traffic —
-// hits the wire.
+// restarted target in per-stream ServerIdx order, restarts the chains
+// toward it, has stampMember re-mint the target's chain of every command in
+// the replay set — the same record the replayed capsule points at and the
+// gate reads, so nothing stale survives — and pins the set. A command
+// dispatch has not stamped yet is not in flight: dispatch will mint it on
+// the fresh chain. It performs no simulated work: it must never yield
+// (recover calls it between the target's gate reset and its links coming
+// up).
 func (in *Initiator) prepareReplay(target int) []*wireState {
-	for s := 0; s < in.cfg.Streams; s++ {
-		in.clearRetireMark(s, target)
-	}
 	var replay []*wireState
 	for _, ws := range in.outstanding {
 		if !ws.flushWire && ws.q.Pos(target) >= 0 {
@@ -485,39 +543,41 @@ func (in *Initiator) prepareReplay(target int) []*wireState {
 		return x.chain[x.q.Pos(target)].idx < y.chain[y.q.Pos(target)].idx
 	})
 	// Fresh per-server chains: rebuild in replay order.
-	if in.cfg.Mode == ModeRio {
-		for _, st := range in.seqStreams() {
-			st.ResetServerChain(target)
-		}
-		for _, ws := range replay {
+	in.restartChain(target)
+	for _, ws := range replay {
+		if in.cfg.Mode == ModeRio {
 			in.stampMember(ws, ws.q.Pos(target))
 		}
-	}
-	// Pin the replay set: a replayed command whose requests all deliver
-	// before postReplay's wait loop reaches it must not be recycled (a
-	// new owner would Reset the very hwDone signal recovery still waits
-	// on).
-	for _, ws := range replay {
+		// Pin the replay set: a replayed command whose requests all deliver
+		// before postReplay's wait loop reaches it must not be recycled (a
+		// new owner would Reset the very hwDone signal recovery still waits
+		// on).
 		ws.pinned = true
 	}
 	return replay
 }
 
-// postReplay re-sends a prepared replay set toward its target and waits
-// for the completions, releasing delivered commands back to their pools.
-func (in *Initiator) postReplay(p *sim.Proc, replay []*wireState) {
-	// Post per stream to preserve order on the wire.
-	byStream := map[int][]*wireState{}
-	var streamsOrder []int
-	for _, ws := range replay {
-		if _, ok := byStream[ws.stream]; !ok {
-			streamsOrder = append(streamsOrder, ws.stream)
+// postReplay re-sends a prepared replay set toward its target — that
+// member's capsule only: the command's other members hold their copy or
+// have a resync backlog entry for it — and waits for the completions,
+// releasing delivered commands back to their pools.
+func (in *Initiator) postReplay(p *sim.Proc, target int, replay []*wireState) {
+	// One capsule per stream, in chain order (the order prepareReplay left
+	// the set in), split where the member's position in the commands'
+	// fan-outs changes: a capsule names one position.
+	for rest := replay; len(rest) > 0; {
+		stream, k, n := rest[0].stream, rest[0].q.Pos(target), 1
+		for n < len(rest) && rest[n].stream == stream && rest[n].q.Pos(target) == k {
+			n++
 		}
-		byStream[ws.stream] = append(byStream[ws.stream], ws)
-	}
-	sort.Ints(streamsOrder)
-	for _, s := range streamsOrder {
-		in.postByTarget(p, byStream[s], s)
+		cmds := rest[:n:n]
+		rest = rest[n:]
+		in.stats.WireCmds += int64(n)
+		qp := in.qpFor(stream)
+		for _, ws := range cmds {
+			ws.qp = qp
+		}
+		in.post(p, target, qp, in.buildMemberCapsule(cmds, k, target, stream))
 	}
 	// Wait until every replayed command completes, then release the ones
 	// whose requests have all been delivered back to their pools.

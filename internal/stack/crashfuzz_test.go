@@ -138,13 +138,14 @@ func checkPrefixDurability(t *testing.T, c *Cluster, report *core.Report, subs [
 }
 
 // TestCrashScheduleFuzzEntityCuts is the Rio schedule matrix: a random
-// mid-run cut of a random TARGET or INITIATOR under multi-initiator
-// traffic, recovery of that entity while the survivors keep running,
-// then a randomized whole-cluster cut and full recovery — the engine
-// audit and the prefix invariant (for the final incarnation of every
-// initiator) must hold at the end.
+// mid-run cut of a random TARGET, a random INITIATOR, or one of each in the
+// same instant, under multi-initiator traffic; one recover run over exactly
+// what was cut while the survivors keep running; then a randomized
+// whole-cluster cut and full recovery — the engine audit and the prefix
+// invariant (for the final incarnation of every initiator) must hold at the
+// end.
 func TestCrashScheduleFuzzEntityCuts(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			fuzzEntityCut(t, seed)
@@ -216,30 +217,33 @@ func fuzzEntityCut(t *testing.T, seed int64) {
 		}
 	}
 
-	// Random mid-run entity cut.
-	cutTarget := rng.Intn(2) == 0
-	victim := rng.Intn(2)
+	// Random mid-run cut, the shape by seed so six seeds cover each twice:
+	// a target, an initiator, or both at once.
+	var cutTargets, cutInits []int
+	if seed%3 != 0 {
+		cutTargets = []int{rng.Intn(2)}
+	}
+	if seed%3 != 1 {
+		cutInits = []int{rng.Intn(2)}
+	}
 	cutA := sim.Time(40+rng.Int63n(200)) * sim.Microsecond
-	t.Logf("schedule: cutTarget=%v victim=%d cutA=%v", cutTarget, victim, cutA)
+	t.Logf("schedule: cut targets %v and initiators %v at %v", cutTargets, cutInits, cutA)
 	eng.At(cutA, func() {
-		if cutTarget {
-			c.PowerCutTarget(victim)
-		} else {
-			c.PowerCutInitiator(victim)
-			gen[victim]++
-			for s := range subs[victim] {
-				subs[victim][s] = nil
+		for _, v := range cutTargets {
+			c.PowerCutTarget(v)
+		}
+		for _, w := range cutInits {
+			c.PowerCutInitiator(w)
+			gen[w]++
+			for s := range subs[w] {
+				subs[w][s] = nil
 			}
 		}
 	})
 	eng.RunUntil(cutA + 100*sim.Microsecond)
 	recovered := false
 	eng.Go("fuzz/recoverA", func(p *sim.Proc) {
-		if cutTarget {
-			c.RecoverTarget(p, victim)
-		} else {
-			c.RecoverInitiator(p, victim)
-		}
+		c.recover(p, cutTargets, cutInits)
 		recovered = true
 	})
 	// Let recovery finish (the PMR scan alone costs tens of simulated

@@ -57,10 +57,10 @@ type Initiator struct {
 	blockBuf []uint32
 	stampBuf []uint64 // rcachePopulateWire's media-stamp scratch (never yields either)
 
-	// Read path (nil/empty with CacheBlocks == 0: the read path is then
-	// byte-identical to the uncached stack). pendingReads tracks in-flight
-	// cached-path read commands by a monotonic id so crash sweeps can
-	// reroute or abandon them deterministically.
+	// Read path. rcache is nil with CacheBlocks == 0: every read then
+	// crosses the fabric. pendingReads tracks in-flight read commands of
+	// either path by a monotonic id so crash sweeps can reroute or abandon
+	// them deterministically.
 	rcache       *rcache
 	pendingReads map[uint64]*pendingRead
 	nextReadID   uint64
@@ -106,9 +106,9 @@ func newInitiator(c *Cluster, id int) *Initiator {
 	}
 	in.fuseTails = make([]fuseTail, c.vol.Devices())
 	in.relaySeq = make([]uint64, len(c.replSets)*c.cfg.QPs)
+	in.pendingReads = make(map[uint64]*pendingRead)
 	if c.cfg.CacheBlocks > 0 {
 		in.rcache = newRCache(c.cfg.CacheBlocks, c.cfg.Streams)
-		in.pendingReads = make(map[uint64]*pendingRead)
 	}
 	for s := 0; s < c.cfg.Streams; s++ {
 		sh := newShard(in, s)
@@ -158,12 +158,6 @@ func (in *Initiator) bumpRetireMark(stream, target int, idx uint64) {
 	if idx > in.retireMark[k] {
 		in.retireMark[k] = idx
 	}
-}
-
-// clearRetireMark restarts the {stream, target} watermark after the
-// target's chain was reset (replay and resync recoveries).
-func (in *Initiator) clearRetireMark(stream, target int) {
-	in.retireMark[stream*len(in.targets)+target] = 0
 }
 
 // retireMarksSet counts watermarks that have advanced (tests).
@@ -302,40 +296,33 @@ func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks
 }
 
 // readDirect is the uncached read path: issue one command per extent to
-// the serving replica member, wait for all of them.
+// the serving replica member, wait for all of them. The commands are
+// tracked as pendingReads like the cached path's, so a power cut of the
+// member reroutes them instead of stranding the reader on a dead SSD.
 func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
 	in.useInitCPU(p, in.costs.SubmitBio)
 	out := make([]ssd.Rec, blocks)
 	done := sim.NewWaitGroup(in.Eng)
 	for _, ext := range in.vol.Extents(lba, blocks) {
-		ext := ext
 		ref := in.vol.Dev(ext.Dev)
 		// Replication: reads are served from an in-sync member of the set
 		// whose resync backlog does not cover this extent (-1 means the
 		// set is down).
 		ti := in.c.readMemberFor(ref.Server, ref.SSD, ext.DevLBA, ext.Blocks)
-		if ti < 0 {
-			continue
-		}
-		t := in.targets[ti]
-		if !t.alive {
+		if ti < 0 || !in.targets[ti].alive {
 			continue
 		}
 		in.stats.ReadCmds++
 		in.stats.ReadMsgs++
-		t.stats.Reads++
+		in.targets[ti].stats.Reads++
 		done.Add(1)
-		cmd := &ssd.Command{
-			Op: ssd.OpRead, LBA: ext.DevLBA, Blocks: ext.Blocks,
-			Done: func(sc *ssd.Command) {
-				copy(out[ext.Offset:ext.Offset+ext.Blocks], sc.Out)
-				done.Done()
-			},
-		}
 		// Reads bypass the ordered machinery: command out, data back via
 		// one-sided RDMA; we charge the round trip and device time via the
 		// SSD path plus a fixed fabric delay.
-		in.Eng.At(in.cfg.Fabric.PropDelay, func() { t.ssds[ref.SSD].Submit(cmd) })
+		in.submitPendingRead(in.trackRead(&pendingRead{
+			dev: ext.Dev, devLBA: ext.DevLBA, blocks: ext.Blocks, set: ref.Server, ssdIdx: ref.SSD,
+			out: out, outOff: int(ext.Offset), wg: done,
+		}), ti)
 	}
 	done.Wait(p)
 	p.Sleep(in.cfg.Fabric.PropDelay) // response path
@@ -461,12 +448,4 @@ func (in *Initiator) crashVolatile() {
 	// The read cache and in-flight reads are volatile state of the dead
 	// incarnation too.
 	in.abortAllReads()
-}
-
-func (in *Initiator) seqStreams() []*core.StreamSeq {
-	out := make([]*core.StreamSeq, in.seq.Streams())
-	for i := range out {
-		out[i] = in.seq.Stream(i)
-	}
-	return out
 }

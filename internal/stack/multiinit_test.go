@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -461,32 +462,46 @@ func TestRecoverTargetWithLiveTraffic(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestRecoverTargetPreservesDeadInitiatorEvidence: RecoverTarget while
-// an initiator is down must NOT format that initiator's PMR partition —
-// it is the recovery evidence RecoverInitiator later scans. The dead
-// initiator's prefix must still be recoverable afterwards.
+// TestRecoverTargetPreservesDeadInitiatorEvidence is recover's rule (3)
+// from the inside: recover({t}, nil) while an initiator is down must leave
+// that initiator's PMR partition on t byte for byte as it was — it is the
+// recovery evidence RecoverInitiator later scans — while the live
+// initiator's partition is formatted. The dead initiator's prefix must
+// still be recoverable afterwards.
 func TestRecoverTargetPreservesDeadInitiatorEvidence(t *testing.T) {
 	eng := sim.New(139)
 	cfg := multiConfig(2, optane1()...)
 	cfg.MergeEnabled = false
 	c := New(eng, cfg)
-	in1 := c.Init(1)
-	// Initiator 1 lands durable groups, then dies.
-	eng.Go("victim", func(p *sim.Proc) {
-		for g := 0; g < 10; g++ {
-			r := in1.OrderedWrite(p, 0, uint64(1<<20|g), 1, 0, nil, true, false, false)
-			in1.Wait(p, r)
-		}
-	})
+	// Both initiators land durable groups, then initiator 1 dies.
+	for ii := 0; ii < 2; ii++ {
+		in := c.Init(ii)
+		eng.Go("app", func(p *sim.Proc) {
+			for g := 0; g < 10; g++ {
+				r := in.OrderedWrite(p, 0, uint64(ii<<20|g), 1, 0, nil, true, false, false)
+				in.Wait(p, r)
+			}
+		})
+	}
 	eng.Run()
+	if len(core.ScanRegion(c.Target(0).pmrRegion(0))) == 0 {
+		t.Fatal("the live initiator left no entries to format: the schedule checks nothing")
+	}
 	c.PowerCutInitiator(1)
 	// Now the (only) target dies and recovers while initiator 1 is down.
 	c.PowerCutTarget(0)
-	eng.Go("rec-target", func(p *sim.Proc) { c.RecoverTarget(p, 0) })
+	before := bytes.Clone(c.Target(0).pmrRegion(1))
+	eng.Go("rec-target", func(p *sim.Proc) { c.recover(p, []int{0}, nil) })
 	eng.Run()
+	if !bytes.Equal(before, c.Target(0).pmrRegion(1)) {
+		t.Fatal("target recovery touched the dead initiator's PMR partition (evidence destroyed)")
+	}
+	if n := len(core.ScanRegion(c.Target(0).pmrRegion(0))); n != 0 {
+		t.Fatalf("the live initiator's partition holds %d entries after target recovery, want it formatted", n)
+	}
 	entries := core.ScanRegion(c.Target(0).pmrRegion(1))
 	if len(entries) == 0 {
-		t.Fatal("target recovery formatted the dead initiator's PMR partition (evidence destroyed)")
+		t.Fatal("the dead initiator left no evidence: the schedule checks nothing")
 	}
 	for _, e := range entries {
 		if e.Initiator != 1 {

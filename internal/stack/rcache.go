@@ -250,7 +250,7 @@ type readRun struct {
 	prefetch bool
 }
 
-// pendingRead tracks one in-flight read command of the cached path so a
+// pendingRead tracks one in-flight read command (of either read path) so a
 // target power cut can reroute it to a surviving replica member (or
 // fail it) instead of stranding the reader forever, and an initiator
 // crash can abandon it. Keyed by a monotonic id so crash sweeps iterate
@@ -354,7 +354,7 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 		in.targets[m].stats.Reads += int64(len(group))
 		for _, r := range group {
 			pr := &pendingRead{
-				epoch: in.epoch, dev: r.dev, devLBA: r.devLBA, blocks: r.blocks,
+				dev: r.dev, devLBA: r.devLBA, blocks: r.blocks,
 				set: r.set, ssdIdx: r.ssdIdx, outOff: r.outOff, prefetch: r.prefetch,
 			}
 			if r.prefetch {
@@ -371,10 +371,7 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 			// not cache. Writes dispatched later than this point are
 			// handled by the supersede loop in rcachePopulateWire.
 			pr.noFill = in.writeInFlight(r.dev, r.devLBA, r.blocks)
-			in.nextReadID++
-			pr.id = in.nextReadID
-			in.pendingReads[pr.id] = pr
-			in.submitPendingRead(pr, m)
+			in.submitPendingRead(in.trackRead(pr), m)
 		}
 	}
 	if demand > 0 {
@@ -444,6 +441,15 @@ func (in *Initiator) writeInFlight(dev int, devLBA uint64, blocks uint32) bool {
 	return false
 }
 
+// trackRead registers one read command of the current incarnation as in
+// flight, under the next id.
+func (in *Initiator) trackRead(pr *pendingRead) *pendingRead {
+	in.nextReadID++
+	pr.id, pr.epoch = in.nextReadID, in.epoch
+	in.pendingReads[pr.id] = pr
+	return pr
+}
+
 // submitPendingRead posts one read command toward a member target:
 // command out after the fabric propagation delay, data back via
 // one-sided RDMA modeled by the SSD read plus the response-path sleep
@@ -468,10 +474,10 @@ func (in *Initiator) finishPendingRead(pr *pendingRead, sc *ssd.Command) {
 	}
 	pr.done = true
 	delete(in.pendingReads, pr.id)
-	if pr.epoch != in.epoch || in.rcache == nil {
+	if pr.epoch != in.epoch {
 		return
 	}
-	if !pr.noFill {
+	if in.rcache != nil && !pr.noFill {
 		for i := uint32(0); i < pr.blocks; i++ {
 			in.rcache.put(pr.dev, pr.devLBA+uint64(i), pr.set, sc.Out[i], pr.prefetch)
 		}
@@ -499,10 +505,7 @@ func (in *Initiator) sortedPendingReads() []uint64 {
 // in-flight read toward the dead member is rerouted to a surviving
 // in-sync member — or failed, releasing its waiter, when none is left.
 func (in *Initiator) abortTargetReads(target int) {
-	if in.rcache == nil {
-		return
-	}
-	in.rcache.invalidateSet(in.c.SetOf(target))
+	in.invalidateSetReads(in.c.SetOf(target))
 	for _, id := range in.sortedPendingReads() {
 		pr := in.pendingReads[id]
 		if pr.target != target {
@@ -533,10 +536,9 @@ func (in *Initiator) invalidateSetReads(set int) {
 // in-flight read die with the rest of the volatile state. Waiters are
 // released (their threads observe the dead server via Alive()).
 func (in *Initiator) abortAllReads() {
-	if in.rcache == nil {
-		return
+	if in.rcache != nil {
+		in.rcache.invalidateAll()
 	}
-	in.rcache.invalidateAll()
 	for _, id := range in.sortedPendingReads() {
 		pr := in.pendingReads[id]
 		pr.done = true

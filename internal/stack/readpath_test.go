@@ -137,3 +137,30 @@ func TestDegradedReadsFreshDuringResync(t *testing.T) {
 		t.Fatalf("order audit: %d violations", v)
 	}
 }
+
+// TestUncachedReadSurvivesMemberCut: with no cache configured a reader in
+// flight toward a member when that member is power-cut must be rerouted to
+// a surviving member like a cached-path miss is — a powered-off SSD drops
+// its commands, so a read left waiting on it never returns.
+func TestUncachedReadSurvivesMemberCut(t *testing.T) {
+	eng := sim.New(5)
+	c := New(eng, replConfig(3)) // CacheBlocks == 0: readDirect
+	defer eng.Shutdown()
+	const n = 2000
+	reads := 0
+	eng.Go("reader", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			c.Init(0).ReadStreamAhead(p, 0, uint64(i), 1, -1) // never written: every read crosses the fabric
+			reads++
+		}
+	})
+	// Member 0 serves the set's reads; the cut lands with one in flight.
+	eng.At(100*sim.Microsecond+300, func() { c.PowerCutTarget(0) })
+	eng.RunUntil(200 * sim.Millisecond)
+	if reads != n {
+		t.Fatalf("%d of %d reads returned: the reader is stranded on the cut member", reads, n)
+	}
+	if st := c.Init(0).Stats(); st.ReadCmds != n {
+		t.Fatalf("%d read commands counted for %d single-extent reads", st.ReadCmds, n)
+	}
+}

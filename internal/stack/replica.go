@@ -28,13 +28,13 @@ import (
 // any in-sync member.
 //
 // What a power cut does depends on what the code can observe about the
-// set, not on configuration. A cut member whose set has other members
-// degrades it (survivors keep completing at quorum, the degraded window is
-// evidenced by epoch marks in the survivors' PMR) and rejoins via
-// background resync: the delta it missed is replayed from a peer replica's
-// PMR+media before the set epoch advances again. A cut member that IS its
-// set has no survivor to complete anything: its commands stay outstanding
-// and target recovery replays them on a fresh chain (crash.go).
+// set, not on configuration. While another member is still in sync a cut
+// member degrades the set (survivors keep completing at quorum, the degraded
+// window is evidenced by epoch marks in the survivors' PMR) and is repaired
+// from a peer replica's media when it restarts (rejoin). The last in-sync
+// member of a set — of any size — has no survivor to complete anything: its
+// commands stay outstanding and the initiators replay them on a fresh chain.
+// crash.go takes both decisions, at PowerCutTarget and at recover's rule (1).
 //
 // Every member's capsule comes from buildMemberCapsule and every capsule
 // reaches the wire through postCapsule; a route only says who carries the
@@ -423,66 +423,24 @@ func (c *Cluster) extentSettled(d dirtyExtent) bool {
 	return d.ws.q.Done()
 }
 
-// resyncTarget is target recovery under replication: background resync
-// instead of initiator-driven replay. The restarted member's volatile
-// and ordering state is reset, the peer's PMR is scanned (the ordering
-// evidence for the degraded window), and the missed-extent backlog is
-// drained by copying block content from an in-sync peer's media. New
-// writes keep landing in the backlog while the drain runs — the set
-// stays degraded — so the loop runs until it is empty; the final
-// emptiness check and the rejoin flip happen with no yield in between.
-func (c *Cluster) resyncTarget(p *sim.Proc, m int) (*core.Report, RecoveryTiming) {
-	var tm RecoveryTiming
-	t := c.targets[m]
+// rejoin repairs a restarted member from its in-sync peer and puts it back
+// in sync: the missed-extent backlog is drained by copying block content
+// from the peer's media. New writes keep landing in the backlog while the
+// drain runs — the set stays degraded — so the loop runs until it is
+// empty; the final emptiness check and the rejoin flip happen with no
+// yield in between. Returns the number of blocks copied.
+func (c *Cluster) rejoin(p *sim.Proc, m int) int {
 	rs := c.replSets[c.setOf[m]]
 	pos := rs.pos(m)
-
-	c.restartTarget(m)
-	// The member's own PMR partitions are stale pre-cut evidence; the
-	// survivors' logs own the ordering record for the degraded window.
-	for i := 0; i < c.cfg.Initiators; i++ {
-		core.Format(t.pmrRegion(i))
-	}
-	t.resetOrderingState()
-	// Fresh per-member chains: the rejoined member's gates expect dense
-	// indices from 1 again.
-	for _, in := range c.inits {
-		if !in.alive {
-			continue
-		}
-		for _, st := range in.seqStreams() {
-			st.ResetServerChain(m)
-		}
-		for s := 0; s < in.cfg.Streams; s++ {
-			in.clearRetireMark(s, m)
-		}
-	}
-
-	// Scan the peer's PMR: the ordering evidence resync replays against.
-	start := p.Now()
-	var report *core.Report
-	if peer := rs.firstInSync(m); peer >= 0 {
-		pt := c.targets[peer]
-		view := pt.scanAndShip(p, pt.ssds[0].PMRBytes(), t.conns[0])
-		report = order.MergeViews([]core.ServerView{view})
-	} else {
-		report = order.MergeViews(nil)
-	}
-	tm.OrderRebuild = p.Now() - start
-
-	start = p.Now()
+	copied := 0
 	for len(rs.dirty[pos]) > 0 {
 		// Peek-copy-then-pop: the extent stays visible in the backlog
 		// while copyExtent yields, so extent-level read selection
 		// (readMemberFor) keeps steering reads of these blocks away from
 		// the member until the copy has actually landed.
-		d := rs.dirty[pos][0]
-		tm.Replayed += c.copyExtent(p, rs, m, d)
+		copied += c.copyExtent(p, rs, m, rs.dirty[pos][0])
 		rs.dirty[pos] = rs.dirty[pos][1:]
 	}
-	tm.DataRecovery = p.Now() - start
-
-	// Atomic rejoin (no yield since the emptiness check above).
 	rs.inSync[pos] = true
 	rs.epoch++
 	c.appendEpochMarks(rs, m)
@@ -492,7 +450,7 @@ func (c *Cluster) resyncTarget(p *sim.Proc, m int) (*core.Report, RecoveryTiming
 	for _, in := range c.inits {
 		in.invalidateSetReads(rs.id)
 	}
-	return report, tm
+	return copied
 }
 
 // replResyncAck credits a resync copy as the member's late durability
@@ -516,6 +474,32 @@ func (in *Initiator) replResyncAck(p *sim.Proc, ws *wireState, member int) {
 	in.maybeRecycle(ws)
 }
 
+// blockCopy is one block of a peer's media on its way onto a member.
+type blockCopy struct {
+	dst *ssd.SSD
+	lba uint64
+	rec ssd.Rec
+}
+
+// writeCopies writes blocks read off a peer's media onto members, stamps
+// and all, and waits for every write to land.
+func (c *Cluster) writeCopies(p *sim.Proc, copies []blockCopy) {
+	done := sim.NewWaitGroup(c.Eng)
+	for _, b := range copies {
+		done.Add(1)
+		var data [][]byte
+		if b.rec.Data != nil {
+			data = [][]byte{b.rec.Data}
+		}
+		b.dst.Submit(&ssd.Command{
+			Op: ssd.OpWrite, LBA: b.lba, Blocks: 1,
+			Stamps: []uint64{b.rec.Stamp}, Data: data,
+			Done: func(*ssd.Command) { done.Done() },
+		})
+	}
+	done.Wait(p)
+}
+
 // copyExtent copies one missed extent from an in-sync peer's media onto
 // the resyncing member, returning how many blocks were written. It
 // waits for the originating command to settle first, so the copy reads
@@ -529,60 +513,40 @@ func (c *Cluster) copyExtent(p *sim.Proc, rs *replicaSet, m int, d dirtyExtent) 
 	if src < 0 {
 		return 0
 	}
-	sd := c.targets[src].ssds[d.ssdIdx]
-	var stamps []uint64
-	var data [][]byte
-	var lbas []uint64
+	sd, dst := c.targets[src].ssds[d.ssdIdx], c.targets[m].ssds[d.ssdIdx]
+	var copies []blockCopy
 	for b := uint32(0); b < d.blocks; b++ {
-		lba := d.lba + uint64(b)
-		rec, ok := sd.Visible(lba)
-		if !ok {
-			continue // rolled back or never landed: nothing to copy
+		// A block rolled back or never landed is not visible: nothing to copy.
+		if rec, ok := sd.Visible(d.lba + uint64(b)); ok {
+			copies = append(copies, blockCopy{dst, d.lba + uint64(b), rec})
 		}
-		lbas = append(lbas, lba)
-		stamps = append(stamps, rec.Stamp)
-		data = append(data, rec.Data)
 	}
-	if len(lbas) == 0 {
+	if len(copies) == 0 {
 		return 0
 	}
 	// One fabric hop for the delta payload (peer media -> member).
-	bytes := len(lbas) * ssd.BlockSize
+	bytes := len(copies) * ssd.BlockSize
 	p.Sleep(c.cfg.Fabric.PropDelay + sim.Time(float64(bytes)/c.cfg.Fabric.BytesPerNs))
-	done := sim.NewWaitGroup(c.Eng)
-	for i, lba := range lbas {
-		done.Add(1)
-		var blkData [][]byte
-		if data[i] != nil {
-			blkData = [][]byte{data[i]}
-		}
-		c.targets[m].ssds[d.ssdIdx].Submit(&ssd.Command{
-			Op: ssd.OpWrite, LBA: lba, Blocks: 1,
-			Stamps: []uint64{stamps[i]}, Data: blkData,
-			Done: func(*ssd.Command) { done.Done() },
-		})
-	}
-	done.Wait(p)
+	c.writeCopies(p, copies)
 	// The content now lives on the member: credit the late ack (relevant
 	// when WriteQuorum == Replicas — quorum writes were already fired).
 	if d.ws.id == d.wsID && d.ws.epoch == c.inits[d.init].epoch {
 		c.inits[d.init].replResyncAck(p, d.ws, m)
 	}
-	return len(lbas)
+	return len(copies)
 }
 
-// replicaRepair runs after whole-cluster recovery on a replicated
-// deployment: for every within-prefix durable entry it re-replicates
-// the block content to set members that lost it (a group can be durable
-// on a quorum without being durable everywhere), so the sets converge
-// byte-identically. Returns the number of blocks copied.
-func (c *Cluster) replicaRepair(p *sim.Proc, views []core.ServerView, report *core.Report) int {
-	copied := 0
-	done := sim.NewWaitGroup(c.Eng)
+// replicaRepair is rule (6) of recover: evidence members of one set that
+// restarted together converge byte-identically — every within-prefix
+// durable entry one of them holds is re-replicated to those that lost it
+// (a group can be durable on a quorum without being durable everywhere) —
+// and the set's membership is reset for its next incarnation: they are in
+// sync, with nothing owed. Returns the number of blocks copied.
+func (c *Cluster) replicaRepair(p *sim.Proc, views []core.ServerView, report *core.Report, src []repairSource) int {
+	var copies []blockCopy
 	for _, v := range views {
-		rs := c.replSets[c.setOf[v.Server]]
-		if len(rs.members) == 1 {
-			continue // no other member to converge with
+		if src[v.Server] != fromEvidence {
+			continue
 		}
 		for _, e := range v.Entries {
 			if e.EpochMark || e.IPU {
@@ -592,39 +556,38 @@ func (c *Cluster) replicaRepair(p *sim.Proc, views []core.ServerView, report *co
 			if sr == nil || e.SeqEnd > sr.DurablePrefix {
 				continue
 			}
-			src := c.targets[v.Server].ssds[e.NS]
 			stamp := core.AttrStamp(e.Attr)
 			for b := uint32(0); b < e.Blocks; b++ {
 				lba := e.LBA + uint64(b)
-				rec, ok := src.Durable(lba)
+				rec, ok := c.targets[v.Server].ssds[e.NS].Durable(lba)
 				if !ok || rec.Stamp != stamp {
 					continue
 				}
-				for _, mt := range rs.members {
-					if mt == v.Server {
+				for _, mt := range c.replSets[c.setOf[v.Server]].members {
+					if mt == v.Server || src[mt] != fromEvidence {
 						continue
 					}
 					dst := c.targets[mt].ssds[e.NS]
-					if r2, ok2 := dst.Durable(lba); ok2 && r2.Stamp == stamp {
-						continue
+					if r2, ok2 := dst.Durable(lba); !ok2 || r2.Stamp != stamp {
+						copies = append(copies, blockCopy{dst, lba, rec})
 					}
-					copied++
-					done.Add(1)
-					var blkData [][]byte
-					if rec.Data != nil {
-						blkData = [][]byte{rec.Data}
-					}
-					dst.Submit(&ssd.Command{
-						Op: ssd.OpWrite, LBA: lba, Blocks: 1,
-						Stamps: []uint64{stamp}, Data: blkData,
-						Done: func(*ssd.Command) { done.Done() },
-					})
 				}
 			}
 		}
 	}
-	done.Wait(p)
-	return copied
+	c.writeCopies(p, copies)
+	for _, rs := range c.replSets {
+		restarted := false
+		for k, m := range rs.members {
+			if src[m] == fromEvidence {
+				rs.inSync[k], rs.dirty[k], restarted = true, nil, true
+			}
+		}
+		if restarted {
+			rs.epoch++
+		}
+	}
+	return len(copies)
 }
 
 // validateReplication checks the replica topology at construction.

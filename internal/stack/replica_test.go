@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -207,6 +209,88 @@ func TestResyncConvergesByteIdentical(t *testing.T) {
 		}
 	}
 	eng.Shutdown()
+}
+
+// TestWholeSetCutMemberByMember: every member of a 3-way set is cut, one
+// after another, under four writers. The first two cuts degrade the set;
+// the last member has no survivor, so it must be cut like a set of one — its
+// commands stay outstanding and are replayed when it comes back — and a
+// degraded member may only be repaired from a peer that is up. Whatever the
+// recovery order, every write delivers and the members end byte-identical.
+func TestWholeSetCutMemberByMember(t *testing.T) {
+	for _, order := range [][]int{{2, 0, 1}, {0, 2, 1, 0}} {
+		t.Run(fmt.Sprint(order), func(t *testing.T) {
+			eng := sim.New(3)
+			c := New(eng, replConfig(3))
+			defer eng.Shutdown()
+			const writers, writes = 4, 200
+			var lbas []uint64
+			delivered := 0
+			for s := 0; s < writers; s++ {
+				eng.Go("app", func(p *sim.Proc) {
+					for g := 0; g < writes; g++ {
+						lba := uint64(s*100000 + g)
+						r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+						lbas = append(lbas, lba)
+						c.Init(0).Wait(p, r)
+						delivered++
+					}
+				})
+			}
+			for m, at := range []sim.Time{100, 150, 200} {
+				eng.At(at*sim.Microsecond, func() { c.PowerCutTarget(m) })
+			}
+			eng.Run()
+			if delivered == writers*writes {
+				t.Fatal("every write delivered before the last cut: the schedule strands nothing")
+			}
+
+			for step, m := range order {
+				var pmr [][]byte
+				for i := 0; i < c.Initiators(); i++ {
+					pmr = append(pmr, bytes.Clone(c.Target(m).PMRPartition(i)))
+				}
+				var rep *core.Report
+				var tm RecoveryTiming
+				// The last member's replay completes only once a peer's
+				// resync lands the quorum's second copy, so a recovery is
+				// not awaited before the next one starts.
+				eng.Go("recover", func(p *sim.Proc) { rep, tm = c.RecoverTarget(p, m) })
+				eng.Run()
+				if step == 0 && m != 2 {
+					// Member 0's only in-sync peer is down: it is left as it
+					// was, not rejoined from nothing.
+					if rep == nil || len(rep.Streams) != 0 || tm != (RecoveryTiming{}) {
+						t.Fatalf("recovery of member %d with its in-sync peer down: report %+v timing %+v, want empty", m, rep, tm)
+					}
+					if c.Target(m).Alive() || c.InSync(m) {
+						t.Fatalf("member %d restarted (alive=%v, in sync=%v) with no peer to repair it from", m, c.Target(m).Alive(), c.InSync(m))
+					}
+					for i, before := range pmr {
+						if !bytes.Equal(before, c.Target(m).PMRPartition(i)) {
+							t.Fatalf("member %d left down, but its PMR partition %d was touched", m, i)
+						}
+					}
+				}
+			}
+
+			if delivered != writers*writes {
+				t.Fatalf("%d of %d writes delivered", delivered, writers*writes)
+			}
+			mediaIdentical(t, c, lbas)
+			if v := c.OrderAudit(); v != 0 {
+				t.Fatalf("order audit: %d violations", v)
+			}
+			for _, m := range c.SetMembers(0) {
+				if !c.InSync(m) {
+					t.Fatalf("member %d not in sync after every member recovered", m)
+				}
+				if v := c.Target(m).GateAudit(); v != 0 {
+					t.Fatalf("member %d gate audit: %d violations", m, v)
+				}
+			}
+		})
+	}
 }
 
 // TestFullQuorumStallsThenResyncCompletes: WriteQuorum == Replicas means

@@ -235,7 +235,11 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 	if c.cfg.Governor.Enabled {
 		t.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
 	}
-	t.resetOrderingState()
+	t.ord = order.NewEngine[parkedCmd](t.pol, nInit, c.cfg.Streams, len(t.ssds), c.cfg.MaxPlug)
+	for i := 0; i < nInit; i++ {
+		t.logs = append(t.logs, core.NewLog(t.pmrRegion(i)))
+		t.logSpace = append(t.logSpace, sim.NewCond(c.Eng))
+	}
 	// One connection (with its own QP set) per initiator, and one receive
 	// context per QP: arrivals on a queue pair are handled serially (as on
 	// real hardware, where a QP maps to one completion queue), which is
@@ -305,41 +309,15 @@ func (t *Target) pmrRegion(init int) []byte {
 	return region[init*per : (init+1)*per]
 }
 
-// resetOrderingState reinitializes every initiator's PMR log partition
-// and the ordering engine (every domain's gate, slot table and retire
-// watermark); called at construction and after a restart+recovery of the
-// whole target.
-func (t *Target) resetOrderingState() {
-	n := t.c.cfg.Initiators
-	// Wake every appender parked on the old logs' space before the conds
-	// are replaced: a waiter left on an orphaned cond would never run
-	// again, permanently killing its receive worker. The woken append
-	// notices its log was replaced and drops the dead-incarnation
-	// attribute instead of leaking it into the fresh evidence.
-	for _, cond := range t.logSpace {
-		cond.Broadcast()
-	}
-	t.logs = make([]*core.Log, n)
-	t.logSpace = make([]*sim.Cond, n)
-	for i := 0; i < n; i++ {
-		t.logs[i] = core.NewLog(t.pmrRegion(i))
-		t.logSpace[i] = sim.NewCond(t.c.Eng)
-	}
-	if t.ord == nil {
-		t.ord = order.NewEngine[parkedCmd](t.pol, n, t.c.cfg.Streams, len(t.ssds), t.c.cfg.MaxPlug)
-	} else {
-		t.ord.Reset()
-	}
-}
-
 // resetInitiatorState reinitializes ONE initiator's ordering state — its
 // PMR log partition and its engine domains (gates, slots, watermarks) —
-// leaving every other initiator's untouched. Used by single-initiator
-// crash recovery.
+// leaving every other initiator's untouched.
 func (t *Target) resetInitiatorState(init int) {
 	t.logs[init] = core.NewLog(t.pmrRegion(init))
-	t.logSpace[init].Broadcast() // anyone waiting on the dead log's space
-	t.logSpace[init] = sim.NewCond(t.c.Eng)
+	// Wake every appender parked on the old log's space: it notices its log
+	// was replaced and drops the dead-incarnation attribute instead of
+	// leaking it into the fresh evidence.
+	t.logSpace[init].Broadcast()
 	t.ord.ResetInitiator(init)
 }
 

@@ -434,57 +434,50 @@ func (c *Cluster) WriteQuorum() int { return c.inner.WriteQuorum() }
 // domains would produce.
 func (c *Cluster) OrderAudit() int { return c.inner.OrderAudit() }
 
-// Scope names the blast radius of a fault or recovery: the whole
-// cluster, one target server, or one initiator server. Build one with
-// ClusterScope, TargetScope or InitiatorScope and hand it to
-// Cluster.Fault / Ctx.Recover — the single crash surface that replaces
-// the per-shape PowerCut*/Recover* method family.
+// Scope names the blast radius of a fault or recovery: the target servers
+// and the initiator servers inside it; the zero Scope is the whole cluster.
+// Build one with ClusterScope, TargetScope or InitiatorScope and hand it to
+// Cluster.Fault / Ctx.Recover — the single crash surface that replaces the
+// per-shape PowerCut*/Recover* method family.
 type Scope struct {
-	kind scopeKind
-	idx  int
+	targets, inits []int
 }
-
-type scopeKind int
-
-const (
-	scopeCluster scopeKind = iota
-	scopeTarget
-	scopeInitiator
-)
 
 // ClusterScope is the whole deployment: every server loses volatile
 // state at once (a datacenter power event). Media and PMR survive.
-func ClusterScope() Scope { return Scope{kind: scopeCluster} }
+func ClusterScope() Scope { return Scope{} }
 
 // TargetScope is a single target server (and the replica-set member it
 // hosts, on a replicated cluster).
-func TargetScope(i int) Scope { return Scope{kind: scopeTarget, idx: i} }
+func TargetScope(i int) Scope { return Scope{targets: []int{i}} }
 
 // InitiatorScope is a single initiator server; the other initiators'
 // ordering domains continue undisturbed.
-func InitiatorScope(i int) Scope { return Scope{kind: scopeInitiator, idx: i} }
+func InitiatorScope(i int) Scope { return Scope{inits: []int{i}} }
+
+func (s Scope) cluster() bool { return s.targets == nil && s.inits == nil }
 
 func (s Scope) String() string {
-	switch s.kind {
-	case scopeTarget:
-		return fmt.Sprintf("target(%d)", s.idx)
-	case scopeInitiator:
-		return fmt.Sprintf("initiator(%d)", s.idx)
-	default:
-		return "cluster"
+	switch {
+	case len(s.targets) > 0:
+		return fmt.Sprintf("target(%d)", s.targets[0])
+	case len(s.inits) > 0:
+		return fmt.Sprintf("initiator(%d)", s.inits[0])
 	}
+	return "cluster"
 }
 
 // Fault power-cuts the given scope: volatile state inside the scope is
 // lost, media and PMR survive. Pair with Ctx.Recover on the same scope.
 func (c *Cluster) Fault(s Scope) {
-	switch s.kind {
-	case scopeTarget:
-		c.inner.PowerCutTarget(s.idx)
-	case scopeInitiator:
-		c.inner.PowerCutInitiator(s.idx)
-	default:
+	if s.cluster() {
 		c.inner.PowerCutAll()
+	}
+	for _, t := range s.targets {
+		c.inner.PowerCutTarget(t)
+	}
+	for _, i := range s.inits {
+		c.inner.PowerCutInitiator(i)
 	}
 }
 
@@ -514,29 +507,27 @@ func (r *Report) DurablePrefixFor(initiator, stream int) uint64 {
 //     rolls the volume forward to the per-stream durable prefixes.
 //   - TargetScope(i): every surviving initiator replays its own
 //     in-flight requests against the repaired target (§4.4.1 target
-//     recovery); on a replicated cluster this is instead a background
-//     resync — the member replays the delta from a peer replica's
-//     PMR+media and rejoins its set; no stream stalled and no initiator
-//     replays anything.
+//     recovery); a member of a replica set that kept a survivor is
+//     instead resynced in the background — it copies the delta from a
+//     peer replica's media and rejoins its set; no stream stalled and no
+//     initiator replays anything.
 //   - InitiatorScope(i): the crashed initiator recovers from its own PMR
 //     partitions; no other initiator's state is read or rolled back.
 func (ctx *Ctx) Recover(scope ...Scope) *Report {
 	if len(scope) == 0 {
 		scope = []Scope{ClusterScope()}
 	}
-	var out *Report
+	out := new(Report)
 	for _, s := range scope {
-		var rep *core.Report
-		var tm stack.RecoveryTiming
-		switch s.kind {
-		case scopeTarget:
-			rep, tm = ctx.c.inner.RecoverTarget(ctx.p, s.idx)
-		case scopeInitiator:
-			rep, tm = ctx.c.inner.RecoverInitiator(ctx.p, s.idx)
-		default:
-			rep, tm = ctx.c.inner.RecoverFull(ctx.p)
+		if s.cluster() {
+			out.inner, out.Timing = ctx.c.inner.RecoverFull(ctx.p)
 		}
-		out = &Report{inner: rep, Timing: tm}
+		for _, t := range s.targets {
+			out.inner, out.Timing = ctx.c.inner.RecoverTarget(ctx.p, t)
+		}
+		for _, i := range s.inits {
+			out.inner, out.Timing = ctx.c.inner.RecoverInitiator(ctx.p, i)
+		}
 	}
 	return out
 }
