@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs sim-diff crash-smoke coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs sim-diff crash-smoke fuzz-smoke coverage examples ci
 
 all: build test
 
@@ -67,7 +67,7 @@ bench-layers:
 # The gated experiments and the committed baseline they must reproduce:
 # named here and nowhere else (CI runs `make bench-gate`).
 GATED_EXPS := scale,replication,policy,serve,read,satload,trace
-BASELINE   := BENCH_15.json
+BASELINE   := BENCH_20.json
 
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build
@@ -127,13 +127,26 @@ sim-diff:
 # combiner): commits every 8th group, cut late enough that commits were
 # delivered, whole cluster and flash target alone. Peer copy: a member of a
 # 3-way set, and over the relay its head (head-cut repair). All three at
-# once: every member of the set, one after another.
+# once: every member of the set, one after another. Then the cut on merged
+# and vector-fused commands (-burst 4: plugged bursts the scheduler merges;
+# the line printed at the cut counts the fused commands), under the same
+# per-request media checks: whole cluster, one target, a replica member, and
+# the barrier path.
 crash-smoke: build
 	@set -e; for seed in 1 2 3; do \
 		for mode in "-commit 8 -streams 8 -cut 1500" "-commit 8 -streams 8 -cut 1500 -target" \
-			"-replicas 3" "-replicas 3 -relay" "-replicas 3 -cut-all"; do \
+			"-replicas 3" "-replicas 3 -relay" "-replicas 3 -cut-all" \
+			"-burst 4" "-burst 4 -target" "-burst 4 -replicas 3" "-burst 4 -commit 8 -streams 8 -cut 1500"; do \
 		echo "== riocrash $$mode -seed $$seed"; \
 		$(GO) run ./cmd/riocrash $$mode -seed $$seed; done; done
+
+# Native fuzzing of the two pure-logic targets for FUZZTIME each, from their
+# committed seeds: the in-order gate under arbitrary arrival schedules, and
+# the media identity's ownership test against its definition.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzGateSchedule -fuzztime $(FUZZTIME) ./internal/order
+	$(GO) test -run '^$$' -fuzz FuzzAttrOwns -fuzztime $(FUZZTIME) ./internal/core
 
 # Coverage profile over the ordering engine and the stack that drives it
 # (CI uploads the profile as an artifact).
@@ -141,4 +154,4 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race bench bench-sim bench-layers bench-gate examples benchmark-smoke crash-smoke
+ci: lint build race bench bench-sim bench-layers bench-gate examples benchmark-smoke crash-smoke fuzz-smoke

@@ -29,9 +29,15 @@
 // is pinned to one device, and the run fails when a commit delivered before
 // the cut, or any group before it, is not durable after recovery.
 //
+// With -burst N every stream submits its groups N at a time under a plug, at
+// consecutive blocks of one stripe chunk, so the scheduler merges them: the
+// cut then lands on merged and vector-fused commands, and the same per-request
+// media checks must hold (a block carries its own request's identity, merged
+// or not). The default, 1, is one write every 2 µs: nothing ever fuses.
+//
 // Usage:
 //
-//	riocrash [-streams 4] [-groups 200] [-cut 300] [-seed N] [-target] [-commit 8] [-replicas 3] [-relay] [-cut-all]
+//	riocrash [-streams 4] [-groups 200] [-cut 300] [-seed N] [-burst 4] [-target] [-commit 8] [-replicas 3] [-relay] [-cut-all]
 package main
 
 import (
@@ -82,6 +88,7 @@ func main() {
 		replicas = flag.Int("replicas", 0, "replicate across an R-way set and cut one member mid-stream")
 		relay    = flag.Bool("relay", false, "enable the target-to-target relay fast path and cut the set head")
 		cutAll   = flag.Bool("cut-all", false, "with -replicas: cut every member of the set, one after another, and recover them last-cut first")
+		burst    = flag.Int("burst", 1, "submit each stream's groups in plugged bursts of N device-contiguous writes (1 = one write every 2 µs, never fused)")
 	)
 	flag.Parse()
 
@@ -93,6 +100,9 @@ func main() {
 		fmt.Printf(format, args...)
 		fmt.Printf("reproduce with: riocrash -streams %d -groups %d -cut %d -seed %d",
 			*streams, *groups, *cutUS, *seed)
+		if *burst > 1 {
+			fmt.Printf(" -burst %d", *burst)
+		}
 		if *target {
 			fmt.Print(" -target")
 		}
@@ -117,7 +127,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *replicas > 1 {
-		replicaCrash(*streams, *groups, *cutUS, *seed, *replicas, *relay, *cutAll, fail)
+		replicaCrash(*streams, *groups, *burst, *cutUS, *seed, *replicas, *relay, *cutAll, fail)
 		return
 	}
 
@@ -128,9 +138,10 @@ func main() {
 	cfg.Streams = *streams
 	cfg.QPs = *streams
 	cfg.KeepHistory = true
-	cfg.MergeEnabled = false // 1:1 request→attribute, so media is checkable
 	if *commit > 0 {
 		cfg.ChunkBlocks = 1_000_000 // the streams' LBA stride: a commit FLUSHes only the device it lands on (ROADMAP 1(d))
+	} else if *burst > 1 {
+		cfg.ChunkBlocks = *burst // a burst is one device-contiguous extent
 	}
 	// Trace every request: the crash fuzz doubles as the span-lifecycle
 	// audit (no dangling open span across any power-cut schedule).
@@ -139,21 +150,10 @@ func main() {
 
 	subs := make([][]*blockdev.Request, *streams)
 	var reqs []*blockdev.Request
-	for s := 0; s < *streams; s++ {
-		s := s
-		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
-			for g := 0; g < *groups; g++ {
-				lba := uint64(s*1_000_000 + g)
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, *commit > 0 && (g+1)%*commit == 0, false)
-				if r.Ticket == nil {
-					break // the power cut landed mid-submission: died un-staged
-				}
-				subs[s] = append(subs[s], r)
-				reqs = append(reqs, r)
-				p.Sleep(2 * sim.Microsecond)
-			}
-		})
-	}
+	startWriters(eng, c.Init(0), *streams, *groups, *burst, *commit, func(s int, r *blockdev.Request) {
+		subs[s] = append(subs[s], r)
+		reqs = append(reqs, r)
+	})
 	cut := sim.Time(*cutUS) * sim.Microsecond
 	if *target {
 		eng.At(cut, func() { c.PowerCutTarget(1) })
@@ -162,7 +162,7 @@ func main() {
 	}
 	eng.RunUntil(cut + sim.Millisecond)
 
-	fmt.Printf("power cut at %v with %d requests submitted\n", cut, c.Init(0).Stats().Submitted)
+	fmt.Printf("power cut at %v with %d requests submitted%s\n", cut, c.Init(0).Stats().Submitted, fusedNote(c, *burst))
 
 	var report *core.Report
 	var tm stack.RecoveryTiming
@@ -242,12 +242,49 @@ func main() {
 	auditTrace(c, fail)
 }
 
+// startWriters starts one application per stream: groups single-write groups
+// at consecutive blocks of the stream's region, every commit-th carrying the
+// FLUSH (0 = none), burst of them at a time under a plug and then a 2 µs
+// pause. A stream stops at the first write that died un-staged (the power cut
+// landed mid-submission); every other request goes to record.
+func startWriters(eng *sim.Engine, in *stack.Initiator, streams, groups, burst, commit int, record func(s int, r *blockdev.Request)) {
+	for s := 0; s < streams; s++ {
+		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
+			for g := 0; g < groups; {
+				if burst > 1 {
+					in.StartPlug(s)
+				}
+				for k := 0; k < burst && g < groups; k, g = k+1, g+1 {
+					r := in.OrderedWrite(p, s, uint64(s*1_000_000+g), 1, 0, nil, true, commit > 0 && (g+1)%commit == 0, false)
+					if r.Ticket == nil {
+						return
+					}
+					record(s, r)
+				}
+				if burst > 1 && in.Alive() {
+					in.FinishPlug(p, s)
+				}
+				p.Sleep(2 * sim.Microsecond)
+			}
+		})
+	}
+}
+
+// fusedNote says, on a bursty run, how many commands the scheduler has fused
+// away.
+func fusedNote(c *stack.Cluster, burst int) string {
+	if burst <= 1 {
+		return ""
+	}
+	return fmt.Sprintf(", %d commands fused", c.Init(0).Stats().FusedCmds)
+}
+
 // replicaCrash drives the replication contract: R-way set, one member
 // power-cut mid-stream, survivors must complete every write in order,
 // and after the background resync the rejoined member's media must be
 // byte-identical to its peers. With cutAll no member survives, so the
 // no-stall clause gives way to "every write completes once the set is back".
-func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay, cutAll bool, fail func(string, ...interface{})) {
+func replicaCrash(streams, groups, burst int, cutUS, seed int64, replicas int, relay, cutAll bool, fail func(string, ...interface{})) {
 	eng := sim.New(seed)
 	targets := make([]stack.TargetConfig, replicas)
 	for i := range targets {
@@ -258,7 +295,6 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay, c
 	cfg.ReplRelay = relay
 	cfg.Streams = streams
 	cfg.QPs = streams
-	cfg.MergeEnabled = false                 // 1:1 request→attribute, so media is checkable
 	cfg.Trace = trace.Config{SampleEvery: 1} // span-lifecycle audit rides along
 	c := stack.New(eng, cfg)
 
@@ -269,22 +305,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay, c
 		victim = c.SetMembers(0)[0]
 	}
 	var reqs []*blockdev.Request
-	var lbas []uint64
-	for s := 0; s < streams; s++ {
-		s := s
-		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
-			for g := 0; g < groups; g++ {
-				lba := uint64(s*1_000_000 + g)
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
-				if r.Ticket == nil {
-					break // initiator power-cut mid-submission (member cuts never trigger this)
-				}
-				reqs = append(reqs, r)
-				lbas = append(lbas, lba)
-				p.Sleep(2 * sim.Microsecond)
-			}
-		})
-	}
+	startWriters(eng, c.Init(0), streams, groups, burst, 0, func(_ int, r *blockdev.Request) { reqs = append(reqs, r) })
 	cut := sim.Time(cutUS) * sim.Microsecond
 	cuts := []int{victim}
 	for k := 1; cutAll && k < replicas; k++ {
@@ -295,8 +316,8 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay, c
 	}
 	eng.Run()
 
-	fmt.Printf("replica member %d of %d power-cut at %v with %d requests submitted (write quorum %d)\n",
-		victim, replicas, cut, c.Init(0).Stats().Submitted, c.WriteQuorum())
+	fmt.Printf("replica member %d of %d power-cut at %v with %d requests submitted (write quorum %d)%s\n",
+		victim, replicas, cut, c.Init(0).Stats().Submitted, c.WriteQuorum(), fusedNote(c, burst))
 	if cutAll {
 		fmt.Printf("then members %v, 50us apart: no member left to complete anything\n", cuts[1:])
 	}
@@ -372,8 +393,8 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay, c
 	// Byte-identical replica contents: every written LBA must carry the
 	// same durable stamp on every member of the set.
 	diverged := 0
-	for _, lba := range lbas {
-		dev, devLBA := c.Volume().Map(lba)
+	for _, r := range reqs {
+		dev, devLBA := c.Volume().Map(r.LBA)
 		ref := c.Volume().Dev(dev)
 		base, baseOK := c.Target(c.SetMembers(0)[0]).SSD(ref.SSD).Durable(devLBA)
 		for _, m := range c.SetMembers(0)[1:] {

@@ -90,7 +90,7 @@ func PolicySweep(o Options) *Result {
 	res.Tables = append(res.Tables, fmt.Sprintf("%s\n", joinRows(rows)))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("engine dense-chain audit across all four policies: %d violations (must be 0)", auditTotal),
-		"tgt allocs/cmd counts target hot-path heap allocations per processed command — completion events, PMR slot bursts and per-block stamp bursts, i.e. every per-command object the target builds; the dense domain tables and free lists keep it near zero (per-capsule objects like Horae ctrl-ack lists are per batch, not per command)",
+		"tgt allocs/cmd counts target hot-path heap allocations per processed command — completion events and PMR slot bursts, i.e. every per-command object the target builds (the stamps it writes are the wire command's own); the dense domain tables and free lists keep it near zero (per-capsule objects like Horae ctrl-ack lists are per batch, not per command)",
 		"orderless and linux policies keep no engine state (no gate, no PMR traffic): their rows pin the engine's zero-cost baseline")
 	return res
 }

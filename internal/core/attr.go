@@ -158,14 +158,52 @@ func Merge(a, b Attr) Attr {
 	return m
 }
 
-// AttrStamp derives the media stamp of an ordered write from its
-// attribute. The target stamps data blocks with this value, and recovery
-// recomputes it from the scanned PMR entry so roll-back can erase exactly
-// the blocks of that write (and nothing older at the same address). It
-// deliberately excludes ServerIdx so a replayed request converges to the
-// same identity.
+// A media identity packs (initiator, stream, group sequence, request id)
+// into 64 bits, top bit down. Packed, not hashed: it decodes, and orders as
+// the writes do, which is what lets a recovered entry — possibly merged over
+// several groups — say whether it wrote a block it finds (Owns). The sequence
+// field is as wide as the SQE's and the request field as wide as Attr.Num, so
+// neither narrows what a stream can submit; stack.New rejects a deployment
+// beyond StampInitiators x StampStreams.
+const (
+	stampReqBits, stampSeqBits, stampStreamBits, stampInitBits = 16, 32, 10, 6
+
+	StampInitiators = 1 << stampInitBits
+	StampStreams    = 1 << stampStreamBits
+)
+
+// stampGroup packs the (initiator, stream, group) part of an identity.
+func stampGroup(initiator, stream uint16, seq uint64) uint64 {
+	return (uint64(initiator)<<stampStreamBits|uint64(stream))<<stampSeqBits | seq&(1<<stampSeqBits-1)
+}
+
+// AttrStamp is the media identity of the ordered write request a
+// sequencer-minted attribute belongs to: every block the request writes
+// carries it, on every replica member and across a replay, so it leaves out
+// ServerIdx, LBA, NS and the flags, and it is taken from the request's own
+// never-merged attribute (the stack applies it once, when it builds the
+// request's wire commands). The request id stays in: two requests of one
+// group that overwrite one block are two versions. Sequence numbers start
+// at 1, so an identity is never 0 — which readers take for "never written".
 func AttrStamp(a Attr) uint64 {
-	return uint64(a.Initiator)<<40 ^ uint64(a.Stream)<<48 ^ a.SeqStart<<16 ^ a.SeqEnd<<4 ^ uint64(a.ReqID)<<28 ^ 0xA77
+	return stampGroup(a.Initiator, a.Stream, a.SeqStart)<<stampReqBits | uint64(uint16(a.ReqID))
+}
+
+// Owns reports whether the write this attribute describes put stamp on
+// media: same initiator and stream, a group the attribute covers and — for
+// an attribute that is one request (or a fragment of one) — that request.
+// A merged attribute owns every request of the groups it spans. Recovery
+// asks this of the blocks a scanned entry addresses instead of recomputing
+// what the blocks should hold.
+func (a Attr) Owns(stamp uint64) bool {
+	switch {
+	case a.EpochMark:
+		return false // a membership mark wrote nothing
+	case !a.Merged():
+		return stamp == AttrStamp(a)
+	}
+	g := stamp >> stampReqBits
+	return stampGroup(a.Initiator, a.Stream, a.SeqStart) <= g && g <= stampGroup(a.Initiator, a.Stream, a.SeqEnd)
 }
 
 // SplitAttr divides a request's attribute into cnt fragments with the given

@@ -58,20 +58,40 @@ func TestLogCyclingProperty(t *testing.T) {
 	}
 }
 
-// Property: AttrStamp is collision-free across the (stream, seq, reqID)
-// triples a single run can produce.
+// Property: AttrStamp is collision-free and never zero over the identities
+// a deployment can produce — (initiator, stream, group, request of the
+// group) — densely near the origin and at the edges of every packed field:
+// the last initiator and stream stack.New admits, the widest sequence number
+// the SQE carries, and request ids up to a whole group apart (Attr.Num is 16
+// bits; the stream-wide ReqID counter contributes its low half).
 func TestAttrStampUniquenessProperty(t *testing.T) {
-	seen := map[uint64][3]uint64{}
-	for stream := uint16(0); stream < 8; stream++ {
-		for seq := uint64(1); seq < 64; seq++ {
-			for reqID := uint32(0); reqID < 64; reqID++ {
-				a := Attr{Stream: stream, SeqStart: seq, SeqEnd: seq, ReqID: reqID}
-				st := AttrStamp(a)
-				key := [3]uint64{uint64(stream), seq, uint64(reqID)}
-				if prev, ok := seen[st]; ok && prev != key {
-					t.Fatalf("stamp collision: %v and %v -> %#x", prev, key, st)
+	seen := map[uint64][4]uint64{}
+	check := func(init, stream, seq, req uint64) {
+		t.Helper()
+		key := [4]uint64{init, stream, seq, req}
+		st := AttrStamp(Attr{Initiator: uint16(init), Stream: uint16(stream), SeqStart: seq, SeqEnd: seq, ReqID: 7<<16 | uint32(req)})
+		if st == 0 {
+			t.Fatalf("identity %v is zero, which readers take for never written", key)
+		}
+		if prev, ok := seen[st]; ok && prev != key {
+			t.Fatalf("stamp collision: %v and %v -> %#x", prev, key, st)
+		}
+		seen[st] = key
+	}
+	edges := func(max uint64) []uint64 { return []uint64{0, 1, 2, 63, max / 2, max - 1, max} }
+	for _, init := range edges(StampInitiators - 1) {
+		for _, stream := range edges(StampStreams - 1) {
+			for _, seq := range edges(1<<32 - 1)[1:] { // sequence numbers start at 1
+				for _, req := range edges(1<<16 - 1) {
+					check(init, stream, seq, req)
 				}
-				seen[st] = key
+			}
+		}
+	}
+	for stream := uint64(0); stream < 8; stream++ {
+		for seq := uint64(1); seq < 64; seq++ {
+			for req := uint64(0); req < 64; req++ {
+				check(0, stream, seq, req)
 			}
 		}
 	}

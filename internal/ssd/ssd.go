@@ -127,9 +127,10 @@ const (
 	OpWrite Op = iota
 	OpRead
 	OpFlush
-	// OpErase removes the durable records matching the command's stamps
-	// (recovery roll-back of out-of-place blocks, §4.4.1). It costs media
-	// time like a write (deallocate + mapping update).
+	// OpErase removes, from each of its blocks, the durable records whose
+	// stamp the command's Owns accepts (recovery roll-back of out-of-place
+	// blocks, §4.4.1). It costs media time like a write (deallocate + mapping
+	// update).
 	OpErase
 )
 
@@ -148,8 +149,9 @@ type Command struct {
 	Op     Op
 	LBA    uint64
 	Blocks uint32
-	Stamps []uint64 // per-block write identity; required for writes
-	Data   [][]byte // optional per-block payloads (may be nil)
+	Stamps []uint64                // per-block write identity; required for writes
+	Data   [][]byte                // optional per-block payloads (may be nil)
+	Owns   func(stamp uint64) bool // OpErase: which records of a block go
 	Done   func(*Command)
 	Ctx    any // the submitter's: where a Done shared by many commands finds its per-command state
 
@@ -208,7 +210,7 @@ type Stats struct {
 
 type segment struct {
 	lba   uint64
-	rec   Rec // the block to program; only Stamp is read for an erase
+	rec   Rec // the block to program
 	read  bool
 	erase bool
 	cmd   *Command
@@ -394,9 +396,12 @@ func (s *SSD) execDirect(cmd *Command) {
 	cmd.pending = int(cmd.Blocks)
 	for i := uint32(0); i < cmd.Blocks; i++ {
 		lba := cmd.LBA + uint64(i)
-		seg := segment{lba: lba, rec: Rec{Stamp: cmd.Stamps[i]}, erase: cmd.Op == OpErase, cmd: cmd, epoch: s.epoch}
-		if !seg.erase && cmd.Data != nil && cmd.Data[i] != nil {
-			seg.rec.Data = append([]byte(nil), cmd.Data[i]...)
+		seg := segment{lba: lba, erase: cmd.Op == OpErase, cmd: cmd, epoch: s.epoch}
+		if !seg.erase {
+			seg.rec.Stamp = cmd.Stamps[i]
+			if cmd.Data != nil && cmd.Data[i] != nil {
+				seg.rec.Data = append([]byte(nil), cmd.Data[i]...)
+			}
 		}
 		s.chans[s.chanOf(lba)].Push(seg)
 	}
@@ -504,7 +509,7 @@ func (s *SSD) segFinish(seg segment) {
 	case seg.read:
 		seg.cmd.Out[seg.lba-seg.cmd.LBA], _ = s.Durable(seg.lba)
 	case seg.erase:
-		s.Discard(seg.lba, seg.rec.Stamp)
+		s.Discard(seg.lba, seg.cmd.Owns)
 	default: // program media
 		if s.older != nil {
 			if cur, ok := s.media[seg.lba]; ok {
@@ -583,25 +588,27 @@ func (s *SSD) DurableLBAs() []uint64 {
 	return out
 }
 
-// Discard rolls lba back past any durable record with the given stamp,
-// modelling recovery erasing an out-of-place block. It reports whether a
+// Discard rolls lba back past every durable record whose stamp owns accepts
+// — the current version and, in KeepHistory mode, the retained ones under it
+// — modelling recovery erasing out-of-place blocks. It reports whether a
 // record was removed.
-func (s *SSD) Discard(lba uint64, stamp uint64) bool {
-	h := s.History(lba)
-	for i := len(h) - 1; i >= 0; i-- {
-		if h[i].Stamp != stamp {
-			continue
-		}
-		h = append(h[:i], h[i+1:]...)
-		if n := len(h); n > 0 { // KeepHistory only: the newest version left is current
-			s.media[lba], s.older[lba] = h[n-1], h[:n-1]
-		} else {
-			delete(s.media, lba)
-			delete(s.older, lba)
-		}
-		return true
+func (s *SSD) Discard(lba uint64, owns func(stamp uint64) bool) bool {
+	cur, ok := s.media[lba]
+	if !ok {
+		return false
 	}
-	return false
+	h := append(s.older[lba], cur) // every version, oldest first, filtered in place
+	kept := slices.DeleteFunc(h, func(r Rec) bool { return owns(r.Stamp) })
+	switch n := len(kept); {
+	case n == len(h):
+		return false
+	case n == 0:
+		delete(s.media, lba)
+		delete(s.older, lba)
+	default: // KeepHistory only: the newest version left is current
+		s.media[lba], s.older[lba] = kept[n-1], kept[:n-1]
+	}
+	return true
 }
 
 // PMRBytes exposes the persistent memory region. Callers model MMIO cost

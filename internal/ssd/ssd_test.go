@@ -236,6 +236,11 @@ func TestFlashReadFromCacheIsFast(t *testing.T) {
 	e.Shutdown()
 }
 
+// stampIs is the ownership test of a roll-back that erases one write.
+func stampIs(stamp uint64) func(uint64) bool {
+	return func(s uint64) bool { return s == stamp }
+}
+
 func TestDiscardRollsBackHistory(t *testing.T) {
 	e := sim.New(1)
 	s := New(e, testOptane())
@@ -250,26 +255,57 @@ func TestDiscardRollsBackHistory(t *testing.T) {
 	if got := len(s.History(0)); got != 3 {
 		t.Fatalf("history length = %d, want 3", got)
 	}
-	if !s.Discard(0, 3) {
+	if !s.Discard(0, stampIs(3)) {
 		t.Fatal("Discard(stamp 3) should succeed")
 	}
 	rec, _ := s.Durable(0)
 	if rec.Stamp != 2 {
 		t.Fatalf("after discard, durable stamp = %d, want 2", rec.Stamp)
 	}
-	if s.Discard(0, 99) {
+	if s.Discard(0, stampIs(99)) {
 		t.Fatal("Discard of unknown stamp should fail")
 	}
 	// An older version goes from under the current one; the last one
 	// takes the block with it.
-	if h := s.History(0); !s.Discard(0, 1) || len(h) != 2 || h[0].Stamp != 1 || len(s.History(0)) != 1 {
+	if h := s.History(0); !s.Discard(0, stampIs(1)) || len(h) != 2 || h[0].Stamp != 1 || len(s.History(0)) != 1 {
 		t.Fatalf("history %v before and %v after discarding the oldest version", h, s.History(0))
 	}
-	if rec, _ := s.Durable(0); rec.Stamp != 2 || !s.Discard(0, 2) {
+	if rec, _ := s.Durable(0); rec.Stamp != 2 || !s.Discard(0, stampIs(2)) {
 		t.Fatalf("durable stamp = %d after discarding an older version, want 2 and discardable", rec.Stamp)
 	}
 	if _, ok := s.Durable(0); ok || s.History(0) != nil || len(s.DurableLBAs()) != 0 {
 		t.Fatalf("block still present after its last version was discarded: %v", s.History(0))
+	}
+	e.Shutdown()
+}
+
+// An erase removes what its ownership test accepts and nothing else: every
+// retained version of a block it owns (a merged entry owns a range of
+// identities; a replayed write left two records under one), not only the
+// current one, and no block outside the command.
+func TestEraseRemovesEveryOwnedVersion(t *testing.T) {
+	e := sim.New(1)
+	s := New(e, testOptane())
+	e.Go("seq", func(p *sim.Proc) {
+		for _, w := range []struct{ lba, stamp uint64 }{{0, 10}, {0, 21}, {0, 30}, {0, 21}, {1, 22}, {2, 21}} {
+			sig := sim.NewSignal(e)
+			write(e, s, w.lba, 1, w.stamp, func(*Command) { sig.Fire() })
+			sig.Wait(p)
+		}
+		sig := sim.NewSignal(e)
+		s.Submit(&Command{Op: OpErase, LBA: 0, Blocks: 2, Done: func(*Command) { sig.Fire() },
+			Owns: func(stamp uint64) bool { return 20 <= stamp && stamp < 30 }})
+		sig.Wait(p)
+	})
+	e.Run()
+	if h := s.History(0); len(h) != 2 || h[0].Stamp != 10 || h[1].Stamp != 30 {
+		t.Fatalf("block 0 history = %v, want stamps 10 then 30", h)
+	}
+	if _, ok := s.Durable(1); ok || s.History(1) != nil {
+		t.Fatalf("block 1 kept %v: its only version was owned", s.History(1))
+	}
+	if rec, ok := s.Durable(2); !ok || rec.Stamp != 21 {
+		t.Fatalf("block 2 = %+v %v: outside the erased range, must be untouched", rec, ok)
 	}
 	e.Shutdown()
 }
@@ -282,7 +318,7 @@ func TestNoHistoryKeepsOnlyCurrentVersion(t *testing.T) {
 	e.Run()
 	write(e, s, 0, 1, 2, nil)
 	e.Run()
-	if h := s.History(0); len(h) != 1 || h[0].Stamp != 2 || s.Discard(0, 1) || !s.Discard(0, 2) {
+	if h := s.History(0); len(h) != 1 || h[0].Stamp != 2 || s.Discard(0, stampIs(1)) || !s.Discard(0, stampIs(2)) {
 		t.Fatalf("history = %v, want only stamp 2, discardable by that stamp alone", h)
 	}
 	if lbas := s.DurableLBAs(); len(lbas) != 0 {

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/blockdev"
@@ -25,25 +26,21 @@ type wireState struct {
 	ssdIdx    int
 	stream    int
 	qp        int
-	flushWire bool // explicit FLUSH command (Linux ordered path)
 	pinned    bool // target recovery still waits on hwDone: do not recycle
 	hwDone    *sim.Signal
 	pendingRq int // requests of wc not yet delivered (retire watermark)
 	epoch     int
 
-	// horaeAttrs lists constituent attributes of a contiguity-fused Horae
-	// data command, for persist-bit correlation at the target.
-	horaeAttrs []core.Attr
-
-	// vecAttrs lists the constituent attributes of a vector-fused Rio
-	// command: device-contiguous requests whose sequence numbers are not
-	// continuous (round-robin striping interleaves streams across
-	// devices), so attribute-level merging (Fig. 8a) is not allowed, but
-	// the commands still share one capsule, doorbell and PMR burst. Each
-	// attribute keeps its own PMR entry, so recovery is unchanged. This is
-	// the member-independent fusion template (no ServerIdx): stampMember
-	// copies it into each member's chain.
-	vecAttrs []core.Attr
+	// more lists, after wc.Attr, the attributes of the commands fused into
+	// this one on device contiguity alone — their sequence numbers are not
+	// continuous (round-robin striping interleaves streams across devices),
+	// so attribute-level merging (Fig. 8a) is not allowed, but the commands
+	// still share one capsule, doorbell and PMR burst. Each attribute keeps
+	// its own PMR entry, so recovery is unchanged: a Rio command's entries
+	// are appended with it (stampMember copies wc.Attr and more into each
+	// member's chain), a Horae data command's were persisted by its control
+	// path and are looked up for their persist bits.
+	more []core.Attr
 
 	// The command's fan-out over its replica set (one member when the set
 	// is one target): q names the members it was posted to and accounts
@@ -85,11 +82,9 @@ func (ws *wireState) reset() {
 	ws.target = 0
 	ws.ssdIdx = 0
 	ws.qp = 0
-	ws.flushWire = false
 	ws.pinned = false
 	ws.pendingRq = 0
-	ws.horaeAttrs = ws.horaeAttrs[:0]
-	ws.vecAttrs = ws.vecAttrs[:0]
+	ws.more = ws.more[:0]
 	ws.wcs = blockdev.WireCmd{
 		Stamps: ws.wcs.Stamps[:0],
 		Reqs:   ws.wcs.Reqs[:0],
@@ -109,29 +104,6 @@ func (ws *wireState) addMember(m int) int {
 	ws.chain = slices.Grow(ws.chain, 1)[:k+1]
 	ws.chain[k] = memberChain{attrs: ws.chain[k].attrs[:0]}
 	return k
-}
-
-// attrStamps fills buf, one slot per block, with the stamps a tracked
-// ordered write carries on media: the attribute-derived identity recovery
-// erases by (core.AttrStamp), per constituent for a vector-fused command.
-// The identity excludes ServerIdx, so every member of a set writes — and
-// the read cache holds — the same stamps.
-func (ws *wireState) attrStamps(buf []uint64) {
-	if len(ws.vecAttrs) > 1 {
-		i := 0
-		for _, a := range ws.vecAttrs {
-			st := core.AttrStamp(a)
-			for b := uint32(0); b < a.Blocks && i < len(buf); b++ {
-				buf[i] = st
-				i++
-			}
-		}
-		return
-	}
-	st := core.AttrStamp(ws.wc.Attr)
-	for i := range buf {
-		buf[i] = st
-	}
 }
 
 // retire is a piggybacked watermark: all PMR entries of stream with
@@ -348,6 +320,11 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	}
 	if cfg.Initiators <= 0 {
 		cfg.Initiators = 1
+	}
+	if cfg.Initiators > core.StampInitiators || cfg.Streams > core.StampStreams {
+		// Beyond these two ordering domains would share media identities.
+		panic(fmt.Sprintf("stack: %d initiators x %d streams exceed the %d x %d a media identity names (core.AttrStamp)",
+			cfg.Initiators, cfg.Streams, core.StampInitiators, core.StampStreams))
 	}
 	validateReplication(cfg)
 	if cfg.CacheBlocks < 0 {

@@ -128,7 +128,6 @@ func TestTargetCrashRaceWithCoalescedCompletions(t *testing.T) {
 		cfg.QPs = 4
 		cfg.Fabric.NumQPs = 4
 		cfg.KeepHistory = true
-		cfg.MergeEnabled = false
 		c := New(eng, cfg)
 		var reqs []*blockdev.Request
 		for s := 0; s < 4; s++ {
@@ -164,6 +163,13 @@ func TestTargetCrashRaceWithCoalescedCompletions(t *testing.T) {
 		if undelivered != 0 {
 			t.Fatalf("cut=%dµs: %d of %d requests never delivered (replayed %d)",
 				cutUS, undelivered, len(reqs), tm.Replayed)
+		}
+		// The pinned schedule was found with merging off. It runs on the
+		// default configuration now, and stays the same schedule only while
+		// this traffic (one write per stream every 2 µs over a chunk-1 stripe)
+		// never leaves two commands of one device in a dispatch batch.
+		if fused := c.Init(0).Stats().FusedCmds; fused != 0 {
+			t.Fatalf("cut=%dµs: %d commands fused: this is no longer the schedule the regression was pinned at", cutUS, fused)
 		}
 		eng.Shutdown()
 	}

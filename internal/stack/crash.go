@@ -434,10 +434,12 @@ func (c *Cluster) scanViews(p *sim.Proc, src []repairSource, inits []int) []core
 	return views
 }
 
-// rollback erases the blocks of every beyond-prefix, non-IPU entry that
-// rule (2) selects — held by an evidence server of the run (src) or written
-// by an initiator the run brings back (inits) — concurrently per SSD.
-// Returns the number of entries erased.
+// rollback erases what every beyond-prefix, non-IPU entry that rule (2)
+// selects — held by an evidence server of the run (src) or written by an
+// initiator the run brings back (inits) — owns of the blocks it addresses
+// (core.Attr.Owns: each block carries its own request's identity, so a
+// merged entry finds all its groups' blocks and nothing older at the same
+// address), concurrently per SSD. Returns the number of entries erased.
 func (c *Cluster) rollback(p *sim.Proc, report *core.Report, src []repairSource, inits []int) int {
 	type eraseKey struct{ server, ssdIdx int }
 	erases := map[eraseKey][]core.Entry{}
@@ -490,13 +492,9 @@ func (c *Cluster) rollback(p *sim.Proc, report *core.Report, src []repairSource,
 			defer wg.Done()
 			inner := sim.NewWaitGroup(c.Eng)
 			for _, e := range list {
-				stamps := make([]uint64, e.Blocks)
-				for i := range stamps {
-					stamps[i] = core.AttrStamp(e.Attr)
-				}
 				inner.Add(1)
 				sd.Submit(&ssd.Command{
-					Op: ssd.OpErase, LBA: e.LBA, Blocks: e.Blocks, Stamps: stamps,
+					Op: ssd.OpErase, LBA: e.LBA, Blocks: e.Blocks, Owns: e.Attr.Owns,
 					Done: func(*ssd.Command) { inner.Done() },
 				})
 			}
@@ -531,7 +529,7 @@ func (in *Initiator) restartChain(target int) {
 func (in *Initiator) prepareReplay(target int) []*wireState {
 	var replay []*wireState
 	for _, ws := range in.outstanding {
-		if !ws.flushWire && ws.q.Pos(target) >= 0 {
+		if !ws.wc.Flush && ws.q.Pos(target) >= 0 {
 			replay = append(replay, ws)
 		}
 	}

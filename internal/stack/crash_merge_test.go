@@ -9,10 +9,11 @@ import (
 )
 
 // TestCrashWithMergingDeliveredWithinPrefix checks the §4.8 invariant in
-// the presence of merging and vector fusion, where media stamps cover
-// fused extents: on PLP devices a completion implies durability, so every
-// group whose completion was DELIVERED (in order) before the cut must lie
-// inside the recovered durable prefix.
+// the presence of merging and vector fusion: on PLP devices a completion
+// implies durability, so every group whose completion was DELIVERED (in
+// order) before the cut must lie inside the recovered durable prefix, and
+// on media every block inside the prefix carries its own request's identity
+// and none beyond it survives.
 func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 	for _, seed := range []int64{81, 82, 83, 84} {
 		eng := sim.New(seed)
@@ -22,6 +23,7 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 		const streams = 3
 		stopped := false
 		delivered := make([]uint64, streams) // highest delivered group per stream
+		subs := make([][]fuzzSub, streams)
 		for s := 0; s < streams; s++ {
 			s := s
 			eng.Go("app", func(p *sim.Proc) {
@@ -30,6 +32,9 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 					lba := uint64(s<<20 | g)
 					r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 					pending = append(pending, r)
+					if !stopped && r.Ticket != nil {
+						subs[s] = append(subs[s], fuzzSub{attr: r.Ticket.Attr, lba: lba})
+					}
 					// Harvest delivered completions without blocking.
 					for len(pending) > 0 && pending[0].Done.Fired() {
 						delivered[s] = pending[0].Ticket.Attr.SeqEnd
@@ -55,6 +60,10 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 					seed, s, delivered[s], prefix)
 			}
 		}
+		checkPrefixDurability(t, c, rep, subs, 0)
+		if c.Init(0).Stats().FusedCmds == 0 {
+			t.Fatalf("seed %d: no command fused", seed)
+		}
 		eng.Shutdown()
 	}
 }
@@ -68,10 +77,14 @@ func TestMergedCrashAtomicity(t *testing.T) {
 		cfg.MergeEnabled = true
 		c := New(eng, cfg)
 		stopped := false
+		subs := make([][]fuzzSub, 1)
 		eng.Go("app", func(p *sim.Proc) {
 			// Contiguous groups that merge aggressively.
 			for g := 0; !stopped; g++ {
-				c.Init(0).OrderedWrite(p, 0, uint64(g), 1, 0, nil, true, false, false)
+				r := c.Init(0).OrderedWrite(p, 0, uint64(g), 1, 0, nil, true, false, false)
+				if !stopped && r.Ticket != nil {
+					subs[0] = append(subs[0], fuzzSub{attr: r.Ticket.Attr, lba: uint64(g)})
+				}
 				if g%16 == 15 {
 					p.Sleep(5 * sim.Microsecond)
 				}
@@ -101,6 +114,74 @@ func TestMergedCrashAtomicity(t *testing.T) {
 		if len(merged) == 0 {
 			t.Logf("seed %d: no merged entries at cut (timing); invariant vacuous", seed)
 		}
+		// Each block of a merged command is its own request's: all of a merged
+		// range inside the prefix is on media, all of one beyond it is gone.
+		checkPrefixDurability(t, c, rep, subs, 0)
 		eng.Shutdown()
+	}
+}
+
+// TestHoraeFusedRollbackErasesEveryConstituent: Horae fuses the data
+// commands of a dispatch batch on device contiguity while every request
+// keeps the control-path entry of its own. Roll-back of such an entry must
+// find that request's blocks inside the fused command's extent: when the
+// target stamped every block of the command with its FIRST constituent's
+// identity, roll-back of the others erased nothing, and blocks of groups
+// beyond the recovered prefix stayed on media (about half of them on flash).
+// Three streams of 4-write groups (three plain writes and the boundary, one
+// contiguous extent) on one target, whole-cluster cut, full recovery: no
+// block of a group beyond its stream's prefix is on media, and every block
+// inside it carries its own request's identity.
+func TestHoraeFusedRollbackErasesEveryConstituent(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		targets []TargetConfig
+	}{{"flash", flash1()}, {"optane", optane1()}} {
+		for seed := int64(91); seed <= 96; seed++ {
+			eng := sim.New(seed)
+			c := New(eng, smallConfig(ModeHorae, tc.targets...)) // merging on: the default
+			const streams = 3
+			var reqs []*blockdev.Request
+			stopped := false
+			for s := 0; s < streams; s++ {
+				eng.Go("app", func(p *sim.Proc) {
+					for lba := uint64(s) << 20; !stopped; lba++ {
+						r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, lba%4 == 3, false, false)
+						if r.Ticket != nil {
+							reqs = append(reqs, r)
+						}
+					}
+				})
+			}
+			cut := sim.Time(60+11*seed) * sim.Microsecond
+			eng.At(cut, func() { c.PowerCutAll(); stopped = true })
+			eng.RunUntil(cut + sim.Millisecond)
+			var rep *core.Report
+			eng.Go("rec", func(p *sim.Proc) { rep, _ = c.RecoverFull(p) })
+			eng.Run()
+			left, lost, beyond := 0, 0, 0
+			for _, r := range reqs {
+				a := r.Ticket.Attr
+				rec, ok := c.Target(0).SSD(0).Durable(r.LBA) // one device, chunk 1: device LBA = LBA
+				if a.SeqStart <= rep.Prefix(a.Stream) {
+					if !ok || rec.Stamp != core.AttrStamp(a) {
+						lost++
+					}
+					continue
+				}
+				beyond++
+				if ok {
+					left++
+				}
+			}
+			if left != 0 || lost != 0 {
+				t.Errorf("%s seed %d: beyond-prefix block left on media %d times (of %d beyond-prefix blocks), in-prefix block without its request's identity %d times",
+					tc.name, seed, left, beyond, lost)
+			}
+			if fused := c.Init(0).Stats().FusedCmds; fused == 0 || beyond == 0 {
+				t.Errorf("%s seed %d: %d commands fused, %d blocks beyond the prefix: the schedule checks nothing", tc.name, seed, fused, beyond)
+			}
+			eng.Shutdown()
+		}
 	}
 }

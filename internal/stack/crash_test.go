@@ -18,7 +18,6 @@ func runCrashAndVerify(t *testing.T, seed int64, targets []TargetConfig, cutAt s
 	eng := sim.New(seed)
 	cfg := smallConfig(ModeRio, targets...)
 	cfg.Streams = streams
-	cfg.MergeEnabled = false // 1:1 request→attr so media stamps are checkable
 	c := New(eng, cfg)
 
 	type submitted struct {
@@ -116,7 +115,6 @@ func TestCrashWithFlushedGroupsSurvives(t *testing.T) {
 	// the durable prefix even on flash (no PLP).
 	eng := sim.New(31)
 	cfg := smallConfig(ModeRio, flash1()...)
-	cfg.MergeEnabled = false
 	c := New(eng, cfg)
 	var flushedAttr core.Attr
 	eng.Go("app", func(p *sim.Proc) {
@@ -199,13 +197,13 @@ func time2(i int) sim.Time { return sim.Time(1+i%3) * sim.Microsecond }
 // so the scheduler vector-fuses them — target 1 is cut at cutAt and
 // recovered. RecoverTarget must return (the run is bounded, so a replay
 // that never completes fails instead of spinning), every request must be
-// delivered with its data durable on the mapped device, and both in-order
-// gates must audit clean. Returns the fused-command count and the
-// recovery's timing.
+// delivered with its block durable on the mapped device under the request's
+// own identity, and both in-order gates must audit clean. Returns the
+// fused-command count and the recovery's timing.
 func replayMergedBurst(t *testing.T, seed int64, cutAt sim.Time) (int64, RecoveryTiming) {
 	t.Helper()
 	eng := sim.New(seed)
-	c := newPoisoned(eng, smallConfig(ModeRio, OptaneTarget(), OptaneTarget())) // MergeEnabled stays on
+	c := newPoisoned(eng, smallConfig(ModeRio, OptaneTarget(), OptaneTarget()))
 	const n = 64
 	var reqs []*blockdev.Request
 	eng.Go("app", func(p *sim.Proc) {
@@ -232,8 +230,8 @@ func replayMergedBurst(t *testing.T, seed int64, cutAt sim.Time) (int64, Recover
 		}
 		dev, devLBA := c.Volume().Map(uint64(i))
 		ref := c.Volume().Dev(dev)
-		if _, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA); !ok {
-			t.Fatalf("cut at %v: request %d (lba %d) not durable after replay", cutAt, i, i)
+		if rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA); !ok || rec.Stamp != core.AttrStamp(r.Ticket.Attr) {
+			t.Fatalf("cut at %v: request %d (lba %d) not durable under its own identity after replay: %+v %v", cutAt, i, i, rec, ok)
 		}
 	}
 	for ti := 0; ti < c.Targets(); ti++ {
@@ -317,7 +315,6 @@ func TestClusterUsableAfterRecovery(t *testing.T) {
 func TestErasedBlocksReportedInStats(t *testing.T) {
 	eng := sim.New(71)
 	cfg := smallConfig(ModeRio, optane1()...)
-	cfg.MergeEnabled = false
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
@@ -417,7 +414,6 @@ func TestCrashRecoveryMultiSSDTarget(t *testing.T) {
 	cfg := smallConfig(ModeRio, TargetConfig{
 		SSDs: []ssd.Config{ssd.OptaneConfig(), ssd.OptaneConfig()},
 	})
-	cfg.MergeEnabled = false
 	c := New(eng, cfg)
 	type sub struct {
 		attr core.Attr
@@ -475,7 +471,6 @@ func mixedDeviceCrash(t *testing.T, seed int64, cutAt sim.Time) (lost, survived 
 	cfg := DefaultConfig(ModeRio, mixed, mixed)
 	cfg.Streams, cfg.QPs, cfg.Fabric.NumQPs = streams, streams, streams
 	cfg.KeepHistory = true
-	cfg.MergeEnabled = false // 1:1 request→attr so media stamps are checkable
 	cfg.ChunkBlocks = int(region)
 	cfg.Seed = seed
 	eng := sim.New(seed)

@@ -38,25 +38,94 @@ type fuzzSub struct {
 	req  *blockdev.Request
 }
 
+// fuzzTraffic is how the writers of one fuzz schedule submit. Every driver
+// runs its committed seeds on the traffic their regressions were pinned
+// under — one single-write group at a time over a chunk-1 stripe, which
+// never leaves two commands of one device in a dispatch batch — and as many
+// seeds again on what the default configuration's scheduler acts on: a
+// stripe chunk of 4 or 8 blocks and plugged bursts of 1–6 consecutive
+// blocks, each burst either a group per write (attribute-level merging,
+// Fig. 8a) or one group of all its writes (vector fusion; Horae's
+// contiguity fusion). The media checks hold under both because a block's
+// identity is its own request's, merged or not.
+type fuzzTraffic struct {
+	rng *rand.Rand // nil: the committed traffic
+}
+
+// newFuzzTraffic draws a schedule's traffic (its own generator, so the
+// driver's cut draws do not move) and sets the stripe chunk it runs over.
+func newFuzzTraffic(cfg *Config, seed int64, bursty bool) fuzzTraffic {
+	if !bursty {
+		return fuzzTraffic{}
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0xb0257))
+	cfg.ChunkBlocks = 4 << rng.Intn(2)
+	return fuzzTraffic{rng: rng}
+}
+
+// burst submits a writer's next burst on stream through write, which
+// issues one ordered write at the writer's next block and closes its group
+// when told to. A power cut may land anywhere in it: writes into a dead
+// initiator come back without a ticket, and a dead initiator's plug is not
+// flushed.
+func (ft fuzzTraffic) burst(p *sim.Proc, in *Initiator, stream int, write func(boundary bool)) {
+	if ft.rng == nil {
+		write(true)
+		return
+	}
+	n, oneGroup := 1+ft.rng.Intn(6), ft.rng.Intn(2) == 0
+	in.StartPlug(stream)
+	for k := 1; k <= n; k++ {
+		write(!oneGroup || k == n)
+	}
+	if in.Alive() {
+		in.FinishPlug(p, stream)
+	}
+}
+
+// fuzzSeeds runs a driver over its committed seeds 1..n and over seeds
+// n+1..2n with bursty traffic, and requires that the bursty schedules really
+// fused commands: the coverage of the default configuration's merging must
+// not silently vanish again.
+func fuzzSeeds(t *testing.T, name string, n int64, run func(t *testing.T, seed int64, bursty bool) (fused int64)) {
+	var fused int64
+	for seed := int64(1); seed <= 2*n; seed++ {
+		bursty := seed > n
+		t.Run(fmt.Sprintf("%sseed%d", name, seed), func(t *testing.T) {
+			if f := run(t, seed, bursty); bursty {
+				fused += f
+			} else if f != 0 {
+				t.Fatalf("%d commands fused: the committed traffic is no longer the traffic this seed was pinned under", f)
+			}
+		})
+	}
+	if fused == 0 && !t.Failed() {
+		t.Fatalf("%sseeds %d-%d: bursty traffic fused no command", name, n+1, 2*n)
+	}
+}
+
 // TestCrashScheduleFuzzAllModes drives all four stacks through a
-// randomized whole-cluster power cut and full recovery.
+// randomized whole-cluster power cut and full recovery. The stacks that
+// fuse ordered writes (and whose media is checked) get the bursty seeds.
 func TestCrashScheduleFuzzAllModes(t *testing.T) {
 	for _, mode := range []Mode{ModeOrderless, ModeLinux, ModeHorae, ModeRio} {
-		mode := mode
-		for seed := int64(1); seed <= 3; seed++ {
-			seed := seed
-			t.Run(fmt.Sprintf("%v/seed%d", mode, seed), func(t *testing.T) {
-				fuzzFullCut(t, mode, seed)
+		if mode == ModeRio || mode == ModeHorae {
+			fuzzSeeds(t, fmt.Sprintf("%v/", mode), 3, func(t *testing.T, seed int64, bursty bool) int64 {
+				return fuzzFullCut(t, mode, seed, bursty)
 			})
+			continue
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%v/seed%d", mode, seed), func(t *testing.T) { fuzzFullCut(t, mode, seed, false) })
 		}
 	}
 }
 
-func fuzzFullCut(t *testing.T, mode Mode, seed int64) {
+func fuzzFullCut(t *testing.T, mode Mode, seed int64, bursty bool) (fused int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.New(seed)
 	cfg := smallConfig(mode, OptaneTarget(), FlashTarget())
-	cfg.MergeEnabled = false // 1:1 request→attribute, so media is checkable
+	traffic := newFuzzTraffic(&cfg, seed, bursty)
 	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
 
@@ -65,13 +134,16 @@ func fuzzFullCut(t *testing.T, mode Mode, seed int64) {
 	for s := 0; s < streams; s++ {
 		s := s
 		eng.Go(fmt.Sprintf("fuzz/app%d", s), func(p *sim.Proc) {
-			for i := 0; !stopped; i++ {
-				lba := uint64(s)<<20 + uint64(i)
-				flush := i%8 == 7
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, flush, false)
-				if !stopped && r.Ticket != nil {
-					subs[s] = append(subs[s], fuzzSub{attr: r.Ticket.Attr, lba: lba})
-				}
+			for i := 0; !stopped; {
+				traffic.burst(p, c.Init(0), s, func(boundary bool) {
+					lba := uint64(s)<<20 + uint64(i)
+					flush := i%8 == 7
+					i++
+					r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, boundary, flush, false)
+					if !stopped && r.Ticket != nil {
+						subs[s] = append(subs[s], fuzzSub{attr: r.Ticket.Attr, lba: lba})
+					}
+				})
 				p.Sleep(2 * sim.Microsecond)
 			}
 		})
@@ -110,19 +182,21 @@ func fuzzFullCut(t *testing.T, mode Mode, seed int64) {
 			t.Fatal("cluster wedged after recovery")
 		}
 	}
+	fused = c.StatsAll().FusedCmds
 	eng.Shutdown()
+	return fused
 }
 
 // checkPrefixDurability verifies the §4.8 invariant for initiator
-// `init`: for every recorded group g of stream s, g <= prefix implies
-// its stamped block is durable on media and g > prefix implies it is
-// not.
+// `init`: for every recorded write of group g of stream s, g <= prefix
+// implies its block is durable on media under the write's own identity and
+// g > prefix implies it is not.
 func checkPrefixDurability(t *testing.T, c *Cluster, report *core.Report, subs [][]fuzzSub, init int) {
 	t.Helper()
 	for s := range subs {
 		prefix := report.PrefixFor(uint16(init), uint16(s))
-		for gi, sb := range subs[s] {
-			g := uint64(gi + 1)
+		for _, sb := range subs[s] {
+			g := sb.attr.SeqStart
 			dev, devLBA := c.Volume().Map(sb.lba)
 			ref := c.Volume().Dev(dev)
 			rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
@@ -145,20 +219,15 @@ func checkPrefixDurability(t *testing.T, c *Cluster, report *core.Report, subs [
 // invariant (for the final incarnation of every initiator) must hold at the
 // end.
 func TestCrashScheduleFuzzEntityCuts(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fuzzEntityCut(t, seed)
-		})
-	}
+	fuzzSeeds(t, "", 6, fuzzEntityCut)
 }
 
-func fuzzEntityCut(t *testing.T, seed int64) {
+func fuzzEntityCut(t *testing.T, seed int64, bursty bool) (fused int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.New(seed)
 	cfg := smallConfig(ModeRio, OptaneTarget(), OptaneTarget())
 	cfg.Initiators = 2
-	cfg.MergeEnabled = false
+	traffic := newFuzzTraffic(&cfg, seed, bursty)
 	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
 	inits := cfg.Initiators
@@ -202,23 +271,25 @@ func fuzzEntityCut(t *testing.T, seed int64) {
 						continue
 					}
 					g := gen[ii]
-					// LBAs never repeat across incarnations (count only
-					// grows), so stamps cannot collide on media.
-					lba := uint64(ii*streams+s)<<19 + count[ii][s]
-					count[ii][s]++
-					r := in.OrderedWrite(p, s, lba, 1, 0, nil, true, count[ii][s]%8 == 0, false)
-					pending = append(pending, r)
-					if gen[ii] == g && !stopped && r.Ticket != nil {
-						subs[ii][s] = append(subs[ii][s], fuzzSub{attr: r.Ticket.Attr, lba: lba, req: r})
-					}
+					traffic.burst(p, in, s, func(boundary bool) {
+						// LBAs never repeat across incarnations (count only
+						// grows), so stamps cannot collide on media.
+						lba := uint64(ii*streams+s)<<19 + count[ii][s]
+						count[ii][s]++
+						r := in.OrderedWrite(p, s, lba, 1, 0, nil, boundary, count[ii][s]%8 == 0, false)
+						pending = append(pending, r)
+						if gen[ii] == g && !stopped && r.Ticket != nil {
+							subs[ii][s] = append(subs[ii][s], fuzzSub{attr: r.Ticket.Attr, lba: lba, req: r})
+						}
+					})
 					p.Sleep(2 * sim.Microsecond)
 				}
 			})
 		}
 	}
 
-	// Random mid-run cut, the shape by seed so six seeds cover each twice:
-	// a target, an initiator, or both at once.
+	// Random mid-run cut, the shape by seed so six seeds cover each twice
+	// on either traffic: a target, an initiator, or both at once.
 	var cutTargets, cutInits []int
 	if seed%3 != 0 {
 		cutTargets = []int{rng.Intn(2)}
@@ -299,13 +370,15 @@ func fuzzEntityCut(t *testing.T, seed int64) {
 			}
 		}
 	}
+	fused = c.StatsAll().FusedCmds
 	eng.Shutdown()
+	return fused
 }
 
-// TestCrashScheduleFuzzTargetCutsMergeOn is the merge-ON target-cut
-// schedule: replayMergedBurst over seeds and random cut times. Its check is
-// delivery plus the gate audit, which — unlike fuzzEntityCut's media check
-// — does not need 1:1 request→attribute, so merging stays on.
+// TestCrashScheduleFuzzTargetCutsMergeOn is the vector-fused target-cut
+// schedule: replayMergedBurst over seeds and random cut times (it pins the
+// replay hang of in-flight vector-fused commands). Its check is delivery,
+// the gate audit and every block on media under its own request's identity.
 func TestCrashScheduleFuzzTargetCutsMergeOn(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -325,12 +398,9 @@ func TestCrashScheduleFuzzTargetCutsMergeOn(t *testing.T) {
 // audit is clean on every member and the replica media is
 // byte-identical.
 func TestCrashScheduleFuzzMemberCuts(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fuzzMemberCut(t, seed, false)
-		})
-	}
+	fuzzSeeds(t, "", 3, func(t *testing.T, seed int64, bursty bool) int64 {
+		return fuzzMemberCut(t, seed, false, bursty)
+	})
 }
 
 // TestCrashScheduleFuzzRelayMemberCuts re-runs the member-cut schedules
@@ -339,34 +409,38 @@ func TestCrashScheduleFuzzMemberCuts(t *testing.T) {
 // follower (degrade to direct fan-out) — both must uphold the same
 // no-stall, byte-identical contract.
 func TestCrashScheduleFuzzRelayMemberCuts(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fuzzMemberCut(t, seed, true)
-		})
-	}
+	fuzzSeeds(t, "", 3, func(t *testing.T, seed int64, bursty bool) int64 {
+		return fuzzMemberCut(t, seed, true, bursty)
+	})
 }
 
-func fuzzMemberCut(t *testing.T, seed int64, relay bool) {
+func fuzzMemberCut(t *testing.T, seed int64, relay, bursty bool) (fused int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.New(seed)
 	cfg := smallConfig(ModeRio, OptaneTarget(), OptaneTarget(), OptaneTarget())
 	cfg.Replicas = 3
 	cfg.ReplRelay = relay
-	cfg.MergeEnabled = false
+	traffic := newFuzzTraffic(&cfg, seed, bursty)
 	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
-	const groups = 60
+	const writes = 60
 
 	var reqs []*reqRec
 	for s := 0; s < streams; s++ {
 		s := s
 		eng.Go(fmt.Sprintf("fuzz/app%d", s), func(p *sim.Proc) {
-			for g := 0; g < groups; g++ {
-				lba := uint64(s)<<22 + uint64(g)
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
-				reqs = append(reqs, &reqRec{r: r, lba: lba})
-				c.Init(0).Wait(p, r)
+			for n := 0; n < writes; {
+				var burst []*blockdev.Request
+				traffic.burst(p, c.Init(0), s, func(boundary bool) {
+					lba := uint64(s)<<22 + uint64(n)
+					n++
+					r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, boundary, false, false)
+					reqs = append(reqs, &reqRec{r: r, lba: lba})
+					burst = append(burst, r)
+				})
+				for _, r := range burst {
+					c.Init(0).Wait(p, r)
+				}
 			}
 		})
 	}
@@ -401,7 +475,9 @@ func fuzzMemberCut(t *testing.T, seed int64, relay bool) {
 			}
 		}
 	}
+	fused = c.StatsAll().FusedCmds
 	eng.Shutdown()
+	return fused
 }
 
 type reqRec struct {
@@ -418,22 +494,17 @@ type reqRec struct {
 // observation is a stale hit. The cache audit must also be clean at the
 // cut, after resync, and at the end.
 func TestCrashScheduleFuzzCachedReads(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fuzzCachedMemberCut(t, seed)
-		})
-	}
+	fuzzSeeds(t, "", 3, fuzzCachedMemberCut)
 }
 
-func fuzzCachedMemberCut(t *testing.T, seed int64) {
+func fuzzCachedMemberCut(t *testing.T, seed int64, bursty bool) (fused int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.New(seed)
 	cfg := smallConfig(ModeRio, OptaneTarget(), OptaneTarget(), OptaneTarget())
 	cfg.Replicas = 3
-	cfg.MergeEnabled = false
 	cfg.CacheBlocks = 128 // smaller than the written range: evictions + refills
 	cfg.ReadAhead = 4
+	traffic := newFuzzTraffic(&cfg, seed, bursty)
 	c := newPoisoned(eng, cfg)
 	streams := cfg.Streams
 
@@ -456,14 +527,20 @@ func fuzzCachedMemberCut(t *testing.T, seed int64) {
 					p.Sleep(5 * sim.Microsecond)
 					continue
 				}
-				lba := uint64(s)<<22 + i
-				i++
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, i%8 == 0, false)
-				c.Init(0).Wait(p, r)
-				if stopped || r.Ticket == nil {
+				var burst []*blockdev.Request
+				traffic.burst(p, c.Init(0), s, func(boundary bool) {
+					i++
+					burst = append(burst, c.Init(0).OrderedWrite(p, s, uint64(s)<<22+i-1, 1, 0, nil, boundary, i%8 == 0, false))
+				})
+				for _, r := range burst {
+					c.Init(0).Wait(p, r)
+					if !stopped && r.Ticket != nil {
+						acked[s] = append(acked[s], ackRec{lba: r.LBA, stamp: core.AttrStamp(r.Ticket.Attr)})
+					}
+				}
+				if stopped {
 					continue
 				}
-				acked[s] = append(acked[s], ackRec{lba: lba, stamp: core.AttrStamp(r.Ticket.Attr)})
 				p.Sleep(sim.Microsecond)
 			}
 		})
@@ -531,7 +608,9 @@ func fuzzCachedMemberCut(t *testing.T, seed int64) {
 	if bad := c.CacheAudit(); bad != 0 {
 		t.Fatalf("cache audit at end: %d stale entries", bad)
 	}
+	fused = c.StatsAll().FusedCmds
 	eng.Shutdown()
+	return fused
 }
 
 // TestCrashScheduleFuzzFlushBarriers is the durability-barrier schedule, on

@@ -381,9 +381,9 @@ func (in *Initiator) dispatchBatch(p *sim.Proc, stream int, batch []*blockdev.Re
 		return
 	}
 	in.assignOrderState(wires)
-	// Read-cache write population happens after order assignment (the
-	// media stamps are final here) and before posting, so a thread that
-	// re-reads its own write hits even while the write is in flight.
+	// Read-cache write population happens after fusion (the commands are
+	// final here) and before posting, so a thread that re-reads its own
+	// write hits even while the write is in flight.
 	in.rcachePopulateWires(p, wires)
 	in.useInitCPU(p, in.costs.CmdBuild*sim.Time(len(wires)))
 	in.postByTarget(p, wires, stream)
@@ -426,10 +426,15 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 	req.InitFragments(len(pieces))
 
 	// Attribute geometry: single piece keeps the ticket attr; multiple
-	// pieces split it.
+	// pieces split it. A request with a ticket is stamped here, once, with
+	// its own never-merged identity: fusion concatenates Stamps, so every
+	// block keeps it through the target's media write, the read cache and
+	// recovery's ownership test. Any other request carries the caller's.
 	var attrs []core.Attr
+	stamp := req.Stamp
 	if req.Ordered && req.Ticket != nil {
 		base := req.Ticket.Attr
+		stamp = core.AttrStamp(base)
 		if len(pieces) == 1 {
 			a := base
 			a.LBA = pieces[0].ext.DevLBA
@@ -466,7 +471,7 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 		wc.Ordered = req.Ordered
 		wc.Reqs = append(wc.Reqs, req)
 		for j := uint32(0); j < pc.ext.Blocks; j++ {
-			wc.Stamps = append(wc.Stamps, req.Stamp)
+			wc.Stamps = append(wc.Stamps, stamp)
 		}
 		if req.Data != nil {
 			wc.Data = make([][]byte, pc.ext.Blocks)
@@ -500,7 +505,7 @@ func (in *Initiator) fuseWires(p *sim.Proc, wires []*wireState) []*wireState {
 		if t := in.fuseTails[ws.wc.Dev]; t.gen == in.fuseGen {
 			prev = t.ws
 		}
-		if prev != nil && !prev.flushWire && !ws.flushWire {
+		if prev != nil && !prev.wc.Flush && !ws.wc.Flush {
 			checks++
 			if in.tryFuse(prev, ws) {
 				in.stats.FusedCmds++
@@ -535,14 +540,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 				if !contigFuse(a.wc, b.wc, 32) {
 					return false
 				}
-				if len(a.vecAttrs) == 0 {
-					a.vecAttrs = append(a.vecAttrs, a.wc.Attr)
-				}
-				if len(b.vecAttrs) == 0 {
-					a.vecAttrs = append(a.vecAttrs, b.wc.Attr)
-				} else {
-					a.vecAttrs = append(a.vecAttrs, b.vecAttrs...)
-				}
+				a.more = append(append(a.more, b.wc.Attr), b.more...)
 			}
 		case ModeHorae:
 			// Horae merges data-path requests on contiguity; ordering
@@ -551,8 +549,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 			if !contigFuse(a.wc, b.wc, 32) {
 				return false
 			}
-			a.horaeAttrs = append(a.horaeAttrs, b.wc.Attr)
-			a.horaeAttrs = append(a.horaeAttrs, b.horaeAttrs...)
+			a.more = append(append(a.more, b.wc.Attr), b.more...)
 		default:
 			return false
 		}
@@ -614,7 +611,7 @@ func contigFuse(a, b *blockdev.WireCmd, maxBlocks int) bool {
 // against rejoin. Standalone flushes fan out at post time (fanFlush).
 func (in *Initiator) assignOrderState(wires []*wireState) {
 	for _, ws := range wires {
-		if ws.flushWire {
+		if ws.wc.Flush {
 			continue
 		}
 		rs := in.c.replSets[ws.target]
@@ -632,23 +629,18 @@ func (in *Initiator) assignOrderState(wires []*wireState) {
 // stampMember mints the command's order chain toward member k of its
 // fan-out — the only place a command's chain is assigned ServerIdx values:
 // dispatch calls it for every member of every set size, target replay calls
-// it again on the fresh chain. A Rio ordered write copies the fusion
-// template (the constituent attributes of a vector-fused command, else the
-// command's one attribute) and draws one dense per-(stream, member) index
-// per attribute; everything else about the attributes is member-independent
-// — media stamps derive from the attribute identity, which excludes
-// ServerIdx, so replica media stays byte-identical. Horae data commands
-// carry the index their control path already persisted.
+// it again on the fresh chain. A Rio ordered write copies the command's
+// attribute and those fused into it (wireState.more) and draws one dense
+// per-(stream, member) index per attribute; everything else about the
+// command is member-independent — the stamps its blocks carry were fixed
+// when it was built — so replica media stays byte-identical. Horae data
+// commands carry the index their control path already persisted.
 func (in *Initiator) stampMember(ws *wireState, k int) {
 	mc := &ws.chain[k]
 	nsid := uint32(ws.ssdIdx)
 	switch {
 	case ws.wc.Ordered && in.cfg.Mode == ModeRio:
-		if len(ws.vecAttrs) > 1 {
-			mc.attrs = append(mc.attrs[:0], ws.vecAttrs...)
-		} else {
-			mc.attrs = append(mc.attrs[:0], ws.wc.Attr)
-		}
+		mc.attrs = append(append(mc.attrs[:0], ws.wc.Attr), ws.more...)
 		st := in.seq.Stream(ws.stream)
 		for i := range mc.attrs {
 			mc.idx = st.NextServerIdx(ws.q.Members[k])
@@ -686,7 +678,7 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 		bySet = make([][]*wireState, len(in.c.replSets))
 	}
 	for _, ws := range wires {
-		if ws.flushWire {
+		if ws.wc.Flush {
 			in.fanFlush(ws)
 		}
 		bySet[ws.target] = append(bySet[ws.target], ws)
@@ -702,7 +694,7 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 			relayable := make([]*wireState, 0, len(cmds))
 			var direct []*wireState
 			for _, ws := range cmds {
-				if !ws.flushWire && len(ws.q.Members) == len(rs.members) {
+				if !ws.wc.Flush && len(ws.q.Members) == len(rs.members) {
 					relayable = append(relayable, ws)
 				} else {
 					direct = append(direct, ws)

@@ -55,7 +55,6 @@ type Initiator struct {
 	pieceBuf []piece
 	attrBuf  []core.Attr
 	blockBuf []uint32
-	stampBuf []uint64 // rcachePopulateWire's media-stamp scratch (never yields either)
 
 	// Read path. rcache is nil with CacheBlocks == 0: every read then
 	// crosses the fabric. pendingReads tracks in-flight read commands of
@@ -383,7 +382,6 @@ func (in *Initiator) newFlushWire(d, stream int) *wireState {
 	ws := in.newWire(stream)
 	ws.wc.Dev = d
 	ws.wc.Flush = true
-	ws.flushWire = true
 	in.bindWire(ws)
 	return ws
 }

@@ -177,7 +177,6 @@ func TestInitiatorIsolationOnPowerCut(t *testing.T) {
 func TestInitiatorRecoveryDoesNotRollBackPeers(t *testing.T) {
 	eng := sim.New(109)
 	cfg := multiConfig(2, optane1()...)
-	cfg.MergeEnabled = false // 1:1 request→attr so media stamps are checkable
 	c := New(eng, cfg)
 	type sub struct {
 		attr core.Attr
@@ -311,7 +310,6 @@ func TestMultiInitiatorFullCrashRecovery(t *testing.T) {
 	eng := sim.New(127)
 	cfg := multiConfig(2, optane1()...)
 	cfg.Streams = 2
-	cfg.MergeEnabled = false
 	c := New(eng, cfg)
 	type sub struct {
 		attr core.Attr
@@ -471,7 +469,6 @@ func TestRecoverTargetWithLiveTraffic(t *testing.T) {
 func TestRecoverTargetPreservesDeadInitiatorEvidence(t *testing.T) {
 	eng := sim.New(139)
 	cfg := multiConfig(2, optane1()...)
-	cfg.MergeEnabled = false
 	c := New(eng, cfg)
 	// Both initiators land durable groups, then initiator 1 dies.
 	for ii := 0; ii < 2; ii++ {
@@ -525,7 +522,6 @@ func TestRecoverTargetPreservesDeadInitiatorEvidence(t *testing.T) {
 func TestRecoverInitiatorWithDeadTarget(t *testing.T) {
 	eng := sim.New(149)
 	cfg := multiConfig(2, OptaneTarget(), OptaneTarget())
-	cfg.MergeEnabled = false
 	c := New(eng, cfg)
 	in1 := c.Init(1)
 	eng.Go("victim", func(p *sim.Proc) {

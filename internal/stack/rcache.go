@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/blockdev"
@@ -430,7 +429,7 @@ func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want f
 // iteration order cannot leak into the simulation.
 func (in *Initiator) writeInFlight(dev int, devLBA uint64, blocks uint32) bool {
 	for _, ws := range in.outstanding {
-		if ws.flushWire || ws.epoch != in.epoch {
+		if ws.wc.Flush || ws.epoch != in.epoch {
 			continue
 		}
 		wc := ws.wc
@@ -550,19 +549,17 @@ func (in *Initiator) abortAllReads() {
 }
 
 // rcachePopulateWires mirrors a dispatched batch's writes into the read
-// cache, stamping each block with the identity the TARGET will put on
-// media (the attribute-derived stamp for tracked ordered writes, the
-// request stamp otherwise) so CacheAudit can compare cached content
-// against device content exactly. Under replication one insert covers
-// the set: members are stamp-identical by construction.
+// cache under the stamps the commands carry to media (wc.Stamps), so
+// CacheAudit can compare cached content against device content exactly.
+// Under replication one insert covers the set: every member is sent the
+// same command.
 func (in *Initiator) rcachePopulateWires(p *sim.Proc, wires []*wireState) {
 	if in.rcache == nil {
 		return
 	}
-	tracked := in.cfg.Mode.Policy().Tracked()
 	var blocks int64
 	for _, ws := range wires {
-		if ws.flushWire {
+		if ws.wc.Flush {
 			continue
 		}
 		// A write toward a set whose serving member is down cannot land:
@@ -573,14 +570,14 @@ func (in *Initiator) rcachePopulateWires(p *sim.Proc, wires []*wireState) {
 			continue
 		}
 		blocks += int64(ws.wc.Blocks)
-		in.rcachePopulateWire(ws, tracked)
+		in.rcachePopulateWire(ws)
 	}
 	if blocks > 0 {
 		in.useInitCPU(p, in.costs.CacheBlockCPU*sim.Time(blocks))
 	}
 }
 
-func (in *Initiator) rcachePopulateWire(ws *wireState, tracked bool) {
+func (in *Initiator) rcachePopulateWire(ws *wireState) {
 	wc := ws.wc
 	// Supersede overlapping in-flight fills: a read issued before this
 	// write still returns the old data to ITS caller (linearizable —
@@ -594,16 +591,8 @@ func (in *Initiator) rcachePopulateWire(ws *wireState, tracked bool) {
 			pr.noFill = true
 		}
 	}
-	// The stamps the target will put on media, from the same derivation
-	// the target uses.
-	stamps := wc.Stamps
-	if wc.Ordered && tracked {
-		in.stampBuf = slices.Grow(in.stampBuf[:0], int(wc.Blocks))[:wc.Blocks]
-		stamps = in.stampBuf
-		ws.attrStamps(stamps)
-	}
 	for i := uint32(0); i < wc.Blocks; i++ {
-		rec := ssd.Rec{Stamp: stamps[i]}
+		rec := ssd.Rec{Stamp: wc.Stamps[i]}
 		if wc.Data != nil && wc.Data[i] != nil {
 			rec.Data = append([]byte(nil), wc.Data[i]...)
 		}

@@ -275,7 +275,7 @@ func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int
 	cp := &capsule{cmds: cmds, epoch: in.epoch, member: member}
 	for i, ws := range cmds {
 		ws.chain[k].sqe.MarkVector(i, len(cmds))
-		if !ws.flushWire {
+		if !ws.wc.Flush {
 			cp.inline += ws.wc.InlineBytes(inlineThreshold)
 		}
 	}
@@ -370,7 +370,7 @@ func (c *Cluster) degradeMember(m int) {
 			if !q.Cancel(q.Pos(m)) {
 				continue
 			}
-			if ws.flushWire {
+			if ws.wc.Flush {
 				// A barrier now certifies the surviving members only.
 				if q.Need > 0 {
 					q.Need--
@@ -556,11 +556,10 @@ func (c *Cluster) replicaRepair(p *sim.Proc, views []core.ServerView, report *co
 			if sr == nil || e.SeqEnd > sr.DurablePrefix {
 				continue
 			}
-			stamp := core.AttrStamp(e.Attr)
 			for b := uint32(0); b < e.Blocks; b++ {
 				lba := e.LBA + uint64(b)
 				rec, ok := c.targets[v.Server].ssds[e.NS].Durable(lba)
-				if !ok || rec.Stamp != stamp {
+				if !ok || !e.Owns(rec.Stamp) {
 					continue
 				}
 				for _, mt := range c.replSets[c.setOf[v.Server]].members {
@@ -568,7 +567,7 @@ func (c *Cluster) replicaRepair(p *sim.Proc, views []core.ServerView, report *co
 						continue
 					}
 					dst := c.targets[mt].ssds[e.NS]
-					if r2, ok2 := dst.Durable(lba); !ok2 || r2.Stamp != stamp {
+					if r2, ok2 := dst.Durable(lba); !ok2 || r2.Stamp != rec.Stamp {
 						copies = append(copies, blockCopy{dst, lba, rec})
 					}
 				}

@@ -20,7 +20,6 @@ func replConfig(r int) Config {
 	}
 	cfg := smallConfig(ModeRio, targets...)
 	cfg.Replicas = r
-	cfg.MergeEnabled = false // 1:1 request→attr so media stamps are checkable
 	return cfg
 }
 

@@ -174,7 +174,6 @@ func TestDeterministicThroughput(t *testing.T) {
 func TestIPURequestsSkipRollback(t *testing.T) {
 	eng := sim.New(26)
 	cfg := smallConfig(ModeRio, optane1()...)
-	cfg.MergeEnabled = false
 	c := New(eng, cfg)
 	eng.Go("app", func(p *sim.Proc) {
 		// Group 1 ordinary; groups 2..N in-place updates, in flight at cut.

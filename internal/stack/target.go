@@ -26,7 +26,7 @@ type TargetStats struct {
 	Flushes    int64 // device FLUSHes issued
 	Barriers   int64 // flush barriers certified (a combined FLUSH certifies several)
 	Vectors    int64 // vectored command batches validated intact
-	Allocs     int64 // hot-path heap allocations (completion events, slot/stamp bursts) not served from the free lists
+	Allocs     int64 // hot-path heap allocations (completion events, PMR slot bursts) not served from the free lists
 	Reads      int64 // read commands served (demand misses and prefetches)
 
 	// Coalescing hold-timer observability (the governor's decision trail):
@@ -72,11 +72,10 @@ func (s TargetStats) Add(o TargetStats) TargetStats { return metrics.Sum(s, o) }
 // device has let go — so steady-state completion traffic allocates nothing.
 // A command a power cut strands never completes and is never recycled.
 type tDone struct {
-	cmd    ssd.Command // Done and Ctx stay bound to (t.ssdDone, d) for the record's life
-	free   bool        // on the free list (or, poisoned, dead for good)
-	ws     *wireState
-	slots  []uint64 // PMR entries of this command (vector commands: several)
-	stamps []uint64 // pooled per-block stamp burst (nil when the wire command owns the stamps)
+	cmd   ssd.Command // Done and Ctx stay bound to (t.ssdDone, d) for the record's life
+	free  bool        // on the free list (or, poisoned, dead for good)
+	ws    *wireState
+	slots []uint64 // PMR entries of this command (vector commands: several)
 	// isFlush marks the durability barrier of a flush-carrying ordered write
 	// (ws is that write); next links the barriers one FLUSH covers, leader first.
 	isFlush    bool
@@ -190,15 +189,13 @@ type Target struct {
 	doneQ    *sim.Queue[*tDone]
 	flushers []flushCombiner // one per SSD
 
-	// Completion-event free lists: tDone structs, the PMR slot bursts
-	// they carry, and the per-block stamp bursts ordered writes are
-	// submitted with. Misses are heap allocations, counted in
-	// stats.Allocs. timerFree holds fired CQE hold-timer events.
-	doneFree   []*tDone
-	slotsFree  [][]uint64
-	stampsFree [][]uint64
-	timerFree  sim.FreeList[cqeTimer]
-	ssdDone    func(*ssd.Command) // t.onSSDDone, bound once
+	// Completion-event free lists: tDone structs and the PMR slot bursts
+	// they carry. Misses are heap allocations, counted in stats.Allocs.
+	// timerFree holds fired CQE hold-timer events.
+	doneFree  []*tDone
+	slotsFree [][]uint64
+	timerFree sim.FreeList[cqeTimer]
+	ssdDone   func(*ssd.Command) // t.onSSDDone, bound once
 
 	// gov, when non-nil, adapts the CQE hold time and flush threshold to
 	// the completion arrival rate (one EWMA per target; see governor.go).
@@ -372,20 +369,15 @@ func (t *Target) getDone() *tDone {
 	return d
 }
 
-// putDone recycles a consumed completion event and any slot or stamp
-// burst it still owns (an event that handed its slots on — the
-// flush-barrier path — cleared them first). By the time the event is
-// consumed the SSD has long copied the stamp values into its records,
-// so the burst is free to reuse.
+// putDone recycles a consumed completion event and any slot burst it
+// still owns (an event that handed its slots on — the flush-barrier path —
+// cleared them first).
 func (t *Target) putDone(d *tDone) {
 	if d.free {
 		panic("stack: completion event recycled twice")
 	}
 	if d.slots != nil {
 		t.slotsFree = append(t.slotsFree, d.slots[:0])
-	}
-	if d.stamps != nil {
-		t.stampsFree = append(t.stampsFree, d.stamps[:0])
 	}
 	*d = tDone{cmd: ssd.Command{Done: t.ssdDone, Ctx: d}, free: true}
 	if !t.c.poisonRecycled {
@@ -417,22 +409,6 @@ func (t *Target) getSlots(n int) []uint64 {
 	}
 	t.stats.Allocs++
 	return make([]uint64, 0, n)
-}
-
-// getStamps checks a per-block stamp burst out of the free list
-// (capacity hint n: the command's block count), sized to n.
-func (t *Target) getStamps(n int) []uint64 {
-	if ln := len(t.stampsFree); ln > 0 {
-		s := t.stampsFree[ln-1]
-		t.stampsFree = t.stampsFree[:ln-1]
-		if cap(s) >= n {
-			return s[:n]
-		}
-		// Too small for this command: put it back and allocate.
-		t.stampsFree = append(t.stampsFree, s)
-	}
-	t.stats.Allocs++
-	return make([]uint64, n)
 }
 
 // rxLoop is one receive worker for one (initiator, QP): it consumes
@@ -482,7 +458,7 @@ func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
 		// initiator CPU).
 		var bulk int
 		for _, ws := range cp.cmds {
-			if !ws.flushWire && ws.wc.InlineBytes(inlineThreshold) == 0 {
+			if !ws.wc.Flush && ws.wc.InlineBytes(inlineThreshold) == 0 {
 				bulk += ws.wc.PayloadBytes()
 			}
 		}
@@ -513,7 +489,7 @@ func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
 				}
 				markWire(ws, trace.MRxDeliver, cp.deliveredAt)
 			}
-			if ws.flushWire {
+			if ws.wc.Flush {
 				t.submitFlushCmd(ws)
 				continue
 			}
@@ -651,22 +627,17 @@ func (t *Target) horaeSlot(ws *wireState) []uint64 {
 	return nil
 }
 
-// submitWrite hands a write to its SSD; the completion flows to doneLoop.
-// Ordered writes are stamped with their attribute-derived identity so
-// recovery can erase exactly these blocks (wireState.attrStamps).
+// submitWrite hands a write to its SSD, each block under the identity the
+// initiator gave it (buildWires); the completion flows to doneLoop. The
+// device reads the command's stamps until it completes, and the wire
+// command outlives every member's completion.
 func (t *Target) submitWrite(ws *wireState, slots []uint64) {
 	d := t.getDone()
 	d.ws, d.slots, d.epoch = ws, slots, t.initEpoch(ws.init)
 	t.lane(ws.init, ws.qp).inflight++
 	markWire(ws, trace.MSSDSubmit, t.c.Eng.Now())
-	stamps := ws.wc.Stamps
-	if ws.wc.Ordered && t.pol.Tracked() {
-		stamps = t.getStamps(int(ws.wc.Blocks))
-		d.stamps = stamps
-		ws.attrStamps(stamps)
-	}
 	d.cmd.Op, d.cmd.LBA, d.cmd.Blocks = ssd.OpWrite, ws.wc.LBA, ws.wc.Blocks
-	d.cmd.Stamps, d.cmd.Data = stamps, ws.wc.Data
+	d.cmd.Stamps, d.cmd.Data = ws.wc.Stamps, ws.wc.Data
 	t.ssds[ws.ssdIdx].Submit(&d.cmd)
 }
 
@@ -729,7 +700,7 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 	plp := t.ssds[d.ws.ssdIdx].HasPLP()
 	init := d.ws.init
 
-	if !ordered || d.ws.flushWire {
+	if !ordered || d.ws.wc.Flush {
 		t.respond(p, d.ws, tEpoch)
 		return
 	}
@@ -742,7 +713,7 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 			t.markPersist(p, init, s, tEpoch, d.epoch)
 		}
 		if t.pol.ControlPersisted() {
-			for _, a := range d.ws.horaeAttrs {
+			for _, a := range d.ws.more {
 				if s, ok := t.ord.Domain(int(a.Initiator), a.Stream).Slot(a.ServerIdx); ok {
 					t.markPersist(p, int(a.Initiator), s, tEpoch, t.initEpoch(int(a.Initiator)))
 				}
@@ -837,12 +808,7 @@ func (t *Target) orderedFlushWanted(ws *wireState) bool {
 	if ws.wc.Attr.Flush {
 		return true
 	}
-	for _, a := range ws.horaeAttrs {
-		if a.Flush {
-			return true
-		}
-	}
-	for _, a := range ws.vecAttrs {
+	for _, a := range ws.more {
 		if a.Flush {
 			return true
 		}

@@ -75,7 +75,7 @@ type Options struct {
 	Streams    int   // streams per initiator
 	Merging    *bool // nil = enabled
 	Seed       int64
-	History    bool // retain media write history (needed by VerifyPrefix)
+	History    bool // devices retain every version of a block (out-of-place updates): rolling back a beyond-prefix overwrite restores the version under it
 
 	// Replicas groups consecutive targets into replica sets of this size
 	// (Rio ordering only; len(Targets) must divide evenly): every ordered
