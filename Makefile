@@ -65,7 +65,8 @@ bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev
 
 # The gated experiments and the committed baseline they must reproduce:
-# named here and nowhere else (CI runs `make bench-gate`).
+# named here and nowhere else (CI runs `make bench-gate`; cmd/benchdiff is
+# handed the name, internal/bench's baseline test reads it from this line).
 GATED_EXPS := scale,replication,policy,serve,read,satload,trace
 BASELINE   := BENCH_20.json
 
@@ -79,16 +80,19 @@ examples: build
 	@set -e; for d in examples/*/; do \
 		echo "== go run ./$$d"; $(GO) run ./$$d; done
 
-# The CI perf gate: run the gated experiments fresh and fail on >10%
-# regression in the gated metrics vs the committed baseline, then require
-# the fresh file to be byte-identical to it (the simulator is deterministic
-# and the file carries no timestamps; a PR that means to move a simulated
-# number commits a new BENCH_N.json and points BASELINE at it). FRESH is
-# where the fresh run is written (CI keeps it as an artifact).
+# The CI perf gate: run the gated experiments fresh; benchdiff fails on >10%
+# regression in the gated metrics of the committed baseline against its
+# PREDECESSOR (the highest BENCH_N.json below it: what a PR that commits a new
+# baseline can regress) and holds the fresh run to the absolute budgets; then
+# cmp requires the fresh file to be byte-identical to the baseline (the
+# simulator is deterministic and the file carries no timestamps; a PR that
+# means to move a simulated number commits a new BENCH_N.json and points
+# BASELINE at it). FRESH is where the fresh run is written (CI keeps it as an
+# artifact).
 FRESH ?= /tmp/bench-gate.json
 bench-gate: build
 	$(GO) run ./cmd/riobench -exp $(GATED_EXPS) -quick -json $(FRESH)
-	$(GO) run ./cmd/benchdiff -new $(FRESH)
+	$(GO) run ./cmd/benchdiff -baseline $(BASELINE) -new $(FRESH)
 	cmp $(FRESH) $(BASELINE)
 
 # benchmark/ is a module of its own (the acceptance benchmark: it builds
@@ -122,23 +126,12 @@ sim-diff:
 	@test -n "$(PARENT)" || { echo "usage: make sim-diff PARENT=<checkout> [SEED=$(SEED)]"; exit 2; }
 	bash scripts/sim-diff.sh "$(PARENT)" $(SEED)
 
-# Crash smoke of every repair source. Replay and roll-back on the
-# durability-barrier path (the only CLI run that reaches the target's flush
-# combiner): commits every 8th group, cut late enough that commits were
-# delivered, whole cluster and flash target alone. Peer copy: a member of a
-# 3-way set, and over the relay its head (head-cut repair). All three at
-# once: every member of the set, one after another. Then the cut on merged
-# and vector-fused commands (-burst 4: plugged bursts the scheduler merges;
-# the line printed at the cut counts the fused commands), under the same
-# per-request media checks: whole cluster, one target, a replica member, and
-# the barrier path.
+# Crash smoke: plans 1–24 of the crash harness (internal/crash), the same
+# plans the tier-1 tests run: each draws a legal configuration, a traffic
+# shape and a cut schedule, recovers, and checks the whole contract. A failure
+# prints its one-line repro; the run ends with a histogram of what was drawn.
 crash-smoke: build
-	@set -e; for seed in 1 2 3; do \
-		for mode in "-commit 8 -streams 8 -cut 1500" "-commit 8 -streams 8 -cut 1500 -target" \
-			"-replicas 3" "-replicas 3 -relay" "-replicas 3 -cut-all" \
-			"-burst 4" "-burst 4 -target" "-burst 4 -replicas 3" "-burst 4 -commit 8 -streams 8 -cut 1500"; do \
-		echo "== riocrash $$mode -seed $$seed"; \
-		$(GO) run ./cmd/riocrash $$mode -seed $$seed; done; done
+	$(GO) run ./cmd/riocrash -seed 1 -n 24
 
 # Native fuzzing of the two pure-logic targets for FUZZTIME each, from their
 # committed seeds: the in-order gate under arbitrary arrival schedules, and

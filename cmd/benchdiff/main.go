@@ -1,19 +1,23 @@
-// Command benchdiff is the CI perf gate: it compares a fresh riobench
-// -json report against the committed BENCH_*.json baseline and exits
-// non-zero when a gated metric regresses past the threshold. The
-// simulator is deterministic, so any delta is a code change, not machine
-// noise — the threshold only leaves headroom for deliberate trade-offs.
+// Command benchdiff is the CI perf gate. The simulator is deterministic and
+// `make bench-gate` requires a fresh run to equal the committed baseline
+// byte for byte, so what can regress is the baseline a PR commits: benchdiff
+// gates the committed BENCH_<N>.json against its predecessor — the
+// highest-numbered BENCH_<M>.json below it — and exits non-zero when a gated
+// metric moved past the threshold the wrong way (the threshold leaves
+// headroom for deliberate trade-offs). The fresh run is then held to the same
+// gates against the baseline, which is where the absolute budgets and a
+// dropped key bite before the byte comparison does.
 //
 // Usage:
 //
-//	benchdiff -new /tmp/bench.json                 # baseline auto-detected
-//	benchdiff -baseline BENCH_2.json -new /tmp/bench.json -threshold 0.10
+//	benchdiff -baseline BENCH_20.json -new /tmp/bench.json [-threshold 0.10]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -187,27 +191,26 @@ func missingSide(bok, fok bool) string {
 	}
 }
 
-// latestBaseline picks the highest-numbered BENCH_<N>.json in dir.
-func latestBaseline(dir string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+// predecessor returns the highest-numbered BENCH_<M>.json beside baseline
+// with M below the baseline's own number ("" when it is the first).
+func predecessor(baseline string) (string, error) {
+	re := regexp.MustCompile(`^BENCH_(\d+)\.json$`)
+	sub := re.FindStringSubmatch(filepath.Base(baseline))
+	if sub == nil {
+		return "", fmt.Errorf("benchdiff: baseline %s is not named BENCH_<N>.json", baseline)
+	}
+	n, _ := strconv.Atoi(sub[1])
+	matches, err := filepath.Glob(filepath.Join(filepath.Dir(baseline), "BENCH_*.json"))
 	if err != nil {
 		return "", err
 	}
-	re := regexp.MustCompile(`BENCH_(\d+)\.json$`)
 	best, bestN := "", -1
 	for _, m := range matches {
-		sub := re.FindStringSubmatch(m)
-		if sub == nil {
-			continue
+		if sub := re.FindStringSubmatch(filepath.Base(m)); sub != nil {
+			if k, _ := strconv.Atoi(sub[1]); k < n && k > bestN {
+				best, bestN = m, k
+			}
 		}
-		n, err := strconv.Atoi(sub[1])
-		if err != nil || n <= bestN {
-			continue
-		}
-		best, bestN = m, n
-	}
-	if best == "" {
-		return "", fmt.Errorf("benchdiff: no BENCH_<N>.json baseline in %s", dir)
 	}
 	return best, nil
 }
@@ -237,46 +240,57 @@ func values(ms map[string]metricValue) map[string]float64 {
 	return out
 }
 
+// runGate runs both comparisons and returns the process exit code.
+func runGate(baselinePath, newPath string, threshold float64, out io.Writer) int {
+	pairs := [][2]string{{baselinePath, newPath}}
+	prev, err := predecessor(baselinePath)
+	if err != nil {
+		fmt.Fprintln(out, err)
+		return 2
+	}
+	if prev != "" {
+		pairs = [][2]string{{prev, baselinePath}, {baselinePath, newPath}}
+	}
+	failed := 0
+	for _, pair := range pairs {
+		base, err := load(pair[0])
+		if err != nil {
+			fmt.Fprintln(out, "benchdiff:", err)
+			return 2
+		}
+		fresh, err := load(pair[1])
+		if err != nil {
+			fmt.Fprintln(out, "benchdiff:", err)
+			return 2
+		}
+		fmt.Fprintf(out, "benchdiff: %s vs %s (threshold %.0f%%)\n", pair[1], pair[0], 100*threshold)
+		lines, failures := compare(values(base.Metrics), values(fresh.Metrics), threshold)
+		for _, l := range lines {
+			fmt.Fprintln(out, l)
+		}
+		for _, f := range failures {
+			fmt.Fprintln(out, "  REGRESSED "+f)
+		}
+		failed += len(failures)
+	}
+	if failed > 0 {
+		fmt.Fprintf(out, "benchdiff: %d gated metric(s) regressed >%.0f%%\n", failed, 100*threshold)
+		return 1
+	}
+	fmt.Fprintln(out, "benchdiff: perf gate passed")
+	return 0
+}
+
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "baseline BENCH_*.json (default: highest-numbered in .)")
+		baselinePath = flag.String("baseline", "", "the committed BENCH_<N>.json (the Makefile's BASELINE)")
 		newPath      = flag.String("new", "", "fresh riobench -json report to gate")
 		threshold    = flag.Float64("threshold", 0.10, "allowed relative regression per gated metric")
 	)
 	flag.Parse()
-	if *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -new required")
+	if *newPath == "" || *baselinePath == "" {
+		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -new required")
 		os.Exit(2)
 	}
-	if *baselinePath == "" {
-		p, err := latestBaseline(".")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		*baselinePath = p
-	}
-	base, err := load(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	fresh, err := load(*newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("benchdiff: %s vs %s (threshold %.0f%%)\n", *newPath, *baselinePath, 100**threshold)
-	lines, failures := compare(values(base.Metrics), values(fresh.Metrics), *threshold)
-	for _, l := range lines {
-		fmt.Println(l)
-	}
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d gated metric(s) regressed >%.0f%%:\n", len(failures), 100**threshold)
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "  "+f)
-		}
-		os.Exit(1)
-	}
-	fmt.Println("benchdiff: perf gate passed")
+	os.Exit(runGate(*baselinePath, *newPath, *threshold, os.Stdout))
 }

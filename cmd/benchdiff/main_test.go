@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -177,21 +180,59 @@ func TestLoadRepeatSchema(t *testing.T) {
 	}
 }
 
-func TestLatestBaseline(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"BENCH_1.json", "BENCH_2.json", "BENCH_10.json", "BENCH_x.json"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := latestBaseline(dir)
+// writeReport writes metrics as a riobench -json report.
+func writeReport(t *testing.T, path string, metrics map[string]float64) {
+	t.Helper()
+	buf, err := json.Marshal(map[string]any{"schema": 1, "metrics": metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(got) != "BENCH_10.json" {
-		t.Fatalf("latest baseline = %s, want BENCH_10.json", got)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := latestBaseline(t.TempDir()); err == nil {
-		t.Fatal("empty dir should error")
+}
+
+// TestGateComparesBaselineWithPredecessor: the relative thresholds bite on
+// what a PR commits. A successor baseline that reproduces exactly (fresh ==
+// baseline, as `make bench-gate`'s cmp demands) still fails the gate when it
+// lost 20 % of scale.rio.kiops.s8 against its predecessor, or dropped a gated
+// key; it passes when it holds the predecessor's numbers. The predecessor is
+// the highest number below the baseline's, whatever else lies beside it.
+func TestGateComparesBaselineWithPredecessor(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	writeReport(t, file("BENCH_3.json"), map[string]float64{"scale.rio.kiops.s8": 1}) // not the predecessor of 20
+	writeReport(t, file("BENCH_15.json"), baseMetrics())
+	writeReport(t, file("BENCH_30.json"), map[string]float64{"scale.rio.kiops.s8": 1}) // nor is a later one
+	for name, tc := range map[string]struct {
+		edit func(m map[string]float64)
+		want int
+	}{
+		"holds":            {func(m map[string]float64) {}, 0},
+		"kiops.s8 -20%":    {func(m map[string]float64) { m["scale.rio.kiops.s8"] *= 0.8 }, 1},
+		"gated key gone":   {func(m map[string]float64) { delete(m, "serve.rio.p99_us") }, 1},
+		"abs budget blown": {func(m map[string]float64) { m["trace.rio.overhead_pct"] = 2.5 }, 1},
+	} {
+		successor := baseMetrics()
+		tc.edit(successor)
+		writeReport(t, file("BENCH_20.json"), successor)
+		writeReport(t, file("fresh.json"), successor)
+		var out bytes.Buffer
+		if got := runGate(file("BENCH_20.json"), file("fresh.json"), 0.10, &out); got != tc.want {
+			t.Errorf("%s: gate exited %d, want %d\n%s", name, got, tc.want, out.String())
+		}
+		if !strings.Contains(out.String(), "BENCH_20.json vs "+file("BENCH_15.json")) {
+			t.Errorf("%s: the baseline was not compared with BENCH_15.json:\n%s", name, out.String())
+		}
+	}
+	// A first baseline has no predecessor: only the fresh run is gated.
+	first := t.TempDir()
+	writeReport(t, filepath.Join(first, "BENCH_1.json"), baseMetrics())
+	var out bytes.Buffer
+	if got := runGate(filepath.Join(first, "BENCH_1.json"), filepath.Join(first, "BENCH_1.json"), 0.10, &out); got != 0 {
+		t.Fatalf("first baseline: gate exited %d\n%s", got, out.String())
+	}
+	if got := runGate(filepath.Join(first, "bench.json"), filepath.Join(first, "BENCH_1.json"), 0.10, &out); got != 2 {
+		t.Fatalf("a baseline not named BENCH_<N>.json: gate exited %d, want 2", got)
 	}
 }

@@ -8,8 +8,9 @@
 // superblock, per-journal transaction scan, directory tree. With
 // -replicas R the volume stripes over an R-way replica set and the
 // durable media of every member is additionally compared block-for-block
-// (replica sets must converge byte-identically through whole-cluster
-// recovery). It is the file-system-level counterpart of cmd/riocrash.
+// (stack.Cluster.ReplicaDivergence: replica sets must converge
+// byte-identically through whole-cluster recovery). It is the
+// file-system-level counterpart of cmd/riocrash.
 //
 // Usage:
 //
@@ -75,11 +76,6 @@ func run(cfg fsckConfig, out io.Writer) int {
 		fmt.Fprintf(os.Stderr, "riofsck: unknown design %q\n", cfg.design)
 		os.Exit(2)
 	}
-	if cfg.replicas > 1 && mode != stack.ModeRio {
-		fmt.Fprintln(os.Stderr, "riofsck: -replicas requires -design riofs")
-		os.Exit(2)
-	}
-
 	eng := sim.New(cfg.seed)
 	targets := []stack.TargetConfig{stack.OptaneTarget()}
 	if cfg.replicas > 1 {
@@ -96,7 +92,11 @@ func run(cfg fsckConfig, out io.Writer) int {
 	if cfg.replicas > 1 {
 		scfg.Replicas = cfg.replicas
 	}
-	c := stack.New(eng, scfg)
+	c, err := stack.Open(eng, scfg)
+	if err != nil { // e.g. -replicas with a design whose stack cannot replicate
+		fmt.Fprintln(os.Stderr, "riofsck:", err)
+		os.Exit(2)
+	}
 	fcfg := fs.DefaultOptions(d, 8)
 	fcfg.JournalBlocks = 1024
 	fcfg.MaxInodes = 1 << 12
@@ -194,8 +194,11 @@ func run(cfg fsckConfig, out io.Writer) int {
 	// Phase 3: replica sets must have converged byte-identically through
 	// whole-cluster recovery (replicaRepair re-replicates quorum-only
 	// groups inside the durable prefix).
-	if cfg.replicas > 1 {
-		bad += auditReplicaSets(c, out)
+	if n := c.ReplicaDivergence(); n > 0 {
+		fmt.Fprintf(out, "fsck: %d blocks differ between the members of a replica set\n", n)
+		bad += n
+	} else if cfg.replicas > 1 {
+		fmt.Fprintf(out, "%d replica sets of %d members byte-identical on durable media\n", c.SetCount(), cfg.replicas)
 	}
 	return bad
 }
@@ -227,46 +230,6 @@ func auditPartitions(c *stack.Cluster, out io.Writer) int {
 				bad += foreign
 			}
 		}
-	}
-	return bad
-}
-
-// auditReplicaSets compares the durable media of every replica set's
-// members block-for-block. Returns the number of diverging blocks.
-func auditReplicaSets(c *stack.Cluster, out io.Writer) int {
-	bad := 0
-	for set := 0; set < c.SetCount(); set++ {
-		members := c.SetMembers(set)
-		if len(members) < 2 {
-			continue
-		}
-		base := c.Target(members[0]).SSD(0)
-		setBad := 0
-		for _, m := range members[1:] {
-			ms := c.Target(m).SSD(0)
-			diverged := 0
-			for _, lba := range base.DurableLBAs() {
-				brec, _ := base.Durable(lba)
-				mrec, ok := ms.Durable(lba)
-				if !ok || mrec.Stamp != brec.Stamp {
-					diverged++
-				}
-			}
-			for _, lba := range ms.DurableLBAs() {
-				if _, ok := base.Durable(lba); !ok {
-					diverged++
-				}
-			}
-			if diverged > 0 {
-				fmt.Fprintf(out, "fsck: replica member %d diverges from member %d on %d blocks\n",
-					m, members[0], diverged)
-				setBad += diverged
-			}
-		}
-		if setBad == 0 {
-			fmt.Fprintf(out, "replica set %d: %d members byte-identical on durable media\n", set, len(members))
-		}
-		bad += setBad
 	}
 	return bad
 }

@@ -5,32 +5,24 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// committedBaseline loads the metrics of the highest-numbered
-// BENCH_<N>.json at the repository root (the file `make bench-json`
-// regenerates and cmd/benchdiff gates against).
+// committedBaseline loads the metrics of the committed baseline: the
+// BENCH_<N>.json the Makefile names as BASELINE (the one place that names it;
+// `make bench-json` regenerates it and `make bench-gate` gates against it).
 func committedBaseline(t *testing.T) (string, map[string]float64) {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	mk, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := regexp.MustCompile(`BENCH_(\d+)\.json$`)
-	best, bestN := "", -1
-	for _, m := range matches {
-		if sub := re.FindStringSubmatch(m); sub != nil {
-			if n, _ := strconv.Atoi(sub[1]); n > bestN {
-				best, bestN = m, n
-			}
-		}
+	name := regexp.MustCompile(`(?m)^BASELINE\s*:=\s*(\S+)`).FindSubmatch(mk)
+	if name == nil {
+		t.Fatal("the Makefile names no BASELINE")
 	}
-	if best == "" {
-		t.Fatal("no BENCH_<N>.json baseline at the repository root")
-	}
+	best := filepath.Join("..", "..", string(name[1]))
 	buf, err := os.ReadFile(best)
 	if err != nil {
 		t.Fatal(err)

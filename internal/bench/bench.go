@@ -1,9 +1,11 @@
 // Package bench is the experiment harness: one runner per table/figure in
-// the paper's evaluation (§6). Each runner builds fresh clusters, drives
-// the workload from internal/workload, and renders the same rows/series
-// the paper reports, plus the headline ratios so EXPERIMENTS.md can record
-// paper-vs-measured. Runners accept a Quick option that shrinks the
-// simulated windows for use from `go test -bench`.
+// the paper's evaluation (§6) and per extension this repository gates
+// (DESIGN.md §5 is the index). Each runner builds fresh clusters, drives
+// the workload from internal/workload, renders the rows/series the paper
+// reports with the headline ratios as `note:` lines, and emits the metrics
+// `make bench-gate` holds to the committed BENCH_N.json. Runners accept a
+// Quick option that shrinks the simulated windows for use from
+// `go test -bench`.
 package bench
 
 import (
@@ -18,6 +20,37 @@ import (
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
+
+// orderViolations is what every *.order_violations key counts when a run
+// ends: the contract oracle's gate clause (stack.Cluster.Audit: a parked
+// command at or below its gate's frontier, on any target — what colliding
+// ordering domains would produce), plus, for each Rio initiator the run
+// drove, one if no stream's group order ever advanced (the domain wedged) and
+// one if no retire watermark of its own ever did (its PMR never recycled).
+// Transient holdbacks are not violations: the gate exists to absorb them.
+func orderViolations(c *stack.Cluster) int {
+	v := c.Audit().Gate
+	if c.Config().Mode != stack.ModeRio {
+		return v
+	}
+	for i := 0; i < c.Initiators(); i++ {
+		seq := c.Init(i).Sequencer()
+		progressed, retired := c.Init(i).Stats().Submitted == 0, false
+		for s := 0; s < seq.Streams(); s++ {
+			progressed = progressed || seq.Stream(s).FullyDone() > 0
+			for t := 0; t < c.Targets(); t++ {
+				retired = retired || c.Target(t).RetiredTo(i, uint16(s)) > 0
+			}
+		}
+		if !progressed {
+			v++
+		}
+		if !retired && c.Init(i).Stats().Submitted > 0 {
+			v++
+		}
+	}
+	return v
+}
 
 // Options tunes a run.
 type Options struct {

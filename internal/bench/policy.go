@@ -41,7 +41,7 @@ func runPolicyPoint(o Options, sys system) (workload.BlockResult, int) {
 	r := workload.RunBlock(eng, c, workload.BlockJob{
 		Threads: 4, Pattern: workload.PatternRandom4K, Ordered: sys.ordered,
 	}, warm, meas)
-	audit := c.OrderAudit()
+	audit := orderViolations(c)
 	eng.Shutdown()
 	return r, audit
 }

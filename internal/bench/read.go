@@ -71,7 +71,7 @@ func runReadPoint(o Options, cacheBlocks int) (workload.ReadResult, int) {
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	res := workload.RunRead(eng, c, job, warm, meas)
-	violations := c.OrderAudit()
+	violations := orderViolations(c)
 	eng.Shutdown()
 	return res, violations
 }

@@ -94,27 +94,6 @@ func txPerOp(br workload.BlockResult) (msgs, bytes float64) {
 		float64(br.Stats.TxBytes) / float64(br.Stats.Completed)
 }
 
-// replViolations audits the per-replica ordering invariants after a
-// run: dense ServerIdx chains at every member's gates, sequencer group
-// order advanced, and completions below submissions never negative.
-func replViolations(c *stack.Cluster) int {
-	v := 0
-	for ti := 0; ti < c.Targets(); ti++ {
-		v += c.Target(ti).GateAudit()
-	}
-	progressed := false
-	seq := c.Init(0).Sequencer()
-	for s := 0; s < seq.Streams(); s++ {
-		if seq.Stream(s).FullyDone() > 0 {
-			progressed = true
-		}
-	}
-	if !progressed {
-		v++
-	}
-	return v
-}
-
 // ReplicationSweep is the "replication" experiment.
 func ReplicationSweep(o Options) *Result {
 	res := &Result{Name: "replication: replica sets with quorum completion, stall-free failover, background resync"}
@@ -124,7 +103,7 @@ func ReplicationSweep(o Options) *Result {
 	tput.Label, cplOp.Label = "rio kiops", "cpl msgs/op"
 	for _, r := range []int{1, 2, 3} {
 		br, c, eng := runReplicationPoint(o, r, 0, 0)
-		violations += replViolations(c)
+		violations += orderViolations(c)
 		tput.Add(float64(r), br.KIOPS())
 		cplOp.Add(float64(r), br.Stats.CompletionMsgsPerOp())
 		res.Metric(fmt.Sprintf("replication.rio.kiops.r%d", r), br.KIOPS())
@@ -147,7 +126,7 @@ func ReplicationSweep(o Options) *Result {
 	warm, meas := o.windows()
 	cutAt := warm + meas/2
 	br, c, eng := runReplicationPoint(o, 3, cutAt, 1)
-	violations += replViolations(c)
+	violations += orderViolations(c)
 	res.Metric("replication.rio.failover_kiops", br.KIOPS())
 	res.Metric("replication.rio.failover_blip_us", br.MaxLatUS())
 	backlog := c.ResyncBacklog(1)
@@ -170,11 +149,11 @@ func ReplicationSweep(o Options) *Result {
 	var rel metrics.Series
 	rel.Label = "constrained kiops"
 	brD, cD, engD := runRelayPoint(o, false, 0)
-	violations += replViolations(cD)
+	violations += orderViolations(cD)
 	dMsgs, dBytes := txPerOp(brD)
 	engD.Shutdown()
 	brR, cR, engR := runRelayPoint(o, true, 0)
-	violations += replViolations(cR)
+	violations += orderViolations(cR)
 	rMsgs, rBytes := txPerOp(brR)
 	relayed := cR.Target(cR.SetMembers(0)[0]).Stats().Relays
 	engR.Shutdown()
@@ -199,7 +178,7 @@ func ReplicationSweep(o Options) *Result {
 	// fan-out) must keep every stream flowing; the blip is gated next to
 	// the direct-path member cut's.
 	brF, cF, engF := runRelayPoint(o, true, cutAt)
-	violations += replViolations(cF)
+	violations += orderViolations(cF)
 	res.Metric("replication.rio.failover_kiops.relay", brF.KIOPS())
 	res.Metric("replication.rio.failover_blip_us.relay", brF.MaxLatUS())
 	engF.Shutdown()
@@ -257,45 +236,7 @@ func runResyncPhase(o Options, relay bool, victim int) (stack.RecoveryTiming, in
 	var tm stack.RecoveryTiming
 	eng.Go("resync/recover", func(p *sim.Proc) { _, tm = c.RecoverTarget(p, victim) })
 	eng.Run()
-	diverged := replDivergence(c, victim)
+	diverged := c.ReplicaDivergence()
 	eng.Shutdown()
 	return tm, diverged
-}
-
-// replDivergence compares the durable content of the rejoined member
-// against a peer replica across every written LBA of its set's device,
-// returning the number of diverging blocks (0 = byte-identical).
-func replDivergence(c *stack.Cluster, member int) int {
-	set := c.SetOf(member)
-	peer := -1
-	for _, m := range c.SetMembers(set) {
-		if m != member {
-			peer = m
-			break
-		}
-	}
-	if peer < 0 {
-		return 0
-	}
-	bad := 0
-	for ssdIdx := 0; ; ssdIdx++ {
-		if ssdIdx >= 1 { // replTargets builds one-SSD targets
-			break
-		}
-		ps := c.Target(peer).SSD(ssdIdx)
-		ms := c.Target(member).SSD(ssdIdx)
-		for _, lba := range ps.DurableLBAs() {
-			prec, _ := ps.Durable(lba)
-			mrec, ok := ms.Durable(lba)
-			if !ok || mrec.Stamp != prec.Stamp {
-				bad++
-			}
-		}
-		for _, lba := range ms.DurableLBAs() {
-			if _, ok := ps.Durable(lba); !ok {
-				bad++ // member holds a block the peer rolled back or never had
-			}
-		}
-	}
-	return bad
 }

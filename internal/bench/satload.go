@@ -109,7 +109,7 @@ func runSatPoint(o Options, v satVariant, offeredKIOPS float64, arrival workload
 		Theta:        0.9,
 		MaxBacklog:   4096,
 	}, warm, meas)
-	violations := replViolations(c)
+	violations := orderViolations(c)
 	eng.Shutdown()
 	return r, violations
 }

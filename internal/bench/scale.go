@@ -83,50 +83,9 @@ func runInitiatorPoint(o Options, inits, streams, targets int) (workload.BlockRe
 		Threads: streams, Initiators: inits,
 		Pattern: workload.PatternRandom4K, Ordered: true,
 	}, warm, meas)
-	v := orderingInvariantViolations(c)
+	v := orderViolations(c)
 	eng.Shutdown()
 	return r, v
-}
-
-// orderingInvariantViolations checks, per initiator, the invariants the
-// multi-initiator refactor must preserve: (1) sequencer group order
-// advanced (FullyDone > 0 on driven streams), (2) dense per-server
-// ServerIdx chains stayed intact — every target's in-order gates pass
-// the audit (a parked command only ever waits for a genuine
-// predecessor; colliding domains would skip or duplicate indices), and
-// (3) PMR retire watermarks advanced for the initiator's own domains
-// (its log partitions recycle). Transient holdbacks are NOT violations:
-// the gate exists to absorb them (races between timer and inline plug
-// flushes park a command briefly even single-initiator).
-func orderingInvariantViolations(c *stack.Cluster) int {
-	violations := 0
-	for ii := 0; ii < c.Initiators(); ii++ {
-		seq := c.Init(ii).Sequencer()
-		progressed := false
-		for s := 0; s < seq.Streams(); s++ {
-			if seq.Stream(s).FullyDone() > 0 {
-				progressed = true
-			}
-		}
-		if !progressed {
-			violations++ // group order never advanced: domain wedged
-		}
-		marks := false
-		for ti := 0; ti < c.Targets(); ti++ {
-			for s := 0; s < seq.Streams(); s++ {
-				if c.Target(ti).RetiredTo(ii, uint16(s)) > 0 {
-					marks = true
-				}
-			}
-		}
-		if !marks {
-			violations++ // no retire watermark: this initiator's PMR never recycled
-		}
-	}
-	for ti := 0; ti < c.Targets(); ti++ {
-		violations += c.Target(ti).GateAudit()
-	}
-	return violations
 }
 
 // ScaleSweep is the "scale" experiment.

@@ -53,7 +53,7 @@ func runServePoint(o Options, readPct int) (workload.ServeResult, int) {
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	res := workload.RunServe(eng, c, serveJob(readPct), warm, meas)
-	violations := c.OrderAudit()
+	violations := orderViolations(c)
 	eng.Shutdown()
 	return res, violations
 }

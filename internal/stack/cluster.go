@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/blockdev"
@@ -298,11 +297,7 @@ type Cluster struct {
 	// zero value — the data plane then carries only nil checks).
 	tracer *trace.Tracer
 
-	// poisonRecycled is a test hook: a recycled target completion event
-	// (and the SSD command embedded in it) is scrubbed as always but never
-	// reissued, so a reference that outlived the recycle, or a second
-	// recycle, meets a dead record and panics.
-	poisonRecycled bool
+	poisonRecycled bool // test hook: see PoisonRecycled
 }
 
 type fuseTail struct {
@@ -310,43 +305,30 @@ type fuseTail struct {
 	ws  *wireState
 }
 
-// New builds and starts a cluster.
+// New is Open for a configuration known to be legal: it panics with what
+// Validate says.
 func New(eng *sim.Engine, cfg Config) *Cluster {
-	if len(cfg.Targets) == 0 {
-		panic("stack: need at least one target")
+	c, err := Open(eng, cfg)
+	if err != nil {
+		panic(err.Error())
 	}
-	if cfg.Streams <= 0 || cfg.QPs <= 0 {
-		panic("stack: invalid streams/QPs")
+	return c
+}
+
+// Open builds and starts a cluster, or returns the rule cfg breaks.
+func Open(eng *sim.Engine, cfg Config) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Initiators <= 0 {
-		cfg.Initiators = 1
-	}
-	if cfg.Initiators > core.StampInitiators || cfg.Streams > core.StampStreams {
-		// Beyond these two ordering domains would share media identities.
-		panic(fmt.Sprintf("stack: %d initiators x %d streams exceed the %d x %d a media identity names (core.AttrStamp)",
-			cfg.Initiators, cfg.Streams, core.StampInitiators, core.StampStreams))
-	}
-	validateReplication(cfg)
-	if cfg.CacheBlocks < 0 {
-		panic("stack: CacheBlocks must be >= 0")
-	}
-	if cfg.ReadAhead > 0 && cfg.CacheBlocks == 0 {
-		panic("stack: ReadAhead requires CacheBlocks > 0")
-	}
+	cfg.Initiators = max(cfg.Initiators, 1)
 	c := &Cluster{Eng: eng, cfg: cfg, costs: cfg.Costs}
 	// The fabric sizes its per-QP tables from NumQPs: one source, QPs.
 	c.cfg.Fabric.NumQPs = c.cfg.QPs
 	if c.cfg.CQEBatch <= 0 {
 		c.cfg.CQEBatch = 16
 	}
-	if c.cfg.CQEHold < 0 {
-		panic("stack: CQEHold must be >= 0")
-	}
 	if c.cfg.CQEHold == 0 {
 		c.cfg.CQEHold = 2 * sim.Microsecond
-	}
-	if c.cfg.MaxInflight < 0 {
-		panic("stack: MaxInflight must be >= 0")
 	}
 	if c.cfg.Governor.Enabled {
 		c.cfg.Governor = withGovernorDefaults(c.cfg.Governor, c.cfg)
@@ -386,7 +368,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	for i := 0; i < c.cfg.Initiators; i++ {
 		c.inits = append(c.inits, newInitiator(c, i))
 	}
-	return c
+	return c, nil
 }
 
 // Config returns the cluster configuration.

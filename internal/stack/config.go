@@ -18,6 +18,10 @@
 package stack
 
 import (
+	"errors"
+	"fmt"
+
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/order"
 	"repro/internal/sim"
@@ -129,6 +133,10 @@ const (
 	inlineThreshold = 8192
 	// deviceBlocks is every SSD's capacity in 4 KB blocks (16 GiB).
 	deviceBlocks = 1 << 22
+	// maxTransferBlocks is the most blocks one device command carries
+	// (128 KB): buildWires splits at it, fusion stops at it, a read run ends
+	// at it, and Validate rejects a device that cannot take it.
+	maxTransferBlocks = 32
 )
 
 // TargetConfig describes one target server.
@@ -247,3 +255,64 @@ func FlashTarget() TargetConfig { return TargetConfig{SSDs: []ssd.Config{ssd.Fla
 
 // OptaneTarget is a one-SSD Optane target server config.
 func OptaneTarget() TargetConfig { return TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig()}} }
+
+// Validate reports the first rule cfg breaks, or nil. Every cross-field rule
+// of a configuration lives here and only here: Open returns what it says, New
+// panics with it, and a generator keeps a drawn Config iff it is nil.
+func (cfg Config) Validate() error {
+	inits, r := max(cfg.Initiators, 1), cfg.Replicas
+	switch {
+	case len(cfg.Targets) == 0:
+		return errors.New("stack: need at least one target")
+	case cfg.Streams <= 0 || cfg.QPs <= 0:
+		return errors.New("stack: invalid streams/QPs")
+	case inits > core.StampInitiators || cfg.Streams > core.StampStreams:
+		// Beyond these two ordering domains would share media identities.
+		return fmt.Errorf("stack: %d initiators x %d streams exceed the %d x %d a media identity names (core.AttrStamp)",
+			inits, cfg.Streams, core.StampInitiators, core.StampStreams)
+	case cfg.CacheBlocks < 0:
+		return errors.New("stack: CacheBlocks must be >= 0")
+	case cfg.ReadAhead > 0 && cfg.CacheBlocks == 0:
+		return errors.New("stack: ReadAhead requires CacheBlocks > 0")
+	case cfg.CQEHold < 0:
+		return errors.New("stack: CQEHold must be >= 0")
+	case cfg.MaxInflight < 0:
+		return errors.New("stack: MaxInflight must be >= 0")
+	case r <= 1 && cfg.ReplRelay:
+		return errors.New("stack: ReplRelay requires Replicas > 1")
+	case r > 1 && cfg.Mode != ModeRio:
+		return errors.New("stack: replication requires ModeRio")
+	case r > 1 && len(cfg.Targets)%r != 0:
+		return fmt.Errorf("stack: %d targets do not divide into replica sets of %d", len(cfg.Targets), r)
+	case r > 1 && (cfg.WriteQuorum < 0 || cfg.WriteQuorum > r):
+		return fmt.Errorf("stack: write quorum %d out of range for %d replicas", cfg.WriteQuorum, r)
+	}
+	for ti, tc := range cfg.Targets {
+		switch {
+		case len(tc.SSDs) == 0:
+			return fmt.Errorf("stack: target %d has no SSD", ti)
+		case tc.SSDs[0].PMRSize/inits < core.EntrySize:
+			// Each initiator logs into its own slice of the first device's PMR.
+			return errors.New("stack: PMR region too small for the initiator count")
+		case r > 1 && len(tc.SSDs) != len(cfg.Targets[ti-ti%r].SSDs):
+			return errors.New("stack: replica set members must have identical SSD geometry")
+		}
+		for _, sc := range tc.SSDs {
+			if sc.MaxTransferBlocks < maxTransferBlocks {
+				return fmt.Errorf("stack: target %d: device %s takes %d blocks per command, the stack sends up to %d",
+					ti, sc.Name, sc.MaxTransferBlocks, maxTransferBlocks)
+			}
+		}
+	}
+	if gc := withGovernorDefaults(cfg.Governor, cfg); gc.Enabled {
+		switch {
+		case gc.UpOpsPerSec <= 0:
+			return errors.New("stack: governor requires UpOpsPerSec > 0")
+		case gc.DownOpsPerSec >= gc.UpOpsPerSec:
+			return errors.New("stack: governor hysteresis requires DownOpsPerSec < UpOpsPerSec")
+		case gc.HighPlug > cfg.MaxPlug:
+			return errors.New("stack: governor HighPlug exceeds MaxPlug (parked rings are pre-sized from MaxPlug)")
+		}
+	}
+	return nil
+}

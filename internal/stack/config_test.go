@@ -70,35 +70,101 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigsPanic: New is a must-wrapper, so a configuration Validate
+// rejects still panics out of it.
 func TestInvalidConfigsPanic(t *testing.T) {
-	eng := sim.New(1)
-	cases := []func(){
-		func() { New(eng, Config{}) }, // no targets
-		func() {
-			cfg := DefaultConfig(ModeRio, OptaneTarget())
-			cfg.Streams = 0
-			New(eng, cfg)
-		},
-		func() { // read-ahead lands its blocks in the cache: no cache, no read-ahead
-			cfg := DefaultConfig(ModeRio, OptaneTarget())
-			cfg.ReadAhead = 8
-			New(eng, cfg)
-		},
-		func() {
-			cfg := DefaultConfig(ModeRio, OptaneTarget())
-			cfg.CacheBlocks = -1
-			New(eng, cfg)
-		},
-	}
-	for i, fn := range cases {
+	for _, tc := range invalidConfigs() {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
+				if r := recover(); r != tc.msg {
+					t.Errorf("%s: New panicked with %v, want %q", tc.name, r, tc.msg)
 				}
 			}()
-			fn()
+			New(sim.New(1), tc.cfg)
 		}()
+	}
+}
+
+// invalidConfigs is one configuration per rule New used to panic on (in New,
+// validateReplication, withGovernorDefaults and pmrRegion), with the message
+// it panicked with.
+func invalidConfigs() []struct {
+	name, msg string
+	cfg       Config
+} {
+	with := func(edit func(*Config), targets ...TargetConfig) Config {
+		if targets == nil {
+			targets = optane1()
+		}
+		cfg := DefaultConfig(ModeRio, targets...)
+		edit(&cfg)
+		return cfg
+	}
+	three := []TargetConfig{OptaneTarget(), OptaneTarget(), OptaneTarget()}
+	twoSSD := TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig(), ssd.OptaneConfig()}}
+	gov := func(edit func(*GovernorConfig)) Config {
+		return with(func(c *Config) { c.Governor = govBase(); edit(&c.Governor) })
+	}
+	return []struct {
+		name, msg string
+		cfg       Config
+	}{
+		{"no targets", "stack: need at least one target", Config{}},
+		{"no streams", "stack: invalid streams/QPs", with(func(c *Config) { c.Streams = 0 })},
+		{"65 initiators", "stack: 65 initiators x 24 streams exceed the 64 x 1024 a media identity names (core.AttrStamp)",
+			with(func(c *Config) { c.Initiators = 65 })},
+		{"negative cache", "stack: CacheBlocks must be >= 0", with(func(c *Config) { c.CacheBlocks = -1 })},
+		// Read-ahead lands its blocks in the cache: no cache, no read-ahead.
+		{"read-ahead without cache", "stack: ReadAhead requires CacheBlocks > 0", with(func(c *Config) { c.ReadAhead = 8 })},
+		{"negative hold", "stack: CQEHold must be >= 0", with(func(c *Config) { c.CQEHold = -1 })},
+		{"negative inflight", "stack: MaxInflight must be >= 0", with(func(c *Config) { c.MaxInflight = -1 })},
+		{"relay without replicas", "stack: ReplRelay requires Replicas > 1", with(func(c *Config) { c.ReplRelay = true })},
+		{"replicated horae", "stack: replication requires ModeRio",
+			with(func(c *Config) { c.Mode, c.Replicas = ModeHorae, 3 }, three...)},
+		{"uneven sets", "stack: 3 targets do not divide into replica sets of 2", with(func(c *Config) { c.Replicas = 2 }, three...)},
+		{"quorum out of range", "stack: write quorum 4 out of range for 3 replicas",
+			with(func(c *Config) { c.Replicas, c.WriteQuorum = 3, 4 }, three...)},
+		{"uneven members", "stack: replica set members must have identical SSD geometry",
+			with(func(c *Config) { c.Replicas = 3 }, OptaneTarget(), twoSSD, OptaneTarget())},
+		{"governor without Up", "stack: governor requires UpOpsPerSec > 0", gov(func(g *GovernorConfig) { g.UpOpsPerSec = 0 })},
+		{"governor Down >= Up", "stack: governor hysteresis requires DownOpsPerSec < UpOpsPerSec",
+			gov(func(g *GovernorConfig) { g.DownOpsPerSec = g.UpOpsPerSec })},
+		{"governor HighPlug", "stack: governor HighPlug exceeds MaxPlug (parked rings are pre-sized from MaxPlug)",
+			gov(func(g *GovernorConfig) { g.HighPlug = 33 })},
+		{"PMR too small", "stack: PMR region too small for the initiator count",
+			with(func(c *Config) { c.Initiators, c.Targets[0].SSDs[0].PMRSize = 2, 64 })},
+	}
+}
+
+// TestValidateMatchesNew: every configuration New panicked on is the same
+// message as an error from Validate and from Open, which builds nothing; two
+// rules are new — a target with no SSD (New indexed out of range) and a device
+// below the stack's transfer limit (dispatch panicked mid-run).
+func TestValidateMatchesNew(t *testing.T) {
+	cases := invalidConfigs()
+	if len(cases) != 16 {
+		t.Fatalf("%d cases, want the 16 rules New panicked on", len(cases))
+	}
+	small := ssd.OptaneConfig()
+	small.MaxTransferBlocks = 16
+	cases = append(cases, []struct {
+		name, msg string
+		cfg       Config
+	}{
+		{"target without SSD", "stack: target 0 has no SSD", DefaultConfig(ModeRio, TargetConfig{})},
+		{"transfer limit", "stack: target 0: device 905p takes 16 blocks per command, the stack sends up to 32",
+			DefaultConfig(ModeRio, TargetConfig{SSDs: []ssd.Config{small}})},
+	}...)
+	for _, tc := range cases {
+		if err := tc.cfg.Validate(); err == nil || err.Error() != tc.msg {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.msg)
+		}
+		if c, err := Open(sim.New(1), tc.cfg); c != nil || err == nil || err.Error() != tc.msg {
+			t.Errorf("%s: Open() = %v, %v, want nil and %q", tc.name, c, err, tc.msg)
+		}
+	}
+	if err := DefaultConfig(ModeRio, optane1()...).Validate(); err != nil {
+		t.Fatalf("the default configuration: %v", err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // Faults and recovery. Any set of servers can lose power (PowerCutTarget,
 // PowerCutInitiator; PowerCutAll is every one of them): volatile state is
 // lost, PMR and media survive. The paper's §4.4 recovery is one algorithm
-// and it runs in one place, recover: RecoverFull, RecoverTarget and
+// and it runs in one place, Recover: RecoverFull, RecoverTarget and
 // RecoverInitiator only name which servers come back. What each phase
 // covers is decided from those two sets plus what the cluster can observe
 // (which members are in sync, which servers are powered) by the rules
@@ -143,7 +143,7 @@ func (c *Cluster) PowerCutAll() {
 // the per-initiator PMR scans are merged into one report keyed by
 // (initiator, stream). The cluster is reusable afterwards.
 func (c *Cluster) RecoverFull(p *sim.Proc) (*core.Report, RecoveryTiming) {
-	return c.recover(p, upTo(len(c.targets)), upTo(len(c.inits)))
+	return c.Recover(p, upTo(len(c.targets)), upTo(len(c.inits)))
 }
 
 // RecoverInitiator performs single-initiator recovery after
@@ -151,7 +151,7 @@ func (c *Cluster) RecoverFull(p *sim.Proc) (*core.Report, RecoveryTiming) {
 // or watermarks are read, reset or rolled back — their traffic continues
 // throughout.
 func (c *Cluster) RecoverInitiator(p *sim.Proc, i int) (*core.Report, RecoveryTiming) {
-	return c.recover(p, nil, []int{i})
+	return c.Recover(p, nil, []int{i})
 }
 
 // RecoverTarget performs target recovery (§4.4.1) after PowerCutTarget(i).
@@ -159,7 +159,7 @@ func (c *Cluster) RecoverInitiator(p *sim.Proc, i int) (*core.Report, RecoveryTi
 // anything toward such a member; a server that was the last of its set is
 // repaired by the initiators' replay.
 func (c *Cluster) RecoverTarget(p *sim.Proc, i int) (*core.Report, RecoveryTiming) {
-	return c.recover(p, []int{i}, nil)
+	return c.Recover(p, []int{i}, nil)
 }
 
 func upTo(n int) []int {
@@ -170,7 +170,7 @@ func upTo(n int) []int {
 	return all
 }
 
-// repairSource says where a server restarted by a recover run gets the
+// repairSource says where a server restarted by a Recover run gets the
 // writes it is missing.
 type repairSource uint8
 
@@ -180,12 +180,14 @@ const (
 	fromPeer                         // its PMR is stale: an in-sync peer's media holds everything it missed
 )
 
-// recover brings the given target servers and initiator servers back in one
+// Recover brings the given target servers and initiator servers back in one
 // pass of the §4.4 algorithm: power on → scan → merge → roll back → repair
 // from media → format + chain reset → links up → reopen. The servers of
 // the run are down; everything else keeps running throughout, and a server
 // that is down and outside the run is worked around, never waited for.
-func (c *Cluster) recover(p *sim.Proc, targets, inits []int) (*core.Report, RecoveryTiming) {
+// Servers cut in one instant are repaired by one run over all of them: two
+// runs would pay the scan twice and roll back against half the evidence.
+func (c *Cluster) Recover(p *sim.Proc, targets, inits []int) (*core.Report, RecoveryTiming) {
 	var tm RecoveryTiming
 
 	// (1) Repair source per restarted server, classified before anything

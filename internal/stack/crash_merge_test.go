@@ -23,7 +23,7 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 		const streams = 3
 		stopped := false
 		delivered := make([]uint64, streams) // highest delivered group per stream
-		subs := make([][]fuzzSub, streams)
+		subs := make([][]*blockdev.Request, streams)
 		for s := 0; s < streams; s++ {
 			s := s
 			eng.Go("app", func(p *sim.Proc) {
@@ -33,7 +33,7 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 					r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 					pending = append(pending, r)
 					if !stopped && r.Ticket != nil {
-						subs[s] = append(subs[s], fuzzSub{attr: r.Ticket.Attr, lba: lba})
+						subs[s] = append(subs[s], r)
 					}
 					// Harvest delivered completions without blocking.
 					for len(pending) > 0 && pending[0].Done.Fired() {
@@ -59,8 +59,8 @@ func TestCrashWithMergingDeliveredWithinPrefix(t *testing.T) {
 				t.Fatalf("seed %d stream %d: delivered through group %d but prefix is %d",
 					seed, s, delivered[s], prefix)
 			}
+			checkPrefix(t, c, rep, 0, s, subs[s])
 		}
-		checkPrefixDurability(t, c, rep, subs, 0)
 		if c.Init(0).Stats().FusedCmds == 0 {
 			t.Fatalf("seed %d: no command fused", seed)
 		}
@@ -77,13 +77,13 @@ func TestMergedCrashAtomicity(t *testing.T) {
 		cfg.MergeEnabled = true
 		c := New(eng, cfg)
 		stopped := false
-		subs := make([][]fuzzSub, 1)
+		var subs []*blockdev.Request
 		eng.Go("app", func(p *sim.Proc) {
 			// Contiguous groups that merge aggressively.
 			for g := 0; !stopped; g++ {
 				r := c.Init(0).OrderedWrite(p, 0, uint64(g), 1, 0, nil, true, false, false)
 				if !stopped && r.Ticket != nil {
-					subs[0] = append(subs[0], fuzzSub{attr: r.Ticket.Attr, lba: uint64(g)})
+					subs = append(subs, r)
 				}
 				if g%16 == 15 {
 					p.Sleep(5 * sim.Microsecond)
@@ -116,7 +116,7 @@ func TestMergedCrashAtomicity(t *testing.T) {
 		}
 		// Each block of a merged command is its own request's: all of a merged
 		// range inside the prefix is on media, all of one beyond it is gone.
-		checkPrefixDurability(t, c, rep, subs, 0)
+		checkPrefix(t, c, rep, 0, 0, subs)
 		eng.Shutdown()
 	}
 }
@@ -161,16 +161,14 @@ func TestHoraeFusedRollbackErasesEveryConstituent(t *testing.T) {
 			eng.Run()
 			left, lost, beyond := 0, 0, 0
 			for _, r := range reqs {
-				a := r.Ticket.Attr
-				rec, ok := c.Target(0).SSD(0).Durable(r.LBA) // one device, chunk 1: device LBA = LBA
-				if a.SeqStart <= rep.Prefix(a.Stream) {
-					if !ok || rec.Stamp != core.AttrStamp(a) {
+				if a := r.Ticket.Attr; a.SeqStart <= rep.Prefix(a.Stream) {
+					if !c.Holds(r) {
 						lost++
 					}
 					continue
 				}
 				beyond++
-				if ok {
+				if _, ok := c.Target(0).SSD(0).Durable(r.LBA); ok { // one device, chunk 1: device LBA = LBA
 					left++
 				}
 			}

@@ -20,18 +20,13 @@ func runCrashAndVerify(t *testing.T, seed int64, targets []TargetConfig, cutAt s
 	cfg.Streams = streams
 	c := New(eng, cfg)
 
-	type submitted struct {
-		attr core.Attr
-		lba  uint64 // logical
-	}
-	subs := make([][]submitted, streams) // per stream, by group index
+	subs := make([][]*blockdev.Request, streams) // per stream, by group index
 	for s := 0; s < streams; s++ {
 		s := s
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g) // unique: out-of-place updates
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
-				subs[s] = append(subs[s], submitted{attr: r.Ticket.Attr, lba: lba})
+				subs[s] = append(subs[s], c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false))
 				// Pace slightly so the crash lands mid-stream.
 				p.Sleep(2 * sim.Microsecond)
 			}
@@ -52,40 +47,28 @@ func runCrashAndVerify(t *testing.T, seed int64, targets []TargetConfig, cutAt s
 	if tm.OrderRebuild <= 0 {
 		t.Fatal("order rebuild took no time")
 	}
-
-	// Verify the prefix invariant per stream: there is a k such that
-	// groups 1..k are durable on media and every group > k has been
-	// erased.
 	for s := 0; s < streams; s++ {
-		prefix := report.Prefix(uint16(s))
-		for gi, sub := range subs[s] {
-			g := uint64(gi + 1)
-			if g != sub.attr.SeqStart {
-				t.Fatalf("stream %d: group numbering broken (%d vs %d)", s, g, sub.attr.SeqStart)
-			}
-			dev, devLBA := c.Volume().Map(sub.lba)
-			ref := c.Volume().Dev(dev)
-			sd := c.Target(ref.Server).SSD(ref.SSD)
-			rec, ok := sd.Durable(devLBA)
-			want := core.AttrStamp(withDevGeom(sub.attr, devLBA))
-			if g <= prefix {
-				if !ok || rec.Stamp != want {
-					t.Fatalf("stream %d group %d (<= prefix %d) not durable: got %+v ok=%v",
-						s, g, prefix, rec, ok)
-				}
-			} else if ok && rec.Stamp == want {
-				t.Fatalf("stream %d group %d (> prefix %d) survived recovery", s, g, prefix)
+		for gi, r := range subs[s] {
+			if g := uint64(gi + 1); g != r.Ticket.Attr.SeqStart {
+				t.Fatalf("stream %d: group numbering broken (%d vs %d)", s, g, r.Ticket.Attr.SeqStart)
 			}
 		}
+		checkPrefix(t, c, report, 0, s, subs[s])
 	}
 }
 
-// withDevGeom mirrors how the dispatcher rewrites the ticket attr for the
-// wire (device LBA); AttrStamp ignores LBA so this is identity for stamps,
-// kept for clarity.
-func withDevGeom(a core.Attr, devLBA uint64) core.Attr {
-	a.LBA = devLBA
-	return a
+// checkPrefix is the strict §4.8 invariant for one stream against the media:
+// there is a k, the report's prefix, such that every request of a group up to
+// k holds (Cluster.Holds) and none of a group beyond k does.
+func checkPrefix(t *testing.T, c *Cluster, rep *core.Report, init, stream int, reqs []*blockdev.Request) {
+	t.Helper()
+	prefix := rep.PrefixFor(uint16(init), uint16(stream))
+	for _, r := range reqs {
+		if g, holds := r.Ticket.Attr.SeqEnd, c.Holds(r); holds != (g <= prefix) {
+			t.Fatalf("init %d stream %d: group %d against prefix %d: durable under its own identity = %v",
+				init, stream, g, prefix, holds)
+		}
+	}
 }
 
 func TestCrashRecoveryPrefixOptane(t *testing.T) {
@@ -177,14 +160,9 @@ func TestTargetCrashReplayConverges(t *testing.T) {
 	}
 	// And their data is durable on the right devices.
 	for i, r := range reqs {
-		dev, devLBA := c.Volume().Map(uint64(i))
-		ref := c.Volume().Dev(dev)
-		rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
-		if !ok {
+		if !c.Holds(r) {
 			t.Fatalf("request %d (lba %d) not durable after replay", i, i)
 		}
-		_ = rec
-		_ = r
 	}
 	eng.Shutdown()
 }
@@ -203,7 +181,8 @@ func time2(i int) sim.Time { return sim.Time(1+i%3) * sim.Microsecond }
 func replayMergedBurst(t *testing.T, seed int64, cutAt sim.Time) (int64, RecoveryTiming) {
 	t.Helper()
 	eng := sim.New(seed)
-	c := newPoisoned(eng, smallConfig(ModeRio, OptaneTarget(), OptaneTarget()))
+	c := New(eng, smallConfig(ModeRio, OptaneTarget(), OptaneTarget()))
+	c.PoisonRecycled()
 	const n = 64
 	var reqs []*blockdev.Request
 	eng.Go("app", func(p *sim.Proc) {
@@ -228,16 +207,12 @@ func replayMergedBurst(t *testing.T, seed int64, cutAt sim.Time) (int64, Recover
 		if !r.Done.Fired() {
 			t.Fatalf("cut at %v: request %d never delivered after target recovery", cutAt, i)
 		}
-		dev, devLBA := c.Volume().Map(uint64(i))
-		ref := c.Volume().Dev(dev)
-		if rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA); !ok || rec.Stamp != core.AttrStamp(r.Ticket.Attr) {
-			t.Fatalf("cut at %v: request %d (lba %d) not durable under its own identity after replay: %+v %v", cutAt, i, i, rec, ok)
+		if !c.Holds(r) {
+			t.Fatalf("cut at %v: request %d (lba %d) not durable under its own identity after replay", cutAt, i, i)
 		}
 	}
-	for ti := 0; ti < c.Targets(); ti++ {
-		if v := c.Target(ti).GateAudit(); v != 0 {
-			t.Fatalf("cut at %v: target %d gate audit: %d violations", cutAt, ti, v)
-		}
+	if err := c.Audit().Err(); err != nil {
+		t.Fatalf("cut at %v: %v", cutAt, err)
 	}
 	fused := c.Init(0).Stats().FusedCmds
 	eng.Shutdown()
@@ -415,11 +390,7 @@ func TestCrashRecoveryMultiSSDTarget(t *testing.T) {
 		SSDs: []ssd.Config{ssd.OptaneConfig(), ssd.OptaneConfig()},
 	})
 	c := New(eng, cfg)
-	type sub struct {
-		attr core.Attr
-		lba  uint64
-	}
-	var subs []sub
+	var subs []*blockdev.Request
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 40; g++ {
 			lba := uint64(g) // chunk=1 alternates the two SSDs
@@ -427,7 +398,7 @@ func TestCrashRecoveryMultiSSDTarget(t *testing.T) {
 			if r.Ticket == nil {
 				break // the power cut landed mid-submission: died un-staged
 			}
-			subs = append(subs, sub{attr: r.Ticket.Attr, lba: lba})
+			subs = append(subs, r)
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
@@ -436,23 +407,10 @@ func TestCrashRecoveryMultiSSDTarget(t *testing.T) {
 	var rep *core.Report
 	eng.Go("rec", func(p *sim.Proc) { rep, _ = c.RecoverFull(p) })
 	eng.Run()
-	prefix := rep.Prefix(0)
-	if prefix == uint64(len(subs)) {
+	if rep.Prefix(0) == uint64(len(subs)) {
 		t.Skip("crash landed after all writes; rerun with different timing")
 	}
-	for gi, sb := range subs {
-		g := uint64(gi + 1)
-		dev, devLBA := c.Volume().Map(sb.lba)
-		ref := c.Volume().Dev(dev)
-		rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
-		isOurs := ok && rec.Stamp == core.AttrStamp(sb.attr)
-		if g <= prefix && !isOurs {
-			t.Fatalf("group %d (<= prefix %d) lost on ssd %d", g, prefix, ref.SSD)
-		}
-		if g > prefix && isOurs {
-			t.Fatalf("group %d (> prefix %d) survived on ssd %d — wrong-namespace rollback", g, prefix, ref.SSD)
-		}
-	}
+	checkPrefix(t, c, rep, 0, 0, subs) // a miss on either side is a wrong-namespace roll-back
 	eng.Shutdown()
 }
 
@@ -506,16 +464,11 @@ func mixedDeviceCrash(t *testing.T, seed int64, cutAt sim.Time) (lost, survived 
 	for s, reqs := range subs {
 		prefix := report.Prefix(uint16(s))
 		for _, req := range reqs {
-			a := req.Ticket.Attr
-			dev, devLBA := c.Volume().Map(req.LBA)
-			ref := c.Volume().Dev(dev)
-			rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
-			ours := ok && rec.Stamp == core.AttrStamp(a)
-			switch {
-			case a.SeqEnd <= prefix && !ours:
+			switch g, ours := req.Ticket.Attr.SeqEnd, c.Holds(req); {
+			case g <= prefix && !ours:
 				lost++
-				t.Logf("stream %d (ssd %d.%d): write %d inside prefix %d never reached the media", s, ref.Server, ref.SSD, a.SeqEnd, prefix)
-			case a.SeqEnd > prefix && ours:
+				t.Logf("stream %d: write %d inside prefix %d never reached the media", s, g, prefix)
+			case g > prefix && ours:
 				survived++
 			}
 		}

@@ -404,7 +404,7 @@ type piece struct {
 // never yields, so one scratch set serves every caller.
 func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wireState {
 	pieces := in.pieceBuf[:0]
-	maxBlocks := uint32(32)
+	maxBlocks := uint32(maxTransferBlocks)
 	in.extBuf = in.vol.AppendExtents(in.extBuf[:0], req.LBA, req.Blocks)
 	for _, ext := range in.extBuf {
 		if int(ext.Blocks) > int(maxBlocks) {
@@ -530,14 +530,14 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 	if a.wc.Ordered {
 		switch in.cfg.Mode {
 		case ModeRio:
-			if !blockdev.TryFuse(a.wc, b.wc, 32) {
+			if !blockdev.TryFuse(a.wc, b.wc, maxTransferBlocks) {
 				// Attribute-level merge rejected (e.g. striping broke the
 				// sequence continuity): fall back to vector fusion.
 				if a.wc.Attr.Merged() || b.wc.Attr.Merged() ||
 					a.wc.Attr.Split || b.wc.Attr.Split {
 					return false
 				}
-				if !contigFuse(a.wc, b.wc, 32) {
+				if !contigFuse(a.wc, b.wc) {
 					return false
 				}
 				a.more = append(append(a.more, b.wc.Attr), b.more...)
@@ -546,7 +546,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 			// Horae merges data-path requests on contiguity; ordering
 			// already persisted by the control path. Keep constituent
 			// attrs for persist-bit correlation.
-			if !contigFuse(a.wc, b.wc, 32) {
+			if !contigFuse(a.wc, b.wc) {
 				return false
 			}
 			a.more = append(append(a.more, b.wc.Attr), b.more...)
@@ -554,7 +554,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 			return false
 		}
 	} else {
-		if !contigFuse(a.wc, b.wc, 32) {
+		if !contigFuse(a.wc, b.wc) {
 			return false
 		}
 	}
@@ -578,11 +578,11 @@ func (in *Initiator) replaceWire(req *blockdev.Request, from, to *wireState) {
 
 // contigFuse merges b into a when both are plain contiguous writes on the
 // same device (no attribute semantics).
-func contigFuse(a, b *blockdev.WireCmd, maxBlocks int) bool {
+func contigFuse(a, b *blockdev.WireCmd) bool {
 	if a.Dev != b.Dev || a.Flush || b.Flush {
 		return false
 	}
-	if int(a.Blocks+b.Blocks) > maxBlocks {
+	if a.Blocks+b.Blocks > maxTransferBlocks {
 		return false
 	}
 	if a.LBA+uint64(a.Blocks) != b.LBA {

@@ -183,7 +183,8 @@ func TestFlushCombinerDeadLeaderServesOthers(t *testing.T) {
 // RecoverTarget's replay, after which all are delivered and durable.
 func TestFlushCombinerTargetCutDropsQueue(t *testing.T) {
 	eng := sim.New(1)
-	c := newPoisoned(eng, barrierConfig(ModeRio))
+	c := New(eng, barrierConfig(ModeRio))
+	c.PoisonRecycled()
 	reqs := make([]*blockdev.Request, 4)
 	for s := range reqs {
 		writeAt(c, 0, s, 0, true, &reqs[s])
@@ -206,9 +207,7 @@ func TestFlushCombinerTargetCutDropsQueue(t *testing.T) {
 		if !r.Done.Fired() {
 			t.Fatalf("stream %d: commit not delivered after replay", s)
 		}
-		dev, devLBA := c.Volume().Map(r.LBA)
-		ref := c.Volume().Dev(dev)
-		if rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA); !ok || rec.Stamp != core.AttrStamp(r.Ticket.Attr) {
+		if !c.Holds(r) {
 			t.Fatalf("stream %d: delivered commit is not durable", s)
 		}
 	}
@@ -266,7 +265,8 @@ func TestFlushCombinerHoraeCertifiesLateSlots(t *testing.T) {
 // back, and every commit after the recovery would wait behind it forever.
 func TestFlushCombinerCutDuringCarrierCompletion(t *testing.T) {
 	eng := sim.New(1)
-	c := newPoisoned(eng, barrierConfig(ModeRio))
+	c := New(eng, barrierConfig(ModeRio))
+	c.PoisonRecycled()
 	var r, later *blockdev.Request
 	writeAt(c, 0, 0, 0, true, &r)
 	tg := c.Target(0)

@@ -43,18 +43,12 @@ type GovernorConfig struct {
 }
 
 // withGovernorDefaults resolves the zero-valued GovernorConfig fields
-// against the static knobs (see the field docs) and validates the rest.
-// Called from New only when the governor is enabled, so a disabled
+// against the static knobs (see the field docs); Config.Validate checks the
+// result. Open applies it only when the governor is enabled, so a disabled
 // config is never touched.
 func withGovernorDefaults(gc GovernorConfig, cfg Config) GovernorConfig {
-	if gc.UpOpsPerSec <= 0 {
-		panic("stack: governor requires UpOpsPerSec > 0")
-	}
 	if gc.DownOpsPerSec <= 0 {
 		gc.DownOpsPerSec = gc.UpOpsPerSec / 2
-	}
-	if gc.DownOpsPerSec >= gc.UpOpsPerSec {
-		panic("stack: governor hysteresis requires DownOpsPerSec < UpOpsPerSec")
 	}
 	if gc.LowHold <= 0 {
 		gc.LowHold = cfg.CQEHold / 2
@@ -82,9 +76,6 @@ func withGovernorDefaults(gc GovernorConfig, cfg Config) GovernorConfig {
 	}
 	if gc.HighPlug <= 0 {
 		gc.HighPlug = cfg.MaxPlug
-	}
-	if gc.HighPlug > cfg.MaxPlug {
-		panic("stack: governor HighPlug exceeds MaxPlug (parked rings are pre-sized from MaxPlug)")
 	}
 	return gc
 }

@@ -29,20 +29,18 @@ func TestGovernorDefaults(t *testing.T) {
 
 func TestGovernorValidation(t *testing.T) {
 	cfg := DefaultConfig(ModeRio, optane1()...)
-	expectPanic := func(name string, gc GovernorConfig) {
+	expectError := func(name string, gc GovernorConfig) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		withGovernorDefaults(gc, cfg)
+		cfg.Governor = gc
+		if cfg.Validate() == nil {
+			t.Fatalf("%s: expected an error", name)
+		}
 	}
-	expectPanic("no Up", GovernorConfig{Enabled: true})
-	expectPanic("Down >= Up", GovernorConfig{Enabled: true, UpOpsPerSec: 100, DownOpsPerSec: 100})
+	expectError("no Up", GovernorConfig{Enabled: true})
+	expectError("Down >= Up", GovernorConfig{Enabled: true, UpOpsPerSec: 100, DownOpsPerSec: 100})
 	gc := govBase()
 	gc.HighPlug = cfg.MaxPlug + 1 // parked rings are pre-sized from MaxPlug
-	expectPanic("HighPlug > MaxPlug", gc)
+	expectError("HighPlug > MaxPlug", gc)
 }
 
 // TestGovernorHysteresis drives a synthetic event sequence through one

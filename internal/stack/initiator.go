@@ -294,20 +294,20 @@ func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks
 	return in.readDirect(p, lba, blocks)
 }
 
-// readDirect is the uncached read path: issue one command per extent to
-// the serving replica member, wait for all of them. The commands are
-// tracked as pendingReads like the cached path's, so a power cut of the
-// member reroutes them instead of stranding the reader on a dead SSD.
+// readDirect is the uncached read path: one command per device run (the
+// splitter the cached path uses, so a command never exceeds the transfer
+// limit) to the serving replica member, then wait for all of them. The
+// commands are tracked as pendingReads like the cached path's, so a power cut
+// of the member reroutes them instead of stranding the reader on a dead SSD.
 func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
 	in.useInitCPU(p, in.costs.SubmitBio)
 	out := make([]ssd.Rec, blocks)
 	done := sim.NewWaitGroup(in.Eng)
-	for _, ext := range in.vol.Extents(lba, blocks) {
-		ref := in.vol.Dev(ext.Dev)
+	for _, r := range in.deviceRuns(lba, blocks, false, nil) {
 		// Replication: reads are served from an in-sync member of the set
-		// whose resync backlog does not cover this extent (-1 means the
-		// set is down).
-		ti := in.c.readMemberFor(ref.Server, ref.SSD, ext.DevLBA, ext.Blocks)
+		// whose resync backlog does not cover this run (-1 means the set is
+		// down).
+		ti := in.c.readMemberFor(r.set, r.ssdIdx, r.devLBA, r.blocks)
 		if ti < 0 || !in.targets[ti].alive {
 			continue
 		}
@@ -319,8 +319,8 @@ func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32) []ssd.Re
 		// one-sided RDMA; we charge the round trip and device time via the
 		// SSD path plus a fixed fabric delay.
 		in.submitPendingRead(in.trackRead(&pendingRead{
-			dev: ext.Dev, devLBA: ext.DevLBA, blocks: ext.Blocks, set: ref.Server, ssdIdx: ref.SSD,
-			out: out, outOff: int(ext.Offset), wg: done,
+			dev: r.dev, devLBA: r.devLBA, blocks: r.blocks, set: r.set, ssdIdx: r.ssdIdx,
+			out: out, outOff: r.outOff, wg: done,
 		}), ti)
 	}
 	done.Wait(p)

@@ -178,11 +178,7 @@ func TestInitiatorRecoveryDoesNotRollBackPeers(t *testing.T) {
 	eng := sim.New(109)
 	cfg := multiConfig(2, optane1()...)
 	c := New(eng, cfg)
-	type sub struct {
-		attr core.Attr
-		lba  uint64
-	}
-	var peerSubs, victimSubs []sub
+	var peerSubs, victimSubs []*blockdev.Request
 	in0, in1 := c.Init(0), c.Init(1)
 	// Peer initiator 0: writes it WAITS for (durable before the cut).
 	eng.Go("peer", func(p *sim.Proc) {
@@ -190,7 +186,7 @@ func TestInitiatorRecoveryDoesNotRollBackPeers(t *testing.T) {
 			lba := uint64(g * 2)
 			r := in0.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
 			in0.Wait(p, r)
-			peerSubs = append(peerSubs, sub{r.Ticket.Attr, lba})
+			peerSubs = append(peerSubs, r)
 		}
 	})
 	// Victim initiator 1: continuous async writes, crashed mid-flight.
@@ -198,7 +194,7 @@ func TestInitiatorRecoveryDoesNotRollBackPeers(t *testing.T) {
 		for g := 0; g < 200 && in1.Alive(); g++ {
 			lba := uint64(1<<20 + g*2)
 			r := in1.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
-			victimSubs = append(victimSubs, sub{r.Ticket.Attr, lba})
+			victimSubs = append(victimSubs, r)
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
@@ -213,27 +209,11 @@ func TestInitiatorRecoveryDoesNotRollBackPeers(t *testing.T) {
 	}
 
 	// Victim domain: prefix invariant on its own media.
-	prefix := rep.PrefixFor(1, 0)
-	for gi, sb := range victimSubs {
-		g := uint64(gi + 1)
-		dev, devLBA := c.Volume().Map(sb.lba)
-		ref := c.Volume().Dev(dev)
-		rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
-		isOurs := ok && rec.Stamp == core.AttrStamp(sb.attr)
-		if g <= prefix && !isOurs {
-			t.Fatalf("victim group %d (<= prefix %d) not durable", g, prefix)
-		}
-		if g > prefix && isOurs {
-			t.Fatalf("victim group %d (> prefix %d) survived recovery", g, prefix)
-		}
-	}
+	checkPrefix(t, c, rep, 1, 0, victimSubs)
 	// Peer domain: every waited-for write still durable, and the report
 	// contains nothing for initiator 0 (its partition was never scanned).
-	for gi, sb := range peerSubs {
-		dev, devLBA := c.Volume().Map(sb.lba)
-		ref := c.Volume().Dev(dev)
-		rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
-		if !ok || rec.Stamp != core.AttrStamp(sb.attr) {
+	for gi, r := range peerSubs {
+		if !c.Holds(r) {
 			t.Fatalf("peer group %d rolled back by a foreign initiator's recovery", gi+1)
 		}
 	}
@@ -311,11 +291,7 @@ func TestMultiInitiatorFullCrashRecovery(t *testing.T) {
 	cfg := multiConfig(2, optane1()...)
 	cfg.Streams = 2
 	c := New(eng, cfg)
-	type sub struct {
-		attr core.Attr
-		lba  uint64
-	}
-	subs := make(map[[2]int][]sub) // {initiator, stream}
+	subs := make(map[[2]int][]*blockdev.Request) // {initiator, stream}
 	for ii := 0; ii < 2; ii++ {
 		for s := 0; s < 2; s++ {
 			in := c.Init(ii)
@@ -327,7 +303,7 @@ func TestMultiInitiatorFullCrashRecovery(t *testing.T) {
 					if r.Ticket == nil {
 						break // the power cut landed mid-submission: died un-staged
 					}
-					subs[[2]int{ii, s}] = append(subs[[2]int{ii, s}], sub{r.Ticket.Attr, lba})
+					subs[[2]int{ii, s}] = append(subs[[2]int{ii, s}], r)
 					p.Sleep(2 * sim.Microsecond)
 				}
 			})
@@ -342,22 +318,7 @@ func TestMultiInitiatorFullCrashRecovery(t *testing.T) {
 		t.Fatal("recovery did not run")
 	}
 	for key, list := range subs {
-		prefix := rep.PrefixFor(uint16(key[0]), uint16(key[1]))
-		for gi, sb := range list {
-			g := uint64(gi + 1)
-			dev, devLBA := c.Volume().Map(sb.lba)
-			ref := c.Volume().Dev(dev)
-			rec, ok := c.Target(ref.Server).SSD(ref.SSD).Durable(devLBA)
-			isOurs := ok && rec.Stamp == core.AttrStamp(sb.attr)
-			if g <= prefix && !isOurs {
-				t.Fatalf("init %d stream %d group %d (<= prefix %d) not durable",
-					key[0], key[1], g, prefix)
-			}
-			if g > prefix && isOurs {
-				t.Fatalf("init %d stream %d group %d (> prefix %d) survived",
-					key[0], key[1], g, prefix)
-			}
-		}
+		checkPrefix(t, c, rep, key[0], key[1], list)
 	}
 	eng.Shutdown()
 }
@@ -488,7 +449,7 @@ func TestRecoverTargetPreservesDeadInitiatorEvidence(t *testing.T) {
 	// Now the (only) target dies and recovers while initiator 1 is down.
 	c.PowerCutTarget(0)
 	before := bytes.Clone(c.Target(0).pmrRegion(1))
-	eng.Go("rec-target", func(p *sim.Proc) { c.recover(p, []int{0}, nil) })
+	eng.Go("rec-target", func(p *sim.Proc) { c.Recover(p, []int{0}, nil) })
 	eng.Run()
 	if !bytes.Equal(before, c.Target(0).pmrRegion(1)) {
 		t.Fatal("target recovery touched the dead initiator's PMR partition (evidence destroyed)")

@@ -245,7 +245,8 @@ func TestPoisonCatchesCompletionEventReuse(t *testing.T) {
 		fn()
 	}
 	eng := sim.New(1)
-	c := newPoisoned(eng, DefaultConfig(ModeRio, OptaneTarget()))
+	c := New(eng, DefaultConfig(ModeRio, OptaneTarget()))
+	c.PoisonRecycled()
 	tgt := c.Target(0)
 	d := tgt.getDone()
 	tgt.putDone(d)

@@ -381,12 +381,10 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 	return out
 }
 
-// maxReadRun caps one read command at the SSD transfer limit.
-const maxReadRun = 32
-
 // deviceRuns maps the logical range [lba, lba+blocks) to device-contiguous
 // fetch runs over the blocks want selects (called once per block, in
-// ascending order), each capped at maxReadRun. outOff is the run's offset
+// ascending order; nil selects every block), each capped at
+// maxTransferBlocks. outOff is the run's offset
 // in the range: where a demand run lands in the caller's buffer (prefetch
 // runs only fill the cache and never read it).
 func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want func(ext blockdev.Extent, j uint32) bool) []readRun {
@@ -395,12 +393,12 @@ func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want f
 		ref := in.vol.Dev(ext.Dev)
 		runStart := int32(-1)
 		for j := uint32(0); j <= ext.Blocks; j++ {
-			wanted := j < ext.Blocks && want(ext, j)
+			wanted := j < ext.Blocks && (want == nil || want(ext, j))
 			if wanted {
 				if runStart < 0 {
 					runStart = int32(j)
 				}
-				if j-uint32(runStart)+1 < maxReadRun {
+				if j-uint32(runStart)+1 < maxTransferBlocks {
 					continue
 				}
 			}

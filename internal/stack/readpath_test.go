@@ -126,13 +126,7 @@ func TestDegradedReadsFreshDuringResync(t *testing.T) {
 	if !c.InSync(1) {
 		t.Fatal("member 1 never rejoined")
 	}
-	mediaIdentical(t, c, func() []uint64 {
-		lbas := make([]uint64, n)
-		for i := range lbas {
-			lbas[i] = uint64(i)
-		}
-		return lbas
-	}())
+	mediaIdentical(t, c)
 	if v := c.OrderAudit(); v != 0 {
 		t.Fatalf("order audit: %d violations", v)
 	}
@@ -163,4 +157,31 @@ func TestUncachedReadSurvivesMemberCut(t *testing.T) {
 	if st := c.Init(0).Stats(); st.ReadCmds != n {
 		t.Fatalf("%d read commands counted for %d single-extent reads", st.ReadCmds, n)
 	}
+}
+
+// TestUncachedReadSplitsAtTransferLimit: an uncached read of an extent longer
+// than the device transfer limit goes out as several commands, like the cached
+// path's, instead of one the device refuses ("ssd: command of 64 blocks
+// exceeds max transfer 32" panicked the simulation).
+func TestUncachedReadSplitsAtTransferLimit(t *testing.T) {
+	eng := sim.New(1)
+	cfg := smallConfig(ModeRio, optane1()...)
+	cfg.ChunkBlocks = 64
+	c := New(eng, cfg)
+	defer eng.Shutdown()
+	eng.Go("app", func(p *sim.Proc) {
+		in := c.Init(0)
+		w := in.OrderedWrite(p, 0, 0, 64, 0, nil, true, false, false)
+		in.Wait(p, w)
+		recs := in.Read(p, 0, 64)
+		for i, rec := range recs {
+			if rec.Stamp == 0 {
+				t.Errorf("block %d of %d read back empty", i, len(recs))
+			}
+		}
+		if st := in.Stats(); len(recs) != 64 || st.ReadCmds != 2 {
+			t.Errorf("%d blocks over %d read commands, want 64 over 2", len(recs), st.ReadCmds)
+		}
+	})
+	eng.Run()
 }

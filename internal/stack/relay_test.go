@@ -26,7 +26,6 @@ func TestRelaySteadyState(t *testing.T) {
 	eng := sim.New(21)
 	c := New(eng, relayConfig(3))
 	const streams, groups = 4, 40
-	var lbas []uint64
 	for s := 0; s < streams; s++ {
 		s := s
 		eng.Go("app", func(p *sim.Proc) {
@@ -34,12 +33,11 @@ func TestRelaySteadyState(t *testing.T) {
 				lba := uint64(s*100000 + g)
 				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				c.Init(0).Wait(p, r)
-				lbas = append(lbas, lba)
 			}
 		})
 	}
 	eng.Run()
-	mediaIdentical(t, c, lbas)
+	mediaIdentical(t, c)
 	for s := 0; s < streams; s++ {
 		if c.Init(0).Sequencer().Stream(s).FullyDone() != uint64(groups) {
 			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Init(0).Sequencer().Stream(s).FullyDone(), groups)
@@ -104,7 +102,6 @@ func TestRelayFollowerCut(t *testing.T) {
 	c := New(eng, relayConfig(3))
 	const streams, groups = 4, 60
 	var reqs []*blockdev.Request
-	var lbas []uint64
 	for s := 0; s < streams; s++ {
 		s := s
 		eng.Go("app", func(p *sim.Proc) {
@@ -112,7 +109,6 @@ func TestRelayFollowerCut(t *testing.T) {
 				lba := uint64(s*100000 + g)
 				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				reqs = append(reqs, r)
-				lbas = append(lbas, lba)
 				p.Sleep(2 * sim.Microsecond)
 			}
 		})
@@ -140,7 +136,7 @@ func TestRelayFollowerCut(t *testing.T) {
 	if !c.InSync(2) {
 		t.Fatal("follower did not rejoin after resync")
 	}
-	mediaIdentical(t, c, lbas)
+	mediaIdentical(t, c)
 	eng.Shutdown()
 }
 
@@ -156,7 +152,6 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 	c := New(eng, relayConfig(3))
 	const streams, groups = 4, 60
 	var reqs []*blockdev.Request
-	var lbas []uint64
 	for s := 0; s < streams; s++ {
 		s := s
 		eng.Go("app", func(p *sim.Proc) {
@@ -164,7 +159,6 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 				lba := uint64(s*100000 + g)
 				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				reqs = append(reqs, r)
-				lbas = append(lbas, lba)
 				p.Sleep(2 * sim.Microsecond)
 			}
 		})
@@ -287,20 +281,18 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 	if !c.InSync(0) {
 		t.Fatal("head did not rejoin after resync")
 	}
-	mediaIdentical(t, c, lbas)
+	mediaIdentical(t, c)
 
 	relaysBefore := c.Target(0).Stats().Relays
-	var tail []uint64
 	eng.Go("app2", func(p *sim.Proc) {
 		for g := 0; g < 10; g++ {
 			lba := uint64(900000 + g)
 			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
 			c.Init(0).Wait(p, r)
-			tail = append(tail, lba)
 		}
 	})
 	eng.Run()
-	mediaIdentical(t, c, tail)
+	mediaIdentical(t, c)
 	if c.Target(0).Stats().Relays <= relaysBefore {
 		t.Fatal("relay path did not resume after the head rejoined")
 	}
@@ -313,7 +305,6 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 func TestRelayFullCrashRecovery(t *testing.T) {
 	eng := sim.New(25)
 	c := New(eng, relayConfig(3))
-	var lbas []uint64
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 40; g++ {
 			if !c.Target(0).Alive() {
@@ -321,7 +312,6 @@ func TestRelayFullCrashRecovery(t *testing.T) {
 			}
 			lba := uint64(g)
 			c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
-			lbas = append(lbas, lba)
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
@@ -340,7 +330,7 @@ func TestRelayFullCrashRecovery(t *testing.T) {
 	if !okDone {
 		t.Fatal("cluster unusable after full recovery with relay enabled")
 	}
-	mediaIdentical(t, c, []uint64{7000})
+	mediaIdentical(t, c)
 	eng.Shutdown()
 }
 

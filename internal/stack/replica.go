@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -34,7 +33,7 @@ import (
 // from a peer replica's media when it restarts (rejoin). The last in-sync
 // member of a set — of any size — has no survivor to complete anything: its
 // commands stay outstanding and the initiators replay them on a fresh chain.
-// crash.go takes both decisions, at PowerCutTarget and at recover's rule (1).
+// crash.go takes both decisions, at PowerCutTarget and at Recover's rule (1).
 //
 // Every member's capsule comes from buildMemberCapsule and every capsule
 // reaches the wire through postCapsule; a route only says who carries the
@@ -587,32 +586,4 @@ func (c *Cluster) replicaRepair(p *sim.Proc, views []core.ServerView, report *co
 		}
 	}
 	return len(copies)
-}
-
-// validateReplication checks the replica topology at construction.
-func validateReplication(cfg Config) {
-	r := cfg.Replicas
-	if r <= 1 {
-		if cfg.ReplRelay {
-			panic("stack: ReplRelay requires Replicas > 1")
-		}
-		return
-	}
-	if cfg.Mode != ModeRio {
-		panic("stack: replication requires ModeRio")
-	}
-	if len(cfg.Targets)%r != 0 {
-		panic(fmt.Sprintf("stack: %d targets do not divide into replica sets of %d", len(cfg.Targets), r))
-	}
-	if cfg.WriteQuorum < 0 || cfg.WriteQuorum > r {
-		panic(fmt.Sprintf("stack: write quorum %d out of range for %d replicas", cfg.WriteQuorum, r))
-	}
-	for s := 0; s < len(cfg.Targets); s += r {
-		n := len(cfg.Targets[s].SSDs)
-		for k := 1; k < r; k++ {
-			if len(cfg.Targets[s+k].SSDs) != n {
-				panic("stack: replica set members must have identical SSD geometry")
-			}
-		}
-	}
 }

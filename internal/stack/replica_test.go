@@ -23,47 +23,27 @@ func replConfig(r int) Config {
 	return cfg
 }
 
-// mediaIdentical compares the durable content of every member of set 0
-// for the given logical LBAs, returning the first divergence found.
-func mediaIdentical(t *testing.T, c *Cluster, lbas []uint64) {
+// mediaIdentical fails unless the in-sync members of every set hold the same
+// durable media, block for block.
+func mediaIdentical(t *testing.T, c *Cluster) {
 	t.Helper()
-	members := c.SetMembers(0)
-	for _, lba := range lbas {
-		dev, devLBA := c.Volume().Map(lba)
-		ref := c.Volume().Dev(dev)
-		base, baseOK := c.Target(members[0]).SSD(ref.SSD).Durable(devLBA)
-		for _, m := range members[1:] {
-			rec, ok := c.Target(m).SSD(ref.SSD).Durable(devLBA)
-			if ok != baseOK || rec.Stamp != base.Stamp {
-				t.Fatalf("lba %d diverges: member %d has %+v/%v, member %d has %+v/%v",
-					lba, members[0], base, baseOK, m, rec, ok)
-			}
-			if len(rec.Data) != len(base.Data) {
-				t.Fatalf("lba %d data length diverges across members", lba)
-			}
-			for i := range rec.Data {
-				if rec.Data[i] != base.Data[i] {
-					t.Fatalf("lba %d data byte %d diverges across members", lba, i)
-				}
-			}
-		}
+	if n := c.ReplicaDivergence(); n != 0 {
+		t.Fatalf("%d blocks differ between in-sync members of a replica set", n)
 	}
 }
 
 func TestReplicatedWriteReachesAllMembers(t *testing.T) {
 	eng := sim.New(1)
 	c := New(eng, replConfig(3))
-	var lbas []uint64
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 10; g++ {
 			lba := uint64(g * 7)
 			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
 			c.Init(0).Wait(p, r)
-			lbas = append(lbas, lba)
 		}
 	})
 	eng.Run()
-	mediaIdentical(t, c, lbas)
+	mediaIdentical(t, c)
 	// Every member kept its own dense chain and PMR partition.
 	for _, m := range c.SetMembers(0) {
 		if got := c.Target(m).GateAudit(); got != 0 {
@@ -164,7 +144,6 @@ func TestResyncConvergesByteIdentical(t *testing.T) {
 	eng := sim.New(4)
 	c := New(eng, replConfig(3))
 	const streams, groups = 3, 50
-	var lbas []uint64
 	for s := 0; s < streams; s++ {
 		s := s
 		eng.Go("app", func(p *sim.Proc) {
@@ -172,7 +151,6 @@ func TestResyncConvergesByteIdentical(t *testing.T) {
 				lba := uint64(s*100000 + g)
 				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				c.Init(0).Wait(p, r)
-				lbas = append(lbas, lba)
 			}
 		})
 	}
@@ -188,20 +166,18 @@ func TestResyncConvergesByteIdentical(t *testing.T) {
 	if tm.Replayed == 0 {
 		t.Fatal("resync copied nothing despite a mid-stream degraded window")
 	}
-	mediaIdentical(t, c, lbas)
+	mediaIdentical(t, c)
 
 	// The rejoined member serves new writes with a fresh dense chain.
-	var tail []uint64
 	eng.Go("app2", func(p *sim.Proc) {
 		for g := 0; g < 10; g++ {
 			lba := uint64(900000 + g)
 			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
 			c.Init(0).Wait(p, r)
-			tail = append(tail, lba)
 		}
 	})
 	eng.Run()
-	mediaIdentical(t, c, tail)
+	mediaIdentical(t, c)
 	for _, m := range c.SetMembers(0) {
 		if v := c.Target(m).GateAudit(); v != 0 {
 			t.Fatalf("member %d gate audit after resync: %d violations", m, v)
@@ -223,14 +199,12 @@ func TestWholeSetCutMemberByMember(t *testing.T) {
 			c := New(eng, replConfig(3))
 			defer eng.Shutdown()
 			const writers, writes = 4, 200
-			var lbas []uint64
 			delivered := 0
 			for s := 0; s < writers; s++ {
 				eng.Go("app", func(p *sim.Proc) {
 					for g := 0; g < writes; g++ {
 						lba := uint64(s*100000 + g)
 						r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
-						lbas = append(lbas, lba)
 						c.Init(0).Wait(p, r)
 						delivered++
 					}
@@ -276,7 +250,7 @@ func TestWholeSetCutMemberByMember(t *testing.T) {
 			if delivered != writers*writes {
 				t.Fatalf("%d of %d writes delivered", delivered, writers*writes)
 			}
-			mediaIdentical(t, c, lbas)
+			mediaIdentical(t, c)
 			if v := c.OrderAudit(); v != 0 {
 				t.Fatalf("order audit: %d violations", v)
 			}
@@ -321,7 +295,7 @@ func TestFullQuorumStallsThenResyncCompletes(t *testing.T) {
 	if !r2.Done.Fired() {
 		t.Fatal("full-set quorum write still stalled after resync rejoined the member")
 	}
-	mediaIdentical(t, c, []uint64{1, 2})
+	mediaIdentical(t, c)
 	eng.Shutdown()
 }
 
@@ -380,19 +354,13 @@ func TestReplicatedFlushCompletesDegraded(t *testing.T) {
 func TestReplicatedFullCrashRecovery(t *testing.T) {
 	eng := sim.New(8)
 	c := New(eng, replConfig(3))
-	type sub struct {
-		attr core.Attr
-		lba  uint64
-	}
-	var subs []sub
+	var subs []*blockdev.Request
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 40; g++ {
 			if !c.Target(0).Alive() {
 				break // whole-cluster outage: applications gate on liveness
 			}
-			lba := uint64(g)
-			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
-			subs = append(subs, sub{attr: r.Ticket.Attr, lba: lba})
+			subs = append(subs, c.Init(0).OrderedWrite(p, 0, uint64(g), 1, 0, nil, true, false, false))
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
@@ -401,22 +369,10 @@ func TestReplicatedFullCrashRecovery(t *testing.T) {
 	var rep *core.Report
 	eng.Go("rec", func(p *sim.Proc) { rep, _ = c.RecoverFull(p) })
 	eng.Run()
-	prefix := rep.Prefix(0)
-	members := c.SetMembers(0)
-	for gi, sb := range subs {
-		g := uint64(gi + 1)
-		dev, devLBA := c.Volume().Map(sb.lba)
-		ref := c.Volume().Dev(dev)
-		for _, m := range members {
-			rec, ok := c.Target(m).SSD(ref.SSD).Durable(devLBA)
-			isOurs := ok && rec.Stamp == core.AttrStamp(sb.attr)
-			if g <= prefix && !isOurs {
-				t.Fatalf("group %d (<= prefix %d) missing on member %d", g, prefix, m)
-			}
-			if g > prefix && isOurs {
-				t.Fatalf("group %d (> prefix %d) survived on member %d", g, prefix, m)
-			}
-		}
+	// Inside the prefix on every member, beyond it on none: the members agree.
+	checkPrefix(t, c, rep, 0, 0, subs)
+	if n := c.ReplicaDivergence(); n != 0 {
+		t.Fatalf("%d blocks differ between members after whole-cluster recovery", n)
 	}
 	// The cluster is reusable with full membership.
 	okDone := false

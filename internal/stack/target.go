@@ -300,9 +300,6 @@ func (t *Target) recvCapsule(init, qp int, cp *capsule) {
 func (t *Target) pmrRegion(init int) []byte {
 	region := t.ssds[0].PMRBytes()
 	per := (len(region) / t.c.cfg.Initiators / core.EntrySize) * core.EntrySize
-	if per == 0 {
-		panic("stack: PMR region too small for the initiator count")
-	}
 	return region[init*per : (init+1)*per]
 }
 

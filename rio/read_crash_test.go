@@ -143,7 +143,7 @@ func TestServeCrashMemberCachedReads(t *testing.T) {
 	if !c.InSync(1) {
 		t.Error("member not in sync after resync")
 	}
-	if d := divergentBlocks(c, 1); d != 0 {
+	if d := c.Stack().ReplicaDivergence(); d != 0 {
 		t.Errorf("member diverges from peer on %d blocks after resync", d)
 	}
 	if bad := c.CacheAudit(); bad != 0 {

@@ -22,6 +22,7 @@ package rio
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
@@ -134,7 +135,7 @@ type ReadOptions struct {
 	// ReadAhead is the default prefetch depth (blocks) once an
 	// ascending-LBA stream is detected. 0 disables read-ahead; a
 	// positive depth requires CacheBlocks > 0 (prefetched blocks need
-	// somewhere to land) and NewCluster panics without it. File systems
+	// somewhere to land) and Open refuses it without. File systems
 	// can override the depth per mount with FSOptions.ReadAhead.
 	ReadAhead int
 	// NegativeLookup turns on the per-store bloom filter for every KV
@@ -151,8 +152,19 @@ type Cluster struct {
 	read  ReadOptions
 }
 
-// NewCluster builds and starts the stack.
+// NewCluster is Open for options known to be legal: it panics with Open's
+// error.
 func NewCluster(o Options) *Cluster {
+	c, err := Open(o)
+	if err != nil {
+		panic(err.Error())
+	}
+	return c
+}
+
+// Open builds and starts the stack, or returns the rule the options break
+// (stack.Config.Validate has them all).
+func Open(o Options) (*Cluster, error) {
 	if len(o.Targets) == 0 {
 		o.Targets = []TargetSpec{{SSDs: []DeviceClass{Optane}}}
 	}
@@ -200,7 +212,11 @@ func NewCluster(o Options) *Cluster {
 	cfg.ReadAhead = o.Read.ReadAhead
 	cfg.Trace = trace.Config{SampleEvery: o.Trace.SampleEvery, Keep: o.Trace.Keep}
 	eng := sim.New(cfg.Seed)
-	return &Cluster{eng: eng, inner: stack.New(eng, cfg), read: o.Read}
+	inner, err := stack.Open(eng, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{eng: eng, inner: inner, read: o.Read}, nil
 }
 
 // Ctx is the execution context of simulated application code, bound to
@@ -457,14 +473,19 @@ func InitiatorScope(i int) Scope { return Scope{inits: []int{i}} }
 
 func (s Scope) cluster() bool { return s.targets == nil && s.inits == nil }
 
+// String names every server in the scope: "target(1)+initiator(0)".
 func (s Scope) String() string {
-	switch {
-	case len(s.targets) > 0:
-		return fmt.Sprintf("target(%d)", s.targets[0])
-	case len(s.inits) > 0:
-		return fmt.Sprintf("initiator(%d)", s.inits[0])
+	var parts []string
+	for _, t := range s.targets {
+		parts = append(parts, fmt.Sprintf("target(%d)", t))
 	}
-	return "cluster"
+	for _, i := range s.inits {
+		parts = append(parts, fmt.Sprintf("initiator(%d)", i))
+	}
+	if parts == nil {
+		return "cluster"
+	}
+	return strings.Join(parts, "+")
 }
 
 // Fault power-cuts the given scope: volatile state inside the scope is
@@ -498,36 +519,34 @@ func (r *Report) DurablePrefixFor(initiator, stream int) uint64 {
 	return r.inner.PrefixFor(uint16(initiator), uint16(stream))
 }
 
-// Recover runs the §4.4 recovery algorithm over each given scope, in
-// order, and returns the ordering report of the last one. No scope means
-// ClusterScope: full recovery after a whole-cluster PowerCut, so legacy
-// ctx.Recover() calls keep their meaning. Scope semantics:
+// Recover runs the §4.4 recovery algorithm once, over the union of the given
+// scopes: servers that went down together are repaired by one run — one PMR
+// scan, one roll-back against all the evidence — not one run each. No scope,
+// or any ClusterScope among them, is the whole cluster: full recovery after a
+// whole-cluster PowerCut, so legacy ctx.Recover() calls keep their meaning.
+// What the run does for a server follows from what it observes:
 //
-//   - ClusterScope: every initiator replays its PMR-durable requests and
-//     rolls the volume forward to the per-stream durable prefixes.
-//   - TargetScope(i): every surviving initiator replays its own
-//     in-flight requests against the repaired target (§4.4.1 target
-//     recovery); a member of a replica set that kept a survivor is
-//     instead resynced in the background — it copies the delta from a
-//     peer replica's media and rejoins its set; no stream stalled and no
-//     initiator replays anything.
-//   - InitiatorScope(i): the crashed initiator recovers from its own PMR
-//     partitions; no other initiator's state is read or rolled back.
+//   - every initiator in the union recovers from its own PMR partitions and
+//     rolls the volume back to its per-stream durable prefixes; no other
+//     initiator's state is read or rolled back;
+//   - a target that was the last in-sync member of its set (any unreplicated
+//     target) is rolled back likewise and every surviving initiator replays
+//     its in-flight requests against it (§4.4.1 target recovery);
+//   - a member of a replica set that kept a survivor is resynced in the
+//     background — it copies the delta from a peer replica's media and rejoins
+//     its set; no stream stalled and no initiator replays anything.
 func (ctx *Ctx) Recover(scope ...Scope) *Report {
-	if len(scope) == 0 {
-		scope = []Scope{ClusterScope()}
+	inner, whole := ctx.c.inner, len(scope) == 0
+	var union Scope
+	for _, s := range scope {
+		whole = whole || s.cluster()
+		union.targets, union.inits = append(union.targets, s.targets...), append(union.inits, s.inits...)
 	}
 	out := new(Report)
-	for _, s := range scope {
-		if s.cluster() {
-			out.inner, out.Timing = ctx.c.inner.RecoverFull(ctx.p)
-		}
-		for _, t := range s.targets {
-			out.inner, out.Timing = ctx.c.inner.RecoverTarget(ctx.p, t)
-		}
-		for _, i := range s.inits {
-			out.inner, out.Timing = ctx.c.inner.RecoverInitiator(ctx.p, i)
-		}
+	if whole {
+		out.inner, out.Timing = inner.RecoverFull(ctx.p)
+	} else {
+		out.inner, out.Timing = inner.Recover(ctx.p, union.targets, union.inits)
 	}
 	return out
 }

@@ -68,39 +68,6 @@ func assertWholeRecords(t *testing.T, p *sim.Proc, fsys *fs.FS, rec int) {
 	}
 }
 
-// divergentBlocks compares the durable content of a replica member
-// against a peer of its set, returning the count of mismatched blocks
-// (0 = byte-identical after resync).
-func divergentBlocks(c *Cluster, member int) int {
-	st := c.Stack()
-	set := st.SetOf(member)
-	peer := -1
-	for _, m := range st.SetMembers(set) {
-		if m != member {
-			peer = m
-			break
-		}
-	}
-	if peer < 0 {
-		return 0
-	}
-	ps, ms := st.Target(peer).SSD(0), st.Target(member).SSD(0)
-	bad := 0
-	for _, lba := range ps.DurableLBAs() {
-		prec, _ := ps.Durable(lba)
-		mrec, ok := ms.Durable(lba)
-		if !ok || mrec.Stamp != prec.Stamp {
-			bad++
-		}
-	}
-	for _, lba := range ms.DurableLBAs() {
-		if _, ok := ps.Durable(lba); !ok {
-			bad++
-		}
-	}
-	return bad
-}
-
 // TestServeCrashReplicaMember: two tenants serve fillsync puts from
 // their own initiators over 3-way replica sets; one member of set 0 is
 // power-cut mid-put. At majority quorum no stream stalls — both tenants
@@ -193,7 +160,7 @@ func TestServeCrashReplicaMember(t *testing.T) {
 	if !c.InSync(1) {
 		t.Error("member not in sync after resync")
 	}
-	if d := divergentBlocks(c, 1); d != 0 {
+	if d := c.Stack().ReplicaDivergence(); d != 0 {
 		t.Errorf("member diverges from peer on %d blocks after resync", d)
 	}
 	if v := c.OrderAudit(); v != 0 {
