@@ -8,7 +8,9 @@
 //
 //	riocrash -seed N [-n K] [-set key=value …] [-v]
 //
-// -n runs plans N … N+K-1 and ends with a histogram of what was drawn. Each
+// -n runs plans N … N+K-1, every one of them — a failing plan prints its repro
+// line and the run goes on — and ends with `f of K plans break the contract`
+// and a histogram of what was drawn; the exit status is 1 iff f > 0. Each
 // -set pins one dimension instead of drawing it (`riocrash -set help` lists
 // them); the rest is still drawn from the seed. Without -seed a fresh seed is
 // drawn and printed. -v prints every cut and recovery of a run.
@@ -46,6 +48,7 @@ func run(args []string, out io.Writer) int {
 		*seed = time.Now().UnixNano()%1_000_000_000 + 1
 	}
 	var plans []crash.Plan
+	failed := 0
 	for s := *seed; s < *seed+int64(*n); s++ {
 		pl, err := crash.Draw(s, pins...)
 		if err != nil {
@@ -59,13 +62,17 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintln(out, "  "+strings.Join(res.Log, "\n  "))
 		}
 		if err != nil {
+			failed++
 			fmt.Fprintf(out, "  FAIL: %v\nreproduce with: %s\n", err, pl.Repro())
-			return 1
+			continue
 		}
 		fmt.Fprintf(out, "  ok: %v\n", res)
 	}
 	if *n > 1 {
-		fmt.Fprintf(out, "%d plans hold the contract; drawn:\n%s", *n, crash.Histogram(plans))
+		fmt.Fprintf(out, "%d of %d plans break the contract; drawn:\n%s", failed, *n, crash.Histogram(plans))
+	}
+	if failed > 0 {
+		return 1
 	}
 	return 0
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -43,14 +44,21 @@ func TestSeedIsThePlanTheTestsRun(t *testing.T) {
 			}
 		}
 	}
-	// A plan that breaks the contract stops the run, exits 1 and prints the line
-	// that reproduces it (here a recorded finding, let through by name: one of
-	// four seeds hits it at head); pins no plan can satisfy exit 2.
+	// -n measures a rate: every plan runs, each one that breaks the contract
+	// prints the line that reproduces it (here a recorded finding, let through
+	// by name), the last line counts them, and the exit status is 1 iff any
+	// did; pins no plan can satisfy exit 2.
 	var out bytes.Buffer
 	pins := " -set cut=target -set devices=fo -set victim=0 -set chunk=0 -set commit=2 -set inits=1 -set cache=0 -set allow=1f"
-	if code := run(strings.Fields("-seed 1 -n 4"+pins), &out); code != 1 || !strings.Contains(out.String(), pins+"\n") ||
-		!strings.Contains(out.String(), "reproduce with: riocrash -seed ") {
+	code := run(strings.Fields("-seed 1 -n 4"+pins), &out)
+	failed := strings.Count(out.String(), "reproduce with: riocrash -seed ")
+	if code != 1 || failed == 0 || strings.Count(out.String(), "\nplan ") != 3 || !strings.Contains(out.String(), pins+"\n") ||
+		!strings.Contains(out.String(), fmt.Sprintf("\n%d of 4 plans break the contract", failed)) {
 		t.Errorf("riocrash -seed 1 -n 4%s exited %d:\n%s", pins, code, out.String())
+	}
+	out.Reset()
+	if code := run(strings.Fields("-seed 1 -n 2"), &out); code != 0 || !strings.Contains(out.String(), "\n0 of 2 plans break the contract") {
+		t.Errorf("riocrash -seed 1 -n 2 exited %d:\n%s", code, out.String())
 	}
 	if code := run([]string{"-seed", "1", "-set", "cut=head", "-set", "relay=0"}, &out); code != 2 {
 		t.Errorf("an unsatisfiable pin exited %d, want 2", code)

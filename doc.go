@@ -9,6 +9,6 @@
 // figure of the paper's evaluation is internal/bench, runnable via
 // cmd/riobench or the benchmarks in bench_test.go.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for a tour and DESIGN.md for the system inventory, the
+// experiment index (§5) and the calibrated cost model (§6).
 package repro

@@ -89,8 +89,29 @@ func TestSameSeedSamePlan(t *testing.T) {
 // admit no legal plan, or ask for a recorded finding, are refused with the
 // rule; allow= runs the finding, and the oracle is live on it — at head a
 // flash-target cut under commits breaks the contract exactly as ROADMAP item
-// 1(f) records.
+// 1(f) records. A retired finding is the opposite on both counts: its pins
+// draw without allow=, and its repro plan holds the whole contract — 1(g), a
+// write complete but undelivered at the cut, no request let off any more
+// (target, both, every member in turn), and 1(j), a Horae commit fused into a
+// data command on flash.
 func TestPinsAndFindings(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		pins string
+	}{
+		{7, "cut=target final=false"},
+		{38, "cut=members inits=1 final=false"},
+		{29, "cut=both"},
+		{7, "cut=cluster mode=horae devices=fo commit=2 burst=4"},
+	} {
+		pl, err := Draw(tc.seed, strings.Fields(tc.pins)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.Run(); err != nil {
+			t.Errorf("a retired finding is back: %v\nreproduce with: %s", err, pl.Repro())
+		}
+	}
 	pl, err := Draw(7, "cut=initiator", "pmr=64", "at=100")
 	if err != nil || pl.Cut != "initiator" || pl.Cfg.Targets[0].SSDs[0].PMRSize != 64<<10 || pl.At != 100 {
 		t.Fatalf("pinned draw: %v, %v", pl, err)

@@ -47,7 +47,7 @@ type Plan struct {
 	FinalAt  int    // µs
 	Victim   int    // the target (set member) the cut takes, or starts at
 	VInit    int    // the initiator "initiator" and "both" cut
-	Allow    string // recorded findings to let through, by item: "1f,1g"
+	Allow    string // recorded findings to let through, by item: "1d,1f"
 
 	Seed int64
 	Cfg  stack.Config
@@ -97,10 +97,9 @@ var modes = map[string]stack.Mode{"orderless": stack.ModeOrderless, "linux": sta
 
 // findings are the plans that violate the contract at head for a recorded
 // reason (ROADMAP item 1). Draw keeps them out, by name; `-set allow=<item>`
-// runs one anyway, which is how the item's repro line stays runnable. Two
-// findings no predicate over plans can name are kept out in run.go instead,
-// and let through the same way: 1g request by request (cutAndRecover), 1h by
-// the state of the evidence (checkIncarnation).
+// runs one anyway, which is how the item's repro line stays runnable. One
+// finding no predicate over plans can name is kept out in run.go instead, and
+// let through the same way: 1h, by the state of the evidence (check).
 var findings = []struct {
 	item, what string
 	hit        func(pl *Plan) bool
@@ -109,12 +108,8 @@ var findings = []struct {
 		func(pl *Plan) bool { return pl.Commit > 0 && pl.striped() && !pl.plp() }},
 	{"1f", "a target-only cut of a non-PLP device: plain writes acknowledged from its cache are lost and nothing re-sends them",
 		func(pl *Plan) bool { return pl.targetOnly() && pl.Devices[pl.Victim] == 'f' }},
-	{"1g", "every member of a set cut in turn, then the whole cluster: what the first recovery's replay did not re-send (run.go keeps those writes out one by one) the second finds on some members only, and the set diverges",
-		func(pl *Plan) bool { return pl.Cut == "members" && pl.Final }},
 	{"1i", "every member of a set cut in turn under two initiators with several writes outstanding per stream: no recovery ever completes",
 		func(pl *Plan) bool { return pl.Cut == "members" && pl.Inits > 1 }},
-	{"1j", "horae mode, a commit fused into a data command on a non-PLP device: the FLUSH marks the command's first constituent only, so the commit's own entry never reads as certified and its delivered group is rolled back",
-		func(pl *Plan) bool { return pl.Mode == "horae" && pl.Commit > 0 && pl.Burst > 1 && !pl.plp() }},
 }
 
 func (pl *Plan) plp() bool        { return !strings.Contains(pl.Devices, "f") } // every device has power-loss protection

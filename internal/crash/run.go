@@ -47,7 +47,6 @@ type run struct {
 	recovered       bool // some recovery has run: evidence may have been formatted
 	holes           bool // an initiator came back on evidence that may have holes (finding 1(h), see check)
 	stale           int
-	known1g         map[*blockdev.Request]bool // see cutAndRecover
 }
 
 // Run executes the plan — traffic, cut, quiesce, recover under whatever
@@ -64,7 +63,7 @@ func (pl Plan) Run() (out Outcome, err error) {
 		return out, err
 	}
 	c.PoisonRecycled()
-	h := &run{pl: pl, eng: eng, c: c, gen: make([]int, pl.Inits), known1g: map[*blockdev.Request]bool{}}
+	h := &run{pl: pl, eng: eng, c: c, gen: make([]int, pl.Inits)}
 	for i := range h.gen {
 		h.live, h.frozen = append(h.live, make([][]*blockdev.Request, pl.Cfg.Streams)), append(h.frozen, nil)
 		for s := range pl.Cfg.Streams {
@@ -171,7 +170,7 @@ func (h *run) reader(p *sim.Proc, i, s int) {
 		}
 		g, dark := h.gen[i], h.dark
 		recs := in.ReadStreamAhead(p, s, r.LBA, 1, 0)
-		if g != h.gen[i] || dark != h.dark || dark%2 == 1 || !h.pl.plp() || h.stopped || h.known1g[r] {
+		if g != h.gen[i] || dark != h.dark || dark%2 == 1 || !h.pl.plp() || h.stopped {
 			continue
 		}
 		if len(recs) == 1 && recs[0].Stamp == core.AttrStamp(r.Ticket.Attr) {
@@ -251,7 +250,7 @@ func (h *run) cutAndRecover(kind string) error {
 		slices.Reverse(targets)
 		runs = slices.Collect(slices.Chunk(targets, 1))
 	}
-	reports, pending, began := make([]*core.Report, len(runs)), len(runs), eng.Now()
+	reports, pending := make([]*core.Report, len(runs)), len(runs)
 	for k, ts := range runs {
 		eng.Go("crash/recover", func(p *sim.Proc) {
 			rep, tm := c.Recover(p, ts, inits)
@@ -272,25 +271,6 @@ func (h *run) cutAndRecover(kind string) error {
 	}
 	if t := slices.IndexFunc(targets, func(t int) bool { return !c.InSync(t) }); t >= 0 {
 		return fmt.Errorf("target %d is not back in sync after its recovery", targets[t])
-	}
-	// ROADMAP finding 1(g), kept out request by request because any dark set
-	// under a surviving initiator can hit it: a write the restarted server had
-	// acknowledged is not outstanding, so the replay does not re-send it, while
-	// roll-back erases it if its group lies beyond the prefix. On a set of one
-	// it had completed, and is delivered once its stream's replay is — gone.
-	// On a larger set the acknowledgement is one member's and not observable
-	// here, the write may never reach its quorum again, and every write in
-	// flight at the cut is let off. `-set allow=1g` checks them all.
-	for i, streams := range h.live {
-		for s, list := range streams {
-			for _, r := range list {
-				inFlight := r.SubmitAt <= darkAt && (r.DeliverAt == 0 || r.DeliverAt > darkAt)
-				acked := c.Replicas() > 1 || r.CompleteAt > 0 && r.CompleteAt <= began
-				if !lit && inFlight && acked && r.Ticket.Attr.SeqStart > reports[0].PrefixFor(uint16(i), uint16(s)) {
-					h.known1g[r] = !h.pl.allows("1g")
-				}
-			}
-		}
 	}
 	if len(inits) > 0 {
 		if err := h.check("the incarnation the cut ended", h.frozen, reports[0], strict); err != nil {
@@ -343,9 +323,6 @@ func (h *run) settled(when string, ledger bool) error {
 	if err := h.check(when, h.live, nil, false); err != nil {
 		return err
 	}
-	for r, known := range h.known1g {
-		ledger = ledger && (!known || r.Done.Fired()) // behind a stranded write nothing is delivered, and the spans stay open
-	}
 	if !ledger {
 		a.Trace = 0
 	}
@@ -393,10 +370,9 @@ func (h *run) check(when string, incarnations [][][]*blockdev.Request, rep *core
 					owed = sound && whole && (commit || h.pl.plp())
 				}
 				switch {
-				case h.known1g[r]:
 				case owed && !h.c.Holds(r):
 					return fail(r, "is at or below a delivered group that promised durability, but is not durable")
-				case rep == nil && !delivered && h.c.Init(i).Alive() && !h.wedged(list[:k]):
+				case rep == nil && !delivered && h.c.Init(i).Alive():
 					return fail(r, "never delivered")
 				case rep != nil && g <= prefix && (sound || h.pl.plp()) && !h.c.Holds(r):
 					return fail(r, fmt.Sprintf("inside prefix %d but not durable", prefix))
@@ -407,12 +383,6 @@ func (h *run) check(when string, incarnations [][][]*blockdev.Request, rep *core
 		}
 	}
 	return nil
-}
-
-// wedged reports whether a write finding 1(g) stranded lies in front: a stream
-// delivers in order, so nothing behind it can be delivered either.
-func (h *run) wedged(before []*blockdev.Request) bool {
-	return slices.ContainsFunc(before, func(r *blockdev.Request) bool { return h.known1g[r] && !r.Done.Fired() })
 }
 
 func (h *run) log(format string, args ...any) {

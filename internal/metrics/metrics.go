@@ -315,12 +315,15 @@ func (s *Series) Add(x, y float64) {
 }
 
 // Table formats one or more series that share X values as an aligned text
-// table with the given column headers.
+// table with the given column headers. A column is as wide as its label
+// needs, and at least 16.
 func Table(title, xName string, series ...Series) string {
 	out := fmt.Sprintf("# %s\n", title)
 	out += fmt.Sprintf("%-12s", xName)
-	for _, s := range series {
-		out += fmt.Sprintf("%16s", s.Label)
+	width := make([]int, len(series))
+	for k, s := range series {
+		width[k] = max(16, len(s.Label)+2)
+		out += fmt.Sprintf("%*s", width[k], s.Label)
 	}
 	out += "\n"
 	if len(series) == 0 {
@@ -329,11 +332,11 @@ func Table(title, xName string, series ...Series) string {
 	n := len(series[0].X)
 	for i := 0; i < n; i++ {
 		out += fmt.Sprintf("%-12g", series[0].X[i])
-		for _, s := range series {
+		for k, s := range series {
 			if i < len(s.Y) {
-				out += fmt.Sprintf("%16.2f", s.Y[i])
+				out += fmt.Sprintf("%*.2f", width[k], s.Y[i])
 			} else {
-				out += fmt.Sprintf("%16s", "-")
+				out += fmt.Sprintf("%*s", width[k], "-")
 			}
 		}
 		out += "\n"

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -153,22 +154,34 @@ func TestEfficiency(t *testing.T) {
 }
 
 func TestSeriesTable(t *testing.T) {
-	var s1, s2 Series
-	s1.Label, s2.Label = "rio", "linux"
+	var s1, s2, s3 Series
+	s1.Label, s2.Label, s3.Label = "rio", "initiator w/o merging", "linux"
 	s1.Add(1, 10.5)
 	s1.Add(2, 20.25)
 	s2.Add(1, 1)
 	s2.Add(2, 2)
-	out := Table("fig", "threads", s1, s2)
-	if !strings.Contains(out, "rio") || !strings.Contains(out, "linux") {
-		t.Fatalf("missing labels in table:\n%s", out)
-	}
+	s3.Add(1, 3)
+	out := Table("fig", "threads", s1, s2, s3)
 	if !strings.Contains(out, "20.25") {
 		t.Fatalf("missing value in table:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 { // title + header + 2 rows
 		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), out)
+	}
+	// A label longer than the default column widens its column — header and
+	// cells alike — instead of running into its neighbour; a short series
+	// prints "-" under its own header.
+	if got := strings.Fields(lines[1]); !slices.Equal(got, []string{"threads", "rio", "initiator", "w/o", "merging", "linux"}) {
+		t.Fatalf("header fields %q", got)
+	}
+	for _, l := range lines[1:] {
+		if len(l) != len(lines[1]) {
+			t.Fatalf("row %q is not as wide as the header %q", l, lines[1])
+		}
+	}
+	if !strings.HasSuffix(lines[3], "2.00               -") {
+		t.Fatalf("short series not marked under its column: %q", lines[3])
 	}
 }
 

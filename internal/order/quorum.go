@@ -5,7 +5,7 @@ package order
 // replica set (each member's target runs its own Engine with its own
 // dense chain for the stream), and the Quorum accounts the member acks
 // that decide when the completion may be delivered (Acks >= Need) and
-// when the command may be finalized (every member resolved — acked, or
+// when the command may be recycled (every member resolved — acked, or
 // cancelled by a power cut). The counting transitions live here; the
 // stack keeps its wire-format payloads (each member's SQE and attribute
 // chain) in a slice parallel to Members.
@@ -18,7 +18,6 @@ type Quorum struct {
 	NResolved int
 	Need      int // write quorum (for barriers: every posted member)
 	Fired     bool
-	Recycled  bool
 }
 
 // Reset prepares recycled quorum state for a new command, keeping the
@@ -28,7 +27,7 @@ func (q *Quorum) Reset() {
 	q.Got = q.Got[:0]
 	q.Resolved = q.Resolved[:0]
 	q.Acks, q.NResolved, q.Need = 0, 0, 0
-	q.Fired, q.Recycled = false, false
+	q.Fired = false
 }
 
 // Add registers one member the command was posted to.

@@ -106,7 +106,7 @@ func (c *Cluster) Holds(req *blockdev.Request) bool {
 // command embedded in it) dead for good instead of reusable, so a reference
 // that outlived the recycle, or a second recycle, panics instead of
 // corrupting a later command.
-func (c *Cluster) PoisonRecycled() { c.poisonRecycled = true }
+func (c *Cluster) PoisonRecycled() { c.poison = true }
 
 // BarriersQueued reports whether device d's flush combiner has a FLUSH at
 // the device with barriers queued behind it.

@@ -297,7 +297,7 @@ type Cluster struct {
 	// zero value — the data plane then carries only nil checks).
 	tracer *trace.Tracer
 
-	poisonRecycled bool // test hook: see PoisonRecycled
+	poison bool // test hook: see PoisonRecycled
 }
 
 type fuseTail struct {

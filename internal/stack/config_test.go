@@ -10,7 +10,7 @@ import (
 // TestCalibrationPinned pins the calibrated cost model and device profiles
 // (DESIGN.md §6): an accidental change to any of these silently reshapes
 // every figure, so changes must be deliberate (update this test and
-// re-record EXPERIMENTS.md).
+// DESIGN.md §6).
 func TestCalibrationPinned(t *testing.T) {
 	c := DefaultCosts()
 	pin := []struct {
@@ -34,7 +34,7 @@ func TestCalibrationPinned(t *testing.T) {
 	}
 	for _, p := range pin {
 		if p.got != p.want {
-			t.Errorf("%s = %v, want %v (recalibrate EXPERIMENTS.md if deliberate)", p.name, p.got, p.want)
+			t.Errorf("%s = %v, want %v (update DESIGN.md §6 if deliberate)", p.name, p.got, p.want)
 		}
 	}
 

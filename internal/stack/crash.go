@@ -519,11 +519,14 @@ func (in *Initiator) restartChain(target int) {
 	}
 }
 
-// prepareReplay collects this initiator's in-flight commands toward the
+// prepareReplay collects this initiator's outstanding commands toward the
 // restarted target in per-stream ServerIdx order, restarts the chains
 // toward it, has stampMember re-mint the target's chain of every command in
 // the replay set — the same record the replayed capsule points at and the
-// gate reads, so nothing stale survives — and pins the set. A command
+// gate reads, so nothing stale survives — and pins the set. Outstanding
+// means not yet recycled, so a write that completed but is still undelivered
+// is re-sent too: roll-back may have erased it as beyond the prefix, and the
+// ack of its replayed copy is a duplicate that memberAck drops. A command
 // dispatch has not stamped yet is not in flight: dispatch will mint it on
 // the fresh chain. It performs no simulated work: it must never yield
 // (recover calls it between the target's gate reset and its links coming

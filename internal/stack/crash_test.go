@@ -120,6 +120,51 @@ func TestCrashWithFlushedGroupsSurvives(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestTargetCutReplaysCompletedUndeliveredWrite: a write that completed at its
+// initiator but waits behind an earlier group of its stream is still
+// outstanding, so when its target is cut and roll-back erases it as beyond the
+// prefix, the replay re-sends it (ROADMAP finding 1(g): it used to be
+// delivered — and gone). Under PoisonRecycled too: the replayed copy's ack is a
+// duplicate, and nothing may be recycled twice.
+func TestTargetCutReplaysCompletedUndeliveredWrite(t *testing.T) {
+	for _, poison := range []bool{false, true} {
+		eng := sim.New(1)
+		a, b := OptaneTarget(), OptaneTarget()
+		a.SSDs[0].PMRSize, b.SSDs[0].PMRSize = 1<<10, 1<<10 // a scan shorter than the large write
+		cfg := smallConfig(ModeRio, a, b)
+		cfg.ChunkBlocks = 1 << 16 // LBA 0 is target A's, LBA 1<<16 target B's
+		c := New(eng, cfg)
+		if poison {
+			c.PoisonRecycled()
+		}
+		var large, small *blockdev.Request
+		eng.Go("app", func(p *sim.Proc) {
+			large = c.Init(0).OrderedWrite(p, 0, 1<<16, 32, 0, nil, true, false, false)
+			small = c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		})
+		for small == nil || small.CompleteAt == 0 {
+			eng.RunUntil(eng.Now() + sim.Microsecond)
+		}
+		if large.CompleteAt != 0 || small.Done.Fired() {
+			t.Fatalf("want group 2 complete behind group 1 in flight; group 1 completed at %v, group 2 delivered: %v",
+				large.CompleteAt, small.Done.Fired())
+		}
+		c.PowerCutTarget(0)
+		var rep *core.Report
+		eng.Go("recovery", func(p *sim.Proc) { rep, _ = c.RecoverTarget(p, 0) })
+		eng.Run()
+		if rep.PrefixFor(0, 0) != 0 {
+			t.Fatalf("prefix %d: the scan did not see group 1 in flight, and nothing was rolled back", rep.PrefixFor(0, 0))
+		}
+		for g, r := range []*blockdev.Request{large, small} {
+			if !r.Done.Fired() || !c.Holds(r) {
+				t.Errorf("poison %v: group %d: delivered %v, durable %v", poison, g+1, r.Done.Fired(), c.Holds(r))
+			}
+		}
+		eng.Shutdown()
+	}
+}
+
 func TestTargetCrashReplayConverges(t *testing.T) {
 	eng := sim.New(41)
 	cfg := smallConfig(ModeRio, OptaneTarget(), OptaneTarget())

@@ -782,9 +782,9 @@ func (in *Initiator) reapLoop(p *sim.Proc, sh *shard) {
 			}
 			if i < len(msg.agg) && msg.agg[i].members != nil {
 				// Aggregated CQE (relay route): the set head vouches for
-				// every listed member's ack. memberAck may finalize and
-				// recycle ws mid-list — the outstanding check stops the walk
-				// the moment it does.
+				// every listed member's ack. memberAck may recycle ws
+				// mid-list — the outstanding check stops the walk the moment
+				// it does.
 				addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)
 				for _, m := range msg.agg[i].members {
 					in.memberAck(p, ws, m)

@@ -389,7 +389,7 @@ func (in *Initiator) newFlushWire(d, stream int) *wireState {
 // putFlushWires recycles standalone flush commands once their waits have
 // returned (they carry no requests, so delivery never recycles them). A
 // flush still awaiting a straggler member's ack recycles when that ack
-// finalizes it.
+// arrives.
 func (in *Initiator) putFlushWires(states []*wireState) {
 	for _, ws := range states {
 		in.maybeRecycle(ws)

@@ -420,9 +420,10 @@ func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want f
 
 // writeInFlight reports whether any outstanding write wire of the
 // current epoch overlaps [devLBA, devLBA+blocks) on dev. A wire stays
-// outstanding from creation until its media landing is resolved on
-// every member, which is exactly the window in which a fill could read
-// pre-write content and insert it after the write's cache population.
+// outstanding from creation until it is recycled — every member's media
+// landing resolved and every origin request delivered — which covers the
+// window in which a fill could read pre-write content and insert it after
+// the write's cache population.
 // The result is a boolean over the whole map, so the nondeterministic
 // iteration order cannot leak into the simulation.
 func (in *Initiator) writeInFlight(dev int, devLBA uint64, blocks uint32) bool {

@@ -302,13 +302,13 @@ func (in *Initiator) outstandingOfSet(set int) []*wireState {
 }
 
 // memberAck accounts one member CQE: the completion is delivered to the
-// sequencer at write quorum; the command is finalized (and its wire state
-// recycled) only once every member copy resolved, so a straggler ack can
-// never reference freed state.
+// sequencer at write quorum; the command's wire state is recycled only once
+// every member copy resolved, so a straggler ack can never reference freed
+// state.
 func (in *Initiator) memberAck(p *sim.Proc, ws *wireState, from int) {
 	k := ws.q.Pos(from)
 	if !ws.q.Ack(k) {
-		return // duplicate, or a member cancelled by a power cut
+		return // duplicate (a replayed copy of a completed write), or a member cancelled by a power cut
 	}
 	if ws.firstAck == 0 {
 		ws.firstAck = p.Now()
@@ -325,27 +325,21 @@ func (in *Initiator) memberAck(p *sim.Proc, ws *wireState, from int) {
 	if ws.q.Fired && ws.pendingRq == 0 && ws.chain[k].idx > 0 {
 		in.bumpRetireMark(ws.stream, from, ws.chain[k].idx)
 	}
-	if ws.q.Done() {
-		in.finalize(ws)
-	}
-}
-
-// finalize retires a fully resolved command from the outstanding table and
-// recycles it if its delivery already happened.
-func (in *Initiator) finalize(ws *wireState) {
-	delete(in.outstanding, ws.id)
 	in.maybeRecycle(ws)
 }
 
-// maybeRecycle returns a wire command to its shard pool exactly once, and
-// only when nothing references it anymore: quorum delivered, every origin
-// request delivered, every member resolved.
+// maybeRecycle ends a wire command's one lifetime: it leaves the outstanding
+// table and returns to its shard pool in the same instant, exactly once, and
+// only when nothing references it anymore — quorum delivered, every origin
+// request delivered, every member resolved. Until then it is outstanding:
+// recovery replays it, degrade resolves it, the read cache does not fill
+// under it.
 func (in *Initiator) maybeRecycle(ws *wireState) {
 	q := &ws.q
-	if q.Recycled || !q.Fired || !q.Done() || ws.pendingRq != 0 || ws.pinned || ws.epoch != in.epoch {
+	if !q.Fired || !q.Done() || ws.pendingRq != 0 || ws.pinned || in.outstanding[ws.id] != ws {
 		return
 	}
-	q.Recycled = true
+	delete(in.outstanding, ws.id)
 	in.shards[ws.stream].putWire(ws)
 }
 
@@ -381,9 +375,7 @@ func (c *Cluster) degradeMember(m int) {
 			} else {
 				rs.addDirty(m, ws)
 			}
-			if q.Done() {
-				in.finalize(ws)
-			}
+			in.maybeRecycle(ws)
 		}
 	}
 }

@@ -377,7 +377,7 @@ func (t *Target) putDone(d *tDone) {
 		t.slotsFree = append(t.slotsFree, d.slots[:0])
 	}
 	*d = tDone{cmd: ssd.Command{Done: t.ssdDone, Ctx: d}, free: true}
-	if !t.c.poisonRecycled {
+	if !t.c.poison {
 		t.doneFree = append(t.doneFree, d)
 	}
 }
@@ -611,17 +611,24 @@ func (t *Target) rioProcess(p *sim.Proc, ws *wireState, attrs []core.Attr, d *or
 	t.submitWrite(ws, slots)
 }
 
-// horaeSlot looks up the control-path entry for a Horae data command.
+// horaeSlot looks up the control-path entry of every constituent of a Horae
+// data command (wc.Attr, then the attributes fused into it): completion or
+// the command's barrier certifies them all.
 func (t *Target) horaeSlot(ws *wireState) []uint64 {
 	if !t.pol.ControlPersisted() || !ws.wc.Ordered {
 		return nil
 	}
-	a := ws.wc.Attr
-	if slot, ok := t.ord.Domain(int(a.Initiator), a.Stream).Slot(a.ServerIdx); ok {
-		slots := t.getSlots(1)
-		return append(slots, slot)
+	slots := t.getSlots(1 + len(ws.more))
+	add := func(a core.Attr) {
+		if slot, ok := t.ord.Domain(int(a.Initiator), a.Stream).Slot(a.ServerIdx); ok {
+			slots = append(slots, slot)
+		}
 	}
-	return nil
+	add(ws.wc.Attr)
+	for _, a := range ws.more {
+		add(a)
+	}
+	return slots
 }
 
 // submitWrite hands a write to its SSD, each block under the identity the
@@ -708,13 +715,6 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 		// Completion implies durability: toggle persist now.
 		for _, s := range d.slots {
 			t.markPersist(p, init, s, tEpoch, d.epoch)
-		}
-		if t.pol.ControlPersisted() {
-			for _, a := range d.ws.more {
-				if s, ok := t.ord.Domain(int(a.Initiator), a.Stream).Slot(a.ServerIdx); ok {
-					t.markPersist(p, int(a.Initiator), s, tEpoch, t.initEpoch(int(a.Initiator)))
-				}
-			}
 		}
 		t.respond(p, d.ws, tEpoch)
 	case attrFlush:
