@@ -68,7 +68,7 @@ bench-layers:
 # named here and nowhere else (CI runs `make bench-gate`; cmd/benchdiff is
 # handed the name, internal/bench's baseline test reads it from this line).
 GATED_EXPS := scale,replication,policy,serve,read,satload,trace
-BASELINE   := BENCH_20.json
+BASELINE   := BENCH_24.json
 
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build
@@ -132,10 +132,13 @@ sim-diff:
 # prints its one-line repro; the run ends with how many plans broke the
 # contract and a histogram of what was drawn. Then 40 target-only cuts under
 # surviving traffic: about 1 in 5 of them lost a completed, undelivered write
-# while ROADMAP finding 1(g) was open.
+# while ROADMAP finding 1(g) was open. Then 200 relay head cuts: three of
+# them (plans 479, 551, 619) lost a follower's ack with the head while
+# finding 1(k) was open.
 crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 1 -n 24
 	$(GO) run ./cmd/riocrash -seed 1 -n 40 -set cut=target -set final=false
+	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
 
 # Native fuzzing of the two pure-logic targets for FUZZTIME each, from their
 # committed seeds: the in-order gate under arbitrary arrival schedules, and

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_20.json -new /tmp/bench.json [-threshold 0.10]
+//	benchdiff -baseline BENCH_24.json -new /tmp/bench.json [-threshold 0.10]
 package main
 
 import (
@@ -65,9 +65,8 @@ type gate struct {
 }
 
 // gates are the metrics ISSUE acceptance tracks PR-over-PR: throughput at
-// the top of the sweep, hot-path allocations (initiator-side pools AND
-// the target-side ordering-engine dense tables/free lists), tail
-// latency, the completion-path coalescing headline (capsules per op must
+// the top of the sweep, tail latency, the completion-path coalescing
+// headline (capsules per op must
 // not creep back toward one-per-command), the replication headlines
 // — 3-way throughput at fixed hardware and the worst failover blip when
 // a replica member is power-cut mid-measurement — the serve
@@ -84,7 +83,6 @@ type gate struct {
 // the knee (adaptive_kiops_knee).
 var gates = []gate{
 	{"scale.rio.kiops.s8", true, 0},
-	{"scale.rio.allocs_per_req", false, 0},
 	{"scale.rio.p99_us", false, 0},
 	{"scale.rio.completion_msgs_per_op", false, 0},
 	{"replication.rio.kiops.r3", true, 0},
@@ -100,7 +98,6 @@ var gates = []gate{
 	{"replication.rio.completion_msgs_per_op.r3.relay", false, 1.5},
 	{"replication.rio.failover_blip_us.relay", false, 0},
 	{"replication.rio.resync_divergence.relay", false, 0},
-	{"policy.rio.target_allocs_per_op", false, 0},
 	{"serve.rio.kiops", true, 0},
 	{"serve.rio.p99_us", false, 0},
 	{"serve.rio.fairness_spread", false, 0},
@@ -125,7 +122,7 @@ var gates = []gate{
 // check compares one gated metric. For higher-is-better metrics a
 // regression is fresh < base*(1-threshold); for lower-is-better,
 // fresh > base*(1+threshold). A lower-is-better baseline of zero (e.g.
-// allocs/req fully pooled away) tolerates up to `threshold` absolute
+// no block diverging after a resync) tolerates up to `threshold` absolute
 // before failing, since a relative bound on zero is meaningless. A
 // higher-is-better baseline at or below zero is an unusable baseline
 // (e.g. a zeroed-out report committed by mistake): every fresh value

@@ -12,12 +12,10 @@ import (
 func baseMetrics() map[string]float64 {
 	return map[string]float64{
 		"scale.rio.kiops.s8":                              1200,
-		"scale.rio.allocs_per_req":                        0,
 		"scale.rio.p99_us":                                90,
 		"scale.rio.completion_msgs_per_op":                0.8,
 		"replication.rio.kiops.r3":                        630,
 		"replication.rio.failover_blip_us":                100,
-		"policy.rio.target_allocs_per_op":                 0.003,
 		"serve.rio.kiops":                                 200,
 		"serve.rio.p99_us":                                70,
 		"serve.rio.fairness_spread":                       1.05,
@@ -64,11 +62,9 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 	}{
 		{"throughput -11%", "scale.rio.kiops.s8", 1200 * 0.89},
 		{"p99 +12%", "scale.rio.p99_us", 90 * 1.12},
-		{"allocs reappear", "scale.rio.allocs_per_req", 0.5},
 		{"cpl msgs/op +15% (coalescing decays)", "scale.rio.completion_msgs_per_op", 0.8 * 1.15},
 		{"3-way replication throughput -12%", "replication.rio.kiops.r3", 630 * 0.88},
 		{"failover blip +20% (degraded path slows)", "replication.rio.failover_blip_us", 100 * 1.20},
-		{"target allocs/op +50% (dense tables decay)", "policy.rio.target_allocs_per_op", 0.003 * 1.5},
 		{"serve throughput -15%", "serve.rio.kiops", 200 * 0.85},
 		{"serve p99 +20%", "serve.rio.p99_us", 70 * 1.20},
 		{"tenant fairness decays (one tenant starved)", "serve.rio.fairness_spread", 1.05 * 1.6},
@@ -110,15 +106,15 @@ func TestGateFailsOnMissingMetric(t *testing.T) {
 
 func TestNonZeroLowerBetterRelative(t *testing.T) {
 	base := baseMetrics()
-	base["scale.rio.allocs_per_req"] = 2
+	base["replication.rio.resync_divergence.relay"] = 2
 	fresh := baseMetrics()
-	fresh["scale.rio.allocs_per_req"] = 2.1
+	fresh["replication.rio.resync_divergence.relay"] = 2.1
 	if _, failures := compare(base, fresh, 0.10); len(failures) != 0 {
-		t.Fatalf("+5%% allocs on nonzero base failed: %v", failures)
+		t.Fatalf("+5%% divergence on nonzero base failed: %v", failures)
 	}
-	fresh["scale.rio.allocs_per_req"] = 2.5
+	fresh["replication.rio.resync_divergence.relay"] = 2.5
 	if _, failures := compare(base, fresh, 0.10); len(failures) == 0 {
-		t.Fatal("+25% allocs on nonzero base passed")
+		t.Fatal("+25% divergence on nonzero base passed")
 	}
 }
 

@@ -87,12 +87,6 @@ func TestScaleSweep(t *testing.T) {
 			t.Fatalf("rio throughput not monotonic over streams: %v", ks)
 		}
 	}
-	if red := r.Metrics["scale.rio.alloc_reduction"]; red < 0.3 {
-		t.Fatalf("hot-path allocation reduction = %.0f%%, want >= 30%%", 100*red)
-	}
-	if hr := r.Metrics["scale.rio.pool_hit_rate"]; hr < 0.9 {
-		t.Fatalf("steady-state pool hit rate = %.2f, want >= 0.9", hr)
-	}
 	if occ := r.Metrics["scale.rio.batch_occupancy"]; occ <= 1 {
 		t.Fatalf("batch occupancy = %.2f, want > 1 (doorbell coalescing)", occ)
 	}

@@ -50,9 +50,8 @@ func runPolicyPoint(o Options, sys system) (workload.BlockResult, int) {
 func PolicySweep(o Options) *Result {
 	res := &Result{Name: "policy: four stacks through the one ordering engine (2 targets, 4 streams, 4 KB random write)"}
 
-	var kiops, allocs, holdbacks, appends metrics.Series
+	var kiops, holdbacks, appends metrics.Series
 	kiops.Label = "kiops"
-	allocs.Label = "tgt allocs/cmd"
 	holdbacks.Label = "holdbacks/kcmd"
 	appends.Label = "pmr appends/cmd"
 	auditTotal := 0
@@ -61,7 +60,6 @@ func PolicySweep(o Options) *Result {
 		auditTotal += audit
 		x := float64(i)
 		kiops.Add(x, r.KIOPS())
-		allocs.Add(x, r.TgtStats.AllocsPerCmd())
 		cmds := float64(r.TgtStats.Commands)
 		if cmds > 0 {
 			holdbacks.Add(x, float64(r.TgtStats.Holdbacks)/cmds*1e3)
@@ -72,7 +70,6 @@ func PolicySweep(o Options) *Result {
 		}
 		res.Metric(fmt.Sprintf("policy.%s.kiops", sys.label), r.KIOPS())
 		if sys.label == "rio" {
-			res.Metric("policy.rio.target_allocs_per_op", r.TgtStats.AllocsPerCmd())
 			res.Metric("policy.rio.pmr_appends_per_cmd", appends.Y[len(appends.Y)-1])
 			res.Metric("policy.rio.holdbacks_per_kcmd", holdbacks.Y[len(holdbacks.Y)-1])
 		}
@@ -81,16 +78,15 @@ func PolicySweep(o Options) *Result {
 
 	// Render with the mode name as the x label (the series share indices).
 	var rows []string
-	rows = append(rows, fmt.Sprintf("%-12s%12s%16s%18s%18s",
-		"stack", "kiops", "tgt allocs/cmd", "holdbacks/kcmd", "pmr appends/cmd"))
+	rows = append(rows, fmt.Sprintf("%-12s%12s%18s%18s",
+		"stack", "kiops", "holdbacks/kcmd", "pmr appends/cmd"))
 	for i, sys := range policySystems {
-		rows = append(rows, fmt.Sprintf("%-12s%12.1f%16.4f%18.3f%18.3f",
-			sys.label, kiops.Y[i], allocs.Y[i], holdbacks.Y[i], appends.Y[i]))
+		rows = append(rows, fmt.Sprintf("%-12s%12.1f%18.3f%18.3f",
+			sys.label, kiops.Y[i], holdbacks.Y[i], appends.Y[i]))
 	}
 	res.Tables = append(res.Tables, fmt.Sprintf("%s\n", joinRows(rows)))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("engine dense-chain audit across all four policies: %d violations (must be 0)", auditTotal),
-		"tgt allocs/cmd counts target hot-path heap allocations per processed command — completion events and PMR slot bursts, i.e. every per-command object the target builds (the stamps it writes are the wire command's own); the dense domain tables and free lists keep it near zero (per-capsule objects like Horae ctrl-ack lists are per batch, not per command)",
 		"orderless and linux policies keep no engine state (no gate, no PMR traffic): their rows pin the engine's zero-cost baseline")
 	return res
 }

@@ -44,13 +44,6 @@ var scaleSystems = []scaleSystem{
 	{"orderless", stack.ModeOrderless, false},
 }
 
-// seedAllocsPerReq is what the seed dispatch path allocated per request
-// (ticket, wire command, tracking list) before shard pooling, as the
-// unpooled ablation last measured it (BENCH_10.json,
-// scale.rio_nopool.allocs_per_req; see DESIGN.md §3). The ablation is
-// gone; scale.rio.alloc_reduction is reported against this constant.
-const seedAllocsPerReq = 2.999
-
 // runScalePoint measures one (system, streams, targets) point. Streams,
 // threads and queue pairs scale together so each added thread brings its
 // own submission shard and QP.
@@ -117,16 +110,15 @@ func ScaleSweep(o Options) *Result {
 			fmt.Sprintf("throughput (K ops/s), %d target server(s)", tc), "streams", tput...))
 
 		// Hot-path counters for the Rio shards at this topology.
-		var allocs, hit, occ metrics.Series
-		allocs.Label, hit.Label, occ.Label = "allocs/req rio", "pool hit rate", "batch occupancy"
+		var hit, occ metrics.Series
+		hit.Label, occ.Label = "pool hit rate", "batch occupancy"
 		for i, st := range streams {
-			allocs.Add(float64(st), rioPts[i].Stats.AllocsPerReq())
 			hit.Add(float64(st), rioPts[i].Stats.Pool.HitRate())
 			occ.Add(float64(st), rioPts[i].Stats.Batch.Occupancy())
 		}
 		res.Tables = append(res.Tables, metrics.Table(
 			fmt.Sprintf("rio hot path, %d target server(s)", tc), "streams",
-			allocs, hit, occ))
+			hit, occ))
 
 		// Completion-path counters: CQE coalescing.
 		var cqeOcc, cplOp metrics.Series
@@ -156,9 +148,6 @@ func ScaleSweep(o Options) *Result {
 			res.Metric("scale.rio.ops_per_sec", r.KIOPS()*1e3)
 			res.Metric("scale.rio.p99_us", float64(r.Lat.P99())/1000)
 			res.Metric("scale.rio.init_cpu_util", r.InitUtil)
-			res.Metric("scale.rio.allocs_per_req", r.Stats.AllocsPerReq())
-			res.Metric("scale.rio.alloc_reduction", 1-r.Stats.AllocsPerReq()/seedAllocsPerReq)
-			res.Metric("scale.rio.pool_hit_rate", r.Stats.Pool.HitRate())
 			res.Metric("scale.rio.batch_occupancy", r.Stats.Batch.Occupancy())
 			res.Metric("scale.rio.cqe_batch_occupancy", r.Stats.CplBatch.Occupancy())
 			res.Metric("scale.rio.completion_msgs_per_op", r.Stats.CompletionMsgsPerOp())
@@ -204,7 +193,6 @@ func ScaleSweep(o Options) *Result {
 		initCounts[last], initLine.Y[last]/initLine.Y[0], monoInit, violations))
 
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("allocs/req counts hot-path object allocations (tickets, wire commands, tracking lists) not served from the shard pools; the seed dispatch allocated %.3f per request", seedAllocsPerReq),
 		"cpl msgs/op counts completion capsules per completed request; the seed target shipped exactly one bare 16-byte CQE capsule per command")
 	return res
 }

@@ -92,8 +92,9 @@ func TestSameSeedSamePlan(t *testing.T) {
 // 1(f) records. A retired finding is the opposite on both counts: its pins
 // draw without allow=, and its repro plan holds the whole contract — 1(g), a
 // write complete but undelivered at the cut, no request let off any more
-// (target, both, every member in turn), and 1(j), a Horae commit fused into a
-// data command on flash.
+// (target, both, every member in turn), 1(j), a Horae commit fused into a
+// data command on flash, and 1(k), a follower's ack lost with the relay head
+// ("group N never delivered" while the head kept the only record of it).
 func TestPinsAndFindings(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
@@ -103,6 +104,9 @@ func TestPinsAndFindings(t *testing.T) {
 		{38, "cut=members inits=1 final=false"},
 		{29, "cut=both"},
 		{7, "cut=cluster mode=horae devices=fo commit=2 burst=4"},
+		{479, "cut=head"},
+		{1016, "cut=head"},
+		{88, "cut=head final=false"},
 	} {
 		pl, err := Draw(tc.seed, strings.Fields(tc.pins)...)
 		if err != nil {

@@ -135,12 +135,12 @@ func TestPerQPFIFOPreservedAcrossReconnect(t *testing.T) {
 }
 
 // TestRelayLinkPrefixProperty is the contract the replication relay
-// path's head-cut repair leans on: on a target-to-target link carrying
-// per-QP sequence-numbered relayed capsules, drop-whole semantics plus
-// per-QP FIFO mean that after a Disconnect..Reconnect window the set of
-// sequence numbers a receiver saw on each QP is an EXACT PREFIX of what
-// was sent before the cut — so "max seq received" fully identifies the
-// un-received suffix to re-post, with no holes and no stragglers.
+// path's head-cut re-ask leans on: on a target-to-target link carrying
+// relayed capsules (numbered per QP by this test), drop-whole semantics
+// plus per-QP FIFO mean that after a Disconnect..Reconnect window what a
+// receiver saw on each QP is an EXACT PREFIX of what was sent before the
+// cut — no holes and no stragglers: what the cut did not deliver never
+// arrives later, so a follower's "I do not hold it" is final.
 func TestRelayLinkPrefixProperty(t *testing.T) {
 	e := sim.New(13)
 	cfg := testCfg(3)

@@ -256,22 +256,15 @@ func (b BatchStats) Sub(old BatchStats) BatchStats { return Delta(b, old) }
 // Add returns the sum b + o (aggregation across initiators).
 func (b BatchStats) Add(o BatchStats) BatchStats { return Sum(b, o) }
 
-// perOp is the shared per-operation ratio: 0 when no operations ran.
-func perOp(n, ops int64) float64 {
+// MsgsPerOp returns wire messages per operation — below 1 on a direction
+// of the wire whose messages are coalesced (vectored submission batches,
+// coalesced completion capsules); 0 when no operations ran.
+func MsgsPerOp(msgs, ops int64) float64 {
 	if ops <= 0 {
 		return 0
 	}
-	return float64(n) / float64(ops)
+	return float64(msgs) / float64(ops)
 }
-
-// AllocsPerOp returns allocations per operation, the hot-path efficiency
-// number the scale experiment tracks PR-over-PR.
-func AllocsPerOp(allocs, ops int64) float64 { return perOp(allocs, ops) }
-
-// MsgsPerOp returns wire messages per operation — below 1 on a direction
-// of the wire whose messages are coalesced (vectored submission batches,
-// coalesced completion capsules).
-func MsgsPerOp(msgs, ops int64) float64 { return perOp(msgs, ops) }
 
 // UtilSnapshot captures a resource busy-time integral at a point in time.
 type UtilSnapshot struct {

@@ -39,15 +39,6 @@ func TestBatchStats(t *testing.T) {
 	}
 }
 
-func TestAllocsPerOp(t *testing.T) {
-	if got := AllocsPerOp(30, 10); got != 3 {
-		t.Fatalf("allocs/op = %g, want 3", got)
-	}
-	if got := AllocsPerOp(5, 0); got != 0 {
-		t.Fatalf("allocs/op with 0 ops = %g, want 0", got)
-	}
-}
-
 func TestMsgsPerOp(t *testing.T) {
 	if got := MsgsPerOp(50, 100); got != 0.5 {
 		t.Fatalf("msgs/op = %g, want 0.5 (coalesced direction)", got)

@@ -53,11 +53,9 @@ type wireState struct {
 	// quorum-assembly wait is quorum-fire minus firstAck).
 	firstAck sim.Time
 
-	// relaySeq is the command's route: 0 = routeDirect, otherwise the
-	// relay sequence number its head capsule carried. A head power cut
-	// compares it against each survivor's received prefix to post exactly
-	// the undelivered member capsules, and resets it to 0.
-	relaySeq uint64
+	// relayed is the command's route: it went out on routeRelay and no head
+	// cut has flipped it to routeDirect (reaskAfterHeadCut) since.
+	relayed bool
 }
 
 // memberChain is the one ordering representation of a wire command toward
@@ -91,7 +89,7 @@ func (ws *wireState) reset() {
 	ws.q.Reset()
 	ws.chain = ws.chain[:0]
 	ws.firstAck = 0
-	ws.relaySeq = 0
+	ws.relayed = false
 }
 
 // addMember fans the command to member m and returns the member's position
@@ -140,13 +138,11 @@ type capsule struct {
 	// the followers' member capsules, ready-built, in forward; the head
 	// sends each on over its target-to-target conn. relayed marks such a
 	// forwarded copy (the receiving follower acks the head instead of the
-	// initiator), and relaySeq is the per-(initiator, set, QP) sequence
-	// number head-cut repair uses to compute each survivor's exact received
-	// prefix.
-	forward    []*capsule
-	relaySeq   uint64
-	relayed    bool
-	relayAcked []aggResolved // head→follower piggyback: acks the head forwarded to the initiator
+	// initiator). reask, when non-nil, makes the capsule a head-cut re-ask
+	// (relay.go): the ids of cmds, as they were when the initiator asked.
+	forward []*capsule
+	relayed bool
+	reask   []uint64
 
 	// Fabric transit stamps (stage tracing): filled by the fabric at
 	// delivery, read by the target's receive loop. Capsules are built per
@@ -230,8 +226,7 @@ type ClusterStats struct {
 	TxBytes int64
 
 	// Pool tracks the dispatch hot path's object traffic: tickets, wire
-	// commands and wire tracking lists. Misses are heap allocations, so
-	// Pool.Misses/Submitted is the hot path's allocs-per-request figure.
+	// commands and wire tracking lists. Misses are heap allocations.
 	Pool metrics.PoolStats
 	// Batch tracks doorbell coalescing: commands per vectored capsule.
 	Batch metrics.BatchStats
@@ -250,11 +245,6 @@ type ClusterStats struct {
 	// governor operating-point transitions. Both stay 0 on stock configs.
 	SubmitStalls int64
 	GovSwitches  int64
-}
-
-// AllocsPerReq returns hot-path allocations per submitted request.
-func (s ClusterStats) AllocsPerReq() float64 {
-	return metrics.AllocsPerOp(s.Pool.Misses, s.Submitted)
 }
 
 // CompletionMsgsPerOp returns completion capsules received per completed
@@ -423,7 +413,7 @@ func (c *Cluster) StatsAll() ClusterStats {
 }
 
 // TargetStatsAll returns the sum of every target server's counters
-// (fleet-wide command processing, PMR traffic and hot-path allocations).
+// (fleet-wide command processing and PMR traffic).
 func (c *Cluster) TargetStatsAll() TargetStats {
 	var s TargetStats
 	for _, t := range c.targets {

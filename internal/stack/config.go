@@ -168,16 +168,19 @@ type Config struct {
 	// under a single member failure), Replicas selects full-set
 	// durability (a member power cut then stalls writes until resync).
 	WriteQuorum int
-	// ReplRelay enables the replication fast path: the initiator posts
-	// one vectored capsule (carrying every member's SQEs/attrs) to the
-	// set's head member, which relays follower slices over dedicated
-	// target-to-target fabric conns; followers ack the head, which emits
-	// a single aggregated CQE capsule to the initiator at quorum plus a
-	// piggybacked full-resolution record later. Any degraded member
-	// suspends the relay for its set (direct fan-out, exactly the
-	// default path) until resync rejoins it. Off (the default) the
-	// relay conns are never built and the stack is byte-identical to
-	// the direct fan-out path. Rio mode, Replicas > 1 only.
+	// ReplRelay enables the replication fast path for ordered writes: the
+	// initiator posts one vectored capsule (carrying every member's
+	// SQEs/attrs) to the set's head member, which relays follower slices
+	// over dedicated target-to-target fabric conns; followers ack the
+	// head, which emits a single aggregated CQE capsule to the initiator
+	// at quorum plus a piggybacked full-resolution record later.
+	// Orderless writes and flushes fan out direct: the in-order gate is
+	// what lets a follower answer for a command after a head cut. Any
+	// degraded member suspends the relay for its set (direct fan-out,
+	// exactly the default path) until resync rejoins it. Off (the
+	// default) the relay conns are never built and the stack is
+	// byte-identical to the direct fan-out path. Rio mode, Replicas > 1
+	// only.
 	ReplRelay bool
 
 	Fabric fabric.Config

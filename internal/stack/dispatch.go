@@ -687,26 +687,28 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 		if len(cmds) == 0 {
 			continue
 		}
-		// Relay route: writes that fanned to the full membership. Flushes
-		// always go direct (a durability barrier certifies members
-		// individually), as do batches assigned under a degraded snapshot.
+		// Relay route: ordered writes that fanned to the full membership.
+		// Flushes always go direct (a durability barrier certifies members
+		// individually), as do batches assigned under a degraded snapshot
+		// and orderless writes (no chain index for a head-cut re-ask to
+		// tell "completed" from "never arrived" by).
 		if rs := in.c.replSets[set]; in.c.relayActive(rs) {
 			relayable := make([]*wireState, 0, len(cmds))
 			var direct []*wireState
 			for _, ws := range cmds {
-				if !ws.wc.Flush && len(ws.q.Members) == len(rs.members) {
+				if !ws.wc.Flush && ws.wc.Ordered && len(ws.q.Members) == len(rs.members) {
 					relayable = append(relayable, ws)
 				} else {
 					direct = append(direct, ws)
 				}
 			}
 			if len(relayable) > 0 {
-				in.postSet(p, set, relayable, stream, routeRelay)
+				in.postSet(p, relayable, stream, routeRelay)
 			}
 			cmds = direct
 		}
 		if len(cmds) > 0 {
-			in.postSet(p, set, cmds, stream, routeDirect)
+			in.postSet(p, cmds, stream, routeDirect)
 		}
 	}
 }

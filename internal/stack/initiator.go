@@ -74,10 +74,6 @@ type Initiator struct {
 	inflightCond *sim.Cond
 	gov          *governor
 
-	// relaySeq mints the per-(set, QP) relay sequence numbers of the relay
-	// route (index set*QPs+qp).
-	relaySeq []uint64
-
 	stats ClusterStats
 }
 
@@ -104,7 +100,6 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		in.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
 	}
 	in.fuseTails = make([]fuseTail, c.vol.Devices())
-	in.relaySeq = make([]uint64, len(c.replSets)*c.cfg.QPs)
 	in.pendingReads = make(map[uint64]*pendingRead)
 	if c.cfg.CacheBlocks > 0 {
 		in.rcache = newRCache(c.cfg.CacheBlocks, c.cfg.Streams)
@@ -429,7 +424,6 @@ func (in *Initiator) crashVolatile() {
 	in.seq = in.newSequencer()
 	in.outstanding = make(map[uint64]*wireState)
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
-	clear(in.relaySeq)
 	for _, sh := range in.shards {
 		sh.crashReset()
 	}

@@ -25,7 +25,7 @@ func volatileLaneFields(l *qpLane, fn func(name string, v reflect.Value)) {
 // TestPowerCutInitiatorResetsItsLanesOnly: an initiator power cut must
 // leave nothing of the dead incarnation in its lanes at any target — no
 // queued capsule, pending CQE, trace stamp, aggregation annotation,
-// resolution record, armed flag, in-flight count or relay prefix — while a
+// resolution record, armed flag or in-flight count — while a
 // peer initiator's lanes on the same targets are not touched.
 func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 	eng := sim.New(5)
@@ -46,7 +46,7 @@ func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 			l.rxQ.Push(&capsule{})
 			l.push(uint64(100+l.qp), 3, aggCQE{members: []int{0, 1}, wait: 9})
 			l.resolved = append(l.resolved, aggResolved{init: l.init, id: 7, member: 1})
-			l.armed, l.inflight, l.seen = true, 4, 11
+			l.armed, l.inflight = true, 4
 			volatileLaneFields(l, func(name string, v reflect.Value) {
 				if v.IsZero() {
 					t.Fatalf("lane field %s left clean by the test: dirty it above", name)

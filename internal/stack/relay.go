@@ -33,13 +33,23 @@ import (
 // Failure semantics: ANY degraded member suspends the relay route for its
 // set (relayActive) and new batches go direct. A follower cut flushes the
 // head's open quorum records (partial member lists are safe to forward;
-// later acks pass through as resolution records). A head cut re-routes the
-// in-flight commands: followers flush their sent-but-unconfirmed acks
-// straight to the initiators (quorum dedup absorbs overlap), and the
-// initiator posts — direct, with the same builder — exactly the (command,
-// follower) capsules that cannot have been delivered, computed from the
-// per-(initiator, QP) relay sequence prefix each survivor received (per-QP
-// FIFO plus drop-whole on Disconnect make the prefix exact).
+// later acks pass through as resolution records). A head cut is repaired
+// by one question: each live initiator asks every surviving follower, per
+// QP, about the relayed commands that follower has not resolved
+// (reaskAfterHeadCut, built from the initiator's outstanding table alone),
+// and the follower answers each from what it holds (answerReask):
+//
+//	still in relayState.pend     in flight here; its completion responds
+//	                             directly, the relay link being down
+//	past the stream's gate       it completed and the ack died with the head:
+//	frontier, not in pend        ack again (Quorum.Ack absorbs duplicates)
+//	neither                      it never arrived: the re-ask's copy takes
+//	                             the normal receive path
+//
+// The in-order gate (§4.3.1) is what tells "completed" from "never
+// arrived", so the relay carries ORDERED writes only: an orderless write
+// has no chain index, and re-executing a completed one could overwrite
+// newer data — it fans out direct, as a FLUSH does (postByTarget).
 //
 // A relay-off cluster builds no relay conns, spawns no extra procs and has
 // a nil Target.relay, so its event schedule is that of the direct stack.
@@ -77,9 +87,7 @@ type aggCQE struct {
 }
 
 // aggResolved is one late member ack forwarded after the aggregated CQE
-// fired — piggybacked on a later completion capsule toward the initiator,
-// and echoed back to the follower (relayAcked) as confirmation that its
-// ack reached the initiator, releasing the follower's replay buffer entry.
+// fired, piggybacked on a later completion capsule toward the initiator.
 type aggResolved struct {
 	init   int
 	id     uint64
@@ -97,11 +105,9 @@ type relayAckMsg struct {
 	epoch  int
 }
 
-// relayRoute is the follower-side record that a relayed command's
-// completion must be acked to the head (relayState.pend), and doubles as
-// the sent-ack replay record (ackBuf): if the head dies before confirming
-// the ack was forwarded, the follower re-sends it directly to the
-// initiator.
+// relayRoute is the follower-side record that a relayed command is in
+// flight here and its completion goes to the head (relayState.pend), from
+// the moment the receive loop takes the command to the moment it responds.
 type relayRoute struct {
 	qp    int
 	epoch int
@@ -120,29 +126,21 @@ type headAgg struct {
 // relayState is everything volatile a target holds for the relay route
 // that is keyed by command, not by queue pair (Target.relay; nil unless
 // cfg.ReplRelay). The per-QP parts — pending resolution records, CQE
-// annotations, the received relay-sequence prefix — live in the qpLane.
+// annotations — live in the qpLane.
 type relayState struct {
 	agg  map[aggKey]*headAgg // head: open quorum records
 	free []*headAgg
 
-	pend   map[aggKey]relayRoute // follower: completions that route to the head
-	ackBuf map[aggKey]relayRoute // follower: acks sent to the head, not yet confirmed forwarded
-
-	// Head: per follower, the acks a shipped completion capsule delivered
-	// to the initiator — the confirmations the next forwarded capsule
-	// piggybacks so the follower releases its ackBuf entries.
-	gc map[int][]aggResolved
+	pend map[aggKey]relayRoute // follower: relayed commands in flight here
 
 	ackQ *sim.Queue[*relayAckMsg] // head: follower acks awaiting the relay-ack context
 }
 
 func newRelayState(eng *sim.Engine) *relayState {
 	return &relayState{
-		agg:    make(map[aggKey]*headAgg),
-		pend:   make(map[aggKey]relayRoute),
-		ackBuf: make(map[aggKey]relayRoute),
-		gc:     make(map[int][]aggResolved),
-		ackQ:   sim.NewQueue[*relayAckMsg](eng),
+		agg:  make(map[aggKey]*headAgg),
+		pend: make(map[aggKey]relayRoute),
+		ackQ: sim.NewQueue[*relayAckMsg](eng),
 	}
 }
 
@@ -153,8 +151,6 @@ func (r *relayState) reset() {
 	}
 	clear(r.agg)
 	clear(r.pend)
-	clear(r.ackBuf)
-	clear(r.gc)
 	r.ackQ.Drain()
 }
 
@@ -172,20 +168,6 @@ func (r *relayState) resetInitiator(init int) {
 		if k.init == init {
 			delete(r.pend, k)
 		}
-	}
-	for k := range r.ackBuf {
-		if k.init == init {
-			delete(r.ackBuf, k)
-		}
-	}
-	for m, list := range r.gc {
-		keep := list[:0]
-		for _, e := range list {
-			if e.init != init {
-				keep = append(keep, e)
-			}
-		}
-		r.gc[m] = keep
 	}
 }
 
@@ -233,16 +215,6 @@ func (c *Cluster) buildRelayConns() {
 	}
 }
 
-// nextRelaySeq mints the per-(initiator, set, QP) relay sequence number a
-// head capsule carries. Per-QP fabric FIFO plus drop-whole on Disconnect
-// make {seq <= seen} each survivor's exact received set — the basis of
-// head-cut repair.
-func (in *Initiator) nextRelaySeq(set, qp int) uint64 {
-	k := set*in.cfg.QPs + qp
-	in.relaySeq[k]++
-	return in.relaySeq[k]
-}
-
 // relayFanOut runs at the head when a head capsule arrives, BEFORE the
 // head processes its own slice: it opens a quorum record for every command
 // and forwards the followers' capsules over the target-to-target conns.
@@ -269,10 +241,6 @@ func (t *Target) relayFanOut(p *sim.Proc, cp *capsule, init, qp int) {
 		}
 	}
 	for _, fcp := range cp.forward {
-		if gc := t.relay.gc[fcp.member]; len(gc) > 0 {
-			fcp.relayAcked = gc
-			t.relay.gc[fcp.member] = nil
-		}
 		t.stats.Relays++
 		t.c.postCapsule(p, t.cores, rs.relay[rs.pos(fcp.member)], qp, fcp)
 		if !t.alive {
@@ -291,7 +259,6 @@ func (t *Target) getHeadAgg() *headAgg {
 		as.firstAck = 0
 		return as
 	}
-	t.stats.Allocs++
 	return &headAgg{}
 }
 
@@ -302,10 +269,9 @@ func (t *Target) closeHeadAgg(k aggKey, as *headAgg) {
 }
 
 // relayRespond intercepts a follower completion bound for the head: it
-// replaces the direct CQE with one relayAckMsg on the relay conn, and
-// parks a replay record (ackBuf) until the head confirms the ack reached
-// the initiator — a head cut flushes unconfirmed records straight to the
-// initiator. Reports false when the command is not relay-routed (the
+// replaces the direct CQE with one relayAckMsg on the relay conn. Nothing
+// remembers the ack: if it dies with the head, the initiator asks again
+// (answerReask). Reports false when the command is not relay-routed (the
 // caller then responds directly).
 func (t *Target) relayRespond(p *sim.Proc, ws *wireState) bool {
 	key := aggKey{ws.init, ws.id}
@@ -317,12 +283,9 @@ func (t *Target) relayRespond(p *sim.Proc, ws *wireState) bool {
 	rs := t.c.replSets[t.c.setOf[t.id]]
 	conn := rs.relay[rs.pos(t.id)]
 	if conn == nil || !conn.Up() {
-		// The head died and the cut sweep already cleared our route — or
-		// the link is down mid-cut. Respond directly; quorum dedup at the
-		// initiator absorbs any overlap with the cut sweep's flush.
+		// The head died: respond directly.
 		return false
 	}
-	t.relay.ackBuf[key] = rp
 	t.cores.Use(p, t.c.costs.PostMsg)
 	t.stats.RelayAcks++
 	if !t.alive {
@@ -413,26 +376,6 @@ func (t *Target) pushResolved(l *qpLane, r aggResolved) {
 	}
 }
 
-// noteForwarded records, per follower, the acks a just-shipped completion
-// capsule delivered to the initiator — the confirmations the next
-// forwarded capsule piggybacks so followers release their ack replay
-// buffers.
-func (t *Target) noteForwarded(init int, agg []aggCQE, cqes []nvmeof.CQE, resolved []aggResolved) {
-	gc := t.relay.gc
-	for i, a := range agg {
-		for _, m := range a.members {
-			if m != t.id && i < len(cqes) {
-				gc[m] = append(gc[m], aggResolved{init: init, id: cqes[i].ID(), member: m})
-			}
-		}
-	}
-	for _, r := range resolved {
-		if r.member != t.id {
-			gc[r.member] = append(gc[r.member], r)
-		}
-	}
-}
-
 // relayCut handles a member power cut for the relay machinery; called from
 // PowerCutTarget after the member's own relay state was reset and
 // degradeMember ran (in engine context — everything here is memory moves,
@@ -445,12 +388,9 @@ func (t *Target) noteForwarded(init int, agg []aggCQE, cqes []nvmeof.CQE, resolv
 // record that can no longer complete. Later acks pass through as
 // resolution records.
 //
-// Head dead: every relay link of the set drops; survivors flush their
-// unconfirmed acks directly to the initiators (quorum dedup absorbs any
-// overlap with records the head did forward) and clear their relay routes
-// so in-flight completions respond directly; the initiators re-route the
-// in-flight commands to direct and post exactly the (command, follower)
-// capsules beyond each survivor's received relay-sequence prefix.
+// Head dead: every relay link of the set drops, forwarded capsules and
+// acks in flight with them, and each live initiator asks the survivors
+// about what it still has outstanding (reaskAfterHeadCut).
 func (c *Cluster) relayCut(m int) {
 	rs := c.replSets[c.setOf[m]]
 	head := rs.relayHead()
@@ -461,18 +401,16 @@ func (c *Cluster) relayCut(m int) {
 		c.targets[head].flushHeadAggs()
 		return
 	}
-	// In-flight forwarded capsules and acks die with the links.
 	for _, conn := range rs.relay {
 		if conn != nil {
 			conn.Disconnect()
 		}
 	}
-	for k, f := range rs.members {
-		if rs.inSync[k] && f != head {
-			c.targets[f].flushAckBuf()
+	for _, in := range c.inits {
+		if in.alive {
+			in.reaskAfterHeadCut(rs, head)
 		}
 	}
-	c.repairAfterHeadCut(rs, head)
 }
 
 // flushHeadAggs fires every open quorum record of this head with the acks
@@ -497,72 +435,84 @@ func (t *Target) flushHeadAggs() {
 	}
 }
 
-// flushAckBuf re-sends every unconfirmed relayed ack directly to its
-// initiator: the head may have died before forwarding them. A CQE the
-// head DID forward arrives twice; order.Quorum.Ack de-duplicates.
-func (t *Target) flushAckBuf() {
-	for _, k := range sortedAggKeys(t.relay.ackBuf) {
-		rp := t.relay.ackBuf[k]
-		if rp.epoch != t.initEpoch(k.init) || !t.conns[k.init].Up() {
+// reaskAfterHeadCut flips this initiator's relayed commands of the set to
+// the direct route and posts, from a spawned proc (PowerCutTarget runs in
+// engine context), one re-ask capsule per (surviving follower, QP) naming
+// the commands that follower has not resolved. It reads the initiator's
+// own outstanding table and nothing else: what each follower received is
+// the follower's to say (answerReask). A re-ask is not a vectored batch —
+// the forwarded original may still sit in the follower's receive queue, so
+// the members' SQEs are not re-marked — and it carries the commands' ids:
+// a command can resolve and its record be rebound while the capsule is
+// being posted or queued.
+func (in *Initiator) reaskAfterHeadCut(rs *replicaSet, head int) {
+	qps := in.cfg.QPs
+	asks := make([]*capsule, len(rs.members)*qps) // index: member position * QPs + qp
+	n := 0
+	for _, ws := range in.outstandingOfSet(rs.id) {
+		if !ws.relayed {
 			continue
 		}
-		cqe := nvmeof.NewCQE(k.id)
-		cqe.MarkCQEVector(0, 1)
-		t.stats.Responses++
-		t.stats.CQEs++
-		t.conns[k.init].Send(fabric.Target, fabric.Message{
-			QP: rp.qp, Size: nvmeof.ResponseSize,
-			Payload: &completionMsg{cqes: []nvmeof.CQE{cqe}, qp: rp.qp, epoch: rp.epoch, from: t.id},
-		})
-	}
-	clear(t.relay.ackBuf)
-	// Routes for commands still in flight here revert to direct response.
-	clear(t.relay.pend)
-}
-
-// repairAfterHeadCut re-routes every in-flight relayed command of the set
-// to direct (relaySeq = 0, so a second sweep finds nothing) and posts, from
-// a spawned proc (PowerCutTarget runs in engine context), the member
-// capsules that cannot have been delivered: those of commands whose relay
-// sequence is beyond the follower's received prefix on its QP. Each goes
-// out as its own one-command batch through the direct route's builder;
-// arrival order relative to other in-flight commands is absorbed by the
-// in-order gate's parking (the chain indices are unchanged), and the
-// prefix test makes duplicates impossible.
-func (c *Cluster) repairAfterHeadCut(rs *replicaSet, head int) {
-	type repost struct {
-		in *Initiator
-		ws *wireState
-		k  int // member position in ws.q.Members
-	}
-	var work []repost
-	for _, in := range c.inits {
-		if !in.alive {
-			continue
-		}
-		for _, ws := range in.outstandingOfSet(rs.id) {
-			if ws.relaySeq == 0 {
+		ws.relayed = false
+		// A relayed command fanned to the full membership: its member
+		// positions are the set's.
+		for k, m := range ws.q.Members {
+			if m == head || ws.q.Resolved[k] {
 				continue
 			}
-			for k, m := range ws.q.Members {
-				if m != head && !ws.q.Resolved[k] && ws.relaySeq > c.targets[m].lane(in.id, ws.qp).seen {
-					work = append(work, repost{in, ws, k})
-				}
+			cp := asks[k*qps+ws.qp]
+			if cp == nil {
+				cp = &capsule{epoch: in.epoch, member: m}
+				asks[k*qps+ws.qp] = cp
+				n++
 			}
-			ws.relaySeq = 0
+			cp.cmds = append(cp.cmds, ws)
+			cp.reask = append(cp.reask, ws.id)
+			cp.inline += ws.wc.InlineBytes(inlineThreshold)
 		}
 	}
-	if len(work) == 0 {
+	if n == 0 {
 		return
 	}
-	c.Eng.Go(fmt.Sprintf("relay/repost%d", rs.id), func(p *sim.Proc) {
-		for _, w := range work {
-			in, ws := w.in, w.ws
-			if !in.alive || ws.epoch != in.epoch || ws.q.Resolved[w.k] {
-				continue
+	in.Eng.Go(fmt.Sprintf("init%d/reask%d", in.id, rs.id), func(p *sim.Proc) {
+		for i, cp := range asks {
+			if cp != nil && in.alive && cp.epoch == in.epoch {
+				in.post(p, cp.member, i%qps, cp)
 			}
-			m := ws.q.Members[w.k]
-			in.post(p, m, ws.qp, in.buildMemberCapsule([]*wireState{ws}, w.k, m, ws.stream))
 		}
 	})
+}
+
+// answerReask answers a head-cut re-ask from what this follower holds,
+// command by command, and leaves in the capsule the commands it does not
+// hold. It runs twice: at NIC receive, where a finished command must not
+// queue behind the lane's backlog for its second ack — there "not held"
+// is not final, the forwarded original may be queued ahead — and again
+// when the receive loop reaches the capsule, behind everything that
+// arrived before it, where "not held" means it never arrived and the
+// capsule's copy is this member's. Reports whether it queued any ack on
+// the lane (memory-only: the caller flushes).
+func (t *Target) answerReask(l *qpLane, cp *capsule) bool {
+	acked, keep := false, 0
+	for i, ws := range cp.cmds {
+		id := cp.reask[i]
+		if ws.id != id {
+			continue // resolved since the ask was built, and the record rebound
+		}
+		if _, ok := t.relay.pend[aggKey{l.init, id}]; ok {
+			continue // in flight here: its completion answers
+		}
+		a := ws.chain[ws.q.Pos(t.id)].attrs[0]
+		if a.ServerIdx < t.ord.Domain(l.init, a.Stream).Frontier() {
+			// Through the gate and no longer in flight: it completed, and
+			// the ack died with the head.
+			l.push(id, cp.epoch, aggCQE{})
+			acked = true
+			continue
+		}
+		cp.cmds[keep], cp.reask[keep] = ws, id
+		keep++
+	}
+	cp.cmds, cp.reask = cp.cmds[:keep], cp.reask[:keep]
+	return acked
 }

@@ -1,7 +1,7 @@
 package stack
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -140,129 +140,72 @@ func TestRelayFollowerCut(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestRelayHeadCutMidBatch is the relay route's crash core: power-cutting
-// the HEAD while forwarded capsules and buffered acks are in flight loses
-// no completion and duplicates none. The initiator posts exactly the
-// un-received (command, follower) capsules direct to survivors (relaySeq
-// vs the received prefix), each byte-equal to what the direct route sends
-// for that (command, member); survivors flush their unconfirmed acks
-// direct, and the degraded set keeps completing at quorum.
-func TestRelayHeadCutMidBatch(t *testing.T) {
-	eng := sim.New(24)
-	c := New(eng, relayConfig(3))
-	const streams, groups = 4, 60
-	var reqs []*blockdev.Request
-	for s := 0; s < streams; s++ {
-		s := s
+// headCutTraffic starts four streams of ordered one-block writes (or, with
+// ordered false, orderless ones) to distinct LBAs on a 3-way relay cluster
+// and returns the requests as they are submitted.
+func headCutTraffic(eng *sim.Engine, c *Cluster, groups int, ordered bool) *[]*blockdev.Request {
+	reqs := new([]*blockdev.Request)
+	for s := 0; s < 4; s++ {
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*100000 + g)
-				r := c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
-				reqs = append(reqs, r)
+				var r *blockdev.Request
+				if ordered {
+					r = c.Init(0).OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				} else {
+					r = c.Init(0).OrderlessWrite(p, s, lba, 1, uint64(lba+1), nil)
+				}
+				*reqs = append(*reqs, r)
 				p.Sleep(2 * sim.Microsecond)
 			}
 		})
 	}
+	return reqs
+}
 
-	// At the cut instant, before the cut, work out from the commands'
-	// replication state — not from the builder — what the direct route
-	// sends each follower that has not received a command's forwarded
-	// capsule: the member's SQE as a one-command batch, its attribute
-	// chain, and a retire watermark no older than the one held now.
-	type pair struct {
-		id     uint64
-		member int
-	}
-	type memberSlice struct {
-		sqe   nvmeof.SQE
-		attrs []core.Attr
-		mark  uint64
-	}
-	in := c.Init(0)
-	want := map[pair]memberSlice{}
-	relayedAtCut := map[uint64]bool{}
+// TestRelayHeadCutMidBatch is the relay route's crash core, black box:
+// power-cutting the HEAD while forwarded capsules and follower acks are in
+// flight loses no completion and duplicates no write. Every request is
+// delivered; each survivor's media holds every block exactly once, under
+// its request's stamp; no gate saw a duplicate or a gap; and after the head
+// rejoins the replicas are byte-identical and the relay resumes.
+func TestRelayHeadCutMidBatch(t *testing.T) {
+	eng := sim.New(24)
+	c := New(eng, relayConfig(3))
+	const streams, groups = 4, 60
+	reqs := headCutTraffic(eng, c, groups, true)
+	var relayedAtCut int64
 	eng.At(60*sim.Microsecond, func() {
-		for _, ws := range in.outstandingOfSet(0) {
-			if ws.relaySeq == 0 {
-				continue
-			}
-			relayedAtCut[ws.id] = true
-			for k, m := range ws.q.Members {
-				if k == 0 || ws.q.Resolved[k] || ws.relaySeq <= c.targets[m].lane(0, ws.qp).seen {
-					continue
-				}
-				sqe := ws.chain[k].sqe
-				sqe.MarkVector(0, 1)
-				want[pair{ws.id, m}] = memberSlice{
-					sqe:   sqe,
-					attrs: append([]core.Attr(nil), ws.chain[k].attrs...),
-					mark:  in.retireMarkAt(ws.stream, m),
-				}
-			}
-		}
+		relayedAtCut = c.Target(0).Stats().Relays
 		c.PowerCutTarget(0) // the head
 	})
-	// Every capsule a survivor receives straight from the initiator for a
-	// command that was on the relay route at the cut is a re-post.
-	got := map[pair]bool{}
+	// Count what the survivors are asked, and what of it had never arrived.
+	asks, copies := 0, 0
 	for _, m := range []int{1, 2} {
-		m, tgt := m, c.targets[m]
+		tgt := c.targets[m]
 		tgt.conns[0].SetHandler(fabric.Target, func(msg fabric.Message) {
 			cp := msg.Payload.(*capsule)
-			if relayedAtCut[cp.cmds[0].id] {
-				ws := cp.cmds[0]
-				exp, ok := want[pair{ws.id, m}]
-				switch {
-				case !ok:
-					t.Errorf("cmd %d re-posted to member %d, which had received it", ws.id, m)
-				case got[pair{ws.id, m}]:
-					t.Errorf("cmd %d re-posted to member %d twice", ws.id, m)
-				case len(cp.cmds) != 1 || cp.member != m || cp.relayed || cp.forward != nil:
-					t.Errorf("cmd %d member %d: re-post is not a one-command direct capsule: %+v", ws.id, m, cp)
-				case ws.chain[ws.q.Pos(m)].sqe != exp.sqe:
-					t.Errorf("cmd %d member %d: re-posted SQE differs from the direct route's", ws.id, m)
-				case !reflect.DeepEqual(ws.chain[ws.q.Pos(m)].attrs, exp.attrs):
-					t.Errorf("cmd %d member %d: re-posted attrs %+v, direct route sends %+v", ws.id, m, ws.chain[ws.q.Pos(m)].attrs, exp.attrs)
-				}
-				now := in.retireMarkAt(ws.stream, m)
-				if now == 0 && cp.retires != nil {
-					t.Errorf("cmd %d member %d: retire mark %+v with no watermark held", ws.id, m, cp.retires)
-				}
-				if now > 0 && (len(cp.retires) != 1 || int(cp.retires[0].stream) != ws.stream ||
-					cp.retires[0].upTo < exp.mark || cp.retires[0].upTo > now) {
-					t.Errorf("cmd %d member %d: retire marks %+v, direct route sends stream %d upTo in [%d, %d]",
-						ws.id, m, cp.retires, ws.stream, exp.mark, now)
-				}
-				got[pair{ws.id, m}] = true
-			}
 			tgt.recvCapsule(0, msg.QP, cp)
+			if cp.reask != nil {
+				asks++
+				copies += len(cp.cmds) // what the first answer left: not held at NIC receive
+			}
 		})
 	}
 	eng.Run()
 
-	if len(want) == 0 {
-		t.Fatal("no forwarded capsule was in flight at the head cut: the schedule exercises no re-post")
+	if relayedAtCut == 0 || asks == 0 {
+		t.Fatalf("%d capsules relayed before the cut, %d re-asks after it: the schedule exercises no repair", relayedAtCut, asks)
 	}
-	t.Logf("re-posts checked: %d of %d commands on the relay route at the cut", len(want), len(relayedAtCut))
-	for k := range want {
-		if !got[k] {
-			t.Errorf("cmd %d never re-posted to member %d, which had not received it", k.id, k.member)
-		}
-	}
+	t.Logf("%d capsules relayed before the cut; %d re-asks, %d commands not held at NIC receive", relayedAtCut, asks, copies)
 	if c.InSync(0) {
 		t.Fatal("cut head still marked in sync")
 	}
-	undelivered := 0
-	for _, r := range reqs {
+	for i, r := range *reqs {
 		if !r.Done.Fired() {
-			undelivered++
+			t.Fatalf("request %d of %d stalled after the head cut", i, len(*reqs))
 		}
 	}
-	if undelivered != 0 {
-		t.Fatalf("%d of %d requests stalled after the head cut", undelivered, len(reqs))
-	}
-	// Zero duplicates / zero losses: every stream's fully-done watermark
-	// is exactly the submitted group count.
 	for s := 0; s < streams; s++ {
 		if c.Init(0).Sequencer().Stream(s).FullyDone() != uint64(groups) {
 			t.Fatalf("stream %d fully-done = %d, want %d", s, c.Init(0).Sequencer().Stream(s).FullyDone(), groups)
@@ -271,6 +214,13 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 	for _, m := range []int{1, 2} {
 		if v := c.Target(m).GateAudit(); v != 0 {
 			t.Fatalf("survivor %d gate audit: %d violations", m, v)
+		}
+		for _, r := range *reqs {
+			ext := c.Volume().Extents(r.LBA, 1)[0]
+			h := c.Target(m).SSD(c.Volume().Dev(ext.Dev).SSD).History(ext.DevLBA)
+			if len(h) != 1 || h[0].Stamp != core.AttrStamp(r.Ticket.Attr) {
+				t.Fatalf("survivor %d lba %d: history %+v, want exactly one write under stamp %#x", m, r.LBA, h, core.AttrStamp(r.Ticket.Attr))
+			}
 		}
 	}
 
@@ -282,12 +232,10 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 		t.Fatal("head did not rejoin after resync")
 	}
 	mediaIdentical(t, c)
-
 	relaysBefore := c.Target(0).Stats().Relays
 	eng.Go("app2", func(p *sim.Proc) {
 		for g := 0; g < 10; g++ {
-			lba := uint64(900000 + g)
-			r := c.Init(0).OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			r := c.Init(0).OrderedWrite(p, 0, uint64(900000+g), 1, 0, nil, true, false, false)
 			c.Init(0).Wait(p, r)
 		}
 	})
@@ -295,6 +243,128 @@ func TestRelayHeadCutMidBatch(t *testing.T) {
 	mediaIdentical(t, c)
 	if c.Target(0).Stats().Relays <= relaysBefore {
 		t.Fatal("relay path did not resume after the head rejoined")
+	}
+	eng.Shutdown()
+}
+
+// TestReaskAnswers is the follower's three-way answer, one row per case,
+// plus the record that was rebound to a new command while the re-ask was on
+// its way: it is skipped by id before anything of it is indexed.
+func TestReaskAnswers(t *testing.T) {
+	eng := sim.New(27)
+	c := New(eng, relayConfig(3))
+	defer eng.Shutdown()
+	tg := c.targets[1]
+	l := tg.lane(0, 0)
+	cmd := func(id, idx uint64, members ...int) *wireState {
+		ws := &wireState{id: id}
+		for _, m := range members {
+			ws.chain[ws.addMember(m)].attrs = []core.Attr{{Stream: 2, ServerIdx: idx}}
+		}
+		return ws
+	}
+	inFlight := cmd(11, 1, 0, 1, 2)  // below the frontier, still in pend
+	completed := cmd(12, 2, 0, 1, 2) // below the frontier, not in pend
+	parked := cmd(13, 5, 0, 1, 2)    // beyond the frontier, in pend (parked at the gate)
+	neverCame := cmd(14, 4, 0, 1, 2) // beyond the frontier, not in pend
+	rebound := cmd(99, 1, 2)         // asked about as id 15; the record now carries a command that never fanned here
+	tg.ord.Domain(0, 2).Advance(3)   // frontier = 4
+	tg.relay.pend[aggKey{0, 11}] = relayRoute{}
+	tg.relay.pend[aggKey{0, 13}] = relayRoute{}
+
+	cp := &capsule{
+		cmds:  []*wireState{inFlight, completed, parked, neverCame, rebound},
+		reask: []uint64{11, 12, 13, 14, 15}, epoch: 0, member: 1,
+	}
+	for pass := 1; pass <= 2; pass++ { // NIC receive, then the receive loop: the second finds nothing new
+		acked := tg.answerReask(l, cp)
+		if acked != (pass == 1) {
+			t.Fatalf("pass %d: acked = %v", pass, acked)
+		}
+		if len(cp.cmds) != 1 || cp.cmds[0] != neverCame || !slices.Equal(cp.reask, []uint64{14}) {
+			t.Fatalf("pass %d: not-held remainder = %d commands, ids %v; want exactly id 14", pass, len(cp.cmds), cp.reask)
+		}
+		if len(l.cqes) != 1 || l.cqes[0].ID() != 12 {
+			t.Fatalf("pass %d: acked again = %v, want exactly id 12", pass, l.cqes)
+		}
+		completed.id = 77 // the first ack resolved it and the record was rebound: no second ack
+	}
+}
+
+// TestReaskKeepsVectorMarks: a re-ask names commands whose forwarded
+// original may still be queued at the follower, so it must leave every
+// member SQE's vector position as the original capsule marked it — and the
+// receive loop must take a re-ask's copies without the vectored-batch check.
+func TestReaskKeepsVectorMarks(t *testing.T) {
+	eng := sim.New(24)
+	c := New(eng, relayConfig(3))
+	headCutTraffic(eng, c, 60, true)
+	type key struct {
+		id uint64
+		k  int
+	}
+	marks := map[key]nvmeof.SQE{}
+	eng.At(60*sim.Microsecond, func() {
+		for _, ws := range c.Init(0).outstandingOfSet(0) {
+			for k := range ws.chain {
+				marks[key{ws.id, k}] = ws.chain[k].sqe
+			}
+		}
+		c.PowerCutTarget(0)
+	})
+	checked, multi := 0, false
+	for _, m := range []int{1, 2} {
+		tgt := c.targets[m]
+		tgt.conns[0].SetHandler(fabric.Target, func(msg fabric.Message) {
+			cp := msg.Payload.(*capsule)
+			for i, ws := range cp.cmds {
+				if cp.reask == nil || ws.id != cp.reask[i] {
+					continue
+				}
+				checked++
+				multi = multi || len(cp.cmds) > 1
+				if ws.chain[ws.q.Pos(m)].sqe != marks[key{ws.id, ws.q.Pos(m)}] {
+					t.Errorf("cmd %d member %d: the re-ask re-marked the member's SQE", ws.id, m)
+				}
+			}
+			tgt.recvCapsule(0, msg.QP, cp)
+		})
+	}
+	eng.Run()
+	if checked == 0 || !multi {
+		t.Fatalf("%d re-asked commands checked, several in one capsule: %v — the schedule does not exercise the check", checked, multi)
+	}
+	eng.Shutdown()
+}
+
+// TestRelayOrderlessWriteGoesDirect: an orderless write has no chain index
+// for a re-ask to be answered from, so on a relay cluster it fans out
+// direct — nothing is relayed, a head cut stalls nothing, and the replicas
+// are byte-identical once the head rejoins.
+func TestRelayOrderlessWriteGoesDirect(t *testing.T) {
+	eng := sim.New(28)
+	c := New(eng, relayConfig(3))
+	reqs := headCutTraffic(eng, c, 60, false)
+	eng.At(60*sim.Microsecond, func() { c.PowerCutTarget(0) })
+	eng.Run()
+	for i, r := range *reqs {
+		if !r.Done.Fired() {
+			t.Fatalf("orderless request %d stalled after the head cut", i)
+		}
+	}
+	if n := c.Target(0).Stats().Relays; n != 0 {
+		t.Fatalf("head relayed %d capsules of orderless writes", n)
+	}
+	eng.Go("resync", func(p *sim.Proc) { c.RecoverTarget(p, 0) })
+	eng.Run()
+	if !c.InSync(0) {
+		t.Fatal("head did not rejoin after resync")
+	}
+	mediaIdentical(t, c)
+	for _, r := range *reqs {
+		if !c.Holds(r) {
+			t.Fatalf("lba %d not durable under its stamp on every member", r.LBA)
+		}
 	}
 	eng.Shutdown()
 }

@@ -45,7 +45,7 @@ import (
 //	             initiator ◀──aggregated CQE── head ◀──acks── followers
 //
 // A head power cut flips the in-flight commands of its set from
-// routeRelay to routeDirect (relay.go).
+// routeRelay to routeDirect and asks the survivors about them (relay.go).
 
 // route is how one replica set's batch travels to the set's members.
 type route uint8
@@ -236,7 +236,7 @@ func (in *Initiator) fanFlush(ws *wireState) {
 // experiment measures. routeRelay posts ONE capsule to the set's head with
 // the followers' capsules attached: one PostMsg, one TX-depth slot, one
 // wire message — the R×→1× initiator cost collapse the relay exists for.
-func (in *Initiator) postSet(p *sim.Proc, set int, cmds []*wireState, stream int, rt route) {
+func (in *Initiator) postSet(p *sim.Proc, cmds []*wireState, stream int, rt route) {
 	qp := in.qpFor(stream)
 	for _, ws := range cmds {
 		ws.qp = qp
@@ -249,15 +249,14 @@ func (in *Initiator) postSet(p *sim.Proc, set int, cmds []*wireState, stream int
 		return
 	}
 	head := in.buildMemberCapsule(cmds, 0, members[0], stream)
-	head.relaySeq = in.nextRelaySeq(set, qp)
 	head.forward = make([]*capsule, 0, len(members)-1)
 	for k := 1; k < len(members); k++ {
 		fcp := in.buildMemberCapsule(cmds, k, members[k], stream)
-		fcp.relayed, fcp.relaySeq = true, head.relaySeq
+		fcp.relayed = true
 		head.forward = append(head.forward, fcp)
 	}
 	for _, ws := range cmds {
-		ws.relaySeq = head.relaySeq
+		ws.relayed = true
 	}
 	in.post(p, members[0], qp, head)
 }
@@ -267,9 +266,9 @@ func (in *Initiator) postSet(p *sim.Proc, set int, cmds []*wireState, stream int
 // carries it: it vector-marks the member's SQE of each command's chain
 // record (position k of its member list) for this batch and attaches the
 // member's piggybacked retire watermark as of now. One (command, member)
-// pair is in at most one live capsule at a time — a re-post (head-cut
-// repair, target replay) happens only after the link that carried the
-// previous copy dropped it whole — so marking the record in place is safe.
+// pair is in at most one live vectored capsule at a time — target replay
+// re-posts only after the link that carried the previous copy dropped it
+// whole — so marking the record in place is safe.
 func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int) *capsule {
 	cp := &capsule{cmds: cmds, epoch: in.epoch, member: member}
 	for i, ws := range cmds {

@@ -26,7 +26,6 @@ type TargetStats struct {
 	Flushes    int64 // device FLUSHes issued
 	Barriers   int64 // flush barriers certified (a combined FLUSH certifies several)
 	Vectors    int64 // vectored command batches validated intact
-	Allocs     int64 // hot-path heap allocations (completion events, PMR slot bursts) not served from the free lists
 	Reads      int64 // read commands served (demand misses and prefetches)
 
 	// Coalescing hold-timer observability (the governor's decision trail):
@@ -48,15 +47,6 @@ type TargetStats struct {
 	Relays    int64
 	RelayAcks int64
 	AggFires  int64
-}
-
-// AllocsPerCmd returns target-side hot-path allocations per processed
-// command — the dense-table/pooling headline the policy experiment gates.
-func (s TargetStats) AllocsPerCmd() float64 {
-	if s.Commands == 0 {
-		return 0
-	}
-	return float64(s.Allocs) / float64(s.Commands)
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
@@ -113,9 +103,8 @@ type parkedCmd struct {
 }
 
 // qpLane is everything a target holds for one (initiator, queue pair): the
-// receive queue its rx worker drains serially, the response capsule being
-// coalesced toward that initiator on that QP, and — on the relay route —
-// the follower's received relay-sequence prefix. One record per lane means
+// receive queue its rx worker drains serially and the response capsule being
+// coalesced toward that initiator on that QP. One record per lane means
 // a link death clears it in one place (reset): the pending CQEs belong to
 // the dead epoch and must never be flushed into the next incarnation, and
 // the armed flag must go with them — left set, it would strand the next
@@ -137,8 +126,6 @@ type qpLane struct {
 	first    sim.Time // when it entered: the hold timer ships a batch only once it is cqeHold old
 	armed    bool     // a hold-timer event is outstanding
 	inflight int      // commands submitted to an SSD and not yet responded
-
-	seen uint64 // follower: received relay-sequence prefix (head-cut repair)
 }
 
 // push appends one CQE (and its parallel stamps) to the pending response
@@ -190,7 +177,7 @@ type Target struct {
 	flushers []flushCombiner // one per SSD
 
 	// Completion-event free lists: tDone structs and the PMR slot bursts
-	// they carry. Misses are heap allocations, counted in stats.Allocs.
+	// they carry.
 	// timerFree holds fired CQE hold-timer events.
 	doneFree  []*tDone
 	slotsFree [][]uint64
@@ -271,23 +258,17 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 // initiator init, from the initiator's conn or — a forwarded copy — from
 // the set head's relay conn. Retire watermarks are processed here, in
 // interrupt context: they free PMR log space and must not queue behind
-// commands that may be blocked waiting for that very space. A forwarded
-// copy also carries the head's ack confirmations (releasing this
-// follower's replay buffer before the capsule even queues) and advances
-// the received relay-sequence prefix.
+// commands that may be blocked waiting for that very space. A head-cut
+// re-ask gets its first answer here too: a command that finished must not
+// wait behind the lane's backlog for its second ack.
 func (t *Target) recvCapsule(init, qp int, cp *capsule) {
 	l := t.lane(init, qp)
 	if t.alive && cp.epoch == t.initEpoch(init) {
 		for _, r := range cp.retires {
 			t.retireUpTo(init, r.stream, r.upTo)
 		}
-		if cp.relayed {
-			for _, e := range cp.relayAcked {
-				delete(t.relay.ackBuf, aggKey{e.init, e.id})
-			}
-			if cp.relaySeq > l.seen {
-				l.seen = cp.relaySeq
-			}
+		if cp.reask != nil && t.answerReask(l, cp) {
+			t.routeFlush(l)
 		}
 	}
 	l.rxQ.Push(cp)
@@ -360,7 +341,6 @@ func (t *Target) getDone() *tDone {
 		d.free = false
 		return d
 	}
-	t.stats.Allocs++
 	d := &tDone{}
 	d.cmd.Done, d.cmd.Ctx = t.ssdDone, d
 	return d
@@ -404,7 +384,6 @@ func (t *Target) getSlots(n int) []uint64 {
 		t.slotsFree = t.slotsFree[:ln-1]
 		return s[:0]
 	}
-	t.stats.Allocs++
 	return make([]uint64, 0, n)
 }
 
@@ -433,22 +412,30 @@ func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
 		if len(cp.ctrl) > 0 {
 			t.handleCtrl(p, cp, init, qp)
 		}
+		// Head-cut re-ask, second answer: everything that arrived before it
+		// has been taken, so what is still not held never arrived and goes on
+		// below as this member's copy.
+		if cp.reask != nil && t.answerReask(l, cp) {
+			t.flushOrArm(p, l)
+		}
 		// A command capsule is one member's copy of a vectored batch: verify
 		// it arrived intact and was split exactly on a set boundary — every
 		// entry is addressed to this member of the set the command stripes
-		// to, and the member's SQEs run positions 0..n-1.
+		// to, and the member's SQEs run positions 0..n-1. (A re-ask is not a
+		// vectored batch: its SQEs keep the marks of the capsule that first
+		// carried them.)
 		for i, ws := range cp.cmds {
 			k := ws.q.Pos(cp.member)
 			if cp.member != t.id || t.c.setOf[t.id] != ws.target || k < 0 {
 				panic(fmt.Sprintf("stack: vectored batch misrouted: entry %d for set %d member %d arrived at target %d",
 					i, ws.target, cp.member, t.id))
 			}
-			if pos, n := ws.chain[k].sqe.VectorPos(); pos != i || n != len(cp.cmds) {
+			if pos, n := ws.chain[k].sqe.VectorPos(); cp.reask == nil && (pos != i || n != len(cp.cmds)) {
 				panic(fmt.Sprintf("stack: torn vectored batch at target %d: entry %d carries pos %d/%d of %d",
 					t.id, i, pos, n, len(cp.cmds)))
 			}
 		}
-		if len(cp.cmds) > 0 {
+		if len(cp.cmds) > 0 && cp.reask == nil {
 			t.stats.Vectors++
 		}
 		// Fetch any non-inline payload in one shot (one-sided READ: no
@@ -995,9 +982,6 @@ func (t *Target) flushCQEs(p *sim.Proc, l *qpLane) {
 		QP: l.qp, Size: size,
 		Payload: &completionMsg{cqes: batch, qp: l.qp, epoch: epoch, from: t.id, respondAt: batchT, agg: agg, resolved: resolved},
 	})
-	if t.relay != nil {
-		t.noteForwarded(l.init, agg, batch, resolved)
-	}
 }
 
 // retireUpTo recycles PMR entries whose completions the owning initiator

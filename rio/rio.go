@@ -89,14 +89,15 @@ type Options struct {
 	// WriteQuorum: 0 = majority of Replicas; Replicas = full-set
 	// durability (writes stall while the set is degraded).
 	WriteQuorum int
-	// Relay routes replicated writes over target-to-target links: the
-	// initiator posts ONE capsule to the set's head member, which relays
-	// follower copies and aggregates follower acks into a single quorum
-	// CQE — cutting initiator egress and reap work from R× to ~1× per
-	// write. Requires Replicas > 1. Off (false) keeps the direct fan-out
-	// path byte-identical to earlier releases; a head power cut degrades
-	// the set back to direct fan-out mid-flight with no lost or
-	// duplicated completions.
+	// Relay routes replicated ordered writes over target-to-target links:
+	// the initiator posts ONE capsule to the set's head member, which
+	// relays follower copies and aggregates follower acks into a single
+	// quorum CQE — cutting initiator egress and reap work from R× to ~1×
+	// per write. Orderless writes and flushes still fan out direct.
+	// Requires Replicas > 1. Off (false) keeps the direct fan-out path
+	// byte-identical to earlier releases; a head power cut degrades the
+	// set back to direct fan-out mid-flight with no lost or duplicated
+	// completions.
 	Relay bool
 
 	// Read configures the initiator-side read path (block cache,
