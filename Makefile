@@ -50,8 +50,8 @@ bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
 
 # Host-clock microbenchmarks of the simulation substrate (event heap, proc
-# switch, queues, servers, resources, proc spawn). CI smokes them at
-# BENCHTIME=100x.
+# switch, queues, servers, resources charged by a proc and by a Runner, proc
+# spawn). CI smokes them at BENCHTIME=100x.
 BENCHTIME ?= 1s
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/sim
@@ -60,9 +60,11 @@ bench-sim:
 # send→deliver (paced, and under TxDepth backpressure), ssd Optane
 # write→complete, flash write→destage and flash write burst→FLUSH, the
 # ordering domain's gate/park/retire, sequencer submit→complete, volume
-# extents into scratch. CI smokes them at BENCHTIME=100x.
+# extents into scratch, and the whole stack per ordered write (host ns,
+# allocations, engine events and proc resumes per write). CI smokes them at
+# BENCHTIME=100x.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack
 
 # The gated experiments and the committed baseline they must reproduce:
 # named here and nowhere else (CI runs `make bench-gate`; cmd/benchdiff is

@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -204,6 +205,25 @@ var blockSystems = []system{
 var blockSystemsWithAblation = append(append([]system{}, blockSystems...),
 	system{"rio-nomerge", stack.ModeRio, true, true})
 
+// cell is one figure cell measured over window r: v, or NaN — which
+// metrics.Table prints "n/a" and GeoMeanRatio skips — when the window
+// completed no operation, so a system too slow for the window never reads
+// as a measured zero that then feeds a ratio.
+func cell(r workload.BlockResult, v float64) float64 {
+	if r.Requests == 0 {
+		return math.NaN()
+	}
+	return v
+}
+
+// ratio formats a note's headline ratio: the geometric mean of a[i]/b[i]
+// with prec decimals, and how many of the points it averages (a point where
+// either side measured nothing is left out).
+func ratio(prec int, a, b []float64) string {
+	r, n := metrics.GeoMeanRatio(a, b)
+	return fmt.Sprintf("%.*fx (geomean, %d of %d points)", prec, r, n, len(a))
+}
+
 // runBlockPoint builds a fresh cluster and measures one configuration.
 func runBlockPoint(o Options, sys system, targets []stack.TargetConfig,
 	job workload.BlockJob) workload.BlockResult {
@@ -245,14 +265,14 @@ func Fig2Motivation(o Options) *Result {
 			for _, th := range threads {
 				r := runBlockPoint(o, sys, dev.targets,
 					workload.BlockJob{Threads: th, Pattern: workload.PatternJournal})
-				s.Add(float64(th), r.KIOPS())
+				s.Add(float64(th), cell(r, r.KIOPS()))
 			}
 			series = append(series, s)
 		}
 		res.Tables = append(res.Tables,
 			metrics.Table("Fig 2"+dev.label+" — throughput (KIOPS)", "threads", series...))
-		res.Notes = append(res.Notes, fmt.Sprintf("%s: orderless/NVMe-oF ratio = %.1fx",
-			dev.label, metrics.GeoMeanRatio(series[2].Y, series[0].Y)))
+		res.Notes = append(res.Notes, fmt.Sprintf("%s: orderless/NVMe-oF ratio = %s",
+			dev.label, ratio(1, series[2].Y, series[0].Y)))
 	}
 	return res
 }
@@ -314,9 +334,9 @@ func fig10(o Options, name string, targets []stack.TargetConfig, threads []int) 
 		for _, th := range threads {
 			r := runBlockPoint(o, sys, targets,
 				workload.BlockJob{Threads: th, Pattern: workload.PatternRandom4K})
-			st.Add(float64(th), r.KIOPS())
+			st.Add(float64(th), cell(r, r.KIOPS()))
 			byLabel[sys.label] = append(byLabel[sys.label], point{
-				r.KIOPS(), r.Efficiency(r.InitUtil), r.Efficiency(r.TgtUtil),
+				cell(r, r.KIOPS()), cell(r, r.Efficiency(r.InitUtil)), cell(r, r.Efficiency(r.TgtUtil)),
 			})
 		}
 		tput = append(tput, st)
@@ -327,7 +347,7 @@ func fig10(o Options, name string, targets []stack.TargetConfig, threads []int) 
 		si := metrics.Series{Label: sys.label}
 		stg := metrics.Series{Label: sys.label}
 		for i, pt := range byLabel[sys.label] {
-			normI, normT := 0.0, 0.0
+			normI, normT := math.NaN(), math.NaN()
 			if base[i].effInit > 0 {
 				normI = pt.effInit / base[i].effInit
 			}
@@ -346,9 +366,9 @@ func fig10(o Options, name string, targets []stack.TargetConfig, threads []int) 
 		metrics.Table("target CPU efficiency (normalized to orderless)", "threads", effT...))
 	rio := seriesByLabel(tput, "rio")
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("rio/linux throughput = %.1fx (geomean)", metrics.GeoMeanRatio(rio.Y, seriesByLabel(tput, "linux").Y)),
-		fmt.Sprintf("rio/horae throughput = %.1fx (geomean)", metrics.GeoMeanRatio(rio.Y, seriesByLabel(tput, "horae").Y)),
-		fmt.Sprintf("rio/orderless throughput = %.2fx (geomean)", metrics.GeoMeanRatio(rio.Y, seriesByLabel(tput, "orderless").Y)))
+		"rio/linux throughput = "+ratio(1, rio.Y, seriesByLabel(tput, "linux").Y),
+		"rio/horae throughput = "+ratio(1, rio.Y, seriesByLabel(tput, "horae").Y),
+		"rio/orderless throughput = "+ratio(2, rio.Y, seriesByLabel(tput, "orderless").Y))
 	return res
 }
 
@@ -379,16 +399,16 @@ func Fig11WriteSizes(o Options) *Result {
 					Threads: 1, Pattern: workload.PatternSize,
 					WriteBlocks: kb / 4, Sequential: seq,
 				})
-				s.Add(float64(kb), r.GBps())
+				s.Add(float64(kb), cell(r, r.GBps()))
 			}
 			series = append(series, s)
 		}
 		res.Tables = append(res.Tables,
 			metrics.Table("Fig 11"+kind+" — bandwidth (GB/s)", "write KB", series...))
-		res.Notes = append(res.Notes, fmt.Sprintf("%s: rio/horae = %.1fx, rio/linux = %.0fx",
+		res.Notes = append(res.Notes, fmt.Sprintf("%s: rio/horae = %s, rio/linux = %s",
 			kind,
-			metrics.GeoMeanRatio(seriesByLabel(series, "rio").Y, seriesByLabel(series, "horae").Y),
-			metrics.GeoMeanRatio(seriesByLabel(series, "rio").Y, seriesByLabel(series, "linux").Y)))
+			ratio(1, seriesByLabel(series, "rio").Y, seriesByLabel(series, "horae").Y),
+			ratio(0, seriesByLabel(series, "rio").Y, seriesByLabel(series, "linux").Y)))
 	}
 	return res
 }
@@ -408,27 +428,30 @@ func Fig12BatchSizes(o Options) *Result {
 				r := runBlockPoint(o, sys, fourSSDTwoTargets(), workload.BlockJob{
 					Threads: th, Pattern: workload.PatternBatch, Batch: b,
 				})
-				s.Add(float64(b), r.GBps())
-				e.Add(float64(b), r.Efficiency(r.InitUtil))
+				s.Add(float64(b), cell(r, r.GBps()))
+				e.Add(float64(b), cell(r, r.Efficiency(r.InitUtil)))
 			}
 			series = append(series, s)
 			effs = append(effs, e)
 		}
 		// Normalize efficiency to orderless (snapshot the base first: the
-		// series share slices, and the base itself gets normalized too).
+		// series share slices, and the base itself gets normalized too). A
+		// point without a base has no normalized value.
 		base := append([]float64(nil), seriesByLabel(effs, "orderless").Y...)
 		for i := range effs {
 			for j := range effs[i].Y {
 				if base[j] > 0 {
 					effs[i].Y[j] /= base[j]
+				} else {
+					effs[i].Y[j] = math.NaN()
 				}
 			}
 		}
 		res.Tables = append(res.Tables,
 			metrics.Table(fmt.Sprintf("bandwidth (GB/s), %d thread(s)", th), "batch", series...),
 			metrics.Table(fmt.Sprintf("initiator CPU efficiency (normalized), %d thread(s)", th), "batch", effs...))
-		res.Notes = append(res.Notes, fmt.Sprintf("%d threads: rio vs rio-nomerge bandwidth = %.2fx",
-			th, metrics.GeoMeanRatio(seriesByLabel(series, "rio").Y, seriesByLabel(series, "rio-nomerge").Y)))
+		res.Notes = append(res.Notes, fmt.Sprintf("%d threads: rio vs rio-nomerge bandwidth = %s",
+			th, ratio(2, seriesByLabel(series, "rio").Y, seriesByLabel(series, "rio-nomerge").Y)))
 	}
 	return res
 }
@@ -485,9 +508,9 @@ func Fig13Filesystem(o Options) *Result {
 		metrics.Table("fsync throughput (KIOPS)", "threads", tput...),
 		metrics.Table("average latency (us)", "threads", avg...),
 		metrics.Table("99th percentile latency (us)", "threads", p99...))
-	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 throughput = %.1fx, riofs/horaefs = %.1fx",
-		metrics.GeoMeanRatio(seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "ext4").Y),
-		metrics.GeoMeanRatio(seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "horaefs").Y)))
+	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 throughput = %s, riofs/horaefs = %s",
+		ratio(1, seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "ext4").Y),
+		ratio(1, seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "horaefs").Y)))
 	return res
 }
 
@@ -535,9 +558,9 @@ func Fig15aVarmail(o Options) *Result {
 		series = append(series, s)
 	}
 	res.Tables = append(res.Tables, metrics.Table("throughput (K ops/s)", "threads", series...))
-	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %.1fx, riofs/horaefs = %.1fx (paper: 2.3x, 1.3x)",
-		metrics.GeoMeanRatio(seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
-		metrics.GeoMeanRatio(seriesByLabel(series, "riofs").Y, seriesByLabel(series, "horaefs").Y)))
+	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %s, riofs/horaefs = %s (paper: 2.3x, 1.3x)",
+		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
+		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "horaefs").Y)))
 	return res
 }
 
@@ -561,9 +584,9 @@ func Fig15bRocksDB(o Options) *Result {
 		series = append(series, s)
 	}
 	res.Tables = append(res.Tables, metrics.Table("throughput (K ops/s)", "threads", series...))
-	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %.1fx, riofs/horaefs = %.1fx (paper: 1.9x, 1.5x)",
-		metrics.GeoMeanRatio(seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
-		metrics.GeoMeanRatio(seriesByLabel(series, "riofs").Y, seriesByLabel(series, "horaefs").Y)))
+	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %s, riofs/horaefs = %s (paper: 1.9x, 1.5x)",
+		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
+		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "horaefs").Y)))
 	return res
 }
 

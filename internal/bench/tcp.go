@@ -40,16 +40,16 @@ func TCPTransport(o Options) *Result {
 				holdbacks += c.Target(0).Stats().Holdbacks
 			}
 			eng.Shutdown()
-			s.Add(float64(th), r.KIOPS())
+			s.Add(float64(th), cell(r, r.KIOPS()))
 		}
 		series = append(series, s)
 	}
 	res.Tables = append(res.Tables,
 		metrics.Table("throughput over NVMe/TCP (K ops/s)", "threads", series...))
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("rio/orderless over TCP = %.2fx (geomean); rio/linux = %.1fx",
-			metrics.GeoMeanRatio(seriesByLabel(series, "rio").Y, seriesByLabel(series, "orderless").Y),
-			metrics.GeoMeanRatio(seriesByLabel(series, "rio").Y, seriesByLabel(series, "linux").Y)),
+		fmt.Sprintf("rio/orderless over TCP = %s; rio/linux = %s",
+			ratio(2, seriesByLabel(series, "rio").Y, seriesByLabel(series, "orderless").Y),
+			ratio(1, seriesByLabel(series, "rio").Y, seriesByLabel(series, "linux").Y)),
 		fmt.Sprintf("in-order submission holdbacks with stream→connection affinity: %d "+
 			"(near zero: the per-connection FIFO does the ordering; the gate absorbs "+
 			"residual races between timer and inline plug flushes)", holdbacks))

@@ -43,7 +43,8 @@ func BenchmarkSendDeliverTxDepth(b *testing.B) {
 	c.SetHandler(Target, func(Message) { got++ })
 	e.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			c.WaitTxSpace(p, Initiator)
+			var tw TxWait
+			c.WaitTxSpace(p, &tw, Initiator)
 			c.Send(Initiator, Message{QP: i % 8, Size: 4096})
 		}
 	})

@@ -210,27 +210,47 @@ func (c *Conn) Send(from Side, m Message) {
 	c.wires[from.other()].Push(wireItem{msg: m, epoch: c.epoch, to: from.other(), sentAt: c.eng.Now()})
 }
 
-// WaitTxSpace blocks the calling process until the TX queue toward the
-// remote side of `from` has room under TxDepth (no-op when TxDepth is 0
-// or the connection is down — Send then drops the message anyway). This
-// is how link saturation propagates upstream: a sender that calls it
-// stalls at wire speed instead of queueing unboundedly. Returns how long
-// the caller was stalled (0 when it never blocked) for stage tracing.
-func (c *Conn) WaitTxSpace(p *sim.Proc, from Side) sim.Time {
+// A TxWait is one sender's pass through WaitTxSpace. A proc's pass is one
+// call; a Runner's spans the calls its re-runs make, and the record carries
+// the pass across them. The zero value is ready, and WaitTxSpace leaves it
+// ready for the next pass.
+type TxWait struct {
+	start   sim.Time
+	waiting bool     // queued for TX space: the next call continues this pass
+	Stalled sim.Time // how long the pass was stalled (0 when it never blocked)
+}
+
+// WaitTxSpace holds sender w until the TX queue toward the remote side of
+// `from` has room under TxDepth (no wait when TxDepth is 0 or the
+// connection is down — Send then drops the message anyway) and reports
+// whether w may send now. This is how link saturation propagates upstream:
+// a sender that calls it stalls at wire speed instead of queueing
+// unboundedly. A proc blocks here (true); a Runner that must wait gets
+// false and is re-run when a slot frees, to call again with the same tw.
+// tw.Stalled is then how long the sender was stalled, for stage tracing.
+func (c *Conn) WaitTxSpace(w sim.Runner, tw *TxWait, from Side) bool {
 	if c.cfg.TxDepth <= 0 {
-		return 0
+		tw.Stalled = 0
+		return true
 	}
 	dir := from.other()
-	stalled := sim.Time(0)
-	start := p.Now()
+	if tw.waiting {
+		tw.Stalled = c.eng.Now() - tw.start
+	} else {
+		tw.start, tw.Stalled = c.eng.Now(), 0
+	}
 	for c.up && c.wires[dir].Len() >= c.cfg.TxDepth {
-		if stalled == 0 {
+		if tw.Stalled == 0 {
 			c.stats[dir].TxStalls++
 		}
-		c.txSpace[dir].Wait(p)
-		stalled = p.Now() - start
+		tw.waiting = true
+		if !c.txSpace[dir].Wait(w) {
+			return false
+		}
+		tw.Stalled = c.eng.Now() - tw.start
 	}
-	return stalled
+	tw.waiting = false
+	return true
 }
 
 // wireStart and wireFinish are one direction of the link as a sim.Server:
@@ -272,24 +292,56 @@ func (c *Conn) wireFinish(it wireItem) {
 	c.eng.Schedule(at-now, d)
 }
 
-// BulkRead performs a one-sided RDMA READ: the calling process (on side
-// `reader`) pulls size bytes from the remote side's memory. No remote CPU
-// is consumed. The call blocks the process for the full transfer.
-func (c *Conn) BulkRead(p *sim.Proc, reader Side, size int) bool {
-	if !c.up {
-		return false
+// A Transfer is one caller's one-sided READ in progress. A proc's READ is
+// one BulkRead call; a Runner's spans the calls its re-runs make, and the
+// record carries it across them — with the placement signal the wire item
+// fires, so a caller that keeps its Transfer allocates nothing per READ.
+// The zero value is ready, and BulkRead leaves it ready for the next READ.
+type Transfer struct {
+	stage  uint8 // 0 idle, 1 request crossing to the remote NIC, 2 data on the wire
+	ep     uint64
+	ok     bool
+	placed sim.Signal
+}
+
+// OK reports whether the last finished READ completed (the link stayed up).
+func (tr *Transfer) OK() bool { return tr.ok }
+
+// BulkRead performs a one-sided RDMA READ: caller w (on side `reader`)
+// pulls size bytes from the remote side's memory. No remote CPU is
+// consumed. It reports whether the READ is over — tr.OK() then says whether
+// it completed. A proc blocks for the full transfer (true); a Runner gets
+// false whenever it must wait and is re-run when it may go on, to call
+// again with the same tr.
+func (c *Conn) BulkRead(w sim.Runner, tr *Transfer, reader Side, size int) bool {
+	switch tr.stage {
+	case 0:
+		if !c.up {
+			tr.ok = false
+			return true
+		}
+		tr.ep, tr.stage = c.epoch, 1
+		// Request travels to the remote NIC, data streams back over the link
+		// toward the reader.
+		if !c.eng.Sleep(w, c.cfg.PropDelay) {
+			return false
+		}
+		fallthrough
+	case 1:
+		if tr.ep != c.epoch {
+			tr.stage, tr.ok = 0, false
+			return true
+		}
+		tr.stage = 2
+		c.wires[reader].Push(wireItem{msg: Message{QP: 0, Size: size}, done: tr.placed.Init(c.eng), epoch: tr.ep, to: reader})
+		fallthrough
+	case 2:
+		if !tr.placed.Wait(w) {
+			return false
+		}
 	}
-	ep := c.epoch
-	// Request travels to the remote NIC, data streams back over the link
-	// toward the reader.
-	p.Sleep(c.cfg.PropDelay)
-	if ep != c.epoch {
-		return false
-	}
-	done := sim.NewSignal(c.eng)
-	c.wires[reader].Push(wireItem{msg: Message{QP: 0, Size: size}, done: done, epoch: ep, to: reader})
-	done.Wait(p)
-	return ep == c.epoch
+	tr.stage, tr.ok = 0, tr.ep == c.epoch
+	return true
 }
 
 // BulkWrite performs a one-sided RDMA WRITE of size bytes toward the remote
@@ -322,9 +374,9 @@ func (c *Conn) Disconnect() {
 }
 
 // drop discards one in-flight item of a link that went down. A one-sided
-// transfer has a process blocked on it, which is released here (BulkRead
+// transfer has a caller waiting on it, which is released here (BulkRead
 // and BulkWrite then report the failure from the epoch) — left waiting, a
-// target's receive worker caught mid-READ by a power cut would never serve
+// target's receive context caught mid-READ by a power cut would never serve
 // its queue pair again.
 func (c *Conn) drop(it wireItem) {
 	c.stats[it.to].Dropped++

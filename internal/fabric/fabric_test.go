@@ -146,7 +146,8 @@ func TestBulkReadBlocksForTransfer(t *testing.T) {
 	var took sim.Time
 	e.Go("target", func(p *sim.Proc) {
 		start := p.Now()
-		if !c.BulkRead(p, Target, 1<<20) {
+		var tr Transfer
+		if c.BulkRead(p, &tr, Target, 1<<20); !tr.OK() {
 			t.Error("bulk read failed on healthy conn")
 		}
 		took = p.Now() - start

@@ -202,7 +202,9 @@ func TestDisconnectDuringBulkTransferFails(t *testing.T) {
 	e.Go("reader", func(p *sim.Proc) {
 		// Huge transfer: the disconnect lands mid-flight and the one-sided
 		// READ must report failure rather than hang or succeed.
-		ok = c.BulkRead(p, Target, 1<<22)
+		var tr Transfer
+		c.BulkRead(p, &tr, Target, 1<<22)
+		ok = tr.OK()
 		returned = true
 	})
 	e.At(10, func() { c.Disconnect() })
@@ -233,7 +235,11 @@ func TestDisconnectReleasesBulkTransfers(t *testing.T) {
 		// direction to itself.
 		e.At(0, func() { c.Send(Initiator, Message{QP: 0, Size: 1 << 19}) })
 		results := map[string]result{}
-		e.Go("reader", func(p *sim.Proc) { results["read"] = result{c.BulkRead(p, Target, 1<<19), p.Now()} })
+		e.Go("reader", func(p *sim.Proc) {
+			var tr Transfer
+			c.BulkRead(p, &tr, Target, 1<<19)
+			results["read"] = result{tr.OK(), p.Now()}
+		})
 		e.Go("writer", func(p *sim.Proc) { results["write"] = result{c.BulkWrite(p, Target, 1<<19), p.Now()} })
 		e.At(cutAt, func() { c.Disconnect() })
 		e.Run()

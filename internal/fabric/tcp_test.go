@@ -69,7 +69,7 @@ func TestStatsAccounting(t *testing.T) {
 		c.Send(Initiator, Message{QP: 0, Size: 100})
 		c.Send(Initiator, Message{QP: 1, Size: 200})
 	})
-	e.Go("t", func(p *sim.Proc) { c.BulkRead(p, Target, 5000) })
+	e.Go("t", func(p *sim.Proc) { c.BulkRead(p, new(Transfer), Target, 5000) })
 	e.Run()
 	st := c.Stats(Target)
 	if st.Sends != 2 || st.SendBytes != 300 {

@@ -309,7 +309,8 @@ func (s *Series) Add(x, y float64) {
 
 // Table formats one or more series that share X values as an aligned text
 // table with the given column headers. A column is as wide as its label
-// needs, and at least 16.
+// needs, and at least 16. A NaN cell — a point that measured nothing —
+// prints "n/a".
 func Table(title, xName string, series ...Series) string {
 	out := fmt.Sprintf("# %s\n", title)
 	out += fmt.Sprintf("%-12s", xName)
@@ -326,10 +327,13 @@ func Table(title, xName string, series ...Series) string {
 	for i := 0; i < n; i++ {
 		out += fmt.Sprintf("%-12g", series[0].X[i])
 		for k, s := range series {
-			if i < len(s.Y) {
-				out += fmt.Sprintf("%*.2f", width[k], s.Y[i])
-			} else {
+			switch {
+			case i >= len(s.Y):
 				out += fmt.Sprintf("%*s", width[k], "-")
+			case math.IsNaN(s.Y[i]):
+				out += fmt.Sprintf("%*s", width[k], "n/a")
+			default:
+				out += fmt.Sprintf("%*.2f", width[k], s.Y[i])
 			}
 		}
 		out += "\n"
@@ -338,22 +342,24 @@ func Table(title, xName string, series ...Series) string {
 }
 
 // GeoMeanRatio returns the geometric mean of pointwise ratios a[i]/b[i],
-// used when summarizing "A outperforms B by X× on average" claims.
-func GeoMeanRatio(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
+// used when summarizing "A outperforms B by X× on average" claims, and n,
+// how many points it averaged: a point where either side is not positive —
+// zero, or NaN for a window that measured nothing — is skipped (ratio 0
+// when all are).
+func GeoMeanRatio(a, b []float64) (ratio float64, n int) {
+	if len(a) != len(b) {
+		return 0, 0
 	}
 	logSum := 0.0
-	n := 0
 	for i := range a {
-		if a[i] <= 0 || b[i] <= 0 {
+		if !(a[i] > 0) || !(b[i] > 0) {
 			continue
 		}
 		logSum += math.Log(a[i] / b[i])
 		n++
 	}
 	if n == 0 {
-		return 0
+		return 0, 0
 	}
-	return math.Exp(logSum / float64(n))
+	return math.Exp(logSum / float64(n)), n
 }

@@ -161,6 +161,7 @@ func TestSeriesTable(t *testing.T) {
 	s2.Add(1, 1)
 	s2.Add(2, 2)
 	s3.Add(1, 3)
+	s2.Y[0] = math.NaN() // a window that measured nothing
 	out := Table("fig", "threads", s1, s2, s3)
 	if !strings.Contains(out, "20.25") {
 		t.Fatalf("missing value in table:\n%s", out)
@@ -183,20 +184,27 @@ func TestSeriesTable(t *testing.T) {
 	if !strings.HasSuffix(lines[3], "2.00               -") {
 		t.Fatalf("short series not marked under its column: %q", lines[3])
 	}
+	if !strings.Contains(lines[2], " n/a ") {
+		t.Fatalf("NaN cell not printed as n/a: %q", lines[2])
+	}
 }
 
 func TestGeoMeanRatio(t *testing.T) {
 	a := []float64{2, 8}
 	b := []float64{1, 2}
 	// ratios 2 and 4 -> geomean sqrt(8) ~ 2.828
-	if got := GeoMeanRatio(a, b); math.Abs(got-2.8284) > 1e-3 {
-		t.Fatalf("GeoMeanRatio = %f", got)
+	if got, n := GeoMeanRatio(a, b); math.Abs(got-2.8284) > 1e-3 || n != 2 {
+		t.Fatalf("GeoMeanRatio = %f over %d points", got, n)
 	}
-	if GeoMeanRatio(nil, nil) != 0 {
+	if got, n := GeoMeanRatio(nil, nil); got != 0 || n != 0 {
 		t.Fatal("empty inputs should yield 0")
 	}
-	if GeoMeanRatio([]float64{0}, []float64{1}) != 0 {
+	if got, _ := GeoMeanRatio([]float64{0}, []float64{1}); got != 0 {
 		t.Fatal("non-positive values are skipped; all-skipped yields 0")
+	}
+	// A window that measured nothing (NaN) is skipped, not averaged in.
+	if got, n := GeoMeanRatio([]float64{2, math.NaN(), 8}, []float64{1, 3, math.NaN()}); got != 2 || n != 1 {
+		t.Fatalf("NaN points: GeoMeanRatio = %f over %d points, want 2 over 1", got, n)
 	}
 }
 

@@ -102,6 +102,49 @@ func BenchmarkResourceUse(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkResourceUseRunner is BenchmarkResourceUse with Runner users:
+// acquire or queue, hold the unit 10 ns, release — a target context's CPU
+// charge, with no coroutine switch.
+func BenchmarkResourceUseRunner(b *testing.B) {
+	e := New(1)
+	r := NewResource(e, 1)
+	for u := 0; u < 2; u++ {
+		e.Schedule(0, &useRunner{e: e, r: r, left: (b.N + 1 - u) / 2})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// useRunner charges r left times, 10 ns each.
+type useRunner struct {
+	e    *Engine
+	r    *Resource
+	left int
+	step int // 0: acquire, 1: granted — hold, 2: held — release
+}
+
+func (u *useRunner) Run() {
+	for u.left > 0 {
+		switch u.step {
+		case 0:
+			u.step = 1
+			if !u.r.Acquire(u) {
+				return
+			}
+		case 1:
+			u.step = 2
+			if !u.e.Sleep(u, 10) {
+				return
+			}
+		case 2:
+			u.r.Release()
+			u.step = 0
+			u.left--
+		}
+	}
+}
+
 func BenchmarkCondSignal(b *testing.B) {
 	e := New(1)
 	defer e.Shutdown()

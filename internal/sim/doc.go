@@ -31,15 +31,29 @@
 //     mid-item (a link direction, an SSD channel). Its own Run calls start
 //     as it takes an item and finish when the service time is up: the
 //     events of a Proc popping a Queue and sleeping, at a plain call each.
-//     A consumer that blocks while it holds an item stays that Proc.
+//     A consumer that blocks while it holds an item is a Runner waiter.
+//
+// Runner waiters. Cond.Wait, Resource.Acquire, Queue.Take, Signal.Wait and
+// Engine.Sleep take any Runner w and report whether w may go on now. A
+// *Proc blocks in them and always gets true (Queue.Pop and Proc.Sleep are
+// the proc-only spellings). Any other Runner that must wait gets false: it
+// is queued (or, for Sleep, scheduled d ahead), and the Signal, Broadcast,
+// Push or Release that would have woken a proc re-runs it with push(0, w)
+// instead — the same instant and the same one seq — so a Runner consumer
+// that names the step it resumes at spends seq exactly as the proc it
+// replaces: one event at construction (Schedule(0, r) for Go), one wake
+// when an item reaches it idle, one per non-zero Sleep, one per Resource
+// hand-off and per Cond wake. A Release hands the unit to a queued Runner
+// before re-running it, so the Runner holds it when it runs. Waiter rings
+// hold Runners, procs and records alike, in FIFO order.
 //
 // The event heap is a typed 4-ary min-heap of {at, seq, Runner} ordered by
 // (at, seq). seq is a counter that At, Schedule, Sleep, a wake-up (of a
-// Proc or of an idle Server), Go and NewServer each advance by exactly one,
-// so (at, seq) is a total order: the pop sequence, and with it every
-// simulated number, is fixed by the order in which simulation code schedules
-// work and not by the heap's layout, by which kind of Runner an event
-// carries or by how procs are switched.
+// Proc, of a Runner waiter or of an idle Server), Go and NewServer each
+// advance by exactly one, so (at, seq) is a total order: the pop sequence,
+// and with it every simulated number, is fixed by the order in which
+// simulation code schedules work and not by the heap's layout, by which
+// kind of Runner an event carries or by how procs are switched.
 //
 // When a Proc's fn returns, the Proc and its coroutine go on a free list
 // and the next Engine.Go reuses them; a *Proc handle is therefore valid

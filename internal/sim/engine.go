@@ -37,7 +37,8 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // engine goroutine, when the event's time comes. Run must not block. A
 // *Proc is a Runner (Run resumes it), At adapts a func, a *Server serves
 // its queue from its own Run, and a layer may pass Schedule a record it
-// pools itself (see the package comment).
+// pools itself — or queue one as a waiter on a Cond, Resource, Queue or
+// Signal, which re-runs it (see the package comment).
 type Runner interface{ Run() }
 
 // runFunc adapts a callback to Runner. Func values are pointer-shaped, so
@@ -208,12 +209,33 @@ func (e *Engine) Shutdown() {
 	e.procs = nil
 }
 
-// wake schedules p to resume at the current time (FIFO among same-time
-// events).
-func (e *Engine) wake(p *Proc) {
-	if p.wakeQueued {
-		panic("sim: double wake of proc " + p.name)
+// wake schedules waiter w to run at the current time (FIFO among same-time
+// events): a proc resumes, any other Runner is re-run.
+func (e *Engine) wake(w Runner) {
+	if p, ok := w.(*Proc); ok {
+		if p.wakeQueued {
+			panic("sim: double wake of proc " + p.name)
+		}
+		p.wakeQueued = true
 	}
-	p.wakeQueued = true
-	e.push(0, p)
+	e.push(0, w)
+}
+
+// Sleep holds w for d nanoseconds and reports whether it may go on now. A
+// *Proc blocks for d (true); any other Runner is scheduled d from now and
+// gets false. A zero d holds nothing — true at once, no event — exactly as
+// Proc.Sleep(0).
+func (e *Engine) Sleep(w Runner, d Time) bool {
+	if d < 0 {
+		panic("sim: negative sleep")
+	}
+	if d == 0 {
+		return true
+	}
+	if p, ok := w.(*Proc); ok {
+		p.Sleep(d)
+		return true
+	}
+	e.push(d, w)
+	return false
 }

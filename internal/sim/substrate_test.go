@@ -222,6 +222,22 @@ func TestHotPathAllocs(t *testing.T) {
 				})
 			}
 		}},
+		{"runner acquire, hand-off, queue wake", 0, func(e *Engine) {
+			// Two Runner consumers of one queue fight over one unit: every
+			// other acquire queues and is handed the unit by a Release, and
+			// each push pair finds both idle on the queue's cond.
+			q, r := NewQueue[int](e), NewResource(e, 1)
+			for i := 0; i < 2; i++ {
+				e.Schedule(0, &cpuRunner{e: e, q: q, r: r})
+			}
+			e.Go("producer", func(p *Proc) {
+				for {
+					q.Push(1)
+					q.Push(2)
+					p.Sleep(3)
+				}
+			})
+		}},
 		{"spawn recycled", 0, func(e *Engine) {
 			e.Go("spawner", func(p *Proc) {
 				for {
@@ -287,4 +303,36 @@ func (p *tickPool) schedule(d Time) {
 func (tk *tick) Run() {
 	tk.pool.ran++
 	tk.pool.free.Put(tk)
+}
+
+// cpuRunner is a Runner consumer: take an item, acquire the unit, hold it
+// 1 ns, release — a target context's receive and CPU charge in miniature.
+type cpuRunner struct {
+	e    *Engine
+	q    *Queue[int]
+	r    *Resource
+	step int
+}
+
+func (c *cpuRunner) Run() {
+	for {
+		switch c.step {
+		case 0:
+			if _, ok := c.q.Take(c); !ok {
+				return
+			}
+			c.step = 1
+			if !c.r.Acquire(c) {
+				return
+			}
+		case 1:
+			c.step = 2
+			if !c.e.Sleep(c, 1) {
+				return
+			}
+		case 2:
+			c.r.Release()
+			c.step = 0
+		}
+	}
 }

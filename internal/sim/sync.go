@@ -59,26 +59,38 @@ func (f *FreeList[T]) Put(x *T) { f.free = append(f.free, x) }
 // there is no associated lock: simulation state is only ever touched by one
 // goroutine at a time, so waiters re-check their predicate in a loop after
 // waking.
+//
+// A waiter is any Runner. A *Proc blocks in Wait; any other Runner is only
+// queued, and the Signal that would have woken a proc re-runs it instead
+// (push(0, w), the same one event), so a Runner consumer spends seq exactly
+// as the proc it replaces.
 type Cond struct {
 	eng *Engine
 	// The longest waiter sits in first and the rest queue behind it in
 	// waiters (first == nil means nobody waits), so a Cond that only ever
 	// has one waiter — a completion Signal — never allocates a ring.
-	first   *Proc
-	waiters ring[*Proc]
+	first   Runner
+	waiters ring[Runner]
 }
 
 // NewCond creates a condition variable on e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
-// Wait parks p until Broadcast or Signal wakes it.
-func (c *Cond) Wait(p *Proc) {
+// Wait queues w until Broadcast or Signal wakes it. A *Proc parks here and
+// Wait returns true once it has been woken; any other Runner gets false at
+// once and is re-run by the wake-up.
+func (c *Cond) Wait(w Runner) bool {
 	if c.first == nil {
-		c.first = p
+		c.first = w
 	} else {
-		c.waiters.push(p)
+		c.waiters.push(w)
+	}
+	p, ok := w.(*Proc)
+	if !ok {
+		return false
 	}
 	p.park()
+	return true
 }
 
 // Broadcast wakes every waiter (they resume at the current time, in FIFO
@@ -89,17 +101,17 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Signal wakes the longest-waiting process, if any.
+// Signal wakes the longest waiter, if any.
 func (c *Cond) Signal() {
-	p := c.first
-	if p == nil {
+	w := c.first
+	if w == nil {
 		return
 	}
 	c.first = nil
 	if c.waiters.n > 0 {
 		c.first = c.waiters.pop()
 	}
-	c.eng.wake(p)
+	c.eng.wake(w)
 }
 
 // Signal is a one-shot completion event: once Fired, all current and future
@@ -143,12 +155,16 @@ func (s *Signal) Reset() {
 	s.fired = false
 }
 
-// Wait blocks p until the signal fires (returning immediately if it already
-// has).
-func (s *Signal) Wait(p *Proc) {
+// Wait holds w until the signal fires and reports whether it has: a *Proc
+// blocks until then (true), any other Runner that must wait gets false and
+// is re-run by Fire. Both pass at once if it already fired.
+func (s *Signal) Wait(w Runner) bool {
 	for !s.fired {
-		s.cond.Wait(p)
+		if !s.cond.Wait(w) {
+			return false
+		}
 	}
+	return true
 }
 
 // Resource is a counted resource (CPU cores, SSD channels, a network link)
@@ -157,7 +173,7 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  ring[*Proc]
+	waiters  ring[Runner]
 	lastT    Time
 	busyInt  Time // ∫ inUse dt, in unit-nanoseconds
 	grants   int64
@@ -184,19 +200,27 @@ func (r *Resource) account() {
 	r.lastT = now
 }
 
-// Acquire blocks p until a unit is available, FIFO among waiters.
-func (r *Resource) Acquire(p *Proc) {
+// Acquire takes a unit for w, FIFO among waiters, and reports whether w
+// holds it now. A *Proc blocks until it does (true). Any other Runner that
+// must wait gets false: it is queued, and the Release that hands it the
+// unit re-runs it — at the instant a proc would resume — holding it.
+func (r *Resource) Acquire(w Runner) bool {
 	if r.inUse < r.capacity && r.waiters.n == 0 {
 		r.account()
 		r.inUse++
 		r.grants++
-		return
+		return true
+	}
+	r.waiters.push(w)
+	p, ok := w.(*Proc)
+	if !ok {
+		return false
 	}
 	p.granted = false
-	r.waiters.push(p)
 	for !p.granted {
 		p.park()
 	}
+	return true
 }
 
 // TryAcquire acquires a unit without blocking, reporting success.
@@ -210,8 +234,8 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
-// Release returns a unit. If processes are waiting the unit transfers to
-// the head waiter at the current time.
+// Release returns a unit. If anyone is waiting the unit transfers to the
+// head waiter at the current time.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource")
@@ -219,10 +243,12 @@ func (r *Resource) Release() {
 	if r.waiters.n > 0 {
 		// Hand the unit over directly: inUse is unchanged, so the busy
 		// integral sees no idle gap.
-		p := r.waiters.pop()
-		p.granted = true
+		w := r.waiters.pop()
+		if p, ok := w.(*Proc); ok {
+			p.granted = true
+		}
 		r.grants++
-		r.eng.wake(p)
+		r.eng.wake(w)
 		return
 	}
 	r.account()
@@ -248,7 +274,8 @@ func (r *Resource) BusyTime() Time {
 func (r *Resource) Grants() int64 { return r.grants }
 
 // Queue is an unbounded FIFO whose Pop blocks simulated processes until an
-// item arrives. Push never blocks and is callable from callbacks.
+// item arrives; Take serves a Runner consumer the same way. Push never
+// blocks and is callable from callbacks.
 type Queue[T any] struct {
 	items ring[T]
 	cond  Cond
@@ -267,15 +294,25 @@ func (q *Queue[T]) Push(v T) {
 
 // Pop blocks p until an item is available and returns it.
 func (q *Queue[T]) Pop(p *Proc) T {
+	v, _ := q.Take(p)
+	return v
+}
+
+// Take removes the head item for consumer w. On an empty queue a *Proc
+// blocks until an item arrives; any other Runner is queued as a waiter and
+// gets ok = false, and the Push that wakes it re-runs it to Take again.
+func (q *Queue[T]) Take(w Runner) (v T, ok bool) {
 	for q.items.n == 0 {
-		q.cond.Wait(p)
+		if !q.cond.Wait(w) {
+			return v, false
+		}
 	}
-	v := q.items.pop()
+	v = q.items.pop()
 	if q.items.n > 0 {
 		// More work: make sure another waiter (if any) gets scheduled.
 		q.cond.Signal()
 	}
-	return v
+	return v, true
 }
 
 // TryPop removes and returns the head item without blocking.

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -9,18 +10,21 @@ import (
 	"repro/internal/sim"
 )
 
-// Host-cost budgets of the ordered write path, both on the configuration
-// of measureWritePath and both deterministic for a seed (measured value
-// + 5 %). writeAllocBudget is steady-state Go allocations per 4 KB random
-// ordered write: what remains is the request itself and the capsules that
+// Host-cost budgets of the ordered write path, all on the configuration
+// of measureWritePath and all deterministic for a seed. writeAllocBudget
+// is steady-state Go allocations per 4 KB random ordered write (measured
+// value + 5 %): what remains is the request itself and the capsules that
 // cross the initiator→target boundary (DESIGN.md §1, hot-path object
-// lifetimes). writeSwitchBudget is proc resumes — coroutine switches, the
-// dearest kind of engine event — per write: load, dispatch, target rx and
-// completion lanes, reap; the fabric link and the SSD channels are
-// sim.Servers and contribute none.
+// lifetimes). writeEvents is engine events per write, exactly: a change
+// that keeps every simulated number keeps it. writeSwitchBudget is proc
+// resumes — coroutine switches, the dearest kind of event — per write
+// (measured + 5 %): the load procs, the initiator's dispatch and reap
+// loops; the fabric link and the SSD channels are sim.Servers and the
+// target's contexts Runner records, and they contribute none.
 const (
 	writeAllocBudget  = 4.572 * 1.05
-	writeSwitchBudget = 13.851 * 1.05
+	writeEvents       = 22.081
+	writeSwitchBudget = 5.277 * 1.05
 )
 
 // writePathCost is what one measured window of the write path cost the host.
@@ -31,16 +35,20 @@ type writePathCost struct {
 
 func (w writePathCost) per(n uint64) float64 { return float64(n) / float64(w.ops) }
 
-// measureWritePath runs the budgeted configuration — Rio mode, 2 Optane
+// The write-path window: a warm-up that fills every free list, then a
+// fixed simulated window that is measured.
+const (
+	writeWarm    = 2 * sim.Millisecond
+	writeMeasure = 10 * sim.Millisecond
+)
+
+// writePathCluster builds the budgeted configuration — Rio mode, 2 Optane
 // targets, 8 streams each keeping 8 random 4 KB ordered writes outstanding —
-// and reads the runtime's malloc count and the engine's event counts around
-// a fixed simulated window, after a warm-up that fills every free list.
-func measureWritePath(t *testing.T) writePathCost {
+// with its load procs started.
+func writePathCluster() (*sim.Engine, *Initiator) {
 	const (
 		streams = 8
 		depth   = 8
-		warm    = 2 * sim.Millisecond
-		measure = 10 * sim.Millisecond
 		region  = 1 << 20
 	)
 	cfg := DefaultConfig(ModeRio, OptaneTarget(), OptaneTarget())
@@ -48,7 +56,6 @@ func measureWritePath(t *testing.T) writePathCost {
 	cfg.QPs = streams
 	eng := sim.New(1)
 	c := New(eng, cfg)
-	defer eng.Shutdown()
 	in := c.Init(0)
 	for th := 0; th < streams; th++ {
 		rng := rand.New(rand.NewSource(int64(th) + 1))
@@ -64,12 +71,20 @@ func measureWritePath(t *testing.T) writePathCost {
 			}
 		})
 	}
-	eng.RunUntil(warm)
+	return eng, in
+}
+
+// measureWritePath reads the runtime's malloc count and the engine's event
+// counts around the measured window of writePathCluster.
+func measureWritePath(t *testing.T) writePathCost {
+	eng, in := writePathCluster()
+	defer eng.Shutdown()
+	eng.RunUntil(writeWarm)
 	var m0, m1 runtime.MemStats
 	before := in.Stats().Completed
 	ev0, rs0 := eng.Counts()
 	runtime.ReadMemStats(&m0)
-	eng.RunUntil(warm + measure)
+	eng.RunUntil(writeWarm + writeMeasure)
 	runtime.ReadMemStats(&m1)
 	ev1, rs1 := eng.Counts()
 	w := writePathCost{
@@ -94,12 +109,65 @@ func TestWritePathAllocBudget(t *testing.T) {
 }
 
 // TestWritePathSwitchBudget fails when the write path starts paying more
-// coroutine switches per op than the budget — a leaf device turned back
-// into a process, a new hand-off between procs.
+// coroutine switches per op than the budget — a leaf device or a target
+// context turned back into a process, a new hand-off between procs — or
+// when the event sequence itself moved.
 func TestWritePathSwitchBudget(t *testing.T) {
 	w := measureWritePath(t)
 	t.Logf("%d ops, %.3f engine events/op of which %.3f proc resumes", w.ops, w.per(w.events), w.per(w.resumes))
+	if got := w.per(w.events); math.Abs(got-writeEvents) > 0.0005 {
+		t.Errorf("%.4f engine events per ordered write, want %.3f: the event sequence changed", got, writeEvents)
+	}
 	if got := w.per(w.resumes); got > writeSwitchBudget {
 		t.Errorf("%.3f proc resumes per ordered write, budget %.3f", got, writeSwitchBudget)
+	}
+}
+
+// BenchmarkOrderedWrite runs measureWritePath's configuration past its
+// warm-up for b.N ordered writes: one op is one simulated write, so ns/op,
+// B/op and allocs/op (-benchmem) are the host's cost per write, reported
+// with the engine events and proc resumes it took.
+func BenchmarkOrderedWrite(b *testing.B) {
+	eng, in := writePathCluster()
+	defer eng.Shutdown()
+	eng.RunUntil(writeWarm)
+	before := in.Stats().Completed
+	ev0, rs0 := eng.Counts()
+	b.ResetTimer()
+	for in.Stats().Completed-before < int64(b.N) {
+		eng.RunFor(10 * sim.Microsecond)
+	}
+	b.StopTimer()
+	ev1, rs1 := eng.Counts()
+	ops := float64(in.Stats().Completed - before)
+	b.ReportMetric(float64(ev1-ev0)/ops, "events/op")
+	b.ReportMetric(float64(rs1-rs0)/ops, "resumes/op")
+}
+
+// TestTargetOwnsNoProc: a target's rx lanes, completion contexts and
+// relay-ack context are Runner records, so the resumes at a cluster's
+// construction instant are the initiators' own procs — a dispatch and a
+// reap loop per shard — in Rio mode with the relay off and on, and in
+// Horae mode (which does not replicate).
+func TestTargetOwnsNoProc(t *testing.T) {
+	three := []TargetConfig{OptaneTarget(), OptaneTarget(), OptaneTarget()}
+	for _, tc := range []struct {
+		mode  Mode
+		relay bool
+	}{{ModeRio, false}, {ModeRio, true}, {ModeHorae, false}} {
+		cfg := smallConfig(tc.mode, three...)
+		if tc.mode == ModeRio {
+			cfg.Replicas = 3
+		}
+		cfg.ReplRelay = tc.relay
+		cfg.Initiators = 2
+		eng := sim.New(1)
+		New(eng, cfg)
+		eng.RunUntil(0)
+		_, resumes := eng.Counts()
+		if want := uint64(2 * cfg.Streams * cfg.Initiators); resumes != want {
+			t.Errorf("%v relay=%v: %d proc resumes at construction, want %d (2 per initiator shard)", tc.mode, tc.relay, resumes, want)
+		}
+		eng.Shutdown()
 	}
 }

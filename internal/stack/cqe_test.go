@@ -115,7 +115,7 @@ func TestTornCQEVectorPanics(t *testing.T) {
 
 // TestTargetCrashRaceWithCoalescedCompletions: a target power cut racing
 // an in-flight completion context must not wedge the coalescing state. A
-// doneLoop proc that was mid-completion at the cut calls respond() after
+// completion context that was mid-completion at the cut calls respond() after
 // crash cleanup cleared the pending buffers; if that pollutes the buffer
 // or leaves an armed flag with no live timer behind it, a post-recovery
 // sub-threshold batch strands and RecoverTarget's replay wait never

@@ -713,10 +713,13 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 	}
 }
 
-// post rings one doorbell toward a target: the capsule goes out through
-// postCapsule and counts as initiator egress.
+// post rings one doorbell toward a target: the initiator's cores pay
+// PostMsg, the capsule goes out through postCapsule and counts as initiator
+// egress.
 func (in *Initiator) post(p *sim.Proc, target, qp int, cp *capsule) {
-	in.c.postCapsule(p, in.cores, in.targets[target].conns[in.id], qp, cp)
+	in.cores.Use(p, in.costs.PostMsg)
+	var tw fabric.TxWait
+	in.c.postCapsule(p, &tw, in.targets[target].conns[in.id], qp, cp)
 	in.stats.WireMessages++
 	in.stats.TxMsgs++
 	in.stats.TxBytes += int64(cp.wireSize())
@@ -724,18 +727,24 @@ func (in *Initiator) post(p *sim.Proc, target, qp int, cp *capsule) {
 }
 
 // postCapsule is the one place a command capsule reaches the wire, from
-// an initiator toward a member or from a set head toward a follower: the
-// poster's cores pay PostMsg, the post stalls while the link's TX queue is
-// at its depth (stalls are attributed to the capsule's commands), and the
-// capsule is handed to the NIC. A link that went down meanwhile drops it.
-func (c *Cluster) postCapsule(p *sim.Proc, cores *sim.Resource, conn *fabric.Conn, qp int, cp *capsule) {
-	cores.Use(p, c.costs.PostMsg)
-	if stall := conn.WaitTxSpace(p, fabric.Initiator); stall > 0 {
+// an initiator toward a member or from a set head toward a follower, once
+// the poster's cores paid PostMsg: the post stalls while the link's TX
+// queue is at its depth (stalls are attributed to the capsule's commands),
+// and the capsule is handed to the NIC. A link that went down meanwhile
+// drops it. Poster w is a proc, which blocks here, or a target context,
+// which gets false while it must wait and calls again with the same tw
+// when re-run (fabric.Conn.WaitTxSpace).
+func (c *Cluster) postCapsule(w sim.Runner, tw *fabric.TxWait, conn *fabric.Conn, qp int, cp *capsule) bool {
+	if !conn.WaitTxSpace(w, tw, fabric.Initiator) {
+		return false
+	}
+	if tw.Stalled > 0 {
 		for _, ws := range cp.cmds {
-			addWaitWire(ws, trace.WaitTx, stall)
+			addWaitWire(ws, trace.WaitTx, tw.Stalled)
 		}
 	}
 	conn.Send(fabric.Initiator, fabric.Message{QP: qp, Size: cp.wireSize(), Payload: cp})
+	return true
 }
 
 // reapLoop is one shard's completion-reaping context (the initiator-side

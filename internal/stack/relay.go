@@ -51,8 +51,9 @@ import (
 // has no chain index, and re-executing a completed one could overwrite
 // newer data — it fans out direct, as a FLUSH does (postByTarget).
 //
-// A relay-off cluster builds no relay conns, spawns no extra procs and has
-// a nil Target.relay, so its event schedule is that of the direct stack.
+// A relay-off cluster builds no relay conns, starts no relay-ack context
+// and has a nil Target.relay, so its event schedule is that of the direct
+// stack.
 
 // aggKey identifies one replicated wire command at a target: the owning
 // initiator plus the initiator-local command id.
@@ -134,6 +135,7 @@ type relayState struct {
 	pend map[aggKey]relayRoute // follower: relayed commands in flight here
 
 	ackQ *sim.Queue[*relayAckMsg] // head: follower acks awaiting the relay-ack context
+	ack  tctx                     // head: the relay-ack context
 }
 
 func newRelayState(eng *sim.Engine) *relayState {
@@ -185,12 +187,12 @@ func (rs *replicaSet) relayHead() int { return rs.members[0] }
 // dedicated target-to-target fabric conns (head = Initiator side,
 // follower = Target side; rs.relay is indexed by member position, 0 nil)
 // and allocates the per-target relay state. Called from New only when
-// cfg.ReplRelay is set — NewConn spawns wire procs, so a relay-off
-// cluster must never reach here.
+// cfg.ReplRelay is set — NewConn and the relay-ack context each schedule
+// an event at construction, so a relay-off cluster must never reach here.
 func (c *Cluster) buildRelayConns() {
 	for _, t := range c.targets {
 		t.relay = newRelayState(c.Eng)
-		c.Eng.Go(fmt.Sprintf("tgt%d/relayack", t.id), func(p *sim.Proc) { t.relayAckLoop(p) })
+		t.start(&t.relay.ack, (*tctx).ackPop)
 	}
 	for _, rs := range c.replSets {
 		rs.relay = make([]*fabric.Conn, len(rs.members))
@@ -216,11 +218,11 @@ func (c *Cluster) buildRelayConns() {
 }
 
 // relayFanOut runs at the head when a head capsule arrives, BEFORE the
-// head processes its own slice: it opens a quorum record for every command
-// and forwards the followers' capsules over the target-to-target conns.
-// The head pays the per-follower PostMsg — the fan-out CPU moved off the
-// initiator, not eliminated.
-func (t *Target) relayFanOut(p *sim.Proc, cp *capsule, init, qp int) {
+// head processes its own slice: it opens a quorum record for every command,
+// and the rx context then forwards the followers' capsules over the
+// target-to-target conns (rxForward). The head pays the per-follower
+// PostMsg — the fan-out CPU moved off the initiator, not eliminated.
+func (t *Target) relayFanOut(cp *capsule, init, qp int) {
 	rs := t.c.replSets[t.c.setOf[t.id]]
 	// Open records only while the set is fully in sync: a capsule arriving
 	// after a degrade still fans out (live followers need their capsules;
@@ -240,13 +242,32 @@ func (t *Target) relayFanOut(p *sim.Proc, cp *capsule, init, qp int) {
 			t.relay.agg[aggKey{init, ws.id}] = as
 		}
 	}
-	for _, fcp := range cp.forward {
-		t.stats.Relays++
-		t.c.postCapsule(p, t.cores, rs.relay[rs.pos(fcp.member)], qp, fcp)
+}
+
+// rxForward posts forwarded capsule x.i of the head capsule in progress.
+func (x *tctx) rxForward() bool {
+	t := x.t
+	if x.i == len(x.cp.forward) {
 		if !t.alive {
-			return // power cut mid-fan-out: the rest dies with the NIC
+			return x.to((*tctx).rxPop)
 		}
+		return x.to((*tctx).rxCtrl)
 	}
+	t.stats.Relays++
+	return x.charge(t.c.costs.PostMsg, (*tctx).rxForwardPost)
+}
+
+func (x *tctx) rxForwardPost() bool {
+	t, fcp := x.t, x.cp.forward[x.i]
+	rs := t.c.replSets[t.c.setOf[t.id]]
+	if !t.c.postCapsule(x, &x.tx, rs.relay[rs.pos(fcp.member)], x.l.qp, fcp) {
+		return false
+	}
+	if !t.alive {
+		return x.to((*tctx).rxPop) // power cut mid-fan-out: the rest dies with the NIC
+	}
+	x.i++
+	return x.to((*tctx).rxForward)
 }
 
 // getHeadAgg checks a quorum record out of the free list.
@@ -269,66 +290,82 @@ func (t *Target) closeHeadAgg(k aggKey, as *headAgg) {
 }
 
 // relayRespond intercepts a follower completion bound for the head: it
-// replaces the direct CQE with one relayAckMsg on the relay conn. Nothing
-// remembers the ack: if it dies with the head, the initiator asks again
-// (answerReask). Reports false when the command is not relay-routed (the
-// caller then responds directly).
-func (t *Target) relayRespond(p *sim.Proc, ws *wireState) bool {
+// replaces the direct CQE with one relayAckMsg on the relay conn, then
+// returns to ret. Nothing remembers the ack: if it dies with the head, the
+// initiator asks again (answerReask). Reports routed = false when the
+// command is not relay-routed (the caller then responds directly), and
+// otherwise whether x goes on now.
+func (x *tctx) relayRespond(ws *wireState, ret tstep) (routed, goOn bool) {
+	t := x.t
 	key := aggKey{ws.init, ws.id}
 	rp, ok := t.relay.pend[key]
 	if !ok {
-		return false
+		return false, false
 	}
 	delete(t.relay.pend, key)
 	rs := t.c.replSets[t.c.setOf[t.id]]
 	conn := rs.relay[rs.pos(t.id)]
 	if conn == nil || !conn.Up() {
 		// The head died: respond directly.
+		return false, false
+	}
+	x.ws, x.route, x.conn, x.ret = ws, rp, conn, ret
+	return true, x.charge(t.c.costs.PostMsg, (*tctx).relayAcked)
+}
+
+func (x *tctx) relayAcked() bool {
+	t, ws, rp, conn := x.t, x.ws, x.route, x.conn
+	x.ws, x.conn = nil, nil
+	t.stats.RelayAcks++
+	if t.alive {
+		conn.Send(fabric.Target, fabric.Message{
+			QP: rp.qp, Size: nvmeof.ResponseSize,
+			Payload: &relayAckMsg{init: ws.init, qp: rp.qp, id: ws.id, member: t.id, epoch: rp.epoch},
+		})
+	}
+	return x.back()
+}
+
+// ackPop takes the next follower ack of the head-side relay-ack context:
+// each ack costs receive CPU (the reap work moved off the initiator) and
+// feeds the command's quorum record; acks for commands whose record is
+// gone — all members acked, or a degrade flushed it — pass through as
+// resolution records.
+func (x *tctx) ackPop() bool {
+	ack, ok := x.t.relay.ackQ.Take(x)
+	if !ok {
 		return false
 	}
-	t.cores.Use(p, t.c.costs.PostMsg)
-	t.stats.RelayAcks++
-	if !t.alive {
+	t := x.t
+	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
 		return true
 	}
-	conn.Send(fabric.Target, fabric.Message{
-		QP: rp.qp, Size: nvmeof.ResponseSize,
-		Payload: &relayAckMsg{init: ws.init, qp: rp.qp, id: ws.id, member: t.id, epoch: rp.epoch},
-	})
-	return true
+	x.ack = ack
+	return x.charge(t.c.costs.RecvMsg, (*tctx).ackRecv)
 }
 
-// relayAckLoop is the head-side context consuming follower acks: each ack
-// costs receive CPU (the reap work moved off the initiator) and feeds the
-// command's quorum record; acks for commands whose record is gone — all
-// members acked, or a degrade flushed it — pass through as resolution
-// records.
-func (t *Target) relayAckLoop(p *sim.Proc) {
-	for {
-		ack := t.relay.ackQ.Pop(p)
-		if !t.alive || ack.epoch != t.initEpoch(ack.init) {
-			continue
-		}
-		t.cores.Use(p, t.c.costs.RecvMsg)
-		if !t.alive || ack.epoch != t.initEpoch(ack.init) {
-			continue
-		}
-		key := aggKey{ack.init, ack.id}
-		if as, ok := t.relay.agg[key]; ok && as.epoch == ack.epoch {
-			t.aggAck(p, key, as, ack.member)
-			continue
-		}
-		t.pushResolved(t.lane(ack.init, ack.qp), aggResolved{init: ack.init, id: ack.id, member: ack.member})
+func (x *tctx) ackRecv() bool {
+	t, ack := x.t, x.ack
+	x.ack = nil
+	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
+		return x.to((*tctx).ackPop)
 	}
+	key := aggKey{ack.init, ack.id}
+	if as, ok := t.relay.agg[key]; ok && as.epoch == ack.epoch {
+		return x.aggAck(key, as, ack.member, (*tctx).ackPop)
+	}
+	t.pushResolved(t.lane(ack.init, ack.qp), aggResolved{init: ack.init, id: ack.id, member: ack.member})
+	return x.to((*tctx).ackPop)
 }
 
-// aggAck accounts one member ack (the head's own completion included).
-// At write quorum the aggregated CQE is emitted into the normal response
-// coalescing path; later acks become piggybacked resolution records; the
-// record closes once every member acked.
-func (t *Target) aggAck(p *sim.Proc, key aggKey, as *headAgg, member int) {
+// aggAck accounts one member ack (the head's own completion included), then
+// returns to ret. At write quorum the aggregated CQE is emitted into the
+// normal response coalescing path; later acks become piggybacked resolution
+// records; the record closes once every member acked.
+func (x *tctx) aggAck(key aggKey, as *headAgg, member int, ret tstep) bool {
+	t := x.t
 	if !as.q.Ack(as.q.Pos(member)) {
-		return // duplicate (cannot happen on healthy links; cheap guard)
+		return x.to(ret) // duplicate (cannot happen on healthy links; cheap guard)
 	}
 	if as.firstAck == 0 {
 		as.firstAck = t.c.Eng.Now()
@@ -345,8 +382,9 @@ func (t *Target) aggAck(p *sim.Proc, key aggKey, as *headAgg, member int) {
 		t.closeHeadAgg(key, as)
 	}
 	if fire {
-		t.flushOrArm(p, l)
+		return x.flushOrArm(l, ret)
 	}
+	return x.to(ret)
 }
 
 // fireAgg queues the aggregated CQE of one quorum record — the members

@@ -57,9 +57,10 @@ func (s TargetStats) Add(o TargetStats) TargetStats { return metrics.Sum(s, o) }
 
 // tDone is one SSD completion routed to the target's completion context,
 // with the SSD command it completes embedded: the device holds &d.cmd from
-// Submit until it calls Done, which queues d for doneLoop. Instances
-// recycle through the target's free list — doneLoop owns the put, after the
-// device has let go — so steady-state completion traffic allocates nothing.
+// Submit until it calls Done, which queues d for the completion context.
+// Instances recycle through the target's free list — the completion context
+// owns the put (cplEnd), after the device has let go — so steady-state
+// completion traffic allocates nothing.
 // A command a power cut strands never completes and is never recycled.
 type tDone struct {
 	cmd   ssd.Command // Done and Ctx stay bound to (t.ssdDone, d) for the record's life
@@ -173,7 +174,9 @@ type Target struct {
 	pol      order.Policy
 
 	lanes    []qpLane // one per (initiator, QP), index init*QPs+qp: see lane
+	rx       []tctx   // the lanes' receive contexts, same index
 	doneQ    *sim.Queue[*tDone]
+	cpl      [2]tctx         // the completion contexts, both consuming doneQ
 	flushers []flushCombiner // one per SSD
 
 	// Completion-event free lists: tDone structs and the PMR slot bursts
@@ -208,6 +211,7 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 	t.ssdDone = t.onSSDDone
 	nInit := c.cfg.Initiators
 	t.lanes = make([]qpLane, nInit*c.cfg.QPs)
+	t.rx = make([]tctx, len(t.lanes))
 	for k := range t.lanes {
 		t.lanes[k] = qpLane{t: t, init: k / c.cfg.QPs, qp: k % c.cfg.QPs, rxQ: sim.NewQueue[*capsule](c.Eng)}
 	}
@@ -228,7 +232,8 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 	// context per QP: arrivals on a queue pair are handled serially (as on
 	// real hardware, where a QP maps to one completion queue), which is
 	// what makes stream→QP affinity deliver commands to the in-order gate
-	// without holdbacks (§4.5 Principle 2).
+	// without holdbacks (§4.5 Principle 2). Contexts are Runner records,
+	// not procs (tctx): a target owns no coroutine.
 	for i := 0; i < nInit; i++ {
 		i := i
 		conn := fabric.NewConn(c.Eng, c.cfg.Fabric)
@@ -244,12 +249,13 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		})
 		t.conns = append(t.conns, conn)
 		for qp := 0; qp < c.cfg.QPs; qp++ {
-			l := t.lane(i, qp)
-			c.Eng.Go(fmt.Sprintf("tgt%d/rx%d.%d", id, i, qp), func(p *sim.Proc) { t.rxLoop(p, l) })
+			k := i*c.cfg.QPs + qp
+			t.rx[k].l = &t.lanes[k]
+			t.start(&t.rx[k], (*tctx).rxPop)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		c.Eng.Go(fmt.Sprintf("tgt%d/cpl%d", id, i), func(p *sim.Proc) { t.doneLoop(p) })
+	for i := range t.cpl {
+		t.start(&t.cpl[i], (*tctx).cplPop)
 	}
 	return t
 }
@@ -387,163 +393,222 @@ func (t *Target) getSlots(n int) []uint64 {
 	return make([]uint64, 0, n)
 }
 
-// rxLoop is one receive worker for one (initiator, QP): it consumes
-// capsules (two-sided SENDs cost target CPU — the asymmetry Lesson 3 is
-// about), fetches non-inline data with one-sided READs, and routes
-// commands through the policy-specific submission path.
-func (t *Target) rxLoop(p *sim.Proc, l *qpLane) {
-	init, qp := l.init, l.qp
-	for {
-		cp := l.rxQ.Pop(p)
-		if cp.epoch != t.initEpoch(init) || !t.alive {
-			continue
-		}
-		t.stats.Capsules++
-		t.cores.Use(p, t.c.costs.RecvMsg)
-		if cp.forward != nil {
-			// Relay route: this is a head capsule — forward the followers'
-			// capsules over the relay conns before processing the head's own
-			// slice.
-			t.relayFanOut(p, cp, init, qp)
-			if !t.alive {
-				continue
-			}
-		}
-		if len(cp.ctrl) > 0 {
-			t.handleCtrl(p, cp, init, qp)
-		}
-		// Head-cut re-ask, second answer: everything that arrived before it
-		// has been taken, so what is still not held never arrived and goes on
-		// below as this member's copy.
-		if cp.reask != nil && t.answerReask(l, cp) {
-			t.flushOrArm(p, l)
-		}
-		// A command capsule is one member's copy of a vectored batch: verify
-		// it arrived intact and was split exactly on a set boundary — every
-		// entry is addressed to this member of the set the command stripes
-		// to, and the member's SQEs run positions 0..n-1. (A re-ask is not a
-		// vectored batch: its SQEs keep the marks of the capsule that first
-		// carried them.)
-		for i, ws := range cp.cmds {
-			k := ws.q.Pos(cp.member)
-			if cp.member != t.id || t.c.setOf[t.id] != ws.target || k < 0 {
-				panic(fmt.Sprintf("stack: vectored batch misrouted: entry %d for set %d member %d arrived at target %d",
-					i, ws.target, cp.member, t.id))
-			}
-			if pos, n := ws.chain[k].sqe.VectorPos(); cp.reask == nil && (pos != i || n != len(cp.cmds)) {
-				panic(fmt.Sprintf("stack: torn vectored batch at target %d: entry %d carries pos %d/%d of %d",
-					t.id, i, pos, n, len(cp.cmds)))
-			}
-		}
-		if len(cp.cmds) > 0 && cp.reask == nil {
-			t.stats.Vectors++
-		}
-		// Fetch any non-inline payload in one shot (one-sided READ: no
-		// initiator CPU).
-		var bulk int
-		for _, ws := range cp.cmds {
-			if !ws.wc.Flush && ws.wc.InlineBytes(inlineThreshold) == 0 {
-				bulk += ws.wc.PayloadBytes()
-			}
-		}
-		if bulk > 0 {
-			if !t.conns[init].BulkRead(p, fabric.Target, bulk) {
-				continue // connection died mid-read
-			}
-		}
-		for _, ws := range cp.cmds {
-			if !t.alive || ws.epoch != t.initEpoch(init) {
-				break
-			}
-			t.stats.Commands++
-			t.cores.Use(p, t.c.costs.CmdProcess)
-			if cp.relayed {
-				// The relay conn restamped sentAt at the head's forward, so
-				// it marks the relay hop, not the initiator send (which the
-				// head capsule's MSent records).
-				markWire(ws, trace.MRelayed, cp.sentAt)
-				markWire(ws, trace.MRxDeliver, cp.deliveredAt)
-				// The completion goes to the head, not the initiator: recorded
-				// before submission, so the completion cannot outrun the route.
-				t.relay.pend[aggKey{ws.init, ws.id}] = relayRoute{qp: qp, epoch: cp.epoch}
-			} else {
-				markWire(ws, trace.MSent, cp.sentAt)
-				if cp.forward != nil {
-					markWire(ws, trace.MRelayed, cp.deliveredAt)
-				}
-				markWire(ws, trace.MRxDeliver, cp.deliveredAt)
-			}
-			if ws.wc.Flush {
-				t.submitFlushCmd(ws)
-				continue
-			}
-			if ws.wc.Ordered && t.pol.Gated() {
-				t.rioSubmitAttrs(p, ws, ws.chain[ws.q.Pos(cp.member)].attrs)
-			} else {
-				t.submitWrite(ws, t.horaeSlot(ws))
-			}
-		}
+// rxPop takes the next capsule of the lane: the top of the receive context
+// of one (initiator, QP). It consumes capsules (two-sided SENDs cost target
+// CPU — the asymmetry Lesson 3 is about), fetches non-inline data with
+// one-sided READs, and routes commands through the policy-specific
+// submission path.
+func (x *tctx) rxPop() bool {
+	x.cp = nil
+	cp, ok := x.l.rxQ.Take(x)
+	if !ok {
+		return false
 	}
+	t := x.t
+	if cp.epoch != t.initEpoch(x.l.init) || !t.alive {
+		return true
+	}
+	x.cp = cp
+	t.stats.Capsules++
+	return x.charge(t.c.costs.RecvMsg, (*tctx).rxRecv)
 }
 
-// handleCtrl persists Horae control-path ordering metadata to PMR and
-// acks. This happens before the corresponding data is even dispatched at
-// the initiator — the control path is synchronous. The ack returns on
-// the queue pair (and connection) the control capsule arrived on, so it
-// is reaped by the same shard of the same initiator that posted it.
-func (t *Target) handleCtrl(p *sim.Proc, cp *capsule, init, qp int) {
-	acks := make([]*ctrlReq, 0, len(cp.ctrl))
-	for _, cr := range cp.ctrl {
-		t.stats.CtrlOps++
-		t.appendPMR(p, cr.attr)
-		acks = append(acks, cr)
+func (x *tctx) rxRecv() bool {
+	if x.cp.forward != nil {
+		// Relay route: this is a head capsule — forward the followers'
+		// capsules over the relay conns before processing the head's own
+		// slice.
+		x.t.relayFanOut(x.cp, x.l.init, x.l.qp)
+		x.i = 0
+		return x.to((*tctx).rxForward)
 	}
-	t.cores.Use(p, t.c.costs.PostMsg)
+	return x.to((*tctx).rxCtrl)
+}
+
+// rxCtrl is handleCtrl: it persists Horae control-path ordering metadata to
+// PMR and acks. This happens before the corresponding data is even
+// dispatched at the initiator — the control path is synchronous. The ack
+// returns on the queue pair (and connection) the control capsule arrived
+// on, so it is reaped by the same shard of the same initiator that posted
+// it.
+func (x *tctx) rxCtrl() bool {
+	if len(x.cp.ctrl) == 0 {
+		return x.to((*tctx).rxReask)
+	}
+	x.i = 0
+	return x.to((*tctx).rxCtrlAppend)
+}
+
+func (x *tctx) rxCtrlAppend() bool {
+	if ctrl := x.cp.ctrl; x.i < len(ctrl) {
+		cr := ctrl[x.i]
+		x.i++
+		x.t.stats.CtrlOps++
+		return x.appendPMR(cr.attr, (*tctx).rxCtrlAppend)
+	}
+	return x.charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck)
+}
+
+func (x *tctx) rxCtrlAck() bool {
+	t, cp, qp := x.t, x.cp, x.l.qp
 	t.stats.Responses++
-	t.conns[init].Send(fabric.Target, fabric.Message{
+	t.conns[x.l.init].Send(fabric.Target, fabric.Message{
 		QP: qp, Size: nvmeof.ResponseSize,
-		Payload: &completionMsg{ctrlAcks: acks, qp: qp, epoch: cp.epoch, from: t.id},
+		Payload: &completionMsg{ctrlAcks: cp.ctrl, qp: qp, epoch: cp.epoch, from: t.id},
 	})
+	return x.to((*tctx).rxReask)
+}
+
+func (x *tctx) rxReask() bool {
+	// Head-cut re-ask, second answer: everything that arrived before it
+	// has been taken, so what is still not held never arrived and goes on
+	// below as this member's copy.
+	if x.cp.reask != nil && x.t.answerReask(x.l, x.cp) {
+		return x.flushOrArm(x.l, (*tctx).rxCheck)
+	}
+	return x.to((*tctx).rxCheck)
+}
+
+func (x *tctx) rxCheck() bool {
+	t, cp := x.t, x.cp
+	// A command capsule is one member's copy of a vectored batch: verify
+	// it arrived intact and was split exactly on a set boundary — every
+	// entry is addressed to this member of the set the command stripes
+	// to, and the member's SQEs run positions 0..n-1. (A re-ask is not a
+	// vectored batch: its SQEs keep the marks of the capsule that first
+	// carried them.)
+	for i, ws := range cp.cmds {
+		k := ws.q.Pos(cp.member)
+		if cp.member != t.id || t.c.setOf[t.id] != ws.target || k < 0 {
+			panic(fmt.Sprintf("stack: vectored batch misrouted: entry %d for set %d member %d arrived at target %d",
+				i, ws.target, cp.member, t.id))
+		}
+		if pos, n := ws.chain[k].sqe.VectorPos(); cp.reask == nil && (pos != i || n != len(cp.cmds)) {
+			panic(fmt.Sprintf("stack: torn vectored batch at target %d: entry %d carries pos %d/%d of %d",
+				t.id, i, pos, n, len(cp.cmds)))
+		}
+	}
+	if len(cp.cmds) > 0 && cp.reask == nil {
+		t.stats.Vectors++
+	}
+	// Fetch any non-inline payload in one shot (one-sided READ: no
+	// initiator CPU).
+	x.bytes, x.i = 0, 0
+	for _, ws := range cp.cmds {
+		if !ws.wc.Flush && ws.wc.InlineBytes(inlineThreshold) == 0 {
+			x.bytes += ws.wc.PayloadBytes()
+		}
+	}
+	if x.bytes > 0 {
+		return x.to((*tctx).rxFetch)
+	}
+	return x.to((*tctx).rxCmd)
+}
+
+func (x *tctx) rxFetch() bool {
+	if !x.t.conns[x.l.init].BulkRead(x, &x.bulk, fabric.Target, x.bytes) {
+		return false
+	}
+	if !x.bulk.OK() {
+		return x.to((*tctx).rxPop) // connection died mid-read
+	}
+	return x.to((*tctx).rxCmd)
+}
+
+func (x *tctx) rxCmd() bool {
+	t := x.t
+	if x.i == len(x.cp.cmds) {
+		return x.to((*tctx).rxPop)
+	}
+	if ws := x.cp.cmds[x.i]; !t.alive || ws.epoch != t.initEpoch(x.l.init) {
+		return x.to((*tctx).rxPop)
+	}
+	t.stats.Commands++
+	return x.charge(t.c.costs.CmdProcess, (*tctx).rxSubmit)
+}
+
+func (x *tctx) rxSubmit() bool {
+	t, cp := x.t, x.cp
+	ws := cp.cmds[x.i]
+	x.i++
+	if cp.relayed {
+		// The relay conn restamped sentAt at the head's forward, so
+		// it marks the relay hop, not the initiator send (which the
+		// head capsule's MSent records).
+		markWire(ws, trace.MRelayed, cp.sentAt)
+		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
+		// The completion goes to the head, not the initiator: recorded
+		// before submission, so the completion cannot outrun the route.
+		t.relay.pend[aggKey{ws.init, ws.id}] = relayRoute{qp: x.l.qp, epoch: cp.epoch}
+	} else {
+		markWire(ws, trace.MSent, cp.sentAt)
+		if cp.forward != nil {
+			markWire(ws, trace.MRelayed, cp.deliveredAt)
+		}
+		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
+	}
+	if ws.wc.Flush {
+		t.submitFlushCmd(ws)
+		return x.to((*tctx).rxCmd)
+	}
+	if ws.wc.Ordered && t.pol.Gated() {
+		return x.rioSubmitAttrs(ws, ws.chain[ws.q.Pos(cp.member)].attrs)
+	}
+	t.submitWrite(ws, t.horaeSlot(ws))
+	return x.to((*tctx).rxCmd)
 }
 
 // appendPMR persists one ordering attribute (step 5 of Fig. 4) into the
 // owning initiator's log partition: the CPU is held for the MMIO issue
-// plus the persistence latency (write + read-back) and blocks if that
-// partition's circular log is full — backpressure on one initiator's log
-// never stalls another initiator's appends. The slot is recorded in the
-// attribute's engine domain so completions and retirement find it
-// without hashing.
+// plus the persistence latency (write + read-back) and the append waits if
+// that partition's circular log is full — backpressure on one initiator's
+// log never stalls another initiator's appends. The slot is recorded in
+// the attribute's engine domain so completions and retirement find it
+// without hashing. It returns to ret with the outcome in x.slot, x.ok.
 //
 // ok=false means the partition was FORMATTED (its owner crash-recovered
 // and the log object was replaced) while this append was parked on
 // backpressure or mid-persist: the attribute belongs to a dead
 // incarnation and was dropped rather than leaked into fresh evidence.
-func (t *Target) appendPMR(p *sim.Proc, a core.Attr) (uint64, bool) {
-	init := int(a.Initiator)
-	log := t.logs[init]
-	t.cores.Acquire(p)
-	p.Sleep(t.c.costs.PMRAppendCPU)
-	for {
-		if t.logs[init] != log {
-			t.cores.Release()
-			return 0, false
-		}
-		slot, ok := log.Append(a)
-		if ok {
-			p.Sleep(t.ssds[0].PMRWriteLat())
-			t.cores.Release()
-			if t.logs[init] != log {
-				return 0, false // formatted mid-persist: the slot is dead
-			}
-			t.ord.Domain(init, a.Stream).RecordSlot(a.ServerIdx, slot)
-			t.stats.PMRAppends++
-			return slot, true
-		}
-		// Log full: wait for retirement (backpressure).
+func (x *tctx) appendPMR(a core.Attr, ret tstep) bool {
+	x.a, x.log, x.ret = a, x.t.logs[a.Initiator], ret
+	return x.acquire((*tctx).pmrIssue)
+}
+
+func (x *tctx) pmrIssue() bool { return x.sleep(x.t.c.costs.PMRAppendCPU, (*tctx).pmrAppend) }
+
+func (x *tctx) pmrAppend() bool {
+	t, init := x.t, int(x.a.Initiator)
+	if t.logs[init] != x.log {
 		t.cores.Release()
-		t.logSpace[init].Wait(p)
-		t.cores.Acquire(p)
+		x.log, x.ok = nil, false
+		return x.back()
 	}
+	slot, ok := x.log.Append(x.a)
+	if ok {
+		x.slot = slot
+		return x.sleep(t.ssds[0].PMRWriteLat(), (*tctx).pmrPersisted)
+	}
+	// Log full: wait for retirement (backpressure).
+	t.cores.Release()
+	x.step = (*tctx).pmrSpace
+	return t.logSpace[init].Wait(x)
+}
+
+func (x *tctx) pmrSpace() bool { return x.acquire((*tctx).pmrAppend) }
+
+func (x *tctx) pmrPersisted() bool {
+	t, a := x.t, x.a
+	t.cores.Release()
+	log := x.log
+	x.log, x.ok = nil, false
+	if t.logs[a.Initiator] != log {
+		return x.back() // formatted mid-persist: the slot is dead
+	}
+	t.ord.Domain(int(a.Initiator), a.Stream).RecordSlot(a.ServerIdx, x.slot)
+	t.stats.PMRAppends++
+	x.ok = true
+	return x.back()
 }
 
 // rioSubmitAttrs enforces per-(initiator, stream) in-order submission
@@ -552,50 +617,70 @@ func (t *Target) appendPMR(p *sim.Proc, a core.Attr) (uint64, bool) {
 // every member of a set runs its own dense chain, so the gate's invariant
 // holds per replica independently. With stream→QP affinity the network
 // delivers in order and this gate almost never parks.
-func (t *Target) rioSubmitAttrs(p *sim.Proc, ws *wireState, attrs []core.Attr) {
+func (x *tctx) rioSubmitAttrs(ws *wireState, attrs []core.Attr) bool {
+	t := x.t
 	d := t.ord.Domain(int(attrs[0].Initiator), attrs[0].Stream)
 	if !d.Admit(attrs[0].ServerIdx) {
 		t.stats.Holdbacks++
 		pc := parkedCmd{ws: ws, attrs: attrs}
 		if t.c.tracer != nil {
-			d.ParkAt(attrs[0].ServerIdx, pc, int64(p.Now()))
+			d.ParkAt(attrs[0].ServerIdx, pc, int64(t.c.Eng.Now()))
 		} else {
 			d.Park(attrs[0].ServerIdx, pc)
 		}
-		return
+		return x.to((*tctx).rxCmd)
 	}
-	t.rioProcess(p, ws, attrs, d)
-	// Drain any parked successors.
-	for {
-		next, parkedAt, ok := d.TakeNextAt()
-		if !ok {
-			break
-		}
-		if parkedAt != 0 {
-			addWaitWire(next.ws, trace.WaitPark, p.Now()-sim.Time(parkedAt))
-		}
-		t.rioProcess(p, next.ws, next.attrs, d)
-	}
+	x.dom = d
+	return x.rioProcess(ws, attrs)
 }
 
-func (t *Target) rioProcess(p *sim.Proc, ws *wireState, attrs []core.Attr, d *order.Domain[parkedCmd]) {
-	slots := t.getSlots(len(attrs))
-	for _, a := range attrs {
-		pmrStart := p.Now()
-		slot, ok := t.appendPMR(p, a)
-		addWaitWire(ws, trace.WaitPMR, p.Now()-pmrStart)
-		if !ok {
-			// The command's ordering domain was reset while the append
-			// waited (its owner crash-recovered): the command belongs to
-			// the dead incarnation — drop it without touching the fresh
-			// gate or submitting a stale media write.
-			t.slotsFree = append(t.slotsFree, slots[:0])
-			return
-		}
-		slots = append(slots, slot)
-		d.Advance(a.ServerIdx)
+// rioDrain drains any parked successors, then goes on with the capsule.
+func (x *tctx) rioDrain() bool {
+	next, parkedAt, ok := x.dom.TakeNextAt()
+	if !ok {
+		x.dom = nil
+		return x.to((*tctx).rxCmd)
 	}
-	t.submitWrite(ws, slots)
+	if parkedAt != 0 {
+		addWaitWire(next.ws, trace.WaitPark, x.t.c.Eng.Now()-sim.Time(parkedAt))
+	}
+	return x.rioProcess(next.ws, next.attrs)
+}
+
+// rioProcess appends each attribute of one admitted command, advancing the
+// gate past it, then submits the write; it returns to rioDrain.
+func (x *tctx) rioProcess(ws *wireState, attrs []core.Attr) bool {
+	x.ws, x.attrs, x.j = ws, attrs, 0
+	x.slots = x.t.getSlots(len(attrs))
+	return x.to((*tctx).rioAttr)
+}
+
+func (x *tctx) rioAttr() bool {
+	if x.j == len(x.attrs) {
+		x.t.submitWrite(x.ws, x.slots)
+		x.ws, x.attrs, x.slots = nil, nil, nil
+		return x.to((*tctx).rioDrain)
+	}
+	x.pmrStart = x.t.c.Eng.Now()
+	return x.appendPMR(x.attrs[x.j], (*tctx).rioAppended)
+}
+
+func (x *tctx) rioAppended() bool {
+	t := x.t
+	addWaitWire(x.ws, trace.WaitPMR, t.c.Eng.Now()-x.pmrStart)
+	if !x.ok {
+		// The command's ordering domain was reset while the append
+		// waited (its owner crash-recovered): the command belongs to
+		// the dead incarnation — drop it without touching the fresh
+		// gate or submitting a stale media write.
+		t.slotsFree = append(t.slotsFree, x.slots[:0])
+		x.ws, x.attrs, x.slots = nil, nil, nil
+		return x.to((*tctx).rioDrain)
+	}
+	x.slots = append(x.slots, x.slot)
+	x.dom.Advance(x.a.ServerIdx)
+	x.j++
+	return x.to((*tctx).rioAttr)
 }
 
 // horaeSlot looks up the control-path entry of every constituent of a Horae
@@ -619,9 +704,9 @@ func (t *Target) horaeSlot(ws *wireState) []uint64 {
 }
 
 // submitWrite hands a write to its SSD, each block under the identity the
-// initiator gave it (buildWires); the completion flows to doneLoop. The
-// device reads the command's stamps until it completes, and the wire
-// command outlives every member's completion.
+// initiator gave it (buildWires); the completion flows to the completion
+// context (cplPop). The device reads the command's stamps until it
+// completes, and the wire command outlives every member's completion.
 func (t *Target) submitWrite(ws *wireState, slots []uint64) {
 	d := t.getDone()
 	d.ws, d.slots, d.epoch = ws, slots, t.initEpoch(ws.init)
@@ -641,47 +726,59 @@ func (t *Target) submitFlushCmd(ws *wireState) {
 	t.ssds[ws.ssdIdx].Submit(&d.cmd)
 }
 
-// doneLoop is the target completion context: persist-bit maintenance
-// (step 7), durability barriers for flush-carrying ordered writes, and
-// completion responses back to the initiators. Consumed events (and the
-// slot bursts they still own) recycle through the free lists.
-func (t *Target) doneLoop(p *sim.Proc) {
-	for {
-		d := t.doneQ.Pop(p)
-		if d.free {
-			panic("stack: recycled completion event in the completion queue")
-		}
-		t.doneOne(p, d)
-		t.putDone(d)
+// cplPop takes the next event of the target completion context:
+// persist-bit maintenance (step 7), durability barriers for flush-carrying
+// ordered writes, and completion responses back to the initiators. Consumed
+// events (and the slot bursts they still own) recycle through the free
+// lists, in cplEnd.
+func (x *tctx) cplPop() bool {
+	d, ok := x.t.doneQ.Take(x)
+	if !ok {
+		return false
 	}
+	if d.free {
+		panic("stack: recycled completion event in the completion queue")
+	}
+	x.d = d
+	return x.doneOne()
+}
+
+func (x *tctx) cplEnd() bool {
+	x.t.putDone(x.d)
+	x.d = nil
+	return x.to((*tctx).cplPop)
 }
 
 // doneOne handles one completion-context event. The completion context
-// yields for CPU grants, so a power cut (and even the subsequent
-// recovery) can land MID-EVENT: the target incarnation is captured on
-// entry and re-validated after every yield — a straddling event must
-// neither toggle persist bits in the freshly formatted logs nor ack a
-// wiped write into the next incarnation (it must stay outstanding so
-// target recovery replays it).
-func (t *Target) doneOne(p *sim.Proc, d *tDone) {
+// waits for CPU grants, so a power cut (and even the subsequent recovery)
+// can land MID-EVENT: the target incarnation is captured on entry and
+// re-validated after every wait — a straddling event must neither toggle
+// persist bits in the freshly formatted logs nor ack a wiped write into the
+// next incarnation (it must stay outstanding so target recovery replays
+// it).
+func (x *tctx) doneOne() bool {
+	t, d := x.t, x.d
 	if !t.alive {
-		return
+		return x.to((*tctx).cplEnd)
 	}
-	tEpoch := t.epoch
+	x.tEpoch = t.epoch
 	if d.lane != nil {
 		// CQE hold-timer expiry: flush the pending response capsule.
 		if d.epoch == t.initEpoch(d.lane.init) {
-			t.flushCQEs(p, d.lane)
+			return x.flushCQEs(d.lane, (*tctx).cplEnd)
 		}
-		return
+		return x.to((*tctx).cplEnd)
 	}
 	if d.epoch != t.initEpoch(d.ws.init) && !d.isFlush {
-		return // a barrier FLUSH may serve several initiators: flushDone checks each
+		return x.to((*tctx).cplEnd) // a barrier FLUSH may serve several initiators: flushDone checks each
 	}
-	t.cores.Use(p, t.c.costs.CplHandle)
+	return x.charge(t.c.costs.CplHandle, (*tctx).cplHandled)
+}
+
+func (x *tctx) cplHandled() bool {
+	t, d := x.t, x.d
 	if d.isFlush {
-		t.flushDone(p, d, tEpoch)
-		return
+		return x.flushDone()
 	}
 	if d.doneAt > 0 {
 		markWire(d.ws, trace.MSSDDone, d.doneAt)
@@ -692,23 +789,20 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 	init := d.ws.init
 
 	if !ordered || d.ws.wc.Flush {
-		t.respond(p, d.ws, tEpoch)
-		return
+		return x.respond(d.ws, (*tctx).cplEnd)
 	}
 
 	attrFlush := t.orderedFlushWanted(d.ws)
 	switch {
 	case plp:
 		// Completion implies durability: toggle persist now.
-		for _, s := range d.slots {
-			t.markPersist(p, init, s, tEpoch, d.epoch)
-		}
-		t.respond(p, d.ws, tEpoch)
+		x.init, x.k = init, 0
+		return x.to((*tctx).cplPersist)
 	case attrFlush:
 		// The group's durability barrier: drain the device, then mark. A cut
-		// during the yield above cleared the combiners: stay outstanding for replay.
-		if !t.alive || t.epoch != tEpoch {
-			return
+		// during the wait above cleared the combiners: stay outstanding for replay.
+		if !t.alive || t.epoch != x.tEpoch {
+			return x.to((*tctx).cplEnd)
 		}
 		fd := t.getDone()
 		fd.ws, fd.slots, fd.isFlush, fd.epoch = d.ws, d.slots, true, d.epoch
@@ -722,6 +816,7 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 		if !fc.busy { // idle device: a lone commit costs exactly its own FLUSH
 			t.submitBarriers(d.ws.ssdIdx)
 		}
+		return x.to((*tctx).cplEnd)
 	default:
 		// Non-PLP, no flush: leave persist=0 (a later FLUSH-carrying
 		// entry certifies it during recovery, §4.3.2).
@@ -730,8 +825,18 @@ func (t *Target) doneOne(p *sim.Proc, d *tDone) {
 				t.ord.AddUnflushed(d.ws.ssdIdx, order.SlotRef{Init: init, Slot: s, Epoch: d.epoch})
 			}
 		}
-		t.respond(p, d.ws, tEpoch)
+		return x.respond(d.ws, (*tctx).cplEnd)
 	}
+}
+
+func (x *tctx) cplPersist() bool {
+	d := x.d
+	if x.k < len(d.slots) {
+		s := d.slots[x.k]
+		x.k++
+		return x.markPersist(x.init, s, d.epoch, (*tctx).cplPersist)
+	}
+	return x.respond(d.ws, (*tctx).cplEnd)
 }
 
 // submitBarriers sends every barrier waiting at a device as ONE FLUSH, led
@@ -759,31 +864,62 @@ func (t *Target) submitBarriers(ssdIdx int) {
 // one CplHandle: the next FLUSH for whatever queued meanwhile, then every
 // covered barrier on its own terms — its own initiator's epoch (a dead leader
 // still serves the others), its own persist toggles, its own CQE.
-func (t *Target) flushDone(p *sim.Proc, d *tDone, tEpoch int) {
-	if !t.alive || t.epoch != tEpoch {
-		return // cut mid-yield: the combiners belong to the next incarnation
+func (x *tctx) flushDone() bool {
+	t := x.t
+	if !t.alive || t.epoch != x.tEpoch {
+		return x.to((*tctx).cplEnd) // cut mid-wait: the combiners belong to the next incarnation
 	}
-	t.submitBarriers(d.ws.ssdIdx)
-	for _, s := range d.flushSlots {
+	t.submitBarriers(x.d.ws.ssdIdx)
+	x.k = 0
+	return x.to((*tctx).flushCertify)
+}
+
+func (x *tctx) flushCertify() bool {
+	t, d := x.t, x.d
+	for x.k < len(d.flushSlots) {
+		s := d.flushSlots[x.k]
+		x.k++
 		// A certified slot may belong to ANOTHER initiator: skip it if that one
 		// crashed (and possibly reformatted its partition) while the FLUSH ran.
 		if s.Epoch == t.initEpoch(s.Init) {
-			t.markPersist(p, s.Init, s.Slot, tEpoch, s.Epoch)
+			return x.markPersist(s.Init, s.Slot, s.Epoch, (*tctx).flushCertify)
 		}
 	}
-	for b, next := d, d; b != nil; b = next {
-		next = b.next // putDone wipes it
-		if init := b.ws.init; b.epoch == t.initEpoch(init) {
-			for _, s := range b.slots {
-				t.markPersist(p, init, s, tEpoch, b.epoch)
-			}
-			t.stats.Barriers++
-			t.respond(p, b.ws, tEpoch)
-		}
-		if b != d {
-			t.putDone(b) // doneLoop recycles the leader
-		}
+	x.b = d
+	return x.to((*tctx).flushBarrier)
+}
+
+// flushBarrier serves barrier x.b of the chain the FLUSH covered.
+func (x *tctx) flushBarrier() bool {
+	b := x.b
+	if b == nil {
+		return x.to((*tctx).cplEnd)
 	}
+	x.bnext = b.next // putDone wipes it
+	if init := b.ws.init; b.epoch == x.t.initEpoch(init) {
+		x.init, x.k = init, 0
+		return x.to((*tctx).flushBarrierPersist)
+	}
+	return x.to((*tctx).flushBarrierDone)
+}
+
+func (x *tctx) flushBarrierPersist() bool {
+	b := x.b
+	if x.k < len(b.slots) {
+		s := b.slots[x.k]
+		x.k++
+		return x.markPersist(x.init, s, b.epoch, (*tctx).flushBarrierPersist)
+	}
+	x.t.stats.Barriers++
+	return x.respond(b.ws, (*tctx).flushBarrierDone)
+}
+
+func (x *tctx) flushBarrierDone() bool {
+	if x.b != x.d {
+		x.t.putDone(x.b) // cplEnd recycles the leader
+	}
+	x.b, x.bnext = x.bnext, nil
+	return x.to((*tctx).flushBarrier)
 }
 
 // orderedFlushWanted reports whether this ordered command carries the
@@ -800,18 +936,23 @@ func (t *Target) orderedFlushWanted(ws *wireState) bool {
 	return false
 }
 
-// markPersist toggles one entry's persist bit. The CPU grant yields, so
-// the target incarnation (tEpoch) and the slot owner's incarnation
-// (initEpoch) are re-validated before touching the log: a toggle that
-// straddled a crash+recovery would otherwise write into a freshly
-// formatted partition whose slot ids it no longer owns.
-func (t *Target) markPersist(p *sim.Proc, init int, slot uint64, tEpoch, initEpoch int) {
-	t.cores.Use(p, t.c.costs.PMRToggleCPU)
-	if !t.alive || t.epoch != tEpoch || t.initEpoch(init) != initEpoch {
-		return
+// markPersist toggles one entry's persist bit and returns to ret. The CPU
+// grant waits, so the target incarnation (tEpoch) and the slot owner's
+// incarnation (initEpoch) are re-validated before touching the log: a
+// toggle that straddled a crash+recovery would otherwise write into a
+// freshly formatted partition whose slot ids it no longer owns.
+func (x *tctx) markPersist(init int, slot uint64, initEpoch int, ret tstep) bool {
+	x.mark, x.ret = order.SlotRef{Init: init, Slot: slot, Epoch: initEpoch}, ret
+	return x.charge(x.t.c.costs.PMRToggleCPU, (*tctx).persistMarked)
+}
+
+func (x *tctx) persistMarked() bool {
+	t, m := x.t, x.mark
+	if t.alive && t.epoch == x.tEpoch && t.initEpoch(m.Init) == m.Epoch {
+		t.logs[m.Init].MarkPersist(m.Slot)
+		t.stats.PMRToggles++
 	}
-	t.logs[init].MarkPersist(slot)
-	t.stats.PMRToggles++
+	return x.back()
 }
 
 // cqeHoldTime returns how long a lone completion may wait for companions
@@ -833,18 +974,19 @@ func (t *Target) cqeBatchSize() int {
 	return t.c.cfg.CQEBatch
 }
 
-// respond queues one completion toward the owning initiator: the CQE joins
-// its lane's pending response capsule, flushed when CQEBatch entries
-// accumulate or the hold timer expires.
-func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
-	if !t.alive || t.epoch != tEpoch {
+// respond queues one completion toward the owning initiator and returns to
+// ret: the CQE joins its lane's pending response capsule, flushed when
+// CQEBatch entries accumulate or the hold timer expires.
+func (x *tctx) respond(ws *wireState, ret tstep) bool {
+	t := x.t
+	if !t.alive || t.epoch != x.tEpoch {
 		// A completion context that was mid-iteration when the power cut
 		// hit must not touch coalescing state crash cleanup just cleared
 		// — not even after a recovery revived the target (t.epoch moved):
 		// the response died with the NIC, and acking a write the cut
 		// wiped into the next incarnation would falsely complete it —
 		// the command must stay outstanding so recovery replays it.
-		return
+		return x.to(ret)
 	}
 	l := t.lane(ws.init, ws.qp)
 	if l.inflight > 0 {
@@ -858,34 +1000,34 @@ func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
 		// own completion of a relayed command feeds its quorum record
 		// instead of shipping a CQE of its own (the aggregated CQE carries
 		// the command id).
-		if t.relayRespond(p, ws) {
-			return
+		if routed, goOn := x.relayRespond(ws, ret); routed {
+			return goOn
 		}
 		key := aggKey{ws.init, ws.id}
 		if as, ok := t.relay.agg[key]; ok && as.epoch == ws.epoch {
-			t.aggAck(p, key, as, t.id)
-			return
+			return x.aggAck(key, as, t.id, ret)
 		}
 	}
 	l.push(ws.id, ws.epoch, aggCQE{})
-	t.flushOrArm(p, l)
+	return x.flushOrArm(l, ret)
 }
 
 // flushOrArm applies the response flush policy to one lane's pending
-// batch: ship when the capsule is full — or when the queue pair has no
-// command left in flight, so a CQE only ever waits while more completions
-// are coming to amortize against and an idle QP responds immediately (no
-// hold-timer latency on the application's critical path). Otherwise the
-// hold timer is the backstop for commands that stay in flight longer than
-// the hold.
-func (t *Target) flushOrArm(p *sim.Proc, l *qpLane) {
+// batch, then returns to ret: ship when the capsule is full — or when the
+// queue pair has no command left in flight, so a CQE only ever waits while
+// more completions are coming to amortize against and an idle QP responds
+// immediately (no hold-timer latency on the application's critical path).
+// Otherwise the hold timer is the backstop for commands that stay in
+// flight longer than the hold.
+func (x *tctx) flushOrArm(l *qpLane, ret tstep) bool {
+	t := x.t
 	if len(l.cqes) >= t.cqeBatchSize() || l.inflight == 0 {
-		t.flushCQEs(p, l)
-		return
+		return x.flushCQEs(l, ret)
 	}
 	if !l.armed {
 		t.armCQETimer(l, t.cqeHoldTime())
 	}
+	return x.to(ret)
 }
 
 // cqeTimer is one hold-timer event of a lane, armed under target
@@ -950,38 +1092,45 @@ func (t *Target) routeFlush(l *qpLane) {
 }
 
 // flushCQEs ships one lane's pending completions as a single vectored
-// response capsule: one shared framing, one PostMsg, entries vector-marked
-// so the initiator can verify the capsule arrived whole. A batch of one
-// needs no vector framing and ships as a bare 16-byte capsule.
-func (t *Target) flushCQEs(p *sim.Proc, l *qpLane) {
+// response capsule, then returns to ret: one shared framing, one PostMsg,
+// entries vector-marked so the initiator can verify the capsule arrived
+// whole. A batch of one needs no vector framing and ships as a bare 16-byte
+// capsule.
+func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
+	t := x.t
 	if len(l.cqes) == 0 && len(l.resolved) == 0 {
-		return
+		return x.to(ret)
 	}
-	// Detach before charging CPU: Use yields, and the other completion
-	// context may append (or flush) concurrently.
-	batch, batchT, agg, resolved, epoch := l.cqes, l.cqeT, l.agg, l.resolved, l.epoch
+	// Detach before charging CPU: the charge waits, and the other
+	// completion context may append (or flush) meanwhile.
+	x.out = completionMsg{cqes: l.cqes, qp: l.qp, epoch: l.epoch, from: t.id, respondAt: l.cqeT, agg: l.agg, resolved: l.resolved}
 	l.cqes, l.cqeT, l.agg, l.resolved = nil, nil, nil, nil
-	if len(batch) == 0 {
+	if len(x.out.cqes) == 0 {
 		// Resolution-only capsule: no buffered CQE minted the epoch, so
 		// stamp the initiator's current one.
-		epoch = t.initEpoch(l.init)
+		x.out.epoch = t.initEpoch(l.init)
 	}
-	nvmeof.EncodeCQEVector(batch)
-	size := nvmeof.ResponseSize
-	if len(batch) > 1 {
-		size = nvmeof.CQEVectorCapsuleSize(len(batch))
+	nvmeof.EncodeCQEVector(x.out.cqes)
+	x.outSize = nvmeof.ResponseSize
+	if n := len(x.out.cqes); n > 1 {
+		x.outSize = nvmeof.CQEVectorCapsuleSize(n)
 	}
-	size += len(resolved) * nvmeof.ResponseSize
-	t.cores.Use(p, t.c.costs.PostMsg)
-	if !t.alive {
-		return // power cut while posting: the capsule dies with the NIC
+	x.outSize += len(x.out.resolved) * nvmeof.ResponseSize
+	x.outLane, x.ret = l, ret
+	return x.charge(t.c.costs.PostMsg, (*tctx).cqesPosted)
+}
+
+func (x *tctx) cqesPosted() bool {
+	t, l := x.t, x.outLane
+	if t.alive { // else power cut while posting: the capsule dies with the NIC
+		msg := new(completionMsg)
+		*msg = x.out
+		t.stats.Responses++
+		t.stats.CQEs += int64(len(msg.cqes))
+		t.conns[l.init].Send(fabric.Target, fabric.Message{QP: l.qp, Size: x.outSize, Payload: msg})
 	}
-	t.stats.Responses++
-	t.stats.CQEs += int64(len(batch))
-	t.conns[l.init].Send(fabric.Target, fabric.Message{
-		QP: l.qp, Size: size,
-		Payload: &completionMsg{cqes: batch, qp: l.qp, epoch: epoch, from: t.id, respondAt: batchT, agg: agg, resolved: resolved},
-	})
+	x.out, x.outLane = completionMsg{}, nil
+	return x.back()
 }
 
 // retireUpTo recycles PMR entries whose completions the owning initiator
