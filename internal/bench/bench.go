@@ -19,6 +19,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/stack"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -63,6 +64,8 @@ type Options struct {
 	// records host memory only, so every metric of a seeded run is
 	// identical with it on or off.
 	TraceSample int
+
+	traces *[]*trace.Tracer // set by Run: the tracer of every cluster built
 }
 
 func (o Options) seed() int64 {
@@ -157,15 +160,17 @@ func Run(name string, o Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names())
 	}
-	if o.TraceSample > 0 {
-		tracedTracers = nil
-	}
+	var traces []*trace.Tracer
+	o.traces = &traces
 	res := r(o)
-	if o.TraceSample > 0 {
-		if agg := gatherTraces(); agg.Sampled > 0 {
-			res.Tables = append(res.Tables, agg.Table(fmt.Sprintf(
-				"%s stage breakdown (1-in-%d sampled)", name, o.TraceSample)))
-		}
+	var agg trace.Stats
+	for _, tr := range traces {
+		s := tr.Stats()
+		agg.Merge(&s)
+	}
+	if agg.Sampled > 0 {
+		res.Tables = append(res.Tables, agg.Table(fmt.Sprintf(
+			"%s stage breakdown (1-in-%d sampled)", name, o.TraceSample)))
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,6 +23,40 @@ func TestNamesComplete(t *testing.T) {
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("nope", Options{}); err == nil {
 		t.Fatal("unknown experiment should error")
+	}
+}
+
+// TestParallelTracedRuns: each Run collects its own clusters' tracers, so
+// two traced runs at once each render what a run alone renders, stage
+// table included (and share no state -race could see).
+func TestParallelTracedRuns(t *testing.T) {
+	o := Options{Quick: true, TraceSample: 64}
+	render := func() string {
+		res, err := Run("scale", o)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return res.Render()
+	}
+	want := render()
+	if !strings.Contains(want, "scale stage breakdown (1-in-64 sampled)") {
+		t.Fatalf("a traced run rendered no stage table:\n%s", want)
+	}
+	got := make([]string, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = render()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("parallel run %d rendered differently from a run alone:\n%s\nwant:\n%s", i, g, want)
+		}
 	}
 }
 

@@ -26,35 +26,19 @@ import (
 // that a quick sweep's p99 cohort never falls off the ring.
 const traceKeep = 16384
 
-// tracedTracers collects the tracer of every cluster built during one
-// Run() with Options.TraceSample > 0 (riobench is single-threaded, so a
-// package global suffices). Tracer memory is host-side and survives
-// engine shutdown, so gathering happens once at the end of the run.
-var tracedTracers []*trace.Tracer
-
 // newCluster builds a cluster for an experiment point, applying the
 // run's trace sampling (off by default: the config, and therefore every
-// seeded metric, is untouched when TraceSample is 0).
+// seeded metric, is untouched when TraceSample is 0); Run gathers its
+// tracer, which outlives the engine, once the experiment returns.
 func (o Options) newCluster(eng *sim.Engine, cfg stack.Config) *stack.Cluster {
 	if o.TraceSample > 0 {
 		cfg.Trace = trace.Config{SampleEvery: o.TraceSample, Keep: traceKeep}
 	}
 	c := stack.New(eng, cfg)
-	if tr := c.Tracer(); tr != nil {
-		tracedTracers = append(tracedTracers, tr)
+	if tr := c.Tracer(); tr != nil && o.traces != nil {
+		*o.traces = append(*o.traces, tr)
 	}
 	return c
-}
-
-// gatherTraces aggregates and resets the run's collected tracers.
-func gatherTraces() trace.Stats {
-	var agg trace.Stats
-	for _, tr := range tracedTracers {
-		s := tr.Stats()
-		agg.Merge(&s)
-	}
-	tracedTracers = nil
-	return agg
 }
 
 // tracedScalePoint mirrors the scale experiment's headline point (rio,

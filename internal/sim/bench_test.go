@@ -102,47 +102,33 @@ func BenchmarkResourceUse(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkResourceUseRunner is BenchmarkResourceUse with Runner users:
-// acquire or queue, hold the unit 10 ns, release — a target context's CPU
-// charge, with no coroutine switch.
+// BenchmarkResourceUseRunner is BenchmarkResourceUse with Step users:
+// Charge acquires or queues, holds the unit 10 ns and releases — a target
+// context's or a reaper's CPU charge, with no coroutine switch.
 func BenchmarkResourceUseRunner(b *testing.B) {
 	e := New(1)
 	r := NewResource(e, 1)
 	for u := 0; u < 2; u++ {
-		e.Schedule(0, &useRunner{e: e, r: r, left: (b.N + 1 - u) / 2})
+		s := &useStep{left: (b.N + 1 - u) / 2}
+		s.Start(e, r, s, (*useStep).use)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }
 
-// useRunner charges r left times, 10 ns each.
-type useRunner struct {
-	e    *Engine
-	r    *Resource
+// useStep charges its unit left times, 10 ns each.
+type useStep struct {
+	Step[useStep]
 	left int
-	step int // 0: acquire, 1: granted — hold, 2: held — release
 }
 
-func (u *useRunner) Run() {
-	for u.left > 0 {
-		switch u.step {
-		case 0:
-			u.step = 1
-			if !u.r.Acquire(u) {
-				return
-			}
-		case 1:
-			u.step = 2
-			if !u.e.Sleep(u, 10) {
-				return
-			}
-		case 2:
-			u.r.Release()
-			u.step = 0
-			u.left--
-		}
+func (u *useStep) use() bool {
+	if u.left == 0 {
+		return false
 	}
+	u.left--
+	return u.Charge(10, (*useStep).use)
 }
 
 func BenchmarkCondSignal(b *testing.B) {

@@ -45,7 +45,8 @@
 // when an item reaches it idle, one per non-zero Sleep, one per Resource
 // hand-off and per Cond wake. A Release hands the unit to a queued Runner
 // before re-running it, so the Runner holds it when it runs. Waiter rings
-// hold Runners, procs and records alike, in FIFO order.
+// hold Runners, procs and records alike, in FIFO order. Step[T] is the one
+// way to write such a consumer.
 //
 // The event heap is a typed 4-ary min-heap of {at, seq, Runner} ordered by
 // (at, seq). seq is a counter that At, Schedule, Sleep, a wake-up (of a

@@ -120,6 +120,55 @@ func (c *runnerConsumer) Run() {
 	}
 }
 
+// stepConsumer is procConsumer on Step: Take, then Charge, then the gate as
+// a called sequence that returns through Back, then the signal.
+type stepConsumer struct {
+	Step[stepConsumer]
+	s   *waiterScene
+	who string
+	v   int
+}
+
+func startStepConsumer(s *waiterScene, who string) {
+	c := &stepConsumer{s: s, who: who}
+	c.Start(s.e, s.cpu, c, (*stepConsumer).take)
+}
+
+func (c *stepConsumer) take() bool {
+	v, ok := c.s.q.Take(c)
+	if !ok {
+		return false
+	}
+	c.v = v
+	c.s.rec(c.who, 1000+v)
+	return c.Charge(cost(v), (*stepConsumer).charged)
+}
+
+func (c *stepConsumer) charged() bool {
+	c.s.rec(c.who, 2000+c.v)
+	if c.v%4 == 0 {
+		c.Ret = (*stepConsumer).signal
+		c.To((*stepConsumer).gated)
+		return c.s.gate.Wait(c)
+	}
+	return c.To((*stepConsumer).signal)
+}
+
+func (c *stepConsumer) gated() bool {
+	c.s.rec(c.who, 3000+c.v)
+	return c.Back()
+}
+
+func (c *stepConsumer) signal() bool {
+	if c.v == 13 {
+		if !c.s.sig.Wait(c) {
+			return false
+		}
+		c.s.rec(c.who, 4000+c.v)
+	}
+	return c.To((*stepConsumer).take)
+}
+
 // waiterTrace runs the scenario with the two consumers started by start and
 // returns every step. The producer and three background procs fight the
 // consumers for the 2-unit CPU, so its waiter ring holds procs and Runners
@@ -186,19 +235,25 @@ func waiterTrace(start func(*waiterScene, string)) ([]waiterRec, map[string]int)
 	return tr, s.queued
 }
 
-// A Runner waiter must be indistinguishable from the proc it stands in for:
-// the same steps at the same (at, seq), so turning a proc consumer into a
-// Runner moves no simulated number.
+// A Runner waiter — hand-written or on Step — must be indistinguishable
+// from the proc it stands in for: the same steps at the same (at, seq), so
+// turning a proc consumer into a Runner moves no simulated number.
 func TestRunnerWaitersMatchProcs(t *testing.T) {
 	want, _ := waiterTrace(procConsumer)
 	got, queued := waiterTrace(startRunnerConsumer)
-	for i := 0; i < len(want) && i < len(got); i++ {
-		if got[i] != want[i] {
-			t.Fatalf("step %d: runners %+v, procs %+v", i, got[i], want[i])
+	steps, stepQueued := waiterTrace(startStepConsumer)
+	for name, got := range map[string][]waiterRec{"runners": got, "steps": steps} {
+		for i := 0; i < len(want) && i < len(got); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: %s %+v, procs %+v", i, name, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s made %d steps, procs %d", name, len(got), len(want))
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("runners made %d steps, procs %d", len(got), len(want))
+	if stepQueued["mixed"] == 0 {
+		t.Error("the CPU never queued a proc and a Step at once")
 	}
 
 	// The schedule must have exercised each wait it claims to.

@@ -222,13 +222,14 @@ func TestHotPathAllocs(t *testing.T) {
 				})
 			}
 		}},
-		{"runner acquire, hand-off, queue wake", 0, func(e *Engine) {
-			// Two Runner consumers of one queue fight over one unit: every
-			// other acquire queues and is handed the unit by a Release, and
+		{"step take, charge, hand-off", 0, func(e *Engine) {
+			// Two Step consumers of one queue fight over one unit: every
+			// other Charge queues and is handed the unit by a Release, and
 			// each push pair finds both idle on the queue's cond.
 			q, r := NewQueue[int](e), NewResource(e, 1)
 			for i := 0; i < 2; i++ {
-				e.Schedule(0, &cpuRunner{e: e, q: q, r: r})
+				c := &cpuStep{q: q}
+				c.Start(e, r, c, (*cpuStep).take)
 			}
 			e.Go("producer", func(p *Proc) {
 				for {
@@ -305,34 +306,16 @@ func (tk *tick) Run() {
 	tk.pool.free.Put(tk)
 }
 
-// cpuRunner is a Runner consumer: take an item, acquire the unit, hold it
-// 1 ns, release — a target context's receive and CPU charge in miniature.
-type cpuRunner struct {
-	e    *Engine
-	q    *Queue[int]
-	r    *Resource
-	step int
+// cpuStep is a Step consumer: take an item, charge 1 ns of the unit — a
+// target context's receive and CPU charge in miniature.
+type cpuStep struct {
+	Step[cpuStep]
+	q *Queue[int]
 }
 
-func (c *cpuRunner) Run() {
-	for {
-		switch c.step {
-		case 0:
-			if _, ok := c.q.Take(c); !ok {
-				return
-			}
-			c.step = 1
-			if !c.r.Acquire(c) {
-				return
-			}
-		case 1:
-			c.step = 2
-			if !c.e.Sleep(c, 1) {
-				return
-			}
-		case 2:
-			c.r.Release()
-			c.step = 0
-		}
+func (c *cpuStep) take() bool {
+	if _, ok := c.q.Take(c); !ok {
+		return false
 	}
+	return c.Charge(1, (*cpuStep).take)
 }

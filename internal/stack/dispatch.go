@@ -44,7 +44,7 @@ func (in *Initiator) newSequencer() *core.Sequencer {
 // attribute and add to the stream's plug list / ORDER queue; everything
 // downstream is asynchronous.
 func (in *Initiator) submitRio(p *sim.Proc, req *blockdev.Request) {
-	in.useInitCPU(p, in.costs.SubmitBio)
+	in.UseCPU(p, in.costs.SubmitBio)
 	if !in.alive {
 		// The initiator was power-cut while this submission waited for
 		// CPU: the request dies un-staged (its Done never fires), like
@@ -100,7 +100,7 @@ func (in *Initiator) maxPlugNow() int {
 // submitOrderless adds to the plug list; completion is delivered as soon
 // as the hardware reports it.
 func (in *Initiator) submitOrderless(p *sim.Proc, req *blockdev.Request) {
-	in.useInitCPU(p, in.costs.SubmitBio)
+	in.UseCPU(p, in.costs.SubmitBio)
 	if !in.alive {
 		return // power-cut mid-submission: the request dies un-staged
 	}
@@ -163,23 +163,20 @@ func (tm *plugTimer) Run() {
 // StartPlug opens an explicit plug window on a stream (blk_start_plug):
 // submissions stage until FinishPlug, maximizing scheduler merging.
 func (in *Initiator) StartPlug(stream int) {
-	in.shards[stream].held = true
+	in.shards[in.streamOf(stream)].held = true
 }
 
 // FinishPlug closes the plug window and dispatches the staged batch in the
 // caller's context (blk_finish_plug).
 func (in *Initiator) FinishPlug(p *sim.Proc, stream int) {
-	sh := in.shards[stream]
-	sh.held = false
+	stream = in.streamOf(stream)
+	in.shards[stream].held = false
 	in.plugFlush(p, stream)
 }
 
 // plugFlush drains a stream's plug inline (called when the submitter is
 // about to block — Linux's flush-on-schedule).
 func (in *Initiator) plugFlush(p *sim.Proc, stream int) {
-	if stream >= len(in.shards) {
-		return
-	}
 	sh := in.shards[stream]
 	if len(sh.plugged) == 0 {
 		return
@@ -203,7 +200,7 @@ func (in *Initiator) dispatchPlug(p *sim.Proc, sh *shard) {
 // group to the asynchronous data path. This matches the paper's Fig. 14,
 // where D dispatch is cheap but JM and JC each pay a control round trip.
 func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
-	in.useInitCPU(p, in.costs.SubmitBio)
+	in.UseCPU(p, in.costs.SubmitBio)
 	if !in.alive {
 		return // power-cut mid-submission: the request dies un-staged
 	}
@@ -237,7 +234,7 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 		if len(list) == 0 {
 			continue
 		}
-		in.useInitCPU(p, in.costs.CmdBuild*sim.Time(len(list))+in.costs.PostMsg)
+		in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(list))+in.costs.PostMsg)
 		in.targets[ti].conns[in.id].Send(fabric.Initiator, fabric.Message{
 			QP:      in.qpFor(req.Stream),
 			Size:    nvmeof.CapsuleSize(32 * len(list)),
@@ -262,7 +259,7 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 // request for the whole device (§6.5), completed and — on devices without
 // PLP — flushed before the next may start.
 func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
-	in.useInitCPU(p, in.costs.SubmitBio)
+	in.UseCPU(p, in.costs.SubmitBio)
 	in.linuxMu.Acquire(p)
 	wires := in.buildWires(nil, req)
 	in.assignOrderState(wires)
@@ -283,7 +280,7 @@ func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 			continue
 		}
 		fw := in.newFlushWire(ws.wc.Dev, req.Stream)
-		in.useInitCPU(p, in.costs.CmdBuild)
+		in.UseCPU(p, in.costs.CmdBuild)
 		flushes = append(flushes, fw)
 	}
 	if len(flushes) > 0 {
@@ -385,7 +382,7 @@ func (in *Initiator) dispatchBatch(p *sim.Proc, stream int, batch []*blockdev.Re
 	// final here) and before posting, so a thread that re-reads its own
 	// write hits even while the write is in flight.
 	in.rcachePopulateWires(p, wires)
-	in.useInitCPU(p, in.costs.CmdBuild*sim.Time(len(wires)))
+	in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(wires)))
 	in.postByTarget(p, wires, stream)
 	sh.putBatchBuf(wires)
 }
@@ -518,7 +515,7 @@ func (in *Initiator) fuseWires(p *sim.Proc, wires []*wireState) []*wireState {
 		out = append(out, ws)
 	}
 	if checks > 0 {
-		in.useInitCPU(p, in.costs.MergeCheck*sim.Time(checks))
+		in.UseCPU(p, in.costs.MergeCheck*sim.Time(checks))
 	}
 	return out
 }
@@ -747,76 +744,91 @@ func (c *Cluster) postCapsule(w sim.Runner, tw *fabric.TxWait, conn *fabric.Conn
 	return true
 }
 
-// reapLoop is one shard's completion-reaping context (the initiator-side
-// interrupt context): it consumes the response capsules of the shard's QP
-// affinity set, validates coalesced-capsule geometry, fans fragments back
-// to requests, and runs the mode-appropriate delivery protocol. Because
-// the reaping shard and the submitting shard coincide under stream
-// affinity, the wireStates and tracking lists a capsule releases return
-// to local pools.
-func (in *Initiator) reapLoop(p *sim.Proc, sh *shard) {
-	for {
-		msg := sh.cplQ.Pop(p)
-		// A capsule of a dead epoch is dropped WHOLE, before any
-		// per-entry side effect: its CQEs reference wireStates (and
-		// retire watermarks) of the previous incarnation, and a
-		// coalesced capsule that straddled a power cut must not deliver
-		// a partial batch.
-		if msg.epoch != in.epoch {
+// A reaper is one shard's completion-reaping context (the initiator-side
+// interrupt context), a sim.Step allocated with its shard: it takes the
+// response capsules of the shard's QP affinity set, checks their geometry,
+// fans fragments back to requests and runs the mode's delivery protocol.
+// Reaping and submitting shards coincide under stream affinity, so what a
+// capsule releases returns to local pools.
+type reaper struct {
+	sim.Step[reaper]
+	in  *Initiator
+	sh  *shard
+	msg *completionMsg // the capsule whose CplHandle is being charged
+}
+
+func (r *reaper) take() bool {
+	msg, ok := r.sh.cplQ.Take(r)
+	if !ok {
+		return false
+	}
+	// A capsule of a dead epoch is dropped WHOLE, before any per-entry
+	// side effect: its CQEs reference wireStates (and retire watermarks) of
+	// the previous incarnation, and a coalesced capsule that straddled a
+	// power cut must not deliver a partial batch.
+	if msg.epoch != r.in.epoch {
+		return true
+	}
+	// Mirror the target's submission-vector check on the reverse path: a
+	// coalesced capsule must arrive intact and in order.
+	if err := nvmeof.CheckCQEVector(msg.cqes); err != nil {
+		panic("stack: torn coalesced completion capsule: " + err.Error())
+	}
+	r.msg = msg
+	if r.in.costs.CplHandle == 0 {
+		return r.To((*reaper).handle)
+	}
+	return r.Charge(r.in.costs.CplHandle, (*reaper).handle)
+}
+
+func (r *reaper) handle() bool {
+	in, msg := r.in, r.msg
+	r.msg = nil
+	in.stats.ReapCPU += in.costs.CplHandle
+	if len(msg.cqes) > 0 {
+		in.stats.CplBatch.Ring(len(msg.cqes))
+	}
+	for _, cr := range msg.ctrlAcks {
+		cr.ack.Fire()
+	}
+	for i := range msg.cqes {
+		id := msg.cqes[i].ID()
+		ws := in.outstanding[id]
+		if ws == nil || ws.epoch != in.epoch {
 			continue
 		}
-		// Mirror the target's submission-vector check on the reverse
-		// path: a coalesced capsule must arrive intact and in order.
-		if err := nvmeof.CheckCQEVector(msg.cqes); err != nil {
-			panic("stack: torn coalesced completion capsule: " + err.Error())
-		}
-		in.useInitCPU(p, in.costs.CplHandle)
-		in.stats.ReapCPU += in.costs.CplHandle
-		if len(msg.cqes) > 0 {
-			in.stats.CplBatch.Ring(len(msg.cqes))
-		}
-		for _, cr := range msg.ctrlAcks {
-			cr.ack.Fire()
-		}
-		for i := range msg.cqes {
-			id := msg.cqes[i].ID()
-			ws := in.outstanding[id]
-			if ws == nil || ws.epoch != in.epoch {
-				continue
+		if in.c.tracer != nil {
+			var respAt sim.Time
+			if i < len(msg.respondAt) {
+				respAt = msg.respondAt[i]
 			}
-			if in.c.tracer != nil {
-				var respAt sim.Time
-				if i < len(msg.respondAt) {
-					respAt = msg.respondAt[i]
+			markCpl(ws, msg, respAt)
+		}
+		if i < len(msg.agg) && msg.agg[i].members != nil {
+			// Aggregated CQE (relay route): the set head vouches for every
+			// listed member's ack. memberAck may recycle ws mid-list — the
+			// outstanding check stops the walk the moment it does.
+			addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)
+			for _, m := range msg.agg[i].members {
+				in.memberAck(ws, m)
+				if in.outstanding[id] != ws {
+					break
 				}
-				markCpl(ws, msg, respAt)
 			}
-			if i < len(msg.agg) && msg.agg[i].members != nil {
-				// Aggregated CQE (relay route): the set head vouches for
-				// every listed member's ack. memberAck may recycle ws
-				// mid-list — the outstanding check stops the walk the moment
-				// it does.
-				addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)
-				for _, m := range msg.agg[i].members {
-					in.memberAck(p, ws, m)
-					if in.outstanding[id] != ws {
-						break
-					}
-				}
-				continue
-			}
-			in.memberAck(p, ws, msg.from)
+			continue
 		}
-		// Late-ack resolution records piggybacked by the relay head: each
-		// stands in for one member CQE that was absorbed target-side.
-		for _, res := range msg.resolved {
-			ws := in.outstanding[res.id]
-			if ws == nil || ws.epoch != in.epoch {
-				continue
-			}
-			in.memberAck(p, ws, res.member)
-		}
+		in.memberAck(ws, msg.from)
 	}
+	// Late-ack resolution records piggybacked by the relay head: each
+	// stands in for one member CQE that was absorbed target-side.
+	for _, res := range msg.resolved {
+		ws := in.outstanding[res.id]
+		if ws == nil || ws.epoch != in.epoch {
+			continue
+		}
+		in.memberAck(ws, res.member)
+	}
+	return r.To((*reaper).take)
 }
 
 // deliverCompletions fans one hardware-complete wire command's fragments
@@ -825,13 +837,13 @@ func (in *Initiator) reapLoop(p *sim.Proc, sh *shard) {
 // two stay in lockstep. It
 // snapshots the origin requests first: the final delivery may recycle
 // ws (and reset its slices) while iterating.
-func (in *Initiator) deliverCompletions(p *sim.Proc, ws *wireState) {
+func (in *Initiator) deliverCompletions(ws *wireState) {
 	reqs := ws.wc.Reqs
 	for _, req := range reqs {
 		if !req.FragmentDone() {
 			continue
 		}
-		req.CompleteAt = p.Now()
+		req.CompleteAt = in.Eng.Now()
 		markReq(req, trace.MCompleted, req.CompleteAt)
 		in.stats.Completed++
 		switch {

@@ -11,7 +11,7 @@ import (
 
 // Initiator is one initiator server of the cluster: its own CPU cores, a
 // sequencer namespaced to its id, submission shards with their pools and
-// reap loops, an outstanding-command table, retire watermarks, and a
+// reapers, an outstanding-command table, retire watermarks, and a
 // private crash epoch. Initiators share the target fleet and the logical
 // volume geometry but never coordinate with each other on the data path:
 // ordering is per (initiator, stream) end to end, so one initiator
@@ -114,9 +114,9 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		// the completion queue for its QP affinity set, so a stream's
 		// completions recycle through the pools of the shard that filled
 		// them — no cross-shard pool traffic, no shared global queue.
-		c.Eng.Go(fmt.Sprintf("init%d/reap%d", id, s), func(p *sim.Proc) {
-			in.reapLoop(p, sh)
-		})
+		r := &sh.reap
+		r.in, r.sh = in, sh
+		r.Start(c.Eng, in.cores, r, (*reaper).take)
 	}
 	return in
 }
@@ -175,16 +175,21 @@ func (in *Initiator) reapShard(qp int) *shard {
 	return in.shards[qp%len(in.shards)]
 }
 
-// useInitCPU charges d of CPU on this initiator's cores from proc context.
-func (in *Initiator) useInitCPU(p *sim.Proc, d sim.Time) {
+// UseCPU charges d of CPU on this initiator's cores from proc context: the
+// stack's own per-operation costs and application-level work (file-system
+// logic, key-value indexing, compaction). A zero charge takes no core.
+func (in *Initiator) UseCPU(p *sim.Proc, d sim.Time) {
 	if d > 0 {
 		in.cores.Use(p, d)
 	}
 }
 
-// UseCPU charges application-level CPU work (file-system logic, key-value
-// indexing, compaction) to this initiator's cores.
-func (in *Initiator) UseCPU(p *sim.Proc, d sim.Time) { in.useInitCPU(p, d) }
+// streamOf maps a stream id onto the configured streams, modulo Streams:
+// -1 names the last stream, Streams+1 stream 1.
+func (in *Initiator) streamOf(stream int) int {
+	n := in.cfg.Streams
+	return (stream%n + n) % n
+}
 
 // blockingWait models a thread sleeping on an I/O completion: context
 // switch out, completion interrupt, scheduler wakeup latency.
@@ -192,10 +197,10 @@ func (in *Initiator) blockingWait(p *sim.Proc, sig *sim.Signal) {
 	if sig.Fired() {
 		return
 	}
-	in.useInitCPU(p, in.costs.BlockCPU)
+	in.UseCPU(p, in.costs.BlockCPU)
 	sig.Wait(p)
 	p.Sleep(in.costs.WakeLat)
-	in.useInitCPU(p, in.costs.WakeCPU)
+	in.UseCPU(p, in.costs.WakeCPU)
 }
 
 // Wait blocks until req's completion has been delivered (rio_wait). About
@@ -227,7 +232,7 @@ func (in *Initiator) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks ui
 
 	req := &blockdev.Request{
 		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks,
-		Stamp: stamp, Data: data, Stream: stream % in.cfg.Streams,
+		Stamp: stamp, Data: data, Stream: in.streamOf(stream),
 		Ordered: true, Boundary: boundary, Flush: flush, IPU: ipu,
 		SubmitAt: p.Now(),
 	}
@@ -255,7 +260,7 @@ func (in *Initiator) OrderlessWrite(p *sim.Proc, stream int, lba uint64, blocks 
 
 	req := &blockdev.Request{
 		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks,
-		Stamp: stamp, Data: data, Stream: stream % in.cfg.Streams,
+		Stamp: stamp, Data: data, Stream: in.streamOf(stream),
 		SubmitAt: p.Now(),
 	}
 	req.InitDone(in.Eng)
@@ -277,14 +282,8 @@ func (in *Initiator) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
 // the direct path, which is simulation-identical to the original
 // uncached read.
 func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int) []ssd.Rec {
-	if stream < 0 || stream >= in.cfg.Streams {
-		stream = stream % in.cfg.Streams
-		if stream < 0 {
-			stream += in.cfg.Streams
-		}
-	}
 	if in.rcache != nil {
-		return in.readCached(p, stream, lba, blocks, ahead)
+		return in.readCached(p, in.streamOf(stream), lba, blocks, ahead)
 	}
 	return in.readDirect(p, lba, blocks)
 }
@@ -295,7 +294,7 @@ func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks
 // commands are tracked as pendingReads like the cached path's, so a power cut
 // of the member reroutes them instead of stranding the reader on a dead SSD.
 func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
-	in.useInitCPU(p, in.costs.SubmitBio)
+	in.UseCPU(p, in.costs.SubmitBio)
 	out := make([]ssd.Rec, blocks)
 	done := sim.NewWaitGroup(in.Eng)
 	for _, r := range in.deviceRuns(lba, blocks, false, nil) {
@@ -326,11 +325,12 @@ func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32) []ssd.Re
 // FlushDevice issues a standalone FLUSH to every device backing the
 // logical range owner (used by file systems for block reuse, §4.4.2).
 func (in *Initiator) FlushDevice(p *sim.Proc, stream int) {
+	stream = in.streamOf(stream)
 	var states []*wireState
 	for d := 0; d < in.vol.Devices(); d++ {
 		states = append(states, in.newFlushWire(d, stream))
 	}
-	in.useInitCPU(p, in.costs.CmdBuild*sim.Time(len(states)))
+	in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(states)))
 	in.postByTarget(p, states, stream)
 	for _, ws := range states {
 		in.blockingWait(p, ws.hwDone)
@@ -401,10 +401,7 @@ func (in *Initiator) horaeBuf(stream int) *horaeStage {
 
 func (in *Initiator) qpFor(stream int) int {
 	if in.cfg.StreamAffinity {
-		if stream < len(in.shards) {
-			return in.shards[stream].qp
-		}
-		return stream % in.cfg.QPs
+		return in.shards[stream].qp
 	}
 	return in.Eng.Rand().Intn(in.cfg.QPs)
 }

@@ -240,6 +240,91 @@ func TestInitiatorRecoveryDoesNotRollBackPeers(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestInitiatorCutMidReapCharge: an initiator cut while its reapers hold or
+// queue for its one core, charging CplHandle for capsules that ack
+// outstanding commands. Each goes on with its capsule once the charge ends,
+// and must deliver nothing of the dead epoch — no completion, no retire
+// mark. After RecoverInitiator a new ordered write completes.
+func TestInitiatorCutMidReapCharge(t *testing.T) {
+	eng := sim.New(7)
+	cfg := smallConfig(ModeRio, optane1()...)
+	cfg.InitiatorCores = 1
+	cfg.Costs.CplHandle = 20 * sim.Microsecond
+	c := New(eng, cfg)
+	in := c.Init(0)
+	var reqs []*blockdev.Request
+	for s := 0; s < cfg.Streams; s++ {
+		eng.Go("app", func(p *sim.Proc) {
+			for i := 0; i < 50 && in.Alive(); i++ {
+				reqs = append(reqs, in.OrderedWrite(p, s, uint64(s<<20+i), 1, 0, nil, true, false, false))
+				p.Sleep(sim.Microsecond)
+			}
+		})
+	}
+	// Cut at the first instant two reapers are mid-charge — one of them
+	// queued, since there is one core — and one carries a live CQE.
+	delivered, completed := -1, int64(0)
+	var poll func()
+	poll = func() {
+		charging, live := 0, false
+		for _, sh := range in.shards {
+			if m := sh.reap.msg; m != nil {
+				charging++
+				for i := range m.cqes {
+					live = live || in.outstanding[m.cqes[i].ID()] != nil
+				}
+			}
+		}
+		if charging < 2 || !live {
+			eng.At(100, poll)
+			return
+		}
+		c.PowerCutInitiator(0)
+		delivered, completed = 0, in.Stats().Completed
+		for _, r := range reqs {
+			if r.Done.Fired() {
+				delivered++
+			}
+		}
+	}
+	eng.At(0, poll)
+	eng.RunUntil(2 * sim.Millisecond)
+	if delivered < 0 {
+		t.Fatal("no instant with two reapers mid-charge and a live CQE")
+	}
+	for s, sh := range in.shards {
+		if sh.reap.msg != nil {
+			t.Fatalf("shard %d's reaper is still charging 2 ms after the cut", s)
+		}
+	}
+	after := 0
+	for _, r := range reqs {
+		if r.Done.Fired() {
+			after++
+		}
+	}
+	if after != delivered || in.Stats().Completed != completed {
+		t.Fatalf("%d requests delivered, %d completed after the cut", after-delivered, in.Stats().Completed-completed)
+	}
+	if n := in.retireMarksSet(); n != 0 {
+		t.Fatalf("%d retire marks moved after the cut", n)
+	}
+
+	eng.Go("recover", func(p *sim.Proc) { c.RecoverInitiator(p, 0) })
+	eng.Run()
+	done := false
+	eng.Go("post", func(p *sim.Proc) {
+		r := in.OrderedWrite(p, 1, 3<<20, 1, 0, nil, true, true, false)
+		in.Wait(p, r)
+		done = true
+	})
+	eng.Run()
+	if !done {
+		t.Fatal("an ordered write after RecoverInitiator never completed")
+	}
+	eng.Shutdown()
+}
+
 // TestTargetCrashReplaysEveryInitiator: a target power-cut with two
 // initiators mid-flight must replay BOTH initiators' in-flight commands
 // (each with its own fresh per-server chain), and every request of both

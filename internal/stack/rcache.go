@@ -286,7 +286,7 @@ func (in *Initiator) ReadCacheStats() RCacheStats {
 // with no fabric round trip.
 func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int) []ssd.Rec {
 	rc := in.rcache
-	in.useInitCPU(p, in.costs.SubmitBio+in.costs.CacheBlockCPU*sim.Time(blocks))
+	in.UseCPU(p, in.costs.SubmitBio+in.costs.CacheBlockCPU*sim.Time(blocks))
 	out := make([]ssd.Rec, blocks)
 	if !in.alive {
 		return out
@@ -347,7 +347,7 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 	sort.Ints(members)
 	for _, m := range members {
 		group := byMember[m]
-		in.useInitCPU(p, in.costs.CmdBuild*sim.Time(len(group))+in.costs.PostMsg)
+		in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(group))+in.costs.PostMsg)
 		in.stats.ReadMsgs++
 		in.stats.ReadCmds += int64(len(group))
 		in.targets[m].stats.Reads += int64(len(group))
@@ -376,7 +376,7 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 	if demand > 0 {
 		wg.Wait(p)
 		p.Sleep(in.cfg.Fabric.PropDelay) // response path
-		in.useInitCPU(p, in.costs.CplHandle)
+		in.UseCPU(p, in.costs.CplHandle)
 	}
 	return out
 }
@@ -572,7 +572,7 @@ func (in *Initiator) rcachePopulateWires(p *sim.Proc, wires []*wireState) {
 		in.rcachePopulateWire(ws)
 	}
 	if blocks > 0 {
-		in.useInitCPU(p, in.costs.CacheBlockCPU*sim.Time(blocks))
+		in.UseCPU(p, in.costs.CacheBlockCPU*sim.Time(blocks))
 	}
 }
 

@@ -192,7 +192,8 @@ func (rs *replicaSet) relayHead() int { return rs.members[0] }
 func (c *Cluster) buildRelayConns() {
 	for _, t := range c.targets {
 		t.relay = newRelayState(c.Eng)
-		t.start(&t.relay.ack, (*tctx).ackPop)
+		t.relay.ack.t = t
+		t.relay.ack.Start(c.Eng, t.cores, &t.relay.ack, (*tctx).ackPop)
 	}
 	for _, rs := range c.replSets {
 		rs.relay = make([]*fabric.Conn, len(rs.members))
@@ -249,12 +250,12 @@ func (x *tctx) rxForward() bool {
 	t := x.t
 	if x.i == len(x.cp.forward) {
 		if !t.alive {
-			return x.to((*tctx).rxPop)
+			return x.To((*tctx).rxPop)
 		}
-		return x.to((*tctx).rxCtrl)
+		return x.To((*tctx).rxCtrl)
 	}
 	t.stats.Relays++
-	return x.charge(t.c.costs.PostMsg, (*tctx).rxForwardPost)
+	return x.Charge(t.c.costs.PostMsg, (*tctx).rxForwardPost)
 }
 
 func (x *tctx) rxForwardPost() bool {
@@ -264,10 +265,10 @@ func (x *tctx) rxForwardPost() bool {
 		return false
 	}
 	if !t.alive {
-		return x.to((*tctx).rxPop) // power cut mid-fan-out: the rest dies with the NIC
+		return x.To((*tctx).rxPop) // power cut mid-fan-out: the rest dies with the NIC
 	}
 	x.i++
-	return x.to((*tctx).rxForward)
+	return x.To((*tctx).rxForward)
 }
 
 // getHeadAgg checks a quorum record out of the free list.
@@ -309,8 +310,8 @@ func (x *tctx) relayRespond(ws *wireState, ret tstep) (routed, goOn bool) {
 		// The head died: respond directly.
 		return false, false
 	}
-	x.ws, x.route, x.conn, x.ret = ws, rp, conn, ret
-	return true, x.charge(t.c.costs.PostMsg, (*tctx).relayAcked)
+	x.ws, x.route, x.conn, x.Ret = ws, rp, conn, ret
+	return true, x.Charge(t.c.costs.PostMsg, (*tctx).relayAcked)
 }
 
 func (x *tctx) relayAcked() bool {
@@ -323,7 +324,7 @@ func (x *tctx) relayAcked() bool {
 			Payload: &relayAckMsg{init: ws.init, qp: rp.qp, id: ws.id, member: t.id, epoch: rp.epoch},
 		})
 	}
-	return x.back()
+	return x.Back()
 }
 
 // ackPop takes the next follower ack of the head-side relay-ack context:
@@ -341,21 +342,21 @@ func (x *tctx) ackPop() bool {
 		return true
 	}
 	x.ack = ack
-	return x.charge(t.c.costs.RecvMsg, (*tctx).ackRecv)
+	return x.Charge(t.c.costs.RecvMsg, (*tctx).ackRecv)
 }
 
 func (x *tctx) ackRecv() bool {
 	t, ack := x.t, x.ack
 	x.ack = nil
 	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
-		return x.to((*tctx).ackPop)
+		return x.To((*tctx).ackPop)
 	}
 	key := aggKey{ack.init, ack.id}
 	if as, ok := t.relay.agg[key]; ok && as.epoch == ack.epoch {
 		return x.aggAck(key, as, ack.member, (*tctx).ackPop)
 	}
 	t.pushResolved(t.lane(ack.init, ack.qp), aggResolved{init: ack.init, id: ack.id, member: ack.member})
-	return x.to((*tctx).ackPop)
+	return x.To((*tctx).ackPop)
 }
 
 // aggAck accounts one member ack (the head's own completion included), then
@@ -365,7 +366,7 @@ func (x *tctx) ackRecv() bool {
 func (x *tctx) aggAck(key aggKey, as *headAgg, member int, ret tstep) bool {
 	t := x.t
 	if !as.q.Ack(as.q.Pos(member)) {
-		return x.to(ret) // duplicate (cannot happen on healthy links; cheap guard)
+		return x.To(ret) // duplicate (cannot happen on healthy links; cheap guard)
 	}
 	if as.firstAck == 0 {
 		as.firstAck = t.c.Eng.Now()
@@ -384,7 +385,7 @@ func (x *tctx) aggAck(key aggKey, as *headAgg, member int, ret tstep) bool {
 	if fire {
 		return x.flushOrArm(l, ret)
 	}
-	return x.to(ret)
+	return x.To(ret)
 }
 
 // fireAgg queues the aggregated CQE of one quorum record — the members

@@ -304,19 +304,19 @@ func (in *Initiator) outstandingOfSet(set int) []*wireState {
 // sequencer at write quorum; the command's wire state is recycled only once
 // every member copy resolved, so a straggler ack can never reference freed
 // state.
-func (in *Initiator) memberAck(p *sim.Proc, ws *wireState, from int) {
+func (in *Initiator) memberAck(ws *wireState, from int) {
 	k := ws.q.Pos(from)
 	if !ws.q.Ack(k) {
 		return // duplicate (a replayed copy of a completed write), or a member cancelled by a power cut
 	}
 	if ws.firstAck == 0 {
-		ws.firstAck = p.Now()
+		ws.firstAck = in.Eng.Now()
 	}
 	if !ws.q.Fired && ws.q.Acks >= ws.q.Need {
 		ws.q.Fired = true
-		addWaitWire(ws, trace.WaitQuorum, p.Now()-ws.firstAck)
+		addWaitWire(ws, trace.WaitQuorum, in.Eng.Now()-ws.firstAck)
 		ws.hwDone.Fire()
-		in.deliverCompletions(p, ws)
+		in.deliverCompletions(ws)
 	}
 	// A member ack arriving after the request was delivered advances that
 	// member's retire watermark (the delivery path advanced the marks of
@@ -450,7 +450,7 @@ func (c *Cluster) rejoin(p *sim.Proc, m int) int {
 // is the moment the completion fires. The member's retire watermark is
 // NOT advanced: its chain was reset, and the old-chain index would
 // poison the fresh log partition's retirement.
-func (in *Initiator) replResyncAck(p *sim.Proc, ws *wireState, member int) {
+func (in *Initiator) replResyncAck(ws *wireState, member int) {
 	q := &ws.q
 	if k := q.Pos(member); k >= 0 && q.Got[k] {
 		return // the member genuinely acked before the cut
@@ -459,7 +459,7 @@ func (in *Initiator) replResyncAck(p *sim.Proc, ws *wireState, member int) {
 	if !q.Fired && q.Acks >= q.Need {
 		q.Fired = true
 		ws.hwDone.Fire()
-		in.deliverCompletions(p, ws)
+		in.deliverCompletions(ws)
 	}
 	in.maybeRecycle(ws)
 }
@@ -521,7 +521,7 @@ func (c *Cluster) copyExtent(p *sim.Proc, rs *replicaSet, m int, d dirtyExtent) 
 	// The content now lives on the member: credit the late ack (relevant
 	// when WriteQuorum == Replicas — quorum writes were already fired).
 	if d.ws.id == d.wsID && d.ws.epoch == c.inits[d.init].epoch {
-		c.inits[d.init].replResyncAck(p, d.ws, m)
+		c.inits[d.init].replResyncAck(d.ws, m)
 	}
 	return len(copies)
 }

@@ -21,8 +21,9 @@ type shard struct {
 	q      *sim.Queue[*blockdev.Request]
 
 	// cplQ receives the completion capsules of this shard's QP affinity
-	// set; the shard's reap loop drains it (no global completion queue).
+	// set; the shard's reaper drains it (no global completion queue).
 	cplQ *sim.Queue[*completionMsg]
+	reap reaper
 
 	// Plug list (blk_start_plug semantics). plugSpare recycles the backing
 	// array of the previously dispatched batch; loopBatch is the dispatch

@@ -250,12 +250,13 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		t.conns = append(t.conns, conn)
 		for qp := 0; qp < c.cfg.QPs; qp++ {
 			k := i*c.cfg.QPs + qp
-			t.rx[k].l = &t.lanes[k]
-			t.start(&t.rx[k], (*tctx).rxPop)
+			t.rx[k].t, t.rx[k].l = t, &t.lanes[k]
+			t.rx[k].Start(c.Eng, t.cores, &t.rx[k], (*tctx).rxPop)
 		}
 	}
 	for i := range t.cpl {
-		t.start(&t.cpl[i], (*tctx).cplPop)
+		t.cpl[i].t = t
+		t.cpl[i].Start(c.Eng, t.cores, &t.cpl[i], (*tctx).cplPop)
 	}
 	return t
 }
@@ -410,7 +411,7 @@ func (x *tctx) rxPop() bool {
 	}
 	x.cp = cp
 	t.stats.Capsules++
-	return x.charge(t.c.costs.RecvMsg, (*tctx).rxRecv)
+	return x.Charge(t.c.costs.RecvMsg, (*tctx).rxRecv)
 }
 
 func (x *tctx) rxRecv() bool {
@@ -420,9 +421,9 @@ func (x *tctx) rxRecv() bool {
 		// slice.
 		x.t.relayFanOut(x.cp, x.l.init, x.l.qp)
 		x.i = 0
-		return x.to((*tctx).rxForward)
+		return x.To((*tctx).rxForward)
 	}
-	return x.to((*tctx).rxCtrl)
+	return x.To((*tctx).rxCtrl)
 }
 
 // rxCtrl is handleCtrl: it persists Horae control-path ordering metadata to
@@ -433,10 +434,10 @@ func (x *tctx) rxRecv() bool {
 // it.
 func (x *tctx) rxCtrl() bool {
 	if len(x.cp.ctrl) == 0 {
-		return x.to((*tctx).rxReask)
+		return x.To((*tctx).rxReask)
 	}
 	x.i = 0
-	return x.to((*tctx).rxCtrlAppend)
+	return x.To((*tctx).rxCtrlAppend)
 }
 
 func (x *tctx) rxCtrlAppend() bool {
@@ -446,7 +447,7 @@ func (x *tctx) rxCtrlAppend() bool {
 		x.t.stats.CtrlOps++
 		return x.appendPMR(cr.attr, (*tctx).rxCtrlAppend)
 	}
-	return x.charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck)
+	return x.Charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck)
 }
 
 func (x *tctx) rxCtrlAck() bool {
@@ -456,7 +457,7 @@ func (x *tctx) rxCtrlAck() bool {
 		QP: qp, Size: nvmeof.ResponseSize,
 		Payload: &completionMsg{ctrlAcks: cp.ctrl, qp: qp, epoch: cp.epoch, from: t.id},
 	})
-	return x.to((*tctx).rxReask)
+	return x.To((*tctx).rxReask)
 }
 
 func (x *tctx) rxReask() bool {
@@ -466,7 +467,7 @@ func (x *tctx) rxReask() bool {
 	if x.cp.reask != nil && x.t.answerReask(x.l, x.cp) {
 		return x.flushOrArm(x.l, (*tctx).rxCheck)
 	}
-	return x.to((*tctx).rxCheck)
+	return x.To((*tctx).rxCheck)
 }
 
 func (x *tctx) rxCheck() bool {
@@ -500,9 +501,9 @@ func (x *tctx) rxCheck() bool {
 		}
 	}
 	if x.bytes > 0 {
-		return x.to((*tctx).rxFetch)
+		return x.To((*tctx).rxFetch)
 	}
-	return x.to((*tctx).rxCmd)
+	return x.To((*tctx).rxCmd)
 }
 
 func (x *tctx) rxFetch() bool {
@@ -510,21 +511,21 @@ func (x *tctx) rxFetch() bool {
 		return false
 	}
 	if !x.bulk.OK() {
-		return x.to((*tctx).rxPop) // connection died mid-read
+		return x.To((*tctx).rxPop) // connection died mid-read
 	}
-	return x.to((*tctx).rxCmd)
+	return x.To((*tctx).rxCmd)
 }
 
 func (x *tctx) rxCmd() bool {
 	t := x.t
 	if x.i == len(x.cp.cmds) {
-		return x.to((*tctx).rxPop)
+		return x.To((*tctx).rxPop)
 	}
 	if ws := x.cp.cmds[x.i]; !t.alive || ws.epoch != t.initEpoch(x.l.init) {
-		return x.to((*tctx).rxPop)
+		return x.To((*tctx).rxPop)
 	}
 	t.stats.Commands++
-	return x.charge(t.c.costs.CmdProcess, (*tctx).rxSubmit)
+	return x.Charge(t.c.costs.CmdProcess, (*tctx).rxSubmit)
 }
 
 func (x *tctx) rxSubmit() bool {
@@ -549,13 +550,13 @@ func (x *tctx) rxSubmit() bool {
 	}
 	if ws.wc.Flush {
 		t.submitFlushCmd(ws)
-		return x.to((*tctx).rxCmd)
+		return x.To((*tctx).rxCmd)
 	}
 	if ws.wc.Ordered && t.pol.Gated() {
 		return x.rioSubmitAttrs(ws, ws.chain[ws.q.Pos(cp.member)].attrs)
 	}
 	t.submitWrite(ws, t.horaeSlot(ws))
-	return x.to((*tctx).rxCmd)
+	return x.To((*tctx).rxCmd)
 }
 
 // appendPMR persists one ordering attribute (step 5 of Fig. 4) into the
@@ -571,31 +572,31 @@ func (x *tctx) rxSubmit() bool {
 // backpressure or mid-persist: the attribute belongs to a dead
 // incarnation and was dropped rather than leaked into fresh evidence.
 func (x *tctx) appendPMR(a core.Attr, ret tstep) bool {
-	x.a, x.log, x.ret = a, x.t.logs[a.Initiator], ret
-	return x.acquire((*tctx).pmrIssue)
+	x.a, x.log, x.Ret = a, x.t.logs[a.Initiator], ret
+	return x.Acquire((*tctx).pmrIssue)
 }
 
-func (x *tctx) pmrIssue() bool { return x.sleep(x.t.c.costs.PMRAppendCPU, (*tctx).pmrAppend) }
+func (x *tctx) pmrIssue() bool { return x.Sleep(x.t.c.costs.PMRAppendCPU, (*tctx).pmrAppend) }
 
 func (x *tctx) pmrAppend() bool {
 	t, init := x.t, int(x.a.Initiator)
 	if t.logs[init] != x.log {
 		t.cores.Release()
 		x.log, x.ok = nil, false
-		return x.back()
+		return x.Back()
 	}
 	slot, ok := x.log.Append(x.a)
 	if ok {
 		x.slot = slot
-		return x.sleep(t.ssds[0].PMRWriteLat(), (*tctx).pmrPersisted)
+		return x.Sleep(t.ssds[0].PMRWriteLat(), (*tctx).pmrPersisted)
 	}
 	// Log full: wait for retirement (backpressure).
 	t.cores.Release()
-	x.step = (*tctx).pmrSpace
+	x.To((*tctx).pmrSpace)
 	return t.logSpace[init].Wait(x)
 }
 
-func (x *tctx) pmrSpace() bool { return x.acquire((*tctx).pmrAppend) }
+func (x *tctx) pmrSpace() bool { return x.Acquire((*tctx).pmrAppend) }
 
 func (x *tctx) pmrPersisted() bool {
 	t, a := x.t, x.a
@@ -603,12 +604,12 @@ func (x *tctx) pmrPersisted() bool {
 	log := x.log
 	x.log, x.ok = nil, false
 	if t.logs[a.Initiator] != log {
-		return x.back() // formatted mid-persist: the slot is dead
+		return x.Back() // formatted mid-persist: the slot is dead
 	}
 	t.ord.Domain(int(a.Initiator), a.Stream).RecordSlot(a.ServerIdx, x.slot)
 	t.stats.PMRAppends++
 	x.ok = true
-	return x.back()
+	return x.Back()
 }
 
 // rioSubmitAttrs enforces per-(initiator, stream) in-order submission
@@ -628,7 +629,7 @@ func (x *tctx) rioSubmitAttrs(ws *wireState, attrs []core.Attr) bool {
 		} else {
 			d.Park(attrs[0].ServerIdx, pc)
 		}
-		return x.to((*tctx).rxCmd)
+		return x.To((*tctx).rxCmd)
 	}
 	x.dom = d
 	return x.rioProcess(ws, attrs)
@@ -639,7 +640,7 @@ func (x *tctx) rioDrain() bool {
 	next, parkedAt, ok := x.dom.TakeNextAt()
 	if !ok {
 		x.dom = nil
-		return x.to((*tctx).rxCmd)
+		return x.To((*tctx).rxCmd)
 	}
 	if parkedAt != 0 {
 		addWaitWire(next.ws, trace.WaitPark, x.t.c.Eng.Now()-sim.Time(parkedAt))
@@ -652,14 +653,14 @@ func (x *tctx) rioDrain() bool {
 func (x *tctx) rioProcess(ws *wireState, attrs []core.Attr) bool {
 	x.ws, x.attrs, x.j = ws, attrs, 0
 	x.slots = x.t.getSlots(len(attrs))
-	return x.to((*tctx).rioAttr)
+	return x.To((*tctx).rioAttr)
 }
 
 func (x *tctx) rioAttr() bool {
 	if x.j == len(x.attrs) {
 		x.t.submitWrite(x.ws, x.slots)
 		x.ws, x.attrs, x.slots = nil, nil, nil
-		return x.to((*tctx).rioDrain)
+		return x.To((*tctx).rioDrain)
 	}
 	x.pmrStart = x.t.c.Eng.Now()
 	return x.appendPMR(x.attrs[x.j], (*tctx).rioAppended)
@@ -675,12 +676,12 @@ func (x *tctx) rioAppended() bool {
 		// gate or submitting a stale media write.
 		t.slotsFree = append(t.slotsFree, x.slots[:0])
 		x.ws, x.attrs, x.slots = nil, nil, nil
-		return x.to((*tctx).rioDrain)
+		return x.To((*tctx).rioDrain)
 	}
 	x.slots = append(x.slots, x.slot)
 	x.dom.Advance(x.a.ServerIdx)
 	x.j++
-	return x.to((*tctx).rioAttr)
+	return x.To((*tctx).rioAttr)
 }
 
 // horaeSlot looks up the control-path entry of every constituent of a Horae
@@ -746,7 +747,7 @@ func (x *tctx) cplPop() bool {
 func (x *tctx) cplEnd() bool {
 	x.t.putDone(x.d)
 	x.d = nil
-	return x.to((*tctx).cplPop)
+	return x.To((*tctx).cplPop)
 }
 
 // doneOne handles one completion-context event. The completion context
@@ -759,7 +760,7 @@ func (x *tctx) cplEnd() bool {
 func (x *tctx) doneOne() bool {
 	t, d := x.t, x.d
 	if !t.alive {
-		return x.to((*tctx).cplEnd)
+		return x.To((*tctx).cplEnd)
 	}
 	x.tEpoch = t.epoch
 	if d.lane != nil {
@@ -767,12 +768,12 @@ func (x *tctx) doneOne() bool {
 		if d.epoch == t.initEpoch(d.lane.init) {
 			return x.flushCQEs(d.lane, (*tctx).cplEnd)
 		}
-		return x.to((*tctx).cplEnd)
+		return x.To((*tctx).cplEnd)
 	}
 	if d.epoch != t.initEpoch(d.ws.init) && !d.isFlush {
-		return x.to((*tctx).cplEnd) // a barrier FLUSH may serve several initiators: flushDone checks each
+		return x.To((*tctx).cplEnd) // a barrier FLUSH may serve several initiators: flushDone checks each
 	}
-	return x.charge(t.c.costs.CplHandle, (*tctx).cplHandled)
+	return x.Charge(t.c.costs.CplHandle, (*tctx).cplHandled)
 }
 
 func (x *tctx) cplHandled() bool {
@@ -797,12 +798,12 @@ func (x *tctx) cplHandled() bool {
 	case plp:
 		// Completion implies durability: toggle persist now.
 		x.init, x.k = init, 0
-		return x.to((*tctx).cplPersist)
+		return x.To((*tctx).cplPersist)
 	case attrFlush:
 		// The group's durability barrier: drain the device, then mark. A cut
 		// during the wait above cleared the combiners: stay outstanding for replay.
 		if !t.alive || t.epoch != x.tEpoch {
-			return x.to((*tctx).cplEnd)
+			return x.To((*tctx).cplEnd)
 		}
 		fd := t.getDone()
 		fd.ws, fd.slots, fd.isFlush, fd.epoch = d.ws, d.slots, true, d.epoch
@@ -816,7 +817,7 @@ func (x *tctx) cplHandled() bool {
 		if !fc.busy { // idle device: a lone commit costs exactly its own FLUSH
 			t.submitBarriers(d.ws.ssdIdx)
 		}
-		return x.to((*tctx).cplEnd)
+		return x.To((*tctx).cplEnd)
 	default:
 		// Non-PLP, no flush: leave persist=0 (a later FLUSH-carrying
 		// entry certifies it during recovery, §4.3.2).
@@ -867,11 +868,11 @@ func (t *Target) submitBarriers(ssdIdx int) {
 func (x *tctx) flushDone() bool {
 	t := x.t
 	if !t.alive || t.epoch != x.tEpoch {
-		return x.to((*tctx).cplEnd) // cut mid-wait: the combiners belong to the next incarnation
+		return x.To((*tctx).cplEnd) // cut mid-wait: the combiners belong to the next incarnation
 	}
 	t.submitBarriers(x.d.ws.ssdIdx)
 	x.k = 0
-	return x.to((*tctx).flushCertify)
+	return x.To((*tctx).flushCertify)
 }
 
 func (x *tctx) flushCertify() bool {
@@ -886,21 +887,21 @@ func (x *tctx) flushCertify() bool {
 		}
 	}
 	x.b = d
-	return x.to((*tctx).flushBarrier)
+	return x.To((*tctx).flushBarrier)
 }
 
 // flushBarrier serves barrier x.b of the chain the FLUSH covered.
 func (x *tctx) flushBarrier() bool {
 	b := x.b
 	if b == nil {
-		return x.to((*tctx).cplEnd)
+		return x.To((*tctx).cplEnd)
 	}
 	x.bnext = b.next // putDone wipes it
 	if init := b.ws.init; b.epoch == x.t.initEpoch(init) {
 		x.init, x.k = init, 0
-		return x.to((*tctx).flushBarrierPersist)
+		return x.To((*tctx).flushBarrierPersist)
 	}
-	return x.to((*tctx).flushBarrierDone)
+	return x.To((*tctx).flushBarrierDone)
 }
 
 func (x *tctx) flushBarrierPersist() bool {
@@ -919,7 +920,7 @@ func (x *tctx) flushBarrierDone() bool {
 		x.t.putDone(x.b) // cplEnd recycles the leader
 	}
 	x.b, x.bnext = x.bnext, nil
-	return x.to((*tctx).flushBarrier)
+	return x.To((*tctx).flushBarrier)
 }
 
 // orderedFlushWanted reports whether this ordered command carries the
@@ -942,8 +943,8 @@ func (t *Target) orderedFlushWanted(ws *wireState) bool {
 // toggle that straddled a crash+recovery would otherwise write into a
 // freshly formatted partition whose slot ids it no longer owns.
 func (x *tctx) markPersist(init int, slot uint64, initEpoch int, ret tstep) bool {
-	x.mark, x.ret = order.SlotRef{Init: init, Slot: slot, Epoch: initEpoch}, ret
-	return x.charge(x.t.c.costs.PMRToggleCPU, (*tctx).persistMarked)
+	x.mark, x.Ret = order.SlotRef{Init: init, Slot: slot, Epoch: initEpoch}, ret
+	return x.Charge(x.t.c.costs.PMRToggleCPU, (*tctx).persistMarked)
 }
 
 func (x *tctx) persistMarked() bool {
@@ -952,7 +953,7 @@ func (x *tctx) persistMarked() bool {
 		t.logs[m.Init].MarkPersist(m.Slot)
 		t.stats.PMRToggles++
 	}
-	return x.back()
+	return x.Back()
 }
 
 // cqeHoldTime returns how long a lone completion may wait for companions
@@ -986,7 +987,7 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 		// the response died with the NIC, and acking a write the cut
 		// wiped into the next incarnation would falsely complete it —
 		// the command must stay outstanding so recovery replays it.
-		return x.to(ret)
+		return x.To(ret)
 	}
 	l := t.lane(ws.init, ws.qp)
 	if l.inflight > 0 {
@@ -1027,7 +1028,7 @@ func (x *tctx) flushOrArm(l *qpLane, ret tstep) bool {
 	if !l.armed {
 		t.armCQETimer(l, t.cqeHoldTime())
 	}
-	return x.to(ret)
+	return x.To(ret)
 }
 
 // cqeTimer is one hold-timer event of a lane, armed under target
@@ -1099,7 +1100,7 @@ func (t *Target) routeFlush(l *qpLane) {
 func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	t := x.t
 	if len(l.cqes) == 0 && len(l.resolved) == 0 {
-		return x.to(ret)
+		return x.To(ret)
 	}
 	// Detach before charging CPU: the charge waits, and the other
 	// completion context may append (or flush) meanwhile.
@@ -1116,8 +1117,8 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 		x.outSize = nvmeof.CQEVectorCapsuleSize(n)
 	}
 	x.outSize += len(x.out.resolved) * nvmeof.ResponseSize
-	x.outLane, x.ret = l, ret
-	return x.charge(t.c.costs.PostMsg, (*tctx).cqesPosted)
+	x.outLane, x.Ret = l, ret
+	return x.Charge(t.c.costs.PostMsg, (*tctx).cqesPosted)
 }
 
 func (x *tctx) cqesPosted() bool {
@@ -1130,7 +1131,7 @@ func (x *tctx) cqesPosted() bool {
 		t.conns[l.init].Send(fabric.Target, fabric.Message{QP: l.qp, Size: x.outSize, Payload: msg})
 	}
 	x.out, x.outLane = completionMsg{}, nil
-	return x.back()
+	return x.Back()
 }
 
 // retireUpTo recycles PMR entries whose completions the owning initiator

@@ -89,6 +89,35 @@ func TestStreamsIsolated(t *testing.T) {
 	c.Run()
 }
 
+// TestStreamIDsWrap: a stream id names stream id mod Streams wherever an
+// initiator takes one — a write on Stream(-1) lands in the last stream's
+// ordering domain, and a plug window opened on Streams+1 holds stream 1.
+func TestStreamIDsWrap(t *testing.T) {
+	c := NewCluster(Options{Seed: 15, Streams: 4})
+	defer c.Close()
+	in := c.Stack().Init(0)
+	c.Go(func(ctx *Ctx) {
+		h := ctx.Stream(-1).Commit(7, 1)
+		h.Wait()
+		if got := h.Attr().Stream; got != 3 {
+			t.Errorf("Stream(-1) wrote in stream %d, want 3", got)
+		}
+		if got, want := ctx.Read(7, 1)[0].Stamp, core.AttrStamp(h.Attr()); got != want {
+			t.Errorf("read back stamp %#x, want %#x", got, want)
+		}
+
+		in.StartPlug(5)
+		a := ctx.Stream(1).Close(20, 1)
+		ctx.Sleep(100 * sim.Microsecond)
+		if a.Done() {
+			t.Error("a write on stream 1 left the plug window opened on stream 5")
+		}
+		in.FinishPlug(ctx.Proc(), 5)
+		a.Wait()
+	})
+	c.Run()
+}
+
 // TestOpenReturnsWhatNewClusterPanicsWith: options that break a configuration
 // rule come back from Open as stack.Config.Validate's error, build nothing,
 // and still panic out of the must-wrapper with the same words.
