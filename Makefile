@@ -50,8 +50,9 @@ bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
 
 # Host-clock microbenchmarks of the simulation substrate (event heap, proc
-# switch, queues, servers, resources charged by a proc and by a `sim.Step`,
-# proc spawn). CI smokes them at BENCHTIME=100x.
+# switch, queues, servers, resources charged by a proc, by a `sim.Step` and
+# by a `sim.Step` a proc Calls — BenchmarkResourceUseCall —, proc spawn). CI
+# smokes them at BENCHTIME=100x.
 BENCHTIME ?= 1s
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/sim

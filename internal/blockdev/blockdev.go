@@ -56,7 +56,6 @@ type Request struct {
 
 	// Timestamps for latency accounting.
 	SubmitAt    sim.Time
-	DispatchAt  sim.Time
 	CompleteAt  sim.Time // hardware completion observed at initiator
 	DeliverAt   sim.Time // completion delivered to the application
 	SubmitSpent sim.Time // synchronous CPU time the submit call itself took

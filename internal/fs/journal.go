@@ -3,6 +3,8 @@ package fs
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/blockdev"
 	"repro/internal/sim"
@@ -218,10 +220,9 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	t0 := p.Now()
 	dirty := f.dirtyData
 	f.dirtyData = nil
-	for i, d := range dirty {
-		fs.chargeCPU(p, fs.in.Costs().FSDataCPU)
+	for _, d := range dirty {
+		fs.in.UseCPU(p, fs.in.Costs().FSDataCPU)
 		// All data blocks of the transaction form one group with JM.
-		_ = i
 		fs.in.OrderedWrite(p, stream, d.lba, 1, d.stamp, nil, false, false, d.ipu)
 	}
 	tr.DDispatch = p.Now() - t0
@@ -237,7 +238,7 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	}
 	jmLBA := j.base + j.tail
 	j.tail += need - 1 // JC gets its own block below
-	fs.chargeCPU(p, fs.in.Costs().FSMetaCPU)
+	fs.in.UseCPU(p, fs.in.Costs().FSMetaCPU)
 	fs.in.OrderedWrite(p, stream, jmLBA, uint32(len(blocks)-1), fs.nextStamp(),
 		blocks[:len(blocks)-1], true, false, false)
 	tr.JMDispatch = p.Now() - t0
@@ -275,7 +276,7 @@ func (fs *FS) fsyncExt4(p *sim.Proc, f *File) FsyncTrace {
 	f.dirtyData = nil
 	var dreqs []*blockdev.Request
 	for _, d := range dirty {
-		fs.chargeCPU(p, fs.in.Costs().FSDataCPU)
+		fs.in.UseCPU(p, fs.in.Costs().FSDataCPU)
 		dreqs = append(dreqs, fs.in.OrderlessWrite(p, 0, d.lba, 1, d.stamp, nil))
 	}
 	tr.DDispatch = p.Now() - t0
@@ -332,7 +333,7 @@ func (fs *FS) jbd2Commit(p *sim.Proc, j *journalArea) {
 				if n > 16 {
 					n = 16
 				}
-				fs.chargeCPU(p, fs.in.Costs().FSMetaCPU)
+				fs.in.UseCPU(p, fs.in.Costs().FSMetaCPU)
 				reqs = append(reqs, fs.in.OrderlessWrite(p, 0, base+uint64(off), uint32(n),
 					fs.nextStamp(), payloads[off:off+n]))
 			}
@@ -381,7 +382,10 @@ func (fs *FS) checkpoint(p *sim.Proc, j *journalArea) {
 	defer j.chkpt.Release()
 	fs.stats.Checkpoints++
 	var reqs []*blockdev.Request
-	for _, ino := range sortedKeys(j.touchedInodes) {
+	// Home writes go in key order; presized, the keys cost one allocation.
+	inos := slices.AppendSeq(make([]uint64, 0, len(j.touchedInodes)), maps.Keys(j.touchedInodes))
+	slices.Sort(inos)
+	for _, ino := range inos {
 		in := fs.inodes[ino]
 		if in == nil {
 			continue // unlinked before checkpoint
@@ -390,7 +394,9 @@ func (fs *FS) checkpoint(p *sim.Proc, j *journalArea) {
 		reqs = append(reqs, fs.in.OrderlessWrite(p, j.id, lba, 1, fs.nextStamp(),
 			[][]byte{encodeInode(in)}))
 	}
-	for _, dir := range sortedKeys(j.touchedDirs) {
+	dirs := slices.AppendSeq(make([]uint64, 0, len(j.touchedDirs)), maps.Keys(j.touchedDirs))
+	slices.Sort(dirs)
+	for _, dir := range dirs {
 		if _, ok := fs.dirs[dir]; !ok {
 			continue
 		}
@@ -443,23 +449,4 @@ func (fs *FS) writeDirHome(p *sim.Proc, stream int, dir uint64) []*blockdev.Requ
 			[][]byte{payload[off:end]}))
 	}
 	return reqs
-}
-
-func (fs *FS) chargeCPU(p *sim.Proc, d sim.Time) {
-	if d > 0 {
-		fs.in.UseCPU(p, d)
-	}
-}
-
-func sortedKeys(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }

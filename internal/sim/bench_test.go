@@ -117,6 +117,28 @@ func BenchmarkResourceUseRunner(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkResourceUseCall is BenchmarkResourceUse with each Use a Step
+// sequence the proc Calls in its own place: a thread's dispatch through a
+// bound record, which adds no event and no switch to the proc's own.
+func BenchmarkResourceUseCall(b *testing.B) {
+	e := New(1)
+	defer e.Shutdown()
+	r := NewResource(e, 1)
+	for u := 0; u < 2; u++ {
+		s := &useStep{}
+		s.Bind(e, r, s)
+		e.Go("user", func(p *Proc) {
+			for i := u; i < b.N; i += 2 {
+				s.left = 1
+				s.Call(p, (*useStep).use)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 // useStep charges its unit left times, 10 ns each.
 type useStep struct {
 	Step[useStep]

@@ -46,7 +46,8 @@
 // hand-off and per Cond wake. A Release hands the unit to a queued Runner
 // before re-running it, so the Runner holds it when it runs. Waiter rings
 // hold Runners, procs and records alike, in FIFO order. Step[T] is the one
-// way to write such a consumer.
+// way to write such a consumer; a proc runs the same steps in its own place
+// with Step.Call, every wait then blocking the proc.
 //
 // The event heap is a typed 4-ary min-heap of {at, seq, Runner} ordered by
 // (at, seq). seq is a counter that At, Schedule, Sleep, a wake-up (of a

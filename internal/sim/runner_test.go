@@ -121,7 +121,8 @@ func (c *runnerConsumer) Run() {
 }
 
 // stepConsumer is procConsumer on Step: Take, then Charge, then the gate as
-// a called sequence that returns through Back, then the signal.
+// a called sequence that returns through Back, then the signal. Its waits
+// name Waiter(), so its steps also run in a proc's place (startCallConsumer).
 type stepConsumer struct {
 	Step[stepConsumer]
 	s   *waiterScene
@@ -134,8 +135,20 @@ func startStepConsumer(s *waiterScene, who string) {
 	c.Start(s.e, s.cpu, c, (*stepConsumer).take)
 }
 
+// startCallConsumer is a proc that runs stepConsumer's steps in its own
+// place. The steps never end, so Call returns only if a wait queued the
+// record instead of blocking the proc; that step is in the trace.
+func startCallConsumer(s *waiterScene, who string) {
+	c := &stepConsumer{s: s, who: who}
+	c.Bind(s.e, s.cpu, c)
+	s.e.Go(who, func(p *Proc) {
+		c.Call(p, (*stepConsumer).take)
+		s.rec(who, -1)
+	})
+}
+
 func (c *stepConsumer) take() bool {
-	v, ok := c.s.q.Take(c)
+	v, ok := c.s.q.Take(c.Waiter())
 	if !ok {
 		return false
 	}
@@ -149,7 +162,7 @@ func (c *stepConsumer) charged() bool {
 	if c.v%4 == 0 {
 		c.Ret = (*stepConsumer).signal
 		c.To((*stepConsumer).gated)
-		return c.s.gate.Wait(c)
+		return c.s.gate.Wait(c.Waiter())
 	}
 	return c.To((*stepConsumer).signal)
 }
@@ -161,7 +174,7 @@ func (c *stepConsumer) gated() bool {
 
 func (c *stepConsumer) signal() bool {
 	if c.v == 13 {
-		if !c.s.sig.Wait(c) {
+		if !c.s.sig.Wait(c.Waiter()) {
 			return false
 		}
 		c.s.rec(c.who, 4000+c.v)
@@ -237,12 +250,14 @@ func waiterTrace(start func(*waiterScene, string)) ([]waiterRec, map[string]int)
 
 // A Runner waiter — hand-written or on Step — must be indistinguishable
 // from the proc it stands in for: the same steps at the same (at, seq), so
-// turning a proc consumer into a Runner moves no simulated number.
+// turning a proc consumer into a Runner moves no simulated number. Steps a
+// proc Calls in its own place must be indistinguishable from its own code.
 func TestRunnerWaitersMatchProcs(t *testing.T) {
 	want, _ := waiterTrace(procConsumer)
 	got, queued := waiterTrace(startRunnerConsumer)
 	steps, stepQueued := waiterTrace(startStepConsumer)
-	for name, got := range map[string][]waiterRec{"runners": got, "steps": steps} {
+	called, _ := waiterTrace(startCallConsumer)
+	for name, got := range map[string][]waiterRec{"runners": got, "steps": steps, "called steps": called} {
 		for i := 0; i < len(want) && i < len(got); i++ {
 			if got[i] != want[i] {
 				t.Fatalf("step %d: %s %+v, procs %+v", i, name, got[i], want[i])

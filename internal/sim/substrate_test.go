@@ -239,6 +239,22 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			})
 		}},
+		{"step call, charge", 0, func(e *Engine) {
+			// Two procs Call a Charge each on one unit, over records bound
+			// once: every other Charge queues the proc, and Call itself
+			// costs nothing.
+			r := NewResource(e, 1)
+			for i := 0; i < 2; i++ {
+				u := &useStep{}
+				u.Bind(e, r, u)
+				e.Go("caller", func(p *Proc) {
+					for {
+						u.left = 1
+						u.Call(p, (*useStep).use)
+					}
+				})
+			}
+		}},
 		{"spawn recycled", 0, func(e *Engine) {
 			e.Go("spawner", func(p *Proc) {
 				for {

@@ -214,7 +214,6 @@ type ClusterStats struct {
 	WireCmds     int64
 	WireMessages int64
 	FusedCmds    int64 // commands eliminated by merging
-	Holdbacks    int64 // target-side in-order submission stalls
 	ReadCmds     int64 // read commands issued over the fabric
 	ReadMsgs     int64 // read messages (cached path batches commands per target)
 

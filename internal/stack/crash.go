@@ -565,23 +565,9 @@ func (in *Initiator) prepareReplay(target int) []*wireState {
 // have a resync backlog entry for it — and waits for the completions,
 // releasing delivered commands back to their pools.
 func (in *Initiator) postReplay(p *sim.Proc, target int, replay []*wireState) {
-	// One capsule per stream, in chain order (the order prepareReplay left
-	// the set in), split where the member's position in the commands'
-	// fan-outs changes: a capsule names one position.
-	for rest := replay; len(rest) > 0; {
-		stream, k, n := rest[0].stream, rest[0].q.Pos(target), 1
-		for n < len(rest) && rest[n].stream == stream && rest[n].q.Pos(target) == k {
-			n++
-		}
-		cmds := rest[:n:n]
-		rest = rest[n:]
-		in.stats.WireCmds += int64(n)
-		qp := in.qpFor(stream)
-		for _, ws := range cmds {
-			ws.qp = qp
-		}
-		in.post(p, target, qp, in.buildMemberCapsule(cmds, k, target, stream))
-	}
+	d := in.getDispatcher(0, nil) // any shard's serves: a replay spans streams
+	d.to, d.rest = target, replay
+	d.call(p, (*dispatcher).replay)
 	// Wait until every replayed command completes, then release the ones
 	// whose requests have all been delivered back to their pools.
 	for _, ws := range replay {
@@ -591,4 +577,22 @@ func (in *Initiator) postReplay(p *sim.Proc, target int, replay []*wireState) {
 		ws.pinned = false
 		in.maybeRecycle(ws)
 	}
+}
+
+// replay posts the replay set toward member d.to, one capsule per stream in
+// chain order (the order prepareReplay left the set in), split where the
+// member's position in the commands' fan-outs changes: a capsule names one
+// position.
+func (d *dispatcher) replay() bool {
+	rest := d.rest
+	if len(rest) == 0 {
+		return false
+	}
+	stream, k, n := rest[0].stream, rest[0].q.Pos(d.to), 1
+	for n < len(rest) && rest[n].stream == stream && rest[n].q.Pos(d.to) == k {
+		n++
+	}
+	d.rest, d.Ret = rest[n:], (*dispatcher).replay
+	d.in.stats.WireCmds += int64(n)
+	return d.route(rest[:n:n], rest[0].q.Members[:k+1], k, routeDirect)
 }

@@ -40,10 +40,12 @@ func (in *Initiator) newSequencer() *core.Sequencer {
 		func(t *core.Ticket) { in.deliver(t.Owner.(*blockdev.Request)) })
 }
 
-// submitRio is the Rio path (Fig. 4 steps 1-2): attach an ordering
-// attribute and add to the stream's plug list / ORDER queue; everything
-// downstream is asynchronous.
-func (in *Initiator) submitRio(p *sim.Proc, req *blockdev.Request) {
+// submitAsync is the asynchronous path (Rio: Fig. 4 steps 1-2): add to the
+// stream's plug list / ORDER queue — an ordered write in Rio mode with its
+// ordering attribute attached — and everything downstream is asynchronous.
+// Without a ticket the completion is delivered as soon as the hardware
+// reports it.
+func (in *Initiator) submitAsync(p *sim.Proc, req *blockdev.Request) {
 	in.UseCPU(p, in.costs.SubmitBio)
 	if !in.alive {
 		// The initiator was power-cut while this submission waited for
@@ -59,7 +61,9 @@ func (in *Initiator) submitRio(p *sim.Proc, req *blockdev.Request) {
 		return // power-cut while stalled on the inflight bound
 	}
 	addWaitReq(req, trace.WaitGate, p.Now()-gateStart)
-	in.attachTicket(req, in.seq.Stream(req.Stream))
+	if req.Ordered && in.cfg.Mode == ModeRio {
+		in.attachTicket(req, in.seq.Stream(req.Stream))
+	}
 	in.plugAdd(p, req)
 }
 
@@ -97,26 +101,10 @@ func (in *Initiator) maxPlugNow() int {
 	return in.cfg.MaxPlug
 }
 
-// submitOrderless adds to the plug list; completion is delivered as soon
-// as the hardware reports it.
-func (in *Initiator) submitOrderless(p *sim.Proc, req *blockdev.Request) {
-	in.UseCPU(p, in.costs.SubmitBio)
-	if !in.alive {
-		return // power-cut mid-submission: the request dies un-staged
-	}
-	gateStart := p.Now()
-	in.waitSubmitSlot(p, req.Stream)
-	if !in.alive {
-		return // power-cut while stalled on the inflight bound
-	}
-	addWaitReq(req, trace.WaitGate, p.Now()-gateStart)
-	in.plugAdd(p, req)
-}
-
 // plugAdd stages a request on the stream shard's plug. Overflow drains
 // inline in the caller's context (the submitting thread pays the
 // scheduler CPU, as in Linux); otherwise a short timer hands leftovers to
-// the shard's dispatcher.
+// the shard's dispatch context.
 const plugHold = 2 * sim.Microsecond
 
 func (in *Initiator) plugAdd(p *sim.Proc, req *blockdev.Request) {
@@ -127,7 +115,7 @@ func (in *Initiator) plugAdd(p *sim.Proc, req *blockdev.Request) {
 	sh := in.shards[req.Stream]
 	sh.plugged = append(sh.plugged, req)
 	if len(sh.plugged) >= in.maxPlugNow() {
-		in.dispatchPlug(p, sh)
+		in.plugFlush(p, req.Stream)
 		return
 	}
 	if !sh.armed && !sh.held {
@@ -140,7 +128,7 @@ func (in *Initiator) plugAdd(p *sim.Proc, req *blockdev.Request) {
 
 // plugTimer is one plug-hold event of a shard, armed under initiator
 // incarnation epoch: what is still staged when it fires goes to the shard's
-// dispatcher. Only the event heap holds it: it recycles as it fires.
+// dispatch context. Only the event heap holds it: it recycles as it fires.
 type plugTimer struct {
 	in    *Initiator
 	sh    *shard
@@ -174,22 +162,14 @@ func (in *Initiator) FinishPlug(p *sim.Proc, stream int) {
 	in.plugFlush(p, stream)
 }
 
-// plugFlush drains a stream's plug inline (called when the submitter is
-// about to block — Linux's flush-on-schedule).
+// plugFlush dispatches a stream's plug in the caller's place (on overflow,
+// and when the submitter is about to block — Linux's flush-on-schedule).
 func (in *Initiator) plugFlush(p *sim.Proc, stream int) {
-	sh := in.shards[stream]
-	if len(sh.plugged) == 0 {
-		return
+	if sh := in.shards[stream]; len(sh.plugged) > 0 {
+		d := in.getDispatcher(stream, nil)
+		d.batch, sh.plugged = append(d.batch[:0], sh.plugged...), sh.plugged[:0]
+		d.call(p, (*dispatcher).build)
 	}
-	in.dispatchPlug(p, sh)
-}
-
-// dispatchPlug hands the shard's staged batch to dispatch and recycles
-// the batch's backing array afterwards.
-func (in *Initiator) dispatchPlug(p *sim.Proc, sh *shard) {
-	batch := sh.takePlug()
-	in.dispatchBatch(p, sh.stream, batch)
-	sh.putPlugBatch(batch)
 }
 
 // submitHorae runs Horae's control path before the data path. Control
@@ -263,8 +243,8 @@ func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 	in.linuxMu.Acquire(p)
 	wires := in.buildWires(nil, req)
 	in.assignOrderState(wires)
-	in.rcachePopulateWires(p, wires)
-	in.postByTarget(p, wires, req.Stream)
+	in.UseCPU(p, in.costs.CacheBlockCPU*sim.Time(in.rcachePopulateWires(wires)))
+	in.getDispatcher(req.Stream, wires).call(p, (*dispatcher).post)
 	for _, ws := range wires {
 		in.blockingWait(p, ws.hwDone)
 	}
@@ -284,7 +264,7 @@ func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 		flushes = append(flushes, fw)
 	}
 	if len(flushes) > 0 {
-		in.postByTarget(p, flushes, req.Stream)
+		in.getDispatcher(req.Stream, flushes).call(p, (*dispatcher).post)
 		for _, fw := range flushes {
 			in.blockingWait(p, fw.hwDone)
 		}
@@ -336,56 +316,116 @@ func (in *Initiator) deliver(req *blockdev.Request) {
 	req.Done.Fire()
 }
 
-// dispatchLoop drains one shard's queue with plugging: requests that
-// accumulate while the dispatcher works are batched, enabling merging.
-func (in *Initiator) dispatchLoop(p *sim.Proc, sh *shard) {
-	for {
-		first := sh.q.Pop(p)
-		batch := append(sh.loopBatch[:0], first)
-		for len(batch) < in.maxPlugNow() {
-			r, ok := sh.q.TryPop()
-			if !ok {
-				break
-			}
-			batch = append(batch, r)
-		}
-		sh.loopBatch = batch
-		in.dispatchBatch(p, sh.stream, batch)
-	}
+// A dispatcher is one dispatch in progress, a sim.Step on the initiator's
+// cores: it turns requests into wire commands — volume striping and
+// transfer-limit splitting, scheduler merging, per-server index assignment,
+// command build — and posts them. Each shard's dispatch context is one,
+// started with the shard, that batches what accumulates on the shard's
+// queue. A submitting thread that flushes its plug (overflow, Wait,
+// FinishPlug) checks a record out of the shard's pool and calls it in its
+// own place, paying the scheduler CPU as in Linux; the Linux and FLUSH
+// paths and replay post through the same steps, and a head-cut re-ask
+// starts one. A dispatch owns its record's buffers, so dispatches that
+// overlap on a shard share nothing.
+type dispatcher struct {
+	sim.Step[dispatcher]
+	in    *Initiator
+	sh    *shard
+	batch []*blockdev.Request
+	wires []*wireState
+
+	// Posting: per-set lists still to post (the lists leave with the
+	// capsules; the table stays), the set reached, and that set's commands
+	// that go direct after its relay capsule; the route's commands, members
+	// (posted from k on) and QP; the capsule in progress, its target and TX
+	// pass; a replay set still to post; re-asks still to post.
+	bySet     [][]*wireState
+	set       int
+	direct    []*wireState
+	cmds      []*wireState
+	members   []int
+	k, qp, to int
+	cp        *capsule
+	tx        fabric.TxWait
+	rest      []*wireState
+	asks      []*capsule
 }
 
-// dispatchBatch turns requests into wire commands: volume striping and
-// transfer-limit splitting, scheduler merging, per-server index
-// assignment, command build and posting.
-func (in *Initiator) dispatchBatch(p *sim.Proc, stream int, batch []*blockdev.Request) {
+// getDispatcher checks a record with a copy of wires out of a shard pool.
+func (in *Initiator) getDispatcher(stream int, wires []*wireState) *dispatcher {
 	sh := in.shards[stream]
-	wires := sh.getBatchBuf()
-	for _, req := range batch {
-		req.DispatchAt = p.Now()
-		markReq(req, trace.MDispatched, req.DispatchAt)
-		wires = in.buildWires(wires, req)
+	d := sh.dispFree.Get()
+	if d.in == nil {
+		d.in, d.sh, d.bySet = in, sh, make([][]*wireState, len(in.c.replSets))
+		d.Bind(in.Eng, in.cores, d)
 	}
-	if in.cfg.MergeEnabled && len(wires) > 1 {
-		wires = in.fuseWires(p, wires)
+	d.wires = append(d.wires[:0], wires...)
+	return d
+}
+
+// call runs d from step on in p's place, then returns it to its pool.
+func (d *dispatcher) call(p *sim.Proc, step func(*dispatcher) bool) {
+	d.Call(p, step)
+	d.sh.dispFree.Put(d)
+}
+
+// take gathers the shard context's next batch: requests that accumulated
+// on the queue while it worked are batched, enabling merging.
+func (d *dispatcher) take() bool {
+	r, ok := d.sh.q.Take(d)
+	if !ok {
+		return false
 	}
+	d.batch = append(d.batch[:0], r)
+	for ok && len(d.batch) < d.in.maxPlugNow() {
+		if r, ok = d.sh.q.TryPop(); ok {
+			d.batch = append(d.batch, r)
+		}
+	}
+	return d.To((*dispatcher).build)
+}
+
+// build turns the batch into wire commands and merges them, charging
+// MergeCheck per fusion check.
+func (d *dispatcher) build() bool {
+	in, checks := d.in, 0
+	d.wires = d.wires[:0]
+	for _, req := range d.batch {
+		markReq(req, trace.MDispatched, in.Eng.Now())
+		d.wires = in.buildWires(d.wires, req)
+	}
+	if in.cfg.MergeEnabled && len(d.wires) > 1 {
+		d.wires, checks = in.fuseWires(d.wires)
+	}
+	return d.Use(in.costs.MergeCheck*sim.Time(checks), (*dispatcher).mint)
+}
+
+// mint fans the commands out over their replica sets and populates the
+// read cache, charging CacheBlockCPU per block cached: after fusion (the
+// commands are final here) and before posting, so a thread that re-reads
+// its own write hits even while the write is in flight.
+func (d *dispatcher) mint() bool {
+	in := d.in
 	if !in.alive {
 		// A power cut landed while this batch was mid-dispatch (the
-		// merge pass yields): minting per-server indices now would burn
+		// merge charge yields): minting per-server indices now would burn
 		// fresh-incarnation chain slots on dead commands, parking the
 		// next live command forever at the target gate. The batch dies
 		// here with the rest of the incarnation's in-flight work.
-		sh.putBatchBuf(wires)
-		return
+		return d.end()
 	}
-	in.assignOrderState(wires)
-	// Read-cache write population happens after fusion (the commands are
-	// final here) and before posting, so a thread that re-reads its own
-	// write hits even while the write is in flight.
-	in.rcachePopulateWires(p, wires)
-	in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(wires)))
-	in.postByTarget(p, wires, stream)
-	sh.putBatchBuf(wires)
+	in.assignOrderState(d.wires)
+	return d.Use(in.costs.CacheBlockCPU*sim.Time(in.rcachePopulateWires(d.wires)), (*dispatcher).cmdBuild)
 }
+
+// cmdBuild charges CmdBuild per command.
+func (d *dispatcher) cmdBuild() bool {
+	return d.Use(d.in.costs.CmdBuild*sim.Time(len(d.wires)), (*dispatcher).post)
+}
+
+// end finishes a dispatch: the shard's context goes on to its next batch,
+// a called record returns.
+func (d *dispatcher) end() bool { return d == &d.sh.disp && d.To((*dispatcher).take) }
 
 // piece is one device-contiguous fragment of a request after striping and
 // transfer-limit splitting.
@@ -493,10 +533,10 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 // merge on plain contiguity (classic plug merging, Fig. 3). Fused-away
 // commands return to their shard's pool immediately: they were never
 // posted. The compaction is in place — out never outruns the read index.
-func (in *Initiator) fuseWires(p *sim.Proc, wires []*wireState) []*wireState {
-	out := wires[:0]
+// It also returns how many fusion checks it made.
+func (in *Initiator) fuseWires(wires []*wireState) (out []*wireState, checks int) {
+	out = wires[:0]
 	in.fuseGen++
-	var checks int
 	for _, ws := range wires {
 		var prev *wireState
 		if t := in.fuseTails[ws.wc.Dev]; t.gen == in.fuseGen {
@@ -514,10 +554,7 @@ func (in *Initiator) fuseWires(p *sim.Proc, wires []*wireState) []*wireState {
 		in.fuseTails[ws.wc.Dev] = fuseTail{gen: in.fuseGen, ws: ws}
 		out = append(out, ws)
 	}
-	if checks > 0 {
-		in.UseCPU(p, in.costs.MergeCheck*sim.Time(checks))
-	}
-	return out
+	return out, checks
 }
 
 func (in *Initiator) tryFuse(a, b *wireState) bool {
@@ -652,75 +689,118 @@ func (in *Initiator) stampMember(ws *wireState, k int) {
 	}
 }
 
-// postByTarget coalesces wire commands into one vectored batch per replica
-// set, and each set's commands go out on the set's current route: the batch
-// shares a capsule (one fabrics framing, one PostMsg) and each command is
-// vector-marked so the target can verify the batch was split exactly on
-// set boundaries (§4.3 in-order chains).
+// post coalesces the commands into one vectored batch per replica set, and
+// each set's batch goes out on the set's current route: the batch shares a
+// capsule (one fabrics framing, one PostMsg) and each command is
+// vector-marked so the target can verify the batch was split exactly on set
+// boundaries (§4.3 in-order chains).
 //
 // The batch is partitioned into per-set lists BEFORE the first yield: once
 // a capsule toward an earlier set is posted, its commands can complete,
-// deliver and be recycled — rescanning the shared wires slice after that
-// could pick up a recycled wireState already rebound to a new command.
-// Commands still waiting in a later capsule cannot be recycled (their
-// origin requests count this unposted fragment), so the pre-built lists
-// stay valid across the posting yields.
-func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
-	in.stats.WireCmds += int64(len(wires))
-	// The per-set lists leave with the capsules; the table that holds them
-	// while posting stays on this proc's stack for a fleet of few sets.
-	var few [8][]*wireState
-	bySet := few[:min(len(in.c.replSets), len(few))]
-	if len(in.c.replSets) > len(few) {
-		bySet = make([][]*wireState, len(in.c.replSets))
-	}
-	for _, ws := range wires {
+// deliver and be recycled — rescanning the batch after that could pick up a
+// recycled wireState already rebound to a new command. Commands still
+// waiting in a later list cannot be recycled (their origin requests count
+// this unposted fragment), so the lists stay valid across the posts.
+func (d *dispatcher) post() bool {
+	in := d.in
+	in.stats.WireCmds += int64(len(d.wires))
+	for _, ws := range d.wires {
 		if ws.wc.Flush {
 			in.fanFlush(ws)
 		}
-		bySet[ws.target] = append(bySet[ws.target], ws)
+		d.bySet[ws.target] = append(d.bySet[ws.target], ws)
 	}
-	for set, cmds := range bySet {
-		if len(cmds) == 0 {
-			continue
+	d.set, d.Ret = -1, (*dispatcher).nextSet
+	return d.To((*dispatcher).nextSet)
+}
+
+// nextSet posts the next set's batch. On the relay route go the ordered
+// writes that fanned to the full membership; the rest go direct after
+// them: flushes (a durability barrier certifies members individually),
+// batches assigned under a degraded snapshot and orderless writes (no chain
+// index for a head-cut re-ask to tell "completed" from "never arrived" by).
+func (d *dispatcher) nextSet() bool {
+	cmds := d.direct
+	for d.direct = nil; len(cmds) == 0; {
+		if d.set++; d.set >= len(d.bySet) {
+			return d.end()
 		}
-		// Relay route: ordered writes that fanned to the full membership.
-		// Flushes always go direct (a durability barrier certifies members
-		// individually), as do batches assigned under a degraded snapshot
-		// and orderless writes (no chain index for a head-cut re-ask to
-		// tell "completed" from "never arrived" by).
-		if rs := in.c.replSets[set]; in.c.relayActive(rs) {
+		cmds, d.bySet[d.set] = d.bySet[d.set], nil
+		if rs := d.in.c.replSets[d.set]; len(cmds) > 0 && d.in.c.relayActive(rs) {
 			relayable := make([]*wireState, 0, len(cmds))
-			var direct []*wireState
 			for _, ws := range cmds {
 				if !ws.wc.Flush && ws.wc.Ordered && len(ws.q.Members) == len(rs.members) {
 					relayable = append(relayable, ws)
 				} else {
-					direct = append(direct, ws)
+					d.direct = append(d.direct, ws)
 				}
 			}
 			if len(relayable) > 0 {
-				in.postSet(p, relayable, stream, routeRelay)
+				return d.route(relayable, relayable[0].q.Members, 0, routeRelay)
 			}
-			cmds = direct
-		}
-		if len(cmds) > 0 {
-			in.postSet(p, cmds, stream, routeDirect)
+			cmds, d.direct = d.direct, nil
 		}
 	}
+	return d.route(cmds, cmds[0].q.Members, 0, routeDirect)
 }
 
-// post rings one doorbell toward a target: the initiator's cores pay
-// PostMsg, the capsule goes out through postCapsule and counts as initiator
-// egress.
-func (in *Initiator) post(p *sim.Proc, target, qp int, cp *capsule) {
-	in.cores.Use(p, in.costs.PostMsg)
-	var tw fabric.TxWait
-	in.c.postCapsule(p, &tw, in.targets[target].conns[in.id], qp, cp)
+// route posts commands of one replica set to members[k:] on a route, on a
+// QP drawn for the pair. All commands of a batch snapshot the same membership
+// (no yield between their assignments), so the first command's member list
+// is the batch's.
+//
+// routeDirect posts one capsule per member, each built right before its
+// post (it carries the member's retire watermark as of then): each copy is
+// a full vectored batch (validated intact at the member), pays its own
+// PostMsg and wire framing, and returns its own CQE — the fan-out cost the
+// replication experiment measures. routeRelay posts ONE capsule to the
+// set's head with the followers' capsules attached: one PostMsg, one
+// TX-depth slot, one wire message — the R×→1× initiator cost collapse the
+// relay exists for.
+func (d *dispatcher) route(cmds []*wireState, members []int, k int, rt route) bool {
+	in, stream := d.in, cmds[0].stream
+	d.qp = in.qpFor(stream)
+	for _, ws := range cmds {
+		ws.qp = d.qp
+		ws.relayed = ws.relayed || rt == routeRelay
+	}
+	d.cmds, d.members, d.k = cmds, members, k
+	if rt == routeDirect {
+		return d.To((*dispatcher).member)
+	}
+	d.cp, d.to, d.members = in.buildMemberCapsule(cmds, 0, members[0], stream), members[0], nil
+	d.cp.forward = make([]*capsule, 0, len(members)-1)
+	for k = 1; k < len(members); k++ {
+		fcp := in.buildMemberCapsule(cmds, k, members[k], stream)
+		fcp.relayed = true
+		d.cp.forward = append(d.cp.forward, fcp)
+	}
+	return d.Charge(in.costs.PostMsg, (*dispatcher).send)
+}
+
+// member posts the route's capsule to its next member, or goes on at Ret.
+func (d *dispatcher) member() bool {
+	if d.k == len(d.members) {
+		return d.Back()
+	}
+	d.to = d.members[d.k]
+	d.cp = d.in.buildMemberCapsule(d.cmds, d.k, d.to, d.cmds[0].stream)
+	d.k++
+	return d.Charge(d.in.costs.PostMsg, (*dispatcher).send)
+}
+
+// send rings one doorbell toward target d.to once PostMsg is paid: the
+// capsule goes out through postCapsule and counts as initiator egress.
+func (d *dispatcher) send() bool {
+	in := d.in
+	if !in.c.postCapsule(d.Waiter(), &d.tx, in.targets[d.to].conns[in.id], d.qp, d.cp) {
+		return false
+	}
 	in.stats.WireMessages++
 	in.stats.TxMsgs++
-	in.stats.TxBytes += int64(cp.wireSize())
-	in.stats.Batch.Ring(len(cp.cmds))
+	in.stats.TxBytes += int64(d.cp.wireSize())
+	in.stats.Batch.Ring(len(d.cp.cmds))
+	return d.To((*dispatcher).member)
 }
 
 // postCapsule is the one place a command capsule reaches the wire, from
@@ -775,10 +855,7 @@ func (r *reaper) take() bool {
 		panic("stack: torn coalesced completion capsule: " + err.Error())
 	}
 	r.msg = msg
-	if r.in.costs.CplHandle == 0 {
-		return r.To((*reaper).handle)
-	}
-	return r.Charge(r.in.costs.CplHandle, (*reaper).handle)
+	return r.Use(r.in.costs.CplHandle, (*reaper).handle)
 }
 
 func (r *reaper) handle() bool {

@@ -1,8 +1,6 @@
 package stack
 
 import (
-	"fmt"
-
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -77,8 +75,9 @@ type Initiator struct {
 	stats ClusterStats
 }
 
-// newInitiator builds initiator id and starts its shard processes. The
-// cluster's volume and targets must already exist.
+// newInitiator builds initiator id and starts its shards' dispatch and reap
+// contexts. The cluster's volume, targets and replica sets must already
+// exist.
 func newInitiator(c *Cluster, id int) *Initiator {
 	in := &Initiator{
 		c:           c,
@@ -107,9 +106,9 @@ func newInitiator(c *Cluster, id int) *Initiator {
 	for s := 0; s < c.cfg.Streams; s++ {
 		sh := newShard(in, s)
 		in.shards = append(in.shards, sh)
-		c.Eng.Go(fmt.Sprintf("init%d/dispatch%d", id, s), func(p *sim.Proc) {
-			in.dispatchLoop(p, sh)
-		})
+		d := &sh.disp
+		d.in, d.sh, d.bySet = in, sh, make([][]*wireState, len(c.replSets))
+		d.Start(c.Eng, in.cores, d, (*dispatcher).take)
 		// Per-shard completion reaping (softirq context): the shard owns
 		// the completion queue for its QP affinity set, so a stream's
 		// completions recycle through the pools of the shard that filled
@@ -229,44 +228,35 @@ func (in *Initiator) WaitSignal(p *sim.Proc, sig *sim.Signal) {
 // the call blocks until durable).
 func (in *Initiator) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
 	stamp uint64, data [][]byte, boundary, flush, ipu bool) *blockdev.Request {
-
-	req := &blockdev.Request{
-		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks,
-		Stamp: stamp, Data: data, Stream: in.streamOf(stream),
+	return in.submitWrite(p, stream, &blockdev.Request{
+		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks, Stamp: stamp, Data: data,
 		Ordered: true, Boundary: boundary, Flush: flush, IPU: ipu,
-		SubmitAt: p.Now(),
-	}
-	req.InitDone(in.Eng)
-	in.stats.Submitted++
-	in.maybeTrace(req)
-	start := p.Now()
-	switch in.cfg.Mode {
-	case ModeRio:
-		in.submitRio(p, req)
-	case ModeHorae:
-		in.submitHorae(p, req)
-	case ModeLinux:
-		in.submitLinux(p, req)
-	default:
-		in.submitOrderless(p, req)
-	}
-	req.SubmitSpent = p.Now() - start
-	return req
+	})
 }
 
 // OrderlessWrite submits a plain (no ordering guarantee) write.
 func (in *Initiator) OrderlessWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
 	stamp uint64, data [][]byte) *blockdev.Request {
+	return in.submitWrite(p, stream, &blockdev.Request{Op: blockdev.OpWrite, LBA: lba, Blocks: blocks, Stamp: stamp, Data: data})
+}
 
-	req := &blockdev.Request{
-		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks,
-		Stamp: stamp, Data: data, Stream: in.streamOf(stream),
-		SubmitAt: p.Now(),
-	}
+// submitWrite stamps a write request and submits it on the path of its
+// mode: the synchronous Horae control path or Linux path for an ordered
+// write there, the asynchronous path otherwise.
+func (in *Initiator) submitWrite(p *sim.Proc, stream int, req *blockdev.Request) *blockdev.Request {
+	req.Stream, req.SubmitAt = in.streamOf(stream), p.Now()
 	req.InitDone(in.Eng)
 	in.stats.Submitted++
 	in.maybeTrace(req)
-	in.submitOrderless(p, req)
+	switch {
+	case req.Ordered && in.cfg.Mode == ModeHorae:
+		in.submitHorae(p, req)
+	case req.Ordered && in.cfg.Mode == ModeLinux:
+		in.submitLinux(p, req)
+	default:
+		in.submitAsync(p, req)
+	}
+	req.SubmitSpent = p.Now() - req.SubmitAt
 	return req
 }
 
@@ -330,8 +320,7 @@ func (in *Initiator) FlushDevice(p *sim.Proc, stream int) {
 	for d := 0; d < in.vol.Devices(); d++ {
 		states = append(states, in.newFlushWire(d, stream))
 	}
-	in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(states)))
-	in.postByTarget(p, states, stream)
+	in.getDispatcher(stream, states).call(p, (*dispatcher).cmdBuild)
 	for _, ws := range states {
 		in.blockingWait(p, ws.hwDone)
 	}

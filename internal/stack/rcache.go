@@ -549,14 +549,13 @@ func (in *Initiator) abortAllReads() {
 
 // rcachePopulateWires mirrors a dispatched batch's writes into the read
 // cache under the stamps the commands carry to media (wc.Stamps), so
-// CacheAudit can compare cached content against device content exactly.
-// Under replication one insert covers the set: every member is sent the
-// same command.
-func (in *Initiator) rcachePopulateWires(p *sim.Proc, wires []*wireState) {
+// CacheAudit can compare cached content against device content exactly,
+// and returns how many blocks it cached. Under replication one insert
+// covers the set: every member is sent the same command.
+func (in *Initiator) rcachePopulateWires(wires []*wireState) (blocks int) {
 	if in.rcache == nil {
-		return
+		return 0
 	}
-	var blocks int64
 	for _, ws := range wires {
 		if ws.wc.Flush {
 			continue
@@ -568,12 +567,10 @@ func (in *Initiator) rcachePopulateWires(p *sim.Proc, wires []*wireState) {
 		if m < 0 || !in.targets[m].alive {
 			continue
 		}
-		blocks += int64(ws.wc.Blocks)
+		blocks += int(ws.wc.Blocks)
 		in.rcachePopulateWire(ws)
 	}
-	if blocks > 0 {
-		in.UseCPU(p, in.costs.CacheBlockCPU*sim.Time(blocks))
-	}
+	return blocks
 }
 
 func (in *Initiator) rcachePopulateWire(ws *wireState) {

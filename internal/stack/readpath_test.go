@@ -16,11 +16,11 @@ func TestReadMemberForSkipsBackloggedExtent(t *testing.T) {
 	defer eng.Shutdown()
 	rs := c.replSets[0]
 
-	// Healthy set: the first in-sync member serves, matching readReplica.
+	// Healthy set: the first in-sync member serves.
 	if m := c.readMemberFor(0, 0, 100, 4); m != rs.members[0] {
 		t.Fatalf("healthy set routed to %d, want member %d", m, rs.members[0])
 	}
-	if got, want := c.readMemberFor(0, 0, 100, 4), c.readReplica(0); got != want {
+	if got, want := c.readMemberFor(0, 0, 100, 4), rs.firstInSync(-1); got != want {
 		t.Fatalf("extent-level choice %d != set-level choice %d on a clean set", got, want)
 	}
 

@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -49,7 +48,7 @@ import (
 // The in-order gate (§4.3.1) is what tells "completed" from "never
 // arrived", so the relay carries ORDERED writes only: an orderless write
 // has no chain index, and re-executing a completed one could overwrite
-// newer data — it fans out direct, as a FLUSH does (postByTarget).
+// newer data — it fans out direct, as a FLUSH does (dispatcher.nextSet).
 //
 // A relay-off cluster builds no relay conns, starts no relay-ack context
 // and has a nil Target.relay, so its event schedule is that of the direct
@@ -116,7 +115,8 @@ type relayRoute struct {
 
 // headAgg is the head-side record of one relayed command: the quorum
 // accountant (members = set members, Need = write quorum) plus where the
-// aggregated CQE goes. Records recycle through relayState.free.
+// aggregated CQE goes. Records recycle through relayState.free, which hands
+// one back as it was put: Get resets it.
 type headAgg struct {
 	q        order.Quorum
 	qp       int
@@ -130,7 +130,7 @@ type headAgg struct {
 // annotations — live in the qpLane.
 type relayState struct {
 	agg  map[aggKey]*headAgg // head: open quorum records
-	free []*headAgg
+	free sim.FreeList[headAgg]
 
 	pend map[aggKey]relayRoute // follower: relayed commands in flight here
 
@@ -149,7 +149,7 @@ func newRelayState(eng *sim.Engine) *relayState {
 // reset drops every record (restart of the target).
 func (r *relayState) reset() {
 	for _, as := range r.agg {
-		r.free = append(r.free, as)
+		r.free.Put(as)
 	}
 	clear(r.agg)
 	clear(r.pend)
@@ -163,7 +163,7 @@ func (r *relayState) resetInitiator(init int) {
 	for k, as := range r.agg {
 		if k.init == init {
 			delete(r.agg, k)
-			r.free = append(r.free, as)
+			r.free.Put(as)
 		}
 	}
 	for k := range r.pend {
@@ -234,7 +234,9 @@ func (t *Target) relayFanOut(cp *capsule, init, qp int) {
 	// (WriteQuorum == Replicas would strand it until resync).
 	if t.c.relayActive(rs) {
 		for _, ws := range cp.cmds {
-			as := t.getHeadAgg()
+			as := t.relay.free.Get()
+			as.q.Reset()
+			as.firstAck = 0
 			for _, m := range rs.members {
 				as.q.Add(m)
 			}
@@ -271,23 +273,10 @@ func (x *tctx) rxForwardPost() bool {
 	return x.To((*tctx).rxForward)
 }
 
-// getHeadAgg checks a quorum record out of the free list.
-func (t *Target) getHeadAgg() *headAgg {
-	r := t.relay
-	if n := len(r.free); n > 0 {
-		as := r.free[n-1]
-		r.free = r.free[:n-1]
-		as.q.Reset()
-		as.firstAck = 0
-		return as
-	}
-	return &headAgg{}
-}
-
 // closeHeadAgg drops a quorum record from the table and recycles it.
 func (t *Target) closeHeadAgg(k aggKey, as *headAgg) {
 	delete(t.relay.agg, k)
-	t.relay.free = append(t.relay.free, as)
+	t.relay.free.Put(as)
 }
 
 // relayRespond intercepts a follower completion bound for the head: it
@@ -475,15 +464,15 @@ func (t *Target) flushHeadAggs() {
 }
 
 // reaskAfterHeadCut flips this initiator's relayed commands of the set to
-// the direct route and posts, from a spawned proc (PowerCutTarget runs in
-// engine context), one re-ask capsule per (surviving follower, QP) naming
-// the commands that follower has not resolved. It reads the initiator's
-// own outstanding table and nothing else: what each follower received is
-// the follower's to say (answerReask). A re-ask is not a vectored batch —
-// the forwarded original may still sit in the follower's receive queue, so
-// the members' SQEs are not re-marked — and it carries the commands' ids:
-// a command can resolve and its record be rebound while the capsule is
-// being posted or queued.
+// the direct route and posts, on a dispatch record it starts (PowerCutTarget
+// runs in engine context), one re-ask capsule per (surviving follower, QP)
+// naming the commands that follower has not resolved. It reads the
+// initiator's own outstanding table and nothing else: what each follower
+// received is the follower's to say (answerReask). A re-ask is not a
+// vectored batch — the forwarded original may still sit in the follower's
+// receive queue, so the members' SQEs are not re-marked — and it carries
+// the commands' ids: a command can resolve and its record be rebound while
+// the capsule is being posted or queued.
 func (in *Initiator) reaskAfterHeadCut(rs *replicaSet, head int) {
 	qps := in.cfg.QPs
 	asks := make([]*capsule, len(rs.members)*qps) // index: member position * QPs + qp
@@ -513,13 +502,23 @@ func (in *Initiator) reaskAfterHeadCut(rs *replicaSet, head int) {
 	if n == 0 {
 		return
 	}
-	in.Eng.Go(fmt.Sprintf("init%d/reask%d", in.id, rs.id), func(p *sim.Proc) {
-		for i, cp := range asks {
-			if cp != nil && in.alive && cp.epoch == in.epoch {
-				in.post(p, cp.member, i%qps, cp)
-			}
+	d := &dispatcher{in: in, asks: asks}
+	d.Start(in.Eng, in.cores, d, (*dispatcher).reask)
+}
+
+// reask posts the re-asks in turn, each while its incarnation lives.
+func (d *dispatcher) reask() bool {
+	for i, cp := range d.asks {
+		if cp == nil {
+			continue
 		}
-	})
+		d.asks[i] = nil
+		if in := d.in; in.alive && cp.epoch == in.epoch {
+			d.cp, d.to, d.qp, d.Ret = cp, cp.member, i%in.cfg.QPs, (*dispatcher).reask
+			return d.Charge(in.costs.PostMsg, (*dispatcher).send)
+		}
+	}
+	return false
 }
 
 // answerReask answers a head-cut re-ask from what this follower holds,

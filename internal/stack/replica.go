@@ -176,18 +176,14 @@ func (c *Cluster) ResyncBacklog(target int) int {
 	return len(rs.dirty[rs.pos(target)])
 }
 
-// readReplica picks the target serving reads for a replica set: the
-// lowest in-sync member (-1 if the whole set is down).
-func (c *Cluster) readReplica(set int) int { return c.replSets[set].firstInSync(-1) }
-
-// readMemberFor picks the member serving a read of one device extent.
-// Unlike readReplica's set-level choice this is extent-level: a member
+// readMemberFor picks the member serving a read of one device extent: the
+// lowest in-sync member (-1 if the whole set is down), except that a member
 // that rejoined mid-resync (inSync set while its backlog drains, or a
 // white-box test forcing the flag) is skipped for extents still queued
 // in its resync backlog — those blocks are not on its media yet, so
-// reading them there would return stale bytes. Falls back to the
-// set-level choice when every in-sync member still has the extent
-// pending (the copy source is then an in-sync peer anyway).
+// reading them there would return stale bytes. Falls back to the lowest
+// in-sync member when every in-sync member still has the extent pending
+// (the copy source is then an in-sync peer anyway).
 func (c *Cluster) readMemberFor(set, ssdIdx int, lba uint64, blocks uint32) int {
 	rs := c.replSets[set]
 	fallback := -1
@@ -224,41 +220,6 @@ func (in *Initiator) fanFlush(ws *wireState) {
 		}
 	}
 	ws.q.Need = len(ws.q.Members)
-}
-
-// postSet posts one replica set's batch on the given route. All commands
-// of one dispatch batch snapshot the same membership (no yield between
-// their assignments), so the first command's member list is the batch's.
-//
-// routeDirect posts one capsule per member: each copy is a full vectored
-// batch (validated intact at the member), pays its own PostMsg and wire
-// framing, and returns its own CQE — the fan-out cost the replication
-// experiment measures. routeRelay posts ONE capsule to the set's head with
-// the followers' capsules attached: one PostMsg, one TX-depth slot, one
-// wire message — the R×→1× initiator cost collapse the relay exists for.
-func (in *Initiator) postSet(p *sim.Proc, cmds []*wireState, stream int, rt route) {
-	qp := in.qpFor(stream)
-	for _, ws := range cmds {
-		ws.qp = qp
-	}
-	members := cmds[0].q.Members
-	if rt == routeDirect {
-		for k, m := range members {
-			in.post(p, m, qp, in.buildMemberCapsule(cmds, k, m, stream))
-		}
-		return
-	}
-	head := in.buildMemberCapsule(cmds, 0, members[0], stream)
-	head.forward = make([]*capsule, 0, len(members)-1)
-	for k := 1; k < len(members); k++ {
-		fcp := in.buildMemberCapsule(cmds, k, members[k], stream)
-		fcp.relayed = true
-		head.forward = append(head.forward, fcp)
-	}
-	for _, ws := range cmds {
-		ws.relayed = true
-	}
-	in.post(p, members[0], qp, head)
 }
 
 // buildMemberCapsule builds one member's copy of a batch — the only place

@@ -25,28 +25,24 @@ type shard struct {
 	cplQ *sim.Queue[*completionMsg]
 	reap reaper
 
-	// Plug list (blk_start_plug semantics). plugSpare recycles the backing
-	// array of the previously dispatched batch; loopBatch is the dispatch
-	// loop's private accumulation buffer (one loop proc per shard).
-	plugged   []*blockdev.Request
-	plugSpare []*blockdev.Request
-	loopBatch []*blockdev.Request
-	armed     bool
-	held      bool // explicit blk_start_plug: no timer flush until FinishPlug
+	// Plug list (blk_start_plug semantics): a dispatch copies it out.
+	plugged []*blockdev.Request
+	armed   bool
+	held    bool       // explicit blk_start_plug: no timer flush until FinishPlug
+	disp    dispatcher // the shard's dispatch context
 
 	horae *horaeStage // Horae mode control-path staging, lazily built
 
 	// Free lists. wireFree recycles wire commands together with their
 	// embedded WireCmd and payload slices; listFree recycles the
-	// per-request wire tracking lists; batchFree recycles the wire buffers
-	// a dispatchBatch accumulates into (checked out because dispatch
-	// yields the CPU mid-batch and the submitter can dispatch inline
-	// concurrently with the shard's dispatch loop). timerFree holds fired
-	// plug-hold events; nothing references them, so they outlive crashReset.
+	// per-request wire tracking lists. timerFree holds fired plug-hold
+	// events, dispFree the records submitting threads dispatch with in
+	// their own place (one per dispatch in progress); nothing references
+	// an idle one, so they outlive crashReset.
 	wireFree  []*wireState
 	listFree  []*wireList
-	batchFree [][]*wireState
 	timerFree sim.FreeList[plugTimer]
+	dispFree  sim.FreeList[dispatcher]
 
 	// Stage-tracing sampling state: traceCount is the 1-in-N submission
 	// counter, tslab the shard's span allocator. Both survive crashReset —
@@ -70,23 +66,6 @@ func newShard(in *Initiator, stream int) *shard {
 		qp:     stream % in.cfg.QPs,
 		q:      sim.NewQueue[*blockdev.Request](in.Eng),
 		cplQ:   sim.NewQueue[*completionMsg](in.Eng),
-	}
-}
-
-// takePlug hands the staged batch off for dispatch and installs the
-// recycled backing array for the next one.
-func (sh *shard) takePlug() []*blockdev.Request {
-	batch := sh.plugged
-	sh.plugged = sh.plugSpare
-	sh.plugSpare = nil
-	return batch
-}
-
-// putPlugBatch returns a dispatched batch's backing array. If another
-// inline dispatch already recycled its batch first, this one is dropped.
-func (sh *shard) putPlugBatch(b []*blockdev.Request) {
-	if sh.plugSpare == nil && b != nil {
-		sh.plugSpare = b[:0]
 	}
 }
 
@@ -115,36 +94,16 @@ func (sh *shard) putWire(ws *wireState) {
 	sh.wireFree = append(sh.wireFree, ws)
 }
 
-// getBatchBuf checks out an empty wire accumulation buffer.
-func (sh *shard) getBatchBuf() []*wireState {
-	if n := len(sh.batchFree); n > 0 {
-		b := sh.batchFree[n-1]
-		sh.batchFree = sh.batchFree[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-// putBatchBuf returns a dispatch batch's wire buffer.
-func (sh *shard) putBatchBuf(b []*wireState) {
-	if b != nil {
-		sh.batchFree = append(sh.batchFree, b[:0])
-	}
-}
-
 // crashReset drops everything volatile the shard holds: staged requests,
 // queued work, and all pooled objects (they may still be referenced by
 // in-flight capsules of the dead epoch, so they must not be reused).
 func (sh *shard) crashReset() {
 	sh.plugged = nil
-	sh.plugSpare = nil
-	sh.loopBatch = nil
 	sh.armed = false
 	sh.held = false
 	sh.horae = nil
 	sh.wireFree = nil
 	sh.listFree = nil
-	sh.batchFree = nil
 	sh.q.Drain()
 	sh.cplQ.Drain()
 }

@@ -28,13 +28,6 @@ type TargetStats struct {
 	Vectors    int64 // vectored command batches validated intact
 	Reads      int64 // read commands served (demand misses and prefetches)
 
-	// Coalescing hold-timer observability (the governor's decision trail):
-	// CQETimerFlushes counts batches the hold timer shipped (completions
-	// that waited the full hold without filling a capsule — the latency
-	// cost of throughput bias), CQERearms counts timers that fired on an
-	// already-consumed batch and re-armed for the younger one behind it.
-	CQETimerFlushes int64
-	CQERearms       int64
 	// GovSwitches counts adaptive-governor operating-point transitions on
 	// this target (0 with the governor disabled).
 	GovSwitches int64
@@ -1075,11 +1068,9 @@ func (tm *cqeTimer) Run() {
 	} else if wait := l.first + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
 		// The batch this timer was armed for was consumed by a
 		// threshold flush; re-arm for the younger one now pending.
-		t.stats.CQERearms++
 		t.armCQETimer(l, wait)
 		return
 	}
-	t.stats.CQETimerFlushes++
 	t.routeFlush(l)
 }
 

@@ -37,7 +37,7 @@ type Milestone int
 const (
 	MSubmit     Milestone = iota // block layer accepted the request
 	MStaged                      // plugged into the shard's dispatch queue
-	MDispatched                  // dispatch loop picked the request up
+	MDispatched                  // a dispatch picked the request up
 	MSent                        // submission capsule posted to the fabric
 	MRelayed                     // relay hop done (head fan-out; direct capsules stamp delivery, zero-width stage)
 	MRxDeliver                   // capsule delivered at the target
@@ -69,7 +69,7 @@ const NumStages = int(NumMilestones) - 1
 // stageNames label the budget stages; see DESIGN.md §13 for the taxonomy.
 var stageNames = [NumStages]string{
 	"submit",   // block-layer submission work + submit-gate wait
-	"plug",     // plug residency until the dispatch loop runs
+	"plug",     // plug residency until a dispatch takes it
 	"dispatch", // merge, encode, doorbell batching
 	"wire",     // fabric transit of the submission capsule (to the head under relay)
 	"relay",    // head-to-follower relay hop (zero-width on the direct path)
