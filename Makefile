@@ -59,7 +59,8 @@ bench-sim:
 
 # Host-clock microbenchmarks of the layers above the substrate: fabric
 # send→deliver (paced, and under TxDepth backpressure), ssd Optane
-# write→complete, flash write→destage and flash write burst→FLUSH, the
+# write→complete, flash write→destage and flash write burst→FLUSH (each
+# command one pooled sim.Step record, 0 allocations per op), the
 # ordering domain's gate/park/retire, sequencer submit→complete, volume
 # extents into scratch, and the whole stack per ordered write (host ns,
 # allocations, engine events and proc resumes per write). CI smokes them at

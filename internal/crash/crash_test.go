@@ -12,22 +12,36 @@ import (
 // replaced ran 88 schedules between them.
 const plans = 96
 
-// TestPlans runs plans 1..N, each against the whole contract, and then holds
-// the drawn set to coverage floors: what the crash checks cover is measured
-// here, and a change to Draw that silently stops drawing something fails.
+// TestPlans runs plans 1..N as parallel subtests, each against the whole
+// contract (a plan's engine shares nothing with another's), and then holds
+// the drawn set, collected by seed, to coverage floors: what the crash
+// checks cover is measured here, and a change to Draw that silently stops
+// drawing something fails.
 func TestPlans(t *testing.T) {
-	var drawn []Plan
+	drawn := make([]Plan, plans)
+	outs := make([]Outcome, plans)
+	t.Run("seed", func(t *testing.T) {
+		for i := range drawn {
+			t.Run(fmt.Sprint(i+1), func(t *testing.T) {
+				t.Parallel()
+				pl, err := Draw(int64(i + 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := pl.Run()
+				if err != nil {
+					t.Fatalf("%v\nplan: %v\nreproduce with: %s", err, pl, pl.Repro())
+				}
+				drawn[i], outs[i] = pl, out
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
 	count := map[string]int{}
-	for seed := int64(1); seed <= plans; seed++ {
-		pl, err := Draw(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := pl.Run()
-		if err != nil {
-			t.Fatalf("%v\nplan: %v\nreproduce with: %s", err, pl, pl.Repro())
-		}
-		drawn = append(drawn, pl)
+	for i, pl := range drawn {
+		out := outs[i]
 		for what, hit := range map[string]bool{
 			"mode=" + pl.Mode:                 true,
 			"cut=" + pl.Cut:                   true,

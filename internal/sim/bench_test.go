@@ -174,8 +174,9 @@ func BenchmarkCondSignal(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkGoSpawn is the ssd.Submit pattern: a short-lived proc per
-// command, a bounded number in flight, so finished procs are recycled.
+// BenchmarkGoSpawn is a short-lived proc per operation (recovery's erase
+// procs, the per-fsync journal commit), a bounded number in flight, so
+// finished procs are recycled.
 func BenchmarkGoSpawn(b *testing.B) {
 	e := New(1)
 	defer e.Shutdown()

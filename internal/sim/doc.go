@@ -15,7 +15,7 @@
 //     now on the engine goroutine. Callbacks must not block. The func value
 //     itself is the Runner, so the only allocation is the caller's closure.
 //   - Pooled records: a layer that schedules the same kind of event per
-//     operation (a fabric delivery, an SSD completion, a hold timer)
+//     operation (a fabric delivery, a hold timer)
 //     implements Run on a record of its own and passes it to
 //     Engine.Schedule(d, r). The engine has let go of r by the time it
 //     calls Run, so Run may put the record back on the layer's free list;
@@ -46,8 +46,9 @@
 // hand-off and per Cond wake. A Release hands the unit to a queued Runner
 // before re-running it, so the Runner holds it when it runs. Waiter rings
 // hold Runners, procs and records alike, in FIFO order. Step[T] is the one
-// way to write such a consumer; a proc runs the same steps in its own place
-// with Step.Call, every wait then blocking the proc.
+// way to write such a consumer, long-lived or a pooled record re-Started
+// per operation (an SSD command); a proc runs the same steps in its own
+// place with Step.Call, every wait then blocking the proc.
 //
 // The event heap is a typed 4-ary min-heap of {at, seq, Runner} ordered by
 // (at, seq). seq is a counter that At, Schedule, Sleep, a wake-up (of a

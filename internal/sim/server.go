@@ -4,7 +4,7 @@ package sim
 // time and completes without ever blocking mid-item (a link direction, a
 // media channel). It is a Runner, not a Proc: serving an item costs events,
 // never a coroutine switch. A consumer that must block while it holds an
-// item (acquire a contended core, wait on a Cond) is a Proc popping a Queue.
+// item (acquire a contended core, wait on a Cond) is a Step on a Queue.
 //
 // As an item is taken — after it has left the queue, so Len counts only
 // what still waits — start reports its service time d, or ok = false to

@@ -27,10 +27,13 @@ func (s *Step[T]) Bind(e *Engine, cpu *Resource, owner *T) {
 	s.spent = func(*T) bool { s.cpu.Release(); return s.To(s.after) }
 }
 
-// Start binds s and runs it first at step, now: the one event a proc
-// spends being spawned.
+// Start runs s first at step, now: the one event a proc spends being
+// spawned. It binds s unless s is owner's already, so re-Starting a pooled
+// record keeps its engine and CPU and allocates nothing.
 func (s *Step[T]) Start(e *Engine, cpu *Resource, owner *T, step func(*T) bool) {
-	s.Bind(e, cpu, owner)
+	if s.owner != owner {
+		s.Bind(e, cpu, owner)
+	}
 	s.step = step
 	e.Schedule(0, s)
 }

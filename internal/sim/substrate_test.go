@@ -255,6 +255,19 @@ func TestHotPathAllocs(t *testing.T) {
 				})
 			}
 		}},
+		{"step restart", 0, func(e *Engine) {
+			// A pooled record re-Started per operation, as the SSD starts
+			// a command: Start binds it the first time only.
+			r := NewResource(e, 1)
+			u := &useStep{}
+			e.Go("starter", func(p *Proc) {
+				for {
+					u.left = 1
+					u.Start(e, r, u, (*useStep).use)
+					p.Sleep(20)
+				}
+			})
+		}},
 		{"spawn recycled", 0, func(e *Engine) {
 			e.Go("spawner", func(p *Proc) {
 				for {

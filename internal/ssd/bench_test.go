@@ -12,8 +12,8 @@ import (
 func BenchmarkOptaneWriteComplete(b *testing.B) { benchWriteComplete(b, OptaneConfig()) }
 
 // BenchmarkFlashWriteDestage is the same loop on the flash profile: a write
-// completes from the volatile cache (a proc per command: it may wait for
-// cache space) and is destaged by a channel behind it, which is what
+// completes from the volatile cache (it may wait for a front-end unit and
+// for cache space) and is destaged by a channel behind it, which is what
 // throttles the loop once the cache has filled.
 func BenchmarkFlashWriteDestage(b *testing.B) { benchWriteComplete(b, FlashConfig()) }
 
@@ -51,8 +51,8 @@ func benchWriteComplete(b *testing.B, cfg Config) {
 // BenchmarkFlashWriteFlush is the flash durability barrier as the target
 // drives it: a burst of eight 4-block writes, then — from the last write's
 // Done — one FLUSH that drains them, and from the FLUSH's Done the next
-// burst. One iteration is one burst plus its FLUSH (a proc per command, the
-// drain wait on the destage cond, the FlushBase sleep).
+// burst. One iteration is one burst plus its FLUSH (the inserts, the drain
+// wait on the destage cond, the FlushBase sleep).
 func BenchmarkFlashWriteFlush(b *testing.B) {
 	const burst, blocks = 8, 4
 	e := sim.New(1)

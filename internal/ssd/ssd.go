@@ -163,34 +163,19 @@ type Command struct {
 	// stage-tracing attribution; plain accounting, never read by the
 	// device itself.
 	SatWait sim.Time
-
-	dev     *SSD
-	pending int
-	epoch   uint64
 }
 
-// cmdStart, cmdAck and cmdDone are a Command seen as its engine events: the
-// start of a command that never waits on device state, the timed
-// controller-only acknowledgement (cached read, PLP FLUSH), and the
-// completion callback. A command is at most one of them at a time.
-type (
-	cmdStart Command
-	cmdAck   Command
-	cmdDone  Command
-)
-
-func (c *cmdStart) Run() { c.dev.execute(nil, (*Command)(c)) }
-
-func (c *cmdAck) Run() {
-	if c.epoch == c.dev.epoch {
-		c.dev.complete((*Command)(c))
-	}
-}
-
-func (c *cmdDone) Run() {
-	if c.epoch == c.dev.epoch {
-		c.Done((*Command)(c))
-	}
+// An op is one command inside the device, from Submit until its Done has
+// run: a sim.Step whose CPU is the flash front end, pooled on the device.
+// Its steps re-validate the power epoch after every wait. An op whose
+// segments a power cut drained never runs again and is left to the GC.
+type op struct {
+	sim.Step[op]
+	s           *SSD
+	cmd         *Command
+	epoch       uint64
+	pending     int      // segments still on the channels (read, erase, Optane write)
+	start, cost sim.Time // flash FLUSH: when it took the device, its drain cost
 }
 
 // Stats are cumulative device counters.
@@ -213,21 +198,21 @@ type segment struct {
 	rec   Rec // the block to program
 	read  bool
 	erase bool
-	cmd   *Command
+	op    *op // nil for a flash destage
 	epoch uint64
 }
 
 // SSD is one simulated device.
 type SSD struct {
-	eng     *sim.Engine
-	cfg     Config
-	cmdName string // name of the per-command procs
+	eng *sim.Engine
+	cfg Config
 
-	media map[uint64]Rec   // durable content: the current version of each block
-	older map[uint64][]Rec // KeepHistory only: the versions under it, oldest first
-	cache map[uint64]Rec   // flash volatile dirty blocks
-	dirty int
-	pmr   []byte
+	media    map[uint64]Rec   // durable content: the current version of each block
+	older    map[uint64][]Rec // KeepHistory only: the versions under it, oldest first
+	cache    map[uint64]Rec   // flash volatile dirty blocks
+	dirty    int
+	admitted int // flash blocks past the cache-space check, not yet landed
+	pmr      []byte
 
 	front       *sim.Resource
 	chans       []*sim.Server[segment] // one per parallel media unit
@@ -238,14 +223,16 @@ type SSD struct {
 	flushing    bool
 	flushCond   *sim.Cond
 
-	epoch uint64
-	dead  bool
+	free     sim.FreeList[op]
+	epoch    uint64
+	inflight int64 // ops of the current epoch
+	dead     bool
 
 	stats Stats
 }
 
-// New creates a device. Each media channel is a sim.Server (it queues,
-// programs, never blocks), so a device owns no process of its own.
+// New creates a device. Its media channels are sim.Servers and its
+// commands pooled sim.Steps, so a device owns no process.
 func New(e *sim.Engine, cfg Config) *SSD {
 	if cfg.Channels <= 0 || cfg.MaxTransferBlocks <= 0 {
 		panic("ssd: invalid config")
@@ -262,7 +249,6 @@ func New(e *sim.Engine, cfg Config) *SSD {
 	s := &SSD{
 		eng:         e,
 		cfg:         cfg,
-		cmdName:     cfg.Name + "/cmd",
 		media:       make(map[uint64]Rec),
 		cache:       make(map[uint64]Rec),
 		pmr:         make([]byte, cfg.PMRSize),
@@ -307,70 +293,71 @@ func (s *SSD) Submit(cmd *Command) {
 	if cmd.Op == OpWrite && len(cmd.Stamps) != int(cmd.Blocks) {
 		panic("ssd: write must carry one stamp per block")
 	}
-	cmd.dev, cmd.epoch = s, s.epoch
-	// A flash write (cache space, an active FLUSH) and a flash FLUSH (the
-	// drain) wait on device state and get a proc. Everything else only fans
-	// out to the channels or is acknowledged after a fixed delay, and starts
-	// as a plain event (execute gets no proc): one (at, seq) slot either way.
-	if s.cfg.Profile == Flash && (cmd.Op == OpWrite || cmd.Op == OpFlush) {
-		s.eng.Go(s.cmdName, func(p *sim.Proc) { s.execute(p, cmd) })
-	} else {
-		s.eng.Schedule(0, (*cmdStart)(cmd))
-	}
+	o := s.free.Get()
+	o.s, o.cmd, o.epoch = s, cmd, s.epoch
+	s.inflight++
+	o.Start(s.eng, s.front, o, (*op).execute)
 }
 
-func (s *SSD) execute(p *sim.Proc, cmd *Command) {
-	if cmd.epoch != s.epoch {
+// execute is an op's first step. A flash write lands in the volatile cache
+// (front end, admit, insert, land), a flash FLUSH drains it (flushMu, flush,
+// drain, cost, flushed), and every other command fans out to the channels
+// or is acknowledged after a fixed delay.
+func (o *op) execute() bool {
+	s, cmd := o.s, o.cmd
+	if o.epoch != s.epoch {
 		// Power was cut between Submit and this start event: stamping the
 		// command's segments with the new epoch would program them.
-		s.stats.AbortedCmds++
-		return
+		return o.end()
 	}
-	switch cmd.Op {
-	case OpWrite:
-		if s.cfg.Profile == Flash {
-			s.execFlashWrite(p, cmd)
-		} else {
-			s.execDirect(cmd)
-		}
-	case OpRead:
-		s.execRead(cmd)
-	case OpFlush:
-		s.execFlush(p, cmd)
-	case OpErase:
-		s.execDirect(cmd)
+	flash := s.cfg.Profile == Flash
+	switch {
+	case cmd.Op == OpWrite && flash:
+		return o.Acquire((*op).admit)
+	case cmd.Op == OpFlush && flash:
+		o.To((*op).flush)
+		return s.flushMu.Acquire(o)
+	case cmd.Op == OpFlush:
+		return o.Sleep(s.cfg.OptaneFlushLat, (*op).ack)
 	}
+	return o.fan()
 }
 
-// execFlashWrite lands blocks in the volatile cache and completes; media
-// programming happens in the background via destage segments.
-func (s *SSD) execFlashWrite(p *sim.Proc, cmd *Command) {
-	s.front.Acquire(p)
-	// Respect an active FLUSH (device-wide stall) and cache capacity.
-	for (s.flushing || s.dirty+int(cmd.Blocks) > s.cfg.CacheCap) && cmd.epoch == s.epoch {
-		if s.flushing {
-			s.flushCond.Wait(p)
-		} else {
-			s.cacheCond.Wait(p)
-		}
-	}
-	if cmd.epoch != s.epoch {
+// admit waits out an active FLUSH (a device-wide stall), then a cache
+// without room for the write beside the writes admitted before it, landed
+// or not, and then charges the insert.
+func (o *op) admit() bool {
+	s, blocks := o.s, int(o.cmd.Blocks)
+	switch {
+	case o.epoch != s.epoch:
 		s.front.Release()
-		return
+		return o.end()
+	case s.flushing:
+		return s.flushCond.Wait(o)
+	case s.dirty+s.admitted+blocks > s.cfg.CacheCap:
+		return s.cacheCond.Wait(o)
 	}
+	s.admitted += blocks
 	// One command pays full landing cost for its first block; subsequent
 	// blocks stream at a third of that (per-command overhead dominates the
 	// DRAM landing, so large writes are cheaper per byte than scattered
 	// small ones).
 	insert := s.cfg.CacheInsertLat
-	if cmd.Blocks > 1 {
-		insert += s.cfg.CacheInsertLat * sim.Time(cmd.Blocks-1) / 3
+	if blocks > 1 {
+		insert += s.cfg.CacheInsertLat * sim.Time(blocks-1) / 3
 	}
-	p.Sleep(insert)
-	if cmd.epoch != s.epoch {
+	return o.Sleep(insert, (*op).land)
+}
+
+// land puts the blocks in the cache and queues their destage segments;
+// media programming happens in the background.
+func (o *op) land() bool {
+	s, cmd := o.s, o.cmd
+	if o.epoch != s.epoch {
 		s.front.Release()
-		return
+		return o.end()
 	}
+	s.admitted -= int(cmd.Blocks)
 	for i := uint32(0); i < cmd.Blocks; i++ {
 		lba := cmd.LBA + uint64(i)
 		rec := Rec{Stamp: cmd.Stamps[i]}
@@ -385,84 +372,88 @@ func (s *SSD) execFlashWrite(p *sim.Proc, cmd *Command) {
 		s.stats.MaxDirtySeen = s.dirty
 	}
 	s.front.Release()
-	s.complete(cmd)
+	return o.complete()
 }
 
-// execDirect routes each block of an Optane write or an erase to its
-// channel. The write completes when every block is durable (PLP semantics);
-// the erase pays media time like a write, so recovery's roll-back costs what
-// it should, and each record is removed at channel completion via Discard.
-func (s *SSD) execDirect(cmd *Command) {
-	cmd.pending = int(cmd.Blocks)
+// fan routes the blocks of a read, an erase or an Optane write to their
+// channels without yielding. The write completes when every block is
+// durable (PLP); the erase pays media time like a write and removes each
+// record via Discard; the read takes cached blocks at once, and one the
+// cache serves whole pays only the controller's latency.
+func (o *op) fan() bool {
+	s, cmd := o.s, o.cmd
+	read := cmd.Op == OpRead
+	if read {
+		cmd.Out = make([]Rec, cmd.Blocks)
+	}
+	o.pending = 0
 	for i := uint32(0); i < cmd.Blocks; i++ {
-		lba := cmd.LBA + uint64(i)
-		seg := segment{lba: lba, erase: cmd.Op == OpErase, cmd: cmd, epoch: s.epoch}
-		if !seg.erase {
+		seg := segment{lba: cmd.LBA + uint64(i), read: read, erase: cmd.Op == OpErase, op: o, epoch: s.epoch}
+		if read {
+			if rec, ok := s.cache[seg.lba]; ok {
+				cmd.Out[i] = rec
+				continue
+			}
+		} else if cmd.Op == OpWrite {
 			seg.rec.Stamp = cmd.Stamps[i]
 			if cmd.Data != nil && cmd.Data[i] != nil {
 				seg.rec.Data = append([]byte(nil), cmd.Data[i]...)
 			}
 		}
-		s.chans[s.chanOf(lba)].Push(seg)
+		o.pending++
+		s.chans[s.chanOf(seg.lba)].Push(seg)
 	}
+	if o.pending > 0 || !read {
+		return false
+	}
+	return o.Sleep(2*sim.Microsecond, (*op).ack)
 }
 
-// execRead serves cached blocks at once and fetches the rest through the
-// channels. It never yields, so no segment can finish before all are queued.
-func (s *SSD) execRead(cmd *Command) {
-	cmd.Out = make([]Rec, cmd.Blocks)
-	cmd.pending = 0
-	for i := uint32(0); i < cmd.Blocks; i++ {
-		lba := cmd.LBA + uint64(i)
-		if rec, ok := s.cache[lba]; ok {
-			cmd.Out[i] = rec
-			continue
-		}
-		cmd.pending++
-		s.chans[s.chanOf(lba)].Push(segment{lba: lba, read: true, cmd: cmd, epoch: s.epoch})
+// ack is a completion that needs no media: a cached read's or a FLUSH's.
+func (o *op) ack() bool {
+	if o.epoch != o.s.epoch {
+		return o.end()
 	}
-	if cmd.pending == 0 {
-		// Cache hit: controller-only latency.
-		s.eng.Schedule(2*sim.Microsecond, (*cmdAck)(cmd))
-	}
+	return o.complete()
 }
 
-// execFlush implements the storage barrier. On flash it stalls the device,
-// waits for every dirty block to be destaged and charges the drain cost; on
-// Optane it acks almost immediately.
-func (s *SSD) execFlush(p *sim.Proc, cmd *Command) {
-	if s.cfg.Profile == Optane {
-		if s.cfg.OptaneFlushLat > 0 {
-			s.eng.Schedule(s.cfg.OptaneFlushLat, (*cmdAck)(cmd))
-		} else {
-			s.complete(cmd)
-		}
-		return
-	}
-	s.flushMu.Acquire(p)
-	if cmd.epoch != s.epoch {
+// flush, holding flushMu, stalls the device and prices the drain by the
+// dirty blocks it finds.
+func (o *op) flush() bool {
+	s := o.s
+	if o.epoch != s.epoch {
 		s.flushMu.Release()
-		return
+		return o.end()
 	}
-	start := p.Now()
+	o.start = s.eng.Now()
 	s.flushing = true
-	drainCost := s.cfg.FlushBase + s.cfg.FlushPerBlock*sim.Time(s.dirty)
-	for s.dirty > 0 && cmd.epoch == s.epoch {
-		s.destageCond.Wait(p)
-	}
-	if cmd.epoch != s.epoch {
+	o.cost = s.cfg.FlushBase + s.cfg.FlushPerBlock*sim.Time(s.dirty)
+	return o.To((*op).drain)
+}
+
+// drain waits until every dirty block is destaged, then charges the cost.
+func (o *op) drain() bool {
+	s := o.s
+	switch {
+	case o.epoch != s.epoch:
 		s.flushing = false
 		s.flushMu.Release()
-		return
+		return o.end()
+	case s.dirty > 0:
+		return s.destageCond.Wait(o)
 	}
-	p.Sleep(drainCost)
+	return o.Sleep(o.cost, (*op).flushed)
+}
+
+// flushed lifts the stall. A power cut during the cost still ends the
+// stall it began.
+func (o *op) flushed() bool {
+	s := o.s
 	s.flushing = false
 	s.flushCond.Broadcast()
-	s.stats.FlushBusy += p.Now() - start
+	s.stats.FlushBusy += s.eng.Now() - o.start
 	s.flushMu.Release()
-	if cmd.epoch == s.epoch {
-		s.complete(cmd)
-	}
+	return o.ack()
 }
 
 // segStart and segFinish are one parallel media unit, the two halves of a
@@ -490,8 +481,8 @@ func (s *SSD) segStart(seg segment) (sim.Time, bool) {
 			}
 			stall := sim.Time(float64(lat) * (f - 1))
 			s.stats.SatStall += stall
-			if seg.cmd != nil {
-				seg.cmd.SatWait += stall
+			if seg.op != nil {
+				seg.op.cmd.SatWait += stall
 			}
 			lat += stall
 		}
@@ -507,9 +498,9 @@ func (s *SSD) segFinish(seg segment) {
 	}
 	switch {
 	case seg.read:
-		seg.cmd.Out[seg.lba-seg.cmd.LBA], _ = s.Durable(seg.lba)
+		seg.op.cmd.Out[seg.lba-seg.op.cmd.LBA], _ = s.Durable(seg.lba)
 	case seg.erase:
-		s.Discard(seg.lba, seg.cmd.Owns)
+		s.Discard(seg.lba, seg.op.cmd.Owns)
 	default: // program media
 		if s.older != nil {
 			if cur, ok := s.media[seg.lba]; ok {
@@ -518,10 +509,10 @@ func (s *SSD) segFinish(seg segment) {
 		}
 		s.media[seg.lba] = seg.rec
 	}
-	if cmd := seg.cmd; cmd != nil {
+	if o := seg.op; o != nil {
 		// Read, erase, Optane direct write: done with its last block.
-		if cmd.pending--; cmd.pending == 0 {
-			s.complete(cmd)
+		if o.pending--; o.pending == 0 {
+			o.complete()
 		}
 		return
 	}
@@ -537,8 +528,10 @@ func (s *SSD) segFinish(seg segment) {
 	s.cacheCond.Broadcast()
 }
 
-// complete counts a finished command and schedules its Done.
-func (s *SSD) complete(cmd *Command) {
+// complete counts a finished command and goes on to its Done, one event
+// later.
+func (o *op) complete() bool {
+	s, cmd := o.s, o.cmd
 	switch cmd.Op {
 	case OpWrite:
 		s.stats.Writes++
@@ -548,9 +541,34 @@ func (s *SSD) complete(cmd *Command) {
 	case OpFlush:
 		s.stats.Flushes++
 	}
-	if cmd.Done != nil {
-		s.eng.Schedule(0, (*cmdDone)(cmd))
+	if cmd.Done == nil {
+		return o.end()
 	}
+	o.To((*op).done)
+	s.eng.Schedule(0, o)
+	return false
+}
+
+// done calls the command's Done, unless power was cut since Submit. The
+// record is back in the pool first: Done may Submit again.
+func (o *op) done() bool {
+	cmd, live := o.cmd, o.epoch == o.s.epoch
+	o.end()
+	if live {
+		cmd.Done(cmd)
+	}
+	return false
+}
+
+// end takes o out of the device and back to its pool.
+func (o *op) end() bool {
+	s := o.s
+	if o.epoch == s.epoch {
+		s.inflight--
+	}
+	o.cmd = nil
+	s.free.Put(o)
+	return false
 }
 
 // Visible returns the device-visible content of lba (cache over media).
@@ -629,10 +647,11 @@ func (s *SSD) PowerCut() {
 	s.dead = true
 	s.stats.LostOnCut += int64(len(s.cache))
 	s.cache = make(map[uint64]Rec)
-	s.dirty = 0
+	s.dirty, s.admitted = 0, 0
 	s.flushing = false
+	s.stats.AbortedCmds += s.inflight
+	s.inflight = 0
 	for _, ch := range s.chans {
-		s.stats.AbortedCmds += int64(ch.Len())
 		ch.Drain()
 	}
 	// Wake anything stalled on cache space or flush so epoch checks run.

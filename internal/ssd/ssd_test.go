@@ -1,7 +1,9 @@
 package ssd
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -510,9 +512,10 @@ func TestPowerCutInSubmitInstantAbortsCommand(t *testing.T) {
 }
 
 // A segment on a channel when power is cut is not in the channel's queue
-// any more: PowerCut counts and removes what still waits, and the one being
-// programmed is discarded, stale, when its media time ends — without
-// becoming durable, and giving its channel back.
+// any more: PowerCut removes what still waits, and the one being programmed
+// is discarded, stale, when its media time ends — without becoming durable,
+// and giving its channel back. Both commands were in flight, so both count
+// as aborted.
 func TestPowerCutDiscardsSegmentInServiceWhenItFinishes(t *testing.T) {
 	e := sim.New(1)
 	s := New(e, testOptane())
@@ -526,8 +529,8 @@ func TestPowerCutDiscardsSegmentInServiceWhenItFinishes(t *testing.T) {
 		atCut = s.Stats()
 	})
 	e.Run()
-	if st := s.Stats(); atCut.AbortedCmds != 1 || atCut.StaleSegs != 0 || st.AbortedCmds != 1 || st.StaleSegs != 1 {
-		t.Errorf("at the cut %+v, in the end %+v; want the queued segment aborted at the cut and the programmed one stale at its finish", atCut, st)
+	if st := s.Stats(); atCut.AbortedCmds != 2 || atCut.StaleSegs != 0 || st.AbortedCmds != 2 || st.StaleSegs != 1 {
+		t.Errorf("at the cut %+v, in the end %+v; want both commands aborted at the cut and the programmed segment stale at its finish", atCut, st)
 	}
 	if _, ok := s.Durable(0); ok || completed != 0 || len(s.DurableLBAs()) != 0 {
 		t.Errorf("durable(0)=%v completed=%d media=%v after a cut mid-program", ok, completed, s.DurableLBAs())
@@ -538,27 +541,131 @@ func TestPowerCutDiscardsSegmentInServiceWhenItFinishes(t *testing.T) {
 	e.Shutdown()
 }
 
-// Channels are sim.Servers and only a flash write or FLUSH runs as a
-// process: a device creates no coroutine, and Optane traffic and reads on
-// either profile resume none.
+// flashMix drives a flash device (FrontWidth 2, CacheCap 8) through every
+// wait a command has, on a schedule in which the cache never overfills:
+//
+//	 0 µs  writes w1 (4 blocks), w2 and w3 (2 each): w3 waits for a front unit;
+//	       an erase and a media read
+//	17 µs  w4, 1 block, with 8 dirty: waits for cache space
+//	40 µs  FLUSH f1; at 41 µs w5 waits behind it, at 42 µs FLUSH f2 queues
+//	       on flushMu; at 45 µs a read of a cached block
+//
+// With cut > 0 power fails at cut, and 5 µs later the device restarts and
+// takes a write and a FLUSH. It returns each Done in order as name@time/n,
+// n the events scheduled so far (which pins the order of same-instant
+// events), the device state at the cut, and the events and the counters at
+// the end (AbortedCmds aside).
+func flashMix(e *sim.Engine, cut sim.Time) []string {
+	cfg := testFlash()
+	cfg.CacheCap = 8
+	s := New(e, cfg)
+	var log []string
+	submit := func(at sim.Time, name string, cmd *Command) {
+		cmd.Done = func(*Command) {
+			events, _ := e.Counts()
+			log = append(log, fmt.Sprintf("%s@%v/%d", name, e.Now(), events))
+		}
+		e.At(at*sim.Microsecond, func() { s.Submit(cmd) })
+	}
+	w := func(lba uint64, blocks uint32) *Command {
+		return &Command{Op: OpWrite, LBA: lba, Blocks: blocks, Stamps: make([]uint64, blocks)}
+	}
+	submit(0, "w1", w(0, 4))
+	submit(0, "w2", w(4, 2))
+	submit(0, "w3", w(8, 2))
+	submit(0, "erase", &Command{Op: OpErase, LBA: 200, Blocks: 1, Owns: stampIs(0)})
+	submit(0, "r1", &Command{Op: OpRead, LBA: 100, Blocks: 1})
+	submit(17, "w4", w(16, 1))
+	submit(40, "f1", &Command{Op: OpFlush})
+	submit(41, "w5", w(20, 1))
+	submit(42, "f2", &Command{Op: OpFlush})
+	submit(45, "r2", &Command{Op: OpRead, LBA: 16, Blocks: 1})
+	if cut > 0 {
+		e.At(cut, func() {
+			log = append(log, fmt.Sprintf("cut@%v flushing=%v dirty=%d", e.Now(), s.flushing, s.dirty))
+			s.PowerCut()
+		})
+		e.At(cut+5*sim.Microsecond, func() {
+			s.Restart()
+			submit(0, "w6", w(300, 1))
+			submit(0, "f3", &Command{Op: OpFlush})
+		})
+	}
+	e.Run()
+	events, _ := e.Counts()
+	st := s.Stats()
+	st.AbortedCmds = 0
+	return append(log, fmt.Sprintf("events=%d %+v", events, st))
+}
+
+// TestFlashScheduleGolden pins, for flashMix and for cuts during a FLUSH's
+// drain and during an insert sleep, every Done's time, the engine's event
+// count and the counters, as recorded when flash writes and FLUSHes were
+// procs: a device command written as steps spends seq exactly as the proc
+// did.
+func TestFlashScheduleGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cut  sim.Time
+		want string
+	}{
+		{0, `w2@8.000us/34
+w1@12.000us/41
+w3@16.000us/42
+erase@25.000us/45
+w4@39.000us/49
+r2@47.000us/55
+r1@60.000us/59
+f1@351.500us/70
+w5@357.500us/73
+f2@601.500us/74
+events=74 {Writes:5 WrittenBlks:10 Reads:2 Flushes:2 FlushBusy:561.500us Destaged:10 LostOnCut:0 AbortedCmds:0 StaleSegs:0 MaxDirtySeen:8 SatStall:0ns}`},
+		{50 * sim.Microsecond, `w2@8.000us/36
+w1@12.000us/43
+w3@16.000us/44
+erase@25.000us/47
+w4@39.000us/51
+r2@47.000us/57
+cut@50.000us flushing=true dirty=5
+w6@61.000us/69
+f3@305.000us/70
+events=70 {Writes:5 WrittenBlks:10 Reads:1 Flushes:1 FlushBusy:250.000us Destaged:5 LostOnCut:5 AbortedCmds:0 StaleSegs:3 MaxDirtySeen:8 SatStall:0ns}`},
+		{3 * sim.Microsecond, `cut@3.000us flushing=false dirty=0
+w6@14.000us/39
+r2@105.000us/48
+f3@258.000us/55
+w4@264.000us/60
+w5@264.000us/61
+f1@508.000us/64
+f2@758.000us/65
+events=65 {Writes:3 WrittenBlks:3 Reads:1 Flushes:3 FlushBusy:750.000us Destaged:3 LostOnCut:0 AbortedCmds:0 StaleSegs:2 MaxDirtySeen:2 SatStall:0ns}`},
+	} {
+		e := sim.New(1)
+		log := flashMix(e, tc.cut)
+		if got := strings.Join(log, "\n"); got != tc.want {
+			t.Errorf("cut at %v:\n%s\nwant\n%s", tc.cut, got, tc.want)
+		}
+		e.Shutdown()
+	}
+}
+
+// Channels are sim.Servers and every command a sim.Step: a device creates
+// no coroutine, and no op of either profile resumes one — an Optane write,
+// FLUSH, read and erase, and flashMix's flash commands through every wait.
 func TestDeviceOwnsNoProc(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := sim.New(1)
 	done := 0
 	onDone := func(*Command) { done++ }
-	for _, cfg := range []Config{testOptane(), testFlash()} {
-		s := New(e, cfg)
-		e.At(0, func() {
-			if cfg.Profile == Optane {
-				s.Submit(&Command{Op: OpWrite, LBA: 1, Blocks: 2, Stamps: []uint64{5, 5}, Done: onDone})
-				s.Submit(&Command{Op: OpFlush, Done: onDone})
-			}
-			s.Submit(&Command{Op: OpRead, LBA: 1, Blocks: 2, Done: onDone})
-		})
-	}
-	e.Run()
-	if _, resumes := e.Counts(); done != 4 || resumes != 0 {
-		t.Errorf("completed %d of 4 commands with %d proc resumes, want 0", done, resumes)
+	s := New(e, testOptane())
+	e.At(0, func() {
+		s.Submit(&Command{Op: OpWrite, LBA: 1, Blocks: 2, Stamps: []uint64{5, 5}, Done: onDone})
+		s.Submit(&Command{Op: OpFlush, Done: onDone})
+		s.Submit(&Command{Op: OpRead, LBA: 1, Blocks: 2, Done: onDone})
+		s.Submit(&Command{Op: OpErase, LBA: 1, Blocks: 1, Owns: stampIs(5), Done: onDone})
+	})
+	log := flashMix(e, 0)
+	if _, resumes := e.Counts(); done != 4 || len(log) != 11 || resumes != 0 {
+		t.Errorf("completed %d of 4 Optane and %d of 10 flash commands with %d proc resumes, want 0", done, len(log)-1, resumes)
 	}
 	// A leak is more goroutines than at the start; fewer is an earlier test's
 	// coroutines still exiting when the baseline was read.
@@ -566,4 +673,76 @@ func TestDeviceOwnsNoProc(t *testing.T) {
 		t.Errorf("two devices + traffic left %d goroutines, started with %d", n, base)
 	}
 	e.Shutdown()
+}
+
+// Writes that other front-end units admitted during an insert sleep count
+// against the cache: two 4-block writes at once into a 4-block cache land
+// one after the other, not together (8 dirty, had the check counted landed
+// blocks alone).
+func TestFlashCacheCapHoldsAcrossInsertSleeps(t *testing.T) {
+	e := sim.New(1)
+	cfg := testFlash()
+	cfg.FrontWidth, cfg.CacheCap = 2, 4
+	s := New(e, cfg)
+	done := 0
+	write(e, s, 0, 4, 1, func(*Command) { done++ })
+	write(e, s, 4, 4, 2, func(*Command) { done++ })
+	e.Run()
+	if st := s.Stats(); done != 2 || st.MaxDirtySeen > cfg.CacheCap {
+		t.Errorf("%d of 2 writes done, %d blocks dirty at most; want both, at most %d", done, st.MaxDirtySeen, cfg.CacheCap)
+	}
+	e.Shutdown()
+}
+
+// AbortedCmds counts the commands in flight at a power cut — submitted, and
+// their Done not yet run — and nothing else: not destage segments of writes
+// already done, and not fewer for a command that is waiting at the cut.
+func TestAbortedCmdsCountsCommandsInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		cut  sim.Time
+		cmds func(e *sim.Engine, s *SSD)
+		want int64
+	}{
+		{"six flash writes done, destages queued", testFlash(), 40 * sim.Microsecond, func(e *sim.Engine, s *SSD) {
+			for i := uint64(0); i < 6; i++ {
+				write(e, s, i*uint64(s.cfg.Channels), 1, i, nil)
+			}
+		}, 0},
+		{"two 4-block Optane writes on the same channels", testOptane(), sim.Microsecond, func(e *sim.Engine, s *SSD) {
+			write(e, s, 0, 4, 1, nil)
+			write(e, s, uint64(s.cfg.Channels), 4, 2, nil)
+		}, 2},
+		{"flash write waiting for cache space", testFlash(), 14 * sim.Microsecond, func(e *sim.Engine, s *SSD) {
+			s.cfg.CacheCap = 4
+			write(e, s, 0, 4, 1, nil)
+			e.At(13*sim.Microsecond, func() { s.Submit(&Command{Op: OpWrite, LBA: 8, Blocks: 1, Stamps: []uint64{2}}) })
+		}, 1},
+		{"flash FLUSH waiting for the drain", testFlash(), 10 * sim.Microsecond, func(e *sim.Engine, s *SSD) {
+			write(e, s, 0, 1, 1, nil)
+			e.At(7*sim.Microsecond, func() { s.Submit(&Command{Op: OpFlush}) })
+		}, 1},
+		// The write aborted at the first cut ends after it, and must not
+		// be taken off the second cut's count.
+		{"a write waiting at one cut, a FLUSH at the next", testFlash(), 14 * sim.Microsecond, func(e *sim.Engine, s *SSD) {
+			s.cfg.CacheCap = 4
+			write(e, s, 0, 4, 1, nil)
+			e.At(13*sim.Microsecond, func() { s.Submit(&Command{Op: OpWrite, LBA: 8, Blocks: 1, Stamps: []uint64{2}}) })
+			e.At(15*sim.Microsecond, s.Restart)
+			e.At(16*sim.Microsecond, func() { s.Submit(&Command{Op: OpWrite, LBA: 24, Blocks: 1, Stamps: []uint64{3}}) })
+			e.At(23*sim.Microsecond, func() { s.Submit(&Command{Op: OpFlush}) })
+			e.At(30*sim.Microsecond, s.PowerCut)
+		}, 2},
+	} {
+		e := sim.New(1)
+		s := New(e, tc.cfg)
+		tc.cmds(e, s)
+		e.At(tc.cut, s.PowerCut)
+		e.Run()
+		if got := s.Stats().AbortedCmds; got != tc.want {
+			t.Errorf("%s: AbortedCmds %d, want %d", tc.name, got, tc.want)
+		}
+		e.Shutdown()
+	}
 }

@@ -19,8 +19,9 @@ import (
 // that keeps every simulated number keeps it. writeSwitchBudget is proc
 // resumes — coroutine switches, the dearest kind of event — per write
 // (measured + 5 %): the load procs alone; the fabric link and the SSD
-// channels are sim.Servers, the target's contexts and the initiator's
-// dispatchers and reapers sim.Steps, and they contribute none.
+// channels are sim.Servers, the SSD's commands, the target's contexts and
+// the initiator's dispatchers and reapers sim.Steps, and they contribute
+// none.
 const (
 	writeAllocBudget  = 4.572 * 1.05
 	writeEvents       = 22.081

@@ -837,7 +837,7 @@ func (x *tctx) cplPersist() bool {
 // by the first. The invariant that makes sharing safe: this runs no earlier
 // than each covered barrier's own FLUSH would have been submitted (after its
 // carrier's completion was processed), and a FLUSH covers every write that
-// completed before its submission (ssd.execFlush drains to dirty == 0 with
+// completed before its submission (a flash FLUSH drains to dirty == 0 with
 // landings blocked) — so it drains a superset of what each own FLUSH would.
 func (t *Target) submitBarriers(ssdIdx int) {
 	fc := &t.flushers[ssdIdx]
