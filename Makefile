@@ -62,8 +62,9 @@ bench-sim:
 # write→complete, flash write→destage and flash write burst→FLUSH (each
 # command one pooled sim.Step record, 0 allocations per op), the
 # ordering domain's gate/park/retire, sequencer submit→complete, volume
-# extents into scratch, and the whole stack per ordered write (host ns,
-# allocations, engine events and proc resumes per write). CI smokes them at
+# extents into scratch, and the whole stack per ordered write, unreplicated
+# and on a 3-way set over fan-out and over the relay (host ns, allocations,
+# engine events and proc resumes per write). CI smokes them at
 # BENCHTIME=100x.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack
@@ -138,11 +139,15 @@ sim-diff:
 # surviving traffic: about 1 in 5 of them lost a completed, undelivered write
 # while ROADMAP finding 1(g) was open. Then 200 relay head cuts: three of
 # them (plans 479, 551, 619) lost a follower's ack with the head while
-# finding 1(k) was open.
+# finding 1(k) was open. Then 60 relay member cuts: every plan runs with
+# recycled records poisoned, and degrade, re-ask and resync are where a
+# pooled capsule, completion message or relay ack is likeliest to be read
+# after its recycle.
 crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 1 -n 24
 	$(GO) run ./cmd/riocrash -seed 1 -n 40 -set cut=target -set final=false
 	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
+	$(GO) run ./cmd/riocrash -seed 1 -n 60 -set relay=true -set cut=member
 
 # Native fuzzing of the two pure-logic targets for FUZZTIME each, from their
 # committed seeds: the in-order gate under arbitrary arrival schedules, and

@@ -124,7 +124,9 @@ type ctrlReq struct {
 // copy of a batch (buildMemberCapsule): member names the target it is
 // addressed to, and that member's SQEs and attribute chains are the
 // commands' memberChain records — each member of a set runs its own dense
-// ServerIdx chain.
+// ServerIdx chain. Capsules recycle through the cluster's pool
+// (getCapsule/putCapsule) with the cmds, ctrl, forward and reask buffers
+// they own.
 type capsule struct {
 	cmds    []*wireState
 	ctrl    []*ctrlReq
@@ -132,21 +134,23 @@ type capsule struct {
 	retire1 [1]retire // storage for the one watermark a command capsule piggybacks
 	inline  int       // in-capsule payload bytes of cmds
 	epoch   int
-	member  int // destination member of a command capsule
+	member  int  // destination member of a command capsule
+	free    bool // in the pool (or, poisoned, dead for good)
 
 	// Relay route (ReplRelay): the capsule posted to the set's head carries
 	// the followers' member capsules, ready-built, in forward; the head
 	// sends each on over its target-to-target conn. relayed marks such a
 	// forwarded copy (the receiving follower acks the head instead of the
-	// initiator). reask, when non-nil, makes the capsule a head-cut re-ask
+	// initiator). A non-empty reask makes the capsule a head-cut re-ask
 	// (relay.go): the ids of cmds, as they were when the initiator asked.
+	// Both are told by length, never by nil-ness: a recycled capsule keeps
+	// their storage.
 	forward []*capsule
 	relayed bool
 	reask   []uint64
 
 	// Fabric transit stamps (stage tracing): filled by the fabric at
-	// delivery, read by the target's receive loop. Capsules are built per
-	// post, so the stamps never alias across sends.
+	// delivery, read by the target's receive loop; zero again in the pool.
 	sentAt, deliveredAt sim.Time
 }
 
@@ -171,15 +175,20 @@ func (cp *capsule) wireSize() int {
 // is implied by the connection. from is the responding target server —
 // under replication the quorum accounting needs to know WHICH member of
 // the set acked.
+//
+// Messages recycle through the cluster's pool (getMsg/putMsg): a lane
+// swaps its coalescing buffers with the message it ships, so the buffers
+// circulate between lanes and messages.
 type completionMsg struct {
 	cqes     []nvmeof.CQE
 	ctrlAcks []*ctrlReq
 	qp       int
 	epoch    int
 	from     int
+	free     bool // in the pool (or, poisoned, dead for good)
 
 	// respondAt is the per-CQE instant the completion entered the
-	// coalescing buffer (parallel to cqes; nil when tracing is off), and
+	// coalescing buffer (parallel to cqes; empty when tracing is off), and
 	// sentAt/deliveredAt are the fabric transit stamps — together they
 	// attribute the reverse path: coalesce hold, wire, reap.
 	respondAt           []sim.Time
@@ -197,6 +206,77 @@ type completionMsg struct {
 // FabricDelivered implements fabric.TracedPayload.
 func (cm *completionMsg) FabricDelivered(sent, delivered sim.Time) {
 	cm.sentAt, cm.deliveredAt = sent, delivered
+}
+
+// The records that cross the initiator↔target boundary — capsules,
+// completion messages, relay acks — have one pool each on the Cluster. A
+// record goes back where its last reader lets go of it (DESIGN.md §1),
+// scrubbed: it comes out zero but for the capacity of the buffers it owns
+// (their pointers cleared), transit stamps included. One that a fault
+// strands (a link drops it, a queue is drained) is left to the garbage
+// collector.
+
+// getCapsule checks a capsule out of the pool.
+func (c *Cluster) getCapsule(epoch, member int) *capsule {
+	cp := c.capFree.Get()
+	cp.free, cp.epoch, cp.member = false, epoch, member
+	return cp
+}
+
+// putCapsule recycles a capsule.
+func (c *Cluster) putCapsule(cp *capsule) {
+	if cp.free {
+		panic("stack: capsule recycled twice")
+	}
+	clear(cp.cmds)
+	clear(cp.ctrl)
+	clear(cp.forward)
+	*cp = capsule{cmds: cp.cmds[:0], ctrl: cp.ctrl[:0], forward: cp.forward[:0], reask: cp.reask[:0], free: true}
+	if !c.poison {
+		c.capFree.Put(cp)
+	}
+}
+
+// getMsg checks a completion message out of the pool.
+func (c *Cluster) getMsg(qp, epoch, from int) *completionMsg {
+	cm := c.msgFree.Get()
+	cm.free, cm.qp, cm.epoch, cm.from = false, qp, epoch, from
+	return cm
+}
+
+// putMsg recycles a completion message.
+func (c *Cluster) putMsg(cm *completionMsg) {
+	if cm.free {
+		panic("stack: completion message recycled twice")
+	}
+	clear(cm.ctrlAcks)
+	clear(cm.agg)
+	*cm = completionMsg{
+		cqes: cm.cqes[:0], ctrlAcks: cm.ctrlAcks[:0], respondAt: cm.respondAt[:0],
+		agg: cm.agg[:0], resolved: cm.resolved[:0], free: true,
+	}
+	if !c.poison {
+		c.msgFree.Put(cm)
+	}
+}
+
+// putAck recycles a relay ack (relayAcked fills one from ackFree in place).
+func (c *Cluster) putAck(a *relayAckMsg) {
+	if a.free {
+		panic("stack: relay ack recycled twice")
+	}
+	*a = relayAckMsg{free: true}
+	if !c.poison {
+		c.ackFree.Put(a)
+	}
+}
+
+// mustBeLive is every consumer entry point's check on a boundary record it
+// is handed.
+func mustBeLive(free bool, what string) {
+	if free {
+		panic("stack: a recycled " + what + " reached a consumer")
+	}
 }
 
 // horaeStage buffers a group's control entries and data requests until the
@@ -285,6 +365,11 @@ type Cluster struct {
 	// tracer is the stage-tracing collector (nil when Config.Trace is the
 	// zero value — the data plane then carries only nil checks).
 	tracer *trace.Tracer
+
+	// Pools of the records that cross the initiator↔target boundary.
+	capFree sim.FreeList[capsule]
+	msgFree sim.FreeList[completionMsg]
+	ackFree sim.FreeList[relayAckMsg]
 
 	poison bool // test hook: see PoisonRecycled
 }

@@ -13,10 +13,12 @@ import (
 // (internal/crash, whose own test runs the unpinned seeds and holds them to
 // coverage floors). What is left here is the schedules earlier PRs committed
 // by name: each family is the harness under the pins that defined its driver,
-// and each schedule one `riocrash -seed N -set …` line.
+// and each schedule one `riocrash -seed N -set …` line. A plan runs on an
+// engine of its own, so the schedules of a family run in parallel.
 
 func pinned(t *testing.T, name string, seed int64, pins string) {
 	t.Run(name, func(t *testing.T) {
+		t.Parallel()
 		pl, err := crash.Draw(seed, strings.Fields(pins)...)
 		if err != nil {
 			t.Fatal(err)

@@ -215,10 +215,12 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 			continue
 		}
 		in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(list))+in.costs.PostMsg)
+		cp := in.c.getCapsule(in.epoch, ti)
+		cp.ctrl = append(cp.ctrl, list...)
 		in.targets[ti].conns[in.id].Send(fabric.Initiator, fabric.Message{
 			QP:      in.qpFor(req.Stream),
 			Size:    nvmeof.CapsuleSize(32 * len(list)),
-			Payload: &capsule{ctrl: list, epoch: in.epoch},
+			Payload: cp,
 		})
 		in.stats.WireMessages++
 		acks = append(acks, list...)
@@ -334,13 +336,15 @@ type dispatcher struct {
 	batch []*blockdev.Request
 	wires []*wireState
 
-	// Posting: per-set lists still to post (the lists leave with the
-	// capsules; the table stays), the set reached, and that set's commands
-	// that go direct after its relay capsule; the route's commands, members
-	// (posted from k on) and QP; the capsule in progress, its target and TX
-	// pass; a replay set still to post; re-asks still to post.
+	// Posting: per-set lists still to post, the set reached, and that set's
+	// relayable commands and those that go direct after its relay capsule
+	// (all of them buffers the record reuses: a capsule copies its
+	// commands); the route's commands, members (posted from k on) and QP;
+	// the capsule in progress, its target and TX pass; a replay set still to
+	// post; re-asks still to post.
 	bySet     [][]*wireState
 	set       int
+	relayable []*wireState
 	direct    []*wireState
 	cmds      []*wireState
 	members   []int
@@ -719,26 +723,29 @@ func (d *dispatcher) post() bool {
 // them: flushes (a durability barrier certifies members individually),
 // batches assigned under a degraded snapshot and orderless writes (no chain
 // index for a head-cut re-ask to tell "completed" from "never arrived" by).
+//
+// A list handed to route stays in its buffer until route's capsules are
+// built; the buffer is truncated now and refilled only after that.
 func (d *dispatcher) nextSet() bool {
 	cmds := d.direct
-	for d.direct = nil; len(cmds) == 0; {
+	for d.direct = d.direct[:0]; len(cmds) == 0; {
 		if d.set++; d.set >= len(d.bySet) {
 			return d.end()
 		}
-		cmds, d.bySet[d.set] = d.bySet[d.set], nil
+		cmds, d.bySet[d.set] = d.bySet[d.set], d.bySet[d.set][:0]
 		if rs := d.in.c.replSets[d.set]; len(cmds) > 0 && d.in.c.relayActive(rs) {
-			relayable := make([]*wireState, 0, len(cmds))
+			d.relayable = d.relayable[:0]
 			for _, ws := range cmds {
 				if !ws.wc.Flush && ws.wc.Ordered && len(ws.q.Members) == len(rs.members) {
-					relayable = append(relayable, ws)
+					d.relayable = append(d.relayable, ws)
 				} else {
 					d.direct = append(d.direct, ws)
 				}
 			}
-			if len(relayable) > 0 {
-				return d.route(relayable, relayable[0].q.Members, 0, routeRelay)
+			if len(d.relayable) > 0 {
+				return d.route(d.relayable, d.relayable[0].q.Members, 0, routeRelay)
 			}
-			cmds, d.direct = d.direct, nil
+			cmds, d.direct = d.direct, d.direct[:0]
 		}
 	}
 	return d.route(cmds, cmds[0].q.Members, 0, routeDirect)
@@ -769,7 +776,6 @@ func (d *dispatcher) route(cmds []*wireState, members []int, k int, rt route) bo
 		return d.To((*dispatcher).member)
 	}
 	d.cp, d.to, d.members = in.buildMemberCapsule(cmds, 0, members[0], stream), members[0], nil
-	d.cp.forward = make([]*capsule, 0, len(members)-1)
 	for k = 1; k < len(members); k++ {
 		fcp := in.buildMemberCapsule(cmds, k, members[k], stream)
 		fcp.relayed = true
@@ -790,16 +796,19 @@ func (d *dispatcher) member() bool {
 }
 
 // send rings one doorbell toward target d.to once PostMsg is paid: the
-// capsule goes out through postCapsule and counts as initiator egress.
+// capsule goes out through postCapsule and counts as initiator egress. The
+// capsule is the target's from here on (its delivery is a later event, so
+// this step may still read it).
 func (d *dispatcher) send() bool {
-	in := d.in
-	if !in.c.postCapsule(d.Waiter(), &d.tx, in.targets[d.to].conns[in.id], d.qp, d.cp) {
+	in, cp := d.in, d.cp
+	if !in.c.postCapsule(d.Waiter(), &d.tx, in.targets[d.to].conns[in.id], d.qp, cp) {
 		return false
 	}
+	d.cp = nil
 	in.stats.WireMessages++
 	in.stats.TxMsgs++
-	in.stats.TxBytes += int64(d.cp.wireSize())
-	in.stats.Batch.Ring(len(d.cp.cmds))
+	in.stats.TxBytes += int64(cp.wireSize())
+	in.stats.Batch.Ring(len(cp.cmds))
 	return d.To((*dispatcher).member)
 }
 
@@ -829,7 +838,8 @@ func (c *Cluster) postCapsule(w sim.Runner, tw *fabric.TxWait, conn *fabric.Conn
 // response capsules of the shard's QP affinity set, checks their geometry,
 // fans fragments back to requests and runs the mode's delivery protocol.
 // Reaping and submitting shards coincide under stream affinity, so what a
-// capsule releases returns to local pools.
+// capsule releases returns to local pools. The reaper is a completion
+// message's last reader: handle recycles it, and take recycles one it drops.
 type reaper struct {
 	sim.Step[reaper]
 	in  *Initiator
@@ -842,11 +852,13 @@ func (r *reaper) take() bool {
 	if !ok {
 		return false
 	}
+	mustBeLive(msg.free, "completion message")
 	// A capsule of a dead epoch is dropped WHOLE, before any per-entry
 	// side effect: its CQEs reference wireStates (and retire watermarks) of
 	// the previous incarnation, and a coalesced capsule that straddled a
 	// power cut must not deliver a partial batch.
 	if msg.epoch != r.in.epoch {
+		r.in.c.putMsg(msg)
 		return true
 	}
 	// Mirror the target's submission-vector check on the reverse path: a
@@ -905,6 +917,7 @@ func (r *reaper) handle() bool {
 		}
 		in.memberAck(ws, res.member)
 	}
+	in.c.putMsg(msg)
 	return r.To((*reaper).take)
 }
 

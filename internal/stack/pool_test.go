@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -200,7 +201,8 @@ func TestPoolingAcrossCrashRecovery(t *testing.T) {
 // TestPoisonCatchesCompletionEventReuse: the recycle hook the crash-fuzz
 // drivers run under must catch what it is there for — a completion event
 // recycled twice, and an SSD completion arriving for the command embedded
-// in an event that was already recycled.
+// in an event that was already recycled; likewise a boundary record
+// recycled twice or handed to a consumer after its recycle.
 func TestPoisonCatchesCompletionEventReuse(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -221,5 +223,155 @@ func TestPoisonCatchesCompletionEventReuse(t *testing.T) {
 	if got := tgt.getDone(); got == d {
 		t.Error("poisoned event was reissued")
 	}
+
+	cp, msg, ack := c.getCapsule(0, 0), c.getMsg(0, 0, 0), c.ackFree.Get()
+	c.putCapsule(cp)
+	c.putMsg(msg)
+	c.putAck(ack)
+	mustPanic("second capsule recycle", func() { c.putCapsule(cp) })
+	mustPanic("second message recycle", func() { c.putMsg(msg) })
+	mustPanic("second relay ack recycle", func() { c.putAck(ack) })
+	mustPanic("a recycled capsule received", func() { tgt.recvCapsule(0, 0, cp) })
+	if c.getCapsule(0, 0) == cp || c.getMsg(0, 0, 0) == msg || c.ackFree.Get() == ack {
+		t.Error("a poisoned boundary record was reissued")
+	}
 	eng.Shutdown()
+}
+
+// runPoisoned runs fn — the engine of a poisoned cluster — and fails the
+// test with the panic a misused boundary record raises. The engine is left
+// as the panic left it.
+func runPoisoned(t *testing.T, fn func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panic: %v", r)
+		}
+	}()
+	fn()
+}
+
+// TestBoundaryRecordsRecycleOnce: capsules, completion messages and relay
+// acks are recycled by their last reader, exactly once, and never read
+// after. Each case runs poisoned (a recycled record is scrubbed and never
+// reissued; a second recycle, or a consumer handed a recycled record,
+// panics) through a schedule that strands or drops records mid-flight:
+//
+//   - a head cut mid-batch on a 3-way relay set (forwarded capsules and
+//     relay acks in flight, re-asks, resync);
+//   - a target cut while capsules sit in its receive queues (drained, then
+//     replayed after recovery);
+//   - Horae control acks in flight, whose control list the ack takes from
+//     its capsule: the scrub clears a recycled capsule's list, so an ack
+//     still sharing it would fire nothing.
+func TestBoundaryRecordsRecycleOnce(t *testing.T) {
+	delivered := func(t *testing.T, reqs []*blockdev.Request) {
+		t.Helper()
+		for i, r := range reqs {
+			if !r.Done.Fired() {
+				t.Fatalf("request %d of %d never delivered", i, len(reqs))
+			}
+		}
+	}
+
+	t.Run("relay head cut mid-batch", func(t *testing.T) {
+		eng := sim.New(24)
+		c := New(eng, relayConfig(3))
+		c.PoisonRecycled()
+		reqs := headCutTraffic(eng, c, 60, true)
+		var relayed int64
+		eng.At(60*sim.Microsecond, func() {
+			relayed = c.Target(0).Stats().Relays
+			c.PowerCutTarget(0)
+		})
+		runPoisoned(t, func() {
+			eng.Run()
+			eng.Go("resync", func(p *sim.Proc) { c.RecoverTarget(p, 0) })
+			eng.Run()
+		})
+		if relayed == 0 {
+			t.Fatal("nothing relayed before the head cut: the schedule exercises no forwarded capsule")
+		}
+		delivered(t, *reqs)
+		mediaIdentical(t, c)
+		eng.Shutdown()
+	})
+
+	t.Run("target cut with capsules queued", func(t *testing.T) {
+		eng := sim.New(5)
+		cfg := smallConfig(ModeRio, OptaneTarget(), OptaneTarget())
+		cfg.TargetCores = 1
+		c := New(eng, cfg)
+		c.PoisonRecycled()
+		var reqs []*blockdev.Request
+		for s := 0; s < cfg.Streams; s++ {
+			eng.Go("app", func(p *sim.Proc) {
+				for g := 0; g < 40; g++ {
+					reqs = append(reqs, c.Init(0).OrderedWrite(p, s, uint64(s*100000+g), 1, 0, nil, true, false, false))
+					p.Sleep(sim.Microsecond)
+				}
+			})
+		}
+		queued := func() int {
+			n := 0
+			for k := range c.targets[1].lanes {
+				n += c.targets[1].lanes[k].rxQ.Len()
+			}
+			return n
+		}
+		atCut, cutAt := 0, sim.Time(0)
+		runPoisoned(t, func() {
+			for atCut == 0 && eng.Now() < 100*sim.Microsecond {
+				eng.RunFor(50)
+				atCut = queued()
+			}
+			cutAt = eng.Now()
+			c.PowerCutTarget(1)
+			eng.Run()
+			eng.Go("recover", func(p *sim.Proc) { c.RecoverTarget(p, 1) })
+			eng.Run()
+		})
+		if atCut == 0 {
+			t.Fatal("no capsule queued at the target before the cut")
+		}
+		t.Logf("%d capsules queued at the cut at %v, %d requests", atCut, cutAt, len(reqs))
+		delivered(t, reqs)
+		if err := c.Audit().Err(); err != nil {
+			t.Fatal(err)
+		}
+		eng.Shutdown()
+	})
+
+	t.Run("horae control acks in flight", func(t *testing.T) {
+		eng := sim.New(7)
+		c := New(eng, smallConfig(ModeHorae, OptaneTarget(), OptaneTarget()))
+		c.PoisonRecycled()
+		acks := 0
+		for _, tgt := range c.targets {
+			tgt.conns[0].SetHandler(fabric.Initiator, func(m fabric.Message) {
+				cm := m.Payload.(*completionMsg)
+				acks += len(cm.ctrlAcks)
+				c.inits[0].reapShard(cm.qp).cplQ.Push(cm)
+			})
+		}
+		var reqs []*blockdev.Request
+		for s := 0; s < 4; s++ {
+			eng.Go("app", func(p *sim.Proc) {
+				var r *blockdev.Request
+				for g := 0; g < 40; g++ {
+					// Groups of four: the boundary write runs the control path.
+					r = c.Init(0).OrderedWrite(p, s, uint64(s*100000+g*3), 1, 0, nil, g%4 == 3, false, false)
+					reqs = append(reqs, r)
+				}
+				c.Init(0).Wait(p, r)
+			})
+		}
+		runPoisoned(t, eng.Run)
+		if acks == 0 {
+			t.Fatal("no control ack crossed the fabric")
+		}
+		t.Logf("%d control acks, %d requests", acks, len(reqs))
+		delivered(t, reqs)
+		eng.Shutdown()
+	})
 }

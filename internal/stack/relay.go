@@ -103,6 +103,7 @@ type relayAckMsg struct {
 	id     uint64
 	member int
 	epoch  int
+	free   bool // in the cluster's pool (or, poisoned, dead for good)
 }
 
 // relayRoute is the follower-side record that a relayed command is in
@@ -202,9 +203,10 @@ func (c *Cluster) buildRelayConns() {
 			follower := c.targets[rs.members[k]]
 			conn := fabric.NewConn(c.Eng, c.cfg.Fabric)
 			// The relay conn carries every initiator's forwarded capsules;
-			// the owner is read off the commands.
+			// the owner is read off the commands (a forwarded capsule always
+			// carries some; a recycled one has none, so the read panics).
 			conn.SetHandler(fabric.Target, func(m fabric.Message) {
-				if cp, ok := m.Payload.(*capsule); ok && len(cp.cmds) > 0 {
+				if cp, ok := m.Payload.(*capsule); ok {
 					follower.recvCapsule(cp.cmds[0].init, m.QP, cp)
 				}
 			})
@@ -308,10 +310,9 @@ func (x *tctx) relayAcked() bool {
 	x.ws, x.conn = nil, nil
 	t.stats.RelayAcks++
 	if t.alive {
-		conn.Send(fabric.Target, fabric.Message{
-			QP: rp.qp, Size: nvmeof.ResponseSize,
-			Payload: &relayAckMsg{init: ws.init, qp: rp.qp, id: ws.id, member: t.id, epoch: rp.epoch},
-		})
+		ack := t.c.ackFree.Get()
+		*ack = relayAckMsg{init: ws.init, qp: rp.qp, id: ws.id, member: t.id, epoch: rp.epoch}
+		conn.Send(fabric.Target, fabric.Message{QP: rp.qp, Size: nvmeof.ResponseSize, Payload: ack})
 	}
 	return x.Back()
 }
@@ -320,14 +321,17 @@ func (x *tctx) relayAcked() bool {
 // each ack costs receive CPU (the reap work moved off the initiator) and
 // feeds the command's quorum record; acks for commands whose record is
 // gone — all members acked, or a degrade flushed it — pass through as
-// resolution records.
+// resolution records. The context is an ack's last reader: it recycles the
+// ack once it has read it, or as it drops a stale one.
 func (x *tctx) ackPop() bool {
 	ack, ok := x.t.relay.ackQ.Take(x)
 	if !ok {
 		return false
 	}
+	mustBeLive(ack.free, "relay ack")
 	t := x.t
 	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
+		t.c.putAck(ack)
 		return true
 	}
 	x.ack = ack
@@ -335,7 +339,8 @@ func (x *tctx) ackPop() bool {
 }
 
 func (x *tctx) ackRecv() bool {
-	t, ack := x.t, x.ack
+	t, ack := x.t, *x.ack
+	t.c.putAck(x.ack)
 	x.ack = nil
 	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
 		return x.To((*tctx).ackPop)
@@ -490,7 +495,7 @@ func (in *Initiator) reaskAfterHeadCut(rs *replicaSet, head int) {
 			}
 			cp := asks[k*qps+ws.qp]
 			if cp == nil {
-				cp = &capsule{epoch: in.epoch, member: m}
+				cp = in.c.getCapsule(in.epoch, m)
 				asks[k*qps+ws.qp] = cp
 				n++
 			}

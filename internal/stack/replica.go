@@ -229,9 +229,11 @@ func (in *Initiator) fanFlush(ws *wireState) {
 // member's piggybacked retire watermark as of now. One (command, member)
 // pair is in at most one live vectored capsule at a time — target replay
 // re-posts only after the link that carried the previous copy dropped it
-// whole — so marking the record in place is safe.
+// whole — so marking the record in place is safe. The capsule holds its own
+// copy of the command list.
 func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int) *capsule {
-	cp := &capsule{cmds: cmds, epoch: in.epoch, member: member}
+	cp := in.c.getCapsule(in.epoch, member)
+	cp.cmds = append(cp.cmds, cmds...)
 	for i, ws := range cmds {
 		ws.chain[k].sqe.MarkVector(i, len(cmds))
 		if !ws.wc.Flush {

@@ -262,12 +262,13 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 // re-ask gets its first answer here too: a command that finished must not
 // wait behind the lane's backlog for its second ack.
 func (t *Target) recvCapsule(init, qp int, cp *capsule) {
+	mustBeLive(cp.free, "capsule")
 	l := t.lane(init, qp)
 	if t.alive && cp.epoch == t.initEpoch(init) {
 		for _, r := range cp.retires {
 			t.retireUpTo(init, r.stream, r.upTo)
 		}
-		if cp.reask != nil && t.answerReask(l, cp) {
+		if len(cp.reask) > 0 && t.answerReask(l, cp) {
 			t.routeFlush(l)
 		}
 	}
@@ -391,15 +392,22 @@ func (t *Target) getSlots(n int) []uint64 {
 // of one (initiator, QP). It consumes capsules (two-sided SENDs cost target
 // CPU — the asymmetry Lesson 3 is about), fetches non-inline data with
 // one-sided READs, and routes commands through the policy-specific
-// submission path.
+// submission path. The context is a capsule's last reader: every path
+// through it ends here, where the capsule goes back to the pool, and so
+// does a capsule it drops as stale.
 func (x *tctx) rxPop() bool {
-	x.cp = nil
+	t := x.t
+	if x.cp != nil {
+		t.c.putCapsule(x.cp)
+		x.cp = nil
+	}
 	cp, ok := x.l.rxQ.Take(x)
 	if !ok {
 		return false
 	}
-	t := x.t
+	mustBeLive(cp.free, "capsule")
 	if cp.epoch != t.initEpoch(x.l.init) || !t.alive {
+		t.c.putCapsule(cp)
 		return true
 	}
 	x.cp = cp
@@ -408,7 +416,7 @@ func (x *tctx) rxPop() bool {
 }
 
 func (x *tctx) rxRecv() bool {
-	if x.cp.forward != nil {
+	if len(x.cp.forward) > 0 {
 		// Relay route: this is a head capsule — forward the followers'
 		// capsules over the relay conns before processing the head's own
 		// slice.
@@ -443,13 +451,15 @@ func (x *tctx) rxCtrlAppend() bool {
 	return x.Charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck)
 }
 
+// rxCtrlAck acks the control entries: the ack takes the capsule's ctrl
+// list (and leaves it the message's empty one), so the capsule can be
+// recycled while the ack is in flight.
 func (x *tctx) rxCtrlAck() bool {
 	t, cp, qp := x.t, x.cp, x.l.qp
 	t.stats.Responses++
-	t.conns[x.l.init].Send(fabric.Target, fabric.Message{
-		QP: qp, Size: nvmeof.ResponseSize,
-		Payload: &completionMsg{ctrlAcks: cp.ctrl, qp: qp, epoch: cp.epoch, from: t.id},
-	})
+	msg := t.c.getMsg(qp, cp.epoch, t.id)
+	msg.ctrlAcks, cp.ctrl = cp.ctrl, msg.ctrlAcks
+	t.conns[x.l.init].Send(fabric.Target, fabric.Message{QP: qp, Size: nvmeof.ResponseSize, Payload: msg})
 	return x.To((*tctx).rxReask)
 }
 
@@ -457,7 +467,7 @@ func (x *tctx) rxReask() bool {
 	// Head-cut re-ask, second answer: everything that arrived before it
 	// has been taken, so what is still not held never arrived and goes on
 	// below as this member's copy.
-	if x.cp.reask != nil && x.t.answerReask(x.l, x.cp) {
+	if len(x.cp.reask) > 0 && x.t.answerReask(x.l, x.cp) {
 		return x.flushOrArm(x.l, (*tctx).rxCheck)
 	}
 	return x.To((*tctx).rxCheck)
@@ -477,12 +487,12 @@ func (x *tctx) rxCheck() bool {
 			panic(fmt.Sprintf("stack: vectored batch misrouted: entry %d for set %d member %d arrived at target %d",
 				i, ws.target, cp.member, t.id))
 		}
-		if pos, n := ws.chain[k].sqe.VectorPos(); cp.reask == nil && (pos != i || n != len(cp.cmds)) {
+		if pos, n := ws.chain[k].sqe.VectorPos(); len(cp.reask) == 0 && (pos != i || n != len(cp.cmds)) {
 			panic(fmt.Sprintf("stack: torn vectored batch at target %d: entry %d carries pos %d/%d of %d",
 				t.id, i, pos, n, len(cp.cmds)))
 		}
 	}
-	if len(cp.cmds) > 0 && cp.reask == nil {
+	if len(cp.cmds) > 0 && len(cp.reask) == 0 {
 		t.stats.Vectors++
 	}
 	// Fetch any non-inline payload in one shot (one-sided READ: no
@@ -536,7 +546,7 @@ func (x *tctx) rxSubmit() bool {
 		t.relay.pend[aggKey{ws.init, ws.id}] = relayRoute{qp: x.l.qp, epoch: cp.epoch}
 	} else {
 		markWire(ws, trace.MSent, cp.sentAt)
-		if cp.forward != nil {
+		if len(cp.forward) > 0 {
 			markWire(ws, trace.MRelayed, cp.deliveredAt)
 		}
 		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
@@ -1094,34 +1104,38 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 		return x.To(ret)
 	}
 	// Detach before charging CPU: the charge waits, and the other
-	// completion context may append (or flush) meanwhile.
-	x.out = completionMsg{cqes: l.cqes, qp: l.qp, epoch: l.epoch, from: t.id, respondAt: l.cqeT, agg: l.agg, resolved: l.resolved}
-	l.cqes, l.cqeT, l.agg, l.resolved = nil, nil, nil, nil
-	if len(x.out.cqes) == 0 {
+	// completion context may append (or flush) meanwhile. The lane swaps
+	// its buffers with the message's empty ones.
+	msg := t.c.getMsg(l.qp, l.epoch, t.id)
+	msg.cqes, l.cqes = l.cqes, msg.cqes
+	msg.respondAt, l.cqeT = l.cqeT, msg.respondAt
+	msg.agg, l.agg = l.agg, msg.agg
+	msg.resolved, l.resolved = l.resolved, msg.resolved
+	if len(msg.cqes) == 0 {
 		// Resolution-only capsule: no buffered CQE minted the epoch, so
 		// stamp the initiator's current one.
-		x.out.epoch = t.initEpoch(l.init)
+		msg.epoch = t.initEpoch(l.init)
 	}
-	nvmeof.EncodeCQEVector(x.out.cqes)
+	nvmeof.EncodeCQEVector(msg.cqes)
 	x.outSize = nvmeof.ResponseSize
-	if n := len(x.out.cqes); n > 1 {
+	if n := len(msg.cqes); n > 1 {
 		x.outSize = nvmeof.CQEVectorCapsuleSize(n)
 	}
-	x.outSize += len(x.out.resolved) * nvmeof.ResponseSize
-	x.outLane, x.Ret = l, ret
+	x.outSize += len(msg.resolved) * nvmeof.ResponseSize
+	x.out, x.outLane, x.Ret = msg, l, ret
 	return x.Charge(t.c.costs.PostMsg, (*tctx).cqesPosted)
 }
 
 func (x *tctx) cqesPosted() bool {
-	t, l := x.t, x.outLane
-	if t.alive { // else power cut while posting: the capsule dies with the NIC
-		msg := new(completionMsg)
-		*msg = x.out
-		t.stats.Responses++
-		t.stats.CQEs += int64(len(msg.cqes))
-		t.conns[l.init].Send(fabric.Target, fabric.Message{QP: l.qp, Size: x.outSize, Payload: msg})
+	t, l, msg := x.t, x.outLane, x.out
+	x.out, x.outLane = nil, nil
+	if !t.alive { // power cut while posting: the capsule dies with the NIC
+		t.c.putMsg(msg)
+		return x.Back()
 	}
-	x.out, x.outLane = completionMsg{}, nil
+	t.stats.Responses++
+	t.stats.CQEs += int64(len(msg.cqes))
+	t.conns[l.init].Send(fabric.Target, fabric.Message{QP: l.qp, Size: x.outSize, Payload: msg})
 	return x.Back()
 }
 

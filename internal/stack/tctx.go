@@ -51,7 +51,7 @@ type tctx struct {
 
 	// flushCQEs: the response capsule detached from its lane while PostMsg
 	// is charged. relayRespond: the follower ack being posted to the head.
-	out     completionMsg
+	out     *completionMsg
 	outLane *qpLane
 	outSize int
 	route   relayRoute
