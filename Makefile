@@ -49,9 +49,10 @@ loc:
 bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
 
-# Host-clock microbenchmarks of the simulation substrate (event heap, proc
-# switch, queues, servers, resources charged by a proc, by a `sim.Step` and
-# by a `sim.Step` a proc Calls — BenchmarkResourceUseCall —, proc spawn). CI
+# Host-clock microbenchmarks of the simulation substrate (event heap, the
+# zero-delay lane beside it — BenchmarkZeroDelayHandoff —, proc switch,
+# queues, servers, resources charged by a proc, by a `sim.Step` and by a
+# `sim.Step` a proc Calls — BenchmarkResourceUseCall —, proc spawn). CI
 # smokes them at BENCHTIME=100x.
 BENCHTIME ?= 1s
 bench-sim:
@@ -61,7 +62,8 @@ bench-sim:
 # send→deliver (paced, and under TxDepth backpressure), ssd Optane
 # write→complete, flash write→destage and flash write burst→FLUSH (each
 # command one pooled sim.Step record, 0 allocations per op), the
-# ordering domain's gate/park/retire, sequencer submit→complete, volume
+# ordering domain's gate/park/retire, sequencer submit→complete, a PMR log
+# entry's append→persist→retire and a whole-region ScanRegion, volume
 # extents into scratch, and the whole stack per ordered write, unreplicated
 # and on a 3-way set over fan-out and over the relay (host ns, allocations,
 # engine events and proc resumes per write). CI smokes them at
@@ -149,13 +151,16 @@ crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
 	$(GO) run ./cmd/riocrash -seed 1 -n 60 -set relay=true -set cut=member
 
-# Native fuzzing of the two pure-logic targets for FUZZTIME each, from their
-# committed seeds: the in-order gate under arbitrary arrival schedules, and
-# the media identity's ownership test against its definition.
+# Native fuzzing of the three pure-logic targets for FUZZTIME each, from
+# their committed seeds: the in-order gate under arbitrary arrival
+# schedules, the media identity's ownership test against its definition,
+# and the PMR entry encoding (round trip, in-place persist flag, every
+# single-byte corruption rejected).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGateSchedule -fuzztime $(FUZZTIME) ./internal/order
 	$(GO) test -run '^$$' -fuzz FuzzAttrOwns -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzEntryPersist -fuzztime $(FUZZTIME) ./internal/core
 
 # Coverage profile over the ordering engine and the stack that drives it
 # (CI uploads the profile as an artifact).

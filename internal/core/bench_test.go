@@ -21,3 +21,54 @@ func BenchmarkSeqSubmitComplete(b *testing.B) {
 		b.Fatalf("delivered %d of %d", delivered, b.N)
 	}
 }
+
+// benchAttr is one unmerged 4 KB write's attribute.
+var benchAttr = Attr{Stream: 3, ReqID: 9, SeqStart: 7, SeqEnd: 7, Num: 1, ServerIdx: 5, LBA: 4096, Blocks: 1, Boundary: true}
+
+// BenchmarkLogAppendPersistRetire is one entry's life in a 2 MB PMR log
+// (`make bench-layers`): appended when the target takes the command,
+// persist flag set once the data is durable, retired in order as the
+// completion reaches the application.
+func BenchmarkLogAppendPersistRetire(b *testing.B) {
+	l := NewLog(make([]byte, 2<<20))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot, ok := l.Append(benchAttr)
+		if !ok {
+			b.Fatal("log full with every entry retired")
+		}
+		l.MarkPersist(slot)
+		l.Retire(slot)
+	}
+}
+
+// BenchmarkScanRegion decodes a full 2 MB PMR region as a crash leaves it
+// (8 streams, every entry but the newest 64 persisted): recovery's first
+// step per server. One op is one whole-region scan; ns/entry divides it by
+// the region's slots.
+func BenchmarkScanRegion(b *testing.B) {
+	region := make([]byte, 2<<20)
+	l := NewLog(region)
+	for i := 0; i < l.Cap(); i++ {
+		a := benchAttr
+		a.Stream = uint16(i % 8)
+		a.SeqStart = uint64(i/8 + 1)
+		a.SeqEnd = a.SeqStart
+		a.ReqID = uint32(i / 8)
+		a.ServerIdx = a.SeqStart
+		a.LBA = uint64(i)
+		slot, _ := l.Append(a)
+		if i < l.Cap()-64 {
+			l.MarkPersist(slot)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := len(ScanRegion(region)); got != l.Cap() {
+			b.Fatalf("scan found %d entries, want %d", got, l.Cap())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(l.Cap()), "ns/entry")
+}

@@ -84,16 +84,20 @@ func encodeEntry(buf []byte, e Entry) {
 	le.PutUint32(buf[60:], checksum(buf[:60]))
 }
 
+// validEntry reports whether buf holds an entry: the magic, and a checksum
+// that matches. Empty, torn and foreign content fails.
+func validEntry(buf []byte) bool {
+	le := binary.LittleEndian
+	return le.Uint16(buf[0:]) == entryMagic && le.Uint32(buf[60:]) == checksum(buf[:60])
+}
+
 // decodeEntry parses one slot, reporting ok=false for empty, torn or
 // foreign content.
 func decodeEntry(buf []byte) (Entry, bool) {
+	if !validEntry(buf) {
+		return Entry{}, false
+	}
 	le := binary.LittleEndian
-	if le.Uint16(buf[0:]) != entryMagic {
-		return Entry{}, false
-	}
-	if le.Uint32(buf[60:]) != checksum(buf[:60]) {
-		return Entry{}, false
-	}
 	var e Entry
 	e.Stream = le.Uint16(buf[2:])
 	e.ReqID = le.Uint32(buf[4:])
@@ -135,9 +139,9 @@ func checksum(b []byte) uint32 {
 type Log struct {
 	region []byte
 	cap    int
-	head   uint64          // oldest live slot (absolute counter)
-	tail   uint64          // next free slot (absolute counter)
-	live   map[uint64]bool // absolute slot -> retired? (false = still needed)
+	head   uint64 // oldest live slot (absolute counter)
+	tail   uint64 // next free slot (absolute counter)
+	done   []bool // done[slot%cap]: slot retired; meaningful for head <= slot < tail
 }
 
 // NewLog wraps a PMR byte region (its length determines capacity).
@@ -146,7 +150,7 @@ func NewLog(region []byte) *Log {
 	if c == 0 {
 		panic("core: PMR region smaller than one entry")
 	}
-	return &Log{region: region, cap: c, live: make(map[uint64]bool)}
+	return &Log{region: region, cap: c, done: make([]bool, c)}
 }
 
 // Cap returns the number of entry slots.
@@ -164,37 +168,35 @@ func (l *Log) Append(a Attr) (slot uint64, ok bool) {
 	}
 	slot = l.tail
 	l.tail++
-	l.live[slot] = false
+	l.done[slot%uint64(l.cap)] = false
 	encodeEntry(l.slotBytes(slot), Entry{Attr: a})
 	return slot, true
 }
 
 // MarkPersist sets the persist flag of the entry in slot (step 7 of
-// Fig. 4): the associated data blocks are durable.
+// Fig. 4): the associated data blocks are durable. The flag is set and the
+// checksum rewritten in place, which is the encoding of the decoded entry
+// with Persist set.
 func (l *Log) MarkPersist(slot uint64) {
 	buf := l.slotBytes(slot)
-	e, ok := decodeEntry(buf)
-	if !ok {
+	if !validEntry(buf) {
 		panic(fmt.Sprintf("core: MarkPersist on invalid slot %d", slot))
 	}
-	e.Persist = true
-	encodeEntry(buf, e)
+	le := binary.LittleEndian
+	le.PutUint16(buf[46:], le.Uint16(buf[46:])|flagPersist)
+	le.PutUint32(buf[60:], checksum(buf[:60]))
 }
 
 // Retire marks the entry complete (its completion has been returned to the
 // application) and advances head over any contiguous retired prefix,
-// recycling space.
+// recycling space. A slot outside [head, tail) — already recycled, or never
+// appended — is ignored.
 func (l *Log) Retire(slot uint64) {
-	if _, tracked := l.live[slot]; !tracked {
+	if slot < l.head || slot >= l.tail {
 		return
 	}
-	l.live[slot] = true
-	for l.head < l.tail {
-		done, tracked := l.live[l.head]
-		if !tracked || !done {
-			break
-		}
-		delete(l.live, l.head)
+	l.done[slot%uint64(l.cap)] = true
+	for l.head < l.tail && l.done[l.head%uint64(l.cap)] {
 		l.head++
 	}
 }

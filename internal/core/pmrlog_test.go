@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -160,4 +162,179 @@ func TestScanSkipsStaleButKeepsValid(t *testing.T) {
 	if stalePersisted != 2 {
 		t.Fatalf("stale persisted = %d, want 2", stalePersisted)
 	}
+}
+
+// mapLog is Log with its live slots in a map, and MarkPersist a decode and
+// a re-encode: the reference semantics the slot ring must keep.
+type mapLog struct {
+	region     []byte
+	cap        int
+	head, tail uint64
+	live       map[uint64]bool // absolute slot -> retired?
+}
+
+func (m *mapLog) bytes(slot uint64) []byte {
+	off := int(slot%uint64(m.cap)) * EntrySize
+	return m.region[off : off+EntrySize]
+}
+
+func (m *mapLog) free() int { return m.cap - int(m.tail-m.head) }
+
+func (m *mapLog) append(a Attr) (uint64, bool) {
+	if m.free() == 0 {
+		return 0, false
+	}
+	slot := m.tail
+	m.tail++
+	m.live[slot] = false
+	encodeEntry(m.bytes(slot), Entry{Attr: a})
+	return slot, true
+}
+
+func (m *mapLog) markPersist(slot uint64) {
+	e, ok := decodeEntry(m.bytes(slot))
+	if !ok {
+		panic("mapLog: persist of an invalid slot")
+	}
+	e.Persist = true
+	encodeEntry(m.bytes(slot), e)
+}
+
+func (m *mapLog) retire(slot uint64) {
+	if _, tracked := m.live[slot]; !tracked {
+		return
+	}
+	m.live[slot] = true
+	for m.head < m.tail {
+		done, tracked := m.live[m.head]
+		if !tracked || !done {
+			break
+		}
+		delete(m.live, m.head)
+		m.head++
+	}
+}
+
+// Random Append / MarkPersist / Retire sequences — out-of-order, double and
+// stale retires, retires of slots never appended, wrap-around and a full log
+// — leave Log exactly where the map-based model is: Free, head, tail and
+// every byte of the region.
+func TestLogRetireMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var refused, wrapped, outOfOrder, double, stale, unappended int
+	for run := 0; run < 300; run++ {
+		c := 1 + rng.Intn(9)
+		l := NewLog(make([]byte, c*EntrySize))
+		m := &mapLog{region: make([]byte, c*EntrySize), cap: c, live: map[uint64]bool{}}
+		for op := 0; op < 300; op++ {
+			switch k := rng.Intn(10); {
+			case k < 4:
+				a := Attr{
+					Stream: uint16(rng.Intn(4)), ReqID: rng.Uint32(), SeqStart: rng.Uint64(), SeqEnd: rng.Uint64(),
+					ServerIdx: rng.Uint64(), LBA: rng.Uint64(), Blocks: rng.Uint32(), Num: uint16(rng.Uint32()),
+					Flush: rng.Intn(2) == 0, Boundary: rng.Intn(2) == 0, Split: rng.Intn(3) == 0,
+				}
+				got, ok := l.Append(a)
+				want, wantOK := m.append(a)
+				if got != want || ok != wantOK {
+					t.Fatalf("run %d op %d: Append = (%d, %v), model (%d, %v)", run, op, got, ok, want, wantOK)
+				}
+				if !ok {
+					refused++
+				} else if got >= uint64(c) {
+					wrapped++
+				}
+			case k < 6:
+				if m.tail == 0 {
+					continue
+				}
+				// Any slot ever written, retired or not, holds a valid entry.
+				lo := max(int64(m.tail)-int64(c), 0)
+				slot := uint64(lo + rng.Int63n(int64(m.tail)-lo))
+				l.MarkPersist(slot)
+				m.markPersist(slot)
+			default:
+				// Mostly live slots, out of order; else below head, at or
+				// past tail, or retired already.
+				slot := m.head + uint64(rng.Intn(c+2))
+				if rng.Intn(3) == 0 {
+					slot = uint64(max(int64(m.head)-int64(1+rng.Intn(c)), 0))
+				}
+				switch done, tracked := m.live[slot]; {
+				case slot < m.head:
+					stale++
+				case slot >= m.tail:
+					unappended++
+				case tracked && done:
+					double++
+				case slot > m.head:
+					outOfOrder++
+				}
+				l.Retire(slot)
+				m.retire(slot)
+			}
+			if l.Free() != m.free() || l.head != m.head || l.tail != m.tail {
+				t.Fatalf("run %d op %d: free %d head %d tail %d, model %d %d %d",
+					run, op, l.Free(), l.head, l.tail, m.free(), m.head, m.tail)
+			}
+			if !bytes.Equal(l.region, m.region) {
+				t.Fatalf("run %d op %d: region bytes differ from the model's", run, op)
+			}
+		}
+	}
+	for name, n := range map[string]int{
+		"refused appends": refused, "wrapped appends": wrapped, "out-of-order retires": outOfOrder,
+		"double retires": double, "stale retires": stale, "retires past tail": unappended,
+	} {
+		if n < 100 {
+			t.Errorf("only %d %s: the sequences no longer cover that case", n, name)
+		}
+	}
+}
+
+// FuzzEntryPersist checks the PMR entry encoding on an arbitrary attribute:
+// decode(encode(e)) is e; MarkPersist leaves the 64 bytes that decoding,
+// setting Persist and re-encoding would; and flipping any one byte of the
+// encoded entry (by the fuzzed mask) is rejected, never read as another
+// valid entry — exactly so, since each FNV-1a step is a bijection, a
+// changed byte always changes the checksum.
+func FuzzEntryPersist(f *testing.F) {
+	f.Fuzz(func(t *testing.T, init, stream uint16, req uint32, seqStart, seqEnd, serverIdx, lba uint64,
+		blocks uint32, num, ns, splitIdx, splitCnt uint16, flags, flip uint8) {
+		e := Entry{
+			Attr: Attr{
+				Initiator: init, Stream: stream, ReqID: req, SeqStart: seqStart, SeqEnd: seqEnd, Num: num,
+				ServerIdx: serverIdx, LBA: lba, Blocks: blocks, NS: ns,
+				Boundary: flags&1 != 0, Flush: flags&2 != 0, IPU: flags&4 != 0, Split: flags&8 != 0,
+				SplitIdx: splitIdx, SplitCnt: splitCnt, EpochMark: flags&16 != 0,
+			},
+			Persist: flags&32 != 0,
+		}
+		var enc [EntrySize]byte
+		encodeEntry(enc[:], e)
+		got, ok := decodeEntry(enc[:])
+		if !ok || got != e {
+			t.Fatalf("decode(encode(%+v)) = %+v, %v", e, got, ok)
+		}
+
+		marked := enc
+		NewLog(marked[:]).MarkPersist(0)
+		var want [EntrySize]byte
+		got.Persist = true
+		encodeEntry(want[:], got)
+		if marked != want {
+			t.Fatalf("MarkPersist wrote\n%x\nwant (decode, Persist, encode)\n%x", marked, want)
+		}
+
+		if flip == 0 {
+			flip = 0xff
+		}
+		for i := range enc {
+			torn := enc
+			torn[i] ^= flip
+			if d, ok := decodeEntry(torn[:]); ok {
+				t.Fatalf("byte %d ^ %#x decoded as %+v", i, flip, d)
+			}
+		}
+	})
 }

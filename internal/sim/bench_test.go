@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // Host-clock microbenchmarks for the engine's hot primitives (`make
-// bench-sim`). One op is one scheduled callback, one sleep, one hand-off,
-// one Use, one signal round trip or one spawned proc.
+// bench-sim`). One op is one scheduled callback, one same-instant
+// reschedule, one sleep, one hand-off, one Use, one signal round trip or one
+// spawned proc.
 
 func BenchmarkAtRun(b *testing.B) {
 	e := New(1)
@@ -29,6 +30,33 @@ func BenchmarkScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkZeroDelayHandoff is a same-instant hand-off — a wake-up, a
+// Runner waiter re-run — while 24 timers wait in the heap, the mean depth
+// on the ordered write path: one op is a Runner rescheduling itself at
+// d = 0.
+func BenchmarkZeroDelayHandoff(b *testing.B) {
+	e := New(1)
+	for i := 1; i <= 24; i++ {
+		e.At(Time(i), func() {})
+	}
+	h := &handoff{eng: e, left: b.N}
+	e.Schedule(0, h)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+type handoff struct {
+	eng  *Engine
+	left int
+}
+
+func (h *handoff) Run() {
+	if h.left--; h.left > 0 {
+		h.eng.Schedule(0, h)
+	}
 }
 
 func BenchmarkProcSleep(b *testing.B) {

@@ -50,13 +50,21 @@
 // per operation (an SSD command); a proc runs the same steps in its own
 // place with Step.Call, every wait then blocking the proc.
 //
-// The event heap is a typed 4-ary min-heap of {at, seq, Runner} ordered by
-// (at, seq). seq is a counter that At, Schedule, Sleep, a wake-up (of a
-// Proc, of a Runner waiter or of an idle Server), Go and NewServer each
-// advance by exactly one, so (at, seq) is a total order: the pop sequence,
-// and with it every simulated number, is fixed by the order in which
-// simulation code schedules work and not by the heap's layout, by which
-// kind of Runner an event carries or by how procs are switched.
+// Pending events are {at, seq, Runner} values in two stores: a typed 4-ary
+// min-heap ordered by (at, seq) for events with a delay, and a FIFO lane
+// for zero-delay ones (wake-ups, At(0, fn), Schedule(0, r), Go). seq is a
+// counter that At, Schedule, Sleep, a wake-up (of a Proc, of a Runner
+// waiter or of an idle Server), Go and NewServer each advance by exactly
+// one, so (at, seq) is a total order. A lane event is due at now and its
+// seq is the highest yet, so the lane is in (at, seq) order by appending,
+// and the clock cannot pass it; the engine runs the earlier of the lane's
+// head and the heap's top by (at, seq), so a timer that came due at now,
+// pushed before the lane's events, still runs first, and RunUntil(t) runs
+// a lane event only while now <= t, as it would a heap event at now. The
+// run sequence, and with it every simulated number, is fixed by the order
+// in which simulation code schedules work and not by which store holds an
+// event, the heap's layout, which kind of Runner an event carries or how
+// procs are switched.
 //
 // When a Proc's fn returns, the Proc and its coroutine go on a free list
 // and the next Engine.Go reuses them; a *Proc handle is therefore valid

@@ -65,6 +65,8 @@ func (a *event) before(b *event) bool {
 type Engine struct {
 	now     Time
 	events  []event // 4-ary min-heap ordered by event.before
+	lane    []event // zero-delay events, all due at now, in seq order
+	laneAt  int     // index of the lane's head
 	seq     uint64
 	resumes uint64 // proc switches: events that were a Proc's Run
 	rng     *rand.Rand
@@ -107,10 +109,16 @@ func (e *Engine) Schedule(d Time, r Runner) {
 	e.push(d, r)
 }
 
-// push queues r d nanoseconds from now, consuming one seq.
+// push queues r d nanoseconds from now, consuming one seq. A zero-delay
+// event goes to the lane: it is due at now, and its seq is the highest yet,
+// so appending keeps the lane in (at, seq) order without a sift.
 func (e *Engine) push(d Time, r Runner) {
 	e.seq++
 	ev := event{at: e.now + d, seq: e.seq, r: r}
+	if d == 0 {
+		e.lane = append(e.lane, ev)
+		return
+	}
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -125,7 +133,34 @@ func (e *Engine) push(d Time, r Runner) {
 	e.events = h
 }
 
-// pop removes and returns the earliest event.
+// next removes and returns the earliest pending event, from the lane or the
+// heap. A timer that came due at now was pushed before the lane's events,
+// so it carries a lower seq and goes first: the merge is by event.before,
+// never lane-first.
+func (e *Engine) next() event {
+	if e.laneAt == len(e.lane) || len(e.events) > 0 && e.events[0].before(&e.lane[e.laneAt]) {
+		return e.pop()
+	}
+	ev := e.lane[e.laneAt]
+	e.lane[e.laneAt] = event{} // drop the Runner reference
+	if e.laneAt++; e.laneAt == len(e.lane) {
+		e.lane, e.laneAt = e.lane[:0], 0
+	}
+	return ev
+}
+
+// pending reports whether any event is queued, and when the earliest is due.
+func (e *Engine) pending() (Time, bool) {
+	if e.laneAt < len(e.lane) {
+		return e.lane[e.laneAt].at, true // now: nothing pending is earlier
+	}
+	if len(e.events) > 0 {
+		return e.events[0].at, true
+	}
+	return 0, false
+}
+
+// pop removes and returns the heap's earliest event.
 func (e *Engine) pop() event {
 	h := e.events
 	top := h[0]
@@ -158,10 +193,13 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// Run processes events until the event heap is empty or Stop is called.
+// Run processes events until none is left or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 {
+	for !e.stopped {
+		if _, ok := e.pending(); !ok {
+			break
+		}
 		e.step()
 	}
 }
@@ -171,7 +209,10 @@ func (e *Engine) Run() {
 // run, so a later Run or RunUntil resumes the remaining events.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
+	for !e.stopped {
+		if at, ok := e.pending(); !ok || at > t {
+			break
+		}
 		e.step()
 	}
 	if !e.stopped && e.now < t {
@@ -188,7 +229,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // step runs the earliest event. A panic in a proc re-panics here, out of
 // Run.
 func (e *Engine) step() {
-	ev := e.pop()
+	ev := e.next()
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}

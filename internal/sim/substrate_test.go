@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -22,32 +23,58 @@ func sortKeys(ks []evKey) {
 	})
 }
 
-// The heap must pop in exactly (at, seq) order whatever the interleaving of
-// pushes and pops: that order is what makes every simulated number
-// independent of the heap's implementation.
+// keyed is an event that records its own (at, seq) when it runs.
+type keyed struct {
+	k   evKey
+	out *[]evKey
+}
+
+func (r *keyed) Run() { *r.out = append(*r.out, r.k) }
+
+// pushKeyed schedules a keyed event d from now and returns its key.
+func pushKeyed(e *Engine, d Time, out *[]evKey) evKey {
+	r := &keyed{out: out}
+	e.Schedule(d, r)
+	r.k = evKey{e.now + d, e.seq}
+	return r.k
+}
+
+// The engine must run events in exactly (at, seq) order whatever the
+// interleaving of pushes and runs, across the zero-delay lane and the heap:
+// that order is what makes every simulated number independent of how the
+// pending events are stored.
 func TestHeapPopsInAtSeqOrder(t *testing.T) {
 	t.Run("interleaved", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		e := New(1)
-		var model []evKey
+		var model, ran []evKey
 		for op := 0; op < 20000; op++ {
 			if len(model) == 0 || rng.Intn(5) < 3 {
-				d := Time(rng.Intn(4)) // few distinct times: ties dominate
-				e.push(d, nil)
-				model = append(model, evKey{d, e.seq})
+				// Few distinct delays: ties dominate, and a zero delay
+				// joins the lane while timers due at now sit in the heap.
+				model = append(model, pushKeyed(e, Time(rng.Intn(4)), &ran))
 				continue
 			}
 			sortKeys(model)
-			got := e.pop()
-			if (evKey{got.at, got.seq}) != model[0] {
-				t.Fatalf("op %d: popped (%d, %d), want %+v", op, got.at, got.seq, model[0])
+			e.step()
+			if got := ran[len(ran)-1]; got != model[0] {
+				t.Fatalf("op %d: ran (%d, %d), want %+v", op, got.at, got.seq, model[0])
 			}
 			model = model[1:]
+		}
+		e.Run()
+		if len(e.lane) != 0 || e.laneAt != 0 {
+			t.Fatalf("a drained lane kept %d slots (head at %d): it must restart at [:0]", len(e.lane), e.laneAt)
+		}
+		for _, ev := range e.lane[:cap(e.lane)] {
+			if ev.r != nil {
+				t.Fatal("a drained lane still holds a Runner")
+			}
 		}
 	})
 
 	// Events that schedule more events while they run (the engine's real
-	// usage): the complete pop sequence is still globally sorted.
+	// usage): the complete run sequence is still globally sorted.
 	t.Run("pushes from running events", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
 		e := New(1)
@@ -79,6 +106,80 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("timer due at now runs before a later zero-delay event", func(t *testing.T) {
+		e := New(1)
+		var got []string
+		e.At(5, func() { // seq 1
+			got = append(got, "first")
+			e.At(0, logRun(&got, "zero-delay")) // seq 3, due at 5
+		})
+		e.At(5, logRun(&got, "timer")) // seq 2, due at 5
+		e.Run()
+		wantOrder(t, got, "first", "timer", "zero-delay")
+	})
+
+	t.Run("RunUntil stops at t with lane events pending at a later now", func(t *testing.T) {
+		e := New(1)
+		var got []string
+		e.At(20, func() {
+			got = append(got, "stopper")
+			e.At(0, logRun(&got, "lane"))
+			e.Stop()
+		})
+		e.At(30, logRun(&got, "timer"))
+		e.RunUntil(25)
+		if e.Now() != 20 {
+			t.Fatalf("Stop left the clock at %v, want 20ns", e.Now())
+		}
+		e.RunUntil(15) // the lane event is due at 20, after t
+		if e.Now() != 20 || len(got) != 1 {
+			t.Fatalf("RunUntil(15) at now 20: clock %v, ran %v; want 20ns, [stopper]", e.Now(), got)
+		}
+		e.RunUntil(25)
+		if e.Now() != 25 {
+			t.Fatalf("RunUntil(25) left the clock at %v", e.Now())
+		}
+		wantOrder(t, got, "stopper", "lane")
+		e.Run()
+		wantOrder(t, got, "stopper", "lane", "timer")
+	})
+
+	t.Run("Stop from a lane event resumes the rest in order", func(t *testing.T) {
+		e := New(1)
+		var got []string
+		e.At(5, func() { // seq 1
+			got = append(got, "a")
+			e.At(0, func() { // seq 3
+				got = append(got, "lane1")
+				e.Stop()
+				e.At(0, logRun(&got, "lane3")) // seq 7
+			})
+			e.At(0, logRun(&got, "lane2")) // seq 4
+			// seq 5, due at 6
+			e.At(1, func() {
+				got = append(got, "b")
+				e.At(0, logRun(&got, "lane4")) // seq 8
+			})
+			e.At(1, logRun(&got, "timer6")) // seq 6, due at 6
+		})
+		e.At(5, logRun(&got, "timer5")) // seq 2
+		e.Run()
+		wantOrder(t, got, "a", "timer5", "lane1")
+		e.Run()
+		wantOrder(t, got, "a", "timer5", "lane1", "lane2", "lane3", "b", "timer6", "lane4")
+	})
+}
+
+func logRun(got *[]string, name string) func() {
+	return func() { *got = append(*got, name) }
+}
+
+func wantOrder(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
 }
 
 // settledGoroutines returns the goroutine count once it has stopped moving.
