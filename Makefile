@@ -39,8 +39,8 @@ staticcheck:
 # The lint gate CI runs: formatting, vet, staticcheck.
 lint: fmt-check vet staticcheck
 
-# The two line counts ROADMAP item 2 tracks: non-test Go lines outside
-# benchmark/, and the share of them in internal/stack.
+# The two line counts ROADMAP's north star ("least code") tracks: non-test Go
+# lines outside benchmark/, and the share of them in internal/stack.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 	@printf 'non-test Go lines in internal/stack:  '; find ./internal/stack -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
@@ -49,11 +49,13 @@ loc:
 bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
 
-# Host-clock microbenchmarks of the simulation substrate (event heap, the
-# zero-delay lane beside it — BenchmarkZeroDelayHandoff —, proc switch,
-# queues, servers, resources charged by a proc, by a `sim.Step` and by a
-# `sim.Step` a proc Calls — BenchmarkResourceUseCall —, proc spawn). CI
-# smokes them at BENCHTIME=100x.
+# Host-clock microbenchmarks of the simulation substrate (the event queue —
+# timer wheel and heap — under the write path's measured delay mix,
+# BenchmarkTimerMix, and under same-instant hand-offs,
+# BenchmarkZeroDelayHandoff —, proc switch, queues, servers, resources
+# charged by a proc, by a `sim.Step` and by a `sim.Step` a proc Calls —
+# BenchmarkResourceUseCall —, proc spawn). CI smokes them at
+# BENCHTIME=100x.
 BENCHTIME ?= 1s
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/sim

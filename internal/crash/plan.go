@@ -209,7 +209,7 @@ func (pl *Plan) legal() (stage int, err error) {
 	}
 	pl.Cfg = cfg
 	// Replica sets too are drawn as the one shape that ran before this harness,
-	// a single set of PLP devices (ROADMAP item 3(b) lists what is left to widen).
+	// a single set of PLP devices (ROADMAP item 9(b) lists what is left to widen).
 	rio, member := pl.Mode == "rio", slices.Contains([]string{"member", "head", "members"}, pl.Cut)
 	for i, rule := range []struct {
 		broken bool

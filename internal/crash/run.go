@@ -241,7 +241,7 @@ func (h *run) cutAndRecover(kind string) error {
 	// Recover. Servers cut together come back in one run; members of a set
 	// cut one after another come back last cut first, each from its own proc,
 	// because the last in-sync member's replay completes only when a peer's
-	// resync lands the quorum's second copy (ROADMAP item 3(b)). A peer
+	// resync lands the quorum's second copy (ROADMAP item 9(b)). A peer
 	// resync drains only while writers stop dirtying its backlog, so on a
 	// replicated cluster they stay paused; everywhere else survivors write on.
 	h.paused = c.Replicas() > 1

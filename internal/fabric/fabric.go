@@ -108,7 +108,7 @@ type wireItem struct {
 
 // delivery is a wire item past the link: the arrival event the engine
 // runs. The TX queue and the link (one sim.Server) hold items by value; only
-// the event heap holds a delivery, so it recycles as it fires (delivered or
+// the engine's event queue holds a delivery, so it recycles as it fires (delivered or
 // stale) and a Disconnect never has one to free.
 type delivery struct {
 	c  *Conn // nil while on the free list

@@ -3,7 +3,7 @@
 // All hardware substrates in this repository (CPU cores, RDMA fabric, NVMe
 // SSDs) and all software-path processes (file systems, drivers, workload
 // threads) execute inside one sim.Engine. The engine owns a virtual clock in
-// nanoseconds and an event heap; exactly one unit of simulated activity runs
+// nanoseconds and an event queue; exactly one unit of simulated activity runs
 // at any instant, so every run with the same seed is bit-for-bit
 // reproducible — a property the crash-recovery tests and the CPU-efficiency
 // measurements rely on.
@@ -50,21 +50,24 @@
 // per operation (an SSD command); a proc runs the same steps in its own
 // place with Step.Call, every wait then blocking the proc.
 //
-// Pending events are {at, seq, Runner} values in two stores: a typed 4-ary
-// min-heap ordered by (at, seq) for events with a delay, and a FIFO lane
-// for zero-delay ones (wake-ups, At(0, fn), Schedule(0, r), Go). seq is a
+// Pending events are {at, seq, Runner} values in two stores: a timer wheel
+// for events due less than wheelSize (2^14 ns, about 16 µs) from now —
+// zero-delay ones (wake-ups, At(0, fn), Schedule(0, r), Go) included — and
+// a typed 4-ary min-heap ordered by (at, seq) for later ones. seq is a
 // counter that At, Schedule, Sleep, a wake-up (of a Proc, of a Runner
 // waiter or of an idle Server), Go and NewServer each advance by exactly
-// one, so (at, seq) is a total order. A lane event is due at now and its
-// seq is the highest yet, so the lane is in (at, seq) order by appending,
-// and the clock cannot pass it; the engine runs the earlier of the lane's
-// head and the heap's top by (at, seq), so a timer that came due at now,
-// pushed before the lane's events, still runs first, and RunUntil(t) runs
-// a lane event only while now <= t, as it would a heap event at now. The
-// run sequence, and with it every simulated number, is fixed by the order
-// in which simulation code schedules work and not by which store holds an
-// event, the heap's layout, which kind of Runner an event carries or how
-// procs are switched.
+// one, so (at, seq) is a total order. The wheel is one FIFO per nanosecond
+// slot, at & (wheelSize-1). Every wheel event is due in [now,
+// now+wheelSize): push puts it there, and the clock never passes a pending
+// event. So a slot holds the events of one instant, appended in seq order,
+// and the earliest slot is the first non-empty one from now's, circularly.
+// The engine runs the earlier of that slot's head and the heap's top by
+// (at, seq): a timer pushed past the horizon that has since come due ties
+// with later wheel events and, pushed first, runs first. The run sequence,
+// and with it every simulated number, is fixed by the order in which
+// simulation code schedules work and not by which store holds an event,
+// the heap's layout, which kind of Runner an event carries or how procs
+// are switched.
 //
 // When a Proc's fn returns, the Proc and its coroutine go on a free list
 // and the next Engine.Go reuses them; a *Proc handle is therefore valid

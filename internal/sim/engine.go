@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -55,31 +57,57 @@ type event struct {
 }
 
 // before orders events by (at, seq). seq is unique, so this is a total
-// order and the pop sequence does not depend on the heap's shape.
+// order and the pop sequence does not depend on where an event waits.
 func (a *event) before(b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// The timer wheel's horizon in ns: an event due less than wheelSize from
+// now waits in the wheel, a later one in the heap.
+const (
+	wheelSize = 1 << 14
+	wheelMask = wheelSize - 1
+)
+
+// A slot is the FIFO of the wheel events due at one instant, as links into
+// Engine.nodes; 0 is the nil link.
+type slot struct{ head, tail int32 }
+
+// A node is one wheel event and the link to the next one in its slot (or,
+// while free, to the next free node).
+type node struct {
+	ev   event
+	next int32
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New.
 type Engine struct {
-	now     Time
-	events  []event // 4-ary min-heap ordered by event.before
-	lane    []event // zero-delay events, all due at now, in seq order
-	laneAt  int     // index of the lane's head
-	seq     uint64
-	resumes uint64 // proc switches: events that were a Proc's Run
-	rng     *rand.Rand
-	procs   []*Proc // every proc created, running, parked or free
-	free    []*Proc // finished procs whose coroutine awaits its next fn
+	now      Time
+	seq      uint64
+	resumes  uint64  // proc switches: events that were a Proc's Run
+	events   []event // 4-ary min-heap of the events past the horizon, by event.before
+	nodes    []node  // the wheel's events; nodes[0] is never used
+	freeNode int32   // head of the free nodes' list
+	inWheel  int     // events in the wheel
+	rng      *rand.Rand
+	procs    []*Proc // every proc created, running, parked or free
+	free     []*Proc // finished procs whose coroutine awaits its next fn
 
 	stopped bool // Stop was called during the current run
+
+	// The wheel. Every event in it is due in [now, now+wheelSize), so slot
+	// at&wheelMask holds exactly the events due at at, in seq order. bits
+	// marks the non-empty slots and summary the non-zero words of bits.
+	wheel   [wheelSize]slot
+	bits    [wheelSize / 64]uint64
+	summary [wheelSize / 64 / 64]uint64
 }
 
 // New creates an engine with a deterministic random stream derived from
 // seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), nodes: make([]node, 1)}
 }
 
 // Now returns the current simulated time.
@@ -109,14 +137,31 @@ func (e *Engine) Schedule(d Time, r Runner) {
 	e.push(d, r)
 }
 
-// push queues r d nanoseconds from now, consuming one seq. A zero-delay
-// event goes to the lane: it is due at now, and its seq is the highest yet,
-// so appending keeps the lane in (at, seq) order without a sift.
+// push queues r d nanoseconds from now, consuming one seq. An event within
+// the horizon is appended to its slot: its seq is the highest yet, so the
+// slot stays in seq order without a sift.
 func (e *Engine) push(d Time, r Runner) {
 	e.seq++
 	ev := event{at: e.now + d, seq: e.seq, r: r}
-	if d == 0 {
-		e.lane = append(e.lane, ev)
+	if d < wheelSize {
+		i := e.freeNode
+		if i == 0 {
+			i = int32(len(e.nodes))
+			e.nodes = append(e.nodes, node{ev: ev})
+		} else {
+			e.freeNode = e.nodes[i].next
+			e.nodes[i] = node{ev: ev}
+		}
+		s := int(ev.at) & wheelMask
+		if sl := &e.wheel[s]; sl.head == 0 {
+			sl.head, sl.tail = i, i
+			e.bits[s>>6] |= 1 << (s & 63)
+			e.summary[s>>12] |= 1 << (s >> 6 & 63)
+		} else {
+			e.nodes[sl.tail].next = i
+			sl.tail = i
+		}
+		e.inWheel++
 		return
 	}
 	h := append(e.events, ev)
@@ -133,31 +178,65 @@ func (e *Engine) push(d Time, r Runner) {
 	e.events = h
 }
 
-// next removes and returns the earliest pending event, from the lane or the
-// heap. A timer that came due at now was pushed before the lane's events,
-// so it carries a lower seq and goes first: the merge is by event.before,
-// never lane-first.
-func (e *Engine) next() event {
-	if e.laneAt == len(e.lane) || len(e.events) > 0 && e.events[0].before(&e.lane[e.laneAt]) {
-		return e.pop()
+// first returns the earliest pending event, nil if there is none, and the
+// wheel slot whose head it is, or -1 for the heap's top. The wheel's
+// earliest slot is the first set bit at or after now's, circularly. A
+// timer past the horizon when it was pushed may since have come due before
+// that slot's head, or at the same instant with a lower seq: the two are
+// compared by event.before, never wheel-first.
+func (e *Engine) first() (*event, int) {
+	var top *event
+	if len(e.events) > 0 {
+		top = &e.events[0]
 	}
-	ev := e.lane[e.laneAt]
-	e.lane[e.laneAt] = event{} // drop the Runner reference
-	if e.laneAt++; e.laneAt == len(e.lane) {
-		e.lane, e.laneAt = e.lane[:0], 0
+	if e.inWheel == 0 {
+		return top, -1
 	}
-	return ev
+	s := int(e.now) & wheelMask
+	if m := e.bits[s>>6] >> (s & 63); m != 0 {
+		s += bits.TrailingZeros64(m)
+	} else {
+		w := e.nextWord(s>>6 + 1)
+		if w < 0 {
+			w = e.nextWord(0)
+		}
+		s = w<<6 + bits.TrailingZeros64(e.bits[w])
+	}
+	ev := &e.nodes[e.wheel[s].head].ev
+	if top != nil && top.before(ev) {
+		return top, -1
+	}
+	return ev, s
 }
 
-// pending reports whether any event is queued, and when the earliest is due.
-func (e *Engine) pending() (Time, bool) {
-	if e.laneAt < len(e.lane) {
-		return e.lane[e.laneAt].at, true // now: nothing pending is earlier
+// nextWord returns the first non-zero word of bits at or after from, or -1.
+func (e *Engine) nextWord(from int) int {
+	for i := from >> 6; i < len(e.summary); i, from = i+1, (i+1)<<6 {
+		if m := e.summary[i] >> (from & 63); m != 0 {
+			return from + bits.TrailingZeros64(m)
+		}
 	}
-	if len(e.events) > 0 {
-		return e.events[0].at, true
+	return -1
+}
+
+// take removes and returns the head of wheel slot s. The node is zeroed
+// (dropping the Runner reference) and goes on the free list.
+func (e *Engine) take(s int) event {
+	sl := &e.wheel[s]
+	i := sl.head
+	n := &e.nodes[i]
+	ev := n.ev
+	sl.head = n.next
+	*n = node{next: e.freeNode}
+	e.freeNode = i
+	if sl.head == 0 {
+		sl.tail = 0
+		if e.bits[s>>6] &^= 1 << (s & 63); e.bits[s>>6] == 0 {
+			e.summary[s>>12] &^= 1 << (s >> 6 & 63)
+		}
 	}
-	return 0, false
+	e.inWheel--
+	return ev
 }
 
 // pop removes and returns the heap's earliest event.
@@ -196,24 +275,18 @@ func (e *Engine) pop() event {
 // Run processes events until none is left or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped {
-		if _, ok := e.pending(); !ok {
-			break
-		}
-		e.step()
+	for !e.stopped && e.step(math.MaxInt64) {
 	}
 }
 
 // RunUntil processes all events scheduled at or before t, then advances the
 // clock to exactly t. If Stop aborts it the clock stays at the last event
-// run, so a later Run or RunUntil resumes the remaining events.
+// run, so a later Run or RunUntil resumes the remaining events. The clock
+// jumps only past instants with nothing due, so every wheel event is still
+// within the horizon of the new now.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped {
-		if at, ok := e.pending(); !ok || at > t {
-			break
-		}
-		e.step()
+	for !e.stopped && e.step(t) {
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
@@ -226,15 +299,25 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // Stop aborts the current Run/RunUntil after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step runs the earliest event. A panic in a proc re-panics here, out of
-// Run.
-func (e *Engine) step() {
-	ev := e.next()
+// step runs the earliest event if it is due at or before t, and reports
+// whether it ran one. A panic in a proc re-panics here, out of Run.
+func (e *Engine) step(t Time) bool {
+	first, s := e.first()
+	if first == nil || first.at > t {
+		return false
+	}
+	var ev event
+	if s < 0 {
+		ev = e.pop()
+	} else {
+		ev = e.take(s)
+	}
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
 	ev.r.Run()
+	return true
 }
 
 // Shutdown terminates every process, started or not, so their goroutines

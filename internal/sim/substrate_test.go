@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -39,38 +41,113 @@ func pushKeyed(e *Engine, d Time, out *[]evKey) evKey {
 	return r.k
 }
 
+// insertKey adds k to the sorted model ks.
+func insertKey(ks []evKey, k evKey) []evKey {
+	i, _ := slices.BinarySearchFunc(ks, k, func(a, b evKey) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	return slices.Insert(ks, i, k)
+}
+
+// straddle draws a delay that is mostly one of a few short ones (ties
+// dominate, and a zero delay shares now's slot with timers that came due),
+// and otherwise sits on the wheel's edge or whole horizons out, in the heap.
+func straddle(rng *rand.Rand) Time {
+	switch rng.Intn(8) {
+	case 0:
+		return wheelSize - 1 + Time(rng.Intn(3))
+	case 1:
+		return Time(1+rng.Intn(4))*wheelSize + Time(rng.Intn(4))
+	default:
+		return Time(rng.Intn(4))
+	}
+}
+
+// wantDrained fails unless the wheel is empty and every node is back on the
+// free list holding no Runner, so pooled records may recycle.
+func wantDrained(t *testing.T, e *Engine) {
+	t.Helper()
+	if e.inWheel != 0 || len(e.events) != 0 {
+		t.Fatalf("drained engine holds %d wheel and %d heap events", e.inWheel, len(e.events))
+	}
+	if e.bits != [len(e.bits)]uint64{} || e.summary != [len(e.summary)]uint64{} {
+		t.Fatal("a drained wheel still marks a slot")
+	}
+	for s, sl := range e.wheel {
+		if sl != (slot{}) {
+			t.Fatalf("a drained wheel's slot %d links %+v", s, sl)
+		}
+	}
+	free := 0
+	for i := e.freeNode; i != 0; i = e.nodes[i].next {
+		free++
+	}
+	if free != len(e.nodes)-1 {
+		t.Fatalf("%d of %d nodes are free after the drain", free, len(e.nodes)-1)
+	}
+	for i, n := range e.nodes {
+		if n.ev.r != nil {
+			t.Fatalf("free node %d still holds a Runner", i)
+		}
+	}
+}
+
 // The engine must run events in exactly (at, seq) order whatever the
-// interleaving of pushes and runs, across the zero-delay lane and the heap:
-// that order is what makes every simulated number independent of how the
-// pending events are stored.
+// interleaving of pushes and runs, across the timer wheel and the heap past
+// its horizon: that order is what makes every simulated number independent
+// of how the pending events are stored.
 func TestHeapPopsInAtSeqOrder(t *testing.T) {
 	t.Run("interleaved", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		e := New(1)
 		var model, ran []evKey
-		for op := 0; op < 20000; op++ {
-			if len(model) == 0 || rng.Intn(5) < 3 {
-				// Few distinct delays: ties dominate, and a zero delay
-				// joins the lane while timers due at now sit in the heap.
-				model = append(model, pushKeyed(e, Time(rng.Intn(4)), &ran))
+		for op := 0; op < 40000 || len(model) > 0; op++ {
+			if op < 40000 && (len(model) == 0 || rng.Intn(5) < 3) {
+				model = insertKey(model, pushKeyed(e, straddle(rng), &ran))
 				continue
 			}
-			sortKeys(model)
-			e.step()
+			e.step(math.MaxInt64)
 			if got := ran[len(ran)-1]; got != model[0] {
 				t.Fatalf("op %d: ran (%d, %d), want %+v", op, got.at, got.seq, model[0])
 			}
 			model = model[1:]
 		}
-		e.Run()
-		if len(e.lane) != 0 || e.laneAt != 0 {
-			t.Fatalf("a drained lane kept %d slots (head at %d): it must restart at [:0]", len(e.lane), e.laneAt)
-		}
-		for _, ev := range e.lane[:cap(e.lane)] {
-			if ev.r != nil {
-				t.Fatal("a drained lane still holds a Runner")
+		wantDrained(t, e)
+	})
+
+	// RunUntil jumps the clock over instants with nothing due, here by up
+	// to four horizons, while events wait in both the wheel and the heap:
+	// each run is exactly the model's prefix due by t.
+	t.Run("RunUntil jumps across horizons", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		e := New(1)
+		var model, ran []evKey
+		for round := 0; round < 2000; round++ {
+			for n := rng.Intn(12); n > 0; n-- {
+				model = insertKey(model, pushKeyed(e, straddle(rng), &ran))
 			}
+			to := e.Now() + Time(rng.Intn(5))*wheelSize + Time(rng.Intn(wheelSize))
+			e.RunUntil(to)
+			n := 0
+			for n < len(model) && model[n].at <= to {
+				n++
+			}
+			if !slices.Equal(ran, model[:n]) {
+				t.Fatalf("round %d: RunUntil(%d) ran %v, want %v", round, to, ran, model[:n])
+			}
+			if e.Now() != to {
+				t.Fatalf("round %d: RunUntil(%d) left the clock at %d", round, to, e.Now())
+			}
+			model, ran = model[n:], ran[:0]
 		}
+		e.Run()
+		if !slices.Equal(ran, model) {
+			t.Fatalf("final Run ran %v, want %v", ran, model)
+		}
+		wantDrained(t, e)
 	})
 
 	// Events that schedule more events while they run (the engine's real
@@ -81,7 +158,7 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 		var popped, all []evKey
 		var schedule func(depth int)
 		schedule = func(depth int) {
-			d := Time(rng.Intn(3))
+			d := straddle(rng)
 			k := new(evKey) // filled in once At has assigned the seq
 			e.At(d, func() {
 				popped = append(popped, *k)
@@ -119,12 +196,26 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 		wantOrder(t, got, "first", "timer", "zero-delay")
 	})
 
-	t.Run("RunUntil stops at t with lane events pending at a later now", func(t *testing.T) {
+	// A timer pushed past the horizon and one pushed later into the wheel
+	// can come due at the same instant: the heap's, with the lower seq,
+	// runs first.
+	t.Run("heap timer runs before a wheel timer due at the same instant", func(t *testing.T) {
+		e := New(1)
+		var got []string
+		e.At(wheelSize, logRun(&got, "heap")) // seq 1, due at wheelSize
+		e.At(1, func() {                      // seq 2
+			e.At(wheelSize-1, logRun(&got, "wheel")) // seq 3, due at wheelSize
+		})
+		e.Run()
+		wantOrder(t, got, "heap", "wheel")
+	})
+
+	t.Run("RunUntil stops at t with zero-delay events due later", func(t *testing.T) {
 		e := New(1)
 		var got []string
 		e.At(20, func() {
 			got = append(got, "stopper")
-			e.At(0, logRun(&got, "lane"))
+			e.At(0, logRun(&got, "zero"))
 			e.Stop()
 		})
 		e.At(30, logRun(&got, "timer"))
@@ -132,7 +223,7 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 		if e.Now() != 20 {
 			t.Fatalf("Stop left the clock at %v, want 20ns", e.Now())
 		}
-		e.RunUntil(15) // the lane event is due at 20, after t
+		e.RunUntil(15) // the zero-delay event is due at 20, after t
 		if e.Now() != 20 || len(got) != 1 {
 			t.Fatalf("RunUntil(15) at now 20: clock %v, ran %v; want 20ns, [stopper]", e.Now(), got)
 		}
@@ -140,34 +231,34 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 		if e.Now() != 25 {
 			t.Fatalf("RunUntil(25) left the clock at %v", e.Now())
 		}
-		wantOrder(t, got, "stopper", "lane")
+		wantOrder(t, got, "stopper", "zero")
 		e.Run()
-		wantOrder(t, got, "stopper", "lane", "timer")
+		wantOrder(t, got, "stopper", "zero", "timer")
 	})
 
-	t.Run("Stop from a lane event resumes the rest in order", func(t *testing.T) {
+	t.Run("Stop from a zero-delay event resumes the rest in order", func(t *testing.T) {
 		e := New(1)
 		var got []string
 		e.At(5, func() { // seq 1
 			got = append(got, "a")
 			e.At(0, func() { // seq 3
-				got = append(got, "lane1")
+				got = append(got, "zero1")
 				e.Stop()
-				e.At(0, logRun(&got, "lane3")) // seq 7
+				e.At(0, logRun(&got, "zero3")) // seq 7
 			})
-			e.At(0, logRun(&got, "lane2")) // seq 4
+			e.At(0, logRun(&got, "zero2")) // seq 4
 			// seq 5, due at 6
 			e.At(1, func() {
 				got = append(got, "b")
-				e.At(0, logRun(&got, "lane4")) // seq 8
+				e.At(0, logRun(&got, "zero4")) // seq 8
 			})
 			e.At(1, logRun(&got, "timer6")) // seq 6, due at 6
 		})
 		e.At(5, logRun(&got, "timer5")) // seq 2
 		e.Run()
-		wantOrder(t, got, "a", "timer5", "lane1")
+		wantOrder(t, got, "a", "timer5", "zero1")
 		e.Run()
-		wantOrder(t, got, "a", "timer5", "lane1", "lane2", "lane3", "b", "timer6", "lane4")
+		wantOrder(t, got, "a", "timer5", "zero1", "zero2", "zero3", "b", "timer6", "zero4")
 	})
 }
 

@@ -128,7 +128,7 @@ func (in *Initiator) plugAdd(p *sim.Proc, req *blockdev.Request) {
 
 // plugTimer is one plug-hold event of a shard, armed under initiator
 // incarnation epoch: what is still staged when it fires goes to the shard's
-// dispatch context. Only the event heap holds it: it recycles as it fires.
+// dispatch context. Only the event queue holds it: it recycles as it fires.
 type plugTimer struct {
 	in    *Initiator
 	sh    *shard

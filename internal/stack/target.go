@@ -1035,7 +1035,7 @@ func (x *tctx) flushOrArm(l *qpLane, ret tstep) bool {
 }
 
 // cqeTimer is one hold-timer event of a lane, armed under target
-// incarnation epoch. Only the event heap holds it: it recycles as it fires.
+// incarnation epoch. Only the event queue holds it: it recycles as it fires.
 type cqeTimer struct {
 	l     *qpLane
 	epoch int
