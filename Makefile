@@ -65,7 +65,8 @@ bench-sim:
 # write→complete, flash write→destage and flash write burst→FLUSH (each
 # command one pooled sim.Step record, 0 allocations per op), the
 # ordering domain's gate/park/retire, sequencer submit→complete, a PMR log
-# entry's append→persist→retire and a whole-region ScanRegion, volume
+# entry's append→persist→retire, a whole-region ScanRegion and the
+# recovery Analyze of that region's view (ns/entry each), volume
 # extents into scratch, and the whole stack per ordered write, unreplicated
 # and on a 3-way set over fan-out and over the relay (host ns, allocations,
 # engine events and proc resumes per write). CI smokes them at
@@ -153,16 +154,18 @@ crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
 	$(GO) run ./cmd/riocrash -seed 1 -n 60 -set relay=true -set cut=member
 
-# Native fuzzing of the three pure-logic targets for FUZZTIME each, from
+# Native fuzzing of the four pure-logic targets for FUZZTIME each, from
 # their committed seeds: the in-order gate under arbitrary arrival
 # schedules, the media identity's ownership test against its definition,
-# and the PMR entry encoding (round trip, in-place persist flag, every
-# single-byte corruption rejected).
+# the PMR entry encoding (round trip, in-place persist flag, every
+# single-byte corruption rejected), and recovery analysis over arbitrary
+# checksum-valid entries (against the map model where it can run).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGateSchedule -fuzztime $(FUZZTIME) ./internal/order
 	$(GO) test -run '^$$' -fuzz FuzzAttrOwns -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzEntryPersist -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME) ./internal/core
 
 # Coverage profile over the ordering engine and the stack that drives it
 # (CI uploads the profile as an artifact).

@@ -43,11 +43,9 @@ func BenchmarkLogAppendPersistRetire(b *testing.B) {
 	}
 }
 
-// BenchmarkScanRegion decodes a full 2 MB PMR region as a crash leaves it
-// (8 streams, every entry but the newest 64 persisted): recovery's first
-// step per server. One op is one whole-region scan; ns/entry divides it by
-// the region's slots.
-func BenchmarkScanRegion(b *testing.B) {
+// benchRegion is a full 2 MB PMR region as a crash leaves it: 8 streams of
+// one-request groups, every entry but the newest 64 persisted.
+func benchRegion() []byte {
 	region := make([]byte, 2<<20)
 	l := NewLog(region)
 	for i := 0; i < l.Cap(); i++ {
@@ -63,12 +61,38 @@ func BenchmarkScanRegion(b *testing.B) {
 			l.MarkPersist(slot)
 		}
 	}
+	return region
+}
+
+// BenchmarkScanRegion decodes benchRegion: recovery's first step per
+// server. One op is one whole-region scan; ns/entry divides it by the
+// region's slots.
+func BenchmarkScanRegion(b *testing.B) {
+	region := benchRegion()
+	slots := len(region) / EntrySize
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := len(ScanRegion(region)); got != l.Cap() {
-			b.Fatalf("scan found %d entries, want %d", got, l.Cap())
+		if got := len(ScanRegion(region)); got != slots {
+			b.Fatalf("scan found %d entries, want %d", got, slots)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(l.Cap()), "ns/entry")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(slots), "ns/entry")
+}
+
+// BenchmarkAnalyze merges benchRegion's scanned view into the recovery
+// report: recovery's second step. One op is one whole analysis; ns/entry
+// divides it by the view's entries.
+func BenchmarkAnalyze(b *testing.B) {
+	views := []ServerView{{PLP: true, Entries: ScanRegion(benchRegion())}}
+	entries := len(views[0].Entries)
+	want := uint64(entries/8 - 8) // each stream's newest 8 groups are not persisted
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := Analyze(views).Prefix(0); got != want {
+			b.Fatalf("prefix %d, want %d", got, want)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // ServerView is what one target server contributes to recovery: the result
 // of scanning its PMR region(s), plus which of its SSDs had power-loss
@@ -129,210 +132,159 @@ func (r *Report) Stream(initiator, stream uint16) *StreamReport {
 	return r.Streams[StreamKey{initiator, stream}]
 }
 
-// evidence accumulates per-group durability facts across servers.
-type evidence struct {
-	boundaryNum   uint16 // Num from the boundary request (0 = boundary unseen)
-	mergedDurable bool   // a durable merged entry covers this group
-	mergedSeen    bool
-	// Per request: fragments seen/durable.
-	reqs map[uint32]*reqEvidence
-}
-
-type reqEvidence struct {
-	splitCnt      uint16 // 0 = not split
-	fragsDurable  map[uint16]bool
-	plainDurable  bool
-	isBoundary    bool
-	anyNonDurable bool
+// noted is one scanned entry, its Server filled in, tagged with
+// DurableSet's verdict on it.
+type noted struct {
+	Entry
+	durable bool
 }
 
 // Analyze merges all server views into the global ordering decision
-// (initiator recovery, §4.4.1). The retiredFloor map gives, per stream,
-// the highest group seq known completed before the crash from entries
-// already recycled out of the logs; pass nil when unknown (the analysis
-// then derives floors from the minimum present seq).
+// (initiator recovery, §4.4.1). Every entry but the membership marks goes
+// into one slice, sorted by (initiator, stream, group, request, fragment,
+// server, LBA); each stream is then one run of it, decided by
+// analyzeStream. The sort is stable, so a server scanned twice (a
+// peer-repaired member's peer) keeps its first-scanned copy. A stream's
+// groups below its lowest present one are taken as retired, hence durable.
+// The cost is one sort of the entries, whatever span of groups they cover.
 func Analyze(views []ServerView) *Report {
-	type streamState struct {
-		groups  map[uint64]*evidence
-		minSeen uint64
-		maxSeen uint64
-		any     bool
-		beyond  []Entry // every entry, for discard classification
+	n := 0
+	for _, v := range views {
+		n += len(v.Entries)
 	}
-	streams := map[StreamKey]*streamState{}
-	state := func(id StreamKey) *streamState {
-		ss := streams[id]
-		if ss == nil {
-			ss = &streamState{groups: map[uint64]*evidence{}}
-			streams[id] = ss
-		}
-		return ss
-	}
-	note := func(e Entry, server int, durable bool) {
-		e.Server = server
-		ss := state(StreamKey{e.Initiator, e.Stream})
-		ss.beyond = append(ss.beyond, e)
-		if !ss.any || e.SeqStart < ss.minSeen {
-			ss.minSeen = e.SeqStart
-		}
-		if e.SeqEnd > ss.maxSeen {
-			ss.maxSeen = e.SeqEnd
-		}
-		ss.any = true
-		for g := e.SeqStart; g <= e.SeqEnd; g++ {
-			ev := ss.groups[g]
-			if ev == nil {
-				ev = &evidence{reqs: map[uint32]*reqEvidence{}}
-				ss.groups[g] = ev
-			}
-			if e.Merged() {
-				// Merged entries cover complete groups by construction, so
-				// the single entry is full evidence for every covered group.
-				ev.mergedSeen = true
-				if durable {
-					ev.mergedDurable = true
-				}
-				continue
-			}
-			re := ev.reqs[e.ReqID]
-			if re == nil {
-				re = &reqEvidence{fragsDurable: map[uint16]bool{}}
-				ev.reqs[e.ReqID] = re
-			}
-			if e.Split {
-				re.splitCnt = e.SplitCnt
-				if durable {
-					re.fragsDurable[e.SplitIdx] = true
-				} else {
-					re.anyNonDurable = true
-				}
-			} else if durable {
-				re.plainDurable = true
-			} else {
-				re.anyNonDurable = true
-			}
-			if e.Boundary {
-				re.isBoundary = true
-				ev.boundaryNum = maxU16(ev.boundaryNum, e.Num)
-			}
-		}
-	}
+	all := make([]noted, 0, n)
 	for _, v := range views {
 		durable, uncertain := DurableSet(v)
 		for _, e := range durable {
-			note(e, v.Server, true)
+			e.Server = v.Server
+			all = append(all, noted{e, true})
 		}
 		for _, e := range uncertain {
-			note(e, v.Server, false)
+			e.Server = v.Server
+			all = append(all, noted{e, false})
 		}
 	}
+	slices.SortStableFunc(all, compareNoted)
 
 	rep := &Report{Streams: map[StreamKey]*StreamReport{}}
-	for id, ss := range streams {
-		sr := &StreamReport{Initiator: id.Initiator, Stream: id.Stream, MaxSeen: ss.maxSeen}
-		// Groups below the minimum present seq were retired after in-order
-		// completion: they are durable by construction.
-		prefix := uint64(0)
-		if ss.any && ss.minSeen > 1 {
-			prefix = ss.minSeen - 1
+	for len(all) > 0 {
+		n := 1
+		for n < len(all) && all[n].Initiator == all[0].Initiator && all[n].Stream == all[0].Stream {
+			n++
 		}
-		for g := prefix + 1; ; g++ {
-			ev := ss.groups[g]
-			if ev == nil || !groupDurable(ev) {
-				break
-			}
-			prefix = g
-		}
-		sr.DurablePrefix = prefix
-		// Classify entries beyond the prefix.
-		seen := map[entryKey]bool{}
-		for _, e := range ss.beyond {
-			if e.SeqEnd <= prefix {
-				continue
-			}
-			k := entryKey{e.ReqID, e.SplitIdx, e.LBA, e.Server}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if e.IPU {
-				sr.IPU = append(sr.IPU, e)
-			} else {
-				sr.Discard = append(sr.Discard, e)
-			}
-		}
-		sort.Slice(sr.Discard, func(i, j int) bool {
-			return lessEntry(sr.Discard[i], sr.Discard[j])
-		})
-		sort.Slice(sr.IPU, func(i, j int) bool {
-			return lessEntry(sr.IPU[i], sr.IPU[j])
-		})
-		rep.Streams[id] = sr
+		sr := analyzeStream(all[:n])
+		rep.Streams[StreamKey{sr.Initiator, sr.Stream}] = sr
+		all = all[n:]
 	}
 	return rep
 }
 
-// entryKey dedups beyond-prefix entries for the discard list. The server
-// is part of the identity: under replication the same logical write has
-// one PMR entry per replica, and roll-back must erase EVERY replica's
-// copy (a stale block surviving on one member would diverge the set).
-type entryKey struct {
-	reqID    uint32
-	splitIdx uint16
-	lba      uint64
-	server   int
+// compareNoted orders entries so that a stream is one run, a group one run
+// within it and a request one run within its group.
+func compareNoted(a, b noted) int {
+	return cmp.Or(cmp.Compare(a.Initiator, b.Initiator), cmp.Compare(a.Stream, b.Stream),
+		cmp.Compare(a.SeqStart, b.SeqStart), cmp.Compare(a.ReqID, b.ReqID),
+		cmp.Compare(a.SplitIdx, b.SplitIdx), cmp.Compare(a.Server, b.Server), cmp.Compare(a.LBA, b.LBA))
 }
 
-func lessEntry(a, b Entry) bool {
-	if a.SeqStart != b.SeqStart {
-		return a.SeqStart < b.SeqStart
-	}
-	if a.ReqID != b.ReqID {
-		return a.ReqID < b.ReqID
-	}
-	if a.SplitIdx != b.SplitIdx {
-		return a.SplitIdx < b.SplitIdx
-	}
-	return a.Server < b.Server
-}
-
-// groupDurable decides whether every request of a group is durable.
-func groupDurable(ev *evidence) bool {
-	if ev.mergedSeen {
-		// Merged entries are atomic: the single persist bit speaks for the
-		// whole range (§4.8).
-		return ev.mergedDurable
-	}
-	if ev.boundaryNum == 0 {
-		return false // boundary request unseen: group incomplete
-	}
-	durableReqs := 0
-	for _, re := range ev.reqs {
-		if reqDurable(re) {
-			durableReqs++
-		}
-	}
-	return durableReqs >= int(ev.boundaryNum)
-}
-
-func reqDurable(re *reqEvidence) bool {
-	if re.splitCnt > 0 {
-		if len(re.fragsDurable) < int(re.splitCnt) {
-			return false
-		}
-		for i := uint16(0); i < re.splitCnt; i++ {
-			if !re.fragsDurable[i] {
-				return false
+// analyzeStream decides one stream from its run of the sorted entries: the
+// durable prefix, then the entries beyond it.
+func analyzeStream(es []noted) *StreamReport {
+	sr := &StreamReport{Initiator: es[0].Initiator, Stream: es[0].Stream}
+	// Groups below the minimum present seq were retired after in-order
+	// completion: they are durable by construction.
+	prefix := max(es[0].SeqStart, 1) - 1
+	// The highest group that any merged entry, and any durable merged
+	// entry, absorbed so far covers.
+	var mergedTo, durableTo uint64
+	// g wraps to 0 only past a prefix of the largest group: the walk ends.
+	for i, g := 0, prefix+1; g > prefix; g = prefix + 1 {
+		// Absorb every entry that starts at or before g; es[lo:i] is then
+		// group g's own.
+		lo := i
+		for ; i < len(es) && es[i].SeqStart <= g; i++ {
+			if es[i].SeqStart < g {
+				lo = i + 1
+			}
+			if es[i].Merged() {
+				mergedTo = max(mergedTo, es[i].SeqEnd)
+				if es[i].durable {
+					durableTo = max(durableTo, es[i].SeqEnd)
+				}
 			}
 		}
-		return true
+		if mergedTo >= g {
+			// Merged entries are atomic: one persist bit speaks for the
+			// whole range (§4.8), so a durable one decides every group it
+			// covers at once.
+			if durableTo < g {
+				break
+			}
+			prefix = durableTo
+		} else if groupDurable(es[lo:i]) {
+			prefix = g
+		} else {
+			break
+		}
 	}
-	return re.plainDurable
+	sr.DurablePrefix = prefix
+
+	// Classify entries beyond the prefix, each copy once. The server is
+	// part of a copy's identity: under replication the same logical write
+	// has one PMR entry per replica, and roll-back must erase EVERY
+	// replica's copy (a stale block surviving on one member would diverge
+	// the set).
+	var last *noted
+	for k := range es {
+		e := &es[k]
+		sr.MaxSeen = max(sr.MaxSeen, e.SeqEnd)
+		if e.SeqEnd <= prefix {
+			continue
+		}
+		if last != nil && e.ReqID == last.ReqID && e.SplitIdx == last.SplitIdx && e.Server == last.Server && e.LBA == last.LBA {
+			continue
+		}
+		last = e
+		if e.IPU {
+			sr.IPU = append(sr.IPU, e.Entry)
+		} else {
+			sr.Discard = append(sr.Discard, e.Entry)
+		}
+	}
+	return sr
 }
 
-func maxU16(a, b uint16) uint16 {
-	if a > b {
-		return a
+// groupDurable decides a group no merged entry covers from its entries: the
+// boundary request names how many requests the group has, and that many
+// must be durable. A plain request is durable if any copy is; a split one
+// when every fragment below its SplitCnt is.
+func groupDurable(es []noted) bool {
+	var num uint16 // the boundary's Num (0 = boundary unseen)
+	durable := 0
+	for i := 0; i < len(es); {
+		req := es[i].ReqID
+		var cnt, next int // fragments, and the lowest not yet durable
+		plain := false
+		for ; i < len(es) && es[i].ReqID == req; i++ {
+			e := &es[i]
+			if e.SeqEnd < e.SeqStart {
+				continue // an empty range covers no group
+			}
+			if e.Boundary {
+				num = max(num, e.Num)
+			}
+			if !e.Split {
+				plain = plain || e.durable
+				continue
+			}
+			cnt = int(e.SplitCnt)
+			if e.durable && int(e.SplitIdx) == next {
+				next++ // fragments come in SplitIdx order
+			}
+		}
+		if cnt > 0 && next >= cnt || cnt == 0 && plain {
+			durable++
+		}
 	}
-	return b
+	return num > 0 && durable >= int(num)
 }

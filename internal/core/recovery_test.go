@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func entry(stream uint16, reqID uint32, seq uint64, idx uint64, num uint16, persist bool) Entry {
@@ -156,6 +157,33 @@ func TestAnalyzeMergedEntryAtomicity(t *testing.T) {
 	}
 	if len(rep.Stream(0, 0).Discard) != 2 {
 		t.Fatalf("discard = %v", rep.Stream(0, 0).Discard)
+	}
+}
+
+// A checksum-valid merged entry of any span is decided in time independent
+// of the span: its persist bit settles every group it covers at once. One
+// covering 2^62 groups, read back from PMR bytes, once kept Analyze (and
+// with it Recover and riofsck) walking group by group without end.
+func TestAnalyzeHugeMergedRange(t *testing.T) {
+	const end = 1 << 62
+	region := make([]byte, 3*EntrySize)
+	encodeEntry(region, Entry{Attr: Attr{
+		ReqID: 1, SeqStart: 1, SeqEnd: end, ServerIdx: 1, LBA: 0, Blocks: 8, Boundary: true, Num: 2,
+	}, Persist: true})
+	encodeEntry(region[EntrySize:], entry(0, 2, end+1, 2, 1, false))
+	done := make(chan *Report, 1)
+	go func() { done <- Analyze([]ServerView{{PLP: true, Entries: ScanRegion(region)}}) }()
+	select {
+	case rep := <-done:
+		sr := rep.Stream(0, 0)
+		if sr.DurablePrefix != end || sr.MaxSeen != end+1 {
+			t.Fatalf("prefix %d, max seen %d; want %d, %d", sr.DurablePrefix, sr.MaxSeen, uint64(end), uint64(end+1))
+		}
+		if len(sr.Discard) != 1 || sr.Discard[0].ReqID != 2 {
+			t.Fatalf("discard = %+v, want the later group's entry", sr.Discard)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Analyze of one merged range of 2^62 groups did not return in 1 s")
 	}
 }
 
