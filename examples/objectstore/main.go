@@ -1,14 +1,16 @@
 // Object store: a BlueStore-flavored transactional store built directly
-// on the ordered block device through librio (§4.6 — "applications that
-// are built atop the block device can also use Rio to accelerate on-disk
-// transactions"), here on the modern topology: one store per initiator
-// server, both serving concurrently over a 2-way-replicated target set.
+// on the ordered block device through rio stream handles (§4.6 —
+// "applications that are built atop the block device can also use Rio to
+// accelerate on-disk transactions"), here on the modern topology: one
+// store per initiator server, both serving concurrently over a
+// 2-way-replicated target set.
 //
 // Each PUT is an on-disk transaction: data extents (one group), an object
 // metadata block (own group), and a commit record carrying the FLUSH —
-// all submitted asynchronously through the ring, with one barrier at the
-// end. Storage order guarantees the commit record can never be durable
-// before the data it describes — per replica, on every in-sync member.
+// all submitted asynchronously, each write's handle queued in submission
+// order, with one barrier at the end. Storage order guarantees the commit
+// record can never be durable before the data it describes — per replica,
+// on every in-sync member.
 //
 // Run: go run ./examples/objectstore
 package main
@@ -16,7 +18,6 @@ package main
 import (
 	"fmt"
 
-	"repro/librio"
 	"repro/rio"
 )
 
@@ -26,7 +27,8 @@ const (
 )
 
 type store struct {
-	ring     *librio.Ring
+	stream   *rio.Stream
+	inflight []*rio.Handle // unharvested writes, in submission order
 	metaBase uint64
 	dataBase uint64
 	nextData uint64
@@ -44,13 +46,36 @@ func (s *store) put(name string, blocks uint32) {
 		if n > 16 {
 			n = 16
 		}
-		last := off+n >= blocks
-		s.ring.Write(librio.Op{LBA: ext + uint64(off), Blocks: n, Boundary: last})
+		if off+n >= blocks {
+			s.submit(s.stream.Close(ext+uint64(off), n))
+		} else {
+			s.submit(s.stream.Write(ext+uint64(off), n))
+		}
 	}
-	s.ring.Write(librio.Op{LBA: s.metaBase + 2 + slot, Blocks: 1, Boundary: true})
-	s.ring.Write(librio.Op{LBA: s.metaBase, Blocks: 1, Boundary: true, Flush: true})
+	s.submit(s.stream.Close(s.metaBase+2+slot, 1))
+	s.submit(s.stream.Commit(s.metaBase, 1))
 	s.objects[name] = ext
 	s.txns++
+}
+
+func (s *store) submit(h *rio.Handle) { s.inflight = append(s.inflight, h) }
+
+// harvest waits until the n oldest writes completed and returns every
+// completed write from the front of the queue. Rio completes in storage
+// order, so the completed writes are always a prefix of it.
+func (s *store) harvest(n int) []*rio.Handle {
+	n = min(n, len(s.inflight))
+	if n == 0 {
+		return nil
+	}
+	s.inflight[n-1].Wait()
+	k := 0
+	for k < len(s.inflight) && s.inflight[k].Done() {
+		k++
+	}
+	done := s.inflight[:k:k]
+	s.inflight = s.inflight[k:]
+	return done
 }
 
 func main() {
@@ -70,7 +95,7 @@ func main() {
 		c.GoOn(srv, func(ctx *rio.Ctx) {
 			base := uint64(srv) * serverRegion
 			s := &store{
-				ring:     librio.NewRing(ctx, 0, 256),
+				stream:   ctx.Stream(0),
 				metaBase: base,
 				dataBase: base + dataOff,
 				objects:  map[string]uint64{},
@@ -79,28 +104,28 @@ func main() {
 			const objects = 100
 			for i := 0; i < objects; i++ {
 				s.put(fmt.Sprintf("obj-%04d", i), 32) // 128 KB objects
-				if s.ring.Inflight() > 192 {
-					s.ring.WaitMin(64) // keep the pipe full, harvest in order
+				if len(s.inflight) > 192 {
+					s.harvest(64) // keep the pipe full, harvest in order
 				}
 			}
-			cps := s.ring.Barrier()
+			done := s.harvest(len(s.inflight))
 			el := ctx.Now() - start
 			fmt.Printf("store %d (initiator %d): %d transactions in %v — %.0f txns/s, %.2f GB/s payload\n",
 				srv, ctx.Initiator(), s.txns, el,
 				float64(objects)/el.Seconds(), float64(objects)*32*4096/1e9/el.Seconds())
 
-			// The ring harvests in storage order: the commit of txn k is never
+			// Harvesting runs in storage order: the commit of txn k is never
 			// seen before the commits of txns < k.
 			fmt.Printf("store %d: in-order harvesting, last completion group = %d\n",
-				srv, mustLastGroup(cps))
+				srv, lastGroup(done))
 		})
 	}
 	c.Run()
 }
 
-func mustLastGroup(cps []librio.Completion) uint64 {
-	if len(cps) == 0 {
+func lastGroup(done []*rio.Handle) uint64 {
+	if len(done) == 0 {
 		return 0
 	}
-	return cps[len(cps)-1].Group
+	return done[len(done)-1].Attr().SeqStart
 }

@@ -89,7 +89,7 @@ func analyzeMaps(views []ServerView) *Report {
 		}
 	}
 
-	rep := &Report{Streams: map[StreamKey]*StreamReport{}}
+	byKey := map[StreamKey]*StreamReport{}
 	for id, ss := range streams {
 		sr := &StreamReport{Initiator: id.Initiator, Stream: id.Stream, MaxSeen: ss.maxSeen}
 		// Groups below the minimum present seq were retired after in-order
@@ -129,8 +129,16 @@ func analyzeMaps(views []ServerView) *Report {
 		sort.Slice(sr.IPU, func(i, j int) bool {
 			return lessEntry(sr.IPU[i], sr.IPU[j])
 		})
-		rep.Streams[id] = sr
+		byKey[id] = sr
 	}
+	rep := &Report{}
+	for _, sr := range byKey {
+		rep.Streams = append(rep.Streams, sr)
+	}
+	sort.Slice(rep.Streams, func(i, j int) bool {
+		a, b := rep.Streams[i], rep.Streams[j]
+		return a.Initiator < b.Initiator || a.Initiator == b.Initiator && a.Stream < b.Stream
+	})
 	return rep
 }
 
@@ -316,10 +324,10 @@ func TestAnalyzeMatchesMapModel(t *testing.T) {
 		views := randomViews(rng)
 		got, want := Analyze(views), analyzeMaps(views)
 		if !reflect.DeepEqual(got, want) {
-			for id, sr := range want.Streams {
-				if g := got.Streams[id]; !reflect.DeepEqual(g, sr) {
-					t.Errorf("stream %v: got %+v", id, g)
-					t.Errorf("stream %v: model %+v", id, sr)
+			for _, sr := range want.Streams {
+				if g := got.Stream(sr.Initiator, sr.Stream); !reflect.DeepEqual(g, sr) {
+					t.Errorf("stream %d.%d: got %+v", sr.Initiator, sr.Stream, g)
+					t.Errorf("stream %d.%d: model %+v", sr.Initiator, sr.Stream, sr)
 				}
 			}
 			t.Fatalf("run %d: reports differ (%d streams, model %d); views %+v", run, len(got.Streams), len(want.Streams), views)
@@ -327,7 +335,7 @@ func TestAnalyzeMatchesMapModel(t *testing.T) {
 		beyond := 0
 		for _, v := range views {
 			for _, e := range v.Entries {
-				sr := got.Streams[StreamKey{e.Initiator, e.Stream}]
+				sr := got.Stream(e.Initiator, e.Stream)
 				if !e.EpochMark && e.SeqEnd > sr.DurablePrefix {
 					beyond++
 				}
@@ -427,15 +435,15 @@ func FuzzAnalyze(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		views := fuzzViews(data)
 		rep := Analyze(views)
-		for id, sr := range rep.Streams {
+		for _, sr := range rep.Streams {
 			for _, e := range sr.Discard {
 				if e.SeqEnd <= sr.DurablePrefix || e.IPU {
-					t.Fatalf("stream %v prefix %d: discard lists %+v", id, sr.DurablePrefix, e)
+					t.Fatalf("stream %d.%d prefix %d: discard lists %+v", sr.Initiator, sr.Stream, sr.DurablePrefix, e)
 				}
 			}
 			for _, e := range sr.IPU {
 				if e.SeqEnd <= sr.DurablePrefix || !e.IPU {
-					t.Fatalf("stream %v prefix %d: IPU lists %+v", id, sr.DurablePrefix, e)
+					t.Fatalf("stream %d.%d prefix %d: IPU lists %+v", sr.Initiator, sr.Stream, sr.DurablePrefix, e)
 				}
 			}
 		}

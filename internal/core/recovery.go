@@ -45,18 +45,27 @@ func (v ServerView) plp(e Entry) bool {
 //
 // Entries absent from the log but below a stream's maximum present
 // ServerIdx were retired (completed in order) and are implicitly durable;
-// callers rely on the in-order-append invariant for that.
+// callers rely on the in-order-append invariant for that. Both lists keep
+// scan order and share one array of exactly their joint size.
 func DurableSet(v ServerView) (durable, uncertain []Entry) {
 	// Per (initiator, stream), the highest persisted FLUSH ServerIdx on a
 	// non-PLP device. ServerIdx chains are per-initiator, so a FLUSH of
 	// one initiator certifies only entries of its own chain.
 	flushIdx := map[StreamKey]uint64{}
+	n := 0
 	for _, e := range v.Entries {
 		k := StreamKey{e.Initiator, e.Stream}
 		if e.Flush && e.Persist && !v.plp(e) && e.ServerIdx > flushIdx[k] {
 			flushIdx[k] = e.ServerIdx
 		}
+		if !e.EpochMark {
+			n++
+		}
 	}
+	// Durable entries fill the array from the front, uncertain ones from
+	// the back; the back is then reversed into scan order.
+	out := make([]Entry, n)
+	d, u := 0, n
 	for _, e := range v.Entries {
 		// Replication membership marks are not write evidence: they record
 		// a replica set's degraded windows, never data durability.
@@ -65,12 +74,15 @@ func DurableSet(v ServerView) (durable, uncertain []Entry) {
 		}
 		k := StreamKey{e.Initiator, e.Stream}
 		if e.Persist || (!v.plp(e) && flushIdx[k] > 0 && e.ServerIdx <= flushIdx[k]) {
-			durable = append(durable, e)
+			out[d] = e
+			d++
 		} else {
-			uncertain = append(uncertain, e)
+			u--
+			out[u] = e
 		}
 	}
-	return durable, uncertain
+	slices.Reverse(out[d:])
+	return out[:d:d], out[d:]
 }
 
 // StreamKey identifies one ordering domain of a multi-initiator cluster:
@@ -107,9 +119,10 @@ type StreamReport struct {
 
 // Report is the global recovery decision built after collecting every
 // server's view (§4.4). Each initiator's ordering domains are rebuilt
-// independently: the map is keyed by (initiator, stream).
+// independently: Streams holds one report per (initiator, stream) with
+// evidence, sorted by that pair.
 type Report struct {
-	Streams map[StreamKey]*StreamReport
+	Streams []*StreamReport
 }
 
 // Prefix returns the durable prefix for a stream of initiator 0 (the
@@ -121,7 +134,7 @@ func (r *Report) Prefix(stream uint16) uint64 {
 // PrefixFor returns the durable prefix for one initiator's stream (0 if
 // unknown).
 func (r *Report) PrefixFor(initiator, stream uint16) uint64 {
-	if sr := r.Streams[StreamKey{initiator, stream}]; sr != nil {
+	if sr := r.Stream(initiator, stream); sr != nil {
 		return sr.DurablePrefix
 	}
 	return 0
@@ -129,7 +142,13 @@ func (r *Report) PrefixFor(initiator, stream uint16) uint64 {
 
 // Stream returns the report for one initiator's stream (nil if unknown).
 func (r *Report) Stream(initiator, stream uint16) *StreamReport {
-	return r.Streams[StreamKey{initiator, stream}]
+	i, ok := slices.BinarySearchFunc(r.Streams, StreamKey{initiator, stream}, func(sr *StreamReport, k StreamKey) int {
+		return cmp.Or(cmp.Compare(sr.Initiator, k.Initiator), cmp.Compare(sr.Stream, k.Stream))
+	})
+	if !ok {
+		return nil
+	}
+	return r.Streams[i]
 }
 
 // noted is one scanned entry, its Server filled in, tagged with
@@ -166,14 +185,13 @@ func Analyze(views []ServerView) *Report {
 	}
 	slices.SortStableFunc(all, compareNoted)
 
-	rep := &Report{Streams: map[StreamKey]*StreamReport{}}
+	rep := &Report{}
 	for len(all) > 0 {
 		n := 1
 		for n < len(all) && all[n].Initiator == all[0].Initiator && all[n].Stream == all[0].Stream {
 			n++
 		}
-		sr := analyzeStream(all[:n])
-		rep.Streams[StreamKey{sr.Initiator, sr.Stream}] = sr
+		rep.Streams = append(rep.Streams, analyzeStream(all[:n]))
 		all = all[n:]
 	}
 	return rep

@@ -70,17 +70,18 @@ func (g *groupTrack) reset() {
 
 // StreamSeq is the per-stream state: global order on the submission side,
 // per-server chains for the targets, and the in-order completion gate.
+// Its in-flight sets are id tables keyed by the numbers it mints.
 type StreamSeq struct {
 	initiator uint16 // ordering-domain namespace (multi-initiator clusters)
 	id        uint16
 	nextSeq   uint64 // seq assigned to the currently open group
 	openCount uint16
-	nextReqID uint32
-	serverIdx map[int]uint64
+	nextReq   uint64   // requests minted; a ticket's ReqID is its low 32 bits
+	serverIdx []uint64 // last ServerIdx stamped, per server
 
-	fullyDone uint64 // all groups <= fullyDone are complete and delivered
-	groups    map[uint64]*groupTrack
-	inflight  map[uint32]*Ticket
+	fullyDone uint64               // all groups <= fullyDone are complete and delivered
+	groups    IDTable[*groupTrack] // open groups, by seq
+	inflight  IDTable[*Ticket]     // undelivered tickets, by request number
 
 	groupFree []*groupTrack // free list of retired group trackers
 	deliver   func(*Ticket) // for tickets submitted without a callback
@@ -88,14 +89,10 @@ type StreamSeq struct {
 }
 
 func newStreamSeq(initiator, id uint16) *StreamSeq {
-	return &StreamSeq{
-		initiator: initiator,
-		id:        id,
-		nextSeq:   1,
-		serverIdx: make(map[int]uint64),
-		groups:    make(map[uint64]*groupTrack),
-		inflight:  make(map[uint32]*Ticket),
-	}
+	st := &StreamSeq{initiator: initiator, id: id, nextSeq: 1}
+	st.groups.Init(4)
+	st.inflight.Init(16)
+	return st
 }
 
 // ID returns the stream id.
@@ -125,7 +122,7 @@ func (st *StreamSeq) SubmitInto(t *Ticket, lba uint64, blocks uint32, boundary, 
 	a := Attr{
 		Initiator: st.initiator,
 		Stream:    st.id,
-		ReqID:     st.nextReqID,
+		ReqID:     uint32(st.nextReq),
 		SeqStart:  st.nextSeq,
 		SeqEnd:    st.nextSeq,
 		LBA:       lba,
@@ -134,9 +131,8 @@ func (st *StreamSeq) SubmitInto(t *Ticket, lba uint64, blocks uint32, boundary, 
 		Flush:     flush,
 		IPU:       ipu,
 	}
-	st.nextReqID++
 	st.openCount++
-	g := st.groups[st.nextSeq]
+	g, _ := st.groups.Get(st.nextSeq)
 	if g == nil {
 		if n := len(st.groupFree); n > 0 {
 			g = st.groupFree[n-1]
@@ -145,7 +141,7 @@ func (st *StreamSeq) SubmitInto(t *Ticket, lba uint64, blocks uint32, boundary, 
 		} else {
 			g = &groupTrack{}
 		}
-		st.groups[st.nextSeq] = g
+		st.groups.Put(st.nextSeq, g)
 	}
 	g.outstanding++
 	if boundary {
@@ -158,7 +154,8 @@ func (st *StreamSeq) SubmitInto(t *Ticket, lba uint64, blocks uint32, boundary, 
 	t.deliver = deliver
 	t.done = false
 	t.live = true
-	st.inflight[a.ReqID] = t
+	st.inflight.Put(st.nextReq, t)
+	st.nextReq++
 	return t
 }
 
@@ -166,6 +163,9 @@ func (st *StreamSeq) SubmitInto(t *Ticket, lba uint64, blocks uint32, boundary, 
 // block layer calls this at dispatch time, after merging and splitting,
 // when the target of each wire request is known.
 func (st *StreamSeq) NextServerIdx(server int) uint64 {
+	if server >= len(st.serverIdx) {
+		st.serverIdx = append(st.serverIdx, make([]uint64, server+1-len(st.serverIdx))...)
+	}
 	st.serverIdx[server]++
 	return st.serverIdx[server]
 }
@@ -174,7 +174,17 @@ func (st *StreamSeq) NextServerIdx(server int) uint64 {
 // crash: the restarted server's gate expects indices from 1 again and
 // replayed commands are stamped with fresh indices.
 func (st *StreamSeq) ResetServerChain(server int) {
-	delete(st.serverIdx, server)
+	if server < len(st.serverIdx) {
+		st.serverIdx[server] = 0
+	}
+}
+
+// reqKey widens a 32-bit ReqID to the request number it was minted from:
+// the latest one with those low bits. Live tickets span far fewer than
+// 2^32 requests, so the ReqID wrap is invisible to the inflight table.
+func (st *StreamSeq) reqKey(reqID uint32) uint64 {
+	last := st.nextReq - 1
+	return last - uint64(uint32(last)-reqID)
 }
 
 // Completed reports the hardware completion of one submitted request and
@@ -182,13 +192,13 @@ func (st *StreamSeq) ResetServerChain(server int) {
 // It returns the tickets whose deliver callbacks were invoked, in a slice
 // the stream reuses: it is valid until the next Completed on this stream.
 func (st *StreamSeq) Completed(reqID uint32) []*Ticket {
-	t, ok := st.inflight[reqID]
+	t, ok := st.inflight.Get(st.reqKey(reqID))
 	if !ok || t.done {
 		return nil // duplicate completion (e.g. replay after target crash)
 	}
 	t.done = true
 	seq := t.Attr.SeqEnd
-	g := st.groups[seq]
+	g, _ := st.groups.Get(seq)
 	if g == nil {
 		panic("core: completion for unknown group")
 	}
@@ -203,14 +213,14 @@ func (st *StreamSeq) Completed(reqID uint32) []*Ticket {
 	}
 	// Advance the fully-done frontier and flush buffered deliveries.
 	for {
-		next := st.groups[st.fullyDone+1]
+		next, _ := st.groups.Get(st.fullyDone + 1)
 		if next == nil || !next.closed || next.outstanding > 0 {
 			break
 		}
-		delete(st.groups, st.fullyDone+1)
+		st.groups.Delete(st.fullyDone + 1)
 		st.groupFree = append(st.groupFree, next)
 		st.fullyDone++
-		if ng := st.groups[st.fullyDone+1]; ng != nil {
+		if ng, _ := st.groups.Get(st.fullyDone + 1); ng != nil {
 			for _, bt := range ng.buffered {
 				st.deliverTicket(bt)
 			}
@@ -221,7 +231,7 @@ func (st *StreamSeq) Completed(reqID uint32) []*Ticket {
 }
 
 func (st *StreamSeq) deliverTicket(t *Ticket) {
-	delete(st.inflight, t.Attr.ReqID)
+	st.inflight.Delete(st.reqKey(t.Attr.ReqID))
 	t.live = false // lifetime over: the storage may be reused
 	if t.deliver != nil {
 		t.deliver()
@@ -229,27 +239,6 @@ func (st *StreamSeq) deliverTicket(t *Ticket) {
 		st.deliver(t)
 	}
 	st.delivered = append(st.delivered, t)
-}
-
-// Inflight returns the tickets not yet delivered, in (seq, reqID) order —
-// the replay set used by target-crash recovery (§4.4.1).
-func (st *StreamSeq) Inflight() []*Ticket {
-	var out []*Ticket
-	for _, t := range st.inflight {
-		out = append(out, t)
-	}
-	// Insertion sort: inflight sets are small (bounded by queue depth).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1].Attr, out[j].Attr
-			if a.SeqStart > b.SeqStart || (a.SeqStart == b.SeqStart && a.ReqID > b.ReqID) {
-				out[j-1], out[j] = out[j], out[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // FullyDone returns the highest group seq whose completions have all been

@@ -107,26 +107,38 @@ func TestDuplicateCompletionIgnored(t *testing.T) {
 	}
 }
 
-func TestInflightSortedBySeq(t *testing.T) {
+// ReqID is 32 bits on the wire and in the PMR entry; the inflight table is
+// keyed by the 64-bit request number it was cut from. A stream that crosses
+// the wrap with requests in flight on both sides still delivers each in
+// group order exactly once, ignores duplicate completions, and keeps its
+// table as small as its live span.
+func TestSequencerCrossesReqIDWrap(t *testing.T) {
 	st := NewSequencer(1).Stream(0)
+	st.nextReq = 1<<32 - 5
 	var tks []*Ticket
-	for i := 0; i < 5; i++ {
-		tks = append(tks, st.Submit(uint64(i), 1, true, false, false, nil))
+	for i := 0; i < 12; i++ {
+		tks = append(tks, st.Submit(uint64(i), 1, i%3 == 2, false, false, nil))
 	}
-	st.Completed(tks[0].Attr.ReqID)
-	st.Completed(tks[2].Attr.ReqID) // completes but can't deliver until 1
-	inf := st.Inflight()
-	// Delivered: group1. Still inflight: groups 2,3(done but undelivered
-	// tickets are removed only at delivery),4,5 => reqIDs 1,3,4 remain
-	// (req 2 completed AND delivered? no: group2 incomplete so group3
-	// buffered). Verify ordering is by seq.
-	for i := 1; i < len(inf); i++ {
-		if inf[i-1].Attr.SeqStart > inf[i].Attr.SeqStart {
-			t.Fatalf("inflight not sorted: %v then %v", inf[i-1].Attr, inf[i].Attr)
+	if tks[0].Attr.ReqID != 1<<32-5 || tks[5].Attr.ReqID != 0 || tks[11].Attr.ReqID != 6 {
+		t.Fatalf("ReqIDs %d, %d, %d: the stream did not cross the wrap", tks[0].Attr.ReqID, tks[5].Attr.ReqID, tks[11].Attr.ReqID)
+	}
+	var got []*Ticket
+	for _, i := range []int{11, 4, 5, 0, 3, 9, 1, 2, 10, 6, 8, 7} {
+		got = append(got, st.Completed(tks[i].Attr.ReqID)...)
+		if len(st.Completed(tks[i].Attr.ReqID)) != 0 {
+			t.Fatalf("duplicate completion of request %d delivered", i)
 		}
 	}
-	if len(inf) != 4 {
-		t.Fatalf("inflight = %d tickets, want 4", len(inf))
+	if len(got) != len(tks) || st.FullyDone() != 4 || st.inflight.Len() != 0 {
+		t.Fatalf("delivered %d of %d, fully done %d, %d in flight", len(got), len(tks), st.FullyDone(), st.inflight.Len())
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Attr.SeqStart > got[i].Attr.SeqStart {
+			t.Fatalf("delivery %d is group %d after group %d", i, got[i].Attr.SeqStart, got[i-1].Attr.SeqStart)
+		}
+	}
+	if len(st.inflight.slots) > 16 {
+		t.Fatalf("inflight table has %d slots for 12 live requests", len(st.inflight.slots))
 	}
 }
 

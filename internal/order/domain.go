@@ -1,114 +1,6 @@
 package order
 
-// ring is a dense open-addressed ring keyed by an absolute uint64 index.
-// Entries cluster inside a sliding window near the domain frontier
-// (parked commands live in (next, next+inflight]; live PMR slots in
-// (retired, appended]), so position idx%cap almost never collides; on a
-// collision with a live entry the ring doubles and rehashes. Capacities
-// are powers of two.
-type ring[V any] struct {
-	ents []ringEnt[V]
-	n    int
-}
-
-type ringEnt[V any] struct {
-	idx uint64
-	val V
-	set bool
-}
-
-func (r *ring[V]) init(capacity int) {
-	c := 1
-	for c < capacity {
-		c <<= 1
-	}
-	r.ents = make([]ringEnt[V], c)
-	r.n = 0
-}
-
-func (r *ring[V]) mask() uint64 { return uint64(len(r.ents) - 1) }
-
-// get returns the value stored at idx.
-func (r *ring[V]) get(idx uint64) (V, bool) {
-	if r.n == 0 {
-		var zero V
-		return zero, false
-	}
-	e := &r.ents[idx&r.mask()]
-	if e.set && e.idx == idx {
-		return e.val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// put stores v at idx (overwriting a previous value at the same idx),
-// growing the ring until idx's slot is free of OTHER live indices.
-func (r *ring[V]) put(idx uint64, v V) {
-	for {
-		e := &r.ents[idx&r.mask()]
-		if !e.set || e.idx == idx {
-			if !e.set {
-				r.n++
-			}
-			e.idx, e.val, e.set = idx, v, true
-			return
-		}
-		r.grow()
-	}
-}
-
-// del removes and returns the value stored at idx.
-func (r *ring[V]) del(idx uint64) (V, bool) {
-	var zero V
-	if r.n == 0 {
-		return zero, false
-	}
-	e := &r.ents[idx&r.mask()]
-	if e.set && e.idx == idx {
-		v := e.val
-		e.val, e.set = zero, false
-		r.n--
-		return v, true
-	}
-	return zero, false
-}
-
-// grow doubles the ring and rehashes live entries. Doubling preserves
-// the no-collision invariant for any set of distinct indices that fit.
-func (r *ring[V]) grow() {
-	old := r.ents
-	next := &ring[V]{}
-	next.init(len(old) * 2)
-	for i := range old {
-		if old[i].set {
-			// Distinct indices may still collide after one doubling when
-			// the live window is sparse; keep doubling through put.
-			next.put(old[i].idx, old[i].val)
-		}
-	}
-	r.ents = next.ents
-	r.n = next.n
-}
-
-// each visits every live entry (ring order; callers must not depend on
-// index order).
-func (r *ring[V]) each(f func(idx uint64, v V)) {
-	for i := range r.ents {
-		if r.ents[i].set {
-			f(r.ents[i].idx, r.ents[i].val)
-		}
-	}
-}
-
-// reset drops every entry, keeping capacity.
-func (r *ring[V]) reset() {
-	var zero ringEnt[V]
-	for i := range r.ents {
-		r.ents[i] = zero
-	}
-	r.n = 0
-}
+import "repro/internal/core"
 
 // Domain is one ordering domain — one (initiator, stream) pair as seen
 // by one target server. It owns the three pieces of per-domain invariant
@@ -128,27 +20,31 @@ type Domain[P any] struct {
 	next    uint64 // gate frontier: next expected ServerIdx (chains are 1-based)
 	retired uint64 // retire watermark: slots <= retired are recycled
 
-	parked ring[P]
-	parkT  ring[int64]  // park instants (ParkAt; lazily initialized)
-	slots  ring[uint64] // live ServerIdx -> PMR log slot
+	parked core.IDTable[parkedAt[P]] // by ServerIdx
+	slots  core.IDTable[uint64]      // live ServerIdx -> PMR log slot
 }
 
-// initDomain prepares a fresh domain (frontier at 1, pre-sized rings).
+// parkedAt is a parked command and its park instant (0 unless ParkAt).
+type parkedAt[P any] struct {
+	v  P
+	at int64
+}
+
+// initDomain prepares a fresh domain (frontier at 1, pre-sized tables).
 func (d *Domain[P]) initDomain(parkedCap int) {
 	d.next = 1
 	d.retired = 0
-	d.parked.init(parkedCap)
-	d.slots.init(parkedCap * 4)
+	d.parked.Init(parkedCap)
+	d.slots.Init(parkedCap * 4)
 }
 
-// Reset restores the domain to its initial state, keeping ring capacity
+// Reset restores the domain to its initial state, keeping table capacity
 // (post-crash format: the next incarnation's chains restart at 1).
 func (d *Domain[P]) Reset() {
 	d.next = 1
 	d.retired = 0
-	d.parked.reset()
-	d.parkT.reset()
-	d.slots.reset()
+	d.parked.Reset()
+	d.slots.Reset()
 }
 
 // Frontier returns the next expected ServerIdx of the in-order gate.
@@ -161,39 +57,32 @@ func (d *Domain[P]) Admit(idx uint64) bool { return idx == d.next }
 // Park holds back a command that arrived ahead of a missing
 // predecessor. Parking the same index twice overwrites (replays are
 // idempotent).
-func (d *Domain[P]) Park(idx uint64, v P) { d.parked.put(idx, v) }
+func (d *Domain[P]) Park(idx uint64, v P) { d.parked.Put(idx, parkedAt[P]{v: v}) }
 
 // Advance moves the gate frontier past idx (the command was submitted).
 func (d *Domain[P]) Advance(idx uint64) { d.next = idx + 1 }
 
 // TakeNext pops the parked command waiting at the frontier, if any —
 // the unpark drain loop calls it after every Advance.
-func (d *Domain[P]) TakeNext() (P, bool) { return d.parked.del(d.next) }
+func (d *Domain[P]) TakeNext() (P, bool) {
+	p, ok := d.parked.Delete(d.next)
+	return p.v, ok
+}
 
 // ParkAt is Park plus a park instant, recorded for gate-wait attribution
 // (stage tracing). The instant is the caller's clock; the engine stores
 // it opaquely.
-func (d *Domain[P]) ParkAt(idx uint64, v P, at int64) {
-	d.parked.put(idx, v)
-	if d.parkT.ents == nil {
-		d.parkT.init(len(d.parked.ents))
-	}
-	d.parkT.put(idx, at)
-}
+func (d *Domain[P]) ParkAt(idx uint64, v P, at int64) { d.parked.Put(idx, parkedAt[P]{v, at}) }
 
 // TakeNextAt is TakeNext plus the park instant the command was ParkAt-ed
 // with (0 if it was parked via plain Park).
 func (d *Domain[P]) TakeNextAt() (P, int64, bool) {
-	v, ok := d.parked.del(d.next)
-	var at int64
-	if ok {
-		at, _ = d.parkT.del(d.next)
-	}
-	return v, at, ok
+	p, ok := d.parked.Delete(d.next)
+	return p.v, p.at, ok
 }
 
 // ParkedLen returns the number of held-back commands.
-func (d *Domain[P]) ParkedLen() int { return d.parked.n }
+func (d *Domain[P]) ParkedLen() int { return d.parked.Len() }
 
 // AuditParked counts parked entries at or below the frontier. An
 // arrival AT the frontier always processes inline and the drain loop
@@ -202,20 +91,21 @@ func (d *Domain[P]) ParkedLen() int { return d.parked.n }
 // colliding ordering domains would produce. Healthy domains return 0.
 func (d *Domain[P]) AuditParked() int {
 	bad := 0
-	d.parked.each(func(idx uint64, _ P) {
-		if idx <= d.next {
-			bad++
+	for idx := range d.parked.All() {
+		if idx > d.next {
+			break
 		}
-	})
+		bad++
+	}
 	return bad
 }
 
 // RecordSlot remembers the PMR log slot a live ServerIdx's attribute was
 // persisted in.
-func (d *Domain[P]) RecordSlot(idx, slot uint64) { d.slots.put(idx, slot) }
+func (d *Domain[P]) RecordSlot(idx, slot uint64) { d.slots.Put(idx, slot) }
 
 // Slot returns the PMR slot of a live ServerIdx.
-func (d *Domain[P]) Slot(idx uint64) (uint64, bool) { return d.slots.get(idx) }
+func (d *Domain[P]) Slot(idx uint64) (uint64, bool) { return d.slots.Get(idx) }
 
 // RetiredTo returns the retire watermark (0 if it never advanced).
 func (d *Domain[P]) RetiredTo() uint64 { return d.retired }
@@ -227,7 +117,7 @@ func (d *Domain[P]) RetiredTo() uint64 { return d.retired }
 func (d *Domain[P]) RetireUpTo(upTo uint64, free func(slot uint64)) bool {
 	last := d.retired
 	for idx := last + 1; idx <= upTo; idx++ {
-		if slot, ok := d.slots.del(idx); ok {
+		if slot, ok := d.slots.Delete(idx); ok {
 			free(slot)
 		}
 	}

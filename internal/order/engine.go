@@ -28,7 +28,7 @@ type Engine[P any] struct {
 
 // NewEngine sizes the dense tables for a target serving `inits`
 // initiators with `streams` ordering streams each and `ssds` devices.
-// parkedCap pre-sizes each domain's parked ring (a dispatch batch is the
+// parkedCap pre-sizes each domain's parked table (a dispatch batch is the
 // natural unit of out-of-order arrival).
 func NewEngine[P any](pol Policy, inits, streams, ssds, parkedCap int) *Engine[P] {
 	if inits <= 0 || streams <= 0 {

@@ -45,7 +45,7 @@ func TestGateDenseChainAnyPermutation(t *testing.T) {
 		}
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		var d Domain[uint64]
-		d.initDomain(4) // force parked-ring growth
+		d.initDomain(4) // force parked-table growth
 		got := driveGate(t, &d, perm)
 		if len(got) != n {
 			t.Fatalf("trial %d: processed %d of %d", trial, len(got), n)

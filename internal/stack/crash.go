@@ -446,19 +446,8 @@ func (c *Cluster) rollback(p *sim.Proc, report *core.Report, src []repairSource,
 	type eraseKey struct{ server, ssdIdx int }
 	erases := map[eraseKey][]core.Entry{}
 	var keys []eraseKey
-	streams := make([]core.StreamKey, 0, len(report.Streams))
-	for id := range report.Streams {
-		streams = append(streams, id)
-	}
-	sort.Slice(streams, func(i, j int) bool {
-		a, b := streams[i], streams[j]
-		if a.Initiator != b.Initiator {
-			return a.Initiator < b.Initiator
-		}
-		return a.Stream < b.Stream
-	})
-	for _, id := range streams {
-		for _, e := range report.Streams[id].Discard {
+	for _, sr := range report.Streams {
+		for _, e := range sr.Discard {
 			if src[e.Server] != fromEvidence && !slices.Contains(inits, int(e.Initiator)) {
 				continue
 			}
@@ -533,7 +522,7 @@ func (in *Initiator) restartChain(target int) {
 // up).
 func (in *Initiator) prepareReplay(target int) []*wireState {
 	var replay []*wireState
-	for _, ws := range in.outstanding {
+	for _, ws := range in.outstanding.All() {
 		if !ws.wc.Flush && ws.q.Pos(target) >= 0 {
 			replay = append(replay, ws)
 		}

@@ -370,13 +370,13 @@ func TestDeadEpochCoalescedCapsuleDroppedWhole(t *testing.T) {
 		}
 	})
 	// Snapshot the outstanding ids AT the cut: these are the genuine
-	// dead-epoch commands a late capsule would ack. (PowerCutAll replaces
-	// the outstanding map, so they must be read before it runs.)
+	// dead-epoch commands a late capsule would ack. (PowerCutAll empties
+	// the outstanding table, so they must be read before it runs.)
 	var deadIDs []uint64
 	var deadEpoch int
 	eng.At(30*sim.Microsecond, func() {
 		deadEpoch = c.inits[0].epoch
-		for id := range c.inits[0].outstanding {
+		for id := range c.inits[0].outstanding.All() {
 			deadIDs = append(deadIDs, id)
 		}
 		c.PowerCutAll()

@@ -550,7 +550,7 @@ func (in *Initiator) fuseWires(wires []*wireState) (out []*wireState, checks int
 			checks++
 			if in.tryFuse(prev, ws) {
 				in.stats.FusedCmds++
-				delete(in.outstanding, ws.id)
+				in.outstanding.Delete(ws.id)
 				in.shards[ws.stream].putWire(ws)
 				continue
 			}
@@ -882,7 +882,7 @@ func (r *reaper) handle() bool {
 	}
 	for i := range msg.cqes {
 		id := msg.cqes[i].ID()
-		ws := in.outstanding[id]
+		ws, _ := in.outstanding.Get(id)
 		if ws == nil || ws.epoch != in.epoch {
 			continue
 		}
@@ -900,7 +900,7 @@ func (r *reaper) handle() bool {
 			addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)
 			for _, m := range msg.agg[i].members {
 				in.memberAck(ws, m)
-				if in.outstanding[id] != ws {
+				if cur, _ := in.outstanding.Get(id); cur != ws {
 					break
 				}
 			}
@@ -911,7 +911,7 @@ func (r *reaper) handle() bool {
 	// Late-ack resolution records piggybacked by the relay head: each
 	// stands in for one member CQE that was absorbed target-side.
 	for _, res := range msg.resolved {
-		ws := in.outstanding[res.id]
+		ws, _ := in.outstanding.Get(res.id)
 		if ws == nil || ws.epoch != in.epoch {
 			continue
 		}

@@ -30,7 +30,7 @@ type Initiator struct {
 	seq    *core.Sequencer
 	shards []*shard // one submission shard per stream
 
-	outstanding map[uint64]*wireState
+	outstanding core.IDTable[*wireState] // by wire id
 	nextCmdID   uint64
 	linuxMu     *sim.Resource
 	// retireMark is the dense {stream, target} watermark table (index
@@ -56,10 +56,10 @@ type Initiator struct {
 
 	// Read path. rcache is nil with CacheBlocks == 0: every read then
 	// crosses the fabric. pendingReads tracks in-flight read commands of
-	// either path by a monotonic id so crash sweeps can reroute or abandon
-	// them deterministically.
+	// either path by a monotonic id, so crash sweeps reroute or abandon
+	// them in issue order.
 	rcache       *rcache
-	pendingReads map[uint64]*pendingRead
+	pendingReads core.IDTable[*pendingRead]
 	nextReadID   uint64
 
 	// Submit-side pushback (Config.MaxInflight > 0): inflight counts
@@ -80,26 +80,25 @@ type Initiator struct {
 // exist.
 func newInitiator(c *Cluster, id int) *Initiator {
 	in := &Initiator{
-		c:           c,
-		id:          id,
-		Eng:         c.Eng,
-		cfg:         c.cfg,
-		costs:       c.costs,
-		vol:         c.vol,
-		targets:     c.targets,
-		cores:       sim.NewResource(c.Eng, c.cfg.InitiatorCores),
-		outstanding: make(map[uint64]*wireState),
-		linuxMu:     sim.NewResource(c.Eng, 1),
-		retireMark:  make([]uint64, c.cfg.Streams*len(c.targets)),
-		alive:       true,
+		c:          c,
+		id:         id,
+		Eng:        c.Eng,
+		cfg:        c.cfg,
+		costs:      c.costs,
+		vol:        c.vol,
+		targets:    c.targets,
+		cores:      sim.NewResource(c.Eng, c.cfg.InitiatorCores),
+		linuxMu:    sim.NewResource(c.Eng, 1),
+		retireMark: make([]uint64, c.cfg.Streams*len(c.targets)),
+		alive:      true,
 	}
+	in.outstanding.Init(64)
 	in.seq = in.newSequencer()
 	in.inflightCond = sim.NewCond(c.Eng)
 	if c.cfg.Governor.Enabled {
 		in.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
 	}
 	in.fuseTails = make([]fuseTail, c.vol.Devices())
-	in.pendingReads = make(map[uint64]*pendingRead)
 	if c.cfg.CacheBlocks > 0 {
 		in.rcache = newRCache(c.cfg.CacheBlocks, c.cfg.Streams)
 	}
@@ -348,7 +347,7 @@ func (in *Initiator) newWire(stream int) *wireState {
 	ws.init = in.id
 	ws.stream = stream
 	ws.epoch = in.epoch
-	in.outstanding[ws.id] = ws
+	in.outstanding.Put(ws.id, ws)
 	return ws
 }
 
@@ -408,7 +407,7 @@ func (in *Initiator) crashVolatile() {
 	in.alive = false
 	in.epoch++
 	in.seq = in.newSequencer()
-	in.outstanding = make(map[uint64]*wireState)
+	in.outstanding.Reset()
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
 	for _, sh := range in.shards {
 		sh.crashReset()

@@ -217,9 +217,9 @@ func TestInitiatorRecoveryDoesNotRollBackPeers(t *testing.T) {
 			t.Fatalf("peer group %d rolled back by a foreign initiator's recovery", gi+1)
 		}
 	}
-	for k := range rep.Streams {
-		if k.Initiator != 1 {
-			t.Fatalf("initiator 1's recovery scanned foreign domain %+v", k)
+	for _, sr := range rep.Streams {
+		if sr.Initiator != 1 {
+			t.Fatalf("initiator 1's recovery scanned foreign domain %d.%d", sr.Initiator, sr.Stream)
 		}
 	}
 	// Both initiators usable afterwards.
@@ -271,7 +271,8 @@ func TestInitiatorCutMidReapCharge(t *testing.T) {
 			if m := sh.reap.msg; m != nil {
 				charging++
 				for i := range m.cqes {
-					live = live || in.outstanding[m.cqes[i].ID()] != nil
+					_, ok := in.outstanding.Get(m.cqes[i].ID())
+					live = live || ok
 				}
 			}
 		}

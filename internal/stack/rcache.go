@@ -424,10 +424,8 @@ func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want f
 // landing resolved and every origin request delivered — which covers the
 // window in which a fill could read pre-write content and insert it after
 // the write's cache population.
-// The result is a boolean over the whole map, so the nondeterministic
-// iteration order cannot leak into the simulation.
 func (in *Initiator) writeInFlight(dev int, devLBA uint64, blocks uint32) bool {
-	for _, ws := range in.outstanding {
+	for _, ws := range in.outstanding.All() {
 		if ws.wc.Flush || ws.epoch != in.epoch {
 			continue
 		}
@@ -444,7 +442,7 @@ func (in *Initiator) writeInFlight(dev int, devLBA uint64, blocks uint32) bool {
 func (in *Initiator) trackRead(pr *pendingRead) *pendingRead {
 	in.nextReadID++
 	pr.id, pr.epoch = in.nextReadID, in.epoch
-	in.pendingReads[pr.id] = pr
+	in.pendingReads.Put(pr.id, pr)
 	return pr
 }
 
@@ -471,7 +469,7 @@ func (in *Initiator) finishPendingRead(pr *pendingRead, sc *ssd.Command) {
 		return
 	}
 	pr.done = true
-	delete(in.pendingReads, pr.id)
+	in.pendingReads.Delete(pr.id)
 	if pr.epoch != in.epoch {
 		return
 	}
@@ -486,17 +484,6 @@ func (in *Initiator) finishPendingRead(pr *pendingRead, sc *ssd.Command) {
 	}
 }
 
-// sortedPendingReads returns the in-flight read ids in issue order, so
-// the crash sweeps below iterate deterministically.
-func (in *Initiator) sortedPendingReads() []uint64 {
-	ids := make([]uint64, 0, len(in.pendingReads))
-	for id := range in.pendingReads {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
-
 // abortTargetReads handles a target power cut on this initiator's read
 // state: every cached block of the target's replica set is dropped
 // (the set may roll back or diverge under recovery), and every
@@ -504,8 +491,7 @@ func (in *Initiator) sortedPendingReads() []uint64 {
 // in-sync member — or failed, releasing its waiter, when none is left.
 func (in *Initiator) abortTargetReads(target int) {
 	in.invalidateSetReads(in.c.SetOf(target))
-	for _, id := range in.sortedPendingReads() {
-		pr := in.pendingReads[id]
+	for id, pr := range in.pendingReads.All() {
 		if pr.target != target {
 			continue
 		}
@@ -515,7 +501,7 @@ func (in *Initiator) abortTargetReads(target int) {
 			continue
 		}
 		pr.done = true
-		delete(in.pendingReads, id)
+		in.pendingReads.Delete(id)
 		if pr.wg != nil {
 			pr.wg.Done() // read fails: the demand blocks stay zero
 		}
@@ -537,14 +523,13 @@ func (in *Initiator) abortAllReads() {
 	if in.rcache != nil {
 		in.rcache.invalidateAll()
 	}
-	for _, id := range in.sortedPendingReads() {
-		pr := in.pendingReads[id]
+	for _, pr := range in.pendingReads.All() {
 		pr.done = true
 		if pr.wg != nil {
 			pr.wg.Done()
 		}
 	}
-	in.pendingReads = make(map[uint64]*pendingRead)
+	in.pendingReads.Reset()
 }
 
 // rcachePopulateWires mirrors a dispatched batch's writes into the read
@@ -579,7 +564,7 @@ func (in *Initiator) rcachePopulateWire(ws *wireState) {
 	// write still returns the old data to ITS caller (linearizable —
 	// the read began first), but landing that old content in the cache
 	// AFTER this population would roll a hit back in time.
-	for _, pr := range in.pendingReads {
+	for _, pr := range in.pendingReads.All() {
 		if pr.noFill || pr.dev != wc.Dev {
 			continue
 		}

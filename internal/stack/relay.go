@@ -2,8 +2,8 @@ package stack
 
 import (
 	"slices"
-	"sort"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/nvmeof"
 	"repro/internal/order"
@@ -61,22 +61,6 @@ type aggKey struct {
 	id   uint64
 }
 
-// sortedAggKeys returns a map's keys in (initiator, id) order: the crash
-// sweeps walk maps, and the simulation must not depend on map order.
-func sortedAggKeys[V any](m map[aggKey]V) []aggKey {
-	keys := make([]aggKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].init != keys[b].init {
-			return keys[a].init < keys[b].init
-		}
-		return keys[a].id < keys[b].id
-	})
-	return keys
-}
-
 // aggCQE annotates one entry of a completionMsg's CQE batch: a non-nil
 // member list marks an aggregated CQE the set's head emitted at quorum,
 // standing in for one genuine ack per listed member. wait is the head-side
@@ -128,32 +112,36 @@ type headAgg struct {
 // relayState is everything volatile a target holds for the relay route
 // that is keyed by command, not by queue pair (Target.relay; nil unless
 // cfg.ReplRelay). The per-QP parts — pending resolution records, CQE
-// annotations — live in the qpLane.
+// annotations — live in the qpLane. Command records sit in one table per
+// initiator, keyed by command id.
 type relayState struct {
-	agg  map[aggKey]*headAgg // head: open quorum records
+	agg  []core.IDTable[*headAgg] // head: open quorum records
 	free sim.FreeList[headAgg]
 
-	pend map[aggKey]relayRoute // follower: relayed commands in flight here
+	pend []core.IDTable[relayRoute] // follower: relayed commands in flight here
 
 	ackQ *sim.Queue[*relayAckMsg] // head: follower acks awaiting the relay-ack context
 	ack  tctx                     // head: the relay-ack context
 }
 
-func newRelayState(eng *sim.Engine) *relayState {
-	return &relayState{
-		agg:  make(map[aggKey]*headAgg),
-		pend: make(map[aggKey]relayRoute),
+func newRelayState(eng *sim.Engine, inits int) *relayState {
+	r := &relayState{
+		agg:  make([]core.IDTable[*headAgg], inits),
+		pend: make([]core.IDTable[relayRoute], inits),
 		ackQ: sim.NewQueue[*relayAckMsg](eng),
 	}
+	for i := range inits {
+		r.agg[i].Init(16)
+		r.pend[i].Init(16)
+	}
+	return r
 }
 
 // reset drops every record (restart of the target).
 func (r *relayState) reset() {
-	for _, as := range r.agg {
-		r.free.Put(as)
+	for init := range r.agg {
+		r.resetInitiator(init)
 	}
-	clear(r.agg)
-	clear(r.pend)
 	r.ackQ.Drain()
 }
 
@@ -161,17 +149,11 @@ func (r *relayState) reset() {
 // leaving other initiators' untouched. Stale records and routes are also
 // epoch-guarded, so this is hygiene, not correctness.
 func (r *relayState) resetInitiator(init int) {
-	for k, as := range r.agg {
-		if k.init == init {
-			delete(r.agg, k)
-			r.free.Put(as)
-		}
+	for _, as := range r.agg[init].All() {
+		r.free.Put(as)
 	}
-	for k := range r.pend {
-		if k.init == init {
-			delete(r.pend, k)
-		}
-	}
+	r.agg[init].Reset()
+	r.pend[init].Reset()
 }
 
 // relayActive reports whether a set's batches take the relay route right
@@ -192,7 +174,7 @@ func (rs *replicaSet) relayHead() int { return rs.members[0] }
 // an event at construction, so a relay-off cluster must never reach here.
 func (c *Cluster) buildRelayConns() {
 	for _, t := range c.targets {
-		t.relay = newRelayState(c.Eng)
+		t.relay = newRelayState(c.Eng, c.cfg.Initiators)
 		t.relay.ack.t = t
 		t.relay.ack.Start(c.Eng, t.cores, &t.relay.ack, (*tctx).ackPop)
 	}
@@ -244,7 +226,7 @@ func (t *Target) relayFanOut(cp *capsule, init, qp int) {
 			}
 			as.q.Need = t.c.writeQuorum
 			as.qp, as.epoch = qp, cp.epoch
-			t.relay.agg[aggKey{init, ws.id}] = as
+			t.relay.agg[init].Put(ws.id, as)
 		}
 	}
 }
@@ -277,7 +259,7 @@ func (x *tctx) rxForwardPost() bool {
 
 // closeHeadAgg drops a quorum record from the table and recycles it.
 func (t *Target) closeHeadAgg(k aggKey, as *headAgg) {
-	delete(t.relay.agg, k)
+	t.relay.agg[k.init].Delete(k.id)
 	t.relay.free.Put(as)
 }
 
@@ -289,12 +271,10 @@ func (t *Target) closeHeadAgg(k aggKey, as *headAgg) {
 // otherwise whether x goes on now.
 func (x *tctx) relayRespond(ws *wireState, ret tstep) (routed, goOn bool) {
 	t := x.t
-	key := aggKey{ws.init, ws.id}
-	rp, ok := t.relay.pend[key]
+	rp, ok := t.relay.pend[ws.init].Delete(ws.id)
 	if !ok {
 		return false, false
 	}
-	delete(t.relay.pend, key)
 	rs := t.c.replSets[t.c.setOf[t.id]]
 	conn := rs.relay[rs.pos(t.id)]
 	if conn == nil || !conn.Up() {
@@ -345,9 +325,8 @@ func (x *tctx) ackRecv() bool {
 	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
 		return x.To((*tctx).ackPop)
 	}
-	key := aggKey{ack.init, ack.id}
-	if as, ok := t.relay.agg[key]; ok && as.epoch == ack.epoch {
-		return x.aggAck(key, as, ack.member, (*tctx).ackPop)
+	if as, ok := t.relay.agg[ack.init].Get(ack.id); ok && as.epoch == ack.epoch {
+		return x.aggAck(aggKey{ack.init, ack.id}, as, ack.member, (*tctx).ackPop)
 	}
 	t.pushResolved(t.lane(ack.init, ack.qp), aggResolved{init: ack.init, id: ack.id, member: ack.member})
 	return x.To((*tctx).ackPop)
@@ -453,15 +432,17 @@ func (c *Cluster) relayCut(m int) {
 // and shipped by routed flush events.
 func (t *Target) flushHeadAggs() {
 	var touched []*qpLane
-	for _, k := range sortedAggKeys(t.relay.agg) {
-		as := t.relay.agg[k]
-		if as.epoch == t.initEpoch(k.init) && !as.q.Fired && as.q.Acks > 0 {
-			t.fireAgg(k, as)
-			if l := t.lane(k.init, as.qp); !slices.Contains(touched, l) {
-				touched = append(touched, l)
+	for init := range t.relay.agg {
+		for id, as := range t.relay.agg[init].All() {
+			k := aggKey{init, id}
+			if as.epoch == t.initEpoch(init) && !as.q.Fired && as.q.Acks > 0 {
+				t.fireAgg(k, as)
+				if l := t.lane(init, as.qp); !slices.Contains(touched, l) {
+					touched = append(touched, l)
+				}
 			}
+			t.closeHeadAgg(k, as)
 		}
-		t.closeHeadAgg(k, as)
 	}
 	for _, l := range touched {
 		t.routeFlush(l)
@@ -542,7 +523,7 @@ func (t *Target) answerReask(l *qpLane, cp *capsule) bool {
 		if ws.id != id {
 			continue // resolved since the ask was built, and the record rebound
 		}
-		if _, ok := t.relay.pend[aggKey{l.init, id}]; ok {
+		if _, ok := t.relay.pend[l.init].Get(id); ok {
 			continue // in flight here: its completion answers
 		}
 		a := ws.chain[ws.q.Pos(t.id)].attrs[0]

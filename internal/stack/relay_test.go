@@ -270,8 +270,8 @@ func TestReaskAnswers(t *testing.T) {
 	neverCame := cmd(14, 4, 0, 1, 2) // beyond the frontier, not in pend
 	rebound := cmd(99, 1, 2)         // asked about as id 15; the record now carries a command that never fanned here
 	tg.ord.Domain(0, 2).Advance(3)   // frontier = 4
-	tg.relay.pend[aggKey{0, 11}] = relayRoute{}
-	tg.relay.pend[aggKey{0, 13}] = relayRoute{}
+	tg.relay.pend[0].Put(11, relayRoute{})
+	tg.relay.pend[0].Put(13, relayRoute{})
 
 	cp := &capsule{
 		cmds:  []*wireState{inFlight, completed, parked, neverCame, rebound},

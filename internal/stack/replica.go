@@ -1,8 +1,6 @@
 package stack
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/nvmeof"
@@ -250,16 +248,14 @@ func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int
 }
 
 // outstandingOfSet returns this initiator's in-flight commands toward one
-// replica set in id order: outstanding is a map, and the crash sweeps over
-// it must be deterministic.
+// replica set in id order.
 func (in *Initiator) outstandingOfSet(set int) []*wireState {
 	var out []*wireState
-	for _, ws := range in.outstanding {
+	for _, ws := range in.outstanding.All() {
 		if ws.target == set {
 			out = append(out, ws)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
 	return out
 }
 
@@ -298,10 +294,10 @@ func (in *Initiator) memberAck(ws *wireState, from int) {
 // under it.
 func (in *Initiator) maybeRecycle(ws *wireState) {
 	q := &ws.q
-	if !q.Fired || !q.Done() || ws.pendingRq != 0 || ws.pinned || in.outstanding[ws.id] != ws {
+	if cur, _ := in.outstanding.Get(ws.id); !q.Fired || !q.Done() || ws.pendingRq != 0 || ws.pinned || cur != ws {
 		return
 	}
-	delete(in.outstanding, ws.id)
+	in.outstanding.Delete(ws.id)
 	in.shards[ws.stream].putWire(ws)
 }
 

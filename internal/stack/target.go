@@ -543,7 +543,7 @@ func (x *tctx) rxSubmit() bool {
 		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
 		// The completion goes to the head, not the initiator: recorded
 		// before submission, so the completion cannot outrun the route.
-		t.relay.pend[aggKey{ws.init, ws.id}] = relayRoute{qp: x.l.qp, epoch: cp.epoch}
+		t.relay.pend[ws.init].Put(ws.id, relayRoute{qp: x.l.qp, epoch: cp.epoch})
 	} else {
 		markWire(ws, trace.MSent, cp.sentAt)
 		if len(cp.forward) > 0 {
@@ -1007,9 +1007,8 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 		if routed, goOn := x.relayRespond(ws, ret); routed {
 			return goOn
 		}
-		key := aggKey{ws.init, ws.id}
-		if as, ok := t.relay.agg[key]; ok && as.epoch == ws.epoch {
-			return x.aggAck(key, as, t.id, ret)
+		if as, ok := t.relay.agg[ws.init].Get(ws.id); ok && as.epoch == ws.epoch {
+			return x.aggAck(aggKey{ws.init, ws.id}, as, t.id, ret)
 		}
 	}
 	l.push(ws.id, ws.epoch, aggCQE{})
