@@ -154,18 +154,20 @@ crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
 	$(GO) run ./cmd/riocrash -seed 1 -n 60 -set relay=true -set cut=member
 
-# Native fuzzing of the four pure-logic targets for FUZZTIME each, from
+# Native fuzzing of the five pure-logic targets for FUZZTIME each, from
 # their committed seeds: the in-order gate under arbitrary arrival
 # schedules, the media identity's ownership test against its definition,
 # the PMR entry encoding (round trip, in-place persist flag, every
-# single-byte corruption rejected), and recovery analysis over arbitrary
-# checksum-valid entries (against the map model where it can run).
+# single-byte corruption rejected), recovery analysis over arbitrary
+# checksum-valid entries (against the map model where it can run), and the
+# SSD's LBA→stamp table under put/delete/get sequences against a map.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGateSchedule -fuzztime $(FUZZTIME) ./internal/order
 	$(GO) test -run '^$$' -fuzz FuzzAttrOwns -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzEntryPersist -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzMediaTable -fuzztime $(FUZZTIME) ./internal/ssd
 
 # Coverage profile over the ordering engine and the stack that drives it
 # (CI uploads the profile as an artifact).

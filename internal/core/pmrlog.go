@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // EntrySize is the fixed on-PMR size of one persistent ordering attribute.
@@ -121,16 +122,13 @@ func decodeEntry(buf []byte) (Entry, bool) {
 	return e, true
 }
 
-// checksum is a simple rolling checksum (FNV-1a 32); torn-entry detection,
-// not cryptographic.
-func checksum(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
+// castagnoli is the CRC-32C table; the stdlib computes it in hardware on
+// amd64 and arm64.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is CRC-32C: torn-entry detection, not cryptographic. It detects
+// every burst error of up to 32 bits, so any one changed byte changes it.
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // Log manages a PMR region as a circular log of ordering attributes
 // (§4.3.2). head and tail are the paper's two in-memory pointers: they are

@@ -296,8 +296,8 @@ func TestLogRetireMatchesMapModel(t *testing.T) {
 // decode(encode(e)) is e; MarkPersist leaves the 64 bytes that decoding,
 // setting Persist and re-encoding would; and flipping any one byte of the
 // encoded entry (by the fuzzed mask) is rejected, never read as another
-// valid entry — exactly so, since each FNV-1a step is a bijection, a
-// changed byte always changes the checksum.
+// valid entry — exactly so, since CRC-32C detects every burst error of up
+// to 32 bits, a changed byte always changes the checksum.
 func FuzzEntryPersist(f *testing.F) {
 	f.Fuzz(func(t *testing.T, init, stream uint16, req uint32, seqStart, seqEnd, serverIdx, lba uint64,
 		blocks uint32, num, ns, splitIdx, splitCnt uint16, flags, flip uint8) {

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -9,24 +10,37 @@ import (
 // BenchmarkOptaneWriteComplete is one 4 KB write on the PLP profile from
 // Submit to Done (`make bench-layers`), 32 in flight. The submitter owns
 // the command records and reuses each from its Done on, as the target does.
-func BenchmarkOptaneWriteComplete(b *testing.B) { benchWriteComplete(b, OptaneConfig()) }
+func BenchmarkOptaneWriteComplete(b *testing.B) { benchWriteComplete(b, OptaneConfig(), 0) }
+
+// BenchmarkOptaneWriteScatter is BenchmarkOptaneWriteComplete with each
+// LBA drawn uniformly from 2 Mi blocks, blk_rand4k's span per device: the
+// durable content keeps growing, as it does under random writes, where
+// cycling 4 096 LBAs stops growing it after the first few thousand writes.
+func BenchmarkOptaneWriteScatter(b *testing.B) { benchWriteComplete(b, OptaneConfig(), 2<<20) }
 
 // BenchmarkFlashWriteDestage is the same loop on the flash profile: a write
 // completes from the volatile cache (it may wait for a front-end unit and
 // for cache space) and is destaged by a channel behind it, which is what
 // throttles the loop once the cache has filled.
-func BenchmarkFlashWriteDestage(b *testing.B) { benchWriteComplete(b, FlashConfig()) }
+func BenchmarkFlashWriteDestage(b *testing.B) { benchWriteComplete(b, FlashConfig(), 0) }
 
-func benchWriteComplete(b *testing.B, cfg Config) {
+// benchWriteComplete cycles the writes over 4 096 LBAs, or with span > 0
+// draws each uniformly from [0, span).
+func benchWriteComplete(b *testing.B, cfg Config, span int64) {
 	e := sim.New(1)
 	defer e.Shutdown()
 	dev := New(e, cfg)
 	stamps := []uint64{1}
+	rng := rand.New(rand.NewSource(1))
 	left, done := b.N, 0
 	var onDone func(*Command)
 	submit := func(cmd *Command) {
 		left--
-		cmd.Op, cmd.LBA, cmd.Blocks, cmd.Stamps, cmd.Done = OpWrite, uint64(left)%4096, 1, stamps, onDone
+		lba := uint64(left) % 4096
+		if span > 0 {
+			lba = uint64(rng.Int63n(span))
+		}
+		cmd.Op, cmd.LBA, cmd.Blocks, cmd.Stamps, cmd.Done = OpWrite, lba, 1, stamps, onDone
 		dev.Submit(cmd)
 	}
 	onDone = func(cmd *Command) {

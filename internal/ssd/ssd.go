@@ -7,15 +7,16 @@
 //
 // Content is tracked per logical block as a Rec carrying a 64-bit stamp
 // (the identity of the write, used by crash-consistency checks) and an
-// optional real payload (used by file-system metadata). With
-// Config.KeepHistory the device retains the full per-LBA write history so
-// recovery can roll blocks back, modelling out-of-place updates.
+// optional real payload (used by file-system metadata). Durable stamps live
+// in a pointer-free open-addressing table (mediaTable) and payloads in a
+// side map, which a write without one touches only while it holds any.
+// With Config.KeepHistory the device retains the full per-LBA write history
+// so recovery can roll blocks back, modelling out-of-place updates.
 package ssd
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -207,9 +208,10 @@ type SSD struct {
 	eng *sim.Engine
 	cfg Config
 
-	media    map[uint64]Rec   // durable content: the current version of each block
-	older    map[uint64][]Rec // KeepHistory only: the versions under it, oldest first
-	cache    map[uint64]Rec   // flash volatile dirty blocks
+	media    mediaTable        // durable content: the current version's stamp of each block
+	data     map[uint64][]byte // the current version's payload, for blocks that have one
+	older    map[uint64][]Rec  // KeepHistory only: the versions under it, oldest first
+	cache    map[uint64]Rec    // flash volatile dirty blocks
 	dirty    int
 	admitted int // flash blocks past the cache-space check, not yet landed
 	pmr      []byte
@@ -249,7 +251,7 @@ func New(e *sim.Engine, cfg Config) *SSD {
 	s := &SSD{
 		eng:         e,
 		cfg:         cfg,
-		media:       make(map[uint64]Rec),
+		data:        make(map[uint64][]byte),
 		cache:       make(map[uint64]Rec),
 		pmr:         make([]byte, cfg.PMRSize),
 		front:       sim.NewResource(e, cfg.FrontWidth),
@@ -501,13 +503,8 @@ func (s *SSD) segFinish(seg segment) {
 		seg.op.cmd.Out[seg.lba-seg.op.cmd.LBA], _ = s.Durable(seg.lba)
 	case seg.erase:
 		s.Discard(seg.lba, seg.op.cmd.Owns)
-	default: // program media
-		if s.older != nil {
-			if cur, ok := s.media[seg.lba]; ok {
-				s.older[seg.lba] = append(s.older[seg.lba], cur)
-			}
-		}
-		s.media[seg.lba] = seg.rec
+	default:
+		s.program(seg.lba, seg.rec)
 	}
 	if o := seg.op; o != nil {
 		// Read, erase, Optane direct write: done with its last block.
@@ -581,14 +578,43 @@ func (s *SSD) Visible(lba uint64) (Rec, bool) {
 
 // Durable returns the media (persistent) content of lba.
 func (s *SSD) Durable(lba uint64) (Rec, bool) {
-	rec, ok := s.media[lba]
-	return rec, ok
+	stamp, ok := s.media.get(lba)
+	if !ok {
+		return Rec{}, false
+	}
+	rec := Rec{Stamp: stamp}
+	if len(s.data) > 0 {
+		rec.Data = s.data[lba]
+	}
+	return rec, true
+}
+
+// program makes rec the durable content of lba, keeping the version it
+// replaces under KeepHistory.
+func (s *SSD) program(lba uint64, rec Rec) {
+	if s.older != nil {
+		if cur, ok := s.Durable(lba); ok {
+			s.older[lba] = append(s.older[lba], cur)
+		}
+	}
+	s.setDurable(lba, rec)
+}
+
+// setDurable makes rec the current media version of lba. The payload map is
+// written only for a payload, and read only when it holds any.
+func (s *SSD) setDurable(lba uint64, rec Rec) {
+	s.media.put(lba, rec.Stamp)
+	if rec.Data != nil {
+		s.data[lba] = rec.Data
+	} else if len(s.data) > 0 {
+		delete(s.data, lba)
+	}
 }
 
 // History returns the durable write history of lba, oldest first (more than
 // the current version only in KeepHistory mode). The slice is the caller's.
 func (s *SSD) History(lba uint64) []Rec {
-	cur, ok := s.media[lba]
+	cur, ok := s.Durable(lba)
 	if !ok {
 		return nil
 	}
@@ -598,11 +624,8 @@ func (s *SSD) History(lba uint64) []Rec {
 // DurableLBAs returns the sorted list of LBAs holding durable content —
 // replication uses it to compare replica media for divergence.
 func (s *SSD) DurableLBAs() []uint64 {
-	out := make([]uint64, 0, len(s.media))
-	for lba := range s.media {
-		out = append(out, lba)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := s.media.appendLBAs(make([]uint64, 0, s.media.len()))
+	slices.Sort(out)
 	return out
 }
 
@@ -611,7 +634,7 @@ func (s *SSD) DurableLBAs() []uint64 {
 // — modelling recovery erasing out-of-place blocks. It reports whether a
 // record was removed.
 func (s *SSD) Discard(lba uint64, owns func(stamp uint64) bool) bool {
-	cur, ok := s.media[lba]
+	cur, ok := s.Durable(lba)
 	if !ok {
 		return false
 	}
@@ -621,10 +644,12 @@ func (s *SSD) Discard(lba uint64, owns func(stamp uint64) bool) bool {
 	case n == len(h):
 		return false
 	case n == 0:
-		delete(s.media, lba)
+		s.media.delete(lba)
+		delete(s.data, lba)
 		delete(s.older, lba)
 	default: // KeepHistory only: the newest version left is current
-		s.media[lba], s.older[lba] = kept[n-1], kept[:n-1]
+		s.setDurable(lba, kept[n-1])
+		s.older[lba] = kept[:n-1]
 	}
 	return true
 }

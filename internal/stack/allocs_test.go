@@ -25,9 +25,9 @@ import (
 // commands, the target's contexts and the initiator's dispatchers and
 // reapers sim.Steps, and they contribute none.
 const (
-	writeAllocBudget      = 1.013 * 1.05
-	replDirectAllocBudget = 1.038 * 1.05
-	replRelayAllocBudget  = 2.044 * 1.05
+	writeAllocBudget      = 1.006 * 1.05
+	replDirectAllocBudget = 1.017 * 1.05
+	replRelayAllocBudget  = 2.026 * 1.05
 	writeEvents           = 22.081
 	writeSwitchBudget     = 2.769 * 1.05
 )
