@@ -67,10 +67,11 @@ bench-sim:
 # ordering domain's gate/park/retire, sequencer submit→complete, a PMR log
 # entry's append→persist→retire, a whole-region ScanRegion and the
 # recovery Analyze of that region's view (ns/entry each), volume
-# extents into scratch, and the whole stack per ordered write, unreplicated
+# extents into scratch, the whole stack per ordered write, unreplicated
 # and on a 3-way set over fan-out and over the relay (host ns, allocations,
-# engine events and proc resumes per write). CI smokes them at
-# BENCHTIME=100x.
+# engine events and proc resumes per write), and per cached read on a 2-way
+# set (hits, and misses with read-ahead; host ns, allocations and engine
+# events per read). CI smokes them at BENCHTIME=100x.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack
 

@@ -26,7 +26,9 @@ const (
 // Request is one block I/O request as submitted by a file system or
 // application (bio-like). For ordered requests, Ticket is attached by the
 // Rio sequencer. Done fires when the completion is delivered to the
-// submitter (for Rio: in storage order).
+// submitter (for Rio: in storage order). A payload in Data must not be
+// modified once the request is submitted: devices, replicas and the read
+// cache keep references to it, not copies.
 type Request struct {
 	Op      Op
 	LBA     uint64 // logical volume address (blocks)

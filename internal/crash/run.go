@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/ssd"
 	"repro/internal/stack"
 )
 
@@ -159,6 +160,7 @@ func (h *run) writer(p *sim.Proc, i, s int) {
 // a read has one correct answer: anything else is a stale hit or a lost block.
 func (h *run) reader(p *sim.Proc, i, s int) {
 	rng := rand.New(rand.NewSource(h.pl.Seed*100 + int64(i*h.pl.Cfg.Streams+s)))
+	rec := make([]ssd.Rec, 1)
 	for ; !h.stopped; p.Sleep(5 * sim.Microsecond) {
 		in, list := h.c.Init(i), h.live[i][s]
 		if !in.Alive() || len(list) == 0 {
@@ -169,11 +171,11 @@ func (h *run) reader(p *sim.Proc, i, s int) {
 			continue
 		}
 		g, dark := h.gen[i], h.dark
-		recs := in.ReadStreamAhead(p, s, r.LBA, 1, 0)
+		in.ReadStreamAhead(p, s, r.LBA, 1, 0, rec)
 		if g != h.gen[i] || dark != h.dark || dark%2 == 1 || !h.pl.plp() || h.stopped {
 			continue
 		}
-		if len(recs) == 1 && recs[0].Stamp == core.AttrStamp(r.Ticket.Attr) {
+		if rec[0].Stamp == core.AttrStamp(r.Ticket.Attr) {
 			h.out.Reads++
 		} else {
 			h.stale++

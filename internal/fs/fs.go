@@ -456,7 +456,7 @@ func (fs *FS) Read(p *sim.Proc, f *File, off uint64, size int) error {
 		// Stream 0 carries the mount's sequential-read detector: scans
 		// walk files block-ascending, which is exactly the pattern the
 		// initiator's read-ahead keys on.
-		fs.in.ReadStreamAhead(p, 0, lba, 1, fs.cfg.ReadAhead)
+		fs.in.ReadStreamAhead(p, 0, lba, 1, fs.cfg.ReadAhead, nil)
 	}
 	return nil
 }

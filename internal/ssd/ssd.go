@@ -145,7 +145,10 @@ type Rec struct {
 // once when the command completes; it is never invoked for commands that
 // were in flight across a power cut. The device holds the command from
 // Submit until Done (forever, after a power cut): a submitter may reuse the
-// storage from Done on, not before.
+// storage from Done on, not before. A write's payloads are shared, not
+// copied: the device keeps each Data slice itself as the block's content,
+// so a payload must not be modified once it is submitted — the cache, the
+// media and every read that returns the block hold it.
 type Command struct {
 	Op     Op
 	LBA    uint64
@@ -156,7 +159,8 @@ type Command struct {
 	Done   func(*Command)
 	Ctx    any // the submitter's: where a Done shared by many commands finds its per-command state
 
-	// Out is filled by reads: the per-block records observed.
+	// Out is filled by reads: the per-block records observed. A read
+	// reuses its capacity.
 	Out []Rec
 
 	// SatWait accumulates the saturation-model stall charged to this
@@ -164,6 +168,15 @@ type Command struct {
 	// stage-tracing attribution; plain accounting, never read by the
 	// device itself.
 	SatWait sim.Time
+}
+
+// payload returns block i's payload as the device stores it: the caller's
+// slice, or nil for none or an empty one.
+func (cmd *Command) payload(i uint32) []byte {
+	if cmd.Data == nil || len(cmd.Data[i]) == 0 {
+		return nil
+	}
+	return cmd.Data[i]
 }
 
 // An op is one command inside the device, from Submit until its Done has
@@ -362,10 +375,7 @@ func (o *op) land() bool {
 	s.admitted -= int(cmd.Blocks)
 	for i := uint32(0); i < cmd.Blocks; i++ {
 		lba := cmd.LBA + uint64(i)
-		rec := Rec{Stamp: cmd.Stamps[i]}
-		if cmd.Data != nil && cmd.Data[i] != nil {
-			rec.Data = append([]byte(nil), cmd.Data[i]...)
-		}
+		rec := Rec{Stamp: cmd.Stamps[i], Data: cmd.payload(i)}
 		s.cache[lba] = rec
 		s.dirty++
 		s.chans[s.chanOf(lba)].Push(segment{lba: lba, rec: rec, epoch: s.epoch})
@@ -386,7 +396,8 @@ func (o *op) fan() bool {
 	s, cmd := o.s, o.cmd
 	read := cmd.Op == OpRead
 	if read {
-		cmd.Out = make([]Rec, cmd.Blocks)
+		cmd.Out = slices.Grow(cmd.Out[:0], int(cmd.Blocks))[:cmd.Blocks]
+		clear(cmd.Out)
 	}
 	o.pending = 0
 	for i := uint32(0); i < cmd.Blocks; i++ {
@@ -397,10 +408,7 @@ func (o *op) fan() bool {
 				continue
 			}
 		} else if cmd.Op == OpWrite {
-			seg.rec.Stamp = cmd.Stamps[i]
-			if cmd.Data != nil && cmd.Data[i] != nil {
-				seg.rec.Data = append([]byte(nil), cmd.Data[i]...)
-			}
+			seg.rec = Rec{Stamp: cmd.Stamps[i], Data: cmd.payload(i)}
 		}
 		o.pending++
 		s.chans[s.chanOf(seg.lba)].Push(seg)

@@ -23,13 +23,20 @@ import (
 // the dearest kind of event — per write (measured + 5 %): the load procs
 // alone; the fabric link and the SSD channels are sim.Servers, the SSD's
 // commands, the target's contexts and the initiator's dispatchers and
-// reapers sim.Steps, and they contribute none.
+// reapers sim.Steps, and they contribute none. readAllocBudget is Go
+// allocations per cached read on cachedSetConfig's 2-way set (hits, and
+// misses with read-ahead, nil out): measured 0, so the budget only admits
+// the odd allocation the Go runtime itself makes inside the window (one in
+// about 60 runs, 0.0003 per read). payloadAllocBudget is Go allocations per
+// 3-block payload write on the same set (measured + 5 %): the request.
 const (
 	writeAllocBudget      = 1.006 * 1.05
 	replDirectAllocBudget = 1.017 * 1.05
 	replRelayAllocBudget  = 2.026 * 1.05
 	writeEvents           = 22.081
 	writeSwitchBudget     = 2.769 * 1.05
+	readAllocBudget       = 0.001
+	payloadAllocBudget    = 1.040 * 1.05
 )
 
 // writePathCost is what one measured window of the write path cost the host.
@@ -67,8 +74,9 @@ func replWriteConfig(relay bool) Config {
 }
 
 // writePathCluster builds cfg with one load proc per stream started, each
-// keeping 8 random 4 KB ordered writes outstanding in a region of its own.
-func writePathCluster(cfg Config) (*sim.Engine, *Initiator) {
+// keeping 8 random ordered writes of blocks blocks carrying data (nil: no
+// payloads) outstanding in a region of its own.
+func writePathCluster(cfg Config, blocks uint32, data [][]byte) (*sim.Engine, *Initiator) {
 	const (
 		depth  = 8
 		region = 1 << 20
@@ -82,7 +90,7 @@ func writePathCluster(cfg Config) (*sim.Engine, *Initiator) {
 			pending := make([]*blockdev.Request, 0, depth)
 			for {
 				lba := uint64(th)*region + uint64(rng.Int63n(region))
-				pending = append(pending, in.OrderedWrite(p, th, lba, 1, 0, nil, true, false, false))
+				pending = append(pending, in.OrderedWrite(p, th, lba, blocks, 0, data, true, false, false))
 				if len(pending) == depth {
 					in.Wait(p, pending[0])
 					pending = pending[:copy(pending, pending[1:])]
@@ -94,28 +102,36 @@ func writePathCluster(cfg Config) (*sim.Engine, *Initiator) {
 }
 
 // measureWritePath reads the runtime's malloc count and the engine's event
-// counts around the measured window of writePathCluster(cfg). The window
-// must complete at least 625 writes per stream (5000 on rand4kConfig).
+// counts around the measured window of writePathCluster's 4 KB writes on
+// cfg. The window must complete at least 625 writes per stream (5000 on
+// rand4kConfig).
 func measureWritePath(t *testing.T, cfg Config) writePathCost {
-	eng, in := writePathCluster(cfg)
+	eng, in := writePathCluster(cfg, 1, nil)
 	defer eng.Shutdown()
+	w := measureWindow(eng, func() int64 { return in.Stats().Completed })
+	if floor := 625 * int64(cfg.Streams); w.ops < floor {
+		t.Fatalf("only %d writes completed in the window, want ≥ %d", w.ops, floor)
+	}
+	return w
+}
+
+// measureWindow runs eng through the warm-up and then the measured window,
+// reading the runtime's malloc count and the engine's event counts around
+// the latter; done counts the operations finished so far.
+func measureWindow(eng *sim.Engine, done func() int64) writePathCost {
 	eng.RunUntil(writeWarm)
 	var m0, m1 runtime.MemStats
-	before := in.Stats().Completed
+	before := done()
 	ev0, rs0 := eng.Counts()
 	runtime.ReadMemStats(&m0)
 	eng.RunUntil(writeWarm + writeMeasure)
 	runtime.ReadMemStats(&m1)
 	ev1, rs1 := eng.Counts()
-	w := writePathCost{
-		ops:     in.Stats().Completed - before,
+	return writePathCost{
+		ops:     done() - before,
 		mallocs: m1.Mallocs - m0.Mallocs, bytes: m1.TotalAlloc - m0.TotalAlloc,
 		events: ev1 - ev0, resumes: rs1 - rs0,
 	}
-	if floor := 625 * int64(cfg.Streams); w.ops < floor {
-		t.Fatalf("only %d writes completed in the window, want ≥ %d", w.ops, floor)
-	}
-	return w
 }
 
 // TestWritePathAllocBudget fails when the ordered write path starts
@@ -160,12 +176,12 @@ func TestWritePathSwitchBudget(t *testing.T) {
 	}
 }
 
-// benchWritePath runs writePathCluster(cfg) past its warm-up for b.N ordered
-// writes: one op is one simulated write, so ns/op, B/op and allocs/op
+// benchWritePath runs writePathCluster's 4 KB writes on cfg past its warm-up
+// for b.N writes: one op is one simulated write, so ns/op, B/op and allocs/op
 // (-benchmem) are the host's cost per write, reported with the engine
 // events and proc resumes it took.
 func benchWritePath(b *testing.B, cfg Config) {
-	eng, in := writePathCluster(cfg)
+	eng, in := writePathCluster(cfg, 1, nil)
 	defer eng.Shutdown()
 	eng.RunUntil(writeWarm)
 	before := in.Stats().Completed
@@ -189,6 +205,99 @@ func BenchmarkOrderedWrite(b *testing.B) { benchWritePath(b, rand4kConfig()) }
 func BenchmarkReplicatedWrite(b *testing.B) {
 	b.Run("direct", func(b *testing.B) { benchWritePath(b, replWriteConfig(false)) })
 	b.Run("relay", func(b *testing.B) { benchWritePath(b, replWriteConfig(true)) })
+}
+
+// cachedSetConfig is the budgeted read and payload configuration: 2 Optane
+// targets in one 2-way set, a 1024-block read cache per initiator with
+// read-ahead 4, 3 streams.
+func cachedSetConfig() Config {
+	cfg := DefaultConfig(ModeRio, OptaneTarget(), OptaneTarget())
+	cfg.Streams, cfg.QPs = 3, 3
+	cfg.Replicas = 2
+	cfg.CacheBlocks, cfg.ReadAhead = 1024, 4
+	return cfg
+}
+
+// readPathCluster builds cfg with one reader proc per stream of the first
+// three started, each issuing 1-block reads back to back with a nil out:
+// stream 0 re-reads 256 hot blocks (hits, read-ahead off), stream 1 scans a
+// region in order (misses and read-ahead fills), stream 2 reads another
+// region at random with read-ahead off (misses). The returned counter is
+// the reads that have returned.
+func readPathCluster(cfg Config) (*sim.Engine, *Initiator, *int64) {
+	const region = 1 << 20
+	eng := sim.New(1)
+	in := New(eng, cfg).Init(0)
+	reads := new(int64)
+	rng := rand.New(rand.NewSource(1))
+	next := []func(i uint64) (uint64, int){
+		func(i uint64) (uint64, int) { return i % 256, -1 },
+		func(i uint64) (uint64, int) { return region + i, 0 },
+		func(uint64) (uint64, int) { return 2*region + uint64(rng.Int63n(region)), -1 },
+	}
+	for s, lbaOf := range next {
+		eng.Go("reader", func(p *sim.Proc) {
+			for i := uint64(0); ; i++ {
+				lba, ahead := lbaOf(i)
+				in.ReadStreamAhead(p, s, lba, 1, ahead, nil)
+				*reads++
+			}
+		})
+	}
+	return eng, in, reads
+}
+
+// TestReadPathAllocBudget fails when a cached read — a hit, or a miss with
+// its read-ahead fills, on a 2-way set — starts allocating: read commands
+// and per-call scratch are pooled, and a nil out keeps no records.
+func TestReadPathAllocBudget(t *testing.T) {
+	eng, in, reads := readPathCluster(cachedSetConfig())
+	defer eng.Shutdown()
+	st0 := in.ReadCacheStats()
+	w := measureWindow(eng, func() int64 { return *reads })
+	st := in.ReadCacheStats().Sub(st0)
+	t.Logf("%d reads (%d hits, %d misses, %d blocks read ahead), %d Go allocs (%.3f/read), %.1f B/read, %.3f engine events/read",
+		w.ops, st.Hits, st.Misses, st.ReadAheadIssued, w.mallocs, w.per(w.mallocs), w.per(w.bytes), w.per(w.events))
+	if w.ops < 2000 || st.Hits == 0 || st.Misses == 0 || st.ReadAheadIssued == 0 {
+		t.Fatalf("the window must hold ≥ 2000 reads with hits, misses and read-ahead: %d reads, %+v", w.ops, st)
+	}
+	if got := w.per(w.mallocs); got > readAllocBudget {
+		t.Errorf("%.3f Go allocs per cached read, budget %.3f", got, readAllocBudget)
+	}
+}
+
+// TestPayloadWriteAllocBudget is TestWritePathAllocBudget for 3-block
+// writes carrying payloads on a cached 2-way set: both members' devices
+// and the read cache keep the payloads the request carries, not copies.
+func TestPayloadWriteAllocBudget(t *testing.T) {
+	data := [][]byte{[]byte("journal descriptor"), []byte("metadata"), []byte("commit")}
+	eng, in := writePathCluster(cachedSetConfig(), 3, data)
+	defer eng.Shutdown()
+	w := measureWindow(eng, func() int64 { return in.Stats().Completed })
+	t.Logf("%d ops, %.3f Go allocs/op, %.1f B/op", w.ops, w.per(w.mallocs), w.per(w.bytes))
+	if w.ops < 1000 {
+		t.Fatalf("only %d writes completed in the window, want ≥ 1000", w.ops)
+	}
+	if got := w.per(w.mallocs); got > payloadAllocBudget {
+		t.Errorf("%.3f Go allocs per payload write, budget %.3f", got, payloadAllocBudget)
+	}
+}
+
+// BenchmarkCachedRead is the budgeted read path: one op is one read of
+// readPathCluster past its warm-up.
+func BenchmarkCachedRead(b *testing.B) {
+	eng, _, reads := readPathCluster(cachedSetConfig())
+	defer eng.Shutdown()
+	eng.RunUntil(writeWarm)
+	before := *reads
+	ev0, _ := eng.Counts()
+	b.ResetTimer()
+	for *reads-before < int64(b.N) {
+		eng.RunFor(10 * sim.Microsecond)
+	}
+	b.StopTimer()
+	ev1, _ := eng.Counts()
+	b.ReportMetric(float64(ev1-ev0)/float64(*reads-before), "events/op")
 }
 
 // TestClusterStartsNoProc: a target's rx lanes, completion contexts and

@@ -30,6 +30,10 @@ type wireState struct {
 	pendingRq int // requests of wc not yet delivered (retire watermark)
 	epoch     int
 
+	// data is the backing of wcs.Data, kept across lives that carry no
+	// payloads (buildWires reslices it).
+	data [][]byte
+
 	// more lists, after wc.Attr, the attributes of the commands fused into
 	// this one on device contiguity alone — their sequence numbers are not
 	// continuous (round-robin striping interleaves streams across devices),
@@ -72,9 +76,13 @@ type memberChain struct {
 }
 
 // reset prepares a (fresh or recycled) wireState for a new command,
-// keeping slice capacities but none of the old contents. Data is dropped
-// rather than truncated: code distinguishes nil from empty payloads.
+// keeping slice capacities but none of the old contents. Data is set to nil
+// rather than truncated, since code distinguishes nil from empty payloads;
+// its backing stays in data.
 func (ws *wireState) reset() {
+	if cap(ws.wcs.Data) > cap(ws.data) {
+		ws.data = ws.wcs.Data
+	}
 	ws.wc = &ws.wcs
 	ws.target = 0
 	ws.ssdIdx = 0

@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"slices"
+
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -515,7 +517,10 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 			wc.Stamps = append(wc.Stamps, stamp)
 		}
 		if req.Data != nil {
-			wc.Data = make([][]byte, pc.ext.Blocks)
+			// The payloads themselves are shared, never copied (they are
+			// immutable once submitted): only the slice of them is per wire.
+			wc.Data = slices.Grow(ws.data[:0], int(pc.ext.Blocks))[:pc.ext.Blocks]
+			clear(wc.Data)
 			for j := uint32(0); j < pc.ext.Blocks; j++ {
 				if int(pc.offset+j) < len(req.Data) {
 					wc.Data[j] = req.Data[pc.offset+j]

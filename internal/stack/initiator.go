@@ -57,10 +57,14 @@ type Initiator struct {
 	// Read path. rcache is nil with CacheBlocks == 0: every read then
 	// crosses the fabric. pendingReads tracks in-flight read commands of
 	// either path by a monotonic id, so crash sweeps reroute or abandon
-	// them in issue order.
+	// them in issue order. Read records and per-call scratch recycle
+	// through readFree and callFree.
 	rcache       *rcache
 	pendingReads core.IDTable[*pendingRead]
 	nextReadID   uint64
+	readFree     sim.FreeList[pendingRead]
+	callFree     sim.FreeList[readCall]
+	readDone     func(*ssd.Command) // in.onReadDone, bound once
 
 	// Submit-side pushback (Config.MaxInflight > 0): inflight counts
 	// admitted-but-undelivered requests (waitSubmitSlot increments it
@@ -93,6 +97,7 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		alive:      true,
 	}
 	in.outstanding.Init(64)
+	in.readDone = in.onReadDone
 	in.seq = in.newSequencer()
 	in.inflightCond = sim.NewCond(c.Eng)
 	if c.cfg.Governor.Enabled {
@@ -224,7 +229,9 @@ func (in *Initiator) WaitSignal(p *sim.Proc, sig *sim.Signal) {
 // request's Done signal fires when the completion is delivered in storage
 // order. Depending on the cluster mode this maps to the Rio path, the
 // Horae control+data path, or the Linux synchronous path (in which case
-// the call blocks until durable).
+// the call blocks until durable). data's payloads must not be modified
+// after the call: devices, replicas and the read cache keep references to
+// them, not copies.
 func (in *Initiator) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
 	stamp uint64, data [][]byte, boundary, flush, ipu bool) *blockdev.Request {
 	return in.submitWrite(p, stream, &blockdev.Request{
@@ -262,19 +269,30 @@ func (in *Initiator) submitWrite(p *sim.Proc, stream int, req *blockdev.Request)
 // Read performs a synchronous read of [lba, lba+blocks) and returns the
 // observed records (stream 0's sequential detector, default read-ahead).
 func (in *Initiator) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
-	return in.ReadStreamAhead(p, 0, lba, blocks, 0)
+	out := make([]ssd.Rec, blocks)
+	in.ReadStreamAhead(p, 0, lba, blocks, 0, out)
+	return out
 }
 
 // ReadStreamAhead is the full read entry point: ahead overrides the
 // configured read-ahead depth for this access (0 = the cluster default,
-// negative = disabled). With no cache configured it falls through to
-// the direct path, which is simulation-identical to the original
-// uncached read.
-func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int) []ssd.Rec {
-	if in.rcache != nil {
-		return in.readCached(p, in.streamOf(stream), lba, blocks, ahead)
+// negative = disabled). out, when non-nil, holds at least blocks records
+// and receives the observed ones; a block that could not be read (its set
+// down, the initiator cut) is left zero. A nil out charges the read and
+// keeps no records. The records' payloads are shared with the devices and
+// the cache: they must not be modified. With no cache configured it falls
+// through to the direct path, which is simulation-identical to the
+// original uncached read.
+func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int, out []ssd.Rec) {
+	if out != nil {
+		out = out[:blocks]
+		clear(out)
 	}
-	return in.readDirect(p, lba, blocks)
+	if in.rcache != nil {
+		in.readCached(p, in.streamOf(stream), lba, blocks, ahead, out)
+		return
+	}
+	in.readDirect(p, lba, blocks, out)
 }
 
 // readDirect is the uncached read path: one command per device run (the
@@ -282,33 +300,25 @@ func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks
 // limit) to the serving replica member, then wait for all of them. The
 // commands are tracked as pendingReads like the cached path's, so a power cut
 // of the member reroutes them instead of stranding the reader on a dead SSD.
-func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
+func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32, out []ssd.Rec) {
 	in.UseCPU(p, in.costs.SubmitBio)
-	out := make([]ssd.Rec, blocks)
-	done := sim.NewWaitGroup(in.Eng)
-	for _, r := range in.deviceRuns(lba, blocks, false, nil) {
-		// Replication: reads are served from an in-sync member of the set
-		// whose resync backlog does not cover this run (-1 means the set is
-		// down).
-		ti := in.c.readMemberFor(r.set, r.ssdIdx, r.devLBA, r.blocks)
-		if ti < 0 || !in.targets[ti].alive {
-			continue
-		}
+	call := in.getCall()
+	defer in.callFree.Put(call)
+	in.deviceRuns(call, lba, blocks, false, nil)
+	for _, r := range in.liveRuns(call) {
 		in.stats.ReadCmds++
 		in.stats.ReadMsgs++
-		in.targets[ti].stats.Reads++
-		done.Add(1)
+		in.targets[r.member].stats.Reads++
+		call.wg.Add(1)
 		// Reads bypass the ordered machinery: command out, data back via
 		// one-sided RDMA; we charge the round trip and device time via the
 		// SSD path plus a fixed fabric delay.
-		in.submitPendingRead(in.trackRead(&pendingRead{
-			dev: r.dev, devLBA: r.devLBA, blocks: r.blocks, set: r.set, ssdIdx: r.ssdIdx,
-			out: out, outOff: r.outOff, wg: done,
-		}), ti)
+		pr := in.getRead(r)
+		pr.out, pr.wg = out, call.wg
+		in.issueRead(pr)
 	}
-	done.Wait(p)
+	call.wg.Wait(p)
 	p.Sleep(in.cfg.Fabric.PropDelay) // response path
-	return out
 }
 
 // FlushDevice issues a standalone FLUSH to every device backing the

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -235,7 +236,104 @@ func TestPoisonCatchesCompletionEventReuse(t *testing.T) {
 	if c.getCapsule(0, 0) == cp || c.getMsg(0, 0, 0) == msg || c.ackFree.Get() == ack {
 		t.Error("a poisoned boundary record was reissued")
 	}
+
+	in := c.Init(0)
+	pr := in.getRead(readRun{})
+	in.putRead(pr)
+	mustPanic("second read recycle", func() { in.putRead(pr) })
+	mustPanic("SSD completion of a recycled read", func() { pr.cmd.Done(&pr.cmd) })
+	if in.getRead(readRun{}) == pr {
+		t.Error("a poisoned read record was reissued")
+	}
 	eng.Shutdown()
+}
+
+// TestReadRecordsRecycleOnce: a read record is recycled once its completion
+// has been handled, and a record a fault abandoned never is. Poisoned, a
+// reader reads every block of a 3-way set back, stamp and payload, through
+// the uncached and the cached path while the set's read member is cut with
+// reads in flight (each rerouted to a fresh record); then the initiator is
+// cut with reads in flight, whose completions reach abandoned records.
+func TestReadRecordsRecycleOnce(t *testing.T) {
+	const blocks = 64
+	payload := func(lba uint64) []byte { return []byte{byte(lba), 0xAB} }
+	for _, cached := range []bool{false, true} {
+		name := "uncached"
+		if cached {
+			name = "cached"
+		}
+		t.Run(name, func(t *testing.T) {
+			eng := sim.New(3)
+			cfg := replConfig(3)
+			if cached {
+				cfg.CacheBlocks, cfg.ReadAhead = 16, 4
+			}
+			c := New(eng, cfg)
+			defer eng.Shutdown()
+			c.PoisonRecycled()
+			in := c.Init(0)
+			eng.Go("fill", func(p *sim.Proc) {
+				var reqs []*blockdev.Request
+				for lba := uint64(0); lba < blocks; lba++ {
+					reqs = append(reqs, in.OrderlessWrite(p, 0, lba, 1, lba+1, [][]byte{payload(lba)}))
+				}
+				for _, r := range reqs {
+					in.Wait(p, r)
+				}
+			})
+			runPoisoned(t, eng.Run)
+
+			const passes = 3
+			reads, bad := 0, 0
+			eng.Go("reader", func(p *sim.Proc) {
+				out := make([]ssd.Rec, 2)
+				for pass := 0; pass < passes; pass++ {
+					for lba := uint64(0); lba < blocks; lba += 2 {
+						in.ReadStreamAhead(p, 0, lba, 2, 0, out)
+						for j, rec := range out {
+							if b := lba + uint64(j); rec.Stamp != b+1 || !bytes.Equal(rec.Data, payload(b)) {
+								bad++
+							}
+						}
+						reads++
+					}
+				}
+			})
+			rerouted, deadline := 0, eng.Now()+sim.Millisecond
+			runPoisoned(t, func() {
+				for (rerouted == 0 || reads < 8) && eng.Now() < deadline {
+					eng.RunFor(100)
+					rerouted = 0
+					for _, pr := range in.pendingReads.All() {
+						if pr.member == 0 { // the set's read member
+							rerouted++
+						}
+					}
+				}
+				c.PowerCutTarget(0)
+				eng.Run()
+			})
+			if want := passes * blocks / 2; reads != want || bad != 0 || rerouted == 0 {
+				t.Fatalf("%d of %d reads returned, %d blocks read back wrong, %d rerouted at the member cut", reads, want, bad, rerouted)
+			}
+
+			eng.Go("reader", func(p *sim.Proc) {
+				for lba := uint64(0); in.Alive(); lba = (lba + 1) % blocks {
+					in.ReadStreamAhead(p, 0, lba, 1, 0, nil)
+				}
+			})
+			runPoisoned(t, func() {
+				for in.pendingReads.Len() == 0 && eng.Now() < deadline+sim.Millisecond {
+					eng.RunFor(100)
+				}
+				if in.pendingReads.Len() == 0 {
+					t.Fatal("no read in flight at the initiator cut")
+				}
+				c.PowerCutInitiator(0)
+				eng.Run()
+			})
+		})
+	}
 }
 
 // runPoisoned runs fn — the engine of a poisoned cluster — and fails the

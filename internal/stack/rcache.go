@@ -1,7 +1,8 @@
 package stack
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/blockdev"
 	"repro/internal/metrics"
@@ -27,6 +28,14 @@ import (
 // again before the member serves reads. A cache hit therefore can never
 // return a block a dead incarnation wrote or the cluster rolled back;
 // CacheAudit verifies exactly that invariant against the devices.
+//
+// Like the write path, the read path allocates nothing in steady state.
+// Each read command is a pooled pendingRead that embeds its ssd.Command and
+// is itself the event posting it; each call borrows a pooled readCall for
+// its wait group, extents and runs; the records land in the caller's
+// buffer, or nowhere when the caller passes none. Payloads are shared, not
+// copied: a block payload is immutable once submitted, so the cache holds
+// the slice the write carried or the device returned.
 
 // rcKey packs a (device, device LBA) pair into the cache key. Devices
 // are far below 2^24 and device LBAs below 2^40 (deviceBlocks is
@@ -236,39 +245,83 @@ func (rc *rcache) streamAdvance(stream int, lba uint64, blocks uint32, ahead int
 	return start, uint32(end - start)
 }
 
-// readRun is one device-contiguous fetch the cached read path issues:
-// a demand miss run (copied into the caller's buffer at outOff) or a
-// prefetch run (cache-fill only).
+// readRun is one device-contiguous fetch of a read call: a demand miss run
+// (copied into the caller's buffer at outOff) or a prefetch run (cache-fill
+// only), with the set member chosen to serve it.
 type readRun struct {
 	dev      int
 	devLBA   uint64
 	blocks   uint32
 	set      int
 	ssdIdx   int
+	member   int // the set member serving it (liveRuns)
 	outOff   int
 	prefetch bool
 }
 
-// pendingRead tracks one in-flight read command (of either read path) so a
-// target power cut can reroute it to a surviving replica member (or
-// fail it) instead of stranding the reader forever, and an initiator
-// crash can abandon it. Keyed by a monotonic id so crash sweeps iterate
-// deterministically.
+// readCall is one read call's scratch: the wait group its demand reads
+// release, and the extents and runs it builds. It is per call, unlike
+// buildWires' shared scratch, because a cached read yields in UseCPU while
+// it holds them. Calls recycle through the initiator's callFree when the
+// read returns; a call whose thread never returns is left to the GC.
+type readCall struct {
+	wg   *sim.WaitGroup
+	exts []blockdev.Extent
+	runs []readRun
+}
+
+func (in *Initiator) getCall() *readCall {
+	call := in.callFree.Get()
+	if call.wg == nil {
+		call.wg = sim.NewWaitGroup(in.Eng)
+	}
+	call.runs = call.runs[:0]
+	return call
+}
+
+// pendingRead is one in-flight read command (of either read path), tracked
+// so a target power cut can reroute it to a surviving replica member (or
+// fail it) instead of stranding the reader forever, and an initiator crash
+// can abandon it. It embeds the SSD command it issues and is itself the
+// event that posts the command after the propagation delay. Records
+// recycle through the initiator's readFree once their completion has been
+// handled (onReadDone); an abandoned record (initiator cut, target
+// cut, or the old record of a reroute) may still be held by a device or
+// the event queue, so it is never recycled and the GC takes it.
 type pendingRead struct {
-	id       uint64
-	epoch    int
-	dev      int
-	devLBA   uint64
-	blocks   uint32
-	set      int
-	ssdIdx   int
-	target   int // member currently serving this read
-	out      []ssd.Rec
-	outOff   int
-	prefetch bool
-	noFill   bool           // a newer write superseded this fill: do not cache it
-	wg       *sim.WaitGroup // demand reads only
-	done     bool
+	readRun
+	cmd    ssd.Command // Done and Ctx stay bound to (in.readDone, pr) for the record's life
+	to     *ssd.SSD    // the member's device the command is posted to
+	id     uint64
+	epoch  int
+	out    []ssd.Rec      // demand reads: the caller's buffer (nil keeps no records)
+	noFill bool           // a newer write superseded this fill: do not cache it
+	wg     *sim.WaitGroup // demand reads only
+	done   bool
+	free   bool // on the free list (or, poisoned, dead for good)
+}
+
+// getRead checks a read record for run r out of the pool.
+func (in *Initiator) getRead(r readRun) *pendingRead {
+	pr := in.readFree.Get()
+	if pr.cmd.Done == nil {
+		pr.cmd.Done, pr.cmd.Ctx = in.readDone, pr
+	}
+	pr.free = false
+	pr.readRun = r
+	return pr
+}
+
+// putRead recycles a read record whose completion has been handled.
+func (in *Initiator) putRead(pr *pendingRead) {
+	if pr.free {
+		panic("stack: read record recycled twice")
+	}
+	clear(pr.cmd.Out)
+	*pr = pendingRead{cmd: ssd.Command{Done: in.readDone, Ctx: pr, Out: pr.cmd.Out[:0]}, free: true}
+	if !in.c.poison {
+		in.readFree.Put(pr)
+	}
 }
 
 // ReadCacheStats returns this initiator's read-cache counters (zero
@@ -284,17 +337,18 @@ func (in *Initiator) ReadCacheStats() RCacheStats {
 // (and any read-ahead window) into one message per target, wait for the
 // demand fills, and return. A full hit answers at initiator CPU cost
 // with no fabric round trip.
-func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int) []ssd.Rec {
+func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int, out []ssd.Rec) {
 	rc := in.rcache
 	in.UseCPU(p, in.costs.SubmitBio+in.costs.CacheBlockCPU*sim.Time(blocks))
-	out := make([]ssd.Rec, blocks)
 	if !in.alive {
-		return out
+		return
 	}
+	call := in.getCall()
+	defer in.callFree.Put(call)
 	// Demand runs cover the probe's misses; hits are answered in place.
-	runs := in.deviceRuns(lba, blocks, false, func(ext blockdev.Extent, j uint32) bool {
+	in.deviceRuns(call, lba, blocks, false, func(ext blockdev.Extent, j uint32) bool {
 		rec, hit := rc.get(ext.Dev, ext.DevLBA+uint64(j))
-		if hit {
+		if hit && out != nil {
 			out[ext.Offset+j] = rec
 		}
 		return !hit
@@ -319,49 +373,36 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 		if n > 0 {
 			// Prefetch runs skip blocks already cached, without touching
 			// hit/miss accounting or reference bits.
-			runs = append(runs, in.deviceRuns(start, n, true, func(ext blockdev.Extent, j uint32) bool {
+			in.deviceRuns(call, start, n, true, func(ext blockdev.Extent, j uint32) bool {
 				return !rc.contains(ext.Dev, ext.DevLBA+uint64(j))
-			})...)
+			})
 		}
-	}
-	if len(runs) == 0 {
-		return out
 	}
 
-	// Group the fetches per target member so demand misses and
-	// prefetches of one call share a message and its doorbell.
-	wg := sim.NewWaitGroup(in.Eng)
+	// Group the fetches per target member, in member order, so demand
+	// misses and prefetches of one call share a message and its doorbell.
+	// A run whose set is down is dropped: its demand blocks stay zero.
+	runs := in.liveRuns(call)
+	slices.SortStableFunc(runs, func(a, b readRun) int { return cmp.Compare(a.member, b.member) })
 	demand := 0
-	byMember := map[int][]readRun{}
-	var members []int
-	for _, r := range runs {
-		m := in.c.readMemberFor(r.set, r.ssdIdx, r.devLBA, r.blocks)
-		if m < 0 || !in.targets[m].alive {
-			continue // set down: demand blocks stay zero, prefetch is dropped
+	for len(runs) > 0 {
+		m, n := runs[0].member, 1
+		for n < len(runs) && runs[n].member == m {
+			n++
 		}
-		if _, ok := byMember[m]; !ok {
-			members = append(members, m)
-		}
-		byMember[m] = append(byMember[m], r)
-	}
-	sort.Ints(members)
-	for _, m := range members {
-		group := byMember[m]
+		group := runs[:n]
+		runs = runs[n:]
 		in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(group))+in.costs.PostMsg)
 		in.stats.ReadMsgs++
 		in.stats.ReadCmds += int64(len(group))
 		in.targets[m].stats.Reads += int64(len(group))
 		for _, r := range group {
-			pr := &pendingRead{
-				dev: r.dev, devLBA: r.devLBA, blocks: r.blocks,
-				set: r.set, ssdIdx: r.ssdIdx, outOff: r.outOff, prefetch: r.prefetch,
-			}
+			pr := in.getRead(r)
 			if r.prefetch {
 				rc.stats.ReadAheadIssued += int64(r.blocks)
 			} else {
-				pr.out = out
-				pr.wg = wg
-				wg.Add(1)
+				pr.out, pr.wg = out, call.wg
+				call.wg.Add(1)
 				demand++
 			}
 			// A fill overlapping a write still in flight could read
@@ -370,26 +411,25 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 			// not cache. Writes dispatched later than this point are
 			// handled by the supersede loop in rcachePopulateWire.
 			pr.noFill = in.writeInFlight(r.dev, r.devLBA, r.blocks)
-			in.submitPendingRead(in.trackRead(pr), m)
+			in.issueRead(pr)
 		}
 	}
 	if demand > 0 {
-		wg.Wait(p)
+		call.wg.Wait(p)
 		p.Sleep(in.cfg.Fabric.PropDelay) // response path
 		in.UseCPU(p, in.costs.CplHandle)
 	}
-	return out
 }
 
 // deviceRuns maps the logical range [lba, lba+blocks) to device-contiguous
 // fetch runs over the blocks want selects (called once per block, in
 // ascending order; nil selects every block), each capped at
-// maxTransferBlocks. outOff is the run's offset
-// in the range: where a demand run lands in the caller's buffer (prefetch
-// runs only fill the cache and never read it).
-func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want func(ext blockdev.Extent, j uint32) bool) []readRun {
-	var runs []readRun
-	for _, ext := range in.vol.Extents(lba, blocks) {
+// maxTransferBlocks, and appends them to call.runs. outOff is the run's
+// offset in the range: where a demand run lands in the caller's buffer
+// (prefetch runs only fill the cache and never read it).
+func (in *Initiator) deviceRuns(call *readCall, lba uint64, blocks uint32, prefetch bool, want func(ext blockdev.Extent, j uint32) bool) {
+	call.exts = in.vol.AppendExtents(call.exts[:0], lba, blocks)
+	for _, ext := range call.exts {
 		ref := in.vol.Dev(ext.Dev)
 		runStart := int32(-1)
 		for j := uint32(0); j <= ext.Blocks; j++ {
@@ -407,7 +447,7 @@ func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want f
 				if wanted {
 					n++ // run closed by the transfer limit, not by an unwanted block
 				}
-				runs = append(runs, readRun{
+				call.runs = append(call.runs, readRun{
 					dev: ext.Dev, devLBA: ext.DevLBA + uint64(runStart), blocks: n,
 					set: ref.Server, ssdIdx: ref.SSD, outOff: int(ext.Offset) + int(runStart), prefetch: prefetch,
 				})
@@ -415,7 +455,21 @@ func (in *Initiator) deviceRuns(lba uint64, blocks uint32, prefetch bool, want f
 			}
 		}
 	}
-	return runs
+}
+
+// liveRuns picks the member serving each of call's runs (an in-sync member
+// of the set whose resync backlog does not cover the run), drops the runs
+// whose set is down, and returns the rest, in order.
+func (in *Initiator) liveRuns(call *readCall) []readRun {
+	live := call.runs[:0]
+	for _, r := range call.runs {
+		r.member = in.c.readMemberFor(r.set, r.ssdIdx, r.devLBA, r.blocks)
+		if r.member >= 0 && in.targets[r.member].alive {
+			live = append(live, r)
+		}
+	}
+	call.runs = live
+	return live
 }
 
 // writeInFlight reports whether any outstanding write wire of the
@@ -437,34 +491,38 @@ func (in *Initiator) writeInFlight(dev int, devLBA uint64, blocks uint32) bool {
 	return false
 }
 
-// trackRead registers one read command of the current incarnation as in
-// flight, under the next id.
-func (in *Initiator) trackRead(pr *pendingRead) *pendingRead {
+// issueRead registers pr as in flight in the current incarnation under the
+// next id and posts it.
+func (in *Initiator) issueRead(pr *pendingRead) {
 	in.nextReadID++
 	pr.id, pr.epoch = in.nextReadID, in.epoch
 	in.pendingReads.Put(pr.id, pr)
-	return pr
+	in.postRead(pr)
 }
 
-// submitPendingRead posts one read command toward a member target:
-// command out after the fabric propagation delay, data back via
-// one-sided RDMA modeled by the SSD read plus the response-path sleep
-// the caller pays once.
-func (in *Initiator) submitPendingRead(pr *pendingRead, member int) {
-	pr.target = member
-	t := in.targets[member]
-	cmd := &ssd.Command{
-		Op: ssd.OpRead, LBA: pr.devLBA, Blocks: pr.blocks,
-		Done: func(sc *ssd.Command) { in.finishPendingRead(pr, sc) },
+// postRead sends pr's command toward its member: command out after the
+// fabric propagation delay (pr is that event), data back via one-sided
+// RDMA, modeled by the SSD read plus the response-path sleep the caller
+// pays once.
+func (in *Initiator) postRead(pr *pendingRead) {
+	pr.to = in.targets[pr.member].ssds[pr.ssdIdx]
+	pr.cmd.Op, pr.cmd.LBA, pr.cmd.Blocks = ssd.OpRead, pr.devLBA, pr.blocks
+	in.Eng.Schedule(in.cfg.Fabric.PropDelay, pr)
+}
+
+// Run submits the command at the member's device.
+func (pr *pendingRead) Run() { pr.to.Submit(&pr.cmd) }
+
+// onReadDone is every read record's command Done. It lands one read
+// completion: fill the cache (demand and prefetch), copy demand data out,
+// release the waiter, and recycle the record. Completions of abandoned
+// reads (initiator crash, target cut rerouted the read) are dropped by the
+// done flag / epoch fences.
+func (in *Initiator) onReadDone(sc *ssd.Command) {
+	pr := sc.Ctx.(*pendingRead)
+	if pr.free {
+		panic("stack: SSD completion for a recycled read")
 	}
-	in.Eng.At(in.cfg.Fabric.PropDelay, func() { t.ssds[pr.ssdIdx].Submit(cmd) })
-}
-
-// finishPendingRead lands one read completion: fill the cache (demand
-// and prefetch), copy demand data out, release the waiter. Completions
-// of abandoned reads (initiator crash, target cut rerouted the read)
-// are dropped by the done flag / epoch fences.
-func (in *Initiator) finishPendingRead(pr *pendingRead, sc *ssd.Command) {
 	if pr.done {
 		return
 	}
@@ -479,9 +537,12 @@ func (in *Initiator) finishPendingRead(pr *pendingRead, sc *ssd.Command) {
 		}
 	}
 	if pr.wg != nil {
-		copy(pr.out[pr.outOff:pr.outOff+int(pr.blocks)], sc.Out)
+		if pr.out != nil {
+			copy(pr.out[pr.outOff:pr.outOff+int(pr.blocks)], sc.Out)
+		}
 		pr.wg.Done()
 	}
+	in.putRead(pr)
 }
 
 // abortTargetReads handles a target power cut on this initiator's read
@@ -492,15 +553,21 @@ func (in *Initiator) finishPendingRead(pr *pendingRead, sc *ssd.Command) {
 func (in *Initiator) abortTargetReads(target int) {
 	in.invalidateSetReads(in.c.SetOf(target))
 	for id, pr := range in.pendingReads.All() {
-		if pr.target != target {
-			continue
-		}
-		m := in.c.readMemberFor(pr.set, pr.ssdIdx, pr.devLBA, pr.blocks)
-		if m >= 0 && m != target && in.targets[m].alive {
-			in.submitPendingRead(pr, m)
+		if pr.member != target {
 			continue
 		}
 		pr.done = true
+		m := in.c.readMemberFor(pr.set, pr.ssdIdx, pr.devLBA, pr.blocks)
+		if m >= 0 && m != target && in.targets[m].alive {
+			// The dead member's device may still hold pr's command: the
+			// read moves to a fresh record under the same id.
+			fresh := in.getRead(pr.readRun)
+			fresh.member = m
+			fresh.id, fresh.epoch, fresh.out, fresh.noFill, fresh.wg = id, pr.epoch, pr.out, pr.noFill, pr.wg
+			in.pendingReads.Put(id, fresh)
+			in.postRead(fresh)
+			continue
+		}
 		in.pendingReads.Delete(id)
 		if pr.wg != nil {
 			pr.wg.Done() // read fails: the demand blocks stay zero
@@ -574,8 +641,8 @@ func (in *Initiator) rcachePopulateWire(ws *wireState) {
 	}
 	for i := uint32(0); i < wc.Blocks; i++ {
 		rec := ssd.Rec{Stamp: wc.Stamps[i]}
-		if wc.Data != nil && wc.Data[i] != nil {
-			rec.Data = append([]byte(nil), wc.Data[i]...)
+		if wc.Data != nil && len(wc.Data[i]) > 0 {
+			rec.Data = wc.Data[i] // shared: a payload is immutable once submitted
 		}
 		in.rcache.put(wc.Dev, wc.LBA+uint64(i), ws.target, rec, false)
 	}

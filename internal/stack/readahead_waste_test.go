@@ -32,7 +32,7 @@ func TestRandomReadsIssueNoPrefetch(t *testing.T) {
 			lba := uint64(rng.Int63n(space))
 			// Ordered-write media stamps are attribute-derived, so assert
 			// presence, not a specific value.
-			if recs := c.Init(0).ReadStreamAhead(p, 0, lba, 1, 0); recs[0].Stamp == 0 {
+			if recs := c.Init(0).Read(p, lba, 1); recs[0].Stamp == 0 {
 				t.Fatalf("read of written block %d returned no record", lba)
 			}
 		}

@@ -144,7 +144,7 @@ func TestUncachedReadSurvivesMemberCut(t *testing.T) {
 	reads := 0
 	eng.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			c.Init(0).ReadStreamAhead(p, 0, uint64(i), 1, -1) // never written: every read crosses the fabric
+			c.Init(0).ReadStreamAhead(p, 0, uint64(i), 1, -1, nil) // never written: every read crosses the fabric
 			reads++
 		}
 	})
