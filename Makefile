@@ -39,11 +39,13 @@ staticcheck:
 # The lint gate CI runs: formatting, vet, staticcheck.
 lint: fmt-check vet staticcheck
 
-# The two line counts ROADMAP's north star ("least code") tracks: non-test Go
-# lines outside benchmark/, and the share of them in internal/stack.
+# The line counts ROADMAP's north star ("least code") tracks: non-test Go
+# lines outside benchmark/, and the share of them in internal/stack and in
+# the experiment harness (internal/bench on internal/workload).
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
-	@printf 'non-test Go lines in internal/stack:  '; find ./internal/stack -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@for d in stack bench workload; do \
+		printf 'non-test Go lines in %-18s ' "internal/$$d:"; find ./internal/$$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l; done
 
 # Quick smoke of every experiment (same command CI runs).
 bench: build

@@ -85,11 +85,14 @@ func main() {
 				samples[k] = append(samples[k], v)
 			}
 		}
+		// Wall time goes to stderr so stdout, a deterministic function of
+		// the flags, can be compared byte for byte across builds.
 		if *repeat > 1 {
-			fmt.Printf("(%s wall time: %.1fs over %d seeded runs)\n\n", n, time.Since(start).Seconds(), *repeat)
+			fmt.Fprintf(os.Stderr, "(%s wall time: %.1fs over %d seeded runs)\n", n, time.Since(start).Seconds(), *repeat)
 		} else {
-			fmt.Printf("(%s wall time: %.1fs)\n\n", n, time.Since(start).Seconds())
+			fmt.Fprintf(os.Stderr, "(%s wall time: %.1fs)\n", n, time.Since(start).Seconds())
 		}
+		fmt.Println()
 		report.Experiments = append(report.Experiments, n)
 	}
 	for k, vs := range samples {

@@ -26,23 +26,21 @@ func init() {
 //     persistence latency can grow before it costs throughput.
 func Ablations(o Options) *Result {
 	res := &Result{Name: "Ablations: stream affinity (Principle 2) and PMR latency"}
-	warm, meas := o.windows()
+	job := random4K(8)
+	job.Ordered = true
 
 	// 1. Stream→QP affinity.
-	var aff metrics.Series
-	aff.Label = "KIOPS"
-	var holdbacks metrics.Series
-	holdbacks.Label = "holdbacks"
+	var aff, holdbacks metrics.Series
+	aff.Label, holdbacks.Label = "KIOPS", "holdbacks"
 	for i, affinity := range []bool{true, false} {
-		eng := sim.New(o.seed())
 		cfg := stack.DefaultConfig(stack.ModeRio, stack.OptaneTarget())
 		cfg.StreamAffinity = affinity
-		c := o.newCluster(eng, cfg)
-		r := workload.RunBlock(eng, c,
-			workload.BlockJob{Threads: 8, Pattern: workload.PatternRandom4K, Ordered: true},
-			warm, meas)
-		hb := c.Target(0).Stats().Holdbacks
-		eng.Shutdown()
+		var hb int64
+		r := point(o, cfg, func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time) workload.BlockResult {
+			r := workload.RunBlock(eng, c, job, warm, meas)
+			hb = c.Target(0).Stats().Holdbacks
+			return r
+		})
 		aff.Add(float64(i), r.KIOPS())
 		holdbacks.Add(float64(i), float64(hb))
 	}
@@ -51,20 +49,11 @@ func Ablations(o Options) *Result {
 		"affinity-off", aff, holdbacks))
 
 	// 2. PMR persistence latency sweep.
-	var pmr metrics.Series
-	pmr.Label = "KIOPS"
-	for _, lat := range []sim.Time{300, 600, 1200, 2400, 4800} {
-		eng := sim.New(o.seed())
+	pmr := sweep([]string{"KIOPS"}, []int{300, 600, 1200, 2400, 4800}, func(_, lat int) workload.BlockResult {
 		sc := ssd.OptaneConfig()
-		sc.PMRWriteLat = lat
-		cfg := stack.DefaultConfig(stack.ModeRio, stack.TargetConfig{SSDs: []ssd.Config{sc}})
-		c := o.newCluster(eng, cfg)
-		r := workload.RunBlock(eng, c,
-			workload.BlockJob{Threads: 8, Pattern: workload.PatternRandom4K, Ordered: true},
-			warm, meas)
-		eng.Shutdown()
-		pmr.Add(float64(lat), r.KIOPS())
-	}
+		sc.PMRWriteLat = sim.Time(lat)
+		return blockPoint(o, stack.DefaultConfig(stack.ModeRio, stack.TargetConfig{SSDs: []ssd.Config{sc}}), job)
+	}, func(r workload.BlockResult) float64 { return r.KIOPS() })[0][0]
 	res.Tables = append(res.Tables, metrics.Table(
 		"PMR persistence latency sweep (8 threads, Optane)", "pmr-ns", pmr))
 	res.Notes = append(res.Notes, fmt.Sprintf(

@@ -210,6 +210,14 @@ var blockSystems = []system{
 var blockSystemsWithAblation = append(append([]system{}, blockSystems...),
 	system{"rio-nomerge", stack.ModeRio, true, true})
 
+func labels(systems []system) []string {
+	out := make([]string, len(systems))
+	for i, sys := range systems {
+		out[i] = sys.label
+	}
+	return out
+}
+
 // cell is one figure cell measured over window r: v, or NaN — which
 // metrics.Table prints "n/a" and GeoMeanRatio skips — when the window
 // completed no operation, so a system too slow for the window never reads
@@ -221,6 +229,14 @@ func cell(r workload.BlockResult, v float64) float64 {
 	return v
 }
 
+// The columns block figures read of a point, each a cell.
+var (
+	kiopsCol   = func(r workload.BlockResult) float64 { return cell(r, r.KIOPS()) }
+	gbpsCol    = func(r workload.BlockResult) float64 { return cell(r, r.GBps()) }
+	effInitCol = func(r workload.BlockResult) float64 { return cell(r, r.Efficiency(r.InitUtil)) }
+	effTgtCol  = func(r workload.BlockResult) float64 { return cell(r, r.Efficiency(r.TgtUtil)) }
+)
+
 // ratio formats a note's headline ratio: the geometric mean of a[i]/b[i]
 // with prec decimals, and how many of the points it averages (a point where
 // either side measured nothing is left out).
@@ -229,21 +245,128 @@ func ratio(prec int, a, b []float64) string {
 	return fmt.Sprintf("%.*fx (geomean, %d of %d points)", prec, r, n, len(a))
 }
 
-// runBlockPoint builds a fresh cluster and measures one configuration.
-func runBlockPoint(o Options, sys system, targets []stack.TargetConfig,
-	job workload.BlockJob) workload.BlockResult {
+// pointRun drives a point's cluster over the warm-up and measure windows
+// and reads what the point reports.
+type pointRun[R any] func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time) R
 
+// point runs one experiment point: a fresh engine on the run's seed, a
+// cluster of cfg, then run, which reads what it reports from the cluster
+// before the engine shuts down. Points share nothing, so their order
+// within an experiment is free.
+func point[R any](o Options, cfg stack.Config, run pointRun[R]) R {
 	eng := sim.New(o.seed())
-	cfg := stack.DefaultConfig(sys.mode, targets...)
-	if sys.noMerge {
-		cfg.MergeEnabled = false
-	}
 	c := o.newCluster(eng, cfg)
-	job.Ordered = sys.ordered
 	warm, meas := o.windows()
-	res := workload.RunBlock(eng, c, job, warm, meas)
+	r := run(eng, c, warm, meas)
 	eng.Shutdown()
-	return res
+	return r
+}
+
+// audited is point plus the finished cluster's orderViolations.
+func audited[R any](o Options, cfg stack.Config, run pointRun[R]) (R, int) {
+	v := 0
+	r := point(o, cfg, func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time) R {
+		r := run(eng, c, warm, meas)
+		v = orderViolations(c)
+		return r
+	})
+	return r, v
+}
+
+// drive binds a workload driver to its job.
+func drive[J, R any](run func(*sim.Engine, *stack.Cluster, J, sim.Time, sim.Time) R, job J) pointRun[R] {
+	return func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time) R { return run(eng, c, job, warm, meas) }
+}
+
+// blockPoint measures job on a fresh cluster of cfg.
+func blockPoint(o Options, cfg stack.Config, job workload.BlockJob) workload.BlockResult {
+	return point(o, cfg, drive(workload.RunBlock, job))
+}
+
+// auditedBlockPoint is blockPoint plus the finished cluster's
+// orderViolations.
+func auditedBlockPoint(o Options, cfg stack.Config, job workload.BlockJob) (workload.BlockResult, int) {
+	return audited(o, cfg, drive(workload.RunBlock, job))
+}
+
+// sweep runs one point per line and x, line by line, and returns
+// out[k][i]: column k of line i, a series labelled labels[i] holding, in x
+// order, what cols[k] reads of each of the line's points.
+func sweep[R any](labels []string, xs []int, run func(line, x int) R, cols ...func(R) float64) [][]metrics.Series {
+	out := make([][]metrics.Series, len(cols))
+	for k := range out {
+		out[k] = make([]metrics.Series, len(labels))
+	}
+	for i, label := range labels {
+		for k := range cols {
+			out[k][i].Label = label
+		}
+		for _, x := range xs {
+			r := run(i, x)
+			for k, col := range cols {
+				out[k][i].Add(float64(x), col(r))
+			}
+		}
+	}
+	return out
+}
+
+// normalized divides every series pointwise by the one labelled base; a
+// point whose base is not positive has no normalized value (NaN, which
+// metrics.Table prints "n/a").
+func normalized(ss []metrics.Series, base string) []metrics.Series {
+	b := seriesByLabel(ss, base).Y
+	out := make([]metrics.Series, len(ss))
+	for i, s := range ss {
+		out[i].Label = s.Label
+		for j, y := range s.Y {
+			v := math.NaN()
+			if b[j] > 0 {
+				v = y / b[j]
+			}
+			out[i].Add(s.X[j], v)
+		}
+	}
+	return out
+}
+
+func seriesByLabel(ss []metrics.Series, label string) metrics.Series {
+	for _, s := range ss {
+		if s.Label == label {
+			return s
+		}
+	}
+	return metrics.Series{}
+}
+
+// blockSweep is the sweep of a block figure: one line per system on
+// targets, each point the system's default config (merging off on a
+// no-merge line) driving job(x), ordered as the system is.
+func blockSweep(o Options, systems []system, targets []stack.TargetConfig, xs []int,
+	job func(x int) workload.BlockJob, cols ...func(workload.BlockResult) float64) [][]metrics.Series {
+
+	return sweep(labels(systems), xs, func(i, x int) workload.BlockResult {
+		cfg := stack.DefaultConfig(systems[i].mode, targets...)
+		cfg.MergeEnabled = !systems[i].noMerge
+		j := job(x)
+		j.Ordered = systems[i].ordered
+		return blockPoint(o, cfg, j)
+	}, cols...)
+}
+
+// random4K is the 4 KB random write job at th threads.
+func random4K(th int) workload.BlockJob {
+	return workload.BlockJob{Threads: th, Pattern: workload.PatternRandom4K}
+}
+
+// device is one panel of Figs. 2 and 3.
+type device struct {
+	label   string
+	targets []stack.TargetConfig
+}
+
+func motivationDevices() []device {
+	return []device{{"(a) flash SSD", oneFlash()}, {"(b) optane SSD", oneOptane()}}
 }
 
 // Fig2Motivation reproduces the motivation experiment: the journaling
@@ -251,29 +374,15 @@ func runBlockPoint(o Options, sys system, targets []stack.TargetConfig,
 // orderless upper bound.
 func Fig2Motivation(o Options) *Result {
 	res := &Result{Name: "Figure 2: motivation — cost of storage order"}
-	threads := []int{4, 8, 12}
-	for _, dev := range []struct {
-		label   string
-		targets []stack.TargetConfig
-	}{
-		{"(a) flash SSD", oneFlash()},
-		{"(b) optane SSD", oneOptane()},
-	} {
-		systems := []system{
-			{"NVMe-oF", stack.ModeLinux, true, false},
-			{"HORAE", stack.ModeHorae, true, false},
-			{"orderless", stack.ModeOrderless, false, false},
-		}
-		var series []metrics.Series
-		for _, sys := range systems {
-			s := metrics.Series{Label: sys.label}
-			for _, th := range threads {
-				r := runBlockPoint(o, sys, dev.targets,
-					workload.BlockJob{Threads: th, Pattern: workload.PatternJournal})
-				s.Add(float64(th), cell(r, r.KIOPS()))
-			}
-			series = append(series, s)
-		}
+	systems := []system{
+		{"NVMe-oF", stack.ModeLinux, true, false},
+		{"HORAE", stack.ModeHorae, true, false},
+		{"orderless", stack.ModeOrderless, false, false},
+	}
+	for _, dev := range motivationDevices() {
+		series := blockSweep(o, systems, dev.targets, []int{4, 8, 12}, func(th int) workload.BlockJob {
+			return workload.BlockJob{Threads: th, Pattern: workload.PatternJournal}
+		}, kiopsCol)[0]
 		res.Tables = append(res.Tables,
 			metrics.Table("Fig 2"+dev.label+" — throughput (KIOPS)", "threads", series...))
 		res.Notes = append(res.Notes, fmt.Sprintf("%s: orderless/NVMe-oF ratio = %s",
@@ -287,40 +396,22 @@ func Fig2Motivation(o Options) *Result {
 // merging, versus batch size.
 func Fig3MergingCPU(o Options) *Result {
 	res := &Result{Name: "Figure 3: motivation for merging consecutive data blocks"}
-	batches := []int{1, 2, 4, 8, 16}
-	for _, dev := range []struct {
-		label   string
-		targets []stack.TargetConfig
-	}{
-		{"(a) flash SSD", oneFlash()},
-		{"(b) optane SSD", oneOptane()},
-	} {
-		var initOn, initOff, tgtOn, tgtOff metrics.Series
-		initOn.Label, initOff.Label = "initiator w/ merging", "initiator w/o merging"
-		tgtOn.Label, tgtOff.Label = "target w/ merging", "target w/o merging"
-		for _, b := range batches {
-			for _, merge := range []bool{true, false} {
-				eng := sim.New(o.seed())
-				cfg := stack.DefaultConfig(stack.ModeOrderless, dev.targets...)
-				cfg.MergeEnabled = merge
-				c := o.newCluster(eng, cfg)
-				warm, meas := o.windows()
-				r := workload.RunBlock(eng, c, workload.BlockJob{
-					Threads: 1, Pattern: workload.PatternBatch, Batch: b,
-				}, warm, meas)
-				eng.Shutdown()
-				if merge {
-					initOn.Add(float64(b), 100*r.InitUtil)
-					tgtOn.Add(float64(b), 100*r.TgtUtil)
-				} else {
-					initOff.Add(float64(b), 100*r.InitUtil)
-					tgtOff.Add(float64(b), 100*r.TgtUtil)
-				}
-			}
+	systems := []system{
+		{"w/o merging", stack.ModeOrderless, false, true},
+		{"w/ merging", stack.ModeOrderless, false, false},
+	}
+	for _, dev := range motivationDevices() {
+		ss := blockSweep(o, systems, dev.targets, []int{1, 2, 4, 8, 16}, func(b int) workload.BlockJob {
+			return workload.BlockJob{Threads: 1, Pattern: workload.PatternBatch, Batch: b}
+		}, func(r workload.BlockResult) float64 { return 100 * r.InitUtil },
+			func(r workload.BlockResult) float64 { return 100 * r.TgtUtil })
+		for i := range systems {
+			ss[0][i].Label = "initiator " + ss[0][i].Label
+			ss[1][i].Label = "target " + ss[1][i].Label
 		}
 		res.Tables = append(res.Tables, metrics.Table(
 			"Fig 3"+dev.label+" — CPU utilization (%)", "batch",
-			initOff, tgtOff, initOn, tgtOn))
+			ss[0][0], ss[1][0], ss[0][1], ss[1][1]))
 	}
 	return res
 }
@@ -329,46 +420,12 @@ func Fig3MergingCPU(o Options) *Result {
 // writes, five systems, with throughput plus normalized CPU efficiency.
 func fig10(o Options, name string, targets []stack.TargetConfig, threads []int) *Result {
 	res := &Result{Name: "Figure 10 " + name + ": block device performance (4 KB random ordered write)"}
-	var tput []metrics.Series
-	var effI []metrics.Series
-	var effT []metrics.Series
-	type point struct{ kiops, effInit, effTgt float64 }
-	byLabel := map[string][]point{}
-	for _, sys := range blockSystemsWithAblation {
-		st := metrics.Series{Label: sys.label}
-		for _, th := range threads {
-			r := runBlockPoint(o, sys, targets,
-				workload.BlockJob{Threads: th, Pattern: workload.PatternRandom4K})
-			st.Add(float64(th), cell(r, r.KIOPS()))
-			byLabel[sys.label] = append(byLabel[sys.label], point{
-				cell(r, r.KIOPS()), cell(r, r.Efficiency(r.InitUtil)), cell(r, r.Efficiency(r.TgtUtil)),
-			})
-		}
-		tput = append(tput, st)
-	}
-	// Normalize efficiency to the orderless system.
-	base := byLabel["orderless"]
-	for _, sys := range blockSystemsWithAblation {
-		si := metrics.Series{Label: sys.label}
-		stg := metrics.Series{Label: sys.label}
-		for i, pt := range byLabel[sys.label] {
-			normI, normT := math.NaN(), math.NaN()
-			if base[i].effInit > 0 {
-				normI = pt.effInit / base[i].effInit
-			}
-			if base[i].effTgt > 0 {
-				normT = pt.effTgt / base[i].effTgt
-			}
-			si.Add(float64(threads[i]), normI)
-			stg.Add(float64(threads[i]), normT)
-		}
-		effI = append(effI, si)
-		effT = append(effT, stg)
-	}
+	ss := blockSweep(o, blockSystemsWithAblation, targets, threads, random4K, kiopsCol, effInitCol, effTgtCol)
+	tput := ss[0]
 	res.Tables = append(res.Tables,
 		metrics.Table("throughput (K ops/s)", "threads", tput...),
-		metrics.Table("initiator CPU efficiency (normalized to orderless)", "threads", effI...),
-		metrics.Table("target CPU efficiency (normalized to orderless)", "threads", effT...))
+		metrics.Table("initiator CPU efficiency (normalized to orderless)", "threads", normalized(ss[1], "orderless")...),
+		metrics.Table("target CPU efficiency (normalized to orderless)", "threads", normalized(ss[2], "orderless")...))
 	rio := seriesByLabel(tput, "rio")
 	res.Notes = append(res.Notes,
 		"rio/linux throughput = "+ratio(1, rio.Y, seriesByLabel(tput, "linux").Y),
@@ -377,37 +434,18 @@ func fig10(o Options, name string, targets []stack.TargetConfig, threads []int) 
 	return res
 }
 
-func seriesByLabel(ss []metrics.Series, label string) metrics.Series {
-	for _, s := range ss {
-		if s.Label == label {
-			return s
-		}
-	}
-	return metrics.Series{}
-}
-
 // Fig11WriteSizes: single thread, 4-64 KB writes, random and sequential,
 // on the 4-SSD/2-target volume.
 func Fig11WriteSizes(o Options) *Result {
 	res := &Result{Name: "Figure 11: performance with varying write sizes (1 thread, 4 SSDs)"}
-	sizesKB := []uint32{4, 8, 16, 32, 64}
 	for _, seq := range []bool{false, true} {
 		kind := "(a) random"
 		if seq {
 			kind = "(b) sequential"
 		}
-		var series []metrics.Series
-		for _, sys := range blockSystems {
-			s := metrics.Series{Label: sys.label}
-			for _, kb := range sizesKB {
-				r := runBlockPoint(o, sys, fourSSDTwoTargets(), workload.BlockJob{
-					Threads: 1, Pattern: workload.PatternSize,
-					WriteBlocks: kb / 4, Sequential: seq,
-				})
-				s.Add(float64(kb), cell(r, r.GBps()))
-			}
-			series = append(series, s)
-		}
+		series := blockSweep(o, blockSystems, fourSSDTwoTargets(), []int{4, 8, 16, 32, 64}, func(kb int) workload.BlockJob {
+			return workload.BlockJob{Threads: 1, Pattern: workload.PatternSize, WriteBlocks: uint32(kb / 4), Sequential: seq}
+		}, gbpsCol)[0]
 		res.Tables = append(res.Tables,
 			metrics.Table("Fig 11"+kind+" — bandwidth (GB/s)", "write KB", series...))
 		res.Notes = append(res.Notes, fmt.Sprintf("%s: rio/horae = %s, rio/linux = %s",
@@ -422,66 +460,58 @@ func Fig11WriteSizes(o Options) *Result {
 // threads, including the rio-w/o-merge ablation.
 func Fig12BatchSizes(o Options) *Result {
 	res := &Result{Name: "Figure 12: performance with varying batch sizes (4 SSDs)"}
-	batches := []int{2, 4, 8, 12, 16}
 	for _, th := range []int{1, 12} {
-		var series []metrics.Series
-		var effs []metrics.Series
-		for _, sys := range blockSystemsWithAblation {
-			s := metrics.Series{Label: sys.label}
-			e := metrics.Series{Label: sys.label}
-			for _, b := range batches {
-				r := runBlockPoint(o, sys, fourSSDTwoTargets(), workload.BlockJob{
-					Threads: th, Pattern: workload.PatternBatch, Batch: b,
-				})
-				s.Add(float64(b), cell(r, r.GBps()))
-				e.Add(float64(b), cell(r, r.Efficiency(r.InitUtil)))
-			}
-			series = append(series, s)
-			effs = append(effs, e)
-		}
-		// Normalize efficiency to orderless (snapshot the base first: the
-		// series share slices, and the base itself gets normalized too). A
-		// point without a base has no normalized value.
-		base := append([]float64(nil), seriesByLabel(effs, "orderless").Y...)
-		for i := range effs {
-			for j := range effs[i].Y {
-				if base[j] > 0 {
-					effs[i].Y[j] /= base[j]
-				} else {
-					effs[i].Y[j] = math.NaN()
-				}
-			}
-		}
+		ss := blockSweep(o, blockSystemsWithAblation, fourSSDTwoTargets(), []int{2, 4, 8, 12, 16}, func(b int) workload.BlockJob {
+			return workload.BlockJob{Threads: th, Pattern: workload.PatternBatch, Batch: b}
+		}, gbpsCol, effInitCol)
+		series := ss[0]
 		res.Tables = append(res.Tables,
 			metrics.Table(fmt.Sprintf("bandwidth (GB/s), %d thread(s)", th), "batch", series...),
-			metrics.Table(fmt.Sprintf("initiator CPU efficiency (normalized), %d thread(s)", th), "batch", effs...))
+			metrics.Table(fmt.Sprintf("initiator CPU efficiency (normalized), %d thread(s)", th), "batch", normalized(ss[1], "orderless")...))
 		res.Notes = append(res.Notes, fmt.Sprintf("%d threads: rio vs rio-nomerge bandwidth = %s",
 			th, ratio(2, seriesByLabel(series, "rio").Y, seriesByLabel(series, "rio-nomerge").Y)))
 	}
 	return res
 }
 
-// fsDesigns are the three file systems of §6.3-6.4.
-var fsDesigns = []struct {
+// fsDesign is one line of a file-system figure.
+type fsDesign struct {
 	label  string
 	mode   stack.Mode
 	design fs.Design
-}{
+}
+
+// fsDesigns are the three file systems of §6.3-6.4.
+var fsDesigns = []fsDesign{
 	{"ext4", stack.ModeOrderless, fs.Ext4},
 	{"horaefs", stack.ModeHorae, fs.HoraeFS},
 	{"riofs", stack.ModeRio, fs.RioFS},
 }
 
-func newFS(o Options, mode stack.Mode, design fs.Design, targets []stack.TargetConfig) (*sim.Engine, *fs.FS) {
-	eng := sim.New(o.seed())
-	cfg := stack.DefaultConfig(mode, targets...)
-	c := o.newCluster(eng, cfg)
-	fcfg := fs.DefaultOptions(design, 24)
-	fcfg.JournalBlocks = 4096
-	fcfg.MaxInodes = 1 << 14
-	fcfg.DataBlocks = 1 << 20
-	return eng, fs.Open(c.Init(0), fcfg)
+// fsSweep is the sweep of a file-system figure: one line per design, each
+// point drive at x threads on a fresh file system over one remote Optane
+// SSD.
+func fsSweep(o Options, designs []fsDesign, threads []int,
+	drive func(*sim.Engine, *fs.FS, int, sim.Time, sim.Time) workload.FsResult,
+	cols ...func(workload.FsResult) float64) [][]metrics.Series {
+
+	labels := make([]string, len(designs))
+	for i, d := range designs {
+		labels[i] = d.label
+	}
+	return sweep(labels, threads, func(i, th int) workload.FsResult {
+		cfg := stack.DefaultConfig(designs[i].mode, oneOptane()...)
+		return point(o, cfg, func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time) workload.FsResult {
+			fcfg := fs.DefaultOptions(designs[i].design, 24)
+			fcfg.JournalBlocks = 4096
+			fcfg.MaxInodes = 1 << 14
+			fcfg.DataBlocks = 1 << 20
+			return drive(eng, fs.Open(c.Init(0), fcfg), th, warm, meas)
+		})
+	}, cols...)
 }
+
+func fsKIOPS(r workload.FsResult) float64 { return r.KIOPS() }
 
 // Fig13Filesystem: 4 KB append+fsync, threads 1..16, on a remote Optane
 // SSD; reports average and 99th-percentile latency against throughput.
@@ -491,51 +521,40 @@ func Fig13Filesystem(o Options) *Result {
 	if o.Quick {
 		threads = []int{1, 4, 16}
 	}
-	var tput, avg, p99 []metrics.Series
-	for _, d := range fsDesigns {
-		ts := metrics.Series{Label: d.label}
-		as := metrics.Series{Label: d.label}
-		ps := metrics.Series{Label: d.label}
-		for _, th := range threads {
-			eng, fsys := newFS(o, d.mode, d.design, oneOptane())
-			warm, meas := o.windows()
-			r := workload.RunFioFsync(eng, fsys, th, warm, meas)
-			eng.Shutdown()
-			ts.Add(float64(th), r.KIOPS())
-			as.Add(float64(th), float64(r.Lat.Mean())/1000)
-			ps.Add(float64(th), float64(r.Lat.P99())/1000)
-		}
-		tput = append(tput, ts)
-		avg = append(avg, as)
-		p99 = append(p99, ps)
-	}
+	ss := fsSweep(o, fsDesigns, threads, workload.RunFioFsync, fsKIOPS,
+		func(r workload.FsResult) float64 { return float64(r.Lat.Mean()) / 1000 },
+		func(r workload.FsResult) float64 { return float64(r.Lat.P99()) / 1000 })
+	tput := ss[0]
 	res.Tables = append(res.Tables,
 		metrics.Table("fsync throughput (KIOPS)", "threads", tput...),
-		metrics.Table("average latency (us)", "threads", avg...),
-		metrics.Table("99th percentile latency (us)", "threads", p99...))
+		metrics.Table("average latency (us)", "threads", ss[1]...),
+		metrics.Table("99th percentile latency (us)", "threads", ss[2]...))
 	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 throughput = %s, riofs/horaefs = %s",
 		ratio(1, seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "ext4").Y),
 		ratio(1, seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "horaefs").Y)))
 	return res
 }
 
-// Fig14Breakdown: the fsync latency breakdown table for HoraeFS and RioFS.
+// Fig14Breakdown: the fsync latency breakdown table for HoraeFS and RioFS
+// (the paper's table leaves ext4 out).
 func Fig14Breakdown(o Options) *Result {
 	res := &Result{Name: "Figure 14: fsync latency breakdown (1 thread, Optane)"}
-	var rows []string
-	rows = append(rows, fmt.Sprintf("%-10s%10s%10s%10s%12s%12s",
-		"system", "D(ns)", "JM(ns)", "JC(ns)", "waitIO(ns)", "fsync(ns)"))
-	for _, d := range fsDesigns {
-		if d.design == fs.Ext4 {
-			continue // the paper's table compares HoraeFS and RioFS
+	stage := func(k int) func(workload.FsResult) float64 {
+		return func(r workload.FsResult) float64 {
+			d, jm, jc, wait := r.Traces.Mean()
+			return float64([]sim.Time{d, jm, jc, wait}[k])
 		}
-		eng, fsys := newFS(o, d.mode, d.design, oneOptane())
-		warm, meas := o.windows()
-		r := workload.RunFioFsync(eng, fsys, 1, warm, meas)
-		eng.Shutdown()
-		dd, jm, jc, wait := r.Traces.Mean()
+	}
+	ss := fsSweep(o, fsDesigns[1:], []int{1}, workload.RunFioFsync, stage(0), stage(1), stage(2), stage(3))
+	rows := []string{fmt.Sprintf("%-10s%10s%10s%10s%12s%12s",
+		"system", "D(ns)", "JM(ns)", "JC(ns)", "waitIO(ns)", "fsync(ns)")}
+	for i, d := range fsDesigns[1:] {
+		var ns [4]int64
+		for k := range ns {
+			ns[k] = int64(ss[k][i].Y[0])
+		}
 		rows = append(rows, fmt.Sprintf("%-10s%10d%10d%10d%12d%12d",
-			d.label, dd, jm, jc, wait, int64(dd+jm+jc+wait)))
+			d.label, ns[0], ns[1], ns[2], ns[3], ns[0]+ns[1]+ns[2]+ns[3]))
 	}
 	res.Tables = append(res.Tables, strings.Join(rows, "\n")+"\n")
 	res.Notes = append(res.Notes,
@@ -550,18 +569,7 @@ func Fig15aVarmail(o Options) *Result {
 	if o.Quick {
 		threads = []int{1, 8, 24}
 	}
-	var series []metrics.Series
-	for _, d := range fsDesigns {
-		s := metrics.Series{Label: d.label}
-		for _, th := range threads {
-			eng, fsys := newFS(o, d.mode, d.design, oneOptane())
-			warm, meas := o.windows()
-			r := workload.RunVarmail(eng, fsys, th, warm, meas)
-			eng.Shutdown()
-			s.Add(float64(th), r.KIOPS())
-		}
-		series = append(series, s)
-	}
+	series := fsSweep(o, fsDesigns, threads, workload.RunVarmail, fsKIOPS)[0]
 	res.Tables = append(res.Tables, metrics.Table("throughput (K ops/s)", "threads", series...))
 	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %s, riofs/horaefs = %s (paper: 2.3x, 1.3x)",
 		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
@@ -576,18 +584,7 @@ func Fig15bRocksDB(o Options) *Result {
 	if o.Quick {
 		threads = []int{1, 8, 24}
 	}
-	var series []metrics.Series
-	for _, d := range fsDesigns {
-		s := metrics.Series{Label: d.label}
-		for _, th := range threads {
-			eng, fsys := newFS(o, d.mode, d.design, oneOptane())
-			warm, meas := o.windows()
-			r := workload.RunFillsync(eng, fsys, th, warm, meas)
-			eng.Shutdown()
-			s.Add(float64(th), r.KIOPS())
-		}
-		series = append(series, s)
-	}
+	series := fsSweep(o, fsDesigns, threads, workload.RunFillsync, fsKIOPS)[0]
 	res.Tables = append(res.Tables, metrics.Table("throughput (K ops/s)", "threads", series...))
 	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %s, riofs/horaefs = %s (paper: 1.9x, 1.5x)",
 		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
@@ -608,33 +605,33 @@ func RecoveryTimes(o Options) *Result {
 		var orderMS, dataMS []float64
 		discarded := 0
 		for tr := 0; tr < trials; tr++ {
-			eng := sim.New(o.seed() + int64(tr))
 			cfg := stack.DefaultConfig(mode, fourSSDTwoTargets()...)
 			cfg.Streams = 36
 			cfg.QPs = 36
-			c := o.newCluster(eng, cfg)
-			stopped := false
-			for th := 0; th < 36; th++ {
-				th := th
-				eng.Go(fmt.Sprintf("rec/wl%d", th), func(p *sim.Proc) {
-					lba := uint64(th) << 22
-					// "each issues 4 KB ordered write requests continuously
-					// without explicitly waiting" (§6.5): in-flight depth
-					// grows until the crash, so the PMR logs hold tens of
-					// thousands of live attributes.
-					for i := 0; !stopped; i++ {
-						c.Init(0).OrderedWrite(p, th, lba+uint64(i), 1, 0, nil, true, false, false)
-						p.Sleep(sim.Microsecond)
-					}
-				})
-			}
-			cut := sim.Time(1000+eng.Rand().Int63n(1000)) * sim.Microsecond
-			eng.At(cut, func() { c.PowerCutAll(); stopped = true })
-			eng.RunUntil(cut + sim.Millisecond)
-			var tm stack.RecoveryTiming
-			eng.Go("recover", func(p *sim.Proc) { _, tm = c.RecoverFull(p) })
-			eng.Run()
-			eng.Shutdown()
+			trial := o
+			trial.Seed = o.seed() + int64(tr)
+			tm := point(trial, cfg, func(eng *sim.Engine, c *stack.Cluster, _, _ sim.Time) (tm stack.RecoveryTiming) {
+				stopped := false
+				for th := 0; th < 36; th++ {
+					eng.Go(fmt.Sprintf("rec/wl%d", th), func(p *sim.Proc) {
+						lba := uint64(th) << 22
+						// "each issues 4 KB ordered write requests continuously
+						// without explicitly waiting" (§6.5): in-flight depth
+						// grows until the crash, so the PMR logs hold tens of
+						// thousands of live attributes.
+						for i := 0; !stopped; i++ {
+							c.Init(0).OrderedWrite(p, th, lba+uint64(i), 1, 0, nil, true, false, false)
+							p.Sleep(sim.Microsecond)
+						}
+					})
+				}
+				cut := sim.Time(1000+eng.Rand().Int63n(1000)) * sim.Microsecond
+				eng.At(cut, func() { c.PowerCutAll(); stopped = true })
+				eng.RunUntil(cut + sim.Millisecond)
+				eng.Go("recover", func(p *sim.Proc) { _, tm = c.RecoverFull(p) })
+				eng.Run()
+				return tm
+			})
 			orderMS = append(orderMS, tm.OrderRebuild.Seconds()*1e3)
 			dataMS = append(dataMS, tm.DataRecovery.Seconds()*1e3)
 			discarded += tm.Discarded

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestNamesComplete(t *testing.T) {
@@ -57,6 +61,56 @@ func TestParallelTracedRuns(t *testing.T) {
 		if g != want {
 			t.Errorf("parallel run %d rendered differently from a run alone:\n%s\nwant:\n%s", i, g, want)
 		}
+	}
+}
+
+// TestSweepAndNormalize: sweep runs each (line, x) point exactly once and
+// returns [column][line] series labelled by line, points in x order;
+// normalized divides by the base line, NaN where the base is 0 or NaN, and
+// a table prints that NaN as n/a.
+func TestSweepAndNormalize(t *testing.T) {
+	labels, xs := []string{"a", "base"}, []int{3, 1, 2}
+	calls := map[[2]int]int{}
+	ss := sweep(labels, xs, func(line, x int) [2]float64 {
+		calls[[2]int{line, x}]++
+		return [2]float64{float64(10*line + x), float64(-x)}
+	}, func(r [2]float64) float64 { return r[0] }, func(r [2]float64) float64 { return r[1] })
+	if len(calls) != len(labels)*len(xs) {
+		t.Fatalf("sweep ran %d distinct points, want %d: %v", len(calls), len(labels)*len(xs), calls)
+	}
+	for pt, n := range calls {
+		if n != 1 {
+			t.Errorf("point %v ran %d times", pt, n)
+		}
+	}
+	want := [][]metrics.Series{
+		{{Label: "a", X: []float64{3, 1, 2}, Y: []float64{3, 1, 2}}, {Label: "base", X: []float64{3, 1, 2}, Y: []float64{13, 11, 12}}},
+		{{Label: "a", X: []float64{3, 1, 2}, Y: []float64{-3, -1, -2}}, {Label: "base", X: []float64{3, 1, 2}, Y: []float64{-3, -1, -2}}},
+	}
+	if !reflect.DeepEqual(ss, want) {
+		t.Fatalf("sweep = %+v, want %+v", ss, want)
+	}
+
+	in := []metrics.Series{
+		{Label: "a", X: []float64{1, 2, 3}, Y: []float64{6, 4, 2}},
+		{Label: "base", X: []float64{1, 2, 3}, Y: []float64{2, 0, math.NaN()}},
+	}
+	got := normalized(in, "base")
+	for i, w := range [][]float64{{3, math.NaN(), math.NaN()}, {1, math.NaN(), math.NaN()}} {
+		if got[i].Label != in[i].Label || !reflect.DeepEqual(got[i].X, in[i].X) {
+			t.Errorf("normalized series %d = %+v, want label and x of %+v", i, got[i], in[i])
+		}
+		for j := range w {
+			if g := got[i].Y[j]; g != w[j] && !(math.IsNaN(g) && math.IsNaN(w[j])) {
+				t.Errorf("normalized %s[%d] = %v, want %v", got[i].Label, j, g, w[j])
+			}
+		}
+	}
+	if in[0].Y[0] != 6 || in[1].Y[0] != 2 {
+		t.Errorf("normalized changed its input: %+v", in)
+	}
+	if tab := metrics.Table("t", "x", got...); strings.Count(tab, "n/a") != 4 {
+		t.Errorf("table prints %d n/a cells, want 4:\n%s", strings.Count(tab, "n/a"), tab)
 	}
 }
 

@@ -12,9 +12,9 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -29,21 +29,15 @@ var policySystems = []system{
 }
 
 // runPolicyPoint measures one stack on the fixed policy topology (two
-// 2-SSD Optane targets, 4 streams) and returns the block result plus
-// the cluster for post-run audit.
+// 2-SSD Optane targets, 4 streams) and returns the block result plus the
+// finished cluster's orderViolations.
 func runPolicyPoint(o Options, sys system) (workload.BlockResult, int) {
-	eng := sim.New(o.seed())
 	cfg := stack.DefaultConfig(sys.mode, scaleTargets(2)...)
 	cfg.Streams = 4
 	cfg.QPs = 4
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	r := workload.RunBlock(eng, c, workload.BlockJob{
+	return auditedBlockPoint(o, cfg, workload.BlockJob{
 		Threads: 4, Pattern: workload.PatternRandom4K, Ordered: sys.ordered,
-	}, warm, meas)
-	audit := orderViolations(c)
-	eng.Shutdown()
-	return r, audit
+	})
 }
 
 // PolicySweep is the "policy" experiment.
@@ -77,27 +71,15 @@ func PolicySweep(o Options) *Result {
 	res.Metric("policy.order_violations", float64(auditTotal))
 
 	// Render with the mode name as the x label (the series share indices).
-	var rows []string
-	rows = append(rows, fmt.Sprintf("%-12s%12s%18s%18s",
-		"stack", "kiops", "holdbacks/kcmd", "pmr appends/cmd"))
+	rows := []string{fmt.Sprintf("%-12s%12s%18s%18s",
+		"stack", "kiops", "holdbacks/kcmd", "pmr appends/cmd")}
 	for i, sys := range policySystems {
 		rows = append(rows, fmt.Sprintf("%-12s%12.1f%18.3f%18.3f",
 			sys.label, kiops.Y[i], holdbacks.Y[i], appends.Y[i]))
 	}
-	res.Tables = append(res.Tables, fmt.Sprintf("%s\n", joinRows(rows)))
+	res.Tables = append(res.Tables, strings.Join(rows, "\n")+"\n")
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("engine dense-chain audit across all four policies: %d violations (must be 0)", auditTotal),
 		"orderless and linux policies keep no engine state (no gate, no PMR traffic): their rows pin the engine's zero-cost baseline")
 	return res
-}
-
-func joinRows(rows []string) string {
-	out := ""
-	for i, r := range rows {
-		if i > 0 {
-			out += "\n"
-		}
-		out += r
-	}
-	return out
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/kv"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -56,7 +55,6 @@ func readJob() workload.ReadJob {
 // one-SSD Optane targets in 2-way replica sets — and drives the job
 // with one cache size (0 = every read feature off).
 func runReadPoint(o Options, cacheBlocks int) (workload.ReadResult, int) {
-	eng := sim.New(o.seed())
 	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(4)...)
 	cfg.Initiators = readKVTenants + 1
 	cfg.Replicas = 2
@@ -68,12 +66,7 @@ func runReadPoint(o Options, cacheBlocks int) (workload.ReadResult, int) {
 		cfg.ReadAhead = readAheadDepth
 		job.KV.NegativeLookup = true
 	}
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	res := workload.RunRead(eng, c, job, warm, meas)
-	violations := orderViolations(c)
-	eng.Shutdown()
-	return res, violations
+	return audited(o, cfg, drive(workload.RunRead, job))
 }
 
 // ReadSweep is the "read" experiment.

@@ -32,25 +32,39 @@ func replTargets(n int) []stack.TargetConfig {
 // evenly into sets of 1, 2 and 3.
 const replFleet = 6
 
-// runReplicationPoint measures one replica factor on the fixed fleet.
-// cutAt > 0 schedules a power cut of target `cutMember` at that
-// simulated time (failover phase); the returned cluster lets the caller
-// resync and audit afterwards.
-func runReplicationPoint(o Options, replicas int, cutAt sim.Time, cutMember int) (workload.BlockResult, *stack.Cluster, *sim.Engine) {
-	eng := sim.New(o.seed())
-	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(replFleet)...)
-	cfg.Replicas = replicas
+// replRun is what the replication phases read of a finished point.
+type replRun struct {
+	workload.BlockResult
+	violations int   // orderViolations of the finished cluster
+	backlog    int   // extents queued for the cut target's resync
+	relayed    int64 // capsules set 0's head relayed to its followers
+}
+
+// replPoint measures 4 ordered streams of 4 KB random writes on cfg, the
+// fixed fleet regrouped into replica sets. cutAt > 0 power-cuts target
+// victim(c) at that simulated time (failover phase).
+func replPoint(o Options, cfg stack.Config, cutAt sim.Time, victim func(*stack.Cluster) int) replRun {
 	cfg.Streams = 4
 	cfg.QPs = 4
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	if cutAt > 0 {
-		eng.At(cutAt, func() { c.PowerCutTarget(cutMember) })
-	}
-	r := workload.RunBlock(eng, c, workload.BlockJob{
-		Threads: 4, Pattern: workload.PatternRandom4K, Ordered: true,
-	}, warm, meas)
-	return r, c, eng
+	return point(o, cfg, func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time) replRun {
+		cut := victim(c)
+		if cutAt > 0 {
+			eng.At(cutAt, func() { c.PowerCutTarget(cut) })
+		}
+		job := random4K(4)
+		job.Ordered = true
+		r := workload.RunBlock(eng, c, job, warm, meas)
+		return replRun{r, orderViolations(c), c.ResyncBacklog(cut), c.Target(c.SetMembers(0)[0]).Stats().Relays}
+	})
+}
+
+// runReplicationPoint measures one replica factor on the fixed fleet.
+// cutAt > 0 schedules a power cut of target `cutMember` at that
+// simulated time (failover phase).
+func runReplicationPoint(o Options, replicas int, cutAt sim.Time, cutMember int) replRun {
+	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(replFleet)...)
+	cfg.Replicas = replicas
+	return replPoint(o, cfg, cutAt, func(*stack.Cluster) int { return cutMember })
 }
 
 // relayInitCores is the initiator CPU budget of the relay comparison.
@@ -64,29 +78,17 @@ const relayInitCores = 2
 // relayInitCores, with the relay fast path on or off. cutAt > 0
 // power-cuts the HEAD of set 0 mid-measurement (the relay hub — the
 // most adversarial member to lose).
-func runRelayPoint(o Options, relay bool, cutAt sim.Time) (workload.BlockResult, *stack.Cluster, *sim.Engine) {
-	eng := sim.New(o.seed())
+func runRelayPoint(o Options, relay bool, cutAt sim.Time) replRun {
 	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(replFleet)...)
 	cfg.Replicas = 3
 	cfg.ReplRelay = relay
-	cfg.Streams = 4
-	cfg.QPs = 4
 	cfg.InitiatorCores = relayInitCores
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	if cutAt > 0 {
-		head := c.SetMembers(0)[0]
-		eng.At(cutAt, func() { c.PowerCutTarget(head) })
-	}
-	r := workload.RunBlock(eng, c, workload.BlockJob{
-		Threads: 4, Pattern: workload.PatternRandom4K, Ordered: true,
-	}, warm, meas)
-	return r, c, eng
+	return replPoint(o, cfg, cutAt, func(c *stack.Cluster) int { return c.SetMembers(0)[0] })
 }
 
 // txPerOp normalizes the window's initiator egress counters by the
 // window's completed requests (same denominator as CompletionMsgsPerOp).
-func txPerOp(br workload.BlockResult) (msgs, bytes float64) {
+func txPerOp(br replRun) (msgs, bytes float64) {
 	if br.Stats.Completed == 0 {
 		return 0, 0
 	}
@@ -102,8 +104,8 @@ func ReplicationSweep(o Options) *Result {
 	var tput, cplOp metrics.Series
 	tput.Label, cplOp.Label = "rio kiops", "cpl msgs/op"
 	for _, r := range []int{1, 2, 3} {
-		br, c, eng := runReplicationPoint(o, r, 0, 0)
-		violations += orderViolations(c)
+		br := runReplicationPoint(o, r, 0, 0)
+		violations += br.violations
 		tput.Add(float64(r), br.KIOPS())
 		cplOp.Add(float64(r), br.Stats.CompletionMsgsPerOp())
 		res.Metric(fmt.Sprintf("replication.rio.kiops.r%d", r), br.KIOPS())
@@ -114,7 +116,6 @@ func ReplicationSweep(o Options) *Result {
 			res.Metric("replication.rio.tx_msgs_per_op.r3", msgs)
 			res.Metric("replication.rio.tx_bytes_per_op.r3", bytes)
 		}
-		eng.Shutdown()
 	}
 	res.Tables = append(res.Tables, metrics.Table(
 		fmt.Sprintf("replica-factor sweep (%d fixed targets, 4 streams, 4 KB random ordered write, majority quorum)", replFleet),
@@ -125,12 +126,10 @@ func ReplicationSweep(o Options) *Result {
 	// majority quorum) and the blip is the worst latency of the window.
 	warm, meas := o.windows()
 	cutAt := warm + meas/2
-	br, c, eng := runReplicationPoint(o, 3, cutAt, 1)
-	violations += orderViolations(c)
+	br := runReplicationPoint(o, 3, cutAt, 1)
+	violations += br.violations
 	res.Metric("replication.rio.failover_kiops", br.KIOPS())
 	res.Metric("replication.rio.failover_blip_us", br.MaxLatUS())
-	backlog := c.ResyncBacklog(1)
-	eng.Shutdown()
 
 	// Background resync on a bounded run (the RunBlock drivers write
 	// forever, so the resync phase uses its own finite workload): cut a
@@ -148,15 +147,10 @@ func ReplicationSweep(o Options) *Result {
 	// at a saturated initiator that egress cut is throughput.
 	var rel metrics.Series
 	rel.Label = "constrained kiops"
-	brD, cD, engD := runRelayPoint(o, false, 0)
-	violations += orderViolations(cD)
+	brD, brR := runRelayPoint(o, false, 0), runRelayPoint(o, true, 0)
+	violations += brD.violations + brR.violations
 	dMsgs, dBytes := txPerOp(brD)
-	engD.Shutdown()
-	brR, cR, engR := runRelayPoint(o, true, 0)
-	violations += orderViolations(cR)
 	rMsgs, rBytes := txPerOp(brR)
-	relayed := cR.Target(cR.SetMembers(0)[0]).Stats().Relays
-	engR.Shutdown()
 	rel.Add(0, brD.KIOPS())
 	rel.Add(1, brR.KIOPS())
 	res.Metric("replication.rio.kiops.r3.direct", brD.KIOPS())
@@ -171,17 +165,16 @@ func ReplicationSweep(o Options) *Result {
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"relay fast path (%d initiator cores): %.1f -> %.1f kiops (%.2fx), egress %.2f -> %.2f msgs/op, completions %.2f -> %.2f msgs/op, %d capsules relayed head->followers",
 		relayInitCores, brD.KIOPS(), brR.KIOPS(), brR.KIOPS()/brD.KIOPS(),
-		dMsgs, rMsgs, brD.Stats.CompletionMsgsPerOp(), brR.Stats.CompletionMsgsPerOp(), relayed))
+		dMsgs, rMsgs, brD.Stats.CompletionMsgsPerOp(), brR.Stats.CompletionMsgsPerOp(), brR.relayed))
 
 	// Relay failover: power-cut the HEAD mid-measurement. The repair path
 	// (exact-prefix re-post + survivor ack flush + degrade to direct
 	// fan-out) must keep every stream flowing; the blip is gated next to
 	// the direct-path member cut's.
-	brF, cF, engF := runRelayPoint(o, true, cutAt)
-	violations += orderViolations(cF)
+	brF := runRelayPoint(o, true, cutAt)
+	violations += brF.violations
 	res.Metric("replication.rio.failover_kiops.relay", brF.KIOPS())
 	res.Metric("replication.rio.failover_blip_us.relay", brF.MaxLatUS())
-	engF.Shutdown()
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"relay head cut mid-measure: %.1f kiops flowing, worst blip %.1f µs",
 		brF.KIOPS(), brF.MaxLatUS()))
@@ -200,7 +193,7 @@ func ReplicationSweep(o Options) *Result {
 	res.Metric("replication.rio.order_violations", float64(violations))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("failover: member cut mid-measure kept %.1f kiops flowing, worst blip %.1f µs, %d extents queued for resync",
-			br.KIOPS(), br.MaxLatUS(), backlog),
+			br.KIOPS(), br.MaxLatUS(), br.backlog),
 		fmt.Sprintf("resync replayed %d blocks from a peer replica; %d blocks diverged afterwards (must be 0)", tm.Replayed, diverged),
 		"R=1 runs the unreplicated code path; the redundancy tax is the r1→r3 throughput ratio at fixed hardware")
 	return res
@@ -212,31 +205,29 @@ func ReplicationSweep(o Options) *Result {
 // member resyncs from a peer and the phase reports the replay volume
 // plus any post-resync divergence (which must be zero). With relay on,
 // victim 0 is the set head — the relay hub itself.
-func runResyncPhase(o Options, relay bool, victim int) (stack.RecoveryTiming, int) {
-	eng := sim.New(o.seed())
+func runResyncPhase(o Options, relay bool, victim int) (tm stack.RecoveryTiming, diverged int) {
 	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(3)...)
 	cfg.Replicas = 3
 	cfg.ReplRelay = relay
 	cfg.Streams = 4
 	cfg.QPs = 4
-	c := o.newCluster(eng, cfg)
-	in := c.Init(0)
-	const groups = 150
-	for s := 0; s < 4; s++ {
-		s := s
-		eng.Go(fmt.Sprintf("resync/app%d", s), func(p *sim.Proc) {
-			for g := 0; g < groups; g++ {
-				r := in.OrderedWrite(p, s, uint64(s*100000+g), 1, 0, nil, true, false, false)
-				in.Wait(p, r)
-			}
-		})
-	}
-	eng.At(100*sim.Microsecond, func() { c.PowerCutTarget(victim) })
-	eng.Run()
-	var tm stack.RecoveryTiming
-	eng.Go("resync/recover", func(p *sim.Proc) { _, tm = c.RecoverTarget(p, victim) })
-	eng.Run()
-	diverged := c.ReplicaDivergence()
-	eng.Shutdown()
+	tm = point(o, cfg, func(eng *sim.Engine, c *stack.Cluster, _, _ sim.Time) (tm stack.RecoveryTiming) {
+		in := c.Init(0)
+		const groups = 150
+		for s := 0; s < 4; s++ {
+			eng.Go(fmt.Sprintf("resync/app%d", s), func(p *sim.Proc) {
+				for g := 0; g < groups; g++ {
+					r := in.OrderedWrite(p, s, uint64(s*100000+g), 1, 0, nil, true, false, false)
+					in.Wait(p, r)
+				}
+			})
+		}
+		eng.At(100*sim.Microsecond, func() { c.PowerCutTarget(victim) })
+		eng.Run()
+		eng.Go("resync/recover", func(p *sim.Proc) { _, tm = c.RecoverTarget(p, victim) })
+		eng.Run()
+		diverged = c.ReplicaDivergence()
+		return tm
+	})
 	return tm, diverged
 }

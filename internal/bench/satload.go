@@ -84,12 +84,11 @@ var satVariants = []satVariant{
 	}},
 }
 
-// runSatPoint measures one (policy, offered load) point on a fresh
-// 2-initiator, 2-way-replicated, 4-target fleet with full backpressure
-// (bounded fabric TX queues, bounded submit-side inflight). With relay
-// on, writes fan out head-to-follower over target-to-target links.
-func runSatPoint(o Options, v satVariant, offeredKIOPS float64, arrival workload.Arrival, relay bool) (workload.SatResult, int) {
-	eng := sim.New(o.seed())
+// satConfig is the saturation fleet under variant v: 2 initiators, 4
+// targets in 2-way replica sets, full backpressure (bounded fabric TX
+// queues, bounded submit-side inflight). With relay on, writes fan out
+// head-to-follower over target-to-target links.
+func satConfig(v satVariant, relay bool) stack.Config {
 	cfg := stack.DefaultConfig(stack.ModeRio, satTargets(4)...)
 	cfg.Replicas = 2
 	cfg.ReplRelay = relay
@@ -99,19 +98,26 @@ func runSatPoint(o Options, v satVariant, offeredKIOPS float64, arrival workload
 	cfg.Fabric.TxDepth = 256
 	cfg.MaxInflight = 512
 	v.apply(&cfg)
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	r := workload.RunSatLoad(eng, c, workload.SatJob{
+	return cfg
+}
+
+// satJob is the open-loop load at one offered rate: Zipfian keys on 4
+// streams per initiator.
+func satJob(offeredKIOPS float64, arrival workload.Arrival) workload.SatJob {
+	return workload.SatJob{
 		Streams:      4,
 		Initiators:   2,
 		OfferedKIOPS: offeredKIOPS,
 		Arrival:      arrival,
 		Theta:        0.9,
 		MaxBacklog:   4096,
-	}, warm, meas)
-	violations := orderViolations(c)
-	eng.Shutdown()
-	return r, violations
+	}
+}
+
+// runSatPoint measures one (policy, offered load) point on a fresh
+// saturation fleet.
+func runSatPoint(o Options, v satVariant, offeredKIOPS float64, arrival workload.Arrival, relay bool) (workload.SatResult, int) {
+	return audited(o, satConfig(v, relay), drive(workload.RunSatLoad, satJob(offeredKIOPS, arrival)))
 }
 
 // SatLoadSweep is the "satload" experiment.

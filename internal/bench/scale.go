@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/stack"
 	"repro/internal/workload"
@@ -48,37 +47,26 @@ var scaleSystems = []scaleSystem{
 // threads and queue pairs scale together so each added thread brings its
 // own submission shard and QP.
 func runScalePoint(o Options, sys scaleSystem, streams, targets int) workload.BlockResult {
-	eng := sim.New(o.seed())
 	cfg := stack.DefaultConfig(sys.mode, scaleTargets(targets)...)
 	cfg.Streams = streams
 	cfg.QPs = streams
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	r := workload.RunBlock(eng, c, workload.BlockJob{
+	return blockPoint(o, cfg, workload.BlockJob{
 		Threads: streams, Pattern: workload.PatternRandom4K, Ordered: sys.ordered,
-	}, warm, meas)
-	eng.Shutdown()
-	return r
+	})
 }
 
 // runInitiatorPoint measures one (initiators, streams-per-initiator,
 // targets) Rio point and verifies the per-initiator ordering invariants
 // on the finished cluster, returning the violation count.
 func runInitiatorPoint(o Options, inits, streams, targets int) (workload.BlockResult, int) {
-	eng := sim.New(o.seed())
 	cfg := stack.DefaultConfig(stack.ModeRio, scaleTargets(targets)...)
 	cfg.Initiators = inits
 	cfg.Streams = streams
 	cfg.QPs = streams
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	r := workload.RunBlock(eng, c, workload.BlockJob{
+	return auditedBlockPoint(o, cfg, workload.BlockJob{
 		Threads: streams, Initiators: inits,
 		Pattern: workload.PatternRandom4K, Ordered: true,
-	}, warm, meas)
-	v := orderViolations(c)
-	eng.Shutdown()
-	return r, v
+	})
 }
 
 // ScaleSweep is the "scale" experiment.

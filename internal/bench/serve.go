@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/fs"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -44,18 +43,12 @@ func serveJob(readPct int) workload.ServeJob {
 // runServePoint builds the serve topology — two initiators, four
 // one-SSD Optane targets in 2-way replica sets — and drives one mix.
 func runServePoint(o Options, readPct int) (workload.ServeResult, int) {
-	eng := sim.New(o.seed())
 	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(4)...)
 	cfg.Initiators = serveTenants
 	cfg.Replicas = 2
 	cfg.Streams = 4
 	cfg.QPs = 4
-	c := o.newCluster(eng, cfg)
-	warm, meas := o.windows()
-	res := workload.RunServe(eng, c, serveJob(readPct), warm, meas)
-	violations := orderViolations(c)
-	eng.Shutdown()
-	return res, violations
+	return audited(o, cfg, drive(workload.RunServe, serveJob(readPct)))
 }
 
 // ServeSweep is the "serve" experiment.

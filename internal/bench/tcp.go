@@ -21,29 +21,22 @@ func init() {
 // which must stay at zero when affinity is on.
 func TCPTransport(o Options) *Result {
 	res := &Result{Name: "NVMe over TCP: Rio's design on a socket fabric (§4.5, Principle 2)"}
-	threads := []int{1, 4, 8, 12}
-	warm, meas := o.windows()
-	var series []metrics.Series
 	var holdbacks int64
-	for _, sys := range blockSystems {
-		s := metrics.Series{Label: sys.label}
-		for _, th := range threads {
-			eng := sim.New(o.seed())
-			cfg := stack.DefaultConfig(sys.mode, oneOptane()...)
-			cfg.Fabric = fabric.TCPConfig(cfg.QPs)
-			cfg.Costs = stack.TCPCosts()
-			c := o.newCluster(eng, cfg)
-			r := workload.RunBlock(eng, c, workload.BlockJob{
-				Threads: th, Pattern: workload.PatternRandom4K, Ordered: sys.ordered,
-			}, warm, meas)
+	series := sweep(labels(blockSystems), []int{1, 4, 8, 12}, func(i, th int) workload.BlockResult {
+		sys := blockSystems[i]
+		cfg := stack.DefaultConfig(sys.mode, oneOptane()...)
+		cfg.Fabric = fabric.TCPConfig(cfg.QPs)
+		cfg.Costs = stack.TCPCosts()
+		return point(o, cfg, func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time) workload.BlockResult {
+			job := random4K(th)
+			job.Ordered = sys.ordered
+			r := workload.RunBlock(eng, c, job, warm, meas)
 			if sys.mode == stack.ModeRio {
 				holdbacks += c.Target(0).Stats().Holdbacks
 			}
-			eng.Shutdown()
-			s.Add(float64(th), cell(r, r.KIOPS()))
-		}
-		series = append(series, s)
-	}
+			return r
+		})
+	}, kiopsCol)[0]
 	res.Tables = append(res.Tables,
 		metrics.Table("throughput over NVMe/TCP (K ops/s)", "threads", series...))
 	res.Notes = append(res.Notes,

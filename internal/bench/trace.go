@@ -41,59 +41,35 @@ func (o Options) newCluster(eng *sim.Engine, cfg stack.Config) *stack.Cluster {
 	return c
 }
 
-// tracedScalePoint mirrors the scale experiment's headline point (rio,
-// 8 streams, the sweep's largest target count) with tracing at the given
-// sample rate (0 = off), returning the tracer for budget analysis.
+// traced returns o tracing at 1-in-sample (0 = off), its clusters'
+// tracers collected into *trs instead of the run's stage table.
+func (o Options) traced(sample int, trs *[]*trace.Tracer) Options {
+	o.TraceSample, o.traces = sample, trs
+	return o
+}
+
+// tracedScalePoint is the scale experiment's headline point (rio, 8
+// streams, the sweep's largest target count) traced at the given sample
+// rate (0 = off, and no tracer), returning the tracer for budget analysis.
 func tracedScalePoint(o Options, sample int) (workload.BlockResult, *trace.Tracer) {
 	targets := 4
 	if o.Quick {
 		targets = 2
 	}
-	eng := sim.New(o.seed())
-	cfg := stack.DefaultConfig(stack.ModeRio, scaleTargets(targets)...)
-	cfg.Streams = 8
-	cfg.QPs = 8
-	if sample > 0 {
-		cfg.Trace = trace.Config{SampleEvery: sample, Keep: traceKeep}
+	var trs []*trace.Tracer
+	r := runScalePoint(o.traced(sample, &trs), scaleSystems[0], 8, targets)
+	if len(trs) == 0 {
+		return r, nil
 	}
-	c := stack.New(eng, cfg)
-	warm, meas := o.windows()
-	r := workload.RunBlock(eng, c, workload.BlockJob{
-		Threads: 8, Pattern: workload.PatternRandom4K, Ordered: true,
-	}, warm, meas)
-	tr := c.Tracer()
-	eng.Shutdown()
-	return r, tr
+	return r, trs[0]
 }
 
-// tracedSatPoint mirrors the satload experiment's adaptive-governor
-// configuration at one offered load, traced at the given sample rate.
+// tracedSatPoint is the satload experiment's adaptive-governor point at
+// one offered load, traced at the given sample rate.
 func tracedSatPoint(o Options, offered float64, sample int) (workload.SatResult, *trace.Tracer) {
-	eng := sim.New(o.seed())
-	cfg := stack.DefaultConfig(stack.ModeRio, satTargets(4)...)
-	cfg.Replicas = 2
-	cfg.Initiators = 2
-	cfg.Streams = 4
-	cfg.QPs = 4
-	cfg.Fabric.TxDepth = 256
-	cfg.MaxInflight = 512
-	satVariants[2].apply(&cfg) // adaptive
-	if sample > 0 {
-		cfg.Trace = trace.Config{SampleEvery: sample, Keep: traceKeep}
-	}
-	c := stack.New(eng, cfg)
-	warm, meas := o.windows()
-	r := workload.RunSatLoad(eng, c, workload.SatJob{
-		Streams:      4,
-		Initiators:   2,
-		OfferedKIOPS: offered,
-		Arrival:      workload.ArrivalPoisson,
-		Theta:        0.9,
-		MaxBacklog:   4096,
-	}, warm, meas)
-	tr := c.Tracer()
-	eng.Shutdown()
-	return r, tr
+	var trs []*trace.Tracer
+	r, _ := runSatPoint(o.traced(sample, &trs), satVariants[2], offered, workload.ArrivalPoisson, false)
+	return r, trs[0]
 }
 
 // budgetTable renders a p99 stage budget.

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -316,45 +318,97 @@ func randomViews(rng *rand.Rand) []ServerView {
 
 // The sorted sweep decides exactly what the map model does: over seeded
 // random view sets, whole reports are equal — every prefix, MaxSeen and
-// Discard and IPU list, entry for entry and in order.
+// Discard and IPU list, entry for entry and in order. The sets are drawn in
+// order from one stream, a chunk at a time, and each chunk is checked on
+// GOMAXPROCS workers; a failure reports the lowest failing run.
 func TestAnalyzeMatchesMapModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	var streams, jumps, rolledBack, ipu, deduped int
-	for run := 0; run < 100_000; run++ {
-		views := randomViews(rng)
-		got, want := Analyze(views), analyzeMaps(views)
-		if !reflect.DeepEqual(got, want) {
+	const runs, chunk = 100_000, 1024
+	type coverage struct{ streams, jumps, rolledBack, ipu, deduped int }
+	var total coverage
+	batches, stop := make(chan [][]ServerView, 1), make(chan struct{})
+	defer close(stop)
+	go func() {
+		defer close(batches)
+		rng := rand.New(rand.NewSource(32))
+		for base := 0; base < runs; base += chunk {
+			batch := make([][]ServerView, 0, chunk)
+			for run := base; run < min(base+chunk, runs); run++ {
+				batch = append(batch, randomViews(rng))
+			}
+			select {
+			case batches <- batch:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	workers := runtime.GOMAXPROCS(0)
+	base := 0
+	for batch := range batches {
+		failed := make([]bool, len(batch))
+		per := make([]coverage, workers)
+		var wg sync.WaitGroup
+		for w := range per {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cov := &per[w]
+				for i := w; i < len(batch); i += workers {
+					views := batch[i]
+					got := Analyze(views)
+					if !reflect.DeepEqual(got, analyzeMaps(views)) {
+						failed[i] = true
+						continue
+					}
+					beyond := 0
+					for _, v := range views {
+						for _, e := range v.Entries {
+							sr := got.Stream(e.Initiator, e.Stream)
+							if !e.EpochMark && e.SeqEnd > sr.DurablePrefix {
+								beyond++
+							}
+							if !e.EpochMark && e.Merged() && e.SeqEnd == sr.DurablePrefix {
+								cov.jumps++
+							}
+						}
+					}
+					for _, sr := range got.Streams {
+						cov.streams++
+						cov.rolledBack += len(sr.Discard)
+						cov.ipu += len(sr.IPU)
+						beyond -= len(sr.Discard) + len(sr.IPU)
+					}
+					cov.deduped += beyond
+				}
+			}()
+		}
+		wg.Wait()
+		for i, f := range failed {
+			if !f {
+				continue
+			}
+			views := batch[i]
+			got, want := Analyze(views), analyzeMaps(views)
 			for _, sr := range want.Streams {
 				if g := got.Stream(sr.Initiator, sr.Stream); !reflect.DeepEqual(g, sr) {
 					t.Errorf("stream %d.%d: got %+v", sr.Initiator, sr.Stream, g)
 					t.Errorf("stream %d.%d: model %+v", sr.Initiator, sr.Stream, sr)
 				}
 			}
-			t.Fatalf("run %d: reports differ (%d streams, model %d); views %+v", run, len(got.Streams), len(want.Streams), views)
+			t.Fatalf("run %d: reports differ (%d streams, model %d); views %+v", base+i, len(got.Streams), len(want.Streams), views)
 		}
-		beyond := 0
-		for _, v := range views {
-			for _, e := range v.Entries {
-				sr := got.Stream(e.Initiator, e.Stream)
-				if !e.EpochMark && e.SeqEnd > sr.DurablePrefix {
-					beyond++
-				}
-				if !e.EpochMark && e.Merged() && e.SeqEnd == sr.DurablePrefix {
-					jumps++
-				}
-			}
+		for _, cov := range per {
+			total.streams += cov.streams
+			total.jumps += cov.jumps
+			total.rolledBack += cov.rolledBack
+			total.ipu += cov.ipu
+			total.deduped += cov.deduped
 		}
-		for _, sr := range got.Streams {
-			streams++
-			rolledBack += len(sr.Discard)
-			ipu += len(sr.IPU)
-			beyond -= len(sr.Discard) + len(sr.IPU)
-		}
-		deduped += beyond
+		base += len(batch)
 	}
 	for name, n := range map[string]int{
-		"streams": streams, "prefixes ending on a merged range": jumps, "entries rolled back": rolledBack,
-		"IPU entries handed up": ipu, "copies listed once": deduped,
+		"streams": total.streams, "prefixes ending on a merged range": total.jumps, "entries rolled back": total.rolledBack,
+		"IPU entries handed up": total.ipu, "copies listed once": total.deduped,
 	} {
 		if n < 1000 {
 			t.Errorf("only %d %s: the view sets no longer cover that case", n, name)

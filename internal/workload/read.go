@@ -105,11 +105,7 @@ func (r ReadResult) ops() int64 {
 // P99US returns the 99th-percentile operation latency in microseconds
 // across all tenants.
 func (r ReadResult) P99US() float64 {
-	var all metrics.Histogram
-	for i := range r.Tenants {
-		all.Merge(&r.Tenants[i].Lat)
-	}
-	return float64(all.P99()) / 1000
+	return p99US(r.Tenants, func(t *TenantRead) *metrics.Histogram { return &t.Lat })
 }
 
 // HitRate returns the block-cache hit rate over the measure window.
@@ -132,49 +128,21 @@ func (r ReadResult) MsgsPerOp() float64 {
 // file, then drives the tenants for warmup+measure.
 func RunRead(eng *sim.Engine, c *stack.Cluster, job ReadJob, warmup, measure sim.Time) ReadResult {
 	job = job.withDefaults(c)
-	scan := job.scanTenant(c)
-	tenantN := job.KVTenants
-	if scan {
-		tenantN++
-	}
-
-	tenants := make([]*TenantRead, tenantN)
-	dbs := make([]*kv.DB, job.KVTenants)
 	var scanFS *fs.FS
 	var scanFile *fs.File
 	warm := false
 
 	// Mount and preload every tenant before the clock starts.
-	setup := sim.NewWaitGroup(eng)
-	setup.Add(tenantN)
-	for ten := 0; ten < job.KVTenants; ten++ {
-		ten := ten
-		init := ten % c.Initiators()
-		tenants[ten] = &TenantRead{Tenant: ten, Initiator: init}
-		eng.Go(fmt.Sprintf("read/setup%d", ten), func(p *sim.Proc) {
-			defer setup.Done()
-			opts := job.FS
-			opts.BaseLBA = uint64(ten) * job.FS.Blocks()
-			fsys := fs.Open(c.Init(init), opts)
-			db, err := kv.Open(p, fsys, job.KV)
-			if err != nil {
-				panic(fmt.Sprintf("read: tenant %d open: %v", ten, err))
-			}
-			vs := db.Options().ValueSize
-			for k := 0; k < job.Preload; k++ {
-				if err := db.Put(p, k%job.Threads, serveKey(uint64(k)), vs); err != nil {
-					panic(fmt.Sprintf("read: tenant %d preload: %v", ten, err))
-				}
-			}
-			dbs[ten] = db
-		})
+	dbs := openTenants(eng, c, "read", job.KVTenants, job.FS, job.KV, job.Preload, job.Threads)
+	tenants := make([]TenantRead, len(dbs))
+	for ten := range tenants {
+		tenants[ten] = TenantRead{Tenant: ten, Initiator: ten % c.Initiators()}
 	}
+	scan := job.scanTenant(c)
 	if scan {
-		ten := job.KVTenants
-		init := c.Initiators() - 1
-		tenants[ten] = &TenantRead{Tenant: ten, Initiator: init, Scan: true}
+		ten, init := len(tenants), c.Initiators()-1
+		tenants = append(tenants, TenantRead{Tenant: ten, Initiator: init, Scan: true})
 		eng.Go("read/setupscan", func(p *sim.Proc) {
-			defer setup.Done()
 			opts := job.FS
 			opts.BaseLBA = uint64(ten) * job.FS.Blocks()
 			scanFS = fs.Open(c.Init(init), opts)
@@ -198,9 +166,8 @@ func RunRead(eng *sim.Engine, c *stack.Cluster, job ReadJob, warmup, measure sim
 	eng.Run()
 
 	zipf := NewZipf(eng.Rand(), job.Keys, job.Theta)
-	for ten := 0; ten < job.KVTenants; ten++ {
-		db := dbs[ten]
-		m := tenants[ten]
+	for ten, db := range dbs {
+		m := &tenants[ten]
 		for th := 0; th < job.Threads; th++ {
 			eng.Go(fmt.Sprintf("read/t%d.%d", ten, th), func(p *sim.Proc) {
 				for {
@@ -216,7 +183,7 @@ func RunRead(eng *sim.Engine, c *stack.Cluster, job ReadJob, warmup, measure sim
 		}
 	}
 	if scan {
-		m := tenants[job.KVTenants]
+		m := &tenants[job.KVTenants]
 		eng.Go("read/scan", func(p *sim.Proc) {
 			off := uint64(0)
 			size := job.ScanBlocks * fs.BlockSize
@@ -248,16 +215,13 @@ func RunRead(eng *sim.Engine, c *stack.Cluster, job ReadJob, warmup, measure sim
 	var neg0 int64
 	w := measureWindow(eng, c, warmup, measure, func() { warm, neg0 = true, negHits() })
 
-	res := ReadResult{
+	return ReadResult{
 		Elapsed:      w.Elapsed,
+		Tenants:      tenants,
 		InitUtil:     w.InitUtil,
 		TgtUtil:      w.TgtUtil,
 		Cache:        w.Cache,
 		Msgs:         w.Stats.WireMessages + w.Stats.ReadMsgs,
 		NegativeHits: negHits() - neg0,
 	}
-	for _, t := range tenants {
-		res.Tenants = append(res.Tenants, *t)
-	}
-	return res
 }

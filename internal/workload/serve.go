@@ -91,9 +91,15 @@ func (r ServeResult) TenantKIOPS(i int) float64 { return kiops(r.Tenants[i].Ops,
 // P99US returns the 99th-percentile operation latency in microseconds
 // across all tenants.
 func (r ServeResult) P99US() float64 {
+	return p99US(r.Tenants, func(t *TenantServe) *metrics.Histogram { return &t.Lat })
+}
+
+// p99US is the 99th-percentile latency in microseconds of every tenant's
+// operations together.
+func p99US[T any](tenants []T, lat func(*T) *metrics.Histogram) float64 {
 	var all metrics.Histogram
-	for i := range r.Tenants {
-		all.Merge(&r.Tenants[i].Lat)
+	for i := range tenants {
+		all.Merge(lat(&tenants[i]))
 	}
 	return float64(all.P99()) / 1000
 }
@@ -124,53 +130,52 @@ func (r ServeResult) FairnessSpread() float64 {
 // serveKey renders rank r as a fixed-width key (rank 0 = hottest).
 func serveKey(r uint64) string { return fmt.Sprintf("%016d", r) }
 
-// RunServe mounts one FS+KV pair per tenant (tenant i on initiator
-// i mod Initiators, at BaseLBA i*FS.Blocks()), preloads the hot head of
-// each keyspace, then drives the YCSB-style mix for warmup+measure.
-func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure sim.Time) ServeResult {
-	job = job.withDefaults(c)
-	kvOpts := job.KV
-
-	tenants := make([]*TenantServe, job.Tenants)
-	dbs := make([]*kv.DB, job.Tenants)
-	warm := false
-
-	// Mount and preload every tenant before the clock starts.
-	setup := sim.NewWaitGroup(eng)
-	setup.Add(job.Tenants)
-	for ten := 0; ten < job.Tenants; ten++ {
-		ten := ten
-		init := ten % c.Initiators()
-		tenants[ten] = &TenantServe{Tenant: ten, Initiator: init}
-		eng.Go(fmt.Sprintf("serve/setup%d", ten), func(p *sim.Proc) {
-			defer setup.Done()
-			opts := job.FS
-			opts.BaseLBA = uint64(ten) * job.FS.Blocks()
-			fsys := fs.Open(c.Init(init), opts)
-			db, err := kv.Open(p, fsys, kvOpts)
+// openTenants mounts one FS+KV pair per tenant — tenant i on initiator i
+// mod Initiators, at BaseLBA i*fsOpts.Blocks() — and preloads the hottest
+// preload keys of each, spreading the puts over threads streams. Each
+// tenant sets up in its own proc, named after the driver; the stores are
+// open once the caller's next eng.Run() returns.
+func openTenants(eng *sim.Engine, c *stack.Cluster, driver string, n int, fsOpts fs.Options, kvOpts kv.Options, preload, threads int) []*kv.DB {
+	dbs := make([]*kv.DB, n)
+	for ten := range dbs {
+		eng.Go(fmt.Sprintf("%s/setup%d", driver, ten), func(p *sim.Proc) {
+			opts := fsOpts
+			opts.BaseLBA = uint64(ten) * fsOpts.Blocks()
+			db, err := kv.Open(p, fs.Open(c.Init(ten%c.Initiators()), opts), kvOpts)
 			if err != nil {
-				panic(fmt.Sprintf("serve: tenant %d open: %v", ten, err))
+				panic(fmt.Sprintf("%s: tenant %d open: %v", driver, ten, err))
 			}
 			vs := db.Options().ValueSize
-			for k := 0; k < job.Preload; k++ {
-				if err := db.Put(p, k%job.Threads, serveKey(uint64(k)), vs); err != nil {
-					panic(fmt.Sprintf("serve: tenant %d preload: %v", ten, err))
+			for k := 0; k < preload; k++ {
+				if err := db.Put(p, k%threads, serveKey(uint64(k)), vs); err != nil {
+					panic(fmt.Sprintf("%s: tenant %d preload: %v", driver, ten, err))
 				}
 			}
 			dbs[ten] = db
 		})
 	}
+	return dbs
+}
+
+// RunServe mounts one FS+KV pair per tenant (tenant i on initiator
+// i mod Initiators, at BaseLBA i*FS.Blocks()), preloads the hot head of
+// each keyspace, then drives the YCSB-style mix for warmup+measure.
+func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure sim.Time) ServeResult {
+	job = job.withDefaults(c)
+	tenants := make([]TenantServe, job.Tenants)
+	warm := false
+
+	// Mount and preload every tenant before the clock starts.
+	dbs := openTenants(eng, c, "serve", job.Tenants, job.FS, job.KV, job.Preload, job.Threads)
 	eng.Run()
 
 	zipf := NewZipf(eng.Rand(), job.Keys, job.Theta)
 	rng := eng.Rand()
-	for ten := 0; ten < job.Tenants; ten++ {
-		ten := ten
-		db := dbs[ten]
-		m := tenants[ten]
+	for ten, db := range dbs {
+		m := &tenants[ten]
+		m.Tenant, m.Initiator = ten, ten%c.Initiators()
 		vs := db.Options().ValueSize
 		for th := 0; th < job.Threads; th++ {
-			th := th
 			eng.Go(fmt.Sprintf("serve/t%d.%d", ten, th), func(p *sim.Proc) {
 				for {
 					rank := zipf.Next()
@@ -203,10 +208,5 @@ func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure s
 	}
 
 	w := measureWindow(eng, c, warmup, measure, func() { warm = true })
-
-	res := ServeResult{Elapsed: w.Elapsed, InitUtil: w.InitUtil, TgtUtil: w.TgtUtil}
-	for _, t := range tenants {
-		res.Tenants = append(res.Tenants, *t)
-	}
-	return res
+	return ServeResult{Elapsed: w.Elapsed, Tenants: tenants, InitUtil: w.InitUtil, TgtUtil: w.TgtUtil}
 }
