@@ -73,9 +73,12 @@ bench-sim:
 # and on a 3-way set over fan-out and over the relay (host ns, allocations,
 # engine events and proc resumes per write), and per cached read on a 2-way
 # set (hits, and misses with read-ahead; host ns, allocations and engine
-# events per read). CI smokes them at BENCHTIME=100x.
+# events per read), a RioFS one-block append + fsync on one Optane target
+# (host ns, bytes and allocations per fsync), an 8-SQE and an 8-CQE Rio
+# vector's encode + check, a histogram record, and one trace span's
+# start → marks → finish. CI smokes them at BENCHTIME=100x.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack ./internal/fs ./internal/nvmeof ./internal/metrics ./internal/trace
 
 # The gated experiments and the committed baseline they must reproduce:
 # named here and nowhere else (CI runs `make bench-gate`; cmd/benchdiff is

@@ -20,6 +20,7 @@ package fs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -129,7 +130,6 @@ type inode struct {
 	IsDir   bool
 	Nlink   uint32
 	Extents []extent // data block runs (logical volume addresses)
-	dirty   bool
 }
 
 type extent struct {
@@ -149,13 +149,18 @@ func (in *inode) blocks() uint64 {
 type File struct {
 	ino *inode
 	fs  *FS
-	// dirtyData tracks un-fsynced data block writes: volume LBA -> stamp.
-	dirtyData  []dirtyBlock
-	parent     uint64 // directory inode (journaled with file-level txns)
-	name       string
-	dirDirty   bool // creation/rename not yet journaled
-	inodeDirty bool
+	// dirtyData lists the un-fsynced data block writes in write order. An
+	// fsync consumes the list and leaves its unused tail in place.
+	dirtyData []dirtyBlock
+	parent    uint64 // directory inode (journaled with file-level txns)
+	name      string
+	dirDirty  bool // creation/rename not yet journaled
 }
+
+// dirtyChunk is the room Append adds to a full dirty list, so a file that
+// appends and fsyncs one block at a time grows its list once per
+// dirtyChunk fsyncs.
+const dirtyChunk = 16
 
 type dirtyBlock struct {
 	lba   uint64
@@ -198,10 +203,9 @@ type FS struct {
 	inodeBase uint64
 	dataBase  uint64
 
-	inodes   map[uint64]*inode
-	dirs     map[uint64]map[string]uint64 // dir ino -> name -> ino
-	dirDirty map[uint64]bool
-	nextIno  uint64
+	inodes  map[uint64]*inode
+	dirs    map[uint64]map[string]uint64 // dir ino -> name -> ino
+	nextIno uint64
 
 	alloc          *allocator
 	journals       []*journalArea
@@ -211,7 +215,6 @@ type FS struct {
 	closed         bool
 	LastTrace      FsyncTrace
 	TraceHook      func(FsyncTrace)
-	inodeOfLBA     map[uint64]uint64
 	pendingUnlinks map[uint64][]direntOp
 	pendingNewDirs map[uint64]direntOp // dir ino -> its unjournaled creation
 }
@@ -226,9 +229,7 @@ func Open(in *stack.Initiator, opts Options) *FS {
 		cfg:            opts,
 		inodes:         map[uint64]*inode{},
 		dirs:           map[uint64]map[string]uint64{},
-		dirDirty:       map[uint64]bool{},
 		nextIno:        rootIno + 1,
-		inodeOfLBA:     map[uint64]uint64{},
 		pendingUnlinks: map[uint64][]direntOp{},
 		pendingNewDirs: map[uint64]direntOp{},
 	}
@@ -242,7 +243,6 @@ func Open(in *stack.Initiator, opts Options) *FS {
 			id:    j,
 			base:  fs.journal0 + uint64(j)*opts.JournalBlocks,
 			size:  opts.JournalBlocks,
-			txns:  map[uint64]*txnRecord{},
 			chkpt: sim.NewResource(in.Eng, 1),
 		})
 	}
@@ -268,10 +268,15 @@ func (fs *FS) UseCPU(p *sim.Proc, d sim.Time) { fs.in.UseCPU(p, d) }
 // Stats returns counters.
 func (fs *FS) Stats() Stats { return fs.stats }
 
+// ErrClosed is returned by Mkdir, Create, Open, Unlink, Append and
+// Overwrite on a file system after its Close.
+var ErrClosed = errors.New("fs: file system closed")
+
 // Close ends the file-system lifecycle and returns the final counters.
 // The simulated FS keeps no background daemons of its own (checkpoints
-// run in caller context), so Close is a lifecycle marker: operations
-// after Close panic, catching use-after-close in tenant teardown paths.
+// run in caller context), so Close is a lifecycle marker: afterwards the
+// entry points that return an error return ErrClosed, catching
+// use-after-close in tenant teardown paths.
 func (fs *FS) Close() Stats {
 	fs.closed = true
 	return fs.stats
@@ -295,9 +300,13 @@ func (fs *FS) journalFor(core int) *journalArea {
 	return fs.journals[core%len(fs.journals)]
 }
 
-// splitPath returns (dir inode, leaf name). Only flat and one-level paths
+// splitPath returns (dir inode, leaf name), or ErrClosed after Close for
+// the path-taking entry points. Only flat and one-level paths
 // are needed by the workloads: "name" lives in root, "dir/name" in dir.
 func (fs *FS) splitPath(path string) (uint64, string, error) {
+	if fs.closed {
+		return 0, "", ErrClosed
+	}
 	for i := 0; i < len(path); i++ {
 		if path[i] == '/' {
 			dirName, leaf := path[:i], path[i+1:]
@@ -313,15 +322,17 @@ func (fs *FS) splitPath(path string) (uint64, string, error) {
 
 // Mkdir creates a directory under root.
 func (fs *FS) Mkdir(p *sim.Proc, name string) error {
+	if fs.closed {
+		return ErrClosed
+	}
 	if _, ok := fs.dirs[rootIno][name]; ok {
 		return fmt.Errorf("fs: %q exists", name)
 	}
-	in := &inode{Ino: fs.nextIno, IsDir: true, Nlink: 2, dirty: true}
+	in := &inode{Ino: fs.nextIno, IsDir: true, Nlink: 2}
 	fs.nextIno++
 	fs.inodes[in.Ino] = in
 	fs.dirs[in.Ino] = map[string]uint64{}
 	fs.dirs[rootIno][name] = in.Ino
-	fs.dirDirty[rootIno] = true
 	// The directory's own creation rides in the first transaction that
 	// journals anything under it.
 	fs.pendingNewDirs[in.Ino] = direntOp{Dir: rootIno, Ino: in.Ino, Add: true, Name: name}
@@ -337,13 +348,12 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	if _, ok := fs.dirs[dir][leaf]; ok {
 		return nil, fmt.Errorf("fs: %q exists", path)
 	}
-	in := &inode{Ino: fs.nextIno, Nlink: 1, dirty: true}
+	in := &inode{Ino: fs.nextIno, Nlink: 1}
 	fs.nextIno++
 	fs.inodes[in.Ino] = in
 	fs.dirs[dir][leaf] = in.Ino
-	fs.dirDirty[dir] = true
 	fs.stats.Creates++
-	return &File{ino: in, fs: fs, parent: dir, name: leaf, dirDirty: true, inodeDirty: true}, nil
+	return &File{ino: in, fs: fs, parent: dir, name: leaf, dirDirty: true}, nil
 }
 
 // Open returns a handle to an existing file.
@@ -377,7 +387,6 @@ func (fs *FS) Unlink(p *sim.Proc, path string) error {
 	}
 	delete(fs.inodes, ino)
 	delete(fs.dirs[dir], leaf)
-	fs.dirDirty[dir] = true
 	fs.pendingUnlinks[dir] = append(fs.pendingUnlinks[dir],
 		direntOp{Dir: dir, Ino: ino, Add: false, Name: leaf})
 	fs.stats.Unlinks++
@@ -387,28 +396,35 @@ func (fs *FS) Unlink(p *sim.Proc, path string) error {
 // Append writes size bytes at the end of the file through the page cache;
 // blocks are allocated out-of-place and dispatched at fsync.
 func (fs *FS) Append(p *sim.Proc, f *File, size int) error {
+	if fs.closed {
+		return ErrClosed
+	}
 	blocks := uint64((size + BlockSize - 1) / BlockSize)
 	if blocks == 0 {
 		blocks = 1
 	}
-	start, reused, err := fs.allocBlocks(p, f, blocks)
+	start, err := fs.allocBlocks(p, blocks)
 	if err != nil {
 		return err
 	}
-	_ = reused
+	if n := len(f.dirtyData) + int(blocks); n > cap(f.dirtyData) {
+		// Full: room for as many pending blocks again, or dirtyChunk more.
+		f.dirtyData = append(make([]dirtyBlock, 0, n+max(len(f.dirtyData), dirtyChunk)), f.dirtyData...)
+	}
 	for b := uint64(0); b < blocks; b++ {
 		f.dirtyData = append(f.dirtyData, dirtyBlock{lba: start + b, stamp: fs.nextStamp()})
 	}
 	f.ino.Extents = appendExtent(f.ino.Extents, extent{Start: start, Blocks: blocks})
 	f.ino.Size += uint64(size)
-	f.ino.dirty = true
-	f.inodeDirty = true
 	fs.stats.Appends++
 	return nil
 }
 
 // Overwrite rewrites size bytes at offset in place (IPU, §4.4.2).
 func (fs *FS) Overwrite(p *sim.Proc, f *File, off uint64, size int) error {
+	if fs.closed {
+		return ErrClosed
+	}
 	if off+uint64(size) > f.ino.blocks()*BlockSize {
 		return fmt.Errorf("fs: overwrite beyond EOF")
 	}
@@ -421,8 +437,6 @@ func (fs *FS) Overwrite(p *sim.Proc, f *File, off uint64, size int) error {
 		}
 		f.dirtyData = append(f.dirtyData, dirtyBlock{lba: lba, stamp: fs.nextStamp(), ipu: true})
 	}
-	f.ino.dirty = true
-	f.inodeDirty = true
 	return nil
 }
 
@@ -497,10 +511,10 @@ func (fs *FS) List(p *sim.Proc, dir string) ([]string, error) {
 
 // allocBlocks grabs a run of data blocks, falling back to the classic
 // FLUSH barrier when only previously-freed blocks are available.
-func (fs *FS) allocBlocks(p *sim.Proc, f *File, blocks uint64) (uint64, bool, error) {
+func (fs *FS) allocBlocks(p *sim.Proc, blocks uint64) (uint64, error) {
 	start, reused, ok := fs.alloc.alloc(blocks)
 	if !ok {
-		return 0, false, fmt.Errorf("fs: out of space")
+		return 0, fmt.Errorf("fs: out of space")
 	}
 	if reused {
 		// §4.7: regress to a synchronous FLUSH so the prior owner's free
@@ -509,10 +523,7 @@ func (fs *FS) allocBlocks(p *sim.Proc, f *File, blocks uint64) (uint64, bool, er
 		fs.in.FlushDevice(p, 0)
 		fs.alloc.reuseBarrier()
 	}
-	for b := uint64(0); b < blocks; b++ {
-		fs.inodeOfLBA[start+b] = f.ino.Ino
-	}
-	return start, reused, nil
+	return start, nil
 }
 
 func appendExtent(exts []extent, e extent) []extent {
@@ -571,28 +582,39 @@ func (a *allocator) reuseBarrier() {
 	a.quarantin = nil
 }
 
-// encodeInode serializes an inode into one block payload.
-func encodeInode(in *inode) []byte {
-	buf := make([]byte, 0, 64+16*len(in.Extents))
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
+// appendU64s appends each value little-endian.
+func appendU64s(buf []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
-	put(in.Ino)
-	put(in.Size)
+	return buf
+}
+
+// inodeSize is the encoded size of an inode image (0 for none).
+func inodeSize(in *inode) int {
+	if in == nil {
+		return 0
+	}
+	return 40 + 16*len(in.Extents)
+}
+
+// appendInode appends an inode's image: number, size, flags, link count,
+// extent count, then each extent's start and length.
+func appendInode(buf []byte, in *inode) []byte {
 	flags := uint64(0)
 	if in.IsDir {
 		flags = 1
 	}
-	put(flags)
-	put(uint64(in.Nlink))
-	put(uint64(len(in.Extents)))
+	buf = appendU64s(buf, in.Ino, in.Size, flags, uint64(in.Nlink), uint64(len(in.Extents)))
 	for _, e := range in.Extents {
-		put(e.Start)
-		put(e.Blocks)
+		buf = appendU64s(buf, e.Start, e.Blocks)
 	}
 	return buf
+}
+
+// encodeInode serializes an inode into one block payload (its home write).
+func encodeInode(in *inode) []byte {
+	return appendInode(make([]byte, 0, inodeSize(in)), in)
 }
 
 func decodeInode(b []byte) (*inode, bool) {
@@ -618,18 +640,10 @@ func encodeDir(ino uint64, entries map[string]uint64) []byte {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	buf := make([]byte, 0, 16+len(names)*40)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put(ino)
-	put(uint64(len(names)))
+	buf := appendU64s(make([]byte, 0, 16+len(names)*40), ino, uint64(len(names)))
 	for _, n := range names {
-		put(uint64(len(n)))
-		buf = append(buf, n...)
-		put(entries[n])
+		buf = append(appendU64s(buf, uint64(len(n))), n...)
+		buf = appendU64s(buf, entries[n])
 	}
 	return buf
 }

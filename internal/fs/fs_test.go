@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -370,5 +371,47 @@ func TestExt4GroupCommitBatches(t *testing.T) {
 	if flushes >= int64(2*threads) {
 		t.Fatalf("flushes = %d, want < %d (group commit should batch)", flushes, 2*threads)
 	}
+	eng.Shutdown()
+}
+
+func TestUseAfterClose(t *testing.T) {
+	eng, fs := smallFS(stack.ModeRio, RioFS, 1)
+	eng.Go("app", func(p *sim.Proc) {
+		if err := fs.Mkdir(p, "d"); err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := fs.Create(p, "d/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := fs.Append(p, f, BlockSize); err != nil {
+			t.Error(err)
+			return
+		}
+		fs.Fsync(p, f, 0)
+		st := fs.Close()
+		for name, err := range map[string]error{
+			"Mkdir":     fs.Mkdir(p, "e"),
+			"Append":    fs.Append(p, f, BlockSize),
+			"Overwrite": fs.Overwrite(p, f, 0, BlockSize),
+			"Unlink":    fs.Unlink(p, "d/f"),
+		} {
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s after Close: %v, want ErrClosed", name, err)
+			}
+		}
+		if _, err := fs.Create(p, "g"); !errors.Is(err, ErrClosed) {
+			t.Errorf("Create after Close: %v, want ErrClosed", err)
+		}
+		if _, err := fs.Open(p, "d/f"); !errors.Is(err, ErrClosed) {
+			t.Errorf("Open after Close: %v, want ErrClosed", err)
+		}
+		if fs.Stats() != st || f.Size() != BlockSize {
+			t.Errorf("a refused op changed the file system: %+v (closed with %+v), size %d", fs.Stats(), st, f.Size())
+		}
+	})
+	eng.Run()
 	eng.Shutdown()
 }

@@ -25,22 +25,14 @@ type direntOp struct {
 	Name string
 }
 
-// txnRecord tracks one not-yet-checkpointed transaction in memory.
-type txnRecord struct {
-	id      uint64
-	inode   uint64
-	dirents []direntOp
-}
-
 // journalArea is one on-disk journal (one per core for RioFS/HoraeFS, a
 // single shared one for Ext4).
 type journalArea struct {
 	id    int
 	base  uint64
 	size  uint64
-	tail  uint64 // next free block offset within the area
-	gen   uint64 // bumped at checkpoint; stale txns are ignored at recovery
-	txns  map[uint64]*txnRecord
+	tail  uint64        // next free block offset within the area
+	gen   uint64        // bumped at checkpoint; stale txns are ignored at recovery
 	chkpt *sim.Resource // serializes checkpointing
 
 	// Ext4 group commit.
@@ -57,28 +49,37 @@ type commitJoin struct {
 	done *sim.Signal
 }
 
-// txnPayload is the material of one transaction.
+// descSize is the length of a descriptor: magic, id, gen, inode number,
+// dirent count. It and the commit record (magic, id, gen) carry the
+// generation at bytes 16–23.
+const descSize = 40
+
+// txnPayload is one transaction: what commitTxn records, and its journal
+// blocks — descriptor, metadata, commit — cut from one buffer.
 type txnPayload struct {
-	id         uint64
-	inodeBytes []byte
-	inodeIno   uint64
-	dirents    []direntOp
+	id       uint64
+	inodeIno uint64
+	dirents  []direntOp
+	payload  [3][]byte
 }
 
 // buildTxn snapshots a file's metadata into a transaction (file-level
-// granularity, as in iJournaling).
+// granularity, as in iJournaling) and encodes its journal blocks into one
+// exact-size buffer. The inode image is taken here, not at submission:
+// Ext4's jbd2Commit submits after yields in which the file may grow.
 func (fs *FS) buildTxn(f *File) *txnPayload {
 	fs.nextTxnID++
 	t := &txnPayload{id: fs.nextTxnID}
+	var in *inode
 	if f != nil {
-		t.inodeBytes = encodeInode(f.ino)
-		t.inodeIno = f.ino.Ino
+		in = f.ino
+		t.inodeIno = in.Ino
 		if op, ok := fs.pendingNewDirs[f.parent]; ok {
 			t.dirents = append(t.dirents, op)
 			delete(fs.pendingNewDirs, f.parent)
 		}
 		if f.dirDirty {
-			t.dirents = append(t.dirents, direntOp{Dir: f.parent, Ino: f.ino.Ino, Add: true, Name: f.name})
+			t.dirents = append(t.dirents, direntOp{Dir: f.parent, Ino: in.Ino, Add: true, Name: f.name})
 		}
 		// Piggyback pending unlink deltas of the file's directory.
 		if dels := fs.pendingUnlinks[f.parent]; len(dels) > 0 {
@@ -86,46 +87,42 @@ func (fs *FS) buildTxn(f *File) *txnPayload {
 			delete(fs.pendingUnlinks, f.parent)
 		}
 	}
-	return t
-}
-
-// encode the transaction into journal block payloads.
-func (t *txnPayload) blocks(gen uint64) [][]byte {
-	// Descriptor.
-	desc := make([]byte, 0, 64)
-	var tmp [8]byte
-	put := func(buf []byte, v uint64) []byte {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		return append(buf, tmp[:]...)
-	}
-	desc = put(desc, magicDesc)
-	desc = put(desc, t.id)
-	desc = put(desc, gen)
-	desc = put(desc, t.inodeIno)
-	desc = put(desc, uint64(len(t.dirents)))
 
 	// Metadata block: inode image + dirent deltas.
-	meta := make([]byte, 0, len(t.inodeBytes)+64)
-	meta = put(meta, uint64(len(t.inodeBytes)))
-	meta = append(meta, t.inodeBytes...)
+	metaSize := 8 + inodeSize(in)
 	for _, d := range t.dirents {
-		meta = put(meta, d.Dir)
-		meta = put(meta, d.Ino)
+		metaSize += 32 + len(d.Name)
+	}
+	buf := make([]byte, 0, descSize+metaSize+3*8)
+	buf = appendU64s(buf, magicDesc, t.id, 0, t.inodeIno, uint64(len(t.dirents)))
+	buf = appendU64s(buf, uint64(inodeSize(in)))
+	if in != nil {
+		buf = appendInode(buf, in)
+	}
+	for _, d := range t.dirents {
 		flag := uint64(0)
 		if d.Add {
 			flag = 1
 		}
-		meta = put(meta, flag)
-		meta = put(meta, uint64(len(d.Name)))
-		meta = append(meta, d.Name...)
+		buf = appendU64s(buf, d.Dir, d.Ino, flag, uint64(len(d.Name)))
+		buf = append(buf, d.Name...)
 	}
+	m := len(buf)
+	buf = appendU64s(buf, magicCommit, t.id, 0)
+	// Capped sub-slices: an append to one block cannot write into the next.
+	t.payload = [3][]byte{buf[:descSize:descSize], buf[descSize:m:m], buf[m:]}
+	return t
+}
 
-	// Commit record.
-	commit := make([]byte, 0, 32)
-	commit = put(commit, magicCommit)
-	commit = put(commit, t.id)
-	commit = put(commit, gen)
-	return [][]byte{desc, meta, commit}
+// blocks stamps gen into the descriptor and the commit record and returns
+// the transaction's journal block payloads. A payload is immutable once
+// submitted (the media, replicas and read cache share it), so a
+// transaction is re-stamped only before its submission: when the
+// checkpoint that made room for it bumped the generation.
+func (t *txnPayload) blocks(gen uint64) [][]byte {
+	binary.LittleEndian.PutUint64(t.payload[0][16:], gen)
+	binary.LittleEndian.PutUint64(t.payload[2][16:], gen)
+	return t.payload[:]
 }
 
 // decodeTxnBlocks parses a descriptor + metadata pair.
@@ -219,7 +216,7 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	// D: user data blocks (page-cache work + ordered dispatch).
 	t0 := p.Now()
 	dirty := f.dirtyData
-	f.dirtyData = nil
+	f.dirtyData = dirty[len(dirty):] // later appends land past dirty
 	for _, d := range dirty {
 		fs.in.UseCPU(p, fs.in.Costs().FSDataCPU)
 		// All data blocks of the transaction form one group with JM.
@@ -231,24 +228,21 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	t0 = p.Now()
 	txn := fs.buildTxn(f)
 	blocks := txn.blocks(j.gen)
-	need := uint64(len(blocks))
-	if j.tail+need+1 > j.size {
+	if j.tail+uint64(len(blocks))+1 > j.size {
 		fs.checkpoint(p, j)
-		blocks = txn.blocks(j.gen) // re-encode under the new generation
+		blocks = txn.blocks(j.gen) // re-stamp under the new generation, before submission
 	}
 	jmLBA := j.base + j.tail
-	j.tail += need - 1 // JC gets its own block below
+	j.tail += 2 // JC gets its own block below
 	fs.in.UseCPU(p, fs.in.Costs().FSMetaCPU)
-	fs.in.OrderedWrite(p, stream, jmLBA, uint32(len(blocks)-1), fs.nextStamp(),
-		blocks[:len(blocks)-1], true, false, false)
+	fs.in.OrderedWrite(p, stream, jmLBA, 2, fs.nextStamp(), blocks[:2], true, false, false)
 	tr.JMDispatch = p.Now() - t0
 
 	// JC: commit record closes its own group and carries the FLUSH.
 	t0 = p.Now()
 	jcLBA := j.base + j.tail
 	j.tail++
-	jc := fs.in.OrderedWrite(p, stream, jcLBA, 1, fs.nextStamp(),
-		[][]byte{blocks[len(blocks)-1]}, true, true, false)
+	jc := fs.in.OrderedWrite(p, stream, jcLBA, 1, fs.nextStamp(), blocks[2:], true, true, false)
 	tr.JCDispatch = p.Now() - t0
 
 	// rio_wait: one blocking wait for the commit record.
@@ -258,7 +252,6 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 
 	fs.commitTxn(j, txn)
 	f.dirDirty = false
-	f.inodeDirty = false
 	return tr
 }
 
@@ -273,7 +266,7 @@ func (fs *FS) fsyncExt4(p *sim.Proc, f *File) FsyncTrace {
 	// metadata).
 	t0 := p.Now()
 	dirty := f.dirtyData
-	f.dirtyData = nil
+	f.dirtyData = dirty[len(dirty):] // later appends land past dirty
 	var dreqs []*blockdev.Request
 	for _, d := range dirty {
 		fs.in.UseCPU(p, fs.in.Costs().FSDataCPU)
@@ -298,7 +291,6 @@ func (fs *FS) fsyncExt4(p *sim.Proc, f *File) FsyncTrace {
 	fs.in.WaitSignal(p, join.done)
 	tr.WaitIO = wait1 + (p.Now() - t0)
 	f.dirDirty = false
-	f.inodeDirty = false
 	return tr
 }
 
@@ -312,8 +304,8 @@ func (fs *FS) jbd2Commit(p *sim.Proc, j *journalArea) {
 		encode := func() (meta, commits [][]byte) {
 			for _, join := range batch {
 				b := join.txn.blocks(j.gen)
-				meta = append(meta, b[:len(b)-1]...)
-				commits = append(commits, b[len(b)-1])
+				meta = append(meta, b[:2]...)
+				commits = append(commits, b[2])
 			}
 			return meta, commits
 		}
@@ -321,7 +313,7 @@ func (fs *FS) jbd2Commit(p *sim.Proc, j *journalArea) {
 		need := uint64(len(meta) + len(commits))
 		if j.tail+need > j.size {
 			fs.checkpoint(p, j)
-			meta, commits = encode() // re-encode under the new generation
+			meta, commits = encode() // re-stamp under the new generation, before submission
 		}
 		// JM: descriptor + metadata blocks, synchronous transfer.
 		lba := j.base + j.tail
@@ -361,7 +353,6 @@ func (fs *FS) jbd2Commit(p *sim.Proc, j *journalArea) {
 
 func (fs *FS) commitTxn(j *journalArea, t *txnPayload) {
 	fs.stats.Commits++
-	j.txns[t.id] = &txnRecord{id: t.id, inode: t.inodeIno, dirents: t.dirents}
 	if j.touchedInodes == nil {
 		j.touchedInodes = map[uint64]bool{}
 		j.touchedDirs = map[uint64]bool{}
@@ -408,7 +399,6 @@ func (fs *FS) checkpoint(p *sim.Proc, j *journalArea) {
 	// Superblock records the new generation; barrier makes it all stick.
 	j.gen++
 	j.tail = 0
-	j.txns = map[uint64]*txnRecord{}
 	j.touchedInodes = map[uint64]bool{}
 	j.touchedDirs = map[uint64]bool{}
 	sb := fs.in.OrderlessWrite(p, j.id, fs.superLBA, 1, fs.nextStamp(),

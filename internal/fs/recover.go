@@ -12,22 +12,10 @@ const superMagic = 0x52F5 // "RioFS"
 
 // encodeSuper serializes the mount state persisted at checkpoints.
 func (fs *FS) encodeSuper() []byte {
-	buf := make([]byte, 0, 128)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put(superMagic)
-	put(uint64(fs.cfg.Design))
-	put(uint64(fs.cfg.Journals))
-	put(fs.cfg.JournalBlocks)
-	put(fs.cfg.MaxInodes)
-	put(fs.nextIno)
-	put(fs.alloc.next)
-	put(fs.nextTxnID)
+	buf := appendU64s(make([]byte, 0, 128), superMagic, uint64(fs.cfg.Design), uint64(fs.cfg.Journals),
+		fs.cfg.JournalBlocks, fs.cfg.MaxInodes, fs.nextIno, fs.alloc.next, fs.nextTxnID)
 	for _, j := range fs.journals {
-		put(j.gen)
+		buf = appendU64s(buf, j.gen)
 	}
 	// Inodes/dirs known at checkpoint time (so recovery knows which home
 	// blocks to read).
@@ -36,11 +24,7 @@ func (fs *FS) encodeSuper() []byte {
 		inos = append(inos, ino)
 	}
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	put(uint64(len(inos)))
-	for _, ino := range inos {
-		put(ino)
-	}
-	return buf
+	return appendU64s(appendU64s(buf, uint64(len(inos))), inos...)
 }
 
 type superState struct {

@@ -10,6 +10,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -116,6 +117,7 @@ const tombstone = 0
 
 type sstFile struct {
 	name string
+	file *fs.File // the handle from Create; nil once compaction unlinks it
 	keys []string // live keys, sorted
 	min  string
 	max  string
@@ -203,8 +205,12 @@ func (db *DB) Options() Options { return db.cfg }
 // FS returns the file system the store lives on.
 func (db *DB) FS() *fs.FS { return db.fsys }
 
+// ErrClosed is returned by Put and Delete on a store after its Close.
+var ErrClosed = errors.New("kv: store closed")
+
 // Close drains background memtable flushes and retires the store,
-// returning the final counters. Further Puts/Gets are a bug.
+// returning the final counters. Put and Delete return ErrClosed
+// afterwards.
 func (db *DB) Close(p *sim.Proc) Stats {
 	for db.flushing || len(db.imm) > 0 {
 		db.flushCond.Wait(p)
@@ -217,6 +223,9 @@ func (db *DB) Close(p *sim.Proc) Stats {
 // fsync, then update the memtable. core selects the journal/stream of the
 // calling thread.
 func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
+	if db.closed {
+		return ErrClosed
+	}
 	rec := db.cfg.KeySize + valueLen + 16 // header
 	if err := db.fsys.Append(p, db.wal, rec); err != nil {
 		return err
@@ -248,6 +257,9 @@ func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
 // over-approximates until the next compaction rebuilds it from the
 // merged live key set.
 func (db *DB) Delete(p *sim.Proc, core int, key string) error {
+	if db.closed {
+		return ErrClosed
+	}
 	rec := db.cfg.KeySize + db.cfg.ValueSize + 16
 	if err := db.fsys.Append(p, db.wal, rec); err != nil {
 		return err
@@ -309,12 +321,12 @@ func (db *DB) Get(p *sim.Proc, key string) bool {
 	return false
 }
 
-// sstLookup probes one SST file (one index-block read charge) and
-// reports whether the file decides the key: found with live=false is a
-// flushed tombstone shadowing older files.
+// sstLookup probes one SST file (one index-block read charge, skipped
+// once the file is unlinked) and reports whether the file decides the key:
+// found with live=false is a flushed tombstone shadowing older files.
 func (db *DB) sstLookup(p *sim.Proc, f *sstFile, key string) (found, live bool) {
-	if file, err := db.fsys.Open(p, f.name); err == nil {
-		db.fsys.Read(p, file, 0, fs.BlockSize)
+	if f.file != nil {
+		db.fsys.Read(p, f.file, 0, fs.BlockSize)
 	}
 	if f.dead[key] {
 		return true, false
@@ -379,7 +391,7 @@ func (db *DB) flushMemtable(p *sim.Proc, core int, sealed map[string]uint64) {
 			db.fsys.Append(p, f, n)
 		}
 		db.fsys.Fsync(p, f, core)
-		sst := &sstFile{name: name, keys: keys, dead: dead}
+		sst := &sstFile{name: name, file: f, keys: keys, dead: dead}
 		if len(keys) > 0 {
 			sst.min, sst.max = keys[0], keys[len(keys)-1]
 		}
@@ -452,13 +464,14 @@ func (db *DB) compact(p *sim.Proc, core int) {
 			db.fsys.Append(p, f, n)
 		}
 		db.fsys.Fsync(p, f, core)
-		sst := &sstFile{name: name, keys: keys}
+		sst := &sstFile{name: name, file: f, keys: keys}
 		if len(keys) > 0 {
 			sst.min, sst.max = keys[0], keys[len(keys)-1]
 		}
 		// Old files removed.
 		for _, old := range append(db.l0, db.l1...) {
 			db.fsys.Unlink(p, old.name)
+			old.file = nil
 		}
 		db.l0 = nil
 		db.l1 = []*sstFile{sst}

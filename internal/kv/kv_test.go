@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -245,4 +246,31 @@ func TestGetSurvivesCompactionSwap(t *testing.T) {
 	if db.Stats().Compactions == 0 {
 		t.Fatalf("no compaction inside the window: %+v", db.Stats())
 	}
+}
+
+func TestUseAfterClose(t *testing.T) {
+	eng, fsys, cfg := testDB(1)
+	eng.Go("app", func(p *sim.Proc) {
+		db, err := Open(p, fsys, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := db.Put(p, 0, "k", cfg.ValueSize); err != nil {
+			t.Error(err)
+			return
+		}
+		st := db.Close(p)
+		if err := db.Put(p, 0, "k2", cfg.ValueSize); !errors.Is(err, ErrClosed) {
+			t.Errorf("Put after Close: %v, want ErrClosed", err)
+		}
+		if err := db.Delete(p, 0, "k"); !errors.Is(err, ErrClosed) {
+			t.Errorf("Delete after Close: %v, want ErrClosed", err)
+		}
+		if db.Stats() != st {
+			t.Errorf("a refused op moved the counters: %+v, closed with %+v", db.Stats(), st)
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
 }
