@@ -84,7 +84,7 @@ bench-layers:
 # named here and nowhere else (CI runs `make bench-gate`; cmd/benchdiff is
 # handed the name, internal/bench's baseline test reads it from this line).
 GATED_EXPS := scale,replication,policy,serve,read,satload,trace
-BASELINE   := BENCH_24.json
+BASELINE   := BENCH_25.json
 
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build

@@ -158,8 +158,10 @@ func TestFig14Table(t *testing.T) {
 }
 
 // TestScaleSweep: the scale experiment must show Rio throughput rising
-// monotonically from 1 to 8 streams and a >= 30% hot-path allocation
-// reduction versus the seed dispatch's recorded allocations per request.
+// monotonically from 1 to 8 streams, doorbell and CQE coalescing (batch
+// occupancies above 1, fewer than one completion message per op), and
+// aggregate throughput rising over 1→4 initiators with no per-initiator
+// ordering violation.
 func TestScaleSweep(t *testing.T) {
 	r, err := Run("scale", quick())
 	if err != nil {

@@ -3,11 +3,11 @@
 // internal/order through their policies — there is no per-stack gate or
 // chain implementation left — so this sweep runs the same workload on
 // the same topology through each policy and reports the ordering tax per
-// stack alongside the engine's hot-path counters: target-side
-// allocations per processed command (the dense-table/free-list headline
-// the CI perf gate tracks), in-order holdbacks, PMR append/toggle
-// traffic, and the dense-chain audit (which must be clean under every
-// policy).
+// stack alongside the engine's hot-path counters: in-order holdbacks per
+// thousand commands, PMR appends per command, and the dense-chain audit
+// (which must be clean under every policy). It counts no Go allocations:
+// TestWritePathAllocBudget in internal/stack gates those per write, the
+// target's ordering engine included.
 package bench
 
 import (

@@ -12,61 +12,40 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/fs"
 	"repro/internal/kv"
 	"repro/internal/metrics"
-	"repro/internal/stack"
 	"repro/internal/workload"
 )
-
-// readKVTenants is the YCSB-C tenant count; one more initiator hosts
-// the sequential-scan tenant.
-const readKVTenants = 2
 
 // readAheadDepth is the prefetch window used when the cache is on.
 const readAheadDepth = 8
 
-// readJob is the workload shape: a serve-like keyspace where most Gets
-// are negative, SST probes carry the positive traffic, and the scan
-// tenant streams an 8192-block (32 MiB) file.
-func readJob() workload.ReadJob {
-	return workload.ReadJob{
-		KVTenants:  readKVTenants,
-		Threads:    4,
-		Keys:       4 << 20,
-		Theta:      0.99,
-		Preload:    4096,
-		ScanBlocks: 8192,
-		FS: fs.Options{
-			Design:        fs.RioFS,
-			Journals:      4,
-			JournalBlocks: 2048,
-			MaxInodes:     1 << 14,
-			DataBlocks:    1 << 18,
-		},
-		// A small memtable pushes the preloaded keys into SST files, so
-		// positive Gets probe index blocks over the fabric — the traffic
-		// the block cache absorbs.
-		KV: kv.Options{MemtableBytes: 256 << 10},
-	}
+// readJob is the serve experiment's C mix with a scan tenant streaming an
+// 8192-block (32 MiB) file after the KV tenants, on the initiator one past
+// theirs: most Gets are negative, and SST probes carry the positive
+// traffic.
+func readJob() workload.ServeJob {
+	job := serveJob(100)
+	job.ScanBlocks = 8192
+	job.FS.DataBlocks = 1 << 18
+	// A small memtable pushes the preloaded keys into SST files, so
+	// positive Gets probe index blocks over the fabric — the traffic the
+	// block cache absorbs.
+	job.KV = kv.Options{MemtableBytes: 256 << 10}
+	return job
 }
 
-// runReadPoint builds the read topology — three initiators, four
-// one-SSD Optane targets in 2-way replica sets — and drives the job
-// with one cache size (0 = every read feature off).
-func runReadPoint(o Options, cacheBlocks int) (workload.ReadResult, int) {
-	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(4)...)
-	cfg.Initiators = readKVTenants + 1
-	cfg.Replicas = 2
-	cfg.Streams = 4
-	cfg.QPs = 4
+// runReadPoint drives the job on the KV fleet with one more initiator for
+// the scan tenant, with one cache size (0 = every read feature off).
+func runReadPoint(o Options, cacheBlocks int) (workload.ServeResult, int) {
+	cfg := kvFleet(serveTenants + 1)
 	job := readJob()
 	if cacheBlocks > 0 {
 		cfg.CacheBlocks = cacheBlocks
 		cfg.ReadAhead = readAheadDepth
 		job.KV.NegativeLookup = true
 	}
-	return audited(o, cfg, drive(workload.RunRead, job))
+	return audited(o, cfg, drive(workload.RunServe, job))
 }
 
 // ReadSweep is the "read" experiment.
@@ -79,7 +58,7 @@ func ReadSweep(o Options) *Result {
 	violations := 0
 	var tput, p99, hit, msgs metrics.Series
 	tput.Label, p99.Label, hit.Label, msgs.Label = "kiops", "p99 us", "hit %", "msgs/op"
-	var base, mid, best workload.ReadResult
+	var base, mid, best workload.ServeResult
 	for _, blocks := range sizes {
 		rr, v := runReadPoint(o, blocks)
 		violations += v
@@ -123,7 +102,7 @@ func ReadSweep(o Options) *Result {
 	res.Metric("read.rio.order_violations", float64(violations))
 	res.Tables = append(res.Tables, metrics.Table(
 		fmt.Sprintf("cache-size sweep, %d YCSB-C tenants + 1 scan tenant on %d initiators, 4 Mi Zipfian keys (θ=0.99), 4 Optane targets in 2-way replica sets",
-			readKVTenants, readKVTenants+1),
+			serveTenants, serveTenants+1),
 		"cache blocks", tput, p99, hit, msgs))
 	res.Notes = append(res.Notes,
 		"c0 = cache, read-ahead and negative lookups all off (the pre-read-path stack); other points turn all three on")

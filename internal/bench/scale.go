@@ -2,10 +2,10 @@
 // probe. It sweeps streams × target servers over the sharded multi-queue
 // dispatch path and reports, per system, throughput scaling plus the
 // hot-path efficiency counters the shard refactor and the vectored
-// completion path are about: allocations per request (against the seed
-// dispatch's recorded figure), shard pool hit rate, doorbell batch
+// completion path are about: shard pool hit rate, doorbell batch
 // occupancy, and on the reverse path CQE batch occupancy and completion
-// messages per op. A third
+// messages per op. It counts no Go allocations: TestWritePathAllocBudget
+// in internal/stack gates those per write. A third
 // axis sweeps initiators × fixed targets: aggregate Rio throughput must
 // scale with initiator count while every initiator's ordering domain
 // keeps its invariants (sequencer group order, dense ServerIdx chains /

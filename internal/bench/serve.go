@@ -40,15 +40,20 @@ func serveJob(readPct int) workload.ServeJob {
 	}
 }
 
-// runServePoint builds the serve topology — two initiators, four
-// one-SSD Optane targets in 2-way replica sets — and drives one mix.
-func runServePoint(o Options, readPct int) (workload.ServeResult, int) {
+// kvFleet is the topology of the KV experiments: inits initiators over
+// four one-SSD Optane targets in 2-way replica sets.
+func kvFleet(inits int) stack.Config {
 	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(4)...)
-	cfg.Initiators = serveTenants
+	cfg.Initiators = inits
 	cfg.Replicas = 2
 	cfg.Streams = 4
 	cfg.QPs = 4
-	return audited(o, cfg, drive(workload.RunServe, serveJob(readPct)))
+	return cfg
+}
+
+// runServePoint drives one mix on the KV fleet, one tenant per initiator.
+func runServePoint(o Options, readPct int) (workload.ServeResult, int) {
+	return audited(o, kvFleet(serveTenants), drive(workload.RunServe, serveJob(readPct)))
 }
 
 // ServeSweep is the "serve" experiment.

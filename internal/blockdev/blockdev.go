@@ -220,15 +220,12 @@ func (w *WireCmd) String() string {
 	return fmt.Sprintf("write dev%d lba%d+%d ordered=%v", w.Dev, w.LBA, w.Blocks, w.Ordered)
 }
 
-// TryFuse merges b into a per the Rio I/O scheduler rules: both ordered,
-// same device, attribute-level mergeable (§4.5 requirements), and the
-// fused command within the transfer limit. On success a absorbs b's
-// payload and origin requests (Fig. 8a).
-func TryFuse(a, b *WireCmd, maxBlocks int) bool {
-	if !a.Ordered || !b.Ordered || a.Flush || b.Flush {
-		return false
-	}
-	if a.Dev != b.Dev {
+// Fuse merges b into a when both are writes (not flushes) to the same
+// device, b starts where a ends, and the fused command stays within
+// maxBlocks: a absorbs b's blocks, stamps, payload and origin requests.
+// It ignores ordering attributes; TryFuse is the ordered rule on top.
+func Fuse(a, b *WireCmd, maxBlocks int) bool {
+	if a.Dev != b.Dev || a.Flush || b.Flush {
 		return false
 	}
 	if int(a.Blocks+b.Blocks) > maxBlocks {
@@ -237,10 +234,6 @@ func TryFuse(a, b *WireCmd, maxBlocks int) bool {
 	if a.LBA+uint64(a.Blocks) != b.LBA {
 		return false // device-level contiguity
 	}
-	if !core.CanMerge(a.Attr, b.Attr) {
-		return false
-	}
-	a.Attr = core.Merge(a.Attr, b.Attr)
 	a.Blocks += b.Blocks
 	a.Stamps = append(a.Stamps, b.Stamps...)
 	if a.Data != nil || b.Data != nil {
@@ -253,6 +246,17 @@ func TryFuse(a, b *WireCmd, maxBlocks int) bool {
 		a.Data = append(a.Data, b.Data...)
 	}
 	a.Reqs = append(a.Reqs, b.Reqs...)
+	return true
+}
+
+// TryFuse merges b into a per the Rio I/O scheduler rules: both ordered,
+// attribute-level mergeable (§4.5 requirements), and Fuse-able. On
+// success a also carries the merged attribute (Fig. 8a).
+func TryFuse(a, b *WireCmd, maxBlocks int) bool {
+	if !a.Ordered || !b.Ordered || !core.CanMerge(a.Attr, b.Attr) || !Fuse(a, b, maxBlocks) {
+		return false
+	}
+	a.Attr = core.Merge(a.Attr, b.Attr)
 	return true
 }
 

@@ -162,6 +162,10 @@ func TestTryFuseRejections(t *testing.T) {
 	if TryFuse(a, b, 32) {
 		t.Error("orderless fuse should be rejected")
 	}
+	// The plain fuser takes them on contiguity alone, attribute untouched.
+	if !Fuse(a, b, 32) || a.Blocks != 3 || len(a.Reqs) != 2 || a.Attr.SeqEnd != 1 {
+		t.Errorf("plain fuse of the orderless pair: fused = %+v attr=%+v", a, a.Attr)
+	}
 }
 
 func TestFuseRunBatch(t *testing.T) {

@@ -157,3 +157,11 @@ func TestAttrString(t *testing.T) {
 		t.Fatalf("split String() = %q", s)
 	}
 }
+
+func TestMajority(t *testing.T) {
+	for r, want := range map[int]int{1: 1, 2: 2, 3: 2, 4: 3, 5: 3} {
+		if got := MajorityQuorum(r); got != want {
+			t.Fatalf("MajorityQuorum(%d) = %d, want %d", r, got, want)
+		}
+	}
+}

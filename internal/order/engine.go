@@ -142,7 +142,3 @@ func ScanPartition(server int, plp bool, region []byte) core.ServerView {
 func MergeViews(views []core.ServerView) *core.Report {
 	return core.Analyze(views)
 }
-
-// Majority returns the write quorum for replica factor r under the
-// majority rule (floor(r/2)+1).
-func Majority(r int) int { return core.MajorityQuorum(r) }

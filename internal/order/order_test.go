@@ -231,11 +231,3 @@ func TestScanPartitionAndMerge(t *testing.T) {
 		t.Fatalf("durable prefix = %d, want 2", got)
 	}
 }
-
-func TestMajority(t *testing.T) {
-	for r, want := range map[int]int{1: 1, 2: 2, 3: 2, 4: 3, 5: 3} {
-		if got := Majority(r); got != want {
-			t.Fatalf("Majority(%d) = %d, want %d", r, got, want)
-		}
-	}
-}

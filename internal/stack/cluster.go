@@ -424,7 +424,7 @@ func Open(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	r := max(c.cfg.Replicas, 1)
 	c.writeQuorum = min(c.cfg.WriteQuorum, r) // a set of one completes on its one ack
 	if c.writeQuorum <= 0 {
-		c.writeQuorum = order.Majority(r)
+		c.writeQuorum = core.MajorityQuorum(r)
 	}
 	var devs []blockdev.DevRef
 	for ti, tc := range c.cfg.Targets {

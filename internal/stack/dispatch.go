@@ -433,17 +433,11 @@ func (d *dispatcher) cmdBuild() bool {
 // a called record returns.
 func (d *dispatcher) end() bool { return d == &d.sh.disp && d.To((*dispatcher).take) }
 
-// piece is one device-contiguous fragment of a request after striping and
-// transfer-limit splitting.
-type piece struct {
-	ext    blockdev.Extent
-	offset uint32
-}
-
 // buildWires splits one request into per-device wire commands respecting
 // stripe geometry and the SSD transfer limit, appending them to dst. For
 // ordered requests the ordering attribute is split alongside (Fig. 8b).
-// The piece and attribute scratch slices live on the cluster: buildWires
+// Its pieces are the request's extents cut at the transfer limit. The
+// piece and attribute scratch slices live on the cluster: buildWires
 // never yields, so one scratch set serves every caller.
 func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wireState {
 	pieces := in.pieceBuf[:0]
@@ -456,13 +450,13 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 				if n > maxBlocks {
 					n = maxBlocks
 				}
-				pieces = append(pieces, piece{blockdev.Extent{
+				pieces = append(pieces, blockdev.Extent{
 					Dev: ext.Dev, DevLBA: ext.DevLBA + uint64(off),
 					Blocks: n, Offset: ext.Offset + off,
-				}, ext.Offset + off})
+				})
 			}
 		} else {
-			pieces = append(pieces, piece{ext, ext.Offset})
+			pieces = append(pieces, ext)
 		}
 	}
 	in.pieceBuf = pieces
@@ -480,27 +474,27 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 		stamp = core.AttrStamp(base)
 		if len(pieces) == 1 {
 			a := base
-			a.LBA = pieces[0].ext.DevLBA
-			a.Blocks = pieces[0].ext.Blocks
+			a.LBA = pieces[0].DevLBA
+			a.Blocks = pieces[0].Blocks
 			attrs = append(in.attrBuf[:0], a)
 		} else {
 			blocks := in.blockBuf[:0]
 			for _, pc := range pieces {
-				blocks = append(blocks, pc.ext.Blocks)
+				blocks = append(blocks, pc.Blocks)
 			}
 			in.blockBuf = blocks
 			attrs = core.SplitAttrInto(in.attrBuf, base, blocks)
 			for i := range attrs {
-				attrs[i].LBA = pieces[i].ext.DevLBA
+				attrs[i].LBA = pieces[i].DevLBA
 			}
 		}
 		in.attrBuf = attrs
 		for i := range attrs {
-			attrs[i].NS = uint16(in.vol.Dev(pieces[i].ext.Dev).SSD)
+			attrs[i].NS = uint16(in.vol.Dev(pieces[i].Dev).SSD)
 			if in.cfg.Mode == ModeHorae {
 				// Correlate data commands to the control-path entries the
 				// submit path already persisted for each server.
-				attrs[i].ServerIdx = req.HoraeIdx[in.vol.Dev(pieces[i].ext.Dev).Server]
+				attrs[i].ServerIdx = req.HoraeIdx[in.vol.Dev(pieces[i].Dev).Server]
 			}
 		}
 	}
@@ -508,22 +502,22 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 	for i, pc := range pieces {
 		ws := in.newWire(req.Stream)
 		wc := ws.wc
-		wc.Dev = pc.ext.Dev
-		wc.LBA = pc.ext.DevLBA
-		wc.Blocks = pc.ext.Blocks
+		wc.Dev = pc.Dev
+		wc.LBA = pc.DevLBA
+		wc.Blocks = pc.Blocks
 		wc.Ordered = req.Ordered
 		wc.Reqs = append(wc.Reqs, req)
-		for j := uint32(0); j < pc.ext.Blocks; j++ {
+		for j := uint32(0); j < pc.Blocks; j++ {
 			wc.Stamps = append(wc.Stamps, stamp)
 		}
 		if req.Data != nil {
 			// The payloads themselves are shared, never copied (they are
 			// immutable once submitted): only the slice of them is per wire.
-			wc.Data = slices.Grow(ws.data[:0], int(pc.ext.Blocks))[:pc.ext.Blocks]
+			wc.Data = slices.Grow(ws.data[:0], int(pc.Blocks))[:pc.Blocks]
 			clear(wc.Data)
-			for j := uint32(0); j < pc.ext.Blocks; j++ {
-				if int(pc.offset+j) < len(req.Data) {
-					wc.Data[j] = req.Data[pc.offset+j]
+			for j := uint32(0); j < pc.Blocks; j++ {
+				if int(pc.Offset+j) < len(req.Data) {
+					wc.Data[j] = req.Data[pc.Offset+j]
 				}
 			}
 		}
@@ -580,7 +574,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 					a.wc.Attr.Split || b.wc.Attr.Split {
 					return false
 				}
-				if !contigFuse(a.wc, b.wc) {
+				if !blockdev.Fuse(a.wc, b.wc, maxTransferBlocks) {
 					return false
 				}
 				a.more = append(append(a.more, b.wc.Attr), b.more...)
@@ -589,7 +583,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 			// Horae merges data-path requests on contiguity; ordering
 			// already persisted by the control path. Keep constituent
 			// attrs for persist-bit correlation.
-			if !contigFuse(a.wc, b.wc) {
+			if !blockdev.Fuse(a.wc, b.wc, maxTransferBlocks) {
 				return false
 			}
 			a.more = append(append(a.more, b.wc.Attr), b.more...)
@@ -597,7 +591,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 			return false
 		}
 	} else {
-		if !contigFuse(a.wc, b.wc) {
+		if !blockdev.Fuse(a.wc, b.wc, maxTransferBlocks) {
 			return false
 		}
 	}
@@ -617,33 +611,6 @@ func (in *Initiator) replaceWire(req *blockdev.Request, from, to *wireState) {
 			}
 		}
 	}
-}
-
-// contigFuse merges b into a when both are plain contiguous writes on the
-// same device (no attribute semantics).
-func contigFuse(a, b *blockdev.WireCmd) bool {
-	if a.Dev != b.Dev || a.Flush || b.Flush {
-		return false
-	}
-	if a.Blocks+b.Blocks > maxTransferBlocks {
-		return false
-	}
-	if a.LBA+uint64(a.Blocks) != b.LBA {
-		return false
-	}
-	a.Blocks += b.Blocks
-	a.Stamps = append(a.Stamps, b.Stamps...)
-	if a.Data != nil || b.Data != nil {
-		if a.Data == nil {
-			a.Data = make([][]byte, len(a.Stamps)-len(b.Stamps))
-		}
-		if b.Data == nil {
-			b.Data = make([][]byte, len(b.Stamps))
-		}
-		a.Data = append(a.Data, b.Data...)
-	}
-	a.Reqs = append(a.Reqs, b.Reqs...)
-	return true
 }
 
 // assignOrderState fans every write of a dispatch batch out over its

@@ -50,7 +50,7 @@ type Initiator struct {
 	// buildWires scratch, shared by all shards: buildWires never yields,
 	// so one set serves every caller without handoff bookkeeping.
 	extBuf   []blockdev.Extent
-	pieceBuf []piece
+	pieceBuf []blockdev.Extent
 	attrBuf  []core.Attr
 	blockBuf []uint32
 

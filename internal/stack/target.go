@@ -626,12 +626,8 @@ func (x *tctx) rioSubmitAttrs(ws *wireState, attrs []core.Attr) bool {
 	d := t.ord.Domain(int(attrs[0].Initiator), attrs[0].Stream)
 	if !d.Admit(attrs[0].ServerIdx) {
 		t.stats.Holdbacks++
-		pc := parkedCmd{ws: ws, attrs: attrs}
-		if t.c.tracer != nil {
-			d.ParkAt(attrs[0].ServerIdx, pc, int64(t.c.Eng.Now()))
-		} else {
-			d.Park(attrs[0].ServerIdx, pc)
-		}
+		// The park time only feeds traced requests' gate-park wait (rioDrain).
+		d.ParkAt(attrs[0].ServerIdx, parkedCmd{ws: ws, attrs: attrs}, int64(t.c.Eng.Now()))
 		return x.To((*tctx).rxCmd)
 	}
 	x.dom = d

@@ -1,11 +1,17 @@
-// Serve driver: the "millions of users" scenario of ROADMAP item 1. N
+// Serve driver: the "millions of users" scenario of ROADMAP item 1 and
+// the read-heavy scenario the initiator's read path is built for. N KV
 // tenants — each a RocksDB-style store on its own RioFS file system,
 // bound to its own initiator server — share one replicated target fleet.
-// Every tenant runs a YCSB-style read/write mix over a multi-million-key
-// keyspace with Zipfian hot-key skew, and the result reports per-tenant
-// throughput and tail latency so the experiment can gate on fairness:
+// Every KV tenant runs a YCSB-style read/write mix over a multi-million-
+// key keyspace with Zipfian hot-key skew; only the preloaded hot head
+// exists at first, so a read-only mix is mostly negative lookups
+// (bloom-filter territory) and SST index probes over the fabric
+// (block-cache territory). An optional scan tenant reads a large file
+// sequentially (read-ahead territory). The result reports per-tenant
+// throughput and tail latency so the experiment can gate on fairness —
 // per-initiator ordering domains mean one tenant's fsync storm must not
-// stall another tenant's streams.
+// stall another tenant's streams — plus the block-cache hit rate and
+// fabric messages per operation over the measure window.
 package workload
 
 import (
@@ -20,22 +26,26 @@ import (
 
 // ServeJob configures the multi-tenant serving benchmark.
 type ServeJob struct {
-	Tenants int // concurrent tenants (0 = one per initiator)
-	Threads int // application threads per tenant (0 = 4)
+	Tenants int // concurrent KV tenants (0 = one per initiator)
+	Threads int // application threads per KV tenant (0 = 4)
 	// Keys is the per-tenant keyspace the Zipfian generator draws from
 	// (0 = 4 Mi keys). Keys are written on demand; with the YCSB theta
 	// the hot head of the space is populated within the warmup window.
 	Keys  uint64
 	Theta float64 // Zipfian skew (0 = 0.99, the YCSB default)
 	// ReadPct is the read percentage of the mix: 50 = YCSB-A-like,
-	// 95 = YCSB-B-like, 100 = YCSB-C-like.
+	// 95 = YCSB-B-like, 100 = YCSB-C-like (no write is ever drawn).
 	ReadPct int
 	// Preload seeds each store with this many of its hottest keys before
 	// the clock starts, so read-heavy mixes hit from the first draw
 	// (0 = 4096).
 	Preload int
-	FS      fs.Options // per-tenant sizing; BaseLBA is assigned per tenant
-	KV      kv.Options
+	// ScanBlocks > 0 adds one scan tenant after the KV tenants, on
+	// initiator Tenants mod Initiators: it reads a file of ScanBlocks
+	// blocks sequentially, one block per op, wrapping at the end.
+	ScanBlocks uint64
+	FS         fs.Options // per-tenant sizing; BaseLBA is assigned per tenant
+	KV         kv.Options
 }
 
 func (j ServeJob) withDefaults(c *stack.Cluster) ServeJob {
@@ -61,6 +71,7 @@ func (j ServeJob) withDefaults(c *stack.Cluster) ServeJob {
 type TenantServe struct {
 	Tenant    int
 	Initiator int
+	Scan      bool // sequential-scan tenant (vs KV tenant); counts Ops only
 	Ops       int64
 	Reads     int64
 	ReadHits  int64
@@ -68,21 +79,28 @@ type TenantServe struct {
 	Lat       metrics.Histogram
 }
 
-// ServeResult is the measured outcome across all tenants.
+// ServeResult is the measured outcome across all tenants. Cache, Msgs
+// and NegativeHits are deltas over the measure window only.
 type ServeResult struct {
 	Elapsed  sim.Time
 	Tenants  []TenantServe
 	InitUtil float64
 	TgtUtil  float64
+
+	Cache        stack.RCacheStats // block-cache counters
+	Msgs         int64             // fabric messages: wire posts + read messages
+	NegativeHits int64             // gets answered by the bloom filter alone
 }
 
 // KIOPS returns aggregate thousands of operations per second.
-func (r ServeResult) KIOPS() float64 {
+func (r ServeResult) KIOPS() float64 { return kiops(r.ops(), r.Elapsed) }
+
+func (r ServeResult) ops() int64 {
 	var ops int64
 	for _, t := range r.Tenants {
 		ops += t.Ops
 	}
-	return kiops(ops, r.Elapsed)
+	return ops
 }
 
 // TenantKIOPS returns one tenant's throughput.
@@ -91,17 +109,25 @@ func (r ServeResult) TenantKIOPS(i int) float64 { return kiops(r.Tenants[i].Ops,
 // P99US returns the 99th-percentile operation latency in microseconds
 // across all tenants.
 func (r ServeResult) P99US() float64 {
-	return p99US(r.Tenants, func(t *TenantServe) *metrics.Histogram { return &t.Lat })
-}
-
-// p99US is the 99th-percentile latency in microseconds of every tenant's
-// operations together.
-func p99US[T any](tenants []T, lat func(*T) *metrics.Histogram) float64 {
 	var all metrics.Histogram
-	for i := range tenants {
-		all.Merge(lat(&tenants[i]))
+	for i := range r.Tenants {
+		all.Merge(&r.Tenants[i].Lat)
 	}
 	return float64(all.P99()) / 1000
+}
+
+// HitRate returns the block-cache hit rate over the measure window.
+func (r ServeResult) HitRate() float64 { return r.Cache.HitRate() }
+
+// MsgsPerOp returns fabric messages per operation — the CPU-efficiency
+// headline: every message the cache or the bloom filter absorbs is
+// initiator and target cycles not spent.
+func (r ServeResult) MsgsPerOp() float64 {
+	ops := r.ops()
+	if ops == 0 {
+		return 0
+	}
+	return float64(r.Msgs) / float64(ops)
 }
 
 // FairnessSpread returns max/min per-tenant throughput — 1.0 is perfect
@@ -130,57 +156,77 @@ func (r ServeResult) FairnessSpread() float64 {
 // serveKey renders rank r as a fixed-width key (rank 0 = hottest).
 func serveKey(r uint64) string { return fmt.Sprintf("%016d", r) }
 
-// openTenants mounts one FS+KV pair per tenant — tenant i on initiator i
-// mod Initiators, at BaseLBA i*fsOpts.Blocks() — and preloads the hottest
-// preload keys of each, spreading the puts over threads streams. Each
-// tenant sets up in its own proc, named after the driver; the stores are
-// open once the caller's next eng.Run() returns.
-func openTenants(eng *sim.Engine, c *stack.Cluster, driver string, n int, fsOpts fs.Options, kvOpts kv.Options, preload, threads int) []*kv.DB {
-	dbs := make([]*kv.DB, n)
+// RunServe mounts one FS+KV pair per KV tenant and preloads the hottest
+// Preload keys of each, spreading the puts over Threads streams; with
+// ScanBlocks > 0 it also writes the scan tenant's file. Tenant i sits on
+// initiator i mod Initiators at BaseLBA i*FS.Blocks(). It then drives
+// every tenant for warmup+measure.
+func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure sim.Time) ServeResult {
+	job = job.withDefaults(c)
+	n := job.Tenants
+	if job.ScanBlocks > 0 {
+		n++
+	}
+	tenants := make([]TenantServe, n)
+	for ten := range tenants {
+		tenants[ten] = TenantServe{Tenant: ten, Initiator: ten % c.Initiators(), Scan: ten == job.Tenants}
+	}
+	openFS := func(ten int) *fs.FS {
+		opts := job.FS
+		opts.BaseLBA = uint64(ten) * job.FS.Blocks()
+		return fs.Open(c.Init(tenants[ten].Initiator), opts)
+	}
+	warm := false
+
+	// Mount and preload every tenant, each in its own proc, before the
+	// clock starts.
+	dbs := make([]*kv.DB, job.Tenants)
 	for ten := range dbs {
-		eng.Go(fmt.Sprintf("%s/setup%d", driver, ten), func(p *sim.Proc) {
-			opts := fsOpts
-			opts.BaseLBA = uint64(ten) * fsOpts.Blocks()
-			db, err := kv.Open(p, fs.Open(c.Init(ten%c.Initiators()), opts), kvOpts)
+		eng.Go(fmt.Sprintf("serve/setup%d", ten), func(p *sim.Proc) {
+			db, err := kv.Open(p, openFS(ten), job.KV)
 			if err != nil {
-				panic(fmt.Sprintf("%s: tenant %d open: %v", driver, ten, err))
+				panic(fmt.Sprintf("serve: tenant %d open: %v", ten, err))
 			}
 			vs := db.Options().ValueSize
-			for k := 0; k < preload; k++ {
-				if err := db.Put(p, k%threads, serveKey(uint64(k)), vs); err != nil {
-					panic(fmt.Sprintf("%s: tenant %d preload: %v", driver, ten, err))
+			for k := 0; k < job.Preload; k++ {
+				if err := db.Put(p, k%job.Threads, serveKey(uint64(k)), vs); err != nil {
+					panic(fmt.Sprintf("serve: tenant %d preload: %v", ten, err))
 				}
 			}
 			dbs[ten] = db
 		})
 	}
-	return dbs
-}
-
-// RunServe mounts one FS+KV pair per tenant (tenant i on initiator
-// i mod Initiators, at BaseLBA i*FS.Blocks()), preloads the hot head of
-// each keyspace, then drives the YCSB-style mix for warmup+measure.
-func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure sim.Time) ServeResult {
-	job = job.withDefaults(c)
-	tenants := make([]TenantServe, job.Tenants)
-	warm := false
-
-	// Mount and preload every tenant before the clock starts.
-	dbs := openTenants(eng, c, "serve", job.Tenants, job.FS, job.KV, job.Preload, job.Threads)
+	var scanFS *fs.FS
+	var scanFile *fs.File
+	if job.ScanBlocks > 0 {
+		eng.Go("serve/setupscan", func(p *sim.Proc) {
+			scanFS = openFS(job.Tenants)
+			f, err := scanFS.Create(p, "scan.dat")
+			if err != nil {
+				panic(fmt.Sprintf("serve: scan create: %v", err))
+			}
+			for b := uint64(0); b < job.ScanBlocks; b += 16 {
+				if err := scanFS.Append(p, f, int(min(job.ScanBlocks-b, 16))*fs.BlockSize); err != nil {
+					panic(fmt.Sprintf("serve: scan append: %v", err))
+				}
+			}
+			scanFS.Fsync(p, f, 0)
+			scanFile = f
+		})
+	}
 	eng.Run()
 
-	zipf := NewZipf(eng.Rand(), job.Keys, job.Theta)
+	// One random stream draws every tenant's keys and read/write coins.
 	rng := eng.Rand()
+	zipf := NewZipf(rng, job.Keys, job.Theta)
 	for ten, db := range dbs {
 		m := &tenants[ten]
-		m.Tenant, m.Initiator = ten, ten%c.Initiators()
 		vs := db.Options().ValueSize
 		for th := 0; th < job.Threads; th++ {
 			eng.Go(fmt.Sprintf("serve/t%d.%d", ten, th), func(p *sim.Proc) {
 				for {
-					rank := zipf.Next()
-					key := serveKey(rank)
-					read := rng.Intn(100) < job.ReadPct
+					key := serveKey(zipf.Next())
+					read := job.ReadPct >= 100 || rng.Intn(100) < job.ReadPct
 					start := p.Now()
 					if read {
 						hit := db.Get(p, key)
@@ -206,7 +252,39 @@ func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure s
 			})
 		}
 	}
+	if job.ScanBlocks > 0 {
+		m := &tenants[job.Tenants]
+		eng.Go("serve/scan", func(p *sim.Proc) {
+			size := job.ScanBlocks * fs.BlockSize
+			for off := uint64(0); ; off = (off + fs.BlockSize) % size {
+				start := p.Now()
+				if err := scanFS.Read(p, scanFile, off, fs.BlockSize); err != nil {
+					panic(fmt.Sprintf("serve: scan read: %v", err))
+				}
+				if warm {
+					m.Ops++
+					m.Lat.Record(p.Now() - start)
+				}
+			}
+		})
+	}
 
-	w := measureWindow(eng, c, warmup, measure, func() { warm = true })
-	return ServeResult{Elapsed: w.Elapsed, Tenants: tenants, InitUtil: w.InitUtil, TgtUtil: w.TgtUtil}
+	negHits := func() int64 {
+		var n int64
+		for _, db := range dbs {
+			n += db.Stats().NegativeHits
+		}
+		return n
+	}
+	var neg0 int64
+	w := measureWindow(eng, c, warmup, measure, func() { warm, neg0 = true, negHits() })
+	return ServeResult{
+		Elapsed:      w.Elapsed,
+		Tenants:      tenants,
+		InitUtil:     w.InitUtil,
+		TgtUtil:      w.TgtUtil,
+		Cache:        w.Cache,
+		Msgs:         w.Stats.WireMessages + w.Stats.ReadMsgs,
+		NegativeHits: negHits() - neg0,
+	}
 }

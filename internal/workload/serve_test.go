@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -85,34 +86,58 @@ func serveTestJob() ServeJob {
 	}
 }
 
-// TestRunServeMultiTenant drives the YCSB-A-like mix on a replicated
-// two-initiator cluster and checks both tenants made progress, reads
-// hit preloaded keys, and the ordering audit stays clean.
+// TestRunServeMultiTenant drives two inputs on a replicated
+// two-initiator cluster: the YCSB-A-like mix, where both tenants make
+// progress, reads hit preloaded keys and the tenants share evenly; and a
+// read-only mix with a scan tenant, which adds one last, scan-only tenant
+// on initiator Tenants mod Initiators while no KV tenant writes. The
+// ordering audit stays clean on both.
 func TestRunServeMultiTenant(t *testing.T) {
-	eng, c := serveCluster(7)
-	defer eng.Shutdown()
-	res := RunServe(eng, c, serveTestJob(), 200*sim.Microsecond, 2*sim.Millisecond)
-	if len(res.Tenants) != 2 {
-		t.Fatalf("tenants = %d, want 2", len(res.Tenants))
-	}
-	for _, ten := range res.Tenants {
-		if ten.Ops == 0 || ten.Reads == 0 || ten.Writes == 0 {
-			t.Fatalf("tenant %d made no progress: %+v", ten.Tenant, ten)
+	scan := serveTestJob()
+	scan.Tenants, scan.ReadPct, scan.ScanBlocks = 1, 100, 64
+	for _, tc := range []struct {
+		name string
+		job  ServeJob
+	}{{"mixA", serveTestJob()}, {"readScan", scan}} {
+		eng, c := serveCluster(7)
+		defer eng.Shutdown()
+		res := RunServe(eng, c, tc.job, 200*sim.Microsecond, 2*sim.Millisecond)
+		kvTenants := res.Tenants
+		if tc.job.ScanBlocks > 0 {
+			if len(res.Tenants) != tc.job.Tenants+1 {
+				t.Fatalf("%s: tenants = %d, want %d KV + 1 scan", tc.name, len(res.Tenants), tc.job.Tenants)
+			}
+			kvTenants = res.Tenants[:tc.job.Tenants]
+			sc := res.Tenants[tc.job.Tenants]
+			if !sc.Scan || sc.Initiator != tc.job.Tenants%c.Initiators() || sc.Ops == 0 || sc.Reads != 0 || sc.Writes != 0 {
+				t.Fatalf("%s: scan tenant = %+v, want Scan on initiator %d with ops and no reads or writes",
+					tc.name, sc, tc.job.Tenants%c.Initiators())
+			}
+			if h, m := res.HitRate(), res.MsgsPerOp(); math.IsNaN(h) || math.IsInf(h, 0) || math.IsNaN(m) || math.IsInf(m, 0) {
+				t.Fatalf("%s: hit rate %v, msgs/op %v, want finite", tc.name, h, m)
+			}
+		} else if len(res.Tenants) != tc.job.Tenants {
+			t.Fatalf("%s: tenants = %d, want %d", tc.name, len(res.Tenants), tc.job.Tenants)
 		}
-		if ten.ReadHits == 0 {
-			t.Fatalf("tenant %d: zipfian reads never hit the preloaded head", ten.Tenant)
+		for _, ten := range kvTenants {
+			if ten.Scan || ten.Ops == 0 || ten.Reads == 0 || ten.ReadHits == 0 {
+				t.Fatalf("%s: KV tenant %d made no progress or never hit the preloaded head: %+v", tc.name, ten.Tenant, ten)
+			}
+			if (ten.Writes == 0) != (tc.job.ReadPct >= 100) {
+				t.Fatalf("%s: KV tenant %d wrote %d times at %d%% reads", tc.name, ten.Tenant, ten.Writes, tc.job.ReadPct)
+			}
 		}
-	}
-	if res.Tenants[0].Initiator == res.Tenants[1].Initiator {
-		t.Fatalf("tenants share initiator %d, want one per initiator", res.Tenants[0].Initiator)
-	}
-	if res.KIOPS() <= 0 || res.P99US() <= 0 {
-		t.Fatalf("kiops=%.2f p99=%.2fus", res.KIOPS(), res.P99US())
-	}
-	if spread := res.FairnessSpread(); spread < 1 || spread > 3 {
-		t.Fatalf("fairness spread = %.2f, want ~1 (equal tenants)", spread)
-	}
-	if v := c.OrderAudit(); v != 0 {
-		t.Fatalf("order audit reported %d violations", v)
+		if res.Tenants[0].Initiator == res.Tenants[1].Initiator {
+			t.Fatalf("%s: tenants 0 and 1 share initiator %d, want one per initiator", tc.name, res.Tenants[0].Initiator)
+		}
+		if res.KIOPS() <= 0 || res.P99US() <= 0 {
+			t.Fatalf("%s: kiops=%.2f p99=%.2fus", tc.name, res.KIOPS(), res.P99US())
+		}
+		if spread := res.FairnessSpread(); tc.job.ScanBlocks == 0 && (spread < 1 || spread > 3) {
+			t.Fatalf("%s: fairness spread = %.2f, want ~1 (equal tenants)", tc.name, spread)
+		}
+		if v := c.OrderAudit(); v != 0 {
+			t.Fatalf("%s: order audit reported %d violations", tc.name, v)
+		}
 	}
 }

@@ -21,9 +21,9 @@ func (a counted) minus(b counted) counted {
 }
 
 // TestWarmupStaysOutOfEveryDriversWindow checks the one property the
-// warm-up gate exists for, on all seven drivers: an operation that
-// completed during warm-up is in neither the op count nor the latency
-// histogram (nor the counter deltas). The simulation is deterministic and
+// warm-up gate exists for, on all six drivers (the serve driver with and
+// without a scan tenant): an operation that completed during warm-up is in
+// neither the op count nor the latency histogram (nor the counter deltas). The simulation is deterministic and
 // measuring does not perturb it, so for a fixed seed the window
 // (w, w+m] must hold exactly what [0, w+m] holds minus what [0, w] holds.
 // A leak in either direction — the PR 8 open-loop bug counted warm-up
@@ -59,10 +59,10 @@ func TestWarmupStaysOutOfEveryDriversWindow(t *testing.T) {
 			r := RunSatLoad(eng, stack.New(eng, cfg), SatJob{Streams: 4, OfferedKIOPS: 300}, warmup, measure)
 			return counted{ops: r.Completed, lat: r.Lat.Count(), stats: r.Stats}
 		},
-		"RunRead": func(warmup, measure sim.Time) counted {
+		"RunServe+scan": func(warmup, measure sim.Time) counted {
 			eng, c := serveCluster(7)
 			defer eng.Shutdown()
-			r := RunRead(eng, c, ReadJob{KVTenants: 1, Threads: 2, Keys: 1 << 12, Preload: 128, ScanBlocks: 64,
+			r := RunServe(eng, c, ServeJob{Tenants: 1, Threads: 2, Keys: 1 << 12, ReadPct: 100, Preload: 128, ScanBlocks: 64,
 				FS: kvFS, KV: kv.Options{MemtableBytes: 16 << 10}}, warmup, measure)
 			var n counted
 			for _, ten := range r.Tenants {
