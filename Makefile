@@ -40,12 +40,12 @@ staticcheck:
 lint: fmt-check vet staticcheck
 
 # The line counts ROADMAP's north star ("least code") tracks: non-test Go
-# lines outside benchmark/, and the share of them in internal/stack and in
-# the experiment harness (internal/bench on internal/workload).
+# lines outside benchmark/, then each package's share, largest first.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
 loc:
-	@printf 'non-test Go lines outside benchmark/: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
-	@for d in stack bench workload; do \
-		printf 'non-test Go lines in %-18s ' "internal/$$d:"; find ./internal/$$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l; done
+	@printf 'non-test Go lines outside benchmark/: '; $(LOC_FILES) | xargs cat | wc -l
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k1,1nr -k2
 
 # Quick smoke of every experiment (same command CI runs).
 bench: build

@@ -171,7 +171,7 @@ func (h *run) reader(p *sim.Proc, i, s int) {
 			continue
 		}
 		g, dark := h.gen[i], h.dark
-		in.ReadStreamAhead(p, s, r.LBA, 1, 0, rec)
+		in.ReadStream(p, s, r.LBA, 1, rec)
 		if g != h.gen[i] || dark != h.dark || dark%2 == 1 || !h.pl.plp() || h.stopped {
 			continue
 		}

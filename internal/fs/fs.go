@@ -68,12 +68,6 @@ type Options struct {
 	// logical volume without colliding. Use Options.Blocks to stack
 	// tenants: tenant i mounts at uint64(i) * opts.Blocks().
 	BaseLBA uint64
-
-	// ReadAhead overrides the initiator's sequential prefetch depth for
-	// this mount's reads: 0 inherits the cluster default, negative
-	// disables read-ahead for this tenant. Only meaningful when the
-	// cluster runs with a read cache (rio.ReadOptions.CacheBlocks > 0).
-	ReadAhead int
 }
 
 // withDefaults fills zero fields with the DefaultOptions values.
@@ -470,7 +464,7 @@ func (fs *FS) Read(p *sim.Proc, f *File, off uint64, size int) error {
 		// Stream 0 carries the mount's sequential-read detector: scans
 		// walk files block-ascending, which is exactly the pattern the
 		// initiator's read-ahead keys on.
-		fs.in.ReadStreamAhead(p, 0, lba, 1, fs.cfg.ReadAhead, nil)
+		fs.in.ReadStream(p, 0, lba, 1, nil)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ type bloom struct {
 	sat  bool   // saturated: every query answers "maybe"
 }
 
-// bloomK is the hash count: with the default 1 Mi bits and the serve
+// bloomK is the hash count: with bloomBits (1 Mi) and the serve
 // workloads' ≤ 100 Ki live keys, k=4 keeps the false-positive rate
 // well under 1%.
 const bloomK = 4

@@ -12,6 +12,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fs"
@@ -22,20 +23,25 @@ import (
 // DefaultOptions value, mirroring rio.Options: kv.Open(p, fsys,
 // kv.Options{}) is a working db_bench-fillsync store.
 type Options struct {
-	MemtableBytes   int      // flush threshold (0 = 4 MB)
-	KeySize         int      // bytes per key (0 = 16)
-	ValueSize       int      // bytes per value (0 = 1024)
-	IndexCPU        sim.Time // memtable insert/lookup cost (0 = 900 ns)
-	CompactCPUBlock sim.Time // compaction CPU per 4 KB (0 = 2 us)
-	MaxL0Files      int      // L0 files before compaction triggers (0 = 8)
+	MemtableBytes int // flush threshold (0 = 4 MB)
+	KeySize       int // bytes per key (0 = 16)
+	ValueSize     int // bytes per value (0 = 1024)
+	MaxL0Files    int // L0 files before compaction triggers (0 = 8)
 
-	// NegativeLookup maintains a bloom filter over the live keys so gets
-	// of absent keys answer at the initiator without probing any SST
-	// over the fabric. false (the zero value) = off.
+	// NegativeLookup maintains a bloom filter (bloomBits wide) over the
+	// live keys so gets of absent keys answer at the initiator without
+	// probing any SST over the fabric. false (the zero value) = off.
 	NegativeLookup bool
-	BloomBits      int      // filter size in bits (0 = 1 Mi)
-	BloomCPU       sim.Time // filter probe/update cost per op (0 = 200 ns)
 }
+
+// The engine's fixed costs: CPU charged to the store's initiator cores,
+// and the negative-lookup filter's size.
+const (
+	indexCPU    sim.Time = 900                 // memtable insert/lookup
+	sstChunkCPU sim.Time = 2 * sim.Microsecond // SST build per 16-block chunk (×2 in a compaction)
+	bloomCPU    sim.Time = 200                 // filter probe/update per op
+	bloomBits            = 1 << 20             // negative-lookup filter size
+)
 
 // withDefaults fills zero fields with the DefaultOptions values.
 func (o Options) withDefaults() Options {
@@ -48,20 +54,8 @@ func (o Options) withDefaults() Options {
 	if o.ValueSize == 0 {
 		o.ValueSize = 1024
 	}
-	if o.IndexCPU == 0 {
-		o.IndexCPU = 900
-	}
-	if o.CompactCPUBlock == 0 {
-		o.CompactCPUBlock = 2 * sim.Microsecond
-	}
 	if o.MaxL0Files == 0 {
 		o.MaxL0Files = 8
-	}
-	if o.BloomBits == 0 {
-		o.BloomBits = 1 << 20
-	}
-	if o.BloomCPU == 0 {
-		o.BloomCPU = 200
 	}
 	return o
 }
@@ -97,7 +91,7 @@ type DB struct {
 
 	mem      map[string]uint64 // key -> value stamp (values are synthetic; tombstone marks a delete)
 	memBytes int
-	imm      []map[string]uint64 // immutable memtables being flushed
+	imm      []*sealed // immutable memtables being flushed, oldest first
 
 	l0     []*sstFile
 	l1     []*sstFile
@@ -110,6 +104,10 @@ type DB struct {
 	stats     Stats
 	seq       uint64
 }
+
+// sealed is an immutable memtable awaiting its flush, which drops it from
+// db.imm by identity.
+type sealed struct{ mem map[string]uint64 }
 
 // tombstone is the memtable stamp marking a deleted key (live stamps
 // start at 1).
@@ -144,7 +142,7 @@ func Open(p *sim.Proc, fsys *fs.FS, opts Options) (*DB, error) {
 		flushCond: sim.NewCond(fsys.Eng()),
 	}
 	if opts.NegativeLookup {
-		db.filter = newBloom(opts.BloomBits)
+		db.filter = newBloom(bloomBits)
 	}
 	return db, nil
 }
@@ -177,7 +175,7 @@ func Reopen(p *sim.Proc, fsys *fs.FS, opts Options) (*DB, error) {
 	}
 	db.wal = wal
 	if opts.NegativeLookup {
-		db.filter = newBloom(opts.BloomBits)
+		db.filter = newBloom(bloomBits)
 		if n, err := RecoverCount(p, fsys, opts); err == nil && n > 0 {
 			db.filter.saturate()
 		}
@@ -234,13 +232,13 @@ func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
 	db.stats.WALBytes += int64(rec)
 
 	// Memtable insert (in-memory indexing CPU).
-	db.fsys.UseCPU(p, db.cfg.IndexCPU)
+	db.fsys.UseCPU(p, indexCPU)
 	db.seq++
 	db.mem[key] = db.seq
 	db.memBytes += rec
 	db.stats.Puts++
 	if db.filter != nil {
-		db.fsys.UseCPU(p, db.cfg.BloomCPU)
+		db.fsys.UseCPU(p, bloomCPU)
 		db.filter.add(key)
 	}
 
@@ -267,7 +265,7 @@ func (db *DB) Delete(p *sim.Proc, core int, key string) error {
 	db.fsys.Fsync(p, db.wal, core)
 	db.stats.WALBytes += int64(rec)
 
-	db.fsys.UseCPU(p, db.cfg.IndexCPU)
+	db.fsys.UseCPU(p, indexCPU)
 	db.mem[key] = tombstone
 	db.memBytes += rec
 	db.stats.Deletes++
@@ -285,18 +283,18 @@ func (db *DB) Delete(p *sim.Proc, core int, key string) error {
 func (db *DB) Get(p *sim.Proc, key string) bool {
 	db.stats.Gets++
 	if db.filter != nil {
-		db.fsys.UseCPU(p, db.cfg.BloomCPU)
+		db.fsys.UseCPU(p, bloomCPU)
 		if !db.filter.mayContain(key) {
 			db.stats.NegativeHits++
 			return false
 		}
 	}
-	db.fsys.UseCPU(p, db.cfg.IndexCPU)
+	db.fsys.UseCPU(p, indexCPU)
 	if v, ok := db.mem[key]; ok {
 		return v != tombstone
 	}
 	for i := len(db.imm) - 1; i >= 0; i-- {
-		if v, ok := db.imm[i][key]; ok {
+		if v, ok := db.imm[i].mem[key]; ok {
 			return v != tombstone
 		}
 	}
@@ -341,31 +339,52 @@ func (db *DB) sstLookup(p *sim.Proc, f *sstFile, key string) (found, live bool) 
 // rotate seals the memtable and flushes it to an L0 SST file in the
 // background (a fresh WAL starts immediately, as in RocksDB).
 func (db *DB) rotate(p *sim.Proc, core int) {
-	sealed := db.mem
+	sm := &sealed{mem: db.mem}
 	db.mem = map[string]uint64{}
 	db.memBytes = 0
-	db.imm = append(db.imm, sealed)
+	db.imm = append(db.imm, sm)
 	wal, err := db.fsys.Create(p, fmt.Sprintf("db/WAL.%d", db.nextID))
 	if err == nil {
 		db.wal = wal
 	}
 	db.nextID++
-	eng := db.fsys.Eng()
-	id := db.nextID
-	eng.Go(fmt.Sprintf("kv/flush%d", id), func(fp *sim.Proc) {
-		db.flushMemtable(fp, core, sealed)
+	db.fsys.Eng().Go(fmt.Sprintf("kv/flush%d", db.nextID), func(fp *sim.Proc) {
+		db.flushMemtable(fp, core, sm)
 	})
 }
 
+// writeSST writes keys (sorted, live) as one SST file — sequential bulk
+// appends charging cpu per 16-block chunk, then one fsync — and returns
+// its index, or nil when the file could not be created.
+func (db *DB) writeSST(p *sim.Proc, core int, keys []string, dead map[string]bool, cpu sim.Time) *sstFile {
+	name := fmt.Sprintf("db/sst%06d", db.nextID)
+	db.nextID++
+	f, err := db.fsys.Create(p, name)
+	if err != nil {
+		return nil
+	}
+	bytes := len(keys) * (db.cfg.KeySize + db.cfg.ValueSize)
+	for off := 0; off < bytes; off += 16 * fs.BlockSize {
+		db.fsys.UseCPU(p, cpu)
+		db.fsys.Append(p, f, min(bytes-off, 16*fs.BlockSize))
+	}
+	db.fsys.Fsync(p, f, core)
+	sst := &sstFile{name: name, file: f, keys: keys, dead: dead}
+	if len(keys) > 0 {
+		sst.min, sst.max = keys[0], keys[len(keys)-1]
+	}
+	return sst
+}
+
 // flushMemtable writes one immutable memtable as an SST file.
-func (db *DB) flushMemtable(p *sim.Proc, core int, sealed map[string]uint64) {
+func (db *DB) flushMemtable(p *sim.Proc, core int, sm *sealed) {
 	for db.flushing {
 		db.flushCond.Wait(p)
 	}
 	db.flushing = true
-	keys := make([]string, 0, len(sealed))
+	keys := make([]string, 0, len(sm.mem))
 	var dead map[string]bool
-	for k, v := range sealed {
+	for k, v := range sm.mem {
 		if v == tombstone {
 			if dead == nil {
 				dead = map[string]bool{}
@@ -376,36 +395,12 @@ func (db *DB) flushMemtable(p *sim.Proc, core int, sealed map[string]uint64) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	name := fmt.Sprintf("db/sst%06d", db.nextID)
-	db.nextID++
-	f, err := db.fsys.Create(p, name)
-	if err == nil {
-		bytes := len(keys) * (db.cfg.KeySize + db.cfg.ValueSize)
-		// Sequential bulk write + one fsync, with per-block build CPU.
-		for off := 0; off < bytes; off += 16 * fs.BlockSize {
-			n := bytes - off
-			if n > 16*fs.BlockSize {
-				n = 16 * fs.BlockSize
-			}
-			db.fsys.UseCPU(p, db.cfg.CompactCPUBlock)
-			db.fsys.Append(p, f, n)
-		}
-		db.fsys.Fsync(p, f, core)
-		sst := &sstFile{name: name, file: f, keys: keys, dead: dead}
-		if len(keys) > 0 {
-			sst.min, sst.max = keys[0], keys[len(keys)-1]
-		}
+	if sst := db.writeSST(p, core, keys, dead, sstChunkCPU); sst != nil {
 		db.l0 = append(db.l0, sst)
 		db.stats.SSTFiles++
 		db.stats.Flushes++
 	}
-	// Drop the sealed memtable from the immutable list.
-	for i, m := range db.imm {
-		if equalMaps(m, sealed) {
-			db.imm = append(db.imm[:i], db.imm[i+1:]...)
-			break
-		}
-	}
+	db.imm = slices.DeleteFunc(db.imm, func(s *sealed) bool { return s == sm })
 	// Compact under the flushing latch: compaction yields during its
 	// I/O, and a concurrent flush appending to L0 in that window would
 	// be wiped by the final L0 swap — losing its keys entirely.
@@ -450,24 +445,8 @@ func (db *DB) compact(p *sim.Proc, core int) {
 		}
 	}
 	sort.Strings(keys)
-	// Compaction I/O: rewrite everything once (read+write), CPU per block.
-	bytes := len(keys) * (db.cfg.KeySize + db.cfg.ValueSize)
-	name := fmt.Sprintf("db/sst%06d", db.nextID)
-	db.nextID++
-	if f, err := db.fsys.Create(p, name); err == nil {
-		for off := 0; off < bytes; off += 16 * fs.BlockSize {
-			n := bytes - off
-			if n > 16*fs.BlockSize {
-				n = 16 * fs.BlockSize
-			}
-			db.fsys.UseCPU(p, db.cfg.CompactCPUBlock*2)
-			db.fsys.Append(p, f, n)
-		}
-		db.fsys.Fsync(p, f, core)
-		sst := &sstFile{name: name, file: f, keys: keys}
-		if len(keys) > 0 {
-			sst.min, sst.max = keys[0], keys[len(keys)-1]
-		}
+	// Compaction I/O: rewrite everything once (read+write).
+	if sst := db.writeSST(p, core, keys, nil, 2*sstChunkCPU); sst != nil {
 		// Old files removed.
 		for _, old := range append(db.l0, db.l1...) {
 			db.fsys.Unlink(p, old.name)
@@ -483,7 +462,7 @@ func (db *DB) compact(p *sim.Proc, core int) {
 	// invariant. The rebuild is pure CPU-side bookkeeping (no yields),
 	// so it cannot reorder simulation events.
 	if db.filter != nil && !db.filter.sat {
-		nb := newBloom(db.cfg.BloomBits)
+		nb := newBloom(bloomBits)
 		for _, f := range db.l1 {
 			for _, k := range f.keys {
 				nb.add(k)
@@ -499,8 +478,8 @@ func (db *DB) compact(p *sim.Proc, core int) {
 				nb.add(k)
 			}
 		}
-		for _, m := range db.imm {
-			for k, v := range m {
+		for _, sm := range db.imm {
+			for k, v := range sm.mem {
 				if v != tombstone {
 					nb.add(k)
 				}
@@ -508,18 +487,6 @@ func (db *DB) compact(p *sim.Proc, core int) {
 		}
 		db.filter = nb
 	}
-}
-
-func equalMaps(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // RecoverCount replays the store after a crash and reports how many put

@@ -223,12 +223,6 @@ func (p PoolStats) HitRate() float64 {
 	return 0
 }
 
-// Sub returns the delta p - old.
-func (p PoolStats) Sub(old PoolStats) PoolStats { return Delta(p, old) }
-
-// Add returns the sum p + o (aggregation across initiators).
-func (p PoolStats) Add(o PoolStats) PoolStats { return Sum(p, o) }
-
 // BatchStats tracks doorbell batching: Rings counts doorbell rings
 // (capsules sent), Items the commands they carried.
 type BatchStats struct {
@@ -249,12 +243,6 @@ func (b BatchStats) Occupancy() float64 {
 	}
 	return 0
 }
-
-// Sub returns the delta b - old.
-func (b BatchStats) Sub(old BatchStats) BatchStats { return Delta(b, old) }
-
-// Add returns the sum b + o (aggregation across initiators).
-func (b BatchStats) Add(o BatchStats) BatchStats { return Sum(b, o) }
 
 // MsgsPerOp returns wire messages per operation — below 1 on a direction
 // of the wire whose messages are coalesced (vectored submission batches,

@@ -17,7 +17,7 @@ func TestPoolStats(t *testing.T) {
 	if got := p.HitRate(); got != 0.75 {
 		t.Fatalf("hit rate = %g, want 0.75", got)
 	}
-	d := p.Sub(PoolStats{Hits: 1, Misses: 1})
+	d := Delta(p, PoolStats{Hits: 1, Misses: 1})
 	if d.Hits != 2 || d.Misses != 0 {
 		t.Fatalf("delta = %+v", d)
 	}
@@ -33,7 +33,7 @@ func TestBatchStats(t *testing.T) {
 	if got := b.Occupancy(); got != 3 {
 		t.Fatalf("occupancy = %g, want 3", got)
 	}
-	d := b.Sub(BatchStats{Rings: 1, Items: 4})
+	d := Delta(b, BatchStats{Rings: 1, Items: 4})
 	if d.Rings != 1 || d.Items != 2 {
 		t.Fatalf("delta = %+v", d)
 	}

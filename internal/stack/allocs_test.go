@@ -220,26 +220,25 @@ func cachedSetConfig() Config {
 
 // readPathCluster builds cfg with one reader proc per stream of the first
 // three started, each issuing 1-block reads back to back with a nil out:
-// stream 0 re-reads 256 hot blocks (hits, read-ahead off), stream 1 scans a
-// region in order (misses and read-ahead fills), stream 2 reads another
-// region at random with read-ahead off (misses). The returned counter is
-// the reads that have returned.
+// stream 0 re-reads 256 hot blocks (hits; its read-ahead finds them
+// cached), stream 1 scans a region in order (misses and read-ahead fills),
+// stream 2 reads another region at random (misses, no sequential run). The
+// returned counter is the reads that have returned.
 func readPathCluster(cfg Config) (*sim.Engine, *Initiator, *int64) {
 	const region = 1 << 20
 	eng := sim.New(1)
 	in := New(eng, cfg).Init(0)
 	reads := new(int64)
 	rng := rand.New(rand.NewSource(1))
-	next := []func(i uint64) (uint64, int){
-		func(i uint64) (uint64, int) { return i % 256, -1 },
-		func(i uint64) (uint64, int) { return region + i, 0 },
-		func(uint64) (uint64, int) { return 2*region + uint64(rng.Int63n(region)), -1 },
+	next := []func(i uint64) uint64{
+		func(i uint64) uint64 { return i % 256 },
+		func(i uint64) uint64 { return region + i },
+		func(uint64) uint64 { return 2*region + uint64(rng.Int63n(region)) },
 	}
 	for s, lbaOf := range next {
 		eng.Go("reader", func(p *sim.Proc) {
 			for i := uint64(0); ; i++ {
-				lba, ahead := lbaOf(i)
-				in.ReadStreamAhead(p, s, lba, 1, ahead, nil)
+				in.ReadStream(p, s, lbaOf(i), 1, nil)
 				*reads++
 			}
 		})

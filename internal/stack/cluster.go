@@ -406,15 +406,6 @@ func Open(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	c := &Cluster{Eng: eng, cfg: cfg, costs: cfg.Costs}
 	// The fabric sizes its per-QP tables from NumQPs: one source, QPs.
 	c.cfg.Fabric.NumQPs = c.cfg.QPs
-	if c.cfg.CQEBatch <= 0 {
-		c.cfg.CQEBatch = 16
-	}
-	if c.cfg.CQEHold == 0 {
-		c.cfg.CQEHold = 2 * sim.Microsecond
-	}
-	if c.cfg.Governor.Enabled {
-		c.cfg.Governor = withGovernorDefaults(c.cfg.Governor, c.cfg)
-	}
 	if c.cfg.Trace.Enabled() {
 		c.tracer = trace.New(c.cfg.Trace, c.cfg.Initiators)
 	}
@@ -524,10 +515,6 @@ func (c *Cluster) OrderAudit() int {
 	}
 	return bad
 }
-
-// ReadCacheStats returns initiator i's read-cache counters (zero when
-// the cache is off).
-func (c *Cluster) ReadCacheStats(i int) RCacheStats { return c.inits[i].ReadCacheStats() }
 
 // ReadCacheStatsAll returns the sum of every initiator's read-cache
 // counters.

@@ -191,7 +191,7 @@ type Config struct {
 	// submission, fenced by the crash epochs). 0 = no cache, and the
 	// read path is byte-identical to the uncached stack.
 	CacheBlocks int
-	// ReadAhead is the default sequential prefetch depth (blocks) once a
+	// ReadAhead is the sequential prefetch depth (blocks) once a
 	// per-(initiator, stream) ascending-LBA run is detected. 0 = off.
 	// Read-ahead requires CacheBlocks > 0 (prefetched blocks land in the
 	// cache).
@@ -200,8 +200,8 @@ type Config struct {
 	ChunkBlocks    int      // volume stripe chunk (blocks); 1 = paper's round-robin
 	MergeEnabled   bool     // Rio I/O scheduler merging (and orderless plug merging)
 	StreamAffinity bool     // Principle 2: pin each stream to one QP
-	CQEBatch       int      // max CQEs per coalesced response capsule (flush threshold; <= 0 selects 16)
-	CQEHold        sim.Time // max age of a coalescing batch before the hold timer flushes it (must be >= 0; 0 selects the 2 µs default)
+	CQEBatch       int      // max CQEs per coalesced response capsule (flush threshold; must be > 0)
+	CQEHold        sim.Time // max age of a coalescing batch before the hold timer flushes it (must be > 0)
 	MaxPlug        int      // dispatch batch size
 	KeepHistory    bool     // retain media history for crash tests
 
@@ -277,8 +277,10 @@ func (cfg Config) Validate() error {
 		return errors.New("stack: CacheBlocks must be >= 0")
 	case cfg.ReadAhead > 0 && cfg.CacheBlocks == 0:
 		return errors.New("stack: ReadAhead requires CacheBlocks > 0")
-	case cfg.CQEHold < 0:
-		return errors.New("stack: CQEHold must be >= 0")
+	case cfg.CQEHold <= 0:
+		return errors.New("stack: CQEHold must be > 0")
+	case cfg.CQEBatch <= 0:
+		return errors.New("stack: CQEBatch must be > 0")
 	case cfg.MaxInflight < 0:
 		return errors.New("stack: MaxInflight must be >= 0")
 	case r <= 1 && cfg.ReplRelay:
@@ -307,12 +309,12 @@ func (cfg Config) Validate() error {
 			}
 		}
 	}
-	if gc := withGovernorDefaults(cfg.Governor, cfg); gc.Enabled {
+	if gc := cfg.Governor; gc.Enabled {
 		switch {
-		case gc.UpOpsPerSec <= 0:
-			return errors.New("stack: governor requires UpOpsPerSec > 0")
-		case gc.DownOpsPerSec >= gc.UpOpsPerSec:
-			return errors.New("stack: governor hysteresis requires DownOpsPerSec < UpOpsPerSec")
+		case gc.DownOpsPerSec <= 0 || gc.DownOpsPerSec >= gc.UpOpsPerSec:
+			return errors.New("stack: governor hysteresis requires 0 < DownOpsPerSec < UpOpsPerSec")
+		case gc.LowHold <= 0 || gc.HighHold <= 0 || gc.LowBatch <= 0 || gc.HighBatch <= 0 || gc.LowPlug <= 0 || gc.HighPlug <= 0:
+			return errors.New("stack: governor operating points must be > 0")
 		case gc.HighPlug > cfg.MaxPlug:
 			return errors.New("stack: governor HighPlug exceeds MaxPlug (parked rings are pre-sized from MaxPlug)")
 		}

@@ -85,9 +85,8 @@ func TestInvalidConfigsPanic(t *testing.T) {
 	}
 }
 
-// invalidConfigs is one configuration per rule New used to panic on (in New,
-// validateReplication, withGovernorDefaults and pmrRegion), with the message
-// it panicked with.
+// invalidConfigs is one configuration per rule New panics on, with the
+// message it panics with.
 func invalidConfigs() []struct {
 	name, msg string
 	cfg       Config
@@ -116,7 +115,8 @@ func invalidConfigs() []struct {
 		{"negative cache", "stack: CacheBlocks must be >= 0", with(func(c *Config) { c.CacheBlocks = -1 })},
 		// Read-ahead lands its blocks in the cache: no cache, no read-ahead.
 		{"read-ahead without cache", "stack: ReadAhead requires CacheBlocks > 0", with(func(c *Config) { c.ReadAhead = 8 })},
-		{"negative hold", "stack: CQEHold must be >= 0", with(func(c *Config) { c.CQEHold = -1 })},
+		{"zero hold", "stack: CQEHold must be > 0", with(func(c *Config) { c.CQEHold = 0 })},
+		{"zero batch", "stack: CQEBatch must be > 0", with(func(c *Config) { c.CQEBatch = 0 })},
 		{"negative inflight", "stack: MaxInflight must be >= 0", with(func(c *Config) { c.MaxInflight = -1 })},
 		{"relay without replicas", "stack: ReplRelay requires Replicas > 1", with(func(c *Config) { c.ReplRelay = true })},
 		{"replicated horae", "stack: replication requires ModeRio",
@@ -126,9 +126,12 @@ func invalidConfigs() []struct {
 			with(func(c *Config) { c.Replicas, c.WriteQuorum = 3, 4 }, three...)},
 		{"uneven members", "stack: replica set members must have identical SSD geometry",
 			with(func(c *Config) { c.Replicas = 3 }, OptaneTarget(), twoSSD, OptaneTarget())},
-		{"governor without Up", "stack: governor requires UpOpsPerSec > 0", gov(func(g *GovernorConfig) { g.UpOpsPerSec = 0 })},
-		{"governor Down >= Up", "stack: governor hysteresis requires DownOpsPerSec < UpOpsPerSec",
+		{"governor without Down", "stack: governor hysteresis requires 0 < DownOpsPerSec < UpOpsPerSec",
+			gov(func(g *GovernorConfig) { g.DownOpsPerSec = 0 })},
+		{"governor Down >= Up", "stack: governor hysteresis requires 0 < DownOpsPerSec < UpOpsPerSec",
 			gov(func(g *GovernorConfig) { g.DownOpsPerSec = g.UpOpsPerSec })},
+		{"governor operating point", "stack: governor operating points must be > 0",
+			gov(func(g *GovernorConfig) { g.LowHold = 0 })},
 		{"governor HighPlug", "stack: governor HighPlug exceeds MaxPlug (parked rings are pre-sized from MaxPlug)",
 			gov(func(g *GovernorConfig) { g.HighPlug = 33 })},
 		{"PMR too small", "stack: PMR region too small for the initiator count",
@@ -142,8 +145,8 @@ func invalidConfigs() []struct {
 // below the stack's transfer limit (dispatch panicked mid-run).
 func TestValidateMatchesNew(t *testing.T) {
 	cases := invalidConfigs()
-	if len(cases) != 16 {
-		t.Fatalf("%d cases, want the 16 rules New panicked on", len(cases))
+	if len(cases) != 18 {
+		t.Fatalf("%d cases, want the 18 rules New panics on", len(cases))
 	}
 	small := ssd.OptaneConfig()
 	small.MaxTransferBlocks = 16

@@ -24,60 +24,19 @@ type GovernorConfig struct {
 	// UpOpsPerSec and DownOpsPerSec are the hysteresis thresholds on the
 	// per-entity EWMA rate: at or above Up the governor switches to the
 	// throughput-biased point, at or below Down it returns to the
-	// latency-biased point. Up must be > 0 and > Down when enabled.
+	// latency-biased point. 0 < Down < Up when enabled.
 	UpOpsPerSec   float64
 	DownOpsPerSec float64
 
-	// Operating points. Zero values inherit from the static knobs at
-	// cluster construction: LowHold = CQEHold/2, HighHold = 4×CQEHold,
-	// LowBatch = max(4, CQEBatch/4), HighBatch = CQEBatch,
-	// LowPlug = max(4, MaxPlug/8), HighPlug = MaxPlug. HighPlug must not
-	// exceed Config.MaxPlug: the ordering engine pre-sizes its parked
-	// rings from MaxPlug at construction.
+	// Operating points, each > 0 when enabled. HighPlug must not exceed
+	// Config.MaxPlug: the ordering engine pre-sizes its parked rings from
+	// MaxPlug at construction.
 	LowHold   sim.Time
 	HighHold  sim.Time
 	LowBatch  int
 	HighBatch int
 	LowPlug   int
 	HighPlug  int
-}
-
-// withGovernorDefaults resolves the zero-valued GovernorConfig fields
-// against the static knobs (see the field docs); Config.Validate checks the
-// result. Open applies it only when the governor is enabled, so a disabled
-// config is never touched.
-func withGovernorDefaults(gc GovernorConfig, cfg Config) GovernorConfig {
-	if gc.DownOpsPerSec <= 0 {
-		gc.DownOpsPerSec = gc.UpOpsPerSec / 2
-	}
-	if gc.LowHold <= 0 {
-		gc.LowHold = cfg.CQEHold / 2
-		if gc.LowHold <= 0 {
-			gc.LowHold = sim.Microsecond
-		}
-	}
-	if gc.HighHold <= 0 {
-		gc.HighHold = 4 * cfg.CQEHold
-	}
-	if gc.LowBatch <= 0 {
-		gc.LowBatch = cfg.CQEBatch / 4
-		if gc.LowBatch < 4 {
-			gc.LowBatch = 4
-		}
-	}
-	if gc.HighBatch <= 0 {
-		gc.HighBatch = cfg.CQEBatch
-	}
-	if gc.LowPlug <= 0 {
-		gc.LowPlug = cfg.MaxPlug / 8
-		if gc.LowPlug < 4 {
-			gc.LowPlug = 4
-		}
-	}
-	if gc.HighPlug <= 0 {
-		gc.HighPlug = cfg.MaxPlug
-	}
-	return gc
 }
 
 const (

@@ -6,24 +6,15 @@ import (
 	"repro/internal/sim"
 )
 
+// govBase is a complete, valid governor config for DefaultConfig: its
+// HighPlug is DefaultConfig's MaxPlug.
 func govBase() GovernorConfig {
-	return GovernorConfig{Enabled: true, UpOpsPerSec: 400e3}
-}
-
-func TestGovernorDefaults(t *testing.T) {
-	cfg := DefaultConfig(ModeRio, optane1()...)
-	gc := withGovernorDefaults(govBase(), cfg)
-	if gc.DownOpsPerSec != 200e3 {
-		t.Fatalf("Down default should be Up/2: %v", gc.DownOpsPerSec)
-	}
-	if gc.LowHold != cfg.CQEHold/2 || gc.HighHold != 4*cfg.CQEHold {
-		t.Fatalf("hold defaults: %+v (CQEHold %v)", gc, cfg.CQEHold)
-	}
-	if gc.LowBatch != cfg.CQEBatch/4 || gc.HighBatch != cfg.CQEBatch {
-		t.Fatalf("batch defaults: %+v", gc)
-	}
-	if gc.LowPlug != cfg.MaxPlug/8 || gc.HighPlug != cfg.MaxPlug {
-		t.Fatalf("plug defaults: %+v", gc)
+	return GovernorConfig{
+		Enabled:     true,
+		UpOpsPerSec: 400e3, DownOpsPerSec: 200e3,
+		LowHold: sim.Microsecond, HighHold: 8 * sim.Microsecond,
+		LowBatch: 4, HighBatch: 16,
+		LowPlug: 4, HighPlug: 32,
 	}
 }
 
@@ -48,8 +39,7 @@ func TestGovernorValidation(t *testing.T) {
 // point exactly once, a low-rate tail must take it back exactly once,
 // and the knob getters must track the operating point.
 func TestGovernorHysteresis(t *testing.T) {
-	cfg := DefaultConfig(ModeRio, optane1()...)
-	gc := withGovernorDefaults(govBase(), cfg)
+	gc := govBase()
 	g := newGovernor(gc, 0)
 
 	if g.throughputBiased() {
@@ -98,8 +88,7 @@ func TestGovernorHysteresis(t *testing.T) {
 // so the first request after the gap is not charged the stale high
 // operating point's hold/plug tax.
 func TestGovernorIdleDecay(t *testing.T) {
-	cfg := DefaultConfig(ModeRio, optane1()...)
-	gc := withGovernorDefaults(govBase(), cfg)
+	gc := govBase()
 	g := newGovernor(gc, 0)
 	now := sim.Time(0)
 	for i := 0; i < 100; i++ {
@@ -126,8 +115,7 @@ func TestGovernorIdleDecay(t *testing.T) {
 // window boundaries: observations inside a window never switch the
 // operating point, no matter how fast they arrive.
 func TestGovernorStableBetweenFolds(t *testing.T) {
-	cfg := DefaultConfig(ModeRio, optane1()...)
-	gc := withGovernorDefaults(govBase(), cfg)
+	gc := govBase()
 	g := newGovernor(gc, 0)
 	for i := 0; i < 1000; i++ {
 		if g.observe(sim.Time(i)) { // 1000 events inside the first ns of the window

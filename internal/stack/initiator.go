@@ -267,29 +267,28 @@ func (in *Initiator) submitWrite(p *sim.Proc, stream int, req *blockdev.Request)
 }
 
 // Read performs a synchronous read of [lba, lba+blocks) and returns the
-// observed records (stream 0's sequential detector, default read-ahead).
+// observed records (stream 0's sequential detector).
 func (in *Initiator) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
 	out := make([]ssd.Rec, blocks)
-	in.ReadStreamAhead(p, 0, lba, blocks, 0, out)
+	in.ReadStream(p, 0, lba, blocks, out)
 	return out
 }
 
-// ReadStreamAhead is the full read entry point: ahead overrides the
-// configured read-ahead depth for this access (0 = the cluster default,
-// negative = disabled). out, when non-nil, holds at least blocks records
-// and receives the observed ones; a block that could not be read (its set
-// down, the initiator cut) is left zero. A nil out charges the read and
-// keeps no records. The records' payloads are shared with the devices and
-// the cache: they must not be modified. With no cache configured it falls
-// through to the direct path, which is simulation-identical to the
-// original uncached read.
-func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int, out []ssd.Rec) {
+// ReadStream is the full read entry point: stream selects the sequential
+// detector that drives read-ahead (Config.ReadAhead deep). out, when
+// non-nil, holds at least blocks records and receives the observed ones; a
+// block that could not be read (its set down, the initiator cut) is left
+// zero. A nil out charges the read and keeps no records. The records'
+// payloads are shared with the devices and the cache: they must not be
+// modified. With no cache configured it falls through to the direct path,
+// which is simulation-identical to the original uncached read.
+func (in *Initiator) ReadStream(p *sim.Proc, stream int, lba uint64, blocks uint32, out []ssd.Rec) {
 	if out != nil {
 		out = out[:blocks]
 		clear(out)
 	}
 	if in.rcache != nil {
-		in.readCached(p, in.streamOf(stream), lba, blocks, ahead, out)
+		in.readCached(p, in.streamOf(stream), lba, blocks, out)
 		return
 	}
 	in.readDirect(p, lba, blocks, out)
@@ -302,6 +301,9 @@ func (in *Initiator) ReadStreamAhead(p *sim.Proc, stream int, lba uint64, blocks
 // of the member reroutes them instead of stranding the reader on a dead SSD.
 func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32, out []ssd.Rec) {
 	in.UseCPU(p, in.costs.SubmitBio)
+	if !in.alive {
+		return
+	}
 	call := in.getCall()
 	defer in.callFree.Put(call)
 	in.deviceRuns(call, lba, blocks, false, nil)

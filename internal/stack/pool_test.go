@@ -289,7 +289,7 @@ func TestReadRecordsRecycleOnce(t *testing.T) {
 				out := make([]ssd.Rec, 2)
 				for pass := 0; pass < passes; pass++ {
 					for lba := uint64(0); lba < blocks; lba += 2 {
-						in.ReadStreamAhead(p, 0, lba, 2, 0, out)
+						in.ReadStream(p, 0, lba, 2, out)
 						for j, rec := range out {
 							if b := lba + uint64(j); rec.Stamp != b+1 || !bytes.Equal(rec.Data, payload(b)) {
 								bad++
@@ -319,7 +319,7 @@ func TestReadRecordsRecycleOnce(t *testing.T) {
 
 			eng.Go("reader", func(p *sim.Proc) {
 				for lba := uint64(0); in.Alive(); lba = (lba + 1) % blocks {
-					in.ReadStreamAhead(p, 0, lba, 1, 0, nil)
+					in.ReadStream(p, 0, lba, 1, nil)
 				}
 			})
 			runPoisoned(t, func() {

@@ -337,7 +337,7 @@ func (in *Initiator) ReadCacheStats() RCacheStats {
 // (and any read-ahead window) into one message per target, wait for the
 // demand fills, and return. A full hit answers at initiator CPU cost
 // with no fabric round trip.
-func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint32, ahead int, out []ssd.Rec) {
+func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint32, out []ssd.Rec) {
 	rc := in.rcache
 	in.UseCPU(p, in.costs.SubmitBio+in.costs.CacheBlockCPU*sim.Time(blocks))
 	if !in.alive {
@@ -356,13 +356,7 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 
 	// Sequential read-ahead: detect the run, clamp the window to the
 	// volume, and queue cache fills for the blocks not already cached.
-	if ahead == 0 {
-		ahead = in.cfg.ReadAhead
-	}
-	if ahead < 0 {
-		ahead = 0
-	}
-	if start, n := rc.streamAdvance(stream, lba, blocks, ahead); n > 0 {
+	if start, n := rc.streamAdvance(stream, lba, blocks, in.cfg.ReadAhead); n > 0 {
 		if start+uint64(n) > in.vol.Blocks() {
 			if start >= in.vol.Blocks() {
 				n = 0
@@ -457,13 +451,13 @@ func (in *Initiator) deviceRuns(call *readCall, lba uint64, blocks uint32, prefe
 	}
 }
 
-// liveRuns picks the member serving each of call's runs (an in-sync member
-// of the set whose resync backlog does not cover the run), drops the runs
-// whose set is down, and returns the rest, in order.
+// liveRuns picks the member serving each of call's runs (the set's lowest
+// in-sync member), drops the runs whose set is down, and returns the rest,
+// in order.
 func (in *Initiator) liveRuns(call *readCall) []readRun {
 	live := call.runs[:0]
 	for _, r := range call.runs {
-		r.member = in.c.readMemberFor(r.set, r.ssdIdx, r.devLBA, r.blocks)
+		r.member = in.c.replSets[r.set].firstInSync(-1)
 		if r.member >= 0 && in.targets[r.member].alive {
 			live = append(live, r)
 		}
@@ -557,7 +551,7 @@ func (in *Initiator) abortTargetReads(target int) {
 			continue
 		}
 		pr.done = true
-		m := in.c.readMemberFor(pr.set, pr.ssdIdx, pr.devLBA, pr.blocks)
+		m := in.c.replSets[pr.set].firstInSync(-1)
 		if m >= 0 && m != target && in.targets[m].alive {
 			// The dead member's device may still hold pr's command: the
 			// read moves to a fresh record under the same id.
@@ -615,7 +609,7 @@ func (in *Initiator) rcachePopulateWires(wires []*wireState) (blocks int) {
 		// A write toward a set whose serving member is down cannot land:
 		// the request will fail, and caching its blocks would seed
 		// phantom hits that survive the target's rollback-recovery.
-		m := in.c.readMemberFor(ws.target, in.vol.Dev(ws.wc.Dev).SSD, ws.wc.LBA, ws.wc.Blocks)
+		m := in.c.replSets[ws.target].firstInSync(-1)
 		if m < 0 || !in.targets[m].alive {
 			continue
 		}
@@ -666,7 +660,7 @@ func (c *Cluster) CacheAudit() int {
 			}
 			dev, devLBA := rcKeySplit(e.key)
 			ref := c.vol.Dev(dev)
-			m := c.readMemberFor(ref.Server, ref.SSD, devLBA, 1)
+			m := c.replSets[ref.Server].firstInSync(-1)
 			if m < 0 || !c.targets[m].alive {
 				bad++ // cached block of a fully-down set: must have been invalidated
 				continue

@@ -255,7 +255,7 @@ func TestCachedReadAheadOnSequentialStream(t *testing.T) {
 		// Sequential scan of the cold range through one stream.
 		for i := uint64(0); i < 16; i++ {
 			recs := make([]ssd.Rec, 1)
-			c.Init(0).ReadStreamAhead(p, 0, i, 1, 0, recs)
+			c.Init(0).ReadStream(p, 0, i, 1, recs)
 			if recs[0].Stamp == 0 {
 				t.Fatalf("scan lost block %d", i)
 			}

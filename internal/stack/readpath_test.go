@@ -6,54 +6,91 @@ import (
 	"repro/internal/sim"
 )
 
-// --- Extent-level read routing: a member whose resync backlog still
-// holds an extent must not serve reads of that extent, even while its
-// in-sync flag is already set. ---
-
-func TestReadMemberForSkipsBackloggedExtent(t *testing.T) {
-	eng := sim.New(1)
-	c := New(eng, replConfig(2))
+// TestInSyncMemberHasNoBacklog pins the invariant read routing rests on: a
+// member is in sync only with an empty resync backlog, so the lowest
+// in-sync member, which serves every read of its set, holds every block.
+// A checker polls it every 100 ns while a writer and a reader run through a
+// member cut, a whole-cluster cut with the degraded member's backlog still
+// owed (replicaRepair), and another member cut whose background resync
+// (rejoin) drains under live traffic.
+func TestInSyncMemberHasNoBacklog(t *testing.T) {
+	eng := sim.New(3)
+	c := New(eng, replConfig(3)) // a majority of 3: degraded writes complete
 	defer eng.Shutdown()
-	rs := c.replSets[0]
-
-	// Healthy set: the first in-sync member serves.
-	if m := c.readMemberFor(0, 0, 100, 4); m != rs.members[0] {
-		t.Fatalf("healthy set routed to %d, want member %d", m, rs.members[0])
-	}
-	if got, want := c.readMemberFor(0, 0, 100, 4), rs.firstInSync(-1); got != want {
-		t.Fatalf("extent-level choice %d != set-level choice %d on a clean set", got, want)
-	}
-
-	// Force the white-box shape of the hazard: member 0 claims in-sync
-	// while extent [100,104) of ssd 0 is still queued for it.
-	rs.dirty[0] = append(rs.dirty[0], dirtyExtent{ssdIdx: 0, lba: 100, blocks: 4})
-
-	for _, tc := range []struct {
-		lba    uint64
-		blocks uint32
-		want   int
-	}{
-		{100, 4, rs.members[1]}, // exact overlap: skip member 0
-		{102, 1, rs.members[1]}, // inside the dirty extent
-		{98, 3, rs.members[1]},  // straddles the start
-		{103, 8, rs.members[1]}, // straddles the end
-		{104, 4, rs.members[0]}, // adjacent after: clean on member 0
-		{96, 4, rs.members[0]},  // adjacent before: clean on member 0
-	} {
-		if m := c.readMemberFor(0, 0, tc.lba, tc.blocks); m != tc.want {
-			t.Errorf("extent [%d,+%d): routed to %d, want %d", tc.lba, tc.blocks, m, tc.want)
+	const n = 48
+	checks, bad, owed := 0, 0, 0
+	// run runs fns as procs to completion under the checker.
+	run := func(fns ...func(p *sim.Proc)) {
+		live := len(fns)
+		for _, fn := range fns {
+			eng.Go("phase", func(p *sim.Proc) { fn(p); live-- })
+		}
+		eng.Go("checker", func(p *sim.Proc) {
+			for {
+				for _, rs := range c.replSets {
+					for k := range rs.members {
+						checks++
+						switch {
+						case rs.inSync[k] && len(rs.dirty[k]) > 0:
+							bad++
+						case len(rs.dirty[k]) > 0:
+							owed++
+						}
+					}
+				}
+				if live == 0 {
+					return // the phase's end state is checked too
+				}
+				p.Sleep(100)
+			}
+		})
+		for end := eng.Now() + sim.Second; live > 0 && eng.Now() < end; {
+			eng.RunUntil(eng.Now() + sim.Millisecond)
+		}
+		if live > 0 {
+			t.Fatalf("%d procs of a phase still running after 1 s", live)
 		}
 	}
-	// Another SSD of the same member is unaffected by the backlog.
-	if m := c.readMemberFor(0, 1, 100, 4); m != rs.members[0] {
-		t.Errorf("ssd 1 read routed to %d despite a clean ssd-1 state", m)
+	writer := func(stream int) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			for i := uint64(0); i < n; i++ {
+				r := c.Init(0).OrderedWrite(p, stream, i, 1, 0, nil, true, i == n-1, false)
+				if i == n-1 {
+					c.Init(0).Wait(p, r)
+				}
+			}
+		}
 	}
-	// When every in-sync member holds the extent dirty, fall back to the
-	// first one (the copy source is an in-sync peer in that case).
-	rs.dirty[1] = append(rs.dirty[1], dirtyExtent{ssdIdx: 0, lba: 100, blocks: 4})
-	if m := c.readMemberFor(0, 0, 100, 4); m != rs.members[0] {
-		t.Errorf("all-dirty fallback routed to %d, want first in-sync member %d", m, rs.members[0])
+	reader := func(p *sim.Proc) {
+		for round := 0; round < 8; round++ {
+			for i := uint64(0); i < n; i++ {
+				c.Init(0).Read(p, i, 1)
+			}
+			p.Sleep(sim.Microsecond)
+		}
 	}
+
+	run(writer(0), reader)
+	c.PowerCutTarget(1)
+	run(writer(1), reader)
+	if c.ResyncBacklog(1) == 0 {
+		t.Fatal("no resync backlog accumulated while member 1 was down")
+	}
+	c.PowerCutAll()
+	run(func(p *sim.Proc) { c.RecoverFull(p) })
+	c.PowerCutTarget(1)
+	run(writer(2), reader)
+	run(func(p *sim.Proc) { c.RecoverTarget(p, 1) }, writer(3), reader)
+	if !c.InSync(0) || !c.InSync(1) || !c.InSync(2) {
+		t.Fatal("the set did not end the cycle fully in sync")
+	}
+	if owed == 0 {
+		t.Fatal("the checker never saw a backlog")
+	}
+	if bad != 0 {
+		t.Fatalf("%d of %d checks saw an in-sync member with a resync backlog", bad, checks)
+	}
+	mediaIdentical(t, c)
 }
 
 // TestDegradedReadsFreshDuringResync is the black-box regression for the
@@ -144,7 +181,7 @@ func TestUncachedReadSurvivesMemberCut(t *testing.T) {
 	reads := 0
 	eng.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			c.Init(0).ReadStreamAhead(p, 0, uint64(i), 1, -1, nil) // never written: every read crosses the fabric
+			c.Init(0).ReadStream(p, 0, uint64(i), 1, nil) // never written: every read crosses the fabric
 			reads++
 		}
 	})
@@ -156,6 +193,28 @@ func TestUncachedReadSurvivesMemberCut(t *testing.T) {
 	}
 	if st := c.Init(0).Stats(); st.ReadCmds != n {
 		t.Fatalf("%d read commands counted for %d single-extent reads", st.ReadCmds, n)
+	}
+}
+
+// TestCutInitiatorPostsNoUncachedRead: an initiator power-cut while a
+// reader is being charged its SubmitBio posts nothing afterwards, on the
+// uncached path as on the cached one.
+func TestCutInitiatorPostsNoUncachedRead(t *testing.T) {
+	eng := sim.New(1)
+	c := New(eng, smallConfig(ModeRio, optane1()...)) // CacheBlocks == 0: readDirect
+	defer eng.Shutdown()
+	returned := false
+	eng.Go("reader", func(p *sim.Proc) {
+		c.Init(0).Read(p, 0, 1)
+		returned = true
+	})
+	eng.At(300, func() { c.PowerCutInitiator(0) }) // inside the 700 ns SubmitBio
+	eng.RunUntil(sim.Millisecond)
+	if n := c.Target(0).Stats().Reads; n != 0 {
+		t.Fatalf("target served %d reads posted by a cut initiator", n)
+	}
+	if !returned {
+		t.Fatal("the reader of a cut initiator never returned")
 	}
 }
 

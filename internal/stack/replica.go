@@ -174,38 +174,6 @@ func (c *Cluster) ResyncBacklog(target int) int {
 	return len(rs.dirty[rs.pos(target)])
 }
 
-// readMemberFor picks the member serving a read of one device extent: the
-// lowest in-sync member (-1 if the whole set is down), except that a member
-// that rejoined mid-resync (inSync set while its backlog drains, or a
-// white-box test forcing the flag) is skipped for extents still queued
-// in its resync backlog — those blocks are not on its media yet, so
-// reading them there would return stale bytes. Falls back to the lowest
-// in-sync member when every in-sync member still has the extent pending
-// (the copy source is then an in-sync peer anyway).
-func (c *Cluster) readMemberFor(set, ssdIdx int, lba uint64, blocks uint32) int {
-	rs := c.replSets[set]
-	fallback := -1
-	for k, m := range rs.members {
-		if !rs.inSync[k] {
-			continue
-		}
-		if fallback < 0 {
-			fallback = m
-		}
-		dirty := false
-		for _, d := range rs.dirty[k] {
-			if d.ssdIdx == ssdIdx && d.lba < lba+uint64(blocks) && lba < d.lba+uint64(d.blocks) {
-				dirty = true
-				break
-			}
-		}
-		if !dirty {
-			return m
-		}
-	}
-	return fallback
-}
-
 // fanFlush fans a standalone FLUSH command out at post time: every
 // in-sync member gets a copy, and the command resolves only when every
 // posted member acked — a durability barrier certifies the whole in-sync
@@ -383,10 +351,8 @@ func (c *Cluster) rejoin(p *sim.Proc, m int) int {
 	pos := rs.pos(m)
 	copied := 0
 	for len(rs.dirty[pos]) > 0 {
-		// Peek-copy-then-pop: the extent stays visible in the backlog
-		// while copyExtent yields, so extent-level read selection
-		// (readMemberFor) keeps steering reads of these blocks away from
-		// the member until the copy has actually landed.
+		// Reads keep going to an in-sync peer until the flip below: a
+		// member is in sync only with an empty backlog.
 		copied += c.copyExtent(p, rs, m, rs.dirty[pos][0])
 		rs.dirty[pos] = rs.dirty[pos][1:]
 	}

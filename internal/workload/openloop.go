@@ -22,6 +22,15 @@ const (
 	ArrivalBursty
 )
 
+// The bursty-arrival shape (ArrivalBursty): the ON state carries burstShare
+// of the offered load, and the states' mean dwell times are burstOn and
+// burstOff.
+const (
+	burstShare          = 0.9
+	burstOn    sim.Time = 50 * sim.Microsecond
+	burstOff   sim.Time = 200 * sim.Microsecond
+)
+
 // SatJob configures an open-loop saturation benchmark: arrivals are
 // generated at a configured offered load regardless of completions, so
 // the cluster's response past its service ceiling is observable —
@@ -36,18 +45,9 @@ type SatJob struct {
 	OfferedKIOPS float64
 
 	Arrival Arrival
-	// Bursty-arrival shape (ArrivalBursty only). Burst is the fraction
-	// of offered load carried by the ON state (0 selects 0.9); BurstOn
-	// and BurstOff are the mean state dwell times (0 selects 50 µs and
-	// 200 µs).
-	Burst    float64
-	BurstOn  sim.Time
-	BurstOff sim.Time
 
-	// Keys bounds the Zipfian keyspace per generator in blocks (0 or
-	// larger than the private region selects the whole region); Theta is
-	// the Zipfian skew, 0 = uniform.
-	Keys  uint64
+	// Theta is the Zipfian skew over each generator's private region,
+	// 0 = uniform.
 	Theta float64
 
 	// MaxBacklog bounds each generator's arrival queue: arrivals landing
@@ -124,38 +124,25 @@ func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure s
 	if job.OfferedKIOPS <= 0 {
 		panic("workload: SatJob.OfferedKIOPS must be > 0")
 	}
-	if job.Burst <= 0 || job.Burst >= 1 {
-		job.Burst = 0.9
-	}
-	if job.BurstOn <= 0 {
-		job.BurstOn = 50 * sim.Microsecond
-	}
-	if job.BurstOff <= 0 {
-		job.BurstOff = 200 * sim.Microsecond
-	}
 	const region = uint64(1 << 20) // private 4 GB area per generator (blocks)
-	keys := job.Keys
-	if keys == 0 || keys > region {
-		keys = region
-	}
 	rng := eng.Rand()
 	var zipf *Zipf
 	if job.Theta > 0 {
 		// One generator serves every stream: the zeta normalization is
-		// O(keys), and the keyspace shape is shared anyway.
-		zipf = NewZipf(rng, keys, job.Theta)
+		// O(region), and the keyspace shape is shared anyway.
+		zipf = NewZipf(rng, region, job.Theta)
 	}
 	nGen := job.Initiators * job.Streams
 	// Offered rate per generator, in ops per nanosecond.
 	perGen := job.OfferedKIOPS * 1e3 / 1e9 / float64(nGen)
 	meanGap := 1 / perGen
 
-	// Bursty shape: the ON state carries job.Burst of the load but only
-	// pOn of the time, so its instantaneous rate is Burst/pOn times the
-	// mean; the OFF state carries the complement.
-	pOn := job.BurstOn.Seconds() / (job.BurstOn + job.BurstOff).Seconds()
-	gapOn := meanGap * pOn / job.Burst
-	gapOff := meanGap * (1 - pOn) / (1 - job.Burst)
+	// Bursty shape: the ON state carries burstShare of the load but only
+	// pOn of the time, so its instantaneous rate is burstShare/pOn times
+	// the mean; the OFF state carries the complement.
+	pOn := burstOn.Seconds() / (burstOn + burstOff).Seconds()
+	gapOn := meanGap * pOn / burstShare
+	gapOff := meanGap * (1 - pOn) / (1 - burstShare)
 
 	m := &Meter{}
 	gens := make([]*satGen, nGen)
@@ -180,9 +167,9 @@ func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure s
 						for {
 							if p.Now() >= dwellEnd {
 								on = !on
-								mean := job.BurstOff
+								mean := burstOff
 								if on {
-									mean = job.BurstOn
+									mean = burstOn
 								}
 								dwellEnd = p.Now() + sim.Time(rng.ExpFloat64()*float64(mean))
 							}
@@ -204,7 +191,7 @@ func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure s
 					if zipf != nil {
 						off = zipf.Next()
 					} else {
-						off = uint64(rng.Int63n(int64(keys)))
+						off = uint64(rng.Int63n(int64(region)))
 					}
 					g.arrivals++
 					if job.MaxBacklog > 0 && g.q.Len() >= job.MaxBacklog {

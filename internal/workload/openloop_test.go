@@ -93,7 +93,7 @@ func TestSatLoadDropsOnTinyBacklog(t *testing.T) {
 func TestSatLoadZipfStaysInRegion(t *testing.T) {
 	eng, c := satCluster(t, 0)
 	r := RunSatLoad(eng, c, SatJob{
-		Streams: 2, OfferedKIOPS: 100, Arrival: ArrivalPoisson, Theta: 0.99, Keys: 1024,
+		Streams: 2, OfferedKIOPS: 100, Arrival: ArrivalPoisson, Theta: 0.99,
 	}, 50*sim.Microsecond, sim.Millisecond)
 	eng.Shutdown()
 	if r.Completed == 0 {

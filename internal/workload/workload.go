@@ -107,8 +107,10 @@ type BlockJob struct {
 	WriteBlocks uint32
 	Sequential  bool
 	Batch       int
-	Window      int // outstanding groups per thread before waiting
 }
+
+// blockWindow is the outstanding groups per thread before a block job waits.
+const blockWindow = 8
 
 // BlockResult is the measured outcome.
 type BlockResult struct {
@@ -153,9 +155,6 @@ func (r BlockResult) Efficiency(util float64) float64 {
 // whole cluster (throughput sums; utilization averages over the combined
 // initiator cores).
 func RunBlock(eng *sim.Engine, c *stack.Cluster, job BlockJob, warmup, measure sim.Time) BlockResult {
-	if job.Window <= 0 {
-		job.Window = 8
-	}
 	if job.Initiators <= 0 {
 		job.Initiators = 1
 	}
@@ -182,7 +181,7 @@ func RunBlock(eng *sim.Engine, c *stack.Cluster, job BlockJob, warmup, measure s
 					// Count everything already delivered, then block only when
 					// the outstanding window is exceeded.
 					for len(pending) > 0 &&
-						(force || pending[0].Done.Fired() || len(pending) >= job.Window) {
+						(force || pending[0].Done.Fired() || len(pending) >= blockWindow) {
 						r := pending[0]
 						pending = pending[1:]
 						in.Wait(p, r)

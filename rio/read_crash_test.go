@@ -24,7 +24,14 @@ import (
 // scan traffic, so misses, evictions and refills all occur under the
 // crash schedule.
 func readCrashOpts() ReadOptions {
-	return ReadOptions{CacheBlocks: 1024, ReadAhead: 8, NegativeLookup: true}
+	return ReadOptions{CacheBlocks: 1024, ReadAhead: 8}
+}
+
+// readCrashKVOpts is serveKVOpts with the stores' negative lookups on.
+func readCrashKVOpts() KVOptions {
+	o := serveKVOpts()
+	o.NegativeLookup = true
+	return o
 }
 
 const readCrashScanBlocks = 64
@@ -42,7 +49,7 @@ func readCrashTenant(t *testing.T, ctx *Ctx, ten int, stop *bool,
 	if fss != nil {
 		fss[ten] = fsys
 	}
-	db, err := ctx.KV(fsys, serveKVOpts())
+	db, err := ctx.KV(fsys, readCrashKVOpts())
 	if err != nil {
 		t.Errorf("tenant %d open: %v", ten, err)
 		return
@@ -231,7 +238,7 @@ func TestServeCrashInitiatorCachedReads(t *testing.T) {
 		if rst.Committed == 0 {
 			t.Error("remount replayed no journal transactions")
 		}
-		db2, err := ctx.KVReopen(fs2, serveKVOpts())
+		db2, err := ctx.KVReopen(fs2, readCrashKVOpts())
 		if err != nil {
 			t.Fatalf("kv reopen: %v", err)
 		}
@@ -323,7 +330,7 @@ func TestServeCrashTargetCachedReads(t *testing.T) {
 		}
 		p := ctx.Proc()
 		fs2, _ := ctx.RemountFS(serveFSOpts(0))
-		db2, err := ctx.KVReopen(fs2, serveKVOpts())
+		db2, err := ctx.KVReopen(fs2, readCrashKVOpts())
 		if err != nil {
 			t.Fatalf("kv reopen: %v", err)
 		}

@@ -101,8 +101,8 @@ type Options struct {
 	Relay bool
 
 	// Read configures the initiator-side read path (block cache,
-	// read-ahead, KV negative lookups). The zero value turns every read
-	// feature off, leaving the read path identical to earlier releases.
+	// read-ahead). The zero value turns every read feature off, leaving
+	// the read path identical to earlier releases.
 	Read ReadOptions
 
 	// Trace configures stage-level request tracing. The zero value turns
@@ -119,10 +119,6 @@ type Options struct {
 type TraceOptions struct {
 	// SampleEvery traces 1 in N submitted writes per shard (0 = off).
 	SampleEvery int
-	// Keep bounds the ring of retained per-span records for offline
-	// analysis (Chrome trace export, p99 stage budgets). 0 keeps only
-	// aggregates.
-	Keep int
 }
 
 // ReadOptions configures the initiator-side read path. Every field
@@ -133,24 +129,17 @@ type ReadOptions struct {
 	// CLOCK replacement). 0 disables caching: reads always cross the
 	// fabric, exactly as before.
 	CacheBlocks int
-	// ReadAhead is the default prefetch depth (blocks) once an
+	// ReadAhead is the prefetch depth (blocks) once an
 	// ascending-LBA stream is detected. 0 disables read-ahead; a
 	// positive depth requires CacheBlocks > 0 (prefetched blocks need
-	// somewhere to land) and Open refuses it without. File systems
-	// can override the depth per mount with FSOptions.ReadAhead.
+	// somewhere to land) and Open refuses it without.
 	ReadAhead int
-	// NegativeLookup turns on the per-store bloom filter for every KV
-	// store opened through Ctx.KV, answering definitely-absent Gets at
-	// the initiator with zero fabric traffic. Individual stores can
-	// still opt in via KVOptions.NegativeLookup.
-	NegativeLookup bool
 }
 
 // Cluster is a running simulated deployment.
 type Cluster struct {
 	eng   *sim.Engine
 	inner *stack.Cluster
-	read  ReadOptions
 }
 
 // NewCluster is Open for options known to be legal: it panics with Open's
@@ -211,13 +200,13 @@ func Open(o Options) (*Cluster, error) {
 	cfg.KeepHistory = o.History
 	cfg.CacheBlocks = o.Read.CacheBlocks
 	cfg.ReadAhead = o.Read.ReadAhead
-	cfg.Trace = trace.Config{SampleEvery: o.Trace.SampleEvery, Keep: o.Trace.Keep}
+	cfg.Trace = trace.Config{SampleEvery: o.Trace.SampleEvery}
 	eng := sim.New(cfg.Seed)
 	inner, err := stack.Open(eng, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{eng: eng, inner: inner, read: o.Read}, nil
+	return &Cluster{eng: eng, inner: inner}, nil
 }
 
 // Ctx is the execution context of simulated application code, bound to
@@ -359,24 +348,13 @@ func (ctx *Ctx) Read(lba uint64, blocks uint32) []ssd.Rec {
 // Flush issues a standalone device FLUSH barrier (block-reuse fallback).
 func (ctx *Ctx) Flush() { ctx.in.FlushDevice(ctx.p, 0) }
 
-// CacheStats is a snapshot of one initiator's block-cache counters.
-// All zeros when the cache is disabled (ReadOptions.CacheBlocks == 0).
+// CacheStats is a snapshot of block-cache counters. All zeros when the
+// cache is disabled (ReadOptions.CacheBlocks == 0).
 type CacheStats = stack.RCacheStats
-
-// CacheStats returns the block-cache counters of one initiator.
-func (c *Cluster) CacheStats(init int) CacheStats {
-	return c.inner.ReadCacheStats(init)
-}
 
 // CacheStatsAll sums the block-cache counters across every initiator.
 func (c *Cluster) CacheStatsAll() CacheStats {
 	return c.inner.ReadCacheStatsAll()
-}
-
-// CacheStats returns the block-cache counters of this context's
-// initiator.
-func (ctx *Ctx) CacheStats() CacheStats {
-	return ctx.in.ReadCacheStats()
 }
 
 // TraceStats is the aggregated tracing view: sampled/finished/dropped
@@ -388,17 +366,6 @@ type TraceStats = trace.Stats
 
 // TraceStats returns the cluster-wide tracing aggregates.
 func (c *Cluster) TraceStats() TraceStats { return c.inner.TraceStats() }
-
-// TraceSpans returns the retained per-span records (up to
-// TraceOptions.Keep, oldest first) for offline analysis — feed them to
-// internal/trace.WriteChrome for a chrome://tracing timeline or
-// internal/trace.BudgetP99 for a p99 stage budget.
-func (c *Cluster) TraceSpans() []trace.SpanRecord {
-	if tr := c.inner.Tracer(); tr != nil {
-		return tr.Retained()
-	}
-	return nil
-}
 
 // TraceStats returns the cluster-wide tracing aggregates (all zeros when
 // tracing is off).
@@ -586,13 +553,10 @@ func (ctx *Ctx) RemountFS(opts FSOptions) (*fs.FS, fs.RecoverStats) {
 
 // KV opens a RocksDB-style store on fsys. The store inherits the file
 // system's initiator binding: WAL fsyncs, flushes, compactions and
-// indexing CPU are charged to that server. A cluster built with
-// ReadOptions.NegativeLookup turns the bloom filter on for every store
-// opened here; KVOptions.NegativeLookup opts in a single store.
+// indexing CPU are charged to that server. KVOptions.NegativeLookup turns
+// on its bloom filter, answering definitely-absent Gets at the initiator
+// with zero fabric traffic.
 func (ctx *Ctx) KV(fsys *fs.FS, opts KVOptions) (*kv.DB, error) {
-	if ctx.c.read.NegativeLookup {
-		opts.NegativeLookup = true
-	}
 	return kv.Open(ctx.p, fsys, opts)
 }
 
@@ -603,9 +567,6 @@ func (ctx *Ctx) KV(fsys *fs.FS, opts KVOptions) (*kv.DB, error) {
 // "maybe", the only available superset) until the next compaction
 // rebuilds it exactly.
 func (ctx *Ctx) KVReopen(fsys *fs.FS, opts KVOptions) (*kv.DB, error) {
-	if ctx.c.read.NegativeLookup {
-		opts.NegativeLookup = true
-	}
 	return kv.Reopen(ctx.p, fsys, opts)
 }
 
