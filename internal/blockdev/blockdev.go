@@ -73,6 +73,9 @@ type Request struct {
 	remaining int         // outstanding wire fragments
 	ticket    core.Ticket // inline storage for Ticket (see TicketSlot)
 	done      sim.Signal  // inline storage for Done (see InitDone)
+	pins      int         // wire commands listing the request (Pin, Unpin)
+	released  bool        // by its owner (Release)
+	free      bool        // reclaimed (Reclaim)
 }
 
 // InitDone points Done at the request's inline signal storage, so the
@@ -98,6 +101,33 @@ func (r *Request) FragmentDone() bool {
 	}
 	return r.remaining == 0
 }
+
+// Pin and Unpin count the wire commands that list the request.
+func (r *Request) Pin()   { r.pins++ }
+func (r *Request) Unpin() { r.pins-- }
+
+// Release records that the request's owner will not look at it again.
+// Releasing twice panics.
+func (r *Request) Release() {
+	if r.released {
+		panic("blockdev: request released twice")
+	}
+	r.released = true
+}
+
+// Reclaim marks the request free, and returns true, the first time it is
+// released, delivered (Done fired) and listed by no wire command: nothing
+// reaches it any more, so its storage may be reused.
+func (r *Request) Reclaim() bool {
+	if r.free || !r.released || r.pins != 0 || !r.Done.Fired() {
+		return false
+	}
+	r.free = true
+	return true
+}
+
+// Free reports whether the request has been reclaimed.
+func (r *Request) Free() bool { return r.free }
 
 // DevRef locates one SSD within the cluster.
 type DevRef struct {

@@ -205,6 +205,7 @@ type FS struct {
 	journals       []*journalArea
 	stamp          uint64
 	nextTxnID      uint64
+	txnFree        sim.FreeList[txnPayload] // committed transactions (commitTxn)
 	stats          Stats
 	closed         bool
 	LastTrace      FsyncTrace

@@ -66,10 +66,13 @@ type txnPayload struct {
 // buildTxn snapshots a file's metadata into a transaction (file-level
 // granularity, as in iJournaling) and encodes its journal blocks into one
 // exact-size buffer. The inode image is taken here, not at submission:
-// Ext4's jbd2Commit submits after yields in which the file may grow.
+// Ext4's jbd2Commit submits after yields in which the file may grow. The
+// record is a committed one recycled (commitTxn), its buffer always new:
+// the submitted payloads are shared, never copied.
 func (fs *FS) buildTxn(f *File) *txnPayload {
 	fs.nextTxnID++
-	t := &txnPayload{id: fs.nextTxnID}
+	t := fs.txnFree.Get()
+	*t = txnPayload{id: fs.nextTxnID, dirents: t.dirents[:0]}
 	var in *inode
 	if f != nil {
 		in = f.ino
@@ -220,7 +223,7 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	for _, d := range dirty {
 		fs.in.UseCPU(p, fs.in.Costs().FSDataCPU)
 		// All data blocks of the transaction form one group with JM.
-		fs.in.OrderedWrite(p, stream, d.lba, 1, d.stamp, nil, false, false, d.ipu)
+		fs.in.Release(fs.in.OrderedWrite(p, stream, d.lba, 1, d.stamp, nil, false, false, d.ipu))
 	}
 	tr.DDispatch = p.Now() - t0
 
@@ -235,7 +238,7 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	jmLBA := j.base + j.tail
 	j.tail += 2 // JC gets its own block below
 	fs.in.UseCPU(p, fs.in.Costs().FSMetaCPU)
-	fs.in.OrderedWrite(p, stream, jmLBA, 2, fs.nextStamp(), blocks[:2], true, false, false)
+	fs.in.Release(fs.in.OrderedWrite(p, stream, jmLBA, 2, fs.nextStamp(), blocks[:2], true, false, false))
 	tr.JMDispatch = p.Now() - t0
 
 	// JC: commit record closes its own group and carries the FLUSH.
@@ -245,9 +248,11 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	jc := fs.in.OrderedWrite(p, stream, jcLBA, 1, fs.nextStamp(), blocks[2:], true, true, false)
 	tr.JCDispatch = p.Now() - t0
 
-	// rio_wait: one blocking wait for the commit record.
+	// rio_wait: one blocking wait for the commit record. D and JM were
+	// released as submitted: in-order delivery vouches for them.
 	t0 = p.Now()
 	fs.in.Wait(p, jc)
+	fs.in.Release(jc)
 	tr.WaitIO = p.Now() - t0
 
 	fs.commitTxn(j, txn)
@@ -274,9 +279,7 @@ func (fs *FS) fsyncExt4(p *sim.Proc, f *File) FsyncTrace {
 	}
 	tr.DDispatch = p.Now() - t0
 	t0 = p.Now()
-	for _, r := range dreqs {
-		fs.in.Wait(p, r)
-	}
+	fs.waitRelease(p, dreqs)
 	wait1 := p.Now() - t0
 
 	// Join the running transaction (group commit).
@@ -331,16 +334,12 @@ func (fs *FS) jbd2Commit(p *sim.Proc, j *journalArea) {
 			}
 		}
 		writeRun(lba, meta)
-		for _, r := range reqs {
-			fs.in.Wait(p, r)
-		}
+		fs.waitRelease(p, reqs)
 		// Barrier: metadata durable before the commit records exist.
 		fs.in.FlushDevice(p, 0)
 		reqs = reqs[:0]
 		writeRun(lba+uint64(len(meta)), commits)
-		for _, r := range reqs {
-			fs.in.Wait(p, r)
-		}
+		fs.waitRelease(p, reqs)
 		// Barrier: commit records durable before fsync returns.
 		fs.in.FlushDevice(p, 0)
 		for _, join := range batch {
@@ -362,6 +361,16 @@ func (fs *FS) commitTxn(j *journalArea, t *txnPayload) {
 	}
 	for _, d := range t.dirents {
 		j.touchedDirs[d.Dir] = true
+	}
+	fs.txnFree.Put(t)
+}
+
+// waitRelease waits for every request of reqs, releasing each once its
+// wait returns.
+func (fs *FS) waitRelease(p *sim.Proc, reqs []*blockdev.Request) {
+	for _, r := range reqs {
+		fs.in.Wait(p, r)
+		fs.in.Release(r)
 	}
 }
 
@@ -393,9 +402,7 @@ func (fs *FS) checkpoint(p *sim.Proc, j *journalArea) {
 		}
 		reqs = append(reqs, fs.writeDirHome(p, j.id, dir)...)
 	}
-	for _, r := range reqs {
-		fs.in.Wait(p, r)
-	}
+	fs.waitRelease(p, reqs)
 	// Superblock records the new generation; barrier makes it all stick.
 	j.gen++
 	j.tail = 0
@@ -404,6 +411,7 @@ func (fs *FS) checkpoint(p *sim.Proc, j *journalArea) {
 	sb := fs.in.OrderlessWrite(p, j.id, fs.superLBA, 1, fs.nextStamp(),
 		[][]byte{fs.encodeSuper()})
 	fs.in.Wait(p, sb)
+	fs.in.Release(sb)
 	fs.in.FlushDevice(p, j.id)
 }
 

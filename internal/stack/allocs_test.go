@@ -13,11 +13,11 @@ import (
 // Host-cost budgets of the ordered write path, all deterministic for a
 // seed. writeAllocBudget is steady-state Go allocations per 4 KB random
 // ordered write on rand4kConfig (measured value + 5 %): what remains is the
-// request itself — the records that cross the initiator↔target boundary
-// recycle through the cluster's pools (DESIGN.md §1, hot-path object
-// lifetimes). replDirectAllocBudget and replRelayAllocBudget are the same
-// on replWriteConfig's 3-way set, over initiator fan-out and over the
-// relay (whose second allocation is fireAgg's member list). writeEvents is
+// request itself, which this load never releases — the records that cross
+// the initiator↔target boundary recycle through the cluster's pools
+// (DESIGN.md §1, hot-path object lifetimes). replDirectAllocBudget and
+// replRelayAllocBudget are the same on replWriteConfig's 3-way set, over
+// initiator fan-out and over the relay. writeEvents is
 // engine events per write on rand4kConfig, exactly: a change that keeps
 // every simulated number keeps it. writeSwitchBudget is proc resumes — coroutine switches,
 // the dearest kind of event — per write (measured + 5 %): the load procs
@@ -32,7 +32,7 @@ import (
 const (
 	writeAllocBudget      = 1.006 * 1.05
 	replDirectAllocBudget = 1.017 * 1.05
-	replRelayAllocBudget  = 2.026 * 1.05
+	replRelayAllocBudget  = 1.026 * 1.05
 	writeEvents           = 22.081
 	writeSwitchBudget     = 2.769 * 1.05
 	readAllocBudget       = 0.001

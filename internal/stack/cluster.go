@@ -202,13 +202,14 @@ type completionMsg struct {
 	respondAt           []sim.Time
 	sentAt, deliveredAt sim.Time
 
-	// Aggregation extension (ReplRelay): agg is parallel to cqes — a
-	// non-nil member list marks an aggregated CQE the set's head emitted
-	// at quorum, standing in for that many per-member acks; resolved
-	// carries piggybacked late-ack records so the initiator reaches full
-	// resolution without extra capsules.
-	agg      []aggCQE
-	resolved []aggResolved
+	// Aggregation extension (ReplRelay): agg is parallel to cqes — an
+	// entry listing members (in aggMembers) marks an aggregated CQE the
+	// set's head emitted at quorum, standing in for that many per-member
+	// acks; resolved carries piggybacked late-ack records so the initiator
+	// reaches full resolution without extra capsules.
+	agg        []aggCQE
+	aggMembers []int
+	resolved   []aggResolved
 }
 
 // FabricDelivered implements fabric.TracedPayload.
@@ -258,10 +259,9 @@ func (c *Cluster) putMsg(cm *completionMsg) {
 		panic("stack: completion message recycled twice")
 	}
 	clear(cm.ctrlAcks)
-	clear(cm.agg)
 	*cm = completionMsg{
 		cqes: cm.cqes[:0], ctrlAcks: cm.ctrlAcks[:0], respondAt: cm.respondAt[:0],
-		agg: cm.agg[:0], resolved: cm.resolved[:0], free: true,
+		agg: cm.agg[:0], aggMembers: cm.aggMembers[:0], resolved: cm.resolved[:0], free: true,
 	}
 	if !c.poison {
 		c.msgFree.Put(cm)

@@ -318,6 +318,7 @@ func (in *Initiator) deliver(req *blockdev.Request) {
 		req.DispatchScratch = nil
 	}
 	req.Done.Fire()
+	in.reclaim(req)
 }
 
 // A dispatcher is one dispatch in progress, a sim.Step on the initiator's
@@ -507,6 +508,7 @@ func (in *Initiator) buildWires(dst []*wireState, req *blockdev.Request) []*wire
 		wc.Blocks = pc.Blocks
 		wc.Ordered = req.Ordered
 		wc.Reqs = append(wc.Reqs, req)
+		req.Pin()
 		for j := uint32(0); j < pc.Blocks; j++ {
 			wc.Stamps = append(wc.Stamps, stamp)
 		}
@@ -550,7 +552,7 @@ func (in *Initiator) fuseWires(wires []*wireState) (out []*wireState, checks int
 			if in.tryFuse(prev, ws) {
 				in.stats.FusedCmds++
 				in.outstanding.Delete(ws.id)
-				in.shards[ws.stream].putWire(ws)
+				in.putWire(ws)
 				continue
 			}
 		}
@@ -598,6 +600,7 @@ func (in *Initiator) tryFuse(a, b *wireState) bool {
 	// b's origin requests now complete through a.
 	a.pendingRq = len(a.wc.Reqs)
 	for _, req := range b.wc.Reqs {
+		req.Pin()
 		in.replaceWire(req, b, a)
 	}
 	return true
@@ -865,12 +868,13 @@ func (r *reaper) handle() bool {
 			}
 			markCpl(ws, msg, respAt)
 		}
-		if i < len(msg.agg) && msg.agg[i].members != nil {
+		if i < len(msg.agg) && msg.agg[i].n > 0 {
 			// Aggregated CQE (relay route): the set head vouches for every
 			// listed member's ack. memberAck may recycle ws mid-list — the
 			// outstanding check stops the walk the moment it does.
-			addWaitWire(ws, trace.WaitAgg, msg.agg[i].wait)
-			for _, m := range msg.agg[i].members {
+			a := msg.agg[i]
+			addWaitWire(ws, trace.WaitAgg, a.wait)
+			for _, m := range msg.aggMembers[a.off : a.off+a.n] {
 				in.memberAck(ws, m)
 				if cur, _ := in.outstanding.Get(id); cur != ws {
 					break
@@ -902,6 +906,7 @@ func (r *reaper) handle() bool {
 func (in *Initiator) deliverCompletions(ws *wireState) {
 	reqs := ws.wc.Reqs
 	for _, req := range reqs {
+		mustBeLive(req.Free(), "request")
 		if !req.FragmentDone() {
 			continue
 		}

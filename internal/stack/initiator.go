@@ -66,6 +66,8 @@ type Initiator struct {
 	callFree     sim.FreeList[readCall]
 	readDone     func(*ssd.Command) // in.onReadDone, bound once
 
+	reqFree sim.FreeList[blockdev.Request] // released write requests (Release)
+
 	// Submit-side pushback (Config.MaxInflight > 0): inflight counts
 	// admitted-but-undelivered requests (waitSubmitSlot increments it
 	// only after the gate opens — parked submitters are not counted);
@@ -210,6 +212,7 @@ func (in *Initiator) blockingWait(p *sim.Proc, sig *sim.Signal) {
 // to block, the thread first flushes its plug list (as Linux does on
 // schedule()), so staged requests of this stream reach the wire.
 func (in *Initiator) Wait(p *sim.Proc, req *blockdev.Request) {
+	mustBeLive(req.Free(), "request")
 	if !req.Done.Fired() {
 		in.plugFlush(p, req.Stream)
 	}
@@ -231,10 +234,11 @@ func (in *Initiator) WaitSignal(p *sim.Proc, sig *sim.Signal) {
 // Horae control+data path, or the Linux synchronous path (in which case
 // the call blocks until durable). data's payloads must not be modified
 // after the call: devices, replicas and the read cache keep references to
-// them, not copies.
+// them, not copies. The request is the caller's until it calls Release;
+// one never released is never reused.
 func (in *Initiator) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
 	stamp uint64, data [][]byte, boundary, flush, ipu bool) *blockdev.Request {
-	return in.submitWrite(p, stream, &blockdev.Request{
+	return in.submitWrite(p, stream, blockdev.Request{
 		Op: blockdev.OpWrite, LBA: lba, Blocks: blocks, Stamp: stamp, Data: data,
 		Ordered: true, Boundary: boundary, Flush: flush, IPU: ipu,
 	})
@@ -243,13 +247,32 @@ func (in *Initiator) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks ui
 // OrderlessWrite submits a plain (no ordering guarantee) write.
 func (in *Initiator) OrderlessWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
 	stamp uint64, data [][]byte) *blockdev.Request {
-	return in.submitWrite(p, stream, &blockdev.Request{Op: blockdev.OpWrite, LBA: lba, Blocks: blocks, Stamp: stamp, Data: data})
+	return in.submitWrite(p, stream, blockdev.Request{Op: blockdev.OpWrite, LBA: lba, Blocks: blocks, Stamp: stamp, Data: data})
 }
 
-// submitWrite stamps a write request and submits it on the path of its
-// mode: the synchronous Horae control path or Linux path for an ordered
-// write there, the asynchronous path otherwise.
-func (in *Initiator) submitWrite(p *sim.Proc, stream int, req *blockdev.Request) *blockdev.Request {
+// Release hands a write request back: its owner will neither wait on it
+// nor read it again. It may come before or after the delivery; the request
+// is reused once delivered and listed by no wire command. Twice panics.
+func (in *Initiator) Release(req *blockdev.Request) {
+	req.Release()
+	in.reclaim(req)
+}
+
+// reclaim returns req to the free list once it is released, delivered and
+// unpinned. Under PoisonRecycled a reclaimed request is dead for good.
+func (in *Initiator) reclaim(req *blockdev.Request) {
+	if req.Reclaim() && !in.c.poison {
+		in.reqFree.Put(req)
+	}
+}
+
+// submitWrite copies a write request into a released one, or a new one,
+// stamps it and submits it on the path of its mode: the synchronous Horae
+// control path or Linux path for an ordered write there, the asynchronous
+// path otherwise.
+func (in *Initiator) submitWrite(p *sim.Proc, stream int, r blockdev.Request) *blockdev.Request {
+	req := in.reqFree.Get()
+	*req = r
 	req.Stream, req.SubmitAt = in.streamOf(stream), p.Now()
 	req.InitDone(in.Eng)
 	in.stats.Submitted++
@@ -421,6 +444,7 @@ func (in *Initiator) crashVolatile() {
 	in.seq = in.newSequencer()
 	in.outstanding.Reset()
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
+	in.reqFree = sim.FreeList[blockdev.Request]{}
 	for _, sh := range in.shards {
 		sh.crashReset()
 	}

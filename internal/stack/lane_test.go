@@ -44,7 +44,8 @@ func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 		for k := range tg.lanes {
 			l := &tg.lanes[k]
 			l.rxQ.Push(&capsule{})
-			l.push(uint64(100+l.qp), 3, aggCQE{members: []int{0, 1}, wait: 9})
+			l.aggMembers = append(l.aggMembers, 0, 1)
+			l.push(uint64(100+l.qp), 3, aggCQE{off: 0, n: 2, wait: 9})
 			l.resolved = append(l.resolved, aggResolved{init: l.init, id: 7, member: 1})
 			l.armed, l.inflight = true, 4
 			volatileLaneFields(l, func(name string, v reflect.Value) {

@@ -473,3 +473,58 @@ func TestBoundaryRecordsRecycleOnce(t *testing.T) {
 		eng.Shutdown()
 	})
 }
+
+// TestReleasedRequestLifetime: a released write request returns to its
+// initiator once it is delivered, whether Release came before the delivery
+// or after it, and the next write reuses it; a request never released is
+// never reused, and releasing twice panics. Under PoisonRecycled a
+// reclaimed request is never reissued, and a Wait on it panics.
+func TestReleasedRequestLifetime(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	for _, poison := range []bool{false, true} {
+		eng := sim.New(1)
+		c := New(eng, DefaultConfig(ModeRio, OptaneTarget()))
+		if poison {
+			c.PoisonRecycled()
+		}
+		in := c.Init(0)
+		eng.Go("app", func(p *sim.Proc) {
+			write := func(lba uint64) *blockdev.Request {
+				return in.OrderedWrite(p, 0, lba, 1, 0, nil, true, false, false)
+			}
+			kept := write(10)
+			in.Wait(p, kept)
+			early := write(11)
+			in.Release(early)
+			late := write(12)
+			in.Wait(p, late)
+			in.Release(late)
+			if !early.Free() || !late.Free() || kept.Free() {
+				t.Errorf("poison=%v: free early=%v late=%v kept=%v, want true true false",
+					poison, early.Free(), late.Free(), kept.Free())
+			}
+			next := write(13)
+			if reused := next == early || next == late; reused == poison {
+				t.Errorf("poison=%v: next write reused a reclaimed request: %v", poison, reused)
+			}
+			if next == kept {
+				t.Errorf("poison=%v: an unreleased request was reused", poison)
+			}
+			in.Wait(p, next)
+			in.Release(next)
+			mustPanic("second Release", func() { in.Release(next) })
+			if poison {
+				mustPanic("Wait on a reclaimed request", func() { in.Wait(p, late) })
+			}
+		})
+		eng.Run()
+		eng.Shutdown()
+	}
+}

@@ -61,13 +61,14 @@ type aggKey struct {
 	id   uint64
 }
 
-// aggCQE annotates one entry of a completionMsg's CQE batch: a non-nil
-// member list marks an aggregated CQE the set's head emitted at quorum,
-// standing in for one genuine ack per listed member. wait is the head-side
-// aggregation wait (first ack to quorum fire) for stage tracing.
+// aggCQE annotates one entry of a completionMsg's CQE batch: n > 0 marks
+// an aggregated CQE the set's head emitted at quorum, standing in for one
+// genuine ack per member it lists — aggMembers[off:off+n] of the lane or
+// message carrying it. wait is the head-side aggregation wait (first ack
+// to quorum fire) for stage tracing.
 type aggCQE struct {
-	members []int
-	wait    sim.Time
+	off, n int
+	wait   sim.Time
 }
 
 // aggResolved is one late member ack forwarded after the aggregated CQE
@@ -369,13 +370,14 @@ func (x *tctx) aggAck(key aggKey, as *headAgg, member int, ret tstep) bool {
 func (t *Target) fireAgg(key aggKey, as *headAgg) {
 	as.q.Fired = true
 	t.stats.AggFires++
-	members := make([]int, 0, as.q.Acks)
+	l := t.lane(key.init, as.qp)
+	off := len(l.aggMembers)
 	for k, m := range as.q.Members {
 		if as.q.Got[k] {
-			members = append(members, m)
+			l.aggMembers = append(l.aggMembers, m)
 		}
 	}
-	t.lane(key.init, as.qp).push(key.id, as.epoch, aggCQE{members: members, wait: t.c.Eng.Now() - as.firstAck})
+	l.push(key.id, as.epoch, aggCQE{off: off, n: len(l.aggMembers) - off, wait: t.c.Eng.Now() - as.firstAck})
 }
 
 // pushResolved queues one late-ack resolution record for piggybacking on

@@ -266,7 +266,7 @@ func (in *Initiator) maybeRecycle(ws *wireState) {
 		return
 	}
 	in.outstanding.Delete(ws.id)
-	in.shards[ws.stream].putWire(ws)
+	in.putWire(ws)
 }
 
 // degradeMember marks a power-cut target out of sync: the set epoch

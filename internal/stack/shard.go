@@ -89,8 +89,14 @@ func (sh *shard) putList(wl *wireList) {
 
 // putWire recycles a wire command whose every origin request has been
 // delivered (or that was fused away before posting / completed as a
-// standalone flush). The embedded WireCmd keeps its slice capacity.
-func (sh *shard) putWire(ws *wireState) {
+// standalone flush) to its shard's pool, unpinning the requests it lists.
+// The embedded WireCmd keeps its slice capacity.
+func (in *Initiator) putWire(ws *wireState) {
+	for _, req := range ws.wc.Reqs {
+		req.Unpin()
+		in.reclaim(req)
+	}
+	sh := in.shards[ws.stream]
 	sh.wireFree = append(sh.wireFree, ws)
 }
 

@@ -110,16 +110,18 @@ type qpLane struct {
 
 	// The pending response capsule. cqeT (the instant each CQE entered the
 	// buffer; stays nil with the tracer off) and agg (relay annotations;
-	// stays nil unless cfg.ReplRelay) are parallel to cqes; resolved holds
-	// the late-ack records the capsule will piggyback (relay route).
-	cqes     []nvmeof.CQE
-	cqeT     []sim.Time
-	agg      []aggCQE
-	resolved []aggResolved
-	epoch    int      // initiator epoch the oldest pending CQE was minted under
-	first    sim.Time // when it entered: the hold timer ships a batch only once it is cqeHold old
-	armed    bool     // a hold-timer event is outstanding
-	inflight int      // commands submitted to an SSD and not yet responded
+	// stays nil unless cfg.ReplRelay) are parallel to cqes, aggMembers
+	// holds the member lists agg indexes; resolved holds the late-ack
+	// records the capsule will piggyback (relay route).
+	cqes       []nvmeof.CQE
+	cqeT       []sim.Time
+	agg        []aggCQE
+	aggMembers []int
+	resolved   []aggResolved
+	epoch      int      // initiator epoch the oldest pending CQE was minted under
+	first      sim.Time // when it entered: the hold timer ships a batch only once it is cqeHold old
+	armed      bool     // a hold-timer event is outstanding
+	inflight   int      // commands submitted to an SSD and not yet responded
 }
 
 // push appends one CQE (and its parallel stamps) to the pending response
@@ -1105,6 +1107,7 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	msg.cqes, l.cqes = l.cqes, msg.cqes
 	msg.respondAt, l.cqeT = l.cqeT, msg.respondAt
 	msg.agg, l.agg = l.agg, msg.agg
+	msg.aggMembers, l.aggMembers = l.aggMembers, msg.aggMembers
 	msg.resolved, l.resolved = l.resolved, msg.resolved
 	if len(msg.cqes) == 0 {
 		// Resolution-only capsule: no buffered CQE minted the epoch, so

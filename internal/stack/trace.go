@@ -56,6 +56,7 @@ func addWaitReq(req *blockdev.Request, w trace.Wait, d sim.Time) {
 // fired and are off the request's critical path.
 func markWire(ws *wireState, m trace.Milestone, at sim.Time) {
 	for _, req := range ws.wc.Reqs {
+		mustBeLive(req.Free(), "request")
 		if req.Trace != nil && req.CompleteAt == 0 {
 			req.Trace.Mark(req.TraceSeq, m, at)
 		}
@@ -69,6 +70,7 @@ func addWaitWire(ws *wireState, w trace.Wait, d sim.Time) {
 		return
 	}
 	for _, req := range ws.wc.Reqs {
+		mustBeLive(req.Free(), "request")
 		if req.Trace != nil && req.CompleteAt == 0 {
 			req.Trace.AddWait(req.TraceSeq, w, d)
 		}
@@ -80,6 +82,7 @@ func addWaitWire(ws *wireState, w trace.Wait, d sim.Time) {
 // capsule post), the response post and its delivery.
 func markCpl(ws *wireState, msg *completionMsg, respAt sim.Time) {
 	for _, req := range ws.wc.Reqs {
+		mustBeLive(req.Free(), "request")
 		if req.Trace == nil || req.CompleteAt != 0 {
 			continue
 		}
