@@ -74,17 +74,19 @@ bench-sim:
 # engine events and proc resumes per write), and per cached read on a 2-way
 # set (hits, and misses with read-ahead; host ns, allocations and engine
 # events per read), a RioFS one-block append + fsync on one Optane target
-# (host ns, bytes and allocations per fsync), an 8-SQE and an 8-CQE Rio
-# vector's encode + check, a histogram record, and one trace span's
+# (host ns, bytes and allocations per fsync), a KV Get on a store of 16
+# disjoint L0 files — a hit in the oldest, and an absent key with
+# NegativeLookup off — (host ns and SST index-block reads per get), an
+# 8-SQE and an 8-CQE Rio vector's encode + check, a histogram record, and one trace span's
 # start → marks → finish. CI smokes them at BENCHTIME=100x.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack ./internal/fs ./internal/nvmeof ./internal/metrics ./internal/trace
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack ./internal/fs ./internal/kv ./internal/nvmeof ./internal/metrics ./internal/trace
 
 # The gated experiments and the committed baseline they must reproduce:
 # named here and nowhere else (CI runs `make bench-gate`; cmd/benchdiff is
 # handed the name, internal/bench's baseline test reads it from this line).
 GATED_EXPS := scale,replication,policy,serve,read,satload,trace
-BASELINE   := BENCH_25.json
+BASELINE   := BENCH_26.json
 
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build

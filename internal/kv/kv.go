@@ -28,9 +28,12 @@ type Options struct {
 	ValueSize     int // bytes per value (0 = 1024)
 	MaxL0Files    int // L0 files before compaction triggers (0 = 8)
 
-	// NegativeLookup maintains a bloom filter (bloomBits wide) over the
-	// live keys so gets of absent keys answer at the initiator without
-	// probing any SST over the fabric. false (the zero value) = off.
+	// NegativeLookup makes gets consult bloom filters before touching
+	// SSTs: a store-wide one (bloomBits wide) over the live keys, so gets
+	// of absent keys answer at the initiator without probing any SST over
+	// the fabric, and one per L0 SST over its keys and tombstones, so a
+	// get reads the index block only of files that may decide its key.
+	// false (the zero value) = off.
 	NegativeLookup bool
 }
 
@@ -74,7 +77,9 @@ type Stats struct {
 	Flushes      int64 // memtable -> SST
 	Compactions  int64
 	SSTFiles     int64
-	NegativeHits int64 // gets answered "absent" by the bloom filter alone
+	NegativeHits int64 // gets answered "absent" by the store-wide filter alone
+	SSTReads     int64 // SST index-block reads issued by gets
+	FilterSkips  int64 // SSTs in a get's key range that their filter ruled out
 }
 
 // DB is one key-value store instance. It inherits its file system's
@@ -113,13 +118,22 @@ type sealed struct{ mem map[string]uint64 }
 // start at 1).
 const tombstone = 0
 
+// sstFile is the in-memory index of one SST file. Like RocksDB's pinned
+// index and filter blocks it lives in process memory, so it dies with the
+// store: Reopen starts with none.
 type sstFile struct {
-	name string
-	file *fs.File // the handle from Create; nil once compaction unlinks it
-	keys []string // live keys, sorted
-	min  string
-	max  string
-	dead map[string]bool // tombstones flushed with this file (nil = none)
+	name     string
+	file     *fs.File // the handle from Create; nil once compaction unlinks it
+	keys     []string // live keys, sorted
+	dead     []string // tombstones flushed with this file, sorted
+	min, max string   // key range over keys and dead (empty file: unset)
+	filter   *bloom   // over keys and dead (nil: NegativeLookup off, or an L1 file)
+}
+
+// covers reports whether key lies in f's key range, tombstones included:
+// only then can f decide it.
+func (f *sstFile) covers(key string) bool {
+	return len(f.keys)+len(f.dead) > 0 && f.min <= key && key <= f.max
 }
 
 // Open creates a fresh DB (and its WAL) on the file system. Zero-valued
@@ -276,15 +290,18 @@ func (db *DB) Delete(p *sim.Proc, core int, key string) error {
 	return nil
 }
 
-// Get looks a key up (bloom filter, then memtable, then SSTs
+// Get looks a key up (store-wide filter, then memtable, then SSTs
 // newest-first; the first occurrence — live or tombstone — decides).
 // The value itself is synthetic; the charged work is the filter and
-// index CPU plus SST reads.
+// index CPU plus the index-block reads of the SSTs sstLookup cannot pass
+// over.
 func (db *DB) Get(p *sim.Proc, key string) bool {
 	db.stats.Gets++
+	var h keyHash
 	if db.filter != nil {
+		h = hashOf(key)
 		db.fsys.UseCPU(p, bloomCPU)
-		if !db.filter.mayContain(key) {
+		if !db.filter.mayContainHash(h) {
 			db.stats.NegativeHits++
 			return false
 		}
@@ -305,35 +322,51 @@ func (db *DB) Get(p *sim.Proc, key string) bool {
 	// instant (only its read charge is skipped once it is unlinked).
 	l0, l1 := db.l0, db.l1
 	for i := len(l0) - 1; i >= 0; i-- {
-		if found, live := db.sstLookup(p, l0[i], key); found {
+		if found, live := db.sstLookup(p, l0[i], key, h); found {
 			return live
 		}
 	}
 	for _, f := range l1 {
-		if key >= f.min && key <= f.max {
-			if found, live := db.sstLookup(p, f, key); found {
-				return live
-			}
+		if found, live := db.sstLookup(p, f, key, h); found {
+			return live
 		}
 	}
 	return false
 }
 
-// sstLookup probes one SST file (one index-block read charge, skipped
-// once the file is unlinked) and reports whether the file decides the key:
-// found with live=false is a flushed tombstone shadowing older files.
-func (db *DB) sstLookup(p *sim.Proc, f *sstFile, key string) (found, live bool) {
+// sstLookup reports whether one SST file decides the key: found with
+// live=false is a flushed tombstone shadowing older files. A file whose
+// key range excludes the key is passed over for free, one whose filter
+// answers "absent" for a filter probe's CPU; any other costs one
+// index-block read (skipped once the file is unlinked).
+func (db *DB) sstLookup(p *sim.Proc, f *sstFile, key string, h keyHash) (found, live bool) {
+	if !f.covers(key) {
+		return false, false
+	}
+	if f.filter != nil {
+		db.fsys.UseCPU(p, bloomCPU)
+		if !f.filter.mayContainHash(h) {
+			db.stats.FilterSkips++
+			return false, false
+		}
+	}
 	if f.file != nil {
+		db.stats.SSTReads++
 		db.fsys.Read(p, f.file, 0, fs.BlockSize)
 	}
-	if f.dead[key] {
+	if has(f.dead, key) {
 		return true, false
 	}
-	i := sort.SearchStrings(f.keys, key)
-	if i < len(f.keys) && f.keys[i] == key {
+	if has(f.keys, key) {
 		return true, true
 	}
 	return false, false
+}
+
+// has reports whether the sorted keys hold key.
+func has(keys []string, key string) bool {
+	_, ok := slices.BinarySearch(keys, key)
+	return ok
 }
 
 // rotate seals the memtable and flushes it to an L0 SST file in the
@@ -353,10 +386,12 @@ func (db *DB) rotate(p *sim.Proc, core int) {
 	})
 }
 
-// writeSST writes keys (sorted, live) as one SST file — sequential bulk
-// appends charging cpu per 16-block chunk, then one fsync — and returns
-// its index, or nil when the file could not be created.
-func (db *DB) writeSST(p *sim.Proc, core int, keys []string, dead map[string]bool, cpu sim.Time) *sstFile {
+// writeSST writes keys (sorted, live) and dead (sorted tombstones) as one
+// SST file — sequential bulk appends charging cpu per 16-block chunk, then,
+// if filtered, the file's filter at bloomCPU per key and tombstone, then
+// one fsync — and returns its index, or nil when the file could not be
+// created.
+func (db *DB) writeSST(p *sim.Proc, core int, keys, dead []string, cpu sim.Time, filtered bool) *sstFile {
 	name := fmt.Sprintf("db/sst%06d", db.nextID)
 	db.nextID++
 	f, err := db.fsys.Create(p, name)
@@ -368,11 +403,27 @@ func (db *DB) writeSST(p *sim.Proc, core int, keys []string, dead map[string]boo
 		db.fsys.UseCPU(p, cpu)
 		db.fsys.Append(p, f, min(bytes-off, 16*fs.BlockSize))
 	}
-	db.fsys.Fsync(p, f, core)
 	sst := &sstFile{name: name, file: f, keys: keys, dead: dead}
-	if len(keys) > 0 {
-		sst.min, sst.max = keys[0], keys[len(keys)-1]
+	ends := make([]string, 0, 4)
+	for _, run := range [][]string{keys, dead} {
+		if len(run) > 0 {
+			ends = append(ends, run[0], run[len(run)-1])
+		}
 	}
+	if len(ends) > 0 {
+		sst.min, sst.max = slices.Min(ends), slices.Max(ends)
+	}
+	if n := len(keys) + len(dead); filtered && n > 0 {
+		db.fsys.UseCPU(p, sim.Time(n)*bloomCPU)
+		sst.filter = newBloom(10 * n) // 10 bits per key
+		for _, k := range keys {
+			sst.filter.add(k)
+		}
+		for _, k := range dead {
+			sst.filter.add(k)
+		}
+	}
+	db.fsys.Fsync(p, f, core)
 	return sst
 }
 
@@ -383,19 +434,17 @@ func (db *DB) flushMemtable(p *sim.Proc, core int, sm *sealed) {
 	}
 	db.flushing = true
 	keys := make([]string, 0, len(sm.mem))
-	var dead map[string]bool
+	var dead []string
 	for k, v := range sm.mem {
 		if v == tombstone {
-			if dead == nil {
-				dead = map[string]bool{}
-			}
-			dead[k] = true
+			dead = append(dead, k)
 			continue
 		}
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	if sst := db.writeSST(p, core, keys, dead, sstChunkCPU); sst != nil {
+	sort.Strings(dead)
+	if sst := db.writeSST(p, core, keys, dead, sstChunkCPU, db.cfg.NegativeLookup); sst != nil {
 		db.l0 = append(db.l0, sst)
 		db.stats.SSTFiles++
 		db.stats.Flushes++
@@ -426,7 +475,7 @@ func (db *DB) compact(p *sim.Proc, core int) {
 				merged[k] = true
 			}
 		}
-		for k := range f.dead {
+		for _, k := range f.dead {
 			if _, ok := merged[k]; !ok {
 				merged[k] = false
 			}
@@ -445,8 +494,14 @@ func (db *DB) compact(p *sim.Proc, core int) {
 		}
 	}
 	sort.Strings(keys)
-	// Compaction I/O: rewrite everything once (read+write).
-	if sst := db.writeSST(p, core, keys, nil, 2*sstChunkCPU); sst != nil {
+	// Compaction I/O: rewrite everything once (read+write). The L1 file
+	// gets no filter of its own: the store-wide one is rebuilt below from
+	// its keys plus the memtables', and a key put or deleted since is
+	// decided above L1, so a get that reaches L1 has already passed a
+	// filter over L1's keys. A second probe would charge every hit to
+	// save a read only on the store-wide filter's false positives
+	// (RocksDB's optimize_filters_for_hits, for the same reason).
+	if sst := db.writeSST(p, core, keys, nil, 2*sstChunkCPU, false); sst != nil {
 		// Old files removed.
 		for _, old := range append(db.l0, db.l1...) {
 			db.fsys.Unlink(p, old.name)

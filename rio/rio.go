@@ -283,24 +283,35 @@ type Stream struct {
 	id  int
 }
 
-// Handle tracks one submitted request.
+// Handle tracks one submitted request. Wait hands the request back to its
+// initiator for reuse and keeps what the handle still answers: the
+// attribute and the delivery.
 type Handle struct {
-	ctx *Ctx
-	req *blockdev.Request
+	ctx  *Ctx
+	req  *blockdev.Request // nil once Wait has released it
+	attr core.Attr
 }
 
 // Wait blocks until the completion is delivered in storage order
-// (rio_wait).
-func (h *Handle) Wait() { h.ctx.in.Wait(h.ctx.p, h.req) }
+// (rio_wait). A second Wait returns at once.
+func (h *Handle) Wait() {
+	if h.req == nil {
+		return
+	}
+	h.ctx.in.Wait(h.ctx.p, h.req)
+	h.attr = h.Attr()
+	h.ctx.in.Release(h.req)
+	h.req = nil
+}
 
 // Done reports whether the completion has been delivered.
-func (h *Handle) Done() bool { return h.req.Done.Fired() }
+func (h *Handle) Done() bool { return h.req == nil || h.req.Done.Fired() }
 
 // Attr returns the ordering attribute assigned by the sequencer (zero
 // value for orderless clusters).
 func (h *Handle) Attr() core.Attr {
-	if h.req.Ticket == nil {
-		return core.Attr{}
+	if h.req == nil || h.req.Ticket == nil {
+		return h.attr
 	}
 	return h.req.Ticket.Attr
 }

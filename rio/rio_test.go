@@ -47,6 +47,32 @@ func TestAttrExposure(t *testing.T) {
 	c.Run()
 }
 
+// TestWaitReleasesRequest: Wait hands the request back to its initiator,
+// and the next write reuses it, while the waited handle still answers
+// Attr and Done as before and a second Wait returns at once.
+func TestWaitReleasesRequest(t *testing.T) {
+	c := NewCluster(Options{Seed: 2})
+	defer c.Close()
+	c.Go(func(ctx *Ctx) {
+		h := ctx.Stream(3).Commit(7, 1)
+		req, attr := h.req, h.Attr()
+		h.Wait()
+		h.Wait()
+		if h.Attr() != attr || !h.Done() {
+			t.Errorf("after Wait: attr %+v, done %v; want %+v, true", h.Attr(), h.Done(), attr)
+		}
+		h2 := ctx.Stream(3).Commit(8, 1)
+		if h2.req != req {
+			t.Error("the waited request was not reused")
+		}
+		h2.Wait()
+		if h.Attr() != attr || h2.Attr().SeqStart != attr.SeqStart+1 {
+			t.Errorf("attrs %+v then %+v", h.Attr(), h2.Attr())
+		}
+	})
+	c.Run()
+}
+
 func TestOrderlessClusterHasNoAttrs(t *testing.T) {
 	c := NewCluster(Options{Ordering: Orderless, Seed: 3})
 	defer c.Close()
