@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs sim-diff crash-smoke fuzz-smoke coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs sim-diff crash-smoke fuzz-smoke coverage ci
 
 all: build test
 
@@ -40,10 +40,12 @@ staticcheck:
 lint: fmt-check vet staticcheck
 
 # The line counts ROADMAP's north star ("least code") tracks: non-test Go
-# lines outside benchmark/, then each package's share, largest first.
+# lines outside benchmark/ and their `panic(` sites, then each package's
+# share of the lines, largest first.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; $(LOC_FILES) | xargs cat | wc -l
+	@printf 'non-test panic( sites outside benchmark/: '; $(LOC_FILES) | xargs cat | grep -o 'panic(' | wc -l
 	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k1,1nr -k2
 
@@ -91,12 +93,6 @@ BASELINE   := BENCH_26.json
 # Regenerate the tracked perf-trajectory snapshot.
 bench-json: build
 	$(GO) run ./cmd/riobench -exp $(GATED_EXPS) -quick -json $(BASELINE)
-
-# Run every example with its built-in tiny config (CI smoke: example
-# drift fails the build).
-examples: build
-	@set -e; for d in examples/*/; do \
-		echo "== go run ./$$d"; $(GO) run ./$$d; done
 
 # The CI perf gate: run the gated experiments fresh; benchdiff fails on >10%
 # regression in the gated metrics of the committed baseline against its
@@ -183,4 +179,4 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race bench bench-sim bench-layers bench-gate examples benchmark-smoke crash-smoke fuzz-smoke
+ci: lint build race bench bench-sim bench-layers bench-gate benchmark-smoke crash-smoke fuzz-smoke

@@ -364,8 +364,7 @@ type Cluster struct {
 
 	// Replication topology: the volume stripes over replica SETS of
 	// consecutive targets (sets of one without replication); setOf maps a
-	// target id to its set, and writeQuorum is the resolved completion
-	// quorum.
+	// target id to its set, and writeQuorum is the set's majority.
 	replSets    []*replicaSet
 	setOf       []int
 	writeQuorum int
@@ -413,10 +412,7 @@ func Open(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	// targets — sets of one when the cluster is not replicated — and the
 	// volume stripes over the sets, not over their members.
 	r := max(c.cfg.Replicas, 1)
-	c.writeQuorum = min(c.cfg.WriteQuorum, r) // a set of one completes on its one ack
-	if c.writeQuorum <= 0 {
-		c.writeQuorum = core.MajorityQuorum(r)
-	}
+	c.writeQuorum = core.MajorityQuorum(r)
 	var devs []blockdev.DevRef
 	for ti, tc := range c.cfg.Targets {
 		t := newTarget(c, ti, tc)
@@ -424,7 +420,7 @@ func Open(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		set := ti / r
 		c.setOf = append(c.setOf, set)
 		if ti%r == 0 {
-			c.replSets = append(c.replSets, &replicaSet{id: set})
+			c.replSets = append(c.replSets, &replicaSet{id: set, settled: sim.NewCond(eng)})
 			for si := range t.ssds {
 				devs = append(devs, blockdev.DevRef{Server: set, SSD: si, Blocks: deviceBlocks})
 			}

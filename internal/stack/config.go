@@ -160,14 +160,11 @@ type Config struct {
 	// (consecutive targets form a set; len(Targets) must divide evenly).
 	// The volume stripes over sets, every ordered write fans out to all
 	// in-sync members with per-replica dense ServerIdx chains, and
-	// completions deliver at WriteQuorum. 0 or 1 = no replication
-	// (byte-identical to the unreplicated stack). Rio mode only.
+	// completions deliver at a majority of the set (floor(R/2)+1:
+	// stall-free under a single member failure; a 2-way set's majority is
+	// the full set). 0 or 1 = no replication (byte-identical to the
+	// unreplicated stack). Rio mode only.
 	Replicas int
-	// WriteQuorum is the member acks required before a completion is
-	// delivered: 0 selects the majority rule (floor(R/2)+1, stall-free
-	// under a single member failure), Replicas selects full-set
-	// durability (a member power cut then stalls writes until resync).
-	WriteQuorum int
 	// ReplRelay enables the replication fast path for ordered writes: the
 	// initiator posts one vectored capsule (carrying every member's
 	// SQEs/attrs) to the set's head member, which relays follower slices
@@ -289,8 +286,6 @@ func (cfg Config) Validate() error {
 		return errors.New("stack: replication requires ModeRio")
 	case r > 1 && len(cfg.Targets)%r != 0:
 		return fmt.Errorf("stack: %d targets do not divide into replica sets of %d", len(cfg.Targets), r)
-	case r > 1 && (cfg.WriteQuorum < 0 || cfg.WriteQuorum > r):
-		return fmt.Errorf("stack: write quorum %d out of range for %d replicas", cfg.WriteQuorum, r)
 	}
 	for ti, tc := range cfg.Targets {
 		switch {

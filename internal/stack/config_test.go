@@ -122,8 +122,6 @@ func invalidConfigs() []struct {
 		{"replicated horae", "stack: replication requires ModeRio",
 			with(func(c *Config) { c.Mode, c.Replicas = ModeHorae, 3 }, three...)},
 		{"uneven sets", "stack: 3 targets do not divide into replica sets of 2", with(func(c *Config) { c.Replicas = 2 }, three...)},
-		{"quorum out of range", "stack: write quorum 4 out of range for 3 replicas",
-			with(func(c *Config) { c.Replicas, c.WriteQuorum = 3, 4 }, three...)},
 		{"uneven members", "stack: replica set members must have identical SSD geometry",
 			with(func(c *Config) { c.Replicas = 3 }, OptaneTarget(), twoSSD, OptaneTarget())},
 		{"governor without Down", "stack: governor hysteresis requires 0 < DownOpsPerSec < UpOpsPerSec",
@@ -145,8 +143,8 @@ func invalidConfigs() []struct {
 // below the stack's transfer limit (dispatch panicked mid-run).
 func TestValidateMatchesNew(t *testing.T) {
 	cases := invalidConfigs()
-	if len(cases) != 18 {
-		t.Fatalf("%d cases, want the 18 rules New panics on", len(cases))
+	if len(cases) != 17 {
+		t.Fatalf("%d cases, want the 17 rules New panics on", len(cases))
 	}
 	small := ssd.OptaneConfig()
 	small.MaxTransferBlocks = 16

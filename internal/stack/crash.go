@@ -125,6 +125,9 @@ func (c *Cluster) PowerCutInitiator(i int) {
 		t.dropInitiator(i)
 	}
 	in.crashVolatile()
+	for _, rs := range c.replSets {
+		rs.settled.Broadcast() // the cut settles every extent this initiator owned
+	}
 }
 
 // PowerCutAll models a full power outage: every target and every

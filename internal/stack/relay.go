@@ -216,7 +216,7 @@ func (t *Target) relayFanOut(cp *capsule, init, qp int) {
 	// route straight through — the head's own completion responds directly
 	// and follower acks become resolution records — so no completion is
 	// ever held hostage by a record that can no longer reach quorum
-	// (WriteQuorum == Replicas would strand it until resync).
+	// (a full-set quorum, a 2-way set's, would strand it until resync).
 	if t.c.relayActive(rs) {
 		for _, ws := range cp.cmds {
 			as := t.relay.free.Get()
@@ -398,7 +398,7 @@ func (t *Target) pushResolved(l *qpLane, r aggResolved) {
 // Follower dead: its relay link drops (drop-whole), and the head's open
 // quorum records flush with whatever acks they hold — partial member lists
 // are always safe to forward (the initiator's quorum does the counting) —
-// so a WriteQuorum == Replicas command is not stranded waiting for a
+// so a full-set quorum command is not stranded waiting for a
 // record that can no longer complete. Later acks pass through as
 // resolution records.
 //

@@ -71,6 +71,10 @@ type replicaSet struct {
 	// in the same no-yield region as the membership snapshot they were
 	// skipped from, so the resync drain loop can never miss one.
 	dirty [][]dirtyExtent
+	// settled wakes a resync waiting for a backlog extent's command to
+	// settle (extentSettled): broadcast when a command of this set has
+	// resolved its last member, and when an initiator is cut.
+	settled *sim.Cond
 }
 
 // dirtyExtent is one write a degraded member missed. The content is read
@@ -236,6 +240,9 @@ func (in *Initiator) memberAck(ws *wireState, from int) {
 	if !ws.q.Ack(k) {
 		return // duplicate (a replayed copy of a completed write), or a member cancelled by a power cut
 	}
+	if ws.q.Done() {
+		in.c.replSets[ws.target].settled.Broadcast()
+	}
 	if ws.firstAck == 0 {
 		ws.firstAck = in.Eng.Now()
 	}
@@ -304,6 +311,7 @@ func (c *Cluster) degradeMember(m int) {
 			in.maybeRecycle(ws)
 		}
 	}
+	rs.settled.Broadcast()
 }
 
 // appendEpochMarks persists the set's new membership epoch into every
@@ -369,12 +377,12 @@ func (c *Cluster) rejoin(p *sim.Proc, m int) int {
 }
 
 // replResyncAck credits a resync copy as the member's late durability
-// ack: under WriteQuorum == Replicas a write cannot complete while the
-// set is degraded — it becomes durable on the full set only when the
-// background resync lands its content on the rejoining member, and that
-// is the moment the completion fires. The member's retire watermark is
-// NOT advanced: its chain was reset, and the old-chain index would
-// poison the fresh log partition's retirement.
+// ack: where the quorum is the full set (a 2-way set) a write cannot
+// complete while the set is degraded — it becomes durable on the full set
+// only when the background resync lands its content on the rejoining
+// member, and that is the moment the completion fires. The member's
+// retire watermark is NOT advanced: its chain was reset, and the
+// old-chain index would poison the fresh log partition's retirement.
 func (in *Initiator) replResyncAck(ws *wireState, member int) {
 	q := &ws.q
 	if k := q.Pos(member); k >= 0 && q.Got[k] {
@@ -422,7 +430,7 @@ func (c *Cluster) writeCopies(p *sim.Proc, copies []blockCopy) {
 // same LBA idempotent.
 func (c *Cluster) copyExtent(p *sim.Proc, rs *replicaSet, m int, d dirtyExtent) int {
 	for !c.extentSettled(d) {
-		p.Sleep(sim.Microsecond)
+		rs.settled.Wait(p)
 	}
 	src := rs.firstInSync(m)
 	if src < 0 {
@@ -444,7 +452,7 @@ func (c *Cluster) copyExtent(p *sim.Proc, rs *replicaSet, m int, d dirtyExtent) 
 	p.Sleep(c.cfg.Fabric.PropDelay + sim.Time(float64(bytes)/c.cfg.Fabric.BytesPerNs))
 	c.writeCopies(p, copies)
 	// The content now lives on the member: credit the late ack (relevant
-	// when WriteQuorum == Replicas — quorum writes were already fired).
+	// when the quorum is the full set — quorum writes were already fired).
 	if d.ws.id == d.wsID && d.ws.epoch == c.inits[d.init].epoch {
 		c.inits[d.init].replResyncAck(d.ws, m)
 	}

@@ -266,16 +266,17 @@ func TestWholeSetCutMemberByMember(t *testing.T) {
 	}
 }
 
-// TestFullQuorumStallsThenResyncCompletes: WriteQuorum == Replicas means
-// a write completes only when durable on every member. A degraded window
-// therefore stalls completions — and the background resync, by landing
-// the missed content on the rejoining member, is exactly what releases
-// them.
+// TestFullQuorumStallsThenResyncCompletes: a 2-way set's majority is the
+// full set, so a write completes only when durable on both members. A
+// degraded window therefore stalls completions — and the background
+// resync, by landing the missed content on the rejoining member, is
+// exactly what releases them.
 func TestFullQuorumStallsThenResyncCompletes(t *testing.T) {
 	eng := sim.New(5)
-	cfg := replConfig(3)
-	cfg.WriteQuorum = 3
-	c := New(eng, cfg)
+	c := New(eng, replConfig(2))
+	if c.WriteQuorum() != 2 {
+		t.Fatalf("majority quorum of 2 = %d, want 2", c.WriteQuorum())
+	}
 	eng.Go("warm", func(p *sim.Proc) {
 		r := c.Init(0).OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
 		c.Init(0).Wait(p, r)
@@ -464,12 +465,6 @@ func TestReplicationTopologyValidation(t *testing.T) {
 	expectPanic("non-rio mode", func() {
 		cfg := smallConfig(ModeHorae, OptaneTarget(), OptaneTarget())
 		cfg.Replicas = 2
-		New(sim.New(1), cfg)
-	})
-	expectPanic("quorum out of range", func() {
-		cfg := smallConfig(ModeRio, OptaneTarget(), OptaneTarget())
-		cfg.Replicas = 2
-		cfg.WriteQuorum = 3
 		New(sim.New(1), cfg)
 	})
 }

@@ -37,10 +37,9 @@ func TestReleasedRequestsOutliveStragglers(t *testing.T) {
 				Targets: []TargetSpec{
 					{SSDs: []DeviceClass{Optane}}, {SSDs: []DeviceClass{Optane}}, {SSDs: []DeviceClass{Optane}},
 				},
-				Replicas:    3,
-				WriteQuorum: 2,
-				Relay:       tc.relay,
-				Trace:       TraceOptions{SampleEvery: 1},
+				Replicas: 3,
+				Relay:    tc.relay,
+				Trace:    TraceOptions{SampleEvery: 1},
 			})
 			defer c.Close()
 			c.Stack().PoisonRecycled()

@@ -81,14 +81,12 @@ type Options struct {
 	// Replicas groups consecutive targets into replica sets of this size
 	// (Rio ordering only; len(Targets) must divide evenly): every ordered
 	// write fans out to all in-sync members with per-replica ordering
-	// chains, completions deliver at WriteQuorum, reads come from any
-	// in-sync member, and a power-cut member degrades its set instead of
-	// stalling streams (RecoverTarget then runs a background resync).
-	// 0 or 1 = no replication.
+	// chains, completions deliver at a majority of the set (on a 2-way
+	// set, both members: writes stall while it is degraded), reads come
+	// from any in-sync member, and a power-cut member degrades its set
+	// instead of stalling streams (RecoverTarget then runs a background
+	// resync). 0 or 1 = no replication.
 	Replicas int
-	// WriteQuorum: 0 = majority of Replicas; Replicas = full-set
-	// durability (writes stall while the set is degraded).
-	WriteQuorum int
 	// Relay routes replicated ordered writes over target-to-target links:
 	// the initiator posts ONE capsule to the set's head member, which
 	// relays follower copies and aggregates follower acks into a single
@@ -187,7 +185,6 @@ func Open(o Options) (*Cluster, error) {
 	cfg := stack.DefaultConfig(mode, targets...)
 	cfg.Initiators = o.Initiators
 	cfg.Replicas = o.Replicas
-	cfg.WriteQuorum = o.WriteQuorum
 	cfg.ReplRelay = o.Relay
 	cfg.Streams = o.Streams
 	cfg.QPs = o.Streams

@@ -128,7 +128,6 @@ func TestOpenReturnsWhatNewClusterPanicsWith(t *testing.T) {
 		"stack: ReplRelay requires Replicas > 1":                      {Relay: true},
 		"stack: replication requires ModeRio":                         {Ordering: Horae, Targets: three, Replicas: 3},
 		"stack: 3 targets do not divide into replica sets of 2":       {Targets: three, Replicas: 2},
-		"stack: write quorum 4 out of range for 3 replicas":           {Targets: three, Replicas: 3, WriteQuorum: 4},
 		"stack: replica set members must have identical SSD geometry": {Targets: []TargetSpec{three[0], {SSDs: []DeviceClass{Optane, Optane}}, three[2]}, Replicas: 3},
 		"stack: target 0 has no SSD":                                  {Targets: []TargetSpec{{}}},
 	} {

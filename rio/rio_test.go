@@ -1,31 +1,6 @@
 package rio
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
-
-func TestQuickstartFlow(t *testing.T) {
-	c := NewCluster(Options{Seed: 1})
-	defer c.Close()
-	delivered := []string{}
-	c.Go(func(ctx *Ctx) {
-		s := ctx.Stream(0)
-		s.Write(10, 2)                   // journal description + metadata
-		jc := s.Close(12, 1)             // group boundary
-		h := ctx.Stream(0).Commit(13, 1) // commit record with FLUSH
-		h.Wait()
-		if !jc.Done() {
-			t.Error("earlier group must be delivered before the commit")
-		}
-		delivered = append(delivered, "done")
-	})
-	c.Run()
-	if len(delivered) != 1 {
-		t.Fatal("app thread did not finish")
-	}
-}
+import "testing"
 
 func TestAttrExposure(t *testing.T) {
 	c := NewCluster(Options{Seed: 2})
@@ -112,60 +87,6 @@ func TestPowerCutAndRecover(t *testing.T) {
 	c.Run()
 	if prefix < 1 {
 		t.Fatalf("durable prefix = %d, want >= 1 (group 1 was committed)", prefix)
-	}
-}
-
-func TestTargetCrashRecover(t *testing.T) {
-	c := NewCluster(Options{
-		Seed:    5,
-		Targets: []TargetSpec{{SSDs: []DeviceClass{Optane}}, {SSDs: []DeviceClass{Optane}}},
-	})
-	defer c.Close()
-	var handles []*Handle
-	c.Go(func(ctx *Ctx) {
-		s := ctx.Stream(0)
-		for i := 0; i < 16; i++ {
-			handles = append(handles, s.Close(uint64(i), 1))
-			ctx.Sleep(2 * sim.Microsecond)
-		}
-	})
-	c.Engine().At(20*sim.Microsecond, func() { c.Fault(TargetScope(1)) })
-	c.RunFor(300 * sim.Microsecond)
-	c.Go(func(ctx *Ctx) {
-		rep := ctx.Recover(TargetScope(1))
-		if rep.Timing.Replayed == 0 {
-			t.Error("expected replayed requests")
-		}
-	})
-	c.Run()
-	for i, h := range handles {
-		if !h.Done() {
-			t.Fatalf("request %d lost after target recovery", i)
-		}
-	}
-}
-
-func TestFSOnPublicAPI(t *testing.T) {
-	c := NewCluster(Options{Seed: 6})
-	defer c.Close()
-	ok := false
-	c.Go(func(ctx *Ctx) {
-		fsys := ctx.FS(FSOptions{Design: RioFSFS, Journals: 4})
-		f, err := fsys.Create(ctx.Proc(), "hello")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := fsys.Append(ctx.Proc(), f, 4096); err != nil {
-			t.Error(err)
-			return
-		}
-		fsys.Fsync(ctx.Proc(), f, 0)
-		ok = true
-	})
-	c.Run()
-	if !ok {
-		t.Fatal("fs flow failed")
 	}
 }
 
