@@ -7,7 +7,7 @@
 //	riobench -list
 //	riobench -exp fig10b
 //	riobench -exp all -quick
-//	riobench -exp scale,replication,policy -quick -json BENCH_5.json
+//	riobench -exp scale,replication,policy -quick -json out.json
 //	riobench -exp scale -quick -trace 16          # append stage breakdowns
 //	riobench -exp scale -quick -repeat 5 -json out.json   # mean/std metrics
 package main

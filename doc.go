@@ -7,7 +7,7 @@
 // protocol, block layer, file systems, key-value store) live under
 // internal/. The benchmark harness that regenerates every table and
 // figure of the paper's evaluation is internal/bench, runnable via
-// cmd/riobench or the benchmarks in bench_test.go.
+// cmd/riobench.
 //
 // See README.md for a tour and DESIGN.md for the system inventory, the
 // experiment index (§5) and the calibrated cost model (§6).

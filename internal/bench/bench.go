@@ -4,8 +4,7 @@
 // the workload from internal/workload, renders the rows/series the paper
 // reports with the headline ratios as `note:` lines, and emits the metrics
 // `make bench-gate` holds to the committed BENCH_N.json. Runners accept a
-// Quick option that shrinks the simulated windows for use from
-// `go test -bench`.
+// Quick option that shrinks the simulated windows (`riobench -quick`).
 package bench
 
 import (

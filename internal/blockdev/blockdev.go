@@ -7,8 +7,6 @@
 package blockdev
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -242,13 +240,6 @@ func (w *WireCmd) InlineBytes(threshold int) int {
 
 // PayloadBytes returns total data bytes of the command.
 func (w *WireCmd) PayloadBytes() int { return int(w.Blocks) * 4096 }
-
-func (w *WireCmd) String() string {
-	if w.Flush {
-		return fmt.Sprintf("flush dev%d", w.Dev)
-	}
-	return fmt.Sprintf("write dev%d lba%d+%d ordered=%v", w.Dev, w.LBA, w.Blocks, w.Ordered)
-}
 
 // Fuse merges b into a when both are writes (not flushes) to the same
 // device, b starts where a ends, and the fused command stays within

@@ -95,12 +95,6 @@ func newStreamSeq(initiator, id uint16) *StreamSeq {
 	return st
 }
 
-// ID returns the stream id.
-func (st *StreamSeq) ID() uint16 { return st.id }
-
-// Initiator returns the stream's initiator namespace.
-func (st *StreamSeq) Initiator() uint16 { return st.initiator }
-
 // Submit creates the ordering attribute for one ordered write request
 // (rio_submit). boundary marks the end of the current group; flush tags
 // the request with the durability barrier; ipu marks an in-place update.

@@ -142,7 +142,6 @@ func (in *inode) blocks() uint64 {
 // File is an open file handle.
 type File struct {
 	ino *inode
-	fs  *FS
 	// dirtyData lists the un-fsynced data block writes in write order. An
 	// fsync consumes the list and leaves its unused tail in place.
 	dirtyData []dirtyBlock
@@ -175,8 +174,6 @@ type FsyncTrace struct {
 type Stats struct {
 	Fsyncs      int64
 	Creates     int64
-	Unlinks     int64
-	Appends     int64
 	Checkpoints int64
 	ReuseFlush  int64 // FLUSH fallbacks for block reuse (§4.4.2)
 	Commits     int64
@@ -201,14 +198,15 @@ type FS struct {
 	dirs    map[uint64]map[string]uint64 // dir ino -> name -> ino
 	nextIno uint64
 
-	alloc          *allocator
-	journals       []*journalArea
-	stamp          uint64
-	nextTxnID      uint64
-	txnFree        sim.FreeList[txnPayload] // committed transactions (commitTxn)
-	stats          Stats
-	closed         bool
-	LastTrace      FsyncTrace
+	alloc     *allocator
+	journals  []*journalArea
+	stamp     uint64
+	nextTxnID uint64
+	txnFree   sim.FreeList[txnPayload] // committed transactions (commitTxn)
+	stats     Stats
+	closed    bool
+	// TraceHook, when set, receives every fsync's phase breakdown as the
+	// fsync returns (Fig. 14): the one way to observe an fsync's trace.
 	TraceHook      func(FsyncTrace)
 	pendingUnlinks map[uint64][]direntOp
 	pendingNewDirs map[uint64]direntOp // dir ino -> its unjournaled creation
@@ -250,9 +248,6 @@ func Open(in *stack.Initiator, opts Options) *FS {
 // Cluster returns the underlying storage cluster.
 func (fs *FS) Cluster() *stack.Cluster { return fs.in.Cluster() }
 
-// Initiator returns the initiator server this file system is bound to.
-func (fs *FS) Initiator() *stack.Initiator { return fs.in }
-
 // Eng returns the simulation engine (for spawning background work).
 func (fs *FS) Eng() *sim.Engine { return fs.in.Eng }
 
@@ -276,12 +271,6 @@ func (fs *FS) Close() Stats {
 	fs.closed = true
 	return fs.stats
 }
-
-// Options returns the resolved mount options.
-func (fs *FS) Options() Options { return fs.cfg }
-
-// Design returns the journaling design in use.
-func (fs *FS) Design() Design { return fs.cfg.Design }
 
 func (fs *FS) nextStamp() uint64 {
 	fs.stamp++
@@ -348,7 +337,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	fs.inodes[in.Ino] = in
 	fs.dirs[dir][leaf] = in.Ino
 	fs.stats.Creates++
-	return &File{ino: in, fs: fs, parent: dir, name: leaf, dirDirty: true}, nil
+	return &File{ino: in, parent: dir, name: leaf, dirDirty: true}, nil
 }
 
 // Open returns a handle to an existing file.
@@ -361,7 +350,7 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("fs: no such file %q", path)
 	}
-	return &File{ino: fs.inodes[ino], fs: fs, parent: dir, name: leaf}, nil
+	return &File{ino: fs.inodes[ino], parent: dir, name: leaf}, nil
 }
 
 // Unlink removes a file; its blocks join the pending-reuse pool, which
@@ -384,7 +373,6 @@ func (fs *FS) Unlink(p *sim.Proc, path string) error {
 	delete(fs.dirs[dir], leaf)
 	fs.pendingUnlinks[dir] = append(fs.pendingUnlinks[dir],
 		direntOp{Dir: dir, Ino: ino, Add: false, Name: leaf})
-	fs.stats.Unlinks++
 	return nil
 }
 
@@ -411,7 +399,6 @@ func (fs *FS) Append(p *sim.Proc, f *File, size int) error {
 	}
 	f.ino.Extents = appendExtent(f.ino.Extents, extent{Start: start, Blocks: blocks})
 	f.ino.Size += uint64(size)
-	fs.stats.Appends++
 	return nil
 }
 
@@ -481,9 +468,6 @@ func (f *File) isDirty(lba uint64) bool {
 
 // Size returns the file size in bytes.
 func (f *File) Size() uint64 { return f.ino.Size }
-
-// Ino returns the inode number.
-func (f *File) Ino() uint64 { return f.ino.Ino }
 
 // List returns the sorted names in a directory ("" or "/" for root).
 func (fs *FS) List(p *sim.Proc, dir string) ([]string, error) {

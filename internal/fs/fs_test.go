@@ -84,13 +84,13 @@ func TestFsyncTraceShape(t *testing.T) {
 	traces := map[Design]FsyncTrace{}
 	for _, d := range []Design{HoraeFS, RioFS} {
 		eng, fs := smallFS(designMode(d), d, 2)
+		fs.TraceHook = func(tr FsyncTrace) { traces[d] = tr }
 		eng.Go("app", func(p *sim.Proc) {
 			f, _ := fs.Create(p, "f")
 			fs.Append(p, f, 4096)
 			fs.Fsync(p, f, 0)
 		})
 		eng.Run()
-		traces[d] = fs.LastTrace
 		eng.Shutdown()
 	}
 	rio, horae := traces[RioFS], traces[HoraeFS]

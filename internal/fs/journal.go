@@ -199,7 +199,6 @@ func (fs *FS) Fsync(p *sim.Proc, f *File, core int) {
 		tr = fs.fsyncAsync(p, f, core)
 	}
 	tr.Total = p.Now() - start
-	fs.LastTrace = tr
 	fs.stats.Fsyncs++
 	if fs.TraceHook != nil {
 		fs.TraceHook(tr)

@@ -33,7 +33,7 @@ func TestTxnEncoding(t *testing.T) {
 	unlink := direntOp{Dir: 3, Ino: 5, Add: false, Name: "old"}
 	fs.pendingNewDirs[3] = newDir
 	fs.pendingUnlinks[3] = []direntOp{unlink}
-	withFile := fs.buildTxn(&File{ino: in, fs: fs, parent: 3, name: "WAL", dirDirty: true})
+	withFile := fs.buildTxn(&File{ino: in, parent: 3, name: "WAL", dirDirty: true})
 	add := direntOp{Dir: 3, Ino: 7, Add: true, Name: "WAL"}
 	noFile := fs.buildTxn(nil)
 	if len(fs.pendingNewDirs) != 0 || len(fs.pendingUnlinks) != 0 {

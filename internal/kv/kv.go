@@ -72,8 +72,6 @@ func DefaultOptions() Options {
 type Stats struct {
 	Puts         int64
 	Gets         int64
-	Deletes      int64
-	WALBytes     int64
 	Flushes      int64 // memtable -> SST
 	Compactions  int64
 	SSTFiles     int64
@@ -91,8 +89,7 @@ type DB struct {
 	cfg    Options
 	closed bool
 
-	wal      *fs.File
-	walBytes int
+	wal *fs.File
 
 	mem      map[string]uint64 // key -> value stamp (values are synthetic; tombstone marks a delete)
 	memBytes int
@@ -214,9 +211,6 @@ func (db *DB) Stats() Stats { return db.stats }
 // Options returns the effective (default-filled) options.
 func (db *DB) Options() Options { return db.cfg }
 
-// FS returns the file system the store lives on.
-func (db *DB) FS() *fs.FS { return db.fsys }
-
 // ErrClosed is returned by Put and Delete on a store after its Close.
 var ErrClosed = errors.New("kv: store closed")
 
@@ -243,7 +237,6 @@ func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
 		return err
 	}
 	db.fsys.Fsync(p, db.wal, core)
-	db.stats.WALBytes += int64(rec)
 
 	// Memtable insert (in-memory indexing CPU).
 	db.fsys.UseCPU(p, indexCPU)
@@ -277,12 +270,10 @@ func (db *DB) Delete(p *sim.Proc, core int, key string) error {
 		return err
 	}
 	db.fsys.Fsync(p, db.wal, core)
-	db.stats.WALBytes += int64(rec)
 
 	db.fsys.UseCPU(p, indexCPU)
 	db.mem[key] = tombstone
 	db.memBytes += rec
-	db.stats.Deletes++
 
 	if db.memBytes >= db.cfg.MemtableBytes {
 		db.rotate(p, core)

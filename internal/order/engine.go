@@ -20,7 +20,6 @@ type SlotRef struct {
 // does one multiply-add instead of hashing a composite map key.
 type Engine[P any] struct {
 	pol     Policy
-	inits   int
 	streams int
 	domains []Domain[P]
 	unflush [][]SlotRef // per SSD: completed-but-unflushed slots (non-PLP)
@@ -39,7 +38,6 @@ func NewEngine[P any](pol Policy, inits, streams, ssds, parkedCap int) *Engine[P
 	}
 	e := &Engine[P]{
 		pol:     pol,
-		inits:   inits,
 		streams: streams,
 		domains: make([]Domain[P], inits*streams),
 		unflush: make([][]SlotRef, ssds),
@@ -52,12 +50,6 @@ func NewEngine[P any](pol Policy, inits, streams, ssds, parkedCap int) *Engine[P
 
 // Policy returns the stack policy this engine runs under.
 func (e *Engine[P]) Policy() Policy { return e.pol }
-
-// Initiators returns the engine's initiator-table width.
-func (e *Engine[P]) Initiators() int { return e.inits }
-
-// Streams returns the per-initiator stream count.
-func (e *Engine[P]) Streams() int { return e.streams }
 
 // Domain returns the (initiator, stream) ordering domain. Stream ids are
 // scoped per initiator, so the pair is the domain identity.

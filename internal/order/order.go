@@ -24,8 +24,6 @@ package order
 // driver consults it instead of switching on a mode enum, so the engine
 // semantics live here, next to the state they govern.
 type Policy interface {
-	// Name is the stack's label ("orderless", "linux", "horae", "rio").
-	Name() string
 	// Gated reports whether ordered commands pass the in-order
 	// submission gate, persisting their attribute chain at submit (Rio's
 	// §4.3.1 mechanism).
@@ -47,7 +45,6 @@ type Policy interface {
 // tracking.
 type Orderless struct{}
 
-func (Orderless) Name() string           { return "orderless" }
 func (Orderless) Gated() bool            { return false }
 func (Orderless) ControlPersisted() bool { return false }
 func (Orderless) Tracked() bool          { return false }
@@ -58,7 +55,6 @@ func (Orderless) CertifyPeers() bool     { return false }
 // engine sees it exactly like the orderless stack (no target-side state).
 type LinuxOrdered struct{}
 
-func (LinuxOrdered) Name() string           { return "linux" }
 func (LinuxOrdered) Gated() bool            { return false }
 func (LinuxOrdered) ControlPersisted() bool { return false }
 func (LinuxOrdered) Tracked() bool          { return false }
@@ -70,7 +66,6 @@ func (LinuxOrdered) CertifyPeers() bool     { return false }
 // every domain on the device.
 type Horae struct{}
 
-func (Horae) Name() string           { return "horae" }
 func (Horae) Gated() bool            { return false }
 func (Horae) ControlPersisted() bool { return true }
 func (Horae) Tracked() bool          { return true }
@@ -81,7 +76,6 @@ func (Horae) CertifyPeers() bool     { return true }
 // toggles persist bits at completion.
 type Rio struct{}
 
-func (Rio) Name() string           { return "rio" }
 func (Rio) Gated() bool            { return true }
 func (Rio) ControlPersisted() bool { return false }
 func (Rio) Tracked() bool          { return true }

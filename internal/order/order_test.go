@@ -120,7 +120,7 @@ func TestSlotTableOutOfOrderWindow(t *testing.T) {
 
 func TestEngineDenseTableAndReset(t *testing.T) {
 	e := NewEngine[int](Rio{}, 2, 3, 2, 8)
-	if !e.Policy().Gated() || e.Policy().Name() != "rio" {
+	if _, ok := e.Policy().(Rio); !ok || !e.Policy().Gated() {
 		t.Fatal("policy mismatch")
 	}
 	a := e.Domain(0, 1)

@@ -37,13 +37,6 @@ const (
 	Optane
 )
 
-func (p Profile) String() string {
-	if p == Flash {
-		return "flash"
-	}
-	return "optane"
-}
-
 // Config holds the device parameters. All latencies are per the unit noted.
 type Config struct {
 	Name    string
@@ -249,11 +242,8 @@ type SSD struct {
 // New creates a device. Its media channels are sim.Servers and its
 // commands pooled sim.Steps, so a device owns no process.
 func New(e *sim.Engine, cfg Config) *SSD {
-	if cfg.Channels <= 0 || cfg.MaxTransferBlocks <= 0 {
+	if cfg.Channels <= 0 || cfg.MaxTransferBlocks <= 0 || cfg.FrontWidth <= 0 {
 		panic("ssd: invalid config")
-	}
-	if cfg.FrontWidth <= 0 {
-		cfg.FrontWidth = 1
 	}
 	if cfg.SatKnee < 0 {
 		panic("ssd: SatKnee must be >= 0")

@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/ssd"
+	"repro/internal/trace"
 )
 
 // satTarget1 builds one Optane target with the SSD saturation model
@@ -197,4 +200,216 @@ func TestSubmitGateReleasesOnCrash(t *testing.T) {
 	if !recovered {
 		t.Fatal("post-recovery write never completed (inflight state leaked across the crash)")
 	}
+}
+
+// burstStreams has each stream of every initiator plug n single-block
+// ordered writes at time 0 and dispatch them in its own place, so the
+// thread itself posts the capsules. The LBAs are disjoint and non-adjacent
+// (nothing fuses). It returns each (initiator, stream)'s requests in
+// submission order.
+func burstStreams(eng *sim.Engine, c *Cluster, streams, n int) [][]*blockdev.Request {
+	var reqs [][]*blockdev.Request
+	for i := 0; i < c.Initiators(); i++ {
+		for s := 0; s < streams; s++ {
+			in, s, k := c.Init(i), s, len(reqs)
+			reqs = append(reqs, nil)
+			eng.Go("burst", func(p *sim.Proc) {
+				in.StartPlug(s)
+				for j := 0; j < n; j++ {
+					lba := uint64(k)<<20 | uint64(2*j)
+					reqs[k] = append(reqs[k], in.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false))
+				}
+				in.FinishPlug(p, s)
+			})
+		}
+	}
+	return reqs
+}
+
+// deliveredInOrder fails unless every request completed and each stream's
+// requests were delivered in submission order.
+func deliveredInOrder(t *testing.T, reqs [][]*blockdev.Request) {
+	t.Helper()
+	for s, rs := range reqs {
+		for i, r := range rs {
+			if !r.Done.Fired() {
+				t.Fatalf("stream %d: write %d never delivered", s, i)
+			}
+			if i > 0 && r.DeliverAt < rs[i-1].DeliverAt {
+				t.Fatalf("stream %d: write %d delivered at %v, before write %d at %v",
+					s, i, r.DeliverAt, i-1, rs[i-1].DeliverAt)
+			}
+		}
+	}
+}
+
+// TestTxQueueStallsPosters runs the fabric TX bound at a depth it binds
+// at: a TX queue of one message, no submit gate, and four streams posting
+// capsules in the same instant. The initiator's posts stall for TX space,
+// and so, over the relay, do the head's forwards to its followers, which
+// two initiators' capsules feed at twice one link's rate; the
+// stalls are charged to the sampled spans as WaitTx, and ordering and
+// delivery are untouched by the waits.
+func TestTxQueueStallsPosters(t *testing.T) {
+	for _, relay := range []bool{false, true} {
+		eng := sim.New(1)
+		cfg := smallConfig(ModeRio, optane1()...)
+		if relay {
+			cfg = relayConfig(3)
+			cfg.Initiators = 2
+		}
+		cfg.Fabric.TxDepth = 1
+		cfg.MaxInflight = 0
+		cfg.Trace = trace.Config{SampleEvery: 1}
+		c := New(eng, cfg)
+		reqs := burstStreams(eng, c, 4, 32)
+		eng.Run()
+
+		deliveredInOrder(t, reqs)
+		if v := c.OrderAudit(); v != 0 {
+			t.Fatalf("relay=%v: order audit: %d violations", relay, v)
+		}
+		if n := c.Target(0).conns[0].Stats(fabric.Target).TxStalls; n == 0 {
+			t.Fatalf("relay=%v: the initiator's posts never stalled on a TX depth of 1", relay)
+		}
+		if relay {
+			var forwards int64
+			for _, conn := range c.replSets[0].relay[1:] {
+				forwards += conn.Stats(fabric.Target).TxStalls
+			}
+			if forwards == 0 {
+				t.Fatal("the head's relay forwards never stalled on a TX depth of 1")
+			}
+			mediaIdentical(t, c)
+		}
+		if w := c.TraceStats().WaitTotal[trace.WaitTx]; w == 0 {
+			t.Fatalf("relay=%v: TX stalls were not attributed to any sampled span", relay)
+		}
+		eng.Shutdown()
+	}
+}
+
+// pmrFullConfig is one initiator on one Optane target whose PMR partition
+// holds pmrSlots ordering entries: fewer than a writer keeps in flight.
+const pmrSlots = 8
+
+func pmrFullConfig() Config {
+	cfg := smallConfig(ModeRio, optane1()...)
+	cfg.Targets[0].SSDs[0].PMRSize = pmrSlots * core.EntrySize
+	return cfg
+}
+
+// pmrWriters puts more writes in flight than the partition holds on two
+// streams of initiator 0: stream 0 fires n writes at once and posts
+// nothing after them, stream 1 keeps window > pmrSlots writes in flight
+// for n writes. It returns each stream's requests in submission order.
+func pmrWriters(eng *sim.Engine, c *Cluster, n, window int) [][]*blockdev.Request {
+	reqs := make([][]*blockdev.Request, 2)
+	in := c.Init(0)
+	eng.Go("burst", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			reqs[0] = append(reqs[0], in.OrderedWrite(p, 0, uint64(2*i), 1, 0, nil, true, false, false))
+		}
+	})
+	eng.Go("window", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			reqs[1] = append(reqs[1], in.OrderedWrite(p, 1, 1<<20|uint64(2*i), 1, 0, nil, true, false, false))
+			if i >= window {
+				in.Wait(p, reqs[1][i-window])
+			}
+		}
+	})
+	return reqs
+}
+
+// TestPMRLogFullParksAppends keeps more writes in flight than the PMR
+// partition holds entries. Appends park on the full log and resume as
+// watermarks retire entries: those on later command capsules, and, for the
+// stream that posts nothing more, those the target asks for when an append
+// parks. Every write is delivered in order, also when the partition's
+// oldest entry waits on a slow target and retiring the younger ones frees
+// nothing. A last run cuts the initiator while appends are parked:
+// recovery formats the partition, the parked appends drop, and no
+// dead-incarnation entry reaches the fresh partition.
+func TestPMRLogFullParksAppends(t *testing.T) {
+	const n, window = 3 * pmrSlots, 2 * pmrSlots
+	t.Run("drain", func(t *testing.T) {
+		eng := sim.New(1)
+		c := New(eng, pmrFullConfig())
+		reqs := pmrWriters(eng, c, n, window)
+		eng.Run()
+		deliveredInOrder(t, reqs)
+		if v := c.OrderAudit(); v != 0 {
+			t.Fatalf("order audit: %d violations", v)
+		}
+		st := c.Target(0).Stats()
+		if st.PMRFull == 0 || st.PMRAppends != 2*n {
+			t.Fatalf("%d appends parked on a full log, %d appended; want > 0 and %d", st.PMRFull, st.PMRAppends, 2*n)
+		}
+		eng.Shutdown()
+	})
+	t.Run("hole", func(t *testing.T) {
+		// The partition's oldest entry belongs to a write whose delivery
+		// waits on a slow second target: retiring the entries behind it
+		// frees no space, so the parked appends re-ask until it is
+		// delivered.
+		eng := sim.New(1)
+		cfg := pmrFullConfig()
+		cfg.Targets = append(cfg.Targets, OptaneTarget())
+		cfg.Targets[1].SSDs[0].MediaWriteLat = 300 * sim.Microsecond
+		c := New(eng, cfg)
+		in := c.Init(0)
+		reqs := make([][]*blockdev.Request, 2)
+		eng.Go("head", func(p *sim.Proc) {
+			for lba := uint64(1); lba <= 2; lba++ { // target 1, then target 0
+				reqs[1] = append(reqs[1], in.OrderedWrite(p, 1, lba, 1, 0, nil, true, false, false))
+			}
+		})
+		eng.Go("burst", func(p *sim.Proc) {
+			p.Sleep(5 * sim.Microsecond)
+			for i := 0; i < n; i++ {
+				reqs[0] = append(reqs[0], in.OrderedWrite(p, 0, 1<<20|uint64(4*i), 1, 0, nil, true, false, false))
+			}
+		})
+		eng.Run()
+		deliveredInOrder(t, reqs)
+		if last := reqs[0][n-1].DeliverAt; last < reqs[1][1].DeliverAt {
+			t.Fatalf("the burst finished at %v, before the head entry's write was delivered at %v", last, reqs[1][1].DeliverAt)
+		}
+		if v := c.OrderAudit(); v != 0 {
+			t.Fatalf("order audit: %d violations", v)
+		}
+		eng.Shutdown()
+	})
+	t.Run("cut", func(t *testing.T) {
+		eng := sim.New(1)
+		c := New(eng, pmrFullConfig())
+		pmrWriters(eng, c, n, window)
+		// logFull is set by an append that parks and cleared only by the
+		// retirement that wakes it.
+		tgt := c.Target(0)
+		for !tgt.logFull[0] && eng.Now() < sim.Millisecond {
+			eng.RunUntil(eng.Now() + 100)
+		}
+		if !tgt.logFull[0] {
+			t.Fatal("no append parked on the full log")
+		}
+		c.PowerCutInitiator(0)
+		var after *blockdev.Request
+		eng.Go("recover", func(p *sim.Proc) {
+			c.RecoverInitiator(p, 0)
+			after = c.Init(0).OrderedWrite(p, 0, 1, 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, after)
+		})
+		eng.Run()
+		if after == nil || !after.Done.Fired() {
+			t.Fatal("the recovered initiator's write was not delivered")
+		}
+		entries := core.ScanRegion(tgt.PMRPartition(0))
+		if len(entries) != 1 || entries[0].ReqID != after.Ticket.Attr.ReqID {
+			t.Fatalf("fresh partition holds %d entries, want only the recovered initiator's one write: %+v",
+				len(entries), entries)
+		}
+		eng.Shutdown()
+	})
 }

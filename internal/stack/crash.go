@@ -505,6 +505,7 @@ func (c *Cluster) rollback(p *sim.Proc, report *core.Report, src []repairSource,
 func (in *Initiator) restartChain(target int) {
 	for s := 0; s < in.cfg.Streams; s++ {
 		in.retireMark[s*len(in.targets)+target] = 0
+		in.retireSent[s*len(in.targets)+target] = 0
 		if in.cfg.Mode == ModeRio {
 			in.seq.Stream(s).ResetServerChain(target)
 		}

@@ -624,9 +624,6 @@ func (in *Initiator) replaceWire(req *blockdev.Request, from, to *wireState) {
 // against rejoin. Standalone flushes fan out at post time (fanFlush).
 func (in *Initiator) assignOrderState(wires []*wireState) {
 	for _, ws := range wires {
-		if ws.wc.Flush {
-			continue
-		}
 		rs := in.c.replSets[ws.target]
 		ws.q.Need = in.c.writeQuorum
 		for k, m := range rs.members {
@@ -854,6 +851,9 @@ func (r *reaper) handle() bool {
 	}
 	for _, cr := range msg.ctrlAcks {
 		cr.ack.Fire()
+	}
+	if msg.logFull {
+		in.retireAsked[msg.from] = !in.sendRetires(msg.from)
 	}
 	for i := range msg.cqes {
 		id := msg.cqes[i].ID()

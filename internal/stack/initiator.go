@@ -3,6 +3,8 @@ package stack
 import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/nvmeof"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -38,8 +40,13 @@ type Initiator struct {
 	// construction, so the delivery hot path indexes a slice instead of
 	// hashing a two-int map key per request.
 	retireMark []uint64
-	epoch      int
-	alive      bool
+	// retireSent is the last watermark a capsule carried, same index, and
+	// retireAsked marks targets whose full log asked for watermarks when
+	// there were none to send: the next advance toward them is sent.
+	retireSent  []uint64
+	retireAsked []bool
+	epoch       int
+	alive       bool
 
 	// fuseWires scratch: per-device batch tails, generation-stamped so a
 	// dispatch never reads a previous batch's tail (the slice is only
@@ -86,17 +93,19 @@ type Initiator struct {
 // exist.
 func newInitiator(c *Cluster, id int) *Initiator {
 	in := &Initiator{
-		c:          c,
-		id:         id,
-		Eng:        c.Eng,
-		cfg:        c.cfg,
-		costs:      c.costs,
-		vol:        c.vol,
-		targets:    c.targets,
-		cores:      sim.NewResource(c.Eng, c.cfg.InitiatorCores),
-		linuxMu:    sim.NewResource(c.Eng, 1),
-		retireMark: make([]uint64, c.cfg.Streams*len(c.targets)),
-		alive:      true,
+		c:           c,
+		id:          id,
+		Eng:         c.Eng,
+		cfg:         c.cfg,
+		costs:       c.costs,
+		vol:         c.vol,
+		targets:     c.targets,
+		cores:       sim.NewResource(c.Eng, c.cfg.InitiatorCores),
+		linuxMu:     sim.NewResource(c.Eng, 1),
+		retireMark:  make([]uint64, c.cfg.Streams*len(c.targets)),
+		retireSent:  make([]uint64, c.cfg.Streams*len(c.targets)),
+		retireAsked: make([]bool, len(c.targets)),
+		alive:       true,
 	}
 	in.outstanding.Init(64)
 	in.readDone = in.onReadDone
@@ -145,18 +154,39 @@ func (in *Initiator) Cluster() *Cluster { return in.c }
 // charge the same per-operation CPU the stack itself uses.
 func (in *Initiator) Costs() CostModel { return in.costs }
 
-// retireMarkAt returns the {stream, target} retire watermark.
-func (in *Initiator) retireMarkAt(stream, target int) uint64 {
-	return in.retireMark[stream*len(in.targets)+target]
-}
-
 // bumpRetireMark advances the {stream, target} watermark to idx if it is
 // ahead of the recorded one.
 func (in *Initiator) bumpRetireMark(stream, target int, idx uint64) {
 	k := stream*len(in.targets) + target
 	if idx > in.retireMark[k] {
 		in.retireMark[k] = idx
+		if in.retireAsked[target] {
+			in.retireAsked[target] = !in.sendRetires(target)
+		}
 	}
+}
+
+// sendRetires answers a target whose log partition for this initiator is
+// full: one capsule with every stream's watermark toward it that no capsule
+// carried yet, sent without a command (the target recycles it on receipt).
+// It reports whether there was one to send.
+func (in *Initiator) sendRetires(target int) bool {
+	var cp *capsule
+	for s := 0; s < in.cfg.Streams; s++ {
+		k := s*len(in.targets) + target
+		if in.retireMark[k] > in.retireSent[k] {
+			if cp == nil {
+				cp = in.c.getCapsule(in.epoch, target)
+			}
+			cp.retires = append(cp.retires, retire{stream: uint16(s), upTo: in.retireMark[k]})
+			in.retireSent[k] = in.retireMark[k]
+		}
+	}
+	if cp == nil {
+		return false
+	}
+	in.targets[target].conns[in.id].Send(fabric.Initiator, fabric.Message{Size: nvmeof.CapsuleSize(0), Payload: cp})
+	return true
 }
 
 // retireMarksSet counts watermarks that have advanced (tests).
@@ -444,6 +474,8 @@ func (in *Initiator) crashVolatile() {
 	in.seq = in.newSequencer()
 	in.outstanding.Reset()
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
+	in.retireSent = make([]uint64, in.cfg.Streams*len(in.targets))
+	in.retireAsked = make([]bool, len(in.targets))
 	in.reqFree = sim.FreeList[blockdev.Request]{}
 	for _, sh := range in.shards {
 		sh.crashReset()

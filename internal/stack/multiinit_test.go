@@ -412,6 +412,8 @@ func TestMultiInitiatorFullCrashRecovery(t *testing.T) {
 // TestPMRPartitionBackpressureIsolated: one initiator filling its tiny
 // PMR partition must stall ITS appends (until retires recycle space),
 // not the other initiator's — both finish, and both partitions recycled.
+// Initiator 0 keeps twice its partition in flight, initiator 1 a quarter,
+// on non-adjacent blocks so that every write is its own log entry.
 func TestPMRPartitionBackpressureIsolated(t *testing.T) {
 	eng := sim.New(131)
 	cfg := multiConfig(2, optane1()...)
@@ -426,8 +428,8 @@ func TestPMRPartitionBackpressureIsolated(t *testing.T) {
 		eng.Go("app", func(p *sim.Proc) {
 			var pending []*blockdev.Request
 			for i := 0; i < n; i++ {
-				pending = append(pending, in.OrderedWrite(p, 0, uint64(ii<<20|i), 1, 0, nil, true, false, false))
-				if len(pending) >= 16 {
+				pending = append(pending, in.OrderedWrite(p, 0, uint64(ii<<20|2*i), 1, 0, nil, true, false, false))
+				if len(pending) >= 128>>(2*ii) {
 					in.Wait(p, pending[0])
 					pending = pending[1:]
 					done[ii]++
@@ -444,6 +446,9 @@ func TestPMRPartitionBackpressureIsolated(t *testing.T) {
 		if done[ii] != n {
 			t.Fatalf("initiator %d completed %d of %d with a 64-slot partition", ii, done[ii], n)
 		}
+	}
+	if c.Target(0).Stats().PMRFull == 0 {
+		t.Fatal("no append parked on initiator 0's full partition")
 	}
 	eng.Shutdown()
 }

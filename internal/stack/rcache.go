@@ -603,9 +603,6 @@ func (in *Initiator) rcachePopulateWires(wires []*wireState) (blocks int) {
 		return 0
 	}
 	for _, ws := range wires {
-		if ws.wc.Flush {
-			continue
-		}
 		// A write toward a set whose serving member is down cannot land:
 		// the request will fail, and caching its blocks would seed
 		// phantom hits that survive the target's rollback-recovery.

@@ -211,9 +211,10 @@ func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int
 		}
 	}
 	if in.cfg.Mode == ModeRio {
-		if mark := in.retireMarkAt(stream, member); mark > 0 {
-			cp.retire1[0] = retire{stream: uint16(stream), upTo: mark}
+		if k := stream*len(in.targets) + member; in.retireMark[k] > 0 {
+			cp.retire1[0] = retire{stream: uint16(stream), upTo: in.retireMark[k]}
 			cp.retires = cp.retire1[:]
+			in.retireSent[k] = in.retireMark[k]
 		}
 	}
 	return cp

@@ -348,6 +348,66 @@ func TestReplicatedFlushCompletesDegraded(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestReplicatedFlushSurvivesMemberCut cuts a member of a 3-way flash set
+// while a FLUSH is running on it. The victim's FLUSH is the slowest, so the
+// survivors have acked when it dies: the cut shrinks the barrier's quorum
+// to the live members and releases the flush on their acks. RecoverTarget
+// then resyncs the member back into the set.
+func TestReplicatedFlushSurvivesMemberCut(t *testing.T) {
+	eng := sim.New(9)
+	cfg := smallConfig(ModeRio, FlashTarget(), FlashTarget(), FlashTarget())
+	cfg.Replicas = 3
+	const victim = 2
+	cfg.Targets[victim].SSDs[0].FlushBase = 4 * cfg.Targets[0].SSDs[0].FlushBase
+	c := New(eng, cfg)
+	eng.Go("writes", func(p *sim.Proc) {
+		for i := 0; i < 8; i++ {
+			r := c.Init(0).OrderedWrite(p, 0, uint64(3*i), 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
+		}
+	})
+	eng.Run()
+	start := eng.Now()
+	var flushed sim.Time
+	eng.Go("flusher", func(p *sim.Proc) {
+		c.Init(0).FlushDevice(p, 0)
+		flushed = p.Now()
+	})
+	need := -1
+	eng.At(start+2*cfg.Targets[0].SSDs[0].FlushBase, func() {
+		var fw *wireState
+		for _, ws := range c.Init(0).outstandingOfSet(0) {
+			if ws.wc.Flush {
+				fw = ws
+			}
+		}
+		if fw == nil || flushed != 0 || fw.q.Acks != 2 || fw.q.Need != 3 {
+			t.Fatal("the survivors' FLUSH acks should be in, the slow member's not")
+		}
+		c.PowerCutTarget(victim)
+		// The cut resolved the last member and recycled the command; the
+		// record is not reused before the flusher runs again.
+		need = fw.q.Need
+	})
+	eng.Run()
+	if flushed == 0 {
+		t.Fatal("FlushDevice wedged on a member cut mid-FLUSH")
+	}
+	if need != 2 {
+		t.Fatalf("the barrier needs %d acks after the cut, want the 2 live members", need)
+	}
+	if c.InSync(victim) {
+		t.Fatal("the cut member is still in sync")
+	}
+	eng.Go("rejoin", func(p *sim.Proc) { c.RecoverTarget(p, victim) })
+	eng.Run()
+	if !c.InSync(victim) || c.ResyncBacklog(victim) != 0 {
+		t.Fatalf("member %d not resynced: in sync %v, backlog %d", victim, c.InSync(victim), c.ResyncBacklog(victim))
+	}
+	mediaIdentical(t, c)
+	eng.Shutdown()
+}
+
 // TestReplicatedFullCrashRecovery: whole-cluster power cut on a
 // replicated deployment — the prefix invariant must hold on EVERY
 // member after recovery (quorum-only survivors re-replicated, stale

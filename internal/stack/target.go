@@ -20,6 +20,7 @@ type TargetStats struct {
 	CtrlOps    int64
 	Holdbacks  int64 // in-order submission stalls (§4.3.1)
 	PMRAppends int64
+	PMRFull    int64 // appends that found their log partition full and parked
 	PMRToggles int64
 	Responses  int64 // response capsules sent (coalescing lowers this)
 	CQEs       int64 // completion entries those capsules carried
@@ -165,6 +166,7 @@ type Target struct {
 
 	logs     []*core.Log // per-initiator PMR partitions
 	logSpace []*sim.Cond // per-initiator append backpressure
+	logFull  []bool      // per-initiator: an append parked and asked the owner for watermarks
 	ord      *order.Engine[parkedCmd]
 	pol      order.Policy
 
@@ -223,6 +225,7 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		t.logs = append(t.logs, core.NewLog(t.pmrRegion(i)))
 		t.logSpace = append(t.logSpace, sim.NewCond(c.Eng))
 	}
+	t.logFull = make([]bool, nInit)
 	// One connection (with its own QP set) per initiator, and one receive
 	// context per QP: arrivals on a queue pair are handled serially (as on
 	// real hardware, where a QP maps to one completion queue), which is
@@ -270,6 +273,10 @@ func (t *Target) recvCapsule(init, qp int, cp *capsule) {
 		for _, r := range cp.retires {
 			t.retireUpTo(init, r.stream, r.upTo)
 		}
+		if len(cp.cmds) == 0 && len(cp.ctrl) == 0 && len(cp.reask) == 0 {
+			t.c.putCapsule(cp) // watermarks only (Initiator.sendRetires)
+			return
+		}
 		if len(cp.reask) > 0 && t.answerReask(l, cp) {
 			t.routeFlush(l)
 		}
@@ -292,6 +299,7 @@ func (t *Target) pmrRegion(init int) []byte {
 // leaving every other initiator's untouched.
 func (t *Target) resetInitiatorState(init int) {
 	t.logs[init] = core.NewLog(t.pmrRegion(init))
+	t.logFull[init] = false
 	// Wake every appender parked on the old log's space: it notices its log
 	// was replaced and drops the dead-incarnation attribute instead of
 	// leaking it into the fresh evidence.
@@ -595,10 +603,28 @@ func (x *tctx) pmrAppend() bool {
 		x.slot = slot
 		return x.Sleep(t.ssds[0].PMRWriteLat(), (*tctx).pmrPersisted)
 	}
-	// Log full: wait for retirement (backpressure).
+	// Log full: wait for retirement (backpressure). Rio's watermarks travel
+	// on the owner's command capsules, and an owner with nothing more to
+	// post would never send them, so ask for them.
 	t.cores.Release()
+	t.stats.PMRFull++
+	if t.pol.Gated() && !t.logFull[init] {
+		t.logFull[init] = true
+		t.askRetires(init, x.l.qp)
+	}
 	x.To((*tctx).pmrSpace)
 	return t.logSpace[init].Wait(x)
+}
+
+// askRetires tells initiator init that its log partition here is full: a
+// completion capsule with no CQE and the logFull mark. The initiator
+// answers with the watermarks no capsule has carried yet (sendRetires).
+// Each retirement clears logFull and wakes the parked appends, so one that
+// finds the log still full (the head entry is not retired yet) asks again.
+func (t *Target) askRetires(init, qp int) {
+	msg := t.c.getMsg(qp, t.initEpoch(init), t.id)
+	msg.logFull = true
+	t.conns[init].Send(fabric.Target, fabric.Message{QP: qp, Size: nvmeof.ResponseSize, Payload: msg})
 }
 
 func (x *tctx) pmrSpace() bool { return x.Acquire((*tctx).pmrAppend) }
@@ -1145,6 +1171,7 @@ func (t *Target) retireUpTo(init int, stream uint16, upTo uint64) {
 	d := t.ord.Domain(init, stream)
 	log := t.logs[init]
 	if d.RetireUpTo(upTo, func(slot uint64) { log.Retire(slot) }) {
+		t.logFull[init] = false
 		t.logSpace[init].Broadcast()
 	}
 }

@@ -154,13 +154,6 @@ func (s *Span) AddWait(seq uint64, w Wait, d sim.Time) {
 	s.waits[w] += d
 }
 
-// Completed reports whether the span has reached MCompleted. Mid-pipeline
-// recorders use it to ignore off-critical-path events (a replica member
-// acking after the quorum already fired).
-func (s *Span) Completed(seq uint64) bool {
-	return s.open && s.seq == seq && s.ms[MCompleted] != unset
-}
-
 const slabChunk = 64
 
 // Slab is a per-shard span allocator: spans come from chunked backing

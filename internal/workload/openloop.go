@@ -38,7 +38,7 @@ const (
 // completion rate and which therefore never expose the saturation knee.
 type SatJob struct {
 	Streams    int // per-initiator streams, one generator each
-	Initiators int // initiator servers to drive (0 = 1)
+	Initiators int // initiator servers to drive
 
 	// OfferedKIOPS is the total offered load across the whole fleet,
 	// split evenly over Initiators×Streams generators.
@@ -61,17 +61,15 @@ type SatJob struct {
 // saturated stack is part of the distribution — the quantity an
 // open-loop client actually experiences.
 type SatResult struct {
-	Elapsed    sim.Time
-	Arrivals   int64 // generated during the measurement window
-	Issued     int64 // handed to the stack during the window
-	Dropped    int64 // shed on a full backlog during the window
-	Completed  int64 // delivered during the window
-	BacklogEnd int   // arrivals still queued or in flight at window end
-	Lat        metrics.Histogram
-	InitUtil   float64
-	TgtUtil    float64
-	Stats      stack.ClusterStats
-	TgtStats   stack.TargetStats
+	Elapsed   sim.Time
+	Arrivals  int64 // generated during the measurement window
+	Dropped   int64 // shed on a full backlog during the window
+	Completed int64 // delivered during the window
+	Lat       metrics.Histogram
+	InitUtil  float64
+	TgtUtil   float64
+	Stats     stack.ClusterStats
+	TgtStats  stack.TargetStats
 }
 
 // DeliveredKIOPS returns the completion rate in thousands of ops/s.
@@ -104,7 +102,6 @@ type satGen struct {
 	q        *sim.Queue[satArrival]
 	pending  []satPending
 	arrivals int64
-	issued   int64
 	dropped  int64
 }
 
@@ -115,14 +112,8 @@ type satGen struct {
 // gate, fabric TX stalls, device saturation) the issuer stalls and the
 // queue grows — the generators never slow down.
 func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure sim.Time) SatResult {
-	if job.Initiators <= 0 {
-		job.Initiators = 1
-	}
-	if job.Streams <= 0 {
-		job.Streams = 1
-	}
-	if job.OfferedKIOPS <= 0 {
-		panic("workload: SatJob.OfferedKIOPS must be > 0")
+	if job.Initiators <= 0 || job.Streams <= 0 || job.OfferedKIOPS <= 0 {
+		panic("workload: SatJob.Initiators, Streams and OfferedKIOPS must be > 0")
 	}
 	const region = uint64(1 << 20) // private 4 GB area per generator (blocks)
 	rng := eng.Rand()
@@ -208,7 +199,6 @@ func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure s
 					a := g.q.Pop(p)
 					stamp++
 					req := in.OrderedWrite(p, st, a.lba, 1, stamp, nil, true, false, false)
-					g.issued++
 					g.pending = append(g.pending, satPending{req: req, at: a.at})
 					// Ordered delivery is FIFO per stream: completed
 					// requests accumulate at the front. Pruning is lazy, so
@@ -228,12 +218,11 @@ func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure s
 		}
 	}
 
-	var arr0, iss0, drop0 int64
+	var arr0, drop0 int64
 	w := measureWindow(eng, c, warmup, measure, func() {
 		m.open(eng.Now())
 		for _, g := range gens {
 			arr0 += g.arrivals
-			iss0 += g.issued
 			drop0 += g.dropped
 		}
 	})
@@ -248,24 +237,18 @@ func RunSatLoad(eng *sim.Engine, c *stack.Cluster, job SatJob, warmup, measure s
 	}
 	for _, g := range gens {
 		res.Arrivals += g.arrivals
-		res.Issued += g.issued
 		res.Dropped += g.dropped
-		res.BacklogEnd += g.q.Len()
 		// Sweep completions the issuer has not pruned yet (it only prunes
 		// when issuing, and the engine is stopped now). Only deliveries
 		// inside the measurement window count; one delivered during warmup
-		// is neither a measured completion nor backlog.
+		// is not a measured completion.
 		for _, pe := range g.pending {
-			switch {
-			case pe.req.Done.Fired() && pe.req.DeliverAt >= m.started && pe.req.DeliverAt <= end:
+			if pe.req.Done.Fired() && pe.req.DeliverAt >= m.started && pe.req.DeliverAt <= end {
 				m.Op(4096, pe.req.DeliverAt-pe.at)
-			case !pe.req.Done.Fired():
-				res.BacklogEnd++
 			}
 		}
 	}
 	res.Arrivals -= arr0
-	res.Issued -= iss0
 	res.Dropped -= drop0
 	res.Completed = m.ops
 	res.Lat = m.lat

@@ -27,7 +27,7 @@ func satCluster(t *testing.T, maxInflight int) (*sim.Engine, *stack.Cluster) {
 func TestSatLoadPoissonRate(t *testing.T) {
 	eng, c := satCluster(t, 0)
 	r := RunSatLoad(eng, c, SatJob{
-		Streams: 4, OfferedKIOPS: 200, Arrival: ArrivalPoisson,
+		Streams: 4, Initiators: 1, OfferedKIOPS: 200, Arrival: ArrivalPoisson,
 	}, 100*sim.Microsecond, 2*sim.Millisecond)
 	eng.Shutdown()
 
@@ -55,7 +55,7 @@ func TestSatLoadPoissonRate(t *testing.T) {
 func TestSatLoadBurstyRate(t *testing.T) {
 	eng, c := satCluster(t, 0)
 	r := RunSatLoad(eng, c, SatJob{
-		Streams: 4, OfferedKIOPS: 200, Arrival: ArrivalBursty,
+		Streams: 4, Initiators: 1, OfferedKIOPS: 200, Arrival: ArrivalBursty,
 	}, 100*sim.Microsecond, 4*sim.Millisecond)
 	eng.Shutdown()
 
@@ -73,7 +73,7 @@ func TestSatLoadBurstyRate(t *testing.T) {
 func TestSatLoadDropsOnTinyBacklog(t *testing.T) {
 	eng, c := satCluster(t, 64)
 	r := RunSatLoad(eng, c, SatJob{
-		Streams: 4, OfferedKIOPS: 2000, Arrival: ArrivalPoisson, MaxBacklog: 1,
+		Streams: 4, Initiators: 1, OfferedKIOPS: 2000, Arrival: ArrivalPoisson, MaxBacklog: 1,
 	}, 100*sim.Microsecond, sim.Millisecond)
 	eng.Shutdown()
 
@@ -93,7 +93,7 @@ func TestSatLoadDropsOnTinyBacklog(t *testing.T) {
 func TestSatLoadZipfStaysInRegion(t *testing.T) {
 	eng, c := satCluster(t, 0)
 	r := RunSatLoad(eng, c, SatJob{
-		Streams: 2, OfferedKIOPS: 100, Arrival: ArrivalPoisson, Theta: 0.99,
+		Streams: 2, Initiators: 1, OfferedKIOPS: 100, Arrival: ArrivalPoisson, Theta: 0.99,
 	}, 50*sim.Microsecond, sim.Millisecond)
 	eng.Shutdown()
 	if r.Completed == 0 {

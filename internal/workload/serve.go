@@ -26,19 +26,18 @@ import (
 
 // ServeJob configures the multi-tenant serving benchmark.
 type ServeJob struct {
-	Tenants int // concurrent KV tenants (0 = one per initiator)
-	Threads int // application threads per KV tenant (0 = 4)
-	// Keys is the per-tenant keyspace the Zipfian generator draws from
-	// (0 = 4 Mi keys). Keys are written on demand; with the YCSB theta
-	// the hot head of the space is populated within the warmup window.
+	Tenants int // concurrent KV tenants
+	Threads int // application threads per KV tenant
+	// Keys is the per-tenant keyspace the Zipfian generator draws from.
+	// Keys are written on demand; with the YCSB theta the hot head of
+	// the space is populated within the warmup window.
 	Keys  uint64
 	Theta float64 // Zipfian skew (0 = 0.99, the YCSB default)
 	// ReadPct is the read percentage of the mix: 50 = YCSB-A-like,
 	// 95 = YCSB-B-like, 100 = YCSB-C-like (no write is ever drawn).
 	ReadPct int
 	// Preload seeds each store with this many of its hottest keys before
-	// the clock starts, so read-heavy mixes hit from the first draw
-	// (0 = 4096).
+	// the clock starts, so read-heavy mixes hit from the first draw.
 	Preload int
 	// ScanBlocks > 0 adds one scan tenant after the KV tenants, on
 	// initiator Tenants mod Initiators: it reads a file of ScanBlocks
@@ -46,25 +45,6 @@ type ServeJob struct {
 	ScanBlocks uint64
 	FS         fs.Options // per-tenant sizing; BaseLBA is assigned per tenant
 	KV         kv.Options
-}
-
-func (j ServeJob) withDefaults(c *stack.Cluster) ServeJob {
-	if j.Tenants == 0 {
-		j.Tenants = c.Initiators()
-	}
-	if j.Threads == 0 {
-		j.Threads = 4
-	}
-	if j.Keys == 0 {
-		j.Keys = 4 << 20
-	}
-	if j.Theta == 0 {
-		j.Theta = 0.99
-	}
-	if j.Preload == 0 {
-		j.Preload = 4096
-	}
-	return j
 }
 
 // TenantServe is one tenant's share of the window.
@@ -162,7 +142,9 @@ func serveKey(r uint64) string { return fmt.Sprintf("%016d", r) }
 // initiator i mod Initiators at BaseLBA i*FS.Blocks(). It then drives
 // every tenant for warmup+measure.
 func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure sim.Time) ServeResult {
-	job = job.withDefaults(c)
+	if job.Theta == 0 {
+		job.Theta = 0.99
+	}
 	n := job.Tenants
 	if job.ScanBlocks > 0 {
 		n++

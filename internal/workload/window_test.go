@@ -56,7 +56,7 @@ func TestWarmupStaysOutOfEveryDriversWindow(t *testing.T) {
 			defer eng.Shutdown()
 			cfg := stack.DefaultConfig(stack.ModeRio, stack.TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig()}})
 			cfg.Streams, cfg.QPs, cfg.Fabric.NumQPs = 4, 4, 4
-			r := RunSatLoad(eng, stack.New(eng, cfg), SatJob{Streams: 4, OfferedKIOPS: 300}, warmup, measure)
+			r := RunSatLoad(eng, stack.New(eng, cfg), SatJob{Streams: 4, Initiators: 1, OfferedKIOPS: 300}, warmup, measure)
 			return counted{ops: r.Completed, lat: r.Lat.Count(), stats: r.Stats}
 		},
 		"RunServe+scan": func(warmup, measure sim.Time) counted {

@@ -286,13 +286,15 @@ func measureFs(eng *sim.Engine, fsys *fs.FS, m *Meter, warmup, measure sim.Time)
 func RunFioFsync(eng *sim.Engine, fsys *fs.FS, threads int, warmup, measure sim.Time) FsResult {
 	m := &Meter{}
 	agg := &TraceAgg{}
-	ready := sim.NewWaitGroup(eng)
-	ready.Add(threads)
+	fsys.TraceHook = func(tr fs.FsyncTrace) {
+		if m.warm {
+			agg.Add(tr)
+		}
+	}
 	for th := 0; th < threads; th++ {
 		th := th
 		eng.Go(fmt.Sprintf("wl/fio%d", th), func(p *sim.Proc) {
 			f, err := fsys.Create(p, fmt.Sprintf("fio%d", th))
-			ready.Done()
 			if err != nil {
 				return
 			}
@@ -304,7 +306,6 @@ func RunFioFsync(eng *sim.Engine, fsys *fs.FS, threads int, warmup, measure sim.
 				fsys.Fsync(p, f, th)
 				if m.warm {
 					m.Op(4096, p.Now()-start)
-					agg.Add(fsys.LastTrace)
 				}
 			}
 		})

@@ -15,7 +15,6 @@ import (
 type Zipf struct {
 	rng   *rand.Rand
 	n     uint64
-	theta float64
 	alpha float64 // 1 / (1 - theta)
 	zetan float64 // zeta(n, theta)
 	eta   float64
@@ -37,7 +36,6 @@ func NewZipf(rng *rand.Rand, n uint64, theta float64) *Zipf {
 	z := &Zipf{
 		rng:   rng,
 		n:     n,
-		theta: theta,
 		alpha: 1 / (1 - theta),
 		zetan: zeta(n, theta),
 		half:  math.Pow(0.5, theta),

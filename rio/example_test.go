@@ -3,6 +3,7 @@ package rio_test
 import (
 	"fmt"
 
+	"repro/internal/fs"
 	"repro/internal/sim"
 	"repro/rio"
 )
@@ -342,6 +343,8 @@ func Example_journaling() {
 		c.GoOn(bind, func(ctx *rio.Ctx) {
 			p := ctx.Proc()
 			fsys := ctx.FS(rio.FSOptions{Design: d.fsDesign, Journals: 8})
+			var tr fs.FsyncTrace // the last fsync's phases
+			fsys.TraceHook = func(last fs.FsyncTrace) { tr = last }
 			f, err := fsys.Create(p, "journal-demo")
 			// One warm-up transaction, then 50 measured steady fsyncs.
 			var start sim.Time
@@ -357,7 +360,6 @@ func Example_journaling() {
 				fmt.Println(err)
 				return
 			}
-			tr := fsys.LastTrace
 			fmt.Printf("%s (initiator %d)  fsync avg %8v   breakdown: D=%v JM=%v JC=%v wait=%v\n",
 				d.name, ctx.Initiator(), (ctx.Now()-start)/50, tr.DDispatch, tr.JMDispatch, tr.JCDispatch, tr.WaitIO)
 		})

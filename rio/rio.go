@@ -114,6 +114,7 @@ type Options struct {
 // data plane (submit, plug, dispatch, wire, target, ssd, completion,
 // reap, ordered delivery) plus the wait attribution (gate, TX stall,
 // gate park, PMR, device saturation, CQE hold, replica quorum).
+// Cluster.Stack().TraceStats() returns the aggregates.
 type TraceOptions struct {
 	// SampleEvery traces 1 in N submitted writes per shard (0 = off).
 	SampleEvery int
@@ -243,9 +244,6 @@ func (c *Cluster) Close() { c.eng.Shutdown() }
 // Stack exposes the underlying cluster for advanced use (benchmarks).
 func (c *Cluster) Stack() *stack.Cluster { return c.inner }
 
-// Initiators returns the number of initiator servers.
-func (c *Cluster) Initiators() int { return c.inner.Initiators() }
-
 // Engine exposes the simulation engine (for scheduling crash injection).
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
@@ -365,20 +363,6 @@ func (c *Cluster) CacheStatsAll() CacheStats {
 	return c.inner.ReadCacheStatsAll()
 }
 
-// TraceStats is the aggregated tracing view: sampled/finished/dropped
-// span counts, end-to-end and per-stage latency histograms, and the wait
-// attribution. All zeros when tracing is off (TraceOptions.SampleEvery
-// == 0). The concrete type is internal/trace.Stats; see its Table method
-// for a rendered stage-budget breakdown.
-type TraceStats = trace.Stats
-
-// TraceStats returns the cluster-wide tracing aggregates.
-func (c *Cluster) TraceStats() TraceStats { return c.inner.TraceStats() }
-
-// TraceStats returns the cluster-wide tracing aggregates (all zeros when
-// tracing is off).
-func (ctx *Ctx) TraceStats() TraceStats { return ctx.c.inner.TraceStats() }
-
 // CacheAudit cross-checks every live cached block against the media of
 // the replica member a read would be routed to, returning the number of
 // stale entries — 0 on a correct cache. Crash tests call it after each
@@ -389,15 +373,9 @@ func (c *Cluster) CacheAudit() int { return c.inner.CacheAudit() }
 // Replication introspection: replica sets, membership health, degraded
 // epochs and resync progress.
 
-// Replicas returns the configured replica factor (1 = no replication).
-func (c *Cluster) Replicas() int { return c.inner.Replicas() }
-
 // ReplicaSets returns the number of replica sets the volume stripes
 // over (== target count without replication).
 func (c *Cluster) ReplicaSets() int { return c.inner.SetCount() }
-
-// SetOf returns the replica set a target server belongs to.
-func (c *Cluster) SetOf(target int) int { return c.inner.SetOf(target) }
 
 // SetMembers returns the target ids of one replica set.
 func (c *Cluster) SetMembers(set int) []int { return c.inner.SetMembers(set) }
