@@ -12,28 +12,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/nvmeof"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/stack"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+func run(args []string, out io.Writer) int {
+	fl := flag.NewFlagSet("rioinspect", flag.ContinueOnError)
 	var (
-		encode  = flag.Bool("encode", false, "encode one attribute and dump the SQE dwords")
-		demo    = flag.Bool("demo", false, "run a short workload and dump the per-initiator PMR log partitions")
-		stream  = flag.Uint("stream", 0, "stream id")
-		seq     = flag.Uint64("seq", 1, "group sequence number")
-		lba     = flag.Uint64("lba", 0, "device LBA")
-		blocks  = flag.Uint("blocks", 1, "blocks")
-		flush   = flag.Bool("flush", false, "carry the durability barrier")
-		initID  = flag.Uint("initiator", 0, "initiator id (ordering-domain namespace)")
-		inits   = flag.Int("initiators", 2, "initiator servers in the -demo cluster")
-		writeIt = flag.Bool("table", true, "print the Table-1 field map")
+		encode  = fl.Bool("encode", false, "encode one attribute and dump the SQE dwords")
+		demo    = fl.Bool("demo", false, "run a short workload and dump the per-initiator PMR log partitions")
+		stream  = fl.Uint("stream", 0, "stream id")
+		seq     = fl.Uint64("seq", 1, "group sequence number")
+		lba     = fl.Uint64("lba", 0, "device LBA")
+		blocks  = fl.Uint("blocks", 1, "blocks")
+		flush   = fl.Bool("flush", false, "carry the durability barrier")
+		initID  = fl.Uint("initiator", 0, "initiator id (ordering-domain namespace)")
+		inits   = fl.Int("initiators", 2, "initiator servers in the -demo cluster")
+		writeIt = fl.Bool("table", true, "print the Table-1 field map")
 	)
-	flag.Parse()
+	if fl.Parse(args) != nil {
+		return 2
+	}
 
 	if *encode {
 		a := core.Attr{
@@ -43,29 +49,28 @@ func main() {
 			Boundary: true, Flush: *flush,
 		}
 		c := nvmeof.RioWriteCommand(0, a)
-		fmt.Printf("attribute: %s\n", a)
+		fmt.Fprintf(out, "attribute: %s\n", a)
 		for i, dw := range c {
-			fmt.Printf("dword %02d: 0x%08X\n", i, dw)
+			fmt.Fprintf(out, "dword %02d: 0x%08X\n", i, dw)
 		}
 		if *writeIt {
-			fmt.Println()
-			fmt.Println("Table 1 mapping (paper, plus this repo's multi-initiator extension):")
-			fmt.Printf("  00:10-13 rio opcode      = %d\n", c.RioOp())
-			fmt.Printf("  02:00-31 start sequence  = %d\n", c[2])
-			fmt.Printf("  03:00-31 end sequence    = %d\n", c[3])
-			fmt.Printf("  04:00-31 previous group  = %d\n", c[4])
-			fmt.Printf("  05:00-15 num requests    = %d\n", c[5]&0xffff)
-			fmt.Printf("  05:16-31 stream id       = %d\n", c[5]>>16)
-			fmt.Printf("  06:00-31 initiator id    = %d (reserved dword: namespaces the ordering domain)\n", c[6])
-			fmt.Printf("  12:16-19 special flags   = 0x%X\n", (c[12]>>16)&0xf)
+			fmt.Fprintln(out)
+			fmt.Fprintln(out, "Table 1 mapping (paper, plus this repo's multi-initiator extension):")
+			fmt.Fprintf(out, "  00:10-13 rio opcode      = %d\n", c.RioOp())
+			fmt.Fprintf(out, "  02:00-31 start sequence  = %d\n", c[2])
+			fmt.Fprintf(out, "  03:00-31 end sequence    = %d\n", c[3])
+			fmt.Fprintf(out, "  04:00-31 previous group  = %d\n", c[4])
+			fmt.Fprintf(out, "  05:00-15 num requests    = %d\n", c[5]&0xffff)
+			fmt.Fprintf(out, "  05:16-31 stream id       = %d\n", c[5]>>16)
+			fmt.Fprintf(out, "  06:00-31 initiator id    = %d (reserved dword: namespaces the ordering domain)\n", c[6])
+			fmt.Fprintf(out, "  12:16-19 special flags   = 0x%X\n", (c[12]>>16)&0xf)
 		}
-		return
+		return 0
 	}
 
 	if *demo {
 		eng := sim.New(1)
-		cfg := stack.DefaultConfig(stack.ModeRio,
-			stack.TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig()}})
+		cfg := stack.DefaultConfig(stack.ModeRio, stack.OptaneTarget())
 		cfg.Initiators = *inits
 		cfg.Streams = 2
 		cfg.QPs = 2
@@ -91,16 +96,17 @@ func main() {
 		for ii := 0; ii < c.Initiators(); ii++ {
 			part := c.Target(0).PMRPartition(ii)
 			entries := core.ScanRegion(part)
-			fmt.Printf("PMR partition of initiator %d on target 0 (%d entry slots, %d live entries):\n",
+			fmt.Fprintf(out, "PMR partition of initiator %d on target 0 (%d entry slots, %d live entries):\n",
 				ii, len(part)/core.EntrySize, len(entries))
 			for _, e := range entries {
-				fmt.Printf("  %-44s persist=%v flush=%v boundary=%v num=%d\n",
+				fmt.Fprintf(out, "  %-44s persist=%v flush=%v boundary=%v num=%d\n",
 					e.Attr, e.Persist, e.Flush, e.Boundary, e.Num)
 			}
 		}
 		eng.Shutdown()
-		return
+		return 0
 	}
 
-	flag.Usage()
+	fl.Usage()
+	return 0
 }

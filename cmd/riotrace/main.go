@@ -16,32 +16,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/stack"
 	"repro/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+func run(args []string, stdout io.Writer) int {
+	fl := flag.NewFlagSet("riotrace", flag.ContinueOnError)
 	var (
-		out      = flag.String("o", "trace.json", "output file (chrome://tracing JSON)")
-		streams  = flag.Int("streams", 4, "independent ordered streams")
-		groups   = flag.Int("groups", 200, "groups submitted per stream")
-		targets  = flag.Int("targets", 2, "one-SSD Optane target servers")
-		replicas = flag.Int("replicas", 0, "replica-set size (0/1 = unreplicated)")
-		sample   = flag.Int("sample", 1, "trace 1-in-N requests")
-		seed     = flag.Int64("seed", 1, "RNG seed")
+		out      = fl.String("o", "trace.json", "output file (chrome://tracing JSON)")
+		streams  = fl.Int("streams", 4, "independent ordered streams")
+		groups   = fl.Int("groups", 200, "groups submitted per stream")
+		targets  = fl.Int("targets", 2, "one-SSD Optane target servers")
+		replicas = fl.Int("replicas", 0, "replica-set size (0/1 = unreplicated)")
+		sample   = fl.Int("sample", 1, "trace 1-in-N requests")
+		seed     = fl.Int64("seed", 1, "RNG seed")
 	)
-	flag.Parse()
+	if fl.Parse(args) != nil {
+		return 2
+	}
 
 	eng := sim.New(*seed)
-	tcs := make([]stack.TargetConfig, *targets)
-	for i := range tcs {
-		tcs[i] = stack.TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig()}}
-	}
-	cfg := stack.DefaultConfig(stack.ModeRio, tcs...)
+	cfg := stack.DefaultConfig(stack.ModeRio, slices.Repeat([]stack.TargetConfig{stack.OptaneTarget()}, *targets)...)
 	cfg.Streams = *streams
 	cfg.QPs = *streams
 	if *replicas > 1 {
@@ -63,22 +65,20 @@ func main() {
 	eng.Run()
 
 	st := c.TraceStats()
-	fmt.Print(st.Table(fmt.Sprintf("%d streams × %d groups, 1-in-%d sampled", *streams, *groups, *sample)))
+	fmt.Fprint(stdout, st.Table(fmt.Sprintf("%d streams × %d groups, 1-in-%d sampled", *streams, *groups, *sample)))
 
 	recs := c.Tracer().Retained()
 	f, err := os.Create(*out)
+	if err == nil {
+		err = trace.WriteChrome(f, recs)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "riotrace:", err)
-		os.Exit(1)
+		return 1
 	}
-	if err := trace.WriteChrome(f, recs); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, "riotrace:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "riotrace:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d spans) — open at chrome://tracing\n", *out, len(recs))
+	fmt.Fprintf(stdout, "wrote %s (%d spans) — open at chrome://tracing\n", *out, len(recs))
+	return 0
 }

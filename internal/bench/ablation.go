@@ -10,10 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	Experiments["ablation"] = Ablations
-}
-
 // Ablations measures the design choices DESIGN.md calls out, beyond the
 // rio-w/o-merge line already present in Figs. 10/12:
 //

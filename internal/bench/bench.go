@@ -119,6 +119,7 @@ type Runner func(Options) *Result
 
 // Experiments maps experiment IDs (DESIGN.md §5) to runners.
 var Experiments = map[string]Runner{
+	"ablation":    Ablations,
 	"fig2":        Fig2Motivation,
 	"fig3":        Fig3MergingCPU,
 	"fig10a":      func(o Options) *Result { return fig10(o, "fig10a", oneFlash(), []int{1, 2, 4, 8, 12}) },
@@ -138,6 +139,7 @@ var Experiments = map[string]Runner{
 	"satload":     SatLoadSweep,
 	"scale":       ScaleSweep,
 	"serve":       ServeSweep,
+	"tcp":         TCPTransport,
 	"trace":       TraceSweep,
 }
 

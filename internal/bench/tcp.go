@@ -10,10 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	Experiments["tcp"] = TCPTransport
-}
-
 // TCPTransport exercises §4.5's claim that Principle 2 (stream→connection
 // affinity exploiting per-connection in-order delivery) applies to TCP
 // fabrics too: it repeats the Fig. 10(b)-style sweep over NVMe/TCP and

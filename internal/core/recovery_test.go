@@ -163,7 +163,7 @@ func TestAnalyzeMergedEntryAtomicity(t *testing.T) {
 // A checksum-valid merged entry of any span is decided in time independent
 // of the span: its persist bit settles every group it covers at once. One
 // covering 2^62 groups, read back from PMR bytes, once kept Analyze (and
-// with it Recover and riofsck) walking group by group without end.
+// with it Recover) walking group by group without end.
 func TestAnalyzeHugeMergedRange(t *testing.T) {
 	const end = 1 << 62
 	region := make([]byte, 3*EntrySize)

@@ -70,7 +70,8 @@ type Options struct {
 	BaseLBA uint64
 }
 
-// withDefaults fills zero fields with the DefaultOptions values.
+// withDefaults fills zero fields with the defaults the field comments
+// name; Ext4 always runs one journal.
 func (o Options) withDefaults() Options {
 	if o.Journals == 0 {
 		o.Journals = 8
@@ -102,17 +103,7 @@ func (o Options) Blocks() uint64 {
 
 // DefaultOptions matches the evaluation setup: 1 GB journal space total.
 func DefaultOptions(design Design, journals int) Options {
-	if design == Ext4 {
-		journals = 1
-	}
-	total := uint64(1 << 30 / BlockSize) // 1 GB of journal space overall
-	return Options{
-		Design:        design,
-		Journals:      journals,
-		JournalBlocks: total / uint64(journals),
-		MaxInodes:     1 << 16,
-		DataBlocks:    1 << 21, // 8 GB
-	}
+	return Options{Design: design, Journals: journals}.withDefaults()
 }
 
 // Inode numbers: 1 is the root directory.
@@ -347,10 +338,11 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 		return nil, err
 	}
 	ino, ok := fs.dirs[dir][leaf]
-	if !ok {
+	in := fs.inodes[ino]
+	if !ok || in == nil { // a dirent whose inode is gone opens nothing
 		return nil, fmt.Errorf("fs: no such file %q", path)
 	}
-	return &File{ino: fs.inodes[ino], parent: dir, name: leaf}, nil
+	return &File{ino: in, parent: dir, name: leaf}, nil
 }
 
 // Unlink removes a file; its blocks join the pending-reuse pool, which

@@ -3,8 +3,10 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stack"
 )
@@ -323,6 +325,84 @@ func TestFSCrashMidFsync(t *testing.T) {
 		})
 		eng.Run()
 		eng.Shutdown()
+	}
+}
+
+// TestFsckScenarios cuts power under a mail spool. Before recovery each PMR
+// partition holds only its initiator's entries; after it every synced file
+// has its size, the unsynced one is gone, and replica sets agree.
+func TestFsckScenarios(t *testing.T) {
+	for _, tc := range []struct {
+		name                              string
+		design                            Design
+		files, initiators, replicas, seed int
+	}{
+		{"riofs_2_initiators", RioFS, 8, 2, 1, 5},
+		{"riofs_3_replicas", RioFS, 8, 1, 3, 7},
+		{"horaefs", HoraeFS, 6, 1, 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(int64(tc.seed))
+			scfg := stack.DefaultConfig(designMode(tc.design), slices.Repeat([]stack.TargetConfig{stack.OptaneTarget()}, tc.replicas)...)
+			scfg.KeepHistory, scfg.Initiators, scfg.Replicas = true, tc.initiators, tc.replicas
+			c := stack.New(eng, scfg)
+			cfg := Options{Design: tc.design, Journals: 8, JournalBlocks: 1024, MaxInodes: 1 << 12, DataBlocks: 1 << 16}
+			fsys := Open(c.Init(0), cfg)
+			var sizes []uint64 // of mail/m%05d, once its fsync returned
+			eng.Go("workload", func(p *sim.Proc) {
+				fsys.Mkdir(p, "mail")
+				for i := 0; i < tc.files; i++ {
+					f, err := fsys.Create(p, fmt.Sprintf("mail/m%05d", i))
+					if err != nil {
+						return
+					}
+					fsys.Append(p, f, 4096*(1+i%3))
+					fsys.Fsync(p, f, i%4)
+					sizes = append(sizes, f.Size())
+				}
+				nf, _ := fsys.Create(p, "mail/uncommitted")
+				fsys.Append(p, nf, 4096)
+			})
+			cut := 300 * sim.Microsecond
+			eng.At(cut, func() { c.PowerCutAll() })
+			eng.RunUntil(cut + 10*sim.Millisecond)
+			eng.Run()
+			for ti := 0; ti < c.Targets(); ti++ {
+				for i := 0; i < c.Initiators(); i++ {
+					for _, e := range core.ScanRegion(c.Target(ti).PMRPartition(i)) {
+						if int(e.Initiator) != i {
+							t.Errorf("target %d partition %d holds an entry of initiator %d", ti, i, e.Initiator)
+						}
+					}
+				}
+			}
+			eng.Go("fsck", func(p *sim.Proc) {
+				c.RecoverFull(p)
+				fs2, _ := Remount(p, c.Init(0), cfg)
+				for i, size := range sizes {
+					if f, err := fs2.Open(p, fmt.Sprintf("mail/m%05d", i)); err != nil || f.Size() != size {
+						t.Errorf("mail/m%05d after recovery: %v, want %d bytes", i, err, size)
+					}
+				}
+				if _, err := fs2.Open(p, "mail/uncommitted"); err == nil {
+					t.Error("mail/uncommitted survived the crash")
+				}
+				names, err := fs2.List(p, "mail")
+				if err != nil {
+					t.Fatal("mail lost:", err)
+				}
+				for _, n := range names {
+					if _, err := fs2.Open(p, "mail/"+n); err != nil {
+						t.Errorf("dangling dirent %s: %v", n, err)
+					}
+				}
+			})
+			eng.Run()
+			if n := c.ReplicaDivergence(); n != 0 {
+				t.Errorf("%d blocks differ between the members of a replica set", n)
+			}
+			eng.Shutdown()
+		})
 	}
 }
 

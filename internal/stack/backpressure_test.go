@@ -413,3 +413,43 @@ func TestPMRLogFullParksAppends(t *testing.T) {
 		eng.Shutdown()
 	})
 }
+
+// TestPMRFormatDuringPersist cuts the initiator while its one append is
+// mid-persist on a PMR slower than recovery's scan of the 64 KiB partition
+// (about 1.7 ms): recovery formats the partition before the persist
+// returns, so the append belongs to a dead incarnation and drops. Its entry
+// is not in the fresh partition, its write never reaches media, and it is
+// not counted as appended.
+func TestPMRFormatDuringPersist(t *testing.T) {
+	eng := sim.New(1)
+	cfg := smallConfig(ModeRio, optane1()...)
+	cfg.Targets[0].SSDs[0].PMRSize = 64 << 10
+	cfg.Targets[0].SSDs[0].PMRWriteLat = 5 * sim.Millisecond
+	c := New(eng, cfg)
+	tgt := c.Target(0)
+	eng.Go("write", func(p *sim.Proc) { c.Init(0).OrderedWrite(p, 0, 7, 1, 0, nil, true, false, false) })
+	eng.RunUntil(sim.Millisecond)
+	if n, st := len(core.ScanRegion(tgt.PMRPartition(0))), tgt.Stats(); n != 1 || st.PMRAppends != 0 {
+		t.Fatalf("at the cut: %d entries in the partition, %d appends persisted; want 1 mid-persist", n, st.PMRAppends)
+	}
+	c.PowerCutInitiator(0)
+	var recovered sim.Time
+	eng.Go("recover", func(p *sim.Proc) {
+		c.RecoverInitiator(p, 0)
+		recovered = p.Now()
+	})
+	eng.Run()
+	if recovered == 0 || recovered > sim.Millisecond+cfg.Targets[0].SSDs[0].PMRWriteLat {
+		t.Fatalf("recovery finished at %v, want before the persist returns", recovered)
+	}
+	if n := len(core.ScanRegion(tgt.PMRPartition(0))); n != 0 {
+		t.Fatalf("fresh partition holds %d entries of the dead incarnation", n)
+	}
+	if lbas := tgt.SSD(0).DurableLBAs(); len(lbas) != 0 {
+		t.Fatalf("the dropped command reached media at %v", lbas)
+	}
+	if st := tgt.Stats(); st.PMRAppends != 0 {
+		t.Fatalf("%d appends counted, want 0", st.PMRAppends)
+	}
+	eng.Shutdown()
+}

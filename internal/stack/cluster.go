@@ -121,9 +121,8 @@ type retire struct {
 
 // ctrlReq is one Horae control-path entry.
 type ctrlReq struct {
-	attr  core.Attr
-	ack   *sim.Signal
-	epoch int
+	attr core.Attr
+	ack  *sim.Signal
 }
 
 // capsule is the payload of one RDMA SEND toward a target: a posted list

@@ -203,7 +203,7 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 		a.NS = uint16(ref.SSD)
 		a.ServerIdx = st.NextServerIdx(ref.Server)
 		req.HoraeIdx[ref.Server] = a.ServerIdx
-		cr := &ctrlReq{attr: a, ack: sim.NewSignal(in.Eng), epoch: in.epoch}
+		cr := &ctrlReq{attr: a, ack: sim.NewSignal(in.Eng)}
 		buf.ctrls[ref.Server] = append(buf.ctrls[ref.Server], cr)
 	}
 	buf.reqs = append(buf.reqs, req)
