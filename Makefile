@@ -158,13 +158,15 @@ crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
 	$(GO) run ./cmd/riocrash -seed 1 -n 60 -set relay=true -set cut=member
 
-# Native fuzzing of the five pure-logic targets for FUZZTIME each, from
+# Native fuzzing of the six pure-logic targets for FUZZTIME each, from
 # their committed seeds: the in-order gate under arbitrary arrival
 # schedules, the media identity's ownership test against its definition,
 # the PMR entry encoding (round trip, in-place persist flag, every
 # single-byte corruption rejected), recovery analysis over arbitrary
-# checksum-valid entries (against the map model where it can run), and the
-# SSD's LBA→stamp table under put/delete/get sequences against a map.
+# checksum-valid entries (against the map model where it can run), the
+# SSD's LBA→stamp table under put/delete/get sequences against a map, and
+# the NVMe-oF Table-1 command encoding (attribute round trip, SQE and CQE
+# vector checks against their definition).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGateSchedule -fuzztime $(FUZZTIME) ./internal/order
@@ -172,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEntryPersist -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzMediaTable -fuzztime $(FUZZTIME) ./internal/ssd
+	$(GO) test -run '^$$' -fuzz FuzzCommandEncoding -fuzztime $(FUZZTIME) ./internal/nvmeof
 
 # Coverage of the tier-1 tests over every package of the module: the total,
 # then every function outside cmd/ and internal/bench/ that no test reaches

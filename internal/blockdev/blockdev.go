@@ -28,12 +28,12 @@ const (
 // modified once the request is submitted: devices, replicas and the read
 // cache keep references to it, not copies.
 type Request struct {
-	Op      Op
 	LBA     uint64 // logical volume address (blocks)
 	Blocks  uint32
 	Stamp   uint64   // write identity, used by crash-consistency checks
 	Data    [][]byte // optional per-block payloads (file-system metadata)
 	Stream  int
+	Op      Op // packed with the flags below
 	Ordered bool
 	// Group delimiters (rio_submit flags).
 	Boundary bool
@@ -49,10 +49,10 @@ type Request struct {
 	// delivered.
 	DispatchScratch any
 
-	// HoraeIdx records, per target server, the per-server index the Horae
-	// control path persisted for this request, so the data path can
+	// HoraeIdx records, per target server (0: not touched), the index the
+	// Horae control path persisted for this request, so the data path can
 	// correlate its commands to the control entries.
-	HoraeIdx map[int]uint64
+	HoraeIdx []uint64
 
 	// Timestamps for latency accounting.
 	SubmitAt    sim.Time
@@ -71,7 +71,7 @@ type Request struct {
 	remaining int         // outstanding wire fragments
 	ticket    core.Ticket // inline storage for Ticket (see TicketSlot)
 	done      sim.Signal  // inline storage for Done (see InitDone)
-	pins      int         // wire commands listing the request (Pin, Unpin)
+	pins      int32       // wire commands listing the request (Pin, Unpin)
 	released  bool        // by its owner (Release)
 	free      bool        // reclaimed (Reclaim)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stack"
 )
@@ -170,4 +171,95 @@ func TestListDirectory(t *testing.T) {
 	})
 	eng.Run()
 	eng.Shutdown()
+}
+
+// TestCutBeforeCommitRecord cuts power once a RioFS transaction's data,
+// descriptor and metadata are persisted but its commit record is not. A
+// first pass of the same seed finds that instant in the target's PMR log
+// (the JM entry and every entry before it persisted, the JC entry not);
+// the second pass cuts there. Recovery keeps the journal blocks, Remount
+// must discard the transaction for want of its commit record, and the file
+// whose fsync had not returned is absent.
+func TestCutBeforeCommitRecord(t *testing.T) {
+	cfg := DefaultOptions(RioFS, 1)
+	cfg.MaxInodes, cfg.DataBlocks = 1<<10, 1<<14
+	// run drives one synced file and one victim whose fsync the cut may
+	// interrupt; jm is the victim's descriptor LBA once its fsync starts.
+	run := func(cut sim.Time) (eng *sim.Engine, c *stack.Cluster, jm *uint64, synced *bool) {
+		eng, c = newCluster(3, stack.ModeRio)
+		fsys := Open(c.Init(0), cfg)
+		jm, synced = new(uint64), new(bool)
+		eng.Go("app", func(p *sim.Proc) {
+			for _, name := range []string{"kept", "victim"} {
+				f, err := fsys.Create(p, name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if name == "kept" {
+					fsys.Append(p, f, 2*BlockSize)
+				} else {
+					fsys.Append(p, f, BlockSize)
+					j := fsys.journalFor(0)
+					*jm = j.base + j.tail
+				}
+				fsys.Fsync(p, f, 0)
+			}
+			*synced = true
+		})
+		if cut > 0 {
+			eng.At(cut, c.PowerCutAll)
+		}
+		return eng, c, jm, synced
+	}
+
+	eng, c, jm, synced := run(0)
+	var cut sim.Time
+	toggles := int64(-1)
+	for cut == 0 && !*synced {
+		eng.RunFor(10)
+		if *jm == 0 || c.Target(0).Stats().PMRToggles == toggles {
+			continue // no persist bit moved since the last look
+		}
+		toggles = c.Target(0).Stats().PMRToggles
+		jmDone, jcDone, rest := false, false, true
+		for _, e := range core.ScanRegion(c.Target(0).PMRPartition(0)) {
+			switch e.LBA {
+			case *jm:
+				jmDone = e.Persist
+			case *jm + 2:
+				jcDone = e.Persist
+			default:
+				rest = rest && e.Persist
+			}
+		}
+		if jmDone && rest && !jcDone {
+			cut = eng.Now() + 1 // after every event of this instant
+		}
+	}
+	eng.Shutdown()
+	if cut == 0 {
+		t.Fatal("no instant had the transaction's JM persisted without its JC")
+	}
+
+	eng, c, _, synced = run(cut)
+	defer eng.Shutdown()
+	eng.Run()
+	if *synced {
+		t.Fatal("the victim's fsync returned before the cut")
+	}
+	eng.Go("recover", func(p *sim.Proc) {
+		c.RecoverFull(p)
+		fs2, st := Remount(p, c.Init(0), cfg)
+		if _, err := fs2.Open(p, "kept"); err != nil {
+			t.Errorf("kept (fsync returned) lost: %v", err)
+		}
+		if _, err := fs2.Open(p, "victim"); err == nil {
+			t.Error("victim survived without its commit record")
+		}
+		if st.Incomplete < 1 {
+			t.Errorf("Remount stats %+v: the uncommitted transaction was not found", st)
+		}
+	})
+	eng.Run()
 }

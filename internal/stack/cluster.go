@@ -63,14 +63,14 @@ type wireState struct {
 }
 
 // memberChain is the one ordering representation of a wire command toward
-// one member of its replica set: the encoded SQE the member receives, the
-// attribute chain its in-order gate admits and its PMR log persists (one
-// attribute per constituent of a vector-fused command; empty for plain
-// writes and flushes), and the chain's last ServerIdx (retire watermark,
-// replay order). stampMember is the only writer; the member's capsule
-// points here, so there is no second copy for a re-stamp to forget.
+// one member of its replica set: the attribute chain its in-order gate
+// admits and its PMR log persists (one attribute per constituent of a
+// vector-fused command; empty for plain writes and flushes), and the
+// chain's last ServerIdx (retire watermark, replay order). stampMember is
+// the only writer; the member's capsule points here (commands cross the
+// simulated wire by reference, DESIGN.md §6), so there is no second copy
+// for a re-stamp to forget.
 type memberChain struct {
-	sqe   nvmeof.SQE
 	attrs []core.Attr
 	idx   uint64
 }
@@ -129,11 +129,10 @@ type ctrlReq struct {
 // of commands (and/or control entries) sharing one doorbell. epoch is
 // the sending initiator's incarnation. A command capsule is one member's
 // copy of a batch (buildMemberCapsule): member names the target it is
-// addressed to, and that member's SQEs and attribute chains are the
-// commands' memberChain records — each member of a set runs its own dense
-// ServerIdx chain. Capsules recycle through the cluster's pool
-// (getCapsule/putCapsule) with the cmds, ctrl, forward and reask buffers
-// they own.
+// addressed to, and that member's attribute chains are the commands'
+// memberChain records — each member of a set runs its own dense ServerIdx
+// chain. Capsules recycle through the cluster's pool (getCapsule/putCapsule)
+// with the cmds, ctrl, forward and reask buffers they own.
 type capsule struct {
 	cmds    []*wireState
 	ctrl    []*ctrlReq
@@ -176,8 +175,8 @@ func (cp *capsule) wireSize() int {
 }
 
 // completionMsg is the payload of one SEND back to an initiator: a
-// coalesced response capsule of vector-marked CQEs, or a batch of Horae
-// control-path acks. qp routes the capsule to
+// coalesced response capsule of CQEs (each names its command by id), or a
+// batch of Horae control-path acks. qp routes the capsule to
 // the shard that owns the queue pair's completion reaping; the initiator
 // is implied by the connection. from is the responding target server —
 // under replication the quorum accounting needs to know WHICH member of
@@ -287,11 +286,11 @@ func mustBeLive(free bool, what string) {
 	}
 }
 
-// horaeStage buffers a group's control entries and data requests until the
-// boundary request runs the control path (per-stream).
+// horaeStage buffers a group's control entries (per target server) and data
+// requests until the boundary request runs the control path (per-stream).
 type horaeStage struct {
 	reqs  []*blockdev.Request
-	ctrls map[int][]*ctrlReq
+	ctrls [][]*ctrlReq
 }
 
 // ClusterStats aggregates initiator-side counters (per initiator:

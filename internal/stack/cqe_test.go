@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
-	"repro/internal/nvmeof"
 	"repro/internal/sim"
 )
 
@@ -89,28 +88,6 @@ func TestCQECoalescingKeepsDeliveryOrder(t *testing.T) {
 			t.Fatalf("delivery order breaks at %d: seq %d after %d", i, order[i], order[i-1])
 		}
 	}
-}
-
-// TestTornCQEVectorPanics: the initiator validates coalesced-capsule
-// geometry exactly like the target validates submission vectors — a torn
-// capsule is a simulation bug and must panic loudly.
-func TestTornCQEVectorPanics(t *testing.T) {
-	eng := sim.New(1)
-	c := New(eng, smallConfig(ModeRio, optane1()...))
-	// A capsule whose entries claim a longer batch than arrived.
-	cqes := make([]nvmeof.CQE, 3)
-	for i := range cqes {
-		cqes[i] = nvmeof.NewCQE(uint64(1000 + i))
-		cqes[i].MarkCQEVector(i, 5) // claims 5, carries 3
-	}
-	c.inits[0].shards[0].cplQ.Push(&completionMsg{cqes: cqes, qp: 0, epoch: c.inits[0].epoch})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("torn coalesced completion capsule did not panic")
-		}
-		eng.Shutdown()
-	}()
-	eng.Run()
 }
 
 // TestTargetCrashRaceWithCoalescedCompletions: a target power cut racing

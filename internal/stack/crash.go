@@ -247,11 +247,12 @@ func (c *Cluster) Recover(p *sim.Proc, targets, inits []int) (*core.Report, Reco
 		// pre-crash gate state and pre-format PMR partitions — and a command
 		// posted during the window could be collected into the replay set
 		// while its original capsule is still in flight, so the replay's
-		// vector re-marks would corrupt the capsule's framing. With the
-		// links down, new dispatches toward the server are dropped whole
-		// (exactly like in-flight work at the cut) and repaired by the same
-		// replay. When no initiator is up nobody can send, and the links
-		// come up now to carry the attribute transfer.
+		// re-stamp would rewrite the attributes that capsule points at and
+		// the original would reach the gate under the replay's ServerIdx
+		// values. With the links down, new dispatches toward the server
+		// are dropped whole (exactly like in-flight work at the cut) and
+		// repaired by the same replay. When no initiator is up nobody can
+		// send, and the links come up now to carry the attribute transfer.
 		if src[m] == fromPeer || !initUp {
 			t.linksUp()
 		}
@@ -521,9 +522,12 @@ func (in *Initiator) restartChain(target int) {
 // is re-sent too: roll-back may have erased it as beyond the prefix, and the
 // ack of its replayed copy is a duplicate that memberAck drops. A command
 // dispatch has not stamped yet is not in flight: dispatch will mint it on
-// the fresh chain. It performs no simulated work: it must never yield
-// (recover calls it between the target's gate reset and its links coming
-// up).
+// the fresh chain. The re-stamp is in place, under the capsules that point
+// at the records: safe, as one (command, member) pair is in at most one live
+// capsule at a time — the cut dropped the previous copy whole, and recover's
+// rule (5) keeps the links down until replay is prepared. It performs no
+// simulated work: it must never yield (recover calls it between the
+// target's gate reset and its links coming up).
 func (in *Initiator) prepareReplay(target int) []*wireState {
 	var replay []*wireState
 	for _, ws := range in.outstanding.All() {

@@ -394,7 +394,6 @@ func TestDeadEpochCoalescedCapsuleDroppedWhole(t *testing.T) {
 	for _, id := range deadIDs {
 		cqes = append(cqes, nvmeof.NewCQE(id))
 	}
-	nvmeof.EncodeCQEVector(cqes)
 	before := c.Init(0).Stats()
 	retireBefore := c.inits[0].retireMarksSet()
 	c.inits[0].shards[0].cplQ.Push(&completionMsg{cqes: cqes, qp: 0, epoch: deadEpoch})

@@ -189,14 +189,15 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 	st := in.seq.Stream(req.Stream)
 	in.attachTicket(req, st)
 	buf := in.horaeBuf(req.Stream)
-	req.HoraeIdx = make(map[int]uint64)
-	targets := map[int]bool{}
-	for _, ext := range in.vol.Extents(req.LBA, req.Blocks) {
+	// Drawn indices start at 1, so 0 marks an untouched server; zeroing
+	// keeps a reused request from carrying its last life's indices.
+	req.HoraeIdx = append(req.HoraeIdx[:0], make([]uint64, len(in.targets))...)
+	in.extBuf = in.vol.AppendExtents(in.extBuf[:0], req.LBA, req.Blocks)
+	for _, ext := range in.extBuf {
 		ref := in.vol.Dev(ext.Dev)
-		if targets[ref.Server] {
+		if req.HoraeIdx[ref.Server] != 0 {
 			continue
 		}
-		targets[ref.Server] = true
 		a := req.Ticket.Attr
 		a.LBA = ext.DevLBA
 		a.Blocks = ext.Blocks
@@ -236,7 +237,9 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 		in.shards[r.Stream].q.Push(r)
 	}
 	buf.reqs = nil
-	buf.ctrls = map[int][]*ctrlReq{}
+	for ti := range buf.ctrls {
+		buf.ctrls[ti] = buf.ctrls[ti][:0]
+	}
 }
 
 // submitLinux is the classic synchronous execution: one in-flight ordered
@@ -254,12 +257,12 @@ func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 	}
 	// FLUSH per ordered request on every touched device without PLP.
 	var flushes []*wireState
-	seen := map[int]bool{}
+	clear(in.devSeen)
 	for _, ws := range wires {
-		if seen[ws.wc.Dev] {
+		if in.devSeen[ws.wc.Dev] {
 			continue
 		}
-		seen[ws.wc.Dev] = true
+		in.devSeen[ws.wc.Dev] = true
 		if in.targets[ws.target].ssds[ws.ssdIdx].HasPLP() {
 			continue
 		}
@@ -647,7 +650,6 @@ func (in *Initiator) assignOrderState(wires []*wireState) {
 // commands carry the index their control path already persisted.
 func (in *Initiator) stampMember(ws *wireState, k int) {
 	mc := &ws.chain[k]
-	nsid := uint32(ws.ssdIdx)
 	switch {
 	case ws.wc.Ordered && in.cfg.Mode == ModeRio:
 		mc.attrs = append(append(mc.attrs[:0], ws.wc.Attr), ws.more...)
@@ -656,20 +658,15 @@ func (in *Initiator) stampMember(ws *wireState, k int) {
 			mc.idx = st.NextServerIdx(ws.q.Members[k])
 			mc.attrs[i].ServerIdx = mc.idx
 		}
-		mc.sqe = nvmeof.RioWriteCommand(nsid, mc.attrs[0])
 	case ws.wc.Ordered && in.cfg.Mode == ModeHorae:
 		mc.idx = ws.wc.Attr.ServerIdx
-		mc.sqe = nvmeof.RioWriteCommand(nsid, ws.wc.Attr)
-	default:
-		mc.sqe = nvmeof.WriteCommand(nsid, ws.wc.LBA, ws.wc.Blocks)
 	}
 }
 
 // post coalesces the commands into one vectored batch per replica set, and
 // each set's batch goes out on the set's current route: the batch shares a
-// capsule (one fabrics framing, one PostMsg) and each command is
-// vector-marked so the target can verify the batch was split exactly on set
-// boundaries (§4.3 in-order chains).
+// capsule (one fabrics framing, one PostMsg), and the target checks that
+// every entry is addressed to it (§4.3 in-order chains).
 //
 // The batch is partitioned into per-set lists BEFORE the first yield: once
 // a capsule toward an earlier set is posted, its commands can complete,
@@ -730,7 +727,7 @@ func (d *dispatcher) nextSet() bool {
 //
 // routeDirect posts one capsule per member, each built right before its
 // post (it carries the member's retire watermark as of then): each copy is
-// a full vectored batch (validated intact at the member), pays its own
+// a full vectored batch (its routing checked at the member), pays its own
 // PostMsg and wire framing, and returns its own CQE — the fan-out cost the
 // replication experiment measures. routeRelay posts ONE capsule to the
 // set's head with the followers' capsules attached: one PostMsg, one
@@ -747,9 +744,9 @@ func (d *dispatcher) route(cmds []*wireState, members []int, k int, rt route) bo
 	if rt == routeDirect {
 		return d.To((*dispatcher).member)
 	}
-	d.cp, d.to, d.members = in.buildMemberCapsule(cmds, 0, members[0], stream), members[0], nil
-	for k = 1; k < len(members); k++ {
-		fcp := in.buildMemberCapsule(cmds, k, members[k], stream)
+	d.cp, d.to, d.members = in.buildMemberCapsule(cmds, members[0], stream), members[0], nil
+	for _, m := range members[1:] {
+		fcp := in.buildMemberCapsule(cmds, m, stream)
 		fcp.relayed = true
 		d.cp.forward = append(d.cp.forward, fcp)
 	}
@@ -762,7 +759,7 @@ func (d *dispatcher) member() bool {
 		return d.Back()
 	}
 	d.to = d.members[d.k]
-	d.cp = d.in.buildMemberCapsule(d.cmds, d.k, d.to, d.cmds[0].stream)
+	d.cp = d.in.buildMemberCapsule(d.cmds, d.to, d.cmds[0].stream)
 	d.k++
 	return d.Charge(d.in.costs.PostMsg, (*dispatcher).send)
 }
@@ -832,11 +829,6 @@ func (r *reaper) take() bool {
 	if msg.epoch != r.in.epoch {
 		r.in.c.putMsg(msg)
 		return true
-	}
-	// Mirror the target's submission-vector check on the reverse path: a
-	// coalesced capsule must arrive intact and in order.
-	if err := nvmeof.CheckCQEVector(msg.cqes); err != nil {
-		panic("stack: torn coalesced completion capsule: " + err.Error())
 	}
 	r.msg = msg
 	return r.Use(r.in.costs.CplHandle, (*reaper).handle)

@@ -13,8 +13,8 @@ import (
 // population and posts costly enough that every dispatch yields mid-batch —
 // so several dispatches of one shard are in progress at once, on the relay
 // route of a 3-way set. Each owns its record: every request is delivered
-// once, no capsule arrives torn (the target panics on a torn vector) and
-// the cluster audits clean.
+// once, no capsule arrives misrouted (the target panics on an entry
+// addressed elsewhere) and the cluster audits clean.
 func TestOverlappingDispatchesOwnTheirRecords(t *testing.T) {
 	eng := sim.New(7)
 	defer eng.Shutdown()

@@ -35,6 +35,7 @@ type Initiator struct {
 	outstanding core.IDTable[*wireState] // by wire id
 	nextCmdID   uint64
 	linuxMu     *sim.Resource
+	devSeen     []bool // submitLinux's per-device scratch, under linuxMu
 	// retireMark is the dense {stream, target} watermark table (index
 	// stream*len(targets)+target): streams and targets are fixed at
 	// construction, so the delivery hot path indexes a slice instead of
@@ -54,8 +55,8 @@ type Initiator struct {
 	fuseTails []fuseTail
 	fuseGen   uint64
 
-	// buildWires scratch, shared by all shards: buildWires never yields,
-	// so one set serves every caller without handoff bookkeeping.
+	// buildWires scratch (extBuf also submitHorae's), shared by all shards:
+	// neither yields while using it, so one set serves every caller.
 	extBuf   []blockdev.Extent
 	pieceBuf []blockdev.Extent
 	attrBuf  []core.Attr
@@ -102,6 +103,7 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		targets:     c.targets,
 		cores:       sim.NewResource(c.Eng, c.cfg.InitiatorCores),
 		linuxMu:     sim.NewResource(c.Eng, 1),
+		devSeen:     make([]bool, c.vol.Devices()),
 		retireMark:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		retireSent:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		retireAsked: make([]bool, len(c.targets)),
@@ -302,6 +304,7 @@ func (in *Initiator) reclaim(req *blockdev.Request) {
 // path otherwise.
 func (in *Initiator) submitWrite(p *sim.Proc, stream int, r blockdev.Request) *blockdev.Request {
 	req := in.reqFree.Get()
+	r.HoraeIdx = req.HoraeIdx // keep the storage; submitHorae zeroes it
 	*req = r
 	req.Stream, req.SubmitAt = in.streamOf(stream), p.Now()
 	req.InitDone(in.Eng)
@@ -447,7 +450,7 @@ func (in *Initiator) putFlushWires(states []*wireState) {
 func (in *Initiator) horaeBuf(stream int) *horaeStage {
 	sh := in.shards[stream]
 	if sh.horae == nil {
-		sh.horae = &horaeStage{ctrls: map[int][]*ctrlReq{}}
+		sh.horae = &horaeStage{ctrls: make([][]*ctrlReq, len(in.targets))}
 	}
 	return sh.horae
 }

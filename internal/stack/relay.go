@@ -456,11 +456,11 @@ func (t *Target) flushHeadAggs() {
 // runs in engine context), one re-ask capsule per (surviving follower, QP)
 // naming the commands that follower has not resolved. It reads the
 // initiator's own outstanding table and nothing else: what each follower
-// received is the follower's to say (answerReask). A re-ask is not a
-// vectored batch — the forwarded original may still sit in the follower's
-// receive queue, so the members' SQEs are not re-marked — and it carries
-// the commands' ids: a command can resolve and its record be rebound while
-// the capsule is being posted or queued.
+// received is the follower's to say (answerReask). A re-ask points at the
+// same chain records as the forwarded original, which may still sit in the
+// follower's receive queue, and it carries the commands' ids: a command can
+// resolve and its record be rebound while the capsule is being posted or
+// queued.
 func (in *Initiator) reaskAfterHeadCut(rs *replicaSet, head int) {
 	qps := in.cfg.QPs
 	asks := make([]*capsule, len(rs.members)*qps) // index: member position * QPs + qp

@@ -7,7 +7,6 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/nvmeof"
 	"repro/internal/sim"
 )
 
@@ -290,52 +289,6 @@ func TestReaskAnswers(t *testing.T) {
 		}
 		completed.id = 77 // the first ack resolved it and the record was rebound: no second ack
 	}
-}
-
-// TestReaskKeepsVectorMarks: a re-ask names commands whose forwarded
-// original may still be queued at the follower, so it must leave every
-// member SQE's vector position as the original capsule marked it — and the
-// receive loop must take a re-ask's copies without the vectored-batch check.
-func TestReaskKeepsVectorMarks(t *testing.T) {
-	eng := sim.New(24)
-	c := New(eng, relayConfig(3))
-	headCutTraffic(eng, c, 60, true)
-	type key struct {
-		id uint64
-		k  int
-	}
-	marks := map[key]nvmeof.SQE{}
-	eng.At(60*sim.Microsecond, func() {
-		for _, ws := range c.Init(0).outstandingOfSet(0) {
-			for k := range ws.chain {
-				marks[key{ws.id, k}] = ws.chain[k].sqe
-			}
-		}
-		c.PowerCutTarget(0)
-	})
-	checked, multi := 0, false
-	for _, m := range []int{1, 2} {
-		tgt := c.targets[m]
-		tgt.conns[0].SetHandler(fabric.Target, func(msg fabric.Message) {
-			cp := msg.Payload.(*capsule)
-			for i, ws := range cp.cmds {
-				if len(cp.reask) == 0 || ws.id != cp.reask[i] {
-					continue
-				}
-				checked++
-				multi = multi || len(cp.cmds) > 1
-				if ws.chain[ws.q.Pos(m)].sqe != marks[key{ws.id, ws.q.Pos(m)}] {
-					t.Errorf("cmd %d member %d: the re-ask re-marked the member's SQE", ws.id, m)
-				}
-			}
-			tgt.recvCapsule(0, msg.QP, cp)
-		})
-	}
-	eng.Run()
-	if checked == 0 || !multi {
-		t.Fatalf("%d re-asked commands checked, several in one capsule: %v — the schedule does not exercise the check", checked, multi)
-	}
-	eng.Shutdown()
 }
 
 // TestRelayOrderlessWriteGoesDirect: an orderless write has no chain index

@@ -3,7 +3,6 @@ package stack
 import (
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/nvmeof"
 	"repro/internal/order"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -186,7 +185,7 @@ func (in *Initiator) fanFlush(ws *wireState) {
 	rs := in.c.replSets[ws.target]
 	for k, m := range rs.members {
 		if rs.inSync[k] {
-			ws.chain[ws.addMember(m)].sqe = nvmeof.FlushCommand(uint32(ws.ssdIdx))
+			ws.addMember(m)
 		}
 	}
 	ws.q.Need = len(ws.q.Members)
@@ -194,18 +193,14 @@ func (in *Initiator) fanFlush(ws *wireState) {
 
 // buildMemberCapsule builds one member's copy of a batch — the only place
 // a command capsule is assembled, whatever the set size and whatever route
-// carries it: it vector-marks the member's SQE of each command's chain
-// record (position k of its member list) for this batch and attaches the
-// member's piggybacked retire watermark as of now. One (command, member)
-// pair is in at most one live vectored capsule at a time — target replay
-// re-posts only after the link that carried the previous copy dropped it
-// whole — so marking the record in place is safe. The capsule holds its own
+// carries it: the member reads each command's chain record at its own
+// position in the command's member list, and the capsule carries the
+// member's piggybacked retire watermark as of now. The capsule holds its own
 // copy of the command list.
-func (in *Initiator) buildMemberCapsule(cmds []*wireState, k, member, stream int) *capsule {
+func (in *Initiator) buildMemberCapsule(cmds []*wireState, member, stream int) *capsule {
 	cp := in.c.getCapsule(in.epoch, member)
 	cp.cmds = append(cp.cmds, cmds...)
-	for i, ws := range cmds {
-		ws.chain[k].sqe.MarkVector(i, len(cmds))
+	for _, ws := range cmds {
 		if !ws.wc.Flush {
 			cp.inline += ws.wc.InlineBytes(inlineThreshold)
 		}

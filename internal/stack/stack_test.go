@@ -192,6 +192,33 @@ func TestHoraeControlPathPrecedesData(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestHoraeReusedRequestCarriesNoStaleIndex: a released request is reused
+// with the storage of its per-server Horae indices, so a write that touches
+// one server must not inherit the index its last life drew at another.
+func TestHoraeReusedRequestCarriesNoStaleIndex(t *testing.T) {
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	c := New(eng, smallConfig(ModeHorae, OptaneTarget(), OptaneTarget()))
+	in := c.Init(0)
+	eng.Go("app", func(p *sim.Proc) {
+		a := in.OrderedWrite(p, 0, 0, 64, 7, nil, true, false, false)
+		in.Wait(p, a)
+		if a.HoraeIdx[0] == 0 || a.HoraeIdx[1] == 0 {
+			t.Errorf("a write striped over both servers drew indices %v", a.HoraeIdx)
+		}
+		in.Release(a)
+		b := in.OrderedWrite(p, 0, 0, 1, 8, nil, true, false, false)
+		in.Wait(p, b)
+		if b != a {
+			t.Fatal("the released request was not reused")
+		}
+		if touched := c.Volume().Dev(0).Server; b.HoraeIdx[touched] == 0 || b.HoraeIdx[1-touched] != 0 {
+			t.Errorf("a one-block write on server %d carries indices %v", touched, b.HoraeIdx)
+		}
+	})
+	eng.Run()
+}
+
 func TestHoraeSubmitLatencyIncludesControlRTT(t *testing.T) {
 	engR := sim.New(1)
 	cr := New(engR, smallConfig(ModeRio, optane1()...))

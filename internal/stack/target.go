@@ -26,7 +26,6 @@ type TargetStats struct {
 	CQEs       int64 // completion entries those capsules carried
 	Flushes    int64 // device FLUSHes issued
 	Barriers   int64 // flush barriers certified (a combined FLUSH certifies several)
-	Vectors    int64 // vectored command batches validated intact
 	Reads      int64 // read commands served (demand misses and prefetches)
 
 	// GovSwitches counts adaptive-governor operating-point transitions on
@@ -485,25 +484,14 @@ func (x *tctx) rxReask() bool {
 
 func (x *tctx) rxCheck() bool {
 	t, cp := x.t, x.cp
-	// A command capsule is one member's copy of a vectored batch: verify
-	// it arrived intact and was split exactly on a set boundary — every
-	// entry is addressed to this member of the set the command stripes
-	// to, and the member's SQEs run positions 0..n-1. (A re-ask is not a
-	// vectored batch: its SQEs keep the marks of the capsule that first
-	// carried them.)
+	// A command capsule is one member's copy of a batch: verify dispatch
+	// split it exactly on a set boundary — every entry is addressed to
+	// this member of the set the command stripes to.
 	for i, ws := range cp.cmds {
-		k := ws.q.Pos(cp.member)
-		if cp.member != t.id || t.c.setOf[t.id] != ws.target || k < 0 {
+		if cp.member != t.id || t.c.setOf[t.id] != ws.target || ws.q.Pos(cp.member) < 0 {
 			panic(fmt.Sprintf("stack: vectored batch misrouted: entry %d for set %d member %d arrived at target %d",
 				i, ws.target, cp.member, t.id))
 		}
-		if pos, n := ws.chain[k].sqe.VectorPos(); len(cp.reask) == 0 && (pos != i || n != len(cp.cmds)) {
-			panic(fmt.Sprintf("stack: torn vectored batch at target %d: entry %d carries pos %d/%d of %d",
-				t.id, i, pos, n, len(cp.cmds)))
-		}
-	}
-	if len(cp.cmds) > 0 && len(cp.reask) == 0 {
-		t.stats.Vectors++
 	}
 	// Fetch any non-inline payload in one shot (one-sided READ: no
 	// initiator CPU).
@@ -1118,9 +1106,8 @@ func (t *Target) routeFlush(l *qpLane) {
 
 // flushCQEs ships one lane's pending completions as a single vectored
 // response capsule, then returns to ret: one shared framing, one PostMsg,
-// entries vector-marked so the initiator can verify the capsule arrived
-// whole. A batch of one needs no vector framing and ships as a bare 16-byte
-// capsule.
+// each CQE naming its command by id. A batch of one needs no vector framing
+// and ships as a bare 16-byte capsule.
 func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	t := x.t
 	if len(l.cqes) == 0 && len(l.resolved) == 0 {
@@ -1140,7 +1127,6 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 		// stamp the initiator's current one.
 		msg.epoch = t.initEpoch(l.init)
 	}
-	nvmeof.EncodeCQEVector(msg.cqes)
 	x.outSize = nvmeof.ResponseSize
 	if n := len(msg.cqes); n > 1 {
 		x.outSize = nvmeof.CQEVectorCapsuleSize(n)
