@@ -49,7 +49,7 @@ loc:
 	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k1,1nr -k2
 
-# Quick smoke of every experiment (same command CI runs).
+# Quick smoke of every experiment (make bench-gate runs the same sweep).
 bench: build
 	$(GO) run ./cmd/riobench -exp all -quick
 
@@ -84,17 +84,16 @@ bench-sim:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/fabric ./internal/ssd ./internal/order ./internal/core ./internal/blockdev ./internal/stack ./internal/fs ./internal/kv ./internal/nvmeof ./internal/metrics ./internal/trace
 
-# The gated experiments and the committed baseline they must reproduce:
-# named here and nowhere else (CI runs `make bench-gate`; cmd/benchdiff is
-# handed the name, internal/bench's baseline test reads it from this line).
-GATED_EXPS := scale,replication,policy,serve,read,satload,trace
-BASELINE   := BENCH_26.json
+# The committed baseline every experiment must reproduce: named here and
+# nowhere else (CI runs `make bench-gate`; cmd/benchdiff is handed the name,
+# internal/bench's baseline test reads it from this line).
+BASELINE := BENCH_27.json
 
-# Regenerate the tracked perf-trajectory snapshot.
+# Regenerate the tracked perf-trajectory snapshot: every experiment, quick.
 bench-json: build
-	$(GO) run ./cmd/riobench -exp $(GATED_EXPS) -quick -json $(BASELINE)
+	$(GO) run ./cmd/riobench -exp all -quick -json $(BASELINE)
 
-# The CI perf gate: run the gated experiments fresh; benchdiff fails on >10%
+# The CI perf gate: run every experiment fresh; benchdiff fails on >10%
 # regression in the gated metrics of the committed baseline against its
 # PREDECESSOR (the highest BENCH_N.json below it: what a PR that commits a new
 # baseline can regress) and holds the fresh run to the absolute budgets; then
@@ -105,7 +104,7 @@ bench-json: build
 # artifact).
 FRESH ?= /tmp/bench-gate.json
 bench-gate: build
-	$(GO) run ./cmd/riobench -exp $(GATED_EXPS) -quick -json $(FRESH)
+	$(GO) run ./cmd/riobench -exp all -quick -json $(FRESH)
 	$(GO) run ./cmd/benchdiff -baseline $(BASELINE) -new $(FRESH)
 	cmp $(FRESH) $(BASELINE)
 
@@ -187,4 +186,4 @@ coverage: build
 	$(GO) tool cover -func=coverage.out | tail -1
 	@$(GO) tool cover -func=coverage.out | awk '$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|internal\/bench)\//'
 
-ci: lint build race bench bench-sim bench-layers bench-gate benchmark-smoke crash-smoke fuzz-smoke
+ci: lint build race bench-sim bench-layers bench-gate benchmark-smoke crash-smoke fuzz-smoke

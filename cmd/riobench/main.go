@@ -25,11 +25,12 @@ import (
 	"repro/internal/bench"
 )
 
-// jsonReport is the schema riobench -json writes: headline metrics keyed
-// by experiment, so BENCH_*.json files track the perf trajectory
-// PR-over-PR. With -repeat 1 (the default) each metric is a plain
-// number; with -repeat N>1 it is {"mean":…,"std":…} over N runs with
-// distinct seeds (population std; benchdiff reads the mean).
+// jsonReport is the schema riobench -json writes: every experiment's
+// metrics — its named headlines and one per table cell (bench.Run) — so
+// BENCH_*.json files track the perf trajectory PR-over-PR. With -repeat 1
+// (the default) each metric is a plain number; with -repeat N>1 it is
+// {"mean":…,"std":…} over N runs with distinct seeds (population std;
+// benchdiff reads the mean).
 type jsonReport struct {
 	Schema      int            `json:"schema"`
 	Quick       bool           `json:"quick"`
@@ -44,7 +45,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "shorter windows and sweeps")
 		seed     = flag.Int64("seed", 1, "base RNG seed")
 		list     = flag.Bool("list", false, "list experiment ids")
-		jsonPath = flag.String("json", "", "write headline metrics to this file")
+		jsonPath = flag.String("json", "", "write the metrics to this file")
 		repeat   = flag.Int("repeat", 1, "run each experiment N times with seeds seed..seed+N-1; metrics become {mean,std}")
 		traceN   = flag.Int("trace", 0, "sample 1-in-N requests for stage-level tracing and append the breakdown (0 = off)")
 	)

@@ -26,8 +26,7 @@ func Ablations(o Options) *Result {
 	job.Ordered = true
 
 	// 1. Stream→QP affinity.
-	var aff, holdbacks metrics.Series
-	aff.Label, holdbacks.Label = "KIOPS", "holdbacks"
+	aff, holdbacks := metrics.Series{Label: "KIOPS"}, metrics.Series{Label: "holdbacks"}
 	for i, affinity := range []bool{true, false} {
 		cfg := stack.DefaultConfig(stack.ModeRio, stack.OptaneTarget())
 		cfg.StreamAffinity = affinity
@@ -40,9 +39,9 @@ func Ablations(o Options) *Result {
 		aff.Add(float64(i), r.KIOPS())
 		holdbacks.Add(float64(i), float64(hb))
 	}
-	res.Tables = append(res.Tables, metrics.Table(
+	res.plot(
 		"stream→QP affinity (x=0: on, x=1: off); 8 threads, Optane",
-		"affinity-off", aff, holdbacks))
+		"affinity-off", aff, holdbacks)
 
 	// 2. PMR persistence latency sweep.
 	pmr := sweep([]string{"KIOPS"}, []int{300, 600, 1200, 2400, 4800}, func(_, lat int) workload.BlockResult {
@@ -50,8 +49,8 @@ func Ablations(o Options) *Result {
 		sc.PMRWriteLat = sim.Time(lat)
 		return blockPoint(o, stack.DefaultConfig(stack.ModeRio, stack.TargetConfig{SSDs: []ssd.Config{sc}}), job)
 	}, func(r workload.BlockResult) float64 { return r.KIOPS() })[0][0]
-	res.Tables = append(res.Tables, metrics.Table(
-		"PMR persistence latency sweep (8 threads, Optane)", "pmr-ns", pmr))
+	res.plot(
+		"PMR persistence latency sweep (8 threads, Optane)", "pmr-ns", pmr)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"affinity off: %.0f holdbacks (gate parks reordered arrivals; throughput held by the gate, not the app)",
 		holdbacks.Y[1]))

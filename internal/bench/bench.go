@@ -1,15 +1,17 @@
 // Package bench is the experiment harness: one runner per table/figure in
 // the paper's evaluation (§6) and per extension this repository gates
 // (DESIGN.md §5 is the index). Each runner builds fresh clusters, drives
-// the workload from internal/workload, renders the rows/series the paper
-// reports with the headline ratios as `note:` lines, and emits the metrics
-// `make bench-gate` holds to the committed BENCH_N.json. Runners accept a
+// the workload from internal/workload, returns the rows/series the paper
+// reports as typed tables with the headline ratios as `note:` lines, and
+// names its headline metrics; Run keys every table cell besides, and
+// `make bench-gate` holds them all to the committed BENCH_N.json. Runners accept a
 // Quick option that shrinks the simulated windows (`riobench -quick`).
 package bench
 
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 
@@ -81,23 +83,77 @@ func (o Options) windows() (warmup, measure sim.Time) {
 	return 500 * sim.Microsecond, 6 * sim.Millisecond
 }
 
+// Table is one panel of an experiment as data: series over shared x values
+// or, with Rows set, over one labelled row each (systems, stages). Render is
+// the only place a Table becomes text, and Run keys every cell it holds.
+type Table struct {
+	Title  string
+	XName  string
+	Rows   []string // row labels printed, and keyed, in place of x; nil for numeric x
+	Series []metrics.Series
+	// Text is a table rendered elsewhere, printed as is and keyed by
+	// nothing; only the trace stage breakdown (trace.Stats.Table) is one.
+	Text string
+}
+
 // Result is the outcome of one experiment.
 type Result struct {
 	Name   string
-	Tables []string
+	Tables []Table
 	Notes  []string
-	// Metrics are headline numbers for machine consumption (riobench
-	// -json writes them to a BENCH_*.json so the perf trajectory is
-	// tracked PR-over-PR).
+	// Metrics are numbers for machine consumption (riobench -json writes
+	// them to a BENCH_*.json so the perf trajectory is tracked
+	// PR-over-PR): the headlines a runner names, and one per table cell.
 	Metrics map[string]float64
 }
 
-// Metric records one headline number.
+// Metric records one number. A key is written once: a second write would
+// silently replace a number, so it panics.
 func (r *Result) Metric(key string, v float64) {
 	if r.Metrics == nil {
 		r.Metrics = map[string]float64{}
 	}
+	if _, dup := r.Metrics[key]; dup {
+		panic("bench: metric " + key + " written twice")
+	}
 	r.Metrics[key] = v
+}
+
+// plot appends a table of series over shared x values.
+func (r *Result) plot(title, xName string, series ...metrics.Series) {
+	r.Tables = append(r.Tables, Table{Title: title, XName: xName, Series: series})
+}
+
+var nonSlug = regexp.MustCompile(`[^a-z0-9]+`)
+
+// slug is s lowercased, each run of characters outside [a-z0-9] one '_',
+// no '_' at either end: the form a label takes in a metric key.
+func slug(s string) string {
+	return strings.Trim(nonSlug.ReplaceAllString(strings.ToLower(s), "_"), "_")
+}
+
+// deriveMetrics keys every numeric cell of r's tables as
+// <exp>.<table>.<series>.x<X>, or <exp>.<table>.<series>.<row> in a
+// row-labelled table, each label slugged and X printed by %g. An n/a (NaN)
+// cell has no key: it counts into <exp>.na_cells.
+func (r *Result) deriveMetrics(exp string) {
+	na := 0
+	for _, t := range r.Tables {
+		for _, s := range t.Series {
+			for i, y := range s.Y {
+				if math.IsNaN(y) {
+					na++
+					continue
+				}
+				cell := fmt.Sprintf("x%g", s.X[i])
+				if t.Rows != nil {
+					cell = slug(t.Rows[i])
+				}
+				r.Metric(exp+"."+slug(t.Title)+"."+slug(s.Label)+"."+cell, y)
+			}
+		}
+	}
+	r.Metric(exp+".na_cells", float64(na))
 }
 
 // Render formats the result for the terminal.
@@ -105,7 +161,11 @@ func (r *Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "==== %s ====\n", r.Name)
 	for _, t := range r.Tables {
-		b.WriteString(t)
+		if t.Text != "" {
+			b.WriteString(t.Text)
+		} else {
+			b.WriteString(metrics.Table(t.Title, t.XName, t.Rows, t.Series...))
+		}
 		b.WriteString("\n")
 	}
 	for _, n := range r.Notes {
@@ -153,7 +213,8 @@ func Names() []string {
 	return out
 }
 
-// Run executes the named experiment. With Options.TraceSample > 0 the
+// Run executes the named experiment and derives a metric from every cell
+// of its tables (deriveMetrics). With Options.TraceSample > 0 the
 // aggregated stage breakdown of every cluster the experiment built is
 // appended to its tables.
 func Run(name string, o Options) (*Result, error) {
@@ -164,14 +225,17 @@ func Run(name string, o Options) (*Result, error) {
 	var traces []*trace.Tracer
 	o.traces = &traces
 	res := r(o)
+	res.deriveMetrics(name)
 	var agg trace.Stats
 	for _, tr := range traces {
 		s := tr.Stats()
 		agg.Merge(&s)
 	}
 	if agg.Sampled > 0 {
-		res.Tables = append(res.Tables, agg.Table(fmt.Sprintf(
-			"%s stage breakdown (1-in-%d sampled)", name, o.TraceSample)))
+		// Text, not data: riotrace prints the same renderer, and the
+		// trace.rio.* metrics already carry the numbers a gate reads.
+		res.Tables = append(res.Tables, Table{Text: agg.Table(fmt.Sprintf(
+			"%s stage breakdown (1-in-%d sampled)", name, o.TraceSample))})
 	}
 	return res, nil
 }
@@ -181,6 +245,17 @@ func Run(name string, o Options) (*Result, error) {
 func oneFlash() []stack.TargetConfig { return []stack.TargetConfig{stack.FlashTarget()} }
 
 func oneOptane() []stack.TargetConfig { return []stack.TargetConfig{stack.OptaneTarget()} }
+
+// optaneTargets builds n target servers of ssds Optane SSDs each.
+func optaneTargets(n, ssds int) []stack.TargetConfig {
+	out := make([]stack.TargetConfig, n)
+	for i := range out {
+		for range ssds {
+			out[i].SSDs = append(out[i].SSDs, ssd.OptaneConfig())
+		}
+	}
+	return out
+}
 
 func twoSSDOneTarget() []stack.TargetConfig {
 	return []stack.TargetConfig{{SSDs: []ssd.Config{ssd.FlashConfig(), ssd.OptaneConfig()}}}
@@ -284,12 +359,6 @@ func blockPoint(o Options, cfg stack.Config, job workload.BlockJob) workload.Blo
 	return point(o, cfg, drive(workload.RunBlock, job))
 }
 
-// auditedBlockPoint is blockPoint plus the finished cluster's
-// orderViolations.
-func auditedBlockPoint(o Options, cfg stack.Config, job workload.BlockJob) (workload.BlockResult, int) {
-	return audited(o, cfg, drive(workload.RunBlock, job))
-}
-
 // sweep runs one point per line and x, line by line, and returns
 // out[k][i]: column k of line i, a series labelled labels[i] holding, in x
 // order, what cols[k] reads of each of the line's points.
@@ -384,8 +453,7 @@ func Fig2Motivation(o Options) *Result {
 		series := blockSweep(o, systems, dev.targets, []int{4, 8, 12}, func(th int) workload.BlockJob {
 			return workload.BlockJob{Threads: th, Pattern: workload.PatternJournal}
 		}, kiopsCol)[0]
-		res.Tables = append(res.Tables,
-			metrics.Table("Fig 2"+dev.label+" — throughput (KIOPS)", "threads", series...))
+		res.plot("Fig 2"+dev.label+" — throughput (KIOPS)", "threads", series...)
 		res.Notes = append(res.Notes, fmt.Sprintf("%s: orderless/NVMe-oF ratio = %s",
 			dev.label, ratio(1, series[2].Y, series[0].Y)))
 	}
@@ -410,9 +478,9 @@ func Fig3MergingCPU(o Options) *Result {
 			ss[0][i].Label = "initiator " + ss[0][i].Label
 			ss[1][i].Label = "target " + ss[1][i].Label
 		}
-		res.Tables = append(res.Tables, metrics.Table(
+		res.plot(
 			"Fig 3"+dev.label+" — CPU utilization (%)", "batch",
-			ss[0][0], ss[1][0], ss[0][1], ss[1][1]))
+			ss[0][0], ss[1][0], ss[0][1], ss[1][1])
 	}
 	return res
 }
@@ -423,10 +491,9 @@ func fig10(o Options, name string, targets []stack.TargetConfig, threads []int) 
 	res := &Result{Name: "Figure 10 " + name + ": block device performance (4 KB random ordered write)"}
 	ss := blockSweep(o, blockSystemsWithAblation, targets, threads, random4K, kiopsCol, effInitCol, effTgtCol)
 	tput := ss[0]
-	res.Tables = append(res.Tables,
-		metrics.Table("throughput (K ops/s)", "threads", tput...),
-		metrics.Table("initiator CPU efficiency (normalized to orderless)", "threads", normalized(ss[1], "orderless")...),
-		metrics.Table("target CPU efficiency (normalized to orderless)", "threads", normalized(ss[2], "orderless")...))
+	res.plot("throughput (K ops/s)", "threads", tput...)
+	res.plot("initiator CPU efficiency (normalized to orderless)", "threads", normalized(ss[1], "orderless")...)
+	res.plot("target CPU efficiency (normalized to orderless)", "threads", normalized(ss[2], "orderless")...)
 	rio := seriesByLabel(tput, "rio")
 	res.Notes = append(res.Notes,
 		"rio/linux throughput = "+ratio(1, rio.Y, seriesByLabel(tput, "linux").Y),
@@ -447,8 +514,7 @@ func Fig11WriteSizes(o Options) *Result {
 		series := blockSweep(o, blockSystems, fourSSDTwoTargets(), []int{4, 8, 16, 32, 64}, func(kb int) workload.BlockJob {
 			return workload.BlockJob{Threads: 1, Pattern: workload.PatternSize, WriteBlocks: uint32(kb / 4), Sequential: seq}
 		}, gbpsCol)[0]
-		res.Tables = append(res.Tables,
-			metrics.Table("Fig 11"+kind+" — bandwidth (GB/s)", "write KB", series...))
+		res.plot("Fig 11"+kind+" — bandwidth (GB/s)", "write KB", series...)
 		res.Notes = append(res.Notes, fmt.Sprintf("%s: rio/horae = %s, rio/linux = %s",
 			kind,
 			ratio(1, seriesByLabel(series, "rio").Y, seriesByLabel(series, "horae").Y),
@@ -466,9 +532,8 @@ func Fig12BatchSizes(o Options) *Result {
 			return workload.BlockJob{Threads: th, Pattern: workload.PatternBatch, Batch: b}
 		}, gbpsCol, effInitCol)
 		series := ss[0]
-		res.Tables = append(res.Tables,
-			metrics.Table(fmt.Sprintf("bandwidth (GB/s), %d thread(s)", th), "batch", series...),
-			metrics.Table(fmt.Sprintf("initiator CPU efficiency (normalized), %d thread(s)", th), "batch", normalized(ss[1], "orderless")...))
+		res.plot(fmt.Sprintf("bandwidth (GB/s), %d thread(s)", th), "batch", series...)
+		res.plot(fmt.Sprintf("initiator CPU efficiency (normalized), %d thread(s)", th), "batch", normalized(ss[1], "orderless")...)
 		res.Notes = append(res.Notes, fmt.Sprintf("%d threads: rio vs rio-nomerge bandwidth = %s",
 			th, ratio(2, seriesByLabel(series, "rio").Y, seriesByLabel(series, "rio-nomerge").Y)))
 	}
@@ -526,10 +591,9 @@ func Fig13Filesystem(o Options) *Result {
 		func(r workload.FsResult) float64 { return float64(r.Lat.Mean()) / 1000 },
 		func(r workload.FsResult) float64 { return float64(r.Lat.P99()) / 1000 })
 	tput := ss[0]
-	res.Tables = append(res.Tables,
-		metrics.Table("fsync throughput (KIOPS)", "threads", tput...),
-		metrics.Table("average latency (us)", "threads", ss[1]...),
-		metrics.Table("99th percentile latency (us)", "threads", ss[2]...))
+	res.plot("fsync throughput (KIOPS)", "threads", tput...)
+	res.plot("average latency (us)", "threads", ss[1]...)
+	res.plot("99th percentile latency (us)", "threads", ss[2]...)
 	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 throughput = %s, riofs/horaefs = %s",
 		ratio(1, seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "ext4").Y),
 		ratio(1, seriesByLabel(tput, "riofs").Y, seriesByLabel(tput, "horaefs").Y)))
@@ -543,21 +607,24 @@ func Fig14Breakdown(o Options) *Result {
 	stage := func(k int) func(workload.FsResult) float64 {
 		return func(r workload.FsResult) float64 {
 			d, jm, jc, wait := r.Traces.Mean()
-			return float64([]sim.Time{d, jm, jc, wait}[k])
+			return float64([]sim.Time{d, jm, jc, wait, d + jm + jc + wait}[k])
 		}
 	}
-	ss := fsSweep(o, fsDesigns[1:], []int{1}, workload.RunFioFsync, stage(0), stage(1), stage(2), stage(3))
-	rows := []string{fmt.Sprintf("%-10s%10s%10s%10s%12s%12s",
-		"system", "D(ns)", "JM(ns)", "JC(ns)", "waitIO(ns)", "fsync(ns)")}
-	for i, d := range fsDesigns[1:] {
-		var ns [4]int64
-		for k := range ns {
-			ns[k] = int64(ss[k][i].Y[0])
+	ss := fsSweep(o, fsDesigns[1:], []int{1}, workload.RunFioFsync, stage(0), stage(1), stage(2), stage(3), stage(4))
+	// The sweep's one point per (stage, design): a series per stage, a row
+	// per design.
+	t := Table{Title: "fsync latency breakdown (ns)", XName: "system"}
+	for k, label := range []string{"D(ns)", "JM(ns)", "JC(ns)", "waitIO(ns)", "fsync(ns)"} {
+		s := metrics.Series{Label: label}
+		for i, design := range ss[k] {
+			s.Add(float64(i), design.Y[0])
+			if k == 0 {
+				t.Rows = append(t.Rows, design.Label)
+			}
 		}
-		rows = append(rows, fmt.Sprintf("%-10s%10d%10d%10d%12d%12d",
-			d.label, ns[0], ns[1], ns[2], ns[3], ns[0]+ns[1]+ns[2]+ns[3]))
+		t.Series = append(t.Series, s)
 	}
-	res.Tables = append(res.Tables, strings.Join(rows, "\n")+"\n")
+	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
 		"paper: HoraeFS 5861/19327/16658/34899 -> 76745ns; RioFS 5861/1440/1107/34796 -> 43204ns")
 	return res
@@ -571,7 +638,7 @@ func Fig15aVarmail(o Options) *Result {
 		threads = []int{1, 8, 24}
 	}
 	series := fsSweep(o, fsDesigns, threads, workload.RunVarmail, fsKIOPS)[0]
-	res.Tables = append(res.Tables, metrics.Table("throughput (K ops/s)", "threads", series...))
+	res.plot("throughput (K ops/s)", "threads", series...)
 	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %s, riofs/horaefs = %s (paper: 2.3x, 1.3x)",
 		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
 		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "horaefs").Y)))
@@ -586,7 +653,7 @@ func Fig15bRocksDB(o Options) *Result {
 		threads = []int{1, 8, 24}
 	}
 	series := fsSweep(o, fsDesigns, threads, workload.RunFillsync, fsKIOPS)[0]
-	res.Tables = append(res.Tables, metrics.Table("throughput (K ops/s)", "threads", series...))
+	res.plot("throughput (K ops/s)", "threads", series...)
 	res.Notes = append(res.Notes, fmt.Sprintf("riofs/ext4 = %s, riofs/horaefs = %s (paper: 1.9x, 1.5x)",
 		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "ext4").Y),
 		ratio(1, seriesByLabel(series, "riofs").Y, seriesByLabel(series, "horaefs").Y)))
@@ -602,9 +669,12 @@ func RecoveryTimes(o Options) *Result {
 	if o.Quick {
 		trials = 5
 	}
-	for _, mode := range []stack.Mode{stack.ModeRio, stack.ModeHorae} {
-		var orderMS, dataMS []float64
-		discarded := 0
+	t := Table{Title: fmt.Sprintf("recovery time (avg of %d trials)", trials), XName: "system"}
+	order := metrics.Series{Label: "order rebuild (ms)"}
+	data := metrics.Series{Label: "data recovery (ms)"}
+	discarded := metrics.Series{Label: "entries discarded"}
+	for i, mode := range []stack.Mode{stack.ModeRio, stack.ModeHorae} {
+		var orderMS, dataMS, n float64
 		for tr := 0; tr < trials; tr++ {
 			cfg := stack.DefaultConfig(mode, fourSSDTwoTargets()...)
 			cfg.Streams = 36
@@ -633,26 +703,18 @@ func RecoveryTimes(o Options) *Result {
 				eng.Run()
 				return tm
 			})
-			orderMS = append(orderMS, tm.OrderRebuild.Seconds()*1e3)
-			dataMS = append(dataMS, tm.DataRecovery.Seconds()*1e3)
-			discarded += tm.Discarded
+			orderMS += tm.OrderRebuild.Seconds() * 1e3
+			dataMS += tm.DataRecovery.Seconds() * 1e3
+			n += float64(tm.Discarded)
 		}
-		res.Tables = append(res.Tables, fmt.Sprintf(
-			"%-8s order rebuild: %7.1f ms   data recovery: %7.1f ms   (avg of %d trials, %d entries discarded)\n",
-			mode, mean(orderMS), mean(dataMS), trials, discarded))
+		t.Rows = append(t.Rows, mode.String())
+		order.Add(float64(i), orderMS/float64(trials))
+		data.Add(float64(i), dataMS/float64(trials))
+		discarded.Add(float64(i), n)
 	}
+	t.Series = []metrics.Series{order, data, discarded}
+	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
 		"paper: Rio 55 ms order rebuild + 125 ms data recovery; Horae 38 ms + 101 ms")
 	return res
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

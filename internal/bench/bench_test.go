@@ -109,9 +109,68 @@ func TestSweepAndNormalize(t *testing.T) {
 	if in[0].Y[0] != 6 || in[1].Y[0] != 2 {
 		t.Errorf("normalized changed its input: %+v", in)
 	}
-	if tab := metrics.Table("t", "x", got...); strings.Count(tab, "n/a") != 4 {
+	if tab := metrics.Table("t", "x", nil, got...); strings.Count(tab, "n/a") != 4 {
 		t.Errorf("table prints %d n/a cells, want 4:\n%s", strings.Count(tab, "n/a"), tab)
 	}
+}
+
+// TestDeriveMetrics: every numeric cell of a result's tables becomes one
+// metric keyed by slugged title, series and x (%g) or row label; an n/a
+// cell becomes no key and counts into <exp>.na_cells; a text table keys
+// nothing; and a key written twice panics instead of replacing a number.
+func TestDeriveMetrics(t *testing.T) {
+	for in, want := range map[string]string{
+		"throughput (K ops/s)":                    "throughput_k_ops_s",
+		"Fig 2(a) flash SSD — throughput (KIOPS)": "fig_2_a_flash_ssd_throughput_kiops",
+		"  --Keys (θ=0.99)!  ":                    "keys_0_99",
+		"rio-nomerge":                             "rio_nomerge",
+		"":                                        "",
+	} {
+		if got := slug(in); got != want {
+			t.Errorf("slug(%q) = %q, want %q", in, got, want)
+		}
+	}
+
+	rio := metrics.Series{Label: "rio"}
+	rio.Add(1, 10)
+	rio.Add(12, 20)
+	rio.Add(0.5, math.NaN())
+	order := metrics.Series{Label: "Order Rebuild (ms)"}
+	order.Add(0, 54.5)
+	order.Add(1, math.NaN())
+	r := &Result{Tables: []Table{
+		{Title: "throughput (K ops/s)", XName: "threads", Series: []metrics.Series{rio}},
+		{Title: "recovery time", XName: "system", Rows: []string{"rio", "Horae FS"}, Series: []metrics.Series{order}},
+		{Text: "# already rendered\n"},
+	}}
+	r.Metric("fig.headline", 7)
+	r.deriveMetrics("fig")
+	want := map[string]float64{
+		"fig.headline":                           7,
+		"fig.throughput_k_ops_s.rio.x1":          10,
+		"fig.throughput_k_ops_s.rio.x12":         20,
+		"fig.recovery_time.order_rebuild_ms.rio": 54.5,
+		"fig.na_cells":                           2,
+	}
+	if !reflect.DeepEqual(r.Metrics, want) {
+		t.Fatalf("derived metrics = %v, want %v", r.Metrics, want)
+	}
+
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic on a key written twice", name)
+			}
+		}()
+		f()
+	}
+	panics("explicit", func() { r.Metric("fig.headline", 8) })
+	twice := &Result{Tables: []Table{
+		{Title: "T", XName: "x", Series: []metrics.Series{rio}},
+		{Title: "t!", XName: "x", Series: []metrics.Series{rio}},
+	}}
+	panics("derived", func() { twice.deriveMetrics("fig") })
 }
 
 func quick() Options { return Options{Quick: true, Seed: 1} }

@@ -12,7 +12,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/stack"
@@ -32,52 +31,39 @@ var policySystems = []system{
 // 2-SSD Optane targets, 4 streams) and returns the block result plus the
 // finished cluster's orderViolations.
 func runPolicyPoint(o Options, sys system) (workload.BlockResult, int) {
-	cfg := stack.DefaultConfig(sys.mode, scaleTargets(2)...)
+	cfg := stack.DefaultConfig(sys.mode, optaneTargets(2, 2)...)
 	cfg.Streams = 4
 	cfg.QPs = 4
-	return auditedBlockPoint(o, cfg, workload.BlockJob{
+	return audited(o, cfg, drive(workload.RunBlock, workload.BlockJob{
 		Threads: 4, Pattern: workload.PatternRandom4K, Ordered: sys.ordered,
-	})
+	}))
 }
 
 // PolicySweep is the "policy" experiment.
 func PolicySweep(o Options) *Result {
 	res := &Result{Name: "policy: four stacks through the one ordering engine (2 targets, 4 streams, 4 KB random write)"}
 
-	var kiops, holdbacks, appends metrics.Series
-	kiops.Label = "kiops"
-	holdbacks.Label = "holdbacks/kcmd"
-	appends.Label = "pmr appends/cmd"
+	kiops := metrics.Series{Label: "kiops"}
+	holdbacks := metrics.Series{Label: "holdbacks/kcmd"}
+	appends := metrics.Series{Label: "pmr appends/cmd"}
 	auditTotal := 0
 	for i, sys := range policySystems {
 		r, audit := runPolicyPoint(o, sys)
 		auditTotal += audit
-		x := float64(i)
-		kiops.Add(x, r.KIOPS())
-		cmds := float64(r.TgtStats.Commands)
-		if cmds > 0 {
-			holdbacks.Add(x, float64(r.TgtStats.Holdbacks)/cmds*1e3)
-			appends.Add(x, float64(r.TgtStats.PMRAppends)/cmds)
-		} else {
-			holdbacks.Add(x, 0)
-			appends.Add(x, 0)
-		}
+		// A stack that sent no command has no engine traffic to divide.
+		cmds := max(float64(r.TgtStats.Commands), 1)
+		kiops.Add(float64(i), r.KIOPS())
+		holdbacks.Add(float64(i), float64(r.TgtStats.Holdbacks)/cmds*1e3)
+		appends.Add(float64(i), float64(r.TgtStats.PMRAppends)/cmds)
 		res.Metric(fmt.Sprintf("policy.%s.kiops", sys.label), r.KIOPS())
-		if sys.label == "rio" {
-			res.Metric("policy.rio.pmr_appends_per_cmd", appends.Y[len(appends.Y)-1])
-			res.Metric("policy.rio.holdbacks_per_kcmd", holdbacks.Y[len(holdbacks.Y)-1])
-		}
 	}
+	rio := len(policySystems) - 1 // the last stack
+	res.Metric("policy.rio.pmr_appends_per_cmd", appends.Y[rio])
+	res.Metric("policy.rio.holdbacks_per_kcmd", holdbacks.Y[rio])
 	res.Metric("policy.order_violations", float64(auditTotal))
 
-	// Render with the mode name as the x label (the series share indices).
-	rows := []string{fmt.Sprintf("%-12s%12s%18s%18s",
-		"stack", "kiops", "holdbacks/kcmd", "pmr appends/cmd")}
-	for i, sys := range policySystems {
-		rows = append(rows, fmt.Sprintf("%-12s%12.1f%18.3f%18.3f",
-			sys.label, kiops.Y[i], holdbacks.Y[i], appends.Y[i]))
-	}
-	res.Tables = append(res.Tables, strings.Join(rows, "\n")+"\n")
+	res.Tables = append(res.Tables, Table{Title: "throughput and engine counters per stack", XName: "stack",
+		Rows: labels(policySystems), Series: []metrics.Series{kiops, holdbacks, appends}})
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("engine dense-chain audit across all four policies: %d violations (must be 0)", auditTotal),
 		"orderless and linux policies keep no engine state (no gate, no PMR traffic): their rows pin the engine's zero-cost baseline")

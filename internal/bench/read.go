@@ -56,15 +56,13 @@ func ReadSweep(o Options) *Result {
 	// holds every tenant's working set.
 	sizes := []int{0, 1024, 65536}
 	violations := 0
-	var tput, p99, hit, msgs metrics.Series
-	tput.Label, p99.Label, hit.Label, msgs.Label = "kiops", "p99 us", "hit %", "msgs/op"
-	var base, mid, best workload.ServeResult
+	tput, p99 := metrics.Series{Label: "kiops"}, metrics.Series{Label: "p99 us"}
+	hit, msgs := metrics.Series{Label: "hit %"}, metrics.Series{Label: "msgs/op"}
+	var rs []workload.ServeResult
 	for _, blocks := range sizes {
 		rr, v := runReadPoint(o, blocks)
 		violations += v
-		if blocks == 1024 {
-			mid = rr
-		}
+		rs = append(rs, rr)
 		key := fmt.Sprintf("c%d", blocks)
 		tput.Add(float64(blocks), rr.KIOPS())
 		p99.Add(float64(blocks), rr.P99US())
@@ -78,11 +76,8 @@ func ReadSweep(o Options) *Result {
 			"cache %d blocks: %.1f kiops, p99 %.1f µs, hit %.0f%%, %.2f msgs/op, %d negative hits, %d prefetched",
 			blocks, rr.KIOPS(), rr.P99US(), 100*rr.HitRate(), rr.MsgsPerOp(),
 			rr.NegativeHits, rr.Cache.ReadAheadIssued))
-		if blocks == 0 {
-			base = rr
-		}
-		best = rr
 	}
+	base, mid, best := rs[0], rs[1], rs[2]
 	// Headline gates: the largest cache against the feature-off baseline.
 	res.Metric("read.rio.kiops", best.KIOPS())
 	res.Metric("read.rio.p99_us", best.P99US())
@@ -100,10 +95,10 @@ func ReadSweep(o Options) *Result {
 	res.Metric("read.rio.readahead_hits", float64(mid.Cache.ReadAheadHits))
 	res.Metric("read.rio.negative_hits", float64(best.NegativeHits))
 	res.Metric("read.rio.order_violations", float64(violations))
-	res.Tables = append(res.Tables, metrics.Table(
+	res.plot(
 		fmt.Sprintf("cache-size sweep, %d YCSB-C tenants + 1 scan tenant on %d initiators, 4 Mi Zipfian keys (θ=0.99), 4 Optane targets in 2-way replica sets",
 			serveTenants, serveTenants+1),
-		"cache blocks", tput, p99, hit, msgs))
+		"cache blocks", tput, p99, hit, msgs)
 	res.Notes = append(res.Notes,
 		"c0 = cache, read-ahead and negative lookups all off (the pre-read-path stack); other points turn all three on")
 	return res

@@ -14,19 +14,9 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
-
-// replTargets builds n one-SSD Optane target servers.
-func replTargets(n int) []stack.TargetConfig {
-	out := make([]stack.TargetConfig, n)
-	for i := range out {
-		out[i] = stack.TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig()}}
-	}
-	return out
-}
 
 // replFleet is the fixed hardware budget of the sweep: 6 targets divide
 // evenly into sets of 1, 2 and 3.
@@ -62,7 +52,7 @@ func replPoint(o Options, cfg stack.Config, cutAt sim.Time, victim func(*stack.C
 // cutAt > 0 schedules a power cut of target `cutMember` at that
 // simulated time (failover phase).
 func runReplicationPoint(o Options, replicas int, cutAt sim.Time, cutMember int) replRun {
-	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(replFleet)...)
+	cfg := stack.DefaultConfig(stack.ModeRio, optaneTargets(replFleet, 1)...)
 	cfg.Replicas = replicas
 	return replPoint(o, cfg, cutAt, func(*stack.Cluster) int { return cutMember })
 }
@@ -79,7 +69,7 @@ const relayInitCores = 2
 // power-cuts the HEAD of set 0 mid-measurement (the relay hub — the
 // most adversarial member to lose).
 func runRelayPoint(o Options, relay bool, cutAt sim.Time) replRun {
-	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(replFleet)...)
+	cfg := stack.DefaultConfig(stack.ModeRio, optaneTargets(replFleet, 1)...)
 	cfg.Replicas = 3
 	cfg.ReplRelay = relay
 	cfg.InitiatorCores = relayInitCores
@@ -101,8 +91,7 @@ func ReplicationSweep(o Options) *Result {
 	res := &Result{Name: "replication: replica sets with quorum completion, stall-free failover, background resync"}
 	violations := 0
 
-	var tput, cplOp metrics.Series
-	tput.Label, cplOp.Label = "rio kiops", "cpl msgs/op"
+	tput, cplOp := metrics.Series{Label: "rio kiops"}, metrics.Series{Label: "cpl msgs/op"}
 	for _, r := range []int{1, 2, 3} {
 		br := runReplicationPoint(o, r, 0, 0)
 		violations += br.violations
@@ -117,9 +106,9 @@ func ReplicationSweep(o Options) *Result {
 			res.Metric("replication.rio.tx_bytes_per_op.r3", bytes)
 		}
 	}
-	res.Tables = append(res.Tables, metrics.Table(
+	res.plot(
 		fmt.Sprintf("replica-factor sweep (%d fixed targets, 4 streams, 4 KB random ordered write, majority quorum)", replFleet),
-		"replicas", tput, cplOp))
+		"replicas", tput, cplOp)
 
 	// Failover phase: cut one member of a 3-way set in the middle of the
 	// measurement window. Throughput must survive (no stream stalls at
@@ -145,8 +134,7 @@ func ReplicationSweep(o Options) *Result {
 	// posts R capsules per batch and reaps every member's completion
 	// stream; the relay posts ONE and reaps quorum-aggregated CQEs —
 	// at a saturated initiator that egress cut is throughput.
-	var rel metrics.Series
-	rel.Label = "constrained kiops"
+	rel := metrics.Series{Label: "constrained kiops"}
 	brD, brR := runRelayPoint(o, false, 0), runRelayPoint(o, true, 0)
 	violations += brD.violations + brR.violations
 	dMsgs, dBytes := txPerOp(brD)
@@ -186,9 +174,9 @@ func ReplicationSweep(o Options) *Result {
 	res.Metric("replication.rio.resync_divergence.relay", float64(divergedR))
 	violations += divergedR
 
-	res.Tables = append(res.Tables, metrics.Table(
+	res.plot(
 		fmt.Sprintf("relay fast path at %d initiator cores (x=0 direct fan-out, x=1 relay)", relayInitCores),
-		"variant", rel))
+		"variant", rel)
 
 	res.Metric("replication.rio.order_violations", float64(violations))
 	res.Notes = append(res.Notes,
@@ -206,7 +194,7 @@ func ReplicationSweep(o Options) *Result {
 // plus any post-resync divergence (which must be zero). With relay on,
 // victim 0 is the set head — the relay hub itself.
 func runResyncPhase(o Options, relay bool, victim int) (tm stack.RecoveryTiming, diverged int) {
-	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(3)...)
+	cfg := stack.DefaultConfig(stack.ModeRio, optaneTargets(3, 1)...)
 	cfg.Replicas = 3
 	cfg.ReplRelay = relay
 	cfg.Streams = 4

@@ -131,54 +131,49 @@ func SatLoadSweep(o Options) *Result {
 	const lowIdx = 1 // the "low load" headline point: ≤50% of the knee
 	violations := 0
 
-	type point struct {
-		kiops float64
-		p99us float64
-	}
-	curves := map[string][]point{}
+	// One kiops and one p99 series per variant, in satVariants order.
+	var tput, p99 []metrics.Series
 	var govSwitches int64
 	for _, v := range satVariants {
-		tput := metrics.Series{Label: v.key + " kiops"}
-		p99 := metrics.Series{Label: v.key + " p99 us"}
+		kiops := metrics.Series{Label: v.key + " kiops"}
+		lat := metrics.Series{Label: v.key + " p99 us"}
 		for _, off := range offered {
 			r, viol := runSatPoint(o, v, off, workload.ArrivalPoisson, false)
 			violations += viol
-			pt := point{kiops: r.DeliveredKIOPS(), p99us: r.P99US()}
-			curves[v.key] = append(curves[v.key], pt)
-			tput.Add(off, pt.kiops)
-			p99.Add(off, pt.p99us)
-			res.Metric(fmt.Sprintf("satload.rio.kiops.%s.o%.0f", v.key, off), pt.kiops)
-			res.Metric(fmt.Sprintf("satload.rio.p99us.%s.o%.0f", v.key, off), pt.p99us)
+			kiops.Add(off, r.DeliveredKIOPS())
+			lat.Add(off, r.P99US())
+			res.Metric(fmt.Sprintf("satload.rio.kiops.%s.o%.0f", v.key, off), r.DeliveredKIOPS())
+			res.Metric(fmt.Sprintf("satload.rio.p99us.%s.o%.0f", v.key, off), r.P99US())
 			if v.key == "adaptive" {
 				govSwitches += r.Stats.GovSwitches + r.TgtStats.GovSwitches
 			}
 		}
-		res.Tables = append(res.Tables, metrics.Table(
-			v.key+" (2 initiators, 4 targets 2-way replicated, Poisson arrivals, Zipf 0.9)",
-			"offered kiops", tput, p99))
+		res.plot(v.key+" (2 initiators, 4 targets 2-way replicated, Poisson arrivals, Zipf 0.9)",
+			"offered kiops", kiops, lat)
+		tput, p99 = append(tput, kiops), append(p99, lat)
 	}
 
 	// The knee is where the adaptive curve stops converting additional
 	// offered load into delivered throughput.
+	lo, hi, ad := 0, 1, 2
 	knee := 0
-	for i, pt := range curves["adaptive"] {
-		if pt.kiops > curves["adaptive"][knee].kiops {
+	for i, k := range tput[ad].Y {
+		if k > tput[ad].Y[knee] {
 			knee = i
 		}
 	}
-	ad, lo, hi := curves["adaptive"], curves["staticlow"], curves["statichigh"]
 
 	// Headlines. The dominance claim is two ratios: at low load (the
 	// first sweep point, well under half the knee) adaptive must match
 	// static-low's p99, and at the knee it must match static-high's
 	// throughput — the governor gives up neither end of the trade.
 	res.Metric("satload.rio.knee_kiops", offered[knee])
-	res.Metric("satload.rio.adaptive_kiops_knee", ad[knee].kiops)
-	res.Metric("satload.rio.adaptive_p99low_us", ad[lowIdx].p99us)
-	res.Metric("satload.rio.p99low_ratio", ad[lowIdx].p99us/lo[lowIdx].p99us)
-	res.Metric("satload.rio.knee_ratio", ad[knee].kiops/hi[knee].kiops)
-	res.Metric("satload.rio.staticlow_kiops_knee", lo[knee].kiops)
-	res.Metric("satload.rio.statichigh_p99low_us", hi[lowIdx].p99us)
+	res.Metric("satload.rio.adaptive_kiops_knee", tput[ad].Y[knee])
+	res.Metric("satload.rio.adaptive_p99low_us", p99[ad].Y[lowIdx])
+	res.Metric("satload.rio.p99low_ratio", p99[ad].Y[lowIdx]/p99[lo].Y[lowIdx])
+	res.Metric("satload.rio.knee_ratio", tput[ad].Y[knee]/tput[hi].Y[knee])
+	res.Metric("satload.rio.staticlow_kiops_knee", tput[lo].Y[knee])
+	res.Metric("satload.rio.statichigh_p99low_us", p99[hi].Y[lowIdx])
 	res.Metric("satload.rio.gov_switches", float64(govSwitches))
 
 	// Bursty arrivals at mid-load: an MMPP process whose ON state
@@ -201,14 +196,14 @@ func SatLoadSweep(o Options) *Result {
 	res.Metric("satload.rio.relay_p99_knee_us", rl.P99US())
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"relay fan-out at the %.0f-kiops knee: %.1f kiops delivered, p99 %.1f µs (direct adaptive: %.1f kiops, p99 %.1f µs)",
-		offered[knee], rl.DeliveredKIOPS(), rl.P99US(), ad[knee].kiops, ad[knee].p99us))
+		offered[knee], rl.DeliveredKIOPS(), rl.P99US(), tput[ad].Y[knee], p99[ad].Y[knee]))
 
 	res.Metric("satload.rio.order_violations", float64(violations))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("adaptive knee at %.0f offered kiops: delivers %.1f kiops (static-high %.1f, static-low %.1f)",
-			offered[knee], ad[knee].kiops, hi[knee].kiops, lo[knee].kiops),
+			offered[knee], tput[ad].Y[knee], tput[hi].Y[knee], tput[lo].Y[knee]),
 		fmt.Sprintf("at %.0f offered kiops: adaptive p99 %.1f µs vs static-low %.1f µs vs static-high %.1f µs",
-			offered[lowIdx], ad[lowIdx].p99us, lo[lowIdx].p99us, hi[lowIdx].p99us),
+			offered[lowIdx], p99[ad].Y[lowIdx], p99[lo].Y[lowIdx], p99[hi].Y[lowIdx]),
 		fmt.Sprintf("bursty arrivals (MMPP, 90%% of load in the ON state) at %.0f offered kiops: %.1f kiops, p99 %.1f µs",
 			burstOff, br.DeliveredKIOPS(), br.P99US()),
 		fmt.Sprintf("governor switched operating points %d times across the sweep; %d ordering violations (must be 0)",

@@ -16,38 +16,22 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/ssd"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
-// scaleTargets builds n two-SSD Optane target servers.
-func scaleTargets(n int) []stack.TargetConfig {
-	out := make([]stack.TargetConfig, n)
-	for i := range out {
-		out[i] = stack.TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig(), ssd.OptaneConfig()}}
-	}
-	return out
-}
-
-// scaleSystem is one line of the scale sweep.
-type scaleSystem struct {
-	label   string
-	mode    stack.Mode
-	ordered bool
-}
-
-var scaleSystems = []scaleSystem{
-	{"rio", stack.ModeRio, true},
-	{"horae", stack.ModeHorae, true},
-	{"orderless", stack.ModeOrderless, false},
+// scaleSystems are the lines of the scale sweep, rio first.
+var scaleSystems = []system{
+	{"rio", stack.ModeRio, true, false},
+	{"horae", stack.ModeHorae, true, false},
+	{"orderless", stack.ModeOrderless, false, false},
 }
 
 // runScalePoint measures one (system, streams, targets) point. Streams,
 // threads and queue pairs scale together so each added thread brings its
 // own submission shard and QP.
-func runScalePoint(o Options, sys scaleSystem, streams, targets int) workload.BlockResult {
-	cfg := stack.DefaultConfig(sys.mode, scaleTargets(targets)...)
+func runScalePoint(o Options, sys system, streams, targets int) workload.BlockResult {
+	cfg := stack.DefaultConfig(sys.mode, optaneTargets(targets, 2)...)
 	cfg.Streams = streams
 	cfg.QPs = streams
 	return blockPoint(o, cfg, workload.BlockJob{
@@ -59,14 +43,14 @@ func runScalePoint(o Options, sys scaleSystem, streams, targets int) workload.Bl
 // targets) Rio point and verifies the per-initiator ordering invariants
 // on the finished cluster, returning the violation count.
 func runInitiatorPoint(o Options, inits, streams, targets int) (workload.BlockResult, int) {
-	cfg := stack.DefaultConfig(stack.ModeRio, scaleTargets(targets)...)
+	cfg := stack.DefaultConfig(stack.ModeRio, optaneTargets(targets, 2)...)
 	cfg.Initiators = inits
 	cfg.Streams = streams
 	cfg.QPs = streams
-	return auditedBlockPoint(o, cfg, workload.BlockJob{
+	return audited(o, cfg, drive(workload.RunBlock, workload.BlockJob{
 		Threads: streams, Initiators: inits,
 		Pattern: workload.PatternRandom4K, Ordered: true,
-	})
+	}))
 }
 
 // ScaleSweep is the "scale" experiment.
@@ -81,54 +65,32 @@ func ScaleSweep(o Options) *Result {
 	maxS := streams[len(streams)-1]
 
 	for _, tc := range targetCounts {
-		var tput []metrics.Series
 		var rioPts []workload.BlockResult
-		for _, sys := range scaleSystems {
-			s := metrics.Series{Label: sys.label}
-			for _, st := range streams {
-				r := runScalePoint(o, sys, st, tc)
-				s.Add(float64(st), r.KIOPS())
-				if sys.label == "rio" {
-					rioPts = append(rioPts, r)
-				}
+		ss := sweep(labels(scaleSystems), streams, func(i, st int) workload.BlockResult {
+			r := runScalePoint(o, scaleSystems[i], st, tc)
+			if i == 0 {
+				rioPts = append(rioPts, r)
 			}
-			tput = append(tput, s)
-		}
-		res.Tables = append(res.Tables, metrics.Table(
-			fmt.Sprintf("throughput (K ops/s), %d target server(s)", tc), "streams", tput...))
+			return r
+		}, workload.BlockResult.KIOPS,
+			func(r workload.BlockResult) float64 { return r.Stats.Pool.HitRate() },
+			func(r workload.BlockResult) float64 { return r.Stats.Batch.Occupancy() },
+			func(r workload.BlockResult) float64 { return r.Stats.CplBatch.Occupancy() },
+			func(r workload.BlockResult) float64 { return r.Stats.CompletionMsgsPerOp() })
+		tput := ss[0]
+		res.plot(fmt.Sprintf("throughput (K ops/s), %d target server(s)", tc), "streams", tput...)
 
-		// Hot-path counters for the Rio shards at this topology.
-		var hit, occ metrics.Series
-		hit.Label, occ.Label = "pool hit rate", "batch occupancy"
-		for i, st := range streams {
-			hit.Add(float64(st), rioPts[i].Stats.Pool.HitRate())
-			occ.Add(float64(st), rioPts[i].Stats.Batch.Occupancy())
-		}
-		res.Tables = append(res.Tables, metrics.Table(
-			fmt.Sprintf("rio hot path, %d target server(s)", tc), "streams",
-			hit, occ))
+		// The Rio shards' hot-path counters, then the completion path's
+		// CQE coalescing.
+		hit, occ, cqeOcc, cplOp := ss[1][0], ss[2][0], ss[3][0], ss[4][0]
+		hit.Label, occ.Label, cqeOcc.Label, cplOp.Label = "pool hit rate", "batch occupancy", "cqe occupancy", "cpl msgs/op rio"
+		res.plot(fmt.Sprintf("rio hot path, %d target server(s)", tc), "streams", hit, occ)
+		res.plot(fmt.Sprintf("rio completion path, %d target server(s)", tc), "streams", cqeOcc, cplOp)
 
-		// Completion-path counters: CQE coalescing.
-		var cqeOcc, cplOp metrics.Series
-		cqeOcc.Label, cplOp.Label = "cqe occupancy", "cpl msgs/op rio"
-		for i, st := range streams {
-			cqeOcc.Add(float64(st), rioPts[i].Stats.CplBatch.Occupancy())
-			cplOp.Add(float64(st), rioPts[i].Stats.CompletionMsgsPerOp())
-		}
-		res.Tables = append(res.Tables, metrics.Table(
-			fmt.Sprintf("rio completion path, %d target server(s)", tc), "streams",
-			cqeOcc, cplOp))
-
-		rio := seriesByLabel(tput, "rio")
-		mono := true
-		for i := 1; i < len(rio.Y); i++ {
-			if rio.Y[i] <= rio.Y[i-1] {
-				mono = false
-			}
-		}
+		rio := tput[0]
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%d target(s): rio scaling 1→%d streams = %.2fx (monotonic: %v)",
-			tc, maxS, rio.Y[len(rio.Y)-1]/rio.Y[0], mono))
+			tc, maxS, rio.Y[len(rio.Y)-1]/rio.Y[0], rising(rio.Y)))
 
 		if tc == maxT {
 			last := len(streams) - 1
@@ -155,8 +117,7 @@ func ScaleSweep(o Options) *Result {
 	initCounts := []int{1, 2, 4}
 	const initTargets = 2
 	const initStreams = 4
-	var initLine metrics.Series
-	initLine.Label = "rio aggregate"
+	initLine := metrics.Series{Label: "rio aggregate"}
 	violations := 0
 	for _, ni := range initCounts {
 		r, v := runInitiatorPoint(o, ni, initStreams, initTargets)
@@ -164,23 +125,27 @@ func ScaleSweep(o Options) *Result {
 		initLine.Add(float64(ni), r.KIOPS())
 		res.Metric(fmt.Sprintf("scale.rio.kiops.i%d", ni), r.KIOPS())
 	}
-	res.Tables = append(res.Tables, metrics.Table(
+	res.plot(
 		fmt.Sprintf("initiator scaling (4 KB random ordered write, %d streams/initiator, %d target servers)",
-			initStreams, initTargets), "initiators", initLine))
-	monoInit := true
-	for i := 1; i < len(initLine.Y); i++ {
-		if initLine.Y[i] <= initLine.Y[i-1] {
-			monoInit = false
-		}
-	}
+			initStreams, initTargets), "initiators", initLine)
 	last := len(initCounts) - 1
 	res.Metric("scale.rio.init_scaling", initLine.Y[last]/initLine.Y[0])
 	res.Metric("scale.multi.order_violations", float64(violations))
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"initiator axis: rio aggregate scaling 1→%d initiators = %.2fx (monotonic: %v), per-initiator ordering violations: %d",
-		initCounts[last], initLine.Y[last]/initLine.Y[0], monoInit, violations))
+		initCounts[last], initLine.Y[last]/initLine.Y[0], rising(initLine.Y), violations))
 
 	res.Notes = append(res.Notes,
 		"cpl msgs/op counts completion capsules per completed request; the seed target shipped exactly one bare 16-byte CQE capsule per command")
 	return res
+}
+
+// rising reports whether every point of ys is above the one before it.
+func rising(ys []float64) bool {
+	for i := 1; i < len(ys); i++ {
+		if ys[i] <= ys[i-1] {
+			return false
+		}
+	}
+	return true
 }

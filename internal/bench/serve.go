@@ -43,7 +43,7 @@ func serveJob(readPct int) workload.ServeJob {
 // kvFleet is the topology of the KV experiments: inits initiators over
 // four one-SSD Optane targets in 2-way replica sets.
 func kvFleet(inits int) stack.Config {
-	cfg := stack.DefaultConfig(stack.ModeRio, replTargets(4)...)
+	cfg := stack.DefaultConfig(stack.ModeRio, optaneTargets(4, 1)...)
 	cfg.Initiators = inits
 	cfg.Replicas = 2
 	cfg.Streams = 4
@@ -69,8 +69,7 @@ func ServeSweep(o Options) *Result {
 		{"mixc", "C (100% read)", 100},
 	}
 	violations := 0
-	var tput, p99, hit metrics.Series
-	tput.Label, p99.Label, hit.Label = "kiops", "p99 us", "read hit %"
+	tput, p99, hit := metrics.Series{Label: "kiops"}, metrics.Series{Label: "p99 us"}, metrics.Series{Label: "read hit %"}
 	for _, mix := range mixes {
 		sr, v := runServePoint(o, mix.readPct)
 		violations += v
@@ -105,10 +104,10 @@ func ServeSweep(o Options) *Result {
 	res.Metric("serve.rio.order_violations", float64(violations))
 	res.Metric("serve.tenants", serveTenants)
 	res.Metric("serve.keys", float64(4<<20))
-	res.Tables = append(res.Tables, metrics.Table(
+	res.plot(
 		fmt.Sprintf("YCSB-style mixes (A/B/C), %d tenants on %d initiators, 4 Mi Zipfian keys (θ=0.99), 4 Optane targets in 2-way replica sets",
 			serveTenants, serveTenants),
-		"read %", tput, p99, hit))
+		"read %", tput, p99, hit)
 	res.Notes = append(res.Notes,
 		"fairness spread = max/min per-tenant kiops on mix B; 1.0 is perfect isolation across ordering domains")
 	return res

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
@@ -33,8 +32,7 @@ func TCPTransport(o Options) *Result {
 			return r
 		})
 	}, kiopsCol)[0]
-	res.Tables = append(res.Tables,
-		metrics.Table("throughput over NVMe/TCP (K ops/s)", "threads", series...))
+	res.plot("throughput over NVMe/TCP (K ops/s)", "threads", series...)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("rio/orderless over TCP = %s; rio/linux = %s",
 			ratio(2, seriesByLabel(series, "rio").Y, seriesByLabel(series, "orderless").Y),

@@ -16,6 +16,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/trace"
@@ -72,15 +73,18 @@ func tracedSatPoint(o Options, offered float64, sample int) (workload.SatResult,
 	return r, trs[0]
 }
 
-// budgetTable renders a p99 stage budget.
-func budgetTable(title string, b trace.Budget) string {
-	out := fmt.Sprintf("# %s (cohort %d around p99 %.2f us)\n", title, b.N, float64(b.P99)/1e3)
-	out += fmt.Sprintf("%-10s%12s\n", "stage", "mean(us)")
-	for i := 0; i < trace.NumStages; i++ {
-		out += fmt.Sprintf("%-10s%12.2f\n", trace.StageName(i), float64(b.Stages[i])/1e3)
+// budgetTable is a p99 stage budget as a table: the cohort's mean per
+// stage, their sum, and the p99 the cohort sits around.
+func budgetTable(title string, b trace.Budget) Table {
+	t := Table{Title: title, XName: "stage", Series: []metrics.Series{{Label: "mean(us)"}}}
+	for i, d := range append(b.Stages[:], b.Sum(), b.P99) {
+		t.Series[0].Add(float64(i), float64(d)/1e3)
+		if i < trace.NumStages {
+			t.Rows = append(t.Rows, trace.StageName(i))
+		}
 	}
-	out += fmt.Sprintf("%-10s%12.2f  (sum/p99 = %.3f)\n", "sum", float64(b.Sum())/1e3, b.Ratio())
-	return out
+	t.Rows = append(t.Rows, "sum", "p99")
+	return t
 }
 
 // traceSample is the sampling rate the trace experiment runs at: sparse
@@ -107,8 +111,10 @@ func TraceSweep(o Options) *Result {
 	res.Metric("trace.rio.kiops_traced", traced.KIOPS())
 
 	scaleStats := scaleTr.Stats()
-	res.Tables = append(res.Tables, scaleStats.Table(fmt.Sprintf(
-		"scale headline point, 1-in-%d sampled", traceSample)))
+	// The stage breakdowns stay text: riotrace prints the same renderer,
+	// and the trace.rio.* metrics already carry the numbers a gate reads.
+	res.Tables = append(res.Tables, Table{Text: scaleStats.Table(fmt.Sprintf(
+		"scale headline point, 1-in-%d sampled", traceSample))})
 
 	// p99 budget: the cohort's stage means must sum to the measured e2e
 	// p99 within 10% (gated) — the decomposition accounts for the tail.
@@ -131,10 +137,10 @@ func TraceSweep(o Options) *Result {
 		res.Metric("trace.rio.cqe_hold_ratio_knee_over_low", kneeHold/lowHold)
 	}
 	res.Tables = append(res.Tables,
-		lowStats.Table(fmt.Sprintf("satload adaptive @400 offered kiops (delivered %.1f), 1-in-%d sampled",
-			lowRes.DeliveredKIOPS(), traceSample)),
-		kneeStats.Table(fmt.Sprintf("satload adaptive @1200 offered kiops (delivered %.1f), 1-in-%d sampled",
-			kneeRes.DeliveredKIOPS(), traceSample)))
+		Table{Text: lowStats.Table(fmt.Sprintf("satload adaptive @400 offered kiops (delivered %.1f), 1-in-%d sampled",
+			lowRes.DeliveredKIOPS(), traceSample))},
+		Table{Text: kneeStats.Table(fmt.Sprintf("satload adaptive @1200 offered kiops (delivered %.1f), 1-in-%d sampled",
+			kneeRes.DeliveredKIOPS(), traceSample))})
 
 	kneeBudget := trace.BudgetP99(kneeTr.Retained())
 	res.Metric("trace.rio.budget_p99_ratio_satload", kneeBudget.Ratio())
@@ -143,8 +149,8 @@ func TraceSweep(o Options) *Result {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("tracing overhead: %.3f%% (untraced %.1f kiops vs traced %.1f; 0 by construction — tracing records host memory only)",
 			overheadPct, base.KIOPS(), traced.KIOPS()),
-		fmt.Sprintf("p99 stage budgets account for %.1f%% (scale) and %.1f%% (satload knee) of the measured e2e p99",
-			100*scaleBudget.Ratio(), 100*kneeBudget.Ratio()),
+		fmt.Sprintf("p99 stage budgets account for %.1f%% (scale, cohort of %d spans) and %.1f%% (satload knee, cohort of %d) of the measured e2e p99",
+			100*scaleBudget.Ratio(), scaleBudget.N, 100*kneeBudget.Ratio(), kneeBudget.N),
 		fmt.Sprintf("governor attribution: cqehold %.2f µs/op at 400 offered kiops vs %.2f µs/op at the 1200 knee",
 			lowHold/1e3, kneeHold/1e3))
 	return res

@@ -296,10 +296,11 @@ func (s *Series) Add(x, y float64) {
 }
 
 // Table formats one or more series that share X values as an aligned text
-// table with the given column headers. A column is as wide as its label
-// needs, and at least 16. A NaN cell — a point that measured nothing —
-// prints "n/a".
-func Table(title, xName string, series ...Series) string {
+// table with the given column headers. Each row starts with its x value, or
+// with rows[i] when rows is not nil (a table whose rows are systems, not
+// numbers). A column is as wide as its label needs, and at least 16. A NaN
+// cell — a point that measured nothing — prints "n/a".
+func Table(title, xName string, rows []string, series ...Series) string {
 	out := fmt.Sprintf("# %s\n", title)
 	out += fmt.Sprintf("%-12s", xName)
 	width := make([]int, len(series))
@@ -313,7 +314,11 @@ func Table(title, xName string, series ...Series) string {
 	}
 	n := len(series[0].X)
 	for i := 0; i < n; i++ {
-		out += fmt.Sprintf("%-12g", series[0].X[i])
+		row := fmt.Sprintf("%g", series[0].X[i])
+		if rows != nil {
+			row = rows[i]
+		}
+		out += fmt.Sprintf("%-12s", row)
 		for k, s := range series {
 			switch {
 			case i >= len(s.Y):

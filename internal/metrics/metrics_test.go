@@ -162,7 +162,7 @@ func TestSeriesTable(t *testing.T) {
 	s2.Add(2, 2)
 	s3.Add(1, 3)
 	s2.Y[0] = math.NaN() // a window that measured nothing
-	out := Table("fig", "threads", s1, s2, s3)
+	out := Table("fig", "threads", nil, s1, s2, s3)
 	if !strings.Contains(out, "20.25") {
 		t.Fatalf("missing value in table:\n%s", out)
 	}
@@ -186,6 +186,12 @@ func TestSeriesTable(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], " n/a ") {
 		t.Fatalf("NaN cell not printed as n/a: %q", lines[2])
+	}
+	// Row labels print in place of the x values, in the x column's width.
+	rows := strings.Split(strings.TrimSpace(Table("fig", "system", []string{"horae", "rio"}, s1)), "\n")
+	if len(rows) != 4 || !strings.HasPrefix(rows[2], "horae       ") || !strings.HasPrefix(rows[3], "rio         ") ||
+		!strings.HasSuffix(rows[3], "20.25") {
+		t.Fatalf("row-labelled table:\n%s", strings.Join(rows, "\n"))
 	}
 }
 

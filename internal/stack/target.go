@@ -543,10 +543,10 @@ func (x *tctx) rxSubmit() bool {
 		// before submission, so the completion cannot outrun the route.
 		t.relay.pend[ws.init].Put(ws.id, relayRoute{qp: x.l.qp, epoch: cp.epoch})
 	} else {
+		// A direct capsule has no relay hop: MRelayed at delivery makes
+		// the relay stage zero-width and leaves the transit to wire.
 		markWire(ws, trace.MSent, cp.sentAt)
-		if len(cp.forward) > 0 {
-			markWire(ws, trace.MRelayed, cp.deliveredAt)
-		}
+		markWire(ws, trace.MRelayed, cp.deliveredAt)
 		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
 	}
 	if ws.wc.Flush {

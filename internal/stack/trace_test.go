@@ -162,3 +162,51 @@ func TestTraceReplicatedTargetCut(t *testing.T) {
 			st.Finished, st.Dropped, st.Sampled)
 	}
 }
+
+// TestTraceWireAndRelayStages: the relay stage is the head-to-follower hop
+// and nothing else. On an unreplicated cluster every span's relay stage is
+// zero-width and its wire stage (fabric transit) positive; on a relay set
+// the followers' hop makes every span's relay stage positive.
+func TestTraceWireAndRelayStages(t *testing.T) {
+	relay := relayConfig(3)
+	relay.Trace = trace.Config{SampleEvery: 1, Keep: 4096}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		relay bool
+	}{
+		{"direct", traceConfig(optane1()...), false},
+		{"relay", relay, true},
+	} {
+		eng := sim.New(1)
+		c := New(eng, tc.cfg)
+		eng.Go("app", func(p *sim.Proc) {
+			for g := 0; g < 40; g++ {
+				r := c.Init(0).OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false)
+				c.Init(0).Wait(p, r)
+			}
+		})
+		eng.Run()
+		recs := c.Tracer().Retained()
+		if len(recs) == 0 {
+			t.Fatalf("%s: no span retained", tc.name)
+		}
+		const wire, relayStage = 3, 4
+		if trace.StageName(wire) != "wire" || trace.StageName(relayStage) != "relay" {
+			t.Fatalf("stage names moved: %s, %s", trace.StageName(wire), trace.StageName(relayStage))
+		}
+		for _, r := range recs {
+			w, rl := r.StageDur(wire), r.StageDur(relayStage)
+			if w <= 0 {
+				t.Errorf("%s: span %d: wire stage %d, want > 0", tc.name, r.ID, w)
+			}
+			if tc.relay && rl <= 0 {
+				t.Errorf("%s: span %d: relay stage %d, want > 0 (the follower hop)", tc.name, r.ID, rl)
+			}
+			if !tc.relay && rl != 0 {
+				t.Errorf("%s: span %d: relay stage %d on the direct path, want 0", tc.name, r.ID, rl)
+			}
+		}
+		eng.Shutdown()
+	}
+}

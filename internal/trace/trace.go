@@ -2,12 +2,12 @@
 // request carries a Span through the whole data plane (block layer,
 // dispatch, fabric, target ordering gate, SSD, completion path), and every
 // instrumentation point records a virtual-time milestone into it. The
-// eleven milestones partition a request's life into ten gap-free stages
+// twelve milestones partition a request's life into eleven gap-free stages
 // that sum exactly to its end-to-end latency, so the per-stage histograms
 // are a latency *budget*, not a collection of overlapping timers.
 // Overlapping sub-stage waits (submit-gate, TX stall, gate park, PMR
-// persist, saturation inflation, CQE hold, quorum) are accumulated
-// separately as attribution detail.
+// persist, saturation inflation, CQE hold, quorum, relay aggregation) are
+// accumulated separately as attribution detail.
 //
 // Tracing is sampling (1-in-N per (initiator, stream) shard, counter
 // based — no RNG draws) and records host memory only: it never sleeps,
