@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_27.json -new /tmp/bench.json [-threshold 0.10]
+//	benchdiff -baseline BENCH_28.json -new /tmp/bench.json [-threshold 0.10]
 package main
 
 import (
@@ -18,9 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 )
 
@@ -188,6 +190,29 @@ func missingSide(bok, fok bool) string {
 	}
 }
 
+// moved returns, sorted, every key whose value differs between base and fresh
+// or that one side lacks, each as "key base → new" ("-" for a missing side):
+// what a failing byte comparison of the two files will find.
+func moved(base, fresh map[string]float64) []string {
+	side := func(v float64, ok bool) string {
+		if !ok {
+			return "-"
+		}
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	all := maps.Clone(base)
+	maps.Copy(all, fresh)
+	var diff []string
+	for _, k := range slices.Sorted(maps.Keys(all)) {
+		b, bok := base[k]
+		f, fok := fresh[k]
+		if bok != fok || b != f {
+			diff = append(diff, fmt.Sprintf("%s %s → %s", k, side(b, bok), side(f, fok)))
+		}
+	}
+	return diff
+}
+
 // predecessor returns the highest-numbered BENCH_<M>.json beside baseline
 // with M below the baseline's own number ("" when it is the first).
 func predecessor(baseline string) (string, error) {
@@ -261,9 +286,15 @@ func runGate(baselinePath, newPath string, threshold float64, out io.Writer) int
 			return 2
 		}
 		fmt.Fprintf(out, "benchdiff: %s vs %s (threshold %.0f%%)\n", pair[1], pair[0], 100*threshold)
-		lines, failures := compare(values(base.Metrics), values(fresh.Metrics), threshold)
+		b, f := values(base.Metrics), values(fresh.Metrics)
+		lines, failures := compare(b, f, threshold)
 		for _, l := range lines {
 			fmt.Fprintln(out, l)
+		}
+		diff := moved(b, f)
+		fmt.Fprintf(out, "benchdiff: %d key(s) differ or are missing on one side (at most 20 named)\n", len(diff))
+		for _, d := range diff[:min(20, len(diff))] {
+			fmt.Fprintln(out, "  moved "+d)
 		}
 		for _, f := range failures {
 			fmt.Fprintln(out, "  REGRESSED "+f)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -230,5 +231,40 @@ func TestGateComparesBaselineWithPredecessor(t *testing.T) {
 	}
 	if got := runGate(filepath.Join(first, "bench.json"), filepath.Join(first, "BENCH_1.json"), 0.10, &out); got != 2 {
 		t.Fatalf("a baseline not named BENCH_<N>.json: gate exited %d, want 2", got)
+	}
+}
+
+// TestGateNamesMovedKeys: each comparison prints how many keys differ or are
+// missing on one side, then the first 20 of them, sorted, as "key base → new".
+func TestGateNamesMovedKeys(t *testing.T) {
+	dir := t.TempDir()
+	base := baseMetrics()
+	writeReport(t, filepath.Join(dir, "BENCH_1.json"), base)
+	fresh := baseMetrics()
+	fresh["serve.rio.kiops"] = 190
+	delete(fresh, "read.rio.p99_us")
+	fresh["fig15a.new.key"] = 3.5
+	writeReport(t, filepath.Join(dir, "fresh.json"), fresh)
+	var out bytes.Buffer
+	runGate(filepath.Join(dir, "BENCH_1.json"), filepath.Join(dir, "fresh.json"), 0.10, &out)
+	want := "benchdiff: 3 key(s) differ or are missing on one side (at most 20 named)\n" +
+		"  moved fig15a.new.key - → 3.5\n" +
+		"  moved read.rio.p99_us 5 → -\n" +
+		"  moved serve.rio.kiops 200 → 190\n"
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("moved keys not named; want\n%s\ngot\n%s", want, out.String())
+	}
+	for i := 0; i < 30; i++ {
+		fresh[fmt.Sprintf("many.k%02d", i)] = float64(i)
+	}
+	if got := moved(base, fresh); len(got) != 33 || got[0] != "fig15a.new.key - → 3.5" || got[1] != "many.k00 - → 0" {
+		t.Fatalf("moved = %d keys starting %q", len(got), got[:2])
+	}
+	writeReport(t, filepath.Join(dir, "fresh.json"), fresh)
+	out.Reset()
+	runGate(filepath.Join(dir, "BENCH_1.json"), filepath.Join(dir, "fresh.json"), 0.10, &out)
+	if !strings.Contains(out.String(), "33 key(s) differ or are missing on one side (at most 20 named)\n") ||
+		strings.Count(out.String(), "  moved ") != 20 {
+		t.Fatalf("a long diff is not cut at 20 keys:\n%s", out.String())
 	}
 }

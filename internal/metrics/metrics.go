@@ -298,11 +298,22 @@ func (s *Series) Add(x, y float64) {
 // Table formats one or more series that share X values as an aligned text
 // table with the given column headers. Each row starts with its x value, or
 // with rows[i] when rows is not nil (a table whose rows are systems, not
-// numbers). A column is as wide as its label needs, and at least 16. A NaN
-// cell — a point that measured nothing — prints "n/a".
+// numbers). The first column fits its header and every row label (at least
+// 12 wide), a series column its label (at least 16). A NaN cell — a point
+// that measured nothing — prints "n/a".
 func Table(title, xName string, rows []string, series ...Series) string {
+	labels := rows
+	if rows == nil && len(series) > 0 {
+		for _, x := range series[0].X {
+			labels = append(labels, fmt.Sprintf("%g", x))
+		}
+	}
+	first := max(12, len(xName))
+	for _, l := range labels {
+		first = max(first, len(l))
+	}
 	out := fmt.Sprintf("# %s\n", title)
-	out += fmt.Sprintf("%-12s", xName)
+	out += fmt.Sprintf("%-*s", first, xName)
 	width := make([]int, len(series))
 	for k, s := range series {
 		width[k] = max(16, len(s.Label)+2)
@@ -314,11 +325,7 @@ func Table(title, xName string, rows []string, series ...Series) string {
 	}
 	n := len(series[0].X)
 	for i := 0; i < n; i++ {
-		row := fmt.Sprintf("%g", series[0].X[i])
-		if rows != nil {
-			row = rows[i]
-		}
-		out += fmt.Sprintf("%-12s", row)
+		out += fmt.Sprintf("%-*s", first, labels[i])
 		for k, s := range series {
 			switch {
 			case i >= len(s.Y):

@@ -195,6 +195,37 @@ func TestSeriesTable(t *testing.T) {
 	}
 }
 
+// The first column fits its header and its longest row label, so the header
+// and every row put the series columns at the same offsets.
+func TestTableFirstColumnFits(t *testing.T) {
+	var s1, s2 Series
+	s1.Label, s2.Label = "p99 (us)", "delivered kiops"
+	for _, x := range []float64{400, 1200} {
+		s1.Add(x, 12.5)
+		s2.Add(x, x/2)
+	}
+	for _, tc := range []struct {
+		xName string
+		rows  []string
+	}{
+		{"offered kiops", nil},
+		{"system", []string{"rio", "horae with a long label"}},
+	} {
+		out := Table("fig", tc.xName, tc.rows, s1, s2)
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")[1:]
+		// Each series column is right-aligned in a fixed width, so equal
+		// line lengths put every column end at the same offset.
+		for _, l := range lines[1:] {
+			if len(l) != len(lines[0]) {
+				t.Fatalf("row %q and header %q put the series columns at different offsets\n%s", l, lines[0], out)
+			}
+		}
+		if !strings.HasPrefix(lines[0], tc.xName+" ") {
+			t.Fatalf("header %q runs into its first series", lines[0])
+		}
+	}
+}
+
 func TestGeoMeanRatio(t *testing.T) {
 	a := []float64{2, 8}
 	b := []float64{1, 2}

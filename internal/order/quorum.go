@@ -7,8 +7,8 @@ package order
 // that decide when the completion may be delivered (Acks >= Need) and
 // when the command may be recycled (every member resolved — acked, or
 // cancelled by a power cut). The counting transitions live here; the
-// stack keeps its wire-format payloads (each member's SQE and attribute
-// chain) in a slice parallel to Members.
+// stack keeps each member's ordering representation (its attribute chain
+// and last ServerIdx) in a slice parallel to Members.
 type Quorum struct {
 	Members  []int  // target ids the command fanned to
 	Got      []bool // genuine CQE received, per member

@@ -302,7 +302,7 @@ type ClusterStats struct {
 	WireMessages int64
 	FusedCmds    int64 // commands eliminated by merging
 	ReadCmds     int64 // read commands issued over the fabric
-	ReadMsgs     int64 // read messages (cached path batches commands per target)
+	ReadMsgs     int64 // read messages (a call batches its commands per member)
 
 	// TxMsgs/TxBytes count initiator egress on the write path: capsules
 	// posted toward targets and their wire bytes. Under direct replication

@@ -185,8 +185,9 @@ type Config struct {
 
 	// CacheBlocks bounds the per-initiator read cache (4 KB blocks,
 	// CLOCK replacement, populated on read completion and write
-	// submission, fenced by the crash epochs). 0 = no cache, and the
-	// read path is byte-identical to the uncached stack.
+	// submission, fenced by the crash epochs). 0 = no cache: the one read
+	// path runs without a probe, a fill or read-ahead, and every block
+	// crosses the fabric.
 	CacheBlocks int
 	// ReadAhead is the sequential prefetch depth (blocks) once a
 	// per-(initiator, stream) ascending-LBA run is detected. 0 = off.

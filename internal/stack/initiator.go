@@ -63,10 +63,10 @@ type Initiator struct {
 	blockBuf []uint32
 
 	// Read path. rcache is nil with CacheBlocks == 0: every read then
-	// crosses the fabric. pendingReads tracks in-flight read commands of
-	// either path by a monotonic id, so crash sweeps reroute or abandon
-	// them in issue order. Read records and per-call scratch recycle
-	// through readFree and callFree.
+	// crosses the fabric. pendingReads tracks in-flight read commands by a
+	// monotonic id, so crash sweeps reroute or abandon them in issue
+	// order. Read records and per-call scratch recycle through readFree
+	// and callFree.
 	rcache       *rcache
 	pendingReads core.IDTable[*pendingRead]
 	nextReadID   uint64
@@ -320,63 +320,6 @@ func (in *Initiator) submitWrite(p *sim.Proc, stream int, r blockdev.Request) *b
 	}
 	req.SubmitSpent = p.Now() - req.SubmitAt
 	return req
-}
-
-// Read performs a synchronous read of [lba, lba+blocks) and returns the
-// observed records (stream 0's sequential detector).
-func (in *Initiator) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
-	out := make([]ssd.Rec, blocks)
-	in.ReadStream(p, 0, lba, blocks, out)
-	return out
-}
-
-// ReadStream is the full read entry point: stream selects the sequential
-// detector that drives read-ahead (Config.ReadAhead deep). out, when
-// non-nil, holds at least blocks records and receives the observed ones; a
-// block that could not be read (its set down, the initiator cut) is left
-// zero. A nil out charges the read and keeps no records. The records'
-// payloads are shared with the devices and the cache: they must not be
-// modified. With no cache configured it falls through to the direct path,
-// which is simulation-identical to the original uncached read.
-func (in *Initiator) ReadStream(p *sim.Proc, stream int, lba uint64, blocks uint32, out []ssd.Rec) {
-	if out != nil {
-		out = out[:blocks]
-		clear(out)
-	}
-	if in.rcache != nil {
-		in.readCached(p, in.streamOf(stream), lba, blocks, out)
-		return
-	}
-	in.readDirect(p, lba, blocks, out)
-}
-
-// readDirect is the uncached read path: one command per device run (the
-// splitter the cached path uses, so a command never exceeds the transfer
-// limit) to the serving replica member, then wait for all of them. The
-// commands are tracked as pendingReads like the cached path's, so a power cut
-// of the member reroutes them instead of stranding the reader on a dead SSD.
-func (in *Initiator) readDirect(p *sim.Proc, lba uint64, blocks uint32, out []ssd.Rec) {
-	in.UseCPU(p, in.costs.SubmitBio)
-	if !in.alive {
-		return
-	}
-	call := in.getCall()
-	defer in.callFree.Put(call)
-	in.deviceRuns(call, lba, blocks, false, nil)
-	for _, r := range in.liveRuns(call) {
-		in.stats.ReadCmds++
-		in.stats.ReadMsgs++
-		in.targets[r.member].stats.Reads++
-		call.wg.Add(1)
-		// Reads bypass the ordered machinery: command out, data back via
-		// one-sided RDMA; we charge the round trip and device time via the
-		// SSD path plus a fixed fabric delay.
-		pr := in.getRead(r)
-		pr.out, pr.wg = out, call.wg
-		in.issueRead(pr)
-	}
-	call.wg.Wait(p)
-	p.Sleep(in.cfg.Fabric.PropDelay) // response path
 }
 
 // FlushDevice issues a standalone FLUSH to every device backing the

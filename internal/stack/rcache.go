@@ -261,7 +261,7 @@ type readRun struct {
 
 // readCall is one read call's scratch: the wait group its demand reads
 // release, and the extents and runs it builds. It is per call, unlike
-// buildWires' shared scratch, because a cached read yields in UseCPU while
+// buildWires' shared scratch, because a read yields in UseCPU while
 // it holds them. Calls recycle through the initiator's callFree when the
 // read returns; a call whose thread never returns is left to the GC.
 type readCall struct {
@@ -279,15 +279,15 @@ func (in *Initiator) getCall() *readCall {
 	return call
 }
 
-// pendingRead is one in-flight read command (of either read path), tracked
-// so a target power cut can reroute it to a surviving replica member (or
-// fail it) instead of stranding the reader forever, and an initiator crash
-// can abandon it. It embeds the SSD command it issues and is itself the
-// event that posts the command after the propagation delay. Records
-// recycle through the initiator's readFree once their completion has been
-// handled (onReadDone); an abandoned record (initiator cut, target
-// cut, or the old record of a reroute) may still be held by a device or
-// the event queue, so it is never recycled and the GC takes it.
+// pendingRead is one in-flight read command, tracked so a target power cut
+// can reroute it to a surviving replica member (or fail it) instead of
+// stranding the reader forever, and an initiator crash can abandon it. It
+// embeds the SSD command it issues and is itself the event that posts the
+// command after the propagation delay. Records recycle through the
+// initiator's readFree once their completion has been handled
+// (onReadDone); an abandoned record (initiator cut, target cut, or the old
+// record of a reroute) may still be held by a device or the event queue,
+// so it is never recycled and the GC takes it.
 type pendingRead struct {
 	readRun
 	cmd    ssd.Command // Done and Ctx stay bound to (in.readDone, pr) for the record's life
@@ -333,41 +333,58 @@ func (in *Initiator) ReadCacheStats() RCacheStats {
 	return in.rcache.stats
 }
 
-// readCached is the cached read path: probe per block, batch the misses
-// (and any read-ahead window) into one message per target, wait for the
-// demand fills, and return. A full hit answers at initiator CPU cost
-// with no fabric round trip.
-func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint32, out []ssd.Rec) {
+// Read performs a synchronous read of [lba, lba+blocks) and returns the
+// observed records (stream 0's sequential detector).
+func (in *Initiator) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
+	out := make([]ssd.Rec, blocks)
+	in.ReadStream(p, 0, lba, blocks, out)
+	return out
+}
+
+// ReadStream reads [lba, lba+blocks): it probes the cache per block, batches
+// the misses (and any read-ahead window) into one message per member, and
+// waits for the demand fetches; a full hit costs initiator CPU only. With no
+// cache every block misses, with no probe, read-ahead, fill or CacheBlockCPU.
+// stream selects the sequential detector that drives read-ahead
+// (Config.ReadAhead deep). out, when non-nil, holds at least blocks records
+// and receives the observed ones; a block that could not be read (its set
+// down, the initiator cut) is left zero. A nil out charges the read and
+// keeps no records. The records' payloads are shared with the devices and
+// the cache: they must not be modified.
+func (in *Initiator) ReadStream(p *sim.Proc, stream int, lba uint64, blocks uint32, out []ssd.Rec) {
+	if out != nil {
+		out = out[:blocks]
+		clear(out)
+	}
 	rc := in.rcache
-	in.UseCPU(p, in.costs.SubmitBio+in.costs.CacheBlockCPU*sim.Time(blocks))
+	cpu := in.costs.SubmitBio
+	var miss func(ext blockdev.Extent, j uint32) bool // nil: every block misses
+	if rc != nil {
+		cpu += in.costs.CacheBlockCPU * sim.Time(blocks)
+		// Hits are answered in place; demand runs cover the misses.
+		miss = func(ext blockdev.Extent, j uint32) bool {
+			rec, hit := rc.get(ext.Dev, ext.DevLBA+uint64(j))
+			if hit && out != nil {
+				out[ext.Offset+j] = rec
+			}
+			return !hit
+		}
+	}
+	in.UseCPU(p, cpu)
 	if !in.alive {
 		return
 	}
 	call := in.getCall()
 	defer in.callFree.Put(call)
-	// Demand runs cover the probe's misses; hits are answered in place.
-	in.deviceRuns(call, lba, blocks, false, func(ext blockdev.Extent, j uint32) bool {
-		rec, hit := rc.get(ext.Dev, ext.DevLBA+uint64(j))
-		if hit && out != nil {
-			out[ext.Offset+j] = rec
-		}
-		return !hit
-	})
+	in.deviceRuns(call, lba, blocks, false, miss)
 
 	// Sequential read-ahead: detect the run, clamp the window to the
-	// volume, and queue cache fills for the blocks not already cached.
-	if start, n := rc.streamAdvance(stream, lba, blocks, in.cfg.ReadAhead); n > 0 {
-		if start+uint64(n) > in.vol.Blocks() {
-			if start >= in.vol.Blocks() {
-				n = 0
-			} else {
-				n = uint32(in.vol.Blocks() - start)
-			}
-		}
-		if n > 0 {
-			// Prefetch runs skip blocks already cached, without touching
-			// hit/miss accounting or reference bits.
-			in.deviceRuns(call, start, n, true, func(ext blockdev.Extent, j uint32) bool {
+	// volume, and queue cache fills for the blocks not already cached
+	// (without touching hit/miss accounting or reference bits).
+	if rc != nil {
+		start, n := rc.streamAdvance(in.streamOf(stream), lba, blocks, in.cfg.ReadAhead)
+		if end := min(start+uint64(n), in.vol.Blocks()); end > start {
+			in.deviceRuns(call, start, uint32(end-start), true, func(ext blockdev.Extent, j uint32) bool {
 				return !rc.contains(ext.Dev, ext.DevLBA+uint64(j))
 			})
 		}
@@ -387,6 +404,9 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 		group := runs[:n]
 		runs = runs[n:]
 		in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(group))+in.costs.PostMsg)
+		if !in.alive {
+			return // cut while building: abortAllReads released what was posted
+		}
 		in.stats.ReadMsgs++
 		in.stats.ReadCmds += int64(len(group))
 		in.targets[m].stats.Reads += int64(len(group))
@@ -404,7 +424,7 @@ func (in *Initiator) readCached(p *sim.Proc, stream int, lba uint64, blocks uint
 			// population: fetch (demand callers need the data) but do
 			// not cache. Writes dispatched later than this point are
 			// handled by the supersede loop in rcachePopulateWire.
-			pr.noFill = in.writeInFlight(r.dev, r.devLBA, r.blocks)
+			pr.noFill = rc != nil && in.writeInFlight(r.dev, r.devLBA, r.blocks)
 			in.issueRead(pr)
 		}
 	}

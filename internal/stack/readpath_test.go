@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/ssd"
 )
 
 // TestInSyncMemberHasNoBacklog pins the invariant read routing rests on: a
@@ -175,7 +176,7 @@ func TestDegradedReadsFreshDuringResync(t *testing.T) {
 // its commands, so a read left waiting on it never returns.
 func TestUncachedReadSurvivesMemberCut(t *testing.T) {
 	eng := sim.New(5)
-	c := New(eng, replConfig(3)) // CacheBlocks == 0: readDirect
+	c := New(eng, replConfig(3)) // CacheBlocks == 0: no cache
 	defer eng.Shutdown()
 	const n = 2000
 	reads := 0
@@ -201,7 +202,7 @@ func TestUncachedReadSurvivesMemberCut(t *testing.T) {
 // uncached path as on the cached one.
 func TestCutInitiatorPostsNoUncachedRead(t *testing.T) {
 	eng := sim.New(1)
-	c := New(eng, smallConfig(ModeRio, optane1()...)) // CacheBlocks == 0: readDirect
+	c := New(eng, smallConfig(ModeRio, optane1()...)) // CacheBlocks == 0: no cache
 	defer eng.Shutdown()
 	returned := false
 	eng.Go("reader", func(p *sim.Proc) {
@@ -215,6 +216,34 @@ func TestCutInitiatorPostsNoUncachedRead(t *testing.T) {
 	}
 	if !returned {
 		t.Fatal("the reader of a cut initiator never returned")
+	}
+}
+
+// TestCutInitiatorPostsNoReadWhileBuilding: an initiator cut while a reader
+// is charged its CmdBuild and PostMsg posts nothing afterwards, with or
+// without a cache. A read posted by the dead incarnation would register under
+// the new epoch and could fill the next incarnation's cache.
+func TestCutInitiatorPostsNoReadWhileBuilding(t *testing.T) {
+	for _, cache := range []int{0, 64} {
+		eng := sim.New(1)
+		cfg := smallConfig(ModeRio, optane1()...)
+		cfg.CacheBlocks = cache
+		c := New(eng, cfg)
+		k := c.Init(0).costs
+		returned := false
+		eng.Go("reader", func(p *sim.Proc) {
+			c.Init(0).Read(p, 0, 1)
+			returned = true
+		})
+		eng.At(k.SubmitBio+k.CacheBlockCPU*sim.Time(min(cache, 1))+100, func() { c.PowerCutInitiator(0) })
+		eng.RunUntil(sim.Millisecond)
+		if n := c.Target(0).Stats().Reads; n != 0 || !returned {
+			t.Errorf("cache %d: target served %d reads posted by a cut initiator; reader returned %v", cache, n, returned)
+		}
+		if st := c.Init(0).ReadCacheStats(); st.Inserts != 0 {
+			t.Errorf("cache %d: %d blocks filled after the cut", cache, st.Inserts)
+		}
+		eng.Shutdown()
 	}
 }
 
@@ -240,6 +269,34 @@ func TestUncachedReadSplitsAtTransferLimit(t *testing.T) {
 		}
 		if st := in.Stats(); len(recs) != 64 || st.ReadCmds != 2 {
 			t.Errorf("%d blocks over %d read commands, want 64 over 2", len(recs), st.ReadCmds)
+		}
+	})
+	eng.Run()
+}
+
+// TestUncachedReadPaysCachedMissCosts: with no cache a read runs the cached
+// path's steps without the probe. A 1-block read on an idle cluster keeps
+// the initiator's cores busy for SubmitBio + CmdBuild + PostMsg + CplHandle,
+// a cached miss's costs less CacheBlockCPU, and a 2-block read over both
+// SSDs of one target posts one message carrying two commands.
+func TestUncachedReadPaysCachedMissCosts(t *testing.T) {
+	eng := sim.New(1)
+	twoSSD := TargetConfig{SSDs: []ssd.Config{ssd.OptaneConfig(), ssd.OptaneConfig()}}
+	c := New(eng, smallConfig(ModeRio, twoSSD))
+	defer eng.Shutdown()
+	eng.Go("app", func(p *sim.Proc) {
+		in := c.Init(0)
+		k := in.costs
+		before := c.InitiatorUtil().Busy
+		in.Read(p, 0, 1)
+		if busy, want := c.InitiatorUtil().Busy-before, k.SubmitBio+k.CmdBuild+k.PostMsg+k.CplHandle; busy != want {
+			t.Errorf("1-block uncached read kept the initiator busy %d ns, want %d", busy, want)
+		}
+		s0 := in.Stats()
+		in.Read(p, 0, 2)
+		if st := in.Stats(); st.ReadMsgs-s0.ReadMsgs != 1 || st.ReadCmds-s0.ReadCmds != 2 {
+			t.Errorf("2-block read over two SSDs: %d messages, %d commands, want 1 and 2",
+				st.ReadMsgs-s0.ReadMsgs, st.ReadCmds-s0.ReadCmds)
 		}
 	})
 	eng.Run()

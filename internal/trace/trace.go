@@ -535,7 +535,8 @@ func (b Budget) Ratio() float64 {
 	return float64(b.Sum()) / float64(b.P99)
 }
 
-// cohortHalf bounds the p99 cohort to rank±cohortHalf retained spans.
+// cohortHalf bounds the p99 cohort to rank±cohortHalf retained spans; a
+// short ring narrows it to the spans on both sides of the rank.
 const cohortHalf = 8
 
 // BudgetP99 computes the p99 stage budget over retained records
@@ -559,15 +560,11 @@ func BudgetP99(recs []SpanRecord) Budget {
 	if rank >= len(live) {
 		rank = len(live) - 1
 	}
-	lo, hi := rank-cohortHalf, rank+cohortHalf
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(live) {
-		hi = len(live) - 1
-	}
+	// The cohort is centred on the rank: clipping only one side would
+	// weight it toward the spans below (or above) the p99.
+	h := min(cohortHalf, rank, len(live)-1-rank)
 	b.P99 = live[rank].E2E()
-	for _, r := range live[lo : hi+1] {
+	for _, r := range live[rank-h : rank+h+1] {
 		b.N++
 		for i := 0; i < NumStages; i++ {
 			b.Stages[i] += r.StageDur(i)

@@ -202,6 +202,23 @@ func TestBudgetP99(t *testing.T) {
 	}
 }
 
+// The p99 cohort is centred on the rank: over 100 spans of E2E 0..99 the
+// rank is 98, and the cohort's mean E2E is exactly the p99.
+func TestBudgetP99CohortCentred(t *testing.T) {
+	tr := newT(128)
+	sl := tr.NewSlab()
+	for i := 0; i < 100; i++ {
+		s := tr.Start(sl, 0, 0, uint64(i), 1, 0)
+		s.Mark(s.Seq(), MDeliver, sim.Time(i))
+		tr.Finish(s, s.Seq())
+	}
+	b := BudgetP99(tr.Retained())
+	if b.P99 != 98 || b.Ratio() != 1 {
+		t.Fatalf("cohort of %d: p99 %d, stage sum %d, ratio %f; want p99 98 and ratio 1",
+			b.N, b.P99, b.Sum(), b.Ratio())
+	}
+}
+
 func TestStatsMerge(t *testing.T) {
 	mk := func(lat sim.Time) Stats {
 		tr := newT(16)

@@ -99,8 +99,8 @@ type Options struct {
 	Relay bool
 
 	// Read configures the initiator-side read path (block cache,
-	// read-ahead). The zero value turns every read feature off, leaving
-	// the read path identical to earlier releases.
+	// read-ahead). The zero value turns both off: every read crosses the
+	// fabric.
 	Read ReadOptions
 
 	// Trace configures stage-level request tracing. The zero value turns
@@ -126,7 +126,7 @@ type TraceOptions struct {
 type ReadOptions struct {
 	// CacheBlocks bounds the per-initiator block cache (4 KiB blocks,
 	// CLOCK replacement). 0 disables caching: reads always cross the
-	// fabric, exactly as before.
+	// fabric.
 	CacheBlocks int
 	// ReadAhead is the prefetch depth (blocks) once an
 	// ascending-LBA stream is detected. 0 disables read-ahead; a
