@@ -72,10 +72,11 @@ bench-sim:
 # entry's append→persist→retire, a whole-region ScanRegion and the
 # recovery Analyze of that region's view (ns/entry each), volume
 # extents into scratch, the whole stack per ordered write, unreplicated
-# and on a 3-way set over fan-out and over the relay (host ns, allocations,
-# engine events and proc resumes per write), and per cached read on a 2-way
-# set (hits, and misses with read-ahead; host ns, allocations and engine
-# events per read), a RioFS one-block append + fsync on one Optane target
+# (Rio, and the Horae and Linux baselines: BenchmarkHoraeOrderedWrite,
+# BenchmarkLinuxOrderedWrite) and on a 3-way set over fan-out and over the
+# relay (host ns, allocations, engine events and proc resumes per write),
+# and per cached read on a 2-way set (hits, and misses with read-ahead;
+# host ns, allocations and engine events per read), a RioFS one-block append + fsync on one Optane target
 # (host ns, bytes and allocations per fsync), a KV Get on a store of 16
 # disjoint L0 files — a hit in the oldest, and an absent key with
 # NegativeLookup off — (host ns and SST index-block reads per get), an
@@ -87,7 +88,7 @@ bench-layers:
 # The committed baseline every experiment must reproduce: named here and
 # nowhere else (CI runs `make bench-gate`; cmd/benchdiff is handed the name,
 # internal/bench's baseline test reads it from this line).
-BASELINE := BENCH_28.json
+BASELINE := BENCH_29.json
 
 # Regenerate the tracked perf-trajectory snapshot: every experiment, quick.
 bench-json: build

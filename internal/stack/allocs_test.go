@@ -29,6 +29,10 @@ import (
 // the odd allocation the Go runtime itself makes inside the window (one in
 // about 60 runs, 0.0003 per read). payloadAllocBudget is Go allocations per
 // 3-block payload write on the same set (measured + 5 %): the request.
+// horaeAllocBudget and horaeEvents are allocations (measured + 5 %) and
+// engine events (exact) per ordered write on rand4kConfig in Horae mode,
+// where every write is a group of one and pays its control round trip: the
+// request and its per-server index list.
 const (
 	writeAllocBudget      = 1.006 * 1.05
 	replDirectAllocBudget = 1.017 * 1.05
@@ -37,6 +41,8 @@ const (
 	writeSwitchBudget     = 2.769 * 1.05
 	readAllocBudget       = 0.001
 	payloadAllocBudget    = 1.040 * 1.05
+	horaeAllocBudget      = 2.030 * 1.05
+	horaeEvents           = 38.3255
 )
 
 // writePathCost is what one measured window of the write path cost the host.
@@ -176,6 +182,32 @@ func TestWritePathSwitchBudget(t *testing.T) {
 	}
 }
 
+// modeConfig is rand4kConfig in another mode.
+func modeConfig(mode Mode) Config {
+	cfg := rand4kConfig()
+	cfg.Mode = mode
+	return cfg
+}
+
+// TestHoraeWritePathBudget holds Horae's ordered write to its allocation
+// budget and its event count: its control capsules and their acks recycle
+// like Rio's capsules, and a group's staging is pooled with its ack signals.
+func TestHoraeWritePathBudget(t *testing.T) {
+	eng, in := writePathCluster(modeConfig(ModeHorae), 1, nil)
+	defer eng.Shutdown()
+	w := measureWindow(eng, func() int64 { return in.Stats().Completed })
+	t.Logf("%d ops, %.3f Go allocs/op, %.1f B/op, %.4f engine events/op", w.ops, w.per(w.mallocs), w.per(w.bytes), w.per(w.events))
+	if w.ops < 4000 {
+		t.Fatalf("only %d writes completed in the window, want ≥ 4000", w.ops)
+	}
+	if got := w.per(w.mallocs); got > horaeAllocBudget {
+		t.Errorf("%.3f Go allocs per Horae ordered write, budget %.3f", got, horaeAllocBudget)
+	}
+	if got := w.per(w.events); math.Abs(got-horaeEvents) > 0.0001 {
+		t.Errorf("%.4f engine events per Horae ordered write, want %.4f: the event sequence changed", got, horaeEvents)
+	}
+}
+
 // benchWritePath runs writePathCluster's 4 KB writes on cfg past its warm-up
 // for b.N writes: one op is one simulated write, so ns/op, B/op and allocs/op
 // (-benchmem) are the host's cost per write, reported with the engine
@@ -199,6 +231,12 @@ func benchWritePath(b *testing.B, cfg Config) {
 
 // BenchmarkOrderedWrite is the budgeted unreplicated write path.
 func BenchmarkOrderedWrite(b *testing.B) { benchWritePath(b, rand4kConfig()) }
+
+// BenchmarkHoraeOrderedWrite and BenchmarkLinuxOrderedWrite are the
+// unreplicated write path of the two baselines: Horae's control round trip
+// per group, Linux's one ordered write at a time.
+func BenchmarkHoraeOrderedWrite(b *testing.B) { benchWritePath(b, modeConfig(ModeHorae)) }
+func BenchmarkLinuxOrderedWrite(b *testing.B) { benchWritePath(b, modeConfig(ModeLinux)) }
 
 // BenchmarkReplicatedWrite is the budgeted 3-way write path, over initiator
 // fan-out and over the relay.

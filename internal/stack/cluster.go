@@ -119,23 +119,19 @@ type retire struct {
 	upTo   uint64
 }
 
-// ctrlReq is one Horae control-path entry.
-type ctrlReq struct {
-	attr core.Attr
-	ack  *sim.Signal
-}
-
 // capsule is the payload of one RDMA SEND toward a target: a posted list
-// of commands (and/or control entries) sharing one doorbell. epoch is
+// of commands, or of Horae control entries, sharing one doorbell. epoch is
 // the sending initiator's incarnation. A command capsule is one member's
 // copy of a batch (buildMemberCapsule): member names the target it is
 // addressed to, and that member's attribute chains are the commands'
 // memberChain records — each member of a set runs its own dense ServerIdx
-// chain. Capsules recycle through the cluster's pool (getCapsule/putCapsule)
+// chain. A control capsule carries ack, the signal its one ack fires.
+// Capsules recycle through the cluster's pool (getCapsule/putCapsule)
 // with the cmds, ctrl, forward and reask buffers they own.
 type capsule struct {
 	cmds    []*wireState
-	ctrl    []*ctrlReq
+	ctrl    []core.Attr
+	ack     *sim.Signal
 	retires []retire
 	retire1 [1]retire // storage for the one watermark a command capsule piggybacks
 	inline  int       // in-capsule payload bytes of cmds
@@ -168,17 +164,22 @@ func (cp *capsule) FabricDelivered(sent, delivered sim.Time) {
 // wireSize is the capsule's size on the wire: one vectored batch, plus —
 // on a head capsule — the followers' SQEs (their attributes ride in the
 // SQE reserved dwords, their data is the same inline payload the head
-// forwards).
+// forwards). A Horae control capsule is one framing carrying 32 bytes of
+// ordering metadata per entry.
 func (cp *capsule) wireSize() int {
+	if len(cp.ctrl) > 0 {
+		return nvmeof.CapsuleSize(32 * len(cp.ctrl))
+	}
 	return nvmeof.VectorCapsuleSize(len(cp.cmds), cp.inline) +
 		len(cp.forward)*len(cp.cmds)*nvmeof.SQESize
 }
 
 // completionMsg is the payload of one SEND back to an initiator: a
-// coalesced response capsule of CQEs (each names its command by id), or a
-// batch of Horae control-path acks. qp routes the capsule to
-// the shard that owns the queue pair's completion reaping; the initiator
-// is implied by the connection. from is the responding target server —
+// coalesced response capsule of CQEs (each names its command by id), or
+// the ack of one Horae control capsule (ctrlAck, the capsule's signal,
+// which the reaper fires). qp routes the capsule to the shard that owns
+// the queue pair's completion reaping; the initiator is implied by the
+// connection. from is the responding target server —
 // under replication the quorum accounting needs to know WHICH member of
 // the set acked.
 //
@@ -186,13 +187,13 @@ func (cp *capsule) wireSize() int {
 // swaps its coalescing buffers with the message it ships, so the buffers
 // circulate between lanes and messages.
 type completionMsg struct {
-	cqes     []nvmeof.CQE
-	ctrlAcks []*ctrlReq
-	qp       int
-	epoch    int
-	from     int
-	free     bool // in the pool (or, poisoned, dead for good)
-	logFull  bool // the target's log partition for this initiator is full (Target.askRetires)
+	cqes    []nvmeof.CQE
+	ctrlAck *sim.Signal
+	qp      int
+	epoch   int
+	from    int
+	free    bool // in the pool (or, poisoned, dead for good)
+	logFull bool // the target's log partition for this initiator is full (Target.askRetires)
 
 	// respondAt is the per-CQE instant the completion entered the
 	// coalescing buffer (parallel to cqes; empty when tracing is off), and
@@ -237,7 +238,6 @@ func (c *Cluster) putCapsule(cp *capsule) {
 		panic("stack: capsule recycled twice")
 	}
 	clear(cp.cmds)
-	clear(cp.ctrl)
 	clear(cp.forward)
 	*cp = capsule{cmds: cp.cmds[:0], ctrl: cp.ctrl[:0], forward: cp.forward[:0], reask: cp.reask[:0], free: true}
 	if !c.poison {
@@ -257,9 +257,8 @@ func (c *Cluster) putMsg(cm *completionMsg) {
 	if cm.free {
 		panic("stack: completion message recycled twice")
 	}
-	clear(cm.ctrlAcks)
 	*cm = completionMsg{
-		cqes: cm.cqes[:0], ctrlAcks: cm.ctrlAcks[:0], respondAt: cm.respondAt[:0],
+		cqes: cm.cqes[:0], respondAt: cm.respondAt[:0],
 		agg: cm.agg[:0], aggMembers: cm.aggMembers[:0], resolved: cm.resolved[:0], free: true,
 	}
 	if !c.poison {
@@ -286,28 +285,31 @@ func mustBeLive(free bool, what string) {
 	}
 }
 
-// horaeStage buffers a group's control entries (per target server) and data
-// requests until the boundary request runs the control path (per-stream).
+// horaeStage is one Horae ordered-write group of a stream: its data
+// requests and its control entries per target server, staged until the
+// boundary request takes the group to run the control path, and per target
+// server the ack signal of the group's control capsule toward it.
 type horaeStage struct {
 	reqs  []*blockdev.Request
-	ctrls [][]*ctrlReq
+	ctrls [][]core.Attr
+	acks  []sim.Signal
 }
 
 // ClusterStats aggregates initiator-side counters (per initiator:
 // Initiator.Stats; summed over the cluster: StatsAll).
 type ClusterStats struct {
-	Submitted    int64
-	Completed    int64
-	WireCmds     int64
-	WireMessages int64
-	FusedCmds    int64 // commands eliminated by merging
-	ReadCmds     int64 // read commands issued over the fabric
-	ReadMsgs     int64 // read messages (a call batches its commands per member)
+	Submitted int64
+	Completed int64
+	WireCmds  int64
+	FusedCmds int64 // commands eliminated by merging
+	ReadCmds  int64 // read commands issued over the fabric
+	ReadMsgs  int64 // read messages (a call batches its commands per member)
 
-	// TxMsgs/TxBytes count initiator egress on the write path: capsules
-	// posted toward targets and their wire bytes. Under direct replication
-	// every member copy counts; under ReplRelay only the single head
-	// capsule does — the R×→1× egress win the replication experiment gates.
+	// TxMsgs/TxBytes count initiator egress on the write path: command and
+	// Horae control capsules posted toward targets and their wire bytes.
+	// Under direct replication every member copy counts; under ReplRelay
+	// only the single head capsule does — the R×→1× egress win the
+	// replication experiment gates.
 	TxMsgs  int64
 	TxBytes int64
 

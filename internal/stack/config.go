@@ -209,7 +209,8 @@ type Config struct {
 	// drops, the bound fills, and further submissions block in the
 	// caller's context — the submit-side pushback that turns offered
 	// overload into visible queueing instead of unbounded in-flight
-	// growth. 0 = unbounded (the stock closed-loop behavior).
+	// growth. 0 = unbounded (the stock closed-loop behavior). Rio and
+	// orderless modes only.
 	MaxInflight int
 
 	// Governor configures the adaptive batching governor. Disabled (the
@@ -281,6 +282,9 @@ func (cfg Config) Validate() error {
 		return errors.New("stack: CQEBatch must be > 0")
 	case cfg.MaxInflight < 0:
 		return errors.New("stack: MaxInflight must be >= 0")
+	case cfg.MaxInflight > 0 && (cfg.Mode == ModeHorae || cfg.Mode == ModeLinux):
+		// Their ordered writes take no slot at the gate, yet deliver frees one.
+		return errors.New("stack: MaxInflight requires ModeRio or ModeOrderless")
 	case r <= 1 && cfg.ReplRelay:
 		return errors.New("stack: ReplRelay requires Replicas > 1")
 	case r > 1 && cfg.Mode != ModeRio:

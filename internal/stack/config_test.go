@@ -118,6 +118,10 @@ func invalidConfigs() []struct {
 		{"zero hold", "stack: CQEHold must be > 0", with(func(c *Config) { c.CQEHold = 0 })},
 		{"zero batch", "stack: CQEBatch must be > 0", with(func(c *Config) { c.CQEBatch = 0 })},
 		{"negative inflight", "stack: MaxInflight must be >= 0", with(func(c *Config) { c.MaxInflight = -1 })},
+		{"horae inflight", "stack: MaxInflight requires ModeRio or ModeOrderless",
+			with(func(c *Config) { c.Mode, c.MaxInflight = ModeHorae, 8 })},
+		{"linux inflight", "stack: MaxInflight requires ModeRio or ModeOrderless",
+			with(func(c *Config) { c.Mode, c.MaxInflight = ModeLinux, 8 })},
 		{"relay without replicas", "stack: ReplRelay requires Replicas > 1", with(func(c *Config) { c.ReplRelay = true })},
 		{"replicated horae", "stack: replication requires ModeRio",
 			with(func(c *Config) { c.Mode, c.Replicas = ModeHorae, 3 }, three...)},
@@ -143,8 +147,8 @@ func invalidConfigs() []struct {
 // below the stack's transfer limit (dispatch panicked mid-run).
 func TestValidateMatchesNew(t *testing.T) {
 	cases := invalidConfigs()
-	if len(cases) != 17 {
-		t.Fatalf("%d cases, want the 17 rules New panics on", len(cases))
+	if len(cases) != 19 {
+		t.Fatalf("%d cases, want 19: one per rule New panics on, two for MaxInflight's modes", len(cases))
 	}
 	small := ssd.OptaneConfig()
 	small.MaxTransferBlocks = 16

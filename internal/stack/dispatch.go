@@ -6,7 +6,6 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/nvmeof"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -176,11 +175,13 @@ func (in *Initiator) plugFlush(p *sim.Proc, stream int) {
 
 // submitHorae runs Horae's control path before the data path. Control
 // entries of one ordered-write group are batched: non-boundary requests
-// stage their ordering metadata and data; the boundary request sends one
-// control capsule per touched target, blocks for the acks (Horae's
-// serialization point, §3.2 lesson 2) and only then releases the whole
-// group to the asynchronous data path. This matches the paper's Fig. 14,
-// where D dispatch is cheap but JM and JC each pay a control round trip.
+// stage their ordering metadata and data; the boundary request takes the
+// group, sends one control capsule per touched target, blocks for their
+// acks (Horae's serialization point, §3.2 lesson 2) and only then releases
+// the group to the asynchronous data path. A write staged on the stream
+// while the boundary waits starts the next group. This matches the paper's
+// Fig. 14, where D dispatch is cheap but JM and JC each pay a control
+// round trip.
 func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 	in.UseCPU(p, in.costs.SubmitBio)
 	if !in.alive {
@@ -188,10 +189,22 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 	}
 	st := in.seq.Stream(req.Stream)
 	in.attachTicket(req, st)
-	buf := in.horaeBuf(req.Stream)
+	sh := in.shards[req.Stream]
+	if sh.horae == nil {
+		sh.horae = sh.horaeFree.Get()
+		if sh.horae.ctrls == nil {
+			sh.horae.ctrls = make([][]core.Attr, len(in.targets))
+			sh.horae.acks = make([]sim.Signal, len(in.targets))
+		}
+	}
+	g := sh.horae
 	// Drawn indices start at 1, so 0 marks an untouched server; zeroing
 	// keeps a reused request from carrying its last life's indices.
-	req.HoraeIdx = append(req.HoraeIdx[:0], make([]uint64, len(in.targets))...)
+	if cap(req.HoraeIdx) < len(in.targets) {
+		req.HoraeIdx = make([]uint64, len(in.targets))
+	}
+	req.HoraeIdx = req.HoraeIdx[:len(in.targets)]
+	clear(req.HoraeIdx)
 	in.extBuf = in.vol.AppendExtents(in.extBuf[:0], req.LBA, req.Blocks)
 	for _, ext := range in.extBuf {
 		ref := in.vol.Dev(ext.Dev)
@@ -204,79 +217,61 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 		a.NS = uint16(ref.SSD)
 		a.ServerIdx = st.NextServerIdx(ref.Server)
 		req.HoraeIdx[ref.Server] = a.ServerIdx
-		cr := &ctrlReq{attr: a, ack: sim.NewSignal(in.Eng)}
-		buf.ctrls[ref.Server] = append(buf.ctrls[ref.Server], cr)
+		g.ctrls[ref.Server] = append(g.ctrls[ref.Server], a)
 	}
-	buf.reqs = append(buf.reqs, req)
+	g.reqs = append(g.reqs, req)
 	if !req.Boundary {
 		return // staged: the group's boundary request pays the control RTT
 	}
-	var acks []*ctrlReq
-	for ti := range in.targets {
-		list := buf.ctrls[ti]
+	sh.horae = nil // the group is this boundary's now: a later write starts the next
+	for ti, list := range g.ctrls {
 		if len(list) == 0 {
 			continue
 		}
 		in.UseCPU(p, in.costs.CmdBuild*sim.Time(len(list))+in.costs.PostMsg)
 		cp := in.c.getCapsule(in.epoch, ti)
 		cp.ctrl = append(cp.ctrl, list...)
-		in.targets[ti].conns[in.id].Send(fabric.Initiator, fabric.Message{
-			QP:      in.qpFor(req.Stream),
-			Size:    nvmeof.CapsuleSize(32 * len(list)),
-			Payload: cp,
-		})
-		in.stats.WireMessages++
-		acks = append(acks, list...)
+		cp.ack = g.acks[ti].Init(in.Eng)
+		var tw fabric.TxWait
+		in.egress(p, &tw, ti, in.qpFor(req.Stream), cp)
 	}
-	for _, cr := range acks {
-		in.blockingWait(p, cr.ack)
+	for ti, list := range g.ctrls {
+		if len(list) > 0 {
+			in.blockingWait(p, &g.acks[ti])
+			g.ctrls[ti] = list[:0]
+		}
 	}
 	// Control metadata persisted: release the group to the data path.
-	for _, r := range buf.reqs {
+	for _, r := range g.reqs {
 		markReq(r, trace.MStaged, p.Now())
 		in.shards[r.Stream].q.Push(r)
 	}
-	buf.reqs = nil
-	for ti := range buf.ctrls {
-		buf.ctrls[ti] = buf.ctrls[ti][:0]
-	}
+	clear(g.reqs)
+	g.reqs = g.reqs[:0]
+	sh.horaeFree.Put(g)
 }
 
 // submitLinux is the classic synchronous execution: one in-flight ordered
 // request for the whole device (§6.5), completed and — on devices without
-// PLP — flushed before the next may start.
+// PLP — flushed before the next may start. Its writes dispatch from mint on.
 func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 	in.UseCPU(p, in.costs.SubmitBio)
 	in.linuxMu.Acquire(p)
 	wires := in.buildWires(nil, req)
-	in.assignOrderState(wires)
-	in.UseCPU(p, in.costs.CacheBlockCPU*sim.Time(in.rcachePopulateWires(wires)))
-	in.getDispatcher(req.Stream, wires).call(p, (*dispatcher).post)
+	in.getDispatcher(req.Stream, wires).call(p, (*dispatcher).mint)
 	for _, ws := range wires {
 		in.blockingWait(p, ws.hwDone)
 	}
 	// FLUSH per ordered request on every touched device without PLP.
 	var flushes []*wireState
-	clear(in.devSeen)
 	for _, ws := range wires {
-		if in.devSeen[ws.wc.Dev] {
-			continue
+		dev := ws.wc.Dev
+		if !in.targets[ws.target].ssds[ws.ssdIdx].HasPLP() &&
+			!slices.ContainsFunc(flushes, func(f *wireState) bool { return f.wc.Dev == dev }) {
+			flushes = append(flushes, in.newFlushWire(dev, req.Stream))
 		}
-		in.devSeen[ws.wc.Dev] = true
-		if in.targets[ws.target].ssds[ws.ssdIdx].HasPLP() {
-			continue
-		}
-		fw := in.newFlushWire(ws.wc.Dev, req.Stream)
-		in.UseCPU(p, in.costs.CmdBuild)
-		flushes = append(flushes, fw)
 	}
-	if len(flushes) > 0 {
-		in.getDispatcher(req.Stream, flushes).call(p, (*dispatcher).post)
-		for _, fw := range flushes {
-			in.blockingWait(p, fw.hwDone)
-		}
-		in.putFlushWires(flushes)
-	}
+	in.flushWires(p, req.Stream, flushes)
 	in.linuxMu.Release()
 	in.deliver(req)
 }
@@ -764,31 +759,38 @@ func (d *dispatcher) member() bool {
 	return d.Charge(d.in.costs.PostMsg, (*dispatcher).send)
 }
 
-// send rings one doorbell toward target d.to once PostMsg is paid: the
-// capsule goes out through postCapsule and counts as initiator egress. The
+// send rings one doorbell toward target d.to once PostMsg is paid. The
 // capsule is the target's from here on (its delivery is a later event, so
 // this step may still read it).
 func (d *dispatcher) send() bool {
 	in, cp := d.in, d.cp
-	if !in.c.postCapsule(d.Waiter(), &d.tx, in.targets[d.to].conns[in.id], d.qp, cp) {
+	if !in.egress(d.Waiter(), &d.tx, d.to, d.qp, cp) {
 		return false
 	}
 	d.cp = nil
-	in.stats.WireMessages++
-	in.stats.TxMsgs++
-	in.stats.TxBytes += int64(cp.wireSize())
 	in.stats.Batch.Ring(len(cp.cmds))
 	return d.To((*dispatcher).member)
 }
 
-// postCapsule is the one place a command capsule reaches the wire, from
-// an initiator toward a member or from a set head toward a follower, once
-// the poster's cores paid PostMsg: the post stalls while the link's TX
-// queue is at its depth (stalls are attributed to the capsule's commands),
-// and the capsule is handed to the NIC. A link that went down meanwhile
-// drops it. Poster w is a proc, which blocks here, or a target context,
-// which gets false while it must wait and calls again with the same tw
-// when re-run (fabric.Conn.WaitTxSpace).
+// egress posts an initiator capsule toward target `to` and counts it: the
+// one place TxMsgs and TxBytes grow.
+func (in *Initiator) egress(w sim.Runner, tw *fabric.TxWait, to, qp int, cp *capsule) bool {
+	if !in.c.postCapsule(w, tw, in.targets[to].conns[in.id], qp, cp) {
+		return false
+	}
+	in.stats.TxMsgs++
+	in.stats.TxBytes += int64(cp.wireSize())
+	return true
+}
+
+// postCapsule is the one place a command or control capsule reaches the
+// wire, from an initiator toward a member or from a set head toward a
+// follower, once the poster's cores paid PostMsg: the post stalls while the
+// link's TX queue is at its depth (stalls are attributed to the capsule's
+// commands), and the capsule is handed to the NIC. A link that went down
+// meanwhile drops it. Poster w is a proc (a Horae boundary), which blocks
+// here, or a sim.Step, which gets false while it must wait and calls again
+// with the same tw when re-run (fabric.Conn.WaitTxSpace).
 func (c *Cluster) postCapsule(w sim.Runner, tw *fabric.TxWait, conn *fabric.Conn, qp int, cp *capsule) bool {
 	if !conn.WaitTxSpace(w, tw, fabric.Initiator) {
 		return false
@@ -841,8 +843,8 @@ func (r *reaper) handle() bool {
 	if len(msg.cqes) > 0 {
 		in.stats.CplBatch.Ring(len(msg.cqes))
 	}
-	for _, cr := range msg.ctrlAcks {
-		cr.ack.Fire()
+	if msg.ctrlAck != nil {
+		msg.ctrlAck.Fire()
 	}
 	if msg.logFull {
 		in.retireAsked[msg.from] = !in.sendRetires(msg.from)

@@ -35,7 +35,6 @@ type Initiator struct {
 	outstanding core.IDTable[*wireState] // by wire id
 	nextCmdID   uint64
 	linuxMu     *sim.Resource
-	devSeen     []bool // submitLinux's per-device scratch, under linuxMu
 	// retireMark is the dense {stream, target} watermark table (index
 	// stream*len(targets)+target): streams and targets are fixed at
 	// construction, so the delivery hot path indexes a slice instead of
@@ -103,7 +102,6 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		targets:     c.targets,
 		cores:       sim.NewResource(c.Eng, c.cfg.InitiatorCores),
 		linuxMu:     sim.NewResource(c.Eng, 1),
-		devSeen:     make([]bool, c.vol.Devices()),
 		retireMark:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		retireSent:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		retireAsked: make([]bool, len(c.targets)),
@@ -326,15 +324,27 @@ func (in *Initiator) submitWrite(p *sim.Proc, stream int, r blockdev.Request) *b
 // logical range owner (used by file systems for block reuse, §4.4.2).
 func (in *Initiator) FlushDevice(p *sim.Proc, stream int) {
 	stream = in.streamOf(stream)
-	var states []*wireState
+	var flushes []*wireState
 	for d := 0; d < in.vol.Devices(); d++ {
-		states = append(states, in.newFlushWire(d, stream))
+		flushes = append(flushes, in.newFlushWire(d, stream))
 	}
-	in.getDispatcher(stream, states).call(p, (*dispatcher).cmdBuild)
-	for _, ws := range states {
+	in.flushWires(p, stream, flushes)
+}
+
+// flushWires dispatches standalone FLUSHes from cmdBuild on and waits for
+// them. Carrying no requests, they recycle here, or at the ack of a
+// straggler member.
+func (in *Initiator) flushWires(p *sim.Proc, stream int, flushes []*wireState) {
+	if len(flushes) == 0 {
+		return
+	}
+	in.getDispatcher(stream, flushes).call(p, (*dispatcher).cmdBuild)
+	for _, ws := range flushes {
 		in.blockingWait(p, ws.hwDone)
 	}
-	in.putFlushWires(states)
+	for _, ws := range flushes {
+		in.maybeRecycle(ws)
+	}
 }
 
 // newWire checks a wireState (with its embedded WireCmd) out of the
@@ -378,24 +388,6 @@ func (in *Initiator) newFlushWire(d, stream int) *wireState {
 	ws.wc.Flush = true
 	in.bindWire(ws)
 	return ws
-}
-
-// putFlushWires recycles standalone flush commands once their waits have
-// returned (they carry no requests, so delivery never recycles them). A
-// flush still awaiting a straggler member's ack recycles when that ack
-// arrives.
-func (in *Initiator) putFlushWires(states []*wireState) {
-	for _, ws := range states {
-		in.maybeRecycle(ws)
-	}
-}
-
-func (in *Initiator) horaeBuf(stream int) *horaeStage {
-	sh := in.shards[stream]
-	if sh.horae == nil {
-		sh.horae = &horaeStage{ctrls: make([][]*ctrlReq, len(in.targets))}
-	}
-	return sh.horae
 }
 
 func (in *Initiator) qpFor(stream int) int {

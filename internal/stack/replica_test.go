@@ -500,7 +500,7 @@ func TestReplicasOneIsUnreplicated(t *testing.T) {
 	if c.Replicas() != 1 || c.SetCount() != 1 || !c.InSync(0) {
 		t.Fatal("Replicas=1 introspection inconsistent")
 	}
-	if c.Init(0).Stats().WireMessages == 0 {
+	if c.Init(0).Stats().TxMsgs == 0 {
 		t.Fatal("no traffic")
 	}
 	eng.Shutdown()

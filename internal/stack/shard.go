@@ -31,7 +31,8 @@ type shard struct {
 	held    bool       // explicit blk_start_plug: no timer flush until FinishPlug
 	disp    dispatcher // the shard's dispatch context
 
-	horae *horaeStage // Horae mode control-path staging, lazily built
+	horae     *horaeStage              // Horae mode: the group staging (nil until a write)
+	horaeFree sim.FreeList[horaeStage] // Horae groups their boundary released
 
 	// Free lists. wireFree recycles wire commands together with their
 	// embedded WireCmd and payload slices; listFree recycles the

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
+	"repro/internal/nvmeof"
 	"repro/internal/sim"
 )
 
@@ -67,7 +68,79 @@ func TestHoraeGroupBatchesControl(t *testing.T) {
 		// One control capsule + one data capsule for the whole group.
 		t.Fatalf("capsules = %d, want 2 (batched control + batched data)", ts.Capsules)
 	}
+	// Both leave the initiator through the same post: the control capsule
+	// (three 32-byte entries) and the data capsule (the three contiguous
+	// writes fused into one command of 12 KiB, not inline) count as egress.
+	st := c.Init(0).Stats()
+	if want := int64(nvmeof.CapsuleSize(3*32) + nvmeof.VectorCapsuleSize(1, 0)); st.TxMsgs != 2 || st.TxBytes != want {
+		t.Fatalf("initiator egress %d capsules, %d bytes; want 2, %d bytes", st.TxMsgs, st.TxBytes, want)
+	}
 	eng.Shutdown()
+}
+
+// TestHoraeOverlappingGroups: a boundary request takes its group before it
+// waits for the control acks, so a write staged on the same stream
+// meanwhile starts the next group instead of joining one whose control
+// capsules already left. Two procs write six groups of two to stream 0,
+// the second staging while the first's boundary waits: every write's
+// control entry is persisted exactly once.
+func TestHoraeOverlappingGroups(t *testing.T) {
+	eng := sim.New(26)
+	c := New(eng, smallConfig(ModeHorae, optane1()...))
+	in := c.Init(0)
+	var reqs []*blockdev.Request
+	inBoundary, overlapped := 0, 0
+	for w := 0; w < 2; w++ {
+		eng.Go("writer", func(p *sim.Proc) {
+			p.Sleep(sim.Time(w) * 5 * sim.Microsecond)
+			for g := 0; g < 3; g++ {
+				lba := uint64(100*w + 10*g)
+				reqs = append(reqs, in.OrderedWrite(p, 0, lba, 1, 0, nil, false, false, false))
+				if inBoundary > 0 {
+					overlapped++
+				}
+				inBoundary++
+				reqs = append(reqs, in.OrderedWrite(p, 0, lba+1, 1, 0, nil, true, false, false))
+				inBoundary--
+			}
+		})
+	}
+	eng.Run()
+	defer eng.Shutdown()
+	if overlapped == 0 {
+		t.Fatal("no write staged while a boundary waited: the groups never overlapped")
+	}
+	if got := c.Target(0).Stats().CtrlOps; got != 12 {
+		t.Errorf("%d control entries persisted for 12 writes, want 12", got)
+	}
+	for i, r := range reqs {
+		if !r.Done.Fired() {
+			t.Errorf("write %d never delivered", i)
+		}
+	}
+	if bad := c.OrderAudit(); bad != 0 {
+		t.Errorf("order audit: %d violations", bad)
+	}
+}
+
+// TestLinuxWriteChargesCmdBuild: a Linux ordered write on a flash target
+// builds two commands, its write and its FLUSH, and pays CmdBuild for each,
+// as every dispatch does.
+func TestLinuxWriteChargesCmdBuild(t *testing.T) {
+	eng := sim.New(27)
+	c := New(eng, smallConfig(ModeLinux, flash1()...))
+	defer eng.Shutdown()
+	eng.Go("app", func(p *sim.Proc) {
+		k := c.Init(0).costs
+		before := c.InitiatorUtil().Busy
+		c.Init(0).OrderedWrite(p, 0, 0, 1, 0, nil, true, false, false)
+		// Per command: build, post, reap its completion, block and wake.
+		perCmd := k.CmdBuild + k.PostMsg + k.CplHandle + k.BlockCPU + k.WakeCPU
+		if busy, want := c.InitiatorUtil().Busy-before, k.SubmitBio+2*perCmd; busy != want {
+			t.Errorf("Linux ordered write kept the initiator busy %d ns, want %d (CmdBuild %d per command)", busy, want, k.CmdBuild)
+		}
+	})
+	eng.Run()
 }
 
 // TestHoraeNonBoundaryDataDeferred: data of a group must not reach the SSD

@@ -270,7 +270,7 @@ func TestRioMergingReducesCommands(t *testing.T) {
 		eng.Run()
 		st := c.Init(0).Stats()
 		eng.Shutdown()
-		return st.WireMessages, st.WireCmds, st.FusedCmds
+		return st.TxMsgs, st.WireCmds, st.FusedCmds
 	}
 	_, cmdsOff, fusedOff := run(false)
 	_, cmdsOn, fusedOn := run(true)

@@ -452,22 +452,21 @@ func (x *tctx) rxCtrl() bool {
 
 func (x *tctx) rxCtrlAppend() bool {
 	if ctrl := x.cp.ctrl; x.i < len(ctrl) {
-		cr := ctrl[x.i]
+		a := ctrl[x.i]
 		x.i++
 		x.t.stats.CtrlOps++
-		return x.appendPMR(cr.attr, (*tctx).rxCtrlAppend)
+		return x.appendPMR(a, (*tctx).rxCtrlAppend)
 	}
 	return x.Charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck)
 }
 
-// rxCtrlAck acks the control entries: the ack takes the capsule's ctrl
-// list (and leaves it the message's empty one), so the capsule can be
-// recycled while the ack is in flight.
+// rxCtrlAck acks the control capsule: the ack carries the capsule's
+// signal, so the capsule can be recycled while the ack is in flight.
 func (x *tctx) rxCtrlAck() bool {
 	t, cp, qp := x.t, x.cp, x.l.qp
 	t.stats.Responses++
 	msg := t.c.getMsg(qp, cp.epoch, t.id)
-	msg.ctrlAcks, cp.ctrl = cp.ctrl, msg.ctrlAcks
+	msg.ctrlAck = cp.ack
 	t.conns[x.l.init].Send(fabric.Target, fabric.Message{QP: qp, Size: nvmeof.ResponseSize, Payload: msg})
 	return x.To((*tctx).rxReask)
 }

@@ -30,8 +30,8 @@ func TestVectorFusionAcrossStripes(t *testing.T) {
 	}
 	// 16 striped one-block requests should compact to one command per
 	// device (4) carried in one capsule per target (2).
-	if st.WireCmds != 4 || st.WireMessages != 2 {
-		t.Fatalf("wirecmds=%d msgs=%d, want 4/2", st.WireCmds, st.WireMessages)
+	if st.WireCmds != 4 || st.TxMsgs != 2 {
+		t.Fatalf("wirecmds=%d msgs=%d, want 4/2", st.WireCmds, st.TxMsgs)
 	}
 	// Vector-fused commands keep one PMR entry per request, so recovery
 	// semantics are unchanged.

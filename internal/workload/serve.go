@@ -266,7 +266,7 @@ func RunServe(eng *sim.Engine, c *stack.Cluster, job ServeJob, warmup, measure s
 		InitUtil:     w.InitUtil,
 		TgtUtil:      w.TgtUtil,
 		Cache:        w.Cache,
-		Msgs:         w.Stats.WireMessages + w.Stats.ReadMsgs,
+		Msgs:         w.Stats.TxMsgs + w.Stats.ReadMsgs,
 		NegativeHits: negHits() - neg0,
 	}
 }
