@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_29.json -new /tmp/bench.json [-threshold 0.10]
+//	benchdiff -baseline BENCH_30.json -new /tmp/bench.json [-threshold 0.10]
 package main
 
 import (

@@ -137,12 +137,22 @@ func TestPinsAndFindings(t *testing.T) {
 	if pl.Repro() != "riocrash -seed 7 -set cut=initiator -set pmr=64 -set at=100" {
 		t.Fatalf("repro line %q", pl.Repro())
 	}
+	// A mode pin draws inside what the mode allows: every seed is legal.
+	for _, mode := range []string{"horae", "linux", "orderless"} {
+		for seed := int64(1); seed <= 40; seed++ {
+			pl, err := Draw(seed, "mode="+mode)
+			if err != nil || pl.Cut != "cluster" || pl.Inits != 1 || pl.Final {
+				t.Fatalf("Draw(%d, mode=%s) = %v, %v; want a single-initiator whole-cluster cut", seed, mode, pl, err)
+			}
+		}
+	}
 	for _, tc := range []struct{ want, pins string }{
 		{"want name=value", "colour=red"},
 		{"a cut is one of", "cut=sideways"},
 		{"invalid syntax", "inits=two"},
 		{"cut=head needs the relay", "cut=head relay=0"},
 		{"stack: replication requires ModeRio", "mode=horae replicas=3"},
+		{"horae mode is drawn with one initiator and one whole-cluster cut", "mode=horae cut=target"},
 		{"stack: ReadAhead requires CacheBlocks > 0", "cache=0 ahead=4"},
 		{"ROADMAP item 1(f)", "cut=target devices=ff replicas=1 commit=0"},
 		{"ROADMAP item 1(i)", "cut=members inits=2 final=false"},

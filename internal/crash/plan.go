@@ -162,9 +162,12 @@ func Draw(seed int64, set ...string) (Plan, error) {
 		}
 		// Outside Rio mode the span is what ran before this harness and no wider
 		// — one initiator, no replication, one whole-cluster cut — so what lies
-		// beyond it is not drawn (legal refuses a pin that asks for it).
+		// beyond it is not drawn (legal refuses a pin that asks for it). A
+		// pinned mode other than rio draws the cut inside that span too.
 		span := map[string]any{"Inits": 1, "Replicas": 1, "Relay": false, "Final": false}
-		if pl.Cut != "cluster" {
+		if m, ok := pinned["Mode"]; ok && m.String() != "rio" {
+			span["Cut"] = "cluster"
+		} else if pl.Cut != "cluster" {
 			span = map[string]any{"Mode": "rio"}
 		}
 		for name, v := range span {

@@ -214,6 +214,19 @@ func (db *DB) Options() Options { return db.cfg }
 // ErrClosed is returned by Put and Delete on a store after its Close.
 var ErrClosed = errors.New("kv: store closed")
 
+// ErrServerDown is returned by a Put or Delete whose server died before
+// the call returned: a dead server acknowledges nothing, and recovery
+// decides whether the record survived.
+var ErrServerDown = errors.New("kv: server died during the call")
+
+// ack is the return of a Put or Delete (see ErrServerDown).
+func (db *DB) ack() error {
+	if !db.fsys.Alive() {
+		return ErrServerDown
+	}
+	return nil
+}
+
 // Close drains background memtable flushes and retires the store,
 // returning the final counters. Put and Delete return ErrClosed
 // afterwards.
@@ -252,7 +265,7 @@ func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
 	if db.memBytes >= db.cfg.MemtableBytes {
 		db.rotate(p, core)
 	}
-	return nil
+	return db.ack()
 }
 
 // Delete removes a key with fillsync durability: the tombstone record
@@ -278,7 +291,7 @@ func (db *DB) Delete(p *sim.Proc, core int, key string) error {
 	if db.memBytes >= db.cfg.MemtableBytes {
 		db.rotate(p, core)
 	}
-	return nil
+	return db.ack()
 }
 
 // Get looks a key up (store-wide filter, then memtable, then SSTs

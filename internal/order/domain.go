@@ -76,8 +76,13 @@ func (d *Domain[P]) ParkAt(idx uint64, v P, at int64) { d.parked.Put(idx, parked
 
 // TakeNextAt is TakeNext plus the park instant the command was ParkAt-ed
 // with (0 if it was parked via plain Park).
-func (d *Domain[P]) TakeNextAt() (P, int64, bool) {
-	p, ok := d.parked.Delete(d.next)
+func (d *Domain[P]) TakeNextAt() (P, int64, bool) { return d.TakeAt(d.next) }
+
+// TakeAt is TakeNextAt at idx, ahead of the frontier: for a caller that
+// holds every index from the frontier up to idx, taken but not yet
+// submitted (the stack's PMR burst).
+func (d *Domain[P]) TakeAt(idx uint64) (P, int64, bool) {
+	p, ok := d.parked.Delete(idx)
 	return p.v, p.at, ok
 }
 

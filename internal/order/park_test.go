@@ -2,7 +2,7 @@ package order
 
 import "testing"
 
-// ParkAt/TakeNextAt carry the park instant through the gate so the stack
+// ParkAt/TakeNextAt/TakeAt carry the park instant through the gate so the stack
 // can attribute gate-park time to traced requests; they must otherwise
 // behave exactly like Park/TakeNext, including across Reset.
 func TestParkAtTakeNextAt(t *testing.T) {
@@ -53,5 +53,16 @@ func TestParkAtTakeNextAt(t *testing.T) {
 	v, at, ok = d.TakeNextAt()
 	if !ok || v != "z" || at != 20 {
 		t.Fatalf("post-reset: got %q@%d, want z@20", v, at)
+	}
+
+	// TakeAt takes at an index ahead of the frontier, leaving the
+	// frontier and every other parked command where they were.
+	d.ParkAt(4, "d", 40)
+	d.ParkAt(5, "e", 50)
+	if v, at, ok = d.TakeAt(5); !ok || v != "e" || at != 50 || d.Frontier() != 2 || d.ParkedLen() != 1 {
+		t.Fatalf("TakeAt(5): got %q@%d ok=%v, frontier %d, %d parked; want e@50, 2, 1", v, at, ok, d.Frontier(), d.ParkedLen())
+	}
+	if _, _, ok = d.TakeAt(5); ok {
+		t.Fatal("TakeAt(5) took twice")
 	}
 }

@@ -32,17 +32,20 @@ import (
 // horaeAllocBudget and horaeEvents are allocations (measured + 5 %) and
 // engine events (exact) per ordered write on rand4kConfig in Horae mode,
 // where every write is a group of one and pays its control round trip: the
-// request and its per-server index list.
+// request and its per-server index list. linuxAllocBudget is the same for
+// Linux mode (measured + 5 %): the request; the wire list is the
+// initiator's scratch.
 const (
 	writeAllocBudget      = 1.006 * 1.05
 	replDirectAllocBudget = 1.017 * 1.05
 	replRelayAllocBudget  = 1.026 * 1.05
-	writeEvents           = 22.081
+	writeEvents           = 21.627
 	writeSwitchBudget     = 2.769 * 1.05
 	readAllocBudget       = 0.001
 	payloadAllocBudget    = 1.040 * 1.05
 	horaeAllocBudget      = 2.030 * 1.05
 	horaeEvents           = 38.3255
+	linuxAllocBudget      = 1.015 * 1.05
 )
 
 // writePathCost is what one measured window of the write path cost the host.
@@ -205,6 +208,22 @@ func TestHoraeWritePathBudget(t *testing.T) {
 	}
 	if got := w.per(w.events); math.Abs(got-horaeEvents) > 0.0001 {
 		t.Errorf("%.4f engine events per Horae ordered write, want %.4f: the event sequence changed", got, horaeEvents)
+	}
+}
+
+// TestLinuxWritePathAllocBudget holds Linux mode's ordered write — one in
+// flight per initiator, completed before the next starts — to its
+// allocation budget.
+func TestLinuxWritePathAllocBudget(t *testing.T) {
+	eng, in := writePathCluster(modeConfig(ModeLinux), 1, nil)
+	defer eng.Shutdown()
+	w := measureWindow(eng, func() int64 { return in.Stats().Completed })
+	t.Logf("%d ops, %.3f Go allocs/op, %.1f B/op", w.ops, w.per(w.mallocs), w.per(w.bytes))
+	if w.ops < 300 {
+		t.Fatalf("only %d writes completed in the window, want ≥ 300", w.ops)
+	}
+	if got := w.per(w.mallocs); got > linuxAllocBudget {
+		t.Errorf("%.3f Go allocs per Linux ordered write, budget %.3f", got, linuxAllocBudget)
 	}
 }
 

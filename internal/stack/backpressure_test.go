@@ -326,7 +326,7 @@ func pmrWriters(eng *sim.Engine, c *Cluster, n, window int) [][]*blockdev.Reques
 // partition holds entries. Appends park on the full log and resume as
 // watermarks retire entries: those on later command capsules, and, for the
 // stream that posts nothing more, those the target asks for when an append
-// parks. Every write is delivered in order, also when the partition's
+// parks (watermarks-only capsules, counted as initiator egress). Every write is delivered in order, also when the partition's
 // oldest entry waits on a slow target and retiring the younger ones frees
 // nothing. A last run cuts the initiator while appends are parked:
 // recovery formats the partition, the parked appends drop, and no
@@ -345,6 +345,12 @@ func TestPMRLogFullParksAppends(t *testing.T) {
 		st := c.Target(0).Stats()
 		if st.PMRFull == 0 || st.PMRAppends != 2*n {
 			t.Fatalf("%d appends parked on a full log, %d appended; want > 0 and %d", st.PMRFull, st.PMRAppends, 2*n)
+		}
+		// The capsules the target processed carried commands; the rest of
+		// the initiator's egress is the watermarks-only capsules it asked
+		// for, counted like any capsule.
+		if in := c.Init(0).Stats(); in.TxMsgs <= st.Capsules {
+			t.Fatalf("initiator egress %d capsules, target took %d command capsules: the watermarks-only capsules went uncounted", in.TxMsgs, st.Capsules)
 		}
 		eng.Shutdown()
 	})
@@ -414,12 +420,12 @@ func TestPMRLogFullParksAppends(t *testing.T) {
 	})
 }
 
-// TestPMRFormatDuringPersist cuts the initiator while its one append is
-// mid-persist on a PMR slower than recovery's scan of the 64 KiB partition
-// (about 1.7 ms): recovery formats the partition before the persist
-// returns, so the append belongs to a dead incarnation and drops. Its entry
-// is not in the fresh partition, its write never reaches media, and it is
-// not counted as appended.
+// TestPMRFormatDuringPersist cuts the initiator while the burst of its
+// capsule's three appends is mid-read-back on a PMR slower than recovery's
+// scan of the 64 KiB partition (about 1.7 ms): recovery formats the
+// partition before the read-back returns, so the whole burst belongs to a
+// dead incarnation and drops. Its entries are not in the fresh partition,
+// its writes never reach media, and none is counted as appended.
 func TestPMRFormatDuringPersist(t *testing.T) {
 	eng := sim.New(1)
 	cfg := smallConfig(ModeRio, optane1()...)
@@ -427,10 +433,17 @@ func TestPMRFormatDuringPersist(t *testing.T) {
 	cfg.Targets[0].SSDs[0].PMRWriteLat = 5 * sim.Millisecond
 	c := New(eng, cfg)
 	tgt := c.Target(0)
-	eng.Go("write", func(p *sim.Proc) { c.Init(0).OrderedWrite(p, 0, 7, 1, 0, nil, true, false, false) })
+	eng.Go("write", func(p *sim.Proc) {
+		c.Init(0).StartPlug(0)
+		for lba := uint64(7); lba < 10; lba++ {
+			c.Init(0).OrderedWrite(p, 0, 8*lba, 1, 0, nil, true, false, false)
+		}
+		c.Init(0).FinishPlug(p, 0)
+	})
 	eng.RunUntil(sim.Millisecond)
-	if n, st := len(core.ScanRegion(tgt.PMRPartition(0))), tgt.Stats(); n != 1 || st.PMRAppends != 0 {
-		t.Fatalf("at the cut: %d entries in the partition, %d appends persisted; want 1 mid-persist", n, st.PMRAppends)
+	if n, st := len(core.ScanRegion(tgt.PMRPartition(0))), tgt.Stats(); n != 3 || st.Capsules != 1 || st.PMRAppends != 0 {
+		t.Fatalf("at the cut: %d entries in the partition from %d capsules, %d appends persisted; want one burst of 3 mid-read-back",
+			n, st.Capsules, st.PMRAppends)
 	}
 	c.PowerCutInitiator(0)
 	var recovered sim.Time

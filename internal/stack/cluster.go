@@ -167,8 +167,11 @@ func (cp *capsule) FabricDelivered(sent, delivered sim.Time) {
 // forwards). A Horae control capsule is one framing carrying 32 bytes of
 // ordering metadata per entry.
 func (cp *capsule) wireSize() int {
-	if len(cp.ctrl) > 0 {
+	switch {
+	case len(cp.ctrl) > 0:
 		return nvmeof.CapsuleSize(32 * len(cp.ctrl))
+	case len(cp.cmds) == 0:
+		return nvmeof.CapsuleSize(0) // watermarks only (Initiator.sendRetires)
 	}
 	return nvmeof.VectorCapsuleSize(len(cp.cmds), cp.inline) +
 		len(cp.forward)*len(cp.cmds)*nvmeof.SQESize

@@ -257,13 +257,13 @@ func (in *Initiator) submitHorae(p *sim.Proc, req *blockdev.Request) {
 func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 	in.UseCPU(p, in.costs.SubmitBio)
 	in.linuxMu.Acquire(p)
-	wires := in.buildWires(nil, req)
+	wires := in.buildWires(in.linuxWires[:0], req)
 	in.getDispatcher(req.Stream, wires).call(p, (*dispatcher).mint)
 	for _, ws := range wires {
 		in.blockingWait(p, ws.hwDone)
 	}
 	// FLUSH per ordered request on every touched device without PLP.
-	var flushes []*wireState
+	flushes := in.linuxFlushes[:0]
 	for _, ws := range wires {
 		dev := ws.wc.Dev
 		if !in.targets[ws.target].ssds[ws.ssdIdx].HasPLP() &&
@@ -272,6 +272,9 @@ func (in *Initiator) submitLinux(p *sim.Proc, req *blockdev.Request) {
 		}
 	}
 	in.flushWires(p, req.Stream, flushes)
+	clear(wires)
+	clear(flushes)
+	in.linuxWires, in.linuxFlushes = wires[:0], flushes[:0]
 	in.linuxMu.Release()
 	in.deliver(req)
 }

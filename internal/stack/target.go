@@ -408,7 +408,7 @@ func (x *tctx) rxPop() bool {
 	t := x.t
 	if x.cp != nil {
 		t.c.putCapsule(x.cp)
-		x.cp = nil
+		x.cp, x.log = nil, nil
 	}
 	cp, ok := x.l.rxQ.Take(x)
 	if !ok {
@@ -457,8 +457,11 @@ func (x *tctx) rxCtrlAppend() bool {
 		x.t.stats.CtrlOps++
 		return x.appendPMR(a, (*tctx).rxCtrlAppend)
 	}
-	return x.Charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck)
+	x.resume = (*tctx).rxCtrlPost
+	return x.To((*tctx).rxPersist)
 }
+
+func (x *tctx) rxCtrlPost() bool { return x.Charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck) }
 
 // rxCtrlAck acks the control capsule: the ack carries the capsule's
 // signal, so the capsule can be recycled while the ack is in flight.
@@ -516,92 +519,175 @@ func (x *tctx) rxFetch() bool {
 	return x.To((*tctx).rxCmd)
 }
 
+// rxCmd walks the capsule's commands, then the parked successors a
+// submission took (rxSubmitted), in gate order: an ordered command the
+// gate admits appends its attributes to the burst, and so does every
+// parked successor it releases (rioAttr); any other command just joins
+// the burst. The walk ends in the burst's one read-back (rxPersist).
 func (x *tctx) rxCmd() bool {
-	t := x.t
-	if x.i == len(x.cp.cmds) {
+	t, cp := x.t, x.cp
+	if x.i < len(cp.cmds) {
+		ws := cp.cmds[x.i]
+		if !t.alive || ws.epoch != t.initEpoch(x.l.init) {
+			return x.dropBurst()
+		}
+		x.i++
+		t.stats.Commands++
+		x.arrived(ws)
+		if !ws.wc.Flush && ws.wc.Ordered && t.pol.Gated() {
+			return x.rioAdmit(ws, ws.chain[ws.q.Pos(cp.member)].attrs)
+		}
+		x.run = append(x.run, burstCmd{ws: ws})
+		return x.To((*tctx).rxCmd)
+	}
+	if x.li < len(x.later) {
+		p := x.later[x.li]
+		x.li++
+		return x.rioProcess(p.ws, p.attrs, t.ord.Domain(int(p.attrs[0].Initiator), p.attrs[0].Stream))
+	}
+	x.later, x.li = x.later[:0], 0
+	if len(x.run) == 0 {
 		return x.To((*tctx).rxPop)
 	}
-	if ws := x.cp.cmds[x.i]; !t.alive || ws.epoch != t.initEpoch(x.l.init) {
-		return x.To((*tctx).rxPop)
-	}
-	t.stats.Commands++
-	return x.Charge(t.c.costs.CmdProcess, (*tctx).rxSubmit)
+	x.resume = (*tctx).rxCmd
+	return x.To((*tctx).rxPersist)
 }
 
-func (x *tctx) rxSubmit() bool {
-	t, cp := x.t, x.cp
-	ws := cp.cmds[x.i]
-	x.i++
+// arrived records where a command came from as the walk reaches it: its
+// transit stamps and, on a relayed copy, the route its completion takes
+// to the head (before submission, so the completion cannot outrun it).
+func (x *tctx) arrived(ws *wireState) {
+	cp := x.cp
 	if cp.relayed {
 		// The relay conn restamped sentAt at the head's forward, so
 		// it marks the relay hop, not the initiator send (which the
 		// head capsule's MSent records).
 		markWire(ws, trace.MRelayed, cp.sentAt)
 		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
-		// The completion goes to the head, not the initiator: recorded
-		// before submission, so the completion cannot outrun the route.
-		t.relay.pend[ws.init].Put(ws.id, relayRoute{qp: x.l.qp, epoch: cp.epoch})
-	} else {
-		// A direct capsule has no relay hop: MRelayed at delivery makes
-		// the relay stage zero-width and leaves the transit to wire.
-		markWire(ws, trace.MSent, cp.sentAt)
-		markWire(ws, trace.MRelayed, cp.deliveredAt)
-		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
+		x.t.relay.pend[ws.init].Put(ws.id, relayRoute{qp: x.l.qp, epoch: cp.epoch})
+		return
 	}
-	if ws.wc.Flush {
-		t.submitFlushCmd(ws)
-		return x.To((*tctx).rxCmd)
-	}
-	if ws.wc.Ordered && t.pol.Gated() {
-		return x.rioSubmitAttrs(ws, ws.chain[ws.q.Pos(cp.member)].attrs)
-	}
-	t.submitWrite(ws, t.horaeSlot(ws))
-	return x.To((*tctx).rxCmd)
+	// A direct capsule has no relay hop: MRelayed at delivery makes
+	// the relay stage zero-width and leaves the transit to wire.
+	markWire(ws, trace.MSent, cp.sentAt)
+	markWire(ws, trace.MRelayed, cp.deliveredAt)
+	markWire(ws, trace.MRxDeliver, cp.deliveredAt)
 }
 
-// appendPMR persists one ordering attribute (step 5 of Fig. 4) into the
-// owning initiator's log partition: the CPU is held for the MMIO issue
-// plus the persistence latency (write + read-back) and the append waits if
-// that partition's circular log is full — backpressure on one initiator's
-// log never stalls another initiator's appends. The slot is recorded in
-// the attribute's engine domain so completions and retirement find it
-// without hashing. It returns to ret with the outcome in x.slot, x.ok.
-//
-// ok=false means the partition was FORMATTED (its owner crash-recovered
-// and the log object was replaced) while this append was parked on
-// backpressure or mid-persist: the attribute belongs to a dead
-// incarnation and was dropped rather than leaked into fresh evidence.
+// rioAdmit enforces per-(initiator, stream) in-order submission (§4.3.1):
+// a request may only go to the SSD after every smaller ServerIdx of its
+// ordering domain has. attrs is this member's chain of the command —
+// every member of a set runs its own dense chain, so the gate's invariant
+// holds per replica independently. A command ahead of the context's
+// frontier parks; with stream→QP affinity the network delivers in order
+// and this gate almost never parks.
+func (x *tctx) rioAdmit(ws *wireState, attrs []core.Attr) bool {
+	t := x.t
+	d := t.ord.Domain(int(attrs[0].Initiator), attrs[0].Stream)
+	if attrs[0].ServerIdx != x.frontier(d) {
+		t.stats.Holdbacks++
+		// The park time only feeds traced requests' gate-park wait.
+		d.ParkAt(attrs[0].ServerIdx, parkedCmd{ws: ws, attrs: attrs}, int64(t.c.Eng.Now()))
+		return x.To((*tctx).rxCmd)
+	}
+	return x.rioProcess(ws, attrs, d)
+}
+
+// frontier is domain d's next index as this context sees it: past the
+// last command of d its burst holds, else the gate's. The gate moves only
+// at submission, so another lane never admits a successor of a command
+// in the burst: it parks, and this context takes it.
+func (x *tctx) frontier(d *order.Domain[parkedCmd]) uint64 {
+	for k := len(x.run) - 1; k >= 0; k-- {
+		if e := &x.run[k]; e.dom == d {
+			return e.attrs[len(e.attrs)-1].ServerIdx + 1
+		}
+	}
+	return d.Frontier()
+}
+
+func (x *tctx) rioProcess(ws *wireState, attrs []core.Attr, d *order.Domain[parkedCmd]) bool {
+	x.cur = burstCmd{ws: ws, attrs: attrs, slots: x.t.getSlots(len(attrs)), dom: d, start: x.t.c.Eng.Now()}
+	return x.To((*tctx).rioAttr)
+}
+
+// rioAttr appends the command's next attribute; once all are, the command
+// joins the burst and its parked successor, if any, follows it.
+func (x *tctx) rioAttr() bool {
+	c := x.cur
+	if n := len(c.slots); n < len(c.attrs) {
+		return x.appendPMR(c.attrs[n], (*tctx).rioAttr)
+	}
+	x.run, x.cur = append(x.run, c), burstCmd{}
+	next, parkedAt, ok := c.dom.TakeAt(c.attrs[len(c.attrs)-1].ServerIdx + 1)
+	if !ok {
+		return x.To((*tctx).rxCmd)
+	}
+	if parkedAt != 0 {
+		addWaitWire(next.ws, trace.WaitPark, x.t.c.Eng.Now()-sim.Time(parkedAt))
+	}
+	return x.rioProcess(next.ws, next.attrs, c.dom)
+}
+
+// appendPMR appends one ordering attribute (step 5 of Fig. 4) to the
+// burst in the owning initiator's log partition, records its slot in the
+// attribute's engine domain (completions and retirement find it there
+// without hashing) and in the command the walk is at, if any, and returns
+// to ret. The core is held from the burst's first append to the end of its
+// read-back (rxPersist): while x.pending > 0. A full partition parks the
+// append — backpressure on one initiator's log never stalls another
+// initiator's appends — once what the burst holds is read back and
+// submitted, so a burst never waits on space only its own submissions
+// could free. A power cut, or a FORMAT of the partition (its owner
+// crash-recovered and the log object was replaced) while the append
+// waited, drops the burst (dropBurst): it belongs to a dead incarnation
+// and must not leak into fresh evidence.
 func (x *tctx) appendPMR(a core.Attr, ret tstep) bool {
-	x.a, x.log, x.Ret = a, x.t.logs[a.Initiator], ret
+	x.a, x.Ret = a, ret
+	if x.log == nil {
+		x.log = x.t.logs[a.Initiator]
+	}
+	if x.pending > 0 {
+		return x.pmrIssue()
+	}
 	return x.Acquire((*tctx).pmrIssue)
 }
 
 func (x *tctx) pmrIssue() bool { return x.Sleep(x.t.c.costs.PMRAppendCPU, (*tctx).pmrAppend) }
 
 func (x *tctx) pmrAppend() bool {
-	t, init := x.t, int(x.a.Initiator)
-	if t.logs[init] != x.log {
+	t, a := x.t, x.a
+	if !t.alive || t.logs[a.Initiator] != x.log {
 		t.cores.Release()
-		x.log, x.ok = nil, false
+		x.pending = 0
+		return x.dropBurst()
+	}
+	if slot, ok := x.log.Append(a); ok {
+		t.ord.Domain(int(a.Initiator), a.Stream).RecordSlot(a.ServerIdx, slot)
+		if x.cur.ws != nil {
+			x.cur.slots = append(x.cur.slots, slot)
+		}
+		x.pending++
 		return x.Back()
 	}
-	slot, ok := x.log.Append(x.a)
-	if ok {
-		x.slot = slot
-		return x.Sleep(t.ssds[0].PMRWriteLat(), (*tctx).pmrPersisted)
+	if x.pending > 0 {
+		x.resume = (*tctx).pmrRetry
+		return x.To((*tctx).rxPersist)
 	}
 	// Log full: wait for retirement (backpressure). Rio's watermarks travel
 	// on the owner's command capsules, and an owner with nothing more to
 	// post would never send them, so ask for them.
 	t.cores.Release()
 	t.stats.PMRFull++
-	if t.pol.Gated() && !t.logFull[init] {
+	if init := int(a.Initiator); t.pol.Gated() && !t.logFull[init] {
 		t.logFull[init] = true
 		t.askRetires(init, x.l.qp)
 	}
-	x.To((*tctx).pmrSpace)
-	return t.logSpace[init].Wait(x)
+	x.To((*tctx).pmrRetry)
+	return t.logSpace[a.Initiator].Wait(x)
 }
+
+func (x *tctx) pmrRetry() bool { return x.Acquire((*tctx).pmrAppend) }
 
 // askRetires tells initiator init that its log partition here is full: a
 // completion capsule with no CQE and the logFull mark. The initiator
@@ -614,88 +700,85 @@ func (t *Target) askRetires(init, qp int) {
 	t.conns[init].Send(fabric.Target, fabric.Message{QP: qp, Size: nvmeof.ResponseSize, Payload: msg})
 }
 
-func (x *tctx) pmrSpace() bool { return x.Acquire((*tctx).pmrAppend) }
+// rxPersist reads the burst back: one PMRWriteLat, the core still held,
+// makes every attribute appended since the last read-back durable (a
+// non-posted read flushes the posted writes before it:
+// ssd.Config.PMRWriteLat is one MMIO burst's). rxSubmit then submits.
+func (x *tctx) rxPersist() bool {
+	if x.pending == 0 {
+		return x.To((*tctx).rxSubmit)
+	}
+	return x.Sleep(x.t.ssds[0].PMRWriteLat(), (*tctx).rxPersisted)
+}
 
-func (x *tctx) pmrPersisted() bool {
-	t, a := x.t, x.a
+func (x *tctx) rxPersisted() bool {
+	t := x.t
 	t.cores.Release()
-	log := x.log
-	x.log, x.ok = nil, false
-	if t.logs[a.Initiator] != log {
-		return x.Back() // formatted mid-persist: the slot is dead
+	if !t.alive || t.logs[x.a.Initiator] != x.log {
+		x.pending = 0
+		return x.dropBurst()
 	}
-	t.ord.Domain(int(a.Initiator), a.Stream).RecordSlot(a.ServerIdx, x.slot)
-	t.stats.PMRAppends++
-	x.ok = true
-	return x.Back()
+	t.stats.PMRAppends += int64(x.pending)
+	x.pending = 0
+	for _, e := range x.run {
+		if e.attrs != nil {
+			addWaitWire(e.ws, trace.WaitPMR, t.c.Eng.Now()-e.start)
+		}
+	}
+	return x.To((*tctx).rxSubmit)
 }
 
-// rioSubmitAttrs enforces per-(initiator, stream) in-order submission
-// (§4.3.1): a request may only go to the SSD after every smaller ServerIdx
-// of its ordering domain has. attrs is this member's chain of the command —
-// every member of a set runs its own dense chain, so the gate's invariant
-// holds per replica independently. With stream→QP affinity the network
-// delivers in order and this gate almost never parks.
-func (x *tctx) rioSubmitAttrs(ws *wireState, attrs []core.Attr) bool {
+// rxSubmit charges CmdProcess per command of the burst, in walk order,
+// and submits it (an ordered one moves its gate first), then goes on at
+// x.resume.
+func (x *tctx) rxSubmit() bool {
 	t := x.t
-	d := t.ord.Domain(int(attrs[0].Initiator), attrs[0].Stream)
-	if !d.Admit(attrs[0].ServerIdx) {
-		t.stats.Holdbacks++
-		// The park time only feeds traced requests' gate-park wait (rioDrain).
-		d.ParkAt(attrs[0].ServerIdx, parkedCmd{ws: ws, attrs: attrs}, int64(t.c.Eng.Now()))
-		return x.To((*tctx).rxCmd)
+	if x.sub == len(x.run) {
+		clear(x.run)
+		x.run, x.sub = x.run[:0], 0
+		return x.To(x.resume)
 	}
-	x.dom = d
-	return x.rioProcess(ws, attrs)
+	if ws := x.run[x.sub].ws; !t.alive || ws.epoch != t.initEpoch(x.l.init) {
+		return x.dropBurst()
+	}
+	return x.Charge(t.c.costs.CmdProcess, (*tctx).rxSubmitted)
 }
 
-// rioDrain drains any parked successors, then goes on with the capsule.
-func (x *tctx) rioDrain() bool {
-	next, parkedAt, ok := x.dom.TakeNextAt()
-	if !ok {
-		x.dom = nil
-		return x.To((*tctx).rxCmd)
+func (x *tctx) rxSubmitted() bool {
+	t, e := x.t, &x.run[x.sub]
+	x.sub++
+	switch {
+	case e.ws.wc.Flush:
+		t.submitFlushCmd(e.ws)
+	case e.attrs == nil:
+		t.submitWrite(e.ws, t.horaeSlot(e.ws))
+	default:
+		e.dom.Advance(e.attrs[len(e.attrs)-1].ServerIdx)
+		t.submitWrite(e.ws, e.slots)
+		// A successor another lane parked behind the burst is this
+		// context's to submit, in its next burst.
+		if next, parkedAt, ok := e.dom.TakeNextAt(); ok {
+			if parkedAt != 0 {
+				addWaitWire(next.ws, trace.WaitPark, t.c.Eng.Now()-sim.Time(parkedAt))
+			}
+			x.later = append(x.later, next)
+		}
 	}
-	if parkedAt != 0 {
-		addWaitWire(next.ws, trace.WaitPark, x.t.c.Eng.Now()-sim.Time(parkedAt))
-	}
-	return x.rioProcess(next.ws, next.attrs)
+	return x.To((*tctx).rxSubmit)
 }
 
-// rioProcess appends each attribute of one admitted command, advancing the
-// gate past it, then submits the write; it returns to rioDrain.
-func (x *tctx) rioProcess(ws *wireState, attrs []core.Attr) bool {
-	x.ws, x.attrs, x.j = ws, attrs, 0
-	x.slots = x.t.getSlots(len(attrs))
-	return x.To((*tctx).rioAttr)
-}
-
-func (x *tctx) rioAttr() bool {
-	if x.j == len(x.attrs) {
-		x.t.submitWrite(x.ws, x.slots)
-		x.ws, x.attrs, x.slots = nil, nil, nil
-		return x.To((*tctx).rioDrain)
+// dropBurst abandons the capsule and the burst to a dead incarnation (a
+// power cut, or the owner's crash and its partition's format): no command
+// of the burst not yet submitted ever is. Its appended entries stay in the
+// partition with no write behind them, as a cut mid-persist leaves one.
+func (x *tctx) dropBurst() bool {
+	if x.pending > 0 {
+		x.t.cores.Release()
 	}
-	x.pmrStart = x.t.c.Eng.Now()
-	return x.appendPMR(x.attrs[x.j], (*tctx).rioAppended)
-}
-
-func (x *tctx) rioAppended() bool {
-	t := x.t
-	addWaitWire(x.ws, trace.WaitPMR, t.c.Eng.Now()-x.pmrStart)
-	if !x.ok {
-		// The command's ordering domain was reset while the append
-		// waited (its owner crash-recovered): the command belongs to
-		// the dead incarnation — drop it without touching the fresh
-		// gate or submitting a stale media write.
-		t.slotsFree = append(t.slotsFree, x.slots[:0])
-		x.ws, x.attrs, x.slots = nil, nil, nil
-		return x.To((*tctx).rioDrain)
-	}
-	x.slots = append(x.slots, x.slot)
-	x.dom.Advance(x.a.ServerIdx)
-	x.j++
-	return x.To((*tctx).rioAttr)
+	clear(x.run)
+	clear(x.later)
+	x.run, x.later, x.sub, x.li, x.cur, x.pending = x.run[:0], x.later[:0], 0, 0, burstCmd{}, 0
+	return x.To((*tctx).rxPop)
 }
 
 // horaeSlot looks up the control-path entry of every constituent of a Horae

@@ -114,6 +114,6 @@ func Example_objectStore() {
 	// Output:
 	// store 1 (initiator 1): 100 transactions in 12.381ms — 8077 txns/s, 1.06 GB/s payload
 	// store 1: in-order harvesting, last completion group = 300
-	// store 0 (initiator 0): 100 transactions in 12.549ms — 7969 txns/s, 1.04 GB/s payload
+	// store 0 (initiator 0): 100 transactions in 12.548ms — 7969 txns/s, 1.04 GB/s payload
 	// store 0: in-order harvesting, last completion group = 300
 }

@@ -47,7 +47,7 @@ func Example_quickstart() {
 	})
 	c.Run()
 	// Output:
-	// commit delivered at 40.692us (group 2)
+	// commit delivered at 39.492us (group 2)
 	// in-order completion: earlier group delivered first = true
 	// 1000 ordered writes in 2.236ms (447 K ordered writes/s)
 }
@@ -115,9 +115,9 @@ func Example_multiTarget() {
 	fmt.Printf("after recovery: %d/%d ordered writes delivered (no application-visible loss)\n",
 		delivered, len(handles))
 	// Output:
-	// striped: 200 x 64KB ordered writes in 2.703ms (4.85 GB/s)
+	// striped: 200 x 64KB ordered writes in 2.781ms (4.71 GB/s)
 	// !! target 1 loses power mid-stream
-	// target recovery: replayed 46 commands in 2.623ms
+	// target recovery: replayed 46 commands in 2.639ms
 	// after recovery: 100/100 ordered writes delivered (no application-visible loss)
 }
 
@@ -208,9 +208,9 @@ func Example_multiInitiator() {
 	})
 	c.Run()
 	// Output:
-	// phase 1: 3 initiators wrote 900 ordered groups in 807.385us (1115 K ordered writes/s aggregate)
+	// phase 1: 3 initiators wrote 900 ordered groups in 806.365us (1116 K ordered writes/s aggregate)
 	// phase 2: initiator 2 power-cut after submitting 38 groups; 2/2 survivors completed all 200 groups each
-	// phase 3: initiator 2 recovered: durable prefix on its stream 1 = 29 of 38 submitted (order rebuild 18.178ms, data recovery 12.000us)
+	// phase 3: initiator 2 recovered: durable prefix on its stream 1 = 27 of 38 submitted (order rebuild 18.177ms, data recovery 12.000us)
 	// phase 3: recovered initiator committed new durable work — cluster fully operational
 }
 
@@ -370,8 +370,8 @@ func Example_journaling() {
 	fmt.Println("                 RioFS   D=5.9us JM=1.4us  JC=1.1us  wait=34.8us -> 43.2us")
 	// Output:
 	// Ext4    (initiator 0)  fsync avg 151.571us   breakdown: D=5.700us JM=0ns JC=0ns wait=144.790us
-	// HoraeFS (initiator 0)  fsync avg 78.923us   breakdown: D=5.700us JM=21.338us JC=20.709us wait=31.198us
-	// RioFS   (initiator 1)  fsync avg 48.824us   breakdown: D=5.700us JM=1.700us JC=700ns wait=37.526us
+	// HoraeFS (initiator 0)  fsync avg 78.323us   breakdown: D=5.700us JM=20.738us JC=20.709us wait=31.198us
+	// RioFS   (initiator 1)  fsync avg 47.958us   breakdown: D=5.700us JM=1.700us JC=700ns wait=35.535us
 	//
 	// paper (Fig. 14): HoraeFS D=5.9us JM=19.3us JC=16.7us wait=34.9us -> 76.7us
 	//                  RioFS   D=5.9us JM=1.4us  JC=1.1us  wait=34.8us -> 43.2us
@@ -448,9 +448,9 @@ func Example_kvStore() {
 	})
 	c.Run()
 	// Output:
-	// tenant 0 (initiator 0): 200 puts in 9.681ms (20.7 K puts/s), 3 memtable flushes, 3 SSTs
-	// tenant 1 (initiator 1): 200 puts in 9.696ms (20.6 K puts/s), 3 memtable flushes, 3 SSTs
-	// storage recovery: order rebuild 54.532ms, data recovery 0ns
+	// tenant 0 (initiator 0): 200 puts in 9.576ms (20.9 K puts/s), 3 memtable flushes, 3 SSTs
+	// tenant 1 (initiator 1): 200 puts in 9.589ms (20.9 K puts/s), 3 memtable flushes, 3 SSTs
+	// storage recovery: order rebuild 54.531ms, data recovery 0ns
 	// tenant 0: fs replayed 203 txns (0 incomplete discarded); WAL+SST hold 389 records (acked before cut: 200)
 	// tenant 1: fs replayed 203 txns (0 incomplete discarded); WAL+SST hold 389 records (acked before cut: 200)
 	// => 0 acknowledged puts lost across both tenants
