@@ -326,8 +326,9 @@ func pmrWriters(eng *sim.Engine, c *Cluster, n, window int) [][]*blockdev.Reques
 // partition holds entries. Appends park on the full log and resume as
 // watermarks retire entries: those on later command capsules, and, for the
 // stream that posts nothing more, those the target asks for when an append
-// parks (watermarks-only capsules, counted as initiator egress). Every write is delivered in order, also when the partition's
-// oldest entry waits on a slow target and retiring the younger ones frees
+// parks (watermarks-only capsules, counted as initiator egress). Every
+// write is delivered in order, also when the partition's oldest entry
+// waits on a slow target and retiring the younger ones frees
 // nothing. A last run cuts the initiator while appends are parked:
 // recovery formats the partition, the parked appends drop, and no
 // dead-incarnation entry reaches the fresh partition.

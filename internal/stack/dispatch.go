@@ -345,7 +345,7 @@ type dispatcher struct {
 	// (all of them buffers the record reuses: a capsule copies its
 	// commands); the route's commands, members (posted from k on) and QP;
 	// the capsule in progress, its target and TX pass; a replay set still to
-	// post; re-asks still to post.
+	// post; re-asks (or a watermark-only capsule, sendRetires) still to post.
 	bySet     [][]*wireState
 	set       int
 	relayable []*wireState

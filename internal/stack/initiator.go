@@ -3,7 +3,6 @@ package stack
 import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -46,12 +45,8 @@ type Initiator struct {
 	// there were none to send: the next advance toward them is sent.
 	retireSent  []uint64
 	retireAsked []bool
-	// retireOut holds the watermark-only capsules sendRetires built, in
-	// order, until retirer posts them.
-	retireOut []*capsule
-	retirer   retirePoster
-	epoch     int
-	alive     bool
+	epoch       int
+	alive       bool
 
 	// fuseWires scratch: per-device batch tails, generation-stamped so a
 	// dispatch never reads a previous batch's tail (the slice is only
@@ -113,7 +108,6 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		alive:       true,
 	}
 	in.outstanding.Init(64)
-	in.retirer.in = in
 	in.readDone = in.onReadDone
 	in.seq = in.newSequencer()
 	in.inflightCond = sim.NewCond(c.Eng)
@@ -175,7 +169,8 @@ func (in *Initiator) bumpRetireMark(stream, target int, idx uint64) {
 // sendRetires answers a target whose log partition for this initiator is
 // full: one capsule with every stream's watermark toward it that no capsule
 // carried yet, without a command (the target recycles it on receipt),
-// queued for the retirer to post. It reports whether there was one.
+// posted like a re-ask: PostMsg, then egress on QP 0. It reports whether
+// there was one to send.
 func (in *Initiator) sendRetires(target int) bool {
 	var cp *capsule
 	for s := 0; s < in.cfg.Streams; s++ {
@@ -191,33 +186,8 @@ func (in *Initiator) sendRetires(target int) bool {
 	if cp == nil {
 		return false
 	}
-	in.retireOut = append(in.retireOut, cp)
-	if !in.retirer.running {
-		in.retirer.running = true
-		in.retirer.Start(in.Eng, in.cores, &in.retirer, (*retirePoster).post)
-	}
-	return true
-}
-
-// A retirePoster posts the watermark-only capsules sendRetires queues
-// through egress, so they wait for TX space and count as egress like any
-// capsule. It runs while any is queued.
-type retirePoster struct {
-	sim.Step[retirePoster]
-	in      *Initiator
-	tw      fabric.TxWait
-	running bool
-}
-
-func (r *retirePoster) post() bool {
-	in := r.in
-	if r.running = len(in.retireOut) > 0; !r.running {
-		return false
-	}
-	if cp := in.retireOut[0]; !in.egress(r, &r.tw, cp.member, 0, cp) {
-		return false
-	}
-	in.retireOut = in.retireOut[1:]
+	d := &dispatcher{in: in, asks: []*capsule{cp}}
+	d.Start(in.Eng, in.cores, d, (*dispatcher).reask)
 	return true
 }
 
@@ -446,7 +416,6 @@ func (in *Initiator) crashVolatile() {
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
 	in.retireSent = make([]uint64, in.cfg.Streams*len(in.targets))
 	in.retireAsked = make([]bool, len(in.targets))
-	in.retireOut = nil
 	in.reqFree = sim.FreeList[blockdev.Request]{}
 	for _, sh := range in.shards {
 		sh.crashReset()

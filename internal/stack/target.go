@@ -363,9 +363,7 @@ func (t *Target) putDone(d *tDone) {
 	if d.free {
 		panic("stack: completion event recycled twice")
 	}
-	if d.slots != nil {
-		t.slotsFree = append(t.slotsFree, d.slots[:0])
-	}
+	t.putSlots(d.slots)
 	*d = tDone{cmd: ssd.Command{Done: t.ssdDone, Ctx: d}, free: true}
 	if !t.c.poison {
 		t.doneFree = append(t.doneFree, d)
@@ -395,6 +393,13 @@ func (t *Target) getSlots(n int) []uint64 {
 		return s[:0]
 	}
 	return make([]uint64, 0, n)
+}
+
+// putSlots returns a slot burst to the free list (nil: none was taken).
+func (t *Target) putSlots(s []uint64) {
+	if s != nil {
+		t.slotsFree = append(t.slotsFree, s[:0])
+	}
 }
 
 // rxPop takes the next capsule of the lane: the top of the receive context
@@ -713,11 +718,10 @@ func (x *tctx) rxPersist() bool {
 
 func (x *tctx) rxPersisted() bool {
 	t := x.t
-	t.cores.Release()
 	if !t.alive || t.logs[x.a.Initiator] != x.log {
-		x.pending = 0
 		return x.dropBurst()
 	}
+	t.cores.Release()
 	t.stats.PMRAppends += int64(x.pending)
 	x.pending = 0
 	for _, e := range x.run {
@@ -772,9 +776,15 @@ func (x *tctx) rxSubmitted() bool {
 // of the burst not yet submitted ever is. Its appended entries stay in the
 // partition with no write behind them, as a cut mid-persist leaves one.
 func (x *tctx) dropBurst() bool {
+	t := x.t
 	if x.pending > 0 {
-		x.t.cores.Release()
+		t.cores.Release()
 	}
+	// The slot lists of the commands not submitted go back to the pool.
+	for _, e := range x.run[x.sub:] {
+		t.putSlots(e.slots)
+	}
+	t.putSlots(x.cur.slots)
 	clear(x.run)
 	clear(x.later)
 	x.run, x.later, x.sub, x.li, x.cur, x.pending = x.run[:0], x.later[:0], 0, 0, burstCmd{}, 0
