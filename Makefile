@@ -135,10 +135,14 @@ host-pairs:
 # simulated clock is deterministic, so one run per seed is the comparison),
 # the five sim_* metrics and ops_failed_share side by side with the relative
 # change, any that worsened past its BENCHMARK.json bound marked. SEED names
-# the benchmark's seed set (its 5 runs use SEED..SEED+4).
+# the benchmark's seed set (its 5 runs use SEED..SEED+4). TRACE=1 runs both
+# sides traced and adds the order gate's parks and the completion path's
+# capsules per workload (order.holdbacks_per_kcmd,
+# stack.completion_msgs_per_op, stack.cqe_batch_occupancy).
+TRACE ?= 0
 sim-diff:
-	@test -n "$(PARENT)" || { echo "usage: make sim-diff PARENT=<checkout> [SEED=$(SEED)]"; exit 2; }
-	bash scripts/sim-diff.sh "$(PARENT)" $(SEED)
+	@test -n "$(PARENT)" || { echo "usage: make sim-diff PARENT=<checkout> [SEED=$(SEED)] [TRACE=$(TRACE)]"; exit 2; }
+	bash scripts/sim-diff.sh "$(PARENT)" $(SEED) $(TRACE)
 
 # Crash smoke: plans 1–24 of the crash harness (internal/crash), the same
 # plans the tier-1 tests run: each draws a legal configuration, a traffic

@@ -14,9 +14,12 @@ import (
 // rio-w/o-merge line already present in Figs. 10/12:
 //
 //  1. Stream→QP affinity (Principle 2, §4.5): with affinity the RC
-//     transport delivers a stream's commands in order and the target's
-//     in-order submission gate never parks; without it the gate must
-//     hold back reordered arrivals.
+//     transport delivers each queue pair's commands in post order, so at
+//     this one-target point the target's in-order submission gate never
+//     parks; without it the gate must hold back reordered arrivals. (A
+//     stream that spans two targets parks even with affinity: two of its
+//     dispatches can post toward one target in the reverse of their mint
+//     order.)
 //  2. PMR write latency sensitivity: the ordering-attribute append is on
 //     the target's submission path; this sweep shows how far the PMR
 //     persistence latency can grow before it costs throughput.

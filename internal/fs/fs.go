@@ -246,9 +246,6 @@ func (fs *FS) Eng() *sim.Engine { return fs.in.Eng }
 // compaction) to the file system's initiator cores.
 func (fs *FS) UseCPU(p *sim.Proc, d sim.Time) { fs.in.UseCPU(p, d) }
 
-// Alive reports whether the file system's server is powered.
-func (fs *FS) Alive() bool { return fs.in.Alive() }
-
 // Stats returns counters.
 func (fs *FS) Stats() Stats { return fs.stats }
 

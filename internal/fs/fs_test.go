@@ -279,6 +279,50 @@ func TestFSCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestFsyncReportsCutMidWait cuts the initiator while an fsync's thread
+// is between its commit's delivery and its return (the wake-up after the
+// wait): the commit reached the thread, but its server died before the
+// call returned, so the fsync must return stack.ErrServerDown. A first
+// pass of the same seed, uncut, finds the instant the fsync returns and
+// expects no error; the second pass cuts one nanosecond before it. RioFS
+// waits on its commit record (Initiator.Wait), Ext4 on its group-commit
+// join (Initiator.WaitSignal).
+func TestFsyncReportsCutMidWait(t *testing.T) {
+	for _, d := range []Design{RioFS, Ext4} {
+		t.Run(d.String(), func(t *testing.T) {
+			run := func(cut sim.Time) (ret sim.Time, err error) {
+				eng, c := newCluster(1, designMode(d))
+				defer eng.Shutdown()
+				fsys := Open(c.Init(0), DefaultOptions(d, 1))
+				eng.Go("app", func(p *sim.Proc) {
+					f, cerr := fsys.Create(p, "f")
+					if cerr != nil {
+						t.Error(cerr)
+						return
+					}
+					fsys.Append(p, f, BlockSize)
+					err = fsys.Fsync(p, f, 0)
+					ret = p.Now()
+				})
+				if cut > 0 {
+					eng.At(cut, func() { c.PowerCutInitiator(0) })
+				}
+				eng.Run()
+				return ret, err
+			}
+			ret, err := run(0)
+			if ret == 0 || err != nil {
+				t.Fatalf("uncut fsync: returned at %v with %v, want a return without error", ret, err)
+			}
+			// The cut lands after the delivery: the wait still ends, on time.
+			if got, err := run(ret - 1); got != ret || !errors.Is(err, stack.ErrServerDown) {
+				t.Fatalf("fsync cut 1 ns before its return: returned at %v with %v, want %v with %v",
+					got, err, ret, stack.ErrServerDown)
+			}
+		})
+	}
+}
+
 // TestFSCrashMidFsync cuts power while fsyncs are in flight: recovery must
 // see an atomic outcome per transaction (file fully present or fully
 // absent), never a torn state.

@@ -188,21 +188,24 @@ func decodeMetaBlock(b []byte, nDirents int) (inodeBytes []byte, dirents []diren
 
 // Fsync makes the file durable. core selects the journal/stream (the
 // calling thread's CPU, per iJournaling). This is the heart of Fig. 9 and
-// Fig. 14.
-func (fs *FS) Fsync(p *sim.Proc, f *File, core int) {
+// Fig. 14. It returns stack.ErrServerDown if the file system's server died
+// while the fsync waited for its commit.
+func (fs *FS) Fsync(p *sim.Proc, f *File, core int) error {
 	start := p.Now()
 	var tr FsyncTrace
+	var err error
 	switch fs.cfg.Design {
 	case Ext4:
-		tr = fs.fsyncExt4(p, f)
+		tr, err = fs.fsyncExt4(p, f)
 	default:
-		tr = fs.fsyncAsync(p, f, core)
+		tr, err = fs.fsyncAsync(p, f, core)
 	}
 	tr.Total = p.Now() - start
 	fs.stats.Fsyncs++
 	if fs.TraceHook != nil {
 		fs.TraceHook(tr)
 	}
+	return err
 }
 
 // fsyncAsync is the RioFS/HoraeFS path: D, JM and JC all go through the
@@ -210,7 +213,7 @@ func (fs *FS) Fsync(p *sim.Proc, f *File, core int) {
 // cluster the per-request control path inside OrderedWrite provides the
 // ordering (and shows up as JM/JC dispatch latency); on Rio the dispatch
 // is asynchronous.
-func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
+func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) (FsyncTrace, error) {
 	var tr FsyncTrace
 	j := fs.journalFor(core)
 	stream := j.id
@@ -250,19 +253,19 @@ func (fs *FS) fsyncAsync(p *sim.Proc, f *File, core int) FsyncTrace {
 	// rio_wait: one blocking wait for the commit record. D and JM were
 	// released as submitted: in-order delivery vouches for them.
 	t0 = p.Now()
-	fs.in.Wait(p, jc)
+	err := fs.in.Wait(p, jc)
 	fs.in.Release(jc)
 	tr.WaitIO = p.Now() - t0
 
 	fs.commitTxn(j, txn)
 	f.dirDirty = false
-	return tr
+	return tr, err
 }
 
 // fsyncExt4 is the JBD2 path: synchronous transfer and FLUSH commands
 // provide the ordering, and concurrent fsyncs share one running
 // transaction (group commit).
-func (fs *FS) fsyncExt4(p *sim.Proc, f *File) FsyncTrace {
+func (fs *FS) fsyncExt4(p *sim.Proc, f *File) (FsyncTrace, error) {
 	var tr FsyncTrace
 	j := fs.journals[0]
 
@@ -290,10 +293,10 @@ func (fs *FS) fsyncExt4(p *sim.Proc, f *File) FsyncTrace {
 		fs.in.Eng.Go("jbd2/commit", func(cp *sim.Proc) { fs.jbd2Commit(cp, j) })
 	}
 	t0 = p.Now()
-	fs.in.WaitSignal(p, join.done)
+	err := fs.in.WaitSignal(p, join.done)
 	tr.WaitIO = wait1 + (p.Now() - t0)
 	f.dirDirty = false
-	return tr
+	return tr, err
 }
 
 // jbd2Commit flushes one batch of joined transactions: JM blocks for every

@@ -214,19 +214,6 @@ func (db *DB) Options() Options { return db.cfg }
 // ErrClosed is returned by Put and Delete on a store after its Close.
 var ErrClosed = errors.New("kv: store closed")
 
-// ErrServerDown is returned by a Put or Delete whose server died before
-// the call returned: a dead server acknowledges nothing, and recovery
-// decides whether the record survived.
-var ErrServerDown = errors.New("kv: server died during the call")
-
-// ack is the return of a Put or Delete (see ErrServerDown).
-func (db *DB) ack() error {
-	if !db.fsys.Alive() {
-		return ErrServerDown
-	}
-	return nil
-}
-
 // Close drains background memtable flushes and retires the store,
 // returning the final counters. Put and Delete return ErrClosed
 // afterwards.
@@ -240,7 +227,8 @@ func (db *DB) Close(p *sim.Proc) Stats {
 
 // Put inserts key→value with fillsync durability: append to the WAL,
 // fsync, then update the memtable. core selects the journal/stream of the
-// calling thread.
+// calling thread. A failed fsync's error (stack.ErrServerDown: the server
+// died while the put waited) is returned before the memtable sees the key.
 func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
 	if db.closed {
 		return ErrClosed
@@ -249,7 +237,9 @@ func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
 	if err := db.fsys.Append(p, db.wal, rec); err != nil {
 		return err
 	}
-	db.fsys.Fsync(p, db.wal, core)
+	if err := db.fsys.Fsync(p, db.wal, core); err != nil {
+		return err
+	}
 
 	// Memtable insert (in-memory indexing CPU).
 	db.fsys.UseCPU(p, indexCPU)
@@ -265,7 +255,7 @@ func (db *DB) Put(p *sim.Proc, core int, key string, valueLen int) error {
 	if db.memBytes >= db.cfg.MemtableBytes {
 		db.rotate(p, core)
 	}
-	return db.ack()
+	return nil
 }
 
 // Delete removes a key with fillsync durability: the tombstone record
@@ -282,7 +272,9 @@ func (db *DB) Delete(p *sim.Proc, core int, key string) error {
 	if err := db.fsys.Append(p, db.wal, rec); err != nil {
 		return err
 	}
-	db.fsys.Fsync(p, db.wal, core)
+	if err := db.fsys.Fsync(p, db.wal, core); err != nil {
+		return err
+	}
 
 	db.fsys.UseCPU(p, indexCPU)
 	db.mem[key] = tombstone
@@ -291,7 +283,7 @@ func (db *DB) Delete(p *sim.Proc, core int, key string) error {
 	if db.memBytes >= db.cfg.MemtableBytes {
 		db.rotate(p, core)
 	}
-	return db.ack()
+	return nil
 }
 
 // Get looks a key up (store-wide filter, then memtable, then SSTs

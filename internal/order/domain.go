@@ -15,19 +15,13 @@ import "repro/internal/core"
 //     whose completions the owning initiator has delivered.
 //
 // The parked payload type is the caller's (the stack parks its wire
-// command plus attribute chain); the engine never inspects it.
+// command, attribute chain and park instant); the engine never inspects it.
 type Domain[P any] struct {
 	next    uint64 // gate frontier: next expected ServerIdx (chains are 1-based)
 	retired uint64 // retire watermark: slots <= retired are recycled
 
-	parked core.IDTable[parkedAt[P]] // by ServerIdx
-	slots  core.IDTable[uint64]      // live ServerIdx -> PMR log slot
-}
-
-// parkedAt is a parked command and its park instant (0 unless ParkAt).
-type parkedAt[P any] struct {
-	v  P
-	at int64
+	parked core.IDTable[P]      // by ServerIdx
+	slots  core.IDTable[uint64] // live ServerIdx -> PMR log slot
 }
 
 // initDomain prepares a fresh domain (frontier at 1, pre-sized tables).
@@ -57,34 +51,19 @@ func (d *Domain[P]) Admit(idx uint64) bool { return idx == d.next }
 // Park holds back a command that arrived ahead of a missing
 // predecessor. Parking the same index twice overwrites (replays are
 // idempotent).
-func (d *Domain[P]) Park(idx uint64, v P) { d.parked.Put(idx, parkedAt[P]{v: v}) }
+func (d *Domain[P]) Park(idx uint64, v P) { d.parked.Put(idx, v) }
 
 // Advance moves the gate frontier past idx (the command was submitted).
 func (d *Domain[P]) Advance(idx uint64) { d.next = idx + 1 }
 
 // TakeNext pops the parked command waiting at the frontier, if any —
 // the unpark drain loop calls it after every Advance.
-func (d *Domain[P]) TakeNext() (P, bool) {
-	p, ok := d.parked.Delete(d.next)
-	return p.v, ok
-}
+func (d *Domain[P]) TakeNext() (P, bool) { return d.TakeAt(d.next) }
 
-// ParkAt is Park plus a park instant, recorded for gate-wait attribution
-// (stage tracing). The instant is the caller's clock; the engine stores
-// it opaquely.
-func (d *Domain[P]) ParkAt(idx uint64, v P, at int64) { d.parked.Put(idx, parkedAt[P]{v, at}) }
-
-// TakeNextAt is TakeNext plus the park instant the command was ParkAt-ed
-// with (0 if it was parked via plain Park).
-func (d *Domain[P]) TakeNextAt() (P, int64, bool) { return d.TakeAt(d.next) }
-
-// TakeAt is TakeNextAt at idx, ahead of the frontier: for a caller that
+// TakeAt is TakeNext at idx, ahead of the frontier: for a caller that
 // holds every index from the frontier up to idx, taken but not yet
 // submitted (the stack's PMR burst).
-func (d *Domain[P]) TakeAt(idx uint64) (P, int64, bool) {
-	p, ok := d.parked.Delete(idx)
-	return p.v, p.at, ok
-}
+func (d *Domain[P]) TakeAt(idx uint64) (P, bool) { return d.parked.Delete(idx) }
 
 // ParkedLen returns the number of held-back commands.
 func (d *Domain[P]) ParkedLen() int { return d.parked.Len() }

@@ -7,9 +7,15 @@ import (
 
 // FuzzGateSchedule feeds the in-order gate an arbitrary arrival schedule
 // — a seed-derived permutation of a dense chain with duplicate arrivals
-// (replays) mixed in — and checks the engine invariants: every index is
-// processed exactly once, in dense order, the audit stays clean, and
-// nothing remains parked after the chain completes.
+// (replays) mixed in — the way the stack's target drives it: an arrival at
+// the frontier opens a burst, which takes its parked successors ahead of
+// the frontier (TakeAt) before any of them is submitted; the burst is
+// submitted at a seed-drawn point, each command advancing the frontier, and
+// a successor parked behind it is taken at the frontier (TakeNext) to open
+// the next burst. A map model of the parked set checks every take, and the
+// engine invariants are checked throughout: every index is processed
+// exactly once, in dense order, the audit stays clean, and nothing remains
+// parked after the chain completes.
 func FuzzGateSchedule(f *testing.F) {
 	f.Add(int64(1), uint16(16))
 	f.Add(int64(42), uint16(1))
@@ -32,29 +38,72 @@ func FuzzGateSchedule(f *testing.F) {
 
 		var d Domain[uint64]
 		d.initDomain(4)
-		var processed []uint64
-		for _, idx := range arrivals {
-			if idx < d.Frontier() {
-				continue // already submitted: a replayed dup is dropped
+		model := map[uint64]bool{} // parked, not taken
+		var held, processed []uint64
+		// take checks one take against the model and returns what it took.
+		take := func(idx, v uint64, ok bool) bool {
+			if ok != model[idx] || (ok && v != idx) {
+				t.Fatalf("take at %d: got %d ok=%v, model parked=%v", idx, v, ok, model[idx])
 			}
-			if !d.Admit(idx) {
-				d.Park(idx, idx)
-				continue
-			}
-			processed = append(processed, idx)
-			d.Advance(idx)
+			delete(model, idx)
+			return ok
+		}
+		// extend takes the burst's parked successors ahead of the frontier.
+		extend := func() {
 			for {
-				v, ok := d.TakeNext()
-				if !ok {
-					break
+				next := held[len(held)-1] + 1
+				v, ok := d.TakeAt(next)
+				if !take(next, v, ok) {
+					return
 				}
-				processed = append(processed, v)
-				d.Advance(v)
+				held = append(held, v)
+			}
+		}
+		// submit advances the frontier through the burst, then opens the
+		// next one from a successor parked at the new frontier.
+		submit := func() {
+			for len(held) > 0 {
+				for _, idx := range held {
+					if !d.Admit(idx) {
+						t.Fatalf("burst submits %d at frontier %d", idx, d.Frontier())
+					}
+					processed = append(processed, idx)
+					d.Advance(idx)
+				}
+				held = held[:0]
+				v, ok := d.TakeNext()
+				if take(d.Frontier(), v, ok) {
+					held = append(held, v)
+					extend()
+				}
 			}
 			if bad := d.AuditParked(); bad != 0 {
 				t.Fatalf("audit: %d violations mid-schedule", bad)
 			}
 		}
+		for _, idx := range arrivals {
+			front := d.Frontier()
+			if len(held) > 0 {
+				front = held[len(held)-1] + 1
+			}
+			switch {
+			case idx < front:
+				// already submitted or held: a replayed dup is dropped
+			case idx == front:
+				held = append(held, idx)
+				extend()
+			default:
+				d.Park(idx, idx)
+				model[idx] = true
+			}
+			if d.ParkedLen() != len(model) {
+				t.Fatalf("%d parked, model holds %d", d.ParkedLen(), len(model))
+			}
+			if rng.Intn(2) == 0 {
+				submit()
+			}
+		}
+		submit()
 		if len(processed) != n {
 			t.Fatalf("processed %d of %d indices", len(processed), n)
 		}

@@ -53,7 +53,7 @@ func TestTargetChargeLedger(t *testing.T) {
 // arrive on several lanes out of order and park. Each domain's writes must
 // still reach the SSD in ServerIdx order — here, LBA order — one after
 // another: a lane never submits a successor of a command another lane
-// holds in its burst.
+// holds in its burst. A parked command's gate-park wait reaches its trace.
 func TestBurstKeepsDomainOrderAcrossLanes(t *testing.T) {
 	eng := sim.New(5)
 	cfg := smallConfig(ModeRio, optane1()...)
@@ -81,6 +81,15 @@ func TestBurstKeepsDomainOrderAcrossLanes(t *testing.T) {
 	recs := c.tracer.Retained()
 	if len(recs) != 2*n {
 		t.Fatalf("%d spans retained, want %d", len(recs), 2*n)
+	}
+	parked := 0
+	for _, r := range recs {
+		if r.Waits[trace.WaitPark] > 0 {
+			parked++
+		}
+	}
+	if parked == 0 {
+		t.Fatal("no traced request carries a gate-park wait")
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].LBA < recs[j].LBA })
 	for i := 1; i < len(recs); i++ {

@@ -617,22 +617,27 @@ func (in *Initiator) replaceWire(req *blockdev.Request, from, to *wireState) {
 	}
 }
 
-// assignOrderState fans every write of a dispatch batch out over its
+// assignOrderState fans every command of a dispatch batch out over its
 // replica set: per command it snapshots the set's in-sync membership, has
-// stampMember mint each member's chain, and logs a resync extent for every
-// member currently out of sync. Snapshot, mint and dirty-log happen with no
-// yield in between, which is what makes the resync drain check race-free
-// against rejoin. Standalone flushes fan out at post time (fanFlush).
+// stampMember mint each member's chain, and logs a resync extent of a
+// write for every member currently out of sync. Snapshot, mint and
+// dirty-log happen with no yield in between, which is what makes the
+// resync drain check race-free against rejoin. A standalone FLUSH resolves
+// only when every member it went to acked: a durability barrier certifies
+// the whole in-sync set, not just a quorum.
 func (in *Initiator) assignOrderState(wires []*wireState) {
 	for _, ws := range wires {
 		rs := in.c.replSets[ws.target]
-		ws.q.Need = in.c.writeQuorum
 		for k, m := range rs.members {
-			if !rs.inSync[k] {
+			if rs.inSync[k] {
+				in.stampMember(ws, ws.addMember(m))
+			} else if !ws.wc.Flush {
 				rs.addDirty(m, ws)
-				continue
 			}
-			in.stampMember(ws, ws.addMember(m))
+		}
+		ws.q.Need = in.c.writeQuorum
+		if ws.wc.Flush {
+			ws.q.Need = len(ws.q.Members)
 		}
 	}
 }
@@ -676,9 +681,6 @@ func (d *dispatcher) post() bool {
 	in := d.in
 	in.stats.WireCmds += int64(len(d.wires))
 	for _, ws := range d.wires {
-		if ws.wc.Flush {
-			in.fanFlush(ws)
-		}
 		d.bySet[ws.target] = append(d.bySet[ws.target], ws)
 	}
 	d.set, d.Ret = -1, (*dispatcher).nextSet

@@ -101,6 +101,50 @@ func TestFlushCombinerSharesOneFlush(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestFusedCommitBarrierPersistsEveryEntry: a commit vector-fused behind
+// the two plain writes of its group is one command with three PMR entries
+// (wc.Attr and two in wireState.more) on a flash device. Its completion
+// record is its barrier: after the FLUSH every entry it appended carries its
+// persist bit, and its one CQE is sent once.
+func TestFusedCommitBarrierPersistsEveryEntry(t *testing.T) {
+	eng := sim.New(1)
+	c := New(eng, barrierConfig(ModeRio))
+	in := c.Init(0)
+	reqs := make([]*blockdev.Request, 3)
+	eng.Go("app", func(p *sim.Proc) {
+		in.StartPlug(0)
+		for i := range reqs {
+			commit := i == len(reqs)-1
+			reqs[i] = in.OrderedWrite(p, 0, uint64(i), 1, 0, nil, commit, commit, false)
+		}
+		in.FinishPlug(p, 0)
+		for _, r := range reqs {
+			in.Wait(p, r)
+		}
+	})
+	eng.Run()
+	defer eng.Shutdown()
+	for i, r := range reqs {
+		if !r.Done.Fired() {
+			t.Fatalf("write %d never delivered", i)
+		}
+	}
+	st := c.Target(0).Stats()
+	if w := in.Stats().WireCmds; w != 1 || st.PMRAppends != 3 {
+		t.Fatalf("%d wire commands, %d PMR appends; want the group fused into one command of 3 entries", w, st.PMRAppends)
+	}
+	if st.Barriers != 1 || st.Flushes != 1 || c.Target(0).SSD(0).Stats().Flushes != 1 {
+		t.Fatalf("%d barriers over %d FLUSHes (%d at the device), want 1 each",
+			st.Barriers, st.Flushes, c.Target(0).SSD(0).Stats().Flushes)
+	}
+	if n := persisted(c, 0); n != 3 {
+		t.Fatalf("%d of 3 entries persisted after the FLUSH", n)
+	}
+	if st.CQEs != 1 {
+		t.Fatalf("%d CQEs sent for the one fused command, want 1", st.CQEs)
+	}
+}
+
 // loneCommitLatency is what each of three back-to-back flush-carrying 4 KB
 // ordered writes costs on an otherwise idle flash target under barrierConfig,
 // submission to delivery, in simulated ns — measured at the commit before the

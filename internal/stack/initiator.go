@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"errors"
+
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -228,34 +230,46 @@ func (in *Initiator) streamOf(stream int) int {
 	return (stream%n + n) % n
 }
 
+// ErrServerDown is returned by a wait whose server died before the
+// waiting thread was back on a core: a dead server acknowledges nothing,
+// and recovery decides whether the work survived.
+var ErrServerDown = errors.New("stack: server died during the wait")
+
 // blockingWait models a thread sleeping on an I/O completion: context
-// switch out, completion interrupt, scheduler wakeup latency.
-func (in *Initiator) blockingWait(p *sim.Proc, sig *sim.Signal) {
-	if sig.Fired() {
-		return
+// switch out, completion interrupt, scheduler wakeup latency. It returns
+// ErrServerDown unless the incarnation that began the wait is still the
+// live one once the thread is back on a core.
+func (in *Initiator) blockingWait(p *sim.Proc, sig *sim.Signal) error {
+	epoch := in.epoch
+	if !sig.Fired() {
+		in.UseCPU(p, in.costs.BlockCPU)
+		sig.Wait(p)
+		p.Sleep(in.costs.WakeLat)
+		in.UseCPU(p, in.costs.WakeCPU)
 	}
-	in.UseCPU(p, in.costs.BlockCPU)
-	sig.Wait(p)
-	p.Sleep(in.costs.WakeLat)
-	in.UseCPU(p, in.costs.WakeCPU)
+	if !in.alive || in.epoch != epoch {
+		return ErrServerDown
+	}
+	return nil
 }
 
 // Wait blocks until req's completion has been delivered (rio_wait). About
 // to block, the thread first flushes its plug list (as Linux does on
-// schedule()), so staged requests of this stream reach the wire.
-func (in *Initiator) Wait(p *sim.Proc, req *blockdev.Request) {
+// schedule()), so staged requests of this stream reach the wire. It
+// returns ErrServerDown if the server died during the wait.
+func (in *Initiator) Wait(p *sim.Proc, req *blockdev.Request) error {
 	mustBeLive(req.Free(), "request")
 	if !req.Done.Fired() {
 		in.plugFlush(p, req.Stream)
 	}
-	in.blockingWait(p, req.Done)
+	return in.blockingWait(p, req.Done)
 }
 
 // WaitSignal blocks on an arbitrary completion signal with the same
 // context-switch and wakeup costs as an I/O wait (e.g. a JBD2 group-commit
-// join).
-func (in *Initiator) WaitSignal(p *sim.Proc, sig *sim.Signal) {
-	in.blockingWait(p, sig)
+// join), and the same ErrServerDown.
+func (in *Initiator) WaitSignal(p *sim.Proc, sig *sim.Signal) error {
+	return in.blockingWait(p, sig)
 }
 
 // OrderedWrite submits one ordered write request on a stream (rio_submit
@@ -333,14 +347,14 @@ func (in *Initiator) FlushDevice(p *sim.Proc, stream int) {
 	in.flushWires(p, stream, flushes)
 }
 
-// flushWires dispatches standalone FLUSHes from cmdBuild on and waits for
-// them. Carrying no requests, they recycle here, or at the ack of a
-// straggler member.
+// flushWires dispatches standalone FLUSHes from mint on, like a Linux
+// write, and waits for them. Carrying no requests, they recycle here, or at
+// the ack of a straggler member.
 func (in *Initiator) flushWires(p *sim.Proc, stream int, flushes []*wireState) {
 	if len(flushes) == 0 {
 		return
 	}
-	in.getDispatcher(stream, flushes).call(p, (*dispatcher).cmdBuild)
+	in.getDispatcher(stream, flushes).call(p, (*dispatcher).mint)
 	for _, ws := range flushes {
 		in.blockingWait(p, ws.hwDone)
 	}

@@ -177,20 +177,6 @@ func (c *Cluster) ResyncBacklog(target int) int {
 	return len(rs.dirty[rs.pos(target)])
 }
 
-// fanFlush fans a standalone FLUSH command out at post time: every
-// in-sync member gets a copy, and the command resolves only when every
-// posted member acked — a durability barrier certifies the whole in-sync
-// set, not just a quorum.
-func (in *Initiator) fanFlush(ws *wireState) {
-	rs := in.c.replSets[ws.target]
-	for k, m := range rs.members {
-		if rs.inSync[k] {
-			ws.addMember(m)
-		}
-	}
-	ws.q.Need = len(ws.q.Members)
-}
-
 // buildMemberCapsule builds one member's copy of a batch — the only place
 // a command capsule is assembled, whatever the set size and whatever route
 // carries it: the member reads each command's chain record at its own

@@ -60,8 +60,9 @@ type tDone struct {
 	free  bool        // on the free list (or, poisoned, dead for good)
 	ws    *wireState
 	slots []uint64 // PMR entries of this command (vector commands: several)
-	// isFlush marks the durability barrier of a flush-carrying ordered write
-	// (ws is that write); next links the barriers one FLUSH covers, leader first.
+	// isFlush marks a flush-carrying ordered write's record once its
+	// completion made it the group's durability barrier; next links the
+	// barriers one FLUSH covers, leader first.
 	isFlush    bool
 	next       *tDone
 	flushSlots []order.SlotRef // additional slots the led FLUSH certifies (Horae)
@@ -89,11 +90,12 @@ type flushCombiner struct {
 
 // parkedCmd is one held-back command at an in-order gate, together with
 // the attribute chain it arrived with (this member's chain record of the
-// command). It is the payload type the ordering engine's parked rings hold
-// for this target.
+// command) and when it parked (a traced request's gate-park wait). It is
+// the payload type the ordering engine's parked rings hold for this target.
 type parkedCmd struct {
 	ws    *wireState
 	attrs []core.Attr
+	at    sim.Time
 }
 
 // qpLane is everything a target holds for one (initiator, queue pair): the
@@ -356,9 +358,8 @@ func (t *Target) getDone() *tDone {
 	return d
 }
 
-// putDone recycles a consumed completion event and any slot burst it
-// still owns (an event that handed its slots on — the flush-barrier path —
-// cleared them first).
+// putDone recycles a consumed completion event and the slot burst it
+// owns.
 func (t *Target) putDone(d *tDone) {
 	if d.free {
 		panic("stack: completion event recycled twice")
@@ -584,15 +585,16 @@ func (x *tctx) arrived(ws *wireState) {
 // ordering domain has. attrs is this member's chain of the command —
 // every member of a set runs its own dense chain, so the gate's invariant
 // holds per replica independently. A command ahead of the context's
-// frontier parks; with stream→QP affinity the network delivers in order
-// and this gate almost never parks.
+// frontier parks — even with stream→QP affinity, once a stream spans two
+// targets: a dispatch posts its per-target batches one by one, so two
+// dispatches can reach a target in the reverse of their mint order (8.8 %
+// of blk_rand4k's commands park, 23.5 % of kv_mixed's; ROADMAP item 21).
 func (x *tctx) rioAdmit(ws *wireState, attrs []core.Attr) bool {
 	t := x.t
 	d := t.ord.Domain(int(attrs[0].Initiator), attrs[0].Stream)
 	if attrs[0].ServerIdx != x.frontier(d) {
 		t.stats.Holdbacks++
-		// The park time only feeds traced requests' gate-park wait.
-		d.ParkAt(attrs[0].ServerIdx, parkedCmd{ws: ws, attrs: attrs}, int64(t.c.Eng.Now()))
+		d.Park(attrs[0].ServerIdx, parkedCmd{ws: ws, attrs: attrs, at: t.c.Eng.Now()})
 		return x.To((*tctx).rxCmd)
 	}
 	return x.rioProcess(ws, attrs, d)
@@ -624,13 +626,11 @@ func (x *tctx) rioAttr() bool {
 		return x.appendPMR(c.attrs[n], (*tctx).rioAttr)
 	}
 	x.run, x.cur = append(x.run, c), burstCmd{}
-	next, parkedAt, ok := c.dom.TakeAt(c.attrs[len(c.attrs)-1].ServerIdx + 1)
+	next, ok := c.dom.TakeAt(c.attrs[len(c.attrs)-1].ServerIdx + 1)
 	if !ok {
 		return x.To((*tctx).rxCmd)
 	}
-	if parkedAt != 0 {
-		addWaitWire(next.ws, trace.WaitPark, x.t.c.Eng.Now()-sim.Time(parkedAt))
-	}
+	addWaitWire(next.ws, trace.WaitPark, x.t.c.Eng.Now()-next.at)
 	return x.rioProcess(next.ws, next.attrs, c.dom)
 }
 
@@ -761,10 +761,8 @@ func (x *tctx) rxSubmitted() bool {
 		t.submitWrite(e.ws, e.slots)
 		// A successor another lane parked behind the burst is this
 		// context's to submit, in its next burst.
-		if next, parkedAt, ok := e.dom.TakeNextAt(); ok {
-			if parkedAt != 0 {
-				addWaitWire(next.ws, trace.WaitPark, t.c.Eng.Now()-sim.Time(parkedAt))
-			}
+		if next, ok := e.dom.TakeNext(); ok {
+			addWaitWire(next.ws, trace.WaitPark, t.c.Eng.Now()-next.at)
 			x.later = append(x.later, next)
 		}
 	}
@@ -837,8 +835,8 @@ func (t *Target) submitFlushCmd(ws *wireState) {
 // cplPop takes the next event of the target completion context:
 // persist-bit maintenance (step 7), durability barriers for flush-carrying
 // ordered writes, and completion responses back to the initiators. Consumed
-// events (and the slot bursts they still own) recycle through the free
-// lists, in cplEnd.
+// events and their slot bursts recycle through the free lists, in cplEnd
+// (a barrier that followed a FLUSH's leader, in certified).
 func (x *tctx) cplPop() bool {
 	d, ok := x.t.doneQ.Take(x)
 	if !ok {
@@ -904,27 +902,28 @@ func (x *tctx) cplHandled() bool {
 	switch {
 	case plp:
 		// Completion implies durability: toggle persist now.
-		x.init, x.k = init, 0
-		return x.To((*tctx).cplPersist)
+		x.b, x.k = d, 0
+		return x.To((*tctx).persist)
 	case attrFlush:
 		// The group's durability barrier: drain the device, then mark. A cut
 		// during the wait above cleared the combiners: stay outstanding for replay.
 		if !t.alive || t.epoch != x.tEpoch {
 			return x.To((*tctx).cplEnd)
 		}
-		fd := t.getDone()
-		fd.ws, fd.slots, fd.isFlush, fd.epoch = d.ws, d.slots, true, d.epoch
-		d.slots = nil // ownership moved to the barrier event
+		// The carrier's record is its barrier, slots and all, until the
+		// FLUSH that covers it is served.
+		d.isFlush = true
 		fc := &t.flushers[d.ws.ssdIdx]
 		tail := &fc.wait
 		for *tail != nil {
 			tail = &(*tail).next
 		}
-		*tail = fd
+		*tail = d
 		if !fc.busy { // idle device: a lone commit costs exactly its own FLUSH
 			t.submitBarriers(d.ws.ssdIdx)
 		}
-		return x.To((*tctx).cplEnd)
+		x.d = nil
+		return x.To((*tctx).cplPop)
 	default:
 		// Non-PLP, no flush: leave persist=0 (a later FLUSH-carrying
 		// entry certifies it during recovery, §4.3.2).
@@ -935,16 +934,6 @@ func (x *tctx) cplHandled() bool {
 		}
 		return x.respond(d.ws, (*tctx).cplEnd)
 	}
-}
-
-func (x *tctx) cplPersist() bool {
-	d := x.d
-	if x.k < len(d.slots) {
-		s := d.slots[x.k]
-		x.k++
-		return x.markPersist(x.init, s, d.epoch, (*tctx).cplPersist)
-	}
-	return x.respond(d.ws, (*tctx).cplEnd)
 }
 
 // submitBarriers sends every barrier waiting at a device as ONE FLUSH, led
@@ -964,7 +953,7 @@ func (t *Target) submitBarriers(ssdIdx int) {
 		lead.flushSlots = t.ord.TakeUnflushed(ssdIdx)
 	}
 	t.stats.Flushes++
-	lead.cmd.Op = ssd.OpFlush
+	lead.cmd = ssd.Command{Op: ssd.OpFlush, Done: t.ssdDone, Ctx: lead} // drops the write's payload
 	t.ssds[ssdIdx].Submit(&lead.cmd)
 }
 
@@ -994,40 +983,48 @@ func (x *tctx) flushCertify() bool {
 		}
 	}
 	x.b = d
-	return x.To((*tctx).flushBarrier)
+	return x.To((*tctx).certify)
 }
 
-// flushBarrier serves barrier x.b of the chain the FLUSH covered.
-func (x *tctx) flushBarrier() bool {
+// certify serves record x.b and the records linked behind it: the barriers
+// one FLUSH covered, leader first, each on its own initiator's epoch (a
+// dead leader still serves the others).
+func (x *tctx) certify() bool {
 	b := x.b
 	if b == nil {
 		return x.To((*tctx).cplEnd)
 	}
-	x.bnext = b.next // putDone wipes it
-	if init := b.ws.init; b.epoch == x.t.initEpoch(init) {
-		x.init, x.k = init, 0
-		return x.To((*tctx).flushBarrierPersist)
+	if b.epoch != x.t.initEpoch(b.ws.init) {
+		return x.To((*tctx).certified)
 	}
-	return x.To((*tctx).flushBarrierDone)
+	x.k = 0
+	return x.To((*tctx).persist)
 }
 
-func (x *tctx) flushBarrierPersist() bool {
+// persist is the one persist walk: it toggles every PMR entry of record
+// x.b, then queues its CQE — a PLP write at its completion, a barrier once
+// its FLUSH is served.
+func (x *tctx) persist() bool {
 	b := x.b
 	if x.k < len(b.slots) {
 		s := b.slots[x.k]
 		x.k++
-		return x.markPersist(x.init, s, b.epoch, (*tctx).flushBarrierPersist)
+		return x.markPersist(b.ws.init, s, b.epoch, (*tctx).persist)
 	}
-	x.t.stats.Barriers++
-	return x.respond(b.ws, (*tctx).flushBarrierDone)
+	if b.isFlush {
+		x.t.stats.Barriers++
+	}
+	return x.respond(b.ws, (*tctx).certified)
 }
 
-func (x *tctx) flushBarrierDone() bool {
-	if x.b != x.d {
-		x.t.putDone(x.b) // cplEnd recycles the leader
+// certified goes on to the next record, recycling a served barrier behind
+// the leader (cplEnd recycles the record the context took).
+func (x *tctx) certified() bool {
+	b := x.b
+	if x.b = b.next; b != x.d {
+		x.t.putDone(b)
 	}
-	x.b, x.bnext = x.bnext, nil
-	return x.To((*tctx).flushBarrier)
+	return x.To((*tctx).certify)
 }
 
 // orderedFlushWanted reports whether this ordered command carries the

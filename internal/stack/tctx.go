@@ -46,12 +46,12 @@ type tctx struct {
 	log *core.Log
 
 	// Completion context: the event in progress, the target incarnation it
-	// was taken under, the barrier chain and slot index its persist loops
-	// are at, and the toggle markPersist charges for.
-	d, b, bnext *tDone
-	tEpoch      int
-	init, k     int
-	mark        order.SlotRef
+	// was taken under, the record and slot index its persist walk is at,
+	// and the toggle markPersist charges for.
+	d, b   *tDone
+	tEpoch int
+	k      int
+	mark   order.SlotRef
 
 	// flushCQEs: the response capsule detached from its lane while PostMsg
 	// is charged. relayRespond: the follower ack being posted to the head.

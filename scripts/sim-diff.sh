@@ -7,12 +7,17 @@
 # their median. Prints the five sim_* metrics and ops_failed_share side by
 # side with the relative change ("identical" when both sides printed the same
 # digits), marks every one that worsened past its BENCHMARK.json bound, and
-# exits 1 if any did.
+# exits 1 if any did. With TRACE=1 each side also runs each workload with
+# --trace 1 (its traced runs report per-layer metrics only), and each
+# workload's table is followed by three of them that show how the order gate
+# and the completion path trade (parks against response capsules):
+# order.holdbacks_per_kcmd, stack.completion_msgs_per_op and
+# stack.cqe_batch_occupancy, side by side, unbounded.
 #
-#   scripts/sim-diff.sh PARENT [SEED]
-#   make sim-diff PARENT=/path/to/parent SEED=7
+#   scripts/sim-diff.sh PARENT [SEED] [TRACE]
+#   make sim-diff PARENT=/path/to/parent SEED=7 TRACE=1
 set -euo pipefail
-parent="${1:?usage: sim-diff.sh PARENT [SEED]}" seed="${2:-1}"
+parent="${1:?usage: sim-diff.sh PARENT [SEED] [TRACE]}" seed="${2:-1}" trace="${3:-0}"
 change="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 parent="$(cd "$parent" && pwd)"
 spec="$change/BENCHMARK.json"
@@ -29,8 +34,8 @@ bounds="$(awk -F'"' '/"end_to_end"/{e=1} /"per_layer"/{e=0}
 	e && /"name"/{n=$4} e && /"better"/{b=$4}
 	e && /"bound"/{gsub(/[^0-9.]/,"",$3); if (n ~ /^sim_/) print n, b, $3}' "$spec")"
 
-run() { # checkout workload → the driver's JSON line
-	(cd "$1" && .bench_build/riobenchmark --workload "$2" --seed "$seed" --seconds 0 --trace 0 | grep '^{')
+run() { # checkout workload [trace] → the driver's JSON line
+	(cd "$1" && .bench_build/riobenchmark --workload "$2" --seed "$seed" --seconds 0 --trace "${3:-0}" | grep '^{')
 }
 value() { { grep -o "\"$2\":{\"value\":[0-9.eE+-]*" <<<"$1" || true; } | sed 's/.*://'; }
 failed_share() { # JSON line → failed / attempted
@@ -59,6 +64,15 @@ for w in $workloads; do
 	mark=""
 	if awk "BEGIN{exit !($cf > $pf)}"; then mark="  WORSE (exact)" worse=1; fi
 	printf '%-26s %14s %14s %10s %7s%s\n' ops_failed_share "$pf" "$cf" "" exact "$mark"
+	if ((trace)); then
+		pt="$(run "$parent" "$w" 1)" ct="$(run "$change" "$w" 1)"
+		for metric in order.holdbacks_per_kcmd stack.completion_msgs_per_op stack.cqe_batch_occupancy; do
+			awk -v m="$metric" -v p="$(value "$pt" "$metric")" -v c="$(value "$ct" "$metric")" 'BEGIN{
+				if (p == "" || c == "") { printf "%-26s %14s %14s\n", m, (p == "") ? "n/a" : p, (c == "") ? "n/a" : c; exit }
+				change = (p "" == c "") ? " identical" : (p != 0) ? sprintf("%+9.2f%%", 100 * (c - p) / p) : "       new"
+				printf "%-26s %14.4f %14.4f %s\n", m, p, c, change}'
+		done
+	fi
 done
 if ((worse)); then echo "sim-diff: at least one metric worsened past its bound"; exit 1; fi
 echo "sim-diff: no simulated metric worsened past its bound"
