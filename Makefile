@@ -138,11 +138,14 @@ host-pairs:
 # the benchmark's seed set (its 5 runs use SEED..SEED+4). TRACE=1 runs both
 # sides traced and adds the order gate's parks and the completion path's
 # capsules per workload (order.holdbacks_per_kcmd,
-# stack.completion_msgs_per_op, stack.cqe_batch_occupancy).
+# stack.completion_msgs_per_op, stack.cqe_batch_occupancy). EXACT=1 also
+# fails, naming them, when any sim_* metric is not identical or
+# ops_failed_share differs: the proof that a change moved no simulated number.
 TRACE ?= 0
+EXACT ?= 0
 sim-diff:
-	@test -n "$(PARENT)" || { echo "usage: make sim-diff PARENT=<checkout> [SEED=$(SEED)] [TRACE=$(TRACE)]"; exit 2; }
-	bash scripts/sim-diff.sh "$(PARENT)" $(SEED) $(TRACE)
+	@test -n "$(PARENT)" || { echo "usage: make sim-diff PARENT=<checkout> [SEED=$(SEED)] [TRACE=$(TRACE)] [EXACT=$(EXACT)]"; exit 2; }
+	bash scripts/sim-diff.sh "$(PARENT)" $(SEED) $(TRACE) $(EXACT)
 
 # Crash smoke: plans 1–24 of the crash harness (internal/crash), the same
 # plans the tier-1 tests run: each draws a legal configuration, a traffic

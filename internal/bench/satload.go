@@ -47,9 +47,10 @@ type satVariant struct {
 
 // The two static operating points and the governor that moves between
 // them. The adaptive config's static knobs sit at the throughput-biased
-// point (they bound the governor's HighPlug), and the governor's Low*
-// knobs mirror static-low exactly, so "adaptive at the right operating
-// point" is directly comparable to the matching static config.
+// point (with the governor on, only MaxPlug is read: it sizes the gate's
+// parked tables initially), and the governor's Low* knobs mirror
+// static-low exactly, so "adaptive at the right operating point" is
+// directly comparable to the matching static config.
 var satVariants = []satVariant{
 	{"staticlow", func(c *stack.Config) {
 		c.CQEHold = sim.Microsecond

@@ -350,8 +350,14 @@ func TestPMRLogFullParksAppends(t *testing.T) {
 		// The capsules the target processed carried commands; the rest of
 		// the initiator's egress is the watermarks-only capsules it asked
 		// for, counted like any capsule.
-		if in := c.Init(0).Stats(); in.TxMsgs <= st.Capsules {
+		in := c.Init(0).Stats()
+		if in.TxMsgs <= st.Capsules {
 			t.Fatalf("initiator egress %d capsules, target took %d command capsules: the watermarks-only capsules went uncounted", in.TxMsgs, st.Capsules)
+		}
+		// Likewise the target's responses are the capsules that carried
+		// CQEs and the log-full asks, each posted and counted.
+		if st.Responses <= in.CplBatch.Rings {
+			t.Fatalf("target posted %d responses, initiator reaped %d capsules with CQEs: the log-full asks went uncounted", st.Responses, in.CplBatch.Rings)
 		}
 		eng.Shutdown()
 	})

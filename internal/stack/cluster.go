@@ -196,7 +196,7 @@ type completionMsg struct {
 	epoch   int
 	from    int
 	free    bool // in the pool (or, poisoned, dead for good)
-	logFull bool // the target's log partition for this initiator is full (Target.askRetires)
+	logFull bool // the target's log partition for this initiator is full (qpLane.askRetires)
 
 	// respondAt is the per-CQE instant the completion entered the
 	// coalescing buffer (parallel to cqes; empty when tracing is off), and

@@ -214,8 +214,9 @@ type Config struct {
 	MaxInflight int
 
 	// Governor configures the adaptive batching governor. Disabled (the
-	// zero value) the hot path uses the static CQEHold/CQEBatch/MaxPlug
-	// knobs exactly as before, event for event.
+	// zero value) every initiator's and target's governor holds one
+	// operating point, the static CQEHold/CQEBatch/MaxPlug, and never
+	// switches.
 	Governor GovernorConfig
 
 	// Trace enables stage-level request tracing (internal/trace): 1-in-N
@@ -315,8 +316,6 @@ func (cfg Config) Validate() error {
 			return errors.New("stack: governor hysteresis requires 0 < DownOpsPerSec < UpOpsPerSec")
 		case gc.LowHold <= 0 || gc.HighHold <= 0 || gc.LowBatch <= 0 || gc.HighBatch <= 0 || gc.LowPlug <= 0 || gc.HighPlug <= 0:
 			return errors.New("stack: governor operating points must be > 0")
-		case gc.HighPlug > cfg.MaxPlug:
-			return errors.New("stack: governor HighPlug exceeds MaxPlug (parked rings are pre-sized from MaxPlug)")
 		}
 	}
 	return nil

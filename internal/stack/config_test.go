@@ -134,8 +134,6 @@ func invalidConfigs() []struct {
 			gov(func(g *GovernorConfig) { g.DownOpsPerSec = g.UpOpsPerSec })},
 		{"governor operating point", "stack: governor operating points must be > 0",
 			gov(func(g *GovernorConfig) { g.LowHold = 0 })},
-		{"governor HighPlug", "stack: governor HighPlug exceeds MaxPlug (parked rings are pre-sized from MaxPlug)",
-			gov(func(g *GovernorConfig) { g.HighPlug = 33 })},
 		{"PMR too small", "stack: PMR region too small for the initiator count",
 			with(func(c *Config) { c.Initiators, c.Targets[0].SSDs[0].PMRSize = 2, 64 })},
 	}
@@ -147,8 +145,8 @@ func invalidConfigs() []struct {
 // below the stack's transfer limit (dispatch panicked mid-run).
 func TestValidateMatchesNew(t *testing.T) {
 	cases := invalidConfigs()
-	if len(cases) != 19 {
-		t.Fatalf("%d cases, want 19: one per rule New panics on, two for MaxInflight's modes", len(cases))
+	if len(cases) != 18 {
+		t.Fatalf("%d cases, want 18: one per rule New panics on, two for MaxInflight's modes", len(cases))
 	}
 	small := ssd.OptaneConfig()
 	small.MaxTransferBlocks = 16

@@ -93,15 +93,6 @@ func (in *Initiator) waitSubmitSlot(p *sim.Proc, stream int) {
 	in.inflight++
 }
 
-// maxPlugNow is the dispatch batching ceiling for this instant: the
-// static MaxPlug, or the governor's current operating point.
-func (in *Initiator) maxPlugNow() int {
-	if in.gov != nil {
-		return in.gov.plug()
-	}
-	return in.cfg.MaxPlug
-}
-
 // plugAdd stages a request on the stream shard's plug. Overflow drains
 // inline in the caller's context (the submitting thread pays the
 // scheduler CPU, as in Linux); otherwise a short timer hands leftovers to
@@ -110,12 +101,12 @@ const plugHold = 2 * sim.Microsecond
 
 func (in *Initiator) plugAdd(p *sim.Proc, req *blockdev.Request) {
 	markReq(req, trace.MStaged, p.Now())
-	if in.gov != nil && in.gov.observe(p.Now()) {
+	if in.gov.observe(p.Now()) {
 		in.stats.GovSwitches++
 	}
 	sh := in.shards[req.Stream]
 	sh.plugged = append(sh.plugged, req)
-	if len(sh.plugged) >= in.maxPlugNow() {
+	if len(sh.plugged) >= in.gov.plug() {
 		in.plugFlush(p, req.Stream)
 		return
 	}
@@ -385,7 +376,7 @@ func (d *dispatcher) take() bool {
 		return false
 	}
 	d.batch = append(d.batch[:0], r)
-	for ok && len(d.batch) < d.in.maxPlugNow() {
+	for ok && len(d.batch) < d.in.gov.plug() {
 		if r, ok = d.sh.q.TryPop(); ok {
 			d.batch = append(d.batch, r)
 		}

@@ -28,9 +28,9 @@ type GovernorConfig struct {
 	UpOpsPerSec   float64
 	DownOpsPerSec float64
 
-	// Operating points, each > 0 when enabled. HighPlug must not exceed
-	// Config.MaxPlug: the ordering engine pre-sizes its parked rings from
-	// MaxPlug at construction.
+	// Operating points, each > 0 when enabled. HighPlug may exceed
+	// Config.MaxPlug: MaxPlug only sizes the ordering engine's parked
+	// tables initially, and they grow.
 	LowHold   sim.Time
 	HighHold  sim.Time
 	LowBatch  int
@@ -47,10 +47,11 @@ const (
 	govAlpha = 0.5
 )
 
-// governor is one entity's adaptive-knob state machine. It is driven
-// inline from the hot path (observe per event) and never schedules
-// events of its own, so a cluster with the governor disabled runs the
-// exact same event sequence as before the governor existed.
+// governor is one entity's batching point: every initiator and every
+// target has one, and the hot path reads its knobs from it alone. It is
+// driven inline from the hot path (observe per event) and never schedules
+// events of its own. Disabled, it holds one operating point, the static
+// Config.CQEHold, CQEBatch and MaxPlug, and never switches.
 type governor struct {
 	gc       GovernorConfig
 	winStart sim.Time
@@ -60,7 +61,11 @@ type governor struct {
 	high     bool
 }
 
-func newGovernor(gc GovernorConfig, now sim.Time) *governor {
+func newGovernor(cfg Config, now sim.Time) *governor {
+	gc := cfg.Governor
+	if !gc.Enabled {
+		gc.LowHold, gc.LowBatch, gc.LowPlug = cfg.CQEHold, cfg.CQEBatch, cfg.MaxPlug
+	}
 	return &governor{gc: gc, winStart: now}
 }
 
@@ -69,6 +74,9 @@ func newGovernor(gc GovernorConfig, now sim.Time) *governor {
 // window; between folds the decision is stable, which is half of the
 // anti-flap story (the Up/Down hysteresis gap is the other half).
 func (g *governor) observe(now sim.Time) bool {
+	if !g.gc.Enabled {
+		return false
+	}
 	g.count++
 	el := now - g.winStart
 	if el < govWindow {
@@ -102,7 +110,10 @@ func (g *governor) observe(now sim.Time) bool {
 	return false
 }
 
-// hold returns the operating point's CQE hold time.
+// hold returns the operating point's CQE hold time: how long a lone
+// completion may wait for companions before the coalescing buffer is
+// flushed anyway (the reverse-path analog of the submission plug's hold
+// timer).
 func (g *governor) hold() sim.Time {
 	if g.high {
 		return g.gc.HighHold
@@ -125,6 +136,3 @@ func (g *governor) plug() int {
 	}
 	return g.gc.LowPlug
 }
-
-// throughputBiased reports the current operating point (observability).
-func (g *governor) throughputBiased() bool { return g.high }

@@ -81,8 +81,8 @@ type Initiator struct {
 	// admitted-but-undelivered requests (waitSubmitSlot increments it
 	// only after the gate opens — parked submitters are not counted);
 	// submissions at the bound block on inflightCond until deliveries
-	// drain it. gov, when non-nil, adapts the dispatch plug depth to the
-	// submission arrival rate.
+	// drain it. gov holds the dispatch plug depth (adapted to the
+	// submission arrival rate when Config.Governor is enabled).
 	inflight     int
 	inflightCond *sim.Cond
 	gov          *governor
@@ -107,15 +107,13 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		retireMark:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		retireSent:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		retireAsked: make([]bool, len(c.targets)),
+		gov:         newGovernor(c.cfg, c.Eng.Now()),
 		alive:       true,
 	}
 	in.outstanding.Init(64)
 	in.readDone = in.onReadDone
 	in.seq = in.newSequencer()
 	in.inflightCond = sim.NewCond(c.Eng)
-	if c.cfg.Governor.Enabled {
-		in.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
-	}
 	in.fuseTails = make([]fuseTail, c.vol.Devices())
 	if c.cfg.CacheBlocks > 0 {
 		in.rcache = newRCache(c.cfg.CacheBlocks, c.cfg.Streams)

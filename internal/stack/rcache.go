@@ -409,7 +409,6 @@ func (in *Initiator) ReadStream(p *sim.Proc, stream int, lba uint64, blocks uint
 		}
 		in.stats.ReadMsgs++
 		in.stats.ReadCmds += int64(len(group))
-		in.targets[m].stats.Reads += int64(len(group))
 		for _, r := range group {
 			pr := in.getRead(r)
 			if r.prefetch {

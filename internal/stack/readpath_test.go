@@ -211,8 +211,11 @@ func TestCutInitiatorPostsNoUncachedRead(t *testing.T) {
 	})
 	eng.At(300, func() { c.PowerCutInitiator(0) }) // inside the 700 ns SubmitBio
 	eng.RunUntil(sim.Millisecond)
-	if n := c.Target(0).Stats().Reads; n != 0 {
-		t.Fatalf("target served %d reads posted by a cut initiator", n)
+	if n := c.Init(0).Stats().ReadCmds; n != 0 {
+		t.Fatalf("a cut initiator posted %d reads", n)
+	}
+	if n := c.Target(0).SSD(0).Stats().Reads; n != 0 {
+		t.Fatalf("the device served %d reads posted by a cut initiator", n)
 	}
 	if !returned {
 		t.Fatal("the reader of a cut initiator never returned")
@@ -237,8 +240,8 @@ func TestCutInitiatorPostsNoReadWhileBuilding(t *testing.T) {
 		})
 		eng.At(k.SubmitBio+k.CacheBlockCPU*sim.Time(min(cache, 1))+100, func() { c.PowerCutInitiator(0) })
 		eng.RunUntil(sim.Millisecond)
-		if n := c.Target(0).Stats().Reads; n != 0 || !returned {
-			t.Errorf("cache %d: target served %d reads posted by a cut initiator; reader returned %v", cache, n, returned)
+		if n, m := c.Init(0).Stats().ReadCmds, c.Target(0).SSD(0).Stats().Reads; n != 0 || m != 0 || !returned {
+			t.Errorf("cache %d: a cut initiator posted %d reads, the device served %d; reader returned %v", cache, n, m, returned)
 		}
 		if st := c.Init(0).ReadCacheStats(); st.Inserts != 0 {
 			t.Errorf("cache %d: %d blocks filled after the cut", cache, st.Inserts)

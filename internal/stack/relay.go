@@ -386,7 +386,7 @@ func (t *Target) fireAgg(key aggKey, as *headAgg) {
 func (t *Target) pushResolved(l *qpLane, r aggResolved) {
 	l.resolved = append(l.resolved, r)
 	if len(l.cqes) == 0 && !l.armed {
-		t.armCQETimer(l, t.cqeHoldTime())
+		t.armCQETimer(l, t.gov.hold())
 	}
 }
 

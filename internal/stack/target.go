@@ -22,11 +22,10 @@ type TargetStats struct {
 	PMRAppends int64
 	PMRFull    int64 // appends that found their log partition full and parked
 	PMRToggles int64
-	Responses  int64 // response capsules sent (coalescing lowers this)
+	Responses  int64 // messages posted to initiators (post; coalescing lowers this)
 	CQEs       int64 // completion entries those capsules carried
 	Flushes    int64 // device FLUSHes issued
 	Barriers   int64 // flush barriers certified (a combined FLUSH certifies several)
-	Reads      int64 // read commands served (demand misses and prefetches)
 
 	// GovSwitches counts adaptive-governor operating-point transitions on
 	// this target (0 with the governor disabled).
@@ -124,6 +123,7 @@ type qpLane struct {
 	first      sim.Time // when it entered: the hold timer ships a batch only once it is cqeHold old
 	armed      bool     // a hold-timer event is outstanding
 	inflight   int      // commands submitted to an SSD and not yet responded
+	askRetires bool     // the next response capsule asks for watermarks (logFull)
 }
 
 // push appends one CQE (and its parallel stamps) to the pending response
@@ -185,8 +185,9 @@ type Target struct {
 	timerFree sim.FreeList[cqeTimer]
 	ssdDone   func(*ssd.Command) // t.onSSDDone, bound once
 
-	// gov, when non-nil, adapts the CQE hold time and flush threshold to
-	// the completion arrival rate (one EWMA per target; see governor.go).
+	// gov holds the CQE hold time and flush threshold (adapted to the
+	// completion arrival rate when Config.Governor is enabled; see
+	// governor.go).
 	gov *governor
 
 	// relay is the relay-route state (nil unless cfg.ReplRelay; relay.go).
@@ -205,6 +206,7 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		pol:   c.cfg.Mode.Policy(),
 		alive: true,
 		doneQ: sim.NewQueue[*tDone](c.Eng),
+		gov:   newGovernor(c.cfg, c.Eng.Now()),
 	}
 	t.ssdDone = t.onSSDDone
 	nInit := c.cfg.Initiators
@@ -218,9 +220,6 @@ func newTarget(c *Cluster, id int, tc TargetConfig) *Target {
 		t.ssds = append(t.ssds, ssd.New(c.Eng, sc))
 	}
 	t.flushers = make([]flushCombiner, len(t.ssds))
-	if c.cfg.Governor.Enabled {
-		t.gov = newGovernor(c.cfg.Governor, c.Eng.Now())
-	}
 	t.ord = order.NewEngine[parkedCmd](t.pol, nInit, c.cfg.Streams, len(t.ssds), c.cfg.MaxPlug)
 	for i := 0; i < nInit; i++ {
 		t.logs = append(t.logs, core.NewLog(t.pmrRegion(i)))
@@ -463,21 +462,16 @@ func (x *tctx) rxCtrlAppend() bool {
 		x.t.stats.CtrlOps++
 		return x.appendPMR(a, (*tctx).rxCtrlAppend)
 	}
-	x.resume = (*tctx).rxCtrlPost
+	x.resume = (*tctx).rxCtrlAck
 	return x.To((*tctx).rxPersist)
 }
-
-func (x *tctx) rxCtrlPost() bool { return x.Charge(x.t.c.costs.PostMsg, (*tctx).rxCtrlAck) }
 
 // rxCtrlAck acks the control capsule: the ack carries the capsule's
 // signal, so the capsule can be recycled while the ack is in flight.
 func (x *tctx) rxCtrlAck() bool {
-	t, cp, qp := x.t, x.cp, x.l.qp
-	t.stats.Responses++
-	msg := t.c.getMsg(qp, cp.epoch, t.id)
-	msg.ctrlAck = cp.ack
-	t.conns[x.l.init].Send(fabric.Target, fabric.Message{QP: qp, Size: nvmeof.ResponseSize, Payload: msg})
-	return x.To((*tctx).rxReask)
+	msg := x.t.c.getMsg(x.l.qp, x.cp.epoch, x.t.id)
+	msg.ctrlAck = x.cp.ack
+	return x.post(x.l, msg, nvmeof.ResponseSize, (*tctx).rxReask)
 }
 
 func (x *tctx) rxReask() bool {
@@ -681,29 +675,25 @@ func (x *tctx) pmrAppend() bool {
 	}
 	// Log full: wait for retirement (backpressure). Rio's watermarks travel
 	// on the owner's command capsules, and an owner with nothing more to
-	// post would never send them, so ask for them.
+	// post would never send them, so ask for them: the lane's next
+	// response capsule carries the logFull mark (flushCQEs), shipped
+	// without a CQE if none is pending. The initiator answers with the
+	// watermarks no capsule has carried yet (sendRetires). Each retirement
+	// clears logFull and wakes the parked appends, so one that finds the
+	// log still full (the head entry is not retired yet) asks again.
 	t.cores.Release()
 	t.stats.PMRFull++
 	if init := int(a.Initiator); t.pol.Gated() && !t.logFull[init] {
 		t.logFull[init] = true
-		t.askRetires(init, x.l.qp)
+		l := t.lane(init, x.l.qp)
+		l.askRetires = true
+		t.routeFlush(l)
 	}
 	x.To((*tctx).pmrRetry)
 	return t.logSpace[a.Initiator].Wait(x)
 }
 
 func (x *tctx) pmrRetry() bool { return x.Acquire((*tctx).pmrAppend) }
-
-// askRetires tells initiator init that its log partition here is full: a
-// completion capsule with no CQE and the logFull mark. The initiator
-// answers with the watermarks no capsule has carried yet (sendRetires).
-// Each retirement clears logFull and wakes the parked appends, so one that
-// finds the log still full (the head entry is not retired yet) asks again.
-func (t *Target) askRetires(init, qp int) {
-	msg := t.c.getMsg(qp, t.initEpoch(init), t.id)
-	msg.logFull = true
-	t.conns[init].Send(fabric.Target, fabric.Message{QP: qp, Size: nvmeof.ResponseSize, Payload: msg})
-}
 
 // rxPersist reads the burst back: one PMRWriteLat, the core still held,
 // makes every attribute appended since the last read-back durable (a
@@ -1060,25 +1050,6 @@ func (x *tctx) persistMarked() bool {
 	return x.Back()
 }
 
-// cqeHoldTime returns how long a lone completion may wait for companions
-// before the coalescing buffer is flushed anyway (the reverse-path analog
-// of the submission plug's hold timer): the static Config.CQEHold, or the
-// governor's operating point when adaptive.
-func (t *Target) cqeHoldTime() sim.Time {
-	if t.gov != nil {
-		return t.gov.hold()
-	}
-	return t.c.cfg.CQEHold
-}
-
-// cqeBatchSize returns the coalescing flush threshold in effect.
-func (t *Target) cqeBatchSize() int {
-	if t.gov != nil {
-		return t.gov.batch()
-	}
-	return t.c.cfg.CQEBatch
-}
-
 // respond queues one completion toward the owning initiator and returns to
 // ret: the CQE joins its lane's pending response capsule, flushed when
 // CQEBatch entries accumulate or the hold timer expires.
@@ -1097,7 +1068,7 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 	if l.inflight > 0 {
 		l.inflight--
 	}
-	if t.gov != nil && t.gov.observe(t.c.Eng.Now()) {
+	if t.gov.observe(t.c.Eng.Now()) {
 		t.stats.GovSwitches++
 	}
 	if t.relay != nil {
@@ -1125,11 +1096,11 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 // flight longer than the hold.
 func (x *tctx) flushOrArm(l *qpLane, ret tstep) bool {
 	t := x.t
-	if len(l.cqes) >= t.cqeBatchSize() || l.inflight == 0 {
+	if len(l.cqes) >= t.gov.batch() || l.inflight == 0 {
 		return x.flushCQEs(l, ret)
 	}
 	if !l.armed {
-		t.armCQETimer(l, t.cqeHoldTime())
+		t.armCQETimer(l, t.gov.hold())
 	}
 	return x.To(ret)
 }
@@ -1175,7 +1146,7 @@ func (tm *cqeTimer) Run() {
 		if len(l.resolved) == 0 {
 			return
 		}
-	} else if wait := l.first + t.cqeHoldTime() - t.c.Eng.Now(); wait > 0 {
+	} else if wait := l.first + t.gov.hold() - t.c.Eng.Now(); wait > 0 {
 		// The batch this timer was armed for was consumed by a
 		// threshold flush; re-arm for the younger one now pending.
 		t.armCQETimer(l, wait)
@@ -1199,7 +1170,7 @@ func (t *Target) routeFlush(l *qpLane) {
 // and ships as a bare 16-byte capsule.
 func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	t := x.t
-	if len(l.cqes) == 0 && len(l.resolved) == 0 {
+	if len(l.cqes) == 0 && len(l.resolved) == 0 && !l.askRetires {
 		return x.To(ret)
 	}
 	// Detach before charging CPU: the charge waits, and the other
@@ -1211,21 +1182,30 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	msg.agg, l.agg = l.agg, msg.agg
 	msg.aggMembers, l.aggMembers = l.aggMembers, msg.aggMembers
 	msg.resolved, l.resolved = l.resolved, msg.resolved
+	msg.logFull, l.askRetires = l.askRetires, false
 	if len(msg.cqes) == 0 {
-		// Resolution-only capsule: no buffered CQE minted the epoch, so
-		// stamp the initiator's current one.
+		// Resolution-only or log-full capsule: no buffered CQE minted the
+		// epoch, so stamp the initiator's current one.
 		msg.epoch = t.initEpoch(l.init)
 	}
-	x.outSize = nvmeof.ResponseSize
+	size := nvmeof.ResponseSize
 	if n := len(msg.cqes); n > 1 {
-		x.outSize = nvmeof.CQEVectorCapsuleSize(n)
+		size = nvmeof.CQEVectorCapsuleSize(n)
 	}
-	x.outSize += len(msg.resolved) * nvmeof.ResponseSize
-	x.out, x.outLane, x.Ret = msg, l, ret
-	return x.Charge(t.c.costs.PostMsg, (*tctx).cqesPosted)
+	size += len(msg.resolved) * nvmeof.ResponseSize
+	return x.post(l, msg, size, ret)
 }
 
-func (x *tctx) cqesPosted() bool {
+// post is the one step every message a target sends an initiator takes
+// (response capsules, Horae control acks, log-full asks): it charges
+// PostMsg, then sends msg, size bytes, on lane l's queue pair and returns
+// to ret. A power cut during the charge drops the message with the NIC.
+func (x *tctx) post(l *qpLane, msg *completionMsg, size int, ret tstep) bool {
+	x.out, x.outLane, x.outSize, x.Ret = msg, l, size, ret
+	return x.Charge(x.t.c.costs.PostMsg, (*tctx).posted)
+}
+
+func (x *tctx) posted() bool {
 	t, l, msg := x.t, x.outLane, x.out
 	x.out, x.outLane = nil, nil
 	if !t.alive { // power cut while posting: the capsule dies with the NIC

@@ -53,7 +53,7 @@ type tctx struct {
 	k      int
 	mark   order.SlotRef
 
-	// flushCQEs: the response capsule detached from its lane while PostMsg
+	// post: the message to an initiator, its lane and size while PostMsg
 	// is charged. relayRespond: the follower ack being posted to the head.
 	out     *completionMsg
 	outLane *qpLane

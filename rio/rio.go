@@ -288,15 +288,18 @@ type Handle struct {
 }
 
 // Wait blocks until the completion is delivered in storage order
-// (rio_wait). A second Wait returns at once.
-func (h *Handle) Wait() {
+// (rio_wait). It returns stack.ErrServerDown when the calling thread's
+// initiator died before the thread was back on a core; the request is
+// released either way. A second Wait returns nil at once.
+func (h *Handle) Wait() error {
 	if h.req == nil {
-		return
+		return nil
 	}
-	h.ctx.in.Wait(h.ctx.p, h.req)
+	err := h.ctx.in.Wait(h.ctx.p, h.req)
 	h.attr = h.Attr()
 	h.ctx.in.Release(h.req)
 	h.req = nil
+	return err
 }
 
 // Done reports whether the completion has been delivered.

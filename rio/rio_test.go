@@ -1,6 +1,12 @@
 package rio
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/stack"
+)
 
 func TestAttrExposure(t *testing.T) {
 	c := NewCluster(Options{Seed: 2})
@@ -46,6 +52,39 @@ func TestWaitReleasesRequest(t *testing.T) {
 		}
 	})
 	c.Run()
+}
+
+// TestWaitReportsCutMidWait cuts the initiator while a commit's thread is
+// between its delivery and its return (the wake-up after the wait): Wait
+// must return stack.ErrServerDown, at the instant the uncut run returns
+// nil, and still release the request, so a second Wait returns nil.
+func TestWaitReportsCutMidWait(t *testing.T) {
+	run := func(cut sim.Time) (ret sim.Time, err, again error) {
+		c := NewCluster(Options{Seed: 2})
+		defer c.Close()
+		c.Go(func(ctx *Ctx) {
+			h := ctx.Stream(0).Commit(7, 1)
+			err = h.Wait()
+			ret = ctx.Now()
+			again = h.Wait()
+			if h.req != nil {
+				t.Error("Wait kept the request")
+			}
+		})
+		if cut > 0 {
+			c.Engine().At(cut, func() { c.Fault(InitiatorScope(0)) })
+		}
+		c.Run()
+		return ret, err, again
+	}
+	ret, err, _ := run(0)
+	if ret == 0 || err != nil {
+		t.Fatalf("uncut commit: Wait returned at %v with %v, want a return without error", ret, err)
+	}
+	if got, err, again := run(ret - 1); got != ret || !errors.Is(err, stack.ErrServerDown) || again != nil {
+		t.Fatalf("commit cut 1 ns before its return: Wait returned at %v with %v, then %v; want %v with %v, then nil",
+			got, err, again, ret, stack.ErrServerDown)
+	}
 }
 
 func TestOrderlessClusterHasNoAttrs(t *testing.T) {

@@ -12,12 +12,15 @@
 # workload's table is followed by three of them that show how the order gate
 # and the completion path trade (parks against response capsules):
 # order.holdbacks_per_kcmd, stack.completion_msgs_per_op and
-# stack.cqe_batch_occupancy, side by side, unbounded.
+# stack.cqe_batch_occupancy, side by side, unbounded. With EXACT=1 it also
+# exits 1 when any sim_* metric is not identical or ops_failed_share differs
+# at all, and names them: the check of a change that claims no simulated
+# number moved.
 #
-#   scripts/sim-diff.sh PARENT [SEED] [TRACE]
-#   make sim-diff PARENT=/path/to/parent SEED=7 TRACE=1
+#   scripts/sim-diff.sh PARENT [SEED] [TRACE] [EXACT]
+#   make sim-diff PARENT=/path/to/parent SEED=7 TRACE=1 EXACT=1
 set -euo pipefail
-parent="${1:?usage: sim-diff.sh PARENT [SEED] [TRACE]}" seed="${2:-1}" trace="${3:-0}"
+parent="${1:?usage: sim-diff.sh PARENT [SEED] [TRACE] [EXACT]}" seed="${2:-1}" trace="${3:-0}" exact="${4:-0}"
 change="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 parent="$(cd "$parent" && pwd)"
 spec="$change/BENCHMARK.json"
@@ -43,7 +46,7 @@ failed_share() { # JSON line → failed / attempted
 		-v f="$(grep -o '"failed":[0-9]*' <<<"$1" | sed 's/.*://')" 'BEGIN{printf "%.6g", (a > 0) ? f / a : 0}'
 }
 
-worse=0
+worse=0 moved=()
 for w in $workloads; do
 	pj="$(run "$parent" "$w")" cj="$(run "$change" "$w")"
 	echo "== $w, seeds $seed..$((seed + 4)) (median)"
@@ -51,6 +54,7 @@ for w in $workloads; do
 	while read -r metric better bound; do
 		p="$(value "$pj" "$metric")" c="$(value "$cj" "$metric")"
 		[[ -n "$p" && -n "$c" ]] || { echo "sim-diff: no metric $metric in the benchmark's output" >&2; exit 1; }
+		[[ "$p" == "$c" ]] || moved+=("$w:$metric")
 		awk -v m="$metric" -v p="$p" -v c="$c" -v better="$better" -v bound="$bound" 'BEGIN{
 			rel = (p != 0) ? (c - p) / p : 0
 			loss = (better == "higher") ? -rel : rel
@@ -63,6 +67,7 @@ for w in $workloads; do
 	pf="$(failed_share "$pj")" cf="$(failed_share "$cj")"
 	mark=""
 	if awk "BEGIN{exit !($cf > $pf)}"; then mark="  WORSE (exact)" worse=1; fi
+	[[ "$pf" == "$cf" ]] || moved+=("$w:ops_failed_share")
 	printf '%-26s %14s %14s %10s %7s%s\n' ops_failed_share "$pf" "$cf" "" exact "$mark"
 	if ((trace)); then
 		pt="$(run "$parent" "$w" 1)" ct="$(run "$change" "$w" 1)"
@@ -74,5 +79,10 @@ for w in $workloads; do
 		done
 	fi
 done
+if ((exact && ${#moved[@]})); then echo "sim-diff: EXACT: not identical: ${moved[*]}"; fi
 if ((worse)); then echo "sim-diff: at least one metric worsened past its bound"; exit 1; fi
 echo "sim-diff: no simulated metric worsened past its bound"
+if ((exact)); then
+	((${#moved[@]} == 0)) || exit 1
+	echo "sim-diff: EXACT: every sim_* metric identical, ops_failed_share unchanged"
+fi
