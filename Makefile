@@ -88,7 +88,7 @@ bench-layers:
 # The committed baseline every experiment must reproduce: named here and
 # nowhere else (CI runs `make bench-gate`; cmd/benchdiff is handed the name,
 # internal/bench's baseline test reads it from this line).
-BASELINE := BENCH_30.json
+BASELINE := BENCH_31.json
 
 # Regenerate the tracked perf-trajectory snapshot: every experiment, quick.
 bench-json: build

@@ -98,6 +98,9 @@ var gates = []gate{
 	{"replication.rio.kiops.r3.relay", true, 0},
 	{"replication.rio.tx_msgs_per_op.r3.relay", false, 0},
 	{"replication.rio.completion_msgs_per_op.r3.relay", false, 1.5},
+	// Follower-to-head ack capsules per op must stay coalesced: one
+	// message per relayed completion (~2 per op at r3) is the regression.
+	{"replication.rio.relay_ack_msgs_per_op.r3.relay", false, 0},
 	{"replication.rio.failover_blip_us.relay", false, 0},
 	{"replication.rio.resync_divergence.relay", false, 0},
 	{"serve.rio.kiops", true, 0},
@@ -158,10 +161,18 @@ func check(g gate, base, fresh, threshold float64) (ok bool, detail string) {
 // compare runs every gate and returns the failures (empty = gate passes).
 // A gated metric missing from either report is a failure: the gate must
 // never silently pass because a key was renamed or an experiment dropped.
-func compare(base, fresh map[string]float64, threshold float64) (lines []string, failures []string) {
+// The one exception is introduced: when fresh is a committed baseline and
+// base its predecessor, a gated key only the baseline has is a metric that
+// baseline introduces — it has nothing to regress from yet, and from then
+// on it is held like any other (a key the baseline dropped still fails).
+func compare(base, fresh map[string]float64, threshold float64, introduced bool) (lines []string, failures []string) {
 	for _, g := range gates {
 		b, bok := base[g.key]
 		f, fok := fresh[g.key]
+		if introduced && !bok && fok {
+			lines = append(lines, fmt.Sprintf("new  %-32s base            -  new %12.3f  (introduced: gated from this baseline on)", g.key, f))
+			continue
+		}
 		if !bok || !fok {
 			failures = append(failures, fmt.Sprintf(
 				"%s: gated metric missing from %s report — a renamed key or a dropped experiment must fail the gate, never skip it",
@@ -274,7 +285,7 @@ func runGate(baselinePath, newPath string, threshold float64, out io.Writer) int
 		pairs = [][2]string{{prev, baselinePath}, {baselinePath, newPath}}
 	}
 	failed := 0
-	for _, pair := range pairs {
+	for i, pair := range pairs {
 		base, err := load(pair[0])
 		if err != nil {
 			fmt.Fprintln(out, "benchdiff:", err)
@@ -287,7 +298,7 @@ func runGate(baselinePath, newPath string, threshold float64, out io.Writer) int
 		}
 		fmt.Fprintf(out, "benchdiff: %s vs %s (threshold %.0f%%)\n", pair[1], pair[0], 100*threshold)
 		b, f := values(base.Metrics), values(fresh.Metrics)
-		lines, failures := compare(b, f, threshold)
+		lines, failures := compare(b, f, threshold, i == 0 && prev != "")
 		for _, l := range lines {
 			fmt.Fprintln(out, l)
 		}

@@ -27,6 +27,7 @@ func baseMetrics() map[string]float64 {
 		"replication.rio.kiops.r3.relay":                  570,
 		"replication.rio.tx_msgs_per_op.r3.relay":         0.74,
 		"replication.rio.completion_msgs_per_op.r3.relay": 0.92,
+		"replication.rio.relay_ack_msgs_per_op.r3.relay":  1.28,
 		"replication.rio.failover_blip_us.relay":          83,
 		"replication.rio.resync_divergence.relay":         0,
 		"satload.rio.knee_kiops":                          1035,
@@ -37,7 +38,7 @@ func baseMetrics() map[string]float64 {
 }
 
 func TestGateIdenticalPasses(t *testing.T) {
-	_, failures := compare(baseMetrics(), baseMetrics(), 0.10)
+	_, failures := compare(baseMetrics(), baseMetrics(), 0.10, false)
 	if len(failures) != 0 {
 		t.Fatalf("identical reports failed the gate: %v", failures)
 	}
@@ -47,7 +48,7 @@ func TestGateSmallDriftPasses(t *testing.T) {
 	fresh := baseMetrics()
 	fresh["scale.rio.kiops.s8"] = 1150 // -4%
 	fresh["scale.rio.p99_us"] = 95     // +5.6%
-	_, failures := compare(baseMetrics(), fresh, 0.10)
+	_, failures := compare(baseMetrics(), fresh, 0.10, false)
 	if len(failures) != 0 {
 		t.Fatalf("within-threshold drift failed the gate: %v", failures)
 	}
@@ -79,6 +80,7 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 		{"relay win decays -12% (fast path loses to direct)", "replication.rio.kiops.r3.relay", 570 * 0.88},
 		{"relay egress creeps +20% (fan-out leaks back to the initiator)", "replication.rio.tx_msgs_per_op.r3.relay", 0.74 * 1.20},
 		{"aggregation decays past the 1.5 cpl/op budget", "replication.rio.completion_msgs_per_op.r3.relay", 1.6},
+		{"follower acks decoalesce (one message per relayed completion again)", "replication.rio.relay_ack_msgs_per_op.r3.relay", 2.0},
 		{"relay head-cut blip +20% (degrade path slows)", "replication.rio.failover_blip_us.relay", 83 * 1.20},
 		{"relay resync diverges (head-cut repair lost a write)", "replication.rio.resync_divergence.relay", 3},
 		{"prefetcher stops firing (readahead hits collapse)", "read.rio.readahead_hits", 1025 * 0.85},
@@ -86,7 +88,7 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 	for _, tc := range cases {
 		fresh := baseMetrics()
 		fresh[tc.key] = tc.val
-		if _, failures := compare(baseMetrics(), fresh, 0.10); len(failures) == 0 {
+		if _, failures := compare(baseMetrics(), fresh, 0.10, false); len(failures) == 0 {
 			t.Errorf("%s: injected regression passed the gate", tc.name)
 		}
 	}
@@ -95,12 +97,12 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 func TestGateFailsOnMissingMetric(t *testing.T) {
 	fresh := baseMetrics()
 	delete(fresh, "scale.rio.p99_us")
-	if _, failures := compare(baseMetrics(), fresh, 0.10); len(failures) == 0 {
+	if _, failures := compare(baseMetrics(), fresh, 0.10, false); len(failures) == 0 {
 		t.Error("missing gated metric passed the gate")
 	}
 	base := baseMetrics()
 	delete(base, "scale.rio.kiops.s8")
-	if _, failures := compare(base, baseMetrics(), 0.10); len(failures) == 0 {
+	if _, failures := compare(base, baseMetrics(), 0.10, false); len(failures) == 0 {
 		t.Error("missing baseline metric passed the gate")
 	}
 }
@@ -110,11 +112,11 @@ func TestNonZeroLowerBetterRelative(t *testing.T) {
 	base["replication.rio.resync_divergence.relay"] = 2
 	fresh := baseMetrics()
 	fresh["replication.rio.resync_divergence.relay"] = 2.1
-	if _, failures := compare(base, fresh, 0.10); len(failures) != 0 {
+	if _, failures := compare(base, fresh, 0.10, false); len(failures) != 0 {
 		t.Fatalf("+5%% divergence on nonzero base failed: %v", failures)
 	}
 	fresh["replication.rio.resync_divergence.relay"] = 2.5
-	if _, failures := compare(base, fresh, 0.10); len(failures) == 0 {
+	if _, failures := compare(base, fresh, 0.10, false); len(failures) == 0 {
 		t.Fatal("+25% divergence on nonzero base passed")
 	}
 }
@@ -125,11 +127,11 @@ func TestNonZeroLowerBetterRelative(t *testing.T) {
 func TestGateFailsOnUnusableBaseline(t *testing.T) {
 	base := baseMetrics()
 	base["scale.rio.kiops.s8"] = 0
-	if _, failures := compare(base, baseMetrics(), 0.10); len(failures) == 0 {
+	if _, failures := compare(base, baseMetrics(), 0.10, false); len(failures) == 0 {
 		t.Fatal("zero higher-is-better baseline passed the gate")
 	}
 	base["scale.rio.kiops.s8"] = -5
-	if _, failures := compare(base, baseMetrics(), 0.10); len(failures) == 0 {
+	if _, failures := compare(base, baseMetrics(), 0.10, false); len(failures) == 0 {
 		t.Fatal("negative higher-is-better baseline passed the gate")
 	}
 }
@@ -142,11 +144,11 @@ func TestAbsoluteGateIgnoresBaseline(t *testing.T) {
 	base["trace.rio.overhead_pct"] = 1.5 // already ate most of the budget
 	fresh := baseMetrics()
 	fresh["trace.rio.overhead_pct"] = 1.9 // +27% relative, but inside 2.0 abs
-	if _, failures := compare(base, fresh, 0.10); len(failures) != 0 {
+	if _, failures := compare(base, fresh, 0.10, false); len(failures) != 0 {
 		t.Fatalf("within-budget overhead failed the absolute gate: %v", failures)
 	}
 	fresh["trace.rio.overhead_pct"] = 2.1
-	if _, failures := compare(base, fresh, 0.10); len(failures) == 0 {
+	if _, failures := compare(base, fresh, 0.10, false); len(failures) == 0 {
 		t.Fatal("over-budget overhead passed the absolute gate")
 	}
 }
@@ -199,7 +201,9 @@ func TestGateComparesBaselineWithPredecessor(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string) string { return filepath.Join(dir, name) }
 	writeReport(t, file("BENCH_3.json"), map[string]float64{"scale.rio.kiops.s8": 1}) // not the predecessor of 20
-	writeReport(t, file("BENCH_15.json"), baseMetrics())
+	pred := baseMetrics()
+	delete(pred, "replication.rio.relay_ack_msgs_per_op.r3.relay") // gated only from BENCH_20 on
+	writeReport(t, file("BENCH_15.json"), pred)
 	writeReport(t, file("BENCH_30.json"), map[string]float64{"scale.rio.kiops.s8": 1}) // nor is a later one
 	for name, tc := range map[string]struct {
 		edit func(m map[string]float64)
@@ -209,6 +213,8 @@ func TestGateComparesBaselineWithPredecessor(t *testing.T) {
 		"kiops.s8 -20%":    {func(m map[string]float64) { m["scale.rio.kiops.s8"] *= 0.8 }, 1},
 		"gated key gone":   {func(m map[string]float64) { delete(m, "serve.rio.p99_us") }, 1},
 		"abs budget blown": {func(m map[string]float64) { m["trace.rio.overhead_pct"] = 2.5 }, 1},
+		// BENCH_15 below lacks this key: the successor introduces it.
+		"introduced key, any value": {func(m map[string]float64) { m["replication.rio.relay_ack_msgs_per_op.r3.relay"] = 2.0 }, 0},
 	} {
 		successor := baseMetrics()
 		tc.edit(successor)
@@ -220,6 +226,21 @@ func TestGateComparesBaselineWithPredecessor(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), "BENCH_20.json vs "+file("BENCH_15.json")) {
 			t.Errorf("%s: the baseline was not compared with BENCH_15.json:\n%s", name, out.String())
+		}
+	}
+	// The key BENCH_20 introduced is held from then on: a fresh run that
+	// drops it, or regresses it against BENCH_20, fails.
+	writeReport(t, file("BENCH_20.json"), baseMetrics())
+	for name, edit := range map[string]func(m map[string]float64){
+		"introduced key gone from the fresh run":    func(m map[string]float64) { delete(m, "replication.rio.relay_ack_msgs_per_op.r3.relay") },
+		"introduced key regresses in the fresh run": func(m map[string]float64) { m["replication.rio.relay_ack_msgs_per_op.r3.relay"] = 2.0 },
+	} {
+		fresh := baseMetrics()
+		edit(fresh)
+		writeReport(t, file("fresh.json"), fresh)
+		var out bytes.Buffer
+		if got := runGate(file("BENCH_20.json"), file("fresh.json"), 0.10, &out); got != 1 {
+			t.Errorf("%s: gate exited %d, want 1\n%s", name, got, out.String())
 		}
 	}
 	// A first baseline has no predecessor: only the fresh run is gated.

@@ -9,8 +9,10 @@
 //	riocrash -seed N [-n K] [-set key=value …] [-v]
 //
 // -n runs plans N … N+K-1, every one of them — a failing plan prints its repro
-// line and the run goes on — and ends with `f of K plans break the contract`
-// and a histogram of what was drawn; the exit status is 1 iff f > 0. Each
+// line and the run goes on — and ends with `f of K plans break the contract`,
+// a histogram of what was drawn and how many candidate draws each recorded
+// finding kept out (and all of them together); the exit status is 1 iff
+// f > 0. Each
 // -set pins one dimension instead of drawing it (`riocrash -set help` lists
 // them); the rest is still drawn from the seed. Without -seed a fresh seed is
 // drawn and printed. -v prints every cut and recovery of a run.
@@ -69,7 +71,7 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintf(out, "  ok: %v\n", res)
 	}
 	if *n > 1 {
-		fmt.Fprintf(out, "%d of %d plans break the contract; drawn:\n%s", failed, *n, crash.Histogram(plans))
+		fmt.Fprintf(out, "%d of %d plans break the contract; drawn:\n%s%s", failed, *n, crash.Histogram(plans), crash.MaskTable(plans))
 	}
 	if failed > 0 {
 		return 1

@@ -146,6 +146,10 @@ func ReplicationSweep(o Options) *Result {
 	res.Metric("replication.rio.p99_us.r3.relay", float64(brR.Lat.P99())/1000)
 	res.Metric("replication.rio.completion_msgs_per_op.r3.direct", brD.Stats.CompletionMsgsPerOp())
 	res.Metric("replication.rio.completion_msgs_per_op.r3.relay", brR.Stats.CompletionMsgsPerOp())
+	// Follower-to-head ack capsules per op: each coalesces the relayed
+	// completions a follower gathered under the response capsule's flush
+	// rule, so it stays below the followers' R-1 acks per op.
+	res.Metric("replication.rio.relay_ack_msgs_per_op.r3.relay", metrics.MsgsPerOp(brR.TgtStats.RelayAckMsgs, brR.Stats.Completed))
 	res.Metric("replication.rio.tx_msgs_per_op.r3.direct", dMsgs)
 	res.Metric("replication.rio.tx_msgs_per_op.r3.relay", rMsgs)
 	res.Metric("replication.rio.tx_bytes_per_op.r3.direct", dBytes)
@@ -156,9 +160,10 @@ func ReplicationSweep(o Options) *Result {
 		dMsgs, rMsgs, brD.Stats.CompletionMsgsPerOp(), brR.Stats.CompletionMsgsPerOp(), brR.relayed))
 
 	// Relay failover: power-cut the HEAD mid-measurement. The repair path
-	// (exact-prefix re-post + survivor ack flush + degrade to direct
-	// fan-out) must keep every stream flowing; the blip is gated next to
-	// the direct-path member cut's.
+	// (every initiator re-asks the surviving followers about its relayed
+	// commands, each answered from the follower's gate and in-flight table;
+	// the set degrades to direct fan-out) must keep every stream flowing;
+	// the blip is gated next to the direct-path member cut's.
 	brF := runRelayPoint(o, true, cutAt)
 	violations += brF.violations
 	res.Metric("replication.rio.failover_kiops.relay", brF.KIOPS())

@@ -52,6 +52,12 @@ type Plan struct {
 	Seed int64
 	Cfg  stack.Config
 	pins []string
+
+	// Masked counts, per findings row, the candidate draws that row's
+	// predicate refused before this plan was drawn, and Redrawn the
+	// candidates any row refused (a candidate can hit several rows).
+	Masked  []int
+	Redrawn int
 }
 
 type dim struct {
@@ -124,7 +130,7 @@ func (pl *Plan) allows(item string) bool {
 // only when the pins admit no legal plan, and then says which rule refused
 // the draw that got furthest.
 func Draw(seed int64, set ...string) (Plan, error) {
-	pl := Plan{Seed: seed, pins: set}
+	pl := Plan{Seed: seed, pins: set, Masked: make([]int, len(findings))}
 	field, pinned := map[string]reflect.Value{}, map[string]reflect.Value{}
 	for _, d := range dims {
 		field[d.name] = reflect.ValueOf(&pl).Elem().FieldByName(d.name)
@@ -233,12 +239,18 @@ func (pl *Plan) legal() (stage int, err error) {
 			return 1 + i, errors.New("crash: " + rule.what)
 		}
 	}
-	for _, f := range findings {
+	for i, f := range findings {
 		if f.hit(pl) && !pl.allows(f.item) {
-			return 100, fmt.Errorf("crash: recorded finding, ROADMAP item 1(%s): %s (-set allow=%s runs it)", f.item[1:], f.what, f.item)
+			pl.Masked[i]++
+			if err == nil {
+				err = fmt.Errorf("crash: recorded finding, ROADMAP item 1(%s): %s (-set allow=%s runs it)", f.item[1:], f.what, f.item)
+			}
 		}
 	}
-	return 100, nil
+	if err != nil {
+		pl.Redrawn++
+	}
+	return 100, err
 }
 
 // Repro is the command line that runs exactly this plan.
@@ -253,6 +265,28 @@ func (pl Plan) String() string {
 		fmt.Fprintf(&b, "%s=%v ", strings.ToLower(d.name), reflect.ValueOf(pl).FieldByName(d.name))
 	}
 	return strings.TrimSpace(b.String())
+}
+
+// MaskTable sums, over plans, the candidate draws each recorded finding's
+// predicate refused, then the candidates redrawn in all (a candidate can hit
+// several findings): the share of the space the findings keep out, which
+// closing one wins back. One line, in the histogram's layout.
+func MaskTable(plans []Plan) string {
+	var b strings.Builder
+	b.WriteString("masked   ")
+	for i, f := range findings {
+		n := 0
+		for _, pl := range plans {
+			n += pl.Masked[i]
+		}
+		fmt.Fprintf(&b, " %s:%d", f.item, n)
+	}
+	total := 0
+	for _, pl := range plans {
+		total += pl.Redrawn
+	}
+	fmt.Fprintf(&b, " all:%d\n", total)
+	return b.String()
 }
 
 // Histogram counts, per dimension, how many of the plans drew each value

@@ -269,12 +269,19 @@ func (c *Cluster) putMsg(cm *completionMsg) {
 	}
 }
 
-// putAck recycles a relay ack (relayAcked fills one from ackFree in place).
+// getAck checks a follower's ack capsule out of the pool.
+func (c *Cluster) getAck(member int) *relayAckMsg {
+	a := c.ackFree.Get()
+	a.free, a.member = false, member
+	return a
+}
+
+// putAck recycles a follower's ack capsule.
 func (c *Cluster) putAck(a *relayAckMsg) {
 	if a.free {
 		panic("stack: relay ack recycled twice")
 	}
-	*a = relayAckMsg{free: true}
+	*a = relayAckMsg{acks: a.acks[:0], free: true}
 	if !c.poison {
 		c.ackFree.Put(a)
 	}

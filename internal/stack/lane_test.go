@@ -25,7 +25,7 @@ func volatileLaneFields(l *qpLane, fn func(name string, v reflect.Value)) {
 // TestPowerCutInitiatorResetsItsLanesOnly: an initiator power cut must
 // leave nothing of the dead incarnation in its lanes at any target — no
 // queued capsule, pending CQE, trace stamp, aggregation annotation,
-// resolution record, armed flag, in-flight count or watermark ask — while a
+// resolution record, relay ack entry, armed flag, in-flight count or watermark ask — while a
 // peer initiator's lanes on the same targets are not touched.
 func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 	eng := sim.New(5)
@@ -47,6 +47,7 @@ func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 			l.aggMembers = append(l.aggMembers, 0, 1)
 			l.push(uint64(100+l.qp), 3, aggCQE{off: 0, n: 2, wait: 9})
 			l.resolved = append(l.resolved, aggResolved{init: l.init, id: 7, member: 1})
+			l.acks = append(l.acks, relayAck{init: l.init, qp: l.qp, id: 8, epoch: 3})
 			l.armed, l.inflight, l.askRetires = true, 4, true
 			volatileLaneFields(l, func(name string, v reflect.Value) {
 				if v.IsZero() {

@@ -16,24 +16,31 @@ import (
 // stream per member. The relay route moves both costs to the set's head:
 //
 //	initiator ──head capsule + forward[]──▶ head ──forward[j]──▶ follower j
-//	initiator ◀─aggregated CQE + late-ack records── head ◀─relay acks──┘
+//	initiator ◀─aggregated CQE + late-ack records── head ◀─ack capsules─┘
 //
 //   - Fan-out: the initiator builds every member's capsule exactly as on
 //     the direct route (buildMemberCapsule) but posts only the head's,
 //     with the followers' ready-built capsules attached; the head forwards
 //     them over dedicated target-to-target conns. Per-member ServerIdx
 //     chains, PMR appends and gate semantics are those of the direct route.
-//   - Ack aggregation: followers send their completions to the head. The
-//     head runs the same quorum accountant the initiator does
-//     (order.Quorum) and emits ONE aggregated CQE at write quorum, carrying
-//     the acked member list; later acks become resolution records
-//     piggybacked on later completion capsules.
+//   - Ack aggregation: followers send their completions to the head,
+//     coalesced: each follower buffers its relayed completions on its ack
+//     lane (relayState.out) and ships them as one capsule under the rule a
+//     response capsule ships by (flushOrArm: a full batch, no relayed
+//     command left in flight there, or the hold timer) — one PostMsg at the
+//     follower and one RecvMsg at the head per capsule. The head runs the
+//     same quorum accountant the initiator does (order.Quorum) and emits
+//     ONE aggregated CQE at write quorum, carrying the acked member list;
+//     later acks become resolution records piggybacked on later completion
+//     capsules.
 //
 // Failure semantics: ANY degraded member suspends the relay route for its
 // set (relayActive) and new batches go direct. A follower cut flushes the
 // head's open quorum records (partial member lists are safe to forward;
-// later acks pass through as resolution records). A head cut is repaired
-// by one question: each live initiator asks every surviving follower, per
+// later acks pass through as resolution records) and clears the
+// follower's own coalescing acks. A head cut clears every follower's (no
+// buffered ack reaches a later head incarnation) and is repaired by one
+// question: each live initiator asks every surviving follower, per
 // QP, about the relayed commands that follower has not resolved
 // (reaskAfterHeadCut, built from the initiator's outstanding table alone),
 // and the follower answers each from what it holds (answerReask):
@@ -79,15 +86,21 @@ type aggResolved struct {
 	member int
 }
 
-// relayAckMsg is one follower completion routed to the set's head over the
-// relay conn (the target-to-target messages do not count against the
-// initiator's completion messages — that is the point).
+// relayAck is one entry of a follower's ack capsule: a relayed command the
+// follower completed, named as the head's quorum record knows it.
+type relayAck struct {
+	init, qp int
+	id       uint64
+	epoch    int // the owning initiator's epoch at relay time
+}
+
+// relayAckMsg is one follower's ack capsule to its set head over the relay
+// conn: every relayed completion the follower gathered since its last one
+// (the target-to-target messages do not count against the initiator's
+// completion messages — that is the point).
 type relayAckMsg struct {
-	init   int
-	qp     int
-	id     uint64
+	acks   []relayAck
 	member int
-	epoch  int
 	free   bool // in the cluster's pool (or, poisoned, dead for good)
 }
 
@@ -119,17 +132,27 @@ type relayState struct {
 	agg  []core.IDTable[*headAgg] // head: open quorum records
 	free sim.FreeList[headAgg]
 
-	pend []core.IDTable[relayRoute] // follower: relayed commands in flight here
+	// Follower: the relayed commands in flight here, and the ack capsule
+	// coalescing toward the head: a lane whose entries are acks and whose
+	// in-flight count is pend's size, so it ships under the response
+	// capsule's rule (flushOrArm).
+	pend []core.IDTable[relayRoute]
+	out  qpLane
 
-	ackQ *sim.Queue[*relayAckMsg] // head: follower acks awaiting the relay-ack context
+	ackQ *sim.Queue[*relayAckMsg] // head: follower ack capsules awaiting the relay-ack context
 	ack  tctx                     // head: the relay-ack context
 }
 
-func newRelayState(eng *sim.Engine, inits int) *relayState {
+// headLane is the init of a follower's ack lane, which serves every
+// initiator.
+const headLane = -1
+
+func newRelayState(t *Target, inits int) *relayState {
 	r := &relayState{
 		agg:  make([]core.IDTable[*headAgg], inits),
 		pend: make([]core.IDTable[relayRoute], inits),
-		ackQ: sim.NewQueue[*relayAckMsg](eng),
+		out:  qpLane{t: t, init: headLane},
+		ackQ: sim.NewQueue[*relayAckMsg](t.c.Eng),
 	}
 	for i := range inits {
 		r.agg[i].Init(16)
@@ -148,13 +171,25 @@ func (r *relayState) reset() {
 
 // resetInitiator drops the records one crashed initiator left behind,
 // leaving other initiators' untouched. Stale records and routes are also
-// epoch-guarded, so this is hygiene, not correctness.
+// epoch-guarded, so this is hygiene, not correctness (the ack lane's
+// entries of that initiator ship and the head skips them).
 func (r *relayState) resetInitiator(init int) {
 	for _, as := range r.agg[init].All() {
 		r.free.Put(as)
 	}
 	r.agg[init].Reset()
 	r.pend[init].Reset()
+	r.recount()
+}
+
+// recount sets the ack lane's in-flight count to the relayed commands
+// still in flight here.
+func (r *relayState) recount() {
+	n := 0
+	for i := range r.pend {
+		n += r.pend[i].Len()
+	}
+	r.out.inflight = n
 }
 
 // relayActive reports whether a set's batches take the relay route right
@@ -175,7 +210,7 @@ func (rs *replicaSet) relayHead() int { return rs.members[0] }
 // an event at construction, so a relay-off cluster must never reach here.
 func (c *Cluster) buildRelayConns() {
 	for _, t := range c.targets {
-		t.relay = newRelayState(c.Eng, c.cfg.Initiators)
+		t.relay = newRelayState(t, c.cfg.Initiators)
 		t.relay.ack.t = t
 		t.relay.ack.Start(c.Eng, t.cores, &t.relay.ack, (*tctx).ackPop)
 	}
@@ -265,9 +300,10 @@ func (t *Target) closeHeadAgg(k aggKey, as *headAgg) {
 }
 
 // relayRespond intercepts a follower completion bound for the head: it
-// replaces the direct CQE with one relayAckMsg on the relay conn, then
-// returns to ret. Nothing remembers the ack: if it dies with the head, the
-// initiator asks again (answerReask). Reports routed = false when the
+// replaces the direct CQE with one entry on the ack lane (relayState.out),
+// shipped under the response capsule's rule (flushOrArm), then returns to
+// ret. Nothing remembers the ack once it ships: if it dies with the head,
+// the initiator asks again (answerReask). Reports routed = false when the
 // command is not relay-routed (the caller then responds directly), and
 // otherwise whether x goes on now.
 func (x *tctx) relayRespond(ws *wireState, ret tstep) (routed, goOn bool) {
@@ -276,60 +312,83 @@ func (x *tctx) relayRespond(ws *wireState, ret tstep) (routed, goOn bool) {
 	if !ok {
 		return false, false
 	}
-	rs := t.c.replSets[t.c.setOf[t.id]]
-	conn := rs.relay[rs.pos(t.id)]
-	if conn == nil || !conn.Up() {
+	t.relay.recount()
+	if conn := t.headConn(); conn == nil || !conn.Up() {
 		// The head died: respond directly.
 		return false, false
 	}
-	x.ws, x.route, x.conn, x.Ret = ws, rp, conn, ret
-	return true, x.Charge(t.c.costs.PostMsg, (*tctx).relayAcked)
-}
-
-func (x *tctx) relayAcked() bool {
-	t, ws, rp, conn := x.t, x.ws, x.route, x.conn
-	x.ws, x.conn = nil, nil
 	t.stats.RelayAcks++
-	if t.alive {
-		ack := t.c.ackFree.Get()
-		*ack = relayAckMsg{init: ws.init, qp: rp.qp, id: ws.id, member: t.id, epoch: rp.epoch}
-		conn.Send(fabric.Target, fabric.Message{QP: rp.qp, Size: nvmeof.ResponseSize, Payload: ack})
+	l := &t.relay.out
+	if len(l.acks) == 0 {
+		l.first = t.c.Eng.Now()
 	}
-	return x.Back()
+	l.acks = append(l.acks, relayAck{init: ws.init, qp: rp.qp, id: ws.id, epoch: rp.epoch})
+	return true, x.flushOrArm(l, ret)
 }
 
-// ackPop takes the next follower ack of the head-side relay-ack context:
-// each ack costs receive CPU (the reap work moved off the initiator) and
-// feeds the command's quorum record; acks for commands whose record is
-// gone — all members acked, or a degrade flushed it — pass through as
-// resolution records. The context is an ack's last reader: it recycles the
-// ack once it has read it, or as it drops a stale one.
+// headConn is a follower's relay conn to its set head (nil at the head).
+func (t *Target) headConn() *fabric.Conn {
+	rs := t.c.replSets[t.c.setOf[t.id]]
+	return rs.relay[rs.pos(t.id)]
+}
+
+// flushAcks ships the follower's pending acks to its set head as one
+// capsule, then returns to ret: one PostMsg however many completions it
+// carries. Like a response capsule, a batch of one ships bare.
+func (x *tctx) flushAcks(l *qpLane, ret tstep) bool {
+	t := x.t
+	if len(l.acks) == 0 {
+		return x.To(ret)
+	}
+	msg := t.c.getAck(t.id)
+	msg.acks, l.acks = l.acks, msg.acks
+	size := nvmeof.ResponseSize
+	if n := len(msg.acks); n > 1 {
+		size = nvmeof.CQEVectorCapsuleSize(n)
+	}
+	return x.post(l, msg, size, ret)
+}
+
+// ackPop takes the next follower ack capsule of the head-side relay-ack
+// context: each capsule costs receive CPU once (the reap work moved off the
+// initiator), and each of its entries feeds the command's quorum record;
+// entries for commands whose record is gone — all members acked, or a
+// degrade flushed it — pass through as resolution records, and entries of a
+// dead initiator incarnation are skipped. The context is a capsule's last
+// reader: it recycles the capsule once it has read it, or as it drops a
+// stale one.
 func (x *tctx) ackPop() bool {
-	ack, ok := x.t.relay.ackQ.Take(x)
+	msg, ok := x.t.relay.ackQ.Take(x)
 	if !ok {
 		return false
 	}
-	mustBeLive(ack.free, "relay ack")
+	mustBeLive(msg.free, "relay ack")
 	t := x.t
-	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
-		t.c.putAck(ack)
+	if !t.alive {
+		t.c.putAck(msg)
 		return true
 	}
-	x.ack = ack
-	return x.Charge(t.c.costs.RecvMsg, (*tctx).ackRecv)
+	x.ack, x.k, x.tEpoch = msg, 0, t.epoch
+	return x.Charge(t.c.costs.RecvMsg, (*tctx).ackNext)
 }
 
-func (x *tctx) ackRecv() bool {
-	t, ack := x.t, *x.ack
-	t.c.putAck(x.ack)
+// ackNext feeds the capsule's next entry to its quorum record, and recycles
+// the capsule after the last one or once the head's incarnation is gone.
+func (x *tctx) ackNext() bool {
+	t, msg := x.t, x.ack
+	for x.k < len(msg.acks) && t.alive && t.epoch == x.tEpoch {
+		a := msg.acks[x.k]
+		x.k++
+		if a.epoch != t.initEpoch(a.init) {
+			continue
+		}
+		if as, ok := t.relay.agg[a.init].Get(a.id); ok && as.epoch == a.epoch {
+			return x.aggAck(aggKey{a.init, a.id}, as, msg.member, (*tctx).ackNext)
+		}
+		t.pushResolved(t.lane(a.init, a.qp), aggResolved{init: a.init, id: a.id, member: msg.member})
+	}
+	t.c.putAck(msg)
 	x.ack = nil
-	if !t.alive || ack.epoch != t.initEpoch(ack.init) {
-		return x.To((*tctx).ackPop)
-	}
-	if as, ok := t.relay.agg[ack.init].Get(ack.id); ok && as.epoch == ack.epoch {
-		return x.aggAck(aggKey{ack.init, ack.id}, as, ack.member, (*tctx).ackPop)
-	}
-	t.pushResolved(t.lane(ack.init, ack.qp), aggResolved{init: ack.init, id: ack.id, member: ack.member})
 	return x.To((*tctx).ackPop)
 }
 
@@ -403,8 +462,11 @@ func (t *Target) pushResolved(l *qpLane, r aggResolved) {
 // resolution records.
 //
 // Head dead: every relay link of the set drops, forwarded capsules and
-// acks in flight with them, and each live initiator asks the survivors
-// about what it still has outstanding (reaskAfterHeadCut).
+// acks in flight with them, and so do the acks each follower still
+// coalesces: they must never reach a later head incarnation, and the
+// commands they name are past the gate and out of pend, so the re-ask acks
+// them directly. Each live initiator asks the survivors about what it
+// still has outstanding (reaskAfterHeadCut).
 func (c *Cluster) relayCut(m int) {
 	rs := c.replSets[c.setOf[m]]
 	head := rs.relayHead()
@@ -415,9 +477,11 @@ func (c *Cluster) relayCut(m int) {
 		c.targets[head].flushHeadAggs()
 		return
 	}
-	for _, conn := range rs.relay {
+	for k, conn := range rs.relay {
 		if conn != nil {
 			conn.Disconnect()
+			out := &c.targets[rs.members[k]].relay.out
+			out.acks = out.acks[:0]
 		}
 	}
 	for _, in := range c.inits {

@@ -370,3 +370,158 @@ func TestRelayRequiresReplication(t *testing.T) {
 	cfg.ReplRelay = true
 	New(sim.New(26), cfg)
 }
+
+// TestRelayAcksCoalesce: followers reach the head in coalesced ack
+// capsules — across the followers, fewer capsules than relayed completions
+// — while every write is delivered in order, no gate is violated and the
+// members' media are identical.
+func TestRelayAcksCoalesce(t *testing.T) {
+	eng := sim.New(21)
+	c := New(eng, relayConfig(3))
+	defer eng.Shutdown()
+	const streams, groups = 4, 60
+	reqs := headCutTraffic(eng, c, groups, true)
+	eng.Run()
+	for i, r := range *reqs {
+		if !r.Done.Fired() {
+			t.Fatalf("request %d of %d never delivered", i, len(*reqs))
+		}
+	}
+	for s := 0; s < streams; s++ {
+		if got := c.Init(0).Sequencer().Stream(s).FullyDone(); got != groups {
+			t.Fatalf("stream %d fully-done = %d, want %d", s, got, groups)
+		}
+	}
+	if v := c.OrderAudit(); v != 0 {
+		t.Fatalf("order audit: %d violations", v)
+	}
+	for _, m := range c.SetMembers(0) {
+		if v := c.Target(m).GateAudit(); v != 0 {
+			t.Fatalf("member %d gate audit: %d violations", m, v)
+		}
+	}
+	mediaIdentical(t, c)
+	var acks, msgs int64
+	for _, m := range c.SetMembers(0)[1:] {
+		acks += c.Target(m).Stats().RelayAcks
+		msgs += c.Target(m).Stats().RelayAckMsgs
+	}
+	if msgs == 0 || acks <= msgs {
+		t.Fatalf("followers posted %d ack capsules for %d relayed completions: not coalesced", msgs, acks)
+	}
+	t.Logf("%d relayed completions in %d ack capsules", acks, msgs)
+}
+
+// TestRelayChargeLedger holds every member of a relay set to the cost
+// model exactly, in TestTargetChargeLedger's style: a plugged batch of n
+// writes is one head capsule, forwarded once per follower (a PostMsg at
+// the head); each member runs one burst and n completions; a follower pays
+// one PostMsg per ack capsule and posts no response of its own, and the
+// head pays one RecvMsg per ack capsule it receives.
+func TestRelayChargeLedger(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		eng := sim.New(1)
+		cfg := relayConfig(3)
+		cfg.Streams, cfg.QPs = 1, 1
+		c := New(eng, cfg)
+		in := c.Init(0)
+		eng.Go("app", func(p *sim.Proc) {
+			reqs := make([]*blockdev.Request, n)
+			in.StartPlug(0)
+			for i := range reqs {
+				reqs[i] = in.OrderedWrite(p, 0, uint64(8*i), 1, 0, nil, true, false, false)
+			}
+			in.FinishPlug(p, 0)
+			for _, r := range reqs {
+				in.Wait(p, r)
+			}
+		})
+		eng.Run()
+		members := c.SetMembers(0)
+		var ackMsgs int64
+		for _, m := range members[1:] {
+			ackMsgs += c.Target(m).Stats().RelayAckMsgs
+		}
+		k := cfg.Costs
+		for i, m := range members {
+			tgt := c.Target(m)
+			st := tgt.Stats()
+			if st.Capsules != 1 || st.Commands != int64(n) || st.PMRAppends != int64(n) || st.PMRToggles != int64(n) || st.Holdbacks != 0 {
+				t.Fatalf("n=%d member %d: %+v, want one capsule of %d commands, each appended and toggled once", n, m, st, n)
+			}
+			want := k.RecvMsg + sim.Time(n)*(k.CmdProcess+k.PMRAppendCPU) + tgt.SSD(0).PMRWriteLat() +
+				sim.Time(n)*(k.CplHandle+k.PMRToggleCPU) + sim.Time(st.Responses)*k.PostMsg
+			if i == 0 {
+				if st.Relays != int64(len(members)-1) {
+					t.Fatalf("n=%d: head forwarded %d capsules, want %d", n, st.Relays, len(members)-1)
+				}
+				want += sim.Time(st.Relays)*k.PostMsg + sim.Time(ackMsgs)*k.RecvMsg
+			} else {
+				if st.Responses != 0 || st.RelayAcks != int64(n) || st.RelayAckMsgs == 0 || st.RelayAckMsgs > st.RelayAcks {
+					t.Fatalf("n=%d follower %d: %d responses, %d acks in %d capsules; want every completion acked to the head", n, m, st.Responses, st.RelayAcks, st.RelayAckMsgs)
+				}
+				want += sim.Time(st.RelayAckMsgs) * k.PostMsg
+			}
+			if got := tgt.cores.BusyTime(); got != want {
+				t.Errorf("n=%d member %d: busy %v, want %v (%d responses, %d relays, %d ack capsules)", n, m, got, want, st.Responses, st.Relays, st.RelayAckMsgs)
+			}
+		}
+		eng.Shutdown()
+	}
+}
+
+// TestRelayHeadCutDropsPendingAcks cuts the head while a follower's ack
+// capsule is still coalescing. The cut clears the capsule — no buffered
+// ack may reach a later head incarnation — and the commands it held, past
+// the gate and out of the follower's in-flight table, are acked directly
+// by the re-ask: every write is delivered exactly once and lands once on
+// each survivor.
+func TestRelayHeadCutDropsPendingAcks(t *testing.T) {
+	eng := sim.New(24)
+	c := New(eng, relayConfig(3))
+	defer eng.Shutdown()
+	const groups = 60
+	reqs := headCutTraffic(eng, c, groups, true)
+	followers := c.SetMembers(0)[1:]
+	buffered := func() int {
+		n := 0
+		for _, m := range followers {
+			n += len(c.targets[m].relay.out.acks)
+		}
+		return n
+	}
+	at := sim.Time(0)
+	for buffered() == 0 {
+		if at += 100; at > 100*sim.Microsecond {
+			t.Fatal("no follower ever held a pending ack capsule")
+		}
+		eng.RunUntil(at)
+	}
+	held := buffered()
+	c.PowerCutTarget(c.SetMembers(0)[0])
+	if n := buffered(); n != 0 {
+		t.Fatalf("%d buffered acks survived the head cut", n)
+	}
+	eng.Run()
+	t.Logf("head cut at %v with %d acks buffered", at, held)
+	for i, r := range *reqs {
+		if !r.Done.Fired() {
+			t.Fatalf("request %d of %d stalled after the head cut", i, len(*reqs))
+		}
+	}
+	if got := c.Init(0).Stats().Completed; got != int64(len(*reqs)) {
+		t.Fatalf("%d deliveries for %d requests", got, len(*reqs))
+	}
+	for _, m := range followers {
+		if v := c.Target(m).GateAudit(); v != 0 {
+			t.Fatalf("survivor %d gate audit: %d violations", m, v)
+		}
+		for _, r := range *reqs {
+			ext := c.Volume().Extents(r.LBA, 1)[0]
+			h := c.Target(m).SSD(c.Volume().Dev(ext.Dev).SSD).History(ext.DevLBA)
+			if len(h) != 1 || h[0].Stamp != core.AttrStamp(r.Ticket.Attr) {
+				t.Fatalf("survivor %d lba %d: history %+v, want exactly one write under stamp %#x", m, r.LBA, h, core.AttrStamp(r.Ticket.Attr))
+			}
+		}
+	}
+}

@@ -34,11 +34,13 @@ type TargetStats struct {
 	// Replication fast-path counters (all 0 unless cfg.ReplRelay):
 	// Relays counts relayed capsules this target forwarded to followers as
 	// a set head, RelayAcks counts completions this target routed to its
-	// head instead of the initiator, AggFires counts aggregated CQEs
-	// emitted at quorum (or flushed by a degrade).
-	Relays    int64
-	RelayAcks int64
-	AggFires  int64
+	// head instead of the initiator, RelayAckMsgs the ack capsules that
+	// carried them, AggFires counts aggregated CQEs emitted at quorum (or
+	// flushed by a degrade).
+	Relays       int64
+	RelayAcks    int64
+	RelayAckMsgs int64
+	AggFires     int64
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
@@ -103,7 +105,9 @@ type parkedCmd struct {
 // a link death clears it in one place (reset): the pending CQEs belong to
 // the dead epoch and must never be flushed into the next incarnation, and
 // the armed flag must go with them — left set, it would strand the next
-// incarnation's sub-threshold batch with no timer behind it.
+// incarnation's sub-threshold batch with no timer behind it. A relay
+// follower's ack capsule toward its head is a lane too (relayState.out):
+// acks instead of CQEs, and no receive queue.
 type qpLane struct {
 	t        *Target
 	init, qp int
@@ -113,12 +117,14 @@ type qpLane struct {
 	// buffer; stays nil with the tracer off) and agg (relay annotations;
 	// stays nil unless cfg.ReplRelay) are parallel to cqes, aggMembers
 	// holds the member lists agg indexes; resolved holds the late-ack
-	// records the capsule will piggyback (relay route).
+	// records the capsule will piggyback (relay route). acks are the
+	// entries of a follower's ack lane (empty on every other lane).
 	cqes       []nvmeof.CQE
 	cqeT       []sim.Time
 	agg        []aggCQE
 	aggMembers []int
 	resolved   []aggResolved
+	acks       []relayAck
 	epoch      int      // initiator epoch the oldest pending CQE was minted under
 	first      sim.Time // when it entered: the hold timer ships a batch only once it is cqeHold old
 	armed      bool     // a hold-timer event is outstanding
@@ -565,6 +571,7 @@ func (x *tctx) arrived(ws *wireState) {
 		markWire(ws, trace.MRelayed, cp.sentAt)
 		markWire(ws, trace.MRxDeliver, cp.deliveredAt)
 		x.t.relay.pend[ws.init].Put(ws.id, relayRoute{qp: x.l.qp, epoch: cp.epoch})
+		x.t.relay.recount()
 		return
 	}
 	// A direct capsule has no relay hop: MRelayed at delivery makes
@@ -860,7 +867,7 @@ func (x *tctx) doneOne() bool {
 	x.tEpoch = t.epoch
 	if d.lane != nil {
 		// CQE hold-timer expiry: flush the pending response capsule.
-		if d.epoch == t.initEpoch(d.lane.init) {
+		if d.lane.init == headLane || d.epoch == t.initEpoch(d.lane.init) {
 			return x.flushCQEs(d.lane, (*tctx).cplEnd)
 		}
 		return x.To((*tctx).cplEnd)
@@ -1096,7 +1103,7 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 // flight longer than the hold.
 func (x *tctx) flushOrArm(l *qpLane, ret tstep) bool {
 	t := x.t
-	if len(l.cqes) >= t.gov.batch() || l.inflight == 0 {
+	if len(l.cqes)+len(l.acks) >= t.gov.batch() || l.inflight == 0 {
 		return x.flushCQEs(l, ret)
 	}
 	if !l.armed {
@@ -1138,7 +1145,7 @@ func (tm *cqeTimer) Run() {
 	if epoch != t.epoch || !t.alive {
 		return
 	}
-	if len(l.cqes) == 0 {
+	if len(l.cqes)+len(l.acks) == 0 {
 		// Only resolution records can be pending on an otherwise idle QP
 		// (relay route): ship them in a CQE-less capsule so the
 		// initiator reaches full resolution without waiting for
@@ -1160,7 +1167,10 @@ func (tm *cqeTimer) Run() {
 // no CPU can be charged.
 func (t *Target) routeFlush(l *qpLane) {
 	fd := t.getDone()
-	fd.lane, fd.epoch = l, t.initEpoch(l.init)
+	fd.lane = l
+	if l.init != headLane { // an ack lane's entries each carry their own epoch
+		fd.epoch = t.initEpoch(l.init)
+	}
 	t.doneQ.Push(fd)
 }
 
@@ -1170,6 +1180,9 @@ func (t *Target) routeFlush(l *qpLane) {
 // and ships as a bare 16-byte capsule.
 func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	t := x.t
+	if l.init == headLane {
+		return x.flushAcks(l, ret)
+	}
 	if len(l.cqes) == 0 && len(l.resolved) == 0 && !l.askRetires {
 		return x.To(ret)
 	}
@@ -1196,25 +1209,38 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	return x.post(l, msg, size, ret)
 }
 
-// post is the one step every message a target sends an initiator takes
-// (response capsules, Horae control acks, log-full asks): it charges
-// PostMsg, then sends msg, size bytes, on lane l's queue pair and returns
-// to ret. A power cut during the charge drops the message with the NIC.
-func (x *tctx) post(l *qpLane, msg *completionMsg, size int, ret tstep) bool {
+// post is the one step every message a target sends takes (response
+// capsules, Horae control acks and log-full asks to an initiator; a
+// follower's ack capsules to its head): it charges PostMsg, then sends msg
+// — a *completionMsg, or a *relayAckMsg on an ack lane — size bytes, on
+// lane l's queue pair and returns to ret. A power cut during the charge
+// drops the message with the NIC.
+func (x *tctx) post(l *qpLane, msg any, size int, ret tstep) bool {
 	x.out, x.outLane, x.outSize, x.Ret = msg, l, size, ret
 	return x.Charge(x.t.c.costs.PostMsg, (*tctx).posted)
 }
 
 func (x *tctx) posted() bool {
-	t, l, msg := x.t, x.outLane, x.out
+	t, l := x.t, x.outLane
+	m := fabric.Message{QP: l.qp, Size: x.outSize, Payload: x.out}
 	x.out, x.outLane = nil, nil
-	if !t.alive { // power cut while posting: the capsule dies with the NIC
-		t.c.putMsg(msg)
-		return x.Back()
+	switch msg := m.Payload.(type) {
+	case *completionMsg:
+		if !t.alive { // power cut while posting: the capsule dies with the NIC
+			t.c.putMsg(msg)
+			return x.Back()
+		}
+		t.stats.Responses++
+		t.stats.CQEs += int64(len(msg.cqes))
+		t.conns[l.init].Send(fabric.Target, m)
+	case *relayAckMsg:
+		if !t.alive {
+			t.c.putAck(msg)
+			return x.Back()
+		}
+		t.stats.RelayAckMsgs++
+		t.headConn().Send(fabric.Target, m)
 	}
-	t.stats.Responses++
-	t.stats.CQEs += int64(len(msg.cqes))
-	t.conns[l.init].Send(fabric.Target, fabric.Message{QP: l.qp, Size: x.outSize, Payload: msg})
 	return x.Back()
 }
 

@@ -53,16 +53,14 @@ type tctx struct {
 	k      int
 	mark   order.SlotRef
 
-	// post: the message to an initiator, its lane and size while PostMsg
-	// is charged. relayRespond: the follower ack being posted to the head.
-	out     *completionMsg
+	// post: the message, its lane and size while PostMsg is charged.
+	out     any
 	outLane *qpLane
 	outSize int
-	ws      *wireState
-	route   relayRoute
-	conn    *fabric.Conn
 
-	// Relay-ack context: the follower ack in progress.
+	// Relay-ack context: the follower ack capsule in progress, the index
+	// of its next entry (k) and the head incarnation it was taken under
+	// (tEpoch).
 	ack *relayAckMsg
 }
 
