@@ -90,14 +90,19 @@ bench-layers:
 # internal/bench's baseline test reads it from this line).
 BASELINE := BENCH_31.json
 
-# Regenerate the tracked perf-trajectory snapshot: every experiment, quick.
+# Regenerate the tracked perf-trajectory snapshot: every experiment, quick,
+# at seed 1 (the file bench-gate's cmp holds a fresh run to) and over seeds
+# 1-4 (its seeds file, BENCH_N.seeds.json: the means benchdiff compares with
+# the predecessor's seeds file when both exist).
 bench-json: build
 	$(GO) run ./cmd/riobench -exp all -quick -json $(BASELINE)
+	$(GO) run ./cmd/riobench -exp all -quick -repeat 4 -json $(BASELINE:.json=.seeds.json)
 
 # The CI perf gate: run every experiment fresh; benchdiff fails on >10%
 # regression in the gated metrics of the committed baseline against its
 # PREDECESSOR (the highest BENCH_N.json below it: what a PR that commits a new
-# baseline can regress) and holds the fresh run to the absolute budgets; then
+# baseline can regress; over both seeds files' means when both exist) and
+# holds the fresh run to the absolute budgets; then
 # cmp requires the fresh file to be byte-identical to the baseline (the
 # simulator is deterministic and the file carries no timestamps; a PR that
 # means to move a simulated number commits a new BENCH_N.json and points

@@ -4,8 +4,12 @@
 // gates the committed BENCH_<N>.json against its predecessor — the
 // highest-numbered BENCH_<M>.json below it — and exits non-zero when a gated
 // metric moved past the threshold the wrong way (the threshold leaves
-// headroom for deliberate trade-offs). The fresh run is then held to the same
-// gates against the baseline, which is where the absolute budgets and a
+// headroom for deliberate trade-offs). When both baselines have a seeds file
+// beside them (BENCH_<N>.seeds.json: riobench -repeat output, {mean,std} per
+// key), that comparison reads the two seeds files' means instead: a quick
+// point's tail metric is one draw, and one seed can flag a move its spread
+// over seeds does not show. The fresh run is then held to the same gates
+// against the single-seed baseline, which is where the absolute budgets and a
 // dropped key bite before the byte comparison does.
 //
 // Usage:
@@ -24,6 +28,7 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // report mirrors the riobench -json schema. Metric values are either a
@@ -224,6 +229,13 @@ func moved(base, fresh map[string]float64) []string {
 	return diff
 }
 
+// seedsFile returns the seeds file beside a BENCH_<N>.json, if it exists.
+func seedsFile(baseline string) (string, bool) {
+	path := strings.TrimSuffix(baseline, ".json") + ".seeds.json"
+	_, err := os.Stat(path)
+	return path, err == nil
+}
+
 // predecessor returns the highest-numbered BENCH_<M>.json beside baseline
 // with M below the baseline's own number ("" when it is the first).
 func predecessor(baseline string) (string, error) {
@@ -283,6 +295,11 @@ func runGate(baselinePath, newPath string, threshold float64, out io.Writer) int
 	}
 	if prev != "" {
 		pairs = [][2]string{{prev, baselinePath}, {baselinePath, newPath}}
+		ps, pok := seedsFile(prev)
+		bs, bok := seedsFile(baselinePath)
+		if pok && bok {
+			pairs[0] = [2]string{ps, bs}
+		}
 	}
 	failed := 0
 	for i, pair := range pairs {

@@ -289,3 +289,49 @@ func TestGateNamesMovedKeys(t *testing.T) {
 		t.Fatalf("a long diff is not cut at 20 keys:\n%s", out.String())
 	}
 }
+
+// TestGateReadsSeedsFilesWhenBothExist: with a seeds file beside both the
+// baseline and its predecessor, the predecessor check compares their means
+// (a one-seed drop that the means do not show passes, a drop in the means
+// fails however the single-seed files read); with only one side's, it
+// compares the single-seed files; the fresh run is always held to the
+// single-seed baseline.
+func TestGateReadsSeedsFilesWhenBothExist(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	dropped := baseMetrics()
+	dropped["serve.rio.kiops"] *= 0.8
+	run := func(pred, succ, predSeeds, succSeeds map[string]float64) (int, string) {
+		t.Helper()
+		for _, f := range []string{"BENCH_15.seeds.json", "BENCH_20.seeds.json"} {
+			os.Remove(file(f))
+		}
+		writeReport(t, file("BENCH_15.json"), pred)
+		writeReport(t, file("BENCH_20.json"), succ)
+		writeReport(t, file("fresh.json"), succ)
+		if predSeeds != nil {
+			writeReport(t, file("BENCH_15.seeds.json"), predSeeds)
+		}
+		if succSeeds != nil {
+			writeReport(t, file("BENCH_20.seeds.json"), succSeeds)
+		}
+		var out bytes.Buffer
+		code := runGate(file("BENCH_20.json"), file("fresh.json"), 0.10, &out)
+		return code, out.String()
+	}
+	if code, out := run(baseMetrics(), dropped, baseMetrics(), baseMetrics()); code != 0 ||
+		!strings.Contains(out, "BENCH_20.seeds.json vs "+file("BENCH_15.seeds.json")) {
+		t.Errorf("one-seed drop the means do not show: exit %d, want 0 over the seeds files\n%s", code, out)
+	}
+	if code, out := run(baseMetrics(), baseMetrics(), baseMetrics(), dropped); code != 1 {
+		t.Errorf("drop in the means: exit %d, want 1\n%s", code, out)
+	}
+	if code, out := run(baseMetrics(), dropped, nil, baseMetrics()); code != 1 ||
+		!strings.Contains(out, "BENCH_20.json vs "+file("BENCH_15.json")) {
+		t.Errorf("predecessor without a seeds file: exit %d, want 1 over the single-seed files\n%s", code, out)
+	}
+	if code, out := run(baseMetrics(), baseMetrics(), baseMetrics(), baseMetrics()); code != 0 ||
+		!strings.Contains(out, "fresh.json vs "+file("BENCH_20.json")) {
+		t.Errorf("the fresh run must be held to the single-seed baseline: exit %d\n%s", code, out)
+	}
+}
