@@ -121,6 +121,10 @@ func TestPinsAndFindings(t *testing.T) {
 		{479, "cut=head"},
 		{1016, "cut=head"},
 		{88, "cut=head final=false"},
+		// A held CQE waits for the completion that commits it; a relay
+		// follower's completions must move that frontier too, or a held
+		// one never ships.
+		{11, "cut=member"},
 	} {
 		pl, err := Draw(tc.seed, strings.Fields(tc.pins)...)
 		if err != nil {

@@ -39,7 +39,7 @@ const (
 	writeAllocBudget      = 1.006 * 1.05
 	replDirectAllocBudget = 1.017 * 1.05
 	replRelayAllocBudget  = 1.026 * 1.05
-	writeEvents           = 21.627
+	writeEvents           = 19.421
 	writeSwitchBudget     = 2.769 * 1.05
 	readAllocBudget       = 0.001
 	payloadAllocBudget    = 1.040 * 1.05

@@ -26,8 +26,9 @@ import (
 //   - Ack aggregation: followers send their completions to the head,
 //     coalesced: each follower buffers its relayed completions on its ack
 //     lane (relayState.out) and ships them as one capsule under the rule a
-//     response capsule ships by (flushOrArm: a full batch, no relayed
-//     command left in flight there, or the hold timer) — one PostMsg at the
+//     response capsule ships by (commit, flushOrArm: a full batch, no
+//     relayed command left in flight there, the release of held acks, or
+//     the hold timer) — one PostMsg at the
 //     follower and one RecvMsg at the head per capsule. The head runs the
 //     same quorum accountant the initiator does (order.Quorum) and emits
 //     ONE aggregated CQE at write quorum, carrying the acked member list;
@@ -301,29 +302,37 @@ func (t *Target) closeHeadAgg(k aggKey, as *headAgg) {
 
 // relayRespond intercepts a follower completion bound for the head: it
 // replaces the direct CQE with one entry on the ack lane (relayState.out),
-// shipped under the response capsule's rule (flushOrArm), then returns to
-// ret. Nothing remembers the ack once it ships: if it dies with the head,
-// the initiator asks again (answerReask). Reports routed = false when the
-// command is not relay-routed (the caller then responds directly), and
-// otherwise whether x goes on now.
-func (x *tctx) relayRespond(ws *wireState, ret tstep) (routed, goOn bool) {
-	t := x.t
+// shipped under the response capsule's rule (the caller's commit). Nothing
+// remembers the ack once it ships: if it dies with the head, the initiator
+// asks again (answerReask). Reports false when the command is not
+// relay-routed (the caller then responds directly).
+func (t *Target) relayRespond(ws *wireState) bool {
 	rp, ok := t.relay.pend[ws.init].Delete(ws.id)
 	if !ok {
-		return false, false
+		return false
 	}
 	t.relay.recount()
 	if conn := t.headConn(); conn == nil || !conn.Up() {
 		// The head died: respond directly.
-		return false, false
+		return false
 	}
 	t.stats.RelayAcks++
 	l := &t.relay.out
-	if len(l.acks) == 0 {
-		l.first = t.c.Eng.Now()
-	}
+	l.stampFirst(t.c.Eng.Now())
 	l.acks = append(l.acks, relayAck{init: ws.init, qp: rp.qp, id: ws.id, epoch: rp.epoch})
-	return true, x.flushOrArm(l, ret)
+	return true
+}
+
+// openAgg returns the head's open quorum record of a relayed command (nil:
+// none, or no relay route).
+func (t *Target) openAgg(ws *wireState) *headAgg {
+	if t.relay == nil {
+		return nil
+	}
+	if as, ok := t.relay.agg[ws.init].Get(ws.id); ok && as.epoch == ws.epoch {
+		return as
+	}
+	return nil
 }
 
 // headConn is a follower's relay conn to its set head (nil at the head).
@@ -342,6 +351,7 @@ func (x *tctx) flushAcks(l *qpLane, ret tstep) bool {
 	}
 	msg := t.c.getAck(t.id)
 	msg.acks, l.acks = l.acks, msg.acks
+	l.held = 0
 	size := nvmeof.ResponseSize
 	if n := len(msg.acks); n > 1 {
 		size = nvmeof.CQEVectorCapsuleSize(n)
@@ -392,14 +402,23 @@ func (x *tctx) ackNext() bool {
 	return x.To((*tctx).ackPop)
 }
 
-// aggAck accounts one member ack (the head's own completion included), then
-// returns to ret. At write quorum the aggregated CQE is emitted into the
-// normal response coalescing path; later acks become piggybacked resolution
-// records; the record closes once every member acked.
+// aggAck accounts one follower ack (ackMember), then returns to ret through
+// the response flush rule if that fired the aggregated CQE.
 func (x *tctx) aggAck(key aggKey, as *headAgg, member int, ret tstep) bool {
-	t := x.t
+	if l := x.t.ackMember(key, as, member); l != nil {
+		return x.flushOrArm(l, ret)
+	}
+	return x.To(ret)
+}
+
+// ackMember accounts one member ack (the head's own completion included).
+// At write quorum the aggregated CQE joins its lane's pending response
+// capsule, and ackMember returns that lane (nil otherwise); later acks
+// become piggybacked resolution records; the record closes once every
+// member acked.
+func (t *Target) ackMember(key aggKey, as *headAgg, member int) *qpLane {
 	if !as.q.Ack(as.q.Pos(member)) {
-		return x.To(ret) // duplicate (cannot happen on healthy links; cheap guard)
+		return nil // duplicate (cannot happen on healthy links; cheap guard)
 	}
 	if as.firstAck == 0 {
 		as.firstAck = t.c.Eng.Now()
@@ -416,9 +435,9 @@ func (x *tctx) aggAck(key aggKey, as *headAgg, member int, ret tstep) bool {
 		t.closeHeadAgg(key, as)
 	}
 	if fire {
-		return x.flushOrArm(l, ret)
+		return l
 	}
-	return x.To(ret)
+	return nil
 }
 
 // fireAgg queues the aggregated CQE of one quorum record — the members
@@ -444,7 +463,7 @@ func (t *Target) fireAgg(key aggKey, as *headAgg) {
 // so an idle QP still resolves.
 func (t *Target) pushResolved(l *qpLane, r aggResolved) {
 	l.resolved = append(l.resolved, r)
-	if len(l.cqes) == 0 && !l.armed {
+	if !l.backed() && !l.armed {
 		t.armCQETimer(l, t.gov.hold())
 	}
 }

@@ -24,6 +24,7 @@ type TargetStats struct {
 	PMRToggles int64
 	Responses  int64 // messages posted to initiators (post; coalescing lowers this)
 	CQEs       int64 // completion entries those capsules carried
+	HeldCQEs   int64 // completions (CQEs or relay acks) that waited for an older one to commit: no hold timer
 	Flushes    int64 // device FLUSHes issued
 	Barriers   int64 // flush barriers certified (a combined FLUSH certifies several)
 
@@ -108,6 +109,12 @@ type parkedCmd struct {
 // incarnation's sub-threshold batch with no timer behind it. A relay
 // follower's ack capsule toward its head is a lane too (relayState.out):
 // acks instead of CQEs, and no receive queue.
+//
+// An entry is held (commit) when its command sits behind an older command
+// of its ordering domain that has not responded: the initiator cannot
+// deliver it before that one, so it waits for the completion that moves
+// the domain's completion frontier past it, not for a hold timer of its
+// own. held counts them; the hold timer backs only the rest.
 type qpLane struct {
 	t        *Target
 	init, qp int
@@ -126,7 +133,8 @@ type qpLane struct {
 	resolved   []aggResolved
 	acks       []relayAck
 	epoch      int      // initiator epoch the oldest pending CQE was minted under
-	first      sim.Time // when it entered: the hold timer ships a batch only once it is cqeHold old
+	first      sim.Time // when the oldest entry not held entered: the hold timer ships a batch only once it is cqeHold old
+	held       int      // pending entries held for commit
 	armed      bool     // a hold-timer event is outstanding
 	inflight   int      // commands submitted to an SSD and not yet responded
 	askRetires bool     // the next response capsule asks for watermarks (logFull)
@@ -137,8 +145,9 @@ type qpLane struct {
 func (l *qpLane) push(id uint64, epoch int, a aggCQE) {
 	now := l.t.c.Eng.Now()
 	if len(l.cqes) == 0 {
-		l.epoch, l.first = epoch, now
+		l.epoch = epoch
 	}
+	l.stampFirst(now)
 	l.cqes = append(l.cqes, nvmeof.NewCQE(id))
 	if l.t.relay != nil {
 		l.agg = append(l.agg, a)
@@ -147,6 +156,18 @@ func (l *qpLane) push(id uint64, epoch int, a aggCQE) {
 		l.cqeT = append(l.cqeT, now)
 	}
 }
+
+// stampFirst starts the batch age at now if the entry about to join is the
+// first the hold timer backs (every pending one is held, or none is
+// pending).
+func (l *qpLane) stampFirst(now sim.Time) {
+	if len(l.cqes)+len(l.acks) == l.held {
+		l.first = now
+	}
+}
+
+// backed reports whether the hold timer backs a pending entry.
+func (l *qpLane) backed() bool { return len(l.cqes)+len(l.acks) > l.held }
 
 // reset drops everything volatile the lane holds when the link it serves
 // dies (either side's power cut). In-flight SSD commands complete into a
@@ -1059,7 +1080,8 @@ func (x *tctx) persistMarked() bool {
 
 // respond queues one completion toward the owning initiator and returns to
 // ret: the CQE joins its lane's pending response capsule, flushed when
-// CQEBatch entries accumulate or the hold timer expires.
+// CQEBatch entries accumulate or the hold timer expires (flushOrArm), or
+// when commit says so.
 func (x *tctx) respond(ws *wireState, ret tstep) bool {
 	t := x.t
 	if !t.alive || t.epoch != x.tEpoch {
@@ -1078,20 +1100,72 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 	if t.gov.observe(t.c.Eng.Now()) {
 		t.stats.GovSwitches++
 	}
-	if t.relay != nil {
-		// Relay route: a follower's completion goes to the head; the head's
-		// own completion of a relayed command feeds its quorum record
-		// instead of shipping a CQE of its own (the aggregated CQE carries
-		// the command id).
-		if routed, goOn := x.relayRespond(ws, ret); routed {
-			return goOn
-		}
-		if as, ok := t.relay.agg[ws.init].Get(ws.id); ok && as.epoch == ws.epoch {
-			return x.aggAck(aggKey{ws.init, ws.id}, as, t.id, ret)
-		}
+	// own is the lane the completion joins: its (initiator, QP) lane, or,
+	// on the relay route, a follower's ack lane toward the head; at the
+	// head, a relayed command's own completion feeds its quorum record
+	// instead (the aggregated CQE carries the command id), and joins l only
+	// if that fires it (own is nil otherwise).
+	own, mark := l, heldOnLane
+	if t.relay != nil && t.relayRespond(ws) {
+		own, mark = &t.relay.out, heldOnAck
+	} else if as := t.openAgg(ws); as != nil {
+		own = t.ackMember(aggKey{ws.init, ws.id}, as, t.id)
+	} else {
+		l.push(ws.id, ws.epoch, aggCQE{})
 	}
-	l.push(ws.id, ws.epoch, aggCQE{})
-	return x.flushOrArm(l, ret)
+	return x.commit(ws, own, mark, ret)
+}
+
+// Marks a held completion leaves at its domain's completion frontier
+// (order.Domain.Respond): the lane it waits on.
+const (
+	heldOnLane uint8 = 1 << iota // its command's (initiator, QP) lane
+	heldOnAck                    // the follower's ack lane toward its set head
+)
+
+// commit moves the completion frontier of a gated ordered command's domain
+// as it responds, then applies the flush rule to own (the lane the
+// completion joined, nil for none) and returns to ret. When the command
+// needs every member's ack and its stream keeps to one QP, commit order
+// decides two things before the usual rule (flushOrArm):
+//
+//   - a completion behind an older, unresponded command of its domain is
+//     held: it arms no hold timer (it still ships on a full batch, an idle
+//     lane or any other flush of its lane), since the initiator cannot
+//     deliver it before that older one anyway;
+//   - a completion that moves the frontier past held ones flushes their
+//     lane at once: its own, inline; another (its route differs from
+//     theirs: a head's quorum record took it, or it left the relay route),
+//     through routeFlush.
+//
+// Anything else — an unordered write, a FLUSH, a majority quorum, a stream
+// spread over QPs, Horae and Linux — keeps the flush rule alone.
+func (x *tctx) commit(ws *wireState, own *qpLane, mark uint8, ret tstep) bool {
+	t := x.t
+	if !ws.wc.Ordered || ws.wc.Flush || !t.pol.Gated() {
+		return x.flushOrArm(own, ret)
+	}
+	attrs := ws.chain[ws.q.Pos(t.id)].attrs
+	d := t.ord.Domain(ws.init, attrs[0].Stream)
+	first := attrs[0].ServerIdx
+	hold := own != nil && t.c.cfg.StreamAffinity && ws.q.Need == len(ws.q.Members) && d.Behind(first)
+	held := uint8(0)
+	if hold {
+		held = mark
+		own.held++
+		t.stats.HeldCQEs++
+	}
+	passed := d.Respond(first, attrs[len(attrs)-1].ServerIdx, held)
+	if l := t.lane(ws.init, ws.qp); passed&heldOnLane != 0 && l != own && l.held > 0 {
+		t.routeFlush(l)
+	}
+	if passed&heldOnAck != 0 && &t.relay.out != own && t.relay.out.held > 0 {
+		t.routeFlush(&t.relay.out)
+	}
+	if own != nil && passed&mark != 0 {
+		return x.flushCQEs(own, ret)
+	}
+	return x.flushOrArm(own, ret)
 }
 
 // flushOrArm applies the response flush policy to one lane's pending
@@ -1100,13 +1174,15 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 // more completions are coming to amortize against and an idle QP responds
 // immediately (no hold-timer latency on the application's critical path).
 // Otherwise the hold timer is the backstop for commands that stay in
-// flight longer than the hold.
+// flight longer than the hold — for entries not held (commit). A nil lane
+// (the completion joined none) just returns to ret.
 func (x *tctx) flushOrArm(l *qpLane, ret tstep) bool {
 	t := x.t
-	if len(l.cqes)+len(l.acks) >= t.gov.batch() || l.inflight == 0 {
+	switch {
+	case l == nil:
+	case len(l.cqes)+len(l.acks) >= t.gov.batch() || l.inflight == 0:
 		return x.flushCQEs(l, ret)
-	}
-	if !l.armed {
+	case !l.armed && l.backed():
 		t.armCQETimer(l, t.gov.hold())
 	}
 	return x.To(ret)
@@ -1145,11 +1221,11 @@ func (tm *cqeTimer) Run() {
 	if epoch != t.epoch || !t.alive {
 		return
 	}
-	if len(l.cqes)+len(l.acks) == 0 {
-		// Only resolution records can be pending on an otherwise idle QP
-		// (relay route): ship them in a CQE-less capsule so the
-		// initiator reaches full resolution without waiting for
-		// unrelated completions.
+	if !l.backed() {
+		// Held entries wait for their release (commit). Resolution
+		// records pending beside them or on an idle QP (relay route) ship
+		// now, so the initiator reaches full resolution without waiting
+		// for unrelated completions.
 		if len(l.resolved) == 0 {
 			return
 		}
@@ -1196,6 +1272,7 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	msg.aggMembers, l.aggMembers = l.aggMembers, msg.aggMembers
 	msg.resolved, l.resolved = l.resolved, msg.resolved
 	msg.logFull, l.askRetires = l.askRetires, false
+	l.held = 0
 	if len(msg.cqes) == 0 {
 		// Resolution-only or log-full capsule: no buffered CQE minted the
 		// epoch, so stamp the initiator's current one.

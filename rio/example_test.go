@@ -117,7 +117,7 @@ func Example_multiTarget() {
 	// Output:
 	// striped: 200 x 64KB ordered writes in 2.781ms (4.71 GB/s)
 	// !! target 1 loses power mid-stream
-	// target recovery: replayed 46 commands in 2.639ms
+	// target recovery: replayed 46 commands in 2.638ms
 	// after recovery: 100/100 ordered writes delivered (no application-visible loss)
 }
 
@@ -208,9 +208,9 @@ func Example_multiInitiator() {
 	})
 	c.Run()
 	// Output:
-	// phase 1: 3 initiators wrote 900 ordered groups in 806.365us (1116 K ordered writes/s aggregate)
+	// phase 1: 3 initiators wrote 900 ordered groups in 805.425us (1117 K ordered writes/s aggregate)
 	// phase 2: initiator 2 power-cut after submitting 38 groups; 2/2 survivors completed all 200 groups each
-	// phase 3: initiator 2 recovered: durable prefix on its stream 1 = 27 of 38 submitted (order rebuild 18.177ms, data recovery 12.000us)
+	// phase 3: initiator 2 recovered: durable prefix on its stream 1 = 29 of 38 submitted (order rebuild 18.178ms, data recovery 12.000us)
 	// phase 3: recovered initiator committed new durable work — cluster fully operational
 }
 
@@ -448,9 +448,9 @@ func Example_kvStore() {
 	})
 	c.Run()
 	// Output:
-	// tenant 0 (initiator 0): 200 puts in 9.576ms (20.9 K puts/s), 3 memtable flushes, 3 SSTs
-	// tenant 1 (initiator 1): 200 puts in 9.589ms (20.9 K puts/s), 3 memtable flushes, 3 SSTs
-	// storage recovery: order rebuild 54.531ms, data recovery 0ns
+	// tenant 0 (initiator 0): 200 puts in 9.557ms (20.9 K puts/s), 3 memtable flushes, 3 SSTs
+	// tenant 1 (initiator 1): 200 puts in 9.569ms (20.9 K puts/s), 3 memtable flushes, 3 SSTs
+	// storage recovery: order rebuild 54.532ms, data recovery 0ns
 	// tenant 0: fs replayed 203 txns (0 incomplete discarded); WAL+SST hold 389 records (acked before cut: 200)
 	// tenant 1: fs replayed 203 txns (0 incomplete discarded); WAL+SST hold 389 records (acked before cut: 200)
 	// => 0 acknowledged puts lost across both tenants
