@@ -162,13 +162,16 @@ sim-diff:
 # them (plans 479, 551, 619) lost a follower's ack with the head while
 # finding 1(k) was open. Then 60 relay member cuts: every plan runs with
 # recycled records poisoned, and degrade, re-ask and resync are where a
-# pooled capsule, completion message or relay ack is likeliest to be read
-# after its recycle.
+# pooled capsule or completion message is likeliest to be read after its
+# recycle. Then 100 head cuts on 2-way relay sets, which the unpinned draw
+# never makes: every command there needs both acks, so commit order holds
+# acks on a follower's ack lane when the head dies.
 crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 1 -n 24
 	$(GO) run ./cmd/riocrash -seed 1 -n 40 -set cut=target -set final=false
 	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
 	$(GO) run ./cmd/riocrash -seed 1 -n 60 -set relay=true -set cut=member
+	$(GO) run ./cmd/riocrash -seed 451 -n 100 -set replicas=2 -set relay=true -set cut=head
 
 # Native fuzzing of the six pure-logic targets for FUZZTIME each, from
 # their committed seeds: the in-order gate under arbitrary arrival

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_30.json -new /tmp/bench.json [-threshold 0.10]
+//	benchdiff -baseline BENCH_32.json -new /tmp/bench.json [-threshold 0.10]
 package main
 
 import (
@@ -121,6 +121,10 @@ var gates = []gate{
 	{"satload.rio.knee_kiops", true, 0},
 	{"satload.rio.adaptive_p99low_us", false, 0},
 	{"satload.rio.adaptive_kiops_knee", true, 0},
+	// Target CPU efficiency (Fig. 10b): the paper's CPU claim. x12 is the
+	// cell a slower PMR persist (PMRWriteLat doubled) moves most, -11.6%
+	// over seeds 1-4.
+	{"fig10b.target_cpu_efficiency_normalized_to_orderless.rio.x12", true, 0},
 	// Tracing must stay free: the stage tracer records host memory only,
 	// so a traced run's event schedule is identical to an untraced one
 	// and the measured overhead is 0 by construction. The 2-point

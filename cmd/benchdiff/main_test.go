@@ -12,28 +12,29 @@ import (
 
 func baseMetrics() map[string]float64 {
 	return map[string]float64{
-		"scale.rio.kiops.s8":                              1200,
-		"scale.rio.p99_us":                                90,
-		"scale.rio.completion_msgs_per_op":                0.8,
-		"replication.rio.kiops.r3":                        630,
-		"replication.rio.failover_blip_us":                100,
-		"serve.rio.kiops":                                 200,
-		"serve.rio.p99_us":                                70,
-		"serve.rio.fairness_spread":                       1.05,
-		"read.rio.hit_rate":                               0.92,
-		"read.rio.kiops":                                  5000,
-		"read.rio.p99_us":                                 5,
-		"read.rio.readahead_hits":                         1025,
-		"replication.rio.kiops.r3.relay":                  570,
-		"replication.rio.tx_msgs_per_op.r3.relay":         0.74,
-		"replication.rio.completion_msgs_per_op.r3.relay": 0.92,
-		"replication.rio.relay_ack_msgs_per_op.r3.relay":  1.28,
-		"replication.rio.failover_blip_us.relay":          83,
-		"replication.rio.resync_divergence.relay":         0,
-		"satload.rio.knee_kiops":                          1035,
-		"satload.rio.adaptive_p99low_us":                  53,
-		"satload.rio.adaptive_kiops_knee":                 1035,
-		"trace.rio.overhead_pct":                          0,
+		"scale.rio.kiops.s8":                                           1200,
+		"scale.rio.p99_us":                                             90,
+		"scale.rio.completion_msgs_per_op":                             0.8,
+		"replication.rio.kiops.r3":                                     630,
+		"replication.rio.failover_blip_us":                             100,
+		"serve.rio.kiops":                                              200,
+		"serve.rio.p99_us":                                             70,
+		"serve.rio.fairness_spread":                                    1.05,
+		"read.rio.hit_rate":                                            0.92,
+		"read.rio.kiops":                                               5000,
+		"read.rio.p99_us":                                              5,
+		"read.rio.readahead_hits":                                      1025,
+		"replication.rio.kiops.r3.relay":                               570,
+		"replication.rio.tx_msgs_per_op.r3.relay":                      0.74,
+		"replication.rio.completion_msgs_per_op.r3.relay":              0.92,
+		"replication.rio.relay_ack_msgs_per_op.r3.relay":               1.28,
+		"replication.rio.failover_blip_us.relay":                       83,
+		"replication.rio.resync_divergence.relay":                      0,
+		"satload.rio.knee_kiops":                                       1035,
+		"satload.rio.adaptive_p99low_us":                               53,
+		"satload.rio.adaptive_kiops_knee":                              1035,
+		"trace.rio.overhead_pct":                                       0,
+		"fig10b.target_cpu_efficiency_normalized_to_orderless.rio.x12": 0.82,
 	}
 }
 
@@ -84,6 +85,7 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 		{"relay head-cut blip +20% (degrade path slows)", "replication.rio.failover_blip_us.relay", 83 * 1.20},
 		{"relay resync diverges (head-cut repair lost a write)", "replication.rio.resync_divergence.relay", 3},
 		{"prefetcher stops firing (readahead hits collapse)", "read.rio.readahead_hits", 1025 * 0.85},
+		{"target CPU efficiency -11% (a slower PMR persist)", "fig10b.target_cpu_efficiency_normalized_to_orderless.rio.x12", 0.82 * 0.89},
 	}
 	for _, tc := range cases {
 		fresh := baseMetrics()

@@ -103,8 +103,8 @@ func (c *Cluster) Holds(req *blockdev.Request) bool {
 // Config can say reaches them.
 
 // PoisonRecycled makes every recycled target completion event (and the SSD
-// command embedded in it), capsule, completion message and relay ack dead
-// for good instead of reusable: the record is scrubbed and marked free as
+// command embedded in it), capsule and completion message (a follower's
+// ack capsule included) dead for good instead of reusable: the record is scrubbed and marked free as
 // always, but never handed out again. A second recycle panics, and so does
 // a consumer entry point handed a free record (recvCapsule, the rx and
 // relay-ack contexts, the reaper), instead of reading the record's next

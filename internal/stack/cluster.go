@@ -177,20 +177,24 @@ func (cp *capsule) wireSize() int {
 		len(cp.forward)*len(cp.cmds)*nvmeof.SQESize
 }
 
-// completionMsg is the payload of one SEND back to an initiator: a
-// coalesced response capsule of CQEs (each names its command by id), or
-// the ack of one Horae control capsule (ctrlAck, the capsule's signal,
-// which the reaper fires). qp routes the capsule to the shard that owns
-// the queue pair's completion reaping; the initiator is implied by the
-// connection. from is the responding target server —
-// under replication the quorum accounting needs to know WHICH member of
-// the set acked.
+// completionMsg is the payload of every SEND a target makes: to an
+// initiator, a coalesced response capsule of CQEs (each names its command
+// by id) or the ack of one Horae control capsule (ctrlAck, the capsule's
+// signal, which the reaper fires); on the relay route, a follower's ack
+// capsule to its set head (acks: every relayed completion it gathered
+// since its last one — the target-to-target messages do not count against
+// the initiator's completion messages, that is the point). qp routes the
+// capsule to the shard that owns the queue pair's completion reaping; the
+// receiver is implied by the connection. from is the responding target
+// server — under replication the quorum accounting (the initiator's, or a
+// head's) needs to know WHICH member of the set acked.
 //
 // Messages recycle through the cluster's pool (getMsg/putMsg): a lane
 // swaps its coalescing buffers with the message it ships, so the buffers
 // circulate between lanes and messages.
 type completionMsg struct {
 	cqes    []nvmeof.CQE
+	acks    []relayAck // a follower's ack capsule: its entries (no cqes then)
 	ctrlAck *sim.Signal
 	qp      int
 	epoch   int
@@ -220,8 +224,10 @@ func (cm *completionMsg) FabricDelivered(sent, delivered sim.Time) {
 	cm.sentAt, cm.deliveredAt = sent, delivered
 }
 
-// The records that cross the initiator↔target boundary — capsules,
-// completion messages, relay acks — have one pool each on the Cluster. A
+// The records that cross a server boundary have one pool each on the
+// Cluster: capsules (an initiator's, or a head's forwarded copy) and
+// completion messages (everything a target sends: CQEs to an initiator, a
+// follower's acks to its head). A
 // record goes back where its last reader lets go of it (DESIGN.md §1),
 // scrubbed: it comes out zero but for the capacity of the buffers it owns
 // (their pointers cleared), transit stamps included. One that a fault
@@ -261,29 +267,11 @@ func (c *Cluster) putMsg(cm *completionMsg) {
 		panic("stack: completion message recycled twice")
 	}
 	*cm = completionMsg{
-		cqes: cm.cqes[:0], respondAt: cm.respondAt[:0],
+		cqes: cm.cqes[:0], acks: cm.acks[:0], respondAt: cm.respondAt[:0],
 		agg: cm.agg[:0], aggMembers: cm.aggMembers[:0], resolved: cm.resolved[:0], free: true,
 	}
 	if !c.poison {
 		c.msgFree.Put(cm)
-	}
-}
-
-// getAck checks a follower's ack capsule out of the pool.
-func (c *Cluster) getAck(member int) *relayAckMsg {
-	a := c.ackFree.Get()
-	a.free, a.member = false, member
-	return a
-}
-
-// putAck recycles a follower's ack capsule.
-func (c *Cluster) putAck(a *relayAckMsg) {
-	if a.free {
-		panic("stack: relay ack recycled twice")
-	}
-	*a = relayAckMsg{acks: a.acks[:0], free: true}
-	if !c.poison {
-		c.ackFree.Put(a)
 	}
 }
 
@@ -384,10 +372,9 @@ type Cluster struct {
 	// zero value — the data plane then carries only nil checks).
 	tracer *trace.Tracer
 
-	// Pools of the records that cross the initiator↔target boundary.
+	// Pools of the records that cross a server boundary.
 	capFree sim.FreeList[capsule]
 	msgFree sim.FreeList[completionMsg]
-	ackFree sim.FreeList[relayAckMsg]
 
 	poison bool // test hook: see PoisonRecycled
 }

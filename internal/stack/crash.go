@@ -67,7 +67,7 @@ func (c *Cluster) PowerCutTarget(i int) {
 	clear(t.flushers) // the FLUSHes are lost: queued barriers die like stranded commands, to be replayed
 	if t.relay != nil {
 		t.relay.ackQ.Drain()
-		t.relay.out.acks = t.relay.out.acks[:0] // the ack capsule being coalesced dies with the NIC
+		t.relay.dropAcks() // the ack capsule being coalesced dies with the NIC
 	}
 	// Degrade or strand, from what can be observed: while another member of
 	// the set is still in sync the cut degrades the set instead of stalling

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/nvmeof"
 	"repro/internal/order"
 	"repro/internal/sim"
 )
@@ -25,10 +24,11 @@ import (
 //     chains, PMR appends and gate semantics are those of the direct route.
 //   - Ack aggregation: followers send their completions to the head,
 //     coalesced: each follower buffers its relayed completions on its ack
-//     lane (relayState.out) and ships them as one capsule under the rule a
-//     response capsule ships by (commit, flushOrArm: a full batch, no
-//     relayed command left in flight there, the release of held acks, or
-//     the hold timer) — one PostMsg at the
+//     lane (relayState.out) and ships them as one response capsule (a
+//     completionMsg whose entries are acks, flushCQEs) under the rule
+//     every response capsule ships by (commit, flushOrArm: a full batch,
+//     no relayed command left in flight there, the release of held acks,
+//     or the hold timer) — one PostMsg at the
 //     follower and one RecvMsg at the head per capsule. The head runs the
 //     same quorum accountant the initiator does (order.Quorum) and emits
 //     ONE aggregated CQE at write quorum, carrying the acked member list;
@@ -95,16 +95,6 @@ type relayAck struct {
 	epoch    int // the owning initiator's epoch at relay time
 }
 
-// relayAckMsg is one follower's ack capsule to its set head over the relay
-// conn: every relayed completion the follower gathered since its last one
-// (the target-to-target messages do not count against the initiator's
-// completion messages — that is the point).
-type relayAckMsg struct {
-	acks   []relayAck
-	member int
-	free   bool // in the cluster's pool (or, poisoned, dead for good)
-}
-
 // relayRoute is the follower-side record that a relayed command is in
 // flight here and its completion goes to the head (relayState.pend), from
 // the moment the receive loop takes the command to the moment it responds.
@@ -140,8 +130,8 @@ type relayState struct {
 	pend []core.IDTable[relayRoute]
 	out  qpLane
 
-	ackQ *sim.Queue[*relayAckMsg] // head: follower ack capsules awaiting the relay-ack context
-	ack  tctx                     // head: the relay-ack context
+	ackQ *sim.Queue[*completionMsg] // head: follower ack capsules awaiting the relay-ack context
+	ack  tctx                       // head: the relay-ack context
 }
 
 // headLane is the init of a follower's ack lane, which serves every
@@ -153,7 +143,7 @@ func newRelayState(t *Target, inits int) *relayState {
 		agg:  make([]core.IDTable[*headAgg], inits),
 		pend: make([]core.IDTable[relayRoute], inits),
 		out:  qpLane{t: t, init: headLane},
-		ackQ: sim.NewQueue[*relayAckMsg](t.c.Eng),
+		ackQ: sim.NewQueue[*completionMsg](t.c.Eng),
 	}
 	for i := range inits {
 		r.agg[i].Init(16)
@@ -181,6 +171,13 @@ func (r *relayState) resetInitiator(init int) {
 	r.agg[init].Reset()
 	r.pend[init].Reset()
 	r.recount()
+}
+
+// dropAcks drops the acks a follower's ack lane still coalesces, and the
+// held count that stands for some of them (a cut of either end of the
+// relay link: they must never reach a later head incarnation).
+func (r *relayState) dropAcks() {
+	r.out.acks, r.out.held = r.out.acks[:0], 0
 }
 
 // recount sets the ack lane's in-flight count to the relayed commands
@@ -230,8 +227,8 @@ func (c *Cluster) buildRelayConns() {
 				}
 			})
 			conn.SetHandler(fabric.Initiator, func(m fabric.Message) {
-				if ack, ok := m.Payload.(*relayAckMsg); ok {
-					head.relay.ackQ.Push(ack)
+				if cm, ok := m.Payload.(*completionMsg); ok {
+					head.relay.ackQ.Push(cm)
 				}
 			})
 			rs.relay[k] = conn
@@ -341,24 +338,6 @@ func (t *Target) headConn() *fabric.Conn {
 	return rs.relay[rs.pos(t.id)]
 }
 
-// flushAcks ships the follower's pending acks to its set head as one
-// capsule, then returns to ret: one PostMsg however many completions it
-// carries. Like a response capsule, a batch of one ships bare.
-func (x *tctx) flushAcks(l *qpLane, ret tstep) bool {
-	t := x.t
-	if len(l.acks) == 0 {
-		return x.To(ret)
-	}
-	msg := t.c.getAck(t.id)
-	msg.acks, l.acks = l.acks, msg.acks
-	l.held = 0
-	size := nvmeof.ResponseSize
-	if n := len(msg.acks); n > 1 {
-		size = nvmeof.CQEVectorCapsuleSize(n)
-	}
-	return x.post(l, msg, size, ret)
-}
-
 // ackPop takes the next follower ack capsule of the head-side relay-ack
 // context: each capsule costs receive CPU once (the reap work moved off the
 // initiator), and each of its entries feeds the command's quorum record;
@@ -372,18 +351,20 @@ func (x *tctx) ackPop() bool {
 	if !ok {
 		return false
 	}
-	mustBeLive(msg.free, "relay ack")
+	mustBeLive(msg.free, "completion message")
 	t := x.t
 	if !t.alive {
-		t.c.putAck(msg)
+		t.c.putMsg(msg)
 		return true
 	}
 	x.ack, x.k, x.tEpoch = msg, 0, t.epoch
 	return x.Charge(t.c.costs.RecvMsg, (*tctx).ackNext)
 }
 
-// ackNext feeds the capsule's next entry to its quorum record, and recycles
-// the capsule after the last one or once the head's incarnation is gone.
+// ackNext feeds the capsule's next entry to its quorum record (ackMember),
+// returning through the response flush rule when that fires the aggregated
+// CQE, and recycles the capsule after the last entry or once the head's
+// incarnation is gone.
 func (x *tctx) ackNext() bool {
 	t, msg := x.t, x.ack
 	for x.k < len(msg.acks) && t.alive && t.epoch == x.tEpoch {
@@ -393,22 +374,16 @@ func (x *tctx) ackNext() bool {
 			continue
 		}
 		if as, ok := t.relay.agg[a.init].Get(a.id); ok && as.epoch == a.epoch {
-			return x.aggAck(aggKey{a.init, a.id}, as, msg.member, (*tctx).ackNext)
+			if l := t.ackMember(aggKey{a.init, a.id}, as, msg.from); l != nil {
+				return x.flushOrArm(l, (*tctx).ackNext)
+			}
+			continue
 		}
-		t.pushResolved(t.lane(a.init, a.qp), aggResolved{init: a.init, id: a.id, member: msg.member})
+		t.pushResolved(t.lane(a.init, a.qp), aggResolved{init: a.init, id: a.id, member: msg.from})
 	}
-	t.c.putAck(msg)
+	t.c.putMsg(msg)
 	x.ack = nil
 	return x.To((*tctx).ackPop)
-}
-
-// aggAck accounts one follower ack (ackMember), then returns to ret through
-// the response flush rule if that fired the aggregated CQE.
-func (x *tctx) aggAck(key aggKey, as *headAgg, member int, ret tstep) bool {
-	if l := x.t.ackMember(key, as, member); l != nil {
-		return x.flushOrArm(l, ret)
-	}
-	return x.To(ret)
 }
 
 // ackMember accounts one member ack (the head's own completion included).
@@ -499,8 +474,7 @@ func (c *Cluster) relayCut(m int) {
 	for k, conn := range rs.relay {
 		if conn != nil {
 			conn.Disconnect()
-			out := &c.targets[rs.members[k]].relay.out
-			out.acks = out.acks[:0]
+			c.targets[rs.members[k]].relay.dropAcks()
 		}
 	}
 	for _, in := range c.inits {

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/ssd"
 )
 
 // relayConfig is replConfig with the target-to-target relay fast path
@@ -471,57 +473,85 @@ func TestRelayChargeLedger(t *testing.T) {
 }
 
 // TestRelayHeadCutDropsPendingAcks cuts the head while a follower's ack
-// capsule is still coalescing. The cut clears the capsule — no buffered
-// ack may reach a later head incarnation — and the commands it held, past
-// the gate and out of the follower's in-flight table, are acked directly
-// by the re-ask: every write is delivered exactly once and lands once on
-// each survivor.
+// capsule is still coalescing. The cut clears the capsule and the lane's
+// held count: no buffered ack may reach a later head incarnation. The
+// commands it held, past the gate and out of the follower's in-flight
+// table, are acked directly by the re-ask: every write is delivered
+// exactly once and lands once on each survivor. On a 2-way set every
+// command needs both acks, so an ack whose command completes ahead of an
+// older one of its stream is held (commit): that row busies a media
+// channel of the follower so completions overtake, and cuts once the
+// follower holds an ack.
 func TestRelayHeadCutDropsPendingAcks(t *testing.T) {
-	eng := sim.New(24)
-	c := New(eng, relayConfig(3))
-	defer eng.Shutdown()
-	const groups = 60
-	reqs := headCutTraffic(eng, c, groups, true)
-	followers := c.SetMembers(0)[1:]
-	buffered := func() int {
-		n := 0
-		for _, m := range followers {
-			n += len(c.targets[m].relay.out.acks)
-		}
-		return n
-	}
-	at := sim.Time(0)
-	for buffered() == 0 {
-		if at += 100; at > 100*sim.Microsecond {
-			t.Fatal("no follower ever held a pending ack capsule")
-		}
-		eng.RunUntil(at)
-	}
-	held := buffered()
-	c.PowerCutTarget(c.SetMembers(0)[0])
-	if n := buffered(); n != 0 {
-		t.Fatalf("%d buffered acks survived the head cut", n)
-	}
-	eng.Run()
-	t.Logf("head cut at %v with %d acks buffered", at, held)
-	for i, r := range *reqs {
-		if !r.Done.Fired() {
-			t.Fatalf("request %d of %d stalled after the head cut", i, len(*reqs))
-		}
-	}
-	if got := c.Init(0).Stats().Completed; got != int64(len(*reqs)) {
-		t.Fatalf("%d deliveries for %d requests", got, len(*reqs))
-	}
-	for _, m := range followers {
-		if v := c.Target(m).GateAudit(); v != 0 {
-			t.Fatalf("survivor %d gate audit: %d violations", m, v)
-		}
-		for _, r := range *reqs {
-			ext := c.Volume().Extents(r.LBA, 1)[0]
-			h := c.Target(m).SSD(c.Volume().Dev(ext.Dev).SSD).History(ext.DevLBA)
-			if len(h) != 1 || h[0].Stamp != core.AttrStamp(r.Ticket.Attr) {
-				t.Fatalf("survivor %d lba %d: history %+v, want exactly one write under stamp %#x", m, r.LBA, h, core.AttrStamp(r.Ticket.Attr))
+	for _, row := range []struct {
+		replicas int
+		held     bool // busy a follower's channel 0 and cut once it holds an ack
+	}{{3, false}, {2, true}} {
+		t.Run(fmt.Sprintf("r%d", row.replicas), func(t *testing.T) {
+			eng := sim.New(24)
+			c := New(eng, relayConfig(row.replicas))
+			defer eng.Shutdown()
+			followers := c.SetMembers(0)[1:]
+			if row.held {
+				// Four media writes of no stream (LBA mod 7 = 0).
+				for i := range 4 {
+					c.Target(followers[0]).SSD(0).Submit(&ssd.Command{Op: ssd.OpWrite, LBA: uint64(7000 + 7*i), Blocks: 1, Stamps: []uint64{1}, Done: func(*ssd.Command) {}})
+				}
 			}
-		}
+			const groups = 60
+			reqs := headCutTraffic(eng, c, groups, true)
+			pending := func() (acks, held int) {
+				for _, m := range followers {
+					out := &c.targets[m].relay.out
+					acks, held = acks+len(out.acks), held+out.held
+				}
+				return acks, held
+			}
+			ready := func() bool {
+				acks, held := pending()
+				return acks > 0 && (held > 0 || !row.held)
+			}
+			at := sim.Time(0)
+			for !ready() {
+				if at += 100; at > 100*sim.Microsecond {
+					t.Fatalf("no follower ever held a pending ack capsule (held=%v)", row.held)
+				}
+				eng.RunUntil(at)
+			}
+			buffered, held := pending()
+			head := c.SetMembers(0)[0]
+			c.PowerCutTarget(head)
+			if acks, held := pending(); acks != 0 || held != 0 {
+				t.Fatalf("%d buffered acks (%d held) survived the head cut", acks, held)
+			}
+			eng.Run()
+			if c.writeQuorum > len(followers) {
+				// The survivors alone are no write quorum: the writes wait
+				// for the head to rejoin.
+				eng.Go("recover", func(p *sim.Proc) { c.RecoverTarget(p, head) })
+				eng.Run()
+			}
+			t.Logf("head cut at %v with %d acks buffered, %d held", at, buffered, held)
+			for i, r := range *reqs {
+				if !r.Done.Fired() {
+					t.Fatalf("request %d of %d stalled after the head cut", i, len(*reqs))
+				}
+			}
+			if got := c.Init(0).Stats().Completed; got != int64(len(*reqs)) {
+				t.Fatalf("%d deliveries for %d requests", got, len(*reqs))
+			}
+			for _, m := range followers {
+				if v := c.Target(m).GateAudit(); v != 0 {
+					t.Fatalf("survivor %d gate audit: %d violations", m, v)
+				}
+				for _, r := range *reqs {
+					ext := c.Volume().Extents(r.LBA, 1)[0]
+					h := c.Target(m).SSD(c.Volume().Dev(ext.Dev).SSD).History(ext.DevLBA)
+					if len(h) != 1 || h[0].Stamp != core.AttrStamp(r.Ticket.Attr) {
+						t.Fatalf("survivor %d lba %d: history %+v, want exactly one write under stamp %#x", m, r.LBA, h, core.AttrStamp(r.Ticket.Attr))
+					}
+				}
+			}
+		})
 	}
 }

@@ -1252,14 +1252,13 @@ func (t *Target) routeFlush(l *qpLane) {
 
 // flushCQEs ships one lane's pending completions as a single vectored
 // response capsule, then returns to ret: one shared framing, one PostMsg,
-// each CQE naming its command by id. A batch of one needs no vector framing
-// and ships as a bare 16-byte capsule.
+// each entry naming its command by id — CQEs toward an initiator, or, on a
+// follower's ack lane, acks toward its set head (a lane carries one kind
+// only). A batch of one needs no vector framing and ships as a bare
+// 16-byte capsule.
 func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	t := x.t
-	if l.init == headLane {
-		return x.flushAcks(l, ret)
-	}
-	if len(l.cqes) == 0 && len(l.resolved) == 0 && !l.askRetires {
+	if len(l.cqes) == 0 && len(l.acks) == 0 && len(l.resolved) == 0 && !l.askRetires {
 		return x.To(ret)
 	}
 	// Detach before charging CPU: the charge waits, and the other
@@ -1267,19 +1266,21 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	// its buffers with the message's empty ones.
 	msg := t.c.getMsg(l.qp, l.epoch, t.id)
 	msg.cqes, l.cqes = l.cqes, msg.cqes
+	msg.acks, l.acks = l.acks, msg.acks
 	msg.respondAt, l.cqeT = l.cqeT, msg.respondAt
 	msg.agg, l.agg = l.agg, msg.agg
 	msg.aggMembers, l.aggMembers = l.aggMembers, msg.aggMembers
 	msg.resolved, l.resolved = l.resolved, msg.resolved
 	msg.logFull, l.askRetires = l.askRetires, false
 	l.held = 0
-	if len(msg.cqes) == 0 {
+	if len(msg.cqes) == 0 && l.init != headLane {
 		// Resolution-only or log-full capsule: no buffered CQE minted the
-		// epoch, so stamp the initiator's current one.
+		// epoch, so stamp the initiator's current one (an ack capsule has
+		// no initiator: each ack carries its own epoch).
 		msg.epoch = t.initEpoch(l.init)
 	}
 	size := nvmeof.ResponseSize
-	if n := len(msg.cqes); n > 1 {
+	if n := len(msg.cqes) + len(msg.acks); n > 1 {
 		size = nvmeof.CQEVectorCapsuleSize(n)
 	}
 	size += len(msg.resolved) * nvmeof.ResponseSize
@@ -1288,35 +1289,30 @@ func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 
 // post is the one step every message a target sends takes (response
 // capsules, Horae control acks and log-full asks to an initiator; a
-// follower's ack capsules to its head): it charges PostMsg, then sends msg
-// — a *completionMsg, or a *relayAckMsg on an ack lane — size bytes, on
-// lane l's queue pair and returns to ret. A power cut during the charge
-// drops the message with the NIC.
-func (x *tctx) post(l *qpLane, msg any, size int, ret tstep) bool {
+// follower's ack capsules to its head): it charges PostMsg, then sends msg,
+// size bytes, on lane l's queue pair — to l's initiator, or, from an ack
+// lane, to the set head — and returns to ret. A power cut during the
+// charge drops the message with the NIC.
+func (x *tctx) post(l *qpLane, msg *completionMsg, size int, ret tstep) bool {
 	x.out, x.outLane, x.outSize, x.Ret = msg, l, size, ret
 	return x.Charge(x.t.c.costs.PostMsg, (*tctx).posted)
 }
 
 func (x *tctx) posted() bool {
-	t, l := x.t, x.outLane
-	m := fabric.Message{QP: l.qp, Size: x.outSize, Payload: x.out}
+	t, l, msg := x.t, x.outLane, x.out
 	x.out, x.outLane = nil, nil
-	switch msg := m.Payload.(type) {
-	case *completionMsg:
-		if !t.alive { // power cut while posting: the capsule dies with the NIC
-			t.c.putMsg(msg)
-			return x.Back()
-		}
+	if !t.alive { // power cut while posting: the capsule dies with the NIC
+		t.c.putMsg(msg)
+		return x.Back()
+	}
+	m := fabric.Message{QP: l.qp, Size: x.outSize, Payload: msg}
+	if l.init == headLane {
+		t.stats.RelayAckMsgs++
+		t.headConn().Send(fabric.Target, m)
+	} else {
 		t.stats.Responses++
 		t.stats.CQEs += int64(len(msg.cqes))
 		t.conns[l.init].Send(fabric.Target, m)
-	case *relayAckMsg:
-		if !t.alive {
-			t.c.putAck(msg)
-			return x.Back()
-		}
-		t.stats.RelayAckMsgs++
-		t.headConn().Send(fabric.Target, m)
 	}
 	return x.Back()
 }

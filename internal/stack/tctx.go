@@ -54,14 +54,14 @@ type tctx struct {
 	mark   order.SlotRef
 
 	// post: the message, its lane and size while PostMsg is charged.
-	out     any
+	out     *completionMsg
 	outLane *qpLane
 	outSize int
 
 	// Relay-ack context: the follower ack capsule in progress, the index
 	// of its next entry (k) and the head incarnation it was taken under
 	// (tEpoch).
-	ack *relayAckMsg
+	ack *completionMsg
 }
 
 // A burstCmd is one command of an rx context's burst: its attribute chain
