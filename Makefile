@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs sim-diff crash-smoke fuzz-smoke coverage ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint loc bench bench-sim bench-layers bench-json bench-gate benchmark-smoke host-pairs sim-diff crash-smoke fuzz-smoke coverage coverage-all ci
 
 all: build test
 
@@ -163,9 +163,10 @@ sim-diff:
 # finding 1(k) was open. Then 60 relay member cuts: every plan runs with
 # recycled records poisoned, and degrade, re-ask and resync are where a
 # pooled capsule or completion message is likeliest to be read after its
-# recycle. Then 100 head cuts on 2-way relay sets, which the unpinned draw
-# never makes: every command there needs both acks, so commit order holds
-# acks on a follower's ack lane when the head dies.
+# recycle. Then 100 head cuts on 2-way relay sets (the unpinned draw makes
+# a 2-way set in about 1 plan of 5, this line only those): every command
+# there needs both acks, so commit order holds acks on a follower's ack lane
+# when the head dies.
 crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 1 -n 24
 	$(GO) run ./cmd/riocrash -seed 1 -n 40 -set cut=target -set final=false
@@ -201,5 +202,14 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 	@$(GO) tool cover -func=coverage.out | awk '$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|internal\/bench)\//'
+
+# Merged coverage of everything the repository drives — the tier-1 tests,
+# riobench -exp all -quick, the crash-smoke sweeps and the benchmark's seven
+# workloads — from -cover builds: the merged total, then every block outside
+# cmd/ and internal/bench/ that none of them reaches (what a deletion sweep
+# may take as unreached). Writes only under a temporary directory; several
+# minutes. Not a CI step.
+coverage-all:
+	bash scripts/coverage-all.sh
 
 ci: lint build race bench-sim bench-layers bench-gate benchmark-smoke crash-smoke fuzz-smoke

@@ -26,7 +26,7 @@ func TestMaskedDraws(t *testing.T) {
 		}
 		drawn = append(drawn, pl)
 	}
-	const want = "masked    1d:400 1f:194 1i:113 all:567\n"
+	const want = "masked    1d:330 1f:185 1i:99 all:494\n"
 	if got := MaskTable(drawn); got != want {
 		t.Fatalf("masked draws at seeds 1–400:\n%swant\n%s", got, want)
 	}

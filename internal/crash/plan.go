@@ -76,7 +76,7 @@ var dims = []dim{
 	{name: "Mode", vals: []any{"rio", "rio", "horae", "linux", "linux", "orderless"}},
 	{name: "Inits", vals: []any{1, 2}},
 	{name: "Devices", vals: []any{"oo", "of", "fo", "ff", "ooo"}},
-	{name: "Replicas", vals: []any{1, 1, 3}},
+	{name: "Replicas", vals: []any{1, 2, 3}},
 	{name: "Relay", vals: []any{false, true}},
 	{name: "Chunk", vals: []any{1, 4, 8, 0}},
 	{name: "Burst", vals: []any{1, 4, 6}},

@@ -166,7 +166,7 @@ func TestQuorumAccounting(t *testing.T) {
 	if q.Pos(4) != 1 || q.Pos(9) != -1 {
 		t.Fatal("Pos broken")
 	}
-	if !q.Ack(q.Pos(3)) || q.Acks != 1 || q.Fired {
+	if !q.Ack(q.Pos(3)) || q.Acks != 1 || q.Fire() || q.Fired {
 		t.Fatal("first ack")
 	}
 	if q.Ack(q.Pos(3)) {
@@ -180,6 +180,9 @@ func TestQuorumAccounting(t *testing.T) {
 	}
 	if !q.Ack(q.Pos(5)) || q.Acks != 2 || !q.Done() {
 		t.Fatalf("final ack: acks=%d done=%v", q.Acks, q.Done())
+	}
+	if !q.Fire() || !q.Fired || q.Fire() {
+		t.Fatal("the quorum must fire exactly once, at Need acks")
 	}
 	if q.Ack(q.Pos(4)) {
 		t.Fatal("ack after cancel counted (resync late-ack must use its own path)")

@@ -74,6 +74,17 @@ func (q *Quorum) Cancel(k int) bool {
 	return true
 }
 
+// Fire is the quorum rule: it marks the quorum fired the first time Acks
+// reaches Need, and reports whether this call did (the caller then
+// delivers the completion, once).
+func (q *Quorum) Fire() bool {
+	if q.Fired || q.Acks < q.Need {
+		return false
+	}
+	q.Fired = true
+	return true
+}
+
 // Done reports whether every member copy resolved (the command holds no
 // more in-flight state anywhere).
 func (q *Quorum) Done() bool { return q.NResolved == len(q.Members) }

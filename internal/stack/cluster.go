@@ -177,46 +177,54 @@ func (cp *capsule) wireSize() int {
 		len(cp.forward)*len(cp.cmds)*nvmeof.SQESize
 }
 
+// cplEntry is one completion a target sends: the command it names (owning
+// initiator, queue pair, initiator-local id and the initiator's epoch when
+// the command was sent) and when it joined its lane. Toward an initiator it
+// is a CQE; from a follower's ack lane, an ack toward the set head. An
+// aggregated CQE a relay head emits at quorum also carries members, the
+// members it vouches for (bit k for the set's members[k]), and wait, the
+// head's first-ack-to-quorum wait (stage tracing). On the wire every entry
+// is one 16-byte CQE slot, whatever its member count.
+type cplEntry struct {
+	init, qp int
+	id       uint64
+	epoch    int
+	at       sim.Time
+	members  uint64
+	wait     sim.Time
+}
+
 // completionMsg is the payload of every SEND a target makes: to an
-// initiator, a coalesced response capsule of CQEs (each names its command
-// by id) or the ack of one Horae control capsule (ctrlAck, the capsule's
-// signal, which the reaper fires); on the relay route, a follower's ack
-// capsule to its set head (acks: every relayed completion it gathered
-// since its last one — the target-to-target messages do not count against
-// the initiator's completion messages, that is the point). qp routes the
-// capsule to the shard that owns the queue pair's completion reaping; the
-// receiver is implied by the connection. from is the responding target
-// server — under replication the quorum accounting (the initiator's, or a
-// head's) needs to know WHICH member of the set acked.
+// initiator, a coalesced response capsule of CQEs or the ack of one Horae
+// control capsule (ctrlAck, the capsule's signal, which the reaper fires);
+// on the relay route, a follower's ack capsule to its set head (every
+// relayed completion it gathered since its last one — the
+// target-to-target messages do not count against the initiator's
+// completion messages, that is the point). entries are its completions —
+// one kind per message, as per lane — and resolved, on the relay route,
+// the late-ack records a head piggybacks so the initiator reaches full
+// resolution without extra capsules. qp routes the capsule to the shard
+// that owns the queue pair's completion reaping; the receiver is implied by
+// the connection. from is the responding target server — under
+// replication the quorum accounting (the initiator's, or a head's) needs to
+// know WHICH member of the set acked. sentAt/deliveredAt are the fabric
+// transit stamps: with each entry's at they attribute the reverse path —
+// coalesce hold, wire, reap.
 //
 // Messages recycle through the cluster's pool (getMsg/putMsg): a lane
 // swaps its coalescing buffers with the message it ships, so the buffers
 // circulate between lanes and messages.
 type completionMsg struct {
-	cqes    []nvmeof.CQE
-	acks    []relayAck // a follower's ack capsule: its entries (no cqes then)
-	ctrlAck *sim.Signal
-	qp      int
-	epoch   int
-	from    int
-	free    bool // in the pool (or, poisoned, dead for good)
-	logFull bool // the target's log partition for this initiator is full (qpLane.askRetires)
+	entries  []cplEntry
+	resolved []aggResolved
+	ctrlAck  *sim.Signal
+	qp       int
+	epoch    int
+	from     int
+	free     bool // in the pool (or, poisoned, dead for good)
+	logFull  bool // the target's log partition for this initiator is full (qpLane.askRetires)
 
-	// respondAt is the per-CQE instant the completion entered the
-	// coalescing buffer (parallel to cqes; empty when tracing is off), and
-	// sentAt/deliveredAt are the fabric transit stamps — together they
-	// attribute the reverse path: coalesce hold, wire, reap.
-	respondAt           []sim.Time
 	sentAt, deliveredAt sim.Time
-
-	// Aggregation extension (ReplRelay): agg is parallel to cqes — an
-	// entry listing members (in aggMembers) marks an aggregated CQE the
-	// set's head emitted at quorum, standing in for that many per-member
-	// acks; resolved carries piggybacked late-ack records so the initiator
-	// reaches full resolution without extra capsules.
-	agg        []aggCQE
-	aggMembers []int
-	resolved   []aggResolved
 }
 
 // FabricDelivered implements fabric.TracedPayload.
@@ -266,10 +274,7 @@ func (c *Cluster) putMsg(cm *completionMsg) {
 	if cm.free {
 		panic("stack: completion message recycled twice")
 	}
-	*cm = completionMsg{
-		cqes: cm.cqes[:0], acks: cm.acks[:0], respondAt: cm.respondAt[:0],
-		agg: cm.agg[:0], aggMembers: cm.aggMembers[:0], resolved: cm.resolved[:0], free: true,
-	}
+	*cm = completionMsg{entries: cm.entries[:0], resolved: cm.resolved[:0], free: true}
 	if !c.poison {
 		c.msgFree.Put(cm)
 	}

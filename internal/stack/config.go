@@ -176,8 +176,8 @@ type Config struct {
 	// degraded member suspends the relay for its set (direct fan-out,
 	// exactly the default path) until resync rejoins it. Off (the
 	// default) the relay conns are never built and the stack is
-	// byte-identical to the direct fan-out path. Rio mode, Replicas > 1
-	// only.
+	// byte-identical to the direct fan-out path. Rio mode, 1 < Replicas
+	// <= 64 only.
 	ReplRelay bool
 
 	Fabric fabric.Config
@@ -288,6 +288,9 @@ func (cfg Config) Validate() error {
 		return errors.New("stack: MaxInflight requires ModeRio or ModeOrderless")
 	case r <= 1 && cfg.ReplRelay:
 		return errors.New("stack: ReplRelay requires Replicas > 1")
+	case r > maxRelayMembers && cfg.ReplRelay:
+		// An aggregated CQE names the members it vouches for in a 64-bit mask.
+		return fmt.Errorf("stack: ReplRelay takes at most %d replicas", maxRelayMembers)
 	case r > 1 && cfg.Mode != ModeRio:
 		return errors.New("stack: replication requires ModeRio")
 	case r > 1 && len(cfg.Targets)%r != 0:

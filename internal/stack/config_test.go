@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -123,6 +124,9 @@ func invalidConfigs() []struct {
 		{"linux inflight", "stack: MaxInflight requires ModeRio or ModeOrderless",
 			with(func(c *Config) { c.Mode, c.MaxInflight = ModeLinux, 8 })},
 		{"relay without replicas", "stack: ReplRelay requires Replicas > 1", with(func(c *Config) { c.ReplRelay = true })},
+		// An aggregated CQE's member mask has 64 bits.
+		{"relay set of 65", "stack: ReplRelay takes at most 64 replicas",
+			with(func(c *Config) { c.Replicas, c.ReplRelay = 65, true }, slices.Repeat(optane1(), 65)...)},
 		{"replicated horae", "stack: replication requires ModeRio",
 			with(func(c *Config) { c.Mode, c.Replicas = ModeHorae, 3 }, three...)},
 		{"uneven sets", "stack: 3 targets do not divide into replica sets of 2", with(func(c *Config) { c.Replicas = 2 }, three...)},
@@ -145,8 +149,8 @@ func invalidConfigs() []struct {
 // below the stack's transfer limit (dispatch panicked mid-run).
 func TestValidateMatchesNew(t *testing.T) {
 	cases := invalidConfigs()
-	if len(cases) != 18 {
-		t.Fatalf("%d cases, want 18: one per rule New panics on, two for MaxInflight's modes", len(cases))
+	if len(cases) != 19 {
+		t.Fatalf("%d cases, want 19: one per rule New panics on, two for MaxInflight's modes", len(cases))
 	}
 	small := ssd.OptaneConfig()
 	small.MaxTransferBlocks = 16

@@ -70,13 +70,15 @@ func (c *Cluster) PowerCutTarget(i int) {
 		t.relay.dropAcks() // the ack capsule being coalesced dies with the NIC
 	}
 	// Degrade or strand, from what can be observed: while another member of
-	// the set is still in sync the cut degrades the set instead of stalling
-	// the streams — survivors keep completing at quorum, the member's missed
-	// writes accumulate in its resync backlog, and in-flight commands stop
-	// waiting for an ack this member can never send. The last in-sync member
-	// of a set (of any size: a set of one has no other) has no survivor to
-	// complete anything: it stays in sync and its commands stay outstanding,
-	// for replay when it recovers.
+	// the set is still in sync the cut degrades the set — the member's
+	// missed writes accumulate in its resync backlog, and in-flight commands
+	// stop waiting for an ack this member can never send. Survivors keep
+	// completing where they still make a write quorum (a 3-way set's two);
+	// a degraded 2-way set does not (its quorum is both members): its
+	// writes complete as the rejoin's resync copies land (replResyncAck).
+	// The last in-sync member of a set (of any size: a set of one has no
+	// other) has no survivor to complete anything: it stays in sync and its
+	// commands stay outstanding, for replay when it recovers.
 	if c.replSets[c.setOf[i]].firstInSync(i) >= 0 {
 		c.degradeMember(i)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
-	"repro/internal/nvmeof"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -390,13 +389,13 @@ func TestDeadEpochCoalescedCapsuleDroppedWhole(t *testing.T) {
 
 	// Forge the late arrival: a well-formed coalesced capsule of the dead
 	// epoch (as the fabric would deliver had the cut raced the flush).
-	cqes := make([]nvmeof.CQE, 0, len(deadIDs))
+	entries := make([]cplEntry, 0, len(deadIDs))
 	for _, id := range deadIDs {
-		cqes = append(cqes, nvmeof.NewCQE(id))
+		entries = append(entries, cplEntry{id: id, epoch: deadEpoch})
 	}
 	before := c.Init(0).Stats()
 	retireBefore := c.inits[0].retireMarksSet()
-	c.inits[0].shards[0].cplQ.Push(&completionMsg{cqes: cqes, qp: 0, epoch: deadEpoch})
+	c.inits[0].shards[0].cplQ.Push(&completionMsg{entries: entries, qp: 0, epoch: deadEpoch})
 	eng.Run()
 	after := c.Init(0).Stats()
 	if d := after.Completed - before.Completed; d != 0 {

@@ -836,8 +836,8 @@ func (r *reaper) handle() bool {
 	in, msg := r.in, r.msg
 	r.msg = nil
 	in.stats.ReapCPU += in.costs.CplHandle
-	if len(msg.cqes) > 0 {
-		in.stats.CplBatch.Ring(len(msg.cqes))
+	if len(msg.entries) > 0 {
+		in.stats.CplBatch.Ring(len(msg.entries))
 	}
 	if msg.ctrlAck != nil {
 		msg.ctrlAck.Fire()
@@ -845,28 +845,27 @@ func (r *reaper) handle() bool {
 	if msg.logFull {
 		in.retireAsked[msg.from] = !in.sendRetires(msg.from)
 	}
-	for i := range msg.cqes {
-		id := msg.cqes[i].ID()
-		ws, _ := in.outstanding.Get(id)
+	for i := range msg.entries {
+		e := &msg.entries[i]
+		ws, _ := in.outstanding.Get(e.id)
 		if ws == nil || ws.epoch != in.epoch {
 			continue
 		}
 		if in.c.tracer != nil {
-			var respAt sim.Time
-			if i < len(msg.respondAt) {
-				respAt = msg.respondAt[i]
-			}
-			markCpl(ws, msg, respAt)
+			markCpl(ws, msg, e.at)
 		}
-		if i < len(msg.agg) && msg.agg[i].n > 0 {
+		if e.members != 0 {
 			// Aggregated CQE (relay route): the set head vouches for every
-			// listed member's ack. memberAck may recycle ws mid-list — the
-			// outstanding check stops the walk the moment it does.
-			a := msg.agg[i]
-			addWaitWire(ws, trace.WaitAgg, a.wait)
-			for _, m := range msg.aggMembers[a.off : a.off+a.n] {
+			// member in its mask, credited in set order. memberAck may
+			// recycle ws mid-set — the outstanding check stops the walk
+			// the moment it does.
+			addWaitWire(ws, trace.WaitAgg, e.wait)
+			for k, m := range in.c.replSets[in.c.setOf[msg.from]].members {
+				if e.members&(1<<k) == 0 {
+					continue
+				}
 				in.memberAck(ws, m)
-				if cur, _ := in.outstanding.Get(id); cur != ws {
+				if cur, _ := in.outstanding.Get(e.id); cur != ws {
 					break
 				}
 			}

@@ -26,8 +26,8 @@ func volatileLaneFields(l *qpLane, fn func(name string, v reflect.Value)) {
 
 // TestPowerCutInitiatorResetsItsLanesOnly: an initiator power cut must
 // leave nothing of the dead incarnation in its lanes at any target — no
-// queued capsule, pending CQE, trace stamp, aggregation annotation,
-// resolution record, relay ack entry, armed flag, in-flight count or watermark ask — while a
+// queued capsule, pending entry, resolution record, armed flag, in-flight
+// count or watermark ask — while a
 // peer initiator's lanes on the same targets are not touched.
 func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 	eng := sim.New(5)
@@ -46,10 +46,8 @@ func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 		for k := range tg.lanes {
 			l := &tg.lanes[k]
 			l.rxQ.Push(&capsule{})
-			l.aggMembers = append(l.aggMembers, 0, 1)
-			l.push(uint64(100+l.qp), 3, aggCQE{off: 0, n: 2, wait: 9})
-			l.resolved = append(l.resolved, aggResolved{init: l.init, id: 7, member: 1})
-			l.acks = append(l.acks, relayAck{init: l.init, qp: l.qp, id: 8, epoch: 3})
+			l.push(cplEntry{init: l.init, qp: l.qp, id: uint64(100 + l.qp), epoch: 3, members: 3, wait: 9})
+			l.resolved = append(l.resolved, aggResolved{id: 7, member: 1})
 			l.armed, l.inflight, l.askRetires, l.held = true, 4, true, 1
 			volatileLaneFields(l, func(name string, v reflect.Value) {
 				if v.IsZero() {

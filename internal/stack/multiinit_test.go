@@ -270,8 +270,8 @@ func TestInitiatorCutMidReapCharge(t *testing.T) {
 		for _, sh := range in.shards {
 			if m := sh.reap.msg; m != nil {
 				charging++
-				for i := range m.cqes {
-					_, ok := in.outstanding.Get(m.cqes[i].ID())
+				for _, e := range m.entries {
+					_, ok := in.outstanding.Get(e.id)
 					live = live || ok
 				}
 			}

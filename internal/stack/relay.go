@@ -31,7 +31,8 @@ import (
 //     or the hold timer) — one PostMsg at the
 //     follower and one RecvMsg at the head per capsule. The head runs the
 //     same quorum accountant the initiator does (order.Quorum) and emits
-//     ONE aggregated CQE at write quorum, carrying the acked member list;
+//     ONE aggregated CQE at write quorum, carrying the acked members as a
+//     bit mask over the set's members;
 //     later acks become resolution records piggybacked on later completion
 //     capsules.
 //
@@ -69,30 +70,11 @@ type aggKey struct {
 	id   uint64
 }
 
-// aggCQE annotates one entry of a completionMsg's CQE batch: n > 0 marks
-// an aggregated CQE the set's head emitted at quorum, standing in for one
-// genuine ack per member it lists — aggMembers[off:off+n] of the lane or
-// message carrying it. wait is the head-side aggregation wait (first ack
-// to quorum fire) for stage tracing.
-type aggCQE struct {
-	off, n int
-	wait   sim.Time
-}
-
 // aggResolved is one late member ack forwarded after the aggregated CQE
 // fired, piggybacked on a later completion capsule toward the initiator.
 type aggResolved struct {
-	init   int
 	id     uint64
 	member int
-}
-
-// relayAck is one entry of a follower's ack capsule: a relayed command the
-// follower completed, named as the head's quorum record knows it.
-type relayAck struct {
-	init, qp int
-	id       uint64
-	epoch    int // the owning initiator's epoch at relay time
 }
 
 // relayRoute is the follower-side record that a relayed command is in
@@ -116,9 +98,9 @@ type headAgg struct {
 
 // relayState is everything volatile a target holds for the relay route
 // that is keyed by command, not by queue pair (Target.relay; nil unless
-// cfg.ReplRelay). The per-QP parts — pending resolution records, CQE
-// annotations — live in the qpLane. Command records sit in one table per
-// initiator, keyed by command id.
+// cfg.ReplRelay). The per-QP parts — pending aggregated CQEs and
+// resolution records — live in the qpLane. Command records sit in one
+// table per initiator, keyed by command id.
 type relayState struct {
 	agg  []core.IDTable[*headAgg] // head: open quorum records
 	free sim.FreeList[headAgg]
@@ -133,6 +115,10 @@ type relayState struct {
 	ackQ *sim.Queue[*completionMsg] // head: follower ack capsules awaiting the relay-ack context
 	ack  tctx                       // head: the relay-ack context
 }
+
+// maxRelayMembers bounds a relay set: an aggregated CQE's members mask
+// (cplEntry) has one bit per member.
+const maxRelayMembers = 64
 
 // headLane is the init of a follower's ack lane, which serves every
 // initiator.
@@ -177,7 +163,7 @@ func (r *relayState) resetInitiator(init int) {
 // held count that stands for some of them (a cut of either end of the
 // relay link: they must never reach a later head incarnation).
 func (r *relayState) dropAcks() {
-	r.out.acks, r.out.held = r.out.acks[:0], 0
+	r.out.entries, r.out.held = r.out.entries[:0], 0
 }
 
 // recount sets the ack lane's in-flight count to the relayed commands
@@ -314,9 +300,7 @@ func (t *Target) relayRespond(ws *wireState) bool {
 		return false
 	}
 	t.stats.RelayAcks++
-	l := &t.relay.out
-	l.stampFirst(t.c.Eng.Now())
-	l.acks = append(l.acks, relayAck{init: ws.init, qp: rp.qp, id: ws.id, epoch: rp.epoch})
+	t.relay.out.push(cplEntry{init: ws.init, qp: rp.qp, id: ws.id, epoch: rp.epoch})
 	return true
 }
 
@@ -367,8 +351,8 @@ func (x *tctx) ackPop() bool {
 // incarnation is gone.
 func (x *tctx) ackNext() bool {
 	t, msg := x.t, x.ack
-	for x.k < len(msg.acks) && t.alive && t.epoch == x.tEpoch {
-		a := msg.acks[x.k]
+	for x.k < len(msg.entries) && t.alive && t.epoch == x.tEpoch {
+		a := msg.entries[x.k]
 		x.k++
 		if a.epoch != t.initEpoch(a.init) {
 			continue
@@ -379,7 +363,7 @@ func (x *tctx) ackNext() bool {
 			}
 			continue
 		}
-		t.pushResolved(t.lane(a.init, a.qp), aggResolved{init: a.init, id: a.id, member: msg.from})
+		t.pushResolved(t.lane(a.init, a.qp), aggResolved{id: a.id, member: msg.from})
 	}
 	t.c.putMsg(msg)
 	x.ack = nil
@@ -399,12 +383,12 @@ func (t *Target) ackMember(key aggKey, as *headAgg, member int) *qpLane {
 		as.firstAck = t.c.Eng.Now()
 	}
 	l := t.lane(key.init, as.qp)
-	fire := !as.q.Fired && as.q.Acks >= as.q.Need
+	fire := as.q.Fire()
 	switch {
-	case as.q.Fired:
-		t.pushResolved(l, aggResolved{init: key.init, id: key.id, member: member})
 	case fire:
 		t.fireAgg(key, as)
+	case as.q.Fired:
+		t.pushResolved(l, aggResolved{id: key.id, member: member})
 	}
 	if as.q.Done() {
 		t.closeHeadAgg(key, as)
@@ -415,22 +399,23 @@ func (t *Target) ackMember(key aggKey, as *headAgg, member int) *qpLane {
 	return nil
 }
 
-// fireAgg queues the aggregated CQE of one quorum record — the members
-// acked so far — on its lane's pending response capsule.
+// fireAgg queues the aggregated CQE of one fired quorum record — the
+// members acked so far — on its lane's pending response capsule.
 // Memory-only, so the degrade sweep may call it from engine context; the
 // actual flush happens in completion context (flushOrArm, or a routed
 // flush event).
 func (t *Target) fireAgg(key aggKey, as *headAgg) {
-	as.q.Fired = true
 	t.stats.AggFires++
-	l := t.lane(key.init, as.qp)
-	off := len(l.aggMembers)
-	for k, m := range as.q.Members {
-		if as.q.Got[k] {
-			l.aggMembers = append(l.aggMembers, m)
+	var members uint64
+	for k, got := range as.q.Got {
+		if got {
+			members |= 1 << k
 		}
 	}
-	l.push(key.id, as.epoch, aggCQE{off: off, n: len(l.aggMembers) - off, wait: t.c.Eng.Now() - as.firstAck})
+	t.lane(key.init, as.qp).push(cplEntry{
+		init: key.init, qp: as.qp, id: key.id, epoch: as.epoch,
+		members: members, wait: t.c.Eng.Now() - as.firstAck,
+	})
 }
 
 // pushResolved queues one late-ack resolution record for piggybacking on
@@ -495,6 +480,7 @@ func (t *Target) flushHeadAggs() {
 		for id, as := range t.relay.agg[init].All() {
 			k := aggKey{init, id}
 			if as.epoch == t.initEpoch(init) && !as.q.Fired && as.q.Acks > 0 {
+				as.q.Fired = true
 				t.fireAgg(k, as)
 				if l := t.lane(init, as.qp); !slices.Contains(touched, l) {
 					touched = append(touched, l)
@@ -589,7 +575,7 @@ func (t *Target) answerReask(l *qpLane, cp *capsule) bool {
 		if a.ServerIdx < t.ord.Domain(l.init, a.Stream).Frontier() {
 			// Through the gate and no longer in flight: it completed, and
 			// the ack died with the head.
-			l.push(id, cp.epoch, aggCQE{})
+			l.push(cplEntry{init: l.init, qp: l.qp, id: id, epoch: cp.epoch})
 			acked = true
 			continue
 		}

@@ -2,12 +2,14 @@ package stack
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/nvmeof"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -286,8 +288,8 @@ func TestReaskAnswers(t *testing.T) {
 		if len(cp.cmds) != 1 || cp.cmds[0] != neverCame || !slices.Equal(cp.reask, []uint64{14}) {
 			t.Fatalf("pass %d: not-held remainder = %d commands, ids %v; want exactly id 14", pass, len(cp.cmds), cp.reask)
 		}
-		if len(l.cqes) != 1 || l.cqes[0].ID() != 12 {
-			t.Fatalf("pass %d: acked again = %v, want exactly id 12", pass, l.cqes)
+		if len(l.entries) != 1 || l.entries[0].id != 12 {
+			t.Fatalf("pass %d: acked again = %v, want exactly id 12", pass, l.entries)
 		}
 		completed.id = 77 // the first ack resolved it and the record was rebound: no second ack
 	}
@@ -419,14 +421,32 @@ func TestRelayAcksCoalesce(t *testing.T) {
 // writes is one head capsule, forwarded once per follower (a PostMsg at
 // the head); each member runs one burst and n completions; a follower pays
 // one PostMsg per ack capsule and posts no response of its own, and the
-// head pays one RecvMsg per ack capsule it receives.
+// head pays one RecvMsg per ack capsule it receives. The head's responses
+// to the initiator are held to the size rule, and their count and bytes are
+// pinned.
 func TestRelayChargeLedger(t *testing.T) {
-	for _, n := range []int{1, 4} {
+	for _, row := range []struct{ n, msgs, bytes int }{{1, 2, 48}, {4, 5, 144}} {
+		n := row.n
 		eng := sim.New(1)
 		cfg := relayConfig(3)
 		cfg.Streams, cfg.QPs = 1, 1
 		c := New(eng, cfg)
 		in := c.Init(0)
+		members := c.SetMembers(0)
+		// The head's responses, as the initiator's NIC receives them: the
+		// size each was charged, its aggregated CQEs and resolution records.
+		var sizes, cqes, resolved []int
+		headConn := c.Target(members[0]).conns[0]
+		headConn.SetHandler(fabric.Initiator, func(m fabric.Message) {
+			cm := m.Payload.(*completionMsg)
+			for _, e := range cm.entries {
+				if bits.OnesCount64(e.members) < c.WriteQuorum() {
+					t.Errorf("n=%d: aggregated CQE of id %d vouches for members %b, want a write quorum", n, e.id, e.members)
+				}
+			}
+			sizes, cqes, resolved = append(sizes, m.Size), append(cqes, len(cm.entries)), append(resolved, len(cm.resolved))
+			in.reapShard(cm.qp).cplQ.Push(cm)
+		})
 		eng.Go("app", func(p *sim.Proc) {
 			reqs := make([]*blockdev.Request, n)
 			in.StartPlug(0)
@@ -439,7 +459,27 @@ func TestRelayChargeLedger(t *testing.T) {
 			}
 		})
 		eng.Run()
-		members := c.SetMembers(0)
+		// The size rule: an aggregated CQE is one CQE slot whatever its
+		// member count (a lone one is a bare ResponseSize capsule), and each
+		// resolution record adds one ResponseSize. Every command yields one
+		// CQE and, for the member past quorum, one record; the head's
+		// response bytes are pinned.
+		total, nCQE, nRes := 0, 0, 0
+		for i, size := range sizes {
+			want := nvmeof.ResponseSize
+			if cqes[i] > 1 {
+				want = nvmeof.CQEVectorCapsuleSize(cqes[i])
+			}
+			if want += resolved[i] * nvmeof.ResponseSize; size != want {
+				t.Errorf("n=%d: response %d of %d CQEs and %d records charged %d bytes, want %d", n, i, cqes[i], resolved[i], size, want)
+			}
+			total, nCQE, nRes = total+size, nCQE+cqes[i], nRes+resolved[i]
+		}
+		if fs := headConn.Stats(fabric.Initiator); nCQE != n || nRes != n || len(sizes) != row.msgs || total != row.bytes ||
+			fs.Sends != int64(row.msgs) || fs.SendBytes != int64(row.bytes) {
+			t.Errorf("n=%d: head sent %d responses (fabric: %d), %d bytes (fabric: %d), %d CQEs, %d records; want %d, %d bytes, %d and %d",
+				n, len(sizes), fs.Sends, total, fs.SendBytes, nCQE, nRes, row.msgs, row.bytes, n, n)
+		}
 		var ackMsgs int64
 		for _, m := range members[1:] {
 			ackMsgs += c.Target(m).Stats().RelayAckMsgs
@@ -503,7 +543,7 @@ func TestRelayHeadCutDropsPendingAcks(t *testing.T) {
 			pending := func() (acks, held int) {
 				for _, m := range followers {
 					out := &c.targets[m].relay.out
-					acks, held = acks+len(out.acks), held+out.held
+					acks, held = acks+len(out.entries), held+out.held
 				}
 				return acks, held
 			}

@@ -25,11 +25,14 @@ import (
 //
 // What a power cut does depends on what the code can observe about the
 // set, not on configuration. While another member is still in sync a cut
-// member degrades the set (survivors keep completing at quorum, the degraded
-// window is evidenced by epoch marks in the survivors' PMR) and is repaired
-// from a peer replica's media when it restarts (rejoin). The last in-sync
-// member of a set — of any size — has no survivor to complete anything: its
-// commands stay outstanding and the initiators replay them on a fresh chain.
+// member degrades the set (the degraded window is evidenced by epoch marks
+// in the survivors' PMR) and is repaired from a peer replica's media when it
+// restarts (rejoin). Survivors keep completing only where they still make a
+// write quorum: on a 2-way set the quorum is both members, so a degraded
+// set's writes complete as the rejoin's resync copies land (replResyncAck).
+// The last in-sync member of a set — of any size — has no survivor to
+// complete anything: its commands stay outstanding and the initiators
+// replay them on a fresh chain.
 // crash.go takes both decisions, at PowerCutTarget and at Recover's rule (1).
 //
 // Every member's capsule comes from buildMemberCapsule and every capsule
@@ -228,8 +231,7 @@ func (in *Initiator) memberAck(ws *wireState, from int) {
 	if ws.firstAck == 0 {
 		ws.firstAck = in.Eng.Now()
 	}
-	if !ws.q.Fired && ws.q.Acks >= ws.q.Need {
-		ws.q.Fired = true
+	if ws.q.Fire() {
 		addWaitWire(ws, trace.WaitQuorum, in.Eng.Now()-ws.firstAck)
 		ws.hwDone.Fire()
 		in.deliverCompletions(ws)
@@ -260,9 +262,10 @@ func (in *Initiator) maybeRecycle(ws *wireState) {
 
 // degradeMember marks a power-cut target out of sync: the set epoch
 // advances, the survivors persist an epoch mark, and every in-flight
-// command that still expected this member's ack is resolved (so quorum
-// completions keep flowing from the survivors) and logged into the
-// member's resync backlog — it may have missed the write.
+// command that still expected this member's ack is resolved (so the
+// survivors' completions keep flowing where they still make a write
+// quorum) and logged into the member's resync backlog — it may have missed
+// the write.
 func (c *Cluster) degradeMember(m int) {
 	rs := c.replSets[c.setOf[m]]
 	pos := rs.pos(m)
@@ -283,8 +286,7 @@ func (c *Cluster) degradeMember(m int) {
 				if q.Need > 0 {
 					q.Need--
 				}
-				if !q.Fired && q.Acks >= q.Need && q.Acks > 0 {
-					q.Fired = true
+				if q.Acks > 0 && q.Fire() {
 					ws.hwDone.Fire()
 				}
 			} else {
@@ -371,8 +373,7 @@ func (in *Initiator) replResyncAck(ws *wireState, member int) {
 		return // the member genuinely acked before the cut
 	}
 	q.Acks++
-	if !q.Fired && q.Acks >= q.Need {
-		q.Fired = true
+	if q.Fire() {
 		ws.hwDone.Fire()
 		in.deliverCompletions(ws)
 	}

@@ -120,19 +120,11 @@ type qpLane struct {
 	init, qp int
 	rxQ      *sim.Queue[*capsule]
 
-	// The pending response capsule. cqeT (the instant each CQE entered the
-	// buffer; stays nil with the tracer off) and agg (relay annotations;
-	// stays nil unless cfg.ReplRelay) are parallel to cqes, aggMembers
-	// holds the member lists agg indexes; resolved holds the late-ack
-	// records the capsule will piggyback (relay route). acks are the
-	// entries of a follower's ack lane (empty on every other lane).
-	cqes       []nvmeof.CQE
-	cqeT       []sim.Time
-	agg        []aggCQE
-	aggMembers []int
+	// The pending response capsule: its entries (one kind per lane: CQEs,
+	// or a follower's acks) and, on the relay route, the late-ack records
+	// it will piggyback.
+	entries    []cplEntry
 	resolved   []aggResolved
-	acks       []relayAck
-	epoch      int      // initiator epoch the oldest pending CQE was minted under
 	first      sim.Time // when the oldest entry not held entered: the hold timer ships a batch only once it is cqeHold old
 	held       int      // pending entries held for commit
 	armed      bool     // a hold-timer event is outstanding
@@ -140,34 +132,25 @@ type qpLane struct {
 	askRetires bool     // the next response capsule asks for watermarks (logFull)
 }
 
-// push appends one CQE (and its parallel stamps) to the pending response
-// capsule; the first entry of a batch mints the capsule's epoch and age.
-func (l *qpLane) push(id uint64, epoch int, a aggCQE) {
-	now := l.t.c.Eng.Now()
-	if len(l.cqes) == 0 {
-		l.epoch = epoch
-	}
-	l.stampFirst(now)
-	l.cqes = append(l.cqes, nvmeof.NewCQE(id))
-	if l.t.relay != nil {
-		l.agg = append(l.agg, a)
-	}
-	if l.t.c.tracer != nil {
-		l.cqeT = append(l.cqeT, now)
-	}
+// push appends one entry to the pending response capsule, stamped with
+// the instant it joined.
+func (l *qpLane) push(e cplEntry) {
+	e.at = l.t.c.Eng.Now()
+	l.stampFirst(e.at)
+	l.entries = append(l.entries, e)
 }
 
 // stampFirst starts the batch age at now if the entry about to join is the
 // first the hold timer backs (every pending one is held, or none is
 // pending).
 func (l *qpLane) stampFirst(now sim.Time) {
-	if len(l.cqes)+len(l.acks) == l.held {
+	if len(l.entries) == l.held {
 		l.first = now
 	}
 }
 
 // backed reports whether the hold timer backs a pending entry.
-func (l *qpLane) backed() bool { return len(l.cqes)+len(l.acks) > l.held }
+func (l *qpLane) backed() bool { return len(l.entries) > l.held }
 
 // reset drops everything volatile the lane holds when the link it serves
 // dies (either side's power cut). In-flight SSD commands complete into a
@@ -1111,7 +1094,7 @@ func (x *tctx) respond(ws *wireState, ret tstep) bool {
 	} else if as := t.openAgg(ws); as != nil {
 		own = t.ackMember(aggKey{ws.init, ws.id}, as, t.id)
 	} else {
-		l.push(ws.id, ws.epoch, aggCQE{})
+		l.push(cplEntry{init: ws.init, qp: ws.qp, id: ws.id, epoch: ws.epoch})
 	}
 	return x.commit(ws, own, mark, ret)
 }
@@ -1180,7 +1163,7 @@ func (x *tctx) flushOrArm(l *qpLane, ret tstep) bool {
 	t := x.t
 	switch {
 	case l == nil:
-	case len(l.cqes)+len(l.acks) >= t.gov.batch() || l.inflight == 0:
+	case len(l.entries) >= t.gov.batch() || l.inflight == 0:
 		return x.flushCQEs(l, ret)
 	case !l.armed && l.backed():
 		t.armCQETimer(l, t.gov.hold())
@@ -1258,29 +1241,26 @@ func (t *Target) routeFlush(l *qpLane) {
 // 16-byte capsule.
 func (x *tctx) flushCQEs(l *qpLane, ret tstep) bool {
 	t := x.t
-	if len(l.cqes) == 0 && len(l.acks) == 0 && len(l.resolved) == 0 && !l.askRetires {
+	if len(l.entries) == 0 && len(l.resolved) == 0 && !l.askRetires {
 		return x.To(ret)
 	}
 	// Detach before charging CPU: the charge waits, and the other
 	// completion context may append (or flush) meanwhile. The lane swaps
 	// its buffers with the message's empty ones.
-	msg := t.c.getMsg(l.qp, l.epoch, t.id)
-	msg.cqes, l.cqes = l.cqes, msg.cqes
-	msg.acks, l.acks = l.acks, msg.acks
-	msg.respondAt, l.cqeT = l.cqeT, msg.respondAt
-	msg.agg, l.agg = l.agg, msg.agg
-	msg.aggMembers, l.aggMembers = l.aggMembers, msg.aggMembers
+	msg := t.c.getMsg(l.qp, 0, t.id)
+	msg.entries, l.entries = l.entries, msg.entries
 	msg.resolved, l.resolved = l.resolved, msg.resolved
 	msg.logFull, l.askRetires = l.askRetires, false
 	l.held = 0
-	if len(msg.cqes) == 0 && l.init != headLane {
-		// Resolution-only or log-full capsule: no buffered CQE minted the
-		// epoch, so stamp the initiator's current one (an ack capsule has
-		// no initiator: each ack carries its own epoch).
+	if len(msg.entries) > 0 {
+		msg.epoch = msg.entries[0].epoch // the oldest entry's
+	} else {
+		// Resolution-only or log-full capsule (never an ack lane's): no
+		// entry names the epoch, so stamp the initiator's current one.
 		msg.epoch = t.initEpoch(l.init)
 	}
 	size := nvmeof.ResponseSize
-	if n := len(msg.cqes) + len(msg.acks); n > 1 {
+	if n := len(msg.entries); n > 1 {
 		size = nvmeof.CQEVectorCapsuleSize(n)
 	}
 	size += len(msg.resolved) * nvmeof.ResponseSize
@@ -1311,7 +1291,7 @@ func (x *tctx) posted() bool {
 		t.headConn().Send(fabric.Target, m)
 	} else {
 		t.stats.Responses++
-		t.stats.CQEs += int64(len(msg.cqes))
+		t.stats.CQEs += int64(len(msg.entries))
 		t.conns[l.init].Send(fabric.Target, m)
 	}
 	return x.Back()
