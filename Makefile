@@ -192,24 +192,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMediaTable -fuzztime $(FUZZTIME) ./internal/ssd
 	$(GO) test -run '^$$' -fuzz FuzzCommandEncoding -fuzztime $(FUZZTIME) ./internal/nvmeof
 
-# Coverage of the tier-1 tests over every package of the module: the total,
-# then every function outside cmd/ and internal/bench/ that no test reaches
-# (CI uploads the profile as an artifact). riobench, riocrash and the
-# benchmark workloads drive traffic the tests do not, so the list is a lead
-# for a deletion sweep, not a verdict: check a function against those too
-# before deleting it.
-coverage: build
-	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
-	$(GO) tool cover -func=coverage.out | tail -1
-	@$(GO) tool cover -func=coverage.out | awk '$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|internal\/bench)\//'
+# Statement coverage of the module's packages (scripts/coverage.sh): the
+# merged total, then every block outside cmd/ and internal/bench/ that no run
+# reaches. `coverage` runs the tier-1 tests alone (CI's coverage job): a lead
+# for a deletion sweep. `coverage-all` merges in riobench -exp all -quick, the
+# crash-smoke sweeps and the benchmark's seven workloads, the traffic the
+# tests do not drive: the verdict, about a minute; not a CI step. Both write
+# only under a temporary directory.
+coverage:
+	bash scripts/coverage.sh tests
 
-# Merged coverage of everything the repository drives — the tier-1 tests,
-# riobench -exp all -quick, the crash-smoke sweeps and the benchmark's seven
-# workloads — from -cover builds: the merged total, then every block outside
-# cmd/ and internal/bench/ that none of them reaches (what a deletion sweep
-# may take as unreached). Writes only under a temporary directory; several
-# minutes. Not a CI step.
 coverage-all:
-	bash scripts/coverage-all.sh
+	bash scripts/coverage.sh
 
 ci: lint build race bench-sim bench-layers bench-gate benchmark-smoke crash-smoke fuzz-smoke
