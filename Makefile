@@ -88,7 +88,7 @@ bench-layers:
 # The committed baseline every experiment must reproduce: named here and
 # nowhere else (CI runs `make bench-gate`; cmd/benchdiff is handed the name,
 # internal/bench's baseline test reads it from this line).
-BASELINE := BENCH_32.json
+BASELINE := BENCH_33.json
 
 # Regenerate the tracked perf-trajectory snapshot: every experiment, quick,
 # at seed 1 (the file bench-gate's cmp holds a fresh run to) and over seeds
@@ -164,15 +164,18 @@ sim-diff:
 # recycled records poisoned, and degrade, re-ask and resync are where a
 # pooled capsule or completion message is likeliest to be read after its
 # recycle. Then 100 head cuts on 2-way relay sets (the unpinned draw makes
-# a 2-way set in about 1 plan of 5, this line only those): every command
-# there needs both acks, so commit order holds acks on a follower's ack lane
-# when the head dies.
+# a 2-way set in about 1 plan of 5, this line only those), then 100 head
+# cuts on 3-way relay sets and 100 member cuts on 3-way direct sets: commit
+# order holds CQEs and acks on every quorum, majority sets too, so a cut
+# finds held completions on a member's lanes and a follower's ack lane.
 crash-smoke: build
 	$(GO) run ./cmd/riocrash -seed 1 -n 24
 	$(GO) run ./cmd/riocrash -seed 1 -n 40 -set cut=target -set final=false
 	$(GO) run ./cmd/riocrash -seed 451 -n 200 -set cut=head
 	$(GO) run ./cmd/riocrash -seed 1 -n 60 -set relay=true -set cut=member
 	$(GO) run ./cmd/riocrash -seed 451 -n 100 -set replicas=2 -set relay=true -set cut=head
+	$(GO) run ./cmd/riocrash -seed 451 -n 100 -set replicas=3 -set relay=true -set cut=head
+	$(GO) run ./cmd/riocrash -seed 1 -n 100 -set replicas=3 -set cut=member
 
 # Native fuzzing of the six pure-logic targets for FUZZTIME each, from
 # their committed seeds: the in-order gate under arbitrary arrival

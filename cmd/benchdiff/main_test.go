@@ -17,6 +17,7 @@ func baseMetrics() map[string]float64 {
 		"scale.rio.completion_msgs_per_op":                             0.8,
 		"replication.rio.kiops.r3":                                     630,
 		"replication.rio.failover_blip_us":                             100,
+		"replication.rio.completion_msgs_per_op.r3":                    1.89,
 		"serve.rio.kiops":                                              200,
 		"serve.rio.p99_us":                                             70,
 		"serve.rio.fairness_spread":                                    1.05,
@@ -68,6 +69,7 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 		{"cpl msgs/op +15% (coalescing decays)", "scale.rio.completion_msgs_per_op", 0.8 * 1.15},
 		{"3-way replication throughput -12%", "replication.rio.kiops.r3", 630 * 0.88},
 		{"failover blip +20% (degraded path slows)", "replication.rio.failover_blip_us", 100 * 1.20},
+		{"3-way cpl msgs/op +22% (majority holds dropped)", "replication.rio.completion_msgs_per_op.r3", 2.435},
 		{"serve throughput -15%", "serve.rio.kiops", 200 * 0.85},
 		{"serve p99 +20%", "serve.rio.p99_us", 70 * 1.20},
 		{"tenant fairness decays (one tenant starved)", "serve.rio.fairness_spread", 1.05 * 1.6},

@@ -10,6 +10,7 @@
 //	riobench -exp scale,replication,policy -quick -json out.json
 //	riobench -exp scale -quick -trace 16          # append stage breakdowns
 //	riobench -exp scale -quick -repeat 5 -json out.json   # mean/std metrics
+//	riobench -exp all -quick -digest              # one schedule digest per point
 package main
 
 import (
@@ -48,6 +49,7 @@ func main() {
 		jsonPath = flag.String("json", "", "write the metrics to this file")
 		repeat   = flag.Int("repeat", 1, "run each experiment N times with seeds seed..seed+N-1; metrics become {mean,std}")
 		traceN   = flag.Int("trace", 0, "sample 1-in-N requests for stage-level tracing and append the breakdown (0 = off)")
+		digest   = flag.Bool("digest", false, "print each experiment point's schedule digest (never written to -json)")
 	)
 	flag.Parse()
 
@@ -73,7 +75,7 @@ func main() {
 	for _, n := range names {
 		start := time.Now()
 		for rep := 0; rep < *repeat; rep++ {
-			opts := bench.Options{Quick: *quick, Seed: *seed + int64(rep), TraceSample: *traceN}
+			opts := bench.Options{Quick: *quick, Seed: *seed + int64(rep), TraceSample: *traceN, Digest: *digest}
 			r, err := bench.Run(n, opts)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "riobench:", err)
@@ -81,6 +83,9 @@ func main() {
 			}
 			if rep == 0 {
 				fmt.Print(r.Render())
+			}
+			for _, d := range r.Digests {
+				fmt.Printf("digest %s seed=%d %s %016x\n", n, *seed+int64(rep), d.Point, d.Sum)
 			}
 			for k, v := range r.Metrics {
 				samples[k] = append(samples[k], v)

@@ -65,8 +65,19 @@ type Options struct {
 	// records host memory only, so every metric of a seeded run is
 	// identical with it on or off.
 	TraceSample int
+	// Digest turns on every point's schedule digest (sim.Engine.Digest),
+	// listed in Result.Digests in the order the points ran.
+	Digest bool
 
-	traces *[]*trace.Tracer // set by Run: the tracer of every cluster built
+	traces  *[]*trace.Tracer // set by Run: the tracer of every cluster built
+	digests *[]PointDigest   // set by Run with Digest: every point's digest
+}
+
+// PointDigest is one experiment point's schedule digest: Point names it by
+// its place among the experiment's points and its cluster's shape.
+type PointDigest struct {
+	Point string
+	Sum   uint64
 }
 
 func (o Options) seed() int64 {
@@ -105,6 +116,9 @@ type Result struct {
 	// them to a BENCH_*.json so the perf trajectory is tracked
 	// PR-over-PR): the headlines a runner names, and one per table cell.
 	Metrics map[string]float64
+	// Digests are the points' schedule digests with Options.Digest, nil
+	// without: never a metric, so the byte-gated file does not carry them.
+	Digests []PointDigest
 }
 
 // Metric records one number. A key is written once: a second write would
@@ -223,9 +237,14 @@ func Run(name string, o Options) (*Result, error) {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names())
 	}
 	var traces []*trace.Tracer
+	var digests []PointDigest
 	o.traces = &traces
+	if o.Digest {
+		o.digests = &digests
+	}
 	res := r(o)
 	res.deriveMetrics(name)
+	res.Digests = digests
 	var agg trace.Stats
 	for _, tr := range traces {
 		s := tr.Stats()
@@ -331,9 +350,19 @@ type pointRun[R any] func(eng *sim.Engine, c *stack.Cluster, warm, meas sim.Time
 // within an experiment is free.
 func point[R any](o Options, cfg stack.Config, run pointRun[R]) R {
 	eng := sim.New(o.seed())
+	if o.digests != nil {
+		eng.TrackDigest()
+	}
 	c := o.newCluster(eng, cfg)
 	warm, meas := o.windows()
 	r := run(eng, c, warm, meas)
+	if o.digests != nil {
+		shape := fmt.Sprintf("#%d %v targets=%d R=%d", len(*o.digests), cfg.Mode, len(cfg.Targets), max(cfg.Replicas, 1))
+		if cfg.ReplRelay {
+			shape += " relay"
+		}
+		*o.digests = append(*o.digests, PointDigest{shape, eng.Digest()})
+	}
 	eng.Shutdown()
 	return r
 }

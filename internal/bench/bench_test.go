@@ -3,6 +3,7 @@ package bench
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -61,6 +62,29 @@ func TestParallelTracedRuns(t *testing.T) {
 		if g != want {
 			t.Errorf("parallel run %d rendered differently from a run alone:\n%s\nwant:\n%s", i, g, want)
 		}
+	}
+}
+
+// TestDigestsIgnoreTracing: with Options.Digest a run lists one schedule
+// digest per point, the same with tracing on, since a tracer records host
+// memory only; without it, none.
+func TestDigestsIgnoreTracing(t *testing.T) {
+	digests := func(o Options) []PointDigest {
+		res, err := Run("replication", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Digests
+	}
+	want := digests(Options{Quick: true, Digest: true})
+	if len(want) == 0 {
+		t.Fatal("a digested run listed no point")
+	}
+	if got := digests(Options{Quick: true, Digest: true, TraceSample: 1}); !slices.Equal(got, want) {
+		t.Errorf("traced digests %v, untraced %v", got, want)
+	}
+	if got := digests(Options{Quick: true}); got != nil {
+		t.Errorf("a run without Digest listed %v", got)
 	}
 }
 

@@ -96,6 +96,8 @@ type Engine struct {
 
 	stopped bool // Stop was called during the current run
 
+	digest *digest // the schedule digest, nil unless TrackDigest was called
+
 	// The wheel. Every event in it is due in [now, now+wheelSize), so slot
 	// at&wheelMask holds exactly the events due at at, in seq order. bits
 	// marks the non-empty slots and summary the non-zero words of bits.
@@ -117,6 +119,45 @@ func (e *Engine) Now() Time { return e.now }
 // events run were proc resumes (a coroutine switch each, where any other
 // event is a plain call). Both are exact for a seed.
 func (e *Engine) Counts() (events, resumes uint64) { return e.seq, e.resumes }
+
+// TrackDigest turns the schedule digest (Digest) on from the next event
+// run. Off, the default, an event run pays one nil check for it.
+func (e *Engine) TrackDigest() {
+	d := fnvOffset
+	e.digest = &d
+}
+
+// Digest returns the schedule digest: FNV-1a over the time and seq of every
+// event run since TrackDigest, in run order, then over the seq of the last
+// event scheduled. Two runs of equal digests ran the same number of events
+// at the same instants in the same order, and scheduled the same number. It
+// is 0 while the digest is off.
+func (e *Engine) Digest() uint64 {
+	if e.digest == nil {
+		return 0
+	}
+	d := *e.digest
+	d.add(e.seq)
+	return uint64(d)
+}
+
+// digest is a running 64-bit FNV-1a hash over little-endian words.
+type digest uint64
+
+const (
+	fnvOffset digest = 14695981039346656037
+	fnvPrime  digest = 1099511628211
+)
+
+func (d *digest) add(v uint64) {
+	h := *d
+	for range 8 {
+		h ^= digest(v & 0xff)
+		h *= fnvPrime
+		v >>= 8
+	}
+	*d = h
+}
 
 // Rand returns the engine's deterministic random stream. It must only be
 // used from simulation context (callbacks or procs).
@@ -316,6 +357,10 @@ func (e *Engine) step(t Time) bool {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
+	if e.digest != nil {
+		e.digest.add(uint64(ev.at))
+		e.digest.add(ev.seq)
+	}
 	ev.r.Run()
 	return true
 }

@@ -110,3 +110,57 @@ func TestGoldenMixedScenario(t *testing.T) {
 			e.Now(), e.seq, steps, h.Sum64(), doneAt, wantNow, wantSeq, wantSteps, wantHash)
 	}
 }
+
+// TestScheduleDigest: the digest is FNV-1a over each run event's time and
+// seq, in run order, then the last seq; it is 0 while off, and a shifted
+// or an added event changes it.
+func TestScheduleDigest(t *testing.T) {
+	e := New(1)
+	e.TrackDigest()
+	e.At(5, func() {})
+	e.At(3, func() {}) // runs first: seq 2 at 3, then seq 1 at 5
+	e.Run()
+	h := fnv.New64a()
+	for _, w := range []uint64{3, 2, 5, 1, 2} {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], w)
+		h.Write(b[:])
+	}
+	if got, want := e.Digest(), h.Sum64(); got != want {
+		t.Fatalf("digest %#x, want %#x", got, want)
+	}
+
+	run := func(track bool, shift, extra Time) (uint64, uint64) {
+		e := New(7)
+		defer e.Shutdown()
+		if track {
+			e.TrackDigest()
+		}
+		r := NewResource(e, 1)
+		for i := 0; i < 4; i++ {
+			e.Go("worker", func(p *Proc) {
+				r.Use(p, 10+shift)
+				p.Sleep(Time(i))
+			})
+		}
+		if extra > 0 {
+			e.At(extra, func() {})
+		}
+		e.Run()
+		events, _ := e.Counts()
+		return e.Digest(), events
+	}
+	base, events := run(true, 0, 0)
+	if again, _ := run(true, 0, 0); again != base {
+		t.Fatalf("same run, digests %#x and %#x", base, again)
+	}
+	if off, offEvents := run(false, 0, 0); off != 0 || offEvents != events {
+		t.Fatalf("digest off: %#x over %d events, want 0 over %d", off, offEvents, events)
+	}
+	if shifted, _ := run(true, 1, 0); shifted == base {
+		t.Fatal("a 1 ns later event left the digest unchanged")
+	}
+	if added, _ := run(true, 0, 10); added == base {
+		t.Fatal("an added event that does nothing left the digest unchanged")
+	}
+}

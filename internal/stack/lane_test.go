@@ -86,29 +86,39 @@ func TestPowerCutInitiatorResetsItsLanesOnly(t *testing.T) {
 	}
 }
 
-// TestHeldCQEShipsWithItsCommit: R = 1, one stream on one QP, two ordered
-// writes in one capsule to one target. The older lands behind a busy media
-// channel, so the younger completes first: its CQE cannot commit before the
+// TestHeldCQEShipsWithItsCommit: one stream on one QP, two ordered writes
+// in one capsule. The older lands behind a busy media channel on every
+// member, so the younger completes first: its CQE cannot commit before the
 // older one's, so it is held — it arms no hold timer — and ships in one
-// response capsule with the older one's. With stream affinity off the same
-// traffic keeps the hold timer: the younger ships alone once it is CQEHold
-// old, at the instants the rule was introduced under.
+// response capsule with the older one's. That holds for R = 1 and for a
+// direct-route 3-way set, whose majority quorum is held like any other.
+// With stream affinity off the same traffic keeps the hold timer: the
+// younger ships alone once it is CQEHold old, at the instants the rule was
+// introduced under.
 func TestHeldCQEShipsWithItsCommit(t *testing.T) {
-	run := func(affinity bool) (st TargetStats, armed bool, at [4]sim.Time) {
+	run := func(replicas int, affinity bool) (st []TargetStats, armed bool, at [4]sim.Time) {
 		eng := sim.New(1)
 		defer eng.Shutdown()
-		cfg := DefaultConfig(ModeRio, OptaneTarget())
+		targets := make([]TargetConfig, replicas)
+		for i := range targets {
+			targets[i] = OptaneTarget()
+		}
+		cfg := DefaultConfig(ModeRio, targets...)
+		cfg.Replicas = replicas
 		cfg.Streams, cfg.QPs = 1, 1
 		cfg.StreamAffinity = affinity
 		c := New(eng, cfg)
-		in, tgt := c.Init(0), c.Target(0)
-		// Channel 0 (LBA mod 7) is busy for two media writes of no stream.
-		for _, lba := range []uint64{7000, 7007} {
-			tgt.SSD(0).Submit(&ssd.Command{Op: ssd.OpWrite, LBA: lba, Blocks: 1, Stamps: []uint64{1}, Done: func(*ssd.Command) {}})
-		}
-		// Watch the lane's hold timer every 100 ns (read-only probes).
-		for ts := sim.Time(0); ts < 60*sim.Microsecond; ts += 100 {
-			eng.At(ts, func() { armed = armed || tgt.lane(0, 0).armed })
+		in := c.Init(0)
+		for i := range targets {
+			tgt := c.Target(i)
+			// Channel 0 (LBA mod 7) is busy for two media writes of no stream.
+			for _, lba := range []uint64{7000, 7007} {
+				tgt.SSD(0).Submit(&ssd.Command{Op: ssd.OpWrite, LBA: lba, Blocks: 1, Stamps: []uint64{1}, Done: func(*ssd.Command) {}})
+			}
+			// Watch the lane's hold timer every 100 ns (read-only probes).
+			for ts := sim.Time(0); ts < 60*sim.Microsecond; ts += 100 {
+				eng.At(ts, func() { armed = armed || tgt.lane(0, 0).armed })
+			}
 		}
 		var reqs [2]*blockdev.Request
 		eng.Go("app", func(p *sim.Proc) {
@@ -124,20 +134,30 @@ func TestHeldCQEShipsWithItsCommit(t *testing.T) {
 		for i, r := range reqs {
 			at[2*i], at[2*i+1] = r.CompleteAt, r.DeliverAt
 		}
-		return tgt.Stats(), armed, at
+		for i := range targets {
+			st = append(st, c.Target(i).Stats())
+		}
+		return st, armed, at
 	}
 
-	st, armed, at := run(true)
-	if st.Commands != 2 || st.HeldCQEs != 1 || st.Responses != 1 || st.CQEs != 2 || armed {
-		t.Fatalf("affinity on: %d commands, %d held, %d CQEs in %d capsules, hold timer armed %v; want 2, 1, 2 in 1, false",
-			st.Commands, st.HeldCQEs, st.CQEs, st.Responses, armed)
-	}
-	if at[0] != at[2] {
-		t.Errorf("affinity on: completions at %v and %v, want one capsule's instant", at[0], at[2])
+	for _, replicas := range []int{1, 3} {
+		sts, armed, at := run(replicas, true)
+		if armed {
+			t.Errorf("R=%d, affinity on: a hold timer armed, want none", replicas)
+		}
+		for i, st := range sts {
+			if st.Commands != 2 || st.HeldCQEs != 1 || st.Responses != 1 || st.CQEs != 2 {
+				t.Errorf("R=%d, affinity on, member %d: %d commands, %d held, %d CQEs in %d capsules; want 2, 1, 2 in 1",
+					replicas, i, st.Commands, st.HeldCQEs, st.CQEs, st.Responses)
+			}
+		}
+		if at[0] != at[2] {
+			t.Errorf("R=%d, affinity on: completions at %v and %v, want one capsule's instant", replicas, at[0], at[2])
+		}
 	}
 
-	st, armed, at = run(false)
-	if st.HeldCQEs != 0 || st.Responses != 2 || !armed {
+	sts, armed, at := run(1, false)
+	if st := sts[0]; st.HeldCQEs != 0 || st.Responses != 2 || !armed {
 		t.Fatalf("affinity off: %d held, %d capsules, hold timer armed %v; want 0, 2, true", st.HeldCQEs, st.Responses, armed)
 	}
 	// Completion and delivery of the older, then of the younger (which

@@ -1108,21 +1108,24 @@ const (
 
 // commit moves the completion frontier of a gated ordered command's domain
 // as it responds, then applies the flush rule to own (the lane the
-// completion joined, nil for none) and returns to ret. When the command
-// needs every member's ack and its stream keeps to one QP, commit order
-// decides two things before the usual rule (flushOrArm):
+// completion joined, nil for none) and returns to ret. When its stream
+// keeps to one QP, commit order decides two things before the usual rule
+// (flushOrArm), whatever the quorum:
 //
 //   - a completion behind an older, unresponded command of its domain is
 //     held: it arms no hold timer (it still ships on a full batch, an idle
 //     lane or any other flush of its lane), since the initiator cannot
-//     deliver it before that older one anyway;
+//     deliver it before that older one anyway; on a majority set other
+//     members' CQEs may let it deliver before this member's older one
+//     arrives, so there a hold can delay delivery, which the capsules it
+//     saves outweigh;
 //   - a completion that moves the frontier past held ones flushes their
 //     lane at once: its own, inline; another (its route differs from
 //     theirs: a head's quorum record took it, or it left the relay route),
 //     through routeFlush.
 //
-// Anything else — an unordered write, a FLUSH, a majority quorum, a stream
-// spread over QPs, Horae and Linux — keeps the flush rule alone.
+// Anything else — an unordered write, a FLUSH, a stream spread over QPs,
+// Horae and Linux — keeps the flush rule alone.
 func (x *tctx) commit(ws *wireState, own *qpLane, mark uint8, ret tstep) bool {
 	t := x.t
 	if !ws.wc.Ordered || ws.wc.Flush || !t.pol.Gated() {
@@ -1131,7 +1134,7 @@ func (x *tctx) commit(ws *wireState, own *qpLane, mark uint8, ret tstep) bool {
 	attrs := ws.chain[ws.q.Pos(t.id)].attrs
 	d := t.ord.Domain(ws.init, attrs[0].Stream)
 	first := attrs[0].ServerIdx
-	hold := own != nil && t.c.cfg.StreamAffinity && ws.q.Need == len(ws.q.Members) && d.Behind(first)
+	hold := own != nil && t.c.cfg.StreamAffinity && d.Behind(first)
 	held := uint8(0)
 	if hold {
 		held = mark
